@@ -1,7 +1,7 @@
-//! Columnar scan bench: vectorized batch kernels + double-buffered
-//! prefetch vs. the row-at-a-time oracle on a ≥10⁵-row RCFile meter
-//! table (DESIGN.md §12). Asserts the PR's ≥3× full-scan aggregate
-//! acceptance bar and writes `BENCH_columnar.json`.
+//! Columnar scan bench: vectorized batch kernels vs. the row-at-a-time
+//! oracle on a ≥10⁵-row RCFile meter table (DESIGN.md §12). Asserts the
+//! ≥3× full-scan aggregate acceptance bar and writes
+//! `BENCH_columnar.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dgf_bench::columnar::{columnar_json, ColumnarLab};
@@ -23,39 +23,22 @@ fn bench(c: &mut Criterion) {
         .scan_pass(
             ScanOptions {
                 columnar: false,
-                prefetch: false,
-                sidecar: true,
+                ..ScanOptions::default()
             },
             reps,
         )
         .unwrap();
-    let columnar = lab
-        .scan_pass(
-            ScanOptions {
-                columnar: true,
-                prefetch: false,
-                sidecar: true,
-            },
-            reps,
-        )
-        .unwrap();
-    let prefetch = lab.scan_pass(ScanOptions::default(), reps).unwrap();
+    let columnar = lab.scan_pass(ScanOptions::default(), reps).unwrap();
 
     assert_eq!(
         rowwise.result, columnar.result,
         "columnar pass diverged from the row-wise oracle"
     );
-    assert_eq!(
-        rowwise.result, prefetch.result,
-        "prefetch pass diverged from the row-wise oracle"
-    );
 
     let speedup = rowwise.time.as_secs_f64() / columnar.time.as_secs_f64();
-    let speedup_pre = rowwise.time.as_secs_f64() / prefetch.time.as_secs_f64();
     println!(
-        "columnar [{} rows]: row-wise {:.3?} | columnar {:.3?} ({speedup:.1}x) | \
-         columnar+prefetch {:.3?} ({speedup_pre:.1}x, {} waits)",
-        lab.rows, rowwise.time, columnar.time, prefetch.time, prefetch.scan.prefetch_waits,
+        "columnar [{} rows]: row-wise {:.3?} | columnar {:.3?} ({speedup:.1}x)",
+        lab.rows, rowwise.time, columnar.time,
     );
 
     let kernels = lab.kernel_micro().unwrap();
@@ -66,7 +49,7 @@ fn bench(c: &mut Criterion) {
         kernels.minmax, kernels.rowwise_sum,
     );
 
-    // The PR's acceptance bar: vectorized full-scan SUM/AVG ≥3× faster
+    // The acceptance bar: vectorized full-scan SUM/AVG ≥3× faster
     // than row-at-a-time on the same slices.
     assert!(
         speedup >= 3.0,
@@ -78,7 +61,6 @@ fn bench(c: &mut Criterion) {
         lab.rows,
         &rowwise,
         &columnar,
-        &prefetch,
         &kernels,
     );
     let path = std::env::var("DGF_BENCH_JSON").unwrap_or_else(|_| {

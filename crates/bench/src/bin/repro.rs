@@ -4,13 +4,7 @@
 //! cargo run --release -p dgf-bench --bin repro -- [--scale small|medium|large]
 //!                                                 [--only fig3,table2,agg,groupby,join,partial,tpch,ablation,partitions]
 //!                                                 [--out results.md]
-//!                                                 [--profile-json BENCH_profile.json]
 //! ```
-//!
-//! `--profile-json` additionally runs one fully profiled boundary-heavy
-//! aggregation through the DGFIndex engine and writes the per-stage
-//! span tree (`query` → `query.plan`/`query.scan`, with `kv.*`, `plan.*`
-//! and `hdfs.*` metrics) as JSON — see DESIGN.md §8 for the schema.
 
 use std::io::Write;
 
@@ -19,23 +13,19 @@ use dgf_bench::experiments::{
     groupby_experiment, join_experiment, partial_experiment, partition_pressure_experiment,
     table2_index_size, table5_tpch_index, tpch_q6_experiment,
 };
-use dgf_bench::readpath::{readpath_experiment, readpath_json, ReadPathLab};
 use dgf_bench::{BenchScale, MeterLab, ReportTable, TpchLab};
 use dgf_common::Stopwatch;
-use dgf_kvstore::LatencyModel;
 
 struct Args {
     scale: BenchScale,
     only: Option<Vec<String>>,
     out: Option<String>,
-    profile_json: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut scale = BenchScale::medium();
     let mut only = None;
     let mut out = None;
-    let mut profile_json = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -49,13 +39,10 @@ fn parse_args() -> Result<Args, String> {
                 only = Some(v.split(',').map(|s| s.trim().to_owned()).collect());
             }
             "--out" => out = Some(it.next().ok_or("--out needs a value")?),
-            "--profile-json" => {
-                profile_json = Some(it.next().ok_or("--profile-json needs a path")?)
-            }
             "--help" | "-h" => {
                 return Err("usage: repro [--scale small|medium|large] \
                             [--only fig3,table2,agg,groupby,join,partial,tpch,ablation,partitions] \
-                            [--out results.md] [--profile-json BENCH_profile.json]"
+                            [--out results.md]"
                     .into())
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -65,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         scale,
         only,
         out,
-        profile_json,
     })
 }
 
@@ -153,15 +139,6 @@ fn run(args: Args) -> dgf_common::Result<()> {
         let (records, times) = tpch_q6_experiment(&lab)?;
         emit(records);
         emit(times);
-    }
-
-    if let Some(path) = &args.profile_json {
-        eprintln!("running profiled boundary-heavy query for {path}...");
-        let report = readpath_experiment(110, 100, 3_000, LatencyModel::hbase_like())?;
-        let stats = ReadPathLab::build(110, 100, 3_000, LatencyModel::hbase_like())?
-            .profiled_run()?;
-        std::fs::write(path, readpath_json("fine 110x100, hbase-like", &report, &stats))?;
-        eprintln!("wrote per-stage profile JSON to {path}");
     }
 
     if let Some(path) = &args.out {

@@ -1,12 +1,11 @@
 //! Columnar scan/aggregate micro-experiment (DESIGN.md §12).
 //!
-//! The PR's tentpole claim: decoding each RCFile row group once into a
+//! The claim: decoding each RCFile row group once into a
 //! typed [`dgf_common::ColumnBatch`] and folding aggregates with slice
 //! kernels makes full-scan SUM/AVG aggregation over ≥10⁵-row meter
 //! tables ≥3× faster than the row-at-a-time path, with bit-identical
 //! answers. This module measures the end-to-end passes (row-wise oracle,
-//! columnar, columnar + double-buffered prefetch) and the individual
-//! kernels (group decode, predicate selection, sum/extreme folds), and
+//! columnar) and the individual kernels (group decode, predicate selection, sum/extreme folds), and
 //! assembles the `BENCH_columnar.json` document.
 
 use std::sync::Arc;
@@ -217,8 +216,7 @@ fn pass_json(p: &ScanPass) -> String {
     format!(
         concat!(
             "{{\"time_us\":{},\"batches\":{},\"rows_decoded\":{},\"rows_selected\":{},",
-            "\"decode_us\":{},\"kernel_us\":{},\"prefetch_waits\":{},",
-            "\"prefetch_wait_us\":{},\"rowwise_rows\":{}}}"
+            "\"decode_us\":{},\"kernel_us\":{},\"rowwise_rows\":{}}}"
         ),
         p.time.as_micros(),
         p.scan.batches,
@@ -226,27 +224,24 @@ fn pass_json(p: &ScanPass) -> String {
         p.scan.rows_selected,
         p.scan.decode_us,
         p.scan.kernel_us,
-        p.scan.prefetch_waits,
-        p.scan.prefetch_wait_us,
         p.scan.rowwise_rows,
     )
 }
 
-/// Assemble the `BENCH_columnar.json` document: the three end-to-end
+/// Assemble the `BENCH_columnar.json` document: the two end-to-end
 /// passes, the acceptance speedup, and the per-kernel busy times.
 pub fn columnar_json(
     config: &str,
     rows: u64,
     rowwise: &ScanPass,
     columnar: &ScanPass,
-    prefetch: &ScanPass,
     kernels: &KernelTimings,
 ) -> String {
     let speedup = rowwise.time.as_secs_f64() / columnar.time.as_secs_f64().max(1e-9);
     format!(
         concat!(
             "{{\"experiment\":\"columnar\",\"config\":\"{config}\",\"rows\":{rows},",
-            "\"passes\":{{\"rowwise\":{rw},\"columnar\":{col},\"columnar_prefetch\":{pre}}},",
+            "\"passes\":{{\"rowwise\":{rw},\"columnar\":{col}}},",
             "\"speedup\":{speedup:.2},",
             "\"kernels\":{{\"rows\":{krows},\"batches\":{kbatches},",
             "\"decode_us\":{decode},\"select_us\":{select},\"sum_us\":{sum},",
@@ -256,7 +251,6 @@ pub fn columnar_json(
         rows = rows,
         rw = pass_json(rowwise),
         col = pass_json(columnar),
-        pre = pass_json(prefetch),
         speedup = speedup,
         krows = kernels.rows,
         kbatches = kernels.batches,
@@ -272,7 +266,7 @@ pub fn columnar_json(
 mod tests {
     use super::*;
 
-    /// Small-scale correctness: the three passes agree bit-for-bit and
+    /// Small-scale correctness: the two passes agree bit-for-bit and
     /// the counters describe what each pass did. (The ≥3× speedup is
     /// asserted in the release-mode bench runner, not under `--cfg test`
     /// debug timing.)
@@ -288,38 +282,25 @@ mod tests {
             .scan_pass(
                 ScanOptions {
                     columnar: false,
-                    prefetch: false,
-                    sidecar: true,
+                    ..ScanOptions::default()
                 },
                 1,
             )
             .unwrap();
-        let columnar = lab
-            .scan_pass(
-                ScanOptions {
-                    columnar: true,
-                    prefetch: false,
-                    sidecar: true,
-                },
-                1,
-            )
-            .unwrap();
-        let prefetch = lab.scan_pass(ScanOptions::default(), 1).unwrap();
+        let columnar = lab.scan_pass(ScanOptions::default(), 1).unwrap();
         assert_eq!(rowwise.result, columnar.result);
-        assert_eq!(rowwise.result, prefetch.result);
         assert_eq!(rowwise.scan.batches, 0);
         assert_eq!(rowwise.scan.rowwise_rows, lab.rows);
         assert_eq!(columnar.scan.rows_decoded, lab.rows);
         assert_eq!(columnar.scan.rows_selected, lab.rows);
-        assert_eq!(prefetch.scan.rows_decoded, lab.rows);
 
         let kernels = lab.kernel_micro().unwrap();
         assert_eq!(kernels.rows, lab.rows);
-        let json = columnar_json("test", lab.rows, &rowwise, &columnar, &prefetch, &kernels);
+        let json = columnar_json("test", lab.rows, &rowwise, &columnar, &kernels);
         for needle in [
             "\"experiment\":\"columnar\"",
             "\"passes\":",
-            "\"columnar_prefetch\":",
+            "\"columnar\":",
             "\"speedup\":",
             "\"kernels\":",
             "\"rowwise_sum_us\":",

@@ -25,7 +25,6 @@ pub mod compaction;
 pub mod experiments;
 pub mod meter_lab;
 pub mod pyramid;
-pub mod readpath;
 pub mod report;
 pub mod scale;
 pub mod serving;

@@ -1,11 +1,11 @@
 //! Pyramid readpath experiment (DESIGN.md §14).
 //!
-//! The PR's tentpole claim: on an inner-heavy multidimensional range
-//! query, decomposing the fully-covered region into canonical pyramid
-//! nodes (`p:` keys) cuts the KV reads spent on headers by ≥10× versus
-//! flat per-cell enumeration — with the merged inner states
-//! **bit**-identical, because every strategy folds the inner region
-//! through the same canonical merge tree.
+//! The claim: on an inner-heavy multidimensional range query,
+//! decomposing the fully-covered region into canonical pyramid nodes
+//! (`p:` keys) cuts the KV reads spent on headers by ≥10× versus flat
+//! per-cell enumeration — with the merged inner states **bit**-identical,
+//! because both strategies fold the inner region through the same
+//! canonical merge tree.
 //!
 //! The lab synthesizes the store directly instead of reorganizing a
 //! million-row table: deterministic per-cell headers are written as
@@ -14,10 +14,9 @@
 //! produced), and the index metadata — policy, aggregate keys, extents,
 //! pyramid height, and a committed non-pending [`ReadView`] — is put
 //! alongside, so a stock [`DgfIndex::open`] reader plans against it
-//! like any live index. Three passes run the same inner-heavy query
-//! under [`PlanStrategy::PrefixScan`], [`PlanStrategy::PointGets`], and
-//! [`PlanStrategy::Pyramid`], each on a cold header cache, comparing
-//! KV-stats deltas. It also assembles the `BENCH_pyramid.json`
+//! like any live index. Two passes run the same inner-heavy query
+//! under [`PlanStrategy::PrefixScan`] and [`PlanStrategy::Pyramid`],
+//! each on a cold header cache, comparing KV-stats deltas. It also assembles the `BENCH_pyramid.json`
 //! document.
 
 use std::sync::Arc;
@@ -92,7 +91,7 @@ pub struct PyramidLab {
 /// One cold-cache planning pass's outcome under a fetch strategy.
 #[derive(Debug, Clone)]
 pub struct ReadPass {
-    /// Strategy label (`prefix_scan` / `point_gets` / `pyramid`).
+    /// Strategy label (`prefix_scan` / `pyramid`).
     pub strategy: &'static str,
     /// Wall time of plan assembly.
     pub wall: Duration,
@@ -104,11 +103,11 @@ pub struct ReadPass {
     /// one KV-level measure that sees every header a strategy fetched.
     pub bytes_read: u64,
     /// Headers merged into the inner accumulator (cells for the flat
-    /// strategies; decomposition items for the pyramid).
+    /// scan; decomposition items for the pyramid).
     pub inner_gfus: u64,
     /// Records those headers summarize.
     pub inner_records: u64,
-    /// Level ≥ 1 nodes merged (0 for the flat strategies).
+    /// Level ≥ 1 nodes merged (0 for the flat scan).
     pub pyramid_nodes: u64,
     /// Leaf cells those nodes summarized.
     pub pyramid_cells: u64,
@@ -195,13 +194,12 @@ impl PyramidLab {
             generation: 1,
             pending: false,
             watermark: 0,
-            // No file accounting: the synthetic store has no reorganized
-            // files, and `files: None` tells the freshness check so.
-            files: None,
+            // The synthetic store has no reorganized files and its base
+            // table holds none either, so the freshness check passes.
+            files: 0,
             extents: extents.clone(),
-            data_files: Some(Vec::new()),
-            policy: Some(policy.encode()),
-            versioned: true,
+            data_files: Vec::new(),
+            policy: policy.encode(),
         };
         kv.put(META_POLICY_KEY, &policy.encode())?;
         kv.put(META_AGGS_KEY, agg_keys.as_bytes())?;
@@ -222,7 +220,7 @@ impl PyramidLab {
 
     /// The inner-heavy query: the cell-aligned box `[margin, n-margin)`
     /// on both dimensions. Every cell in range is fully covered (cell
-    /// width 1), so the flat strategies fetch each of the
+    /// width 1), so the flat scan fetches each of the
     /// [`inner_cells`](Self::inner_cells) headers while the pyramid
     /// reads its decomposition.
     pub fn query(&self) -> Query {
@@ -275,7 +273,6 @@ impl PyramidLab {
             .into_scalars();
         Ok(ReadPass {
             strategy: match strategy {
-                PlanStrategy::PointGets => "point_gets",
                 PlanStrategy::PrefixScan => "prefix_scan",
                 PlanStrategy::Pyramid => "pyramid",
             },
@@ -322,37 +319,26 @@ fn pass_json(p: &ReadPass) -> String {
     )
 }
 
-/// Assemble the `BENCH_pyramid.json` document: one entry per strategy
+/// Assemble the `BENCH_pyramid.json` document: the flat and the pyramid
 /// pass plus the pyramid's read reductions over flat enumeration (the
 /// headline `kv_read_reduction` is byte-based — the one KV measure that
 /// sees scan-returned headers too).
-pub fn pyramid_json(config: &str, lab: &PyramidLab, passes: &[ReadPass]) -> String {
-    let find = |name: &str| passes.iter().find(|p| p.strategy == name);
-    let (mut ops_x, mut bytes_x, mut keys_x) = (0.0, 0.0, 0.0);
-    if let (Some(scan), Some(points), Some(pyr)) =
-        (find("prefix_scan"), find("point_gets"), find("pyramid"))
-    {
-        ops_x = reduction(scan.read_ops, pyr.read_ops);
-        bytes_x = reduction(scan.bytes_read, pyr.bytes_read);
-        keys_x = reduction(points.keys_requested, pyr.keys_requested);
-    }
-    let entries: Vec<String> = passes.iter().map(pass_json).collect();
+pub fn pyramid_json(config: &str, lab: &PyramidLab, scan: &ReadPass, pyr: &ReadPass) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"pyramid\",\"config\":\"{}\",\"grid_cells\":{},",
-            "\"inner_cells\":{},\"leaves\":{},\"nodes_built\":{},\"passes\":[{}],",
-            "\"read_ops_reduction\":{:.2},\"keys_reduction\":{:.2},",
-            "\"kv_read_reduction\":{:.2}}}"
+            "\"inner_cells\":{},\"leaves\":{},\"nodes_built\":{},\"passes\":[{},{}],",
+            "\"read_ops_reduction\":{:.2},\"kv_read_reduction\":{:.2}}}"
         ),
         config,
         lab.grid_cells(),
         lab.inner_cells(),
         lab.leaves,
         lab.nodes_built,
-        entries.join(","),
-        ops_x,
-        keys_x,
-        bytes_x,
+        pass_json(scan),
+        pass_json(pyr),
+        reduction(scan.read_ops, pyr.read_ops),
+        reduction(scan.bytes_read, pyr.bytes_read),
     )
 }
 
@@ -360,7 +346,7 @@ pub fn pyramid_json(config: &str, lab: &PyramidLab, passes: &[ReadPass]) -> Stri
 mod tests {
     use super::*;
 
-    /// Debug-scale correctness: the three strategies merge bit-identical
+    /// Debug-scale correctness: both strategies merge bit-identical
     /// inner states and finalize identical scalars, and even a 64×64
     /// grid clears the ≥10× read-reduction bar.
     #[test]
@@ -370,11 +356,9 @@ mod tests {
         assert!(lab.nodes_built > 0);
 
         let scan = lab.read_pass(PlanStrategy::PrefixScan).unwrap();
-        let points = lab.read_pass(PlanStrategy::PointGets).unwrap();
         let pyr = lab.read_pass(PlanStrategy::Pyramid).unwrap();
 
         assert!(!scan.states.is_empty());
-        assert_eq!(scan.states, points.states, "flat strategies diverged");
         assert_eq!(scan.states, pyr.states, "pyramid states not bit-identical");
         assert_eq!(scan.answers, pyr.answers);
         assert_eq!(scan.inner_records, pyr.inner_records);
@@ -394,33 +378,22 @@ mod tests {
             scan.bytes_read,
             pyr.bytes_read
         );
-        assert!(
-            reduction(points.keys_requested, pyr.keys_requested) >= 10.0,
-            "points {} keys vs pyramid {} keys",
-            points.keys_requested,
-            pyr.keys_requested
-        );
     }
 
     /// The JSON document carries the schema EXPERIMENTS.md documents.
     #[test]
     fn json_carries_the_documented_schema() {
         let lab = PyramidLab::build(PyramidConfig::tiny()).unwrap();
-        let passes = vec![
-            lab.read_pass(PlanStrategy::PrefixScan).unwrap(),
-            lab.read_pass(PlanStrategy::PointGets).unwrap(),
-            lab.read_pass(PlanStrategy::Pyramid).unwrap(),
-        ];
-        let json = pyramid_json("tiny", &lab, &passes);
+        let scan = lab.read_pass(PlanStrategy::PrefixScan).unwrap();
+        let pyr = lab.read_pass(PlanStrategy::Pyramid).unwrap();
+        let json = pyramid_json("tiny", &lab, &scan, &pyr);
         for needle in [
             "\"experiment\":\"pyramid\"",
             "\"passes\":[",
             "\"strategy\":\"prefix_scan\"",
-            "\"strategy\":\"point_gets\"",
             "\"strategy\":\"pyramid\"",
             "\"pyramid_nodes\":",
             "\"read_ops_reduction\":",
-            "\"keys_reduction\":",
             "\"kv_read_reduction\":",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");

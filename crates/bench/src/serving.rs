@@ -1,10 +1,14 @@
 //! Serving-tier throughput experiment (DESIGN.md §13).
 //!
-//! The PR's tentpole claim: range-partitioning the GFU keyspace across
-//! N latency-realistic shards and scattering each query's prefix-scan
+//! The claim: range-partitioning the GFU keyspace across N
+//! latency-realistic shards and scattering each query's prefix-scan
 //! runs across them (`IndexOptions::fetch_parallelism`) lifts QPS on a
 //! mixed ingest+query meter workload by ≥2× at 4 shards — with answers
-//! bit-identical to the single-node engine. This module stands up the
+//! bit-identical to the single-node engine. The serving engine is pinned
+//! to [`PlanStrategy::PrefixScan`]: the default plan reads `p:` nodes,
+//! which all live on the metadata shard and so never scatter, and the
+//! run scatter (the path every header-less plan takes) is what this lab
+//! measures. This module stands up the
 //! lab: build the index once on a plain in-memory store, mirror it into
 //! a [`ShardedKv`] of [`LatencyKv`]-wrapped shards per shard count, and
 //! drive a [`ServeFrontend`] with concurrent clients while a background
@@ -16,7 +20,7 @@ use std::time::Duration;
 
 use dgf_common::{Result, Row, TempDir, Value};
 use dgf_core::{
-    DgfEngine, DgfIndex, DimPolicy, Extents, IndexOptions, SplittingPolicy,
+    DgfEngine, DgfIndex, DimPolicy, Extents, IndexOptions, PlanStrategy, SplittingPolicy,
 };
 use dgf_format::FileFormat;
 use dgf_hive::{HiveContext, ServeOptions, TableRef};
@@ -254,7 +258,7 @@ impl ServingLab {
             },
         )?;
         let frontend = ServeFrontend::new(
-            DgfEngine::new(Arc::new(reader)),
+            DgfEngine::new(Arc::new(reader)).with_strategy(PlanStrategy::PrefixScan),
             ServeOptions {
                 workers: self.cfg.clients,
                 ..ServeOptions::default()

@@ -185,7 +185,6 @@ pub fn measure_pass(
     let run = |sidecar: bool| -> Result<(Duration, u64, ScanSnapshot, QueryResult)> {
         ctx.set_scan_options(ScanOptions {
             columnar: true,
-            prefetch: true,
             sidecar,
         });
         let mut best: Option<(Duration, u64, ScanSnapshot, QueryResult)> = None;

@@ -165,12 +165,6 @@ pub mod names {
     /// Microseconds spent in predicate/aggregate kernels, summed
     /// (`ScanStats::kernel_us`).
     pub const SCAN_KERNEL_US: &str = "scan.kernel_us";
-    /// Times a scan blocked waiting on the group prefetcher
-    /// (`ScanStats::prefetch_waits`).
-    pub const SCAN_PREFETCH_WAITS: &str = "scan.prefetch_waits";
-    /// Microseconds scans spent blocked on the prefetcher
-    /// (`ScanStats::prefetch_wait_us`).
-    pub const SCAN_PREFETCH_WAIT_US: &str = "scan.prefetch_wait_us";
     /// Rows pushed through the row-at-a-time fallback path
     /// (`ScanStats::rowwise_rows`).
     pub const SCAN_ROWWISE_ROWS: &str = "scan.rowwise_rows";

@@ -137,9 +137,8 @@ impl fmt::Display for IoSnapshot {
 ///
 /// One `ScanStats` is owned by a `HiveContext` and charged from every map
 /// task of every scan, the same snapshot/delta pattern as [`IoStats`]: the
-/// batch decoder counts groups and rows, the kernels count selected rows,
-/// and the prefetcher counts how often the consumer blocked waiting for
-/// I/O. Busy times are recorded in microseconds because map tasks run in
+/// batch decoder counts groups and rows and the kernels count selected
+/// rows. Busy times are recorded in microseconds because map tasks run in
 /// parallel — their summed busy time is meaningful, their wall time is not.
 #[derive(Debug, Default)]
 pub struct ScanStats {
@@ -153,10 +152,6 @@ pub struct ScanStats {
     pub decode_us: Counter,
     /// Microseconds spent in predicate + aggregate kernels (summed).
     pub kernel_us: Counter,
-    /// Times a consumer blocked on the prefetch channel.
-    pub prefetch_waits: Counter,
-    /// Microseconds consumers spent blocked on prefetched groups.
-    pub prefetch_wait_us: Counter,
     /// Rows pushed through the row-at-a-time fallback path.
     pub rowwise_rows: Counter,
     /// Sidecars loaded and verified for pruning (DESIGN.md §15).
@@ -191,8 +186,6 @@ impl ScanStats {
             rows_selected: self.rows_selected.get(),
             decode_us: self.decode_us.get(),
             kernel_us: self.kernel_us.get(),
-            prefetch_waits: self.prefetch_waits.get(),
-            prefetch_wait_us: self.prefetch_wait_us.get(),
             rowwise_rows: self.rowwise_rows.get(),
             sidecar_hits: self.sidecar_hits.get(),
             sidecar_misses: self.sidecar_misses.get(),
@@ -217,10 +210,6 @@ pub struct ScanSnapshot {
     pub decode_us: u64,
     /// Microseconds spent in predicate + aggregate kernels.
     pub kernel_us: u64,
-    /// Times a consumer blocked on the prefetch channel.
-    pub prefetch_waits: u64,
-    /// Microseconds consumers spent blocked on prefetched groups.
-    pub prefetch_wait_us: u64,
     /// Rows pushed through the row-at-a-time fallback path.
     pub rowwise_rows: u64,
     /// Sidecars loaded and verified for pruning.
@@ -246,8 +235,6 @@ impl ScanSnapshot {
             rows_selected: self.rows_selected.saturating_sub(earlier.rows_selected),
             decode_us: self.decode_us.saturating_sub(earlier.decode_us),
             kernel_us: self.kernel_us.saturating_sub(earlier.kernel_us),
-            prefetch_waits: self.prefetch_waits.saturating_sub(earlier.prefetch_waits),
-            prefetch_wait_us: self.prefetch_wait_us.saturating_sub(earlier.prefetch_wait_us),
             rowwise_rows: self.rowwise_rows.saturating_sub(earlier.rowwise_rows),
             sidecar_hits: self.sidecar_hits.saturating_sub(earlier.sidecar_hits),
             sidecar_misses: self.sidecar_misses.saturating_sub(earlier.sidecar_misses),
@@ -270,8 +257,6 @@ impl ScanSnapshot {
         reg.add(names::SCAN_ROWS_SELECTED, self.rows_selected);
         reg.add(names::SCAN_DECODE_US, self.decode_us);
         reg.add(names::SCAN_KERNEL_US, self.kernel_us);
-        reg.add(names::SCAN_PREFETCH_WAITS, self.prefetch_waits);
-        reg.add(names::SCAN_PREFETCH_WAIT_US, self.prefetch_wait_us);
         reg.add(names::SCAN_ROWWISE_ROWS, self.rowwise_rows);
         reg.add(names::SCAN_SIDECAR_HITS, self.sidecar_hits);
         reg.add(names::SCAN_SIDECAR_MISSES, self.sidecar_misses);

@@ -32,8 +32,8 @@ pub const META_FILES_KEY: &[u8] = b"m:files";
 /// exactly which batches are already indexed.
 pub const META_INGEST_KEY: &[u8] = b"m:ingest";
 /// Key of the persisted aggregate-pyramid height (absent on stores
-/// built without a pyramid — legacy stores stay legacy, because absent
-/// ancestor nodes would silently read as "no data"). One byte: the
+/// built without a pyramid — they never grow one in place, because
+/// absent ancestor nodes would silently read as "no data"). One byte: the
 /// number of levels above the `g:` leaves (see [`crate::pyramid`]).
 pub const META_PYRAMID_KEY: &[u8] = b"m:pyramid";
 /// Key of the deferred file-reclamation list: data files retired by a

@@ -45,7 +45,7 @@ use crate::pyramid;
 use crate::txn::{
     live_key, stage_key, stage_prefix, TxnManifest, TxnState, STAGE_PREFIX, TXN_MANIFEST_KEY,
 };
-use crate::view::ReadView;
+use crate::view::{LiveParts, ReadView};
 
 /// How GFU Slices are placed across reducer output files — the paper's §8
 /// "optimal placement of Slices" future work.
@@ -117,14 +117,6 @@ pub struct IndexOptions {
     /// answer-preserving because runs are always *absorbed* in odometer
     /// order regardless of fetch completion order (DESIGN.md §13).
     pub fetch_parallelism: usize,
-    /// Whether *new builds* maintain the hierarchical aggregate pyramid
-    /// (see [`crate::pyramid`]). Ignored on [`open`](DgfIndex::open):
-    /// an existing store's `m:pyramid` metadata decides, because a
-    /// pyramid-bearing store must keep its nodes maintained on every
-    /// append regardless of who opens it (a stale node would silently
-    /// under-count), and a legacy store can never grow one in place
-    /// (its absent ancestors would read as empty).
-    pub pyramid: bool,
 }
 
 impl Default for IndexOptions {
@@ -135,7 +127,6 @@ impl Default for IndexOptions {
             fault: None,
             profiler: Profiler::from_env(),
             fetch_parallelism: 1,
-            pyramid: true,
         }
     }
 }
@@ -155,13 +146,14 @@ pub struct DgfIndex {
     pub ctx: Arc<HiveContext>,
     /// The original table (source of schema and of ground-truth scans).
     pub base: TableRef,
-    /// The reorganized, slice-aligned data table (TextFile — the only
-    /// format DGFIndex supports in the paper).
+    /// The reorganized, slice-aligned data table, in the base table's
+    /// format (TextFile as in the paper, or RCFile with Slices aligned
+    /// to whole row groups).
     pub data: TableRef,
     /// The grid policy. Behind a lock because online grid adaptation
     /// ([`crate::maintain`]) swaps it after a committed regrid; readers
     /// use the policy riding their pinned [`ReadView`] instead, so this
-    /// is only the fallback for legacy views and the seed for writes.
+    /// is only the seed for writes.
     policy: RwLock<Arc<SplittingPolicy>>,
     /// Pre-computed aggregate list (may be empty).
     pub aggs: Vec<AggFunc>,
@@ -178,7 +170,8 @@ pub struct DgfIndex {
     fresh_source: Mutex<Option<Arc<dyn FreshSource>>>,
     fetch_parallelism: usize,
     /// Pyramid height when this store maintains one (`m:pyramid`);
-    /// `None` disables both maintenance and the `Pyramid` plan strategy.
+    /// `None` disables maintenance and sends every plan down the
+    /// prefix-run scans.
     pyramid: Option<u8>,
     /// Planner-fed per-dimension boundary-heat counters consumed by the
     /// maintenance daemon's grid adaptation (see [`crate::maintain`]).
@@ -278,9 +271,7 @@ impl DgfIndex {
         }
         // The pyramid only pays off when headers exist to summarize, and
         // very wide grids would fan out 2^d children per node.
-        let pyramid = (options.pyramid
-            && !aggs.is_empty()
-            && policy.arity() <= pyramid::MAX_PYRAMID_ARITY)
+        let pyramid = (!aggs.is_empty() && policy.arity() <= pyramid::MAX_PYRAMID_ARITY)
             .then_some(pyramid::DEFAULT_PYRAMID_LEVELS);
         let heat = CellHeat::new(policy.arity());
         let index = DgfIndex {
@@ -351,7 +342,9 @@ impl DgfIndex {
     /// [`open`](Self::open) with full [`IndexOptions`]. Runs crash
     /// recovery first: an interrupted transaction found in the store is
     /// rolled back (pre-commit) or re-applied (post-commit) before any
-    /// metadata is read.
+    /// metadata is read. A store whose `m:view` is missing or lacks a
+    /// part (written by a build older than the current format) is then
+    /// upgraded once, so readers only ever meet one view shape.
     pub fn open_with_options(
         ctx: Arc<HiveContext>,
         base: TableRef,
@@ -407,17 +400,17 @@ impl DgfIndex {
         let placement = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PLACEMENT_KEY))?
             .map(|b| SlicePlacement::decode(&b))
             .unwrap_or(SlicePlacement::KeyHash);
-        // The stored metadata decides, not `options.pyramid`: see
-        // [`IndexOptions::pyramid`].
+        // The stored metadata decides: a pyramid-bearing store must keep
+        // its nodes maintained on every append regardless of who opens it
+        // (a stale node would silently under-count), and a store without
+        // one can never grow it in place (its absent ancestors would read
+        // as empty).
         let stored_pyramid = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PYRAMID_KEY))?
             .as_deref()
             .map(pyramid::decode_meta)
             .transpose()?;
-        kv.stats().snapshot().since(&meta_before).attach_to_span(&meta_span);
-        meta_span.finish();
-        span.finish();
         let heat = CellHeat::new(policy.arity());
-        Ok(DgfIndex {
+        let index = DgfIndex {
             ctx,
             base,
             data,
@@ -434,7 +427,56 @@ impl DgfIndex {
             fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid: stored_pyramid,
             heat,
-        })
+        };
+        index.upgrade_view()?;
+        index.kv.stats().snapshot().since(&meta_before).attach_to_span(&meta_span);
+        meta_span.finish();
+        span.finish();
+        Ok(index)
+    }
+
+    /// The one-time format upgrade behind the single [`ReadView`] shape.
+    /// A store without `m:view` (built before views existed) gets one
+    /// synthesized from its meta keys; a view stored without its file
+    /// list or policy gets those from live state — exactly what readers
+    /// of such stores used to fall back to on every plan. Published with
+    /// the same single `m:view` put every commit uses, so a crash before
+    /// the put just repeats the synthesis on the next open, and a store
+    /// already in the current format costs no write at all.
+    fn upgrade_view(&self) -> Result<()> {
+        let live = || -> Result<LiveParts> {
+            let files = match self.kv_get(META_FILES_KEY)? {
+                Some(bytes) => le_u64(&bytes),
+                // No count was ever recorded: assume in sync, as such
+                // stores always were.
+                None => self.ctx.hdfs.list_files(&self.base.location).len() as u64,
+            };
+            Ok(LiveParts {
+                files,
+                data_files: self.live_data_files()?,
+                policy: self.policy().encode(),
+            })
+        };
+        let (view, publish) = match self.kv_get(META_VIEW_KEY)? {
+            Some(bytes) => ReadView::decode_or_complete(&bytes, live)?,
+            None => {
+                let LiveParts { files, data_files, policy } = live()?;
+                let view = ReadView {
+                    generation: self.generation(),
+                    pending: false,
+                    watermark: self.ingest_watermark()?,
+                    files,
+                    extents: self.extents()?,
+                    data_files,
+                    policy,
+                };
+                (view, true)
+            }
+        };
+        if publish {
+            self.kv_put(META_VIEW_KEY, &view.encode())?;
+        }
+        Ok(())
     }
 
     /// Repair an interrupted transaction, if the store holds one. Called
@@ -760,6 +802,24 @@ impl DgfIndex {
         decode_gc_list(&bytes)
     }
 
+    /// The live data files of the index — what a view published now
+    /// lists: everything in the data directory except sidecars (index,
+    /// not data) and files awaiting deferred reclamation (`m:gc`), which
+    /// must never re-enter a view.
+    pub(crate) fn live_data_files(&self) -> Result<Vec<(String, u64)>> {
+        let gc: std::collections::HashSet<String> = self.gc_list()?.into_iter().collect();
+        let mut files: Vec<(String, u64)> = self
+            .ctx
+            .hdfs
+            .list_files(&self.data.location)
+            .into_iter()
+            .filter(|(p, _)| !is_sidecar_path(p) && !gc.contains(p))
+            .collect();
+        files.sort();
+        files.dedup();
+        Ok(files)
+    }
+
     /// Persist the deferred-reclamation list (plain put: the maintenance
     /// daemon is the only writer and resolves the final value itself).
     pub(crate) fn put_gc_list(&self, paths: &[String]) -> Result<()> {
@@ -834,8 +894,8 @@ impl DgfIndex {
     }
 
     /// Height of the maintained aggregate pyramid, or `None` when this
-    /// store carries no pyramid (legacy stores, empty pre-compute
-    /// lists, very wide grids). See [`crate::pyramid`].
+    /// store carries no pyramid (stores built before it existed, empty
+    /// pre-compute lists, very wide grids). See [`crate::pyramid`].
     pub fn pyramid_levels(&self) -> Option<u8> {
         self.pyramid
     }
@@ -1095,16 +1155,10 @@ impl DgfIndex {
         let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
         // Sidecars ride the renames with their slice files but are never
         // data: keep them out of the split list (here and from prior gens).
-        let gc: std::collections::HashSet<String> = self.gc_list()?.into_iter().collect();
         let mut data_files: Vec<(String, u64)> = if rewrite {
             Vec::new()
         } else {
-            self.ctx
-                .hdfs
-                .list_files(&self.data.location)
-                .into_iter()
-                .filter(|(p, _)| !is_sidecar_path(p) && !gc.contains(p))
-                .collect()
+            self.live_data_files()?
         };
         for (p, len) in staged_files {
             let name = p.rsplit('/').next().unwrap_or(&p).to_owned();
@@ -1132,7 +1186,7 @@ impl DgfIndex {
             // The replaced files join the deferred-reclamation list (one
             // maintenance round of grace for readers pinned to the old
             // view) rather than being deleted at apply.
-            let mut retired: Vec<String> = gc.iter().cloned().collect();
+            let mut retired = self.gc_list()?;
             retired.extend(spec.retire.iter().map(|(p, _)| p.clone()));
             retired.sort();
             retired.dedup();
@@ -1144,11 +1198,10 @@ impl DgfIndex {
             generation: gen,
             pending: true,
             watermark,
-            files: Some(files),
+            files,
             extents: extents.clone(),
-            data_files: Some(data_files),
-            policy: Some(policy.encode()),
-            versioned: true,
+            data_files,
+            policy: policy.encode(),
         }
         .encode();
         self.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
@@ -1319,25 +1372,14 @@ impl DgfIndex {
         for (k, v) in self.meta_puts(&policy, &extents, files, watermark) {
             self.kv_put(&k, &v)?;
         }
-        let gc: std::collections::HashSet<String> = self.gc_list()?.into_iter().collect();
-        let mut data_files: Vec<(String, u64)> = self
-            .ctx
-            .hdfs
-            .list_files(&self.data.location)
-            .into_iter()
-            .filter(|(p, _)| !is_sidecar_path(p) && !gc.contains(p))
-            .collect();
-        data_files.sort();
-        data_files.dedup();
         let view = ReadView {
             generation: self.generation.load(Ordering::Acquire),
             pending: false,
             watermark,
-            files: Some(files),
+            files,
             extents,
-            data_files: Some(data_files),
-            policy: Some(policy.encode()),
-            versioned: true,
+            data_files: self.live_data_files()?,
+            policy: policy.encode(),
         };
         self.kv_put(META_VIEW_KEY, &view.encode())?;
         kv_retry(self.retry, self.kv.as_ref(), || self.kv.flush())?;
@@ -1374,78 +1416,36 @@ impl DgfIndex {
     }
 
     /// Pin the committed [`ReadView`] with a single KV read — the one
-    /// atomic snapshot query planning works from. Stores that predate
-    /// views (no `m:view` key) get a view synthesized from one batched
-    /// `multi_get` of the legacy meta keys, marked non-`versioned` so
-    /// validation falls back to the in-memory generation counter.
+    /// atomic snapshot query planning works from. Every build publishes
+    /// `m:view` and [`open`](Self::open) upgrades stores that predate
+    /// it, so its absence here is corruption, not a format to serve.
     pub fn pin_view(&self) -> Result<ReadView> {
-        if let Some(bytes) = self.kv_get(META_VIEW_KEY)? {
-            return ReadView::decode(&bytes);
-        }
-        let metas = kv_retry(self.retry, self.kv.as_ref(), || {
-            self.kv.multi_get(&[
-                META_FILES_KEY.to_vec(),
-                META_EXTENT_KEY.to_vec(),
-                META_INGEST_KEY.to_vec(),
-            ])
-        })?;
-        let files = metas[0].as_deref().map(le_u64);
-        let extents = match metas[1].as_deref() {
-            Some(b) => Extents::decode(b)?,
-            None => Extents::empty(self.policy().arity()),
-        };
-        let watermark = metas[2].as_deref().map(le_u64).unwrap_or(0);
-        Ok(ReadView {
-            generation: self.generation(),
-            pending: false,
-            watermark,
-            files,
-            extents,
-            data_files: None,
-            policy: None,
-            versioned: false,
-        })
+        let bytes = self
+            .kv_get(META_VIEW_KEY)?
+            .ok_or_else(|| DgfError::Corrupt("store holds no read view (m:view)".into()))?;
+        ReadView::decode(&bytes)
     }
 
     /// Whether `view` is still the committed view. The `pending` flag may
     /// legitimately flip (cleanup clears it without changing state a
     /// reader can observe inconsistently), so only the generation counts.
     pub fn view_unchanged(&self, view: &ReadView) -> Result<bool> {
-        if view.versioned {
-            match self.kv_get(META_VIEW_KEY)? {
-                Some(bytes) => Ok(ReadView::decode(&bytes)?.generation == view.generation),
-                None => Ok(false),
-            }
-        } else {
-            Ok(self.generation() == view.generation)
-        }
-    }
-
-    /// A point `get` as seen from `view`: while the view's transaction is
-    /// still publishing, its staged twin is consulted *first* (a staged
-    /// miss means the key is either unchanged or already published, so
-    /// the live read that follows is the new state either way).
-    pub(crate) fn kv_get_pinned(&self, view: &ReadView, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if view.versioned && view.pending {
-            if let Some(v) = self.kv_get(&stage_key(view.generation, key))? {
-                return Ok(Some(v));
-            }
-        }
-        self.kv_get(key)
+        Ok(self.pin_view()?.generation == view.generation)
     }
 
     /// A batched `multi_get` as seen from `view`: while the view's
     /// transaction is still publishing, one batch over the staged twins
     /// runs *first* and a second batch over the live keys fills the
-    /// staged misses — the same per-key staged-before-live ordering
-    /// argument as [`kv_get_pinned`](Self::kv_get_pinned), paid as two
-    /// snapshot-atomic round trips instead of one per key.
+    /// staged misses. Staged-before-live is what makes the pair safe: a
+    /// staged miss means the key is either unchanged or already
+    /// published, so the live read that follows is the new state either
+    /// way.
     pub(crate) fn kv_multi_get_pinned(
         &self,
         view: &ReadView,
         keys: &[Vec<u8>],
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        if !(view.versioned && view.pending) {
+        if !view.pending {
             return kv_retry(self.retry, self.kv.as_ref(), || self.kv.multi_get(keys));
         }
         let staged_keys: Vec<Vec<u8>> = keys
@@ -1474,7 +1474,7 @@ impl DgfIndex {
 
     /// A range scan as seen from `view`: staged keys are scanned before
     /// the live range (same ordering argument as
-    /// [`kv_get_pinned`](Self::kv_get_pinned)) and overlaid with staged
+    /// [`kv_multi_get_pinned`](Self::kv_multi_get_pinned)) and overlaid with staged
     /// precedence. The stage prefix preserves live-key order, so the
     /// overlay is a sorted two-list merge.
     pub(crate) fn kv_scan_range_pinned(
@@ -1483,7 +1483,7 @@ impl DgfIndex {
         start: &[u8],
         end: &[u8],
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        if !(view.versioned && view.pending) {
+        if !view.pending {
             return self.kv_scan_range(start, end);
         }
         let sp = stage_prefix(view.generation);
@@ -1520,9 +1520,7 @@ impl DgfIndex {
     /// already moved past the view (a commit landed; validation will see
     /// the new view and retry). Anything else is genuine staleness.
     pub(crate) fn check_freshness_pinned(&self, view: &ReadView) -> Result<()> {
-        let Some(indexed) = view.files else {
-            return Ok(()); // pre-freshness index: assume in sync
-        };
+        let indexed = view.files;
         let current = self.ctx.hdfs.list_files(&self.base.location).len() as u64;
         if current <= indexed {
             return Ok(());

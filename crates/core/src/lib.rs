@@ -11,8 +11,9 @@
 //!   into per-GFU Slices) and incremental, rebuild-free appends.
 //! * [`plan`] — query planning: inner/boundary region decomposition,
 //!   header-based answering of the inner region, split filtering, and
-//!   per-split Slice range lists. Cell fetches ride contiguous key-range
-//!   scans rather than per-cell round trips (see [`plan::PlanStrategy`]).
+//!   per-split Slice range lists. The inner region is read from pyramid
+//!   nodes where the store carries them, from contiguous key-range scans
+//!   otherwise (see [`plan::PlanStrategy`]).
 //! * [`cache`] — the epoch-tagged GFU header cache that lets repeated
 //!   queries plan without touching the key-value store.
 //! * [`pyramid`] — the hierarchical aggregate pyramid: coarser-level
@@ -724,18 +725,18 @@ mod tests {
         let before_first = idx.kv.stats().snapshot();
         let first = idx.plan(&q, true).unwrap();
         let first_delta = idx.kv.stats().snapshot().since(&before_first);
-        // Cold cache: every cell misses, and the runs are actually scanned.
+        // Cold cache: every key misses, and the misses are actually fetched.
         assert_eq!(first.cache_hits, 0);
         assert!(first.cache_misses > 0);
-        assert!(first_delta.scans > 0);
+        assert!(first_delta.multi_gets + first_delta.scans > 0);
 
         let before_second = idx.kv.stats().snapshot();
         let second = idx.plan(&q, true).unwrap();
         let second_delta = idx.kv.stats().snapshot().since(&before_second);
         // Warm cache: the whole cell region (present cells and negative
         // entries alike) is answered from memory. The only store traffic
-        // left is the two metadata reads every plan performs (freshness
-        // and extents).
+        // left is the two view reads every plan performs (pin and
+        // validate).
         assert_eq!(second.cache_misses, 0);
         assert_eq!(second.cache_hits, first.cache_hits + first.cache_misses);
         assert_eq!(second_delta.scans, 0);
@@ -778,14 +779,23 @@ mod tests {
         assert!(fresh.cache_misses > 0);
         assert_eq!(fresh.inner_records, warm.inner_records + 1);
 
-        // And it matches the cache-free point-get baseline field for
-        // field, so nothing stale leaked into the answer.
-        let baseline = idx
-            .plan_with_strategy(&q, true, PlanStrategy::PointGets)
+        // And it matches the flat reference planned through a second
+        // handle (so a cold cache of its own) field for field: nothing
+        // stale leaked into the answer.
+        let cold_handle = DgfIndex::open(
+            Arc::clone(&ctx),
+            Arc::clone(&idx.base),
+            Arc::clone(&idx.kv),
+            "dgf_fig5",
+            vec![AggFunc::Sum("C".into())],
+        )
+        .unwrap();
+        let baseline = cold_handle
+            .plan_with_strategy(&q, true, PlanStrategy::PrefixScan)
             .unwrap();
+        assert_eq!(baseline.cache_hits, 0);
         assert_eq!(fresh.inputs, baseline.inputs);
         assert_eq!(fresh.inner_states, baseline.inner_states);
-        assert_eq!(fresh.inner_gfus, baseline.inner_gfus);
         assert_eq!(fresh.boundary_gfus, baseline.boundary_gfus);
         assert_eq!(fresh.inner_records, baseline.inner_records);
 
@@ -917,14 +927,14 @@ mod proptests {
             );
         }
 
-        /// The prefix-scan planner is a pure fetch optimization: for an
+        /// The default plan is a pure fetch optimization: for an
         /// arbitrary grid, arbitrary data, and an arbitrary query shape
         /// (full or partially specified rectangle, aggregation or select,
-        /// headers on or off), its plan is identical — inputs, merged
-        /// header states, and every counter — to the per-cell point-get
-        /// baseline, cold and warm.
+        /// headers on or off), it is identical — inputs, merged header
+        /// states, and every strategy-independent counter — to the flat
+        /// prefix-scan reference, cold and warm.
         #[test]
-        fn prefix_scan_plans_equal_point_get_plans(
+        fn default_plans_equal_the_flat_reference(
             ia in 1i64..7,
             ib in 1i64..7,
             min_a in -5i64..5,
@@ -999,29 +1009,24 @@ mod proptests {
                 }
             };
 
-            let base = idx
-                .plan_with_strategy(&q, use_headers, PlanStrategy::PointGets)
-                .unwrap();
-            // The baseline never touches the cache.
-            prop_assert_eq!(base.cache_hits, 0);
-            prop_assert_eq!(base.cache_misses, 0);
-
             // Cold run, then warm run served from the header cache.
-            let cold = idx
-                .plan_with_strategy(&q, use_headers, PlanStrategy::PrefixScan)
-                .unwrap();
+            let cold = idx.plan(&q, use_headers).unwrap();
             prop_assert_eq!(cold.cache_hits, 0);
-            let warm = idx
-                .plan_with_strategy(&q, use_headers, PlanStrategy::PrefixScan)
-                .unwrap();
+            let warm = idx.plan(&q, use_headers).unwrap();
             prop_assert_eq!(warm.cache_misses, 0);
             prop_assert_eq!(warm.cache_hits, cold.cache_misses);
+            prop_assert_eq!(cold.inner_gfus, warm.inner_gfus);
 
+            // The reference goes last so the cold run above really is
+            // cold; it counts cells where the default may count nodes,
+            // so `inner_gfus` is the one field not compared.
+            let base = idx
+                .plan_with_strategy(&q, use_headers, PlanStrategy::PrefixScan)
+                .unwrap();
             for plan in [&cold, &warm] {
                 prop_assert_eq!(&base.inputs, &plan.inputs);
                 prop_assert_eq!(&base.chosen_splits, &plan.chosen_splits);
                 prop_assert_eq!(&base.inner_states, &plan.inner_states);
-                prop_assert_eq!(base.inner_gfus, plan.inner_gfus);
                 prop_assert_eq!(base.boundary_gfus, plan.boundary_gfus);
                 prop_assert_eq!(base.inner_records, plan.inner_records);
                 prop_assert_eq!(base.splits_total, plan.splits_total);
@@ -1113,12 +1118,8 @@ mod proptests {
 
             // Plans are identical field by field (cold, so both hit the
             // store — the chaos one through its retry loops).
-            let base = clean
-                .plan_with_strategy(&q, true, PlanStrategy::PrefixScan)
-                .unwrap();
-            let chaos = noisy
-                .plan_with_strategy(&q, true, PlanStrategy::PrefixScan)
-                .unwrap();
+            let base = clean.plan(&q, true).unwrap();
+            let chaos = noisy.plan(&q, true).unwrap();
             prop_assert_eq!(&base.inputs, &chaos.inputs);
             prop_assert_eq!(&base.chosen_splits, &chaos.chosen_splits);
             prop_assert_eq!(&base.inner_states, &chaos.inner_states);

@@ -29,7 +29,7 @@
 //! The rewrite re-cells every record under the new policy in a single
 //! transaction whose manifest also *retires* the old-granularity keys
 //! (see [`crate::txn::TxnManifest::deletes`]), and the new policy rides
-//! the published [`ReadView`](crate::view::ReadView) so a pinned reader
+//! the published [`ReadView`] so a pinned reader
 //! can never pair one epoch's extents with another's cell geometry.
 
 use std::collections::{HashMap, HashSet};
@@ -216,22 +216,6 @@ impl Maintainer {
         Ok(gc.len())
     }
 
-    /// The live (non-sidecar, non-retired) data files of the index.
-    fn live_data_files(&self) -> Result<Vec<(String, u64)>> {
-        let gc: HashSet<String> = self.index.gc_list()?.into_iter().collect();
-        let mut files: Vec<(String, u64)> = self
-            .index
-            .ctx
-            .hdfs
-            .list_files(&self.index.data.location)
-            .into_iter()
-            .filter(|(p, _)| !is_sidecar_path(p) && !gc.contains(p))
-            .collect();
-        files.sort();
-        files.dedup();
-        Ok(files)
-    }
-
     /// Delta compaction: when the live data-file count exceeds the
     /// budget, rewrite the slices of every GFU referencing the smallest
     /// files into one fresh contiguous file. Pure data movement — see
@@ -239,7 +223,7 @@ impl Maintainer {
     /// through the standard staged-commit transaction.
     fn compact(&self) -> Result<(usize, usize)> {
         let index = &*self.index;
-        let files = self.live_data_files()?;
+        let files = self.index.live_data_files()?;
         let budget = self.config.delta_file_budget.max(1);
         if files.len() <= budget {
             return Ok((0, 0));
@@ -321,7 +305,7 @@ impl Maintainer {
                         ranges: vec![range],
                     },
                 };
-                let mut r = open_input(&index.ctx, &index.data, &input)?;
+                let mut r = open_input(&index.ctx, &index.data, &input)?.into_rows();
                 while let Some(row) = r.next_row()? {
                     let line = format_row(&row);
                     w.write(&line, row)?;
@@ -383,11 +367,10 @@ impl Maintainer {
             generation: gen,
             pending: true,
             watermark,
-            files: Some(base_files),
+            files: base_files,
             extents,
-            data_files: Some(data_files),
-            policy: Some(index.policy().encode()),
-            versioned: true,
+            data_files,
+            policy: index.policy().encode(),
         }
         .encode();
         index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
@@ -473,7 +456,7 @@ impl Maintainer {
         if *old == policy {
             return Ok(());
         }
-        let files = self.live_data_files()?;
+        let files = self.index.live_data_files()?;
         let policy = Arc::new(policy);
         let gen = index.next_generation();
         let manifest = TxnManifest::intent(gen, index.staging_dir(gen), None);

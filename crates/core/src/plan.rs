@@ -19,10 +19,13 @@
 //! the leading "prefix" dimensions, each covering every trailing
 //! coordinate in one stretch of the keyspace. [`PlanStrategy::PrefixScan`]
 //! exploits this: it issues a single `scan_range` per run instead of one
-//! round trip per cell, and consults the index's epoch-tagged
-//! [`GfuHeaderCache`](crate::cache::GfuHeaderCache) so that a repeated
-//! query touches the store not at all. [`PlanStrategy::PointGets`] keeps
-//! the historical cell-at-a-time behaviour for comparison.
+//! round trip per cell. The default, [`PlanStrategy::Pyramid`], answers
+//! the fully-inner box from pre-computed `p:` nodes instead and takes
+//! the run scans only where no node can answer. Both consult the index's
+//! epoch-tagged [`GfuHeaderCache`](crate::cache::GfuHeaderCache), so a
+//! repeated query touches the store not at all, and both fold the inner
+//! region through one canonical merge tree, so their plans agree in
+//! every float bit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
@@ -45,28 +48,27 @@ use crate::view::ReadView;
 /// How the planner fetches GFU values from the key-value store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanStrategy {
-    /// One `get` round trip per cell of the query hyper-rectangle: the
-    /// historical behaviour, kept as the baseline for benchmarks and for
-    /// the equivalence tests. Never touches the header cache.
-    PointGets,
     /// One `scan_range` per contiguous key run, with results classified
     /// inner/boundary on the fly, backed by the epoch-tagged header
-    /// cache. A fully cached run costs zero key-value operations.
-    #[default]
+    /// cache. A fully cached run costs zero key-value operations. The
+    /// path every header-less plan takes, and the flat reference the
+    /// bit-identity suites compare the default against.
     PrefixScan,
     /// Decompose the fully-inner region into maximal canonical pyramid
     /// nodes (see [`crate::pyramid`]) and read one pre-computed `p:`
     /// header per node, descending to `g:` leaf headers only at the
     /// fringe; boundary cells ride one batched `multi_get`. On a store
     /// without a pyramid (or when headers are unusable, or when the
-    /// query has no fully-inner cell) this falls back to
+    /// query has no fully-inner cell) this degrades to
     /// [`PrefixScan`](Self::PrefixScan) wholesale. Answers are
-    /// bit-identical to the flat strategies because all three fold the
-    /// inner region through the same canonical merge tree.
+    /// bit-identical to the flat fetch because both fold the inner
+    /// region through the same canonical merge tree.
+    #[default]
     Pyramid,
 }
 
-/// The plan for one DGFIndex query.
+/// The plan for one DGFIndex query. The default reads nothing.
+#[derive(Default)]
 pub struct DgfPlan {
     /// Scan inputs covering the boundary region (or the whole query
     /// region when headers are not usable), clipped per split.
@@ -77,14 +79,17 @@ pub struct DgfPlan {
     /// Aggregate states (in query-aggregate order) merged from the inner
     /// region's pre-computed headers, when usable.
     pub inner_states: Option<Vec<AggState>>,
-    /// Number of inner GFUs answered from headers.
+    /// Number of headers merged for the inner region: leaf cells under
+    /// [`PlanStrategy::PrefixScan`], canonical nodes (a leaf cell is a
+    /// level-0 node) where the pyramid answered. `inner_records` is the
+    /// strategy-independent measure.
     pub inner_gfus: u64,
     /// Number of GFUs whose Slices must be read.
     pub boundary_gfus: u64,
     /// Records sitting in the inner region (answered without reading).
     pub inner_records: u64,
-    /// Pyramid nodes (level ≥ 1) merged in place of leaf headers; only
-    /// non-zero under [`PlanStrategy::Pyramid`].
+    /// Pyramid nodes (level ≥ 1) merged in place of leaf headers; zero
+    /// wherever the plan degraded to prefix-run scans.
     pub pyramid_nodes: u64,
     /// Leaf cells those pyramid nodes summarized — the header reads the
     /// decomposition avoided.
@@ -93,11 +98,9 @@ pub struct DgfPlan {
     pub splits_total: u64,
     /// Splits with at least one query-related Slice.
     pub splits_read: u64,
-    /// Header-cache hits while planning (always 0 for
-    /// [`PlanStrategy::PointGets`]).
+    /// Header-cache hits while planning.
     pub cache_hits: u64,
-    /// Header-cache misses while planning (always 0 for
-    /// [`PlanStrategy::PointGets`]).
+    /// Header-cache misses while planning.
     pub cache_misses: u64,
     /// Transient key-value faults absorbed by the planner's retry loops
     /// while building this plan. Zero on a healthy store; chaos tests
@@ -129,8 +132,8 @@ pub struct DgfPlan {
 /// Covered persisted cells are not merged on arrival: their picked
 /// states are **buffered** and [`Collector::finalize_inner`] folds them
 /// through the canonical merge tree of [`crate::pyramid`]. That makes
-/// every strategy's inner aggregate bit-identical — the flat strategies
-/// re-play client-side exactly the fold whose pre-computed results the
+/// both strategies' inner aggregate bit-identical — the flat fetch
+/// re-plays client-side exactly the fold whose pre-computed results the
 /// [`PlanStrategy::Pyramid`] path reads from `p:` nodes (which merge
 /// via [`Collector::merge_covered`] and leave the buffer empty).
 struct Collector {
@@ -180,18 +183,24 @@ struct RunFetch {
 }
 
 impl Collector {
+    /// Count one covered value and return its header states picked into
+    /// query-aggregate order.
+    fn pick_covered(&mut self, value: &GfuValue) -> Result<Vec<AggState>> {
+        let hm = self.header_merge.as_ref().ok_or_else(|| {
+            DgfError::Index("covered cell absorbed without usable headers".into())
+        })?;
+        self.inner_gfus += 1;
+        self.inner_records += value.record_count;
+        let states = hm.index_set.decode_states(&value.header)?;
+        Ok(hm.positions.iter().map(|p| states[*p].clone()).collect())
+    }
+
     /// Absorb one persisted cell fetched under `key`: covered cells
     /// buffer their picked states for the canonical fold, boundary
     /// cells contribute their Slice byte ranges.
     fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
         if covered {
-            let hm = self.header_merge.as_mut().ok_or_else(|| {
-                DgfError::Index("covered cell absorbed without usable headers".into())
-            })?;
-            self.inner_gfus += 1;
-            self.inner_records += value.record_count;
-            let states = hm.index_set.decode_states(&value.header)?;
-            let picked: Vec<AggState> = hm.positions.iter().map(|p| states[*p].clone()).collect();
+            let picked = self.pick_covered(value)?;
             let coords = GfuKey::decode(key, self.arity)?.cells;
             self.inner_buffer.insert(coords, picked);
         } else {
@@ -214,14 +223,10 @@ impl Collector {
     /// persisted tree and merge after [`finalize_inner`]
     /// (Self::finalize_inner), in both strategies alike).
     fn merge_covered(&mut self, value: &GfuValue) -> Result<()> {
-        let hm = self.header_merge.as_mut().ok_or_else(|| {
-            DgfError::Index("covered cell absorbed without usable headers".into())
-        })?;
-        self.inner_gfus += 1;
-        self.inner_records += value.record_count;
-        let states = hm.index_set.decode_states(&value.header)?;
-        let picked: Vec<AggState> = hm.positions.iter().map(|p| states[*p].clone()).collect();
-        hm.query_set.merge(&mut hm.acc, &picked)?;
+        let picked = self.pick_covered(value)?;
+        if let Some(hm) = &mut self.header_merge {
+            hm.query_set.merge(&mut hm.acc, &picked)?;
+        }
         Ok(())
     }
 
@@ -278,6 +283,11 @@ fn enumerate_box(bounds: &[(i64, i64)], out: &mut Vec<Vec<i64>>) {
     }
 }
 
+/// The inclusive cell box a span list covers.
+fn span_box(spans: &[DimSpan]) -> Vec<(i64, i64)> {
+    spans.iter().map(|s| (s.lo, s.hi)).collect()
+}
+
 /// The fully-inner cell box of a span list: each side's uncovered rim
 /// is one cell wide. `None` when a rim arithmetic would overflow `i64`
 /// (no cell can be covered on that dimension then).
@@ -301,8 +311,9 @@ impl DgfIndex {
     }
 
     /// Plan a query with an explicit fetch strategy. Both strategies
-    /// produce identical plans; they differ only in the key-value traffic
-    /// needed to build them.
+    /// produce plans equal in every input, split and float bit; they
+    /// differ in the key-value traffic needed to build them and in how
+    /// many headers (`inner_gfus`) stand for the same inner records.
     pub fn plan_with_strategy(
         &self,
         query: &Query,
@@ -316,12 +327,6 @@ impl DgfIndex {
         let prof = self.profiler().fork();
         let span = prof.span("plan");
         let retries_before = self.kv.stats().retries_absorbed.load(Ordering::Relaxed);
-        let retries_since = |kv: &dyn dgf_kvstore::KvStore| {
-            kv.stats()
-                .retries_absorbed
-                .load(Ordering::Relaxed)
-                .saturating_sub(retries_before)
-        };
         let predicate = query.predicate();
         // Snapshot the streaming memtable (if one is registered and
         // non-empty) alongside the pinned view: buffered cells may lie
@@ -336,25 +341,21 @@ impl DgfIndex {
         let live_policy = self.policy();
         let arity = live_policy.arity();
 
-        let empty_plan = |watch: Stopwatch| DgfPlan {
-            inputs: Vec::new(),
-            chosen_splits: Vec::new(),
-            inner_states: None,
-            inner_gfus: 0,
-            boundary_gfus: 0,
-            inner_records: 0,
-            pyramid_nodes: 0,
-            pyramid_cells: 0,
-            splits_total: 0,
-            splits_read: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            retries_absorbed: retries_since(self.kv.as_ref()),
-            fresh_gfus: 0,
-            fresh_records: 0,
-            fresh_rows: Vec::new(),
-            index_time: watch.elapsed(),
-            profile: QueryProfile::default(),
+        // The one place a plan is sealed: the empty plans the loop below
+        // returns early and the full plan share their tail.
+        let seal = |span: dgf_common::obs::SpanGuard, body: DgfPlan| {
+            span.finish();
+            DgfPlan {
+                retries_absorbed: self
+                    .kv
+                    .stats()
+                    .retries_absorbed
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(retries_before),
+                index_time: watch.elapsed(),
+                profile: prof.take_profile(),
+                ..body
+            }
         };
         // Headers answer the inner region only when (a) the query is a
         // plain aggregation, (b) every predicate column is an indexed
@@ -405,7 +406,7 @@ impl DgfIndex {
         // fills — and re-pins, so the plan that escapes the loop is built
         // entirely from one index epoch: never a blend (DESIGN.md §11).
         let mut attempts = 0u32;
-        let (view, mut collector, fresh_gfus, fresh_records, fresh_rows) = loop {
+        let (view, spans, mut collector, fresh_gfus, fresh_records, fresh_rows) = loop {
             let meta_span = span.child("plan.meta");
             let meta_before = meta_span.is_recording().then(|| self.kv.stats().snapshot());
             self.sync_point("plan.pin");
@@ -435,44 +436,20 @@ impl DgfIndex {
             // is already a consistent answer: the view itself is atomic,
             // so no validation is needed for a meta-only empty plan.
             if extents.is_empty() {
-                let mut plan = empty_plan(watch);
-                span.finish();
-                plan.profile = prof.take_profile();
-                return Ok(plan);
+                return Ok(seal(span, DgfPlan::default()));
             }
             // Per-dimension cell spans; a missing dimension in the
             // predicate falls back to the view's extents
             // (partially-specified queries, paper §5.3.4). Recomputed per
             // attempt because a re-pinned view may carry wider extents.
-            let view_policy = match &view.policy {
-                Some(bytes) => Arc::new(SplittingPolicy::decode(bytes)?),
-                None => Arc::clone(&live_policy),
-            };
+            let view_policy = SplittingPolicy::decode(&view.policy)?;
             let mut spans: Vec<DimSpan> = Vec::with_capacity(arity);
-            let mut dead_dim = false;
-            for (d, dim) in view_policy.dims().iter().enumerate() {
-                let dim_span = dim.cell_span(predicate.range_of(&dim.name), extents.dims[d])?;
+            for (dim, extent) in view_policy.dims().iter().zip(&extents.dims) {
+                let dim_span = dim.cell_span(predicate.range_of(&dim.name), *extent)?;
                 if dim_span.is_empty() {
-                    dead_dim = true;
-                    break;
-                }
-                // Boundary heat: each partially-covered edge cell is a
-                // row-level filtering pass this dimension's interval is
-                // too coarse to avoid. The maintenance daemon reads these
-                // counters to decide which dimension to re-split.
-                if !dim_span.lo_covered {
-                    self.heat().record(d);
-                }
-                if !dim_span.hi_covered && dim_span.hi > dim_span.lo {
-                    self.heat().record(d);
+                    return Ok(seal(span, DgfPlan::default()));
                 }
                 spans.push(dim_span);
-            }
-            if dead_dim {
-                let mut plan = empty_plan(watch);
-                span.finish();
-                plan.profile = prof.take_profile();
-                return Ok(plan);
             }
 
             let fetch_span = span.child("plan.fetch");
@@ -493,9 +470,6 @@ impl DgfIndex {
             };
             self.sync_point("plan.fetch");
             match strategy {
-                PlanStrategy::PointGets => {
-                    self.fetch_point_gets(&view, &spans, headers_usable, &mut collector)?
-                }
                 PlanStrategy::PrefixScan => self.fetch_prefix_scans(
                     &view,
                     &spans,
@@ -532,8 +506,8 @@ impl DgfIndex {
             // Fold the buffered covered cells through the canonical merge
             // tree. The Pyramid direct path buffered nothing (its node
             // states *are* that fold, read pre-computed), so this is a
-            // no-op there; the flat strategies replay the fold here,
-            // which is what makes the three strategies bit-identical.
+            // no-op there; prefix-run scans replay the fold here, which
+            // is what makes the two strategies bit-identical.
             collector.finalize_inner(
                 &spans,
                 self.pyramid_levels()
@@ -601,7 +575,7 @@ impl DgfIndex {
             }
             fetch_span.finish();
             if view_ok && epoch_ok {
-                break (view, collector, fresh_gfus, fresh_records, fresh_rows);
+                break (view, spans, collector, fresh_gfus, fresh_records, fresh_rows);
             }
             attempts += 1;
             // A reader cannot validate while a flush is mid-epoch, so
@@ -626,6 +600,20 @@ impl DgfIndex {
         for (key, value) in collector.pending_fills.drain(..) {
             cache.insert(view.generation, key, value);
         }
+        // Boundary heat, once per plan and only from the attempt that
+        // validated (a raced attempt's spans describe a discarded view):
+        // each partially-covered edge cell is a row-level filtering pass
+        // this dimension's interval is too coarse to avoid. The
+        // maintenance daemon reads these counters to decide which
+        // dimension to re-split.
+        for (d, dim_span) in spans.iter().enumerate() {
+            if !dim_span.lo_covered {
+                self.heat().record(d);
+            }
+            if !dim_span.hi_covered && dim_span.hi > dim_span.lo {
+                self.heat().record(d);
+            }
+        }
 
         let inner_states = collector.header_merge.map(|hm| hm.acc);
 
@@ -638,24 +626,14 @@ impl DgfIndex {
         // the data directory, and a live listing could pair them with
         // this view's headers (or miss files a newer header refers to).
         // Slice files are immutable once renamed, so the pinned list is
-        // always readable. Legacy non-versioned views fall back to the
-        // live listing, as before.
-        let all_splits: Vec<dgf_storage::FileSplit> = match &view.data_files {
-            Some(files) => files
-                .iter()
-                .flat_map(|(path, len)| {
-                    dgf_storage::splits_for_file(path, *len, self.ctx.hdfs.block_size())
-                })
-                .collect(),
-            // Legacy non-versioned views list the directory live, which
-            // may now hold sidecar files: they are index, not data.
-            None => self
-                .ctx
-                .table_splits(&self.data)
-                .into_iter()
-                .filter(|s| !dgf_format::is_sidecar_path(&s.path))
-                .collect(),
-        };
+        // always readable.
+        let all_splits: Vec<dgf_storage::FileSplit> = view
+            .data_files
+            .iter()
+            .flat_map(|(path, len)| {
+                dgf_storage::splits_for_file(path, *len, self.ctx.hdfs.block_size())
+            })
+            .collect();
         let splits_total = all_splits.len() as u64;
         let mut inputs = Vec::new();
         let mut chosen_splits = Vec::new();
@@ -700,28 +678,27 @@ impl DgfIndex {
         {
             self.prune_inputs_with_sidecars(&mut inputs, predicate, &span)?;
         }
-        span.finish();
-
-        Ok(DgfPlan {
-            inputs,
-            chosen_splits,
-            inner_states,
-            inner_gfus: collector.inner_gfus,
-            boundary_gfus: collector.boundary_gfus,
-            inner_records: collector.inner_records,
-            pyramid_nodes: collector.pyramid_nodes,
-            pyramid_cells: collector.pyramid_cells,
-            splits_total,
-            splits_read,
-            cache_hits: collector.cache_hits,
-            cache_misses: collector.cache_misses,
-            retries_absorbed: retries_since(self.kv.as_ref()),
-            fresh_gfus,
-            fresh_records,
-            fresh_rows,
-            index_time: watch.elapsed(),
-            profile: prof.take_profile(),
-        })
+        Ok(seal(
+            span,
+            DgfPlan {
+                inputs,
+                chosen_splits,
+                inner_states,
+                inner_gfus: collector.inner_gfus,
+                boundary_gfus: collector.boundary_gfus,
+                inner_records: collector.inner_records,
+                pyramid_nodes: collector.pyramid_nodes,
+                pyramid_cells: collector.pyramid_cells,
+                splits_total,
+                splits_read,
+                cache_hits: collector.cache_hits,
+                cache_misses: collector.cache_misses,
+                fresh_gfus,
+                fresh_records,
+                fresh_rows,
+                ..DgfPlan::default()
+            },
+        ))
     }
 
     /// Rewrite `RcRanges` inputs as `RcPruned` wherever a slice's sidecar
@@ -803,59 +780,6 @@ impl DgfIndex {
         Ok(())
     }
 
-    /// Baseline fetch: enumerate every cell of the query hyper-rectangle
-    /// and issue one `get` per cell — inner cells first, then boundary
-    /// cells, each set in odometer order, matching the historical planner.
-    fn fetch_point_gets(
-        &self,
-        view: &ReadView,
-        spans: &[DimSpan],
-        headers_usable: bool,
-        collector: &mut Collector,
-    ) -> Result<()> {
-        let arity = spans.len();
-        let mut inner_keys: Vec<Vec<u8>> = Vec::new();
-        let mut boundary_keys: Vec<Vec<u8>> = Vec::new();
-        let mut coord: Vec<i64> = spans.iter().map(|s| s.lo).collect();
-        let mut done = false;
-        while !done {
-            let covered =
-                headers_usable && spans.iter().zip(&coord).all(|(s, c)| s.covered(*c));
-            let key = GfuKey::new(coord.clone()).encode();
-            if covered {
-                inner_keys.push(key);
-            } else {
-                boundary_keys.push(key);
-            }
-            // Odometer increment, least-significant dimension last.
-            done = true;
-            for d in (0..arity).rev() {
-                if coord[d] < spans[d].hi {
-                    coord[d] += 1;
-                    // Reset the less significant digits.
-                    for (s, span) in coord[d + 1..].iter_mut().zip(&spans[d + 1..]) {
-                        *s = span.lo;
-                    }
-                    done = false;
-                    break;
-                }
-            }
-        }
-        for key in &inner_keys {
-            if let Some(got) = self.kv_get_pinned(view, key)? {
-                let value = GfuValue::decode(&got)?;
-                collector.absorb(true, key, &value)?;
-            }
-        }
-        for key in &boundary_keys {
-            if let Some(got) = self.kv_get_pinned(view, key)? {
-                let value = GfuValue::decode(&got)?;
-                collector.absorb(false, key, &value)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Batched fetch: decompose the hyper-rectangle into contiguous key
     /// runs and serve each run from the header cache or one `scan_range`.
     ///
@@ -890,26 +814,9 @@ impl DgfIndex {
         // clip the run exactly. Everything after it is full-extent.
         let scan_from = suffix_full_start.saturating_sub(1);
 
-        // Odometer over the prefix dimensions; each setting is one run.
+        // Every setting of the prefix dimensions is one run.
         let mut prefixes: Vec<Vec<i64>> = Vec::new();
-        let mut prefix: Vec<i64> = spans[..scan_from].iter().map(|s| s.lo).collect();
-        loop {
-            prefixes.push(prefix.clone());
-            let mut advanced = false;
-            for d in (0..scan_from).rev() {
-                if prefix[d] < spans[d].hi {
-                    prefix[d] += 1;
-                    for (p, span) in prefix[d + 1..].iter_mut().zip(&spans[d + 1..scan_from]) {
-                        *p = span.lo;
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
+        enumerate_box(&span_box(&spans[..scan_from]), &mut prefixes);
 
         let workers = self.fetch_parallelism().min(prefixes.len());
         if workers <= 1 {
@@ -931,7 +838,7 @@ impl DgfIndex {
         // fetches complete in. Sync points let the interleaving harness
         // pause the coordinator mid-scatter by seed.
         self.sync_point("serve.scatter");
-        let fetches: Vec<Result<RunFetch>> = std::thread::scope(|scope| {
+        let fetches: Result<Vec<RunFetch>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let prefixes = &prefixes;
@@ -950,21 +857,33 @@ impl DgfIndex {
                     })
                 })
                 .collect();
+            // Join every worker before looking at any result, so a
+            // panicked one surfaces as an error here, not as a second
+            // panic when the scope closes over an unjoined handle.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             let mut slots: Vec<Option<Result<RunFetch>>> =
                 prefixes.iter().map(|_| None).collect();
-            for h in handles {
-                for (i, r) in h.join().expect("run-fetch worker panicked") {
+            for worker in joined {
+                let fetched = worker
+                    .map_err(|_| DgfError::Index("run-fetch worker panicked".into()))?;
+                for (i, r) in fetched {
                     slots[i] = Some(r);
                 }
             }
+            // Run order, so the first failing run's error is the one
+            // reported whatever order the fetches completed in.
             slots
                 .into_iter()
-                .map(|s| s.expect("every run is assigned to exactly one worker"))
+                .map(|s| {
+                    s.unwrap_or_else(|| {
+                        Err(DgfError::Index("run left unassigned by the scatter".into()))
+                    })
+                })
                 .collect()
         });
         self.sync_point("serve.merge");
-        for fetched in fetches {
-            self.absorb_run(collector, fetched?)?;
+        for fetched in fetches? {
+            self.absorb_run(collector, fetched)?;
         }
         Ok(())
     }
@@ -1001,16 +920,16 @@ impl DgfIndex {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut all_hit = true;
-        let mut suffix: Vec<i64> = spans[scan_from..].iter().map(|s| s.lo).collect();
-        let mut done = false;
-        while !done {
+        let mut suffixes: Vec<Vec<i64>> = Vec::new();
+        enumerate_box(&span_box(&spans[scan_from..]), &mut suffixes);
+        for suffix in &suffixes {
             let covered = prefix_covered
                 && spans[scan_from..]
                     .iter()
-                    .zip(&suffix)
+                    .zip(suffix)
                     .all(|(s, c)| s.covered(*c));
             let mut key = key_prefix.clone();
-            for c in &suffix {
+            for c in suffix {
                 dgf_common::codec::encode_key_i64(&mut key, *c);
             }
             let probe = cache.get(generation, &key);
@@ -1022,17 +941,6 @@ impl DgfIndex {
                 }
             }
             cells.push((key, covered, probe));
-            done = true;
-            for d in (0..suffix.len()).rev() {
-                if suffix[d] < spans[scan_from + d].hi {
-                    suffix[d] += 1;
-                    for (s, span) in suffix[d + 1..].iter_mut().zip(&spans[scan_from + d + 1..]) {
-                        *s = span.lo;
-                    }
-                    done = false;
-                    break;
-                }
-            }
         }
 
         if all_hit {
@@ -1113,7 +1021,8 @@ impl DgfIndex {
     /// [`fetch_prefix_scans`](Self::fetch_prefix_scans) when the store
     /// carries no pyramid, headers are unusable, or the query has no
     /// fully-inner cell — a partial pyramid would complicate the
-    /// canonical-fold argument for no read savings.
+    /// canonical-fold argument for no read savings. The choice is made
+    /// from what the store and the query show, never by the caller.
     fn fetch_pyramid(
         &self,
         view: &ReadView,
@@ -1175,7 +1084,7 @@ impl DgfIndex {
             .collect();
         let item_keys: Vec<Vec<u8>> = items.iter().map(|n| n.store_key()).collect();
 
-        // Probe the epoch-tagged header cache (shared with PrefixScan;
+        // Probe the epoch-tagged header cache (shared with the run scans;
         // `p:` node values cache under the same generation tag), then
         // fetch every miss in one batched, snapshot-atomic multi_get.
         let generation = view.generation;
@@ -1206,7 +1115,7 @@ impl DgfIndex {
                     None => None,
                 };
                 // Fills (positive and negative) stay deferred until the
-                // pinned view validates, like every other strategy.
+                // pinned view validates, as in the run scans.
                 collector.pending_fills.push((key, value.clone()));
                 resolved[i] = value;
             }
@@ -1219,7 +1128,7 @@ impl DgfIndex {
             }
         }
         // Items merge in decomposition (DFS) order — the exact sequence
-        // `finalize_inner` replays for the flat strategies. An absent
+        // `finalize_inner` replays for the run scans. An absent
         // node means no data anywhere under it (the maintenance
         // invariant), so skipping it is the empty merge.
         for (value, item) in item_res.iter().zip(&items) {

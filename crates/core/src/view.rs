@@ -30,64 +30,71 @@ pub struct ReadView {
     /// Ingest watermark at commit (highest flushed batch sequence).
     pub watermark: u64,
     /// Number of indexed base-table files at commit (staleness check).
-    pub files: Option<u64>,
+    pub files: u64,
     /// Per-dimension cell extents at commit.
     pub extents: Extents,
     /// The exact data files (path, length) the view's Slices point into.
     /// Slice files are immutable once renamed into place, so the pinned
     /// list stays valid even while a later transaction adds files.
-    pub data_files: Option<Vec<(String, u64)>>,
+    pub data_files: Vec<(String, u64)>,
     /// The encoded [`SplittingPolicy`](crate::policy::SplittingPolicy)
-    /// this view's cells were produced under. `None` on views published
-    /// before online grid adaptation existed (the live policy applies).
-    /// Riding the view — rather than a side-channel revision counter —
-    /// is what keeps a pinned reader's extents and cell geometry from
-    /// ever coming from two different grid epochs: a regrid publishes
-    /// both through the same single `m:view` put.
-    pub policy: Option<Vec<u8>>,
-    /// Whether this view was decoded from a persisted `m:view` record
-    /// (`true`) or synthesized from legacy meta keys for an index built
-    /// before views existed (`false`). Not serialized.
-    pub versioned: bool,
+    /// this view's cells were produced under. Riding the view — rather
+    /// than a side-channel revision counter — is what keeps a pinned
+    /// reader's extents and cell geometry from ever coming from two
+    /// different grid epochs: a regrid publishes both through the same
+    /// single `m:view` put.
+    pub policy: Vec<u8>,
+}
+
+/// The parts of a view that records published by older builds may lack
+/// (each sits behind a presence flag in the encoding), as read from live
+/// state by the open-time upgrade in
+/// [`DgfIndex::open_with_options`](crate::index::DgfIndex::open_with_options).
+pub(crate) struct LiveParts {
+    pub files: u64,
+    pub data_files: Vec<(String, u64)>,
+    pub policy: Vec<u8>,
 }
 
 impl ReadView {
-    /// Serialize (the `versioned` marker is implied by presence).
+    /// Serialize. Every presence flag is written set, so the bytes are
+    /// the ones every build since the policy joined the view has
+    /// published: one on-disk format.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         codec::put_u64(&mut buf, self.generation);
         codec::put_u32(&mut buf, self.pending as u32);
         codec::put_u64(&mut buf, self.watermark);
-        match self.files {
-            Some(n) => {
-                codec::put_u32(&mut buf, 1);
-                codec::put_u64(&mut buf, n);
-            }
-            None => codec::put_u32(&mut buf, 0),
-        }
+        codec::put_u32(&mut buf, 1);
+        codec::put_u64(&mut buf, self.files);
         codec::put_bytes(&mut buf, &self.extents.encode());
-        match &self.data_files {
-            Some(files) => {
-                codec::put_u32(&mut buf, 1);
-                codec::put_u32(&mut buf, files.len() as u32);
-                for (path, len) in files {
-                    codec::put_str(&mut buf, path);
-                    codec::put_u64(&mut buf, *len);
-                }
-            }
-            None => codec::put_u32(&mut buf, 0),
+        codec::put_u32(&mut buf, 1);
+        codec::put_u32(&mut buf, self.data_files.len() as u32);
+        for (path, len) in &self.data_files {
+            codec::put_str(&mut buf, path);
+            codec::put_u64(&mut buf, *len);
         }
-        // Optional tail: only present when a policy rides the view, so
-        // views published before grid adaptation stay byte-identical.
-        if let Some(policy) = &self.policy {
-            codec::put_u32(&mut buf, 1);
-            codec::put_bytes(&mut buf, policy);
-        }
+        codec::put_u32(&mut buf, 1);
+        codec::put_bytes(&mut buf, &self.policy);
         buf
     }
 
-    /// Decode a stored view; the result is marked `versioned`.
+    /// Decode a stored view. A record that lacks a part is `Corrupt`
+    /// here: [`DgfIndex::open_with_options`](crate::index::DgfIndex::open_with_options)
+    /// completes such records once, before any reader can pin them.
     pub fn decode(bytes: &[u8]) -> Result<ReadView> {
+        let lacking = || Err(DgfError::Corrupt("read view lacks its file list or policy".into()));
+        Ok(Self::decode_or_complete(bytes, lacking)?.0)
+    }
+
+    /// [`decode`](Self::decode), taking any part the record predates
+    /// from `live` (consulted at most once, and only then). Also returns
+    /// whether `live` supplied anything, i.e. whether the record needs
+    /// re-publishing.
+    pub(crate) fn decode_or_complete(
+        bytes: &[u8],
+        live: impl FnOnce() -> Result<LiveParts>,
+    ) -> Result<(ReadView, bool)> {
         let mut d = Decoder::new(bytes);
         let generation = d.u64()?;
         let pending = match d.u32()? {
@@ -105,6 +112,15 @@ impl ReadView {
             0 => None,
             _ => {
                 let n = d.u32()? as usize;
+                // Every entry takes at least its two length prefixes:
+                // a count beyond what the bytes can hold is corruption,
+                // not an allocation request.
+                if n > d.remaining() / 12 {
+                    return Err(DgfError::Corrupt(format!(
+                        "read view lists {n} data files in {} bytes",
+                        d.remaining()
+                    )));
+                }
                 let mut files = Vec::with_capacity(n);
                 for _ in 0..n {
                     let path = d.str()?.to_owned();
@@ -114,18 +130,29 @@ impl ReadView {
                 Some(files)
             }
         };
-        let policy = if d.remaining() == 0 {
-            None
-        } else {
-            match d.u32()? {
+        let policy = match d.remaining() {
+            0 => None,
+            _ => match d.u32()? {
                 0 => None,
                 _ => Some(d.bytes()?.to_vec()),
-            }
+            },
         };
         if d.remaining() != 0 {
             return Err(DgfError::Corrupt("read view has trailing bytes".into()));
         }
-        Ok(ReadView {
+        let completed = files.is_none() || data_files.is_none() || policy.is_none();
+        let (files, data_files, policy) = match (files, data_files, policy) {
+            (Some(files), Some(data_files), Some(policy)) => (files, data_files, policy),
+            (files, data_files, policy) => {
+                let live = live()?;
+                (
+                    files.unwrap_or(live.files),
+                    data_files.unwrap_or(live.data_files),
+                    policy.unwrap_or(live.policy),
+                )
+            }
+        };
+        let view = ReadView {
             generation,
             pending,
             watermark,
@@ -133,8 +160,8 @@ impl ReadView {
             extents,
             data_files,
             policy,
-            versioned: true,
-        })
+        };
+        Ok((view, completed))
     }
 }
 
@@ -143,61 +170,76 @@ mod tests {
     use super::*;
     use crate::gfu::GfuKey;
 
-    #[test]
-    fn view_round_trips() {
+    fn sample() -> ReadView {
         let mut extents = Extents::empty(2);
         extents.observe(&GfuKey::new(vec![3, -1]));
-        let v = ReadView {
+        ReadView {
             generation: 9,
             pending: true,
             watermark: 41,
-            files: Some(4),
+            files: 4,
             extents,
-            data_files: Some(vec![
+            data_files: vec![
                 ("/warehouse/idx/data/part-r-00000-00000".into(), 512),
                 ("/warehouse/idx/data/part-r-00009-00001".into(), 90),
-            ]),
-            policy: None,
-            versioned: true,
-        };
+            ],
+            policy: vec![0xC0, 0xFF, 0xEE],
+        }
+    }
+
+    /// `v` as a build from before the file list and the policy rode the
+    /// view would have stored it: both presence flags clear, no tail.
+    fn encode_without_parts(v: &ReadView) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_u64(&mut buf, v.generation);
+        codec::put_u32(&mut buf, v.pending as u32);
+        codec::put_u64(&mut buf, v.watermark);
+        codec::put_u32(&mut buf, 0);
+        codec::put_bytes(&mut buf, &v.extents.encode());
+        codec::put_u32(&mut buf, 0);
+        buf
+    }
+
+    #[test]
+    fn view_round_trips() {
+        let v = sample();
         assert_eq!(ReadView::decode(&v.encode()).unwrap(), v);
+        let never = || -> Result<LiveParts> { panic!("a complete record consults nothing") };
+        assert_eq!(ReadView::decode_or_complete(&v.encode(), never).unwrap(), (v, false));
+    }
 
-        // The policy tail round-trips, and its absence keeps the
-        // encoding byte-identical to the pre-adaptation layout.
-        let legacy = v.encode();
-        let mut with_policy = v.clone();
-        with_policy.policy = Some(vec![0xC0, 0xFF, 0xEE]);
-        assert_eq!(ReadView::decode(&with_policy.encode()).unwrap(), with_policy);
-        assert_eq!(v.encode(), legacy);
-
-        let bare = ReadView {
-            generation: 0,
-            pending: false,
-            watermark: 0,
-            files: None,
-            extents: Extents::empty(1),
-            data_files: None,
-            policy: None,
-            versioned: true,
+    #[test]
+    fn records_lacking_parts_are_completed_from_live_state_only() {
+        let v = sample();
+        let old = encode_without_parts(&v);
+        assert!(matches!(ReadView::decode(&old), Err(DgfError::Corrupt(_))));
+        let live = || {
+            Ok(LiveParts {
+                files: v.files,
+                data_files: v.data_files.clone(),
+                policy: v.policy.clone(),
+            })
         };
-        assert_eq!(ReadView::decode(&bare.encode()).unwrap(), bare);
+        assert_eq!(ReadView::decode_or_complete(&old, live).unwrap(), (v.clone(), true));
     }
 
     #[test]
     fn corrupt_views_are_rejected() {
         assert!(ReadView::decode(b"").is_err());
-        let v = ReadView {
-            generation: 1,
-            pending: false,
-            watermark: 0,
-            files: None,
-            extents: Extents::empty(1),
-            data_files: None,
-            policy: None,
-            versioned: true,
-        };
-        let mut enc = v.encode();
+        let mut enc = sample().encode();
         enc.push(0x77);
         assert!(ReadView::decode(&enc).is_err());
+    }
+
+    #[test]
+    fn huge_data_file_count_is_corrupt_not_an_allocation() {
+        let v = sample();
+        let mut enc = encode_without_parts(&v);
+        // Flip the file-list flag on and claim u32::MAX entries.
+        let at = enc.len() - 4;
+        enc[at..].copy_from_slice(&1u32.to_le_bytes());
+        enc.extend_from_slice(&u32::MAX.to_le_bytes());
+        enc.extend_from_slice(&[0u8; 24]);
+        assert!(matches!(ReadView::decode(&enc), Err(DgfError::Corrupt(_))));
     }
 }

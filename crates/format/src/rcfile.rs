@@ -18,7 +18,7 @@ use dgf_common::batch::{self, Column, ColumnBatch};
 use dgf_common::codec::{self, Decoder};
 use dgf_common::stats::{IoStatsRef, ScanStatsRef};
 use dgf_common::{DgfError, Result, Row, SchemaRef};
-use dgf_storage::{FileSplit, FramePrefetcher, HdfsRef, HdfsWriter};
+use dgf_storage::{FileSplit, HdfsRef, HdfsWriter};
 
 use crate::bitmap::Bitmap;
 use crate::reader::RecordReader;
@@ -162,6 +162,14 @@ pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
     r.read_exact(&mut footer)?;
     let mut dec = Decoder::new(&footer);
     let n = dec.u32()? as usize;
+    // Each offset takes eight footer bytes: a count beyond what the
+    // footer can hold is corruption, not an allocation request.
+    if n > dec.remaining() / 8 {
+        return Err(DgfError::Corrupt(format!(
+            "{path}: footer claims {n} row groups in {} bytes",
+            dec.remaining()
+        )));
+    }
     let mut offsets = Vec::with_capacity(n);
     for _ in 0..n {
         offsets.push(dec.u64()?);
@@ -197,11 +205,6 @@ pub struct RcReader {
     stats: IoStatsRef,
     /// Columnar-scan accounting, when the caller wants it attributed.
     scan_stats: Option<ScanStatsRef>,
-    /// Whether to fetch groups through a background prefetch thread.
-    prefetch: bool,
-    prefetcher: Option<FramePrefetcher>,
-    /// Prefetch wait stats already charged to `scan_stats`.
-    waits_charged: (u64, std::time::Duration),
 }
 
 impl RcReader {
@@ -222,9 +225,6 @@ impl RcReader {
             row_filter: None,
             stats: hdfs.stats().clone(),
             scan_stats: None,
-            prefetch: false,
-            prefetcher: None,
-            waits_charged: (0, std::time::Duration::ZERO),
         })
     }
 
@@ -254,46 +254,15 @@ impl RcReader {
         self
     }
 
-    /// Fetch row groups through a background double-buffer prefetch thread
-    /// (decode group *N* while group *N+1* is read from `SimHdfs`).
-    pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = true;
-        self
-    }
-
-    /// Attribute decode time, batch counts and prefetch waits to `stats`.
+    /// Attribute decode time and batch counts to `stats`.
     pub fn with_scan_stats(mut self, stats: ScanStatsRef) -> Self {
         self.scan_stats = Some(stats);
         self
     }
 
-    /// The offsets still to be fetched, with filtered-out groups pruned.
-    fn pending_offsets(&mut self) -> Vec<u64> {
-        let filter = self.row_filter.as_ref();
-        (&mut self.group_offsets)
-            .filter(|off| filter.is_none_or(|f| f.contains_key(off)))
-            .collect()
-    }
-
-    /// The next group's payload bytes, via the prefetcher when enabled.
-    /// A filtered-out group is never fetched from disk on either path.
+    /// The next group's payload bytes. A filtered-out group is never
+    /// fetched from disk.
     fn fetch_payload(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        if self.prefetch {
-            if self.prefetcher.is_none() {
-                let offsets = self.pending_offsets();
-                self.prefetcher = Some(FramePrefetcher::spawn(&self.hdfs, &self.path, offsets)?);
-            }
-            let prefetcher = self.prefetcher.as_mut().expect("prefetcher spawned");
-            let frame = prefetcher.next_frame()?;
-            if let Some(scan) = &self.scan_stats {
-                let (waits, wait_time) = prefetcher.wait_stats();
-                scan.prefetch_waits.add(waits - self.waits_charged.0);
-                scan.prefetch_wait_us
-                    .add((wait_time - self.waits_charged.1).as_micros() as u64);
-                self.waits_charged = (waits, wait_time);
-            }
-            return Ok(frame);
-        }
         loop {
             let Some(offset) = self.group_offsets.next() else {
                 return Ok(None);
@@ -581,6 +550,26 @@ mod tests {
             .unwrap();
         w.close().unwrap();
         assert!(read_group_offsets(&h, "/t/plain").is_err());
+    }
+
+    #[test]
+    fn huge_group_count_is_corrupt_not_an_allocation() {
+        let (_t, h) = cluster();
+        // A well-formed tail pointing at a footer whose count is absurd.
+        let mut file = MAGIC_HEAD.to_vec();
+        let footer_start = file.len() as u64;
+        file.extend_from_slice(&u32::MAX.to_le_bytes());
+        file.extend_from_slice(&[0u8; 16]);
+        file.extend_from_slice(&footer_start.to_le_bytes());
+        file.extend_from_slice(MAGIC_TAIL);
+        let mut w = h.create("/t/huge").unwrap();
+        use std::io::Write as _;
+        w.write_all(&file).unwrap();
+        w.close().unwrap();
+        assert!(matches!(
+            read_group_offsets(&h, "/t/huge"),
+            Err(DgfError::Corrupt(_))
+        ));
     }
 
     #[test]

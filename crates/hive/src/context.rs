@@ -18,16 +18,14 @@ use dgf_storage::{FileSplit, HdfsRef};
 
 /// Execution knobs for the scan path (DESIGN.md §12).
 ///
-/// All default to on; tests and benchmarks flip them to compare the
-/// vectorized path against the row-at-a-time oracle.
+/// Both default to on; tests and benchmarks flip them to compare the
+/// vectorized path against the row-at-a-time oracle and pruned scans
+/// against unpruned ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Drive RCFile scans through decoded [`dgf_common::ColumnBatch`]es
     /// and slice kernels instead of row-at-a-time iteration.
     pub columnar: bool,
-    /// Fetch row groups through a background double-buffer thread so
-    /// decoding group *N* overlaps reading group *N+1*.
-    pub prefetch: bool,
     /// Consult per-slice sidecar indexes (zone maps + hierarchical
     /// bitmaps, DESIGN.md §15) to skip row groups inside boundary
     /// slices. Missing or corrupt sidecars silently degrade to the
@@ -39,7 +37,6 @@ impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
             columnar: true,
-            prefetch: true,
             sidecar: true,
         }
     }

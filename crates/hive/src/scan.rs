@@ -63,57 +63,57 @@ pub enum ScanInput {
     },
 }
 
-/// Open the record reader for one input.
-pub fn open_input(
-    ctx: &HiveContext,
-    table: &TableDesc,
-    input: &ScanInput,
-) -> Result<Box<dyn RecordReader>> {
-    match input {
-        ScanInput::FullSplit(split) => match table.format {
-            FileFormat::Text => Ok(Box::new(TextReader::open(
-                &ctx.hdfs,
-                table.schema.clone(),
-                split,
-            )?)),
-            FileFormat::RcFile => Ok(Box::new(RcReader::open(
-                &ctx.hdfs,
-                table.schema.clone(),
-                split,
-            )?)),
-        },
-        ScanInput::TextRanges { path, ranges } => Ok(Box::new(SkippingTextReader::open(
-            &ctx.hdfs,
-            table.schema.clone(),
-            path,
-            ranges.clone(),
-        )?)),
-        ScanInput::RcFiltered { split, row_filter } => Ok(Box::new(
-            RcReader::open(&ctx.hdfs, table.schema.clone(), split)?
-                .with_row_filter(row_filter.clone()),
-        )),
-        ScanInput::RcRanges { path, ranges } => {
-            let len = ctx.hdfs.file_len(path)?;
-            let whole = FileSplit::new(path.clone(), 0, len);
-            Ok(Box::new(
-                RcReader::open(&ctx.hdfs, table.schema.clone(), &whole)?
-                    .with_group_ranges(ranges),
-            ))
+/// The reader for one input. RCFile inputs keep their concrete type so
+/// the columnar path can drain whole batches from them.
+pub enum InputReader {
+    /// Row groups of an RCFile.
+    Rc(RcReader),
+    /// Lines of a text file.
+    Text(Box<dyn RecordReader>),
+}
+
+impl InputReader {
+    /// The row-at-a-time interface of either kind.
+    pub fn into_rows(self) -> Box<dyn RecordReader> {
+        match self {
+            InputReader::Rc(r) => Box::new(r),
+            InputReader::Text(r) => r,
         }
+    }
+}
+
+/// Open the reader for one input.
+pub fn open_input(ctx: &HiveContext, table: &TableDesc, input: &ScanInput) -> Result<InputReader> {
+    let schema = table.schema.clone();
+    let whole_file = |path: &String| -> Result<FileSplit> {
+        Ok(FileSplit::new(path.clone(), 0, ctx.hdfs.file_len(path)?))
+    };
+    Ok(match input {
+        ScanInput::FullSplit(split) => match table.format {
+            FileFormat::Text => {
+                InputReader::Text(Box::new(TextReader::open(&ctx.hdfs, schema, split)?))
+            }
+            FileFormat::RcFile => InputReader::Rc(RcReader::open(&ctx.hdfs, schema, split)?),
+        },
+        ScanInput::TextRanges { path, ranges } => InputReader::Text(Box::new(
+            SkippingTextReader::open(&ctx.hdfs, schema, path, ranges.clone())?,
+        )),
+        ScanInput::RcFiltered { split, row_filter } => InputReader::Rc(
+            RcReader::open(&ctx.hdfs, schema, split)?.with_row_filter(row_filter.clone()),
+        ),
+        ScanInput::RcRanges { path, ranges } => InputReader::Rc(
+            RcReader::open(&ctx.hdfs, schema, &whole_file(path)?)?.with_group_ranges(ranges),
+        ),
         ScanInput::RcPruned {
             path,
             ranges,
             row_filter,
-        } => {
-            let len = ctx.hdfs.file_len(path)?;
-            let whole = FileSplit::new(path.clone(), 0, len);
-            Ok(Box::new(
-                RcReader::open(&ctx.hdfs, table.schema.clone(), &whole)?
-                    .with_group_ranges(ranges)
-                    .with_row_filter(row_filter.clone()),
-            ))
-        }
-    }
+        } => InputReader::Rc(
+            RcReader::open(&ctx.hdfs, schema, &whole_file(path)?)?
+                .with_group_ranges(ranges)
+                .with_row_filter(row_filter.clone()),
+        ),
+    })
 }
 
 /// Run `query` over the given inputs. The dimension table for joins is
@@ -167,10 +167,12 @@ pub fn execute_sink(
                 &table.schema,
                 right_rows.as_ref().map(|(s, r)| (&**s, r.as_slice())),
             )?;
-            if columnar {
-                if let Some(mut reader) =
-                    open_rc_batched(ctx, table, &input, projection.as_deref(), options.prefetch)?
-                {
+            let mut reader = match open_input(ctx, table, &input)? {
+                InputReader::Rc(reader) if columnar => {
+                    let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
+                    if let Some(p) = &projection {
+                        reader = reader.with_projection(p.clone());
+                    }
                     while let Some(batch) = reader.next_batch()? {
                         let kernel = std::time::Instant::now();
                         let sel = bound.select(&batch);
@@ -182,11 +184,11 @@ pub fn execute_sink(
                     }
                     return Ok(sink);
                 }
-            }
-            // Row-at-a-time fallback (text formats, or columnar disabled):
-            // the reader refills the per-worker scratch row in place, so the
-            // hot loop allocates nothing per record.
-            let mut reader = open_input(ctx, table, &input)?;
+                // Row-at-a-time (text formats, or columnar disabled): the
+                // reader refills the per-worker scratch row in place, so
+                // the hot loop allocates nothing per record.
+                other => other.into_rows(),
+            };
             let mut rows = 0u64;
             while reader.next_row_into(scratch)? {
                 rows += 1;
@@ -269,54 +271,8 @@ fn columnar_projection(query: &Query, table: &TableDesc) -> Result<Option<Vec<us
     Ok(Some(cols))
 }
 
-/// Open `input` as a batched [`RcReader`], or `None` when the input is not
-/// RCFile-backed and must go through the row-at-a-time path.
-fn open_rc_batched(
-    ctx: &HiveContext,
-    table: &TableDesc,
-    input: &ScanInput,
-    projection: Option<&[usize]>,
-    prefetch: bool,
-) -> Result<Option<RcReader>> {
-    let reader = match input {
-        ScanInput::FullSplit(split) => match table.format {
-            FileFormat::RcFile => RcReader::open(&ctx.hdfs, table.schema.clone(), split)?,
-            FileFormat::Text => return Ok(None),
-        },
-        ScanInput::TextRanges { .. } => return Ok(None),
-        ScanInput::RcFiltered { split, row_filter } => {
-            RcReader::open(&ctx.hdfs, table.schema.clone(), split)?
-                .with_row_filter(row_filter.clone())
-        }
-        ScanInput::RcRanges { path, ranges } => {
-            let len = ctx.hdfs.file_len(path)?;
-            let whole = FileSplit::new(path.clone(), 0, len);
-            RcReader::open(&ctx.hdfs, table.schema.clone(), &whole)?.with_group_ranges(ranges)
-        }
-        ScanInput::RcPruned {
-            path,
-            ranges,
-            row_filter,
-        } => {
-            let len = ctx.hdfs.file_len(path)?;
-            let whole = FileSplit::new(path.clone(), 0, len);
-            RcReader::open(&ctx.hdfs, table.schema.clone(), &whole)?
-                .with_group_ranges(ranges)
-                .with_row_filter(row_filter.clone())
-        }
-    };
-    let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
-    if prefetch {
-        reader = reader.with_prefetch();
-    }
-    if let Some(p) = projection {
-        reader = reader.with_projection(p.to_vec());
-    }
-    Ok(Some(reader))
-}
-
 /// Attach a columnar-scan delta to a profile span as `scan.decode` /
-/// `scan.kernel` / `scan.prefetch_wait` children plus metrics, so
+/// `scan.kernel` children plus metrics, so
 /// `dgf profile` reconciles kernel work against batch counts. Engines call
 /// this on their `query.scan` span with the delta of
 /// [`HiveContext::scan_stats`] across the run.
@@ -336,12 +292,6 @@ pub fn attach_scan_to_span(span: &SpanGuard, delta: &ScanSnapshot) {
     kernel.add(names::SCAN_ROWS_SELECTED, delta.rows_selected);
     kernel.add(names::SCAN_KERNEL_US, delta.kernel_us);
     kernel.finish();
-    if delta.prefetch_waits > 0 {
-        let wait = span.child("scan.prefetch_wait");
-        wait.add(names::SCAN_PREFETCH_WAITS, delta.prefetch_waits);
-        wait.add(names::SCAN_PREFETCH_WAIT_US, delta.prefetch_wait_us);
-        wait.finish();
-    }
 }
 
 /// The full-table-scan baseline (the paper's "ScanTable-based" style).

@@ -229,10 +229,10 @@ pub trait KvStore: Send + Sync {
     /// **Snapshot atomicity**: an override that serves the batch in a
     /// single operation must read every key under one consistent view of
     /// the store — no concurrent writer's puts may land between the
-    /// batch's reads. Readers rely on this to pin a coherent set of meta
-    /// keys with one call (see `dgf_core`'s legacy read-view fallback);
-    /// a torn batch there is exactly the blended-epoch read the versioned
-    /// view protocol exists to prevent.
+    /// batch's reads. The planner relies on this when it fetches a plan's
+    /// pyramid nodes and boundary cells with one call; a torn batch there
+    /// is exactly the blended-epoch read the versioned view protocol
+    /// exists to prevent.
     ///
     /// The default implementation degrades to one `get` round trip per
     /// key and is therefore **not** atomic under concurrent writes;

@@ -49,8 +49,7 @@ pub struct RunStats {
     /// otherwise.
     pub profile: QueryProfile,
     /// Columnar-scan accounting for this run: batches decoded, rows
-    /// selected, kernel/decode busy time and prefetch waits (DESIGN.md
-    /// §12). All-zero for engines or formats on the row-at-a-time path,
+    /// selected, kernel/decode busy time (DESIGN.md §12). All-zero for engines or formats on the row-at-a-time path,
     /// whose row count lands in `scan.rowwise_rows` instead.
     pub scan: ScanSnapshot,
 }

@@ -1,9 +1,8 @@
 //! Shared header-fetch batching across concurrent queries.
 //!
-//! Every query pins its `ReadView` with a point read of `m:view`, and
-//! the point-get plan strategy reads GFU headers one key at a time.
-//! Under a concurrent frontend many of those reads are issued within
-//! microseconds of each other — against a real region server each would
+//! Every query pins its `ReadView` with a point read of `m:view` and
+//! re-reads it to validate. Under a concurrent frontend many of those
+//! reads are issued within microseconds of each other — against a real region server each would
 //! be its own RPC. [`BatchingKv`] coalesces them: the first `get` in a
 //! quiet store becomes the *leader*, waits one batch window for
 //! followers to pile on, then issues a single `multi_get` for all

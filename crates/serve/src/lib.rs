@@ -19,7 +19,9 @@
 //! [`ShardedKv`](dgf_kvstore::ShardedKv) router fans batched reads out
 //! per shard, and the planner's parallel run fetch
 //! ([`IndexOptions::fetch_parallelism`](dgf_core::IndexOptions)) issues
-//! per-run sub-plans concurrently while absorbing results strictly in
+//! per-run sub-plans concurrently (for plans that take the prefix-run
+//! scans; an aggregation the pyramid can answer reads its nodes from the
+//! metadata shard in one batch) while absorbing results strictly in
 //! odometer order — which is why every answer is bit-identical to the
 //! single-node engine at any shard count (`tests/serving_equivalence.rs`
 //! proves it for 1, 2, 4 and 7 shards).

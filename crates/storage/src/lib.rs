@@ -16,11 +16,9 @@
 
 pub mod hdfs;
 pub mod namenode;
-pub mod prefetch;
 pub mod split;
 
 pub use hdfs::{HdfsConfig, HdfsReader, HdfsRef, HdfsWriter, SimHdfs, DEFAULT_BLOCK_SIZE};
-pub use prefetch::{FramePrefetcher, PREFETCH_DEPTH};
 pub use namenode::{FileMeta, NameNode, BYTES_PER_OBJECT};
 pub use split::{splits_for_file, FileSplit};
 

@@ -72,7 +72,7 @@ fn main() -> dgfindex::common::Result<()> {
     let index = Arc::new(index);
     let plan = index.plan(&query, true)?;
     println!(
-        "\nListing 2 query decomposition: {} inner GFU(s) answered from headers \
+        "\nListing 2 query decomposition: {} inner header(s) merged \
          ({} records never read), {} boundary GFU(s) scanned",
         plan.inner_gfus, plan.inner_records, plan.boundary_gfus
     );

@@ -380,9 +380,11 @@ fn dispatch(args: &[String]) -> Result<()> {
                     if explain {
                         let plan = index.plan(&query, true)?;
                         println!(
-                            "plan: {} inner GFUs (headers, {} records skipped), \
-                             {} boundary GFUs, {}/{} splits",
+                            "plan: {} inner headers ({} pyramid nodes standing for {} cells; \
+                             {} records skipped), {} boundary GFUs, {}/{} splits",
                             plan.inner_gfus,
+                            plan.pyramid_nodes,
+                            plan.pyramid_cells,
                             plan.inner_records,
                             plan.boundary_gfus,
                             plan.splits_read,
@@ -438,15 +440,12 @@ fn dispatch(args: &[String]) -> Result<()> {
                 eprintln!(
                     "\n== columnar scan ==\n\
                      {} batches, {} rows decoded, {} rows selected; \
-                     decode {:.3} ms, kernels {:.3} ms; \
-                     {} prefetch waits ({:.3} ms); {} row-wise rows",
+                     decode {:.3} ms, kernels {:.3} ms; {} row-wise rows",
                     scan.batches,
                     scan.rows_decoded,
                     scan.rows_selected,
                     scan.decode_us as f64 / 1000.0,
                     scan.kernel_us as f64 / 1000.0,
-                    scan.prefetch_waits,
-                    scan.prefetch_wait_us as f64 / 1000.0,
                     scan.rowwise_rows,
                 );
             }

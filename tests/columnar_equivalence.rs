@@ -1,9 +1,8 @@
 //! Vectorized ≡ row-wise equivalence (DESIGN.md §12).
 //!
 //! The columnar batch path (decode once into `ColumnBatch`, selection
-//! vectors, slice aggregate kernels, optional background prefetch) must
-//! return **bit-identical** results to the row-at-a-time oracle for every
-//! query shape, any worker count, any projection, any null pattern and
+//! vectors, slice aggregate kernels) must return **bit-identical**
+//! results to the row-at-a-time oracle for every query shape, any worker count, any projection, any null pattern and
 //! any row-group geometry. The kernels preserve fold order and Neumaier
 //! compensation exactly, so the assertion here is `assert_eq!` on
 //! `QueryResult` — no float tolerance.
@@ -199,30 +198,29 @@ fn run_with(w: &World, query: &Query, options: ScanOptions, workers: usize) -> Q
         .result
 }
 
-/// The full matrix: row-wise oracle vs columnar vs columnar+prefetch,
-/// each at 1, 2 and 8 map workers, all bit-identical.
+/// The full matrix: row-wise oracle vs columnar, each at 1, 2 and 8 map
+/// workers, all bit-identical.
 fn assert_equivalent(w: &World, query: &Query, label: &str) {
     let oracle = run_with(
         w,
         query,
         ScanOptions {
             columnar: false,
-            prefetch: false,
             sidecar: true,
         },
         1,
     );
     for workers in [1usize, 2, 8] {
-        for (columnar, prefetch) in [(false, false), (true, false), (true, true)] {
+        for columnar in [false, true] {
             let got = run_with(
                 w,
                 query,
-                ScanOptions { columnar, prefetch, sidecar: true },
+                ScanOptions { columnar, sidecar: true },
                 workers,
             );
             assert_eq!(
                 got, oracle,
-                "{label}: columnar={columnar} prefetch={prefetch} workers={workers} \
+                "{label}: columnar={columnar} workers={workers} \
                  diverged from the row-wise oracle"
             );
         }
@@ -313,14 +311,13 @@ fn row_filter_with_empty_bitmap_group_matches_rowwise() {
         row_filter: filter,
     };
     let mut results = Vec::new();
-    for (columnar, prefetch) in [(false, false), (true, false), (true, true)] {
+    for columnar in [false, true] {
         let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(2));
-        ctx.set_scan_options(ScanOptions { columnar, prefetch, sidecar: true });
+        ctx.set_scan_options(ScanOptions { columnar, sidecar: true });
         let r = execute(&ctx, &w.table, &query, None, vec![input.clone()]).unwrap();
         results.push(r);
     }
     assert_eq!(results[0], results[1]);
-    assert_eq!(results[0], results[2]);
     // Exactly the 3 surviving rows of group 1 were counted.
     assert_eq!(results[0].clone().into_scalars()[0], Value::Int(3));
 }

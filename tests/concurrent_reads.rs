@@ -13,9 +13,9 @@
 //! The seed sweep defaults to a handful of schedules; CI widens it via
 //! the `DGF_STRESS_SEEDS` environment variable (comma-separated u64s).
 //!
-//! Regression note: emulating the pre-fix planner — skip the `m:view`
-//! read in `pin_view` (no staged overlay, legacy synthesized view) and
-//! force `let view_ok = true;` in `plan.rs` — makes
+//! Regression note: emulating the pre-fix planner — plan from the live
+//! meta keys instead of the `m:view` read in `pin_view` (no staged
+//! overlay) and force `let view_ok = true;` in `plan.rs` — made
 //! `queries_during_append_see_pre_or_post_state_only` reproduce a torn
 //! read within the default seed sweep on every run tried (e.g. seed 5,
 //! round 1: a range SUM equal to pre+post — boundary rows counted from
@@ -855,3 +855,62 @@ fn queries_during_append_on_the_sharded_path_see_pre_or_post_only() {
     }
 }
 
+
+/// Satellite (regression): boundary heat is recorded once per plan,
+/// from the attempt that validated. The plan is forced through a second
+/// attempt without any timing: a [`FreshSource`] whose flush epoch moves
+/// between the planner's first memtable snapshot and its validation
+/// makes the first attempt a discarded one. Before the fix every
+/// discarded attempt heated its dimensions again, so which dimension
+/// the maintenance daemon re-split depended on how commits happened to
+/// race queries.
+#[test]
+fn raced_plan_heats_each_dimension_exactly_once() {
+    use dgfindex::core::{FreshCell, FreshSource};
+    use std::sync::atomic::AtomicU64;
+
+    /// Holds no rows; its epoch reads 0 once and 2 ever after.
+    struct MovingEpoch {
+        reads: AtomicU64,
+    }
+    impl FreshSource for MovingEpoch {
+        fn has_fresh(&self) -> bool {
+            true
+        }
+        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<FreshCell> {
+            Vec::new()
+        }
+        fn flush_epoch(&self) -> u64 {
+            match self.reads.fetch_add(1, Ordering::SeqCst) {
+                0 => 0,
+                _ => 2,
+            }
+        }
+    }
+
+    let w = world("heat");
+    let cfg = meter_cfg();
+    seed_index(&w);
+    let index = open_with(
+        &w,
+        Arc::clone(&w.inner),
+        &Arc::new(FaultPlan::new(FaultConfig::quiet(0))),
+    );
+    // user_id [1, 7) cuts through the first and the last 4-wide cell.
+    let q = &queries(&cfg)[1];
+
+    index.plan(q, true).unwrap();
+    let unraced = index.heat().take();
+    assert!(unraced.iter().any(|h| *h > 0), "query heats nothing: {unraced:?}");
+
+    let source = Arc::new(MovingEpoch {
+        reads: AtomicU64::new(0),
+    });
+    index.set_fresh_source(Arc::clone(&source) as Arc<dyn FreshSource>);
+    index.plan(q, true).unwrap();
+    assert!(
+        source.reads.load(Ordering::SeqCst) >= 4,
+        "the plan was never forced through a second attempt"
+    );
+    assert_eq!(index.heat().snapshot(), unraced);
+}

@@ -247,6 +247,102 @@ fn kv_restart_preserves_all_gfus() {
     assert!(kv.get(dgfindex::core::gfu::META_EXTENT_KEY).unwrap().is_some());
 }
 
+/// One on-disk format: a store whose `m:view` is missing (built before
+/// views existed) or lacks its file list and policy (published before
+/// those rode the view) is upgraded once, at open, to exactly the view
+/// its last commit would publish today; a store already in the current
+/// format is not written to; anything else that fails to decode is a
+/// clean `Corrupt`.
+#[test]
+fn stores_without_a_current_view_are_upgraded_once_at_open() {
+    use dgfindex::common::codec;
+    use dgfindex::common::DgfError;
+    use dgfindex::core::gfu::META_VIEW_KEY;
+    use dgfindex::core::ReadView;
+    use std::sync::atomic::Ordering;
+
+    let cfg = MeterConfig {
+        users: 60,
+        days: 6,
+        ..MeterConfig::default()
+    };
+    let rows = generate_meter_data(&cfg);
+    let per_day = rows.len() / cfg.days as usize;
+    let tmp = TempDir::new("view-upgrade").unwrap();
+    let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+    let (ctx, table) = world(Arc::clone(&kv), "w", &tmp);
+    ctx.load_rows(&table, &rows[..4 * per_day], 2).unwrap();
+    let aggs = || vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count];
+    let (index, _) = DgfIndex::build(
+        Arc::clone(&ctx),
+        Arc::clone(&table),
+        policy(&cfg),
+        aggs(),
+        Arc::clone(&kv),
+        "dgf_upgrade",
+    )
+    .unwrap();
+    index.append(&rows[4 * per_day..]).unwrap();
+
+    let queries = [
+        Query::Aggregate {
+            aggs: aggs(),
+            predicate: Predicate::all(),
+        },
+        Query::Aggregate {
+            aggs: aggs(),
+            predicate: Predicate::all()
+                .and("user_id", ColumnRange::half_open(Value::Int(7), Value::Int(51)))
+                .and(
+                    "ts",
+                    ColumnRange::half_open(
+                        Value::Date(cfg.start_day + 1),
+                        Value::Date(cfg.start_day + 5),
+                    ),
+                ),
+        },
+    ];
+    let answers = |index: DgfIndex| -> Vec<QueryResult> {
+        let engine = DgfEngine::new(Arc::new(index));
+        queries.iter().map(|q| engine.run(q).unwrap().result).collect()
+    };
+    let before = answers(index);
+    let published = ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
+    assert!(published.data_files.len() > 1, "append added no data file");
+
+    let reopen = || DgfIndex::open(Arc::clone(&ctx), Arc::clone(&table), Arc::clone(&kv), "dgf_upgrade", aggs());
+    let stored = || ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
+    let puts = || kv.stats().puts.load(Ordering::Relaxed);
+
+    // The layout builds published before the file list and the policy
+    // rode the view: both presence flags clear, no policy tail.
+    let mut partial = Vec::new();
+    codec::put_u64(&mut partial, published.generation);
+    codec::put_u32(&mut partial, 0);
+    codec::put_u64(&mut partial, published.watermark);
+    codec::put_u32(&mut partial, 1);
+    codec::put_u64(&mut partial, published.files);
+    codec::put_bytes(&mut partial, &published.extents.encode());
+    codec::put_u32(&mut partial, 0);
+
+    for old_state in [None, Some(partial)] {
+        match &old_state {
+            None => assert!(kv.delete(META_VIEW_KEY).unwrap()),
+            Some(bytes) => kv.put(META_VIEW_KEY, bytes).unwrap(),
+        }
+        let upgraded = reopen().unwrap();
+        assert_eq!(stored(), published, "upgrade from {old_state:?}");
+        assert_eq!(answers(upgraded), before);
+        // Already current: the next open writes nothing.
+        let puts_before = puts();
+        assert_eq!(answers(reopen().unwrap()), before);
+        assert_eq!(puts(), puts_before, "a current store was written at open");
+    }
+
+    kv.put(META_VIEW_KEY, b"not a view").unwrap();
+    assert!(matches!(reopen(), Err(DgfError::Corrupt(_))));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -761,7 +761,6 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
     let q = &queries(&cfg)[1];
     ctx.set_scan_options(ScanOptions {
         columnar: true,
-        prefetch: true,
         sidecar: false,
     });
     let off = DgfEngine::new(Arc::clone(&index)).run(q).unwrap();
@@ -772,7 +771,6 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
     );
     ctx.set_scan_options(ScanOptions {
         columnar: true,
-        prefetch: true,
         sidecar: true,
     });
     let on = DgfEngine::new(Arc::clone(&index)).run(q).unwrap();

@@ -260,10 +260,6 @@ fn columnar_scan_counters_reconcile_with_batches() {
         scan.rows_selected
     );
     assert_eq!(scan.rowwise_rows, 0);
-    assert_eq!(
-        profile.metric_total(names::SCAN_PREFETCH_WAITS),
-        scan.prefetch_waits
-    );
 
     // The RunStats registry projection carries the scan counters too.
     let reg = dgfindex::common::MetricsRegistry::new();
@@ -275,7 +271,6 @@ fn columnar_scan_counters_reconcile_with_batches() {
     // decodes no batches.
     ctx.set_scan_options(ScanOptions {
         columnar: false,
-        prefetch: false,
         sidecar: true,
     });
     let before = ctx.scan_stats.snapshot();
@@ -408,7 +403,6 @@ fn sidecar_reads_reconcile_with_io_and_the_ledger() {
     // is the only difference between the two plans.
     ctx.set_scan_options(ScanOptions {
         columnar: true,
-        prefetch: true,
         sidecar: false,
     });
     let unpruned = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();

@@ -2,16 +2,17 @@
 //! *indistinguishable by answers* from flat inner-cell enumeration.
 //!
 //! The pyramid (DESIGN.md §14) replaces per-cell inner header reads with
-//! O(surface × levels) pre-computed `p:` node reads. Because every
-//! strategy folds the inner region through the same canonical merge tree
-//! ([`dgfindex::core::pyramid`]), decomposed answers are claimed to be
-//! **bit**-identical — `f64::to_bits`, not approx-equal — to both flat
-//! strategies, and this file holds that claim under:
+//! O(surface × levels) pre-computed `p:` node reads, and it is what the
+//! default plan reads. Because both strategies fold the inner region
+//! through the same canonical merge tree ([`dgfindex::core::pyramid`]),
+//! default answers are claimed to be **bit**-identical — `f64::to_bits`,
+//! not approx-equal — to the flat `PrefixScan` reference, and this file
+//! holds that claim under:
 //!
 //! * fixed and proptest-random grids, null patterns in the aggregated
 //!   measure, staged-commit appends, and unflushed ingest overlays
 //!   (fresh memtable cells sit outside the persisted tree and merge
-//!   after the canonical fold, identically in every strategy);
+//!   after the canonical fold, identically in both strategies);
 //! * shard counts {1, 2, 4} — `p:` keys route to the metadata shard, so
 //!   the scatter path must serve them like any other plan;
 //! * a crash-site sweep over the whole append protocol, including the
@@ -51,7 +52,7 @@ fn fine_grid(cfg: &MeterConfig) -> SplittingPolicy {
 
 /// The query mix: a full COUNT, a wide range aggregate whose inner
 /// region dwarfs its boundary, a misaligned narrow range, and a GROUP
-/// BY (headers unusable — exercises the wholesale fallback).
+/// BY (headers unusable — exercises the wholesale degrade).
 fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let wide = Predicate::all()
         .and(
@@ -151,17 +152,24 @@ fn open_reader(w: &World, kv: Arc<dyn KvStore>, parallelism: usize) -> Arc<DgfIn
     )
 }
 
-/// One observation of the whole query mix under a fetch strategy.
-fn answers_with(
-    index: &Arc<DgfIndex>,
-    cfg: &MeterConfig,
-    strategy: PlanStrategy,
-) -> Vec<QueryResult> {
-    let engine = DgfEngine::new(Arc::clone(index)).with_strategy(strategy);
+fn answers(engine: &DgfEngine, cfg: &MeterConfig) -> Vec<QueryResult> {
     queries(cfg)
         .iter()
         .map(|q| engine.run(q).unwrap().result)
         .collect()
+}
+
+/// The whole query mix through the engine as everyone gets it: no
+/// `with_strategy`, so the planner itself picks the pyramid wherever
+/// one can answer.
+fn default_answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
+    answers(&DgfEngine::new(Arc::clone(index)), cfg)
+}
+
+/// The same mix through the flat reference fetch.
+fn flat_answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
+    let engine = DgfEngine::new(Arc::clone(index)).with_strategy(PlanStrategy::PrefixScan);
+    answers(&engine, cfg)
 }
 
 /// Exact-bits equality: `Float`s must agree in raw bit pattern. The
@@ -194,11 +202,12 @@ fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
 }
 
 /// Tentpole (fixed): on a 24×8-cell grid grown by a staged-commit
-/// append, all three strategies answer bit-identically, the wide query
-/// actually engages level ≥ 1 pyramid nodes, and the decomposition
-/// reads strictly fewer headers than it summarizes cells.
+/// append, the default engine answers bit-identically to the flat
+/// reference, the wide query actually engages level ≥ 1 pyramid nodes,
+/// the decomposition reads strictly fewer headers than it summarizes
+/// cells, and queries no node can answer read none.
 #[test]
-fn all_three_strategies_answer_bit_identically_and_pyramid_engages() {
+fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
     let cfg = MeterConfig {
         users: 24,
         days: 8,
@@ -214,82 +223,113 @@ fn all_three_strategies_answer_bit_identically_and_pyramid_engages() {
     index.append(rest).unwrap();
     assert!(index.pyramid_levels().is_some(), "build skipped the pyramid");
 
-    let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
-    let point = answers_with(&index, &cfg, PlanStrategy::PointGets);
-    let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
+    let flat = flat_answers(&index, &cfg);
+    let default = default_answers(&index, &cfg);
     assert!(
-        bits_eq(&flat, &point),
-        "PrefixScan vs PointGets differ in float bits:\n{flat:?}\nvs\n{point:?}"
-    );
-    assert!(
-        bits_eq(&flat, &pyramid),
-        "flat vs pyramid answers differ in float bits:\n{flat:?}\nvs\n{pyramid:?}"
+        bits_eq(&flat, &default),
+        "flat vs default answers differ in float bits:\n{flat:?}\nvs\n{default:?}"
     );
 
     // The wide aggregate must have decomposed into coarse nodes — an
     // all-leaf decomposition would make the bit-identity claim vacuous.
-    let wide = &queries(&cfg)[1];
-    let plan = index
-        .plan_with_strategy(wide, true, PlanStrategy::Pyramid)
-        .unwrap();
+    let mix = queries(&cfg);
+    let plan = index.plan(&mix[1], true).unwrap();
     assert!(plan.pyramid_nodes > 0, "wide query never read a pyramid node");
     assert!(
         plan.pyramid_cells > plan.pyramid_nodes,
         "pyramid nodes summarized no more cells than reads spent"
     );
     let flat_plan = index
-        .plan_with_strategy(wide, true, PlanStrategy::PrefixScan)
+        .plan_with_strategy(&mix[1], true, PlanStrategy::PrefixScan)
         .unwrap();
     assert_eq!(
         plan.inner_records, flat_plan.inner_records,
         "pyramid plan accounts different inner records than flat"
     );
+    assert!(plan.inner_gfus < flat_plan.inner_gfus, "nodes merged no cells");
+    // The engine with no `with_strategy` ran that very plan.
+    let run = DgfEngine::new(Arc::clone(&index)).run(&mix[1]).unwrap();
+    assert_eq!(
+        run.stats.index_records_read,
+        plan.inner_gfus + plan.boundary_gfus
+    );
+
+    // Headers unusable (GROUP BY): the plan degrades to run scans.
+    let group_by = index.plan(&mix[3], true).unwrap();
+    assert_eq!(group_by.pyramid_nodes, 0, "GROUP BY claimed pyramid reads");
+    assert_eq!(group_by.inner_gfus, 0);
 }
 
-/// Satellite: a store built with the pyramid disabled stores no
-/// `m:pyramid` meta and no `p:` keys; the Pyramid strategy then falls
-/// back wholesale and still answers bit-identically to flat.
+/// An aggregate whose range lies strictly inside one cell on a
+/// dimension has no fully-inner cell: the default plan reads no node
+/// and still equals the flat reference.
 #[test]
-fn pyramid_strategy_falls_back_cleanly_on_a_legacy_store() {
+fn aggregate_without_a_fully_inner_cell_reads_no_pyramid_node() {
     let cfg = MeterConfig {
         users: 12,
         days: 4,
         ..MeterConfig::default()
     };
     let rows = generate_meter_data(&cfg);
-    let w = world("legacy");
-    let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-    w.ctx.load_rows(&w.base, &rows, 2).unwrap();
-    let (index, _) = DgfIndex::build_with_options(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        fine_grid(&cfg),
-        aggs(),
-        Arc::clone(&kv),
-        INDEX,
-        IndexOptions {
-            retry: retry(),
-            pyramid: false,
-            ..IndexOptions::default()
-        },
-    )
+    let w = world("no-inner");
+    let coarse = SplittingPolicy::new(vec![
+        DimPolicy::int("user_id", 0, 4),
+        DimPolicy::date("ts", cfg.start_day, 1),
+    ])
     .unwrap();
-    let index = Arc::new(index);
-    assert!(index.pyramid_levels().is_none());
-    assert!(
-        kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX)
-            .unwrap()
-            .is_empty(),
-        "pyramid-disabled build wrote p: keys"
-    );
+    let index = build_over(&w, Arc::new(MemKvStore::new()), &rows, coarse);
+    assert!(index.pyramid_levels().is_some());
+    let q = Query::Aggregate {
+        aggs: aggs(),
+        predicate: Predicate::all().and(
+            "user_id",
+            ColumnRange::half_open(Value::Int(1), Value::Int(3)),
+        ),
+    };
+    let plan = index.plan(&q, true).unwrap();
+    assert_eq!(plan.pyramid_nodes, 0);
+    assert_eq!(plan.inner_gfus, 0);
+    assert!(plan.boundary_gfus > 0);
+    let default = DgfEngine::new(Arc::clone(&index)).run(&q).unwrap().result;
+    let flat = DgfEngine::new(Arc::clone(&index))
+        .with_strategy(PlanStrategy::PrefixScan)
+        .run(&q)
+        .unwrap()
+        .result;
+    assert!(bits_eq(&[default], &[flat]));
+}
 
-    let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
-    let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
-    assert!(bits_eq(&flat, &pyramid));
-    let plan = index
-        .plan_with_strategy(&queries(&cfg)[1], true, PlanStrategy::Pyramid)
-        .unwrap();
-    assert_eq!(plan.pyramid_nodes, 0, "fallback plan claimed pyramid reads");
+/// Satellite: a store that carries no pyramid (`m:pyramid` and every
+/// `p:` key removed, as stores built before the pyramid existed look)
+/// opens without one; the default plan then degrades wholesale and
+/// still answers bit-identically to what the pyramid answered.
+#[test]
+fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
+    let cfg = MeterConfig {
+        users: 12,
+        days: 4,
+        ..MeterConfig::default()
+    };
+    let rows = generate_meter_data(&cfg);
+    let w = world("no-pyramid");
+    let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+    let built = build_over(&w, Arc::clone(&kv), &rows, fine_grid(&cfg));
+    let with_pyramid = default_answers(&built, &cfg);
+    assert!(built.plan(&queries(&cfg)[1], true).unwrap().pyramid_nodes > 0);
+    drop(built);
+
+    kv.delete(dgfindex::core::gfu::META_PYRAMID_KEY).unwrap();
+    for (key, _) in kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX).unwrap() {
+        kv.delete(&key).unwrap();
+    }
+    let index = open_reader(&w, Arc::clone(&kv), 1);
+    assert!(index.pyramid_levels().is_none());
+
+    let without = default_answers(&index, &cfg);
+    assert!(bits_eq(&with_pyramid, &without));
+    let plan = index.plan(&queries(&cfg)[1], true).unwrap();
+    assert_eq!(plan.pyramid_nodes, 0, "degraded plan claimed pyramid reads");
+    assert!(plan.inner_gfus > 0, "degraded plan lost its inner headers");
 }
 
 /// Drive one crashing append over chaos handles; the durable store
@@ -364,15 +404,15 @@ fn crash_anywhere_in_append_recovers_a_consistent_pyramid() {
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
         let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
-        let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
+        let flat = flat_answers(&index, &cfg);
+        let pyramid = default_answers(&index, &cfg);
         assert!(
             bits_eq(&flat, &pyramid),
             "site {site}: recovered pyramid disagrees with flat enumeration:\n{pyramid:?}\nvs\n{flat:?}"
         );
         // Ground truth over whatever base-table state survived.
         let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-        let engine = DgfEngine::new(Arc::clone(&index)).with_strategy(PlanStrategy::Pyramid);
+        let engine = DgfEngine::new(Arc::clone(&index));
         for q in &queries(&cfg) {
             let truth = scan.run(q).unwrap().result;
             let got = engine.run(q).unwrap().result;
@@ -428,8 +468,8 @@ fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
         let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = answers_with(&index, &cfg, PlanStrategy::PrefixScan);
-        let pyramid = answers_with(&index, &cfg, PlanStrategy::Pyramid);
+        let flat = flat_answers(&index, &cfg);
+        let pyramid = default_answers(&index, &cfg);
         assert!(
             bits_eq(&flat, &pyramid),
             "write {n}: recovered pyramid disagrees with flat enumeration"
@@ -442,10 +482,10 @@ proptest! {
 
     /// Tentpole (randomized): proptest-chosen grid spans, null patterns,
     /// a staged-commit append, an *unflushed* ingest overlay, and shard
-    /// counts {1, 2, 4}. The Pyramid strategy on the sharded store must
+    /// counts {1, 2, 4}. The default engine on the sharded store must
     /// answer bit-identically to flat enumeration on a single node —
     /// fresh overlay cells included, since they merge after the
-    /// canonical fold in every strategy alike.
+    /// canonical fold in both strategies alike.
     #[test]
     fn random_grids_nulls_ingest_and_shards_answer_bit_identically(
         users in 4u64..12,
@@ -484,9 +524,7 @@ proptest! {
             IngestConfig { flush_rows: u64::MAX, auto_flush_interval: None, ..IngestConfig::default() },
         ).unwrap();
         oracle_ing.ingest(fresh).unwrap();
-        let oracle = answers_with(&oracle_index, &cfg, PlanStrategy::PrefixScan);
-        let oracle_points = answers_with(&oracle_index, &cfg, PlanStrategy::PointGets);
-        prop_assert!(bits_eq(&oracle, &oracle_points), "flat strategies disagree");
+        let oracle = flat_answers(&oracle_index, &cfg);
 
         // Sharded pyramid reader over an identically grown store.
         let ws = world(&format!("prop-s{shards}"));
@@ -500,7 +538,7 @@ proptest! {
             IngestConfig { flush_rows: u64::MAX, auto_flush_interval: None, ..IngestConfig::default() },
         ).unwrap();
         reader_ing.ingest(fresh).unwrap();
-        let got = answers_with(&reader, &cfg, PlanStrategy::Pyramid);
+        let got = default_answers(&reader, &cfg);
         prop_assert!(
             bits_eq(&got, &oracle),
             "{shards}-shard pyramid answers differ from flat single-node under grid ({user_span}, {day_span}), {users} users x {days} days:\n{got:?}\nvs\n{oracle:?}"

@@ -21,6 +21,13 @@
 //!   (`DGF_STRESS_SEEDS` widens the sweep in CI);
 //! * a shard crashing mid-scatter yields a clean error or a
 //!   committed-view answer — never a partial merge.
+//!
+//! The bit-identity matrix runs the engine as everyone gets it, so
+//! aggregations read `p:` nodes from the metadata shard. The cases that
+//! exist to exercise the run scatter itself (its sync points, a shard
+//! dying under it, a transient storm on it) pin
+//! `with_strategy(PlanStrategy::PrefixScan)`, the path header-less
+//! plans take and the only one that fans out across shards.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -371,7 +378,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         let pre = answers(&index, &cfg);
         let qs: Vec<Query> = (0..8).flat_map(|_| mix.iter().cloned()).collect();
         let front = ServeFrontend::new(
-            DgfEngine::new(Arc::clone(&index)),
+            DgfEngine::new(Arc::clone(&index)).with_strategy(PlanStrategy::PrefixScan),
             ServeOptions {
                 workers: 2,
                 ..ServeOptions::default()
@@ -627,7 +634,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
                 continue;
             }
         };
-        let engine = DgfEngine::new(reader);
+        let engine = DgfEngine::new(reader).with_strategy(PlanStrategy::PrefixScan);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
                 Ok(run) => {
@@ -655,7 +662,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     )));
     let mut stormed = 0u32;
     if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, 2, None) {
-        let engine = DgfEngine::new(reader);
+        let engine = DgfEngine::new(reader).with_strategy(PlanStrategy::PrefixScan);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
                 Ok(run) => assert!(

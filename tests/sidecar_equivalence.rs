@@ -195,7 +195,6 @@ fn assert_bits_eq(a: &QueryResult, b: &QueryResult, label: &str) {
 fn run_with_sidecar(w: &World, index: &Arc<DgfIndex>, q: &Query, sidecar: bool) -> EngineRun {
     w.ctx.set_scan_options(ScanOptions {
         columnar: true,
-        prefetch: true,
         sidecar,
     });
     DgfEngine::new(Arc::clone(index)).run(q).unwrap()
@@ -223,7 +222,6 @@ fn assert_matrix(w: &World, index: &Arc<DgfIndex>, label: &str) {
     for (qi, q) in queries().iter().enumerate() {
         w.ctx.set_scan_options(ScanOptions {
             columnar: false,
-            prefetch: false,
             sidecar: false,
         });
         let truth = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base))
@@ -418,7 +416,6 @@ proptest! {
             let q = random_query(&mut rng);
             w.ctx.set_scan_options(ScanOptions {
                 columnar: false,
-                prefetch: false,
                 sidecar: false,
             });
             let truth = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base))
@@ -547,7 +544,6 @@ fn sidecar_publication_crash_sweep_recovers() {
         // pruning on, over whatever mix of sidecars the crash left.
         ctx.set_scan_options(ScanOptions {
             columnar: true,
-            prefetch: true,
             sidecar: true,
         });
         let q = Query::Aggregate {
