@@ -508,7 +508,9 @@ pub fn ablation_dgf_features(lab: &MeterLab) -> Result<ReportTable> {
 /// GFUKey vs prefix locality, measured as coalesced read ranges, seeks,
 /// and time for a long time-range query.
 pub fn ablation_slice_placement(scale: &BenchScale) -> Result<ReportTable> {
-    use dgf_core::{DgfEngine, DgfIndex, DimPolicy, SlicePlacement, SplittingPolicy};
+    use dgf_core::{
+        DgfEngine, DgfIndex, DimPolicy, IndexOptions, SlicePlacement, SplittingPolicy,
+    };
     use dgf_hive::{HiveContext, ScanInput};
     use dgf_kvstore::MemKvStore;
     use dgf_mapreduce::MrEngine;
@@ -553,14 +555,17 @@ pub fn ablation_slice_placement(scale: &BenchScale) -> Result<ReportTable> {
             DimPolicy::int("region_id", 0, 1),
             DimPolicy::date("ts", cfg.start_day, 1),
         ])?;
-        let (idx, _) = DgfIndex::build_with_placement(
+        let (idx, _) = DgfIndex::build_with_options(
             Arc::clone(&ctx),
             table,
             policy,
             vec![],
             Arc::new(MemKvStore::new()),
             &format!("dgf_{label}"),
-            placement,
+            IndexOptions {
+                placement,
+                ..IndexOptions::default()
+            },
         )?;
         let idx = Arc::new(idx);
         // One (user-cell, region) prefix across every day — a meter

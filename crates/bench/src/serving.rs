@@ -230,6 +230,14 @@ impl ServingLab {
     /// concurrent clients while (optionally) a background writer lands
     /// the held-back days through the same router.
     pub fn serve_pass(&self, shards: usize, with_ingest: bool) -> Result<ServePass> {
+        // An earlier mixed pass appended through its own router; the
+        // plain store mirrored below never indexed those deltas, and a
+        // query would (rightly) call the mirror stale.
+        for (path, _) in self.ctx.hdfs.list_files(&self.base.location) {
+            if path.rsplit('/').next().is_some_and(|f| f.starts_with("delta-")) {
+                self.ctx.hdfs.delete_file(&path)?;
+            }
+        }
         let stores: Vec<Arc<dyn KvStore>> = (0..shards)
             .map(|_| {
                 Arc::new(LatencyKv::new(MemKvStore::new(), LatencyModel::hbase_like()))

@@ -206,12 +206,24 @@ pub mod names {
     /// Per-shard sub-operations those fan-outs issued
     /// (`FanoutStats::shard_subops`).
     pub const SERVE_SHARD_SUBOPS: &str = "serve.shard_subops";
-    /// Shared header-fetch batches flushed to the store
-    /// (`BatchStats::flushes`).
-    pub const SERVE_BATCH_FLUSHES: &str = "serve.batch_flushes";
-    /// Point reads that joined another query's in-flight batch
-    /// (`BatchStats::joins`).
-    pub const SERVE_BATCH_JOINS: &str = "serve.batch_joins";
+    /// Maintenance passes the serving frontend ran between queries
+    /// (`ServeStats::maintenance_runs`).
+    pub const SERVE_MAINTENANCE_RUNS: &str = "serve.maintenance_runs";
+
+    /// Write transactions committed and finished (`TxnStats::commits`):
+    /// builds, appends, flushes, compactions and regrids alike.
+    pub const TXN_COMMITS: &str = "txn.commits";
+    /// Write transactions rolled back (`TxnStats::rollbacks`).
+    pub const TXN_ROLLBACKS: &str = "txn.rollbacks";
+    /// Committed transactions rolled forward by recovery
+    /// (`TxnStats::recovered`).
+    pub const TXN_RECOVERED: &str = "txn.recovered";
+    /// Staged keys published by committed transactions.
+    pub const TXN_STAGED_KEYS: &str = "txn.staged_keys";
+    /// Staged files renamed into the data directory.
+    pub const TXN_FILES_PUBLISHED: &str = "txn.files_published";
+    /// Data files moved onto the deferred-reclamation list.
+    pub const TXN_FILES_RETIRED: &str = "txn.files_retired";
 }
 
 /// Category filter parsed from a `DGF_TRACE`-style string.

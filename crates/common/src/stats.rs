@@ -249,6 +249,22 @@ impl ScanSnapshot {
         }
     }
 
+    /// Add `other`'s counters to this snapshot, field by field.
+    pub fn accumulate(&mut self, other: &ScanSnapshot) {
+        self.batches += other.batches;
+        self.rows_decoded += other.rows_decoded;
+        self.rows_selected += other.rows_selected;
+        self.decode_us += other.decode_us;
+        self.kernel_us += other.kernel_us;
+        self.rowwise_rows += other.rowwise_rows;
+        self.sidecar_hits += other.sidecar_hits;
+        self.sidecar_misses += other.sidecar_misses;
+        self.sidecar_corrupt += other.sidecar_corrupt;
+        self.sidecar_bytes += other.sidecar_bytes;
+        self.sidecar_groups_pruned += other.sidecar_groups_pruned;
+        self.sidecar_bytes_skipped += other.sidecar_bytes_skipped;
+    }
+
     /// Record into a [`crate::MetricsRegistry`] under the `scan.*` names.
     pub fn record_into(&self, reg: &crate::obs::MetricsRegistry) {
         use crate::obs::names;

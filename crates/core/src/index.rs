@@ -1,34 +1,23 @@
-//! DGFIndex construction (paper §4.2, Algorithms 1 and 2) and incremental
-//! extension.
+//! The DGFIndex handle: construction (paper Listing 3), reopening, and
+//! the pinned reads query planning works from.
 //!
-//! Construction is a MapReduce job that **reorganizes** the base table:
-//! mappers standardize each record's indexed dimensions into a GFUKey and
-//! emit `(GFUKey, line)`; each reducer writes the records of every key it
-//! owns contiguously as a *Slice* of its output file, folds the
-//! pre-computed aggregates into the GFU header, and puts the
-//! `GFUKey → GFUValue` pair into the key-value store. Because the shuffle
-//! groups and sorts by key, a Slice always holds exactly the records of
-//! one GFU.
-//!
-//! The time dimension makes the index append-only: new meter data lands in
-//! new time cells, so `append` runs the same job over only the new file
-//! and merges the resulting GFU entries into the store — no rebuild, and
-//! write throughput is unaffected (paper §1 contribution iii).
+//! A DGFIndex is the reorganized, slice-aligned copy of its base table
+//! plus the `GFUKey → GFUValue` pairs in the key-value store. This
+//! module owns the handle and its read side; everything that changes an
+//! index — the build job, appends, the maintenance rewrites — lives in
+//! [`crate::write`] and [`crate::maintain`] and commits through
+//! [`crate::txn`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgf_common::fault::{FaultPlan, RetryPolicy};
 use dgf_common::obs::{names, MetricsRegistry, Profiler};
-use dgf_common::{format_row, parse_row, DgfError, Result, Row, Stopwatch, Value};
-use dgf_format::{
-    is_sidecar_path, sidecar_path, FileFormat, RcReader, SidecarBuilder, TextReader, TextWriter,
-};
+use dgf_common::{DgfError, Result, Row, Stopwatch, Value};
+use dgf_format::is_sidecar_path;
 use dgf_hive::{BuildReport, HiveContext, TableRef};
 use dgf_kvstore::KvStore;
-use dgf_mapreduce::JobReport;
-use dgf_query::{AggFunc, AggSet, AggState};
-use dgf_storage::{FileSplit, HdfsRef};
+use dgf_query::{AggFunc, AggSet};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -43,9 +32,10 @@ use crate::maintain::CellHeat;
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
 use crate::txn::{
-    live_key, stage_key, stage_prefix, TxnManifest, TxnState, STAGE_PREFIX, TXN_MANIFEST_KEY,
+    self, live_key, stage_key, stage_prefix, Txn, TxnManifest, TxnStats, TXN_MANIFEST_KEY,
 };
 use crate::view::{LiveParts, ReadView};
+use crate::write::decode_gc_list;
 
 /// How GFU Slices are placed across reducer output files — the paper's §8
 /// "optimal placement of Slices" future work.
@@ -72,7 +62,7 @@ pub enum SlicePlacement {
 }
 
 impl SlicePlacement {
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         match self {
             SlicePlacement::KeyHash => vec![0, 0, 0, 0],
             SlicePlacement::PrefixLocality { prefix_dims } => {
@@ -133,7 +123,11 @@ impl Default for IndexOptions {
 
 /// Run `f` with the policy's retry loop, counting absorbed faults into
 /// the store's own `retries_absorbed` stat.
-fn kv_retry<T>(retry: RetryPolicy, kv: &dyn KvStore, f: impl FnMut() -> Result<T>) -> Result<T> {
+pub(crate) fn kv_retry<T>(
+    retry: RetryPolicy,
+    kv: &dyn KvStore,
+    f: impl FnMut() -> Result<T>,
+) -> Result<T> {
     retry.run(&kv.stats().retries_absorbed, f)
 }
 
@@ -165,7 +159,9 @@ pub struct DgfIndex {
     pub retry: RetryPolicy,
     fault: Option<Arc<FaultPlan>>,
     profiler: Profiler,
-    generation: AtomicU64,
+    /// Transaction-id allocator: [`Txn`] takes the next value at begin
+    /// and bumps it again when it ends.
+    pub(crate) generation: AtomicU64,
     header_cache: GfuHeaderCache,
     fresh_source: Mutex<Option<Arc<dyn FreshSource>>>,
     fetch_parallelism: usize,
@@ -176,6 +172,11 @@ pub struct DgfIndex {
     /// Planner-fed per-dimension boundary-heat counters consumed by the
     /// maintenance daemon's grid adaptation (see [`crate::maintain`]).
     heat: CellHeat,
+    /// Set while a [`Txn`] is open on this handle (the single-writer
+    /// rule, enforced).
+    pub(crate) writing: AtomicBool,
+    /// Transaction counters, projected by [`metrics`](Self::metrics).
+    pub(crate) txn_stats: TxnStats,
 }
 
 impl DgfIndex {
@@ -189,39 +190,8 @@ impl DgfIndex {
         kv: Arc<dyn KvStore>,
         index_name: &str,
     ) -> Result<(DgfIndex, BuildReport)> {
-        Self::build_with_placement(
-            ctx,
-            base,
-            policy,
-            aggs,
-            kv,
-            index_name,
-            SlicePlacement::KeyHash,
-        )
-    }
-
-    /// [`build`](Self::build) with an explicit Slice-placement policy.
-    pub fn build_with_placement(
-        ctx: Arc<HiveContext>,
-        base: TableRef,
-        policy: SplittingPolicy,
-        aggs: Vec<AggFunc>,
-        kv: Arc<dyn KvStore>,
-        index_name: &str,
-        placement: SlicePlacement,
-    ) -> Result<(DgfIndex, BuildReport)> {
-        Self::build_with_options(
-            ctx,
-            base,
-            policy,
-            aggs,
-            kv,
-            index_name,
-            IndexOptions {
-                placement,
-                ..IndexOptions::default()
-            },
-        )
+        let options = IndexOptions::default();
+        Self::build_with_options(ctx, base, policy, aggs, kv, index_name, options)
     }
 
     /// [`build`](Self::build) with full [`IndexOptions`].
@@ -291,22 +261,19 @@ impl DgfIndex {
             fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid,
             heat,
+            writing: AtomicBool::new(false),
+            txn_stats: TxnStats::default(),
         };
         let watch = Stopwatch::start();
         let span = index.profiler.span("build");
         let kv_before = index.kv.stats().snapshot();
         let splits = index.ctx.table_splits(&index.base);
-        // Declare the transaction before its first write so a crash at
-        // any later point is recoverable.
-        let manifest = TxnManifest::intent(0, index.staging_dir(0), None);
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("build.intent")?;
-        let job = {
+        {
             let reorg = span.child("build.reorganize");
-            let job = index.reorganize(splits, index.base.format, None, None)?;
+            let txn = Txn::begin(&index, false)?;
+            let job = index.reorganize(txn, splits, index.base.format, None, None)?;
             job.attach_to_span(&reorg);
-            job
-        };
+        }
         let report = BuildReport {
             build_time: watch.elapsed(),
             index_size_bytes: index.kv.logical_size_bytes(),
@@ -317,7 +284,6 @@ impl DgfIndex {
         };
         index.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);
         span.finish();
-        let _ = job;
         Ok((index, report))
     }
 
@@ -355,11 +321,12 @@ impl DgfIndex {
     ) -> Result<DgfIndex> {
         let span = options.profiler.span("open");
         let kv_before = kv.stats().snapshot();
-        {
+        let found = {
             let recover_span = span.child("open.recover");
-            Self::recover(&ctx.hdfs, &kv, options.retry)?;
+            let found = txn::recover(&ctx.hdfs, &kv, options.retry, None)?;
             kv.stats().snapshot().since(&kv_before).attach_to_span(&recover_span);
-        }
+            found
+        };
         let meta_span = span.child("open.meta");
         let meta_before = kv.stats().snapshot();
         let policy_bytes = kv_retry(options.retry, kv.as_ref(), || kv.get(META_POLICY_KEY))?
@@ -427,7 +394,10 @@ impl DgfIndex {
             fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid: stored_pyramid,
             heat,
+            writing: AtomicBool::new(false),
+            txn_stats: TxnStats::default(),
         };
+        index.txn_stats.count_recovery(found);
         index.upgrade_view()?;
         index.kv.stats().snapshot().since(&meta_before).attach_to_span(&meta_span);
         meta_span.finish();
@@ -479,279 +449,6 @@ impl DgfIndex {
         Ok(())
     }
 
-    /// Repair an interrupted transaction, if the store holds one. Called
-    /// by [`open`](Self::open); also usable directly after a simulated
-    /// crash. Returns the state the transaction was found in, or `None`
-    /// when the store was clean.
-    ///
-    /// * [`TxnState::Intent`] / [`TxnState::Prepared`] — the commit
-    ///   point never passed: staged keys, the staging directory, and any
-    ///   unacknowledged base-table delta file are deleted, restoring the
-    ///   previous epoch exactly.
-    /// * [`TxnState::Committed`] — the commit point passed: the apply
-    ///   recipe recorded in the manifest is (re-)executed; every step is
-    ///   idempotent, so partial prior applies are harmless.
-    ///
-    /// The manifest itself is deleted last in both directions, so a
-    /// crash *during recovery* is recovered by the next recovery.
-    pub fn recover(
-        hdfs: &HdfsRef,
-        kv: &Arc<dyn KvStore>,
-        retry: RetryPolicy,
-    ) -> Result<Option<TxnState>> {
-        Self::recover_with_fault(hdfs, kv, retry, None)
-    }
-
-    /// [`recover`](Self::recover) that threads a fault plan into the
-    /// re-apply path, so its crash and scheduling points fire during
-    /// recovery too. The interleaving harness uses this to drive query
-    /// threads through a recovery in progress.
-    pub fn recover_with_fault(
-        hdfs: &HdfsRef,
-        kv: &Arc<dyn KvStore>,
-        retry: RetryPolicy,
-        fault: Option<&Arc<FaultPlan>>,
-    ) -> Result<Option<TxnState>> {
-        let Some(bytes) = kv_retry(retry, kv.as_ref(), || kv.get(TXN_MANIFEST_KEY))? else {
-            // No manifest: any staged key is an orphan from a cleanup
-            // that lost the race with a crash after the manifest delete —
-            // unreachable by design, but garbage-collecting is cheap.
-            let orphans = kv_retry(retry, kv.as_ref(), || kv.scan_prefix(STAGE_PREFIX))?;
-            for (k, _) in orphans {
-                kv_retry(retry, kv.as_ref(), || kv.delete(&k))?;
-            }
-            return Ok(None);
-        };
-        let manifest = TxnManifest::decode(&bytes)?;
-        match manifest.state {
-            TxnState::Committed => {
-                Self::apply_committed(hdfs, kv.as_ref(), retry, &manifest, fault)?;
-                Self::cleanup_txn(hdfs, kv.as_ref(), retry, &manifest)?;
-            }
-            TxnState::Intent | TxnState::Prepared => {
-                Self::rollback_txn(hdfs, kv.as_ref(), retry, &manifest)?;
-            }
-        }
-        Ok(Some(manifest.state))
-    }
-
-    /// Phase B of the commit protocol: make the committed transaction
-    /// live. Every step is idempotent — renames skip when the
-    /// destination exists, staged-key publishes skip keys already
-    /// garbage-collected, metadata puts are plain overwrites of
-    /// precomputed values.
-    ///
-    /// Ordering is load-bearing for live readers (DESIGN.md §11): the
-    /// new pending [`ReadView`] is put *after* the renames (so its split
-    /// list resolves) and *before* the first live GFU overwrite. A
-    /// reader pinned to the old view that races the publishes will see
-    /// the new view at validation time and retry; a reader pinned to the
-    /// pending view reconstructs the complete new state by overlaying
-    /// this transaction's staged keys.
-    pub(crate) fn apply_committed(
-        hdfs: &HdfsRef,
-        kv: &dyn KvStore,
-        retry: RetryPolicy,
-        manifest: &TxnManifest,
-        fault: Option<&Arc<FaultPlan>>,
-    ) -> Result<()> {
-        for (from, to) in &manifest.renames {
-            if hdfs.file_exists(to) {
-                continue;
-            }
-            if hdfs.file_exists(from) {
-                kv_retry(retry, kv, || hdfs.rename_file(from, to))?;
-            }
-        }
-        if let Some(plan) = fault {
-            plan.crash_point("apply.renamed")?;
-        }
-        if !manifest.view.is_empty() {
-            kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &manifest.view))?;
-        }
-        if let Some(plan) = fault {
-            plan.crash_point("apply.view")?;
-        }
-        for staged in &manifest.staged_keys {
-            if let Some(plan) = fault {
-                plan.sync_point("apply.publish-cell");
-            }
-            if let Some(v) = kv_retry(retry, kv, || kv.get(staged))? {
-                kv_retry(retry, kv, || kv.put(live_key(staged), &v))?;
-            }
-        }
-        if let Some(plan) = fault {
-            plan.crash_point("apply.published")?;
-        }
-        for (k, v) in &manifest.meta_puts {
-            kv_retry(retry, kv, || kv.put(k, v))?;
-        }
-        // Retire keys the transaction re-gridded away. Runs after the
-        // staged publishes: a pending-view reader masks these keys with
-        // the staged tombstone twins until they are gone, so at no point
-        // can it see both grid epochs. Deleting an already-deleted key
-        // is a no-op, keeping re-apply idempotent.
-        for k in &manifest.deletes {
-            kv_retry(retry, kv, || kv.delete(k).map(|_| ()))?;
-        }
-        if let Some(plan) = fault {
-            if !manifest.deletes.is_empty() {
-                plan.crash_point("apply.retired")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Remove a finished (applied) transaction's staging state. The view
-    /// is re-put with `pending` cleared only after the staged keys are
-    /// gone (readers read staged-then-live, so a deleted staged key
-    /// always falls back to the already-published live value); the
-    /// manifest goes last: if a crash interrupts cleanup, recovery
-    /// re-applies and re-cleans.
-    pub(crate) fn cleanup_txn(
-        hdfs: &HdfsRef,
-        kv: &dyn KvStore,
-        retry: RetryPolicy,
-        manifest: &TxnManifest,
-    ) -> Result<()> {
-        for staged in &manifest.staged_keys {
-            kv_retry(retry, kv, || kv.delete(staged))?;
-        }
-        if !manifest.view.is_empty() {
-            let mut view = ReadView::decode(&manifest.view)?;
-            view.pending = false;
-            let enc = view.encode();
-            kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &enc))?;
-        }
-        hdfs.delete_tree(&manifest.staging_dir)?;
-        kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
-        kv_retry(retry, kv, || kv.flush())?;
-        Ok(())
-    }
-
-    /// Undo a transaction that never reached its commit point. The
-    /// staged-key sweep uses the prefix (not the manifest's list) because
-    /// an Intent-state manifest predates the list.
-    pub(crate) fn rollback_txn(
-        hdfs: &HdfsRef,
-        kv: &dyn KvStore,
-        retry: RetryPolicy,
-        manifest: &TxnManifest,
-    ) -> Result<()> {
-        let staged = kv_retry(retry, kv, || kv.scan_prefix(STAGE_PREFIX))?;
-        for (k, _) in staged {
-            kv_retry(retry, kv, || kv.delete(&k))?;
-        }
-        hdfs.delete_tree(&manifest.staging_dir)?;
-        if let Some(delta) = &manifest.base_delta {
-            if hdfs.file_exists(delta) {
-                hdfs.delete_file(delta)?;
-            }
-        }
-        kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
-        kv_retry(retry, kv, || kv.flush())?;
-        Ok(())
-    }
-
-    /// Index new records: they are appended to the base table as a fresh
-    /// file and reorganized into new Slices; existing GFU entries extend
-    /// rather than rebuild (the paper's time-extension load path).
-    pub fn append(&self, rows: &[Row]) -> Result<BuildReport> {
-        self.append_with_watermark(rows, None)
-    }
-
-    /// [`append`](Self::append) that additionally advances the persisted
-    /// ingest watermark to `watermark` *atomically with the commit*: the
-    /// watermark put rides the transaction manifest's precomputed meta
-    /// puts, so after a crash either both the new Slices and the
-    /// watermark are live or neither is. The streaming flusher uses this
-    /// so WAL replay can tell flushed batches from unflushed ones.
-    pub fn append_with_watermark(
-        &self,
-        rows: &[Row],
-        watermark: Option<u64>,
-    ) -> Result<BuildReport> {
-        let span = self.profiler.span("append");
-        let kv_before = self.kv.stats().snapshot();
-        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        // Declare the transaction — including the delta file about to be
-        // written — BEFORE writing it: a crash between the base-table
-        // write and the commit point must roll the unacknowledged delta
-        // back, or the index would be permanently stale.
-        let delta_name = format!("delta-{gen:05}");
-        let delta_path = format!("{}/{delta_name}", self.base.location);
-        let manifest = TxnManifest::intent(gen, self.staging_dir(gen), Some(delta_path));
-        self.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        let attempt = (|| -> Result<BuildReport> {
-            self.crash_point("append.intent")?;
-            self.sync_point("append.intent");
-            let path = self.ctx.append_file(&self.base, &delta_name, rows)?;
-            self.crash_point("append.delta-written")?;
-            self.sync_point("append.delta-written");
-            let watch = Stopwatch::start();
-            let len = self.ctx.hdfs.file_len(&path)?;
-            let splits = dgf_storage::splits_for_file(&path, len, self.ctx.hdfs.block_size());
-            let reorg_span = span.child("append.reorganize");
-            let reorganized = self.reorganize(splits, self.base.format, watermark, None);
-            // Retire the header-cache epoch only after the new GFU values
-            // are in the store (or the write failed partway through): a
-            // plan racing this append may have cached pre-append values
-            // under `gen`, and this bump orphans them. Generation numbers
-            // only need to be monotonic, not consecutive.
-            self.generation.fetch_add(1, Ordering::AcqRel);
-            if let Ok(job) = &reorganized {
-                job.attach_to_span(&reorg_span);
-            }
-            reorg_span.finish();
-            reorganized?;
-            Ok(BuildReport {
-                build_time: watch.elapsed(),
-                index_size_bytes: self.kv.logical_size_bytes(),
-                index_entries: self.gfu_count()? as u64,
-            })
-        })();
-        self.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);
-        match attempt {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // Repair in-process instead of leaving the Intent
-                // manifest and orphaned delta for the next open: a
-                // long-lived process would otherwise leak one delta per
-                // failed append, and a concurrent opener could roll back
-                // a transaction this index still thinks it owns.
-                self.abort_append();
-                Err(e)
-            }
-        }
-    }
-
-    /// Best-effort repair after a failed append, mirroring what
-    /// [`recover`](Self::recover) would do at the next open: roll an
-    /// uncommitted transaction back, roll a committed one forward. All
-    /// repair errors are swallowed — if the store itself is down (e.g. a
-    /// sticky injected crash) the manifest survives and open-time
-    /// recovery remains the backstop, exactly as before.
-    fn abort_append(&self) {
-        // Raw read, no retry: when the store is unreachable, bail fast.
-        let Ok(Some(bytes)) = self.kv.get(TXN_MANIFEST_KEY) else {
-            return;
-        };
-        let Ok(manifest) = TxnManifest::decode(&bytes) else {
-            return;
-        };
-        let _ = match manifest.state {
-            TxnState::Intent | TxnState::Prepared => {
-                Self::rollback_txn(&self.ctx.hdfs, self.kv.as_ref(), self.retry, &manifest)
-            }
-            TxnState::Committed => {
-                Self::apply_committed(&self.ctx.hdfs, self.kv.as_ref(), self.retry, &manifest, None)
-                    .and_then(|()| {
-                        Self::cleanup_txn(&self.ctx.hdfs, self.kv.as_ref(), self.retry, &manifest)
-                    })
-            }
-        };
-    }
-
     /// The current append generation. Every [`append`](Self::append) bumps
     /// it; committed [`ReadView`]s carry the generation their transaction
     /// ran at. Acquire pairs with the Release bumps around commit, so a
@@ -780,18 +477,6 @@ impl DgfIndex {
         &self.heat
     }
 
-    /// Allocate the next transaction generation (pre-commit).
-    pub(crate) fn next_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Retire the header-cache epoch after a committed (or failed)
-    /// maintenance transaction, mirroring the bump in
-    /// [`append_with_watermark`](Self::append_with_watermark).
-    pub(crate) fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
-    }
-
     /// The persisted deferred file-reclamation list (`m:gc`): data files
     /// retired by a maintenance transaction, awaiting one full round of
     /// grace before deletion. See [`crate::maintain`].
@@ -818,19 +503,6 @@ impl DgfIndex {
         files.sort();
         files.dedup();
         Ok(files)
-    }
-
-    /// Persist the deferred-reclamation list (plain put: the maintenance
-    /// daemon is the only writer and resolves the final value itself).
-    pub(crate) fn put_gc_list(&self, paths: &[String]) -> Result<()> {
-        self.kv_put(META_GC_KEY, &encode_gc_list(paths))
-    }
-
-    /// Staging directory of transaction `txn` — a *sibling* of the data
-    /// directory, so half-written Slice files never appear in the data
-    /// table's split enumeration.
-    pub(crate) fn staging_dir(&self, txn: u64) -> String {
-        format!("{}_staging/txn-{txn:05}", self.data.location)
     }
 
     /// Consult the fault plan's crash point `site` (no-op without a plan).
@@ -868,10 +540,6 @@ impl DgfIndex {
 
     pub(crate) fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         kv_retry(self.retry, self.kv.as_ref(), || self.kv.put(key, value))
-    }
-
-    pub(crate) fn kv_delete(&self, key: &[u8]) -> Result<bool> {
-        kv_retry(self.retry, self.kv.as_ref(), || self.kv.delete(key))
     }
 
     /// The in-memory cache of decoded GFU values used by the prefix-scan
@@ -920,482 +588,15 @@ impl DgfIndex {
         self.ctx
             .hdfs
             .record_io_into(&reg, &dgf_common::stats::IoSnapshot::default());
+        self.txn_stats.record_into(&reg);
         reg
-    }
-
-    /// The shared reorganization job (Algorithms 1 + 2), run as a
-    /// crash-atomic transaction (see [`crate::txn`]): reducers write
-    /// Slices into a staging directory and merged GFU values under
-    /// staged keys; one manifest put commits the new epoch, after which
-    /// the idempotent apply phase publishes everything. The caller must
-    /// already have written an Intent-state manifest. `ingest_watermark`,
-    /// when set, becomes the persisted ingest watermark at commit.
-    ///
-    /// With a [`RegridSpec`], the job is a **full rewrite** instead of
-    /// an extension: the splits cover the index's own live data files,
-    /// every record is re-celled under the spec's *new* policy, staged
-    /// values replace (never merge with) live ones, extents are rebuilt
-    /// from scratch, identity-valued tombstones are staged over every
-    /// old-granularity key so pending-view readers never see two grid
-    /// epochs, and the manifest's `deletes` retire those keys at apply.
-    pub(crate) fn reorganize(
-        &self,
-        splits: Vec<FileSplit>,
-        format: FileFormat,
-        ingest_watermark: Option<u64>,
-        regrid: Option<&RegridSpec>,
-    ) -> Result<JobReport> {
-        let gen = self.generation.load(Ordering::Acquire);
-        let policy = match regrid {
-            Some(spec) => Arc::clone(&spec.policy),
-            None => self.policy(),
-        };
-        if splits.is_empty() {
-            // Nothing to index; still persist metadata so queries work,
-            // then retire the (empty) transaction.
-            self.persist_meta(&Extents::empty(policy.arity()), ingest_watermark)?;
-            self.kv_delete(TXN_MANIFEST_KEY)?;
-            return Ok(JobReport::default());
-        }
-        let dim_idx: Vec<usize> = policy
-            .dims()
-            .iter()
-            .map(|d| self.base.schema.index_of(&d.name))
-            .collect::<Result<_>>()?;
-        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
-        let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
-        let ctx = &self.ctx;
-        let base = &self.base;
-        let policy = policy.as_ref();
-        let data_loc = self.data.location.clone();
-        let staging_dir = self.staging_dir(gen);
-        let kv = &self.kv;
-        let retry = self.retry;
-        let arity = policy.arity();
-        let fault = self.fault.clone();
-        let rewrite = regrid.is_some();
-
-        // Slice placement: which encoded-key prefix defines the reducer.
-        let prefix_len = match self.placement {
-            SlicePlacement::KeyHash => None,
-            SlicePlacement::PrefixLocality { prefix_dims } => {
-                Some(GFU_PREFIX.len() + 8 * prefix_dims)
-            }
-        };
-        let partitioner = prefix_len.map(|cut| {
-            move |key: &Vec<u8>, n: usize| {
-                (dgf_common::codec::fnv1a(&key[..cut.min(key.len())]) % n as u64) as usize
-            }
-        });
-
-        // Map (Algorithm 1): standardize dims → GFUKey; emit (key, line).
-        let job = self.ctx.engine.map_reduce_partitioned(
-            splits,
-            num_reducers,
-            partitioner
-                .as_ref()
-                .map(|p| p as &(dyn Fn(&Vec<u8>, usize) -> usize + Sync)),
-            &|_, split: FileSplit, e| {
-                let mut emit_row = |row: Row| -> Result<()> {
-                    let mut cells = Vec::with_capacity(dim_idx.len());
-                    for (i, d) in dim_idx.iter().zip(policy.dims()) {
-                        cells.push(d.cell_of(&row[*i])?);
-                    }
-                    e.emit(GfuKey::new(cells).encode(), format_row(&row));
-                    Ok(())
-                };
-                match format {
-                    FileFormat::Text => {
-                        let mut r = TextReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
-                        while let Some((_, row)) = r.next_with_offset()? {
-                            emit_row(row)?;
-                        }
-                    }
-                    FileFormat::RcFile => {
-                        let mut r = RcReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
-                        while let Some((_, row)) = r.next_with_offset()? {
-                            emit_row(row)?;
-                        }
-                    }
-                }
-                Ok(())
-            },
-            None,
-            // Reduce (Algorithm 2): write each GFU's records as one Slice
-            // of a STAGED file, fold the header, and stage the merged
-            // (key, value) pair. Nothing live changes until commit.
-            &|tid, groups: Vec<(Vec<u8>, Vec<String>)>| {
-                let path = format!("{staging_dir}/part-r-{gen:05}-{tid:05}");
-                // Slice locations record the post-commit path: files are
-                // renamed into the data directory at apply, keys publish
-                // unmodified.
-                let final_path = format!("{data_loc}/part-r-{gen:05}-{tid:05}");
-                let mut w = SliceWriter::create(&ctx.hdfs, &path, base, format)?;
-                let mut extents = Extents::empty(arity);
-                let mut staged_keys: Vec<Vec<u8>> = Vec::new();
-                for (key_bytes, lines) in groups {
-                    let key = GfuKey::decode(&key_bytes, arity)?;
-                    extents.observe(&key);
-                    let start = w.offset();
-                    let mut states = agg_set.new_states();
-                    for line in &lines {
-                        let row = parse_row(line, &base.schema)?;
-                        agg_set.update(&mut states, &row, &base.schema)?;
-                        w.write(line, row)?;
-                    }
-                    let end = w.end_slice()?;
-                    let slice = crate::gfu::SliceLoc::new(final_path.clone(), start, end);
-                    let header = AggSet::encode_states(&states);
-                    let count = lines.len() as u64;
-                    // The staged value is the FINAL post-commit value:
-                    // the live value (untouched until commit) merged with
-                    // this slice. The shuffle gives each key to exactly
-                    // one reducer exactly once per job, so publishing it
-                    // later is an idempotent put.
-                    if let Some(plan) = &fault {
-                        plan.sync_point("reorg.stage-cell");
-                    }
-                    // A regrid rewrite replaces the keyspace wholesale:
-                    // new cell coordinates may collide with a live
-                    // old-granularity key, and merging with it would
-                    // double-count every record it ever held.
-                    let old = if rewrite {
-                        None
-                    } else {
-                        kv_retry(retry, kv.as_ref(), || kv.get(&key_bytes))?
-                    };
-                    let merged = merge_gfu(old.as_deref(), &header, &slice, count, &agg_set)?;
-                    let skey = stage_key(gen, &key_bytes);
-                    let enc = merged.encode();
-                    kv_retry(retry, kv.as_ref(), || kv.put(&skey, &enc))?;
-                    staged_keys.push(skey);
-                }
-                w.close()?;
-                Ok((extents, staged_keys))
-            },
-        )?;
-
-        // Prepare: complete the manifest with the full apply recipe —
-        // renames, staged keys, and precomputed (merge-free) metadata.
-        // A rewrite's extents are rebuilt from its own outputs alone: the
-        // stored extents describe the old granularity.
-        let mut extents = if rewrite {
-            Extents::empty(arity)
-        } else {
-            match self.kv_get(META_EXTENT_KEY)? {
-                Some(bytes) => Extents::decode(&bytes)?,
-                None => Extents::empty(arity),
-            }
-        };
-        let mut staged_keys: Vec<Vec<u8>> = Vec::new();
-        for (e, keys) in &job.outputs {
-            extents.merge(e);
-            staged_keys.extend(keys.iter().cloned());
-        }
-        // Stage the pyramid delta in the SAME transaction: recompute
-        // every node whose subtree holds a cell this job touched, from
-        // the final post-commit child values. The staged nodes publish
-        // through the same apply phase as the cells — visibility flips
-        // with the one `m:view` put, so readers never see cells and
-        // ancestors from different epochs.
-        if let Some(levels) = self.pyramid {
-            self.stage_pyramid_updates(gen, levels, &mut staged_keys, rewrite)?;
-        }
-        // A rewrite retires every old-granularity key its job did not
-        // re-stage: an identity-valued tombstone is staged over each one
-        // (so a pending-view reader's staged-over-live overlay masks the
-        // old grid completely — new cell coordinates share the old key
-        // space, so un-masked old keys would land inside the new view's
-        // scan runs), and the manifest's `deletes` removes them at apply.
-        let mut deletes: Vec<Vec<u8>> = Vec::new();
-        if rewrite {
-            use std::collections::HashSet;
-            let staged_live: HashSet<Vec<u8>> = staged_keys
-                .iter()
-                .map(|s| live_key(s).to_vec())
-                .collect();
-            let tombstone = GfuValue {
-                header: AggSet::encode_states(&agg_set.new_states()),
-                slices: Vec::new(),
-                record_count: 0,
-            }
-            .encode();
-            let mut old_keys: Vec<Vec<u8>> = kv_retry(retry, kv.as_ref(), || {
-                kv.scan_prefix(GFU_PREFIX)
-            })?
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-            old_keys.extend(
-                kv_retry(retry, kv.as_ref(), || {
-                    kv.scan_prefix(pyramid::PYRAMID_PREFIX)
-                })?
-                .into_iter()
-                .map(|(k, _)| k),
-            );
-            for k in old_keys {
-                if staged_live.contains(&k) {
-                    continue;
-                }
-                let skey = stage_key(gen, &k);
-                kv_retry(retry, kv.as_ref(), || kv.put(&skey, &tombstone))?;
-                staged_keys.push(skey);
-                deletes.push(k);
-            }
-        }
-        // The post-commit split list: every data file already live plus
-        // this transaction's rename destinations (sized from the staged
-        // files — slice files are immutable once renamed, so the pinned
-        // lengths stay exact). Recorded in the view so a pinned reader
-        // never mixes one epoch's headers with another's split list.
-        // A rewrite's view lists only its own outputs: the old files are
-        // retired wholesale. Either way, files already awaiting deferred
-        // reclamation (`m:gc`) must never re-enter a view.
-        let staged_files = self.ctx.hdfs.list_files(&staging_dir);
-        let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
-        // Sidecars ride the renames with their slice files but are never
-        // data: keep them out of the split list (here and from prior gens).
-        let mut data_files: Vec<(String, u64)> = if rewrite {
-            Vec::new()
-        } else {
-            self.live_data_files()?
-        };
-        for (p, len) in staged_files {
-            let name = p.rsplit('/').next().unwrap_or(&p).to_owned();
-            let dest = format!("{data_loc}/{name}");
-            if !is_sidecar_path(&dest) {
-                data_files.push((dest.clone(), len));
-            }
-            renames.push((p, dest));
-        }
-        data_files.sort();
-        data_files.dedup();
-        self.crash_point("reorg.staged")?;
-        let mut manifest = match self.kv_get(TXN_MANIFEST_KEY)? {
-            Some(b) => TxnManifest::decode(&b)?,
-            None => TxnManifest::intent(gen, staging_dir.clone(), None),
-        };
-        let files = self.ctx.hdfs.list_files(&self.base.location).len() as u64;
-        let watermark = self.ingest_watermark()?.max(ingest_watermark.unwrap_or(0));
-        manifest.state = TxnState::Prepared;
-        manifest.renames = renames;
-        manifest.staged_keys = staged_keys;
-        manifest.deletes = deletes;
-        manifest.meta_puts = self.meta_puts(policy, &extents, files, watermark);
-        if let Some(spec) = regrid {
-            // The replaced files join the deferred-reclamation list (one
-            // maintenance round of grace for readers pinned to the old
-            // view) rather than being deleted at apply.
-            let mut retired = self.gc_list()?;
-            retired.extend(spec.retire.iter().map(|(p, _)| p.clone()));
-            retired.sort();
-            retired.dedup();
-            manifest
-                .meta_puts
-                .push((META_GC_KEY.to_vec(), encode_gc_list(&retired)));
-        }
-        manifest.view = ReadView {
-            generation: gen,
-            pending: true,
-            watermark,
-            files,
-            extents: extents.clone(),
-            data_files,
-            policy: policy.encode(),
-        }
-        .encode();
-        self.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        self.crash_point("reorg.prepared")?;
-
-        // COMMIT POINT: this single put flips the epoch. Before it,
-        // recovery rolls everything back; after it, recovery re-applies.
-        manifest.state = TxnState::Committed;
-        self.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        self.crash_point("reorg.committed")?;
-
-        Self::apply_committed(
-            &self.ctx.hdfs,
-            self.kv.as_ref(),
-            self.retry,
-            &manifest,
-            self.fault.as_ref(),
-        )?;
-        self.crash_point("reorg.applied")?;
-        Self::cleanup_txn(&self.ctx.hdfs, self.kv.as_ref(), self.retry, &manifest)?;
-        Ok(job.report)
-    }
-
-    /// Recompute and stage the pyramid nodes dirtied by transaction
-    /// `gen`'s staged cells. Every dirty level-`k` parent is folded
-    /// from its 2^d children in canonical odometer order
-    /// ([`pyramid::fold_node`]): touched children come from this
-    /// transaction's staged values (their *final* post-commit state),
-    /// untouched siblings from the live store. The nodes are staged
-    /// under the same `s:` prefix and appended to `staged_keys`, so
-    /// the generic apply/rollback/recovery machinery publishes or
-    /// discards them with the cells — no pyramid-specific crash
-    /// handling exists or is needed.
-    /// `rewrite` (regrid) folds strictly from this transaction's staged
-    /// cells: the live store holds old-granularity values whose
-    /// coordinates may collide with new ones, so falling back to it
-    /// would fold stale children into the new pyramid.
-    pub(crate) fn stage_pyramid_updates(
-        &self,
-        gen: u64,
-        levels: u8,
-        staged_keys: &mut Vec<Vec<u8>>,
-        rewrite: bool,
-    ) -> Result<()> {
-        use std::collections::HashMap;
-        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
-        let arity = self.policy().arity();
-        // Final post-commit values of everything staged so far — all
-        // the `g:` cells this job wrote.
-        let staged = kv_retry(self.retry, self.kv.as_ref(), || {
-            self.kv.scan_prefix(&stage_prefix(gen))
-        })?;
-        let mut current: HashMap<Vec<u8>, GfuValue> = HashMap::new();
-        let mut dirty: Vec<Vec<i64>> = Vec::new();
-        for (skey, v) in &staged {
-            let live = live_key(skey);
-            if !live.starts_with(GFU_PREFIX) {
-                continue;
-            }
-            let key = GfuKey::decode(live, arity)?;
-            dirty.push(key.cells);
-            current.insert(live.to_vec(), GfuValue::decode(v)?);
-        }
-        for level in 1..=levels {
-            // Parent coords are not monotone in child order: sort+dedup.
-            let mut parents: Vec<Vec<i64>> =
-                dirty.iter().map(|c| pyramid::parent_coords(c)).collect();
-            parents.sort();
-            parents.dedup();
-            // One scheduling point per LEVEL, not per parent: the
-            // interleaving harness can still pause mid-pyramid-staging,
-            // but the flush's in-progress window stays short enough for
-            // the planner's bounded validation retries (readers spin
-            // while a flush is mid-epoch, so every pause here extends
-            // their worst case directly).
-            self.sync_point("reorg.stage-pyramid");
-            for parent in &parents {
-                let child_value = |coords: &[i64]| -> Result<Option<(Vec<AggState>, u64)>> {
-                    let ckey = pyramid::level_key(level - 1, coords);
-                    let value = match current.get(&ckey) {
-                        Some(v) => Some(v.clone()),
-                        None if rewrite => None,
-                        None => self
-                            .kv_get(&ckey)?
-                            .as_deref()
-                            .map(GfuValue::decode)
-                            .transpose()?,
-                    };
-                    match value {
-                        None => Ok(None),
-                        Some(v) => Ok(Some((agg_set.decode_states(&v.header)?, v.record_count))),
-                    }
-                };
-                let folded = pyramid::fold_node(
-                    &agg_set,
-                    pyramid::child_coords(parent).iter().map(|c| child_value(c)),
-                )?;
-                // A dirty parent always has at least one present child
-                // (the staged cell that dirtied it), but stay defensive.
-                let Some((states, count)) = folded else { continue };
-                let node = GfuValue {
-                    header: AggSet::encode_states(&states),
-                    slices: Vec::new(),
-                    record_count: count,
-                };
-                let nkey = pyramid::pyramid_key(level, parent);
-                let skey = stage_key(gen, &nkey);
-                let enc = node.encode();
-                kv_retry(self.retry, self.kv.as_ref(), || self.kv.put(&skey, &enc))?;
-                staged_keys.push(skey);
-                current.insert(nkey, node);
-            }
-            dirty = parents;
-        }
-        self.crash_point("reorg.pyramid-staged")?;
-        Ok(())
-    }
-
-    /// The precomputed post-commit metadata puts. Plain overwrites (the
-    /// extents are merged at prepare time, not at apply time, and the
-    /// caller resolves the ingest watermark to its final monotone value)
-    /// so re-applying after a crash never double-merges. The watermark
-    /// never regresses: a flush carries the sequence of its own batches,
-    /// a plain build/append re-persists the stored one.
-    pub(crate) fn meta_puts(
-        &self,
-        policy: &SplittingPolicy,
-        extents: &Extents,
-        files: u64,
-        watermark: u64,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let agg_keys: Vec<u8> = self
-            .aggs
-            .iter()
-            .map(|a| a.key())
-            .collect::<Vec<_>>()
-            .join("\n")
-            .into_bytes();
-        let mut puts = vec![
-            (META_POLICY_KEY.to_vec(), policy.encode()),
-            (META_PLACEMENT_KEY.to_vec(), self.placement.encode()),
-            (META_FILES_KEY.to_vec(), files.to_le_bytes().to_vec()),
-            (META_AGGS_KEY.to_vec(), agg_keys),
-            (META_EXTENT_KEY.to_vec(), extents.encode()),
-            (META_INGEST_KEY.to_vec(), watermark.to_le_bytes().to_vec()),
-        ];
-        if let Some(levels) = self.pyramid {
-            puts.push((META_PYRAMID_KEY.to_vec(), pyramid::encode_meta(levels)));
-        }
-        puts
-    }
-
-    /// The non-transactional metadata path, used only when a build or
-    /// append indexed no records (empty split set): nothing data-visible
-    /// changes, so plain puts suffice. A fresh non-pending view goes last
-    /// so even this path bumps the pinned-reader generation.
-    fn persist_meta(&self, new_extents: &Extents, ingest_watermark: Option<u64>) -> Result<()> {
-        let policy = self.policy();
-        let mut extents = match self.kv_get(META_EXTENT_KEY)? {
-            Some(bytes) => {
-                Extents::decode(&bytes).unwrap_or_else(|_| Extents::empty(policy.arity()))
-            }
-            None => Extents::empty(policy.arity()),
-        };
-        extents.merge(new_extents);
-        let files = self.ctx.hdfs.list_files(&self.base.location).len() as u64;
-        let watermark = self.ingest_watermark()?.max(ingest_watermark.unwrap_or(0));
-        for (k, v) in self.meta_puts(&policy, &extents, files, watermark) {
-            self.kv_put(&k, &v)?;
-        }
-        let view = ReadView {
-            generation: self.generation.load(Ordering::Acquire),
-            pending: false,
-            watermark,
-            files,
-            extents,
-            data_files: self.live_data_files()?,
-            policy: policy.encode(),
-        };
-        self.kv_put(META_VIEW_KEY, &view.encode())?;
-        kv_retry(self.retry, self.kv.as_ref(), || self.kv.flush())?;
-        Ok(())
     }
 
     /// The persisted ingest watermark: the highest streaming batch
     /// sequence whose rows are committed into Slices (0 before any
     /// streaming flush). See [`append_with_watermark`](Self::append_with_watermark).
     pub fn ingest_watermark(&self) -> Result<u64> {
-        let Some(bytes) = self.kv_get(META_INGEST_KEY)? else {
-            return Ok(0);
-        };
-        let mut b = [0u8; 8];
-        b[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-        Ok(u64::from_le_bytes(b))
+        Ok(self.kv_get(META_INGEST_KEY)?.as_deref().map_or(0, le_u64))
     }
 
     /// Register a [`FreshSource`] (the streaming memtable): from now on
@@ -1513,8 +714,10 @@ impl DgfIndex {
         Ok(out)
     }
 
-    /// [`check_freshness`](Self::check_freshness) against a pinned view.
-    /// Extra base-table files are tolerated when an in-flight transaction
+    /// Staleness check against a pinned view: error if the base table
+    /// holds files that were never indexed (e.g. loaded directly instead
+    /// of via [`append`](Self::append)) — a stale index would silently
+    /// drop those records from every answer. Extra files are tolerated when an in-flight transaction
     /// accounts for them (its delta is not acknowledged yet, so the
     /// pinned pre-commit answer is correct) or when the live file count
     /// already moved past the view (a commit landed; validation will see
@@ -1548,28 +751,6 @@ impl DgfIndex {
         )))
     }
 
-    /// Staleness check: error if the base table holds files that were
-    /// never indexed (e.g. loaded directly instead of via
-    /// [`append`](Self::append)). A stale index would silently drop those
-    /// records from every answer.
-    pub fn check_freshness(&self) -> Result<()> {
-        let Some(bytes) = self.kv_get(META_FILES_KEY)? else {
-            return Ok(()); // pre-freshness index: assume in sync
-        };
-        let mut b = [0u8; 8];
-        b[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-        let indexed = u64::from_le_bytes(b);
-        let current = self.ctx.hdfs.list_files(&self.base.location).len() as u64;
-        if current > indexed {
-            return Err(DgfError::Index(format!(
-                "index is stale: base table {:?} has {current} files but only \
-                 {indexed} are indexed — load new data through DgfIndex::append",
-                self.base.name
-            )));
-        }
-        Ok(())
-    }
-
     /// The persisted per-dimension extents.
     pub fn extents(&self) -> Result<Extents> {
         match self.kv_get(META_EXTENT_KEY)? {
@@ -1600,191 +781,6 @@ fn le_u64(bytes: &[u8]) -> u64 {
     let mut b = [0u8; 8];
     b[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
     u64::from_le_bytes(b)
-}
-
-/// Instructions turning [`DgfIndex::reorganize`] into a full grid
-/// rewrite: re-cell every record under `policy` and, at apply, move the
-/// `retire` files onto the deferred-reclamation list (`m:gc`).
-pub(crate) struct RegridSpec {
-    /// The adapted policy the rewrite cells records under.
-    pub policy: Arc<SplittingPolicy>,
-    /// Data files `(path, len)` superseded by the rewrite. They are not
-    /// deleted at apply — a pinned reader may still hold the old view —
-    /// but queued on `m:gc` for the next maintenance run.
-    pub retire: Vec<(String, u64)>,
-}
-
-/// Encode the `m:gc` deferred-reclamation list (count + paths).
-pub(crate) fn encode_gc_list(paths: &[String]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    dgf_common::codec::put_u32(&mut buf, paths.len() as u32);
-    for p in paths {
-        dgf_common::codec::put_str(&mut buf, p);
-    }
-    buf
-}
-
-/// Decode the `m:gc` deferred-reclamation list.
-pub(crate) fn decode_gc_list(bytes: &[u8]) -> Result<Vec<String>> {
-    let mut d = dgf_common::codec::Decoder::new(bytes);
-    let n = d.u32()? as usize;
-    let mut paths = Vec::with_capacity(n);
-    for _ in 0..n {
-        paths.push(d.str()?.to_owned());
-    }
-    Ok(paths)
-}
-
-/// Format-dispatched writer of slice-aligned reorganized data.
-///
-/// The RCFile variant additionally streams every row through a
-/// [`SidecarBuilder`] and, at close, writes the zone-map + hierarchical
-/// bitmap sidecar beside the data file (`<path>.scx`, DESIGN.md §15).
-/// Written into the staging directory, the sidecar rides the same
-/// staged-commit renames as its slice file, so it is never visible
-/// without the data it describes.
-pub(crate) enum SliceWriter {
-    Text(TextWriter),
-    Rc {
-        writer: Box<dgf_format::RcWriter>,
-        hdfs: dgf_storage::HdfsRef,
-        path: String,
-        sidecar: SidecarBuilder,
-    },
-}
-
-impl SliceWriter {
-    pub(crate) fn create(
-        hdfs: &dgf_storage::HdfsRef,
-        path: &str,
-        base: &TableRef,
-        format: FileFormat,
-    ) -> Result<SliceWriter> {
-        Ok(match format {
-            FileFormat::Text => SliceWriter::Text(TextWriter::create(hdfs, path)?),
-            FileFormat::RcFile => SliceWriter::Rc {
-                writer: Box::new(dgf_format::RcWriter::create(
-                    hdfs,
-                    path,
-                    base.schema.clone(),
-                    base.rows_per_group,
-                )?),
-                hdfs: hdfs.clone(),
-                path: path.to_owned(),
-                sidecar: SidecarBuilder::new(
-                    base.schema.fields().iter().map(|f| f.name.clone()).collect(),
-                ),
-            },
-        })
-    }
-
-    /// Offset where the next slice will begin.
-    pub(crate) fn offset(&self) -> u64 {
-        match self {
-            SliceWriter::Text(w) => w.offset(),
-            SliceWriter::Rc { writer, .. } => writer.group_offset(),
-        }
-    }
-
-    /// Append one record (`line` is its text form, `row` its parsed form).
-    pub(crate) fn write(&mut self, line: &str, row: Row) -> Result<()> {
-        match self {
-            SliceWriter::Text(w) => {
-                w.write_line(line)?;
-            }
-            SliceWriter::Rc {
-                writer, sidecar, ..
-            } => {
-                // `write_row` returns the row's group start; if the group
-                // auto-flushed on this row, `group_offset()` has moved past
-                // it and the group (start..end) is sealed for the sidecar.
-                let start = writer.write_row(&row)?;
-                sidecar.observe(&row);
-                let after = writer.group_offset();
-                if after != start {
-                    sidecar.finish_group(start, after - start);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Close the current slice at a record/group boundary; returns its
-    /// exclusive end offset.
-    pub(crate) fn end_slice(&mut self) -> Result<u64> {
-        match self {
-            SliceWriter::Text(w) => Ok(w.offset()),
-            SliceWriter::Rc {
-                writer, sidecar, ..
-            } => {
-                let start = writer.group_offset();
-                writer.finish_group()?;
-                let end = writer.group_offset();
-                if end != start {
-                    sidecar.finish_group(start, end - start);
-                }
-                Ok(end)
-            }
-        }
-    }
-
-    pub(crate) fn close(self) -> Result<u64> {
-        match self {
-            SliceWriter::Text(w) => w.close(),
-            SliceWriter::Rc {
-                mut writer,
-                hdfs,
-                path,
-                mut sidecar,
-            } => {
-                // Seal any group still open (the reducer normally ends every
-                // slice first, making this a no-op) so the builder and the
-                // file agree on group boundaries before the footer is written.
-                let start = writer.group_offset();
-                writer.finish_group()?;
-                let end = writer.group_offset();
-                if end != start {
-                    sidecar.finish_group(start, end - start);
-                }
-                let data_len = writer.close()?;
-                let bytes = sidecar.finish(data_len).encode();
-                let mut w = hdfs.create(&sidecar_path(&path))?;
-                use std::io::Write as _;
-                w.write_all(&bytes)?;
-                w.close()?;
-                Ok(data_len)
-            }
-        }
-    }
-}
-
-/// Merge a freshly built slice into an existing GFU value (or create one).
-pub(crate) fn merge_gfu(
-    old: Option<&[u8]>,
-    header: &[u8],
-    slice: &crate::gfu::SliceLoc,
-    count: u64,
-    agg_set: &AggSet,
-) -> Result<GfuValue> {
-    match old {
-        None => Ok(GfuValue {
-            header: header.to_vec(),
-            slices: vec![slice.clone()],
-            record_count: count,
-        }),
-        Some(bytes) => {
-            let mut v = GfuValue::decode(bytes)?;
-            if !agg_set.is_empty() {
-                let mut states = agg_set.decode_states(&v.header)?;
-                let new_states = agg_set.decode_states(header)?;
-                agg_set.merge(&mut states, &new_states)?;
-                v.header = AggSet::encode_states(&states);
-            }
-            v.slices.push(slice.clone());
-            v.record_count += count;
-            Ok(v)
-        }
-    }
 }
 
 /// Convenience: the canonical meter-data pre-compute list from the paper's

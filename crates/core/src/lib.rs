@@ -7,8 +7,12 @@
 //!   standardization into grid cells.
 //! * [`gfu`] — grid file units: order-preserving keys, headers of
 //!   pre-computed additive aggregates, Slice locations.
-//! * [`index`] — construction (a MapReduce job that reorganizes the table
-//!   into per-GFU Slices) and incremental, rebuild-free appends.
+//! * [`index`] — the index handle: build, open, and the pinned reads
+//!   planning works from.
+//! * [`mod@write`] — the write side: the MapReduce job that reorganizes the
+//!   table into per-GFU Slices, and incremental, rebuild-free appends.
+//! * [`txn`] — the one crash-atomic commit path every writer (build,
+//!   append, flush, compaction, regrid) publishes through, and recovery.
 //! * [`plan`] — query planning: inner/boundary region decomposition,
 //!   header-based answering of the inner region, split filtering, and
 //!   per-split Slice range lists. The inner region is read from pyramid
@@ -73,6 +77,7 @@ pub mod pyramid;
 pub mod sidecar;
 pub mod txn;
 pub mod view;
+pub mod write;
 
 pub use advisor::{collect_stats, recommend_policy, AdvisorConfig, DimStats, Recommendation};
 pub use cache::{CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
@@ -84,7 +89,7 @@ pub use maintain::{CellHeat, MaintenanceConfig, MaintenanceReport, Maintainer};
 pub use plan::{DgfPlan, PlanStrategy};
 pub use pyramid::{NodeRef, DEFAULT_PYRAMID_LEVELS, PYRAMID_PREFIX};
 pub use sidecar::PruneOutcome;
-pub use txn::{TxnManifest, TxnState};
+pub use txn::{TxnManifest, TxnState, TxnStats};
 pub use view::ReadView;
 pub use policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
 
@@ -500,14 +505,17 @@ mod tests {
                 DimPolicy::int("day", 0, 1),
             ])
             .unwrap();
-            let (idx, _) = DgfIndex::build_with_placement(
+            let (idx, _) = DgfIndex::build_with_options(
                 Arc::clone(&ctx),
                 tab,
                 policy,
                 vec![],
                 Arc::new(MemKvStore::new()),
                 &format!("dgf_{name}"),
-                placement,
+                IndexOptions {
+                    placement,
+                    ..IndexOptions::default()
+                },
             )
             .unwrap();
             Arc::new(idx)
@@ -551,24 +559,24 @@ mod tests {
         // Invalid prefix_dims rejected.
         let schema2 = Arc::new(Schema::from_pairs(&[("a", ValueType::Int)]));
         let tab = ctx.create_table("one_dim", schema2, FileFormat::Text).unwrap();
-        assert!(DgfIndex::build_with_placement(
+        assert!(DgfIndex::build_with_options(
             Arc::clone(&ctx),
             tab,
             SplittingPolicy::new(vec![DimPolicy::int("a", 0, 1)]).unwrap(),
             vec![],
             Arc::new(MemKvStore::new()),
             "dgf_bad_placement",
-            SlicePlacement::PrefixLocality { prefix_dims: 1 },
+            IndexOptions {
+                placement: SlicePlacement::PrefixLocality { prefix_dims: 1 },
+                ..IndexOptions::default()
+            },
         )
         .is_err());
     }
 
-    #[test]
-    fn rcfile_base_table_gets_rcfile_slices() {
-        // The paper: "it is easy to extend DGFIndex to support other file
-        // formats" — an RCFile base table yields RCFile reorganized data
-        // with group-aligned Slices, and the skipping read path holds.
-        let (_t, ctx) = setup(2048);
+    /// A 600-row RCFile table in three files with small row groups
+    /// (many groups per slice candidate).
+    fn rc_meter_table(ctx: &Arc<HiveContext>) -> TableRef {
         let schema = Arc::new(Schema::from_pairs(&[
             ("user", ValueType::Int),
             ("day", ValueType::Int),
@@ -578,7 +586,7 @@ mod tests {
             .create_table("meter_rc", schema, FileFormat::RcFile)
             .unwrap())
         .clone();
-        desc.rows_per_group = 16; // small groups: many per slice candidate
+        desc.rows_per_group = 16;
         let tab = Arc::new(desc);
         let rows: Vec<Vec<Value>> = (0..600)
             .map(|i| {
@@ -590,21 +598,75 @@ mod tests {
             })
             .collect();
         ctx.load_rows(&tab, &rows, 3).unwrap();
+        tab
+    }
 
+    fn build_rc(
+        ctx: &Arc<HiveContext>,
+        tab: &TableRef,
+        name: &str,
+    ) -> (DgfIndex, dgf_hive::BuildReport) {
         let policy = SplittingPolicy::new(vec![
             DimPolicy::int("user", 0, 8),
             DimPolicy::int("day", 0, 3),
         ])
         .unwrap();
-        let (idx, report) = DgfIndex::build(
-            Arc::clone(&ctx),
-            Arc::clone(&tab),
+        DgfIndex::build(
+            Arc::clone(ctx),
+            Arc::clone(tab),
             policy,
             vec![AggFunc::Sum("power".into()), AggFunc::Count],
             Arc::new(MemKvStore::new()),
-            "dgf_rc",
+            name,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// Two four-worker builds of one table write the same bytes. Row
+    /// order inside a Slice — and with it header float bits, zone maps
+    /// and `.scx` bytes — used to follow map-task completion order.
+    #[test]
+    fn builds_are_byte_identical_and_every_writer_is_counted() {
+        let (_t, ctx) = setup(2048);
+        let tab = rc_meter_table(&ctx);
+        let files_of = |idx: &DgfIndex| -> std::collections::BTreeMap<String, Vec<u8>> {
+            ctx.hdfs
+                .list_files(&idx.data.location)
+                .into_iter()
+                .map(|(path, _)| {
+                    let name = path.rsplit('/').next().unwrap().to_owned();
+                    (name, ctx.hdfs.read_file(&path).unwrap())
+                })
+                .collect()
+        };
+        let (a, _) = build_rc(&ctx, &tab, "dgf_det_a");
+        let (b, _) = build_rc(&ctx, &tab, "dgf_det_b");
+        let files = files_of(&a);
+        assert!(files.keys().any(|name| dgf_format::is_sidecar_path(name)));
+        assert!(files.len() >= 4, "one reducer: nothing to reorder");
+        assert_eq!(files, files_of(&b));
+
+        // Build, append, append: three commits through the one `Txn`.
+        for day in [3, 4] {
+            a.append(&[vec![Value::Int(1), Value::Int(day), Value::Float(1.0)]])
+                .unwrap();
+        }
+        let metrics = a.metrics().snapshot();
+        assert_eq!(metrics["txn.commits"], 3);
+        assert_eq!(metrics["txn.rollbacks"], 0);
+        assert_eq!(metrics["txn.recovered"], 0);
+        assert!(metrics["txn.staged_keys"] > 0);
+        assert!(metrics["txn.files_published"] as usize >= files.len());
+    }
+
+    #[test]
+    fn rcfile_base_table_gets_rcfile_slices() {
+        // The paper: "it is easy to extend DGFIndex to support other file
+        // formats" — an RCFile base table yields RCFile reorganized data
+        // with group-aligned Slices, and the skipping read path holds.
+        let (_t, ctx) = setup(2048);
+        let tab = rc_meter_table(&ctx);
+        let (idx, report) = build_rc(&ctx, &tab, "dgf_rc");
         assert_eq!(idx.data.format, FileFormat::RcFile);
         assert!(report.index_entries > 0);
         let idx = Arc::new(idx);

@@ -29,7 +29,7 @@
 //! The rewrite re-cells every record under the new policy in a single
 //! transaction whose manifest also *retires* the old-granularity keys
 //! (see [`crate::txn::TxnManifest::deletes`]), and the new policy rides
-//! the published [`ReadView`] so a pinned reader
+//! the published [`ReadView`](crate::view::ReadView) so a pinned reader
 //! can never pair one epoch's extents with another's cell geometry.
 
 use std::collections::{HashMap, HashSet};
@@ -37,15 +37,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgf_common::{format_row, DgfError, Result};
-use dgf_format::{coalesce_ranges, is_sidecar_path, sidecar_path, ByteRange, FileFormat};
+use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
 use dgf_hive::{open_input, ScanInput};
 
-use crate::gfu::{GfuValue, GFU_PREFIX, META_EXTENT_KEY, META_GC_KEY};
-use crate::index::{encode_gc_list, DgfIndex, RegridSpec, SliceWriter};
+use crate::gfu::{GfuValue, GFU_PREFIX, META_GC_KEY};
+use crate::index::DgfIndex;
 use crate::policy::{DimPolicy, DimScale, SplittingPolicy};
-use crate::txn::{stage_key, TxnManifest, TxnState, TXN_MANIFEST_KEY};
-use crate::view::ReadView;
-use crate::Extents;
+use crate::txn::{Outcome, Txn};
+use crate::write::{encode_gc_list, RegridSpec, SliceWriter};
 
 /// Planner-fed per-dimension boundary-heat counters.
 ///
@@ -172,13 +171,6 @@ impl Maintainer {
         if let Some(hook) = &self.config.flush_hook {
             report.flushed_batches = hook()?;
         }
-        if self.index.kv_get(TXN_MANIFEST_KEY)?.is_some() {
-            return Err(DgfError::Index(
-                "maintenance requires a clean store: an in-flight transaction manifest \
-                 exists (run recovery first)"
-                    .into(),
-            ));
-        }
         let (files, gfus) = self.compact()?;
         report.compacted_files = files;
         report.compacted_gfus = gfus;
@@ -212,7 +204,7 @@ impl Maintainer {
             }
         }
         self.index.crash_point("maint.gc-swept")?;
-        self.index.put_gc_list(&[])?;
+        self.index.kv_put(META_GC_KEY, &encode_gc_list(&[]))?;
         Ok(gc.len())
     }
 
@@ -223,8 +215,15 @@ impl Maintainer {
     /// through the standard staged-commit transaction.
     fn compact(&self) -> Result<(usize, usize)> {
         let index = &*self.index;
-        let files = self.index.live_data_files()?;
         let budget = self.config.delta_file_budget.max(1);
+        // The idle pass costs no transaction. Everything the rewrite is
+        // built from is read after `begin`, which first finishes whatever
+        // an earlier failed writer left behind.
+        if index.live_data_files()?.len() <= budget {
+            return Ok((0, 0));
+        }
+        let txn = Txn::begin(index, false)?;
+        let files = index.live_data_files()?;
         if files.len() <= budget {
             return Ok((0, 0));
         }
@@ -238,56 +237,41 @@ impl Maintainer {
         // Affected = every GFU with at least one slice in a selected
         // file. The KV prefix scan is key-ordered, so the rewrite lays
         // affected cells out in grid order.
-        let pairs = index.kv_scan_prefix(GFU_PREFIX)?;
         let mut affected: Vec<(Vec<u8>, GfuValue)> = Vec::new();
-        let mut refs: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut affected_idx: HashSet<usize> = HashSet::new();
-        let mut decoded: Vec<(Vec<u8>, GfuValue)> = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            decoded.push((k, GfuValue::decode(&v)?));
-        }
-        for (i, (_, v)) in decoded.iter().enumerate() {
-            for s in &v.slices {
-                refs.entry(s.file.clone()).or_default().push(i);
-                if selected.contains(&s.file) {
-                    affected_idx.insert(i);
-                }
+        let mut still_read: HashSet<String> = HashSet::new();
+        for (k, v) in index.kv_scan_prefix(GFU_PREFIX)? {
+            let value = GfuValue::decode(&v)?;
+            if value.slices.iter().any(|s| selected.contains(&s.file)) {
+                affected.push((k, value));
+            } else {
+                still_read.extend(value.slices.into_iter().map(|s| s.file));
             }
         }
-        if affected_idx.is_empty() {
+        if affected.is_empty() {
             return Ok((0, 0));
-        }
-        for (i, kv) in decoded.into_iter().enumerate() {
-            if affected_idx.contains(&i) {
-                affected.push(kv);
-            }
         }
         // A file is retired when every GFU referencing it is being
         // rewritten (its remaining bytes serve no live slice). Selected
         // files are always retired; others may be absorbed for free.
-        let retired: Vec<(String, u64)> = files
+        let rewritten: HashSet<&String> = affected
             .iter()
-            .filter(|(p, _)| match refs.get(p) {
-                Some(rs) => rs.iter().all(|i| affected_idx.contains(i)),
-                None => false,
-            })
+            .flat_map(|(_, v)| v.slices.iter().map(|s| &s.file))
+            .collect();
+        let retired: Vec<String> = files
+            .iter()
+            .map(|(p, _)| p)
+            .filter(|p| rewritten.contains(p) && !still_read.contains(*p))
             .cloned()
             .collect();
-
-        let gen = index.next_generation();
-        let staging_dir = index.staging_dir(gen);
-        let manifest = TxnManifest::intent(gen, staging_dir.clone(), None);
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("maint.intent")?;
 
         // Rewrite ALL slices of each affected GFU, in stored slice order,
         // into one staged file: each GFU ends up with a single contiguous
         // slice holding exactly its old rows in their old order.
         let format = index.data.format;
-        let path = format!("{staging_dir}/part-r-{gen:05}-00000");
-        let final_path = format!("{}/part-r-{gen:05}-00000", index.data.location);
+        let name = format!("part-r-{:05}-00000", txn.gen());
+        let path = format!("{}/{name}", txn.staging_dir());
+        let final_path = format!("{}/{name}", index.data.location);
         let mut w = SliceWriter::create(&index.ctx.hdfs, &path, &index.data, format)?;
-        let mut staged_keys: Vec<Vec<u8>> = Vec::new();
         for (key, value) in &affected {
             let start = w.offset();
             for slice in &value.slices {
@@ -320,80 +304,21 @@ impl Maintainer {
                 slices: vec![crate::gfu::SliceLoc::new(final_path.clone(), start, end)],
                 record_count: value.record_count,
             };
-            let skey = stage_key(gen, key);
-            index.kv_put(&skey, &compacted.encode())?;
-            staged_keys.push(skey);
+            txn.stage(key, &compacted.encode())?;
         }
         w.close()?;
-        index.crash_point("maint.staged")?;
 
         // Post-commit state: same extents, same watermark, same grid —
         // only the file list and the affected GFU values change.
-        let extents = match index.kv_get(META_EXTENT_KEY)? {
-            Some(bytes) => Extents::decode(&bytes)?,
-            None => Extents::empty(index.policy().arity()),
-        };
-        let retired_set: HashSet<&String> = retired.iter().map(|(p, _)| p).collect();
-        let staged_files = index.ctx.hdfs.list_files(&staging_dir);
-        let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
-        let mut data_files: Vec<(String, u64)> = files
-            .iter()
-            .filter(|(p, _)| !retired_set.contains(p))
-            .cloned()
-            .collect();
-        for (p, len) in staged_files {
-            let name = p.rsplit('/').next().unwrap_or(&p).to_owned();
-            let dest = format!("{}/{name}", index.data.location);
-            if !is_sidecar_path(&dest) {
-                data_files.push((dest.clone(), len));
-            }
-            renames.push((p, dest));
-        }
-        data_files.sort();
-        data_files.dedup();
-        let base_files = index.ctx.hdfs.list_files(&index.base.location).len() as u64;
-        let watermark = index.ingest_watermark()?;
-        let mut gc_after: Vec<String> = self.index.gc_list()?;
-        gc_after.extend(retired.iter().map(|(p, _)| p.clone()));
-        gc_after.sort();
-        gc_after.dedup();
-
-        let mut manifest = manifest;
-        manifest.state = TxnState::Prepared;
-        manifest.renames = renames;
-        manifest.staged_keys = staged_keys;
-        manifest.meta_puts = vec![(META_GC_KEY.to_vec(), encode_gc_list(&gc_after))];
-        manifest.view = ReadView {
-            generation: gen,
-            pending: true,
-            watermark,
-            files: base_files,
-            extents,
-            data_files,
-            policy: index.policy().encode(),
-        }
-        .encode();
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("maint.prepared")?;
-
-        // COMMIT POINT.
-        manifest.state = TxnState::Committed;
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("maint.committed")?;
-
-        DgfIndex::apply_committed(
-            &index.ctx.hdfs,
-            index.kv.as_ref(),
-            index.retry,
-            &manifest,
-            index.fault_plan(),
-        )?;
-        index.crash_point("maint.applied")?;
-        DgfIndex::cleanup_txn(&index.ctx.hdfs, index.kv.as_ref(), index.retry, &manifest)?;
-        // Orphan any header-cache entries a racing plan stamped with this
-        // generation before the commit (mirrors the append path's bump).
-        index.bump_generation();
-        Ok((retired.len(), affected.len()))
+        let counts = (retired.len(), affected.len());
+        txn.commit(Outcome {
+            policy: index.policy(),
+            extents: index.extents()?,
+            watermark: None,
+            retire: retired,
+            deletes: Vec::new(),
+        })?;
+        Ok(counts)
     }
 
     /// Decide and apply one grid adaptation, if warranted. Returns a
@@ -447,52 +372,28 @@ impl Maintainer {
     /// through the heat-driven decision.
     pub fn regrid_to(&self, policy: SplittingPolicy) -> Result<()> {
         let index = &*self.index;
-        let old = index.policy();
-        if old.dim_names() != policy.dim_names() {
+        if index.policy().dim_names() != policy.dim_names() {
             return Err(DgfError::Index(
                 "grid adaptation may only change intervals, not dimensions".into(),
             ));
         }
-        if *old == policy {
-            return Ok(());
-        }
-        let files = self.index.live_data_files()?;
-        let policy = Arc::new(policy);
-        let gen = index.next_generation();
-        let manifest = TxnManifest::intent(gen, index.staging_dir(gen), None);
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("maint.regrid-intent")?;
-        if files.is_empty() {
-            // Nothing to rewrite: install the policy, then let the
-            // empty-splits reorganize path persist it and retire the
-            // transaction.
-            index.install_policy(Arc::clone(&policy));
-            index.reorganize(Vec::new(), index.data.format, None, None)?;
-            index.bump_generation();
-            return Ok(());
-        }
-        let splits = self.live_slice_splits()?;
-        if splits.is_empty() {
-            // Files on disk but no live slices: an empty grid. Same as
-            // the no-files path; the dead files stay until a compaction
-            // pass claims them.
-            index.install_policy(Arc::clone(&policy));
-            index.reorganize(Vec::new(), index.data.format, None, None)?;
-            index.bump_generation();
+        // Begin first: it finishes any transaction a failed writer left,
+        // which may itself have been a regrid.
+        let txn = Txn::begin(index, false)?;
+        if *index.policy() == policy {
             return Ok(());
         }
         let spec = RegridSpec {
-            policy: Arc::clone(&policy),
-            retire: files,
+            policy: Arc::new(policy),
+            retire: index.live_data_files()?,
         };
-        index.reorganize(splits, index.data.format, None, Some(&spec))?;
-        index.install_policy(policy);
-        index.bump_generation();
+        // An empty grid has no splits; the rewrite then commits the new
+        // policy with nothing staged.
+        let splits = self.live_slice_splits()?;
+        index.reorganize(txn, splits, index.data.format, None, Some(&spec))?;
         Ok(())
     }
-}
 
-impl Maintainer {
     /// The live byte ranges of every data file, as one `FileSplit` per
     /// coalesced slice run of the committed GFU values.
     ///

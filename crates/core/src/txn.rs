@@ -1,26 +1,52 @@
-//! Crash-atomic commit protocol for index construction and appends.
+//! Crash-atomic commit protocol: the one write path of a DGFIndex.
 //!
-//! HAIL-style atomic publication for the reorganize job: reducers write
-//! their Slice files under a **staging directory** (a sibling of the
-//! data table, so half-written files never appear in split enumeration)
-//! and their merged GFU values under **staged keys** (`s:` + live key).
-//! Nothing live is touched until a single [`TxnManifest`] record flips
-//! to [`TxnState::Committed`] — that one `put` is the commit point.
-//! After it, applying the transaction (renaming staged files into the
-//! data directory, copying staged values to their live keys, putting the
-//! precomputed metadata) is **idempotent**: every step checks whether it
-//! already happened, so a crash at any point during apply or cleanup is
-//! repaired by simply re-applying on the next open.
+//! Build, append, streaming flush, delta compaction and regrid all
+//! change the index the same way, through one `Txn`:
+//! `Txn::begin` declares Intent, the writer stages, and
+//! `Txn::commit` publishes. No other code writes [`TXN_MANIFEST_KEY`].
+//!
+//! HAIL-style atomic publication: writers put their Slice files under a
+//! **staging directory** (a sibling of the data table, so half-written
+//! files never appear in split enumeration) and their GFU values under
+//! **staged keys** (`s:` + live key). Nothing live is touched until a
+//! single [`TxnManifest`] record flips to [`TxnState::Committed`] — that
+//! one `put` is the commit point. After it, applying the transaction
+//! (renaming staged files into the data directory, copying staged values
+//! to their live keys, putting the precomputed metadata) is
+//! **idempotent**: every step checks whether it already happened, so a
+//! crash at any point during apply or cleanup is repaired by simply
+//! re-applying.
 //!
 //! Before the commit point the inverse holds: rolling back (deleting
 //! staged keys, the staging directory, and any base-table delta file the
 //! transaction wrote but never acknowledged) restores the previous epoch
-//! exactly. [`DgfIndex::open`](crate::index::DgfIndex::open) runs this
-//! recovery unconditionally, so a crash at *any* site leaves the index
-//! either fully at the old epoch or fully at the new one.
+//! exactly. [`recover`] dispatches between the two. It runs in three
+//! places: [`DgfIndex::open`](crate::index::DgfIndex::open), the start of
+//! every `Txn::begin` (so a writer can never declare Intent over a dead
+//! transaction's manifest), and — best effort — whenever a writer fails
+//! between `begin` and the end of `commit`. A crash or an error at *any*
+//! site therefore leaves the index either fully at the old epoch or
+//! fully at the new one, and the next writer on any handle starts clean.
+
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use dgf_common::codec::{self, Decoder};
+use dgf_common::fault::{FaultPlan, RetryPolicy};
+use dgf_common::obs::{names, MetricsRegistry};
+use dgf_common::stats::Counter;
 use dgf_common::{DgfError, Result};
+use dgf_format::is_sidecar_path;
+use dgf_kvstore::KvStore;
+use dgf_storage::HdfsRef;
+use parking_lot::Mutex;
+
+use crate::gfu::{Extents, META_GC_KEY, META_VIEW_KEY};
+use crate::index::{kv_retry, DgfIndex};
+use crate::policy::SplittingPolicy;
+use crate::view::ReadView;
+use crate::write::encode_gc_list;
 
 /// Key of the (single) transaction manifest. One in-flight transaction
 /// at a time: the index is a single-writer structure (the paper's load
@@ -119,7 +145,7 @@ pub struct TxnManifest {
     /// aggregates, file count, merged extents). Plain puts so re-applying
     /// never double-merges.
     pub meta_puts: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Encoded [`ReadView`](crate::view::ReadView) (with `pending` set)
+    /// Encoded [`ReadView`] (with `pending` set)
     /// that apply publishes under `m:view` right after the file renames
     /// and *before* the staged-key publishes: flipping the view is the
     /// visibility pivot for live readers, and a pending view tells them
@@ -234,6 +260,440 @@ impl TxnManifest {
     }
 }
 
+/// Transaction counters of one [`DgfIndex`] handle, covering every
+/// writer alike (they all commit through one `Txn`); projected under the
+/// `txn.*` names by [`DgfIndex::metrics`].
+#[derive(Debug, Default)]
+pub struct TxnStats {
+    /// Transactions this handle committed and finished.
+    pub commits: Counter,
+    /// Transactions rolled back: found dead before their commit point,
+    /// failed before it, or abandoned by their writer.
+    pub rollbacks: Counter,
+    /// Committed transactions rolled forward by recovery instead of by
+    /// the writer that committed them.
+    pub recovered: Counter,
+    /// Staged keys published by committed transactions.
+    pub staged_keys: Counter,
+    /// Staged files (Slice files and their sidecars) renamed into the
+    /// data directory.
+    pub files_published: Counter,
+    /// Data files moved onto the deferred-reclamation list.
+    pub files_retired: Counter,
+}
+
+impl TxnStats {
+    /// Add the counters to `reg` under the `txn.*` names.
+    pub fn record_into(&self, reg: &MetricsRegistry) {
+        reg.add(names::TXN_COMMITS, self.commits.get());
+        reg.add(names::TXN_ROLLBACKS, self.rollbacks.get());
+        reg.add(names::TXN_RECOVERED, self.recovered.get());
+        reg.add(names::TXN_STAGED_KEYS, self.staged_keys.get());
+        reg.add(names::TXN_FILES_PUBLISHED, self.files_published.get());
+        reg.add(names::TXN_FILES_RETIRED, self.files_retired.get());
+    }
+
+    /// Count what [`recover`] found and finished.
+    pub(crate) fn count_recovery(&self, found: Option<TxnState>) {
+        match found {
+            Some(TxnState::Committed) => self.recovered.inc(),
+            Some(TxnState::Intent | TxnState::Prepared) => self.rollbacks.inc(),
+            None => {}
+        }
+    }
+}
+
+/// What differs between the writers at commit time; [`Txn::commit`]
+/// does everything else.
+pub(crate) struct Outcome {
+    /// The grid policy of the new epoch (unchanged except by a regrid).
+    pub policy: Arc<SplittingPolicy>,
+    /// Per-dimension extents of the new epoch.
+    pub extents: Extents,
+    /// Ingest watermark to advance to (it never regresses; `None` keeps
+    /// the stored one).
+    pub watermark: Option<u64>,
+    /// Live data files the new epoch no longer reads. They leave the
+    /// view and join the deferred-reclamation list (`m:gc`) instead of
+    /// being deleted: a reader pinned to the old view may still hold
+    /// them for one maintenance round.
+    pub retire: Vec<String>,
+    /// Live keys to delete after the staged publishes (see
+    /// [`TxnManifest::deletes`]).
+    pub deletes: Vec<Vec<u8>>,
+}
+
+/// One write transaction against a [`DgfIndex`]: the only code that
+/// writes [`TXN_MANIFEST_KEY`]. A writer calls [`begin`](Self::begin),
+/// stages Slice files under [`staging_dir`](Self::staging_dir) and GFU
+/// values through [`stage`](Self::stage), and hands what is particular
+/// to it to [`commit`](Self::commit). Dropping a transaction that did
+/// not finish — the writer returned an error, or abandoned it — repairs
+/// the store the way [`recover`] would at the next open, best effort.
+pub(crate) struct Txn<'a> {
+    index: &'a DgfIndex,
+    manifest: TxnManifest,
+    /// Staged keys so far. Behind a lock because reducers stage in
+    /// parallel.
+    staged: Mutex<Vec<Vec<u8>>>,
+    finished: bool,
+}
+
+impl<'a> Txn<'a> {
+    /// Open the next transaction of `index`: finish whatever manifest
+    /// the store still holds (so no writer can overwrite a dead
+    /// transaction), allocate the generation, and declare Intent before
+    /// the transaction's first write. With `base_delta`, the Intent
+    /// names the base-table delta file the writer is about to create
+    /// ([`base_delta`](Self::base_delta)), so a rollback deletes it.
+    ///
+    /// A second `begin` while this handle has a transaction open is the
+    /// caller breaking the single-writer rule: it is an error, never a
+    /// transaction to "recover".
+    pub(crate) fn begin(index: &'a DgfIndex, base_delta: bool) -> Result<Txn<'a>> {
+        if index.writing.swap(true, Ordering::AcqRel) {
+            return Err(DgfError::Index(
+                "a write transaction is already open on this index handle (the index is \
+                 single-writer: builds, appends, flushes and maintenance must not overlap)"
+                    .into(),
+            ));
+        }
+        // From here the handle's writer slot is ours; `Drop` releases it.
+        settle(index).inspect_err(|_| index.writing.store(false, Ordering::Release))?;
+        let gen = index.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let delta = base_delta.then(|| format!("{}/delta-{gen:05}", index.base.location));
+        // A *sibling* of the data directory, so half-written Slice files
+        // never appear in the data table's split enumeration.
+        let staging_dir = format!("{}_staging/txn-{gen:05}", index.data.location);
+        let txn = Txn {
+            index,
+            manifest: TxnManifest::intent(gen, staging_dir, delta),
+            staged: Mutex::new(Vec::new()),
+            finished: false,
+        };
+        index.kv_put(TXN_MANIFEST_KEY, &txn.manifest.encode())?;
+        index.crash_point("txn.intent")?;
+        index.sync_point("txn.intent");
+        Ok(txn)
+    }
+
+    /// The transaction id: the index generation it runs at.
+    pub(crate) fn gen(&self) -> u64 {
+        self.manifest.txn
+    }
+
+    /// Directory the transaction's Slice files are written under.
+    pub(crate) fn staging_dir(&self) -> &str {
+        &self.manifest.staging_dir
+    }
+
+    /// The base-table delta file declared at [`begin`](Self::begin).
+    pub(crate) fn base_delta(&self) -> Option<&str> {
+        self.manifest.base_delta.as_deref()
+    }
+
+    /// Put `value` under the staged twin of `live`; commit publishes it.
+    pub(crate) fn stage(&self, live: &[u8], value: &[u8]) -> Result<()> {
+        let skey = stage_key(self.manifest.txn, live);
+        self.index.kv_put(&skey, value)?;
+        self.staged.lock().push(skey);
+        Ok(())
+    }
+
+    /// The live keys staged so far.
+    pub(crate) fn staged_live_keys(&self) -> HashSet<Vec<u8>> {
+        self.staged.lock().iter().map(|s| live_key(s).to_vec()).collect()
+    }
+
+    /// Publish the transaction: complete the manifest with the full
+    /// apply recipe (Prepared), flip it to Committed — the commit point
+    /// — then apply and clean up.
+    pub(crate) fn commit(mut self, outcome: Outcome) -> Result<()> {
+        let index = self.index;
+        // The post-commit split list: every data file still live plus
+        // this transaction's rename destinations (sized from the staged
+        // files — slice files are immutable once renamed, so the pinned
+        // lengths stay exact). Recorded in the view so a pinned reader
+        // never mixes one epoch's headers with another's split list.
+        // Sidecars ride the renames with their slice files but are never
+        // data, and files awaiting deferred reclamation (`m:gc`) must
+        // never re-enter a view.
+        let retire: HashSet<&String> = outcome.retire.iter().collect();
+        let mut data_files: Vec<(String, u64)> = index
+            .live_data_files()?
+            .into_iter()
+            .filter(|(p, _)| !retire.contains(p))
+            .collect();
+        let staged_files = index.ctx.hdfs.list_files(&self.manifest.staging_dir);
+        let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
+        for (p, len) in staged_files {
+            let dest = format!(
+                "{}/{}",
+                index.data.location,
+                p.rsplit('/').next().unwrap_or(&p)
+            );
+            if !is_sidecar_path(&dest) {
+                data_files.push((dest.clone(), len));
+            }
+            renames.push((p, dest));
+        }
+        data_files.sort();
+        data_files.dedup();
+        index.crash_point("txn.staged")?;
+
+        // Prepare: the manifest gets the whole recipe — renames, staged
+        // keys, and precomputed (merge-free) metadata.
+        let files = index.ctx.hdfs.list_files(&index.base.location).len() as u64;
+        let watermark = index.ingest_watermark()?.max(outcome.watermark.unwrap_or(0));
+        let mut manifest = self.manifest.clone();
+        manifest.state = TxnState::Prepared;
+        manifest.renames = renames;
+        manifest.staged_keys = std::mem::take(&mut *self.staged.lock());
+        // Reducers stage in parallel: sorted, the recipe does not depend
+        // on their scheduling.
+        manifest.staged_keys.sort();
+        manifest.deletes = outcome.deletes;
+        manifest.meta_puts = index.meta_puts(&outcome.policy, &outcome.extents, files, watermark);
+        if !outcome.retire.is_empty() {
+            let mut gc = index.gc_list()?;
+            gc.extend(outcome.retire.iter().cloned());
+            gc.sort();
+            gc.dedup();
+            manifest.meta_puts.push((META_GC_KEY.to_vec(), encode_gc_list(&gc)));
+        }
+        manifest.view = ReadView {
+            generation: manifest.txn,
+            pending: true,
+            watermark,
+            files,
+            extents: outcome.extents,
+            data_files,
+            policy: outcome.policy.encode(),
+        }
+        .encode();
+        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
+        index.crash_point("txn.prepared")?;
+
+        // COMMIT POINT: this single put flips the epoch. Before it,
+        // recovery rolls everything back; after it, recovery re-applies.
+        manifest.state = TxnState::Committed;
+        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
+        index.crash_point("txn.committed")?;
+
+        let (hdfs, kv) = (&index.ctx.hdfs, index.kv.as_ref());
+        apply_committed(hdfs, kv, index.retry, &manifest, index.fault_plan())?;
+        index.crash_point("txn.applied")?;
+        cleanup_txn(hdfs, kv, index.retry, &manifest)?;
+        self.finished = true;
+        index.install_policy(outcome.policy);
+        let stats = &index.txn_stats;
+        stats.commits.inc();
+        stats.staged_keys.add(manifest.staged_keys.len() as u64);
+        stats.files_published.add(manifest.renames.len() as u64);
+        stats.files_retired.add(outcome.retire.len() as u64);
+        Ok(())
+    }
+}
+
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            // Repair in-process instead of leaving the manifest (and an
+            // orphaned delta) for the next open. Errors are swallowed:
+            // if the store itself is down the manifest survives, and the
+            // next `begin` or `open` is the backstop.
+            let _ = settle(self.index);
+        }
+        // Retire the header-cache epoch only now that the new GFU values
+        // are in the store (or the write failed partway through): a plan
+        // racing this transaction may have cached older values under its
+        // generation. Generations only need to be monotonic.
+        self.index.generation.fetch_add(1, Ordering::AcqRel);
+        self.index.writing.store(false, Ordering::Release);
+    }
+}
+
+/// Finish whatever transaction the store holds — one `get` when it holds
+/// none — and, after a roll-forward, bring the handle's in-memory policy
+/// and generation up to the view that transaction published (the writer
+/// that committed it never got to).
+fn settle(index: &DgfIndex) -> Result<()> {
+    if index.kv_get(TXN_MANIFEST_KEY)?.is_none() {
+        return Ok(());
+    }
+    let found = recover(&index.ctx.hdfs, &index.kv, index.retry, None)?;
+    index.txn_stats.count_recovery(found);
+    if found == Some(TxnState::Committed) {
+        let view = index.pin_view()?;
+        index.install_policy(Arc::new(SplittingPolicy::decode(&view.policy)?));
+        index.generation.fetch_max(view.generation, Ordering::AcqRel);
+    }
+    Ok(())
+}
+
+/// Repair an interrupted transaction, if the store holds one. Returns
+/// the state the transaction was found in, or `None` when the store was
+/// clean.
+///
+/// * [`TxnState::Intent`] / [`TxnState::Prepared`] — the commit point
+///   never passed: staged keys, the staging directory, and any
+///   unacknowledged base-table delta file are deleted, restoring the
+///   previous epoch exactly.
+/// * [`TxnState::Committed`] — the commit point passed: the apply recipe
+///   recorded in the manifest is (re-)executed; every step is
+///   idempotent, so partial prior applies are harmless.
+///
+/// The manifest itself is deleted last in both directions, so a crash
+/// *during recovery* is recovered by the next recovery. `fault` threads
+/// a fault plan into the re-apply path, so its crash and scheduling
+/// points fire during recovery too (the interleaving harness drives
+/// query threads through a recovery in progress this way).
+pub fn recover(
+    hdfs: &HdfsRef,
+    kv: &Arc<dyn KvStore>,
+    retry: RetryPolicy,
+    fault: Option<&Arc<FaultPlan>>,
+) -> Result<Option<TxnState>> {
+    let Some(bytes) = kv_retry(retry, kv.as_ref(), || kv.get(TXN_MANIFEST_KEY))? else {
+        // No manifest: any staged key is an orphan from a cleanup that
+        // lost the race with a crash after the manifest delete —
+        // unreachable by design, but garbage-collecting is cheap.
+        let orphans = kv_retry(retry, kv.as_ref(), || kv.scan_prefix(STAGE_PREFIX))?;
+        for (k, _) in orphans {
+            kv_retry(retry, kv.as_ref(), || kv.delete(&k))?;
+        }
+        return Ok(None);
+    };
+    let manifest = TxnManifest::decode(&bytes)?;
+    match manifest.state {
+        TxnState::Committed => {
+            apply_committed(hdfs, kv.as_ref(), retry, &manifest, fault)?;
+            cleanup_txn(hdfs, kv.as_ref(), retry, &manifest)?;
+        }
+        TxnState::Intent | TxnState::Prepared => {
+            rollback_txn(hdfs, kv.as_ref(), retry, &manifest)?;
+        }
+    }
+    Ok(Some(manifest.state))
+}
+
+/// Phase B of the commit protocol: make the committed transaction
+/// live. Every step is idempotent — renames skip when the
+/// destination exists, staged-key publishes skip keys already
+/// garbage-collected, metadata puts are plain overwrites of
+/// precomputed values.
+///
+/// Ordering is load-bearing for live readers (DESIGN.md §11): the
+/// new pending [`ReadView`] is put *after* the renames (so its split
+/// list resolves) and *before* the first live GFU overwrite. A
+/// reader pinned to the old view that races the publishes will see
+/// the new view at validation time and retry; a reader pinned to the
+/// pending view reconstructs the complete new state by overlaying
+/// this transaction's staged keys.
+fn apply_committed(
+    hdfs: &HdfsRef,
+    kv: &dyn KvStore,
+    retry: RetryPolicy,
+    manifest: &TxnManifest,
+    fault: Option<&Arc<FaultPlan>>,
+) -> Result<()> {
+    for (from, to) in &manifest.renames {
+        if hdfs.file_exists(to) {
+            continue;
+        }
+        if hdfs.file_exists(from) {
+            kv_retry(retry, kv, || hdfs.rename_file(from, to))?;
+        }
+    }
+    if let Some(plan) = fault {
+        plan.crash_point("apply.renamed")?;
+    }
+    if !manifest.view.is_empty() {
+        kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &manifest.view))?;
+    }
+    if let Some(plan) = fault {
+        plan.crash_point("apply.view")?;
+    }
+    for staged in &manifest.staged_keys {
+        if let Some(plan) = fault {
+            plan.sync_point("apply.publish-cell");
+        }
+        if let Some(v) = kv_retry(retry, kv, || kv.get(staged))? {
+            kv_retry(retry, kv, || kv.put(live_key(staged), &v))?;
+        }
+    }
+    if let Some(plan) = fault {
+        plan.crash_point("apply.published")?;
+    }
+    for (k, v) in &manifest.meta_puts {
+        kv_retry(retry, kv, || kv.put(k, v))?;
+    }
+    // Retire keys the transaction re-gridded away. Runs after the
+    // staged publishes: a pending-view reader masks these keys with
+    // the staged tombstone twins until they are gone, so at no point
+    // can it see both grid epochs. Deleting an already-deleted key
+    // is a no-op, keeping re-apply idempotent.
+    for k in &manifest.deletes {
+        kv_retry(retry, kv, || kv.delete(k).map(|_| ()))?;
+    }
+    if let Some(plan) = fault {
+        if !manifest.deletes.is_empty() {
+            plan.crash_point("apply.retired")?;
+        }
+    }
+    Ok(())
+}
+
+/// Remove a finished (applied) transaction's staging state. The view
+/// is re-put with `pending` cleared only after the staged keys are
+/// gone (readers read staged-then-live, so a deleted staged key
+/// always falls back to the already-published live value); the
+/// manifest goes last: if a crash interrupts cleanup, recovery
+/// re-applies and re-cleans.
+fn cleanup_txn(
+    hdfs: &HdfsRef,
+    kv: &dyn KvStore,
+    retry: RetryPolicy,
+    manifest: &TxnManifest,
+) -> Result<()> {
+    for staged in &manifest.staged_keys {
+        kv_retry(retry, kv, || kv.delete(staged))?;
+    }
+    if !manifest.view.is_empty() {
+        let mut view = ReadView::decode(&manifest.view)?;
+        view.pending = false;
+        let enc = view.encode();
+        kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &enc))?;
+    }
+    hdfs.delete_tree(&manifest.staging_dir)?;
+    kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
+    kv_retry(retry, kv, || kv.flush())?;
+    Ok(())
+}
+
+/// Undo a transaction that never reached its commit point. The
+/// staged-key sweep uses the prefix (not the manifest's list) because
+/// an Intent-state manifest predates the list.
+fn rollback_txn(
+    hdfs: &HdfsRef,
+    kv: &dyn KvStore,
+    retry: RetryPolicy,
+    manifest: &TxnManifest,
+) -> Result<()> {
+    let staged = kv_retry(retry, kv, || kv.scan_prefix(STAGE_PREFIX))?;
+    for (k, _) in staged {
+        kv_retry(retry, kv, || kv.delete(&k))?;
+    }
+    hdfs.delete_tree(&manifest.staging_dir)?;
+    if let Some(delta) = &manifest.base_delta {
+        if hdfs.file_exists(delta) {
+            hdfs.delete_file(delta)?;
+        }
+    }
+    kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
+    kv_retry(retry, kv, || kv.flush())?;
+    Ok(())
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,598 @@
+//! The write side of a DGFIndex: the reorganization job (paper §4.2,
+//! Algorithms 1 and 2) and the writers built on it.
+//!
+//! Construction is a MapReduce job that **reorganizes** the base table:
+//! mappers standardize each record's indexed dimensions into a GFUKey and
+//! emit `(GFUKey, line)`; each reducer writes the records of every key it
+//! owns contiguously as a *Slice* of its output file, folds the
+//! pre-computed aggregates into the GFU header, and stages the
+//! `GFUKey → GFUValue` pair. Because the shuffle groups and sorts by key,
+//! a Slice always holds exactly the records of one GFU.
+//!
+//! The time dimension makes the index append-only: new meter data lands in
+//! new time cells, so `append` runs the same job over only the new file
+//! and merges the resulting GFU entries into the store — no rebuild, and
+//! write throughput is unaffected (paper §1 contribution iii). A regrid
+//! (`RegridSpec`) runs it over the index's own Slices under a new
+//! policy. Every run publishes through one `Txn` ([`crate::txn`]).
+
+use std::sync::Arc;
+
+use dgf_common::{format_row, parse_row, Result, Row, Stopwatch};
+use dgf_format::{sidecar_path, FileFormat, RcReader, SidecarBuilder, TextReader, TextWriter};
+use dgf_hive::{BuildReport, TableRef};
+use dgf_mapreduce::{JobOutput, JobReport};
+use dgf_query::{AggSet, AggState};
+use dgf_storage::FileSplit;
+
+use crate::gfu::{
+    Extents, GfuKey, GfuValue, GFU_PREFIX, META_AGGS_KEY, META_EXTENT_KEY, META_FILES_KEY,
+    META_INGEST_KEY, META_PLACEMENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY,
+};
+use crate::index::{DgfIndex, SlicePlacement};
+use crate::policy::SplittingPolicy;
+use crate::pyramid;
+use crate::txn::{live_key, stage_prefix, Outcome, Txn};
+
+impl DgfIndex {
+    /// Index new records: they are appended to the base table as a fresh
+    /// file and reorganized into new Slices; existing GFU entries extend
+    /// rather than rebuild (the paper's time-extension load path).
+    pub fn append(&self, rows: &[Row]) -> Result<BuildReport> {
+        self.append_with_watermark(rows, None)
+    }
+
+    /// [`append`](Self::append) that additionally advances the persisted
+    /// ingest watermark to `watermark` *atomically with the commit*: the
+    /// watermark put rides the transaction manifest's precomputed meta
+    /// puts, so after a crash either both the new Slices and the
+    /// watermark are live or neither is. The streaming flusher uses this
+    /// so WAL replay can tell flushed batches from unflushed ones.
+    pub fn append_with_watermark(
+        &self,
+        rows: &[Row],
+        watermark: Option<u64>,
+    ) -> Result<BuildReport> {
+        let span = self.profiler().span("append");
+        let kv_before = self.kv.stats().snapshot();
+        let attempt = (|| -> Result<BuildReport> {
+            // The Intent declares the delta file about to be written
+            // BEFORE it is written: a crash between the base-table write
+            // and the commit point must roll the unacknowledged delta
+            // back, or the index would be permanently stale.
+            let txn = Txn::begin(self, true)?;
+            let delta = txn.base_delta().expect("declared at begin");
+            let delta_name = delta.rsplit('/').next().unwrap_or(delta);
+            let path = self.ctx.append_file(&self.base, delta_name, rows)?;
+            self.crash_point("append.delta-written")?;
+            self.sync_point("append.delta-written");
+            let watch = Stopwatch::start();
+            let len = self.ctx.hdfs.file_len(&path)?;
+            let splits = dgf_storage::splits_for_file(&path, len, self.ctx.hdfs.block_size());
+            let reorg_span = span.child("append.reorganize");
+            let job = self.reorganize(txn, splits, self.base.format, watermark, None)?;
+            job.attach_to_span(&reorg_span);
+            reorg_span.finish();
+            Ok(BuildReport {
+                build_time: watch.elapsed(),
+                index_size_bytes: self.kv.logical_size_bytes(),
+                index_entries: self.gfu_count()? as u64,
+            })
+        })();
+        self.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);
+        attempt
+    }
+
+    /// The shared reorganization job (Algorithms 1 + 2), run inside the
+    /// transaction `txn` its caller began (see [`crate::txn`]): reducers
+    /// write Slices into the staging directory and stage merged GFU
+    /// values; [`Txn::commit`] publishes the new epoch. `ingest_watermark`,
+    /// when set, becomes the persisted ingest watermark at commit.
+    ///
+    /// With a [`RegridSpec`], the job is a **full rewrite** instead of
+    /// an extension: the splits cover the index's own live data files,
+    /// every record is re-celled under the spec's *new* policy, staged
+    /// values replace (never merge with) live ones, extents are rebuilt
+    /// from scratch, identity-valued tombstones are staged over every
+    /// old-granularity key so pending-view readers never see two grid
+    /// epochs, the manifest's `deletes` retire those keys at apply, and
+    /// the replaced files join the deferred-reclamation list.
+    pub(crate) fn reorganize(
+        &self,
+        txn: Txn<'_>,
+        splits: Vec<FileSplit>,
+        format: FileFormat,
+        ingest_watermark: Option<u64>,
+        regrid: Option<&RegridSpec>,
+    ) -> Result<JobReport> {
+        let gen = txn.gen();
+        let policy_handle = match regrid {
+            Some(spec) => Arc::clone(&spec.policy),
+            None => self.policy(),
+        };
+        let dim_idx: Vec<usize> = policy_handle
+            .dims()
+            .iter()
+            .map(|d| self.base.schema.index_of(&d.name))
+            .collect::<Result<_>>()?;
+        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
+        let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
+        let ctx = &self.ctx;
+        let base = &self.base;
+        let policy = policy_handle.as_ref();
+        let data_loc = self.data.location.clone();
+        let staging_dir = txn.staging_dir();
+        let arity = policy.arity();
+        let rewrite = regrid.is_some();
+
+        // Slice placement: which encoded-key prefix defines the reducer.
+        let prefix_len = match self.placement {
+            SlicePlacement::KeyHash => None,
+            SlicePlacement::PrefixLocality { prefix_dims } => {
+                Some(GFU_PREFIX.len() + 8 * prefix_dims)
+            }
+        };
+        let partitioner = prefix_len.map(|cut| {
+            move |key: &Vec<u8>, n: usize| {
+                (dgf_common::codec::fnv1a(&key[..cut.min(key.len())]) % n as u64) as usize
+            }
+        });
+
+        let job = if splits.is_empty() {
+            // Nothing to index. The transaction still commits, so the
+            // metadata and a view exist and queries work.
+            JobOutput {
+                outputs: Vec::new(),
+                report: JobReport::default(),
+            }
+        } else {
+            self.ctx.engine.map_reduce_partitioned(
+                splits,
+                num_reducers,
+                partitioner
+                    .as_ref()
+                    .map(|p| p as &(dyn Fn(&Vec<u8>, usize) -> usize + Sync)),
+                // Map (Algorithm 1): standardize dims → GFUKey; emit
+                // (key, line).
+                &|_, split: FileSplit, e| {
+                    let mut emit_row = |row: Row| -> Result<()> {
+                        let mut cells = Vec::with_capacity(dim_idx.len());
+                        for (i, d) in dim_idx.iter().zip(policy.dims()) {
+                            cells.push(d.cell_of(&row[*i])?);
+                        }
+                        e.emit(GfuKey::new(cells).encode(), format_row(&row));
+                        Ok(())
+                    };
+                    match format {
+                        FileFormat::Text => {
+                            let mut r = TextReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
+                            while let Some((_, row)) = r.next_with_offset()? {
+                                emit_row(row)?;
+                            }
+                        }
+                        FileFormat::RcFile => {
+                            let mut r = RcReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
+                            while let Some((_, row)) = r.next_with_offset()? {
+                                emit_row(row)?;
+                            }
+                        }
+                    }
+                    Ok(())
+                },
+                None,
+                // Reduce (Algorithm 2): write each GFU's records as one Slice
+                // of a STAGED file, fold the header, and stage the merged
+                // (key, value) pair. Nothing live changes until commit.
+                &|tid, groups: Vec<(Vec<u8>, Vec<String>)>| {
+                    let path = format!("{staging_dir}/part-r-{gen:05}-{tid:05}");
+                    // Slice locations record the post-commit path: files are
+                    // renamed into the data directory at apply, keys publish
+                    // unmodified.
+                    let final_path = format!("{data_loc}/part-r-{gen:05}-{tid:05}");
+                    let mut w = SliceWriter::create(&ctx.hdfs, &path, base, format)?;
+                    let mut extents = Extents::empty(arity);
+                    for (key_bytes, lines) in groups {
+                        let key = GfuKey::decode(&key_bytes, arity)?;
+                        extents.observe(&key);
+                        let start = w.offset();
+                        let mut states = agg_set.new_states();
+                        for line in &lines {
+                            let row = parse_row(line, &base.schema)?;
+                            agg_set.update(&mut states, &row, &base.schema)?;
+                            w.write(line, row)?;
+                        }
+                        let end = w.end_slice()?;
+                        let slice = crate::gfu::SliceLoc::new(final_path.clone(), start, end);
+                        let header = AggSet::encode_states(&states);
+                        let count = lines.len() as u64;
+                        // The staged value is the FINAL post-commit value:
+                        // the live value (untouched until commit) merged with
+                        // this slice. The shuffle gives each key to exactly
+                        // one reducer exactly once per job, so publishing it
+                        // later is an idempotent put.
+                        self.sync_point("reorg.stage-cell");
+                        // A regrid rewrite replaces the keyspace wholesale:
+                        // new cell coordinates may collide with a live
+                        // old-granularity key, and merging with it would
+                        // double-count every record it ever held.
+                        let old = if rewrite {
+                            None
+                        } else {
+                            self.kv_get(&key_bytes)?
+                        };
+                        let merged = merge_gfu(old.as_deref(), &header, &slice, count, &agg_set)?;
+                        txn.stage(&key_bytes, &merged.encode())?;
+                    }
+                    w.close()?;
+                    Ok(extents)
+                },
+            )?
+        };
+
+        // A rewrite's extents are rebuilt from its own outputs alone: the
+        // stored extents describe the old granularity.
+        let mut extents = if rewrite {
+            Extents::empty(arity)
+        } else {
+            self.extents()?
+        };
+        for e in &job.outputs {
+            extents.merge(e);
+        }
+        // Stage the pyramid delta in the SAME transaction: recompute
+        // every node whose subtree holds a cell this job touched, from
+        // the final post-commit child values. The staged nodes publish
+        // through the same apply phase as the cells — visibility flips
+        // with the one `m:view` put, so readers never see cells and
+        // ancestors from different epochs.
+        if let Some(levels) = self.pyramid_levels() {
+            self.stage_pyramid_updates(&txn, levels, rewrite)?;
+        }
+        // A rewrite retires every old-granularity key its job did not
+        // re-stage: an identity-valued tombstone is staged over each one
+        // (so a pending-view reader's staged-over-live overlay masks the
+        // old grid completely — new cell coordinates share the old key
+        // space, so un-masked old keys would land inside the new view's
+        // scan runs), and the manifest's `deletes` removes them at apply.
+        let mut deletes: Vec<Vec<u8>> = Vec::new();
+        if rewrite {
+            let staged_live = txn.staged_live_keys();
+            let tombstone = GfuValue {
+                header: AggSet::encode_states(&agg_set.new_states()),
+                slices: Vec::new(),
+                record_count: 0,
+            }
+            .encode();
+            let mut old_keys = self.kv_scan_prefix(GFU_PREFIX)?;
+            old_keys.extend(self.kv_scan_prefix(pyramid::PYRAMID_PREFIX)?);
+            for (k, _) in old_keys {
+                if staged_live.contains(&k) {
+                    continue;
+                }
+                txn.stage(&k, &tombstone)?;
+                deletes.push(k);
+            }
+        }
+        let report = job.report;
+        txn.commit(Outcome {
+            policy: policy_handle,
+            extents,
+            watermark: ingest_watermark,
+            // A rewrite's view lists only its own outputs: the files it
+            // read are retired wholesale.
+            retire: regrid.map_or_else(Vec::new, |spec| {
+                spec.retire.iter().map(|(p, _)| p.clone()).collect()
+            }),
+            deletes,
+        })?;
+        Ok(report)
+    }
+
+    /// Recompute and stage the pyramid nodes dirtied by `txn`'s staged
+    /// cells. Every dirty level-`k` parent is folded
+    /// from its 2^d children in canonical odometer order
+    /// ([`pyramid::fold_node`]): touched children come from this
+    /// transaction's staged values (their *final* post-commit state),
+    /// untouched siblings from the live store. The nodes are staged
+    /// through the same [`Txn::stage`] as the cells, so the generic
+    /// apply/rollback/recovery machinery publishes or
+    /// discards them with the cells — no pyramid-specific crash
+    /// handling exists or is needed.
+    /// `rewrite` (regrid) folds strictly from this transaction's staged
+    /// cells: the live store holds old-granularity values whose
+    /// coordinates may collide with new ones, so falling back to it
+    /// would fold stale children into the new pyramid.
+    pub(crate) fn stage_pyramid_updates(
+        &self,
+        txn: &Txn<'_>,
+        levels: u8,
+        rewrite: bool,
+    ) -> Result<()> {
+        use std::collections::HashMap;
+        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
+        let arity = self.policy().arity();
+        // Final post-commit values of everything staged so far — all
+        // the `g:` cells this job wrote.
+        let staged = self.kv_scan_prefix(&stage_prefix(txn.gen()))?;
+        let mut current: HashMap<Vec<u8>, GfuValue> = HashMap::new();
+        let mut dirty: Vec<Vec<i64>> = Vec::new();
+        for (skey, v) in &staged {
+            let live = live_key(skey);
+            if !live.starts_with(GFU_PREFIX) {
+                continue;
+            }
+            let key = GfuKey::decode(live, arity)?;
+            dirty.push(key.cells);
+            current.insert(live.to_vec(), GfuValue::decode(v)?);
+        }
+        for level in 1..=levels {
+            // Parent coords are not monotone in child order: sort+dedup.
+            let mut parents: Vec<Vec<i64>> =
+                dirty.iter().map(|c| pyramid::parent_coords(c)).collect();
+            parents.sort();
+            parents.dedup();
+            // One scheduling point per LEVEL, not per parent: the
+            // interleaving harness can still pause mid-pyramid-staging,
+            // but the flush's in-progress window stays short enough for
+            // the planner's bounded validation retries (readers spin
+            // while a flush is mid-epoch, so every pause here extends
+            // their worst case directly).
+            self.sync_point("reorg.stage-pyramid");
+            for parent in &parents {
+                let child_value = |coords: &[i64]| -> Result<Option<(Vec<AggState>, u64)>> {
+                    let ckey = pyramid::level_key(level - 1, coords);
+                    let value = match current.get(&ckey) {
+                        Some(v) => Some(v.clone()),
+                        None if rewrite => None,
+                        None => self
+                            .kv_get(&ckey)?
+                            .as_deref()
+                            .map(GfuValue::decode)
+                            .transpose()?,
+                    };
+                    match value {
+                        None => Ok(None),
+                        Some(v) => Ok(Some((agg_set.decode_states(&v.header)?, v.record_count))),
+                    }
+                };
+                let folded = pyramid::fold_node(
+                    &agg_set,
+                    pyramid::child_coords(parent).iter().map(|c| child_value(c)),
+                )?;
+                // A dirty parent always has at least one present child
+                // (the staged cell that dirtied it), but stay defensive.
+                let Some((states, count)) = folded else { continue };
+                let node = GfuValue {
+                    header: AggSet::encode_states(&states),
+                    slices: Vec::new(),
+                    record_count: count,
+                };
+                let nkey = pyramid::pyramid_key(level, parent);
+                txn.stage(&nkey, &node.encode())?;
+                current.insert(nkey, node);
+            }
+            dirty = parents;
+        }
+        self.crash_point("reorg.pyramid-staged")?;
+        Ok(())
+    }
+
+    /// The precomputed post-commit metadata puts. Plain overwrites (the
+    /// extents are merged at prepare time, not at apply time, and the
+    /// caller resolves the ingest watermark to its final monotone value)
+    /// so re-applying after a crash never double-merges. The watermark
+    /// never regresses: a flush carries the sequence of its own batches,
+    /// a plain build/append re-persists the stored one.
+    pub(crate) fn meta_puts(
+        &self,
+        policy: &SplittingPolicy,
+        extents: &Extents,
+        files: u64,
+        watermark: u64,
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let agg_keys: Vec<u8> = self
+            .aggs
+            .iter()
+            .map(|a| a.key())
+            .collect::<Vec<_>>()
+            .join("\n")
+            .into_bytes();
+        let mut puts = vec![
+            (META_POLICY_KEY.to_vec(), policy.encode()),
+            (META_PLACEMENT_KEY.to_vec(), self.placement.encode()),
+            (META_FILES_KEY.to_vec(), files.to_le_bytes().to_vec()),
+            (META_AGGS_KEY.to_vec(), agg_keys),
+            (META_EXTENT_KEY.to_vec(), extents.encode()),
+            (META_INGEST_KEY.to_vec(), watermark.to_le_bytes().to_vec()),
+        ];
+        if let Some(levels) = self.pyramid_levels() {
+            puts.push((META_PYRAMID_KEY.to_vec(), pyramid::encode_meta(levels)));
+        }
+        puts
+    }
+}
+
+/// Instructions turning [`DgfIndex::reorganize`] into a full grid
+/// rewrite: re-cell every record under `policy` and, at apply, move the
+/// `retire` files onto the deferred-reclamation list (`m:gc`).
+pub(crate) struct RegridSpec {
+    /// The adapted policy the rewrite cells records under.
+    pub policy: Arc<SplittingPolicy>,
+    /// Data files `(path, len)` superseded by the rewrite. They are not
+    /// deleted at apply — a pinned reader may still hold the old view —
+    /// but queued on `m:gc` for the next maintenance run.
+    pub retire: Vec<(String, u64)>,
+}
+
+/// Encode the `m:gc` deferred-reclamation list (count + paths).
+pub(crate) fn encode_gc_list(paths: &[String]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    dgf_common::codec::put_u32(&mut buf, paths.len() as u32);
+    for p in paths {
+        dgf_common::codec::put_str(&mut buf, p);
+    }
+    buf
+}
+
+/// Decode the `m:gc` deferred-reclamation list.
+pub(crate) fn decode_gc_list(bytes: &[u8]) -> Result<Vec<String>> {
+    let mut d = dgf_common::codec::Decoder::new(bytes);
+    let n = d.u32()? as usize;
+    let mut paths = Vec::with_capacity(n);
+    for _ in 0..n {
+        paths.push(d.str()?.to_owned());
+    }
+    Ok(paths)
+}
+
+/// Format-dispatched writer of slice-aligned reorganized data.
+///
+/// The RCFile variant additionally streams every row through a
+/// [`SidecarBuilder`] and, at close, writes the zone-map + hierarchical
+/// bitmap sidecar beside the data file (`<path>.scx`, DESIGN.md §15).
+/// Written into the staging directory, the sidecar rides the same
+/// staged-commit renames as its slice file, so it is never visible
+/// without the data it describes.
+pub(crate) enum SliceWriter {
+    Text(TextWriter),
+    Rc {
+        writer: Box<dgf_format::RcWriter>,
+        hdfs: dgf_storage::HdfsRef,
+        path: String,
+        sidecar: SidecarBuilder,
+    },
+}
+
+impl SliceWriter {
+    pub(crate) fn create(
+        hdfs: &dgf_storage::HdfsRef,
+        path: &str,
+        base: &TableRef,
+        format: FileFormat,
+    ) -> Result<SliceWriter> {
+        Ok(match format {
+            FileFormat::Text => SliceWriter::Text(TextWriter::create(hdfs, path)?),
+            FileFormat::RcFile => SliceWriter::Rc {
+                writer: Box::new(dgf_format::RcWriter::create(
+                    hdfs,
+                    path,
+                    base.schema.clone(),
+                    base.rows_per_group,
+                )?),
+                hdfs: hdfs.clone(),
+                path: path.to_owned(),
+                sidecar: SidecarBuilder::new(
+                    base.schema.fields().iter().map(|f| f.name.clone()).collect(),
+                ),
+            },
+        })
+    }
+
+    /// Offset where the next slice will begin.
+    pub(crate) fn offset(&self) -> u64 {
+        match self {
+            SliceWriter::Text(w) => w.offset(),
+            SliceWriter::Rc { writer, .. } => writer.group_offset(),
+        }
+    }
+
+    /// Append one record (`line` is its text form, `row` its parsed form).
+    pub(crate) fn write(&mut self, line: &str, row: Row) -> Result<()> {
+        match self {
+            SliceWriter::Text(w) => {
+                w.write_line(line)?;
+            }
+            SliceWriter::Rc {
+                writer, sidecar, ..
+            } => {
+                // `write_row` returns the row's group start; if the group
+                // auto-flushed on this row, `group_offset()` has moved past
+                // it and the group (start..end) is sealed for the sidecar.
+                let start = writer.write_row(&row)?;
+                sidecar.observe(&row);
+                let after = writer.group_offset();
+                if after != start {
+                    sidecar.finish_group(start, after - start);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Close the current slice at a record/group boundary; returns its
+    /// exclusive end offset.
+    pub(crate) fn end_slice(&mut self) -> Result<u64> {
+        match self {
+            SliceWriter::Text(w) => Ok(w.offset()),
+            SliceWriter::Rc {
+                writer, sidecar, ..
+            } => {
+                let start = writer.group_offset();
+                writer.finish_group()?;
+                let end = writer.group_offset();
+                if end != start {
+                    sidecar.finish_group(start, end - start);
+                }
+                Ok(end)
+            }
+        }
+    }
+
+    pub(crate) fn close(self) -> Result<u64> {
+        match self {
+            SliceWriter::Text(w) => w.close(),
+            SliceWriter::Rc {
+                mut writer,
+                hdfs,
+                path,
+                mut sidecar,
+            } => {
+                // Seal any group still open (the reducer normally ends every
+                // slice first, making this a no-op) so the builder and the
+                // file agree on group boundaries before the footer is written.
+                let start = writer.group_offset();
+                writer.finish_group()?;
+                let end = writer.group_offset();
+                if end != start {
+                    sidecar.finish_group(start, end - start);
+                }
+                let data_len = writer.close()?;
+                let bytes = sidecar.finish(data_len).encode();
+                let mut w = hdfs.create(&sidecar_path(&path))?;
+                use std::io::Write as _;
+                w.write_all(&bytes)?;
+                w.close()?;
+                Ok(data_len)
+            }
+        }
+    }
+}
+
+/// Merge a freshly built slice into an existing GFU value (or create one).
+pub(crate) fn merge_gfu(
+    old: Option<&[u8]>,
+    header: &[u8],
+    slice: &crate::gfu::SliceLoc,
+    count: u64,
+    agg_set: &AggSet,
+) -> Result<GfuValue> {
+    match old {
+        None => Ok(GfuValue {
+            header: header.to_vec(),
+            slices: vec![slice.clone()],
+            record_count: count,
+        }),
+        Some(bytes) => {
+            let mut v = GfuValue::decode(bytes)?;
+            if !agg_set.is_empty() {
+                let mut states = agg_set.decode_states(&v.header)?;
+                let new_states = agg_set.decode_states(header)?;
+                agg_set.merge(&mut states, &new_states)?;
+                v.header = AggSet::encode_states(&states);
+            }
+            v.slices.push(slice.clone());
+            v.record_count += count;
+            Ok(v)
+        }
+    }
+}

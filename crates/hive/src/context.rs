@@ -58,10 +58,6 @@ pub struct ServeOptions {
     pub max_inflight_bytes: u64,
     /// Estimated cost one query reserves against the budget.
     pub query_cost_bytes: u64,
-    /// How long a leader read waits to let concurrent queries join its
-    /// shared header-fetch batch, in microseconds. `0` disables
-    /// batching (every read goes straight through).
-    pub batch_window_us: u64,
 }
 
 impl Default for ServeOptions {
@@ -70,7 +66,6 @@ impl Default for ServeOptions {
             workers: 4,
             max_inflight_bytes: 64 << 20,
             query_cost_bytes: 1 << 20,
-            batch_window_us: 0,
         }
     }
 }

@@ -38,7 +38,7 @@
 //! staged-commit append with the batch watermark riding the manifest's
 //! meta puts: Slices publish and the watermark advances in the same
 //! atomic commit, which is exactly when the slot stops being merged
-//! from memory. Crash anywhere and `DgfIndex::recover` plus WAL replay
+//! from memory. Crash anywhere and `dgf_core::txn::recover` plus WAL replay
 //! reconstruct a state equal to some prefix of acknowledged batches
 //! (plus, possibly, one unacknowledged in-flight batch — atomic either
 //! way).
@@ -241,10 +241,10 @@ struct Core {
     /// Serializes flushes (inline, explicit, and background).
     flush_lock: Mutex<()>,
     stats: IngestStats,
-    /// Set when a flush failed: a retried append could overwrite a
-    /// Committed manifest with a fresh Intent and lose staged
-    /// publications, so the only safe continuation is a reopen (which
-    /// runs `DgfIndex::recover` and replays the WAL).
+    /// Set when a flush failed: the flushing slot stays in the memtable
+    /// and only the persisted watermark says whether its commit landed,
+    /// so the only safe continuation is a reopen (which runs
+    /// `dgf_core::txn::recover` and replays the WAL).
     poisoned: AtomicBool,
 }
 

@@ -240,7 +240,13 @@ impl MrEngine {
 
         // ---- Map phase -----------------------------------------------
         let map_watch = Stopwatch::start();
-        let partition_buckets: Vec<Mutex<Vec<(K, V)>>> =
+        // Each map task's output for a partition is kept as one run
+        // tagged with its task id. Tasks finish in scheduling order, and
+        // appending runs as they arrive would make the value order inside
+        // a reduce group — row order inside a Slice — depend on thread
+        // timing.
+        type Runs<K, V> = Mutex<Vec<(usize, Vec<(K, V)>)>>;
+        let partition_buckets: Vec<Runs<K, V>> =
             (0..num_reducers).map(|_| Mutex::new(Vec::new())).collect();
         {
             let work: Mutex<std::vec::IntoIter<(usize, I)>> = Mutex::new(
@@ -277,7 +283,7 @@ impl MrEngine {
                                 counters
                                     .shuffled_pairs
                                     .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-                                partition_buckets[p].lock().append(&mut pairs);
+                                partition_buckets[p].lock().push((task_id, pairs));
                             }
                             Ok(())
                         };
@@ -305,7 +311,12 @@ impl MrEngine {
             type TaskSlot<K, V> = Mutex<Option<Vec<(K, V)>>>;
             let tasks: Vec<TaskSlot<K, V>> = partition_buckets
                 .into_iter()
-                .map(|m| Mutex::new(Some(m.into_inner())))
+                .map(|m| {
+                    // Concatenate in task order; `group_sorted` is stable.
+                    let mut runs = m.into_inner();
+                    runs.sort_by_key(|(task_id, _)| *task_id);
+                    Mutex::new(Some(runs.into_iter().flat_map(|(_, pairs)| pairs).collect()))
+                })
                 .collect();
             let out_slots: Vec<Mutex<&mut Option<T>>> =
                 outputs.iter_mut().map(Mutex::new).collect();
@@ -690,6 +701,39 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert_eq!(g[0].0, 1);
         assert_eq!(g[1].1.len(), 2);
+    }
+
+    /// The shuffle hands a reducer each key's values in map-task order,
+    /// whatever order the tasks finish in. Seven tasks on four workers:
+    /// task 0 waits at a barrier with tasks 4, 5 and 6, which only start
+    /// on workers that have already delivered one of tasks 1–3 — so task
+    /// 0's output reaches the shuffle after theirs.
+    #[test]
+    fn shuffle_order_does_not_depend_on_task_completion_order() {
+        let run = |threads: usize, gate: Option<&std::sync::Barrier>| {
+            MrEngine::new(threads)
+                .map_reduce(
+                    (0..7usize).collect(),
+                    2,
+                    &|task, _input: usize, e| {
+                        if let (Some(gate), 0 | 4..) = (gate, task) {
+                            gate.wait();
+                        }
+                        for j in 0..6usize {
+                            e.emit(j % 3, task * 10 + j);
+                        }
+                        Ok(())
+                    },
+                    None,
+                    &|_, groups: Vec<(usize, Vec<usize>)>| Ok(groups),
+                )
+                .unwrap()
+                .outputs
+        };
+        let sequential = run(1, None);
+        assert_eq!(run(4, Some(&std::sync::Barrier::new(4))), sequential);
+        let key0 = sequential.iter().flatten().find(|(k, _)| *k == 0).unwrap();
+        assert_eq!(key0.1[..4], [0, 3, 10, 13]);
     }
 }
 

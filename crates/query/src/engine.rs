@@ -62,9 +62,9 @@ impl RunStats {
 
     /// Fold another run's counters into this one. The serving frontend
     /// accumulates every completed query's stats into one report this
-    /// way; times add (total busy time across queries, not wall time)
-    /// and the profile/scan snapshot of `other` is summed field-wise
-    /// where additive.
+    /// way; times add (total busy time across queries, not wall time),
+    /// the scan snapshot is summed field-wise, and the span profile —
+    /// which is per query — is not carried.
     pub fn accumulate(&mut self, other: &RunStats) {
         self.index_time += other.index_time;
         self.data_time += other.data_time;
@@ -76,6 +76,7 @@ impl RunStats {
         self.index_cache_hits += other.index_cache_hits;
         self.index_cache_misses += other.index_cache_misses;
         self.retries_absorbed += other.retries_absorbed;
+        self.scan.accumulate(&other.scan);
     }
 
     /// Project this run's aggregate counters into a [`MetricsRegistry`]
@@ -138,5 +139,28 @@ mod tests {
         };
         assert_eq!(s.total_time(), Duration::from_millis(35));
         assert!(s.to_string().contains("splits"));
+    }
+
+    /// The serving frontend's accumulated report used to show an
+    /// all-zero scan: `accumulate` skipped the snapshot.
+    #[test]
+    fn accumulate_sums_the_scan_snapshot() {
+        let one = RunStats {
+            data_records_read: 7,
+            scan: ScanSnapshot {
+                batches: 2,
+                rows_decoded: 100,
+                sidecar_bytes_skipped: 4096,
+                ..ScanSnapshot::default()
+            },
+            ..RunStats::default()
+        };
+        let mut total = RunStats::default();
+        total.accumulate(&one);
+        total.accumulate(&one);
+        assert_eq!(total.data_records_read, 14);
+        assert_eq!(total.scan.batches, 4);
+        assert_eq!(total.scan.rows_decoded, 200);
+        assert_eq!(total.scan.sidecar_bytes_skipped, 8192);
     }
 }

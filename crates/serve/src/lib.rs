@@ -1,15 +1,12 @@
 //! The sharded scatter-gather serving tier (DESIGN.md §13).
 //!
-//! Three pieces turn the single-node engine into a serving stack:
+//! Two pieces turn the single-node engine into a serving stack:
 //!
 //! * [`shardmap`] — where to split the GFU keyspace: odometer-rank
 //!   boundaries that keep prefix-scan runs contiguous per shard and
 //!   route all metadata (everything above the `g:` prefix, including
 //!   the aggregate pyramid's `p:` nodes) to the last shard, preserving
 //!   the commit protocol's single-shard atomicity.
-//! * [`batcher`] — [`BatchingKv`] coalesces concurrent point reads
-//!   (view pins, header probes) from many in-flight queries into shared
-//!   `multi_get` flushes.
 //! * [`frontend`] — [`ServeFrontend`] adds admission control (the
 //!   ingest byte-reservation pattern) and a bounded worker pool over a
 //!   [`DgfEngine`](dgf_core::DgfEngine), multiplexing many concurrent
@@ -28,13 +25,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod frontend;
 pub mod shardmap;
 
-pub use batcher::{BatchStats, BatchingKv};
 pub use frontend::{
-    record_batch_into, record_fanout_into, ServeFrontend, ServeReport, ServeStats,
-    ServeStatsSnapshot, ServedQuery,
+    record_fanout_into, ServeFrontend, ServeReport, ServeStats, ServeStatsSnapshot, ServedQuery,
 };
 pub use shardmap::{mirror_kv, shard_boundaries, sharded_mem};

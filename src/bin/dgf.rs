@@ -40,8 +40,7 @@
 //! over an existing index: the durable GFU log is mirrored into an
 //! N-shard range-partitioned router, the query is fanned out from C
 //! concurrent clients through admission control, and the answer plus a
-//! QPS / p50 / p99 / scatter summary is printed. `--batch-window US`
-//! turns on shared header-fetch batching across the concurrent clients.
+//! QPS / p50 / p99 / scatter summary is printed.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -77,7 +76,7 @@ const USAGE: &str = "usage:
   dgf ingest <dir> <index> <file> [--batch N] [--flush]
   dgf query <dir> <table> \"SELECT ... [WHERE ...] [GROUP BY col]\" [--index <name>] [--explain]
   dgf profile <dir> <table> \"SELECT ... [WHERE ...]\" [--index <name>] [--json]
-  dgf serve <dir> <index> \"SELECT ...\" [--shards N] [--clients C] [--queries Q] [--batch-window US]
+  dgf serve <dir> <index> \"SELECT ...\" [--shards N] [--clients C] [--queries Q]
   dgf maintain <dir> <index> [--budget N] [--adapt] [--split-above N] [--merge-below N]
   dgf advise <dir> <table> --dims \"a,b\" --history \"pred; pred; ...\"";
 
@@ -399,7 +398,7 @@ fn dispatch(args: &[String]) -> Result<()> {
             Ok(())
         }
         "profile" => {
-            use dgfindex::common::obs::{record_io_snapshot, MetricsRegistry, Profiler};
+            use dgfindex::common::obs::Profiler;
             let w = Warehouse::open(args.get(1).ok_or_else(bad_usage)?)?;
             let table = w.ctx.table(args.get(2).ok_or_else(bad_usage)?)?;
             let sql = args.get(3).ok_or_else(bad_usage)?;
@@ -424,9 +423,8 @@ fn dispatch(args: &[String]) -> Result<()> {
                     let run = ScanEngine::new(Arc::clone(&w.ctx), table)
                         .with_profiler(profiler.clone())
                         .run(&query)?;
-                    let reg = MetricsRegistry::new();
-                    record_io_snapshot(&reg, &w.ctx.hdfs.stats().snapshot().since(&before));
-                    run.stats.record_into(&reg);
+                    let io = w.ctx.hdfs.stats().snapshot().since(&before);
+                    let reg = scan_run_metrics(io, &run.stats);
                     (run, reg)
                 }
             };
@@ -475,7 +473,6 @@ fn dispatch(args: &[String]) -> Result<()> {
             let shards = parse_num("--shards", "4")?;
             let clients = parse_num("--clients", "4")?;
             let repeat = parse_num("--queries", "16")?;
-            let window = parse_num("--batch-window", "0")? as u64;
             if shards == 0 || clients == 0 || repeat == 0 {
                 return Err(DgfError::Query(
                     "--shards, --clients, and --queries must be positive".into(),
@@ -492,19 +489,9 @@ fn dispatch(args: &[String]) -> Result<()> {
             let router = Arc::new(sharded_mem(&extents, shards)?);
             let pairs = mirror_kv(durable.as_ref(), router.as_ref())?;
             drop(durable);
-            let store: Arc<dyn KvStore> = if window > 0 {
-                // Shared header-fetch batching: concurrent queries join
-                // one leader's batched multi_get within the window.
-                Arc::new(BatchingKv::new(
-                    Arc::clone(&router) as Arc<dyn KvStore>,
-                    std::time::Duration::from_micros(window),
-                ))
-            } else {
-                Arc::clone(&router) as Arc<dyn KvStore>
-            };
             let index = Arc::new(w.open_index_on(
                 index_name,
-                store,
+                Arc::clone(&router) as Arc<dyn KvStore>,
                 IndexOptions {
                     fetch_parallelism: shards,
                     ..IndexOptions::default()
@@ -517,7 +504,6 @@ fn dispatch(args: &[String]) -> Result<()> {
                 DgfEngine::new(Arc::clone(&index)),
                 ServeOptions {
                     workers: clients,
-                    batch_window_us: window,
                     ..ServeOptions::default()
                 },
             );
@@ -599,6 +585,10 @@ fn dispatch(args: &[String]) -> Result<()> {
                 Some(desc) => println!("grid adapted: {desc}"),
                 None => println!("grid unchanged"),
             }
+            // `txn.*` covers every writer the pass ran: recovery at open,
+            // the flush, the compaction, the regrid.
+            eprintln!("\n== metrics ==");
+            eprint!("{}", index.metrics().render());
             Ok(())
         }
         "advise" => {
@@ -732,5 +722,52 @@ fn print_query_result(result: &QueryResult) {
                 println!("{}", dgfindex::common::format_row(r));
             }
         }
+    }
+}
+
+/// The registry `dgf profile` prints for a plain table scan: the run's
+/// own counters plus the storage-layer I/O it did.
+fn scan_run_metrics(
+    io: dgfindex::common::stats::IoSnapshot,
+    stats: &RunStats,
+) -> dgfindex::common::MetricsRegistry {
+    use dgfindex::common::obs::record_io_snapshot;
+    let reg = dgfindex::common::MetricsRegistry::new();
+    // `RunStats::record_into` projects the bytes and records read under
+    // the same `hdfs.*` names; adding them from both would double them.
+    let io = dgfindex::common::stats::IoSnapshot {
+        bytes_read: 0,
+        records_read: 0,
+        ..io
+    };
+    record_io_snapshot(&reg, &io);
+    stats.record_into(&reg);
+    reg
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgfindex::common::stats::IoSnapshot;
+
+    /// `dgf profile` without `--index` used to print twice the bytes and
+    /// records the scan read.
+    #[test]
+    fn scan_profile_counts_each_read_byte_once() {
+        let io = IoSnapshot {
+            bytes_read: 4096,
+            records_read: 64,
+            seeks: 3,
+            ..IoSnapshot::default()
+        };
+        let stats = RunStats {
+            data_bytes_read: 4096,
+            data_records_read: 64,
+            ..RunStats::default()
+        };
+        let snap = scan_run_metrics(io, &stats).snapshot();
+        assert_eq!(snap["hdfs.bytes_read"], 4096);
+        assert_eq!(snap["hdfs.records_read"], 64);
+        assert_eq!(snap["hdfs.seeks"], 3);
     }
 }

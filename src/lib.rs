@@ -94,9 +94,7 @@ pub mod prelude {
         ChaosKv, FanoutStats, KvStore, LatencyKv, LatencyModel, LogKvStore, MemKvStore, ShardedKv,
     };
     pub use dgf_mapreduce::MrEngine;
-    pub use dgf_serve::{
-        mirror_kv, shard_boundaries, sharded_mem, BatchingKv, ServeFrontend, ServeReport,
-    };
+    pub use dgf_serve::{mirror_kv, shard_boundaries, sharded_mem, ServeFrontend, ServeReport};
     pub use dgf_query::{
         AggFunc, ColumnRange, Engine, EngineRun, Predicate, Query, QueryResult, RunStats,
     };

@@ -402,7 +402,7 @@ fn queries_during_recovery_see_pre_or_post_state_only() {
 
         let plan = interleave(site + 29);
         let seen = observe_during(&reader, &cfg, 3, || {
-            DgfIndex::recover_with_fault(&w.ctx.hdfs, &w.inner, retry(), Some(&plan)).unwrap();
+            dgfindex::core::txn::recover(&w.ctx.hdfs, &w.inner, retry(), Some(&plan)).unwrap();
         });
         let post = answers(&reader, &cfg);
 

@@ -17,11 +17,15 @@
 //!   re-read dead ranges of retained files;
 //! * boundary heat drives the split/merge decision and the rewrite
 //!   preserves answers;
-//! * a crash at any instrumented `maint.*` / `apply.*` site recovers
-//!   to a store that agrees with a ground-truth scan and still
-//!   converges to the file budget.
+//! * a crash at any instrumented `maint.*` / `txn.*` / `apply.*` site
+//!   recovers to a store that agrees with a ground-truth scan and still
+//!   converges to the file budget;
+//! * a regrid or a compaction that fails *after* its commit point is
+//!   finished by the next writer on the same handle, which starts
+//!   clean: no lost cells, no residue, no refused pass.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer};
@@ -609,7 +613,7 @@ fn crashes_across_the_maintenance_window_recover_cleanly() {
             "site {site}: scheduled crash did not fire"
         );
 
-        DgfIndex::recover(&w.ctx.hdfs, &w.inner, retry()).unwrap();
+        dgfindex::core::txn::recover(&w.ctx.hdfs, &w.inner, retry(), None).unwrap();
         assert!(
             w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
             "site {site}: staged keys survived recovery"
@@ -649,5 +653,218 @@ fn crashes_across_the_maintenance_window_recover_cleanly() {
         );
         assert!(index.gc_list().unwrap().is_empty() || disk_files(&index).len() <= budget);
         assert_matches_scan(&w, &index, &cfg, &format!("site {site} post-maintenance"));
+    }
+}
+
+/// A store whose live `g:` keyspace goes away mid-transaction: while
+/// armed, `put`s to live GFU keys succeed `allow` more times and then
+/// fail with a transient error until disarmed — an outage of the data
+/// shards during the apply phase, after the commit point (the manifest
+/// and the staged keys live elsewhere and stay writable).
+struct GfuOutage {
+    inner: MemKvStore,
+    armed: AtomicBool,
+    allow: AtomicU64,
+    /// Live `g:` puts that went through, armed or not.
+    published: AtomicU64,
+}
+
+impl GfuOutage {
+    fn new() -> Arc<GfuOutage> {
+        Arc::new(GfuOutage {
+            inner: MemKvStore::new(),
+            armed: false.into(),
+            allow: 0.into(),
+            published: 0.into(),
+        })
+    }
+
+    fn arm(&self, allow: u64) {
+        self.allow.store(allow, SeqCst);
+        self.armed.store(true, SeqCst);
+    }
+
+    fn disarm(&self) {
+        self.armed.store(false, SeqCst);
+    }
+
+    fn published(&self) -> u64 {
+        self.published.load(SeqCst)
+    }
+}
+
+impl KvStore for GfuOutage {
+    fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
+        if key.starts_with(b"g:") {
+            if self.armed.load(SeqCst)
+                && self
+                    .allow
+                    .fetch_update(SeqCst, SeqCst, |left| left.checked_sub(1))
+                    .is_err()
+            {
+                return Err(dgfindex::common::DgfError::Transient("g: shards are down".into()));
+            }
+            self.published.fetch_add(1, SeqCst);
+        }
+        self.inner.put(key, value)
+    }
+    fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
+        self.inner.delete(key)
+    }
+    fn scan_range(
+        &self,
+        start: &[u8],
+        end: &[u8],
+    ) -> dgfindex::common::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.inner.scan_range(start, end)
+    }
+    fn update(
+        &self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
+    ) -> dgfindex::common::Result<()> {
+        self.inner.update(key, f)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn logical_size_bytes(&self) -> u64 {
+        self.inner.logical_size_bytes()
+    }
+    fn flush(&self) -> dgfindex::common::Result<()> {
+        self.inner.flush()
+    }
+    fn stats(&self) -> &dgfindex::kvstore::KvStats {
+        self.inner.stats()
+    }
+}
+
+/// No transaction residue: what every writer must leave behind once a
+/// successful writer has run, whatever failed before it.
+fn assert_settled(w: &World, label: &str) {
+    assert!(
+        w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
+        "{label}: staged keys left behind"
+    );
+    assert!(
+        w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
+        "{label}: manifest left behind"
+    );
+}
+
+/// Regression: a regrid that fails *after* its commit point (the `g:`
+/// shards go away during apply) used to leave its Committed manifest in
+/// the store, and the next `append` on the same handle overwrote it
+/// with its own Intent — dropping the unpublished cells and celling the
+/// new rows under the stale in-memory policy: silently short answers.
+/// Swept over every publish of the regrid's apply phase.
+#[test]
+fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
+    let halved = |cfg: &MeterConfig| {
+        let mut dims = grid(cfg).dims().to_vec();
+        dims[0] = DimPolicy::int("user_id", 0, 2);
+        SplittingPolicy::new(dims).unwrap()
+    };
+    let config = || MaintenanceConfig {
+        delta_file_budget: 1 << 16,
+        ..MaintenanceConfig::default()
+    };
+    // How many live cells one fault-free regrid publishes.
+    let publishes = {
+        let kv = GfuOutage::new();
+        let w = world_on("outage-regrid-record", Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (index, cfg) = seed_with_deltas(&w, 2);
+        let before = kv.published();
+        Maintainer::new(index, config()).regrid_to(halved(&cfg)).unwrap();
+        kv.published() - before
+    };
+    assert!(publishes >= 8, "regrid published only {publishes} cells");
+
+    for n in 0..publishes {
+        let kv = GfuOutage::new();
+        let w = world_on(&format!("outage-regrid{n}"), Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (index, cfg) = seed_with_deltas(&w, 2);
+        let maintainer = Maintainer::new(Arc::clone(&index), config());
+
+        kv.arm(n);
+        assert!(
+            maintainer.regrid_to(halved(&cfg)).is_err(),
+            "n={n}: the outage did not reach the regrid"
+        );
+        kv.disarm();
+
+        let next_day = generate_meter_data(&MeterConfig {
+            users: cfg.users,
+            days: 1,
+            start_day: cfg.start_day + cfg.days as i64,
+            seed: 17,
+            ..cfg.clone()
+        });
+        index.append(&next_day).unwrap();
+        assert_matches_scan(&w, &index, &cfg, &format!("n={n} after append"));
+        assert_settled(&w, &format!("n={n} after append"));
+        // The committed regrid won: the handle cells new rows under it.
+        assert_eq!(
+            index.policy().dims()[0].scale,
+            DimScale::Int { min: 0, interval: 2 },
+            "n={n}"
+        );
+        maintainer.run_once().unwrap();
+        assert_matches_scan(&w, &index, &cfg, &format!("n={n} after maintenance"));
+    }
+}
+
+/// Regression: the same outage during a compaction pass used to leave
+/// the Committed manifest behind, make every later `run_once` on the
+/// handle refuse ("requires a clean store"), and let the next append
+/// orphan the staged keys and the never-published `m:gc` list. Swept
+/// over every publish of the compaction's apply phase.
+#[test]
+fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
+    let budget = 2;
+    let config = || MaintenanceConfig {
+        delta_file_budget: budget,
+        ..MaintenanceConfig::default()
+    };
+    let publishes = {
+        let kv = GfuOutage::new();
+        let w = world_on("outage-compact-record", Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (index, _) = seed_with_deltas(&w, 6);
+        let before = kv.published();
+        let report = Maintainer::new(index, config()).run_once().unwrap();
+        assert!(report.compacted_gfus > 0);
+        kv.published() - before
+    };
+    assert!(publishes >= 4, "compaction published only {publishes} cells");
+
+    for n in 0..publishes {
+        let kv = GfuOutage::new();
+        let w = world_on(&format!("outage-compact{n}"), Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (index, cfg) = seed_with_deltas(&w, 6);
+        let oracle = answers(&index, &cfg);
+        let maintainer = Maintainer::new(Arc::clone(&index), config());
+
+        kv.arm(n);
+        assert!(
+            maintainer.run_once().is_err(),
+            "n={n}: the outage did not reach the compaction"
+        );
+        kv.disarm();
+
+        maintainer.run_once().unwrap();
+        assert_settled(&w, &format!("n={n} after the next pass"));
+        assert!(
+            live_files(&index).len() <= budget,
+            "n={n}: {} live files over a budget of {budget}",
+            live_files(&index).len()
+        );
+        assert!(
+            bits_eq(&answers(&index, &cfg), &oracle),
+            "n={n}: answers moved across the failed pass"
+        );
+        assert_matches_scan(&w, &index, &cfg, &format!("n={n}"));
     }
 }

@@ -399,7 +399,7 @@ fn crash_anywhere_in_append_recovers_a_consistent_pyramid() {
             crash_append(&w, &inner, rest, &crash),
             "site {site}: scheduled crash did not fire"
         );
-        DgfIndex::recover(&w.ctx.hdfs, &inner, retry()).unwrap();
+        dgfindex::core::txn::recover(&w.ctx.hdfs, &inner, retry(), None).unwrap();
         assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
@@ -463,7 +463,7 @@ fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
         if !crash_append(&w, &inner, rest, &crash) {
             continue; // timing shifted the write count; other picks cover it
         }
-        DgfIndex::recover(&w.ctx.hdfs, &inner, retry()).unwrap();
+        dgfindex::core::txn::recover(&w.ctx.hdfs, &inner, retry(), None).unwrap();
         assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
