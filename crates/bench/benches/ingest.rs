@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dgf_common::obs::JsonObject;
 use dgf_common::{Result, Row, TempDir};
 use dgf_core::{DgfEngine, DgfIndex, DimPolicy, SplittingPolicy};
 use dgf_format::FileFormat;
@@ -172,39 +173,27 @@ fn ingest_experiment(users: u64, days: u64, batch_rows: usize) -> Result<IngestR
     })
 }
 
-fn micros(d: &Duration) -> u128 {
-    d.as_micros()
-}
-
 fn ingest_json(config: &str, r: &IngestReport) -> String {
     let max_vis = r.visibility.iter().max().cloned().unwrap_or_default();
     let sum_vis: Duration = r.visibility.iter().sum();
     let mean_vis = sum_vis.checked_div(r.visibility.len().max(1) as u32).unwrap_or_default();
-    format!(
-        concat!(
-            "{{\"experiment\":\"ingest\",\"config\":\"{config}\",",
-            "\"rows\":{rows},\"batches\":{batches},",
-            "\"ingest_wall_us\":{wall},\"rows_per_sec\":{rps:.0},",
-            "\"visibility_samples\":{vn},\"visibility_mean_us\":{vmean},",
-            "\"visibility_max_us\":{vmax},",
-            "\"flush_wall_us\":{fwall},\"flushed_rows\":{frows},",
-            "\"generation_bumps_before_flush\":{bumps},",
-            "\"wal_bytes\":{wb},\"wal_syncs\":{ws}}}"
-        ),
-        config = config,
-        rows = r.rows,
-        batches = r.batches,
-        wall = micros(&r.ingest_wall),
-        rps = r.rows as f64 / r.ingest_wall.as_secs_f64().max(1e-9),
-        vn = r.visibility.len(),
-        vmean = micros(&mean_vis),
-        vmax = micros(&max_vis),
-        fwall = micros(&r.flush_wall),
-        frows = r.flushed_rows,
-        bumps = r.generation_bumps,
-        wb = r.wal_bytes,
-        ws = r.wal_syncs,
-    )
+    let rows_per_sec = r.rows as f64 / r.ingest_wall.as_secs_f64().max(1e-9);
+    JsonObject::new()
+        .string("experiment", "ingest")
+        .string("config", config)
+        .value("rows", r.rows)
+        .value("batches", r.batches)
+        .value("ingest_wall_us", r.ingest_wall.as_micros())
+        .value("rows_per_sec", format_args!("{rows_per_sec:.0}"))
+        .value("visibility_samples", r.visibility.len())
+        .value("visibility_mean_us", mean_vis.as_micros())
+        .value("visibility_max_us", max_vis.as_micros())
+        .value("flush_wall_us", r.flush_wall.as_micros())
+        .value("flushed_rows", r.flushed_rows)
+        .value("generation_bumps_before_flush", r.generation_bumps)
+        .value("wal_bytes", r.wal_bytes)
+        .value("wal_syncs", r.wal_syncs)
+        .finish()
 }
 
 fn bench(c: &mut Criterion) {

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dgf_common::batch::{ColumnBatch, Selection};
+use dgf_common::obs::JsonObject;
 use dgf_common::stats::ScanSnapshot;
 use dgf_common::{Result, Row, Stopwatch, TempDir};
 use dgf_format::{FileFormat, RcReader};
@@ -213,19 +214,15 @@ impl ColumnarLab {
 }
 
 fn pass_json(p: &ScanPass) -> String {
-    format!(
-        concat!(
-            "{{\"time_us\":{},\"batches\":{},\"rows_decoded\":{},\"rows_selected\":{},",
-            "\"decode_us\":{},\"kernel_us\":{},\"rowwise_rows\":{}}}"
-        ),
-        p.time.as_micros(),
-        p.scan.batches,
-        p.scan.rows_decoded,
-        p.scan.rows_selected,
-        p.scan.decode_us,
-        p.scan.kernel_us,
-        p.scan.rowwise_rows,
-    )
+    JsonObject::new()
+        .value("time_us", p.time.as_micros())
+        .value("batches", p.scan.batches)
+        .value("rows_decoded", p.scan.rows_decoded)
+        .value("rows_selected", p.scan.rows_selected)
+        .value("decode_us", p.scan.decode_us)
+        .value("kernel_us", p.scan.kernel_us)
+        .value("rowwise_rows", p.scan.rowwise_rows)
+        .finish()
 }
 
 /// Assemble the `BENCH_columnar.json` document: the two end-to-end
@@ -238,28 +235,25 @@ pub fn columnar_json(
     kernels: &KernelTimings,
 ) -> String {
     let speedup = rowwise.time.as_secs_f64() / columnar.time.as_secs_f64().max(1e-9);
-    format!(
-        concat!(
-            "{{\"experiment\":\"columnar\",\"config\":\"{config}\",\"rows\":{rows},",
-            "\"passes\":{{\"rowwise\":{rw},\"columnar\":{col}}},",
-            "\"speedup\":{speedup:.2},",
-            "\"kernels\":{{\"rows\":{krows},\"batches\":{kbatches},",
-            "\"decode_us\":{decode},\"select_us\":{select},\"sum_us\":{sum},",
-            "\"minmax_us\":{minmax},\"rowwise_sum_us\":{rsum}}}}}"
-        ),
-        config = config,
-        rows = rows,
-        rw = pass_json(rowwise),
-        col = pass_json(columnar),
-        speedup = speedup,
-        krows = kernels.rows,
-        kbatches = kernels.batches,
-        decode = kernels.decode.as_micros(),
-        select = kernels.select.as_micros(),
-        sum = kernels.sum.as_micros(),
-        minmax = kernels.minmax.as_micros(),
-        rsum = kernels.rowwise_sum.as_micros(),
-    )
+    let passes = JsonObject::new()
+        .value("rowwise", pass_json(rowwise))
+        .value("columnar", pass_json(columnar));
+    let kernels = JsonObject::new()
+        .value("rows", kernels.rows)
+        .value("batches", kernels.batches)
+        .value("decode_us", kernels.decode.as_micros())
+        .value("select_us", kernels.select.as_micros())
+        .value("sum_us", kernels.sum.as_micros())
+        .value("minmax_us", kernels.minmax.as_micros())
+        .value("rowwise_sum_us", kernels.rowwise_sum.as_micros());
+    JsonObject::new()
+        .string("experiment", "columnar")
+        .string("config", config)
+        .value("rows", rows)
+        .value("passes", passes.finish())
+        .value("speedup", format_args!("{speedup:.2}"))
+        .value("kernels", kernels.finish())
+        .finish()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use dgf_common::obs::JsonObject;
 use dgf_common::{Result, Row, Schema, TempDir, Value, ValueType};
 use dgf_core::{DgfIndex, DimPolicy, MaintenanceConfig, MaintenanceReport, Maintainer, SplittingPolicy};
 use dgf_format::{is_sidecar_path, FileFormat};
@@ -197,21 +198,16 @@ impl CompactionLab {
 }
 
 fn pass_json(p: &SidecarPass) -> String {
-    format!(
-        concat!(
-            "{{\"name\":\"{}\",\"pruned_time_us\":{},\"unpruned_time_us\":{},",
-            "\"pruned_bytes\":{},\"unpruned_bytes\":{},\"bytes_ratio\":{:.4},",
-            "\"groups_pruned\":{},\"bytes_skipped\":{}}}"
-        ),
-        p.name,
-        p.pruned_time.as_micros(),
-        p.unpruned_time.as_micros(),
-        p.pruned_bytes,
-        p.unpruned_bytes,
-        p.bytes_ratio(),
-        p.scan.sidecar_groups_pruned,
-        p.scan.sidecar_bytes_skipped,
-    )
+    JsonObject::new()
+        .string("name", p.name)
+        .value("pruned_time_us", p.pruned_time.as_micros())
+        .value("unpruned_time_us", p.unpruned_time.as_micros())
+        .value("pruned_bytes", p.pruned_bytes)
+        .value("unpruned_bytes", p.unpruned_bytes)
+        .value("bytes_ratio", format_args!("{:.4}", p.bytes_ratio()))
+        .value("groups_pruned", p.scan.sidecar_groups_pruned)
+        .value("bytes_skipped", p.scan.sidecar_bytes_skipped)
+        .finish()
 }
 
 /// Assemble the `BENCH_compaction.json` document: delta-file counts and
@@ -229,24 +225,18 @@ pub fn compaction_json(
         .iter()
         .map(SidecarPass::bytes_ratio)
         .fold(0.0f64, f64::max);
-    let b: Vec<String> = before.iter().map(pass_json).collect();
-    let a: Vec<String> = after.iter().map(pass_json).collect();
-    format!(
-        concat!(
-            "{{\"experiment\":\"compaction\",\"config\":\"{}\",\"rows\":{},",
-            "\"delta_file_budget\":{},\"files_before\":{},\"files_after\":{},",
-            "\"before\":[{}],\"after\":[{}],",
-            "\"worst_after_bytes_ratio\":{:.4},\"acceptance_max_ratio\":0.25}}"
-        ),
-        config,
-        rows,
-        budget,
-        files_before,
-        files_after,
-        b.join(","),
-        a.join(","),
-        worst_after,
-    )
+    JsonObject::new()
+        .string("experiment", "compaction")
+        .string("config", config)
+        .value("rows", rows)
+        .value("delta_file_budget", budget)
+        .value("files_before", files_before)
+        .value("files_after", files_after)
+        .array("before", before.iter().map(pass_json))
+        .array("after", after.iter().map(pass_json))
+        .value("worst_after_bytes_ratio", format_args!("{worst_after:.4}"))
+        .value("acceptance_max_ratio", 0.25)
+        .finish()
 }
 
 #[cfg(test)]

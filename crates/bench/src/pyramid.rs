@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dgf_common::obs::JsonObject;
 use dgf_common::{Result, Schema, TempDir, Value, ValueType};
 use dgf_core::gfu::{
     META_AGGS_KEY, META_EXTENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY, META_VIEW_KEY,
@@ -301,22 +302,17 @@ pub fn reduction(flat: u64, pyramid: u64) -> f64 {
 }
 
 fn pass_json(p: &ReadPass) -> String {
-    format!(
-        concat!(
-            "{{\"strategy\":\"{}\",\"wall_us\":{},\"read_ops\":{},",
-            "\"keys_requested\":{},\"bytes_read\":{},\"inner_gfus\":{},",
-            "\"inner_records\":{},\"pyramid_nodes\":{},\"pyramid_cells\":{}}}"
-        ),
-        p.strategy,
-        p.wall.as_micros(),
-        p.read_ops,
-        p.keys_requested,
-        p.bytes_read,
-        p.inner_gfus,
-        p.inner_records,
-        p.pyramid_nodes,
-        p.pyramid_cells,
-    )
+    JsonObject::new()
+        .string("strategy", p.strategy)
+        .value("wall_us", p.wall.as_micros())
+        .value("read_ops", p.read_ops)
+        .value("keys_requested", p.keys_requested)
+        .value("bytes_read", p.bytes_read)
+        .value("inner_gfus", p.inner_gfus)
+        .value("inner_records", p.inner_records)
+        .value("pyramid_nodes", p.pyramid_nodes)
+        .value("pyramid_cells", p.pyramid_cells)
+        .finish()
 }
 
 /// Assemble the `BENCH_pyramid.json` document: the flat and the pyramid
@@ -324,22 +320,19 @@ fn pass_json(p: &ReadPass) -> String {
 /// headline `kv_read_reduction` is byte-based — the one KV measure that
 /// sees scan-returned headers too).
 pub fn pyramid_json(config: &str, lab: &PyramidLab, scan: &ReadPass, pyr: &ReadPass) -> String {
-    format!(
-        concat!(
-            "{{\"experiment\":\"pyramid\",\"config\":\"{}\",\"grid_cells\":{},",
-            "\"inner_cells\":{},\"leaves\":{},\"nodes_built\":{},\"passes\":[{},{}],",
-            "\"read_ops_reduction\":{:.2},\"kv_read_reduction\":{:.2}}}"
-        ),
-        config,
-        lab.grid_cells(),
-        lab.inner_cells(),
-        lab.leaves,
-        lab.nodes_built,
-        pass_json(scan),
-        pass_json(pyr),
-        reduction(scan.read_ops, pyr.read_ops),
-        reduction(scan.bytes_read, pyr.bytes_read),
-    )
+    let ops = reduction(scan.read_ops, pyr.read_ops);
+    let bytes = reduction(scan.bytes_read, pyr.bytes_read);
+    JsonObject::new()
+        .string("experiment", "pyramid")
+        .string("config", config)
+        .value("grid_cells", lab.grid_cells())
+        .value("inner_cells", lab.inner_cells())
+        .value("leaves", lab.leaves)
+        .value("nodes_built", lab.nodes_built)
+        .array("passes", [pass_json(scan), pass_json(pyr)])
+        .value("read_ops_reduction", format_args!("{ops:.2}"))
+        .value("kv_read_reduction", format_args!("{bytes:.2}"))
+        .finish()
 }
 
 #[cfg(test)]

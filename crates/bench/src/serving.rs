@@ -18,6 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dgf_common::obs::JsonObject;
 use dgf_common::{Result, Row, TempDir, Value};
 use dgf_core::{
     DgfEngine, DgfIndex, DimPolicy, Extents, IndexOptions, PlanStrategy, SplittingPolicy,
@@ -306,7 +307,7 @@ impl ServingLab {
         })?;
 
         let snap = frontend.stats().snapshot();
-        let (_, _, shard_subops) = router.fanout().snapshot();
+        let shard_subops = router.fanout().shard_subops.get();
         Ok(ServePass {
             shards,
             wall: report.wall,
@@ -323,22 +324,17 @@ impl ServingLab {
 }
 
 fn pass_json(p: &ServePass) -> String {
-    format!(
-        concat!(
-            "{{\"shards\":{},\"qps\":{:.2},\"p50_us\":{},\"p99_us\":{},",
-            "\"wall_us\":{},\"completed\":{},\"rejected\":{},\"failed\":{},",
-            "\"shard_subops\":{}}}"
-        ),
-        p.shards,
-        p.qps,
-        p.p50_us,
-        p.p99_us,
-        p.wall.as_micros(),
-        p.completed,
-        p.rejected,
-        p.failed,
-        p.shard_subops,
-    )
+    JsonObject::new()
+        .value("shards", p.shards)
+        .value("qps", format_args!("{:.2}", p.qps))
+        .value("p50_us", p.p50_us)
+        .value("p99_us", p.p99_us)
+        .value("wall_us", p.wall.as_micros())
+        .value("completed", p.completed)
+        .value("rejected", p.rejected)
+        .value("failed", p.failed)
+        .value("shard_subops", p.shard_subops)
+        .finish()
 }
 
 /// Assemble the `BENCH_serving.json` document: one entry per shard
@@ -349,17 +345,13 @@ pub fn serving_json(config: &str, rows: u64, passes: &[ServePass]) -> String {
         (Some(base), Some(four)) if base > 0.0 => four / base,
         _ => 0.0,
     };
-    let entries: Vec<String> = passes.iter().map(pass_json).collect();
-    format!(
-        concat!(
-            "{{\"experiment\":\"serving\",\"config\":\"{}\",\"rows\":{},",
-            "\"passes\":[{}],\"speedup_4_shards\":{:.2}}}"
-        ),
-        config,
-        rows,
-        entries.join(","),
-        speedup,
-    )
+    JsonObject::new()
+        .string("experiment", "serving")
+        .string("config", config)
+        .value("rows", rows)
+        .array("passes", passes.iter().map(pass_json))
+        .value("speedup_4_shards", format_args!("{speedup:.2}"))
+        .finish()
 }
 
 #[cfg(test)]

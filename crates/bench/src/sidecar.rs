@@ -13,6 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dgf_common::obs::JsonObject;
 use dgf_common::stats::ScanSnapshot;
 use dgf_common::{Result, Row, Schema, Stopwatch, TempDir, Value, ValueType};
 use dgf_core::{DgfEngine, DgfIndex, DimPolicy, SplittingPolicy};
@@ -213,24 +214,18 @@ pub fn measure_pass(
 }
 
 fn pass_json(p: &SidecarPass) -> String {
-    format!(
-        concat!(
-            "{{\"name\":\"{}\",\"pruned_time_us\":{},\"unpruned_time_us\":{},",
-            "\"pruned_bytes\":{},\"unpruned_bytes\":{},\"bytes_ratio\":{:.4},",
-            "\"sidecar_hits\":{},\"sidecar_bytes\":{},\"groups_pruned\":{},",
-            "\"bytes_skipped\":{}}}"
-        ),
-        p.name,
-        p.pruned_time.as_micros(),
-        p.unpruned_time.as_micros(),
-        p.pruned_bytes,
-        p.unpruned_bytes,
-        p.bytes_ratio(),
-        p.scan.sidecar_hits,
-        p.scan.sidecar_bytes,
-        p.scan.sidecar_groups_pruned,
-        p.scan.sidecar_bytes_skipped,
-    )
+    JsonObject::new()
+        .string("name", p.name)
+        .value("pruned_time_us", p.pruned_time.as_micros())
+        .value("unpruned_time_us", p.unpruned_time.as_micros())
+        .value("pruned_bytes", p.pruned_bytes)
+        .value("unpruned_bytes", p.unpruned_bytes)
+        .value("bytes_ratio", format_args!("{:.4}", p.bytes_ratio()))
+        .value("sidecar_hits", p.scan.sidecar_hits)
+        .value("sidecar_bytes", p.scan.sidecar_bytes)
+        .value("groups_pruned", p.scan.sidecar_groups_pruned)
+        .value("bytes_skipped", p.scan.sidecar_bytes_skipped)
+        .finish()
 }
 
 /// Assemble the `BENCH_sidecar.json` document.
@@ -239,17 +234,14 @@ pub fn sidecar_json(config: &str, rows: u64, passes: &[SidecarPass]) -> String {
         .iter()
         .map(SidecarPass::bytes_ratio)
         .fold(0.0f64, f64::max);
-    let queries: Vec<String> = passes.iter().map(pass_json).collect();
-    format!(
-        concat!(
-            "{{\"experiment\":\"sidecar\",\"config\":\"{}\",\"rows\":{},",
-            "\"queries\":[{}],\"worst_bytes_ratio\":{:.4},\"acceptance_max_ratio\":0.25}}"
-        ),
-        config,
-        rows,
-        queries.join(","),
-        worst,
-    )
+    JsonObject::new()
+        .string("experiment", "sidecar")
+        .string("config", config)
+        .value("rows", rows)
+        .array("queries", passes.iter().map(pass_json))
+        .value("worst_bytes_ratio", format_args!("{worst:.4}"))
+        .value("acceptance_max_ratio", 0.25)
+        .finish()
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::error::{DgfError, Result};
+use crate::stats::Counter;
 
 /// A tiny, deterministic xorshift64* generator. Not statistically fancy,
 /// but plenty for scheduling faults, and — unlike `rand` generators —
@@ -388,10 +389,9 @@ fn to_io(e: DgfError) -> io::Error {
 /// # Example
 ///
 /// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use dgf_common::{DgfError, RetryPolicy};
+/// use dgf_common::{Counter, DgfError, RetryPolicy};
 ///
-/// let absorbed = AtomicU64::new(0);
+/// let absorbed = Counter::new();
 /// let mut failures_left = 3;
 /// let v = RetryPolicy::fast(8).run(&absorbed, || {
 ///     if failures_left > 0 {
@@ -401,7 +401,7 @@ fn to_io(e: DgfError) -> io::Error {
 ///     Ok(42)
 /// })?;
 /// assert_eq!(v, 42);
-/// assert_eq!(absorbed.load(Ordering::Relaxed), 3);
+/// assert_eq!(absorbed.get(), 3);
 /// # Ok::<(), DgfError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,7 +458,7 @@ impl RetryPolicy {
     /// propagates untouched.
     pub fn run<T>(
         &self,
-        absorbed: &AtomicU64,
+        absorbed: &Counter,
         mut f: impl FnMut() -> Result<T>,
     ) -> Result<T> {
         let mut attempt = 1u32;
@@ -466,7 +466,7 @@ impl RetryPolicy {
             match f() {
                 Ok(v) => return Ok(v),
                 Err(e) if is_transient(&e) && attempt < self.max_attempts => {
-                    absorbed.fetch_add(1, Ordering::Relaxed);
+                    absorbed.inc();
                     let pause = self.backoff(attempt);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
@@ -613,7 +613,7 @@ mod tests {
 
     #[test]
     fn retry_absorbs_transients_and_counts() {
-        let absorbed = AtomicU64::new(0);
+        let absorbed = Counter::new();
         let mut left = 3;
         let got = RetryPolicy::fast(5)
             .run(&absorbed, || {
@@ -626,25 +626,25 @@ mod tests {
             })
             .unwrap();
         assert_eq!(got, 7);
-        assert_eq!(absorbed.load(Ordering::Relaxed), 3);
+        assert_eq!(absorbed.get(), 3);
     }
 
     #[test]
     fn retry_budget_exhaustion_propagates_the_error() {
-        let absorbed = AtomicU64::new(0);
+        let absorbed = Counter::new();
         let res: Result<()> = RetryPolicy::fast(3)
             .run(&absorbed, || Err(DgfError::Transient("always".into())));
         assert!(matches!(res, Err(DgfError::Transient(_))));
-        assert_eq!(absorbed.load(Ordering::Relaxed), 2);
+        assert_eq!(absorbed.get(), 2);
     }
 
     #[test]
     fn retry_does_not_touch_non_transient_errors() {
-        let absorbed = AtomicU64::new(0);
+        let absorbed = Counter::new();
         let res: Result<()> = RetryPolicy::fast(5)
             .run(&absorbed, || Err(DgfError::Corrupt("bad".into())));
         assert!(matches!(res, Err(DgfError::Corrupt(_))));
-        assert_eq!(absorbed.load(Ordering::Relaxed), 0);
+        assert_eq!(absorbed.get(), 0);
     }
 
     #[test]

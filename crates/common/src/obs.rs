@@ -13,8 +13,9 @@
 //!   nothing.
 //! * [`MetricsRegistry`] — named [`Counter`]s under stable hierarchical
 //!   names (`kv.gets`, `hdfs.bytes_read`, `cache.header.hits`, …; see
-//!   [`names`]) so the ad-hoc stats blocks (`KvStats`, `IoStats`,
-//!   `RunStats`, `JobCounters`) reconcile in one place.
+//!   [`names`]). Every block of counters is declared once with
+//!   [`counter_block!`](crate::counter_block), which gives it the one
+//!   `record_into` / `attach_to_span` pair that reaches this module.
 //! * [`QueryProfile`] / [`ProfileNode`] — the frozen result of a profiled
 //!   run: a stage tree with wall time, metrics, and children, renderable
 //!   as a flame-style text tree or exportable as JSON for `BENCH_*.json`.
@@ -48,9 +49,10 @@ use crate::stats::Counter;
 
 /// Stable hierarchical metric names used across the workspace.
 ///
-/// Spans and the [`MetricsRegistry`] both use these constants so that a
-/// profile, a registry dump, and the legacy stats structs all speak the
-/// same vocabulary.
+/// Spans, the [`MetricsRegistry`] and the
+/// [`counter_block!`](crate::counter_block) declarations all use these
+/// constants, so a profile, a registry dump and a stats block speak the
+/// same vocabulary; each name's string is written here and nowhere else.
 pub mod names {
     /// KV point lookups (`KvStats::gets`).
     pub const KV_GETS: &str = "kv.gets";
@@ -86,18 +88,18 @@ pub mod names {
     /// Transient storage faults absorbed by retries (`IoStats::retries`).
     pub const HDFS_RETRIES: &str = "hdfs.retries";
 
-    /// GFU header cache hits (`CacheStats::hits`).
+    /// GFU header cache hits (`CacheCounters::hits`).
     pub const CACHE_HEADER_HITS: &str = "cache.header.hits";
-    /// GFU header cache misses (`CacheStats::misses`).
+    /// GFU header cache misses (`CacheCounters::misses`).
     pub const CACHE_HEADER_MISSES: &str = "cache.header.misses";
 
-    /// Map input records (`JobReport::map_inputs`).
+    /// Map input records (`JobCounters::map_inputs`).
     pub const MR_MAP_INPUTS: &str = "mr.map_inputs";
-    /// Map output records (`JobReport::map_outputs`).
+    /// Map output records (`JobCounters::map_outputs`).
     pub const MR_MAP_OUTPUTS: &str = "mr.map_outputs";
-    /// Key/value pairs shuffled (`JobReport::shuffled_pairs`).
+    /// Key/value pairs shuffled (`JobCounters::shuffled_pairs`).
     pub const MR_SHUFFLED_PAIRS: &str = "mr.shuffled_pairs";
-    /// Reduce groups (`JobReport::reduce_groups`).
+    /// Reduce groups (`JobCounters::reduce_groups`).
     pub const MR_REDUCE_GROUPS: &str = "mr.reduce_groups";
     /// Map phase wall time in microseconds (`JobReport::map_time`).
     pub const MR_MAP_TIME_US: &str = "mr.map_time_us";
@@ -224,6 +226,25 @@ pub mod names {
     pub const TXN_FILES_PUBLISHED: &str = "txn.files_published";
     /// Data files moved onto the deferred-reclamation list.
     pub const TXN_FILES_RETIRED: &str = "txn.files_retired";
+
+    /// Maintenance passes run to completion (`MaintainStats::passes`).
+    pub const MAINTAIN_PASSES: &str = "maintain.passes";
+    /// Deferred files deleted by maintenance
+    /// (`MaintainStats::files_reclaimed`).
+    pub const MAINTAIN_FILES_RECLAIMED: &str = "maintain.files_reclaimed";
+    /// Data files retired by delta compaction
+    /// (`MaintainStats::files_compacted`).
+    pub const MAINTAIN_FILES_COMPACTED: &str = "maintain.files_compacted";
+    /// GFUs whose slices compaction rewrote contiguously
+    /// (`MaintainStats::gfus_rewritten`).
+    pub const MAINTAIN_GFUS_REWRITTEN: &str = "maintain.gfus_rewritten";
+    /// Data-file bytes compaction wrote (`MaintainStats::bytes_rewritten`).
+    pub const MAINTAIN_BYTES_REWRITTEN: &str = "maintain.bytes_rewritten";
+    /// Key-value log bytes reclaimed by maintenance
+    /// (`MaintainStats::kv_bytes_reclaimed`).
+    pub const MAINTAIN_KV_BYTES_RECLAIMED: &str = "maintain.kv_bytes_reclaimed";
+    /// Grid adaptations applied (`MaintainStats::regrids`).
+    pub const MAINTAIN_REGRIDS: &str = "maintain.regrids";
 }
 
 /// Category filter parsed from a `DGF_TRACE`-style string.
@@ -564,27 +585,17 @@ impl ProfileNode {
         }
     }
 
-    fn json_into(&self, out: &mut String) {
-        out.push('{');
-        let _ = write!(out, "\"name\":\"{}\",", json_escape(&self.name));
-        let _ = write!(out, "\"wall_us\":{},", self.wall.as_micros());
-        out.push_str("\"metrics\":{");
-        let mut first = true;
-        for (k, v) in &self.metrics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
-        }
-        out.push_str("},\"children\":[");
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            c.json_into(out);
-        }
-        out.push_str("]}");
+    fn to_json(&self) -> String {
+        let metrics = self
+            .metrics
+            .iter()
+            .fold(JsonObject::new(), |o, (k, v)| o.value(k, v));
+        JsonObject::new()
+            .string("name", &self.name)
+            .value("wall_us", self.wall.as_micros())
+            .value("metrics", metrics.finish())
+            .array("children", self.children.iter().map(ProfileNode::to_json))
+            .finish()
     }
 }
 
@@ -637,16 +648,7 @@ impl QueryProfile {
     /// JSON export (hand-rolled; no serde in this workspace):
     /// `[{"name":..,"wall_us":..,"metrics":{..},"children":[..]}]`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('[');
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            r.json_into(&mut out);
-        }
-        out.push(']');
-        out
+        json_array(self.roots.iter().map(ProfileNode::to_json))
     }
 
     /// Graft another profile's roots under the named node (e.g. embed a
@@ -692,12 +694,66 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+fn json_array(items: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
+}
+
+/// A JSON object under construction: keys keep insertion order, keys and
+/// strings are escaped, commas are placed. The one writer behind
+/// [`QueryProfile::to_json`] and every `BENCH_*.json` document (no serde
+/// in this workspace).
+///
+/// ```
+/// use dgf_common::obs::JsonObject;
+///
+/// let inner = JsonObject::new().value("n", 3).finish();
+/// let doc = JsonObject::new()
+///     .string("name", "a\"b")
+///     .value("ratio", format_args!("{:.2}", 0.5))
+///     .array("passes", [inner])
+///     .finish();
+/// assert_eq!(doc, r#"{"name":"a\"b","ratio":0.50,"passes":[{"n":3}]}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonObject(String);
+
+impl JsonObject {
+    /// An empty object.
+    pub fn new() -> JsonObject {
+        JsonObject::default()
+    }
+
+    /// `"key":value` with `value` written as it displays: a number (use
+    /// `format_args!("{:.2}", x)` for fixed decimals) or JSON that is
+    /// already serialised, such as a nested object.
+    pub fn value(mut self, key: &str, value: impl std::fmt::Display) -> JsonObject {
+        let sep = if self.0.is_empty() { "" } else { "," };
+        let _ = write!(self.0, "{sep}\"{}\":{value}", json_escape(key));
+        self
+    }
+
+    /// `"key":"value"`, escaped.
+    pub fn string(self, key: &str, value: &str) -> JsonObject {
+        self.value(key, format_args!("\"{}\"", json_escape(value)))
+    }
+
+    /// `"key":[items…]` of already-serialised items.
+    pub fn array(self, key: &str, items: impl IntoIterator<Item = String>) -> JsonObject {
+        self.value(key, json_array(items))
+    }
+
+    /// The finished `{…}` text.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.0)
+    }
+}
+
 /// Named counters under the stable hierarchical scheme of [`names`].
 ///
-/// The registry is the reconciliation point: the legacy stats blocks
-/// (`KvStatsSnapshot`, `IoSnapshot`, `RunStats`, `JobReport`,
-/// `CacheStats`) each know how to project themselves into it, so a
-/// single dump shows a query's totals under one naming scheme.
+/// The registry is the reconciliation point: every counter block
+/// projects itself into it through the `record_into` its
+/// [`counter_block!`](crate::counter_block) declaration generates, so a
+/// single dump shows totals under one naming scheme.
 ///
 /// ```
 /// use dgf_common::obs::{names, MetricsRegistry};
@@ -754,35 +810,6 @@ impl MetricsRegistry {
             let _ = writeln!(out, "{k:<width$}  {v}");
         }
         out
-    }
-}
-
-/// Project an [`crate::stats::IoSnapshot`] into a registry under the
-/// `hdfs.*` names.
-pub fn record_io_snapshot(reg: &MetricsRegistry, snap: &crate::stats::IoSnapshot) {
-    reg.add(names::HDFS_BYTES_READ, snap.bytes_read);
-    reg.add(names::HDFS_BYTES_WRITTEN, snap.bytes_written);
-    reg.add(names::HDFS_RECORDS_READ, snap.records_read);
-    reg.add(names::HDFS_RECORDS_WRITTEN, snap.records_written);
-    reg.add(names::HDFS_SEEKS, snap.seeks);
-    reg.add(names::HDFS_RETRIES, snap.retries);
-}
-
-/// Attach an [`crate::stats::IoSnapshot`] (usually a delta) to a span
-/// under the `hdfs.*` names. Zero-valued counters are skipped to keep
-/// profiles readable.
-pub fn span_add_io_snapshot(span: &SpanGuard, snap: &crate::stats::IoSnapshot) {
-    for (name, v) in [
-        (names::HDFS_BYTES_READ, snap.bytes_read),
-        (names::HDFS_BYTES_WRITTEN, snap.bytes_written),
-        (names::HDFS_RECORDS_READ, snap.records_read),
-        (names::HDFS_RECORDS_WRITTEN, snap.records_written),
-        (names::HDFS_SEEKS, snap.seeks),
-        (names::HDFS_RETRIES, snap.retries),
-    ] {
-        if v > 0 {
-            span.add(name, v);
-        }
     }
 }
 
@@ -983,29 +1010,6 @@ mod tests {
         let table = reg.render();
         assert!(table.contains("kv.gets"));
         assert!(table.contains('7'));
-    }
-
-    #[test]
-    fn io_snapshot_projection() {
-        use crate::stats::IoStats;
-        let io = IoStats::default();
-        io.bytes_read.add(42);
-        io.seeks.add(3);
-        let reg = MetricsRegistry::new();
-        record_io_snapshot(&reg, &io.snapshot());
-        assert_eq!(reg.get(names::HDFS_BYTES_READ), 42);
-        assert_eq!(reg.get(names::HDFS_SEEKS), 3);
-        assert_eq!(reg.get(names::HDFS_RETRIES), 0);
-
-        let p = Profiler::enabled();
-        {
-            let s = p.span("scan");
-            span_add_io_snapshot(&s, &io.snapshot());
-        }
-        let profile = p.take_profile();
-        assert_eq!(profile.metric_total(names::HDFS_BYTES_READ), 42);
-        // Zero-valued counters are not attached.
-        assert!(!profile.roots[0].metrics.contains_key(names::HDFS_RETRIES));
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::obs::names;
+
 /// A shareable monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -40,88 +42,121 @@ impl Counter {
     }
 }
 
-/// I/O accounting shared by the storage layer, formats, and engines.
+/// Declare a block of counters: the only place a counter is written
+/// down. Each entry is one doc line, a field name and a registry name
+/// (a constant of [`crate::obs::names`]); the live block (fields of
+/// [`Counter`]), its plain `Copy` snapshot with the same field names,
+/// and the five things every block can do come from this declaration:
+/// `snapshot`, `reset`, `since` (saturating), `record_into` (every name,
+/// zeros included — an absent name and a zero differ to readers of the
+/// registry) and `attach_to_span` (non-zero only, to keep profiles
+/// readable). Two fields may share a registry name; it then holds
+/// their sum.
 ///
-/// One `IoStats` is typically owned by a `SimHdfs` instance and handed to
-/// every reader it opens, so a whole query's I/O is visible in one place.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Bytes read from data files.
-    pub bytes_read: Counter,
-    /// Bytes written to data files.
-    pub bytes_written: Counter,
-    /// Records decoded by record readers (the paper's "records read").
-    pub records_read: Counter,
-    /// Records appended by writers.
-    pub records_written: Counter,
-    /// Seek operations issued by skipping readers.
-    pub seeks: Counter,
-    /// Transient faults absorbed by retry loops in the storage layer.
-    pub retries: Counter,
+/// ```
+/// dgf_common::counter_block! {
+///     /// Counters of a demo.
+///     pub struct DemoStats, snapshot DemoSnapshot {
+///         /// Things seen.
+///         seen: "demo.seen",
+///     }
+/// }
+/// let stats = DemoStats::default();
+/// stats.seen.add(3);
+/// let before = stats.snapshot();
+/// stats.seen.inc();
+/// assert_eq!(stats.snapshot().since(&before), DemoSnapshot { seen: 1 });
+/// let reg = dgf_common::MetricsRegistry::new();
+/// stats.record_into(&reg);
+/// assert_eq!(reg.get("demo.seen"), 4);
+/// ```
+#[macro_export]
+macro_rules! counter_block {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $Block:ident, snapshot $Snap:ident {
+            $( $(#[$doc:meta])* $field:ident: $name:expr, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $Block {
+            $( $(#[$doc])* pub $field: $crate::stats::Counter, )+
+        }
+
+        #[doc = concat!("Plain values of [`", stringify!($Block), "`]: a point in time, or the delta between two.")]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        $vis struct $Snap {
+            $( $(#[$doc])* pub $field: u64, )+
+        }
+
+        impl $Block {
+            /// Every counter beside its registry name, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &$crate::stats::Counter)> {
+                [$( ($name, &self.$field) ),+].into_iter()
+            }
+
+            /// A point-in-time copy of all counters.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap { $( $field: self.$field.get() ),+ }
+            }
+
+            /// Reset every counter to zero.
+            pub fn reset(&self) {
+                self.counters().for_each(|(_, c)| { c.reset(); });
+            }
+
+            /// Add the current values to `reg` under the registry names.
+            pub fn record_into(&self, reg: &$crate::obs::MetricsRegistry) {
+                self.snapshot().record_into(reg);
+            }
+        }
+
+        impl $Snap {
+            /// Counter deltas `self - earlier` (saturating).
+            pub fn since(&self, earlier: &$Snap) -> $Snap {
+                $Snap { $( $field: self.$field.saturating_sub(earlier.$field) ),+ }
+            }
+
+            /// Add every value, zeros included, to `reg` under the
+            /// registry names.
+            pub fn record_into(&self, reg: &$crate::obs::MetricsRegistry) {
+                $( reg.add($name, self.$field); )+
+            }
+
+            /// Attach the non-zero values (usually a delta) to `span`
+            /// under the registry names.
+            pub fn attach_to_span(&self, span: &$crate::obs::SpanGuard) {
+                $( if self.$field > 0 { span.add($name, self.$field); } )+
+            }
+        }
+    };
+}
+
+counter_block! {
+    /// I/O accounting shared by the storage layer, formats, and engines.
+    ///
+    /// One `IoStats` is typically owned by a `SimHdfs` instance and handed
+    /// to every reader it opens, so a whole query's I/O is visible in one
+    /// place.
+    pub struct IoStats, snapshot IoSnapshot {
+        /// Bytes read from data files.
+        bytes_read: names::HDFS_BYTES_READ,
+        /// Bytes written to data files.
+        bytes_written: names::HDFS_BYTES_WRITTEN,
+        /// Records decoded by record readers (the paper's "records read").
+        records_read: names::HDFS_RECORDS_READ,
+        /// Records appended by writers.
+        records_written: names::HDFS_RECORDS_WRITTEN,
+        /// Seek operations issued by skipping readers.
+        seeks: names::HDFS_SEEKS,
+        /// Transient faults absorbed by retry loops in the storage layer.
+        retries: names::HDFS_RETRIES,
+    }
 }
 
 /// Shared handle to [`IoStats`].
 pub type IoStatsRef = Arc<IoStats>;
-
-impl IoStats {
-    /// A fresh zeroed stats block behind an `Arc`.
-    pub fn new_ref() -> IoStatsRef {
-        Arc::new(IoStats::default())
-    }
-
-    /// Reset every counter (between benchmark runs).
-    pub fn reset(&self) {
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-        self.records_read.reset();
-        self.records_written.reset();
-        self.seeks.reset();
-        self.retries.reset();
-    }
-
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            records_read: self.records_read.get(),
-            records_written: self.records_written.get(),
-            seeks: self.seeks.get(),
-            retries: self.retries.get(),
-        }
-    }
-}
-
-/// A copyable snapshot of [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    /// Bytes read from data files.
-    pub bytes_read: u64,
-    /// Bytes written to data files.
-    pub bytes_written: u64,
-    /// Records decoded by record readers.
-    pub records_read: u64,
-    /// Records appended by writers.
-    pub records_written: u64,
-    /// Seek operations issued by skipping readers.
-    pub seeks: u64,
-    /// Transient faults absorbed by retry loops in the storage layer.
-    pub retries: u64,
-}
-
-impl IoSnapshot {
-    /// Counter deltas `self - earlier` (saturating).
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            records_read: self.records_read.saturating_sub(earlier.records_read),
-            records_written: self.records_written.saturating_sub(earlier.records_written),
-            seeks: self.seeks.saturating_sub(earlier.seeks),
-            retries: self.retries.saturating_sub(earlier.retries),
-        }
-    }
-}
 
 impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -133,155 +168,46 @@ impl fmt::Display for IoSnapshot {
     }
 }
 
-/// Columnar scan accounting shared by the batch read path (DESIGN.md §12).
-///
-/// One `ScanStats` is owned by a `HiveContext` and charged from every map
-/// task of every scan, the same snapshot/delta pattern as [`IoStats`]: the
-/// batch decoder counts groups and rows and the kernels count selected
-/// rows. Busy times are recorded in microseconds because map tasks run in
-/// parallel — their summed busy time is meaningful, their wall time is not.
-#[derive(Debug, Default)]
-pub struct ScanStats {
-    /// Row-group batches decoded.
-    pub batches: Counter,
-    /// Rows decoded into batches (post row-filter).
-    pub rows_decoded: Counter,
-    /// Rows surviving the predicate kernel.
-    pub rows_selected: Counter,
-    /// Microseconds spent decoding groups into batches (summed across tasks).
-    pub decode_us: Counter,
-    /// Microseconds spent in predicate + aggregate kernels (summed).
-    pub kernel_us: Counter,
-    /// Rows pushed through the row-at-a-time fallback path.
-    pub rowwise_rows: Counter,
-    /// Sidecars loaded and verified for pruning (DESIGN.md §15).
-    pub sidecar_hits: Counter,
-    /// Slice files whose sidecar was absent (pruning degraded).
-    pub sidecar_misses: Counter,
-    /// Sidecars rejected as corrupt or stale (pruning degraded).
-    pub sidecar_corrupt: Counter,
-    /// Sidecar file bytes read by the planner.
-    pub sidecar_bytes: Counter,
-    /// Row groups pruned outright by zone maps / hierarchical bitmaps.
-    pub sidecar_groups_pruned: Counter,
-    /// Slice data bytes those pruned groups would have read — the
-    /// bytes-skipped ledger the sidecar bench asserts against.
-    pub sidecar_bytes_skipped: Counter,
+counter_block! {
+    /// Columnar scan accounting shared by the batch read path (DESIGN.md §12).
+    ///
+    /// One `ScanStats` is owned by a `HiveContext` and charged from every
+    /// map task of every scan, the same snapshot/delta pattern as
+    /// [`IoStats`]: the batch decoder counts groups and rows and the
+    /// kernels count selected rows. Busy times are recorded in
+    /// microseconds because map tasks run in parallel — their summed busy
+    /// time is meaningful, their wall time is not.
+    pub struct ScanStats, snapshot ScanSnapshot {
+        /// Row-group batches decoded.
+        batches: names::SCAN_BATCHES,
+        /// Rows decoded into batches (post row-filter).
+        rows_decoded: names::SCAN_ROWS_DECODED,
+        /// Rows surviving the predicate kernel.
+        rows_selected: names::SCAN_ROWS_SELECTED,
+        /// Microseconds spent decoding groups into batches (summed across tasks).
+        decode_us: names::SCAN_DECODE_US,
+        /// Microseconds spent in predicate + aggregate kernels (summed).
+        kernel_us: names::SCAN_KERNEL_US,
+        /// Rows pushed through the row-at-a-time fallback path.
+        rowwise_rows: names::SCAN_ROWWISE_ROWS,
+        /// Sidecars loaded and verified for pruning (DESIGN.md §15).
+        sidecar_hits: names::SCAN_SIDECAR_HITS,
+        /// Slice files whose sidecar was absent (pruning degraded).
+        sidecar_misses: names::SCAN_SIDECAR_MISSES,
+        /// Sidecars rejected as corrupt or stale (pruning degraded).
+        sidecar_corrupt: names::SCAN_SIDECAR_CORRUPT,
+        /// Sidecar file bytes read by the planner.
+        sidecar_bytes: names::SCAN_SIDECAR_BYTES,
+        /// Row groups pruned outright by zone maps / hierarchical bitmaps.
+        sidecar_groups_pruned: names::SCAN_SIDECAR_GROUPS_PRUNED,
+        /// Slice data bytes those pruned groups would have read — the
+        /// bytes-skipped ledger the sidecar bench asserts against.
+        sidecar_bytes_skipped: names::SCAN_SIDECAR_BYTES_SKIPPED,
+    }
 }
 
 /// Shared handle to [`ScanStats`].
 pub type ScanStatsRef = Arc<ScanStats>;
-
-impl ScanStats {
-    /// A fresh zeroed stats block behind an `Arc`.
-    pub fn new_ref() -> ScanStatsRef {
-        Arc::new(ScanStats::default())
-    }
-
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self) -> ScanSnapshot {
-        ScanSnapshot {
-            batches: self.batches.get(),
-            rows_decoded: self.rows_decoded.get(),
-            rows_selected: self.rows_selected.get(),
-            decode_us: self.decode_us.get(),
-            kernel_us: self.kernel_us.get(),
-            rowwise_rows: self.rowwise_rows.get(),
-            sidecar_hits: self.sidecar_hits.get(),
-            sidecar_misses: self.sidecar_misses.get(),
-            sidecar_corrupt: self.sidecar_corrupt.get(),
-            sidecar_bytes: self.sidecar_bytes.get(),
-            sidecar_groups_pruned: self.sidecar_groups_pruned.get(),
-            sidecar_bytes_skipped: self.sidecar_bytes_skipped.get(),
-        }
-    }
-}
-
-/// A copyable snapshot of [`ScanStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanSnapshot {
-    /// Row-group batches decoded.
-    pub batches: u64,
-    /// Rows decoded into batches (post row-filter).
-    pub rows_decoded: u64,
-    /// Rows surviving the predicate kernel.
-    pub rows_selected: u64,
-    /// Microseconds spent decoding groups into batches.
-    pub decode_us: u64,
-    /// Microseconds spent in predicate + aggregate kernels.
-    pub kernel_us: u64,
-    /// Rows pushed through the row-at-a-time fallback path.
-    pub rowwise_rows: u64,
-    /// Sidecars loaded and verified for pruning.
-    pub sidecar_hits: u64,
-    /// Slice files whose sidecar was absent.
-    pub sidecar_misses: u64,
-    /// Sidecars rejected as corrupt or stale.
-    pub sidecar_corrupt: u64,
-    /// Sidecar file bytes read by the planner.
-    pub sidecar_bytes: u64,
-    /// Row groups pruned outright.
-    pub sidecar_groups_pruned: u64,
-    /// Slice data bytes the pruned groups would have read.
-    pub sidecar_bytes_skipped: u64,
-}
-
-impl ScanSnapshot {
-    /// Counter deltas `self - earlier` (saturating).
-    pub fn since(&self, earlier: &ScanSnapshot) -> ScanSnapshot {
-        ScanSnapshot {
-            batches: self.batches.saturating_sub(earlier.batches),
-            rows_decoded: self.rows_decoded.saturating_sub(earlier.rows_decoded),
-            rows_selected: self.rows_selected.saturating_sub(earlier.rows_selected),
-            decode_us: self.decode_us.saturating_sub(earlier.decode_us),
-            kernel_us: self.kernel_us.saturating_sub(earlier.kernel_us),
-            rowwise_rows: self.rowwise_rows.saturating_sub(earlier.rowwise_rows),
-            sidecar_hits: self.sidecar_hits.saturating_sub(earlier.sidecar_hits),
-            sidecar_misses: self.sidecar_misses.saturating_sub(earlier.sidecar_misses),
-            sidecar_corrupt: self.sidecar_corrupt.saturating_sub(earlier.sidecar_corrupt),
-            sidecar_bytes: self.sidecar_bytes.saturating_sub(earlier.sidecar_bytes),
-            sidecar_groups_pruned: self
-                .sidecar_groups_pruned
-                .saturating_sub(earlier.sidecar_groups_pruned),
-            sidecar_bytes_skipped: self
-                .sidecar_bytes_skipped
-                .saturating_sub(earlier.sidecar_bytes_skipped),
-        }
-    }
-
-    /// Add `other`'s counters to this snapshot, field by field.
-    pub fn accumulate(&mut self, other: &ScanSnapshot) {
-        self.batches += other.batches;
-        self.rows_decoded += other.rows_decoded;
-        self.rows_selected += other.rows_selected;
-        self.decode_us += other.decode_us;
-        self.kernel_us += other.kernel_us;
-        self.rowwise_rows += other.rowwise_rows;
-        self.sidecar_hits += other.sidecar_hits;
-        self.sidecar_misses += other.sidecar_misses;
-        self.sidecar_corrupt += other.sidecar_corrupt;
-        self.sidecar_bytes += other.sidecar_bytes;
-        self.sidecar_groups_pruned += other.sidecar_groups_pruned;
-        self.sidecar_bytes_skipped += other.sidecar_bytes_skipped;
-    }
-
-    /// Record into a [`crate::MetricsRegistry`] under the `scan.*` names.
-    pub fn record_into(&self, reg: &crate::obs::MetricsRegistry) {
-        use crate::obs::names;
-        reg.add(names::SCAN_BATCHES, self.batches);
-        reg.add(names::SCAN_ROWS_DECODED, self.rows_decoded);
-        reg.add(names::SCAN_ROWS_SELECTED, self.rows_selected);
-        reg.add(names::SCAN_DECODE_US, self.decode_us);
-        reg.add(names::SCAN_KERNEL_US, self.kernel_us);
-        reg.add(names::SCAN_ROWWISE_ROWS, self.rowwise_rows);
-        reg.add(names::SCAN_SIDECAR_HITS, self.sidecar_hits);
-        reg.add(names::SCAN_SIDECAR_MISSES, self.sidecar_misses);
-        reg.add(names::SCAN_SIDECAR_CORRUPT, self.sidecar_corrupt);
-        reg.add(names::SCAN_SIDECAR_BYTES, self.sidecar_bytes);
-        reg.add(names::SCAN_SIDECAR_GROUPS_PRUNED, self.sidecar_groups_pruned);
-        reg.add(names::SCAN_SIDECAR_BYTES_SKIPPED, self.sidecar_bytes_skipped);
-    }
-}
 
 /// Wall-clock stopwatch for benchmark phases.
 #[derive(Debug, Clone, Copy)]

@@ -25,6 +25,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use dgf_common::counter_block;
+use dgf_common::obs::names;
+
 use crate::gfu::GfuValue;
 
 /// Default total entry capacity of a [`GfuHeaderCache`].
@@ -36,13 +39,15 @@ const SHARDS: usize = 8;
 /// cell proven absent at this generation.
 pub type CachedGfu = Option<Arc<GfuValue>>;
 
-/// Cumulative hit/miss counters of a cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Probes answered from the cache (including negative entries).
-    pub hits: u64,
-    /// Probes that found no entry for the probed generation.
-    pub misses: u64,
+counter_block! {
+    /// Probe counters of a [`GfuHeaderCache`]; [`CacheStats`] is their
+    /// cumulative snapshot.
+    pub struct CacheCounters, snapshot CacheStats {
+        /// Probes answered from the cache (including negative entries).
+        hits: names::CACHE_HEADER_HITS,
+        /// Probes that found no entry for the probed generation.
+        misses: names::CACHE_HEADER_MISSES,
+    }
 }
 
 impl CacheStats {
@@ -103,8 +108,7 @@ impl Shard {
 pub struct GfuHeaderCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    probes: CacheCounters,
     /// Highest generation floor passed to [`retire_below`]
     /// (Self::retire_below): lets repeated calls at the same floor skip
     /// the shard sweep entirely.
@@ -117,8 +121,7 @@ impl GfuHeaderCache {
         GfuHeaderCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            probes: CacheCounters::default(),
             floor: AtomicU64::new(0),
         }
     }
@@ -139,11 +142,11 @@ impl GfuHeaderCache {
             Some((value, _)) => {
                 let value = value.clone();
                 shard.touch(&tagged);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.probes.hits.inc();
                 Some(value)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.probes.misses.inc();
                 None
             }
         }
@@ -228,10 +231,7 @@ impl GfuHeaderCache {
 
     /// Cumulative probe counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        self.probes.snapshot()
     }
 
     /// Number of live entries (all generations, all shards).

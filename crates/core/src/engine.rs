@@ -143,11 +143,11 @@ impl Engine for DgfEngine {
         let result = sink.finish();
         let scan_delta = ctx.scan_stats.snapshot().since(&scan_before);
         // The storage layer attributes its I/O to the scan stage.
-        ctx.hdfs.attach_io_to_span(&scan_span, &before);
+        let delta = ctx.hdfs.stats().snapshot().since(&before);
+        delta.attach_to_span(&scan_span);
         dgf_hive::attach_scan_to_span(&scan_span, &scan_delta);
         scan_span.finish();
         root.finish();
-        let delta = ctx.hdfs.stats().snapshot().since(&before);
         let mut profile = prof.take_profile();
         profile.graft("query.plan", std::mem::take(&mut plan.profile));
         Ok(EngineRun {

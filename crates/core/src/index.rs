@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgf_common::fault::{FaultPlan, RetryPolicy};
-use dgf_common::obs::{names, MetricsRegistry, Profiler};
+use dgf_common::obs::{MetricsRegistry, Profiler};
 use dgf_common::{DgfError, Result, Row, Stopwatch, Value};
 use dgf_format::is_sidecar_path;
 use dgf_hive::{BuildReport, HiveContext, TableRef};
@@ -28,7 +28,7 @@ use crate::gfu::{
     META_GC_KEY, META_INGEST_KEY, META_PLACEMENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY,
     META_VIEW_KEY,
 };
-use crate::maintain::CellHeat;
+use crate::maintain::{CellHeat, MaintainStats};
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
 use crate::txn::{
@@ -177,6 +177,7 @@ pub struct DgfIndex {
     pub(crate) writing: AtomicBool,
     /// Transaction counters, projected by [`metrics`](Self::metrics).
     pub(crate) txn_stats: TxnStats,
+    pub(crate) maintain_stats: MaintainStats,
 }
 
 impl DgfIndex {
@@ -263,6 +264,7 @@ impl DgfIndex {
             heat,
             writing: AtomicBool::new(false),
             txn_stats: TxnStats::default(),
+            maintain_stats: MaintainStats::default(),
         };
         let watch = Stopwatch::start();
         let span = index.profiler.span("build");
@@ -396,6 +398,7 @@ impl DgfIndex {
             heat,
             writing: AtomicBool::new(false),
             txn_stats: TxnStats::default(),
+            maintain_stats: MaintainStats::default(),
         };
         index.txn_stats.count_recovery(found);
         index.upgrade_view()?;
@@ -576,19 +579,17 @@ impl DgfIndex {
     }
 
     /// Project this index's lifetime counters — key-value store traffic,
-    /// header-cache hits and misses, storage-layer I/O — into one
-    /// [`MetricsRegistry`] under the stable hierarchical names, so totals
-    /// from the different stats blocks reconcile in a single dump.
+    /// header-cache hits and misses, storage-layer I/O, write
+    /// transactions, maintenance — into one [`MetricsRegistry`] under the
+    /// stable hierarchical names, so totals from the different stats
+    /// blocks reconcile in a single dump.
     pub fn metrics(&self) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        self.kv.stats().snapshot().record_into(&reg);
-        let cache = self.header_cache.stats();
-        reg.add(names::CACHE_HEADER_HITS, cache.hits);
-        reg.add(names::CACHE_HEADER_MISSES, cache.misses);
-        self.ctx
-            .hdfs
-            .record_io_into(&reg, &dgf_common::stats::IoSnapshot::default());
+        self.kv.stats().record_into(&reg);
+        self.header_cache.stats().record_into(&reg);
+        self.ctx.hdfs.stats().record_into(&reg);
         self.txn_stats.record_into(&reg);
+        self.maintain_stats.record_into(&reg);
         reg
     }
 

@@ -80,16 +80,18 @@ pub mod view;
 pub mod write;
 
 pub use advisor::{collect_stats, recommend_policy, AdvisorConfig, DimStats, Recommendation};
-pub use cache::{CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
+pub use cache::{CacheCounters, CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 pub use engine::DgfEngine;
 pub use fresh::{FreshCell, FreshSource};
 pub use gfu::{Extents, GfuKey, GfuValue, SliceLoc};
 pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions, SlicePlacement};
-pub use maintain::{CellHeat, MaintenanceConfig, MaintenanceReport, Maintainer};
+pub use maintain::{
+    CellHeat, MaintainSnapshot, MaintainStats, MaintenanceConfig, MaintenanceReport, Maintainer,
+};
 pub use plan::{DgfPlan, PlanStrategy};
 pub use pyramid::{NodeRef, DEFAULT_PYRAMID_LEVELS, PYRAMID_PREFIX};
 pub use sidecar::PruneOutcome;
-pub use txn::{TxnManifest, TxnState, TxnStats};
+pub use txn::{TxnManifest, TxnSnapshot, TxnState, TxnStats};
 pub use view::ReadView;
 pub use policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
 
@@ -897,7 +899,6 @@ mod proptests {
     use dgf_query::{AggFunc, ColumnRange, Engine, Predicate, Query};
     use dgf_storage::{HdfsConfig, SimHdfs};
     use proptest::prelude::*;
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     proptest! {
@@ -1207,10 +1208,10 @@ mod proptests {
             // by exactly one counted retry somewhere in the stack.
             let injected = plan.faults_injected();
             prop_assert!(injected > 0, "schedule produced no faults");
-            let absorbed = noisy.kv.stats().retries_absorbed.load(Ordering::Relaxed)
+            let absorbed = noisy.kv.stats().retries_absorbed.get()
                 + noisy_ctx.hdfs.stats().retries.get();
             prop_assert_eq!(absorbed, injected);
-            let clean_absorbed = clean.kv.stats().retries_absorbed.load(Ordering::Relaxed)
+            let clean_absorbed = clean.kv.stats().retries_absorbed.get()
                 + clean_ctx.hdfs.stats().retries.get();
             prop_assert_eq!(clean_absorbed, 0);
         }

@@ -36,7 +36,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dgf_common::{format_row, DgfError, Result};
+use dgf_common::obs::{names, SpanGuard};
+use dgf_common::{counter_block, format_row, DgfError, Result};
 use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
 use dgf_hive::{open_input, ScanInput};
 
@@ -134,11 +135,35 @@ pub struct MaintenanceReport {
     pub compacted_files: usize,
     /// GFUs whose slices were rewritten contiguously.
     pub compacted_gfus: usize,
+    /// Length of the data file that rewrite wrote.
+    pub compacted_bytes: u64,
     /// Bytes reclaimed by key-value store log compaction.
     pub kv_reclaimed_bytes: u64,
     /// Dimension whose interval the adaptation pass changed, with the
     /// new interval's description (`None` = grid left alone).
     pub adapted: Option<String>,
+}
+
+counter_block! {
+    /// What the maintenance passes over one [`DgfIndex`] handle did, bumped
+    /// from the values each [`MaintenanceReport`] is filled from and
+    /// projected under the `maintain.*` names by [`DgfIndex::metrics`].
+    pub struct MaintainStats, snapshot MaintainSnapshot {
+        /// Passes run to completion.
+        passes: names::MAINTAIN_PASSES,
+        /// Deferred files (sidecars not counted) reclaimed.
+        files_reclaimed: names::MAINTAIN_FILES_RECLAIMED,
+        /// Data files retired by delta compaction.
+        files_compacted: names::MAINTAIN_FILES_COMPACTED,
+        /// GFUs whose slices compaction rewrote contiguously.
+        gfus_rewritten: names::MAINTAIN_GFUS_REWRITTEN,
+        /// Data-file bytes compaction wrote.
+        bytes_rewritten: names::MAINTAIN_BYTES_REWRITTEN,
+        /// Bytes reclaimed by key-value store log compaction.
+        kv_bytes_reclaimed: names::MAINTAIN_KV_BYTES_RECLAIMED,
+        /// Grid adaptations applied.
+        regrids: names::MAINTAIN_REGRIDS,
+    }
 }
 
 /// The background maintenance daemon (one pass at a time; the index is a
@@ -162,23 +187,56 @@ impl Maintainer {
 
     /// One full maintenance pass: reclaim the previous round's retired
     /// files, drain ingest, compact deltas back within budget, compact
-    /// the key-value log, and (when enabled) adapt the grid.
+    /// the key-value log, and (when enabled) adapt the grid. Each stage
+    /// that runs is a child of one `maintain` span on the index's
+    /// profiler, and what it did is counted on the index's
+    /// [`MaintainStats`].
     pub fn run_once(&self) -> Result<MaintenanceReport> {
+        let span = self.index.profiler().span("maintain");
+        let stats = &self.index.maintain_stats;
         let mut report = MaintenanceReport {
-            reclaimed_files: self.reclaim()?,
+            reclaimed_files: self.stage(&span, "maintain.gc", || self.reclaim())?,
             ..Default::default()
         };
+        stats.files_reclaimed.add(report.reclaimed_files as u64);
         if let Some(hook) = &self.config.flush_hook {
-            report.flushed_batches = hook()?;
+            report.flushed_batches = self.stage(&span, "maintain.flush", hook)?;
         }
-        let (files, gfus) = self.compact()?;
+        let (files, gfus, bytes) = self.stage(&span, "maintain.compact", || self.compact())?;
         report.compacted_files = files;
         report.compacted_gfus = gfus;
-        report.kv_reclaimed_bytes = self.index.kv.maintain()?;
+        report.compacted_bytes = bytes;
+        stats.files_compacted.add(files as u64);
+        stats.gfus_rewritten.add(gfus as u64);
+        stats.bytes_rewritten.add(bytes);
+        report.kv_reclaimed_bytes =
+            self.stage(&span, "maintain.kvlog", || self.index.kv.maintain())?;
+        stats.kv_bytes_reclaimed.add(report.kv_reclaimed_bytes);
         if self.config.adapt {
-            report.adapted = self.adapt()?;
+            report.adapted = self.stage(&span, "maintain.regrid", || self.adapt())?;
+            stats.regrids.add(report.adapted.is_some() as u64);
         }
+        stats.passes.inc();
         Ok(report)
+    }
+
+    /// Run one stage of the pass under a child span that carries the
+    /// stage's `kv.*` and `hdfs.*` deltas.
+    fn stage<T>(
+        &self,
+        pass: &SpanGuard,
+        name: &str,
+        work: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let span = pass.child(name);
+        let (kv, hdfs) = (self.index.kv.stats(), self.index.ctx.hdfs.stats());
+        let before = span.is_recording().then(|| (kv.snapshot(), hdfs.snapshot()));
+        let out = work();
+        if let Some((kv_before, hdfs_before)) = before {
+            kv.snapshot().since(&kv_before).attach_to_span(&span);
+            hdfs.snapshot().since(&hdfs_before).attach_to_span(&span);
+        }
+        out
     }
 
     /// Delete every file on the deferred-reclamation list (`m:gc`) along
@@ -213,19 +271,19 @@ impl Maintainer {
     /// files into one fresh contiguous file. Pure data movement — see
     /// the module docs for why headers are copied verbatim — published
     /// through the standard staged-commit transaction.
-    fn compact(&self) -> Result<(usize, usize)> {
+    fn compact(&self) -> Result<(usize, usize, u64)> {
         let index = &*self.index;
         let budget = self.config.delta_file_budget.max(1);
         // The idle pass costs no transaction. Everything the rewrite is
         // built from is read after `begin`, which first finishes whatever
         // an earlier failed writer left behind.
         if index.live_data_files()?.len() <= budget {
-            return Ok((0, 0));
+            return Ok((0, 0, 0));
         }
         let txn = Txn::begin(index, false)?;
         let files = index.live_data_files()?;
         if files.len() <= budget {
-            return Ok((0, 0));
+            return Ok((0, 0, 0));
         }
         // Pick the k smallest files so the post-commit count (n - k + 1,
         // or lower if other files are fully absorbed) is within budget.
@@ -248,7 +306,7 @@ impl Maintainer {
             }
         }
         if affected.is_empty() {
-            return Ok((0, 0));
+            return Ok((0, 0, 0));
         }
         // A file is retired when every GFU referencing it is being
         // rewritten (its remaining bytes serve no live slice). Selected
@@ -306,11 +364,10 @@ impl Maintainer {
             };
             txn.stage(key, &compacted.encode())?;
         }
-        w.close()?;
+        let counts = (retired.len(), affected.len(), w.close()?);
 
         // Post-commit state: same extents, same watermark, same grid —
         // only the file list and the affected GFU values change.
-        let counts = (retired.len(), affected.len());
         txn.commit(Outcome {
             policy: index.policy(),
             extents: index.extents()?,

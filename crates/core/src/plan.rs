@@ -28,7 +28,6 @@
 //! every float bit.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -326,7 +325,7 @@ impl DgfIndex {
         // profile. Forking a disabled profiler stays disabled (no-op).
         let prof = self.profiler().fork();
         let span = prof.span("plan");
-        let retries_before = self.kv.stats().retries_absorbed.load(Ordering::Relaxed);
+        let retries_before = self.kv.stats().retries_absorbed.get();
         let predicate = query.predicate();
         // Snapshot the streaming memtable (if one is registered and
         // non-empty) alongside the pinned view: buffered cells may lie
@@ -350,7 +349,7 @@ impl DgfIndex {
                     .kv
                     .stats()
                     .retries_absorbed
-                    .load(Ordering::Relaxed)
+                    .get()
                     .saturating_sub(retries_before),
                 index_time: watch.elapsed(),
                 profile: prof.take_profile(),
@@ -713,10 +712,12 @@ impl DgfIndex {
         span: &dgf_common::obs::SpanGuard,
     ) -> Result<()> {
         let sidecar_span = span.child("plan.sidecar");
-        let io_before = sidecar_span
-            .is_recording()
-            .then(|| self.ctx.hdfs.stats().snapshot());
-        let scan_before = self.ctx.scan_stats.snapshot();
+        let before = sidecar_span.is_recording().then(|| {
+            (
+                self.ctx.hdfs.stats().snapshot(),
+                self.ctx.scan_stats.snapshot(),
+            )
+        });
         let stats = &self.ctx.scan_stats;
         let mut cache: HashMap<String, Option<SliceSidecar>> = HashMap::new();
         for input in inputs.iter_mut() {
@@ -760,21 +761,12 @@ impl DgfIndex {
                 };
             }
         }
-        if let Some(before) = &io_before {
-            self.ctx.hdfs.attach_io_to_span(&sidecar_span, before);
-            let delta = self.ctx.scan_stats.snapshot().since(&scan_before);
-            for (name, v) in [
-                (names::SCAN_SIDECAR_HITS, delta.sidecar_hits),
-                (names::SCAN_SIDECAR_MISSES, delta.sidecar_misses),
-                (names::SCAN_SIDECAR_CORRUPT, delta.sidecar_corrupt),
-                (names::SCAN_SIDECAR_BYTES, delta.sidecar_bytes),
-                (names::SCAN_SIDECAR_GROUPS_PRUNED, delta.sidecar_groups_pruned),
-                (names::SCAN_SIDECAR_BYTES_SKIPPED, delta.sidecar_bytes_skipped),
-            ] {
-                if v > 0 {
-                    sidecar_span.add(name, v);
-                }
-            }
+        if let Some((io_before, scan_before)) = &before {
+            let hdfs = self.ctx.hdfs.stats().snapshot().since(io_before);
+            hdfs.attach_to_span(&sidecar_span);
+            // Planning charges only the `scan.sidecar.*` counters.
+            let scan = self.ctx.scan_stats.snapshot().since(scan_before);
+            scan.attach_to_span(&sidecar_span);
         }
         sidecar_span.finish();
         Ok(())

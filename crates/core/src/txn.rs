@@ -34,9 +34,8 @@ use std::sync::Arc;
 
 use dgf_common::codec::{self, Decoder};
 use dgf_common::fault::{FaultPlan, RetryPolicy};
-use dgf_common::obs::{names, MetricsRegistry};
-use dgf_common::stats::Counter;
-use dgf_common::{DgfError, Result};
+use dgf_common::obs::names;
+use dgf_common::{counter_block, DgfError, Result};
 use dgf_format::is_sidecar_path;
 use dgf_kvstore::KvStore;
 use dgf_storage::HdfsRef;
@@ -260,39 +259,30 @@ impl TxnManifest {
     }
 }
 
-/// Transaction counters of one [`DgfIndex`] handle, covering every
-/// writer alike (they all commit through one `Txn`); projected under the
-/// `txn.*` names by [`DgfIndex::metrics`].
-#[derive(Debug, Default)]
-pub struct TxnStats {
-    /// Transactions this handle committed and finished.
-    pub commits: Counter,
-    /// Transactions rolled back: found dead before their commit point,
-    /// failed before it, or abandoned by their writer.
-    pub rollbacks: Counter,
-    /// Committed transactions rolled forward by recovery instead of by
-    /// the writer that committed them.
-    pub recovered: Counter,
-    /// Staged keys published by committed transactions.
-    pub staged_keys: Counter,
-    /// Staged files (Slice files and their sidecars) renamed into the
-    /// data directory.
-    pub files_published: Counter,
-    /// Data files moved onto the deferred-reclamation list.
-    pub files_retired: Counter,
+counter_block! {
+    /// Transaction counters of one [`DgfIndex`] handle, covering every
+    /// writer alike (they all commit through one `Txn`); projected under
+    /// the `txn.*` names by [`DgfIndex::metrics`].
+    pub struct TxnStats, snapshot TxnSnapshot {
+        /// Transactions this handle committed and finished.
+        commits: names::TXN_COMMITS,
+        /// Transactions rolled back: found dead before their commit point,
+        /// failed before it, or abandoned by their writer.
+        rollbacks: names::TXN_ROLLBACKS,
+        /// Committed transactions rolled forward by recovery instead of by
+        /// the writer that committed them.
+        recovered: names::TXN_RECOVERED,
+        /// Staged keys published by committed transactions.
+        staged_keys: names::TXN_STAGED_KEYS,
+        /// Staged files (Slice files and their sidecars) renamed into the
+        /// data directory.
+        files_published: names::TXN_FILES_PUBLISHED,
+        /// Data files moved onto the deferred-reclamation list.
+        files_retired: names::TXN_FILES_RETIRED,
+    }
 }
 
 impl TxnStats {
-    /// Add the counters to `reg` under the `txn.*` names.
-    pub fn record_into(&self, reg: &MetricsRegistry) {
-        reg.add(names::TXN_COMMITS, self.commits.get());
-        reg.add(names::TXN_ROLLBACKS, self.rollbacks.get());
-        reg.add(names::TXN_RECOVERED, self.recovered.get());
-        reg.add(names::TXN_STAGED_KEYS, self.staged_keys.get());
-        reg.add(names::TXN_FILES_PUBLISHED, self.files_published.get());
-        reg.add(names::TXN_FILES_RETIRED, self.files_retired.get());
-    }
-
     /// Count what [`recover`] found and finished.
     pub(crate) fn count_recovery(&self, found: Option<TxnState>) {
         match found {

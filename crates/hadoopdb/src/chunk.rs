@@ -12,72 +12,30 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dgf_common::codec::{self, Decoder};
-use dgf_common::{DgfError, Result, Row};
+use dgf_common::obs::names;
+use dgf_common::{counter_block, DgfError, Result, Row};
 use dgf_query::{BoundPredicate, ColumnRange, RowSink};
 
 /// Rows per page. At ~60 B per meter row this approximates an 8 KB
 /// PostgreSQL heap page.
 pub const ROWS_PER_PAGE: usize = 128;
 
-/// I/O counters shared across a HadoopDB deployment.
-///
-/// Chunk files are read with plain `File` I/O (they model local
-/// PostgreSQL storage, not HDFS), so these counters are the *only*
-/// account of HadoopDB's data traffic — [`ChunkStats::snapshot`] and
-/// [`ChunkSnapshot::record_into`] route them through the same
-/// delta/registry scheme as `IoStats` and `KvStats` instead of leaving
-/// them as free-floating atomics.
-#[derive(Debug, Default)]
-pub struct ChunkStats {
-    /// Pages fetched from disk.
-    pub pages_read: AtomicU64,
-    /// Rows decoded from fetched pages.
-    pub rows_read: AtomicU64,
-    /// Bytes read.
-    pub bytes_read: AtomicU64,
-}
-
-impl ChunkStats {
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self) -> ChunkSnapshot {
-        ChunkSnapshot {
-            pages_read: self.pages_read.load(Ordering::Relaxed),
-            rows_read: self.rows_read.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A copyable snapshot of [`ChunkStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkSnapshot {
-    /// Pages fetched from disk.
-    pub pages_read: u64,
-    /// Rows decoded from fetched pages.
-    pub rows_read: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-}
-
-impl ChunkSnapshot {
-    /// Counter deltas `self - earlier` (saturating).
-    pub fn since(&self, earlier: &ChunkSnapshot) -> ChunkSnapshot {
-        ChunkSnapshot {
-            pages_read: self.pages_read.saturating_sub(earlier.pages_read),
-            rows_read: self.rows_read.saturating_sub(earlier.rows_read),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-        }
-    }
-
-    /// Project into a registry under the `hadoopdb.*` names.
-    pub fn record_into(&self, reg: &dgf_common::obs::MetricsRegistry) {
-        use dgf_common::obs::names;
-        reg.add(names::HADOOPDB_PAGES_READ, self.pages_read);
-        reg.add(names::HADOOPDB_ROWS_READ, self.rows_read);
-        reg.add(names::HADOOPDB_BYTES_READ, self.bytes_read);
+counter_block! {
+    /// I/O counters shared across a HadoopDB deployment.
+    ///
+    /// Chunk files are read with plain `File` I/O (they model local
+    /// PostgreSQL storage, not HDFS), so these counters are the *only*
+    /// account of HadoopDB's data traffic, on the same delta/registry
+    /// scheme as `IoStats` and `KvStats`.
+    pub struct ChunkStats, snapshot ChunkSnapshot {
+        /// Pages fetched from disk.
+        pages_read: names::HADOOPDB_PAGES_READ,
+        /// Rows decoded from fetched pages.
+        rows_read: names::HADOOPDB_ROWS_READ,
+        /// Bytes read.
+        bytes_read: names::HADOOPDB_BYTES_READ,
     }
 }
 
@@ -207,8 +165,8 @@ impl ChunkDb {
         f.seek(SeekFrom::Start(start))?;
         let mut buf = vec![0u8; (end - start) as usize];
         f.read_exact(&mut buf)?;
-        stats.pages_read.fetch_add((last - first) as u64, Ordering::Relaxed);
-        stats.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        stats.pages_read.add((last - first) as u64);
+        stats.bytes_read.add(buf.len() as u64);
 
         let mut examined = 0u64;
         let mut dec = Decoder::new(&buf);
@@ -229,7 +187,7 @@ impl ChunkDb {
                 }
             }
         }
-        stats.rows_read.fetch_add(examined, Ordering::Relaxed);
+        stats.rows_read.add(examined);
         Ok(examined)
     }
 }
@@ -303,7 +261,7 @@ mod tests {
         .unwrap();
         // 2000 rows, user = i%500: users 100..120 appear 4 times each.
         assert_eq!(sink.finish().into_scalars()[0], Value::Int(80));
-        let pages = stats.pages_read.load(Ordering::Relaxed) as usize;
+        let pages = stats.pages_read.get() as usize;
         assert!(pages < db.page_count(), "index must prune pages");
     }
 
@@ -319,7 +277,7 @@ mod tests {
         let bound = pred.bind(&s).unwrap();
         db.query(None, &bound, &mut sink, &stats).unwrap();
         assert_eq!(
-            stats.pages_read.load(Ordering::Relaxed) as usize,
+            stats.pages_read.get() as usize,
             db.page_count()
         );
         let expected = (0..1000).filter(|i| i % 7 == 3).count() as i64;
@@ -339,7 +297,7 @@ mod tests {
         db.query(pred.range_of("user_id"), &bound, &mut sink, &stats)
             .unwrap();
         assert_eq!(sink.finish().into_scalars()[0], Value::Int(10));
-        assert!(stats.pages_read.load(Ordering::Relaxed) <= 2);
+        assert!(stats.pages_read.get() <= 2);
     }
 
     #[test]

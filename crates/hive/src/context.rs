@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dgf_common::stats::{ScanStats, ScanStatsRef};
+use dgf_common::stats::ScanStatsRef;
 use dgf_common::{DgfError, Result, Row, SchemaRef};
 use dgf_format::{collect_rows, FileFormat, RcReader, RcWriter, TextReader, TextWriter};
 use dgf_mapreduce::MrEngine;
@@ -109,7 +109,7 @@ impl HiveContext {
         Arc::new(HiveContext {
             hdfs,
             engine,
-            scan_stats: ScanStats::new_ref(),
+            scan_stats: Arc::default(),
             scan_options: RwLock::new(ScanOptions::default()),
             tables: RwLock::new(HashMap::new()),
         })

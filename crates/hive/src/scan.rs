@@ -352,11 +352,11 @@ impl Engine for ScanEngine {
             inputs,
         )?;
         let scan_delta = self.ctx.scan_stats.snapshot().since(&scan_before);
-        self.ctx.hdfs.attach_io_to_span(&scan_span, &before);
+        let delta = stats_block.snapshot().since(&before);
+        delta.attach_to_span(&scan_span);
         attach_scan_to_span(&scan_span, &scan_delta);
         scan_span.finish();
         root.finish();
-        let delta = stats_block.snapshot().since(&before);
         Ok(EngineRun {
             result,
             stats: RunStats {

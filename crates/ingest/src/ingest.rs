@@ -51,8 +51,8 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use dgf_common::fault::FaultPlan;
-use dgf_common::obs::{names, MetricsRegistry, SpanGuard};
-use dgf_common::{format_row, parse_row, DgfError, Result, Row};
+use dgf_common::obs::names;
+use dgf_common::{counter_block, format_row, parse_row, DgfError, Result, Row};
 use dgf_core::{DgfIndex, FreshCell, FreshSource};
 use dgf_query::AggSet;
 
@@ -92,98 +92,30 @@ impl Default for IngestConfig {
     }
 }
 
-/// Counters of the streaming write path (mirrored into the `ingest.*`
-/// observability names).
-#[derive(Debug, Default)]
-pub struct IngestStats {
-    /// Acknowledged batches.
-    pub batches: AtomicU64,
-    /// Acknowledged rows.
-    pub rows: AtomicU64,
-    /// Bytes appended to the WAL.
-    pub wal_bytes: AtomicU64,
-    /// WAL sync (group-commit) operations actually performed.
-    pub wal_syncs: AtomicU64,
-    /// Batches rejected by admission control.
-    pub rejections: AtomicU64,
-    /// Completed flushes.
-    pub flushes: AtomicU64,
-    /// Rows converted into Slices by completed flushes.
-    pub flushed_rows: AtomicU64,
-    /// Flush attempts that failed (the ingestor is then poisoned).
-    pub flush_failures: AtomicU64,
-    /// Batches restored from the WAL at open.
-    pub replayed_batches: AtomicU64,
-    /// Rows restored from the WAL at open.
-    pub replayed_rows: AtomicU64,
-}
-
-impl IngestStats {
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> IngestStatsSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        IngestStatsSnapshot {
-            batches: ld(&self.batches),
-            rows: ld(&self.rows),
-            wal_bytes: ld(&self.wal_bytes),
-            wal_syncs: ld(&self.wal_syncs),
-            rejections: ld(&self.rejections),
-            flushes: ld(&self.flushes),
-            flushed_rows: ld(&self.flushed_rows),
-            flush_failures: ld(&self.flush_failures),
-            replayed_batches: ld(&self.replayed_batches),
-            replayed_rows: ld(&self.replayed_rows),
-        }
-    }
-}
-
-/// A plain-value copy of [`IngestStats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on IngestStats
-pub struct IngestStatsSnapshot {
-    pub batches: u64,
-    pub rows: u64,
-    pub wal_bytes: u64,
-    pub wal_syncs: u64,
-    pub rejections: u64,
-    pub flushes: u64,
-    pub flushed_rows: u64,
-    pub flush_failures: u64,
-    pub replayed_batches: u64,
-    pub replayed_rows: u64,
-}
-
-impl IngestStatsSnapshot {
-    fn named(&self) -> [(&'static str, u64); 10] {
-        [
-            (names::INGEST_BATCHES, self.batches),
-            (names::INGEST_ROWS, self.rows),
-            (names::INGEST_WAL_BYTES, self.wal_bytes),
-            (names::INGEST_WAL_SYNCS, self.wal_syncs),
-            (names::INGEST_REJECTIONS, self.rejections),
-            (names::INGEST_FLUSHES, self.flushes),
-            (names::INGEST_FLUSHED_ROWS, self.flushed_rows),
-            (names::INGEST_FLUSH_FAILURES, self.flush_failures),
-            (names::INGEST_REPLAYED_BATCHES, self.replayed_batches),
-            (names::INGEST_REPLAYED_ROWS, self.replayed_rows),
-        ]
-    }
-
-    /// Project into a [`MetricsRegistry`] under the stable `ingest.*`
+counter_block! {
+    /// Counters of the streaming write path, under the `ingest.*` registry
     /// names.
-    pub fn record_into(&self, reg: &MetricsRegistry) {
-        for (name, v) in self.named() {
-            reg.add(name, v);
-        }
-    }
-
-    /// Attach non-zero counters to a span under the `ingest.*` names.
-    pub fn attach_to_span(&self, span: &SpanGuard) {
-        for (name, v) in self.named() {
-            if v > 0 {
-                span.add(name, v);
-            }
-        }
+    pub struct IngestStats, snapshot IngestStatsSnapshot {
+        /// Acknowledged batches.
+        batches: names::INGEST_BATCHES,
+        /// Acknowledged rows.
+        rows: names::INGEST_ROWS,
+        /// Bytes appended to the WAL.
+        wal_bytes: names::INGEST_WAL_BYTES,
+        /// WAL sync (group-commit) operations actually performed.
+        wal_syncs: names::INGEST_WAL_SYNCS,
+        /// Batches rejected by admission control.
+        rejections: names::INGEST_REJECTIONS,
+        /// Completed flushes.
+        flushes: names::INGEST_FLUSHES,
+        /// Rows converted into Slices by completed flushes.
+        flushed_rows: names::INGEST_FLUSHED_ROWS,
+        /// Flush attempts that failed (the ingestor is then poisoned).
+        flush_failures: names::INGEST_FLUSH_FAILURES,
+        /// Batches restored from the WAL at open.
+        replayed_batches: names::INGEST_REPLAYED_BATCHES,
+        /// Rows restored from the WAL at open.
+        replayed_rows: names::INGEST_REPLAYED_ROWS,
     }
 }
 
@@ -324,7 +256,7 @@ impl Core {
             self.shared
                 .buffered_bytes
                 .fetch_sub(batch_bytes, Ordering::SeqCst);
-            stats.rejections.fetch_add(1, Ordering::Relaxed);
+            stats.rejections.inc();
             return Err(DgfError::Backpressure(format!(
                 "{already} buffered + {batch_bytes} incoming exceeds the {} byte \
                  bound; flush (or wait for the background flusher) and resubmit",
@@ -336,10 +268,10 @@ impl Core {
             let _gate = self.batch_gate.read();
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
             let (wal_bytes, ticket) = self.wal.append_batch(seq, &lines_of(&routed))?;
-            stats.wal_bytes.fetch_add(wal_bytes, Ordering::Relaxed);
+            stats.wal_bytes.add(wal_bytes);
             self.crash_point("ingest.wal-appended")?;
             if self.wal.sync(ticket)? {
-                stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                stats.wal_syncs.inc();
             }
             self.crash_point("ingest.wal-synced")?;
             let mut mem = self.shared.mem.lock();
@@ -368,8 +300,8 @@ impl Core {
                 return Err(e);
             }
         };
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        stats.batches.inc();
+        stats.rows.add(rows.len() as u64);
         span.add(names::INGEST_ROWS, rows.len() as u64);
         span.add(names::INGEST_WAL_BYTES, wal_bytes);
         span.finish();
@@ -434,10 +366,8 @@ impl Core {
                     .buffered_bytes
                     .fetch_sub(slot_bytes, Ordering::SeqCst);
                 self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-                stats.flushes.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .flushed_rows
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
+                stats.flushes.inc();
+                stats.flushed_rows.add(rows.len() as u64);
                 span.add(names::INGEST_FLUSHED_ROWS, rows.len() as u64);
                 span.finish();
                 // Shrink the WAL; failing here is recoverable (replay
@@ -446,7 +376,7 @@ impl Core {
                 Ok(rows.len() as u64)
             }
             Err(e) => {
-                stats.flush_failures.fetch_add(1, Ordering::Relaxed);
+                stats.flush_failures.inc();
                 self.poisoned.store(true, Ordering::SeqCst);
                 // Restore an even epoch so queries keep working: slot
                 // visibility is decided by the persisted watermark alone
@@ -523,10 +453,8 @@ impl StreamIngestor {
             shared
                 .buffered_bytes
                 .store(replayed_bytes, Ordering::SeqCst);
-            stats
-                .replayed_batches
-                .store(unflushed.len() as u64, Ordering::Relaxed);
-            stats.replayed_rows.store(replayed_rows, Ordering::Relaxed);
+            stats.replayed_batches.add(unflushed.len() as u64);
+            stats.replayed_rows.add(replayed_rows);
         }
         let core = Arc::new(Core {
             index: index.clone(),

@@ -113,7 +113,6 @@ mod tests {
     use super::*;
     use crate::mem::MemKvStore;
     use dgf_common::fault::{is_transient, FaultConfig, RetryPolicy};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn chaos(cfg: FaultConfig) -> ChaosKv {
         ChaosKv::new(Arc::new(MemKvStore::new()), Arc::new(FaultPlan::new(cfg)))
@@ -143,12 +142,12 @@ mod tests {
         // the absorbed count equals the number of injected faults.
         let kv = chaos(FaultConfig::transient(11, 0.5));
         kv.inner().put(b"k", b"v").unwrap();
-        let absorbed = AtomicU64::new(0);
+        let absorbed = dgf_common::Counter::new();
         let got = RetryPolicy::fast(20)
             .run(&absorbed, || kv.get(b"k"))
             .unwrap();
         assert_eq!(got.unwrap(), b"v");
-        assert_eq!(absorbed.load(Ordering::Relaxed), kv.plan().faults_injected());
+        assert_eq!(absorbed.get(), kv.plan().faults_injected());
     }
 
     #[test]

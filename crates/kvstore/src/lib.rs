@@ -29,7 +29,7 @@ pub use chaos::ChaosKv;
 pub use latency::{LatencyKv, LatencyModel};
 pub use log::{LogKvConfig, LogKvStore};
 pub use mem::MemKvStore;
-pub use shard::{FanoutStats, ShardedKv};
+pub use shard::{FanoutSnapshot, FanoutStats, ShardedKv};
 pub use traits::{prefix_upper_bound, KvPair, KvRef, KvStats, KvStatsSnapshot, KvStore};
 
 #[cfg(test)]

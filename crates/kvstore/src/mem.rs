@@ -165,11 +165,10 @@ mod tests {
 
     #[test]
     fn multi_get_preserves_order() {
-        use std::sync::atomic::Ordering;
         let kv = MemKvStore::new();
         kv.put(b"a", b"1").unwrap();
         kv.put(b"c", b"3").unwrap();
-        let gets_before = kv.stats().gets.load(Ordering::Relaxed);
+        let gets_before = kv.stats().gets.get();
         let got = kv
             .multi_get(&[b"c".to_vec(), b"b".to_vec(), b"a".to_vec()])
             .unwrap();
@@ -181,19 +180,18 @@ mod tests {
         assert_eq!(got[2].as_deref(), Some(b"1".as_slice()));
         // The batch is one round trip: no per-key gets, one multi_get
         // covering all three keys (including the miss).
-        assert_eq!(kv.stats().gets.load(Ordering::Relaxed), gets_before);
-        assert_eq!(kv.stats().multi_gets.load(Ordering::Relaxed), 1);
-        assert_eq!(kv.stats().multi_get_keys.load(Ordering::Relaxed), 3);
+        assert_eq!(kv.stats().gets.get(), gets_before);
+        assert_eq!(kv.stats().multi_gets.get(), 1);
+        assert_eq!(kv.stats().multi_get_keys.get(), 3);
     }
 
     #[test]
     fn multi_get_empty_key_list_is_free() {
-        use std::sync::atomic::Ordering;
         let kv = MemKvStore::new();
         kv.put(b"a", b"1").unwrap();
         assert!(kv.multi_get(&[]).unwrap().is_empty());
-        assert_eq!(kv.stats().multi_gets.load(Ordering::Relaxed), 0);
-        assert_eq!(kv.stats().multi_get_keys.load(Ordering::Relaxed), 0);
+        assert_eq!(kv.stats().multi_gets.get(), 0);
+        assert_eq!(kv.stats().multi_get_keys.get(), 0);
     }
 
     #[test]

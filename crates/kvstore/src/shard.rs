@@ -41,13 +41,13 @@
 //!
 //! [`LatencyKv`]: crate::latency::LatencyKv
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use dgf_common::fault::FaultPlan;
-use dgf_common::{DgfError, Result};
+use dgf_common::obs::names;
+use dgf_common::{counter_block, DgfError, Result};
 
 use crate::traits::{KvPair, KvStats, KvStore};
 
@@ -55,26 +55,17 @@ use crate::traits::{KvPair, KvStats, KvStore};
 /// handed to [`ShardedKv::scatter`] together with its shard index.
 type ShardJob<'a, T> = Box<dyn FnOnce(&dyn KvStore) -> Result<T> + Send + 'a>;
 
-/// Scatter-level counters for a [`ShardedKv`] (the logical op counters
-/// live in the router's [`KvStats`]).
-#[derive(Debug, Default)]
-pub struct FanoutStats {
-    /// `multi_get` batches that straddled at least two shards.
-    pub cross_shard_multi_gets: AtomicU64,
-    /// Range scans that straddled at least two shards.
-    pub cross_shard_scans: AtomicU64,
-    /// Per-shard sub-operations issued by cross-shard fan-outs.
-    pub shard_subops: AtomicU64,
-}
-
-impl FanoutStats {
-    /// Current counter values as plain integers.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.cross_shard_multi_gets.load(Ordering::Relaxed),
-            self.cross_shard_scans.load(Ordering::Relaxed),
-            self.shard_subops.load(Ordering::Relaxed),
-        )
+counter_block! {
+    /// Scatter-level counters for a [`ShardedKv`] (the logical op counters
+    /// live in the router's [`KvStats`]). The two cross-shard counters
+    /// share one registry name, which therefore holds their sum.
+    pub struct FanoutStats, snapshot FanoutSnapshot {
+        /// `multi_get` batches that straddled at least two shards.
+        cross_shard_multi_gets: names::SERVE_SCATTERS,
+        /// Range scans that straddled at least two shards.
+        cross_shard_scans: names::SERVE_SCATTERS,
+        /// Per-shard sub-operations issued by cross-shard fan-outs.
+        shard_subops: names::SERVE_SHARD_SUBOPS,
     }
 }
 
@@ -180,9 +171,7 @@ impl ShardedKv {
     /// results in the given (key) order. Shard latency overlaps instead
     /// of accumulating, and the first error in shard order wins.
     fn scatter<T: Send>(&self, jobs: Vec<(usize, ShardJob<'_, T>)>) -> Result<Vec<T>> {
-        self.fanout
-            .shard_subops
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        self.fanout.shard_subops.add(jobs.len() as u64);
         let results: Vec<Result<T>> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
@@ -232,7 +221,7 @@ impl KvStore for ShardedKv {
                 self.shards[*s].scan_range(lo, hi)?
             }
             _ => {
-                self.fanout.cross_shard_scans.fetch_add(1, Ordering::Relaxed);
+                self.fanout.cross_shard_scans.inc();
                 self.sync("serve.router.scatter");
                 let _excl = self.gate.write();
                 let jobs: Vec<(usize, ShardJob<'_, Vec<KvPair>>)> = ranges
@@ -289,9 +278,7 @@ impl KvStore for ShardedKv {
                 out[*slot] = v;
             }
         } else {
-            self.fanout
-                .cross_shard_multi_gets
-                .fetch_add(1, Ordering::Relaxed);
+            self.fanout.cross_shard_multi_gets.inc();
             self.sync("serve.router.scatter");
             // Exclusive gate: no routed writer can land between the
             // per-shard sub-batches, so the union is one snapshot.
@@ -349,6 +336,7 @@ impl KvStore for ShardedKv {
 mod tests {
     use super::*;
     use crate::mem::MemKvStore;
+    use std::sync::atomic::Ordering;
 
     fn router(n: usize, boundaries: &[&[u8]]) -> ShardedKv {
         let shards: Vec<Arc<dyn KvStore>> =
@@ -420,7 +408,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..10u8).map(|i| vec![b'a', i]).collect();
         let got = kv.multi_get(&keys).unwrap();
         assert!(got.iter().all(|v| v.is_some()));
-        assert_eq!(kv.fanout().snapshot(), (0, 0, 0));
+        assert_eq!(kv.fanout().snapshot(), FanoutSnapshot::default());
         assert_eq!(kv.scan_range(b"a", b"b").unwrap().len(), 10);
         assert_eq!(kv.stats().snapshot().scans, 1);
     }
@@ -440,9 +428,9 @@ mod tests {
         let since = kv.stats().snapshot().since(&before);
         assert_eq!(since.scans, 1, "one logical scan however many shards");
         assert_eq!(since.bytes_read, 4);
-        let (_, cross_scans, subops) = kv.fanout().snapshot();
-        assert_eq!(cross_scans, 1);
-        assert_eq!(subops, 3);
+        let fanout = kv.fanout().snapshot();
+        assert_eq!(fanout.cross_shard_scans, 1);
+        assert_eq!(fanout.shard_subops, 3);
     }
 
     #[test]

@@ -6,125 +6,74 @@
 //! get/put/scan, so it programs against this trait and any conforming store
 //! can back a DGFIndex.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dgf_common::obs::{names, MetricsRegistry, SpanGuard};
-use dgf_common::Result;
+use dgf_common::obs::names;
+use dgf_common::{counter_block, Result};
 
 /// A key-value pair.
 pub type KvPair = (Vec<u8>, Vec<u8>);
 
-/// Operation counters for a key-value store.
-///
-/// "Read index time" in the paper's figures is dominated by these
-/// operations; benches snapshot them to attribute time between index access
-/// and data access.
-#[derive(Debug, Default)]
-pub struct KvStats {
-    /// Single-key `get` lookups (and per-key fallbacks of un-batched
-    /// `multi_get` implementations).
-    pub gets: AtomicU64,
-    /// `put` operations.
-    pub puts: AtomicU64,
-    /// Range/prefix scans.
-    pub scans: AtomicU64,
-    /// Batched `multi_get` round trips (one per batch, however large).
-    pub multi_gets: AtomicU64,
-    /// Total keys requested across all batched `multi_get` calls.
-    pub multi_get_keys: AtomicU64,
-    /// Value bytes returned to callers.
-    pub bytes_read: AtomicU64,
-    /// Key+value bytes written.
-    pub bytes_written: AtomicU64,
-    /// Transient faults absorbed by retry loops around this store.
-    pub retries_absorbed: AtomicU64,
-    /// Log compactions run by the store (manual calls and opportunistic
-    /// auto-compactions alike; always 0 for purely in-memory stores).
-    pub compactions: AtomicU64,
+counter_block! {
+    /// Operation counters for a key-value store.
+    ///
+    /// "Read index time" in the paper's figures is dominated by these
+    /// operations; benches snapshot them to attribute time between index
+    /// access and data access.
+    pub struct KvStats, snapshot KvStatsSnapshot {
+        /// Single-key `get` lookups (and per-key fallbacks of un-batched
+        /// `multi_get` implementations).
+        gets: names::KV_GETS,
+        /// `put` operations.
+        puts: names::KV_PUTS,
+        /// Range/prefix scans.
+        scans: names::KV_SCANS,
+        /// Batched `multi_get` round trips (one per batch, however large).
+        multi_gets: names::KV_MULTI_GETS,
+        /// Total keys requested across all batched `multi_get` calls.
+        multi_get_keys: names::KV_MULTI_GET_KEYS,
+        /// Value bytes returned to callers.
+        bytes_read: names::KV_BYTES_READ,
+        /// Key+value bytes written.
+        bytes_written: names::KV_BYTES_WRITTEN,
+        /// Transient faults absorbed by retry loops around this store.
+        retries_absorbed: names::KV_RETRIES_ABSORBED,
+        /// Log compactions run by the store (manual calls and opportunistic
+        /// auto-compactions alike; always 0 for purely in-memory stores).
+        compactions: names::KV_COMPACTIONS,
+    }
 }
 
 impl KvStats {
     /// Record a lookup returning `n` value bytes.
     pub fn on_get(&self, n: u64) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
+        self.gets.inc();
+        self.bytes_read.add(n);
     }
 
     /// Record a write of `n` key+value bytes.
     pub fn on_put(&self, n: u64) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(n, Ordering::Relaxed);
+        self.puts.inc();
+        self.bytes_written.add(n);
     }
 
     /// Record a scan returning `n` value bytes.
     pub fn on_scan(&self, n: u64) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
+        self.scans.inc();
+        self.bytes_read.add(n);
     }
 
     /// Record one batched lookup of `keys` keys returning `n` value bytes.
     pub fn on_multi_get(&self, keys: u64, n: u64) {
-        self.multi_gets.fetch_add(1, Ordering::Relaxed);
-        self.multi_get_keys.fetch_add(keys, Ordering::Relaxed);
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
+        self.multi_gets.inc();
+        self.multi_get_keys.add(keys);
+        self.bytes_read.add(n);
     }
 
     /// Record one log compaction.
     pub fn on_compact(&self) {
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.compactions.inc();
     }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> KvStatsSnapshot {
-        KvStatsSnapshot {
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            multi_gets: self.multi_gets.load(Ordering::Relaxed),
-            multi_get_keys: self.multi_get_keys.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            retries_absorbed: self.retries_absorbed.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        self.gets.store(0, Ordering::Relaxed);
-        self.puts.store(0, Ordering::Relaxed);
-        self.scans.store(0, Ordering::Relaxed);
-        self.multi_gets.store(0, Ordering::Relaxed);
-        self.multi_get_keys.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.retries_absorbed.store(0, Ordering::Relaxed);
-        self.compactions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A plain-value copy of [`KvStats`], for before/after deltas.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct KvStatsSnapshot {
-    /// Single-key `get` lookups.
-    pub gets: u64,
-    /// `put` operations.
-    pub puts: u64,
-    /// Range/prefix scans.
-    pub scans: u64,
-    /// Batched `multi_get` round trips.
-    pub multi_gets: u64,
-    /// Total keys requested across all batched `multi_get` calls.
-    pub multi_get_keys: u64,
-    /// Value bytes returned to callers.
-    pub bytes_read: u64,
-    /// Key+value bytes written.
-    pub bytes_written: u64,
-    /// Transient faults absorbed by retry loops around this store.
-    pub retries_absorbed: u64,
-    /// Log compactions run by the store.
-    pub compactions: u64,
 }
 
 impl KvStatsSnapshot {
@@ -134,53 +83,6 @@ impl KvStatsSnapshot {
     /// carry.
     pub fn read_ops(&self) -> u64 {
         self.gets + self.scans + self.multi_gets
-    }
-
-    /// Project this snapshot into a [`MetricsRegistry`] under the stable
-    /// `kv.*` names (see [`dgf_common::obs::names`]).
-    pub fn record_into(&self, reg: &MetricsRegistry) {
-        for (name, v) in self.named() {
-            reg.add(name, v);
-        }
-    }
-
-    /// Attach this snapshot (usually a delta) to a span under the `kv.*`
-    /// names. Zero-valued counters are skipped to keep profiles readable.
-    pub fn attach_to_span(&self, span: &SpanGuard) {
-        for (name, v) in self.named() {
-            if v > 0 {
-                span.add(name, v);
-            }
-        }
-    }
-
-    fn named(&self) -> [(&'static str, u64); 9] {
-        [
-            (names::KV_GETS, self.gets),
-            (names::KV_PUTS, self.puts),
-            (names::KV_SCANS, self.scans),
-            (names::KV_MULTI_GETS, self.multi_gets),
-            (names::KV_MULTI_GET_KEYS, self.multi_get_keys),
-            (names::KV_BYTES_READ, self.bytes_read),
-            (names::KV_BYTES_WRITTEN, self.bytes_written),
-            (names::KV_RETRIES_ABSORBED, self.retries_absorbed),
-            (names::KV_COMPACTIONS, self.compactions),
-        ]
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &KvStatsSnapshot) -> KvStatsSnapshot {
-        KvStatsSnapshot {
-            gets: self.gets.saturating_sub(earlier.gets),
-            puts: self.puts.saturating_sub(earlier.puts),
-            scans: self.scans.saturating_sub(earlier.scans),
-            multi_gets: self.multi_gets.saturating_sub(earlier.multi_gets),
-            multi_get_keys: self.multi_get_keys.saturating_sub(earlier.multi_get_keys),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            retries_absorbed: self.retries_absorbed.saturating_sub(earlier.retries_absorbed),
-            compactions: self.compactions.saturating_sub(earlier.compactions),
-        }
     }
 }
 
@@ -346,10 +248,10 @@ mod tests {
         s.on_get(10);
         s.on_put(20);
         s.on_scan(5);
-        assert_eq!(s.gets.load(Ordering::Relaxed), 1);
-        assert_eq!(s.bytes_read.load(Ordering::Relaxed), 15);
-        assert_eq!(s.bytes_written.load(Ordering::Relaxed), 20);
+        assert_eq!(s.gets.get(), 1);
+        assert_eq!(s.bytes_read.get(), 15);
+        assert_eq!(s.bytes_written.get(), 20);
         s.reset();
-        assert_eq!(s.bytes_read.load(Ordering::Relaxed), 0);
+        assert_eq!(s.bytes_read.get(), 0);
     }
 }

@@ -20,12 +20,13 @@
 #![warn(missing_docs)]
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use dgf_common::{DgfError, Result, Stopwatch};
+use dgf_common::obs::names;
+use dgf_common::{counter_block, DgfError, Result, Stopwatch};
 
 /// Deterministic FNV-1a `Hasher` so shuffle partitioning is stable across
 /// runs and platforms (std's `RandomState` is seeded per process).
@@ -58,30 +59,25 @@ pub fn partition_of<K: Hash>(key: &K, num_reducers: usize) -> usize {
     (h.finish() % num_reducers as u64) as usize
 }
 
-/// Counters accumulated over a job run.
-#[derive(Debug, Default)]
-pub struct JobCounters {
-    /// Inputs consumed by map tasks.
-    pub map_inputs: AtomicU64,
-    /// Pairs emitted by mappers (before combining).
-    pub map_outputs: AtomicU64,
-    /// Pairs crossing the shuffle (after combining).
-    pub shuffled_pairs: AtomicU64,
-    /// Distinct keys seen by reducers.
-    pub reduce_groups: AtomicU64,
+counter_block! {
+    /// Counters accumulated over a job run.
+    pub struct JobCounters, snapshot JobCounts {
+        /// Inputs consumed by map tasks.
+        map_inputs: names::MR_MAP_INPUTS,
+        /// Pairs emitted by mappers (before combining).
+        map_outputs: names::MR_MAP_OUTPUTS,
+        /// Pairs crossing the shuffle (after combining).
+        shuffled_pairs: names::MR_SHUFFLED_PAIRS,
+        /// Distinct keys seen by reducers.
+        reduce_groups: names::MR_REDUCE_GROUPS,
+    }
 }
 
 /// Timing and counter report for a finished job.
 #[derive(Debug, Default, Clone)]
 pub struct JobReport {
-    /// Inputs consumed by map tasks.
-    pub map_inputs: u64,
-    /// Pairs emitted by mappers (before combining).
-    pub map_outputs: u64,
-    /// Pairs crossing the shuffle (after combining).
-    pub shuffled_pairs: u64,
-    /// Distinct keys seen by reducers.
-    pub reduce_groups: u64,
+    /// What the tasks counted.
+    pub counts: JobCounts,
     /// Wall time of the map phase (includes combine).
     pub map_time: Duration,
     /// Wall time of shuffle sort + reduce phase.
@@ -93,17 +89,13 @@ impl JobReport {
     /// names (phase wall times become microsecond counters), so MapReduce
     /// stages show up in a [`QueryProfile`](dgf_common::obs::QueryProfile).
     pub fn attach_to_span(&self, span: &dgf_common::obs::SpanGuard) {
-        use dgf_common::obs::names;
-        for (name, v) in [
-            (names::MR_MAP_INPUTS, self.map_inputs),
-            (names::MR_MAP_OUTPUTS, self.map_outputs),
-            (names::MR_SHUFFLED_PAIRS, self.shuffled_pairs),
-            (names::MR_REDUCE_GROUPS, self.reduce_groups),
-            (names::MR_MAP_TIME_US, self.map_time.as_micros() as u64),
-            (names::MR_REDUCE_TIME_US, self.reduce_time.as_micros() as u64),
+        self.counts.attach_to_span(span);
+        for (name, time) in [
+            (names::MR_MAP_TIME_US, self.map_time),
+            (names::MR_REDUCE_TIME_US, self.reduce_time),
         ] {
-            if v > 0 {
-                span.add(name, v);
+            if !time.is_zero() {
+                span.add(name, time.as_micros() as u64);
             }
         }
     }
@@ -265,14 +257,12 @@ impl MrEngine {
                         }
                         let item = work.lock().next();
                         let Some((task_id, input)) = item else { return };
-                        counters.map_inputs.fetch_add(1, Ordering::Relaxed);
+                        counters.map_inputs.inc();
                         let mut emitter = Emitter::new(num_reducers);
                         emitter.partitioner = partitioner;
                         let run = || -> Result<()> {
                             mapper(task_id, input, &mut emitter)?;
-                            counters
-                                .map_outputs
-                                .fetch_add(emitter.emitted, Ordering::Relaxed);
+                            counters.map_outputs.add(emitter.emitted);
                             for (p, mut pairs) in emitter.partitions.drain(..).enumerate() {
                                 if pairs.is_empty() {
                                     continue;
@@ -280,9 +270,7 @@ impl MrEngine {
                                 if let Some(c) = combiner {
                                     pairs = combine_pairs(pairs, c)?;
                                 }
-                                counters
-                                    .shuffled_pairs
-                                    .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+                                counters.shuffled_pairs.add(pairs.len() as u64);
                                 partition_buckets[p].lock().push((task_id, pairs));
                             }
                             Ok(())
@@ -334,9 +322,7 @@ impl MrEngine {
                         }
                         let pairs = tasks[tid].lock().take().expect("task taken once");
                         let groups = group_sorted(pairs);
-                        counters
-                            .reduce_groups
-                            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+                        counters.reduce_groups.add(groups.len() as u64);
                         match reduce_task(tid, groups) {
                             Ok(t) => **out_slots[tid].lock() = Some(t),
                             Err(e) => {
@@ -356,10 +342,7 @@ impl MrEngine {
             }
         }
         report.reduce_time = reduce_watch.elapsed();
-        report.map_inputs = counters.map_inputs.load(Ordering::Relaxed);
-        report.map_outputs = counters.map_outputs.load(Ordering::Relaxed);
-        report.shuffled_pairs = counters.shuffled_pairs.load(Ordering::Relaxed);
-        report.reduce_groups = counters.reduce_groups.load(Ordering::Relaxed);
+        report.counts = counters.snapshot();
 
         let outputs = outputs
             .into_iter()
@@ -447,7 +430,10 @@ impl MrEngine {
             .map(|o| o.ok_or_else(|| DgfError::Job("map task produced no output".into())))
             .collect::<Result<Vec<T>>>()?;
         let report = JobReport {
-            map_inputs: n as u64,
+            counts: JobCounts {
+                map_inputs: n as u64,
+                ..JobCounts::default()
+            },
             map_time: watch.elapsed(),
             ..JobReport::default()
         };
@@ -526,11 +512,11 @@ mod tests {
         assert_eq!(counts.get("a"), Some(&3));
         assert_eq!(counts.get("b"), Some(&2));
         assert_eq!(counts.get("c"), Some(&3));
-        assert_eq!(out.report.map_inputs, 4);
-        assert_eq!(out.report.map_outputs, 8);
+        assert_eq!(out.report.counts.map_inputs, 4);
+        assert_eq!(out.report.counts.map_outputs, 8);
         // Combiner collapses within-mapper duplicates, so shuffled <= emitted.
-        assert!(out.report.shuffled_pairs <= out.report.map_outputs);
-        assert_eq!(out.report.reduce_groups, 3);
+        assert!(out.report.counts.shuffled_pairs <= out.report.counts.map_outputs);
+        assert_eq!(out.report.counts.reduce_groups, 3);
     }
 
     #[test]

@@ -14,6 +14,13 @@ use dgf_common::stats::ScanSnapshot;
 use dgf_common::Result;
 
 /// Phase timings and I/O accounting for one query run.
+///
+/// The I/O fields (`data_*`, `retries_absorbed`, `scan`) are before/after
+/// deltas of process-wide counters: exact for a run that runs alone —
+/// every table and figure of the reproduction — and an upper bound when
+/// runs overlap, each also counting the others' reads. Totals across
+/// concurrent runs belong to the [`MetricsRegistry`], not to a sum of
+/// these.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Time spent consulting the index (scanning an index table, kv-store
@@ -58,25 +65,6 @@ impl RunStats {
     /// Total wall time.
     pub fn total_time(&self) -> Duration {
         self.index_time + self.data_time
-    }
-
-    /// Fold another run's counters into this one. The serving frontend
-    /// accumulates every completed query's stats into one report this
-    /// way; times add (total busy time across queries, not wall time),
-    /// the scan snapshot is summed field-wise, and the span profile —
-    /// which is per query — is not carried.
-    pub fn accumulate(&mut self, other: &RunStats) {
-        self.index_time += other.index_time;
-        self.data_time += other.data_time;
-        self.index_records_read += other.index_records_read;
-        self.data_records_read += other.data_records_read;
-        self.data_bytes_read += other.data_bytes_read;
-        self.splits_total += other.splits_total;
-        self.splits_read += other.splits_read;
-        self.index_cache_hits += other.index_cache_hits;
-        self.index_cache_misses += other.index_cache_misses;
-        self.retries_absorbed += other.retries_absorbed;
-        self.scan.accumulate(&other.scan);
     }
 
     /// Project this run's aggregate counters into a [`MetricsRegistry`]
@@ -139,28 +127,5 @@ mod tests {
         };
         assert_eq!(s.total_time(), Duration::from_millis(35));
         assert!(s.to_string().contains("splits"));
-    }
-
-    /// The serving frontend's accumulated report used to show an
-    /// all-zero scan: `accumulate` skipped the snapshot.
-    #[test]
-    fn accumulate_sums_the_scan_snapshot() {
-        let one = RunStats {
-            data_records_read: 7,
-            scan: ScanSnapshot {
-                batches: 2,
-                rows_decoded: 100,
-                sidecar_bytes_skipped: 4096,
-                ..ScanSnapshot::default()
-            },
-            ..RunStats::default()
-        };
-        let mut total = RunStats::default();
-        total.accumulate(&one);
-        total.accumulate(&one);
-        assert_eq!(total.data_records_read, 14);
-        assert_eq!(total.scan.batches, 4);
-        assert_eq!(total.scan.rows_decoded, 200);
-        assert_eq!(total.scan.sidecar_bytes_skipped, 8192);
     }
 }

@@ -25,80 +25,36 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dgf_common::obs::{names, MetricsRegistry};
-use dgf_common::{DgfError, Result};
+use dgf_common::{counter_block, DgfError, Result};
 use dgf_core::{DgfEngine, MaintenanceReport, Maintainer};
 use dgf_hive::ServeOptions;
 use dgf_kvstore::FanoutStats;
-use dgf_query::{Engine, EngineRun, Query, QueryResult, RunStats};
+use dgf_query::{Engine, EngineRun, Query, QueryResult};
 
-/// Frontend counters (mirrored into a [`MetricsRegistry`] under the
-/// `serve.*` names by [`ServeStats::record_into`]).
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Queries that cleared admission control.
-    pub admitted: AtomicU64,
-    /// Queries bounced with [`DgfError::Backpressure`].
-    pub rejected: AtomicU64,
-    /// Admitted queries that completed successfully.
-    pub completed: AtomicU64,
-    /// Admitted queries that returned an error.
-    pub failed: AtomicU64,
-    /// Total microseconds admitted queries spent waiting for a worker
-    /// slot.
-    pub queue_wait_us: AtomicU64,
-    /// Maintenance passes that ran to completion through
-    /// [`ServeFrontend::run_maintenance`].
-    pub maintenance_runs: AtomicU64,
-}
-
-/// A point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStatsSnapshot {
-    /// Queries that cleared admission control.
-    pub admitted: u64,
-    /// Queries bounced with backpressure.
-    pub rejected: u64,
-    /// Admitted queries that completed successfully.
-    pub completed: u64,
-    /// Admitted queries that returned an error.
-    pub failed: u64,
-    /// Total slot-wait microseconds.
-    pub queue_wait_us: u64,
-    /// Completed maintenance passes.
-    pub maintenance_runs: u64,
-}
-
-impl ServeStats {
-    /// Read all counters at once.
-    pub fn snapshot(&self) -> ServeStatsSnapshot {
-        ServeStatsSnapshot {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
-            maintenance_runs: self.maintenance_runs.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Mirror the counters into `reg` under the stable `serve.*` names.
-    pub fn record_into(&self, reg: &MetricsRegistry) {
-        let s = self.snapshot();
-        reg.add(names::SERVE_ADMITTED, s.admitted);
-        reg.add(names::SERVE_REJECTED, s.rejected);
-        reg.add(names::SERVE_COMPLETED, s.completed);
-        reg.add(names::SERVE_FAILED, s.failed);
-        reg.add(names::SERVE_QUEUE_WAIT_US, s.queue_wait_us);
-        reg.add(names::SERVE_MAINTENANCE_RUNS, s.maintenance_runs);
+counter_block! {
+    /// Frontend counters, under the `serve.*` registry names.
+    pub struct ServeStats, snapshot ServeStatsSnapshot {
+        /// Queries that cleared admission control.
+        admitted: names::SERVE_ADMITTED,
+        /// Queries bounced with [`DgfError::Backpressure`].
+        rejected: names::SERVE_REJECTED,
+        /// Admitted queries that completed successfully.
+        completed: names::SERVE_COMPLETED,
+        /// Admitted queries that returned an error.
+        failed: names::SERVE_FAILED,
+        /// Total microseconds admitted queries spent waiting for a worker
+        /// slot.
+        queue_wait_us: names::SERVE_QUEUE_WAIT_US,
+        /// Maintenance passes that ran to completion through
+        /// [`ServeFrontend::run_maintenance`].
+        maintenance_runs: names::SERVE_MAINTENANCE_RUNS,
     }
 }
 
 /// Mirror a router's scatter counters into `reg` (`serve.scatters`,
 /// `serve.shard_subops`).
 pub fn record_fanout_into(fanout: &FanoutStats, reg: &MetricsRegistry) {
-    let (multi_gets, scans, subops) = fanout.snapshot();
-    reg.add(names::SERVE_SCATTERS, multi_gets + scans);
-    reg.add(names::SERVE_SHARD_SUBOPS, subops);
+    fanout.record_into(reg);
 }
 
 /// One client's outcome for one query in [`ServeFrontend::run_concurrent`].
@@ -154,7 +110,6 @@ pub struct ServeFrontend {
     free_slots: Mutex<usize>,
     slot_freed: Condvar,
     stats: ServeStats,
-    totals: Mutex<RunStats>,
 }
 
 impl ServeFrontend {
@@ -168,7 +123,6 @@ impl ServeFrontend {
             opts,
             inflight_bytes: AtomicU64::new(0),
             stats: ServeStats::default(),
-            totals: Mutex::new(RunStats::default()),
         }
     }
 
@@ -187,11 +141,6 @@ impl ServeFrontend {
         &self.stats
     }
 
-    /// Accumulated [`RunStats`] across every completed query.
-    pub fn totals(&self) -> RunStats {
-        self.totals.lock().expect("totals poisoned").clone()
-    }
-
     /// The shared admission + scheduling protocol: reserve `cost` bytes
     /// against the in-flight budget (or bounce with
     /// [`DgfError::Backpressure`]), wait for one of the `workers`
@@ -205,13 +154,13 @@ impl ServeFrontend {
         let already = self.inflight_bytes.fetch_add(cost, Ordering::SeqCst);
         if already + cost > self.opts.max_inflight_bytes {
             self.inflight_bytes.fetch_sub(cost, Ordering::SeqCst);
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            self.stats.rejected.inc();
             return Err(DgfError::Backpressure(format!(
                 "serving budget full: {} in-flight + {} requested > {} max",
                 already, cost, self.opts.max_inflight_bytes
             )));
         }
-        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        self.stats.admitted.inc();
 
         // Scheduling: one of `workers` execution slots.
         let waited = Instant::now();
@@ -224,7 +173,7 @@ impl ServeFrontend {
         }
         self.stats
             .queue_wait_us
-            .fetch_add(waited.elapsed().as_micros() as u64, Ordering::Relaxed);
+            .add(waited.elapsed().as_micros() as u64);
 
         let outcome = work();
 
@@ -243,16 +192,8 @@ impl ServeFrontend {
     pub fn run(&self, query: &Query) -> Result<EngineRun> {
         let outcome = self.run_admitted(self.opts.query_cost_bytes, || self.engine.run(query))?;
         match &outcome {
-            Ok(run) => {
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                self.totals
-                    .lock()
-                    .expect("totals poisoned")
-                    .accumulate(&run.stats);
-            }
-            Err(_) => {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(_) => self.stats.completed.inc(),
+            Err(_) => self.stats.failed.inc(),
         }
         outcome
     }
@@ -271,12 +212,10 @@ impl ServeFrontend {
         let outcome = self.run_admitted(self.opts.query_cost_bytes, || maintainer.run_once())?;
         match &outcome {
             Ok(_) => {
-                self.stats.maintenance_runs.fetch_add(1, Ordering::Relaxed);
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
+                self.stats.maintenance_runs.inc();
+                self.stats.completed.inc();
             }
-            Err(_) => {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.stats.failed.inc(),
         }
         outcome
     }
@@ -396,13 +335,15 @@ mod tests {
         let (_tmp, front) = meter_frontend(ServeOptions::default());
         let query = range_query("city", 1, 3);
         let direct = front.engine().run(&query).unwrap();
+        let io = front.engine().index().ctx.hdfs.stats();
+        let before = io.snapshot();
         let served = front.run(&query).unwrap();
         assert!(served.result.approx_eq(&direct.result, 0.0));
         let snap = front.stats().snapshot();
         assert_eq!(snap.admitted, 1);
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.failed, 0);
-        assert!(front.totals().data_records_read > 0);
+        assert!(io.snapshot().since(&before).records_read > 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dgf_common::fault::{io_error_is_transient, FaultPlan, RetryPolicy};
-use dgf_common::stats::{IoSnapshot, IoStats, IoStatsRef};
+use dgf_common::stats::{IoStats, IoStatsRef};
 use dgf_common::{DgfError, Result};
 
 use crate::namenode::{parent_of, FileMeta, NameNode};
@@ -134,21 +134,6 @@ impl SimHdfs {
     /// The shared I/O counters charged by all readers and writers.
     pub fn stats(&self) -> &IoStatsRef {
         &self.stats
-    }
-
-    /// Attach the I/O performed since `since` to `span` under the
-    /// `hdfs.*` metric names — the storage layer's contribution to a
-    /// [`QueryProfile`](dgf_common::obs::QueryProfile) stage.
-    pub fn attach_io_to_span(&self, span: &dgf_common::obs::SpanGuard, since: &IoSnapshot) {
-        let delta = self.stats.snapshot().since(since);
-        dgf_common::obs::span_add_io_snapshot(span, &delta);
-    }
-
-    /// Project the I/O performed since `since` into `reg` under the
-    /// `hdfs.*` metric names.
-    pub fn record_io_into(&self, reg: &dgf_common::obs::MetricsRegistry, since: &IoSnapshot) {
-        let delta = self.stats.snapshot().since(since);
-        dgf_common::obs::record_io_snapshot(reg, &delta);
     }
 
     /// Enable chaos mode: every subsequent `create`/`open_reader` and

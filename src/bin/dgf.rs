@@ -419,12 +419,10 @@ fn dispatch(args: &[String]) -> Result<()> {
                     (run, index.metrics())
                 }
                 None => {
-                    let before = w.ctx.hdfs.stats().snapshot();
                     let run = ScanEngine::new(Arc::clone(&w.ctx), table)
                         .with_profiler(profiler.clone())
                         .run(&query)?;
-                    let io = w.ctx.hdfs.stats().snapshot().since(&before);
-                    let reg = scan_run_metrics(io, &run.stats);
+                    let reg = scan_run_metrics(&run.stats);
                     (run, reg)
                 }
             };
@@ -514,7 +512,7 @@ fn dispatch(args: &[String]) -> Result<()> {
                 print_query_result(result);
             }
             let snap = front.stats().snapshot();
-            let (multi_gets, scans, subops) = router.fanout().snapshot();
+            let fanout = router.fanout().snapshot();
             eprintln!(
                 "-- served {} queries over {shards} shards ({pairs} GFU pairs, {clients} clients): \
                  {:.1} qps | p50 {}us | p99 {}us",
@@ -528,8 +526,8 @@ fn dispatch(args: &[String]) -> Result<()> {
                 snap.admitted,
                 snap.rejected,
                 snap.failed,
-                multi_gets + scans,
-                subops,
+                fanout.cross_shard_multi_gets + fanout.cross_shard_scans,
+                fanout.shard_subops,
             );
             Ok(())
         }
@@ -726,21 +724,10 @@ fn print_query_result(result: &QueryResult) {
 }
 
 /// The registry `dgf profile` prints for a plain table scan: the run's
-/// own counters plus the storage-layer I/O it did.
-fn scan_run_metrics(
-    io: dgfindex::common::stats::IoSnapshot,
-    stats: &RunStats,
-) -> dgfindex::common::MetricsRegistry {
-    use dgfindex::common::obs::record_io_snapshot;
+/// own report, which already carries the bytes and records the storage
+/// layer read (the other `hdfs.*` counters are on the `query.scan` span).
+fn scan_run_metrics(stats: &RunStats) -> dgfindex::common::MetricsRegistry {
     let reg = dgfindex::common::MetricsRegistry::new();
-    // `RunStats::record_into` projects the bytes and records read under
-    // the same `hdfs.*` names; adding them from both would double them.
-    let io = dgfindex::common::stats::IoSnapshot {
-        bytes_read: 0,
-        records_read: 0,
-        ..io
-    };
-    record_io_snapshot(&reg, &io);
     stats.record_into(&reg);
     reg
 }
@@ -748,26 +735,18 @@ fn scan_run_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgfindex::common::stats::IoSnapshot;
 
     /// `dgf profile` without `--index` used to print twice the bytes and
     /// records the scan read.
     #[test]
     fn scan_profile_counts_each_read_byte_once() {
-        let io = IoSnapshot {
-            bytes_read: 4096,
-            records_read: 64,
-            seeks: 3,
-            ..IoSnapshot::default()
-        };
         let stats = RunStats {
             data_bytes_read: 4096,
             data_records_read: 64,
             ..RunStats::default()
         };
-        let snap = scan_run_metrics(io, &stats).snapshot();
+        let snap = scan_run_metrics(&stats).snapshot();
         assert_eq!(snap["hdfs.bytes_read"], 4096);
         assert_eq!(snap["hdfs.records_read"], 64);
-        assert_eq!(snap["hdfs.seeks"], 3);
     }
 }

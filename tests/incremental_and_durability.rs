@@ -259,7 +259,6 @@ fn stores_without_a_current_view_are_upgraded_once_at_open() {
     use dgfindex::common::DgfError;
     use dgfindex::core::gfu::META_VIEW_KEY;
     use dgfindex::core::ReadView;
-    use std::sync::atomic::Ordering;
 
     let cfg = MeterConfig {
         users: 60,
@@ -312,7 +311,7 @@ fn stores_without_a_current_view_are_upgraded_once_at_open() {
 
     let reopen = || DgfIndex::open(Arc::clone(&ctx), Arc::clone(&table), Arc::clone(&kv), "dgf_upgrade", aggs());
     let stored = || ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
-    let puts = || kv.stats().puts.load(Ordering::Relaxed);
+    let puts = || kv.stats().puts.get();
 
     // The layout builds published before the file list and the policy
     // rode the view: both presence flags clear, no policy tail.

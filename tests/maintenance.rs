@@ -300,6 +300,63 @@ fn compaction_bounds_live_files_and_preserves_answer_bits() {
     assert_matches_scan(&w, &index, &cfg, "after churn");
 }
 
+/// Satellite: a pass says what it did through `obs` — one `maintain`
+/// span with a child per stage that ran, each carrying the stage's
+/// `kv.*` / `hdfs.*` deltas, and `maintain.*` counters that equal the
+/// reports pass by pass.
+#[test]
+fn a_pass_reports_its_stages_and_counters() {
+    use dgfindex::common::obs::{names, Profiler};
+    let w = world("obs");
+    let (mut index, _) = seed_with_deltas(&w, 6);
+    let profiler = Profiler::enabled();
+    Arc::get_mut(&mut index)
+        .expect("the seeded index has one handle")
+        .set_profiler(profiler.clone());
+    let maintainer = Maintainer::new(
+        Arc::clone(&index),
+        MaintenanceConfig {
+            delta_file_budget: 3,
+            ..MaintenanceConfig::default()
+        },
+    );
+    let (mut compacted, mut reclaimed, mut gfus, mut bytes) = (0, 0, 0, 0);
+    for pass in 1..=2u64 {
+        let report = maintainer.run_once().unwrap();
+        let profile = profiler.take_profile();
+        assert!(profile.check_nesting().is_empty());
+        let root = profile.find("maintain").expect("maintain span");
+        for stage in ["maintain.gc", "maintain.compact", "maintain.kvlog"] {
+            assert!(root.find(stage).is_some(), "pass {pass}: no {stage} span");
+        }
+        // No flush hook and no adaptation configured: those stages did
+        // not run, so they have no span.
+        assert!(root.find("maintain.flush").is_none());
+        assert!(root.find("maintain.regrid").is_none());
+        let compact = &root.find("maintain.compact").unwrap().metrics;
+        if pass == 1 {
+            assert!(report.compacted_files > 0, "nothing compacted: {report:?}");
+            assert!(compact[names::HDFS_BYTES_WRITTEN] >= report.compacted_bytes);
+            assert!(compact[names::KV_PUTS] >= report.compacted_gfus as u64);
+        } else {
+            assert_eq!(report.reclaimed_files as u64, compacted);
+            assert!(!compact.contains_key(names::HDFS_BYTES_WRITTEN), "idle stage wrote");
+        }
+        compacted += report.compacted_files as u64;
+        reclaimed += report.reclaimed_files as u64;
+        gfus += report.compacted_gfus as u64;
+        bytes += report.compacted_bytes;
+        let reg = index.metrics();
+        assert_eq!(reg.get(names::MAINTAIN_PASSES), pass);
+        assert_eq!(reg.get(names::MAINTAIN_FILES_COMPACTED), compacted);
+        assert_eq!(reg.get(names::MAINTAIN_FILES_RECLAIMED), reclaimed);
+        assert_eq!(reg.get(names::MAINTAIN_GFUS_REWRITTEN), gfus);
+        assert_eq!(reg.get(names::MAINTAIN_BYTES_REWRITTEN), bytes);
+        assert_eq!(reg.get(names::MAINTAIN_REGRIDS), 0);
+    }
+    assert!(bytes > 0);
+}
+
 /// Satellite: the KV log stays bounded through `maintain()` alone — no
 /// serving path ever calls `flush()`, so without the threshold-gated
 /// compaction the dead bytes of overwritten GFU values would grow

@@ -446,3 +446,209 @@ fn disabled_profiler_collects_nothing() {
     let plan = w.idx.plan(&boundary_heavy_query(), true).unwrap();
     assert!(plan.profile.is_empty());
 }
+
+/// Every registry name beside the string an operator and the end-to-end
+/// benchmark read. A renamed or dropped name fails here, not in a
+/// dashboard.
+const GOLDEN_NAMES: &[(&str, &str)] = &[
+    (names::KV_GETS, "kv.gets"),
+    (names::KV_PUTS, "kv.puts"),
+    (names::KV_SCANS, "kv.scans"),
+    (names::KV_MULTI_GETS, "kv.multi_gets"),
+    (names::KV_MULTI_GET_KEYS, "kv.multi_get_keys"),
+    (names::KV_BYTES_READ, "kv.bytes_read"),
+    (names::KV_BYTES_WRITTEN, "kv.bytes_written"),
+    (names::KV_RETRIES_ABSORBED, "kv.retries_absorbed"),
+    (names::KV_COMPACTIONS, "kv.compactions"),
+    (names::HDFS_BYTES_READ, "hdfs.bytes_read"),
+    (names::HDFS_BYTES_WRITTEN, "hdfs.bytes_written"),
+    (names::HDFS_RECORDS_READ, "hdfs.records_read"),
+    (names::HDFS_RECORDS_WRITTEN, "hdfs.records_written"),
+    (names::HDFS_SEEKS, "hdfs.seeks"),
+    (names::HDFS_RETRIES, "hdfs.retries"),
+    (names::CACHE_HEADER_HITS, "cache.header.hits"),
+    (names::CACHE_HEADER_MISSES, "cache.header.misses"),
+    (names::MR_MAP_INPUTS, "mr.map_inputs"),
+    (names::MR_MAP_OUTPUTS, "mr.map_outputs"),
+    (names::MR_SHUFFLED_PAIRS, "mr.shuffled_pairs"),
+    (names::MR_REDUCE_GROUPS, "mr.reduce_groups"),
+    (names::MR_MAP_TIME_US, "mr.map_time_us"),
+    (names::MR_REDUCE_TIME_US, "mr.reduce_time_us"),
+    (names::PLAN_INNER_GFUS, "plan.inner_gfus"),
+    (names::PLAN_BOUNDARY_GFUS, "plan.boundary_gfus"),
+    (names::PLAN_INNER_RECORDS, "plan.inner_records"),
+    (names::PLAN_SPLITS_TOTAL, "plan.splits_total"),
+    (names::PLAN_SPLITS_READ, "plan.splits_read"),
+    (names::PLAN_FRESH_GFUS, "plan.fresh_gfus"),
+    (names::PLAN_FRESH_RECORDS, "plan.fresh_records"),
+    (names::PLAN_PYRAMID_NODES, "plan.pyramid.nodes"),
+    (names::PLAN_PYRAMID_CELLS, "plan.pyramid.cells"),
+    (names::INGEST_BATCHES, "ingest.batches"),
+    (names::INGEST_ROWS, "ingest.rows"),
+    (names::INGEST_WAL_BYTES, "ingest.wal_bytes"),
+    (names::INGEST_WAL_SYNCS, "ingest.wal_syncs"),
+    (names::INGEST_REJECTIONS, "ingest.rejections"),
+    (names::INGEST_FLUSHES, "ingest.flushes"),
+    (names::INGEST_FLUSHED_ROWS, "ingest.flushed_rows"),
+    (names::INGEST_FLUSH_FAILURES, "ingest.flush_failures"),
+    (names::INGEST_REPLAYED_BATCHES, "ingest.replayed_batches"),
+    (names::INGEST_REPLAYED_ROWS, "ingest.replayed_rows"),
+    (names::SCAN_BATCHES, "scan.batches"),
+    (names::SCAN_ROWS_DECODED, "scan.rows_decoded"),
+    (names::SCAN_ROWS_SELECTED, "scan.rows_selected"),
+    (names::SCAN_DECODE_US, "scan.decode_us"),
+    (names::SCAN_KERNEL_US, "scan.kernel_us"),
+    (names::SCAN_ROWWISE_ROWS, "scan.rowwise_rows"),
+    (names::SCAN_SIDECAR_HITS, "scan.sidecar.hits"),
+    (names::SCAN_SIDECAR_MISSES, "scan.sidecar.misses"),
+    (names::SCAN_SIDECAR_CORRUPT, "scan.sidecar.corrupt"),
+    (names::SCAN_SIDECAR_BYTES, "scan.sidecar.bytes"),
+    (names::SCAN_SIDECAR_GROUPS_PRUNED, "scan.sidecar.groups_pruned"),
+    (names::SCAN_SIDECAR_BYTES_SKIPPED, "scan.sidecar.bytes_skipped"),
+    (names::HADOOPDB_PAGES_READ, "hadoopdb.pages_read"),
+    (names::HADOOPDB_ROWS_READ, "hadoopdb.rows_read"),
+    (names::HADOOPDB_BYTES_READ, "hadoopdb.bytes_read"),
+    (names::SERVE_ADMITTED, "serve.admitted"),
+    (names::SERVE_REJECTED, "serve.rejected"),
+    (names::SERVE_COMPLETED, "serve.completed"),
+    (names::SERVE_FAILED, "serve.failed"),
+    (names::SERVE_QUEUE_WAIT_US, "serve.queue_wait_us"),
+    (names::SERVE_SCATTERS, "serve.scatters"),
+    (names::SERVE_SHARD_SUBOPS, "serve.shard_subops"),
+    (names::SERVE_MAINTENANCE_RUNS, "serve.maintenance_runs"),
+    (names::TXN_COMMITS, "txn.commits"),
+    (names::TXN_ROLLBACKS, "txn.rollbacks"),
+    (names::TXN_RECOVERED, "txn.recovered"),
+    (names::TXN_STAGED_KEYS, "txn.staged_keys"),
+    (names::TXN_FILES_PUBLISHED, "txn.files_published"),
+    (names::TXN_FILES_RETIRED, "txn.files_retired"),
+    (names::MAINTAIN_PASSES, "maintain.passes"),
+    (names::MAINTAIN_FILES_RECLAIMED, "maintain.files_reclaimed"),
+    (names::MAINTAIN_FILES_COMPACTED, "maintain.files_compacted"),
+    (names::MAINTAIN_GFUS_REWRITTEN, "maintain.gfus_rewritten"),
+    (names::MAINTAIN_BYTES_REWRITTEN, "maintain.bytes_rewritten"),
+    (names::MAINTAIN_KV_BYTES_RECLAIMED, "maintain.kv_bytes_reclaimed"),
+    (names::MAINTAIN_REGRIDS, "maintain.regrids"),
+];
+
+#[test]
+fn registry_names_are_a_contract() {
+    let mut seen = std::collections::BTreeSet::new();
+    for (constant, golden) in GOLDEN_NAMES {
+        assert_eq!(constant, golden, "a registry name moved");
+        assert!(seen.insert(*golden), "`{golden}` is listed twice");
+    }
+    // What an index exports is on the list, family by family.
+    let w = build_world(Profiler::disabled(), None);
+    let exported = w.idx.metrics().snapshot();
+    for name in exported.keys() {
+        assert!(seen.contains(name.as_str()), "`{name}` is not on the golden list");
+    }
+    for family in ["kv.", "cache.header.", "hdfs.", "txn.", "maintain."] {
+        let golden = seen.iter().filter(|n| n.starts_with(family)).count();
+        let got = exported.keys().filter(|n| n.starts_with(family)).count();
+        assert_eq!(got, golden, "`{family}*` names exported by DgfIndex::metrics()");
+    }
+    // The warehouse, the frontend and the ingestor project their own
+    // blocks; an index that also did would double them.
+    for family in ["scan.", "serve.", "ingest."] {
+        assert!(!exported.keys().any(|n| n.starts_with(family)), "`{family}*`");
+    }
+}
+
+/// The laws of the counter ledger, written once against what every
+/// `counter_block!` declaration generates and run for every declared
+/// block: `$names` collects who owns each registry name.
+macro_rules! ledger_laws {
+    ($names:ident: $($Block:ty),+ $(,)?) => {$({
+        use dgfindex::common::MetricsRegistry;
+        use std::collections::BTreeMap;
+        let label = stringify!($Block);
+        let projected = |project: &dyn Fn(&MetricsRegistry)| {
+            let reg = MetricsRegistry::new();
+            project(&reg);
+            reg.snapshot()
+        };
+
+        // A fresh block registers every declared name, zeros included,
+        // all of them on the golden list and none owned by another block.
+        let block = <$Block>::default();
+        let zeros = projected(&|reg| block.record_into(reg));
+        assert!(!zeros.is_empty() && zeros.values().all(|v| *v == 0), "{label}");
+        for (name, _) in block.counters() {
+            assert!(zeros.contains_key(name), "{label} does not register `{name}`");
+            assert!(GOLDEN_NAMES.iter().any(|(_, g)| *g == name), "{label}: `{name}`");
+            let owner = *$names.entry(name).or_insert(label);
+            assert_eq!(owner, label, "`{name}` is declared by two blocks");
+        }
+        assert_eq!(zeros.len(), {
+            let mut names: Vec<_> = block.counters().map(|(n, _)| n).collect();
+            names.sort_unstable();
+            names.dedup();
+            names.len()
+        });
+
+        // Bump every other counter by a distinct amount: the snapshot
+        // shows it, and a recording span carries exactly the non-zero
+        // names while a disabled profiler carries nothing.
+        let mut first: BTreeMap<String, u64> = zeros.clone();
+        for (i, (name, counter)) in block.counters().enumerate().filter(|(i, _)| i % 2 == 0) {
+            counter.add(3 + i as u64);
+            *first.get_mut(name).unwrap() += 3 + i as u64;
+        }
+        let earlier = block.snapshot();
+        assert_eq!(projected(&|reg| earlier.record_into(reg)), first, "{label}");
+        assert_eq!(projected(&|reg| block.record_into(reg)), first, "{label}");
+        let profiler = Profiler::enabled();
+        earlier.attach_to_span(&profiler.span("stage"));
+        let non_zero: BTreeMap<String, u64> =
+            first.iter().filter(|(_, v)| **v > 0).map(|(k, v)| (k.clone(), *v)).collect();
+        assert_eq!(profiler.take_profile().roots[0].metrics, non_zero, "{label}");
+        let disabled = Profiler::disabled();
+        earlier.attach_to_span(&disabled.span("stage"));
+        assert!(disabled.take_profile().is_empty());
+
+        // `since` is field-wise saturating subtraction.
+        let mut second: BTreeMap<String, u64> = zeros.clone();
+        for (i, (name, counter)) in block.counters().enumerate() {
+            counter.add(100 + i as u64);
+            *second.get_mut(name).unwrap() += 100 + i as u64;
+        }
+        let later = block.snapshot();
+        assert_eq!(projected(&|reg| later.since(&earlier).record_into(reg)), second, "{label}");
+        assert_eq!(earlier.since(&later), Default::default(), "{label}: since saturates");
+        assert_eq!(later.since(&Default::default()), later, "{label}");
+
+        block.reset();
+        assert_eq!(block.snapshot(), Default::default(), "{label}: reset zeroes");
+    })+};
+}
+
+#[test]
+fn every_counter_block_obeys_the_ledger_laws() {
+    let mut owners = std::collections::BTreeMap::new();
+    ledger_laws!(owners:
+        dgfindex::kvstore::KvStats,
+        dgfindex::common::IoStats,
+        dgfindex::common::ScanStats,
+        dgfindex::serve::ServeStats,
+        dgfindex::kvstore::FanoutStats,
+        dgfindex::ingest::IngestStats,
+        dgfindex::hadoopdb::ChunkStats,
+        dgfindex::core::TxnStats,
+        dgfindex::mapreduce::JobCounters,
+        dgfindex::core::CacheCounters,
+        dgfindex::core::MaintainStats,
+    );
+    // Every golden name is a block's, or one of the per-plan tallies and
+    // phase times that spans and `RunStats` carry directly.
+    let direct = GOLDEN_NAMES
+        .iter()
+        .filter(|(_, g)| !owners.contains_key(g))
+        .map(|(_, g)| *g)
+        .collect::<Vec<_>>();
+    assert!(
+        direct.iter().all(|g| g.starts_with("plan.") || g.ends_with("_time_us")),
+        "names no block declares: {direct:?}"
+    );
+}

@@ -445,10 +445,10 @@ fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
         let w = world("wr-record");
         let inner: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
         build_over(&w, Arc::clone(&inner), seeded, fine_grid(&cfg));
-        let before = inner.stats().puts.load(std::sync::atomic::Ordering::Relaxed);
+        let before = inner.stats().puts.get();
         let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
         assert!(!crash_append(&w, &inner, rest, &quiet));
-        inner.stats().puts.load(std::sync::atomic::Ordering::Relaxed) - before
+        inner.stats().puts.get() - before
     };
     assert!(writes >= 16, "append issued too few writes to sweep: {writes}");
 
