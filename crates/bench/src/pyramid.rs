@@ -11,10 +11,9 @@
 //! million-row table: deterministic per-cell headers are written as
 //! `g:` leaves, [`pyramid::rebuild_all`] derives every `p:` node
 //! bottom-up (the exact folds incremental maintenance would have
-//! produced), and the index metadata — policy, aggregate keys, extents,
-//! pyramid height, and a committed non-pending [`ReadView`] — is put
-//! alongside, so a stock [`DgfIndex::open`] reader plans against it
-//! like any live index. Two passes run the same inner-heavy query
+//! produced), and the index metadata — one committed non-pending
+//! [`ReadView`] — is put alongside, so a stock [`DgfIndex::open`]
+//! reader plans against it like any live index. Two passes run the same inner-heavy query
 //! under [`PlanStrategy::PrefixScan`] and [`PlanStrategy::Pyramid`],
 //! each on a cold header cache, comparing KV-stats deltas. It also assembles the `BENCH_pyramid.json`
 //! document.
@@ -24,12 +23,10 @@ use std::time::{Duration, Instant};
 
 use dgf_common::obs::JsonObject;
 use dgf_common::{Result, Schema, TempDir, Value, ValueType};
-use dgf_core::gfu::{
-    META_AGGS_KEY, META_EXTENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY, META_VIEW_KEY,
-};
+use dgf_core::gfu::META_VIEW_KEY;
 use dgf_core::{
     pyramid, DgfEngine, DgfIndex, DimPolicy, Extents, GfuKey, GfuValue, PlanStrategy, ReadView,
-    SplittingPolicy,
+    SlicePlacement, SplittingPolicy,
 };
 use dgf_format::FileFormat;
 use dgf_hive::{HiveContext, TableRef};
@@ -50,7 +47,7 @@ pub struct PyramidConfig {
     /// decomposition exercises its fringe descent instead of
     /// degenerating to one giant node.
     pub margin: i64,
-    /// Pyramid height stored in `m:pyramid` and built by the backfill.
+    /// Pyramid height recorded in the view and built by the backfill.
     pub levels: u8,
 }
 
@@ -186,11 +183,6 @@ impl PyramidLab {
         let extents = Extents {
             dims: vec![(0, n - 1), (0, n - 1)],
         };
-        let agg_keys = aggs()
-            .iter()
-            .map(|a| a.key())
-            .collect::<Vec<_>>()
-            .join("\n");
         let view = ReadView {
             generation: 1,
             pending: false,
@@ -198,14 +190,13 @@ impl PyramidLab {
             // The synthetic store has no reorganized files and its base
             // table holds none either, so the freshness check passes.
             files: 0,
-            extents: extents.clone(),
+            extents,
             data_files: Vec::new(),
             policy: policy.encode(),
+            agg_keys: aggs().iter().map(|a| a.key()).collect(),
+            placement: SlicePlacement::KeyHash,
+            pyramid: cfg.levels,
         };
-        kv.put(META_POLICY_KEY, &policy.encode())?;
-        kv.put(META_AGGS_KEY, agg_keys.as_bytes())?;
-        kv.put(META_EXTENT_KEY, &extents.encode())?;
-        kv.put(META_PYRAMID_KEY, &pyramid::encode_meta(cfg.levels))?;
         kv.put(META_VIEW_KEY, &view.encode())?;
 
         Ok(PyramidLab {

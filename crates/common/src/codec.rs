@@ -110,6 +110,21 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read the `u32` entry count of a list whose entries each encode to
+    /// at least `min_entry_bytes`. A count the remaining bytes cannot
+    /// hold is corruption, never an allocation request: decoders size
+    /// their `Vec` from the returned value.
+    pub fn count(&mut self, min_entry_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_entry_bytes.max(1) {
+            return Err(DgfError::Corrupt(format!(
+                "frame claims {n} entries of at least {min_entry_bytes} bytes in {} bytes",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
@@ -253,6 +268,15 @@ mod tests {
         put_str(&mut buf, "hello");
         let mut d = Decoder::new(&buf[..6]);
         assert!(d.str().is_err());
+    }
+
+    #[test]
+    fn counts_the_frame_cannot_hold_are_rejected() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0; 16]);
+        assert_eq!(Decoder::new(&buf).count(8).unwrap(), 2);
+        assert!(Decoder::new(&buf).count(9).is_err());
     }
 
     #[test]

@@ -14,28 +14,6 @@ use dgf_common::{DgfError, Result};
 
 /// Key prefix for GFU entries in the key-value store.
 pub const GFU_PREFIX: &[u8] = b"g:";
-/// Key of the persisted splitting policy.
-pub const META_POLICY_KEY: &[u8] = b"m:policy";
-/// Key of the persisted per-dimension cell extents.
-pub const META_EXTENT_KEY: &[u8] = b"m:extent";
-/// Key of the persisted pre-computed aggregate list.
-pub const META_AGGS_KEY: &[u8] = b"m:aggs";
-/// Key of the persisted slice-placement policy.
-pub const META_PLACEMENT_KEY: &[u8] = b"m:placement";
-/// Key of the persisted count of indexed base-table files (staleness
-/// detection: querying after un-indexed loads must fail loudly).
-pub const META_FILES_KEY: &[u8] = b"m:files";
-/// Key of the persisted ingest watermark: the highest streaming-ingest
-/// batch sequence whose rows have been flushed into Slices. Advances
-/// atomically with the flush transaction's commit (it rides the
-/// manifest's precomputed meta puts), so WAL replay after a crash knows
-/// exactly which batches are already indexed.
-pub const META_INGEST_KEY: &[u8] = b"m:ingest";
-/// Key of the persisted aggregate-pyramid height (absent on stores
-/// built without a pyramid — they never grow one in place, because
-/// absent ancestor nodes would silently read as "no data"). One byte: the
-/// number of levels above the `g:` leaves (see [`crate::pyramid`]).
-pub const META_PYRAMID_KEY: &[u8] = b"m:pyramid";
 /// Key of the deferred file-reclamation list: data files retired by a
 /// maintenance compaction that are no longer referenced by the current
 /// [`ReadView`](crate::view::ReadView) but may still be pinned by
@@ -43,10 +21,13 @@ pub const META_PYRAMID_KEY: &[u8] = b"m:pyramid";
 /// deletes them at the *start of its next run* (one full round of
 /// grace), so a reader never loses a file out from under a pinned view.
 pub const META_GC_KEY: &[u8] = b"m:gc";
-/// Key of the persisted [`ReadView`](crate::view::ReadView): the
-/// committed snapshot (generation, extents, split list, watermark) that
-/// query planning pins with a single `get`. Published inside the commit
-/// transaction so it can never disagree with the other meta keys.
+/// Key of the persisted [`ReadView`](crate::view::ReadView), the root
+/// record of the store: everything about an index that is not a GFU or a
+/// pyramid node — generation, extents, split list, ingest watermark,
+/// splitting policy, pre-computed aggregates, slice placement, pyramid
+/// height. Query planning pins it with a single `get`, every commit
+/// replaces it with a single `put`, and beside it only [`META_GC_KEY`]
+/// exists under `m:`.
 pub const META_VIEW_KEY: &[u8] = b"m:view";
 
 /// A GFU key: the cell index per dimension, in policy order.
@@ -169,7 +150,8 @@ impl GfuValue {
         let mut dec = Decoder::new(bytes);
         let header = dec.bytes()?.to_vec();
         let record_count = dec.u64()?;
-        let n = dec.u32()? as usize;
+        // Per slice: a path length prefix and two offsets.
+        let n = dec.count(20)?;
         let mut slices = Vec::with_capacity(n);
         for _ in 0..n {
             let file = dec.str()?.to_owned();
@@ -239,7 +221,7 @@ impl Extents {
     /// Deserialize.
     pub fn decode(bytes: &[u8]) -> Result<Extents> {
         let mut dec = Decoder::new(bytes);
-        let n = dec.u32()? as usize;
+        let n = dec.count(16)?;
         let mut dims = Vec::with_capacity(n);
         for _ in 0..n {
             dims.push((dec.i64()?, dec.i64()?));

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use dgf_common::fault::{FaultPlan, RetryPolicy};
 use dgf_common::obs::{MetricsRegistry, Profiler};
 use dgf_common::{DgfError, Result, Row, Stopwatch, Value};
-use dgf_format::is_sidecar_path;
 use dgf_hive::{BuildReport, HiveContext, TableRef};
 use dgf_kvstore::KvStore;
 use dgf_query::{AggFunc, AggSet};
@@ -23,18 +22,14 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 use crate::fresh::FreshSource;
-use crate::gfu::{
-    Extents, GfuKey, GfuValue, GFU_PREFIX, META_AGGS_KEY, META_EXTENT_KEY, META_FILES_KEY,
-    META_GC_KEY, META_INGEST_KEY, META_PLACEMENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY,
-    META_VIEW_KEY,
-};
+use crate::gfu::{Extents, GfuKey, GfuValue, GFU_PREFIX, META_GC_KEY, META_VIEW_KEY};
 use crate::maintain::{CellHeat, MaintainStats};
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
 use crate::txn::{
     self, live_key, stage_key, stage_prefix, Txn, TxnManifest, TxnStats, TXN_MANIFEST_KEY,
 };
-use crate::view::{LiveParts, ReadView};
+use crate::view::{upgrade_view, ReadView};
 use crate::write::decode_gc_list;
 
 /// How GFU Slices are placed across reducer output files — the paper's §8
@@ -62,19 +57,16 @@ pub enum SlicePlacement {
 }
 
 impl SlicePlacement {
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// The stored form: `prefix_dims`, with 0 standing for `KeyHash`.
+    pub(crate) fn code(self) -> u32 {
         match self {
-            SlicePlacement::KeyHash => vec![0, 0, 0, 0],
-            SlicePlacement::PrefixLocality { prefix_dims } => {
-                (*prefix_dims as u32).to_le_bytes().to_vec()
-            }
+            SlicePlacement::KeyHash => 0,
+            SlicePlacement::PrefixLocality { prefix_dims } => prefix_dims as u32,
         }
     }
 
-    fn decode(bytes: &[u8]) -> SlicePlacement {
-        let mut b = [0u8; 4];
-        b[..bytes.len().min(4)].copy_from_slice(&bytes[..bytes.len().min(4)]);
-        match u32::from_le_bytes(b) {
+    pub(crate) fn from_code(code: u32) -> SlicePlacement {
+        match code {
             0 => SlicePlacement::KeyHash,
             n => SlicePlacement::PrefixLocality {
                 prefix_dims: n as usize,
@@ -165,9 +157,9 @@ pub struct DgfIndex {
     header_cache: GfuHeaderCache,
     fresh_source: Mutex<Option<Arc<dyn FreshSource>>>,
     fetch_parallelism: usize,
-    /// Pyramid height when this store maintains one (`m:pyramid`);
-    /// `None` disables maintenance and sends every plan down the
-    /// prefix-run scans.
+    /// Pyramid height when this store maintains one
+    /// ([`ReadView::pyramid`]); `None` disables maintenance and sends
+    /// every plan down the prefix-run scans.
     pyramid: Option<u8>,
     /// Planner-fed per-dimension boundary-heat counters consumed by the
     /// maintenance daemon's grid adaptation (see [`crate::maintain`]).
@@ -240,32 +232,8 @@ impl DgfIndex {
                 )));
             }
         }
-        // The pyramid only pays off when headers exist to summarize, and
-        // very wide grids would fan out 2^d children per node.
-        let pyramid = (!aggs.is_empty() && policy.arity() <= pyramid::MAX_PYRAMID_ARITY)
-            .then_some(pyramid::DEFAULT_PYRAMID_LEVELS);
-        let heat = CellHeat::new(policy.arity());
-        let index = DgfIndex {
-            ctx,
-            base,
-            data,
-            policy: RwLock::new(Arc::new(policy)),
-            aggs,
-            kv,
-            placement,
-            retry: options.retry,
-            fault: options.fault,
-            profiler: options.profiler,
-            generation: AtomicU64::new(0),
-            header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
-            fresh_source: Mutex::new(None),
-            fetch_parallelism: options.fetch_parallelism.max(1),
-            pyramid,
-            heat,
-            writing: AtomicBool::new(false),
-            txn_stats: TxnStats::default(),
-            maintain_stats: MaintainStats::default(),
-        };
+        let genesis = Self::genesis_view(&policy, &aggs, placement);
+        let index = Self::attach(ctx, base, data, aggs, kv, options, &genesis)?;
         let watch = Stopwatch::start();
         let span = index.profiler.span("build");
         let kv_before = index.kv.stats().snapshot();
@@ -307,12 +275,14 @@ impl DgfIndex {
         Self::open_with_options(ctx, base, kv, index_name, aggs, IndexOptions::default())
     }
 
-    /// [`open`](Self::open) with full [`IndexOptions`]. Runs crash
-    /// recovery first: an interrupted transaction found in the store is
-    /// rolled back (pre-commit) or re-applied (post-commit) before any
-    /// metadata is read. A store whose `m:view` is missing or lacks a
-    /// part (written by a build older than the current format) is then
-    /// upgraded once, so readers only ever meet one view shape.
+    /// [`open`](Self::open) with full [`IndexOptions`]: recover, pin the
+    /// view, check the aggregates, construct. An interrupted transaction
+    /// found in the store is rolled back (pre-commit) or re-applied
+    /// (post-commit) first; the committed [`ReadView`] then supplies the
+    /// policy, the placement, the pyramid height and the generation to
+    /// resume from. A store whose `m:view` is missing or predates the
+    /// current layout is upgraded once ([`upgrade_view`]), so readers
+    /// and writers only ever meet one view shape.
     pub fn open_with_options(
         ctx: Arc<HiveContext>,
         base: TableRef,
@@ -331,125 +301,98 @@ impl DgfIndex {
         };
         let meta_span = span.child("open.meta");
         let meta_before = kv.stats().snapshot();
-        let policy_bytes = kv_retry(options.retry, kv.as_ref(), || kv.get(META_POLICY_KEY))?
-            .ok_or_else(|| DgfError::Index("store holds no DGFIndex metadata".into()))?;
-        let policy = SplittingPolicy::decode(&policy_bytes)?;
-        let stored_keys = kv_retry(options.retry, kv.as_ref(), || kv.get(META_AGGS_KEY))?
-            .map(|b| String::from_utf8_lossy(&b).into_owned())
-            .unwrap_or_default();
-        let supplied_keys = aggs
-            .iter()
-            .map(|a| a.key())
-            .collect::<Vec<_>>()
-            .join("\n");
-        if stored_keys != supplied_keys {
+        let data = ctx.table(&format!("{index_name}_data"))?;
+        let stored = kv_retry(options.retry, kv.as_ref(), || kv.get(META_VIEW_KEY))?;
+        let view = match stored.as_deref().map(ReadView::decode) {
+            Some(Ok(view)) => view,
+            // Missing or not in the current layout: an older build's
+            // store, which the upgrade reads, or garbage, which it rejects.
+            _ => upgrade_view(
+                &ctx.hdfs,
+                kv.as_ref(),
+                options.retry,
+                stored.as_deref(),
+                &base.location,
+                &data.location,
+            )?,
+        };
+        let supplied_keys: Vec<String> = aggs.iter().map(|a| a.key()).collect();
+        if view.agg_keys != supplied_keys {
             return Err(DgfError::Index(format!(
-                "pre-computed aggregates mismatch: stored {stored_keys:?}, supplied {supplied_keys:?}"
+                "pre-computed aggregates mismatch: stored {:?}, supplied {supplied_keys:?}",
+                view.agg_keys
             )));
         }
         AggSet::bind(&aggs, &base.schema)?;
-        let data = ctx.table(&format!("{index_name}_data"))?;
-        // Resume the generation counter past any existing append files so
-        // future appends never collide with persisted slice files.
-        let max_gen = ctx
-            .hdfs
-            .list_files(&data.location)
-            .iter()
-            .filter_map(|(p, _)| {
-                p.rsplit('/')
-                    .next()?
-                    .strip_prefix("part-r-")?
-                    .split('-')
-                    .next()?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .unwrap_or(0);
-        let placement = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PLACEMENT_KEY))?
-            .map(|b| SlicePlacement::decode(&b))
-            .unwrap_or(SlicePlacement::KeyHash);
-        // The stored metadata decides: a pyramid-bearing store must keep
-        // its nodes maintained on every append regardless of who opens it
-        // (a stale node would silently under-count), and a store without
-        // one can never grow it in place (its absent ancestors would read
-        // as empty).
-        let stored_pyramid = kv_retry(options.retry, kv.as_ref(), || kv.get(META_PYRAMID_KEY))?
-            .as_deref()
-            .map(pyramid::decode_meta)
-            .transpose()?;
-        let heat = CellHeat::new(policy.arity());
-        let index = DgfIndex {
-            ctx,
-            base,
-            data,
-            policy: RwLock::new(Arc::new(policy)),
-            aggs,
-            kv,
-            placement,
-            retry: options.retry,
-            fault: options.fault,
-            profiler: options.profiler,
-            generation: AtomicU64::new(max_gen),
-            header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
-            fresh_source: Mutex::new(None),
-            fetch_parallelism: options.fetch_parallelism.max(1),
-            pyramid: stored_pyramid,
-            heat,
-            writing: AtomicBool::new(false),
-            txn_stats: TxnStats::default(),
-            maintain_stats: MaintainStats::default(),
-        };
+        let index = Self::attach(ctx, base, data, aggs, kv, options, &view)?;
         index.txn_stats.count_recovery(found);
-        index.upgrade_view()?;
         index.kv.stats().snapshot().since(&meta_before).attach_to_span(&meta_span);
         meta_span.finish();
         span.finish();
         Ok(index)
     }
 
-    /// The one-time format upgrade behind the single [`ReadView`] shape.
-    /// A store without `m:view` (built before views existed) gets one
-    /// synthesized from its meta keys; a view stored without its file
-    /// list or policy gets those from live state — exactly what readers
-    /// of such stores used to fall back to on every plan. Published with
-    /// the same single `m:view` put every commit uses, so a crash before
-    /// the put just repeats the synthesis on the next open, and a store
-    /// already in the current format costs no write at all.
-    fn upgrade_view(&self) -> Result<()> {
-        let live = || -> Result<LiveParts> {
-            let files = match self.kv_get(META_FILES_KEY)? {
-                Some(bytes) => le_u64(&bytes),
-                // No count was ever recorded: assume in sync, as such
-                // stores always were.
-                None => self.ctx.hdfs.list_files(&self.base.location).len() as u64,
-            };
-            Ok(LiveParts {
-                files,
-                data_files: self.live_data_files()?,
-                policy: self.policy().encode(),
-            })
-        };
-        let (view, publish) = match self.kv_get(META_VIEW_KEY)? {
-            Some(bytes) => ReadView::decode_or_complete(&bytes, live)?,
-            None => {
-                let LiveParts { files, data_files, policy } = live()?;
-                let view = ReadView {
-                    generation: self.generation(),
-                    pending: false,
-                    watermark: self.ingest_watermark()?,
-                    files,
-                    extents: self.extents()?,
-                    data_files,
-                    policy,
-                };
-                (view, true)
-            }
-        };
-        if publish {
-            self.kv_put(META_VIEW_KEY, &view.encode())?;
+    /// The view a build starts from: nothing indexed yet, and the three
+    /// facts fixed at build, which every later commit carries forward.
+    pub(crate) fn genesis_view(
+        policy: &SplittingPolicy,
+        aggs: &[AggFunc],
+        placement: SlicePlacement,
+    ) -> ReadView {
+        // The pyramid only pays off when headers exist to summarize, and
+        // very wide grids would fan out 2^d children per node.
+        let pyramid = !aggs.is_empty() && policy.arity() <= pyramid::MAX_PYRAMID_ARITY;
+        ReadView {
+            generation: 0,
+            pending: false,
+            watermark: 0,
+            files: 0,
+            extents: Extents::empty(policy.arity()),
+            data_files: Vec::new(),
+            policy: policy.encode(),
+            agg_keys: aggs.iter().map(|a| a.key()).collect(),
+            placement,
+            pyramid: if pyramid { pyramid::DEFAULT_PYRAMID_LEVELS } else { 0 },
         }
-        Ok(())
+    }
+
+    /// A handle on the store `view` describes: the view supplies the
+    /// policy, the placement, the generation to resume from (every
+    /// transaction id so far is at most the committed view's, so no new
+    /// Slice file collides with a persisted one) and the pyramid height
+    /// (the stored height decides: a pyramid-bearing store must keep its
+    /// nodes maintained on every append regardless of who opens it).
+    fn attach(
+        ctx: Arc<HiveContext>,
+        base: TableRef,
+        data: TableRef,
+        aggs: Vec<AggFunc>,
+        kv: Arc<dyn KvStore>,
+        options: IndexOptions,
+        view: &ReadView,
+    ) -> Result<DgfIndex> {
+        let policy = SplittingPolicy::decode(&view.policy)?;
+        Ok(DgfIndex {
+            ctx,
+            base,
+            data,
+            heat: CellHeat::new(policy.arity()),
+            policy: RwLock::new(Arc::new(policy)),
+            aggs,
+            kv,
+            placement: view.placement,
+            retry: options.retry,
+            fault: options.fault,
+            profiler: options.profiler,
+            generation: AtomicU64::new(view.generation),
+            header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
+            fresh_source: Mutex::new(None),
+            fetch_parallelism: options.fetch_parallelism.max(1),
+            pyramid: (view.pyramid > 0).then_some(view.pyramid),
+            writing: AtomicBool::new(false),
+            txn_stats: TxnStats::default(),
+            maintain_stats: MaintainStats::default(),
+        })
     }
 
     /// The current append generation. Every [`append`](Self::append) bumps
@@ -488,24 +431,6 @@ impl DgfIndex {
             return Ok(Vec::new());
         };
         decode_gc_list(&bytes)
-    }
-
-    /// The live data files of the index — what a view published now
-    /// lists: everything in the data directory except sidecars (index,
-    /// not data) and files awaiting deferred reclamation (`m:gc`), which
-    /// must never re-enter a view.
-    pub(crate) fn live_data_files(&self) -> Result<Vec<(String, u64)>> {
-        let gc: std::collections::HashSet<String> = self.gc_list()?.into_iter().collect();
-        let mut files: Vec<(String, u64)> = self
-            .ctx
-            .hdfs
-            .list_files(&self.data.location)
-            .into_iter()
-            .filter(|(p, _)| !is_sidecar_path(p) && !gc.contains(p))
-            .collect();
-        files.sort();
-        files.dedup();
-        Ok(files)
     }
 
     /// Consult the fault plan's crash point `site` (no-op without a plan).
@@ -597,7 +522,7 @@ impl DgfIndex {
     /// sequence whose rows are committed into Slices (0 before any
     /// streaming flush). See [`append_with_watermark`](Self::append_with_watermark).
     pub fn ingest_watermark(&self) -> Result<u64> {
-        Ok(self.kv_get(META_INGEST_KEY)?.as_deref().map_or(0, le_u64))
+        Ok(self.pin_view()?.watermark)
     }
 
     /// Register a [`FreshSource`] (the streaming memtable): from now on
@@ -620,7 +545,8 @@ impl DgfIndex {
     /// Pin the committed [`ReadView`] with a single KV read — the one
     /// atomic snapshot query planning works from. Every build publishes
     /// `m:view` and [`open`](Self::open) upgrades stores that predate
-    /// it, so its absence here is corruption, not a format to serve.
+    /// its layout, so anything else here is corruption, not a format to
+    /// serve.
     pub fn pin_view(&self) -> Result<ReadView> {
         let bytes = self
             .kv_get(META_VIEW_KEY)?
@@ -718,31 +644,28 @@ impl DgfIndex {
     /// Staleness check against a pinned view: error if the base table
     /// holds files that were never indexed (e.g. loaded directly instead
     /// of via [`append`](Self::append)) — a stale index would silently
-    /// drop those records from every answer. Extra files are tolerated when an in-flight transaction
-    /// accounts for them (its delta is not acknowledged yet, so the
-    /// pinned pre-commit answer is correct) or when the live file count
-    /// already moved past the view (a commit landed; validation will see
-    /// the new view and retry). Anything else is genuine staleness.
+    /// drop those records from every answer. Extra files are tolerated
+    /// when an in-flight transaction accounts for them (its delta is not
+    /// acknowledged yet, so the pinned pre-commit answer is correct) or
+    /// when a re-pin shows the store already moved past the view (a
+    /// commit landed; validation will see the new view and retry).
+    /// Anything else is genuine staleness.
     pub(crate) fn check_freshness_pinned(&self, view: &ReadView) -> Result<()> {
         let indexed = view.files;
         let current = self.ctx.hdfs.list_files(&self.base.location).len() as u64;
         if current <= indexed {
             return Ok(());
         }
-        if let Ok(Some(bytes)) = self.kv.get(TXN_MANIFEST_KEY) {
-            if let Ok(manifest) = TxnManifest::decode(&bytes) {
-                let base_loc = format!("{}/", self.base.location);
-                if manifest
-                    .base_delta
-                    .as_deref()
-                    .is_some_and(|d| d.starts_with(&base_loc))
-                {
-                    return Ok(());
-                }
+        // Retried and propagated: a fault swallowed here would fall
+        // through and report an in-flight append as a stale index.
+        if let Some(bytes) = self.kv_get(TXN_MANIFEST_KEY)? {
+            let base_loc = format!("{}/", self.base.location);
+            let delta = TxnManifest::decode(&bytes)?.base_delta;
+            if delta.is_some_and(|d| d.starts_with(&base_loc)) {
+                return Ok(());
             }
         }
-        let live_files = self.kv_get(META_FILES_KEY)?.as_deref().map(le_u64);
-        if live_files != Some(indexed) {
+        if !self.view_unchanged(view)? {
             return Ok(());
         }
         Err(DgfError::Index(format!(
@@ -752,12 +675,9 @@ impl DgfIndex {
         )))
     }
 
-    /// The persisted per-dimension extents.
+    /// The committed per-dimension extents.
     pub fn extents(&self) -> Result<Extents> {
-        match self.kv_get(META_EXTENT_KEY)? {
-            Some(bytes) => Extents::decode(&bytes),
-            None => Ok(Extents::empty(self.policy().arity())),
-        }
+        Ok(self.pin_view()?.extents)
     }
 
     /// Canonical keys of the pre-computed aggregates.
@@ -775,13 +695,6 @@ impl DgfIndex {
         })?;
         Ok(pairs.len())
     }
-}
-
-/// Little-endian `u64` from a (possibly short) stored value.
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-    u64::from_le_bytes(b)
 }
 
 /// Convenience: the canonical meter-data pre-compute list from the paper's

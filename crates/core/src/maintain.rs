@@ -45,7 +45,7 @@ use crate::gfu::{GfuValue, GFU_PREFIX, META_GC_KEY};
 use crate::index::DgfIndex;
 use crate::policy::{DimPolicy, DimScale, SplittingPolicy};
 use crate::txn::{Outcome, Txn};
-use crate::write::{encode_gc_list, RegridSpec, SliceWriter};
+use crate::write::{encode_gc_list, SliceWriter};
 
 /// Planner-fed per-dimension boundary-heat counters.
 ///
@@ -276,12 +276,14 @@ impl Maintainer {
         let budget = self.config.delta_file_budget.max(1);
         // The idle pass costs no transaction. Everything the rewrite is
         // built from is read after `begin`, which first finishes whatever
-        // an earlier failed writer left behind.
-        if index.live_data_files()?.len() <= budget {
+        // an earlier failed writer left behind — a view still pending is
+        // such a leftover, whatever its file count.
+        let view = index.pin_view()?;
+        if !view.pending && view.data_files.len() <= budget {
             return Ok((0, 0, 0));
         }
         let txn = Txn::begin(index, false)?;
-        let files = index.live_data_files()?;
+        let files = &txn.view().data_files;
         if files.len() <= budget {
             return Ok((0, 0, 0));
         }
@@ -368,9 +370,10 @@ impl Maintainer {
 
         // Post-commit state: same extents, same watermark, same grid —
         // only the file list and the affected GFU values change.
+        let extents = txn.view().extents.clone();
         txn.commit(Outcome {
             policy: index.policy(),
-            extents: index.extents()?,
+            extents,
             watermark: None,
             retire: retired,
             deletes: Vec::new(),
@@ -440,14 +443,10 @@ impl Maintainer {
         if *index.policy() == policy {
             return Ok(());
         }
-        let spec = RegridSpec {
-            policy: Arc::new(policy),
-            retire: index.live_data_files()?,
-        };
         // An empty grid has no splits; the rewrite then commits the new
         // policy with nothing staged.
         let splits = self.live_slice_splits()?;
-        index.reorganize(txn, splits, index.data.format, None, Some(&spec))?;
+        index.reorganize(txn, splits, index.data.format, None, Some(Arc::new(policy)))?;
         Ok(())
     }
 

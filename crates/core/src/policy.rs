@@ -317,7 +317,8 @@ impl SplittingPolicy {
     /// Deserialize.
     pub fn decode(bytes: &[u8]) -> Result<SplittingPolicy> {
         let mut dec = Decoder::new(bytes);
-        let n = dec.u32()? as usize;
+        // Per dimension: a name length prefix, a tag, min and interval.
+        let n = dec.count(21)?;
         let mut dims = Vec::with_capacity(n);
         for _ in 0..n {
             dims.push(DimPolicy::decode(&mut dec)?);

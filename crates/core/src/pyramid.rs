@@ -65,7 +65,7 @@
 use std::collections::BTreeMap;
 
 use dgf_common::codec;
-use dgf_common::{DgfError, Result};
+use dgf_common::Result;
 use dgf_kvstore::KvStore;
 use dgf_query::{AggSet, AggState};
 
@@ -291,19 +291,6 @@ pub fn fold_node(
     Ok(present.then_some((states, count)))
 }
 
-/// Encoded `m:pyramid` metadata value: the pyramid height.
-pub fn encode_meta(levels: u8) -> Vec<u8> {
-    vec![levels]
-}
-
-/// Decode the `m:pyramid` metadata value.
-pub fn decode_meta(bytes: &[u8]) -> Result<u8> {
-    bytes
-        .first()
-        .copied()
-        .ok_or_else(|| DgfError::Corrupt("empty m:pyramid value".into()))
-}
-
 /// Build every pyramid node from the `g:` leaves currently in `kv`,
 /// bottom-up, writing `p:` keys directly (no staging). This is the
 /// offline backfill/bootstrap path — benches and migrations of
@@ -437,12 +424,6 @@ mod tests {
     fn decompose_empty_box_is_empty() {
         assert!(decompose(&[(3, 2)], 4).is_empty());
         assert!(decompose(&[(0, 5), (7, 1)], 4).is_empty());
-    }
-
-    #[test]
-    fn meta_round_trips() {
-        assert_eq!(decode_meta(&encode_meta(12)).unwrap(), 12);
-        assert!(decode_meta(&[]).is_err());
     }
 
     #[test]

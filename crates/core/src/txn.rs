@@ -11,8 +11,8 @@
 //! **staged keys** (`s:` + live key). Nothing live is touched until a
 //! single [`TxnManifest`] record flips to [`TxnState::Committed`] — that
 //! one `put` is the commit point. After it, applying the transaction
-//! (renaming staged files into the data directory, copying staged values
-//! to their live keys, putting the precomputed metadata) is
+//! (renaming staged files into the data directory, putting the new
+//! [`ReadView`], copying staged values to their live keys) is
 //! **idempotent**: every step checks whether it already happened, so a
 //! crash at any point during apply or cleanup is repaired by simply
 //! re-applying.
@@ -53,7 +53,8 @@ use crate::write::encode_gc_list;
 pub const TXN_MANIFEST_KEY: &[u8] = b"t:manifest";
 
 /// Prefix under which a transaction stages its merged GFU values and
-/// metadata puts before commit. Disjoint from the live `g:`/`m:` spaces.
+/// pyramid nodes before commit. Disjoint from the live `g:`/`p:`/`m:`
+/// spaces.
 pub const STAGE_PREFIX: &[u8] = b"s:";
 
 /// The staged twin of a live key, qualified by the staging transaction
@@ -140,15 +141,17 @@ pub struct TxnManifest {
     pub renames: Vec<(String, String)>,
     /// Staged keys (`s:`-prefixed) whose values publish to live keys.
     pub staged_keys: Vec<Vec<u8>>,
-    /// Precomputed post-commit metadata puts (policy, placement,
-    /// aggregates, file count, merged extents). Plain puts so re-applying
-    /// never double-merges.
-    pub meta_puts: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Encoded [`ReadView`] (with `pending` set)
-    /// that apply publishes under `m:view` right after the file renames
-    /// and *before* the staged-key publishes: flipping the view is the
-    /// visibility pivot for live readers, and a pending view tells them
-    /// to overlay this transaction's staged keys. Empty = none (legacy).
+    /// The full encoded `m:gc` list (what was already awaiting
+    /// reclamation plus the files this transaction retires), put after
+    /// the staged-key publishes; empty when the transaction retires no
+    /// file. Precomputed, so re-applying is a plain overwrite.
+    pub gc: Vec<u8>,
+    /// Encoded [`ReadView`] (with `pending` set) that apply publishes
+    /// under `m:view` right after the file renames and *before* the
+    /// staged-key publishes: flipping the view is the visibility pivot
+    /// for live readers, and a pending view tells them to overlay this
+    /// transaction's staged keys. Set at Prepared; the view is all the
+    /// metadata a transaction publishes.
     pub view: Vec<u8>,
     /// Live keys this transaction retires after publishing its staged
     /// state (cell re-split/merge drops the old granularity's `g:`/`p:`
@@ -169,7 +172,7 @@ impl TxnManifest {
             base_delta,
             renames: Vec::new(),
             staged_keys: Vec::new(),
-            meta_puts: Vec::new(),
+            gc: Vec::new(),
             view: Vec::new(),
             deletes: Vec::new(),
         }
@@ -191,11 +194,7 @@ impl TxnManifest {
         for k in &self.staged_keys {
             codec::put_bytes(&mut buf, k);
         }
-        codec::put_u32(&mut buf, self.meta_puts.len() as u32);
-        for (k, v) in &self.meta_puts {
-            codec::put_bytes(&mut buf, k);
-            codec::put_bytes(&mut buf, v);
-        }
+        codec::put_bytes(&mut buf, &self.gc);
         codec::put_bytes(&mut buf, &self.view);
         // Optional tail: only present when the transaction retires live
         // keys, so manifests without deletes stay byte-identical to the
@@ -229,12 +228,7 @@ impl TxnManifest {
         for _ in 0..d.u32()? {
             staged_keys.push(d.bytes()?.to_vec());
         }
-        let mut meta_puts = Vec::new();
-        for _ in 0..d.u32()? {
-            let k = d.bytes()?.to_vec();
-            let v = d.bytes()?.to_vec();
-            meta_puts.push((k, v));
-        }
+        let gc = d.bytes()?.to_vec();
         let view = d.bytes()?.to_vec();
         let mut deletes = Vec::new();
         if d.remaining() != 0 {
@@ -252,7 +246,7 @@ impl TxnManifest {
             base_delta,
             renames,
             staged_keys,
-            meta_puts,
+            gc,
             view,
             deletes,
         })
@@ -301,7 +295,7 @@ pub(crate) struct Outcome {
     /// Per-dimension extents of the new epoch.
     pub extents: Extents,
     /// Ingest watermark to advance to (it never regresses; `None` keeps
-    /// the stored one).
+    /// the previous view's).
     pub watermark: Option<u64>,
     /// Live data files the new epoch no longer reads. They leave the
     /// view and join the deferred-reclamation list (`m:gc`) instead of
@@ -323,6 +317,10 @@ pub(crate) struct Outcome {
 pub(crate) struct Txn<'a> {
     index: &'a DgfIndex,
     manifest: TxnManifest,
+    /// The view committed when the transaction began (for a build,
+    /// [`DgfIndex::genesis_view`]): what the writer reads its inputs
+    /// from and what [`commit`](Self::commit) derives the next view from.
+    base: ReadView,
     /// Staged keys so far. Behind a lock because reducers stage in
     /// parallel.
     staged: Mutex<Vec<Vec<u8>>>,
@@ -349,7 +347,13 @@ impl<'a> Txn<'a> {
             ));
         }
         // From here the handle's writer slot is ours; `Drop` releases it.
-        settle(index).inspect_err(|_| index.writing.store(false, Ordering::Release))?;
+        let base = settle(index)
+            .and_then(|()| index.kv_get(META_VIEW_KEY))
+            .and_then(|stored| match stored {
+                Some(bytes) => ReadView::decode(&bytes),
+                None => Ok(DgfIndex::genesis_view(&index.policy(), &index.aggs, index.placement)),
+            })
+            .inspect_err(|_| index.writing.store(false, Ordering::Release))?;
         let gen = index.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let delta = base_delta.then(|| format!("{}/delta-{gen:05}", index.base.location));
         // A *sibling* of the data directory, so half-written Slice files
@@ -358,6 +362,7 @@ impl<'a> Txn<'a> {
         let txn = Txn {
             index,
             manifest: TxnManifest::intent(gen, staging_dir, delta),
+            base,
             staged: Mutex::new(Vec::new()),
             finished: false,
         };
@@ -375,6 +380,11 @@ impl<'a> Txn<'a> {
     /// Directory the transaction's Slice files are written under.
     pub(crate) fn staging_dir(&self) -> &str {
         &self.manifest.staging_dir
+    }
+
+    /// The view this transaction builds on.
+    pub(crate) fn view(&self) -> &ReadView {
+        &self.base
     }
 
     /// The base-table delta file declared at [`begin`](Self::begin).
@@ -400,20 +410,17 @@ impl<'a> Txn<'a> {
     /// — then apply and clean up.
     pub(crate) fn commit(mut self, outcome: Outcome) -> Result<()> {
         let index = self.index;
-        // The post-commit split list: every data file still live plus
-        // this transaction's rename destinations (sized from the staged
-        // files — slice files are immutable once renamed, so the pinned
-        // lengths stay exact). Recorded in the view so a pinned reader
-        // never mixes one epoch's headers with another's split list.
-        // Sidecars ride the renames with their slice files but are never
-        // data, and files awaiting deferred reclamation (`m:gc`) must
-        // never re-enter a view.
+        // The post-commit split list: the previous view's files minus
+        // the retired ones, plus this transaction's rename destinations
+        // (sized from the staged files — slice files are immutable once
+        // renamed, so the pinned lengths stay exact). Recorded in the
+        // view so a pinned reader never mixes one epoch's headers with
+        // another's split list. Sidecars ride the renames with their
+        // slice files but are never data.
+        let base = &self.base;
         let retire: HashSet<&String> = outcome.retire.iter().collect();
-        let mut data_files: Vec<(String, u64)> = index
-            .live_data_files()?
-            .into_iter()
-            .filter(|(p, _)| !retire.contains(p))
-            .collect();
+        let mut data_files: Vec<(String, u64)> =
+            base.data_files.iter().filter(|(p, _)| !retire.contains(p)).cloned().collect();
         let staged_files = index.ctx.hdfs.list_files(&self.manifest.staging_dir);
         let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
         for (p, len) in staged_files {
@@ -432,9 +439,7 @@ impl<'a> Txn<'a> {
         index.crash_point("txn.staged")?;
 
         // Prepare: the manifest gets the whole recipe — renames, staged
-        // keys, and precomputed (merge-free) metadata.
-        let files = index.ctx.hdfs.list_files(&index.base.location).len() as u64;
-        let watermark = index.ingest_watermark()?.max(outcome.watermark.unwrap_or(0));
+        // keys, and the one view that is the new epoch's metadata.
         let mut manifest = self.manifest.clone();
         manifest.state = TxnState::Prepared;
         manifest.renames = renames;
@@ -443,22 +448,24 @@ impl<'a> Txn<'a> {
         // on their scheduling.
         manifest.staged_keys.sort();
         manifest.deletes = outcome.deletes;
-        manifest.meta_puts = index.meta_puts(&outcome.policy, &outcome.extents, files, watermark);
         if !outcome.retire.is_empty() {
             let mut gc = index.gc_list()?;
             gc.extend(outcome.retire.iter().cloned());
             gc.sort();
             gc.dedup();
-            manifest.meta_puts.push((META_GC_KEY.to_vec(), encode_gc_list(&gc)));
+            manifest.gc = encode_gc_list(&gc);
         }
         manifest.view = ReadView {
             generation: manifest.txn,
             pending: true,
-            watermark,
-            files,
+            watermark: base.watermark.max(outcome.watermark.unwrap_or(0)),
+            files: index.ctx.hdfs.list_files(&index.base.location).len() as u64,
             extents: outcome.extents,
             data_files,
             policy: outcome.policy.encode(),
+            agg_keys: base.agg_keys.clone(),
+            placement: base.placement,
+            pyramid: base.pyramid,
         }
         .encode();
         index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
@@ -570,8 +577,8 @@ pub fn recover(
 /// Phase B of the commit protocol: make the committed transaction
 /// live. Every step is idempotent — renames skip when the
 /// destination exists, staged-key publishes skip keys already
-/// garbage-collected, metadata puts are plain overwrites of
-/// precomputed values.
+/// garbage-collected, the view and `m:gc` puts are plain overwrites
+/// of precomputed values.
 ///
 /// Ordering is load-bearing for live readers (DESIGN.md §11): the
 /// new pending [`ReadView`] is put *after* the renames (so its split
@@ -598,9 +605,7 @@ fn apply_committed(
     if let Some(plan) = fault {
         plan.crash_point("apply.renamed")?;
     }
-    if !manifest.view.is_empty() {
-        kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &manifest.view))?;
-    }
+    kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &manifest.view))?;
     if let Some(plan) = fault {
         plan.crash_point("apply.view")?;
     }
@@ -615,8 +620,8 @@ fn apply_committed(
     if let Some(plan) = fault {
         plan.crash_point("apply.published")?;
     }
-    for (k, v) in &manifest.meta_puts {
-        kv_retry(retry, kv, || kv.put(k, v))?;
+    if !manifest.gc.is_empty() {
+        kv_retry(retry, kv, || kv.put(META_GC_KEY, &manifest.gc))?;
     }
     // Retire keys the transaction re-gridded away. Runs after the
     // staged publishes: a pending-view reader masks these keys with
@@ -649,12 +654,10 @@ fn cleanup_txn(
     for staged in &manifest.staged_keys {
         kv_retry(retry, kv, || kv.delete(staged))?;
     }
-    if !manifest.view.is_empty() {
-        let mut view = ReadView::decode(&manifest.view)?;
-        view.pending = false;
-        let enc = view.encode();
-        kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &enc))?;
-    }
+    let mut view = ReadView::decode(&manifest.view)?;
+    view.pending = false;
+    let enc = view.encode();
+    kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &enc))?;
     hdfs.delete_tree(&manifest.staging_dir)?;
     kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
     kv_retry(retry, kv, || kv.flush())?;
@@ -697,7 +700,7 @@ mod tests {
         m.base_delta = Some("/warehouse/base/delta-00007".into());
         m.renames = vec![("/a/x".into(), "/b/x".into()), ("/a/y".into(), "/b/y".into())];
         m.staged_keys = vec![stage_key(7, b"g:k1"), stage_key(7, b"g:k2")];
-        m.meta_puts = vec![(b"m:files".to_vec(), 3u64.to_le_bytes().to_vec())];
+        m.gc = vec![0xBE, 0xEF];
         m.view = vec![0xDE, 0xAD];
         let back = TxnManifest::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
@@ -727,7 +730,7 @@ mod tests {
 
     #[test]
     fn stage_keys_preserve_live_key_order_within_a_txn() {
-        let lives: Vec<&[u8]> = vec![b"g:\x00", b"g:\x01", b"g:\x01\x02", b"m:extent"];
+        let lives: Vec<&[u8]> = vec![b"g:\x00", b"g:\x01", b"g:\x01\x02", b"p:\x01"];
         let staged: Vec<Vec<u8>> = lives.iter().map(|l| stage_key(9, l)).collect();
         for w in staged.windows(2) {
             assert!(w[0] < w[1]);

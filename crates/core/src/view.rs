@@ -1,33 +1,50 @@
-//! Versioned read views: the snapshot a query plans against.
+//! The read view: the root record of a DGFIndex store.
+//!
+//! The paper keeps one small piece of state beside the `GFUKey →
+//! GFUValue` pairs — the splitting policy and the per-dimension min/max
+//! that partially-specified queries fall back to (§4.2, §5.3.4). Here
+//! that state, and everything else about an index that is not a GFU or
+//! a pyramid node, is one [`ReadView`] under [`META_VIEW_KEY`]: a reader
+//! resolves it with a **single** KV `get`, a commit replaces it with a
+//! single `put`, and it has one layout ([`upgrade_view`] brings older
+//! stores to it, once, at open).
 //!
 //! The paper's load path extends the grid in place (`append` updates
 //! existing GFU entries rather than rebuilding, §5), so header mutation
-//! and query reads race by design. A [`ReadView`] makes that race safe:
-//! it is the committed snapshot of everything plan assembly needs —
-//! generation, per-dimension extents, the exact split list, the ingest
-//! watermark — resolved from a **single** KV `get` of
-//! [`META_VIEW_KEY`](crate::gfu::META_VIEW_KEY). The commit protocol
-//! publishes a new view as part of the staged transaction, and new GFU
-//! values are staged under generation-qualified keys until the view that
-//! references them is visible, so a reader pinned to one view can never
-//! observe a blend of two index epochs (see `DESIGN.md` §11).
+//! and query reads race by design. The view makes that race safe: new
+//! GFU values are staged under generation-qualified keys until the view
+//! that references them is published, so a reader pinned to one view
+//! can never observe a blend of two index epochs (`DESIGN.md` §11).
+
+use std::collections::HashSet;
 
 use dgf_common::codec::{self, Decoder};
+use dgf_common::fault::RetryPolicy;
 use dgf_common::{DgfError, Result};
+use dgf_format::is_sidecar_path;
+use dgf_kvstore::KvStore;
+use dgf_storage::SimHdfs;
 
-use crate::gfu::Extents;
+use crate::gfu::{Extents, META_GC_KEY, META_VIEW_KEY};
+use crate::index::{kv_retry, SlicePlacement};
+use crate::policy::SplittingPolicy;
+use crate::write::decode_gc_list;
 
-/// The committed snapshot a plan pins at the start of assembly.
+/// The committed snapshot a plan pins at the start of assembly, and the
+/// whole of a store's metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadView {
     /// Index generation this view describes. Strictly monotonic across
-    /// commits; header-cache entries are keyed by it.
+    /// commits; header-cache entries are keyed by it, and a reopened
+    /// handle resumes from it.
     pub generation: u64,
     /// `true` while the committing transaction is still publishing:
     /// readers must overlay the transaction's staged keys over the live
     /// keyspace (staged-first, so a concurrent cleanup is harmless).
     pub pending: bool,
-    /// Ingest watermark at commit (highest flushed batch sequence).
+    /// Ingest watermark at commit: the highest streaming-ingest batch
+    /// sequence whose rows are in Slices, so WAL replay after a crash
+    /// knows exactly which batches are already indexed.
     pub watermark: u64,
     /// Number of indexed base-table files at commit (staleness check).
     pub files: u64,
@@ -35,124 +52,73 @@ pub struct ReadView {
     pub extents: Extents,
     /// The exact data files (path, length) the view's Slices point into.
     /// Slice files are immutable once renamed into place, so the pinned
-    /// list stays valid even while a later transaction adds files.
+    /// list stays valid even while a later transaction adds files. Each
+    /// commit derives its list from the previous view's, so a file a
+    /// transaction retired never re-enters one.
     pub data_files: Vec<(String, u64)>,
-    /// The encoded [`SplittingPolicy`](crate::policy::SplittingPolicy)
-    /// this view's cells were produced under. Riding the view — rather
-    /// than a side-channel revision counter — is what keeps a pinned
-    /// reader's extents and cell geometry from ever coming from two
-    /// different grid epochs: a regrid publishes both through the same
-    /// single `m:view` put.
+    /// The encoded [`SplittingPolicy`] this view's cells were produced
+    /// under. Riding the view is what keeps a pinned reader's extents
+    /// and cell geometry from ever coming from two different grid
+    /// epochs: a regrid publishes both through the same single `m:view`
+    /// put.
     pub policy: Vec<u8>,
-}
-
-/// The parts of a view that records published by older builds may lack
-/// (each sits behind a presence flag in the encoding), as read from live
-/// state by the open-time upgrade in
-/// [`DgfIndex::open_with_options`](crate::index::DgfIndex::open_with_options).
-pub(crate) struct LiveParts {
-    pub files: u64,
-    pub data_files: Vec<(String, u64)>,
-    pub policy: Vec<u8>,
+    /// Canonical keys of the pre-computed aggregates the headers hold,
+    /// fixed at build; `open` checks the supplied list against them.
+    pub agg_keys: Vec<String>,
+    /// How Slices are placed across reducer files, fixed at build.
+    pub placement: SlicePlacement,
+    /// Levels of the aggregate pyramid above the `g:` leaves (see
+    /// [`crate::pyramid`]), fixed at build; `0` for a store without one
+    /// — it never grows one in place, because absent ancestor nodes
+    /// would silently read as "no data".
+    pub pyramid: u8,
 }
 
 impl ReadView {
-    /// Serialize. Every presence flag is written set, so the bytes are
-    /// the ones every build since the policy joined the view has
-    /// published: one on-disk format.
+    /// Serialize: every field, in declaration order, unconditionally.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         codec::put_u64(&mut buf, self.generation);
         codec::put_u32(&mut buf, self.pending as u32);
         codec::put_u64(&mut buf, self.watermark);
-        codec::put_u32(&mut buf, 1);
         codec::put_u64(&mut buf, self.files);
         codec::put_bytes(&mut buf, &self.extents.encode());
-        codec::put_u32(&mut buf, 1);
         codec::put_u32(&mut buf, self.data_files.len() as u32);
         for (path, len) in &self.data_files {
             codec::put_str(&mut buf, path);
             codec::put_u64(&mut buf, *len);
         }
-        codec::put_u32(&mut buf, 1);
         codec::put_bytes(&mut buf, &self.policy);
+        codec::put_u32(&mut buf, self.agg_keys.len() as u32);
+        for key in &self.agg_keys {
+            codec::put_str(&mut buf, key);
+        }
+        codec::put_u32(&mut buf, self.placement.code());
+        buf.push(self.pyramid);
         buf
     }
 
-    /// Decode a stored view. A record that lacks a part is `Corrupt`
-    /// here: [`DgfIndex::open_with_options`](crate::index::DgfIndex::open_with_options)
-    /// completes such records once, before any reader can pin them.
+    /// Decode a stored view; anything but the one layout is `Corrupt`.
     pub fn decode(bytes: &[u8]) -> Result<ReadView> {
-        let lacking = || Err(DgfError::Corrupt("read view lacks its file list or policy".into()));
-        Ok(Self::decode_or_complete(bytes, lacking)?.0)
-    }
-
-    /// [`decode`](Self::decode), taking any part the record predates
-    /// from `live` (consulted at most once, and only then). Also returns
-    /// whether `live` supplied anything, i.e. whether the record needs
-    /// re-publishing.
-    pub(crate) fn decode_or_complete(
-        bytes: &[u8],
-        live: impl FnOnce() -> Result<LiveParts>,
-    ) -> Result<(ReadView, bool)> {
         let mut d = Decoder::new(bytes);
         let generation = d.u64()?;
-        let pending = match d.u32()? {
-            0 => false,
-            1 => true,
-            n => return Err(DgfError::Corrupt(format!("bad view pending flag {n}"))),
-        };
+        let pending = pending_flag(d.u32()?)?;
         let watermark = d.u64()?;
-        let files = match d.u32()? {
-            0 => None,
-            _ => Some(d.u64()?),
-        };
+        let files = d.u64()?;
         let extents = Extents::decode(d.bytes()?)?;
-        let data_files = match d.u32()? {
-            0 => None,
-            _ => {
-                let n = d.u32()? as usize;
-                // Every entry takes at least its two length prefixes:
-                // a count beyond what the bytes can hold is corruption,
-                // not an allocation request.
-                if n > d.remaining() / 12 {
-                    return Err(DgfError::Corrupt(format!(
-                        "read view lists {n} data files in {} bytes",
-                        d.remaining()
-                    )));
-                }
-                let mut files = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let path = d.str()?.to_owned();
-                    let len = d.u64()?;
-                    files.push((path, len));
-                }
-                Some(files)
-            }
-        };
-        let policy = match d.remaining() {
-            0 => None,
-            _ => match d.u32()? {
-                0 => None,
-                _ => Some(d.bytes()?.to_vec()),
-            },
-        };
+        let data_files = data_file_list(&mut d)?;
+        let policy = d.bytes()?.to_vec();
+        let n = d.count(4)?;
+        let mut agg_keys = Vec::with_capacity(n);
+        for _ in 0..n {
+            agg_keys.push(d.str()?.to_owned());
+        }
+        let placement = SlicePlacement::from_code(d.u32()?);
+        let pyramid = d.u8()?;
         if d.remaining() != 0 {
             return Err(DgfError::Corrupt("read view has trailing bytes".into()));
         }
-        let completed = files.is_none() || data_files.is_none() || policy.is_none();
-        let (files, data_files, policy) = match (files, data_files, policy) {
-            (Some(files), Some(data_files), Some(policy)) => (files, data_files, policy),
-            (files, data_files, policy) => {
-                let live = live()?;
-                (
-                    files.unwrap_or(live.files),
-                    data_files.unwrap_or(live.data_files),
-                    policy.unwrap_or(live.policy),
-                )
-            }
-        };
-        let view = ReadView {
+        Ok(ReadView {
             generation,
             pending,
             watermark,
@@ -160,15 +126,180 @@ impl ReadView {
             extents,
             data_files,
             policy,
-        };
-        Ok((view, completed))
+            agg_keys,
+            placement,
+            pyramid,
+        })
     }
+}
+
+fn pending_flag(n: u32) -> Result<bool> {
+    match n {
+        0 => Ok(false),
+        1 => Ok(true),
+        n => Err(DgfError::Corrupt(format!("bad view pending flag {n}"))),
+    }
+}
+
+fn data_file_list(d: &mut Decoder<'_>) -> Result<Vec<(String, u64)>> {
+    // Per file: a path length prefix and the file length.
+    let n = d.count(12)?;
+    let mut files = Vec::with_capacity(n);
+    for _ in 0..n {
+        let path = d.str()?.to_owned();
+        files.push((path, d.u64()?));
+    }
+    Ok(files)
+}
+
+// The metadata keys older builds wrote beside `m:view` on every commit.
+// Nothing but `upgrade_view` names them.
+const META_POLICY_KEY: &[u8] = b"m:policy";
+const META_EXTENT_KEY: &[u8] = b"m:extent";
+const META_AGGS_KEY: &[u8] = b"m:aggs";
+const META_PLACEMENT_KEY: &[u8] = b"m:placement";
+const META_FILES_KEY: &[u8] = b"m:files";
+const META_INGEST_KEY: &[u8] = b"m:ingest";
+const META_PYRAMID_KEY: &[u8] = b"m:pyramid";
+
+/// What a store written by an older build holds under `m:view`: nothing
+/// (all `None`), or the layout in which the file count, the file list
+/// and the policy each sat behind a presence flag.
+#[derive(Default)]
+struct OldView {
+    generation: Option<u64>,
+    watermark: Option<u64>,
+    files: Option<u64>,
+    extents: Option<Extents>,
+    data_files: Option<Vec<(String, u64)>>,
+    policy: Option<Vec<u8>>,
+}
+
+impl OldView {
+    fn decode(bytes: &[u8]) -> Result<OldView> {
+        let mut d = Decoder::new(bytes);
+        let generation = Some(d.u64()?);
+        pending_flag(d.u32()?)?;
+        let watermark = Some(d.u64()?);
+        let files = (d.u32()? != 0).then(|| d.u64()).transpose()?;
+        let extents = Some(Extents::decode(d.bytes()?)?);
+        let data_files = (d.u32()? != 0).then(|| data_file_list(&mut d)).transpose()?;
+        let policy = (d.remaining() != 0 && d.u32()? != 0)
+            .then(|| d.bytes().map(<[u8]>::to_vec))
+            .transpose()?;
+        if d.remaining() != 0 {
+            return Err(DgfError::Corrupt("read view has trailing bytes".into()));
+        }
+        Ok(OldView {
+            generation,
+            watermark,
+            files,
+            extents,
+            data_files,
+            policy,
+        })
+    }
+}
+
+/// The one-time format upgrade behind the single [`ReadView`] layout,
+/// run by [`DgfIndex::open`](crate::index::DgfIndex::open) on a store
+/// whose `m:view` (`stored`) is missing or not in that layout. The view
+/// the store's last commit would publish today is synthesised from what
+/// `stored` holds, the seven side keys, and — where a store predates
+/// even those — the data and base directories. It is published with the
+/// single `m:view` put every commit uses and only then are the side
+/// keys deleted: a crash before the put repeats the upgrade at the next
+/// open, one after it leaves keys nothing reads.
+pub(crate) fn upgrade_view(
+    hdfs: &SimHdfs,
+    kv: &dyn KvStore,
+    retry: RetryPolicy,
+    stored: Option<&[u8]>,
+    base_dir: &str,
+    data_dir: &str,
+) -> Result<ReadView> {
+    let old = stored.map(OldView::decode).transpose()?.unwrap_or_default();
+    let get = |key: &[u8]| kv_retry(retry, kv, || kv.get(key));
+    let get_u64 = |key: &[u8]| -> Result<Option<u64>> {
+        get(key)?.map(|b| Decoder::new(&b).u64()).transpose()
+    };
+    let policy = match old.policy {
+        Some(policy) => policy,
+        None => get(META_POLICY_KEY)?
+            .ok_or_else(|| DgfError::Index("store holds no DGFIndex metadata".into()))?,
+    };
+    let arity = SplittingPolicy::decode(&policy)?.arity();
+    let in_data_dir = hdfs.list_files(data_dir);
+    let view = ReadView {
+        generation: old.generation.unwrap_or_else(|| {
+            // The newest `part-r-<generation>-<task>` Slice file.
+            let generation_of = |path: &String| -> Option<u64> {
+                let name = path.rsplit('/').next()?.strip_prefix("part-r-")?;
+                name.split('-').next()?.parse().ok()
+            };
+            in_data_dir.iter().filter_map(|(p, _)| generation_of(p)).max().unwrap_or(0)
+        }),
+        // Recovery ran first: no transaction is still publishing.
+        pending: false,
+        watermark: match old.watermark {
+            Some(watermark) => watermark,
+            None => get_u64(META_INGEST_KEY)?.unwrap_or(0),
+        },
+        files: match (old.files, get_u64(META_FILES_KEY)?) {
+            (Some(files), _) | (None, Some(files)) => files,
+            // No count was ever recorded: assume in sync, as such stores
+            // always were.
+            (None, None) => hdfs.list_files(base_dir).len() as u64,
+        },
+        extents: match (old.extents, get(META_EXTENT_KEY)?) {
+            (Some(extents), _) => extents,
+            (None, Some(bytes)) => Extents::decode(&bytes)?,
+            (None, None) => Extents::empty(arity),
+        },
+        data_files: match old.data_files {
+            Some(files) => files,
+            // Everything in the data directory except sidecars (index,
+            // not data) and files awaiting deferred reclamation.
+            None => {
+                let gc: HashSet<String> = match get(META_GC_KEY)? {
+                    Some(bytes) => decode_gc_list(&bytes)?.into_iter().collect(),
+                    None => HashSet::new(),
+                };
+                let mut files = in_data_dir;
+                files.retain(|(p, _)| !is_sidecar_path(p) && !gc.contains(p));
+                files.sort();
+                files
+            }
+        },
+        policy,
+        agg_keys: get(META_AGGS_KEY)?.map_or_else(Vec::new, |b| {
+            let keys = String::from_utf8_lossy(&b);
+            keys.split('\n').filter(|k| !k.is_empty()).map(str::to_owned).collect()
+        }),
+        placement: SlicePlacement::from_code(
+            get(META_PLACEMENT_KEY)?.map(|b| Decoder::new(&b).u32()).transpose()?.unwrap_or(0),
+        ),
+        pyramid: get(META_PYRAMID_KEY)?.map(|b| Decoder::new(&b).u8()).transpose()?.unwrap_or(0),
+    };
+    kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &view.encode()))?;
+    for key in [
+        META_POLICY_KEY,
+        META_EXTENT_KEY,
+        META_AGGS_KEY,
+        META_PLACEMENT_KEY,
+        META_FILES_KEY,
+        META_INGEST_KEY,
+        META_PYRAMID_KEY,
+    ] {
+        kv_retry(retry, kv, || kv.delete(key))?;
+    }
+    Ok(view)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gfu::GfuKey;
+    use crate::gfu::{GfuKey, GfuValue};
 
     fn sample() -> ReadView {
         let mut extents = Extents::empty(2);
@@ -184,43 +315,16 @@ mod tests {
                 ("/warehouse/idx/data/part-r-00009-00001".into(), 90),
             ],
             policy: vec![0xC0, 0xFF, 0xEE],
+            agg_keys: vec!["sum(power)".into(), "count(*)".into()],
+            placement: SlicePlacement::PrefixLocality { prefix_dims: 2 },
+            pyramid: 12,
         }
-    }
-
-    /// `v` as a build from before the file list and the policy rode the
-    /// view would have stored it: both presence flags clear, no tail.
-    fn encode_without_parts(v: &ReadView) -> Vec<u8> {
-        let mut buf = Vec::new();
-        codec::put_u64(&mut buf, v.generation);
-        codec::put_u32(&mut buf, v.pending as u32);
-        codec::put_u64(&mut buf, v.watermark);
-        codec::put_u32(&mut buf, 0);
-        codec::put_bytes(&mut buf, &v.extents.encode());
-        codec::put_u32(&mut buf, 0);
-        buf
     }
 
     #[test]
     fn view_round_trips() {
         let v = sample();
         assert_eq!(ReadView::decode(&v.encode()).unwrap(), v);
-        let never = || -> Result<LiveParts> { panic!("a complete record consults nothing") };
-        assert_eq!(ReadView::decode_or_complete(&v.encode(), never).unwrap(), (v, false));
-    }
-
-    #[test]
-    fn records_lacking_parts_are_completed_from_live_state_only() {
-        let v = sample();
-        let old = encode_without_parts(&v);
-        assert!(matches!(ReadView::decode(&old), Err(DgfError::Corrupt(_))));
-        let live = || {
-            Ok(LiveParts {
-                files: v.files,
-                data_files: v.data_files.clone(),
-                policy: v.policy.clone(),
-            })
-        };
-        assert_eq!(ReadView::decode_or_complete(&old, live).unwrap(), (v.clone(), true));
     }
 
     #[test]
@@ -229,17 +333,35 @@ mod tests {
         let mut enc = sample().encode();
         enc.push(0x77);
         assert!(ReadView::decode(&enc).is_err());
+        enc.truncate(enc.len() - 2);
+        assert!(ReadView::decode(&enc).is_err());
     }
 
+    /// Every list decoded from the store sizes its `Vec` from a count it
+    /// read there: a count the value cannot hold is `Corrupt`, not a
+    /// 64 GiB allocation.
     #[test]
-    fn huge_data_file_count_is_corrupt_not_an_allocation() {
-        let v = sample();
-        let mut enc = encode_without_parts(&v);
-        // Flip the file-list flag on and claim u32::MAX entries.
-        let at = enc.len() - 4;
-        enc[at..].copy_from_slice(&1u32.to_le_bytes());
-        enc.extend_from_slice(&u32::MAX.to_le_bytes());
-        enc.extend_from_slice(&[0u8; 24]);
-        assert!(matches!(ReadView::decode(&enc), Err(DgfError::Corrupt(_))));
+    fn huge_counts_are_corrupt_not_allocations() {
+        fn corrupt<T>(what: &str, decoded: Result<T>) {
+            assert!(matches!(decoded, Err(DgfError::Corrupt(_))), "{what}");
+        }
+        let max = u32::MAX.to_le_bytes();
+        // `prefix` is a valid encoding up to the count; 64 zero bytes
+        // follow so a decoder that trusted the count would start reading.
+        let with_count = |prefix: &[u8]| [prefix, &max[..], &[0u8; 64][..]].concat();
+        // With both lists empty each count is a lone u32: the file count
+        // follows generation, pending, watermark, files and the extents
+        // frame; the key count precedes placement and pyramid height.
+        let view = ReadView { data_files: Vec::new(), agg_keys: Vec::new(), ..sample() };
+        let files_at = 28 + 4 + view.extents.encode().len();
+        let view = view.encode();
+        let value = GfuValue { header: vec![1, 2], slices: Vec::new(), record_count: 5 }.encode();
+        corrupt("gc list", decode_gc_list(&with_count(&[])));
+        corrupt("extents", Extents::decode(&with_count(&[])));
+        corrupt("policy", SplittingPolicy::decode(&with_count(&[])));
+        corrupt("gfu value", GfuValue::decode(&with_count(&value[..value.len() - 4])));
+        corrupt("view data files", ReadView::decode(&with_count(&view[..files_at])));
+        corrupt("view agg keys", ReadView::decode(&with_count(&view[..view.len() - 9])));
+        corrupt("gc list tail", decode_gc_list(&[&0u32.to_le_bytes()[..], &[7]].concat()));
     }
 }

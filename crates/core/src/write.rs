@@ -13,8 +13,8 @@
 //! new time cells, so `append` runs the same job over only the new file
 //! and merges the resulting GFU entries into the store — no rebuild, and
 //! write throughput is unaffected (paper §1 contribution iii). A regrid
-//! (`RegridSpec`) runs it over the index's own Slices under a new
-//! policy. Every run publishes through one `Txn` ([`crate::txn`]).
+//! runs it over the index's own Slices under a new policy. Every run
+//! publishes through one `Txn` ([`crate::txn`]).
 
 use std::sync::Arc;
 
@@ -25,10 +25,7 @@ use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::FileSplit;
 
-use crate::gfu::{
-    Extents, GfuKey, GfuValue, GFU_PREFIX, META_AGGS_KEY, META_EXTENT_KEY, META_FILES_KEY,
-    META_INGEST_KEY, META_PLACEMENT_KEY, META_POLICY_KEY, META_PYRAMID_KEY,
-};
+use crate::gfu::{Extents, GfuKey, GfuValue, GFU_PREFIX};
 use crate::index::{DgfIndex, SlicePlacement};
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
@@ -44,10 +41,11 @@ impl DgfIndex {
 
     /// [`append`](Self::append) that additionally advances the persisted
     /// ingest watermark to `watermark` *atomically with the commit*: the
-    /// watermark put rides the transaction manifest's precomputed meta
-    /// puts, so after a crash either both the new Slices and the
-    /// watermark are live or neither is. The streaming flusher uses this
-    /// so WAL replay can tell flushed batches from unflushed ones.
+    /// watermark is a field of the [`ReadView`](crate::view::ReadView)
+    /// the transaction publishes, so after a crash either both the new
+    /// Slices and the watermark are live or neither is. The streaming
+    /// flusher uses this so WAL replay can tell flushed batches from
+    /// unflushed ones.
     pub fn append_with_watermark(
         &self,
         rows: &[Row],
@@ -89,9 +87,9 @@ impl DgfIndex {
     /// values; [`Txn::commit`] publishes the new epoch. `ingest_watermark`,
     /// when set, becomes the persisted ingest watermark at commit.
     ///
-    /// With a [`RegridSpec`], the job is a **full rewrite** instead of
+    /// With a `regrid` policy, the job is a **full rewrite** instead of
     /// an extension: the splits cover the index's own live data files,
-    /// every record is re-celled under the spec's *new* policy, staged
+    /// every record is re-celled under the *new* policy, staged
     /// values replace (never merge with) live ones, extents are rebuilt
     /// from scratch, identity-valued tombstones are staged over every
     /// old-granularity key so pending-view readers never see two grid
@@ -103,13 +101,11 @@ impl DgfIndex {
         splits: Vec<FileSplit>,
         format: FileFormat,
         ingest_watermark: Option<u64>,
-        regrid: Option<&RegridSpec>,
+        regrid: Option<Arc<SplittingPolicy>>,
     ) -> Result<JobReport> {
         let gen = txn.gen();
-        let policy_handle = match regrid {
-            Some(spec) => Arc::clone(&spec.policy),
-            None => self.policy(),
-        };
+        let rewrite = regrid.is_some();
+        let policy_handle = regrid.unwrap_or_else(|| self.policy());
         let dim_idx: Vec<usize> = policy_handle
             .dims()
             .iter()
@@ -123,7 +119,6 @@ impl DgfIndex {
         let data_loc = self.data.location.clone();
         let staging_dir = txn.staging_dir();
         let arity = policy.arity();
-        let rewrite = regrid.is_some();
 
         // Slice placement: which encoded-key prefix defines the reducer.
         let prefix_len = match self.placement {
@@ -230,11 +225,11 @@ impl DgfIndex {
         };
 
         // A rewrite's extents are rebuilt from its own outputs alone: the
-        // stored extents describe the old granularity.
+        // previous view's describe the old granularity.
         let mut extents = if rewrite {
             Extents::empty(arity)
         } else {
-            self.extents()?
+            txn.view().extents.clone()
         };
         for e in &job.outputs {
             extents.merge(e);
@@ -255,7 +250,12 @@ impl DgfIndex {
         // space, so un-masked old keys would land inside the new view's
         // scan runs), and the manifest's `deletes` removes them at apply.
         let mut deletes: Vec<Vec<u8>> = Vec::new();
+        let mut retire: Vec<String> = Vec::new();
         if rewrite {
+            // A rewrite's view lists only its own outputs: the files it
+            // read — the previous view's — are retired wholesale (not
+            // deleted: a pinned reader may still hold that view).
+            retire = txn.view().data_files.iter().map(|(p, _)| p.clone()).collect();
             let staged_live = txn.staged_live_keys();
             let tombstone = GfuValue {
                 header: AggSet::encode_states(&agg_set.new_states()),
@@ -278,11 +278,7 @@ impl DgfIndex {
             policy: policy_handle,
             extents,
             watermark: ingest_watermark,
-            // A rewrite's view lists only its own outputs: the files it
-            // read are retired wholesale.
-            retire: regrid.map_or_else(Vec::new, |spec| {
-                spec.retire.iter().map(|(p, _)| p.clone()).collect()
-            }),
+            retire,
             deletes,
         })?;
         Ok(report)
@@ -376,52 +372,6 @@ impl DgfIndex {
         self.crash_point("reorg.pyramid-staged")?;
         Ok(())
     }
-
-    /// The precomputed post-commit metadata puts. Plain overwrites (the
-    /// extents are merged at prepare time, not at apply time, and the
-    /// caller resolves the ingest watermark to its final monotone value)
-    /// so re-applying after a crash never double-merges. The watermark
-    /// never regresses: a flush carries the sequence of its own batches,
-    /// a plain build/append re-persists the stored one.
-    pub(crate) fn meta_puts(
-        &self,
-        policy: &SplittingPolicy,
-        extents: &Extents,
-        files: u64,
-        watermark: u64,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let agg_keys: Vec<u8> = self
-            .aggs
-            .iter()
-            .map(|a| a.key())
-            .collect::<Vec<_>>()
-            .join("\n")
-            .into_bytes();
-        let mut puts = vec![
-            (META_POLICY_KEY.to_vec(), policy.encode()),
-            (META_PLACEMENT_KEY.to_vec(), self.placement.encode()),
-            (META_FILES_KEY.to_vec(), files.to_le_bytes().to_vec()),
-            (META_AGGS_KEY.to_vec(), agg_keys),
-            (META_EXTENT_KEY.to_vec(), extents.encode()),
-            (META_INGEST_KEY.to_vec(), watermark.to_le_bytes().to_vec()),
-        ];
-        if let Some(levels) = self.pyramid_levels() {
-            puts.push((META_PYRAMID_KEY.to_vec(), pyramid::encode_meta(levels)));
-        }
-        puts
-    }
-}
-
-/// Instructions turning [`DgfIndex::reorganize`] into a full grid
-/// rewrite: re-cell every record under `policy` and, at apply, move the
-/// `retire` files onto the deferred-reclamation list (`m:gc`).
-pub(crate) struct RegridSpec {
-    /// The adapted policy the rewrite cells records under.
-    pub policy: Arc<SplittingPolicy>,
-    /// Data files `(path, len)` superseded by the rewrite. They are not
-    /// deleted at apply — a pinned reader may still hold the old view —
-    /// but queued on `m:gc` for the next maintenance run.
-    pub retire: Vec<(String, u64)>,
 }
 
 /// Encode the `m:gc` deferred-reclamation list (count + paths).
@@ -437,10 +387,13 @@ pub(crate) fn encode_gc_list(paths: &[String]) -> Vec<u8> {
 /// Decode the `m:gc` deferred-reclamation list.
 pub(crate) fn decode_gc_list(bytes: &[u8]) -> Result<Vec<String>> {
     let mut d = dgf_common::codec::Decoder::new(bytes);
-    let n = d.u32()? as usize;
+    let n = d.count(4)?;
     let mut paths = Vec::with_capacity(n);
     for _ in 0..n {
         paths.push(d.str()?.to_owned());
+    }
+    if d.remaining() != 0 {
+        return Err(dgf_common::DgfError::Corrupt("gc list has trailing bytes".into()));
     }
     Ok(paths)
 }

@@ -35,8 +35,8 @@
 //! The flush (inline when the active slot fills, or from the background
 //! flusher when it ages out) swaps the active slot into the flushing
 //! slot — the union queries see is unchanged — and runs the existing
-//! staged-commit append with the batch watermark riding the manifest's
-//! meta puts: Slices publish and the watermark advances in the same
+//! staged-commit append with the batch watermark riding the published
+//! read view: Slices publish and the watermark advances in the same
 //! atomic commit, which is exactly when the slot stops being merged
 //! from memory. Crash anywhere and `dgf_core::txn::recover` plus WAL replay
 //! reconstruct a state equal to some prefix of acknowledged batches

@@ -163,7 +163,7 @@ mod tests {
     fn metadata_lands_on_the_last_shard() {
         let e = extents(&[(0, 9)]);
         let kv = sharded_mem(&e, 4).unwrap();
-        for key in [&b"m:view"[..], b"m:pyramid", b"s:0001", b"t:manifest"] {
+        for key in [&b"m:view"[..], b"m:gc", b"s:0001", b"t:manifest"] {
             assert_eq!(kv.shard_of(key), 3, "{}", String::from_utf8_lossy(key));
         }
         // Pyramid nodes route with the metadata, at every level and

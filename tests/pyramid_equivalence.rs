@@ -299,8 +299,9 @@ fn aggregate_without_a_fully_inner_cell_reads_no_pyramid_node() {
     assert!(bits_eq(&[default], &[flat]));
 }
 
-/// Satellite: a store that carries no pyramid (`m:pyramid` and every
-/// `p:` key removed, as stores built before the pyramid existed look)
+/// Satellite: a store that carries no pyramid (the view's height zeroed
+/// and every `p:` key removed, as stores built before the pyramid existed
+/// look)
 /// opens without one; the default plan then degrades wholesale and
 /// still answers bit-identically to what the pyramid answered.
 #[test]
@@ -318,7 +319,11 @@ fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
     assert!(built.plan(&queries(&cfg)[1], true).unwrap().pyramid_nodes > 0);
     drop(built);
 
-    kv.delete(dgfindex::core::gfu::META_PYRAMID_KEY).unwrap();
+    use dgfindex::core::{gfu::META_VIEW_KEY, ReadView};
+    let mut view = ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
+    assert!(view.pyramid > 0);
+    view.pyramid = 0;
+    kv.put(META_VIEW_KEY, &view.encode()).unwrap();
     for (key, _) in kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX).unwrap() {
         kv.delete(&key).unwrap();
     }
