@@ -1,7 +1,10 @@
 //! # dgf-bench
 //!
-//! The benchmark harness regenerating **every table and figure** of the
-//! paper's evaluation (§5):
+//! The paper harness: it regenerates **every table and figure** of the
+//! paper's evaluation (§5) and nothing else. What the system *costs* is
+//! measured by the end-to-end benchmark under `benchmark/`; what it
+//! *guarantees* (bit-identity, read reductions, bytes ratios) is asserted
+//! by the integration suites under `tests/`.
 //!
 //! | Experiment | Function |
 //! |---|---|
@@ -17,18 +20,21 @@
 //!
 //! Run `cargo run --release -p dgf-bench --bin repro -- --scale medium`
 //! to print them all, or `--out results.md` to also write Markdown.
+//!
+//! | Module | Holds |
+//! |---|---|
+//! | [`experiments`] | one function per table / figure above |
+//! | [`meter_lab`] | the meter-data world: base tables, DGF / Compact / HadoopDB engines |
+//! | [`tpch_lab`] | the TPC-H `lineitem` world |
+//! | [`scale`] | `small` / `medium` / `large` dataset presets |
+//! | [`report`] | plain-text / Markdown table rendering |
 
 #![warn(missing_docs)]
 
-pub mod columnar;
-pub mod compaction;
 pub mod experiments;
 pub mod meter_lab;
-pub mod pyramid;
 pub mod report;
 pub mod scale;
-pub mod serving;
-pub mod sidecar;
 pub mod tpch_lab;
 
 pub use meter_lab::{IntervalSize, MeterLab};

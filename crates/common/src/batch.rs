@@ -288,6 +288,15 @@ impl Iterator for SelectionIter<'_> {
 /// the row path would. An all-null column decodes as `Int` placeholders
 /// with every row flagged null.
 pub fn decode_column(bytes: &[u8], n_rows: usize) -> Result<Column> {
+    // Every cell encodes to at least its tag byte, so a row count the
+    // stream cannot hold is corruption — reject it before sizing the
+    // null mask and the typed vector from it.
+    if n_rows > bytes.len() {
+        return Err(DgfError::Corrupt(format!(
+            "column claims {n_rows} rows in {} bytes",
+            bytes.len()
+        )));
+    }
     let mut dec = Decoder::new(bytes);
     let mut nulls = NullMask::new(n_rows);
     // Rows seen before the first non-null cell fixes the column type.

@@ -18,7 +18,7 @@
 //!   `record_into` / `attach_to_span` pair that reaches this module.
 //! * [`QueryProfile`] / [`ProfileNode`] — the frozen result of a profiled
 //!   run: a stage tree with wall time, metrics, and children, renderable
-//!   as a flame-style text tree or exportable as JSON for `BENCH_*.json`.
+//!   as a flame-style text tree or exportable as JSON (`dgf profile --json`).
 //! * [`TraceFilter`] — `DGF_TRACE=plan,kv`-style category filtering parsed
 //!   from the environment by [`Profiler::from_env`].
 //!
@@ -600,8 +600,7 @@ impl ProfileNode {
 }
 
 /// A frozen span tree for one query (or build), carried on `DgfPlan`
-/// and `RunStats`, rendered by `dgf profile`, and exported as JSON by
-/// the bench harness.
+/// and `RunStats`, rendered by `dgf profile` as text or JSON.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
     /// Root stages (usually exactly one, e.g. `"query"`).
@@ -699,9 +698,8 @@ fn json_array(items: impl IntoIterator<Item = String>) -> String {
 }
 
 /// A JSON object under construction: keys keep insertion order, keys and
-/// strings are escaped, commas are placed. The one writer behind
-/// [`QueryProfile::to_json`] and every `BENCH_*.json` document (no serde
-/// in this workspace).
+/// strings are escaped, commas are placed. The writer behind
+/// [`QueryProfile::to_json`] (no serde in this workspace).
 ///
 /// ```
 /// use dgf_common::obs::JsonObject;

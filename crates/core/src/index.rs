@@ -497,8 +497,8 @@ impl DgfIndex {
     }
 
     /// Replace the index's span collector after the fact — e.g. to force
-    /// collection for one profiled run regardless of `DGF_TRACE`, as the
-    /// bench harness does when emitting `BENCH_*.json`.
+    /// collection for one profiled run regardless of `DGF_TRACE`, as a
+    /// test asserting on the span tree does.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
     }

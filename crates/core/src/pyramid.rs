@@ -34,8 +34,8 @@
 //! once, here: the state of node `(k, c)` is the fold of its *present*
 //! children's states, in odometer order ([`child_coords`]), starting
 //! from `AggSet::new_states()`; the state of a leaf is its decoded
-//! header. Maintenance ([`DgfIndex`](crate::DgfIndex) staging,
-//! [`rebuild_all`]) materializes exactly this recursion, and the flat
+//! header. Maintenance ([`DgfIndex`](crate::DgfIndex) staging)
+//! materializes exactly this recursion, and the flat
 //! planner strategies re-play it client-side (`fold_levels`) before
 //! touching the query accumulator — so reading a pre-computed `p:` node
 //! yields the same bits as folding its leaves on the fly, by
@@ -66,10 +66,9 @@ use std::collections::BTreeMap;
 
 use dgf_common::codec;
 use dgf_common::Result;
-use dgf_kvstore::KvStore;
 use dgf_query::{AggSet, AggState};
 
-use crate::gfu::{GfuKey, GfuValue, GFU_PREFIX};
+use crate::gfu::GfuKey;
 
 /// Key prefix for pyramid node entries in the key-value store. Sorts
 /// above every `g:` leaf and below the staged `s:` keys, so range
@@ -273,7 +272,7 @@ pub(crate) fn fold_levels(
 /// into a fresh accumulator. `children` yields `Ok(None)` for absent
 /// children, which are skipped; a node with no present children does
 /// not exist (`Ok(None)`). This is the single definition of a stored
-/// node's value — incremental staging and [`rebuild_all`] both call it.
+/// node's value — every staged pyramid write calls it.
 pub fn fold_node(
     set: &AggSet,
     children: impl IntoIterator<Item = Result<Option<(Vec<AggState>, u64)>>>,
@@ -289,55 +288,6 @@ pub fn fold_node(
         }
     }
     Ok(present.then_some((states, count)))
-}
-
-/// Build every pyramid node from the `g:` leaves currently in `kv`,
-/// bottom-up, writing `p:` keys directly (no staging). This is the
-/// offline backfill/bootstrap path — benches and migrations of
-/// pre-pyramid stores use it; live maintenance goes through the staged
-/// commit in `DgfIndex` instead. Returns the number of nodes written.
-///
-/// The folds are exactly the canonical merge tree ([`fold_node`] per
-/// node, children in [`child_coords`] order), so a store backfilled
-/// here is bit-identical to one maintained incrementally.
-pub fn rebuild_all(kv: &dyn KvStore, arity: usize, levels: u8, set: &AggSet) -> Result<u64> {
-    let pairs = kv.scan_prefix(GFU_PREFIX)?;
-    let mut table: BTreeMap<Vec<i64>, (Vec<AggState>, u64)> = BTreeMap::new();
-    for (k, v) in &pairs {
-        let key = GfuKey::decode(k, arity)?;
-        let value = GfuValue::decode(v)?;
-        let states = set.decode_states(&value.header)?;
-        table.insert(key.cells, (states, value.record_count));
-    }
-    let mut written = 0u64;
-    for level in 1..=levels {
-        let mut up: BTreeMap<Vec<i64>, (Vec<AggState>, u64)> = BTreeMap::new();
-        // Parent coordinates are not monotone in child lexicographic
-        // order, so sort before deduplicating.
-        let mut parents: Vec<Vec<i64>> = table.keys().map(|c| parent_coords(c)).collect();
-        parents.sort();
-        parents.dedup();
-        for parent in parents {
-            let folded = fold_node(
-                set,
-                child_coords(&parent)
-                    .iter()
-                    .map(|c| Ok(table.get(c).cloned())),
-            )?;
-            if let Some((states, count)) = folded {
-                let node = GfuValue {
-                    header: AggSet::encode_states(&states),
-                    slices: Vec::new(),
-                    record_count: count,
-                };
-                kv.put(&pyramid_key(level, &parent), &node.encode())?;
-                written += 1;
-                up.insert(parent, (states, count));
-            }
-        }
-        table = up;
-    }
-    Ok(written)
 }
 
 #[cfg(test)]

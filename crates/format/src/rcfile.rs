@@ -142,6 +142,12 @@ impl RcWriter {
 
 /// Load the footer directory of group offsets.
 pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
+    Ok(read_footer(hdfs, path)?.0)
+}
+
+/// The footer directory plus the offset it starts at — the end of the
+/// last row group, which bounds every frame a reader may fetch.
+fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<(Vec<u64>, u64)> {
     let len = hdfs.file_len(path)?;
     if len < 16 {
         return Err(DgfError::Corrupt(format!("{path}: too short for an RCFile")));
@@ -174,7 +180,7 @@ pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
     for _ in 0..n {
         offsets.push(dec.u64()?);
     }
-    Ok(offsets)
+    Ok((offsets, footer_start))
 }
 
 /// A decoded batch held while its rows are handed out one at a time.
@@ -197,6 +203,8 @@ pub struct RcReader {
     path: String,
     schema: SchemaRef,
     group_offsets: std::vec::IntoIter<u64>,
+    /// Where the footer starts: no group frame may end past it.
+    footer_start: u64,
     current: Option<BatchCursor>,
     /// Decode only these column indexes; others become `Value::Null`.
     projection: Option<Vec<usize>>,
@@ -210,7 +218,7 @@ pub struct RcReader {
 impl RcReader {
     /// Open a reader over the groups whose start offset lies in `split`.
     pub fn open(hdfs: &HdfsRef, schema: SchemaRef, split: &FileSplit) -> Result<RcReader> {
-        let all = read_group_offsets(hdfs, &split.path)?;
+        let (all, footer_start) = read_footer(hdfs, &split.path)?;
         let mine: Vec<u64> = all
             .into_iter()
             .filter(|o| *o >= split.start && *o < split.end())
@@ -220,6 +228,7 @@ impl RcReader {
             path: split.path.clone(),
             schema,
             group_offsets: mine.into_iter(),
+            footer_start,
             current: None,
             projection: None,
             row_filter: None,
@@ -277,6 +286,14 @@ impl RcReader {
             let mut len_buf = [0u8; 4];
             r.read_exact(&mut len_buf)?;
             let n = u32::from_le_bytes(len_buf) as usize;
+            // The file carries no checksum: a frame length that runs
+            // into the footer is corruption, not an allocation request.
+            if offset.saturating_add(4 + n as u64) > self.footer_start {
+                return Err(DgfError::Corrupt(format!(
+                    "{}: group at {offset} claims {n} bytes, footer starts at {}",
+                    self.path, self.footer_start
+                )));
+            }
             let mut payload = vec![0u8; n];
             r.read_exact(&mut payload)?;
             return Ok(Some((offset, payload)));
@@ -570,6 +587,44 @@ mod tests {
             read_group_offsets(&h, "/t/huge"),
             Err(DgfError::Corrupt(_))
         ));
+    }
+
+    /// One flipped count in a checksum-less file must surface as
+    /// `Corrupt` from the check that precedes the allocation ("claims"),
+    /// on both drain paths — not as a multi-GiB `vec!`, and not as the
+    /// EOF a reader would hit only after allocating.
+    #[test]
+    fn flipped_frame_length_or_row_count_is_corrupt_not_an_allocation() {
+        let (_t, h) = cluster();
+        let group = write(&h, "/t/f", 5, 10)[0] as usize;
+        let good = h.read_file("/t/f").unwrap();
+        let split = |path: &str| FileSplit::new(path, 0, h.file_len(path).unwrap());
+        // (case, offset of the trusted u32 within the group frame, poison)
+        for (case, at, poison) in [
+            ("frame-length", 0usize, 0xFFFF_FFF0u32),
+            ("n-rows", 4, 0xFFFF_FFFF),
+        ] {
+            let path = format!("/t/{case}");
+            let mut bad = good.clone();
+            bad[group + at..group + at + 4].copy_from_slice(&poison.to_le_bytes());
+            let mut w = h.create(&path).unwrap();
+            use std::io::Write as _;
+            w.write_all(&bad).unwrap();
+            w.close().unwrap();
+
+            let batch = RcReader::open(&h, schema(), &split(&path))
+                .unwrap()
+                .next_batch();
+            let row = RcReader::open(&h, schema(), &split(&path))
+                .unwrap()
+                .next_row_into(&mut Row::new());
+            for (drain, err) in [("next_batch", batch.err()), ("next_row_into", row.err())] {
+                assert!(
+                    matches!(&err, Some(DgfError::Corrupt(m)) if m.contains("claims")),
+                    "{case} via {drain}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,7 @@
 //!   actual `## N.` heading — stale cross-references after a renumber
 //!   fail here, not in a reader's head;
 //! * every repo source path mentioned in backticks (`crates/...`,
-//!   `tests/...`) exists on disk. Committed `BENCH_*.json` artifacts
-//!   are covered by the link check via README's Benchmarks index
-//!   (bare backticked `BENCH_*` names also name bench *outputs* under
-//!   `target/`, which CI builds fresh).
+//!   `tests/...`) exists on disk.
 //!
 //! CI runs this as the docs-lint step (`cargo test --test docs_links`).
 

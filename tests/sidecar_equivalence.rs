@@ -16,6 +16,11 @@
 //!   rides the staged-commit renames, so a crash at any instrumented
 //!   site must leave either no sidecar or a matched slice+sidecar pair,
 //!   and recovery must answer exactly like a scan of the base table.
+//! * what the accelerator buys, as exact byte counts: selective
+//!   queries read ≤ 25 % of the unpruned slice bytes and the
+//!   bytes-skipped ledger reconciles with the real pruning-off pass —
+//!   on a bulk-built index and again after streaming flushes plus one
+//!   compaction pass over an RCFile index.
 
 use std::sync::Arc;
 
@@ -587,6 +592,172 @@ fn sidecar_publication_crash_sweep_recovers() {
         assert!(out.is_err(), "site {site}: scheduled crash did not fire");
         assert!(plan.crashed(), "site {site}: failed without crashing: {out:?}");
         verify(&ctx, &base, &inner);
+    }
+}
+
+/// Rows whose sidecar-only columns are laid out the way sub-slice
+/// skipping needs: `seq = i` is clustered (each row group of a slice
+/// covers a narrow band) and `cat = i·16/n` is block-clustered
+/// low-cardinality (most groups hold one or two distinct values, so the
+/// bitmap's upper level answers for them). `user` and `day` cycle
+/// quickly, so every stretch of rows lands in every grid cell.
+fn clustered_rows(n: usize) -> Vec<Row> {
+    (0..n as i64)
+        .map(|i| {
+            vec![
+                Value::Int((i * 7) % 32),
+                Value::Int((i * 13) % 8),
+                Value::Int(i * 16 / n as i64),
+                Value::Int(i),
+                Value::Float((i % 97) as f64 / 3.0),
+            ]
+        })
+        .collect()
+}
+
+/// Rows and rows-per-group of the two bytes-ratio tests below: ~1 600
+/// rows per grid cell in ~26 groups, so a slice has room to be skipped
+/// inside.
+const CLUSTERED_ROWS: usize = 20_000;
+const SMALL_GROUP: usize = 64;
+
+/// The selective shapes only a sidecar can narrow: a clustered
+/// non-grid range, a second one under a misaligned grid range
+/// (boundary Slices), and a block-clustered low-cardinality equality.
+fn selective_queries(seq_a: i64, seq_b: i64, cat: i64) -> Vec<(&'static str, Query)> {
+    let n = CLUSTERED_ROWS as i64;
+    let range = |lo: i64, hi: i64| ColumnRange::half_open(Value::Int(lo), Value::Int(hi));
+    let aggregate = |predicate| Query::Aggregate {
+        aggs: aggs(),
+        predicate,
+    };
+    vec![
+        (
+            "zone_seq_range",
+            aggregate(Predicate::all().and("seq", range(seq_a, seq_a + n / 20))),
+        ),
+        (
+            "zone_seq_boundary",
+            aggregate(
+                Predicate::all()
+                    .and("user", range(3, 29))
+                    .and("seq", range(seq_b, seq_b + n / 16)),
+            ),
+        ),
+        (
+            "bitmap_cat_eq",
+            aggregate(Predicate::all().and("cat", ColumnRange::eq(Value::Int(cat)))),
+        ),
+    ]
+}
+
+/// One query pruned and unpruned: the same float bits, a sidecar
+/// actually consulted, the bytes-skipped ledger exact against the real
+/// pruning-off pass, and at most a quarter of the slice bytes read.
+/// Returns the answer.
+fn assert_reads_a_quarter(w: &World, index: &Arc<DgfIndex>, name: &str, q: &Query) -> QueryResult {
+    let on = run_with_sidecar(w, index, q, true);
+    let off = run_with_sidecar(w, index, q, false);
+    assert_bits_eq(&on.result, &off.result, name);
+    let (pruned, unpruned) = (on.stats.data_bytes_read, off.stats.data_bytes_read);
+    let scan = on.stats.scan;
+    assert!(scan.sidecar_hits > 0, "{name}: no sidecar consulted");
+    assert_eq!(
+        pruned + scan.sidecar_bytes_skipped,
+        unpruned,
+        "{name}: bytes-skipped ledger does not reconcile with the unpruned pass"
+    );
+    assert!(
+        4 * pruned <= unpruned,
+        "{name}: read {pruned} of {unpruned} unpruned slice bytes (need <= 25%), \
+         {} groups pruned",
+        scan.sidecar_groups_pruned
+    );
+    on.result
+}
+
+/// The sidecar's claim ("upper level answers, lower level touched only
+/// when needed" — *Hierarchical Bitmap Indexing*, PAPERS.md) as exact
+/// byte counts on a bulk-built index.
+#[test]
+fn selective_queries_read_a_quarter_of_the_slice_bytes() {
+    let n = CLUSTERED_ROWS as i64;
+    let w = world("quarter", &clustered_rows(CLUSTERED_ROWS), SMALL_GROUP);
+    let index = build(&w, Arc::new(MemKvStore::new()));
+    for (name, q) in selective_queries(n / 10, n / 2, 11) {
+        assert_reads_a_quarter(&w, &index, name, &q);
+    }
+}
+
+/// The same claim after the layout has been through the write path's
+/// worst case: half the rows bulk-built, the rest landed by eight
+/// flushes (each scattering ~100 rows into every cell), then one
+/// maintenance pass over an RCFile index. Every file the pass wrote
+/// must carry its `.scx` twin, and queries on the *flushed* rows must
+/// consult it and meet the bar.
+#[test]
+fn compacted_rcfile_slices_keep_their_sidecars_and_the_bytes_bar() {
+    use dgfindex::core::{Maintainer, MaintenanceConfig};
+
+    let n = CLUSTERED_ROWS as i64;
+    let rows = clustered_rows(CLUSTERED_ROWS);
+    let (seeded, streamed) = rows.split_at(CLUSTERED_ROWS / 2);
+    let w = world("compacted", seeded, SMALL_GROUP);
+    let index = build(&w, Arc::new(MemKvStore::new()));
+    let ingestor = StreamIngestor::open(
+        Arc::clone(&index),
+        w._tmp.path().join("ingest.wal"),
+        IngestConfig {
+            flush_rows: u64::MAX,
+            auto_flush_interval: None,
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
+    for batch in streamed.chunks(streamed.len() / 8) {
+        ingestor.ingest(batch).unwrap();
+        ingestor.flush().unwrap();
+    }
+    ingestor.close().unwrap();
+
+    let asked = selective_queries(n / 2 + n / 10, 3 * n / 4, 13);
+    let answers_before: Vec<QueryResult> = asked
+        .iter()
+        .map(|(_, q)| run_with_sidecar(&w, &index, q, true).result)
+        .collect();
+
+    let budget = 4;
+    let before = index.pin_view().unwrap().data_files;
+    assert!(before.len() > budget, "only {} live files", before.len());
+    let report = Maintainer::new(
+        Arc::clone(&index),
+        MaintenanceConfig {
+            delta_file_budget: budget,
+            ..MaintenanceConfig::default()
+        },
+    )
+    .run_once()
+    .unwrap();
+    assert!(report.compacted_files > 0, "nothing compacted: {report:?}");
+
+    let after = index.pin_view().unwrap().data_files;
+    assert!(after.len() <= budget);
+    let written: Vec<&String> = after
+        .iter()
+        .map(|(path, _)| path)
+        .filter(|path| !before.iter().any(|(old, _)| old == *path))
+        .collect();
+    assert!(!written.is_empty(), "the pass published no new file");
+    for path in written {
+        assert!(
+            w.ctx.hdfs.file_exists(&sidecar_path(path)),
+            "compacted file {path} has no sidecar"
+        );
+    }
+    // Compaction moves bytes, never re-aggregates: no answer bit moves.
+    for ((name, q), was) in asked.iter().zip(&answers_before) {
+        let now = assert_reads_a_quarter(&w, &index, name, q);
+        assert_bits_eq(&now, was, &format!("{name} across compaction"));
     }
 }
 
