@@ -245,6 +245,18 @@ pub mod names {
     pub const MAINTAIN_KV_BYTES_RECLAIMED: &str = "maintain.kv_bytes_reclaimed";
     /// Grid adaptations applied (`MaintainStats::regrids`).
     pub const MAINTAIN_REGRIDS: &str = "maintain.regrids";
+    /// Recorded queries grid adaptation was advised on
+    /// (`MaintainStats::history_len`).
+    pub const MAINTAIN_HISTORY_LEN: &str = "maintain.history_len";
+    /// Candidate policies grid adaptation priced
+    /// (`MaintainStats::candidates`).
+    pub const MAINTAIN_CANDIDATES: &str = "maintain.candidates";
+    /// Model cost of the grid adaptation found, in thousandths of a row
+    /// read per query (`MaintainStats::cost_current`).
+    pub const MAINTAIN_COST_CURRENT: &str = "maintain.cost_current";
+    /// Model cost of the grid adaptation left behind, same unit
+    /// (`MaintainStats::cost_chosen`).
+    pub const MAINTAIN_COST_CHOSEN: &str = "maintain.cost_chosen";
 }
 
 /// Category filter parsed from a `DGF_TRACE`-style string.

@@ -23,7 +23,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::cache::{GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 use crate::fresh::FreshSource;
 use crate::gfu::{Extents, GfuKey, GfuValue, GFU_PREFIX, META_GC_KEY, META_VIEW_KEY};
-use crate::maintain::{CellHeat, MaintainStats};
+use crate::advisor::QueryHistory;
+use crate::maintain::MaintainStats;
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
 use crate::txn::{
@@ -161,9 +162,10 @@ pub struct DgfIndex {
     /// ([`ReadView::pyramid`]); `None` disables maintenance and sends
     /// every plan down the prefix-run scans.
     pyramid: Option<u8>,
-    /// Planner-fed per-dimension boundary-heat counters consumed by the
-    /// maintenance daemon's grid adaptation (see [`crate::maintain`]).
-    heat: CellHeat,
+    /// The grid-dimension ranges of the plans this handle validated
+    /// most recently: what the maintenance daemon's grid adaptation is
+    /// advised on (see [`crate::maintain`]).
+    history: QueryHistory,
     /// Set while a [`Txn`] is open on this handle (the single-writer
     /// rule, enforced).
     pub(crate) writing: AtomicBool,
@@ -376,7 +378,7 @@ impl DgfIndex {
             ctx,
             base,
             data,
-            heat: CellHeat::new(policy.arity()),
+            history: QueryHistory::new(),
             policy: RwLock::new(Arc::new(policy)),
             aggs,
             kv,
@@ -418,9 +420,9 @@ impl DgfIndex {
         *self.policy.write() = policy;
     }
 
-    /// Planner-fed boundary-heat counters (see [`crate::maintain`]).
-    pub fn heat(&self) -> &CellHeat {
-        &self.heat
+    /// The planner-recorded query history (see [`crate::maintain`]).
+    pub fn history(&self) -> &QueryHistory {
+        &self.history
     }
 
     /// The persisted deferred file-reclamation list (`m:gc`): data files

@@ -79,14 +79,17 @@ pub mod txn;
 pub mod view;
 pub mod write;
 
-pub use advisor::{collect_stats, recommend_policy, AdvisorConfig, DimStats, Recommendation};
+pub use advisor::{
+    collect_stats, recommend_policy, AdvisorConfig, DimStats, QueryHistory, QueryRanges,
+    Recommendation,
+};
 pub use cache::{CacheCounters, CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 pub use engine::DgfEngine;
 pub use fresh::{FreshCell, FreshSource};
 pub use gfu::{Extents, GfuKey, GfuValue, SliceLoc};
 pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions, SlicePlacement};
 pub use maintain::{
-    CellHeat, MaintainSnapshot, MaintainStats, MaintenanceConfig, MaintenanceReport, Maintainer,
+    MaintainSnapshot, MaintainStats, MaintenanceConfig, MaintenanceReport, Maintainer,
 };
 pub use plan::{DgfPlan, PlanStrategy};
 pub use pyramid::{NodeRef, DEFAULT_PYRAMID_LEVELS, PYRAMID_PREFIX};

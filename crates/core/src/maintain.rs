@@ -21,11 +21,14 @@
 //! and are reclaimed at the *start of the next run*, giving readers
 //! pinned to the previous view one full round of grace.
 //!
-//! **Adaptation** consumes the planner's [`CellHeat`] boundary counters:
-//! a grid whose cells are too coarse (records per cell above
-//! [`MaintenanceConfig::split_records_per_cell`]) halves the interval of
-//! the *hottest* boundary dimension; one too fine (below
-//! [`MaintenanceConfig::merge_records_per_cell`]) doubles the coldest.
+//! **Adaptation** runs the splitting-policy advisor ([`crate::advisor`])
+//! over the planner's own [`QueryHistory`](crate::advisor::QueryHistory):
+//! the grid the index has and the best candidate of the advisor's search
+//! are priced by the one cost function, and the index is re-gridded to
+//! the candidate only when the saving predicted over the recorded
+//! queries exceeds rewriting every row — so a stationary workload
+//! reaches a grid it stays on, and a handle with no history moves
+//! nothing.
 //! The rewrite re-cells every record under the new policy in a single
 //! transaction whose manifest also *retires* the old-granularity keys
 //! (see [`crate::txn::TxnManifest::deletes`]), and the new policy rides
@@ -33,7 +36,6 @@
 //! can never pair one epoch's extents with another's cell geometry.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgf_common::obs::{names, SpanGuard};
@@ -43,51 +45,10 @@ use dgf_hive::{open_input, ScanInput};
 
 use crate::gfu::{GfuValue, GFU_PREFIX, META_GC_KEY};
 use crate::index::DgfIndex;
-use crate::policy::{DimPolicy, DimScale, SplittingPolicy};
+use crate::advisor::{self, AdvisorConfig};
+use crate::policy::SplittingPolicy;
 use crate::txn::{Outcome, Txn};
 use crate::write::{encode_gc_list, SliceWriter};
-
-/// Planner-fed per-dimension boundary-heat counters.
-///
-/// Every time plan assembly classifies a span edge on dimension `d` as
-/// *uncovered* (a boundary cell whose records must be scanned and
-/// re-filtered), it calls [`record`](Self::record). The counters are the
-/// maintenance daemon's signal for which dimension's granularity is
-/// mispriced: the hottest dimension produces the most boundary scans and
-/// benefits most from finer cells.
-#[derive(Debug)]
-pub struct CellHeat {
-    dims: Vec<AtomicU64>,
-}
-
-impl CellHeat {
-    /// Zeroed counters for an `arity`-dimensional grid.
-    pub(crate) fn new(arity: usize) -> CellHeat {
-        CellHeat {
-            dims: (0..arity).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Count one boundary-cell scan attributed to dimension `dim`.
-    /// Out-of-range dimensions are ignored (a pinned view may carry a
-    /// policy of different arity than the live grid mid-regrid).
-    pub fn record(&self, dim: usize) {
-        if let Some(c) = self.dims.get(dim) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current per-dimension counts, in policy order.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.dims.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Read and reset the counters (the maintainer consumes each epoch
-    /// of heat exactly once).
-    pub fn take(&self) -> Vec<u64> {
-        self.dims.iter().map(|c| c.swap(0, Ordering::Relaxed)).collect()
-    }
-}
 
 /// Tuning knobs for one [`Maintainer`].
 pub struct MaintenanceConfig {
@@ -102,14 +63,9 @@ pub struct MaintenanceConfig {
     /// `dgf-ingest` in the crate graph.
     #[allow(clippy::type_complexity)]
     pub flush_hook: Option<Box<dyn Fn() -> Result<u64> + Send + Sync>>,
-    /// Whether grid adaptation (re-split/merge + full rewrite) may run.
+    /// Whether grid adaptation (advisor-chosen intervals + full rewrite)
+    /// may run.
     pub adapt: bool,
-    /// Mean records per occupied cell above which the hottest boundary
-    /// dimension's interval is halved.
-    pub split_records_per_cell: u64,
-    /// Mean records per occupied cell below which the coldest boundary
-    /// dimension's interval is doubled. `0` disables merging.
-    pub merge_records_per_cell: u64,
 }
 
 impl Default for MaintenanceConfig {
@@ -118,8 +74,6 @@ impl Default for MaintenanceConfig {
             delta_file_budget: 8,
             flush_hook: None,
             adapt: false,
-            split_records_per_cell: 4096,
-            merge_records_per_cell: 0,
         }
     }
 }
@@ -139,8 +93,8 @@ pub struct MaintenanceReport {
     pub compacted_bytes: u64,
     /// Bytes reclaimed by key-value store log compaction.
     pub kv_reclaimed_bytes: u64,
-    /// Dimension whose interval the adaptation pass changed, with the
-    /// new interval's description (`None` = grid left alone).
+    /// The dimensions whose intervals the adaptation pass changed, old
+    /// scale → new (`None` = grid left alone).
     pub adapted: Option<String>,
 }
 
@@ -163,6 +117,16 @@ counter_block! {
         kv_bytes_reclaimed: names::MAINTAIN_KV_BYTES_RECLAIMED,
         /// Grid adaptations applied.
         regrids: names::MAINTAIN_REGRIDS,
+        /// Recorded queries the adaptation passes were advised on.
+        history_len: names::MAINTAIN_HISTORY_LEN,
+        /// Candidate policies those passes priced.
+        candidates: names::MAINTAIN_CANDIDATES,
+        /// Model cost per query of the grids the passes found, in
+        /// thousandths of a row read.
+        cost_current: names::MAINTAIN_COST_CURRENT,
+        /// Model cost per query of the grids the passes left behind (the
+        /// same, where a pass did not move), in thousandths of a row read.
+        cost_chosen: names::MAINTAIN_COST_CHOSEN,
     }
 }
 
@@ -221,7 +185,8 @@ impl Maintainer {
     }
 
     /// Run one stage of the pass under a child span that carries the
-    /// stage's `kv.*` and `hdfs.*` deltas.
+    /// stage's `kv.*` and `hdfs.*` deltas, and what the stage itself
+    /// counted on [`MaintainStats`] (the adaptation's view of the advisor).
     fn stage<T>(
         &self,
         pass: &SpanGuard,
@@ -230,11 +195,15 @@ impl Maintainer {
     ) -> Result<T> {
         let span = pass.child(name);
         let (kv, hdfs) = (self.index.kv.stats(), self.index.ctx.hdfs.stats());
-        let before = span.is_recording().then(|| (kv.snapshot(), hdfs.snapshot()));
+        let own = &self.index.maintain_stats;
+        let before = span
+            .is_recording()
+            .then(|| (kv.snapshot(), hdfs.snapshot(), own.snapshot()));
         let out = work();
-        if let Some((kv_before, hdfs_before)) = before {
+        if let Some((kv_before, hdfs_before, own_before)) = before {
             kv.snapshot().since(&kv_before).attach_to_span(&span);
             hdfs.snapshot().since(&hdfs_before).attach_to_span(&span);
+            own.snapshot().since(&own_before).attach_to_span(&span);
         }
         out
     }
@@ -381,55 +350,52 @@ impl Maintainer {
         Ok(counts)
     }
 
-    /// Decide and apply one grid adaptation, if warranted. Returns a
-    /// human-readable description of the change, or `None`.
+    /// Ask the advisor whether the recorded queries would be served
+    /// cheaper by another grid, and re-grid to it when the predicted
+    /// saving repays the rewrite. What the advisor saw and priced is
+    /// counted either way. Returns the change, or `None`.
     fn adapt(&self) -> Result<Option<String>> {
         let index = &*self.index;
-        let pairs = index.kv_scan_prefix(GFU_PREFIX)?;
-        if pairs.is_empty() {
+        let history = index.history().snapshot();
+        let view = index.pin_view()?;
+        if history.is_empty() || view.extents.is_empty() {
             return Ok(None);
         }
-        let mut records: u64 = 0;
-        for (_, v) in &pairs {
-            records += GfuValue::decode(v)?.record_count;
+        let mut rows_total: u64 = 0;
+        for (_, v) in index.kv_scan_prefix(GFU_PREFIX)? {
+            rows_total += GfuValue::decode(&v)?.record_count;
         }
-        let cells = pairs.len() as u64;
-        let avg = records / cells.max(1);
-        let heat = index.heat().take();
-        let old = index.policy();
-        let (dim, halve) = if avg > self.config.split_records_per_cell {
-            // Hottest boundary dimension benefits most from finer cells.
-            let dim = argmax(&heat);
-            (dim, true)
-        } else if self.config.merge_records_per_cell > 0
-            && avg < self.config.merge_records_per_cell
-            && cells > 1
-        {
-            let dim = argmin(&heat);
-            (dim, false)
-        } else {
+        let old = SplittingPolicy::decode(&view.policy)?;
+        let stats = advisor::grid_stats(&old, &view.extents.dims)?;
+        let config = AdvisorConfig::default();
+        let current = advisor::price(&old, &stats, &history, rows_total, &config)?;
+        let best = advisor::search(&stats, &history, rows_total, &config)?;
+        let moves = best.policy != old
+            && best.repays_rewrite(&current, history.len(), rows_total, &config);
+        let chosen = if moves { &best } else { &current };
+        let counters = &index.maintain_stats;
+        counters.history_len.add(history.len() as u64);
+        counters.candidates.add(best.candidates);
+        counters.cost_current.add((current.expected_cost * 1e3) as u64);
+        counters.cost_chosen.add((chosen.expected_cost * 1e3) as u64);
+        if !moves {
             return Ok(None);
-        };
-        let Some(adapted) = adapt_dim(&old.dims()[dim], halve) else {
-            return Ok(None);
-        };
-        let desc = format!(
-            "{} {} → {}",
-            adapted.name,
-            scale_desc(&old.dims()[dim].scale),
-            scale_desc(&adapted.scale)
-        );
-        let mut dims = old.dims().to_vec();
-        dims[dim] = adapted;
-        let policy = SplittingPolicy::new(dims)?;
-        self.regrid_to(policy)?;
-        Ok(Some(desc))
+        }
+        let desc: Vec<String> = old
+            .dims()
+            .iter()
+            .zip(best.policy.dims())
+            .filter(|(was, now)| was != now)
+            .map(|(was, now)| format!("{} {:?} → {:?}", was.name, was.scale, now.scale))
+            .collect();
+        self.regrid_to(best.policy)?;
+        Ok(Some(desc.join(", ")))
     }
 
     /// Rewrite the whole index under `policy` (interval-only adaptation:
     /// same dimensions, same types — only cell widths change). Exposed
-    /// for tests and the CLI; [`run_once`](Self::run_once) reaches it
-    /// through the heat-driven decision.
+    /// for tests; [`run_once`](Self::run_once) reaches it through the
+    /// advisor's recommendation.
     pub fn regrid_to(&self, policy: SplittingPolicy) -> Result<()> {
         let index = &*self.index;
         if index.policy().dim_names() != policy.dim_names() {
@@ -481,105 +447,5 @@ impl Maintainer {
             }
         }
         Ok(out)
-    }
-}
-
-/// Halve (`true`) or double (`false`) a dimension's interval; `None`
-/// when the interval cannot move further in that direction.
-fn adapt_dim(d: &DimPolicy, halve: bool) -> Option<DimPolicy> {
-    let mut out = d.clone();
-    out.scale = match &d.scale {
-        DimScale::Int { min, interval } => {
-            let interval = if halve {
-                if *interval <= 1 {
-                    return None;
-                }
-                (*interval / 2).max(1)
-            } else {
-                interval.checked_mul(2)?
-            };
-            DimScale::Int {
-                min: *min,
-                interval,
-            }
-        }
-        DimScale::Float { min, interval } => {
-            let interval = if halve { interval / 2.0 } else { interval * 2.0 };
-            if !interval.is_finite() || interval <= 0.0 {
-                return None;
-            }
-            DimScale::Float {
-                min: *min,
-                interval,
-            }
-        }
-    };
-    Some(out)
-}
-
-fn scale_desc(s: &DimScale) -> String {
-    match s {
-        DimScale::Int { interval, .. } => format!("interval {interval}"),
-        DimScale::Float { interval, .. } => format!("interval {interval}"),
-    }
-}
-
-fn argmax(xs: &[u64]) -> usize {
-    let mut best = 0;
-    for (i, x) in xs.iter().enumerate() {
-        if *x > xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-fn argmin(xs: &[u64]) -> usize {
-    let mut best = 0;
-    for (i, x) in xs.iter().enumerate() {
-        if *x < xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn heat_records_and_resets() {
-        let h = CellHeat::new(3);
-        h.record(0);
-        h.record(2);
-        h.record(2);
-        h.record(7); // out of range: ignored
-        assert_eq!(h.snapshot(), vec![1, 0, 2]);
-        assert_eq!(h.take(), vec![1, 0, 2]);
-        assert_eq!(h.snapshot(), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn adapt_dim_halves_and_doubles() {
-        let d = DimPolicy::int("a", 0, 8);
-        let halved = adapt_dim(&d, true).unwrap();
-        assert_eq!(halved.scale, DimScale::Int { min: 0, interval: 4 });
-        let doubled = adapt_dim(&d, false).unwrap();
-        assert_eq!(doubled.scale, DimScale::Int { min: 0, interval: 16 });
-        // A unit interval cannot get finer.
-        assert!(adapt_dim(&DimPolicy::int("a", 0, 1), true).is_none());
-        let f = DimPolicy::float("f", 0.0, 1.0);
-        assert_eq!(
-            adapt_dim(&f, true).unwrap().scale,
-            DimScale::Float { min: 0.0, interval: 0.5 }
-        );
-    }
-
-    #[test]
-    fn argmax_argmin_prefer_first_on_ties() {
-        assert_eq!(argmax(&[3, 5, 5]), 1);
-        assert_eq!(argmin(&[2, 1, 1]), 1);
-        assert_eq!(argmax(&[0]), 0);
     }
 }

@@ -145,6 +145,10 @@ struct Collector {
     inner_gfus: u64,
     inner_records: u64,
     boundary_gfus: u64,
+    /// Most records any one boundary cell holds: above the data table's
+    /// rows per group, a boundary slice spans several row groups and a
+    /// sidecar has something to tell apart inside it.
+    boundary_cell_records: u64,
     /// Pyramid nodes (level ≥ 1) merged in place of leaf headers.
     pyramid_nodes: u64,
     /// Leaf cells those nodes summarized.
@@ -204,6 +208,7 @@ impl Collector {
             self.inner_buffer.insert(coords, picked);
         } else {
             self.boundary_gfus += 1;
+            self.boundary_cell_records = self.boundary_cell_records.max(value.record_count);
             for s in &value.slices {
                 if !s.is_empty() {
                     self.per_file
@@ -361,12 +366,11 @@ impl DgfIndex {
         // dimension (otherwise inner rows still need row-level
         // filtering), and (c) every query aggregate is pre-computed.
         let header_positions = self.header_positions(query);
-        let headers_usable = use_headers
-            && query.is_aggregation()
-            && header_positions.is_some()
-            && predicate
-                .columns()
-                .all(|c| live_policy.dims().iter().any(|d| d.name == c));
+        let grid_only = predicate
+            .columns()
+            .all(|c| live_policy.dims().iter().any(|d| d.name == c));
+        let headers_usable =
+            use_headers && query.is_aggregation() && header_positions.is_some() && grid_only;
 
         let make_header_merge = || -> Result<Option<HeaderMerge>> {
             if !headers_usable {
@@ -405,7 +409,7 @@ impl DgfIndex {
         // fills — and re-pins, so the plan that escapes the loop is built
         // entirely from one index epoch: never a blend (DESIGN.md §11).
         let mut attempts = 0u32;
-        let (view, spans, mut collector, fresh_gfus, fresh_records, fresh_rows) = loop {
+        let (view, mut collector, fresh_gfus, fresh_records, fresh_rows) = loop {
             let meta_span = span.child("plan.meta");
             let meta_before = meta_span.is_recording().then(|| self.kv.stats().snapshot());
             self.sync_point("plan.pin");
@@ -460,6 +464,7 @@ impl DgfIndex {
                 inner_gfus: 0,
                 inner_records: 0,
                 boundary_gfus: 0,
+                boundary_cell_records: 0,
                 pyramid_nodes: 0,
                 pyramid_cells: 0,
                 per_file: HashMap::new(),
@@ -574,7 +579,7 @@ impl DgfIndex {
             }
             fetch_span.finish();
             if view_ok && epoch_ok {
-                break (view, spans, collector, fresh_gfus, fresh_records, fresh_rows);
+                break (view, collector, fresh_gfus, fresh_records, fresh_rows);
             }
             attempts += 1;
             // A reader cannot validate while a flush is mid-epoch, so
@@ -599,20 +604,11 @@ impl DgfIndex {
         for (key, value) in collector.pending_fills.drain(..) {
             cache.insert(view.generation, key, value);
         }
-        // Boundary heat, once per plan and only from the attempt that
-        // validated (a raced attempt's spans describe a discarded view):
-        // each partially-covered edge cell is a row-level filtering pass
-        // this dimension's interval is too coarse to avoid. The
-        // maintenance daemon reads these counters to decide which
-        // dimension to re-split.
-        for (d, dim_span) in spans.iter().enumerate() {
-            if !dim_span.lo_covered {
-                self.heat().record(d);
-            }
-            if !dim_span.hi_covered && dim_span.hi > dim_span.lo {
-                self.heat().record(d);
-            }
-        }
+        // The query history, once per plan and only from the attempt that
+        // validated (a raced attempt describes a discarded view): what
+        // this plan asked of each grid dimension is what the maintenance
+        // daemon's grid adaptation is advised on.
+        self.history().record(predicate, &live_policy);
 
         let inner_states = collector.header_merge.map(|hm| hm.acc);
 
@@ -670,10 +666,17 @@ impl DgfIndex {
         // Sub-slice pruning (DESIGN.md §15): consult each boundary
         // slice's sidecar to drop row groups no matching row can live in
         // and to attach residual row bitmaps. Strictly an accelerator —
-        // a missing/stale/corrupt sidecar leaves the input unpruned.
+        // a missing/stale/corrupt sidecar leaves the input unpruned — and
+        // only consulted when it can prune: the predicate names a column
+        // the grid does not cut on, or it names grid columns and some
+        // boundary cell holds more rows than one group. Every slice ends
+        // on a group boundary, so below that each slice of each cell is
+        // one group, which the grid already cut out.
+        let multi_group = !predicate.is_trivial()
+            && collector.boundary_cell_records > self.data.rows_per_group as u64;
         if self.data.format == dgf_format::FileFormat::RcFile
             && self.ctx.scan_options().sidecar
-            && !predicate.is_trivial()
+            && (!grid_only || multi_group)
         {
             self.prune_inputs_with_sidecars(&mut inputs, predicate, &span)?;
         }

@@ -331,28 +331,49 @@ pub enum AggState {
     Udf(Vec<f64>),
 }
 
+/// An [`AggFunc`] resolved against a schema: a column aggregate carries
+/// its column's index, so folding a row neither looks the column up nor
+/// can find it unresolved.
+#[derive(Clone)]
+enum BoundAgg {
+    Count,
+    Sum(usize),
+    Min(usize),
+    Max(usize),
+    Avg(usize),
+    Udf(Arc<dyn AdditiveUdf>),
+}
+
 /// A list of aggregate functions bound to a schema.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AggSet {
     funcs: Vec<AggFunc>,
-    cols: Vec<Option<usize>>,
+    bound: Vec<BoundAgg>,
+}
+
+impl fmt::Debug for AggSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.funcs).finish()
+    }
 }
 
 impl AggSet {
     /// Resolve column references.
     pub fn bind(funcs: &[AggFunc], schema: &Schema) -> Result<AggSet> {
-        let mut cols = Vec::with_capacity(funcs.len());
+        let mut bound = Vec::with_capacity(funcs.len());
         for f in funcs {
-            cols.push(match f {
-                AggFunc::Count | AggFunc::Udf(_) => None,
-                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) | AggFunc::Avg(c) => {
-                    Some(schema.index_of(c)?)
-                }
+            bound.push(match f {
+                AggFunc::Count => BoundAgg::Count,
+                AggFunc::Sum(c) => BoundAgg::Sum(schema.index_of(c)?),
+                AggFunc::Min(c) => BoundAgg::Min(schema.index_of(c)?),
+                AggFunc::Max(c) => BoundAgg::Max(schema.index_of(c)?),
+                AggFunc::Avg(c) => BoundAgg::Avg(schema.index_of(c)?),
+                AggFunc::Udf(u) => BoundAgg::Udf(Arc::clone(u)),
             });
         }
         Ok(AggSet {
             funcs: funcs.to_vec(),
-            cols,
+            bound,
         })
     }
 
@@ -388,36 +409,36 @@ impl AggSet {
 
     /// Fold one row into the states.
     pub fn update(&self, states: &mut [AggState], row: &Row, schema: &Schema) -> Result<()> {
-        for ((f, col), st) in self.funcs.iter().zip(&self.cols).zip(states.iter_mut()) {
-            match (f, st) {
-                (AggFunc::Count, AggState::Count(n)) => *n += 1,
-                (AggFunc::Sum(_), AggState::Sum { sum, comp, non_null }) => {
-                    let v = &row[col.expect("bound")];
+        for (agg, st) in self.bound.iter().zip(states.iter_mut()) {
+            match (agg, st) {
+                (BoundAgg::Count, AggState::Count(n)) => *n += 1,
+                (BoundAgg::Sum(col), AggState::Sum { sum, comp, non_null }) => {
+                    let v = &row[*col];
                     if !v.is_null() {
                         kahan_add(sum, comp, v.as_f64()?);
                         *non_null += 1;
                     }
                 }
-                (AggFunc::Min(_), AggState::Min(m)) => {
-                    let v = &row[col.expect("bound")];
+                (BoundAgg::Min(col), AggState::Min(m)) => {
+                    let v = &row[*col];
                     if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur) {
                         *m = Some(v.clone());
                     }
                 }
-                (AggFunc::Max(_), AggState::Max(m)) => {
-                    let v = &row[col.expect("bound")];
+                (BoundAgg::Max(col), AggState::Max(m)) => {
+                    let v = &row[*col];
                     if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur) {
                         *m = Some(v.clone());
                     }
                 }
-                (AggFunc::Avg(_), AggState::Avg { sum, comp, count }) => {
-                    let v = &row[col.expect("bound")];
+                (BoundAgg::Avg(col), AggState::Avg { sum, comp, count }) => {
+                    let v = &row[*col];
                     if !v.is_null() {
                         kahan_add(sum, comp, v.as_f64()?);
                         *count += 1;
                     }
                 }
-                (AggFunc::Udf(u), AggState::Udf(s)) => u.update(s, row, schema)?,
+                (BoundAgg::Udf(u), AggState::Udf(s)) => u.update(s, row, schema)?,
                 _ => return Err(DgfError::Query("agg state/function mismatch".into())),
             }
         }
@@ -440,22 +461,22 @@ impl AggSet {
         schema: &Schema,
     ) -> Result<()> {
         let mut scratch: Option<Row> = None;
-        for ((f, col), st) in self.funcs.iter().zip(&self.cols).zip(states.iter_mut()) {
-            match (f, st) {
-                (AggFunc::Count, AggState::Count(n)) => *n += sel.len() as u64,
-                (AggFunc::Sum(_), AggState::Sum { sum, comp, non_null }) => {
-                    fold_sum(batch.column(col.expect("bound")), sel, sum, comp, non_null)?;
+        for (agg, st) in self.bound.iter().zip(states.iter_mut()) {
+            match (agg, st) {
+                (BoundAgg::Count, AggState::Count(n)) => *n += sel.len() as u64,
+                (BoundAgg::Sum(col), AggState::Sum { sum, comp, non_null }) => {
+                    fold_sum(batch.column(*col), sel, sum, comp, non_null)?;
                 }
-                (AggFunc::Avg(_), AggState::Avg { sum, comp, count }) => {
-                    fold_sum(batch.column(col.expect("bound")), sel, sum, comp, count)?;
+                (BoundAgg::Avg(col), AggState::Avg { sum, comp, count }) => {
+                    fold_sum(batch.column(*col), sel, sum, comp, count)?;
                 }
-                (AggFunc::Min(_), AggState::Min(m)) => {
-                    fold_extreme(batch.column(col.expect("bound")), sel, m, Ordering::Less);
+                (BoundAgg::Min(col), AggState::Min(m)) => {
+                    fold_extreme(batch.column(*col), sel, m, Ordering::Less);
                 }
-                (AggFunc::Max(_), AggState::Max(m)) => {
-                    fold_extreme(batch.column(col.expect("bound")), sel, m, Ordering::Greater);
+                (BoundAgg::Max(col), AggState::Max(m)) => {
+                    fold_extreme(batch.column(*col), sel, m, Ordering::Greater);
                 }
-                (AggFunc::Udf(u), AggState::Udf(s)) => {
+                (BoundAgg::Udf(u), AggState::Udf(s)) => {
                     let row = scratch.get_or_insert_with(Row::new);
                     for i in sel.iter() {
                         batch.read_row_into(i, row);

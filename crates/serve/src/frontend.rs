@@ -21,7 +21,7 @@
 //! throughput and latency, never bytes.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dgf_common::obs::{names, MetricsRegistry};
@@ -165,9 +165,12 @@ impl ServeFrontend {
         // Scheduling: one of `workers` execution slots.
         let waited = Instant::now();
         {
-            let mut free = self.free_slots.lock().expect("slots poisoned");
+            // A poisoned lock is recovered, here and below: the guarded
+            // slot count (like the result vector of `run_concurrent`) is
+            // valid after every single update made under it.
+            let mut free = self.free_slots.lock().unwrap_or_else(PoisonError::into_inner);
             while *free == 0 {
-                free = self.slot_freed.wait(free).expect("slots poisoned");
+                free = self.slot_freed.wait(free).unwrap_or_else(PoisonError::into_inner);
             }
             *free -= 1;
         }
@@ -178,7 +181,7 @@ impl ServeFrontend {
         let outcome = work();
 
         {
-            let mut free = self.free_slots.lock().expect("slots poisoned");
+            let mut free = self.free_slots.lock().unwrap_or_else(PoisonError::into_inner);
             *free += 1;
         }
         self.slot_freed.notify_one();
@@ -224,7 +227,7 @@ impl ServeFrontend {
     /// retrying backpressure rejections until each query lands. Returns
     /// per-query latencies and answers plus the batch wall time — the
     /// raw material for QPS / p50 / p99 in the serving bench.
-    pub fn run_concurrent(&self, queries: &[Query], clients: usize) -> ServeReport {
+    pub fn run_concurrent(&self, queries: &[Query], clients: usize) -> Result<ServeReport> {
         let clients = clients.max(1);
         let next = AtomicUsize::new(0);
         let batch_start = Instant::now();
@@ -253,17 +256,16 @@ impl ServeFrontend {
                         result,
                         latency: started.elapsed(),
                     };
-                    slots.lock().expect("served poisoned")[i] = Some(outcome);
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
                 });
             }
         });
-        ServeReport {
+        let served: Option<Vec<ServedQuery>> = served.into_iter().collect();
+        Ok(ServeReport {
             served: served
-                .into_iter()
-                .map(|s| s.expect("every query index visited"))
-                .collect(),
+                .ok_or_else(|| DgfError::Index("a client left a query unserved".into()))?,
             wall: batch_start.elapsed(),
-        }
+        })
     }
 }
 
@@ -373,7 +375,7 @@ mod tests {
             .iter()
             .map(|query| front.engine().run(query).unwrap().result)
             .collect();
-        let report = front.run_concurrent(&queries, 4);
+        let report = front.run_concurrent(&queries, 4).unwrap();
         assert_eq!(report.served.len(), 3);
         for (served, expect) in report.served.iter().zip(&oracle) {
             assert!(served.result.as_ref().unwrap().approx_eq(expect, 0.0));
@@ -395,7 +397,7 @@ mod tests {
             query_cost_bytes: 1 << 20,
         });
         let queries: Vec<Query> = (0..6).map(|m| range_query("meter_id", m, m + 1)).collect();
-        let report = front.run_concurrent(&queries, 3);
+        let report = front.run_concurrent(&queries, 3).unwrap();
         assert!(report.served.iter().all(|s| s.result.is_some()));
         let snap = front.stats().snapshot();
         assert_eq!(snap.completed, 6);

@@ -20,6 +20,7 @@
 //! dgf query <dir> <table> "SELECT sum(power_consumed) WHERE ..." [--index <name>] [--explain]
 //! dgf profile <dir> <table> "SELECT ..." [--index <name>] [--json]
 //! dgf serve <dir> <index> "SELECT ..." [--shards N] [--clients C] [--queries Q]
+//! dgf maintain <dir> <index> [--budget N] [--adapt] [--history "pred; pred; ..."]
 //! dgf advise <dir> <table> --dims "user_id,ts" --history "u>1 AND ...; ts='2012-12-05'"
 //! ```
 //!
@@ -41,6 +42,10 @@
 //! N-shard range-partitioned router, the query is fanned out from C
 //! concurrent clients through admission control, and the answer plus a
 //! QPS / p50 / p99 / scatter summary is printed.
+//!
+//! `maintain --adapt` asks the same advisor as `advise` whether the grid
+//! still fits the queries in `--history`; a fresh process has recorded
+//! none of its own, and without any the grid stays as it is.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -77,7 +82,7 @@ const USAGE: &str = "usage:
   dgf query <dir> <table> \"SELECT ... [WHERE ...] [GROUP BY col]\" [--index <name>] [--explain]
   dgf profile <dir> <table> \"SELECT ... [WHERE ...]\" [--index <name>] [--json]
   dgf serve <dir> <index> \"SELECT ...\" [--shards N] [--clients C] [--queries Q]
-  dgf maintain <dir> <index> [--budget N] [--adapt] [--split-above N] [--merge-below N]
+  dgf maintain <dir> <index> [--budget N] [--adapt] [--history \"pred; pred; ...\"]
   dgf advise <dir> <table> --dims \"a,b\" --history \"pred; pred; ...\"";
 
 /// A reopened warehouse: cluster + catalog.
@@ -506,7 +511,7 @@ fn dispatch(args: &[String]) -> Result<()> {
                 },
             );
             let queries: Vec<Query> = vec![query; repeat];
-            let report = front.run_concurrent(&queries, clients);
+            let report = front.run_concurrent(&queries, clients)?;
 
             if let Some(result) = report.served.iter().find_map(|s| s.result.as_ref()) {
                 print_query_result(result);
@@ -542,16 +547,12 @@ fn dispatch(args: &[String]) -> Result<()> {
                     .parse()
                     .map_err(|e| DgfError::Query(format!("bad --budget: {e}")))?;
             }
-            config.adapt = args.iter().any(|a| a == "--adapt");
-            if let Some(n) = flag(args, "--split-above") {
-                config.split_records_per_cell = n
-                    .parse()
-                    .map_err(|e| DgfError::Query(format!("bad --split-above: {e}")))?;
-            }
-            if let Some(n) = flag(args, "--merge-below") {
-                config.merge_records_per_cell = n
-                    .parse()
-                    .map_err(|e| DgfError::Query(format!("bad --merge-below: {e}")))?;
+            let adapt = args.iter().any(|a| a == "--adapt");
+            config.adapt = adapt;
+            if let Some(text) = flag(args, "--history") {
+                for q in parse_history(text, &index.base.schema)? {
+                    index.history().record(q.predicate(), &index.policy());
+                }
             }
             // If the index has a streaming WAL, drain it first so every
             // acknowledged row is a Slice the compactor can fold in.
@@ -581,6 +582,9 @@ fn dispatch(args: &[String]) -> Result<()> {
             );
             match report.adapted {
                 Some(desc) => println!("grid adapted: {desc}"),
+                None if adapt && index.history().snapshot().is_empty() => {
+                    println!("grid unchanged (no query history)")
+                }
                 None => println!("grid unchanged"),
             }
             // `txn.*` covers every writer the pass ran: recovery at open,
@@ -597,18 +601,15 @@ fn dispatch(args: &[String]) -> Result<()> {
                 .split(',')
                 .map(|s| s.trim().to_owned())
                 .collect();
-            let history_text = flag(args, "--history").ok_or_else(bad_usage)?;
-            let mut preds = Vec::new();
-            for p in history_text.split(';') {
-                preds.push(parse_predicate(p.trim(), &table.schema)?);
-            }
+            let history =
+                parse_history(flag(args, "--history").ok_or_else(bad_usage)?, &table.schema)?;
             let sample = w.ctx.read_all(&table)?;
             let rows_total = sample.len() as u64;
             let rec = recommend_policy(
                 &sample,
                 &table.schema,
                 &dims,
-                &history_from_predicates(&preds),
+                &history,
                 rows_total,
                 &AdvisorConfig::default(),
             )?;
@@ -638,6 +639,13 @@ fn read_rows_file(path: &str, schema: &Schema) -> Result<Vec<Row>> {
         })?);
     }
     Ok(rows)
+}
+
+/// Parse a `"pred; pred; ..."` query history.
+fn parse_history(text: &str, schema: &Schema) -> Result<Vec<Query>> {
+    let preds: Result<Vec<_>> =
+        text.split(';').map(|p| parse_predicate(p.trim(), schema)).collect();
+    Ok(history_from_predicates(&preds?))
 }
 
 /// Parse `"col:min:interval,..."`; min is a date literal for date columns.

@@ -162,3 +162,65 @@ fn cli_errors_are_clean() {
     let out = dgf(&["index", wh_s, "i2", "--table", "s", "--dims", "name:0:1"]);
     assert!(!out.status.success());
 }
+
+/// `dgf maintain --adapt` asks the advisor, and the advisor needs a
+/// history: a freshly opened warehouse has none, so the grid stays
+/// whatever the flags; given one, the pass moves to the advisor's optimum, where a second identical
+/// invocation stays.
+#[test]
+fn maintain_adapts_on_a_history_not_blind() {
+    use dgfindex::core::gfu::META_VIEW_KEY;
+    use dgfindex::core::ReadView;
+    use dgfindex::kvstore::{KvStore, LogKvStore};
+
+    let tmp = TempDir::new("cli-adapt").unwrap();
+    let wh = tmp.path().join("wh");
+    let policy_bytes = || {
+        let log = LogKvStore::open(wh.join(".dgf-kv").join("dgf_meter.log")).unwrap();
+        ReadView::decode(&log.get(META_VIEW_KEY).unwrap().expect("m:view")).unwrap().policy
+    };
+    let wh = wh.to_str().unwrap();
+    dgf_ok(&["init", wh]);
+    dgf_ok(&["gen-meter", wh, "meterdata", "--users", "200", "--days", "16"]);
+    dgf_ok(&[
+        "index",
+        wh,
+        "dgf_meter",
+        "--table",
+        "meterdata",
+        "--dims",
+        "user_id:0:50,ts:2012-12-01:4",
+        "--precompute",
+        "sum(power_consumed), count(*)",
+    ]);
+    let built = policy_bytes();
+
+    let out = dgf_ok(&["maintain", wh, "dgf_meter", "--adapt"]);
+    assert!(out.contains("grid unchanged (no query history)"), "{out}");
+    assert_eq!(policy_bytes(), built, "a cold pass moved the grid");
+
+    let history: Vec<String> = (0..128)
+        .map(|i| format!("user_id >= {0} AND user_id < {1}", i, i + 6))
+        .collect();
+    let history = history.join("; ");
+    let adapt = ["maintain", wh, "dgf_meter", "--adapt", "--history", &history];
+    let out = dgf_ok(&adapt);
+    assert!(out.contains("grid adapted: user_id Int { min: 0, interval: 50 } → "), "{out}");
+    let moved = policy_bytes();
+    assert_ne!(moved, built);
+    let sql = "SELECT count(*) WHERE user_id >= 3 AND user_id < 77";
+    let indexed = dgf_ok(&["query", wh, "meterdata", sql, "--index", "dgf_meter"]);
+    assert_eq!(indexed.trim(), (74 * 16).to_string());
+
+    let out = dgf_ok(&adapt);
+    assert!(out.contains("grid unchanged\n"), "{out}");
+    assert_eq!(policy_bytes(), moved);
+
+    let usage = dgf(&[]);
+    let usage = String::from_utf8_lossy(&usage.stderr);
+    let line = usage.lines().find(|l| l.contains("dgf maintain")).expect("maintain in USAGE");
+    assert_eq!(
+        line.trim(),
+        "dgf maintain <dir> <index> [--budget N] [--adapt] [--history \"pred; pred; ...\"]"
+    );
+}

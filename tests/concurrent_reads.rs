@@ -856,16 +856,15 @@ fn queries_during_append_on_the_sharded_path_see_pre_or_post_only() {
 }
 
 
-/// Satellite (regression): boundary heat is recorded once per plan,
-/// from the attempt that validated. The plan is forced through a second
-/// attempt without any timing: a [`FreshSource`] whose flush epoch moves
-/// between the planner's first memtable snapshot and its validation
-/// makes the first attempt a discarded one. Before the fix every
-/// discarded attempt heated its dimensions again, so which dimension
-/// the maintenance daemon re-split depended on how commits happened to
-/// race queries.
+/// Regression: a plan enters the query history once, from the attempt
+/// that validated. The plan is forced through a second attempt without
+/// any timing: a [`FreshSource`] whose flush epoch moves between the
+/// planner's first memtable snapshot and its validation makes the first
+/// attempt a discarded one. Were discarded attempts recorded too, what
+/// the maintenance daemon's grid adaptation is advised on would depend
+/// on how commits happened to race queries.
 #[test]
-fn raced_plan_heats_each_dimension_exactly_once() {
+fn raced_plan_enters_the_query_history_exactly_once() {
     use dgfindex::core::{FreshCell, FreshSource};
     use std::sync::atomic::AtomicU64;
 
@@ -888,7 +887,7 @@ fn raced_plan_heats_each_dimension_exactly_once() {
         }
     }
 
-    let w = world("heat");
+    let w = world("history");
     let cfg = meter_cfg();
     seed_index(&w);
     let index = open_with(
@@ -900,8 +899,9 @@ fn raced_plan_heats_each_dimension_exactly_once() {
     let q = &queries(&cfg)[1];
 
     index.plan(q, true).unwrap();
-    let unraced = index.heat().take();
-    assert!(unraced.iter().any(|h| *h > 0), "query heats nothing: {unraced:?}");
+    let unraced = index.history().snapshot();
+    assert_eq!(unraced.len(), 1, "one plan, one entry: {unraced:?}");
+    assert_eq!(unraced[0][0], (1.0, 7.0), "the plan's user_id range");
 
     let source = Arc::new(MovingEpoch {
         reads: AtomicU64::new(0),
@@ -912,5 +912,5 @@ fn raced_plan_heats_each_dimension_exactly_once() {
         source.reads.load(Ordering::SeqCst) >= 4,
         "the plan was never forced through a second attempt"
     );
-    assert_eq!(index.heat().snapshot(), unraced);
+    assert_eq!(index.history().snapshot(), [unraced[0].clone(), unraced[0].clone()]);
 }

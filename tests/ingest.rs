@@ -702,8 +702,8 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
     let created = ctx
         .create_table("meter_rc", meter_schema(), FileFormat::RcFile)
         .unwrap();
-    // Small row groups so the flushed slices hold several groups each —
-    // otherwise there is nothing sub-slice for a sidecar to skip.
+    // Small row groups, the pruning granularity the flushed slices'
+    // sidecars are written at.
     let mut desc = (*created).clone();
     desc.rows_per_group = 8;
     let base: TableRef = Arc::new(desc);
@@ -756,9 +756,19 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
     }
 
     // The misaligned range covers a flushed day, so its boundary scan
-    // reads flushed slices: pruning must consult their sidecars and the
-    // answer must not move a single float bit.
-    let q = &queries(&cfg)[1];
+    // reads flushed slices, and the conjunct on a column the grid does
+    // not cut on is something only a sidecar can narrow: pruning must
+    // consult the flushed slices' sidecars and the answer must not move
+    // a single float bit. (The grid-only range alone consults nothing
+    // here — each of its cells is one row group.)
+    let Query::Aggregate { aggs, predicate } = queries(&cfg).swap_remove(1) else {
+        unreachable!("the range query is an aggregation")
+    };
+    let region = ColumnRange::half_open(Value::Int(0), Value::Int(5));
+    let q = &Query::Aggregate {
+        aggs,
+        predicate: predicate.and("region_id", region),
+    };
     ctx.set_scan_options(ScanOptions {
         columnar: true,
         sidecar: false,

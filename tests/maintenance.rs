@@ -15,8 +15,10 @@
 //! * a regrid after a compaction re-reads only *live* slice bytes —
 //!   the regression for the double-count bug where whole-file splits
 //!   re-read dead ranges of retained files;
-//! * boundary heat drives the split/merge decision and the rewrite
-//!   preserves answers;
+//! * grid adaptation is the advisor run over the planner's own query
+//!   history: no history moves nothing, a move preserves answers and
+//!   the grid-directory invariants, and a workload that shifts twice
+//!   settles each time in a few passes without revisiting a policy;
 //! * a crash at any instrumented `maint.*` / `txn.*` / `apply.*` site
 //!   recovers to a store that agrees with a ground-truth scan and still
 //!   converges to the file budget;
@@ -28,8 +30,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer};
+use dgfindex::core::advisor::{self, AdvisorConfig};
+use dgfindex::core::pyramid::parent_coords;
 use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
+use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer, PYRAMID_PREFIX};
 use dgfindex::format::is_sidecar_path;
 use dgfindex::kvstore::LogKvConfig;
 use dgfindex::prelude::*;
@@ -533,70 +537,338 @@ fn regrid_after_compaction_does_not_double_count() {
     dims[0] = DimPolicy::int("user_id", 0, 2);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after halving regrid");
+    assert_grid_directory(&w, &index, "after halving regrid");
 
     // And back out to a coarser grid over the regridded store.
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 8);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after doubling regrid");
+    assert_grid_directory(&w, &index, "after doubling regrid");
 }
 
-/// Satellite: planner boundary heat drives the adaptation decision —
-/// the misaligned dimension splits, a later merge pass coarsens it
-/// back — and both rewrites preserve answers.
-#[test]
-fn adaptation_follows_boundary_heat_and_preserves_answers() {
-    let w = world("adapt");
-    let (index, cfg) = seed_with_deltas(&w, 2);
-    // The range query is misaligned on user_id (1..7 against interval
-    // 4) and day-aligned on ts, so only user_id accumulates heat.
-    let engine = DgfEngine::new(Arc::clone(&index));
-    for _ in 0..3 {
-        engine.run(&queries(&cfg)[1]).unwrap();
+/// What a split or merge of a grid file must keep (Joshi et al., *Using
+/// Grid Files for a Relational DBMS*, PAPERS.md), read back from the
+/// store after a regrid: every directory entry lies inside the recorded
+/// extents, the entries hold each base row exactly once, every slice
+/// lies inside a live data file and no two overlap, the aggregate
+/// pyramid has exactly the ancestors of the leaves, and the rewrite left
+/// nothing staged.
+fn assert_grid_directory(w: &World, index: &DgfIndex, label: &str) {
+    let view = index.pin_view().unwrap();
+    let gfus = all_gfus(w.inner.as_ref(), view.extents.dims.len()).unwrap();
+    let mut rows = 0;
+    let mut slices: HashMap<&str, Vec<(u64, u64)>> = HashMap::new();
+    for (key, value) in &gfus {
+        for (c, (lo, hi)) in key.cells.iter().zip(&view.extents.dims) {
+            assert!(lo <= c && c <= hi, "{label}: cell {:?} outside {:?}", key.cells, view.extents);
+        }
+        rows += value.record_count;
+        for s in value.slices.iter().filter(|s| !s.is_empty()) {
+            slices.entry(&s.file).or_default().push((s.start, s.end));
+        }
     }
-    let heat = index.heat().snapshot();
-    assert!(heat[0] > heat[1], "expected user_id to be the hot dimension: {heat:?}");
+    assert_eq!(rows, w.ctx.read_all(&w.base).unwrap().len() as u64, "{label}: rows in cells");
+    for (file, mut ranges) in slices {
+        let len = view.data_files.iter().find(|(p, _)| p == file).map(|(_, len)| *len);
+        let len = len.unwrap_or_else(|| panic!("{label}: slice in {file}, not a live data file"));
+        ranges.sort_unstable();
+        assert!(ranges.last().unwrap().1 <= len, "{label}: slice past the end of {file}");
+        for pair in ranges.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "{label}: slices overlap in {file}: {pair:?}");
+        }
+    }
+    let mut level: std::collections::BTreeSet<Vec<i64>> =
+        gfus.iter().map(|(key, _)| key.cells.clone()).collect();
+    let mut census = 0;
+    for _ in 0..index.pyramid_levels().expect("the maintenance worlds pre-compute") {
+        level = level.iter().map(|c| parent_coords(c)).collect();
+        census += level.len();
+    }
+    let stored = w.inner.scan_prefix(PYRAMID_PREFIX).unwrap().len();
+    assert_eq!(stored, census, "{label}: p: keys over {} leaves", gfus.len());
+    assert_settled(w, label);
+}
 
-    let split = Maintainer::new(
-        Arc::clone(&index),
+/// The adaptation worlds: 200 users × 16 days on a grid coarse on both
+/// dimensions — big enough that the advisor's model has rows to trade
+/// against lookups, and sized so that every interval the advisor can
+/// choose divides the extents (the domain a grid reports does not move
+/// with its cell size). Returns the maintained handle and a second one
+/// on the same store: checking answers and measuring reads through the
+/// second keeps the first one's query history the workload's alone.
+fn adaptive_world(tag: &str) -> (World, Arc<DgfIndex>, Arc<DgfIndex>, MeterConfig) {
+    let w = world(tag);
+    let cfg = MeterConfig {
+        users: 200,
+        days: 16,
+        ..MeterConfig::default()
+    };
+    w.ctx.load_rows(&w.base, &generate_meter_data(&cfg), 2).unwrap();
+    let policy = SplittingPolicy::new(vec![
+        DimPolicy::int("user_id", 0, 50),
+        DimPolicy::date("ts", cfg.start_day, 4),
+    ])
+    .unwrap();
+    let (index, _) = DgfIndex::build(
+        Arc::clone(&w.ctx),
+        Arc::clone(&w.base),
+        policy,
+        aggs(),
+        Arc::clone(&w.inner),
+        INDEX,
+    )
+    .unwrap();
+    let checker = DgfIndex::open(
+        Arc::clone(&w.ctx),
+        Arc::clone(&w.base),
+        Arc::clone(&w.inner),
+        INDEX,
+        aggs(),
+    )
+    .unwrap();
+    (w, Arc::new(index), Arc::new(checker), cfg)
+}
+
+fn adapting(index: &Arc<DgfIndex>) -> Maintainer {
+    Maintainer::new(
+        Arc::clone(index),
         MaintenanceConfig {
             delta_file_budget: 1 << 16,
             adapt: true,
-            split_records_per_cell: 1,
-            merge_records_per_cell: 0,
             ..MaintenanceConfig::default()
         },
-    );
-    let report = split.run_once().unwrap();
-    let desc = report.adapted.expect("overfull cells should have split");
-    assert!(desc.starts_with("user_id"), "split the wrong dimension: {desc}");
-    assert_eq!(
-        index.policy().dims()[0].scale,
-        DimScale::Int { min: 0, interval: 2 }
-    );
-    assert_matches_scan(&w, &index, &cfg, "after heat-driven split");
+    )
+}
 
-    let merge = Maintainer::new(
-        Arc::clone(&index),
-        MaintenanceConfig {
-            delta_file_budget: 1 << 16,
-            adapt: true,
-            split_records_per_cell: u64::MAX,
-            merge_records_per_cell: u64::MAX,
-            ..MaintenanceConfig::default()
-        },
-    );
-    let report = merge.run_once().unwrap();
-    // The scan comparison above re-ran the misaligned query, so user_id
-    // is hot again and the merge coarsens the *coldest* dimension: ts.
-    let desc = report.adapted.expect("underfull cells should have merged");
-    assert!(desc.starts_with("ts"), "merged the wrong dimension: {desc}");
-    assert_eq!(
-        index.policy().dims()[0].scale,
-        DimScale::Int { min: 0, interval: 2 },
-        "the hot dimension must keep its fine interval"
-    );
-    assert_matches_scan(&w, &index, &cfg, "after merge");
+/// `n` aggregations, `width` users wide and `days` days long (`None` =
+/// every day), placed by a seeded rng.
+fn workload(cfg: &MeterConfig, seed: u64, n: usize, width: i64, days: Option<i64>) -> Vec<Query> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let user = rng.random_range(0..cfg.users as i64 - width + 1);
+            let mut predicate = Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(user), Value::Int(user + width)),
+            );
+            if let Some(days) = days {
+                let day = cfg.start_day + rng.random_range(0..cfg.days as i64 - days + 1);
+                predicate = predicate.and(
+                    "ts",
+                    ColumnRange::half_open(Value::Date(day), Value::Date(day + days)),
+                );
+            }
+            Query::Aggregate {
+                aggs: aggs(),
+                predicate,
+            }
+        })
+        .collect()
+}
+
+/// Plan `queries` on `index` — the half of a query that enters the
+/// history; the scans that would follow are what [`records_read`]
+/// measures on a handle whose history nobody reads.
+fn replay(index: &DgfIndex, queries: &[Query]) {
+    for q in queries {
+        index.plan(q, true).unwrap();
+    }
+}
+
+/// Mean records read per query, running every seventh of `queries`
+/// through the default engine.
+fn records_read(checker: &Arc<DgfIndex>, queries: &[Query]) -> f64 {
+    let engine = DgfEngine::new(Arc::clone(checker));
+    let sample: Vec<&Query> = queries.iter().step_by(7).collect();
+    let read: u64 = sample
+        .iter()
+        .map(|q| engine.run(q).unwrap().stats.data_records_read)
+        .sum();
+    read as f64 / sample.len() as f64
+}
+
+/// Grid adaptation is the advisor run over the planner's own history: a
+/// handle that planned nothing leaves the grid alone, and so does one whose
+/// history is too short to repay re-celling the table; enough narrow
+/// `user_id` queries move `user_id` to the advisor's optimum in one
+/// rewrite that preserves answers, the next pass stays, and the
+/// `maintain.regrid` span says what the advisor saw whether or not the
+/// pass moved.
+#[test]
+fn adaptation_follows_the_recorded_history_and_preserves_answers() {
+    use dgfindex::common::obs::{names, Profiler};
+    let (w, mut index, checker, cfg) = adaptive_world("adapt");
+    let profiler = Profiler::enabled();
+    Arc::get_mut(&mut index)
+        .expect("the built index has one handle")
+        .set_profiler(profiler.clone());
+    let maintainer = adapting(&index);
+    let seeded = index.pin_view().unwrap().policy;
+    let regrid_span = || {
+        let profile = profiler.take_profile();
+        profile.find("maintain.regrid").expect("the stage ran").metrics.clone()
+    };
+
+    assert_eq!(maintainer.run_once().unwrap().adapted, None, "no history, no move");
+    assert!(!regrid_span().contains_key(names::MAINTAIN_HISTORY_LEN));
+
+    replay(&index, &workload(&cfg, 1, 1, 6, None));
+    assert_eq!(maintainer.run_once().unwrap().adapted, None, "one query repays no rewrite");
+    assert_eq!(index.pin_view().unwrap().policy, seeded);
+    let short = regrid_span();
+    assert_eq!(short[names::MAINTAIN_HISTORY_LEN], 1);
+    assert!(short[names::MAINTAIN_COST_CHOSEN] > 0);
+    assert_eq!(short[names::MAINTAIN_COST_CHOSEN], short[names::MAINTAIN_COST_CURRENT]);
+
+    replay(&index, &workload(&cfg, 2, 127, 6, None));
+    profiler.take_profile();
+    let desc = maintainer.run_once().unwrap().adapted;
+    let desc = desc.expect("50-user cells under 128 six-user queries should have split");
+    assert!(desc.starts_with("user_id"), "{desc}");
+    let DimScale::Int { interval, .. } = index.policy().dims()[0].scale else {
+        panic!("user_id is an integer dimension")
+    };
+    assert!(interval < 50, "user_id did not get finer: {desc}");
+    assert_matches_scan(&w, &checker, &cfg, "after the move");
+    assert_grid_directory(&w, &index, "after the move");
+    let moved = regrid_span();
+    assert_eq!(moved[names::MAINTAIN_HISTORY_LEN], 128);
+    assert!(moved[names::MAINTAIN_CANDIDATES] > 1);
+    assert!(moved[names::MAINTAIN_COST_CHOSEN] < moved[names::MAINTAIN_COST_CURRENT]);
+
+    assert_eq!(maintainer.run_once().unwrap().adapted, None, "the optimum is a fixed point");
+    let stayed = regrid_span();
+    assert_eq!(stayed[names::MAINTAIN_HISTORY_LEN], 128);
+    assert_eq!(stayed[names::MAINTAIN_COST_CHOSEN], stayed[names::MAINTAIN_COST_CURRENT]);
+    assert_eq!(index.metrics().get(names::MAINTAIN_REGRIDS), 1);
+}
+
+/// The convergence soak: a workload that shifts twice — narrow on
+/// `user_id`, then wide on `user_id` and narrow on `ts`, then the first
+/// again — and then sits exactly where two policies tie. Each phase's
+/// queries run through the engine (which is what fills the history);
+/// then six adapting passes run, the workload carrying on between them.
+/// Per phase: the grid is left alone by the third pass at the latest and
+/// by every pass after the first that leaves it alone, no policy is
+/// visited twice, every move keeps the answers and the directory
+/// invariants, and the grid the model priced as cheaper *is* cheaper in
+/// records read.
+///
+/// The last phase is what the rewrite-must-repay inequality is for. Its
+/// history holds the two shapes in the proportion at which the model's
+/// optimum tips from one policy to another, and the workload carrying on
+/// moves that proportion by one query up, one down. Without the
+/// inequality every pass re-cells the table for a saving of a fraction
+/// of a row per query, and the third pass is back on the first policy.
+#[test]
+fn a_shifting_workload_settles_without_oscillating() {
+    let (w, index, checker, cfg) = adaptive_world("soak");
+    let maintainer = adapting(&index);
+    let rows_total = cfg.row_count();
+    let model = AdvisorConfig::default();
+    // The model's boundary rows alone: no lookups, no regulariser.
+    let rows_only = AdvisorConfig {
+        lookup_cost: 0.0,
+        cell_cost: 0.0,
+        ..model.clone()
+    };
+    let stats = {
+        let view = index.pin_view().unwrap();
+        advisor::grid_stats(&index.policy(), &view.extents.dims).unwrap()
+    };
+    let ranges = |queries: &[Query]| -> Vec<advisor::QueryRanges> {
+        let dims = || stats.iter().map(|s| s.name.as_str());
+        queries.iter().map(|q| advisor::ranges_of(q.predicate(), dims())).collect()
+    };
+
+    let narrow = |seed, n| workload(&cfg, seed, n, 6, None);
+    let wide = |seed, n| workload(&cfg, seed, n, 150, Some(2));
+    // A full ring of `k` narrow queries and `256 - k` wide ones, its
+    // oldest entries alternating between the shapes — so a workload that
+    // carries on alternating swaps one shape for the other.
+    let (a, b) = (narrow(7, 256), wide(8, 256));
+    let balanced = |k: usize| -> Vec<Query> {
+        let pairs = 256 - k;
+        let mut out: Vec<Query> = (0..pairs).flat_map(|i| [b[i].clone(), a[i].clone()]).collect();
+        out.extend_from_slice(&a[pairs..k]);
+        out
+    };
+    // Bisect for a `k` at which the optimum over such a ring tips.
+    let (a_ranges, b_ranges) = (ranges(&a), ranges(&b));
+    let optimum = |k: usize| {
+        let history = [&a_ranges[..k], &b_ranges[..256 - k]].concat();
+        advisor::search(&stats, &history, rows_total, &model).unwrap().policy
+    };
+    let (mut below, mut tip) = (128, 255);
+    assert_ne!(optimum(below), optimum(tip), "one optimum for every mix");
+    while tip - below > 1 {
+        let mid = (below + tip) / 2;
+        if optimum(mid) == optimum(below) {
+            below = mid;
+        } else {
+            tip = mid;
+        }
+    }
+
+    type CarryOn<'a> = Box<dyn Fn(u64) -> Vec<Query> + 'a>;
+    let phases: Vec<(&str, Vec<Query>, CarryOn)> = vec![
+        ("narrow user_id", narrow(1, 256), Box::new(|pass| narrow(10 + pass, 32))),
+        ("wide user_id, narrow ts", wide(2, 256), Box::new(|pass| wide(20 + pass, 32))),
+        ("narrow user_id again", narrow(3, 256), Box::new(|pass| narrow(30 + pass, 32))),
+        (
+            "balanced on a tie",
+            balanced(tip - 1),
+            Box::new(|pass| if pass % 2 == 1 { narrow(40 + pass, 1) } else { wide(40 + pass, 1) }),
+        ),
+    ];
+    for (name, queries, carry_on) in phases {
+        let replaced = index.policy();
+        let read_before = records_read(&checker, &queries);
+        replay(&index, &queries);
+        let mut visited = vec![replaced.encode()];
+        let mut quiet_since = None;
+        for pass in 1..=6 {
+            match maintainer.run_once().unwrap().adapted {
+                None => quiet_since = quiet_since.or(Some(pass)),
+                Some(desc) => {
+                    let label = format!("{name}, pass {pass} ({desc})");
+                    assert_eq!(quiet_since, None, "{label}: moved again after settling");
+                    assert!(pass < 3, "{label}: still moving");
+                    let now = index.policy().encode();
+                    assert!(!visited.contains(&now), "{label}: back on a policy already left");
+                    visited.push(now);
+                    assert_matches_scan(&w, &checker, &cfg, &label);
+                    assert_grid_directory(&w, &index, &label);
+                }
+            }
+            replay(&index, &carry_on(pass));
+        }
+
+        let chosen = index.policy();
+        let read_after = records_read(&checker, &queries);
+        let history = index.history().snapshot();
+        let predicted = advisor::price(&chosen, &stats, &history, rows_total, &rows_only).unwrap();
+        let scales = |p: &SplittingPolicy| {
+            let intervals = p.dims().iter().map(|d| match d.scale {
+                DimScale::Int { interval, .. } => interval.to_string(),
+                DimScale::Float { interval, .. } => interval.to_string(),
+            });
+            intervals.collect::<Vec<_>>().join(" × ")
+        };
+        let summary = format!(
+            "{name}: {} move(s), {} → {}; records read per query {read_before:.1} → \
+             {read_after:.1}, model {:.1} (measured/predicted {:.2})",
+            visited.len() - 1,
+            scales(&replaced),
+            scales(&chosen),
+            predicted.expected_cost,
+            read_after / predicted.expected_cost,
+        );
+        println!("{summary}");
+        assert!(read_after <= read_before, "the grid priced as cheaper reads more — {summary}");
+    }
 }
 
 /// Drive one maintenance pass over chaos handles; returns whether the
@@ -835,7 +1107,8 @@ fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
         let w = world_on("outage-regrid-record", Arc::clone(&kv) as Arc<dyn KvStore>);
         let (index, cfg) = seed_with_deltas(&w, 2);
         let before = kv.published();
-        Maintainer::new(index, config()).regrid_to(halved(&cfg)).unwrap();
+        Maintainer::new(Arc::clone(&index), config()).regrid_to(halved(&cfg)).unwrap();
+        assert_grid_directory(&w, &index, "fault-free regrid");
         kv.published() - before
     };
     assert!(publishes >= 8, "regrid published only {publishes} cells");
@@ -862,7 +1135,7 @@ fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
         });
         index.append(&next_day).unwrap();
         assert_matches_scan(&w, &index, &cfg, &format!("n={n} after append"));
-        assert_settled(&w, &format!("n={n} after append"));
+        assert_grid_directory(&w, &index, &format!("n={n} after append"));
         // The committed regrid won: the handle cells new rows under it.
         assert_eq!(
             index.policy().dims()[0].scale,

@@ -529,6 +529,10 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
     (names::MAINTAIN_BYTES_REWRITTEN, "maintain.bytes_rewritten"),
     (names::MAINTAIN_KV_BYTES_RECLAIMED, "maintain.kv_bytes_reclaimed"),
     (names::MAINTAIN_REGRIDS, "maintain.regrids"),
+    (names::MAINTAIN_HISTORY_LEN, "maintain.history_len"),
+    (names::MAINTAIN_CANDIDATES, "maintain.candidates"),
+    (names::MAINTAIN_COST_CURRENT, "maintain.cost_current"),
+    (names::MAINTAIN_COST_CHOSEN, "maintain.cost_chosen"),
 ];
 
 #[test]

@@ -386,7 +386,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         );
         let report = std::thread::scope(|s| {
             let writer = s.spawn(|| index.append(&batch).unwrap());
-            let report = front.run_concurrent(&qs, 3);
+            let report = front.run_concurrent(&qs, 3).unwrap();
             writer.join().unwrap();
             report
         });
@@ -474,7 +474,7 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
         );
         let report = std::thread::scope(|s| {
             let flusher = s.spawn(|| ingestor.flush().unwrap());
-            let report = front.run_concurrent(&qs, 3);
+            let report = front.run_concurrent(&qs, 3).unwrap();
             flusher.join().unwrap();
             report
         });

@@ -689,6 +689,40 @@ fn selective_queries_read_a_quarter_of_the_slice_bytes() {
     }
 }
 
+/// A sidecar is consulted only when it can prune. A range on grid
+/// columns alone is cut to cells by the grid, so a zone map has
+/// something to tell apart only where a boundary cell spans several row
+/// groups: there the planner still reads the sidecars; where every cell
+/// fits one group it reads none, and answers exactly as with pruning off.
+#[test]
+fn grid_only_ranges_consult_sidecars_only_over_multi_group_cells() {
+    let range = |lo: i64, hi: i64| ColumnRange::half_open(Value::Int(lo), Value::Int(hi));
+    let q = Query::Aggregate {
+        aggs: aggs(),
+        predicate: Predicate::all().and("user", range(3, 29)).and("day", range(1, 7)),
+    };
+    // ~375 rows per grid cell: six groups of 64, or one of 512.
+    let rows = clustered_rows(4_000);
+    for (tag, rows_per_group, consults) in [("multi", SMALL_GROUP, true), ("single", 512, false)] {
+        let w = world(&format!("gate-{tag}"), &rows, rows_per_group);
+        let index = build(&w, Arc::new(MemKvStore::new()));
+        let on = run_with_sidecar(&w, &index, &q, true);
+        let off = run_with_sidecar(&w, &index, &q, false);
+        assert_bits_eq(&on.result, &off.result, tag);
+        assert!(on.stats.data_records_read > 0, "{tag}: no boundary cell was scanned");
+        let scan = on.stats.scan;
+        if consults {
+            assert!(scan.sidecar_hits > 0, "{tag}: multi-group cells, no sidecar consulted");
+        } else {
+            assert_eq!(
+                (scan.sidecar_bytes, scan.sidecar_hits + scan.sidecar_misses),
+                (0, 0),
+                "{tag}: a sidecar was read that could prune nothing"
+            );
+        }
+    }
+}
+
 /// The same claim after the layout has been through the write path's
 /// worst case: half the rows bulk-built, the rest landed by eight
 /// flushes (each scattering ~100 rows into every cell), then one
