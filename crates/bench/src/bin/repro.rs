@@ -2,9 +2,11 @@
 //!
 //! ```text
 //! cargo run --release -p dgf-bench --bin repro -- [--scale small|medium|large]
-//!                                                 [--only fig3,table2,agg,groupby,join,partial,tpch,ablation,partitions]
+//!                                                 [--only <key>,<key>,…]
 //!                                                 [--out results.md]
 //! ```
+//!
+//! `--help` lists the `--only` keys ([`KEYS`]).
 
 use std::io::Write;
 
@@ -16,17 +18,20 @@ use dgf_bench::experiments::{
 use dgf_bench::{BenchScale, MeterLab, ReportTable, TpchLab};
 use dgf_common::Stopwatch;
 
+/// The `--only` keys: one per family of tables and figures.
+const KEYS: [&str; 9] =
+    ["fig3", "table2", "agg", "groupby", "join", "partial", "tpch", "ablation", "partitions"];
+
 struct Args {
     scale: BenchScale,
     only: Option<Vec<String>>,
     out: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut scale = BenchScale::medium();
     let mut only = None;
     let mut out = None;
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
@@ -36,14 +41,18 @@ fn parse_args() -> Result<Args, String> {
             }
             "--only" => {
                 let v = it.next().ok_or("--only needs a value")?;
-                only = Some(v.split(',').map(|s| s.trim().to_owned()).collect());
+                let keys: Vec<String> = v.split(',').map(|s| s.trim().to_owned()).collect();
+                if let Some(unknown) = keys.iter().find(|k| !KEYS.contains(&k.as_str())) {
+                    return Err(format!("unknown --only key {unknown:?} ({})", KEYS.join("|")));
+                }
+                only = Some(keys);
             }
             "--out" => out = Some(it.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
-                return Err("usage: repro [--scale small|medium|large] \
-                            [--only fig3,table2,agg,groupby,join,partial,tpch,ablation,partitions] \
-                            [--out results.md]"
-                    .into())
+                return Err(format!(
+                    "usage: repro [--scale small|medium|large] [--only {}] [--out results.md]",
+                    KEYS.join(",")
+                ))
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -63,7 +72,7 @@ fn wanted(only: &Option<Vec<String>>, key: &str) -> bool {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -155,4 +164,23 @@ fn run(args: Args) -> dgf_common::Result<()> {
     }
     eprintln!("\nall experiments done in {:.1}s", total.secs());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn an_unknown_only_key_is_rejected_with_the_valid_keys() {
+        let err = parse(&["--only", "agg,fig17"]).err().expect("fig17 is not a key");
+        assert!(err.contains("\"fig17\""), "{err}");
+        for key in KEYS {
+            assert!(err.contains(key), "{err}");
+            assert_eq!(parse(&["--only", key]).ok().and_then(|a| a.only), Some(vec![key.to_owned()]));
+        }
+    }
 }

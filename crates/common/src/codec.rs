@@ -2,14 +2,12 @@
 //!
 //! Two codecs live here:
 //!
-//! * A length-prefixed little-endian **frame codec** (`BufWriter`/`BufReader`
-//!   helpers) used for row-group files, key-value store logs, and persisted
-//!   index metadata.
+//! * A length-prefixed little-endian **frame codec** (the `put_*`
+//!   writers and [`Decoder`]) used for row-group files, key-value store
+//!   logs, and persisted index metadata.
 //! * An **order-preserving key codec** used for grid-file unit keys so the
 //!   key-value store can range-scan cells in coordinate order (`encode_key_i64`
 //!   encodes sign-flipped big-endian).
-
-use std::io::{Read, Write};
 
 use crate::error::{DgfError, Result};
 use crate::value::Value;
@@ -219,28 +217,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Write a length-prefixed frame to a stream.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(())
-}
-
-/// Read a length-prefixed frame; `Ok(None)` at clean EOF.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let n = u32::from_le_bytes(len) as usize;
-    let mut payload = vec![0u8; n];
-    r.read_exact(&mut payload)
-        .map_err(|_| DgfError::Corrupt("frame body truncated".into()))?;
-    Ok(Some(payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,19 +291,6 @@ mod tests {
             assert_eq!(got, *v);
             assert!(rest.is_empty());
         }
-    }
-
-    #[test]
-    fn frames_stream_round_trip() {
-        let mut out = Vec::new();
-        write_frame(&mut out, b"one").unwrap();
-        write_frame(&mut out, b"").unwrap();
-        write_frame(&mut out, b"three").unwrap();
-        let mut r = &out[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"one");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"three");
-        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

@@ -52,17 +52,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The type of this value, or `None` for `Null`.
-    pub fn value_type(&self) -> Option<ValueType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ValueType::Int),
-            Value::Float(_) => Some(ValueType::Float),
-            Value::Str(_) => Some(ValueType::Str),
-            Value::Date(_) => Some(ValueType::Date),
-        }
-    }
-
     /// Interpret the value as a number for grid standardization and
     /// arithmetic aggregates. Dates map to their day number.
     pub fn as_f64(&self) -> Result<f64> {

@@ -30,7 +30,7 @@ use crate::pyramid;
 use crate::txn::{
     self, live_key, stage_key, stage_prefix, Txn, TxnManifest, TxnStats, TXN_MANIFEST_KEY,
 };
-use crate::view::{upgrade_view, ReadView};
+use crate::view::ReadView;
 use crate::write::decode_gc_list;
 
 /// How GFU Slices are placed across reducer output files — the paper's §8
@@ -282,9 +282,8 @@ impl DgfIndex {
     /// found in the store is rolled back (pre-commit) or re-applied
     /// (post-commit) first; the committed [`ReadView`] then supplies the
     /// policy, the placement, the pyramid height and the generation to
-    /// resume from. A store whose `m:view` is missing or predates the
-    /// current layout is upgraded once ([`upgrade_view`]), so readers
-    /// and writers only ever meet one view shape.
+    /// resume from. A store with no `m:view` is not an index; one whose
+    /// `m:view` does not decode is `Corrupt`. Neither is written to.
     pub fn open_with_options(
         ctx: Arc<HiveContext>,
         base: TableRef,
@@ -305,19 +304,11 @@ impl DgfIndex {
         let meta_before = kv.stats().snapshot();
         let data = ctx.table(&format!("{index_name}_data"))?;
         let stored = kv_retry(options.retry, kv.as_ref(), || kv.get(META_VIEW_KEY))?;
-        let view = match stored.as_deref().map(ReadView::decode) {
-            Some(Ok(view)) => view,
-            // Missing or not in the current layout: an older build's
-            // store, which the upgrade reads, or garbage, which it rejects.
-            _ => upgrade_view(
-                &ctx.hdfs,
-                kv.as_ref(),
-                options.retry,
-                stored.as_deref(),
-                &base.location,
-                &data.location,
-            )?,
-        };
+        let stored = stored
+            .ok_or_else(|| DgfError::Index("store holds no DGFIndex metadata".into()))?;
+        let view = ReadView::decode(&stored).map_err(|e| {
+            DgfError::Corrupt(format!("unreadable read view (m:view): {e}; rebuild the index"))
+        })?;
         let supplied_keys: Vec<String> = aggs.iter().map(|a| a.key()).collect();
         if view.agg_keys != supplied_keys {
             return Err(DgfError::Index(format!(
@@ -546,9 +537,9 @@ impl DgfIndex {
 
     /// Pin the committed [`ReadView`] with a single KV read — the one
     /// atomic snapshot query planning works from. Every build publishes
-    /// `m:view` and [`open`](Self::open) upgrades stores that predate
-    /// its layout, so anything else here is corruption, not a format to
-    /// serve.
+    /// `m:view` and [`open`](Self::open) rejects a store without a
+    /// readable one, so anything else here is corruption, not a format
+    /// to serve.
     pub fn pin_view(&self) -> Result<ReadView> {
         let bytes = self
             .kv_get(META_VIEW_KEY)?

@@ -39,7 +39,6 @@ use dgf_common::{counter_block, DgfError, Result};
 use dgf_format::is_sidecar_path;
 use dgf_kvstore::KvStore;
 use dgf_storage::HdfsRef;
-use parking_lot::Mutex;
 
 use crate::gfu::{Extents, META_GC_KEY, META_VIEW_KEY};
 use crate::index::{kv_retry, DgfIndex};
@@ -95,10 +94,6 @@ pub enum TxnState {
     /// file and staging state, but its outcome is still undecided.
     /// Recovery rolls it back.
     Intent,
-    /// All staging state is complete and the manifest records the full
-    /// apply recipe — but the decision has not been made. Recovery still
-    /// rolls back.
-    Prepared,
     /// The commit point has passed. Recovery re-applies (idempotently)
     /// and cleans up.
     Committed,
@@ -108,7 +103,6 @@ impl TxnState {
     fn code(self) -> u32 {
         match self {
             TxnState::Intent => 0,
-            TxnState::Prepared => 1,
             TxnState::Committed => 2,
         }
     }
@@ -116,7 +110,6 @@ impl TxnState {
     fn from_code(c: u32) -> Result<TxnState> {
         match c {
             0 => Ok(TxnState::Intent),
-            1 => Ok(TxnState::Prepared),
             2 => Ok(TxnState::Committed),
             n => Err(DgfError::Corrupt(format!("unknown txn state {n}"))),
         }
@@ -124,8 +117,10 @@ impl TxnState {
 }
 
 /// The durable record of one reorganize transaction. Written at Intent
-/// (before any other write of the transaction), completed at Prepared,
-/// and flipped to Committed by the commit-point `put`.
+/// (before any other write of the transaction) and rewritten once, with
+/// the whole apply recipe and the state Committed, by the commit-point
+/// `put`. The recipe does not list the staged keys: the store holds
+/// them under [`stage_prefix`], and that prefix *is* the list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnManifest {
     /// Current lifecycle state.
@@ -139,8 +134,6 @@ pub struct TxnManifest {
     pub base_delta: Option<String>,
     /// Staged-file → live-file renames to perform at apply.
     pub renames: Vec<(String, String)>,
-    /// Staged keys (`s:`-prefixed) whose values publish to live keys.
-    pub staged_keys: Vec<Vec<u8>>,
     /// The full encoded `m:gc` list (what was already awaiting
     /// reclamation plus the files this transaction retires), put after
     /// the staged-key publishes; empty when the transaction retires no
@@ -150,15 +143,14 @@ pub struct TxnManifest {
     /// under `m:view` right after the file renames and *before* the
     /// staged-key publishes: flipping the view is the visibility pivot
     /// for live readers, and a pending view tells them to overlay this
-    /// transaction's staged keys. Set at Prepared; the view is all the
-    /// metadata a transaction publishes.
+    /// transaction's staged keys. The view is all the metadata a
+    /// transaction publishes.
     pub view: Vec<u8>,
     /// Live keys this transaction retires after publishing its staged
     /// state (cell re-split/merge drops the old granularity's `g:`/`p:`
     /// keys). Deletes run *after* the view put and staged publishes, so
     /// pending-view readers have already switched to the new cells;
-    /// re-deleting on recovery is a no-op. Encoded as an optional tail
-    /// so pre-maintenance manifests decode unchanged.
+    /// re-deleting on recovery is a no-op.
     pub deletes: Vec<Vec<u8>>,
 }
 
@@ -171,7 +163,6 @@ impl TxnManifest {
             staging_dir,
             base_delta,
             renames: Vec::new(),
-            staged_keys: Vec::new(),
             gc: Vec::new(),
             view: Vec::new(),
             deletes: Vec::new(),
@@ -190,20 +181,11 @@ impl TxnManifest {
             codec::put_str(&mut buf, from);
             codec::put_str(&mut buf, to);
         }
-        codec::put_u32(&mut buf, self.staged_keys.len() as u32);
-        for k in &self.staged_keys {
-            codec::put_bytes(&mut buf, k);
-        }
         codec::put_bytes(&mut buf, &self.gc);
         codec::put_bytes(&mut buf, &self.view);
-        // Optional tail: only present when the transaction retires live
-        // keys, so manifests without deletes stay byte-identical to the
-        // pre-maintenance encoding.
-        if !self.deletes.is_empty() {
-            codec::put_u32(&mut buf, self.deletes.len() as u32);
-            for k in &self.deletes {
-                codec::put_bytes(&mut buf, k);
-            }
+        codec::put_u32(&mut buf, self.deletes.len() as u32);
+        for k in &self.deletes {
+            codec::put_bytes(&mut buf, k);
         }
         buf
     }
@@ -224,20 +206,14 @@ impl TxnManifest {
             let to = d.str()?.to_owned();
             renames.push((from, to));
         }
-        let mut staged_keys = Vec::new();
-        for _ in 0..d.u32()? {
-            staged_keys.push(d.bytes()?.to_vec());
-        }
         let gc = d.bytes()?.to_vec();
         let view = d.bytes()?.to_vec();
         let mut deletes = Vec::new();
+        for _ in 0..d.u32()? {
+            deletes.push(d.bytes()?.to_vec());
+        }
         if d.remaining() != 0 {
-            for _ in 0..d.u32()? {
-                deletes.push(d.bytes()?.to_vec());
-            }
-            if d.remaining() != 0 {
-                return Err(DgfError::Corrupt("txn manifest has trailing bytes".into()));
-            }
+            return Err(DgfError::Corrupt("txn manifest has trailing bytes".into()));
         }
         Ok(TxnManifest {
             state,
@@ -245,7 +221,6 @@ impl TxnManifest {
             staging_dir,
             base_delta,
             renames,
-            staged_keys,
             gc,
             view,
             deletes,
@@ -281,7 +256,7 @@ impl TxnStats {
     pub(crate) fn count_recovery(&self, found: Option<TxnState>) {
         match found {
             Some(TxnState::Committed) => self.recovered.inc(),
-            Some(TxnState::Intent | TxnState::Prepared) => self.rollbacks.inc(),
+            Some(TxnState::Intent) => self.rollbacks.inc(),
             None => {}
         }
     }
@@ -321,9 +296,6 @@ pub(crate) struct Txn<'a> {
     /// [`DgfIndex::genesis_view`]): what the writer reads its inputs
     /// from and what [`commit`](Self::commit) derives the next view from.
     base: ReadView,
-    /// Staged keys so far. Behind a lock because reducers stage in
-    /// parallel.
-    staged: Mutex<Vec<Vec<u8>>>,
     finished: bool,
 }
 
@@ -363,7 +335,6 @@ impl<'a> Txn<'a> {
             index,
             manifest: TxnManifest::intent(gen, staging_dir, delta),
             base,
-            staged: Mutex::new(Vec::new()),
             finished: false,
         };
         index.kv_put(TXN_MANIFEST_KEY, &txn.manifest.encode())?;
@@ -394,20 +365,12 @@ impl<'a> Txn<'a> {
 
     /// Put `value` under the staged twin of `live`; commit publishes it.
     pub(crate) fn stage(&self, live: &[u8], value: &[u8]) -> Result<()> {
-        let skey = stage_key(self.manifest.txn, live);
-        self.index.kv_put(&skey, value)?;
-        self.staged.lock().push(skey);
-        Ok(())
+        self.index.kv_put(&stage_key(self.manifest.txn, live), value)
     }
 
-    /// The live keys staged so far.
-    pub(crate) fn staged_live_keys(&self) -> HashSet<Vec<u8>> {
-        self.staged.lock().iter().map(|s| live_key(s).to_vec()).collect()
-    }
-
-    /// Publish the transaction: complete the manifest with the full
-    /// apply recipe (Prepared), flip it to Committed — the commit point
-    /// — then apply and clean up.
+    /// Publish the transaction: rewrite the manifest with the full apply
+    /// recipe and the state Committed — the commit point — then apply
+    /// and clean up.
     pub(crate) fn commit(mut self, outcome: Outcome) -> Result<()> {
         let index = self.index;
         // The post-commit split list: the previous view's files minus
@@ -438,15 +401,12 @@ impl<'a> Txn<'a> {
         data_files.dedup();
         index.crash_point("txn.staged")?;
 
-        // Prepare: the manifest gets the whole recipe — renames, staged
-        // keys, and the one view that is the new epoch's metadata.
+        // The manifest gets the whole recipe: renames, the one view that
+        // is the new epoch's metadata, the gc list and the retired keys.
+        // What to publish is whatever sits under the stage prefix.
         let mut manifest = self.manifest.clone();
-        manifest.state = TxnState::Prepared;
+        manifest.state = TxnState::Committed;
         manifest.renames = renames;
-        manifest.staged_keys = std::mem::take(&mut *self.staged.lock());
-        // Reducers stage in parallel: sorted, the recipe does not depend
-        // on their scheduling.
-        manifest.staged_keys.sort();
         manifest.deletes = outcome.deletes;
         if !outcome.retire.is_empty() {
             let mut gc = index.gc_list()?;
@@ -468,24 +428,20 @@ impl<'a> Txn<'a> {
             pyramid: base.pyramid,
         }
         .encode();
-        index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
-        index.crash_point("txn.prepared")?;
-
         // COMMIT POINT: this single put flips the epoch. Before it,
         // recovery rolls everything back; after it, recovery re-applies.
-        manifest.state = TxnState::Committed;
         index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
         index.crash_point("txn.committed")?;
 
         let (hdfs, kv) = (&index.ctx.hdfs, index.kv.as_ref());
-        apply_committed(hdfs, kv, index.retry, &manifest, index.fault_plan())?;
+        let published = apply_committed(hdfs, kv, index.retry, &manifest, index.fault_plan())?;
         index.crash_point("txn.applied")?;
-        cleanup_txn(hdfs, kv, index.retry, &manifest)?;
+        cleanup_txn(hdfs, kv, index.retry, &manifest, &published)?;
         self.finished = true;
         index.install_policy(outcome.policy);
         let stats = &index.txn_stats;
         stats.commits.inc();
-        stats.staged_keys.add(manifest.staged_keys.len() as u64);
+        stats.staged_keys.add(published.len() as u64);
         stats.files_published.add(manifest.renames.len() as u64);
         stats.files_retired.add(outcome.retire.len() as u64);
         Ok(())
@@ -532,10 +488,9 @@ fn settle(index: &DgfIndex) -> Result<()> {
 /// the state the transaction was found in, or `None` when the store was
 /// clean.
 ///
-/// * [`TxnState::Intent`] / [`TxnState::Prepared`] — the commit point
-///   never passed: staged keys, the staging directory, and any
-///   unacknowledged base-table delta file are deleted, restoring the
-///   previous epoch exactly.
+/// * [`TxnState::Intent`] — the commit point never passed: staged keys,
+///   the staging directory, and any unacknowledged base-table delta file
+///   are deleted, restoring the previous epoch exactly.
 /// * [`TxnState::Committed`] — the commit point passed: the apply recipe
 ///   recorded in the manifest is (re-)executed; every step is
 ///   idempotent, so partial prior applies are harmless.
@@ -564,10 +519,10 @@ pub fn recover(
     let manifest = TxnManifest::decode(&bytes)?;
     match manifest.state {
         TxnState::Committed => {
-            apply_committed(hdfs, kv.as_ref(), retry, &manifest, fault)?;
-            cleanup_txn(hdfs, kv.as_ref(), retry, &manifest)?;
+            let published = apply_committed(hdfs, kv.as_ref(), retry, &manifest, fault)?;
+            cleanup_txn(hdfs, kv.as_ref(), retry, &manifest, &published)?;
         }
-        TxnState::Intent | TxnState::Prepared => {
+        TxnState::Intent => {
             rollback_txn(hdfs, kv.as_ref(), retry, &manifest)?;
         }
     }
@@ -575,10 +530,12 @@ pub fn recover(
 }
 
 /// Phase B of the commit protocol: make the committed transaction
-/// live. Every step is idempotent — renames skip when the
-/// destination exists, staged-key publishes skip keys already
-/// garbage-collected, the view and `m:gc` puts are plain overwrites
-/// of precomputed values.
+/// live, and return the staged keys it published. Every step is
+/// idempotent — renames skip when the destination exists, the publishes
+/// copy whatever one scan of the transaction's stage prefix still holds
+/// (a staged key an earlier cleanup removed was published before it was
+/// removed, and is simply absent), the view and `m:gc` puts are plain
+/// overwrites of precomputed values.
 ///
 /// Ordering is load-bearing for live readers (DESIGN.md §11): the
 /// new pending [`ReadView`] is put *after* the renames (so its split
@@ -593,7 +550,7 @@ fn apply_committed(
     retry: RetryPolicy,
     manifest: &TxnManifest,
     fault: Option<&Arc<FaultPlan>>,
-) -> Result<()> {
+) -> Result<Vec<Vec<u8>>> {
     for (from, to) in &manifest.renames {
         if hdfs.file_exists(to) {
             continue;
@@ -609,13 +566,14 @@ fn apply_committed(
     if let Some(plan) = fault {
         plan.crash_point("apply.view")?;
     }
-    for staged in &manifest.staged_keys {
+    let staged = kv_retry(retry, kv, || kv.scan_prefix(&stage_prefix(manifest.txn)))?;
+    let mut published = Vec::with_capacity(staged.len());
+    for (skey, value) in staged {
         if let Some(plan) = fault {
             plan.sync_point("apply.publish-cell");
         }
-        if let Some(v) = kv_retry(retry, kv, || kv.get(staged))? {
-            kv_retry(retry, kv, || kv.put(live_key(staged), &v))?;
-        }
+        kv_retry(retry, kv, || kv.put(live_key(&skey), &value))?;
+        published.push(skey);
     }
     if let Some(plan) = fault {
         plan.crash_point("apply.published")?;
@@ -636,23 +594,24 @@ fn apply_committed(
             plan.crash_point("apply.retired")?;
         }
     }
-    Ok(())
+    Ok(published)
 }
 
-/// Remove a finished (applied) transaction's staging state. The view
-/// is re-put with `pending` cleared only after the staged keys are
-/// gone (readers read staged-then-live, so a deleted staged key
-/// always falls back to the already-published live value); the
-/// manifest goes last: if a crash interrupts cleanup, recovery
-/// re-applies and re-cleans.
+/// Remove a finished (applied) transaction's staging state; `staged`
+/// is the keys [`apply_committed`] published. The view is re-put with
+/// `pending` cleared only after the staged keys are gone (readers read
+/// staged-then-live, so a deleted staged key always falls back to the
+/// already-published live value); the manifest goes last: if a crash
+/// interrupts cleanup, recovery re-applies and re-cleans.
 fn cleanup_txn(
     hdfs: &HdfsRef,
     kv: &dyn KvStore,
     retry: RetryPolicy,
     manifest: &TxnManifest,
+    staged: &[Vec<u8>],
 ) -> Result<()> {
-    for staged in &manifest.staged_keys {
-        kv_retry(retry, kv, || kv.delete(staged))?;
+    for skey in staged {
+        kv_retry(retry, kv, || kv.delete(skey))?;
     }
     let mut view = ReadView::decode(&manifest.view)?;
     view.pending = false;
@@ -664,9 +623,9 @@ fn cleanup_txn(
     Ok(())
 }
 
-/// Undo a transaction that never reached its commit point. The
-/// staged-key sweep uses the prefix (not the manifest's list) because
-/// an Intent-state manifest predates the list.
+/// Undo a transaction that never reached its commit point. The sweep
+/// covers every transaction's stage prefix, not only this one's, so it
+/// also collects what an older dead writer may have left.
 fn rollback_txn(
     hdfs: &HdfsRef,
     kv: &dyn KvStore,
@@ -696,26 +655,15 @@ mod tests {
         let mut m = TxnManifest::intent(7, "/warehouse/idx/data_staging/txn-00007".into(), None);
         assert_eq!(TxnManifest::decode(&m.encode()).unwrap(), m);
 
-        m.state = TxnState::Prepared;
+        m.state = TxnState::Committed;
         m.base_delta = Some("/warehouse/base/delta-00007".into());
         m.renames = vec![("/a/x".into(), "/b/x".into()), ("/a/y".into(), "/b/y".into())];
-        m.staged_keys = vec![stage_key(7, b"g:k1"), stage_key(7, b"g:k2")];
         m.gc = vec![0xBE, 0xEF];
         m.view = vec![0xDE, 0xAD];
-        let back = TxnManifest::decode(&m.encode()).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(TxnManifest::decode(&m.encode()).unwrap(), m);
 
-        m.state = TxnState::Committed;
-        assert_eq!(TxnManifest::decode(&m.encode()).unwrap().state, TxnState::Committed);
-
-        // The optional deletes tail round-trips, and a manifest without
-        // deletes stays byte-identical to the legacy encoding.
-        let legacy = m.encode();
         m.deletes = vec![b"g:old1".to_vec(), b"p:old2".to_vec()];
-        let back = TxnManifest::decode(&m.encode()).unwrap();
-        assert_eq!(back, m);
-        m.deletes.clear();
-        assert_eq!(m.encode(), legacy);
+        assert_eq!(TxnManifest::decode(&m.encode()).unwrap(), m);
     }
 
     #[test]
@@ -743,9 +691,11 @@ mod tests {
         let mut good = TxnManifest::intent(1, "/s".into(), None).encode();
         good.push(0xAB);
         assert!(TxnManifest::decode(&good).is_err());
-        let mut bad_state = TxnManifest::intent(1, "/s".into(), None).encode();
-        bad_state[..4].copy_from_slice(&9u32.to_le_bytes());
-        // State byte order depends on the codec; just require an error.
-        assert!(TxnManifest::decode(&bad_state).is_err());
+        // State codes this build does not write.
+        for code in [1u32, 9] {
+            let mut bad_state = TxnManifest::intent(1, "/s".into(), None).encode();
+            bad_state[..4].copy_from_slice(&code.to_le_bytes());
+            assert!(matches!(TxnManifest::decode(&bad_state), Err(DgfError::Corrupt(_))));
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! GFUValue` pairs — the splitting policy and the per-dimension min/max
 //! that partially-specified queries fall back to (§4.2, §5.3.4). Here
 //! that state, and everything else about an index that is not a GFU or
-//! a pyramid node, is one [`ReadView`] under [`META_VIEW_KEY`]: a reader
+//! a pyramid node, is one [`ReadView`] under
+//! [`META_VIEW_KEY`](crate::gfu::META_VIEW_KEY): a reader
 //! resolves it with a **single** KV `get`, a commit replaces it with a
-//! single `put`, and it has one layout ([`upgrade_view`] brings older
-//! stores to it, once, at open).
+//! single `put`, and it has one layout: a store that holds anything else
+//! there is `Corrupt`, to be rebuilt.
 //!
 //! The paper's load path extends the grid in place (`append` updates
 //! existing GFU entries rather than rebuilding, §5), so header mutation
@@ -16,19 +17,11 @@
 //! that references them is published, so a reader pinned to one view
 //! can never observe a blend of two index epochs (`DESIGN.md` §11).
 
-use std::collections::HashSet;
-
 use dgf_common::codec::{self, Decoder};
-use dgf_common::fault::RetryPolicy;
 use dgf_common::{DgfError, Result};
-use dgf_format::is_sidecar_path;
-use dgf_kvstore::KvStore;
-use dgf_storage::SimHdfs;
 
-use crate::gfu::{Extents, META_GC_KEY, META_VIEW_KEY};
-use crate::index::{kv_retry, SlicePlacement};
-use crate::policy::SplittingPolicy;
-use crate::write::decode_gc_list;
+use crate::gfu::Extents;
+use crate::index::SlicePlacement;
 
 /// The committed snapshot a plan pins at the start of assembly, and the
 /// whole of a store's metadata.
@@ -56,11 +49,11 @@ pub struct ReadView {
     /// commit derives its list from the previous view's, so a file a
     /// transaction retired never re-enters one.
     pub data_files: Vec<(String, u64)>,
-    /// The encoded [`SplittingPolicy`] this view's cells were produced
-    /// under. Riding the view is what keeps a pinned reader's extents
-    /// and cell geometry from ever coming from two different grid
-    /// epochs: a regrid publishes both through the same single `m:view`
-    /// put.
+    /// The encoded [`SplittingPolicy`](crate::policy::SplittingPolicy)
+    /// this view's cells were produced under. Riding the view is what
+    /// keeps a pinned reader's extents and cell geometry from ever
+    /// coming from two different grid epochs: a regrid publishes both
+    /// through the same single `m:view` put.
     pub policy: Vec<u8>,
     /// Canonical keys of the pre-computed aggregates the headers hold,
     /// fixed at build; `open` checks the supplied list against them.
@@ -102,11 +95,21 @@ impl ReadView {
     pub fn decode(bytes: &[u8]) -> Result<ReadView> {
         let mut d = Decoder::new(bytes);
         let generation = d.u64()?;
-        let pending = pending_flag(d.u32()?)?;
+        let pending = match d.u32()? {
+            0 => false,
+            1 => true,
+            n => return Err(DgfError::Corrupt(format!("bad view pending flag {n}"))),
+        };
         let watermark = d.u64()?;
         let files = d.u64()?;
         let extents = Extents::decode(d.bytes()?)?;
-        let data_files = data_file_list(&mut d)?;
+        // Per file: a path length prefix and the file length.
+        let n = d.count(12)?;
+        let mut data_files = Vec::with_capacity(n);
+        for _ in 0..n {
+            let path = d.str()?.to_owned();
+            data_files.push((path, d.u64()?));
+        }
         let policy = d.bytes()?.to_vec();
         let n = d.count(4)?;
         let mut agg_keys = Vec::with_capacity(n);
@@ -133,173 +136,12 @@ impl ReadView {
     }
 }
 
-fn pending_flag(n: u32) -> Result<bool> {
-    match n {
-        0 => Ok(false),
-        1 => Ok(true),
-        n => Err(DgfError::Corrupt(format!("bad view pending flag {n}"))),
-    }
-}
-
-fn data_file_list(d: &mut Decoder<'_>) -> Result<Vec<(String, u64)>> {
-    // Per file: a path length prefix and the file length.
-    let n = d.count(12)?;
-    let mut files = Vec::with_capacity(n);
-    for _ in 0..n {
-        let path = d.str()?.to_owned();
-        files.push((path, d.u64()?));
-    }
-    Ok(files)
-}
-
-// The metadata keys older builds wrote beside `m:view` on every commit.
-// Nothing but `upgrade_view` names them.
-const META_POLICY_KEY: &[u8] = b"m:policy";
-const META_EXTENT_KEY: &[u8] = b"m:extent";
-const META_AGGS_KEY: &[u8] = b"m:aggs";
-const META_PLACEMENT_KEY: &[u8] = b"m:placement";
-const META_FILES_KEY: &[u8] = b"m:files";
-const META_INGEST_KEY: &[u8] = b"m:ingest";
-const META_PYRAMID_KEY: &[u8] = b"m:pyramid";
-
-/// What a store written by an older build holds under `m:view`: nothing
-/// (all `None`), or the layout in which the file count, the file list
-/// and the policy each sat behind a presence flag.
-#[derive(Default)]
-struct OldView {
-    generation: Option<u64>,
-    watermark: Option<u64>,
-    files: Option<u64>,
-    extents: Option<Extents>,
-    data_files: Option<Vec<(String, u64)>>,
-    policy: Option<Vec<u8>>,
-}
-
-impl OldView {
-    fn decode(bytes: &[u8]) -> Result<OldView> {
-        let mut d = Decoder::new(bytes);
-        let generation = Some(d.u64()?);
-        pending_flag(d.u32()?)?;
-        let watermark = Some(d.u64()?);
-        let files = (d.u32()? != 0).then(|| d.u64()).transpose()?;
-        let extents = Some(Extents::decode(d.bytes()?)?);
-        let data_files = (d.u32()? != 0).then(|| data_file_list(&mut d)).transpose()?;
-        let policy = (d.remaining() != 0 && d.u32()? != 0)
-            .then(|| d.bytes().map(<[u8]>::to_vec))
-            .transpose()?;
-        if d.remaining() != 0 {
-            return Err(DgfError::Corrupt("read view has trailing bytes".into()));
-        }
-        Ok(OldView {
-            generation,
-            watermark,
-            files,
-            extents,
-            data_files,
-            policy,
-        })
-    }
-}
-
-/// The one-time format upgrade behind the single [`ReadView`] layout,
-/// run by [`DgfIndex::open`](crate::index::DgfIndex::open) on a store
-/// whose `m:view` (`stored`) is missing or not in that layout. The view
-/// the store's last commit would publish today is synthesised from what
-/// `stored` holds, the seven side keys, and — where a store predates
-/// even those — the data and base directories. It is published with the
-/// single `m:view` put every commit uses and only then are the side
-/// keys deleted: a crash before the put repeats the upgrade at the next
-/// open, one after it leaves keys nothing reads.
-pub(crate) fn upgrade_view(
-    hdfs: &SimHdfs,
-    kv: &dyn KvStore,
-    retry: RetryPolicy,
-    stored: Option<&[u8]>,
-    base_dir: &str,
-    data_dir: &str,
-) -> Result<ReadView> {
-    let old = stored.map(OldView::decode).transpose()?.unwrap_or_default();
-    let get = |key: &[u8]| kv_retry(retry, kv, || kv.get(key));
-    let get_u64 = |key: &[u8]| -> Result<Option<u64>> {
-        get(key)?.map(|b| Decoder::new(&b).u64()).transpose()
-    };
-    let policy = match old.policy {
-        Some(policy) => policy,
-        None => get(META_POLICY_KEY)?
-            .ok_or_else(|| DgfError::Index("store holds no DGFIndex metadata".into()))?,
-    };
-    let arity = SplittingPolicy::decode(&policy)?.arity();
-    let in_data_dir = hdfs.list_files(data_dir);
-    let view = ReadView {
-        generation: old.generation.unwrap_or_else(|| {
-            // The newest `part-r-<generation>-<task>` Slice file.
-            let generation_of = |path: &String| -> Option<u64> {
-                let name = path.rsplit('/').next()?.strip_prefix("part-r-")?;
-                name.split('-').next()?.parse().ok()
-            };
-            in_data_dir.iter().filter_map(|(p, _)| generation_of(p)).max().unwrap_or(0)
-        }),
-        // Recovery ran first: no transaction is still publishing.
-        pending: false,
-        watermark: match old.watermark {
-            Some(watermark) => watermark,
-            None => get_u64(META_INGEST_KEY)?.unwrap_or(0),
-        },
-        files: match (old.files, get_u64(META_FILES_KEY)?) {
-            (Some(files), _) | (None, Some(files)) => files,
-            // No count was ever recorded: assume in sync, as such stores
-            // always were.
-            (None, None) => hdfs.list_files(base_dir).len() as u64,
-        },
-        extents: match (old.extents, get(META_EXTENT_KEY)?) {
-            (Some(extents), _) => extents,
-            (None, Some(bytes)) => Extents::decode(&bytes)?,
-            (None, None) => Extents::empty(arity),
-        },
-        data_files: match old.data_files {
-            Some(files) => files,
-            // Everything in the data directory except sidecars (index,
-            // not data) and files awaiting deferred reclamation.
-            None => {
-                let gc: HashSet<String> = match get(META_GC_KEY)? {
-                    Some(bytes) => decode_gc_list(&bytes)?.into_iter().collect(),
-                    None => HashSet::new(),
-                };
-                let mut files = in_data_dir;
-                files.retain(|(p, _)| !is_sidecar_path(p) && !gc.contains(p));
-                files.sort();
-                files
-            }
-        },
-        policy,
-        agg_keys: get(META_AGGS_KEY)?.map_or_else(Vec::new, |b| {
-            let keys = String::from_utf8_lossy(&b);
-            keys.split('\n').filter(|k| !k.is_empty()).map(str::to_owned).collect()
-        }),
-        placement: SlicePlacement::from_code(
-            get(META_PLACEMENT_KEY)?.map(|b| Decoder::new(&b).u32()).transpose()?.unwrap_or(0),
-        ),
-        pyramid: get(META_PYRAMID_KEY)?.map(|b| Decoder::new(&b).u8()).transpose()?.unwrap_or(0),
-    };
-    kv_retry(retry, kv, || kv.put(META_VIEW_KEY, &view.encode()))?;
-    for key in [
-        META_POLICY_KEY,
-        META_EXTENT_KEY,
-        META_AGGS_KEY,
-        META_PLACEMENT_KEY,
-        META_FILES_KEY,
-        META_INGEST_KEY,
-        META_PYRAMID_KEY,
-    ] {
-        kv_retry(retry, kv, || kv.delete(key))?;
-    }
-    Ok(view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gfu::{GfuKey, GfuValue};
+    use crate::policy::SplittingPolicy;
+    use crate::write::decode_gc_list;
 
     fn sample() -> ReadView {
         let mut extents = Extents::empty(2);

@@ -16,6 +16,7 @@
 //! runs it over the index's own Slices under a new policy. Every run
 //! publishes through one `Txn` ([`crate::txn`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgf_common::{format_row, parse_row, Result, Row, Stopwatch};
@@ -234,14 +235,24 @@ impl DgfIndex {
         for e in &job.outputs {
             extents.merge(e);
         }
+        // Everything the job staged, by live key: the final post-commit
+        // values of the `g:` cells it wrote. The stage prefix is the
+        // list; the two passes below share one scan of it.
+        let levels = self.pyramid_levels();
+        let mut staged: HashMap<Vec<u8>, GfuValue> = HashMap::new();
+        if levels.is_some() || rewrite {
+            for (skey, v) in self.kv_scan_prefix(&stage_prefix(gen))? {
+                staged.insert(live_key(&skey).to_vec(), GfuValue::decode(&v)?);
+            }
+        }
         // Stage the pyramid delta in the SAME transaction: recompute
         // every node whose subtree holds a cell this job touched, from
         // the final post-commit child values. The staged nodes publish
         // through the same apply phase as the cells — visibility flips
         // with the one `m:view` put, so readers never see cells and
         // ancestors from different epochs.
-        if let Some(levels) = self.pyramid_levels() {
-            self.stage_pyramid_updates(&txn, levels, rewrite)?;
+        if let Some(levels) = levels {
+            self.stage_pyramid_updates(&txn, levels, rewrite, &mut staged)?;
         }
         // A rewrite retires every old-granularity key its job did not
         // re-stage: an identity-valued tombstone is staged over each one
@@ -256,7 +267,6 @@ impl DgfIndex {
             // read — the previous view's — are retired wholesale (not
             // deleted: a pinned reader may still hold that view).
             retire = txn.view().data_files.iter().map(|(p, _)| p.clone()).collect();
-            let staged_live = txn.staged_live_keys();
             let tombstone = GfuValue {
                 header: AggSet::encode_states(&agg_set.new_states()),
                 slices: Vec::new(),
@@ -266,7 +276,7 @@ impl DgfIndex {
             let mut old_keys = self.kv_scan_prefix(GFU_PREFIX)?;
             old_keys.extend(self.kv_scan_prefix(pyramid::PYRAMID_PREFIX)?);
             for (k, _) in old_keys {
-                if staged_live.contains(&k) {
+                if staged.contains_key(&k) {
                     continue;
                 }
                 txn.stage(&k, &tombstone)?;
@@ -285,9 +295,9 @@ impl DgfIndex {
     }
 
     /// Recompute and stage the pyramid nodes dirtied by `txn`'s staged
-    /// cells. Every dirty level-`k` parent is folded
-    /// from its 2^d children in canonical odometer order
-    /// ([`pyramid::fold_node`]): touched children come from this
+    /// cells (`current`, by live key; every node staged here joins it).
+    /// Every dirty level-`k` parent is folded from its 2^d children in
+    /// canonical odometer order ([`pyramid::fold_node`]): touched children come from this
     /// transaction's staged values (their *final* post-commit state),
     /// untouched siblings from the live store. The nodes are staged
     /// through the same [`Txn::stage`] as the cells, so the generic
@@ -303,23 +313,13 @@ impl DgfIndex {
         txn: &Txn<'_>,
         levels: u8,
         rewrite: bool,
+        current: &mut HashMap<Vec<u8>, GfuValue>,
     ) -> Result<()> {
-        use std::collections::HashMap;
         let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
         let arity = self.policy().arity();
-        // Final post-commit values of everything staged so far — all
-        // the `g:` cells this job wrote.
-        let staged = self.kv_scan_prefix(&stage_prefix(txn.gen()))?;
-        let mut current: HashMap<Vec<u8>, GfuValue> = HashMap::new();
         let mut dirty: Vec<Vec<i64>> = Vec::new();
-        for (skey, v) in &staged {
-            let live = live_key(skey);
-            if !live.starts_with(GFU_PREFIX) {
-                continue;
-            }
-            let key = GfuKey::decode(live, arity)?;
-            dirty.push(key.cells);
-            current.insert(live.to_vec(), GfuValue::decode(v)?);
+        for live in current.keys().filter(|k| k.starts_with(GFU_PREFIX)) {
+            dirty.push(GfuKey::decode(live, arity)?.cells);
         }
         for level in 1..=levels {
             // Parent coords are not monotone in child order: sort+dedup.

@@ -519,11 +519,6 @@ impl StreamIngestor {
         self.core.flush()
     }
 
-    /// Whether a failed flush poisoned this ingestor (reopen to recover).
-    pub fn is_poisoned(&self) -> bool {
-        self.core.poisoned.load(Ordering::SeqCst)
-    }
-
     /// Streaming counters.
     pub fn stats(&self) -> IngestStatsSnapshot {
         self.core.stats.snapshot()
@@ -532,11 +527,6 @@ impl StreamIngestor {
     /// The shared memtable state (the index's registered fresh source).
     pub fn shared(&self) -> Arc<IngestShared> {
         self.core.shared.clone()
-    }
-
-    /// The WAL file length in bytes.
-    pub fn wal_len_bytes(&self) -> u64 {
-        self.core.wal.len_bytes()
     }
 
     /// Stop the background flusher, flush remaining rows, and detach.

@@ -249,172 +249,84 @@ fn kv_restart_preserves_all_gfus() {
     assert!(!view.extents.is_empty());
 }
 
-/// One on-disk format. Every layout a build ever wrote — no `m:view`
-/// (before views existed), the view whose file list and policy sat
-/// behind presence flags, and that view complete with the seven side
-/// keys every commit used to re-put beside it — is upgraded once, at
-/// open, to exactly the view its last commit would publish today, and
-/// the side keys are deleted; a store already in the current format is
-/// not written to; anything that fails to decode is a clean `Corrupt`.
+/// One on-disk format: `open` reads `m:view` in its one layout or
+/// refuses, and writes nothing either way. The seven side keys without a
+/// view are not an index; the layout that kept the file count behind a
+/// presence flag, and plain garbage, are `Corrupt`.
 #[test]
-fn stores_without_a_current_view_are_upgraded_once_at_open() {
-    use dgfindex::common::codec;
+fn a_store_without_a_readable_view_is_refused_not_upgraded() {
     use dgfindex::common::DgfError;
     use dgfindex::core::gfu::META_VIEW_KEY;
-    use dgfindex::core::ReadView;
 
-    let cfg = MeterConfig {
-        users: 60,
-        days: 6,
-        ..MeterConfig::default()
-    };
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let tmp = TempDir::new("view-upgrade").unwrap();
+    let cfg = MeterConfig { users: 20, days: 2, ..MeterConfig::default() };
+    let tmp = TempDir::new("view-refused").unwrap();
     let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
     let (ctx, table) = world(Arc::clone(&kv), "w", &tmp);
-    ctx.load_rows(&table, &rows[..4 * per_day], 2).unwrap();
-    let aggs = || vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count];
-    let (index, _) = DgfIndex::build(
-        Arc::clone(&ctx),
-        Arc::clone(&table),
-        policy(&cfg),
-        aggs(),
-        Arc::clone(&kv),
-        "dgf_upgrade",
-    )
-    .unwrap();
-    index.append_with_watermark(&rows[4 * per_day..], Some(7)).unwrap();
+    ctx.load_rows(&table, &generate_meter_data(&cfg), 1).unwrap();
+    let aggs = || vec![AggFunc::Count];
+    DgfIndex::build(Arc::clone(&ctx), Arc::clone(&table), policy(&cfg), aggs(), Arc::clone(&kv), "dgf_refused")
+        .unwrap();
+    let current = kv.get(META_VIEW_KEY).unwrap().unwrap();
+    // After generation (8), pending (4) and watermark (8) came a u32
+    // presence flag where the file count's u64 now sits.
+    let flagged = [&current[..20], &1u32.to_le_bytes()[..], &current[20..]].concat();
 
-    let queries = [
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: Predicate::all(),
-        },
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: Predicate::all()
-                .and("user_id", ColumnRange::half_open(Value::Int(7), Value::Int(51)))
-                .and(
-                    "ts",
-                    ColumnRange::half_open(
-                        Value::Date(cfg.start_day + 1),
-                        Value::Date(cfg.start_day + 5),
-                    ),
-                ),
-        },
-    ];
-    let answers = |index: DgfIndex| -> Vec<QueryResult> {
-        let engine = DgfEngine::new(Arc::new(index));
-        queries.iter().map(|q| engine.run(q).unwrap().result).collect()
+    let refused = |what: &str| {
+        let before = (kv.stats().puts.get(), kv.scan_prefix(b"").unwrap());
+        let err = DgfIndex::open(Arc::clone(&ctx), Arc::clone(&table), Arc::clone(&kv), "dgf_refused", aggs())
+            .err()
+            .unwrap_or_else(|| panic!("{what}: opened"));
+        assert_eq!((kv.stats().puts.get(), kv.scan_prefix(b"").unwrap()), before, "{what}: written at open");
+        err
     };
-    let before = answers(index);
-    let published = ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
-    assert!(published.data_files.len() > 1, "append added no data file");
-    assert_eq!(published.watermark, 7);
-    assert!(published.pyramid > 0 && !published.agg_keys.is_empty());
-
-    let reopen = || DgfIndex::open(Arc::clone(&ctx), Arc::clone(&table), Arc::clone(&kv), "dgf_upgrade", aggs());
-    let stored = || ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
-    let writes = || (kv.stats().puts.get(), kv.len());
-    let meta_keys = || -> Vec<Vec<u8>> {
-        kv.scan_prefix(b"m:").unwrap().into_iter().map(|(k, _)| k).collect()
-    };
-
-    // The seven keys every commit used to put beside the view.
-    let side_keys: [(&[u8], Vec<u8>); 7] = [
-        (b"m:policy", published.policy.clone()),
-        (b"m:extent", published.extents.encode()),
-        (b"m:aggs", published.agg_keys.join("\n").into_bytes()),
-        (b"m:placement", 0u32.to_le_bytes().to_vec()),
-        (b"m:files", published.files.to_le_bytes().to_vec()),
-        (b"m:ingest", published.watermark.to_le_bytes().to_vec()),
-        (b"m:pyramid", vec![published.pyramid]),
-    ];
-    // The view as builds published it while its file count, file list
-    // and policy each sat behind a presence flag: without the last two
-    // (before they rode the view), or complete.
-    let flagged = |complete: bool| {
-        let mut buf = Vec::new();
-        codec::put_u64(&mut buf, published.generation);
-        codec::put_u32(&mut buf, 0);
-        codec::put_u64(&mut buf, published.watermark);
-        codec::put_u32(&mut buf, 1);
-        codec::put_u64(&mut buf, published.files);
-        codec::put_bytes(&mut buf, &published.extents.encode());
-        codec::put_u32(&mut buf, complete as u32);
-        if complete {
-            codec::put_u32(&mut buf, published.data_files.len() as u32);
-            for (path, len) in &published.data_files {
-                codec::put_str(&mut buf, path);
-                codec::put_u64(&mut buf, *len);
-            }
-            codec::put_u32(&mut buf, 1);
-            codec::put_bytes(&mut buf, &published.policy);
-        }
-        buf
-    };
-    let lay_out = |old_view: &Option<Vec<u8>>| {
-        for (key, value) in &side_keys {
-            kv.put(key, value).unwrap();
-        }
-        match old_view {
-            None => drop(kv.delete(META_VIEW_KEY).unwrap()),
-            Some(bytes) => kv.put(META_VIEW_KEY, bytes).unwrap(),
-        }
-    };
-
-    let layouts = [
-        ("no view", None),
-        ("flagged view", Some(flagged(false))),
-        ("seven-key layout", Some(flagged(true))),
-    ];
-    for (layout, old_view) in &layouts {
-        lay_out(old_view);
-        let upgraded = reopen().unwrap();
-        assert_eq!(stored(), published, "upgrade from {layout}");
-        assert_eq!(meta_keys(), [META_VIEW_KEY.to_vec()], "{layout}: old keys left behind");
-        assert_eq!(answers(upgraded), before, "{layout}");
-        // Already current: the next open writes nothing.
-        let writes_before = writes();
-        assert_eq!(answers(reopen().unwrap()), before);
-        assert_eq!(writes(), writes_before, "{layout}: a current store was written at open");
+    for side_key in ["m:policy", "m:extent", "m:aggs", "m:placement", "m:files", "m:ingest", "m:pyramid"] {
+        kv.put(side_key.as_bytes(), &current).unwrap();
     }
-
-    for (key, value) in &side_keys[..2] {
-        lay_out(&None);
-        kv.put(key, &value[..value.len() - 1]).unwrap();
-        let opened = reopen();
-        assert!(matches!(opened, Err(DgfError::Corrupt(_))), "truncated {}", String::from_utf8_lossy(key));
-    }
+    kv.delete(META_VIEW_KEY).unwrap();
+    assert!(matches!(refused("side keys, no view"), DgfError::Index(m) if m.contains("no DGFIndex metadata")));
+    kv.put(META_VIEW_KEY, &flagged).unwrap();
+    assert!(matches!(refused("presence-flag layout"), DgfError::Corrupt(m) if m.contains("rebuild the index")));
     kv.put(META_VIEW_KEY, b"not a view").unwrap();
-    assert!(matches!(reopen(), Err(DgfError::Corrupt(_))));
+    assert!(matches!(refused("garbage"), DgfError::Corrupt(_)));
 }
 
-/// A `MemKvStore` that records the key of every put and get, and can
-/// fail the next get of one key once with a transient error.
+/// What a [`Recorder`] saw: the key of every put, get and delete, and
+/// the value of every `t:manifest` put.
+#[derive(Default)]
+struct Ops {
+    puts: Vec<Vec<u8>>,
+    gets: Vec<Vec<u8>>,
+    deletes: Vec<Vec<u8>>,
+    manifests: Vec<Vec<u8>>,
+}
+
+/// A `MemKvStore` that records its [`Ops`], and can fail the next get of
+/// one key once with a transient error.
 #[derive(Default)]
 struct Recorder {
     inner: MemKvStore,
-    puts: std::sync::Mutex<Vec<Vec<u8>>>,
-    gets: std::sync::Mutex<Vec<Vec<u8>>>,
+    ops: std::sync::Mutex<Ops>,
     fail_get_once: std::sync::Mutex<Option<Vec<u8>>>,
 }
 
 impl Recorder {
-    /// The keys put and got since the last call.
-    fn take(&self) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        (std::mem::take(&mut self.puts.lock().unwrap()), std::mem::take(&mut self.gets.lock().unwrap()))
+    /// The operations since the last call.
+    fn take(&self) -> Ops {
+        std::mem::take(&mut self.ops.lock().unwrap())
     }
 }
 
 impl KvStore for Recorder {
     fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
-        self.puts.lock().unwrap().push(key.to_vec());
+        let mut ops = self.ops.lock().unwrap();
+        ops.puts.push(key.to_vec());
+        if key == b"t:manifest" {
+            ops.manifests.push(value.to_vec());
+        }
         self.inner.put(key, value)
     }
     fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
-        self.gets.lock().unwrap().push(key.to_vec());
+        self.ops.lock().unwrap().gets.push(key.to_vec());
         let mut fail = self.fail_get_once.lock().unwrap();
         if fail.as_deref() == Some(key) {
             *fail = None;
@@ -423,10 +335,11 @@ impl KvStore for Recorder {
         self.inner.get(key)
     }
     fn multi_get(&self, keys: &[Vec<u8>]) -> dgfindex::common::Result<Vec<Option<Vec<u8>>>> {
-        self.gets.lock().unwrap().extend(keys.iter().cloned());
+        self.ops.lock().unwrap().gets.extend(keys.iter().cloned());
         self.inner.multi_get(keys)
     }
     fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
+        self.ops.lock().unwrap().deletes.push(key.to_vec());
         self.inner.delete(key)
     }
     fn scan_range(&self, start: &[u8], end: &[u8]) -> dgfindex::common::Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -453,15 +366,20 @@ impl KvStore for Recorder {
     }
 }
 
-/// The store's metadata is one record, pinned by counts: through build,
-/// append, ingest flush, compaction and regrid the only `m:` keys are
-/// `m:view` and `m:gc`; a commit that stages K keys costs exactly
-/// 2K + 5 puts (3 manifest, K staged, K published, 2 view; one more for
-/// `m:gc` when it retires files) and reads no `m:` key but those two;
+/// The store's metadata is one record and the commit recipe has no list
+/// of staged keys, pinned by counts: through build, append, ingest
+/// flush, compaction and regrid the only `m:` keys are `m:view` and
+/// `m:gc`; a commit that stages K keys costs exactly 2K + 4 puts
+/// (2 manifest, K staged, K published, 2 view; one more for `m:gc` when
+/// it retires files), K `s:` deletes and no get of an `s:` key, reads no
+/// `m:` key but those two, and its Committed manifest is no longer than
+/// its files, view, gc list and retired keys make it, whatever K is;
 /// `open` costs 2 gets; one plan costs 2 `m:view` gets. A side key put
-/// back beside the view fails here.
+/// back beside the view, or a key list put back in the manifest, fails
+/// here.
 #[test]
 fn the_stores_metadata_is_one_record() {
+    use dgfindex::core::txn::{TxnManifest, TxnState};
     use dgfindex::core::{Maintainer, MaintenanceConfig};
     use dgfindex::ingest::{IngestConfig, StreamIngestor};
 
@@ -480,17 +398,34 @@ fn the_stores_metadata_is_one_record() {
     let is_meta = |k: &Vec<u8>| k.starts_with(b"m:");
     // What one commit cost, from the keys it touched.
     let assert_commit = |what: &str, retires: bool| {
-        let (puts, gets) = kv.take();
-        let staged = puts.iter().filter(|k| k.starts_with(b"s:")).count();
+        let Ops { puts, gets, deletes, manifests } = kv.take();
+        let is_staged = |k: &&Vec<u8>| k.starts_with(b"s:");
+        let staged = puts.iter().filter(is_staged).count();
         let view_puts = puts.iter().filter(|k| k.as_slice() == b"m:view").count();
         let other_meta: Vec<_> = puts.iter().filter(|k| is_meta(k) && k.as_slice() != b"m:view").collect();
         assert!(staged > 0, "{what} staged nothing");
         assert_eq!(view_puts, 2, "{what}");
         assert_eq!(other_meta, vec![b"m:gc"; retires as usize], "{what}");
-        assert_eq!(puts.len(), 2 * staged + 5 + retires as usize, "{what}: puts");
+        assert_eq!(puts.len(), 2 * staged + 4 + retires as usize, "{what}: puts");
+        assert_eq!(gets.iter().filter(is_staged).count(), 0, "{what}: gets of staged keys");
+        assert_eq!(deletes.iter().filter(is_staged).count(), staged, "{what}: staged keys deleted");
         for key in gets.iter().filter(|k| is_meta(k)) {
             assert!(key.as_slice() == b"m:view" || key.as_slice() == b"m:gc", "{what} read {:?}", String::from_utf8_lossy(key));
         }
+        // Intent, then the recipe: every part of it is a file, the view,
+        // the gc list or a retired key — nothing grows with K.
+        let [intent, committed] = manifests.as_slice() else {
+            panic!("{what}: {} manifest puts", manifests.len());
+        };
+        assert_eq!(TxnManifest::decode(intent).unwrap().state, TxnState::Intent, "{what}");
+        let m = TxnManifest::decode(committed).unwrap();
+        assert_eq!(m.state, TxnState::Committed, "{what}");
+        assert_eq!(m.gc.is_empty(), !retires, "{what}");
+        let paths = m.staging_dir.len() + m.base_delta.map_or(0, |d| d.len());
+        let renames: usize = m.renames.iter().map(|(from, to)| 8 + from.len() + to.len()).sum();
+        let retired: usize = m.deletes.iter().map(|k| 4 + k.len()).sum();
+        let bound = 64 + paths + renames + m.view.len() + m.gc.len() + retired;
+        assert!(committed.len() <= bound, "{what}: manifest is {} B, bound {bound}", committed.len());
     };
 
     ctx.load_rows(&table, &rows[..3 * per_day], 2).unwrap();
@@ -545,13 +480,13 @@ fn the_stores_metadata_is_one_record() {
         predicate: Predicate::all(),
     };
     index.plan(&count_all, true).unwrap();
-    let (puts, gets) = kv.take();
+    let Ops { puts, gets, .. } = kv.take();
     assert!(puts.is_empty(), "a plan wrote");
     let meta_gets: Vec<_> = gets.iter().filter(|k| is_meta(k)).collect();
     assert_eq!(meta_gets, [b"m:view", b"m:view"], "one plan");
 
     let reopened = DgfIndex::open(ctx, table, Arc::clone(&kv) as Arc<dyn KvStore>, "dgf_one", aggs()).unwrap();
-    let (puts, gets) = kv.take();
+    let Ops { puts, gets, .. } = kv.take();
     assert!(puts.is_empty(), "a current store was written at open");
     assert_eq!(gets, [b"t:manifest".to_vec(), b"m:view".to_vec()], "open");
     let run = DgfEngine::new(Arc::new(reopened)).run(&count_all).unwrap();
@@ -605,6 +540,56 @@ fn a_transient_fault_during_an_in_flight_append_is_not_a_stale_index() {
         Err(e) => panic!("a dropped round trip surfaced as: {e}"),
     }
     assert!(kv.fail_get_once.lock().unwrap().is_none(), "the fault never fired");
+}
+
+/// The stage prefix is the list. A Committed transaction whose apply
+/// finished and whose cleanup was cut off after deleting only some of
+/// its staged keys is finished by recovery from what the prefix still
+/// holds: the store ends exactly as the uninterrupted commit left it —
+/// same pairs, no `s:` key, no manifest. And a manifest in a state this
+/// build does not write is `Corrupt`, not a transaction to guess at.
+#[test]
+fn recovery_finishes_a_commit_from_the_stage_prefix() {
+    use dgfindex::common::DgfError;
+    use dgfindex::core::gfu::META_VIEW_KEY;
+    use dgfindex::core::txn::{live_key, TxnManifest, TXN_MANIFEST_KEY};
+
+    let cfg = MeterConfig { users: 40, days: 3, ..MeterConfig::default() };
+    let rows = generate_meter_data(&cfg);
+    let per_day = rows.len() / cfg.days as usize;
+    let tmp = TempDir::new("stage-prefix").unwrap();
+    let kv = Arc::new(Recorder::default());
+    let (ctx, table) = world(Arc::new(MemKvStore::new()), "w", &tmp);
+    let aggs = || vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count];
+    ctx.load_rows(&table, &rows[..2 * per_day], 2).unwrap();
+    let dyn_kv = || Arc::clone(&kv) as Arc<dyn KvStore>;
+    let (index, _) =
+        DgfIndex::build(Arc::clone(&ctx), Arc::clone(&table), policy(&cfg), aggs(), dyn_kv(), "dgf_prefix").unwrap();
+    kv.take();
+    index.append(&rows[2 * per_day..]).unwrap();
+    drop(index);
+    let Ops { puts, mut manifests, .. } = kv.take();
+    let committed = manifests.pop().unwrap();
+    let finished = kv.scan_prefix(b"").unwrap();
+
+    // Back to the middle of cleanup: the manifest and the pending view
+    // in place, every other staged key (value as published) not yet gone.
+    let staged: Vec<&Vec<u8>> = puts.iter().filter(|k| k.starts_with(b"s:")).collect();
+    assert!(staged.len() > 3);
+    for skey in staged.iter().step_by(2) {
+        kv.put(skey, &kv.get(live_key(skey)).unwrap().unwrap()).unwrap();
+    }
+    kv.put(META_VIEW_KEY, &TxnManifest::decode(&committed).unwrap().view).unwrap();
+    kv.put(TXN_MANIFEST_KEY, &committed).unwrap();
+    let reopen = || DgfIndex::open(Arc::clone(&ctx), Arc::clone(&table), dyn_kv(), "dgf_prefix", aggs());
+    let recovered = reopen().unwrap();
+    assert_eq!(recovered.metrics().snapshot()["txn.recovered"], 1);
+    assert_eq!(kv.scan_prefix(b"").unwrap(), finished);
+
+    let mut unknown_state = committed;
+    unknown_state[..4].copy_from_slice(&1u32.to_le_bytes());
+    kv.put(TXN_MANIFEST_KEY, &unknown_state).unwrap();
+    assert!(matches!(reopen(), Err(DgfError::Corrupt(_))));
 }
 
 proptest! {

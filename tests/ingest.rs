@@ -172,7 +172,7 @@ fn close_to(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
 }
 
 /// Acknowledged writes are immediately query-visible, and no flush means
-/// no header-cache generation bump — the acceptance criterion verbatim.
+/// no header-cache generation bump — the acceptance bar verbatim.
 #[test]
 fn acked_writes_visible_with_zero_generation_bumps() {
     let w = world("fresh");
