@@ -85,6 +85,8 @@ pub mod names {
     pub const HDFS_RECORDS_WRITTEN: &str = "hdfs.records_written";
     /// Seeks issued by skipping readers (`IoStats::seeks`).
     pub const HDFS_SEEKS: &str = "hdfs.seeks";
+    /// File handles opened for reading (`IoStats::opens`).
+    pub const HDFS_OPENS: &str = "hdfs.opens";
     /// Transient storage faults absorbed by retries (`IoStats::retries`).
     pub const HDFS_RETRIES: &str = "hdfs.retries";
 

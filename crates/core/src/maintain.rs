@@ -41,7 +41,7 @@ use std::sync::Arc;
 use dgf_common::obs::{names, SpanGuard};
 use dgf_common::{counter_block, format_row, DgfError, Result};
 use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
-use dgf_hive::{open_input, ScanInput};
+use dgf_hive::{open_input, read_footers, ScanInput};
 
 use crate::gfu::{GfuValue, GFU_PREFIX, META_GC_KEY};
 use crate::index::DgfIndex;
@@ -297,6 +297,13 @@ impl Maintainer {
         // into one staged file: each GFU ends up with a single contiguous
         // slice holding exactly its old rows in their old order.
         let format = index.data.format;
+        // A cell's slice is a few groups of a file whose footer lists
+        // thousands: each file's footer is read once for all its slices.
+        let footers = read_footers(
+            &index.ctx,
+            &index.data,
+            rewritten.iter().map(|file| file.as_str()),
+        )?;
         let name = format!("part-r-{:05}-00000", txn.gen());
         let path = format!("{}/{name}", txn.staging_dir());
         let final_path = format!("{}/{name}", index.data.location);
@@ -318,7 +325,7 @@ impl Maintainer {
                         ranges: vec![range],
                     },
                 };
-                let mut r = open_input(&index.ctx, &index.data, &input)?.into_rows();
+                let mut r = open_input(&index.ctx, &index.data, &input, &footers)?.into_rows();
                 while let Some(row) = r.next_row()? {
                     let line = format_row(&row);
                     w.write(&line, row)?;

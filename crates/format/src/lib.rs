@@ -25,7 +25,9 @@ pub mod sidecar;
 pub mod text;
 
 pub use bitmap::Bitmap;
-pub use rcfile::{read_group_offsets, RcReader, RcWriter, DEFAULT_ROWS_PER_GROUP};
+pub use rcfile::{
+    read_footer, read_group_offsets, RcFooter, RcReader, RcWriter, DEFAULT_ROWS_PER_GROUP,
+};
 pub use reader::{coalesce_ranges, collect_rows, ByteRange, RecordReader};
 pub use sidecar::{
     is_sidecar_path, sidecar_path, CompressedBitmap, SidecarBuilder, SliceSidecar,

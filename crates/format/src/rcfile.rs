@@ -11,14 +11,17 @@
 //! row bitmap, which [`RcReader::with_row_filter`] consumes to skip
 //! non-matching rows inside a chosen group (paper §2.2).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use dgf_common::batch::{self, Column, ColumnBatch};
 use dgf_common::codec::{self, Decoder};
 use dgf_common::stats::{IoStatsRef, ScanStatsRef};
 use dgf_common::{DgfError, Result, Row, SchemaRef};
-use dgf_storage::{FileSplit, HdfsRef, HdfsWriter};
+use dgf_storage::{FileSplit, HdfsReader, HdfsRef, HdfsWriter};
 
 use crate::bitmap::Bitmap;
 use crate::reader::RecordReader;
@@ -140,47 +143,93 @@ impl RcWriter {
     }
 }
 
-/// Load the footer directory of group offsets.
-pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
-    Ok(read_footer(hdfs, path)?.0)
+/// The footer directory of an RCFile: where each row group's frame
+/// starts and where the frames end. Frames are written back to back, so
+/// group `i` runs from its offset to the next group's (the footer's own
+/// start for the last): a frame's length is known before it is read, and
+/// groups adjacent in the directory are adjacent on disk.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RcFooter {
+    offsets: Vec<u64>,
+    footer_start: u64,
 }
 
-/// The footer directory plus the offset it starts at — the end of the
-/// last row group, which bounds every frame a reader may fetch.
-fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<(Vec<u64>, u64)> {
-    let len = hdfs.file_len(path)?;
-    if len < 16 {
-        return Err(DgfError::Corrupt(format!("{path}: too short for an RCFile")));
+impl RcFooter {
+    /// Start offset of every row group, ascending.
+    pub fn group_offsets(&self) -> &[u64] {
+        &self.offsets
     }
-    let mut r = hdfs.open_reader(path)?;
-    let mut tail = [0u8; 12];
-    r.seek(SeekFrom::Start(len - 12))?;
-    r.read_exact(&mut tail)?;
-    if &tail[8..12] != MAGIC_TAIL {
-        return Err(DgfError::Corrupt(format!("{path}: bad RCFile tail magic")));
+
+    /// Where the last group's frame ends and the footer starts.
+    pub fn frames_end(&self) -> u64 {
+        self.footer_start
     }
-    let footer_start = u64::from_le_bytes(tail[..8].try_into().unwrap());
-    if footer_start >= len {
-        return Err(DgfError::Corrupt(format!("{path}: footer offset out of range")));
+
+    /// Where group `i`'s frame ends.
+    fn frame_end(&self, i: usize) -> u64 {
+        self.offsets.get(i + 1).copied().unwrap_or(self.footer_start)
     }
-    r.seek(SeekFrom::Start(footer_start))?;
-    let mut footer = vec![0u8; (len - footer_start) as usize];
-    r.read_exact(&mut footer)?;
-    let mut dec = Decoder::new(&footer);
-    let n = dec.u32()? as usize;
-    // Each offset takes eight footer bytes: a count beyond what the
-    // footer can hold is corruption, not an allocation request.
-    if n > dec.remaining() / 8 {
-        return Err(DgfError::Corrupt(format!(
-            "{path}: footer claims {n} row groups in {} bytes",
-            dec.remaining()
-        )));
+
+    /// Read and check the footer through an open handle on `path`.
+    fn read_from(r: &mut HdfsReader, path: &str) -> Result<RcFooter> {
+        let len = r.len();
+        if len < 16 {
+            return Err(DgfError::Corrupt(format!("{path}: too short for an RCFile")));
+        }
+        let mut tail = [0u8; 12];
+        r.seek(SeekFrom::Start(len - 12))?;
+        r.read_exact(&mut tail)?;
+        if &tail[8..12] != MAGIC_TAIL {
+            return Err(DgfError::Corrupt(format!("{path}: bad RCFile tail magic")));
+        }
+        let footer_start = u64::from_le_bytes(tail[..8].try_into().expect("eight bytes"));
+        if footer_start >= len {
+            return Err(DgfError::Corrupt(format!("{path}: footer offset out of range")));
+        }
+        r.seek(SeekFrom::Start(footer_start))?;
+        let mut footer = vec![0u8; (len - footer_start) as usize];
+        r.read_exact(&mut footer)?;
+        let mut dec = Decoder::new(&footer);
+        let n = dec.u32()? as usize;
+        // Each offset takes eight footer bytes: a count beyond what the
+        // footer can hold is corruption, not an allocation request.
+        if n > dec.remaining() / 8 {
+            return Err(DgfError::Corrupt(format!(
+                "{path}: footer claims {n} row groups in {} bytes",
+                dec.remaining()
+            )));
+        }
+        let mut offsets = Vec::with_capacity(n);
+        // Frame lengths are differences of neighbours, so the directory
+        // must ascend from the head magic to the footer.
+        let mut floor = MAGIC_HEAD.len() as u64;
+        for _ in 0..n {
+            let off = dec.u64()?;
+            if off < floor || off >= footer_start {
+                return Err(DgfError::Corrupt(format!(
+                    "{path}: group offset {off} outside {floor}..{footer_start}"
+                )));
+            }
+            floor = off + 1;
+            offsets.push(off);
+        }
+        Ok(RcFooter {
+            offsets,
+            footer_start,
+        })
     }
-    let mut offsets = Vec::with_capacity(n);
-    for _ in 0..n {
-        offsets.push(dec.u64()?);
-    }
-    Ok((offsets, footer_start))
+}
+
+/// Load the footer of the RCFile at `path`: one handle, two seeks, two
+/// reads. A query that opens several readers on one file loads it once
+/// and shares it ([`RcReader::open_with_footer`]).
+pub fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<RcFooter> {
+    RcFooter::read_from(&mut hdfs.open_reader(path)?, path)
+}
+
+/// Load the footer directory of group offsets.
+pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
+    Ok(read_footer(hdfs, path)?.offsets)
 }
 
 /// A decoded batch held while its rows are handed out one at a time.
@@ -191,74 +240,139 @@ struct BatchCursor {
 
 /// Reads the row groups of one input split.
 ///
-/// Each group is decoded **once** into a [`ColumnBatch`] — typed per-column
-/// vectors plus null bitmaps — honoring [`Self::with_projection`] (skipped
-/// columns are never decoded) and [`Self::with_row_filter`] (the batch is
-/// compacted to surviving rows) at the batch level. Vectorized consumers
-/// drain whole batches via [`Self::next_batch`]; the row-at-a-time
-/// [`RecordReader`] interface remains and hands out rows from the same
-/// decoded batches (DESIGN.md §12).
+/// The unit of I/O is the **run**: kept groups that are neighbours in the
+/// footer directory are fetched with one seek and one read into a frame
+/// buffer the reader owns for its lifetime, through the one file handle
+/// it opened (DESIGN.md §12). Each frame is then decoded **once** into a
+/// [`ColumnBatch`] — typed per-column vectors plus null bitmaps — honoring
+/// [`Self::with_projection`] (skipped columns are never decoded) and
+/// [`Self::with_row_filter`] (the batch is compacted to surviving rows) at
+/// the batch level. Vectorized consumers drain whole batches via
+/// [`Self::next_batch`]; the row-at-a-time [`RecordReader`] interface
+/// remains and hands out rows from the same fetches.
 pub struct RcReader {
-    hdfs: HdfsRef,
+    file: HdfsReader,
+    /// Where `file` stands after the last fetch: a run longer than one
+    /// fetch continues from there without a seek.
+    file_at: Option<u64>,
     path: String,
     schema: SchemaRef,
-    group_offsets: std::vec::IntoIter<u64>,
-    /// Where the footer starts: no group frame may end past it.
-    footer_start: u64,
+    footer: Arc<RcFooter>,
+    /// Kept groups as spans of footer indexes, ascending and apart: each
+    /// span is one contiguous stretch of the file.
+    runs: VecDeque<Range<usize>>,
+    /// The fetched part of the front run: frames `fetched`, back to back
+    /// in `frames` from position `frame_at`.
+    fetched: Range<usize>,
+    frames: Vec<u8>,
+    frame_at: usize,
+    /// Longest stretch one fetch reads (a group longer than this is still
+    /// read whole).
+    fetch_cap: u64,
     current: Option<BatchCursor>,
-    /// Decode only these column indexes; others become `Value::Null`.
-    projection: Option<Vec<usize>>,
+    /// Per column: decode it, or leave a `Value::Null` placeholder.
+    decode: Vec<bool>,
     /// Per-group row bitmaps: only set rows are returned.
     row_filter: Option<HashMap<u64, Bitmap>>,
     stats: IoStatsRef,
     /// Columnar-scan accounting, when the caller wants it attributed.
     scan_stats: Option<ScanStatsRef>,
+    /// Decode time not yet charged to `scan.decode_us` (under 1 µs).
+    decode_carry: Duration,
 }
 
 impl RcReader {
     /// Open a reader over the groups whose start offset lies in `split`.
     pub fn open(hdfs: &HdfsRef, schema: SchemaRef, split: &FileSplit) -> Result<RcReader> {
-        let (all, footer_start) = read_footer(hdfs, &split.path)?;
-        let mine: Vec<u64> = all
-            .into_iter()
-            .filter(|o| *o >= split.start && *o < split.end())
-            .collect();
-        Ok(RcReader {
-            hdfs: hdfs.clone(),
+        let mut file = hdfs.open_reader(&split.path)?;
+        let footer = Arc::new(RcFooter::read_from(&mut file, &split.path)?);
+        Ok(RcReader::assemble(hdfs, file, schema, split, footer))
+    }
+
+    /// [`Self::open`] with a footer some earlier [`read_footer`] of the
+    /// same file returned, which is then not read again.
+    pub fn open_with_footer(
+        hdfs: &HdfsRef,
+        schema: SchemaRef,
+        split: &FileSplit,
+        footer: Arc<RcFooter>,
+    ) -> Result<RcReader> {
+        let file = hdfs.open_reader(&split.path)?;
+        Ok(RcReader::assemble(hdfs, file, schema, split, footer))
+    }
+
+    fn assemble(
+        hdfs: &HdfsRef,
+        file: HdfsReader,
+        schema: SchemaRef,
+        split: &FileSplit,
+        footer: Arc<RcFooter>,
+    ) -> RcReader {
+        let mine = index_span(&footer.offsets, split.start, split.end());
+        RcReader {
+            file,
+            file_at: None,
             path: split.path.clone(),
+            decode: vec![true; schema.len()],
             schema,
-            group_offsets: mine.into_iter(),
-            footer_start,
+            footer,
+            runs: VecDeque::from_iter((!mine.is_empty()).then_some(mine)),
+            fetched: 0..0,
+            frames: Vec::new(),
+            frame_at: 0,
+            fetch_cap: hdfs.block_size(),
             current: None,
-            projection: None,
             row_filter: None,
             stats: hdfs.stats().clone(),
             scan_stats: None,
-        })
+            decode_carry: Duration::ZERO,
+        }
     }
 
     /// Restrict decoding to the given column indexes.
     pub fn with_projection(mut self, cols: Vec<usize>) -> Self {
-        self.projection = Some(cols);
+        for (c, decode) in self.decode.iter_mut().enumerate() {
+            *decode = cols.contains(&c);
+        }
         self
     }
 
     /// Keep only row groups whose start offset lies inside one of the
     /// given byte ranges (the RCFile analogue of the slice-skipping text
-    /// reader: DGFIndex slices over RCFile data are group-aligned).
+    /// reader: DGFIndex slices over RCFile data are group-aligned). Each
+    /// range is two binary searches of the footer directory.
     pub fn with_group_ranges(mut self, ranges: &[crate::reader::ByteRange]) -> Self {
-        let keep: Vec<u64> = self
-            .group_offsets
-            .clone()
-            .filter(|o| ranges.iter().any(|r| *o >= r.start && *o < r.end))
-            .collect();
-        self.group_offsets = keep.into_iter();
+        let offsets = &self.footer.offsets;
+        let mut kept: Vec<Range<usize>> = Vec::new();
+        for run in &self.runs {
+            for r in ranges {
+                let at = index_span(&offsets[run.clone()], r.start, r.end);
+                if !at.is_empty() {
+                    kept.push(run.start + at.start..run.start + at.end);
+                }
+            }
+        }
+        // Sorted, coalesced ranges (what a plan carries) arrive in order;
+        // any others are put in order, and touching spans become one run.
+        kept.sort_unstable_by_key(|r| r.start);
+        self.runs.clear();
+        for r in kept {
+            push_span(&mut self.runs, r);
+        }
         self
     }
 
     /// Only return rows whose bit is set in their group's bitmap; groups
     /// absent from the map are skipped entirely.
     pub fn with_row_filter(mut self, filter: HashMap<u64, Bitmap>) -> Self {
+        let offsets = &self.footer.offsets;
+        let mut kept = VecDeque::new();
+        for i in self.runs.iter().flat_map(|run| run.clone()) {
+            if filter.contains_key(&offsets[i]) {
+                push_span(&mut kept, i..i + 1);
+            }
+        }
+        self.runs = kept;
         self.row_filter = Some(filter);
         self
     }
@@ -269,42 +383,64 @@ impl RcReader {
         self
     }
 
-    /// The next group's payload bytes. A filtered-out group is never
-    /// fetched from disk.
-    fn fetch_payload(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        loop {
-            let Some(offset) = self.group_offsets.next() else {
+    /// Make the next kept group's frame the one at `frame_at`, fetching
+    /// the next stretch of its run when the buffer is used up: one seek
+    /// per run, one read per stretch of as many whole frames as fit under
+    /// the cap. A group that was filtered out is never fetched from disk.
+    /// Returns the group's footer index.
+    fn next_frame(&mut self) -> Result<Option<usize>> {
+        if self.fetched.is_empty() {
+            let Some(run) = self.runs.front().cloned() else {
                 return Ok(None);
             };
-            if let Some(filter) = &self.row_filter {
-                if !filter.contains_key(&offset) {
-                    continue;
-                }
+            let start = self.footer.offsets[run.start];
+            let mut upto = run.start + 1;
+            while upto < run.end && self.footer.frame_end(upto) - start <= self.fetch_cap {
+                upto += 1;
             }
-            let mut r = self.hdfs.open_reader(&self.path)?;
-            r.seek(SeekFrom::Start(offset))?;
-            let mut len_buf = [0u8; 4];
-            r.read_exact(&mut len_buf)?;
-            let n = u32::from_le_bytes(len_buf) as usize;
-            // The file carries no checksum: a frame length that runs
-            // into the footer is corruption, not an allocation request.
-            if offset.saturating_add(4 + n as u64) > self.footer_start {
-                return Err(DgfError::Corrupt(format!(
-                    "{}: group at {offset} claims {n} bytes, footer starts at {}",
-                    self.path, self.footer_start
-                )));
+            let len = (self.footer.frame_end(upto - 1) - start) as usize;
+            self.frames.resize(len, 0);
+            if self.file_at != Some(start) {
+                self.file.seek(SeekFrom::Start(start))?;
             }
-            let mut payload = vec![0u8; n];
-            r.read_exact(&mut payload)?;
-            return Ok(Some((offset, payload)));
+            self.file_at = None;
+            self.file.read_exact(&mut self.frames)?;
+            self.file_at = Some(start + len as u64);
+            self.frame_at = 0;
+            self.fetched = run.start..upto;
+            if upto == run.end {
+                self.runs.pop_front();
+            } else {
+                self.runs[0].start = upto;
+            }
         }
+        let group = self.fetched.start;
+        self.fetched.start += 1;
+        Ok(Some(group))
     }
 
-    /// Decode one group payload into a batch, applying projection while
-    /// decoding and the row filter by compaction afterwards.
-    fn decode_group(&self, offset: u64, payload: &[u8]) -> Result<ColumnBatch> {
-        let start = std::time::Instant::now();
-        let mut dec = Decoder::new(payload);
+    /// Decode the frame at `frame_at` (group `group` of the footer) into
+    /// a batch, applying projection while decoding and the row filter by
+    /// compaction afterwards.
+    fn decode_group(&mut self, group: usize) -> Result<ColumnBatch> {
+        let offset = self.footer.offsets[group];
+        let frame_len = (self.footer.frame_end(group) - offset) as usize;
+        let frame = &self.frames[self.frame_at..self.frame_at + frame_len];
+        self.frame_at += frame_len;
+        // The file carries no checksum: the footer says how long the
+        // frame is, and a length prefix that says otherwise is corruption.
+        let claimed = frame
+            .first_chunk::<4>()
+            .map_or(0, |b| u32::from_le_bytes(*b) as usize);
+        if frame_len < 4 || claimed != frame_len - 4 {
+            return Err(DgfError::Corrupt(format!(
+                "{}: group at {offset} claims {claimed} bytes, the footer gives it {}",
+                self.path,
+                frame_len.saturating_sub(4)
+            )));
+        }
+        let start = Instant::now();
+        let mut dec = Decoder::new(&frame[4..]);
         let n_rows = dec.u32()? as usize;
         let n_cols = dec.u32()? as usize;
         if n_cols != self.schema.len() {
@@ -315,17 +451,13 @@ impl RcReader {
             )));
         }
         let mut columns = Vec::with_capacity(n_cols);
-        for c in 0..n_cols {
+        for decode in &self.decode {
             let col_bytes = dec.bytes()?;
-            let decode = match &self.projection {
-                Some(p) => p.contains(&c),
-                None => true,
-            };
-            if decode {
-                columns.push(batch::decode_column(col_bytes, n_rows)?);
+            columns.push(if *decode {
+                batch::decode_column(col_bytes, n_rows)?
             } else {
-                columns.push(Column::skipped());
-            }
+                Column::skipped()
+            });
         }
         let mut batch = ColumnBatch::new(columns, n_rows, offset);
         if let Some(filter) = &self.row_filter {
@@ -342,7 +474,8 @@ impl RcReader {
         if let Some(scan) = &self.scan_stats {
             scan.batches.inc();
             scan.rows_decoded.add(batch.len() as u64);
-            scan.decode_us.add(start.elapsed().as_micros() as u64);
+            scan.decode_us
+                .add_micros(&mut self.decode_carry, start.elapsed());
         }
         Ok(batch)
     }
@@ -350,8 +483,8 @@ impl RcReader {
     /// Fetch and decode the next group without charging `records_read`
     /// (the hand-out points charge, so row and batch consumers agree).
     fn fetch_batch(&mut self) -> Result<Option<ColumnBatch>> {
-        match self.fetch_payload()? {
-            Some((offset, payload)) => Ok(Some(self.decode_group(offset, &payload)?)),
+        match self.next_frame()? {
+            Some(group) => Ok(Some(self.decode_group(group)?)),
             None => Ok(None),
         }
     }
@@ -401,6 +534,21 @@ impl RcReader {
     }
 }
 
+/// The indexes of the sorted `offsets` that lie in `start..end`.
+fn index_span(offsets: &[u64], start: u64, end: u64) -> Range<usize> {
+    let lo = offsets.partition_point(|o| *o < start);
+    lo..lo + offsets[lo..].partition_point(|o| *o < end)
+}
+
+/// Append a span of group indexes that starts at or after every span in
+/// `runs`: one that touches or overlaps the last extends it.
+fn push_span(runs: &mut VecDeque<Range<usize>>, span: Range<usize>) {
+    match runs.back_mut() {
+        Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
+        _ => runs.push_back(span),
+    }
+}
+
 impl RecordReader for RcReader {
     fn next_row(&mut self) -> Result<Option<Row>> {
         Ok(self.next_with_offset()?.map(|(_, r)| r))
@@ -421,7 +569,7 @@ impl RecordReader for RcReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::collect_rows;
+    use crate::reader::{collect_rows, ByteRange};
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_storage::{HdfsConfig, SimHdfs};
     use std::sync::Arc;
@@ -625,6 +773,121 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The footer says how long each frame is; a prefix that still lands
+    /// inside the file but disagrees with it is corruption too.
+    #[test]
+    fn length_prefix_that_disagrees_with_the_footer_is_corrupt() {
+        let (_t, h) = cluster();
+        let offs = write(&h, "/t/f", 20, 10);
+        let mut bad = h.read_file("/t/f").unwrap();
+        let at = offs[0] as usize;
+        let n = u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
+        bad[at..at + 4].copy_from_slice(&(n - 1).to_le_bytes());
+        let mut w = h.create("/t/short").unwrap();
+        use std::io::Write as _;
+        w.write_all(&bad).unwrap();
+        w.close().unwrap();
+        let split = FileSplit::new("/t/short", 0, bad.len() as u64);
+        let err = RcReader::open(&h, schema(), &split).unwrap().next_batch();
+        assert!(
+            matches!(&err, Err(DgfError::Corrupt(m)) if m.contains("claims")),
+            "{err:?}"
+        );
+        // A directory that does not ascend cannot give frame lengths.
+        let mut bad = h.read_file("/t/f").unwrap();
+        let dir = bad.len() - 12 - 16;
+        bad.copy_within(dir + 8..dir + 16, dir);
+        let mut w = h.create("/t/flat").unwrap();
+        w.write_all(&bad).unwrap();
+        w.close().unwrap();
+        assert!(matches!(
+            read_group_offsets(&h, "/t/flat"),
+            Err(DgfError::Corrupt(_))
+        ));
+    }
+
+    /// One handle per reader, one seek per run of neighbouring kept
+    /// groups, and exactly the kept frames' bytes — however the ranges
+    /// arrive, and with a row filter breaking a run in two.
+    #[test]
+    fn neighbouring_kept_groups_are_one_seek_and_no_stray_byte() {
+        let (_t, h) = cluster();
+        let offs = write(&h, "/t/f", 80, 2);
+        let footer = Arc::new(read_footer(&h, "/t/f").unwrap());
+        let g = footer.group_offsets().to_vec();
+        assert_eq!(g.len(), 40);
+        let frame = |i: usize| g.get(i + 1).copied().unwrap_or(footer.frames_end()) - g[i];
+        let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
+        let ids = |r: RcReader| -> Vec<i64> {
+            collect_rows(r)
+                .unwrap()
+                .iter()
+                .map(|r| r[0].as_i64().unwrap())
+                .collect()
+        };
+        // Groups 3..6 and 10..12, the first as two touching ranges given
+        // out of order; a range boundary inside group 11 keeps it (its
+        // start is inside), one inside group 12 does not.
+        let ranges = [
+            ByteRange::new(g[10], g[11] + 1),
+            ByteRange::new(g[4], g[6]),
+            ByteRange::new(g[3], g[4]),
+        ];
+        let before = h.stats().snapshot();
+        let r = RcReader::open_with_footer(&h, schema(), &split, footer.clone())
+            .unwrap()
+            .with_group_ranges(&ranges);
+        assert_eq!(ids(r), vec![6, 7, 8, 9, 10, 11, 20, 21, 22, 23]);
+        let d = h.stats().snapshot().since(&before);
+        assert_eq!((d.opens, d.seeks), (1, 2));
+        assert_eq!(d.bytes_read, (3..6).chain(10..12).map(frame).sum::<u64>());
+
+        // Dropping group 4 by row filter splits the first run.
+        let filter: HashMap<u64, Bitmap> = [3usize, 5, 10, 11]
+            .into_iter()
+            .map(|i| (g[i], [1usize].into_iter().collect()))
+            .collect();
+        let before = h.stats().snapshot();
+        let r = RcReader::open_with_footer(&h, schema(), &split, footer.clone())
+            .unwrap()
+            .with_row_filter(filter)
+            .with_group_ranges(&ranges);
+        assert_eq!(ids(r), vec![7, 11, 21, 23]);
+        let d = h.stats().snapshot().since(&before);
+        assert_eq!((d.opens, d.seeks), (1, 3));
+        assert_eq!(d.bytes_read, [3, 5, 10, 11].into_iter().map(frame).sum::<u64>());
+        assert_eq!(offs[6], g[3]);
+    }
+
+    /// A whole-file drain is one run, read a block at a time: the buffer
+    /// never outgrows the block, the handle never seeks again, and the
+    /// rows are the file's.
+    #[test]
+    fn a_run_longer_than_a_block_is_fetched_in_pieces_and_decodes_identically() {
+        let (_t, h) = cluster();
+        write(&h, "/t/f", 200, 2);
+        let len = h.file_len("/t/f").unwrap();
+        assert!(len > 8 * h.block_size());
+        let before = h.stats().snapshot();
+        let mut r = RcReader::open(&h, schema(), &FileSplit::new("/t/f", 0, len)).unwrap();
+        let mut fetches = std::collections::BTreeSet::new();
+        let mut rows = Vec::new();
+        while let Some(b) = r.next_batch().unwrap() {
+            assert!(r.frames.len() as u64 <= h.block_size());
+            fetches.insert(r.file_at);
+            let mut row = Row::new();
+            for i in 0..b.len() {
+                b.read_row_into(i, &mut row);
+                rows.push(row.clone());
+            }
+        }
+        assert_eq!(rows, (0..200).map(row).collect::<Vec<_>>());
+        assert!(fetches.len() > 8, "{} fetches", fetches.len());
+        let d = h.stats().snapshot().since(&before);
+        // Footer tail, footer, and the one run.
+        assert_eq!((d.opens, d.seeks), (1, 3));
     }
 
     #[test]

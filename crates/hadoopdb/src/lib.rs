@@ -166,6 +166,9 @@ impl HadoopDb {
         let key_range = query.predicate().range_of(&self.key_name).cloned();
         let bound = query.predicate().bind(&self.schema)?;
         let right_ref = self.right.as_ref().map(|(s, r)| (s, r.as_slice()));
+        // One sink per query (a join's build side with it); every chunk
+        // fills an empty sibling.
+        let total = RowSink::new(query, &self.schema, right_ref)?;
 
         let node_sinks: Mutex<Vec<RowSink>> = Mutex::new(Vec::new());
         let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
@@ -186,8 +189,7 @@ impl HadoopDb {
                                 let Some(chunk) = chunk else { return };
                                 Self::spin(self.config.per_chunk_overhead);
                                 let run = || -> Result<RowSink> {
-                                    let mut sink =
-                                        RowSink::new(query, &self.schema, right_ref)?;
+                                    let mut sink = total.sibling();
                                     chunk.query(
                                         key_range.as_ref(),
                                         &bound,
@@ -220,10 +222,7 @@ impl HadoopDb {
         }
 
         let mut sinks = node_sinks.into_inner().into_iter();
-        let mut total = match sinks.next() {
-            Some(s) => s,
-            None => RowSink::new(query, &self.schema, right_ref)?,
-        };
+        let mut total = sinks.next().unwrap_or(total);
         for s in sinks {
             total.merge(s)?;
         }

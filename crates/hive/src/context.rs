@@ -275,21 +275,28 @@ impl HiveContext {
 
     /// Read every row of a table (small tables: dimension/index tables).
     pub fn read_all(&self, table: &TableDesc) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        for split in self.table_splits(table) {
-            match table.format {
-                FileFormat::Text => {
-                    let r = TextReader::open(&self.hdfs, table.schema.clone(), &split)?;
-                    out.extend(collect_rows(r)?);
-                }
-                FileFormat::RcFile => {
-                    let r = RcReader::open(&self.hdfs, table.schema.clone(), &split)?;
-                    out.extend(collect_rows(r)?);
-                }
+        read_table(&self.hdfs, table)
+    }
+}
+
+/// [`HiveContext::read_all`] for a caller that holds the cluster but not
+/// the context (a join's deferred build side outlives the call that made
+/// it).
+pub(crate) fn read_table(hdfs: &HdfsRef, table: &TableDesc) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    for split in hdfs.splits_for_dir(&table.location) {
+        match table.format {
+            FileFormat::Text => {
+                let r = TextReader::open(hdfs, table.schema.clone(), &split)?;
+                out.extend(collect_rows(r)?);
+            }
+            FileFormat::RcFile => {
+                let r = RcReader::open(hdfs, table.schema.clone(), &split)?;
+                out.extend(collect_rows(r)?);
             }
         }
-        Ok(out)
     }
+    Ok(out)
 }
 
 #[cfg(test)]

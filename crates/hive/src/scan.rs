@@ -13,11 +13,14 @@ use std::sync::Arc;
 use dgf_common::obs::{names, SpanGuard};
 use dgf_common::stats::ScanSnapshot;
 use dgf_common::{Result, Row};
-use dgf_format::{Bitmap, ByteRange, FileFormat, RcReader, RecordReader, SkippingTextReader, TextReader};
+use dgf_format::{
+    read_footer, Bitmap, ByteRange, FileFormat, RcFooter, RcReader, RecordReader,
+    SkippingTextReader, TextReader,
+};
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
-use crate::context::{HiveContext, TableDesc, TableRef};
+use crate::context::{read_table, HiveContext, TableDesc, TableRef};
 
 /// One unit of work for a scan map task.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,11 +66,23 @@ pub enum ScanInput {
     },
 }
 
+impl ScanInput {
+    /// The file this input reads.
+    pub fn path(&self) -> &str {
+        match self {
+            ScanInput::FullSplit(split) | ScanInput::RcFiltered { split, .. } => &split.path,
+            ScanInput::TextRanges { path, .. }
+            | ScanInput::RcRanges { path, .. }
+            | ScanInput::RcPruned { path, .. } => path,
+        }
+    }
+}
+
 /// The reader for one input. RCFile inputs keep their concrete type so
 /// the columnar path can drain whole batches from them.
 pub enum InputReader {
     /// Row groups of an RCFile.
-    Rc(RcReader),
+    Rc(Box<RcReader>),
     /// Lines of a text file.
     Text(Box<dyn RecordReader>),
 }
@@ -76,48 +91,80 @@ impl InputReader {
     /// The row-at-a-time interface of either kind.
     pub fn into_rows(self) -> Box<dyn RecordReader> {
         match self {
-            InputReader::Rc(r) => Box::new(r),
+            InputReader::Rc(r) => r,
             InputReader::Text(r) => r,
         }
     }
 }
 
-/// Open the reader for one input.
-pub fn open_input(ctx: &HiveContext, table: &TableDesc, input: &ScanInput) -> Result<InputReader> {
+/// RCFile footers by path, each read once for all the inputs of its file
+/// (a slice file is several split-sized inputs; its footer lists every
+/// group of the file).
+pub type Footers = HashMap<String, Arc<RcFooter>>;
+
+/// Read the footer of every distinct file among `paths`, if `table` is an
+/// RCFile table (a text file has none).
+pub fn read_footers<'a>(
+    ctx: &HiveContext,
+    table: &TableDesc,
+    paths: impl IntoIterator<Item = &'a str>,
+) -> Result<Footers> {
+    let mut footers = Footers::new();
+    if table.format == FileFormat::RcFile {
+        for path in paths {
+            if !footers.contains_key(path) {
+                footers.insert(path.to_owned(), Arc::new(read_footer(&ctx.hdfs, path)?));
+            }
+        }
+    }
+    Ok(footers)
+}
+
+/// Open the reader for one input. An RCFile whose footer is in `footers`
+/// is opened without reading it again.
+pub fn open_input(
+    ctx: &HiveContext,
+    table: &TableDesc,
+    input: &ScanInput,
+    footers: &Footers,
+) -> Result<InputReader> {
     let schema = table.schema.clone();
+    let open_rc = |split: &FileSplit| match footers.get(&split.path) {
+        Some(footer) => RcReader::open_with_footer(&ctx.hdfs, schema.clone(), split, footer.clone()),
+        None => RcReader::open(&ctx.hdfs, schema.clone(), split),
+    };
     let whole_file = |path: &String| -> Result<FileSplit> {
         Ok(FileSplit::new(path.clone(), 0, ctx.hdfs.file_len(path)?))
     };
+    let rc = |reader: RcReader| InputReader::Rc(Box::new(reader));
     Ok(match input {
         ScanInput::FullSplit(split) => match table.format {
             FileFormat::Text => {
                 InputReader::Text(Box::new(TextReader::open(&ctx.hdfs, schema, split)?))
             }
-            FileFormat::RcFile => InputReader::Rc(RcReader::open(&ctx.hdfs, schema, split)?),
+            FileFormat::RcFile => rc(open_rc(split)?),
         },
         ScanInput::TextRanges { path, ranges } => InputReader::Text(Box::new(
             SkippingTextReader::open(&ctx.hdfs, schema, path, ranges.clone())?,
         )),
-        ScanInput::RcFiltered { split, row_filter } => InputReader::Rc(
-            RcReader::open(&ctx.hdfs, schema, split)?.with_row_filter(row_filter.clone()),
-        ),
-        ScanInput::RcRanges { path, ranges } => InputReader::Rc(
-            RcReader::open(&ctx.hdfs, schema, &whole_file(path)?)?.with_group_ranges(ranges),
-        ),
+        ScanInput::RcFiltered { split, row_filter } => {
+            rc(open_rc(split)?.with_row_filter(row_filter.clone()))
+        }
+        ScanInput::RcRanges { path, ranges } => {
+            rc(open_rc(&whole_file(path)?)?.with_group_ranges(ranges))
+        }
         ScanInput::RcPruned {
             path,
             ranges,
             row_filter,
-        } => InputReader::Rc(
-            RcReader::open(&ctx.hdfs, schema, &whole_file(path)?)?
-                .with_group_ranges(ranges)
-                .with_row_filter(row_filter.clone()),
-        ),
+        } => rc(open_rc(&whole_file(path)?)?
+            .with_group_ranges(ranges)
+            .with_row_filter(row_filter.clone())),
     })
 }
 
 /// Run `query` over the given inputs. The dimension table for joins is
-/// read up front and broadcast to every map task (Hive map join).
+/// read once and broadcast to every map task (Hive map join).
 pub fn execute(
     ctx: &HiveContext,
     table: &TableDesc,
@@ -130,7 +177,13 @@ pub fn execute(
 
 /// Like [`execute`], but returns the merged [`RowSink`] before
 /// finalization — DGFIndex merges its pre-computed inner-region headers
-/// into the sink between scanning the boundary region and finishing.
+/// and pushes its unflushed rows into the sink between scanning the
+/// boundary region and finishing.
+///
+/// What is per query is made once, here: the sink (each map task fills an
+/// empty [`RowSink::sibling`]), with it a join's build side (an empty plan
+/// reads no dimension table), and the footer of each RCFile (DESIGN.md
+/// §12).
 pub fn execute_sink(
     ctx: &HiveContext,
     table: &TableDesc,
@@ -138,16 +191,27 @@ pub fn execute_sink(
     right: Option<&TableDesc>,
     inputs: Vec<ScanInput>,
 ) -> Result<RowSink> {
-    let right_rows: Option<(Arc<dgf_common::Schema>, Arc<Vec<Row>>)> = match (query, right) {
-        (Query::Join { .. }, Some(r)) => {
-            Some((Arc::new((*r.schema).clone()), Arc::new(ctx.read_all(r)?)))
-        }
+    let total = match (query, right) {
         (Query::Join { .. }, None) => {
             return Err(dgf_common::DgfError::Query(
                 "join query needs a dimension table".into(),
             ))
         }
-        _ => None,
+        // No input, no probe, no read. The sink is still whole: a row the
+        // caller pushes into it reads the dimension table then.
+        (Query::Join { .. }, Some(r)) if inputs.is_empty() => {
+            let (hdfs, right) = (ctx.hdfs.clone(), r.clone());
+            RowSink::with_deferred_right(
+                query,
+                &table.schema,
+                &r.schema,
+                Box::new(move || read_table(&hdfs, &right)),
+            )?
+        }
+        (Query::Join { .. }, Some(r)) => {
+            RowSink::new(query, &table.schema, Some((&r.schema, &ctx.read_all(r)?)))?
+        }
+        _ => RowSink::new(query, &table.schema, None)?,
     };
     let bound = query.predicate().bind(&table.schema)?;
     let options = ctx.scan_options();
@@ -157,22 +221,22 @@ pub fn execute_sink(
     } else {
         None
     };
+    let footers = read_footers(ctx, table, inputs.iter().map(ScanInput::path))?;
 
     let job = ctx.engine.map_only_with(
         inputs,
         &Row::new,
         &|_, input: ScanInput, scratch: &mut Row| {
-            let mut sink = RowSink::new(
-                query,
-                &table.schema,
-                right_rows.as_ref().map(|(s, r)| (&**s, r.as_slice())),
-            )?;
-            let mut reader = match open_input(ctx, table, &input)? {
+            let mut sink = total.sibling();
+            let mut reader = match open_input(ctx, table, &input, &footers)? {
                 InputReader::Rc(reader) if columnar => {
                     let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
                     if let Some(p) = &projection {
                         reader = reader.with_projection(p.clone());
                     }
+                    // Batches of a few dozen rows take a few microseconds
+                    // each: the sub-microsecond part carries over.
+                    let mut carry = std::time::Duration::ZERO;
                     while let Some(batch) = reader.next_batch()? {
                         let kernel = std::time::Instant::now();
                         let sel = bound.select(&batch);
@@ -180,7 +244,7 @@ pub fn execute_sink(
                         sink.push_batch(&batch, &sel)?;
                         ctx.scan_stats
                             .kernel_us
-                            .add(kernel.elapsed().as_micros() as u64);
+                            .add_micros(&mut carry, kernel.elapsed());
                     }
                     return Ok(sink);
                 }
@@ -200,14 +264,7 @@ pub fn execute_sink(
     )?;
 
     let mut sinks = job.outputs.into_iter();
-    let mut total = match sinks.next() {
-        Some(s) => s,
-        None => RowSink::new(
-            query,
-            &table.schema,
-            right_rows.as_ref().map(|(s, r)| (&**s, r.as_slice())),
-        )?,
-    };
+    let mut total = sinks.next().unwrap_or(total);
     for s in sinks {
         total.merge(s)?;
     }
@@ -458,9 +515,7 @@ mod tests {
         assert_eq!(total, 500);
     }
 
-    #[test]
-    fn join_over_scan() {
-        let (_t, ctx, tab) = setup(FileFormat::Text);
+    fn users_and_join(ctx: &Arc<HiveContext>) -> (TableRef, Query) {
         let user_schema = Arc::new(Schema::from_pairs(&[
             ("user_id", ValueType::Int),
             ("name", ValueType::Str),
@@ -482,10 +537,74 @@ mod tests {
                 ColumnRange::half_open(Value::Int(10), Value::Int(13)),
             ),
         };
+        (users, q)
+    }
+
+    #[test]
+    fn join_over_scan() {
+        let (_t, ctx, tab) = setup(FileFormat::Text);
+        let (users, q) = users_and_join(&ctx);
         let run = ScanEngine::new(ctx, tab).with_right(users).run(&q).unwrap();
         let rows = run.result.normalized().into_rows();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Str("u10".into()));
+    }
+
+    /// An empty plan probes nothing, so it reads nothing — but the sink it
+    /// returns is whole: a row the caller pushes afterwards (DGFIndex's
+    /// unflushed rows) still finds the dimension table.
+    #[test]
+    fn join_over_an_empty_plan_reads_the_dimension_table_only_if_a_row_probes() {
+        let (_t, ctx, tab) = setup(FileFormat::RcFile);
+        let (users, q) = users_and_join(&ctx);
+        let before = ctx.hdfs.stats().snapshot();
+        let empty = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
+        let mut probed = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
+        assert_eq!(ctx.hdfs.stats().snapshot().since(&before), Default::default());
+        assert_eq!(empty.finish(), QueryResult::Rows(vec![]));
+
+        let bound = q.predicate().bind(&tab.schema).unwrap();
+        let fresh = vec![Value::Int(11), Value::Int(4), Value::Float(1.5)];
+        assert!(probed.push_if(&fresh, &bound).unwrap());
+        assert_eq!(
+            probed.finish(),
+            QueryResult::Rows(vec![vec![Value::Str("u11".into()), Value::Float(1.5)]])
+        );
+        assert!(ctx.hdfs.stats().snapshot().since(&before).bytes_read > 0);
+    }
+
+    /// One footer per file however many inputs the file is cut into, and
+    /// the same rows as inputs that each read their own.
+    #[test]
+    fn inputs_of_one_file_share_its_footer() {
+        let (_t, ctx, tab) = setup(FileFormat::RcFile);
+        let inputs: Vec<ScanInput> = ctx
+            .table_splits(&tab)
+            .into_iter()
+            .map(ScanInput::FullSplit)
+            .collect();
+        let files = ctx.hdfs.list_files(&tab.location).len() as u64;
+        assert!(inputs.len() as u64 > files, "no file has two splits");
+        let before = ctx.hdfs.stats().snapshot();
+        let shared = execute(&ctx, &tab, &sum_query(), None, inputs.clone()).unwrap();
+        let io = ctx.hdfs.stats().snapshot().since(&before);
+        assert_eq!(io.opens, files + inputs.len() as u64);
+
+        let before = ctx.hdfs.stats().snapshot();
+        let mut sink = RowSink::new(&sum_query(), &tab.schema, None).unwrap();
+        let bound = sum_query().predicate().bind(&tab.schema).unwrap();
+        for input in &inputs {
+            let mut r = open_input(&ctx, &tab, input, &Footers::new())
+                .unwrap()
+                .into_rows();
+            while let Some(row) = r.next_row().unwrap() {
+                sink.push_if(&row, &bound).unwrap();
+            }
+        }
+        let own = ctx.hdfs.stats().snapshot().since(&before);
+        assert_eq!(own.records_read, io.records_read);
+        assert!(own.bytes_read > io.bytes_read, "{own} vs {io}");
+        assert_eq!(sink.finish(), shared);
     }
 
     #[test]

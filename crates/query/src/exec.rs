@@ -8,8 +8,9 @@
 //! `finish` produces the [`QueryResult`].
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use dgf_common::batch::{ColumnBatch, Selection};
+use dgf_common::batch::{Column, ColumnBatch, ColumnData, Selection};
 use dgf_common::{DgfError, Result, Row, Schema, Value};
 
 use crate::agg::{AggSet, AggState};
@@ -18,7 +19,7 @@ use crate::spec::{Query, QueryResult};
 
 /// A mergeable accumulator for one query over one row stream.
 pub struct RowSink {
-    schema: Schema,
+    schema: Arc<Schema>,
     kind: SinkKind,
 }
 
@@ -35,8 +36,7 @@ enum SinkKind {
     Join {
         left_key_idx: usize,
         left_project: Vec<usize>,
-        /// Build side: join key → projected right rows.
-        build: BTreeMap<Value, Vec<Row>>,
+        build: Arc<JoinBuild>,
         out: Vec<Row>,
     },
     Select {
@@ -45,16 +45,90 @@ enum SinkKind {
     },
 }
 
+/// Reads a join's dimension table. See [`RowSink::with_deferred_right`].
+pub type RightRows = Box<dyn FnOnce() -> Result<Vec<Row>> + Send>;
+
+/// The build side of a map join — join key → projected right rows — made
+/// once per query and shared by the sinks of all its map tasks.
+struct JoinBuild {
+    right_key: usize,
+    right_project: Vec<usize>,
+    table: OnceLock<BTreeMap<Value, Vec<Row>>>,
+    /// The dimension table of a build that waits for its first probe.
+    deferred: Mutex<Option<RightRows>>,
+}
+
+impl JoinBuild {
+    fn index<'a>(&self, rows: impl IntoIterator<Item = &'a Row>) -> BTreeMap<Value, Vec<Row>> {
+        let mut table: BTreeMap<Value, Vec<Row>> = BTreeMap::new();
+        for r in rows {
+            let k = &r[self.right_key];
+            if k.is_null() {
+                continue; // NULL keys never join
+            }
+            let projected = self.right_project.iter().map(|i| r[*i].clone()).collect();
+            table.entry(k.clone()).or_default().push(projected);
+        }
+        table
+    }
+
+    /// The table, reading the dimension rows if no probe has yet. The
+    /// lock is held across the read, so concurrent first probes wait for
+    /// one read instead of each making their own.
+    fn table(&self) -> Result<&BTreeMap<Value, Vec<Row>>> {
+        if let Some(table) = self.table.get() {
+            return Ok(table);
+        }
+        let mut deferred = self
+            .deferred
+            .lock()
+            .map_err(|_| DgfError::Query("reading the join's dimension table panicked".into()))?;
+        if let Some(rows) = deferred.take() {
+            // Cannot be set already: only the holder of the loader sets.
+            let _ = self.table.set(self.index(&rows()?));
+        }
+        self.table
+            .get()
+            .ok_or_else(|| DgfError::Query("the join's dimension table could not be read".into()))
+    }
+}
+
 impl RowSink {
     /// Create a sink for `query` over rows of `schema`.
     ///
     /// Join queries need the dimension table (`right`): its schema and
-    /// rows. The build side is materialized in every sink, mirroring
-    /// Hive's map-side broadcast join of a small archive table.
+    /// rows, mirroring Hive's map-side broadcast join of a small archive
+    /// table. The build side is materialized here; sinks for the other
+    /// tasks of the same query come from [`Self::sibling`] and share it.
     pub fn new(
         query: &Query,
         schema: &Schema,
         right: Option<(&Schema, &[Row])>,
+    ) -> Result<RowSink> {
+        let sink = RowSink::bind(query, schema, right.map(|(s, _)| s), None)?;
+        if let (SinkKind::Join { build, .. }, Some((_, rows))) = (&sink.kind, right) {
+            let _ = build.table.set(build.index(rows));
+        }
+        Ok(sink)
+    }
+
+    /// [`Self::new`] for a join whose dimension table is read by `rows`
+    /// on the first probe of this sink or a sibling — at most once, and
+    /// not at all by a query that probes nothing.
+    pub fn with_deferred_right(
+        query: &Query,
+        schema: &Schema,
+        right_schema: &Schema,
+        rows: RightRows,
+    ) -> Result<RowSink> {
+        RowSink::bind(query, schema, Some(right_schema), Some(rows))
+    }
+
+    fn bind(
+        query: &Query,
+        schema: &Schema,
+        right_schema: Option<&Schema>,
+        deferred: Option<RightRows>,
     ) -> Result<RowSink> {
         let kind = match query {
             Query::Aggregate { aggs, .. } => {
@@ -74,30 +148,24 @@ impl RowSink {
                 right_project,
                 ..
             } => {
-                let (right_schema, right_rows) = right.ok_or_else(|| {
+                let right_schema = right_schema.ok_or_else(|| {
                     DgfError::Query("join query requires the dimension table".into())
                 })?;
-                let right_key_idx = right_schema.index_of(right_key)?;
-                let right_proj: Vec<usize> = right_project
-                    .iter()
-                    .map(|c| right_schema.index_of(c))
-                    .collect::<Result<_>>()?;
-                let mut build: BTreeMap<Value, Vec<Row>> = BTreeMap::new();
-                for r in right_rows {
-                    let k = r[right_key_idx].clone();
-                    if k.is_null() {
-                        continue; // NULL keys never join
-                    }
-                    let projected: Row = right_proj.iter().map(|i| r[*i].clone()).collect();
-                    build.entry(k).or_default().push(projected);
-                }
                 SinkKind::Join {
                     left_key_idx: schema.index_of(left_key)?,
                     left_project: left_project
                         .iter()
                         .map(|c| schema.index_of(c))
                         .collect::<Result<_>>()?,
-                    build,
+                    build: Arc::new(JoinBuild {
+                        right_key: right_schema.index_of(right_key)?,
+                        right_project: right_project
+                            .iter()
+                            .map(|c| right_schema.index_of(c))
+                            .collect::<Result<_>>()?,
+                        table: OnceLock::new(),
+                        deferred: Mutex::new(deferred),
+                    }),
                     out: Vec::new(),
                 }
             }
@@ -114,9 +182,45 @@ impl RowSink {
             },
         };
         Ok(RowSink {
-            schema: schema.clone(),
+            schema: Arc::new(schema.clone()),
             kind,
         })
+    }
+
+    /// An empty sink for the same query — what one more map task fills
+    /// and [`Self::merge`] folds back. Siblings share the schema and a
+    /// join's build side; nothing is bound or built again.
+    pub fn sibling(&self) -> RowSink {
+        let kind = match &self.kind {
+            SinkKind::Aggregate { set, .. } => SinkKind::Aggregate {
+                set: set.clone(),
+                states: set.new_states(),
+            },
+            SinkKind::GroupBy { key_idx, set, .. } => SinkKind::GroupBy {
+                key_idx: *key_idx,
+                set: set.clone(),
+                groups: BTreeMap::new(),
+            },
+            SinkKind::Join {
+                left_key_idx,
+                left_project,
+                build,
+                ..
+            } => SinkKind::Join {
+                left_key_idx: *left_key_idx,
+                left_project: left_project.clone(),
+                build: Arc::clone(build),
+                out: Vec::new(),
+            },
+            SinkKind::Select { project, .. } => SinkKind::Select {
+                project: project.clone(),
+                out: Vec::new(),
+            },
+        };
+        RowSink {
+            schema: Arc::clone(&self.schema),
+            kind,
+        }
     }
 
     /// Feed one row that already passed the predicate.
@@ -137,10 +241,9 @@ impl RowSink {
                 left_project,
                 build,
                 out,
-                ..
             } => {
                 let k = &row[*left_key_idx];
-                if let Some(matches) = build.get(k) {
+                if let Some(matches) = build.table()?.get(k) {
                     for m in matches {
                         let mut joined = Vec::with_capacity(m.len() + left_project.len());
                         joined.extend(m.iter().cloned());
@@ -161,11 +264,11 @@ impl RowSink {
     /// calling [`Self::push`] once per selected row.
     ///
     /// Aggregation queries run entirely on slice kernels
-    /// ([`AggSet::update_batch`]); the other shapes need per-row structures
-    /// (group keys, join probes, projected output rows) and fold the
-    /// selection through one reused scratch row, which still skips the
-    /// per-record boxing of unselected rows. Results are bit-identical to
-    /// the row path in all shapes.
+    /// ([`AggSet::update_batch`]), and so does GROUP BY: the selection is
+    /// split by key and each part folded by the same kernels, so every
+    /// key sees its rows in row order, as it would from the row path.
+    /// Joins and selects build output rows cell by cell from the typed
+    /// columns. Results are bit-identical to the row path in all shapes.
     pub fn push_batch(&mut self, batch: &ColumnBatch, sel: &Selection) -> Result<()> {
         match &mut self.kind {
             SinkKind::Aggregate { set, states } => {
@@ -175,25 +278,24 @@ impl RowSink {
                 key_idx,
                 set,
                 groups,
-            } => {
-                let mut scratch = Row::new();
-                for i in sel.iter() {
-                    batch.read_row_into(i, &mut scratch);
-                    let key = scratch[*key_idx].clone();
-                    let states = groups.entry(key).or_insert_with(|| set.new_states());
-                    set.update(states, &scratch, &self.schema)?;
-                }
-                Ok(())
-            }
+            } => for_each_key_part(batch.column(*key_idx), sel, |key, part| {
+                let states = groups.entry(key).or_insert_with(|| set.new_states());
+                set.update_batch(states, batch, part, &self.schema)
+            }),
             SinkKind::Join {
                 left_key_idx,
                 left_project,
                 build,
                 out,
             } => {
+                // Nothing to probe with: leave a deferred build unread.
+                if sel.is_empty() {
+                    return Ok(());
+                }
+                let table = build.table()?;
                 for i in sel.iter() {
                     let k = batch.value(i, *left_key_idx);
-                    if let Some(matches) = build.get(&k) {
+                    if let Some(matches) = table.get(&k) {
                         for m in matches {
                             let mut joined = Vec::with_capacity(m.len() + left_project.len());
                             joined.extend(m.iter().cloned());
@@ -288,6 +390,49 @@ impl RowSink {
             SinkKind::Join { out, .. } | SinkKind::Select { out, .. } => QueryResult::Rows(out),
         }
     }
+}
+
+/// Split `sel` by the value of the key column and hand each part to
+/// `fold` with its key: rows ascending inside a part, parts in key order.
+/// Keys are told apart the way the `groups` map does (`Value`'s order, so
+/// NULLs are one group and `1` and `1.0` are the same key). A constant key
+/// — the usual case when the key is a grid dimension and the batch one
+/// cell's — is one part: `sel` itself, nothing copied.
+fn for_each_key_part(
+    col: &Column,
+    sel: &Selection,
+    fold: impl FnMut(Value, &Selection) -> Result<()>,
+) -> Result<()> {
+    match &col.data {
+        ColumnData::Int(v) if !col.nulls.any_nulls() => key_parts(sel, |i| v[i], Value::Int, fold),
+        ColumnData::Date(v) if !col.nulls.any_nulls() => {
+            key_parts(sel, |i| v[i], Value::Date, fold)
+        }
+        _ => key_parts(sel, |i| col.value_at(i), |v| v, fold),
+    }
+}
+
+fn key_parts<K: Ord>(
+    sel: &Selection,
+    key_at: impl Fn(usize) -> K,
+    to_value: impl Fn(K) -> Value,
+    mut fold: impl FnMut(Value, &Selection) -> Result<()>,
+) -> Result<()> {
+    let mut rows = sel.iter();
+    let Some(first) = rows.next().map(&key_at) else {
+        return Ok(());
+    };
+    if rows.all(|i| key_at(i).cmp(&first).is_eq()) {
+        return fold(to_value(first), sel);
+    }
+    let mut parts: BTreeMap<K, Vec<u32>> = BTreeMap::new();
+    for i in sel.iter() {
+        parts.entry(key_at(i)).or_default().push(i as u32);
+    }
+    for (key, rows) in parts {
+        fold(to_value(key), &Selection::Rows(rows))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,5 +621,208 @@ mod tests {
             predicate: Predicate::all(),
         };
         assert!(RowSink::new(&q, &schema(), None).is_err());
+    }
+
+    fn join_query() -> (Schema, Vec<Row>, Query) {
+        let right_schema = Schema::from_pairs(&[
+            ("user_id", ValueType::Int),
+            ("name", ValueType::Str),
+        ]);
+        let right_rows: Vec<Row> = (0..8)
+            .map(|i| vec![Value::Int(i % 6), Value::Str(format!("u{i}"))])
+            .collect();
+        let q = Query::Join {
+            left_key: "user_id".into(),
+            right_key: "user_id".into(),
+            left_project: vec!["power".into()],
+            right_project: vec!["name".into()],
+            predicate: Predicate::all(),
+        };
+        (right_schema, right_rows, q)
+    }
+
+    #[test]
+    fn sibling_join_sinks_share_one_build_and_merge_in_task_order() {
+        let (right_schema, right_rows, q) = join_query();
+        let s = schema();
+        let rs = rows();
+        let mut single = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        for r in &rs {
+            single.push(r).unwrap();
+        }
+
+        let total = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        let mut tasks: Vec<RowSink> = (0..3).map(|_| total.sibling()).collect();
+        let SinkKind::Join { build, .. } = &total.kind else {
+            panic!("not a join sink");
+        };
+        assert_eq!(Arc::strong_count(build), 4, "one build, four holders");
+        assert_eq!(Arc::strong_count(&total.schema), 4);
+        for (task, part) in tasks.iter_mut().zip([&rs[..3], &rs[3..4], &rs[4..]]) {
+            for r in part {
+                task.push(r).unwrap();
+            }
+        }
+        let mut tasks = tasks.into_iter();
+        let mut merged = tasks.next().unwrap();
+        for t in tasks {
+            merged.merge(t).unwrap();
+        }
+        let out = merged.finish();
+        assert!(!out.clone().into_rows().is_empty());
+        assert_eq!(out, single.finish(), "merged in task order ≡ one sink");
+    }
+
+    #[test]
+    fn deferred_build_side_is_read_once_by_the_first_probe_or_not_at_all() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (right_schema, right_rows, q) = join_query();
+        let s = schema();
+        let reads = Arc::new(AtomicUsize::new(0));
+        let deferred = |reads: &Arc<AtomicUsize>, rows: &Vec<Row>| -> RightRows {
+            let (reads, rows) = (Arc::clone(reads), rows.clone());
+            Box::new(move || {
+                reads.fetch_add(1, Ordering::SeqCst);
+                Ok(rows)
+            })
+        };
+        // No probe: no read, and an empty answer.
+        let idle =
+            RowSink::with_deferred_right(&q, &s, &right_schema, deferred(&reads, &right_rows))
+                .unwrap();
+        let sibling = idle.sibling();
+        assert_eq!(idle.finish(), QueryResult::Rows(vec![]));
+        assert_eq!(sibling.finish(), QueryResult::Rows(vec![]));
+        assert_eq!(reads.load(Ordering::SeqCst), 0);
+
+        // Probes from siblings on several threads: one read between them,
+        // and the eager sink's answer.
+        let total =
+            RowSink::with_deferred_right(&q, &s, &right_schema, deferred(&reads, &right_rows))
+                .unwrap();
+        let rs = rows();
+        let outputs: Vec<RowSink> = std::thread::scope(|scope| {
+            let handles: Vec<_> = rs
+                .chunks(3)
+                .map(|part| {
+                    let mut sink = total.sibling();
+                    scope.spawn(move || {
+                        for r in part {
+                            sink.push(r).unwrap();
+                        }
+                        sink
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(reads.load(Ordering::SeqCst), 1);
+        // A row pushed into the returned sink afterwards still joins.
+        let mut merged = total;
+        for o in outputs {
+            merged.merge(o).unwrap();
+        }
+        merged.push(&rs[1]).unwrap();
+        let mut eager = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        for r in rs.iter().chain([&rs[1]]) {
+            eager.push(r).unwrap();
+        }
+        assert_eq!(merged.finish(), eager.finish());
+        assert_eq!(reads.load(Ordering::SeqCst), 1);
+
+        // A read that fails fails the probe, with the reader's error.
+        let mut broken = RowSink::with_deferred_right(
+            &q,
+            &s,
+            &right_schema,
+            Box::new(|| Err(DgfError::Transient("dimension table offline".into()))),
+        )
+        .unwrap();
+        assert!(matches!(broken.push(&rs[0]), Err(DgfError::Transient(_))));
+        assert!(broken.push(&rs[0]).is_err());
+    }
+
+    /// Bits, not approximate equality: the batch fold must update each
+    /// key's states with the same values in the same order as the row
+    /// fold, whatever the key column decoded to.
+    #[test]
+    fn group_by_batch_fold_is_the_row_fold_bit_for_bit() {
+        use dgf_common::batch::decode_column;
+        use dgf_common::codec::put_value;
+        let s = Schema::from_pairs(&[
+            ("k_nulls", ValueType::Int),
+            ("k_mixed", ValueType::Int),
+            ("k_const", ValueType::Int),
+            ("power", ValueType::Float),
+        ]);
+        // Keys repeat out of order; sums are order-sensitive in the last
+        // bits (0.1 + 0.2 + 0.3 ≠ 0.3 + 0.2 + 0.1).
+        let n = 40usize;
+        let table: Vec<Row> = (0..n)
+            .map(|i| {
+                vec![
+                    if i % 5 == 0 { Value::Null } else { Value::Int([7, 3, 7, 1, 3][i % 5]) },
+                    match i % 4 {
+                        0 => Value::Int(2),
+                        1 => Value::Float(2.0),
+                        2 => Value::Int(1),
+                        _ => Value::Null,
+                    },
+                    Value::Int(9),
+                    Value::Float(0.1 * (i % 7) as f64 + 1e-9 * i as f64),
+                ]
+            })
+            .collect();
+        let columns = (0..s.len())
+            .map(|c| {
+                let mut bytes = Vec::new();
+                for r in &table {
+                    put_value(&mut bytes, &r[c]);
+                }
+                decode_column(&bytes, n).unwrap()
+            })
+            .collect();
+        let batch = ColumnBatch::new(columns, n, 0);
+        assert!(matches!(batch.column(1).data, ColumnData::Values(_)));
+        let sparse: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
+        for key in ["k_nulls", "k_mixed", "k_const"] {
+            let q = Query::GroupBy {
+                key: key.into(),
+                // `2` and `2.0` tie for the extremes of `k_mixed`, and the
+                // first in row order wins: a part folded out of order
+                // answers with the other one.
+                aggs: vec![
+                    AggFunc::Sum("power".into()),
+                    AggFunc::Avg("power".into()),
+                    AggFunc::Min("k_mixed".into()),
+                    AggFunc::Max("k_mixed".into()),
+                    AggFunc::Count,
+                ],
+                predicate: Predicate::all(),
+            };
+            for sel in [Selection::All(n), Selection::Rows(sparse.clone())] {
+                let mut by_row = RowSink::new(&q, &s, None).unwrap();
+                for i in sel.iter() {
+                    by_row.push(&table[i]).unwrap();
+                }
+                let mut by_batch = RowSink::new(&q, &s, None).unwrap();
+                by_batch.push_batch(&batch, &sel).unwrap();
+                let (rows, batches) = (by_row.finish().into_groups(), by_batch.finish().into_groups());
+                assert_eq!(rows.len(), batches.len(), "{key}");
+                for ((rk, rv), (bk, bv)) in rows.iter().zip(&batches) {
+                    // Derived equality: `Int(2)` and `Float(2.0)` differ,
+                    // so the first-seen key of a class must win on both.
+                    assert_eq!(rk, bk, "{key}");
+                    for (r, b) in rv.iter().zip(bv) {
+                        match (r, b) {
+                            (Value::Float(r), Value::Float(b)) => {
+                                assert_eq!(r.to_bits(), b.to_bits(), "{key} {rk:?}")
+                            }
+                            _ => assert_eq!(r, b, "{key} {rk:?}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 }

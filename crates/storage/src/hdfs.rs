@@ -273,6 +273,7 @@ impl SimHdfs {
         self.fault_check("hdfs.open_reader", false)?;
         let len = self.file_len(path)?;
         let file = File::open(self.localize(path)?)?;
+        self.stats.opens.inc();
         Ok(HdfsReader {
             file,
             len,
@@ -612,6 +613,7 @@ mod tests {
         r.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"456");
         assert_eq!(h.stats().seeks.get(), 1);
+        assert_eq!(h.stats().opens.get(), 1);
     }
 
     #[test]

@@ -283,6 +283,256 @@ fn columnar_scan_counters_reconcile_with_batches() {
     assert_eq!(rerun.result, run.result, "paths disagree");
 }
 
+/// What reading one plan must cost the storage layer, worked out from
+/// the plan's inputs and the footers of the files they name.
+#[derive(Debug, Default, PartialEq)]
+struct SliceReadCost {
+    files: u64,
+    inputs: u64,
+    groups: u64,
+    runs: u64,
+    frame_bytes: u64,
+    footer_bytes: u64,
+    /// Runs per input, for the placement claim.
+    runs_per_input: Vec<u64>,
+}
+
+fn slice_read_cost(hdfs: &Arc<SimHdfs>, inputs: &[dgfindex::hive::ScanInput]) -> SliceReadCost {
+    use dgfindex::hive::ScanInput;
+    let mut cost = SliceReadCost::default();
+    let mut footers = std::collections::BTreeMap::new();
+    for input in inputs {
+        let (ranges, filter) = match input {
+            ScanInput::RcRanges { ranges, .. } => (ranges, None),
+            ScanInput::RcPruned { ranges, row_filter, .. } => (ranges, Some(row_filter)),
+            other => panic!("a DGF plan over an RCFile index made {other:?}"),
+        };
+        let footer = footers.entry(input.path().to_owned()).or_insert_with(|| {
+            let footer = dgfindex::format::read_footer(hdfs, input.path()).unwrap();
+            let file_len = hdfs.file_len(input.path()).unwrap();
+            // The 12-byte tail, then the directory with the tail again.
+            cost.footer_bytes += 12 + (file_len - footer.frames_end());
+            assert_eq!(
+                footer.group_offsets(),
+                dgfindex::format::read_group_offsets(hdfs, input.path()).unwrap()
+            );
+            footer
+        });
+        let offsets = footer.group_offsets();
+        let kept: Vec<usize> = (0..offsets.len())
+            .filter(|i| ranges.iter().any(|r| r.start <= offsets[*i] && offsets[*i] < r.end))
+            .filter(|i| filter.is_none_or(|f| f.contains_key(&offsets[*i])))
+            .collect();
+        let runs = kept
+            .iter()
+            .enumerate()
+            .filter(|(n, i)| *n == 0 || kept[n - 1] + 1 != **i)
+            .count() as u64;
+        cost.inputs += 1;
+        cost.groups += kept.len() as u64;
+        cost.runs += runs;
+        cost.runs_per_input.push(runs);
+        for i in kept {
+            let end = offsets.get(i + 1).copied().unwrap_or(footer.frames_end());
+            cost.frame_bytes += end - offsets[i];
+        }
+    }
+    cost.files = footers.len() as u64;
+    cost
+}
+
+#[test]
+fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
+    use dgfindex::core::SlicePlacement;
+    // Meter-shaped data over an RCFile DGF index: a user lives in one
+    // region and reports twice a day. Powers are multiples of 1/4, so a
+    // sum is exact in any row order and the reorganized table must give
+    // the base table's bits.
+    let schema = Arc::new(Schema::from_pairs(&[
+        ("user_id", ValueType::Int),
+        ("region", ValueType::Int),
+        ("day", ValueType::Int),
+        ("power", ValueType::Float),
+    ]));
+    let rows: Vec<Row> = (0..60i64)
+        .flat_map(|user| (0..30i64).flat_map(move |day| (0..2i64).map(move |k| (user, day, k))))
+        .map(|(user, day, k)| {
+            vec![
+                Value::Int(user),
+                Value::Int(user % 4),
+                Value::Int(day),
+                Value::Float(((user * 31 + day * 7 + k) % 97) as f64 * 0.25),
+            ]
+        })
+        .collect();
+    let user_rows: Vec<Row> = (0..60i64)
+        .map(|u| vec![Value::Int(u), Value::Str(format!("user-{u}"))])
+        .collect();
+    // One (user cell, region) prefix over ten days: ten GFUs that are
+    // neighbours in key order.
+    let one_prefix = Predicate::all()
+        .and("user_id", ColumnRange::half_open(Value::Int(10), Value::Int(20)))
+        .and("region", ColumnRange::eq(Value::Int(2)))
+        .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15)));
+    let group_by = Query::GroupBy {
+        key: "region".into(),
+        aggs: vec![AggFunc::Count, AggFunc::Sum("power".into())],
+        predicate: one_prefix,
+    };
+    let join = Query::Join {
+        left_key: "user_id".into(),
+        right_key: "user_id".into(),
+        left_project: vec!["day".into(), "power".into()],
+        right_project: vec!["name".into()],
+        predicate: Predicate::all()
+            .and("user_id", ColumnRange::half_open(Value::Int(10), Value::Int(30)))
+            .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15))),
+    };
+
+    let mut runs_by_placement = Vec::new();
+    for placement in [
+        SlicePlacement::KeyHash,
+        SlicePlacement::PrefixLocality { prefix_dims: 2 },
+    ] {
+        let tmp = TempDir::new("profile-runs").unwrap();
+        let hdfs = SimHdfs::new(
+            tmp.path(),
+            HdfsConfig {
+                block_size: 64 * 1024,
+                replication: 1,
+            },
+        )
+        .unwrap();
+        let ctx = HiveContext::new(hdfs.clone(), MrEngine::new(3));
+        let table = ctx
+            .create_table("meter_rc", schema.clone(), FileFormat::RcFile)
+            .unwrap();
+        ctx.load_rows(&table, &rows, 3).unwrap();
+        let users = ctx
+            .create_table(
+                "users",
+                Arc::new(Schema::from_pairs(&[
+                    ("user_id", ValueType::Int),
+                    ("name", ValueType::Str),
+                ])),
+                FileFormat::Text,
+            )
+            .unwrap();
+        ctx.load_rows(&users, &user_rows, 1).unwrap();
+        let policy = SplittingPolicy::new(vec![
+            DimPolicy::int("user_id", 0, 10),
+            DimPolicy::int("region", 0, 1),
+            DimPolicy::int("day", 0, 1),
+        ])
+        .unwrap();
+        let (idx, _) = DgfIndex::build_with_options(
+            Arc::clone(&ctx),
+            Arc::clone(&table),
+            policy,
+            vec![AggFunc::Count, AggFunc::Sum("power".into())],
+            Arc::new(MemKvStore::new()),
+            "dgf_runs",
+            IndexOptions {
+                placement,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap();
+        let idx = Arc::new(idx);
+
+        // What the JOIN pays for its dimension table, on its own.
+        let before = hdfs.stats().snapshot();
+        assert_eq!(ctx.read_all(&users).unwrap().len(), user_rows.len());
+        let dim = hdfs.stats().snapshot().since(&before);
+        assert!(dim.opens > 0 && dim.bytes_read > 0);
+
+        for (query, dim_reads) in [(&group_by, 0), (&join, 1)] {
+            let plan = idx.plan(query, true).unwrap();
+            let want = slice_read_cost(&hdfs, &plan.inputs);
+            assert!(want.groups >= 10 && want.inputs > 0, "{placement:?}: {want:?}");
+
+            let io_before = hdfs.stats().snapshot();
+            let scan_before = ctx.scan_stats.snapshot();
+            let sink = dgfindex::hive::execute_sink(
+                &ctx,
+                &idx.data,
+                query,
+                Some(&*users),
+                plan.inputs.clone(),
+            )
+            .unwrap();
+            let io = hdfs.stats().snapshot().since(&io_before);
+            let scan = ctx.scan_stats.snapshot().since(&scan_before);
+            let label = format!("{placement:?} {want:?}");
+            assert_eq!(io.opens - dim_reads * dim.opens, want.files + want.inputs, "{label}");
+            assert_eq!(io.seeks - dim_reads * dim.seeks, 2 * want.files + want.runs, "{label}");
+            assert_eq!(
+                io.bytes_read - dim_reads * dim.bytes_read,
+                want.frame_bytes + want.footer_bytes,
+                "{label}"
+            );
+            assert_eq!(scan.batches, want.groups, "{label}");
+            assert_eq!(scan.rowwise_rows, 0);
+
+            // The same bits as a scan of the base table, from the sink
+            // and from the engine.
+            let oracle = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&table))
+                .with_right(Arc::clone(&users))
+                .run(query)
+                .unwrap()
+                .result
+                .normalized();
+            let served = DgfEngine::new(Arc::clone(&idx))
+                .with_right(Arc::clone(&users))
+                .run(query)
+                .unwrap();
+            for got in [sink.finish().normalized(), served.result.normalized()] {
+                assert_eq!(got, oracle, "{label}");
+                if let (QueryResult::Groups(g), QueryResult::Groups(o)) = (&got, &oracle) {
+                    assert_eq!(g.len(), 1);
+                    for (a, b) in g[0].1.iter().zip(&o[0].1) {
+                        if let (Value::Float(a), Value::Float(b)) = (a, b) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+                        }
+                    }
+                }
+            }
+            if std::ptr::eq(query, &group_by) {
+                runs_by_placement.push(want.runs_per_input);
+            }
+        }
+
+        // A join whose predicate misses every Slice reads nothing: no
+        // slice, no footer and no dimension table.
+        let miss = Query::Join {
+            left_key: "user_id".into(),
+            right_key: "user_id".into(),
+            left_project: vec!["power".into()],
+            right_project: vec!["name".into()],
+            predicate: Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(1_000), Value::Int(1_010)),
+            ),
+        };
+        let before = hdfs.stats().snapshot();
+        let run = DgfEngine::new(Arc::clone(&idx))
+            .with_right(Arc::clone(&users))
+            .run(&miss)
+            .unwrap();
+        let io = hdfs.stats().snapshot().since(&before);
+        assert_eq!(run.result, QueryResult::Rows(vec![]));
+        assert_eq!((io.bytes_read, io.opens, io.seeks), (0, 0, 0), "{placement:?}");
+    }
+    // The one-prefix time series: contiguous under prefix locality — one
+    // run in each input — and scattered by the full-key hash.
+    let (hashed, local) = (&runs_by_placement[0], &runs_by_placement[1]);
+    assert!(local.iter().all(|runs| *runs == 1), "prefix locality: {local:?}");
+    assert!(
+        hashed.iter().sum::<u64>() > local.iter().sum::<u64>(),
+        "key hash {hashed:?} vs prefix locality {local:?}"
+    );
+}
+
 #[test]
 fn sidecar_reads_reconcile_with_io_and_the_ledger() {
     // Sidecar consultation (DESIGN.md §15) is planner-side index I/O:
@@ -465,6 +715,7 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
     (names::HDFS_RECORDS_READ, "hdfs.records_read"),
     (names::HDFS_RECORDS_WRITTEN, "hdfs.records_written"),
     (names::HDFS_SEEKS, "hdfs.seeks"),
+    (names::HDFS_OPENS, "hdfs.opens"),
     (names::HDFS_RETRIES, "hdfs.retries"),
     (names::CACHE_HEADER_HITS, "cache.header.hits"),
     (names::CACHE_HEADER_MISSES, "cache.header.misses"),

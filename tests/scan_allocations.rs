@@ -1,11 +1,15 @@
-//! The row-wise fallback hot loop must not allocate per row.
+//! The row-wise fallback hot loop must not allocate per row, and no drain
+//! may allocate per payload byte.
 //!
 //! `RcReader::next_row_into` refills one caller-owned scratch `Row` from
 //! the decoded batch, so draining a numeric table allocates per *group*
-//! (typed column vectors, payload buffers), not per row. The boxing path
-//! `next_row` allocates at least one `Vec` per row. A counting global
-//! allocator measures both; this file holds a single test so no parallel
-//! test pollutes the counters.
+//! (typed column vectors), not per row. The boxing path `next_row`
+//! allocates at least one `Vec` per row. A columnar `next_batch` drain
+//! allocates what it hands out — per group one `Vec` of columns and, per
+//! projected column, a typed vector and a null mask — and reads every
+//! frame into the one buffer the reader keeps. A counting global
+//! allocator measures all three; this file holds a single test so no
+//! parallel test pollutes the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,20 +22,24 @@ use dgfindex::storage::FileSplit;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -47,6 +55,10 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
+}
+
 #[test]
 fn row_wise_drain_allocates_per_group_not_per_row() {
     const N: i64 = 20_000;
@@ -56,7 +68,8 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     let hdfs = SimHdfs::new(
         tmp.path(),
         HdfsConfig {
-            block_size: 1 << 20,
+            // Several fetches per drain, several groups per fetch.
+            block_size: 1 << 16,
             replication: 1,
         },
     )
@@ -98,6 +111,37 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     }
     let boxing_allocs = allocs() - before;
     assert_eq!(n, N);
+
+    // Columnar path: batches of typed vectors, frames through one buffer.
+    let mut reader = RcReader::open(&hdfs, schema.clone(), &split)
+        .unwrap()
+        .with_projection(vec![0, 1]);
+    let (mut n, mut groups) = (0i64, 0u64);
+    let (before, bytes_before) = (allocs(), alloc_bytes());
+    while let Some(batch) = reader.next_batch().unwrap() {
+        n += batch.len() as i64;
+        groups += 1;
+        std::hint::black_box(&batch);
+    }
+    let (batch_allocs, batch_bytes) = (allocs() - before, alloc_bytes() - bytes_before);
+    assert_eq!((n, groups), (N, (N as u64).div_ceil(ROWS_PER_GROUP as u64)));
+    // Per group: the `Vec` of columns, and a typed vector plus a null
+    // mask for each of the two projected columns. Beyond that a constant:
+    // the frame buffer, allocated by the first fetch and reused by the rest.
+    assert!(
+        batch_allocs <= groups * (1 + 2 * 2) + 4,
+        "columnar drain allocated {batch_allocs} times for {groups} groups"
+    );
+    // Bytes: what the batches hold (two eight-byte cells a row, masks,
+    // column headers) and one block-sized buffer — not a second copy of
+    // every payload, which would add the file's length again.
+    let file_len = hdfs.file_len("/t/f").unwrap();
+    assert!(file_len > 4 * hdfs.block_size());
+    let handed_out = N as u64 * 16 + groups * 512;
+    assert!(
+        batch_bytes <= handed_out + hdfs.block_size(),
+        "columnar drain allocated {batch_bytes} B: {handed_out} B of batches, file {file_len} B"
+    );
 
     // Per-group overhead only: decode buffers scale with groups (20), not
     // rows (20k). The bound is generous — the claim is the *order*.
