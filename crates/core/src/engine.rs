@@ -45,7 +45,9 @@ impl DgfEngine {
     }
 
     /// Disable the pre-computation shortcut (Figure 17's
-    /// "DGF-noprecompute"; also the ablation benchmark).
+    /// "DGF-noprecompute"; also the ablation benchmark). A GROUP BY then
+    /// reads every query-related Slice, as the paper's Figure 11 and
+    /// Table 4 do.
     pub fn without_precompute(mut self) -> Self {
         self.use_headers = false;
         self
@@ -125,7 +127,8 @@ impl Engine for DgfEngine {
             plan.inputs,
         )?;
         // Inner region: merge the pre-computed headers (exact because
-        // every inner cell lies fully inside the query region).
+        // every inner cell lies fully inside the query region and, for a
+        // grouped plan, inside one group).
         if let Some(states) = &plan.inner_states {
             sink.merge_agg_states(states)?;
         }

@@ -415,6 +415,107 @@ mod tests {
         }
     }
 
+    /// GROUP BY from headers needs a one-value-cell integral key, grid-only
+    /// predicates, pre-computed aggregates and headers on. Every other
+    /// GROUP BY plans as the header-less scan does — same inputs, no
+    /// header answer — and all of them answer as the scan does.
+    #[test]
+    fn group_by_outside_the_header_rule_plans_the_full_scan() {
+        let (_t, ctx) = setup(1 << 20);
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("user", ValueType::Int),
+            ("day", ValueType::Int),
+            ("temp", ValueType::Float),
+            ("power", ValueType::Float),
+        ]));
+        let tab = ctx
+            .create_table("groups", schema, FileFormat::Text)
+            .unwrap();
+        let rows: Vec<Vec<Value>> = (0..900i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 15),
+                    Value::Int(i % 12),
+                    Value::Float((i % 7) as f64 + 0.5),
+                    Value::Float(((i * 13) % 40) as f64 / 8.0),
+                ]
+            })
+            .collect();
+        ctx.load_rows(&tab, &rows, 2).unwrap();
+        let policy = SplittingPolicy::new(vec![
+            DimPolicy::int("user", 0, 1),
+            DimPolicy::int("day", 0, 2),
+            DimPolicy::float("temp", 0.0, 1.0),
+        ])
+        .unwrap();
+        let (idx, _) = DgfIndex::build(
+            Arc::clone(&ctx),
+            Arc::clone(&tab),
+            policy,
+            vec![AggFunc::Sum("power".into()), AggFunc::Count],
+            Arc::new(MemKvStore::new()),
+            "dgf_groups",
+        )
+        .unwrap();
+        let idx = Arc::new(idx);
+        let grid = Predicate::all()
+            .and(
+                "user",
+                ColumnRange::half_open(Value::Int(2), Value::Int(11)),
+            )
+            .and("day", ColumnRange::half_open(Value::Int(1), Value::Int(9)));
+        let pre = vec![AggFunc::Sum("power".into()), AggFunc::Count];
+        let group_by = |key: &str, aggs: &[AggFunc], predicate: &Predicate| Query::GroupBy {
+            key: key.into(),
+            aggs: aggs.to_vec(),
+            predicate: predicate.clone(),
+        };
+        let answered = group_by("user", &pre, &grid);
+        let non_grid = grid.clone().and(
+            "power",
+            ColumnRange::half_open(Value::Float(1.0), Value::Float(4.0)),
+        );
+        let degraded = [
+            group_by("power", &pre, &grid),
+            group_by("day", &pre, &grid),
+            group_by("temp", &pre, &grid),
+            group_by("user", &pre, &non_grid),
+            group_by("user", &[AggFunc::Max("power".into())], &grid),
+        ];
+        let scan = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&tab));
+        let agrees = |q: &Query, engine: DgfEngine| {
+            let got = engine.run(q).unwrap().result;
+            let truth = scan.run(q).unwrap().result;
+            assert!(got.approx_eq(&truth, 1e-9), "{q:?}: {got:?} vs {truth:?}");
+        };
+
+        let plan = idx.plan(&answered, true).unwrap();
+        let header_less = idx.plan(&answered, false).unwrap();
+        assert!(plan.inner_records > 0);
+        assert!(matches!(
+            plan.inner_states,
+            Some(dgf_query::AggPartials::Groups(_))
+        ));
+        assert!(plan.boundary_gfus < header_less.boundary_gfus);
+        assert_eq!(header_less.inner_records, 0);
+        assert!(header_less.inner_states.is_none());
+        agrees(&answered, DgfEngine::new(Arc::clone(&idx)));
+        agrees(
+            &answered,
+            DgfEngine::new(Arc::clone(&idx)).without_precompute(),
+        );
+
+        for q in &degraded {
+            let plan = idx.plan(q, true).unwrap();
+            let header_less = idx.plan(q, false).unwrap();
+            assert_eq!(plan.inner_records, 0, "{q:?}");
+            assert!(plan.inner_states.is_none(), "{q:?}");
+            assert_eq!(plan.inputs, header_less.inputs, "{q:?}");
+            assert_eq!(plan.boundary_gfus, header_less.boundary_gfus, "{q:?}");
+            agrees(q, DgfEngine::new(Arc::clone(&idx)));
+        }
+    }
+
     #[test]
     fn empty_table_and_empty_region() {
         let (_t, ctx) = setup(1 << 20);

@@ -1,10 +1,14 @@
 //! DGFIndex query planning (paper §4.3, Algorithms 3 and 4).
 //!
 //! Step 1 decomposes the query region into **inner GFUs** (every cell
-//! fully inside the range on all dimensions) and **boundary GFUs**. For
-//! aggregation queries whose aggregates are pre-computed, inner GFUs are
-//! answered from their headers with key-value lookups only; otherwise
-//! they join the boundary set. Step 2 filters the reorganized table's
+//! fully inside the range on all dimensions) and **boundary GFUs**. When
+//! every query aggregate is pre-computed and every predicate column is a
+//! grid dimension, inner GFUs are answered from their headers with
+//! key-value lookups only: folded into one state list for a plain
+//! aggregation (the paper), and — beyond the paper — into one per group
+//! for a GROUP BY whose key is a grid dimension with one value per cell
+//! (see [`DgfPlan::inner_states`]). Otherwise they join the boundary
+//! set. Step 2 filters the reorganized table's
 //! splits to those overlapping a query-related Slice, and prepares the
 //! per-split byte-range lists that the skipping record reader (step 3)
 //! consumes. A Slice straddling a split boundary is clipped into both
@@ -27,6 +31,7 @@
 //! region through one canonical merge tree, so their plans agree in
 //! every float bit.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,13 +40,13 @@ use dgf_common::obs::{names, QueryProfile};
 use dgf_common::{DgfError, Result, Row, Stopwatch};
 use dgf_format::{coalesce_ranges, ByteRange, SliceSidecar};
 use dgf_hive::ScanInput;
-use dgf_query::{AggSet, AggState, Query};
+use dgf_query::{AggFunc, AggPartials, AggSet, AggState, Query};
 
 use crate::cache::CachedGfu;
 use crate::fresh::FreshCell;
 use crate::gfu::{GfuKey, GfuValue, GFU_PREFIX};
 use crate::index::DgfIndex;
-use crate::policy::{DimSpan, SplittingPolicy};
+use crate::policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
 use crate::view::ReadView;
 
 /// How the planner fetches GFU values from the key-value store.
@@ -50,16 +55,16 @@ pub enum PlanStrategy {
     /// One `scan_range` per contiguous key run, with results classified
     /// inner/boundary on the fly, backed by the epoch-tagged header
     /// cache. A fully cached run costs zero key-value operations. The
-    /// path every header-less plan takes, and the flat reference the
-    /// bit-identity suites compare the default against.
+    /// path every header-less or grouped plan takes, and the flat
+    /// reference the bit-identity suites compare the default against.
     PrefixScan,
     /// Decompose the fully-inner region into maximal canonical pyramid
     /// nodes (see [`crate::pyramid`]) and read one pre-computed `p:`
     /// header per node, descending to `g:` leaf headers only at the
     /// fringe; boundary cells ride one batched `multi_get`. On a store
-    /// without a pyramid (or when headers are unusable, or when the
-    /// query has no fully-inner cell) this degrades to
-    /// [`PrefixScan`](Self::PrefixScan) wholesale. Answers are
+    /// without a pyramid (or when headers are unusable, when the plan
+    /// groups, or when the query has no fully-inner cell) this degrades
+    /// to [`PrefixScan`](Self::PrefixScan) wholesale. Answers are
     /// bit-identical to the flat fetch because both fold the inner
     /// region through the same canonical merge tree.
     #[default]
@@ -75,9 +80,14 @@ pub struct DgfPlan {
     /// The chosen splits themselves (one per entry of `inputs`), for the
     /// slice-skipping-off ablation which reads them whole.
     pub chosen_splits: Vec<dgf_storage::FileSplit>,
-    /// Aggregate states (in query-aggregate order) merged from the inner
-    /// region's pre-computed headers, when usable.
-    pub inner_states: Option<Vec<AggState>>,
+    /// The inner region's answer, merged from its pre-computed headers
+    /// when they are usable: one state list for a plain aggregation, one
+    /// per group for a GROUP BY whose key is a grid dimension cut into
+    /// one-value cells (integral, interval 1, in the pinned view's
+    /// policy), where each covered cell's header is a partial of the
+    /// group its key coordinate names. A cell holding no record opens no
+    /// group.
+    pub inner_states: Option<AggPartials>,
     /// Number of headers merged for the inner region: leaf cells under
     /// [`PlanStrategy::PrefixScan`], canonical nodes (a leaf cell is a
     /// level-0 node) where the pyramid answered. `inner_records` is the
@@ -128,13 +138,17 @@ pub struct DgfPlan {
 /// Accumulates the per-cell work of a plan: header merging for covered
 /// cells, slice collection for boundary cells, and the cache tallies.
 ///
-/// Covered persisted cells are not merged on arrival: their picked
-/// states are **buffered** and [`Collector::finalize_inner`] folds them
-/// through the canonical merge tree of [`crate::pyramid`]. That makes
-/// both strategies' inner aggregate bit-identical — the flat fetch
-/// re-plays client-side exactly the fold whose pre-computed results the
-/// [`PlanStrategy::Pyramid`] path reads from `p:` nodes (which merge
-/// via [`Collector::merge_covered`] and leave the buffer empty).
+/// A plain aggregation's covered persisted cells are not merged on
+/// arrival: their picked states are **buffered** and
+/// [`Collector::finalize_inner`] folds them through the canonical merge
+/// tree of [`crate::pyramid`]. That makes both strategies' inner
+/// aggregate bit-identical — the flat fetch re-plays client-side exactly
+/// the fold whose pre-computed results the [`PlanStrategy::Pyramid`]
+/// path reads from `p:` nodes (which merge via
+/// [`Collector::merge_covered`] and leave the buffer empty). A grouped
+/// plan merges each covered cell into its group as it is absorbed, in
+/// key order: it always takes the run scans, so that order is the same
+/// under either strategy.
 struct Collector {
     header_merge: Option<HeaderMerge>,
     /// Grid arity, for decoding buffered cell coordinates from keys.
@@ -167,7 +181,57 @@ struct HeaderMerge {
     index_set: AggSet,
     query_set: AggSet,
     positions: Vec<usize>,
-    acc: Vec<AggState>,
+    acc: Accumulator,
+}
+
+/// Where covered cells' header states are merged.
+enum Accumulator {
+    /// A plain aggregation: one state list.
+    Scalar(Vec<AggState>),
+    /// GROUP BY grid dimension `dim`, whose cells hold one value each:
+    /// one state list per key cell, named by `key.cell_low` at the end.
+    Groups {
+        dim: usize,
+        key: DimPolicy,
+        groups: BTreeMap<i64, Vec<AggState>>,
+    },
+}
+
+impl HeaderMerge {
+    /// Merge one covered cell's picked states: into the one accumulator,
+    /// or into the group of the cell's key coordinate. `cell` is read
+    /// only to place a group (a pyramid node, which only a plain
+    /// aggregation reads, passes its node coordinates). A cell holding
+    /// no record opens no group: a scan would not see one either.
+    fn merge_cell(&mut self, cell: &[i64], record_count: u64, picked: Vec<AggState>) -> Result<()> {
+        match &mut self.acc {
+            Accumulator::Scalar(acc) => self.query_set.merge(acc, &picked),
+            Accumulator::Groups { dim, groups, .. } => {
+                if record_count == 0 {
+                    return Ok(());
+                }
+                match groups.entry(cell[*dim]) {
+                    Entry::Occupied(mut e) => self.query_set.merge(e.get_mut(), &picked),
+                    Entry::Vacant(e) => {
+                        e.insert(picked);
+                        Ok(())
+                    }
+                }
+            }
+        }
+    }
+
+    fn into_partials(self) -> AggPartials {
+        match self.acc {
+            Accumulator::Scalar(acc) => AggPartials::Scalar(acc),
+            Accumulator::Groups { key, groups, .. } => AggPartials::Groups(
+                groups
+                    .into_iter()
+                    .map(|(cell, states)| (key.cell_low(cell), states))
+                    .collect(),
+            ),
+        }
+    }
 }
 
 /// One key run's fetch result, decoupled from collector absorption so
@@ -198,13 +262,27 @@ impl Collector {
         Ok(hm.positions.iter().map(|p| states[*p].clone()).collect())
     }
 
+    /// Whether covered cells merge per group.
+    fn grouped(&self) -> bool {
+        matches!(
+            self.header_merge,
+            Some(HeaderMerge {
+                acc: Accumulator::Groups { .. },
+                ..
+            })
+        )
+    }
+
     /// Absorb one persisted cell fetched under `key`: covered cells
-    /// buffer their picked states for the canonical fold, boundary
-    /// cells contribute their Slice byte ranges.
+    /// buffer their picked states for the canonical fold (or merge into
+    /// their group), boundary cells contribute their Slice byte ranges.
     fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
         if covered {
-            let picked = self.pick_covered(value)?;
             let coords = GfuKey::decode(key, self.arity)?.cells;
+            if self.grouped() {
+                return self.merge_covered(&coords, value);
+            }
+            let picked = self.pick_covered(value)?;
             self.inner_buffer.insert(coords, picked);
         } else {
             self.boundary_gfus += 1;
@@ -221,40 +299,48 @@ impl Collector {
         Ok(())
     }
 
-    /// Merge a covered value straight into the accumulator, bypassing
-    /// the buffer: pyramid nodes (whose stored states *are* canonical
-    /// subtree folds) and fresh memtable cells (which sit outside the
-    /// persisted tree and merge after [`finalize_inner`]
-    /// (Self::finalize_inner), in both strategies alike).
-    fn merge_covered(&mut self, value: &GfuValue) -> Result<()> {
+    /// Merge a covered value at `cell` straight into the accumulator,
+    /// bypassing the buffer: pyramid nodes (whose stored states *are*
+    /// canonical subtree folds), fresh memtable cells (which sit outside
+    /// the persisted tree and merge after [`finalize_inner`]
+    /// (Self::finalize_inner), in both strategies alike) and the cells
+    /// of a grouped plan.
+    fn merge_covered(&mut self, cell: &[i64], value: &GfuValue) -> Result<()> {
         let picked = self.pick_covered(value)?;
-        if let Some(hm) = &mut self.header_merge {
-            hm.query_set.merge(&mut hm.acc, &picked)?;
+        match &mut self.header_merge {
+            Some(hm) => hm.merge_cell(cell, value.record_count, picked),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Fold the buffered covered cells through the canonical merge tree
     /// and merge the resulting node states into the accumulator in
     /// canonical item order — the exact sequence the Pyramid strategy
     /// gets by reading pre-computed `p:` nodes. No-op when nothing was
-    /// buffered (Pyramid's direct path, non-header plans, empty inner
-    /// regions).
+    /// buffered (Pyramid's direct path, non-header and grouped plans,
+    /// empty inner regions).
     fn finalize_inner(&mut self, spans: &[DimSpan], top: u8) -> Result<()> {
         if self.inner_buffer.is_empty() {
             return Ok(());
         }
-        let hm = self.header_merge.as_mut().ok_or_else(|| {
-            DgfError::Index("buffered covered cells without usable headers".into())
-        })?;
+        let Some(HeaderMerge {
+            query_set,
+            acc: Accumulator::Scalar(acc),
+            ..
+        }) = &mut self.header_merge
+        else {
+            return Err(DgfError::Index(
+                "covered cells buffered without a plain aggregation's headers".into(),
+            ));
+        };
         let inner = inner_box(spans).ok_or_else(|| {
             DgfError::Index("covered cells buffered for an empty inner box".into())
         })?;
         let buffer = std::mem::take(&mut self.inner_buffer);
-        let levels = crate::pyramid::fold_levels(buffer, top, &hm.query_set)?;
+        let levels = crate::pyramid::fold_levels(buffer, top, query_set)?;
         for item in crate::pyramid::decompose(&inner, top) {
             if let Some(states) = levels[item.level as usize].get(&item.coords) {
-                hm.query_set.merge(&mut hm.acc, states)?;
+                query_set.merge(acc, states)?;
             }
         }
         Ok(())
@@ -337,11 +423,12 @@ impl DgfIndex {
         // beyond what any flush has recorded, and the spans must admit
         // them or fresh rows would silently fall out of the query.
         let fresh_src = self.fresh_source().filter(|s| s.has_fresh());
-        // The live policy decides *whether* headers apply (dimension
-        // names are invariant under online adaptation — `regrid_to`
-        // rejects anything else); each attempt's *cell geometry* comes
-        // from the policy its pinned view carries, so a plan racing a
-        // regrid never mixes one epoch's intervals with another's keys.
+        // The live policy decides whether the predicate is grid-only
+        // (dimension names are invariant under online adaptation —
+        // `regrid_to` rejects anything else); each attempt's *cell
+        // geometry*, a GROUP BY key's interval included, comes from the
+        // policy its pinned view carries, so a plan racing a regrid never
+        // mixes one epoch's intervals with another's keys.
         let live_policy = self.policy();
         let arity = live_policy.arity();
 
@@ -361,42 +448,55 @@ impl DgfIndex {
                 ..body
             }
         };
-        // Headers answer the inner region only when (a) the query is a
-        // plain aggregation, (b) every predicate column is an indexed
-        // dimension (otherwise inner rows still need row-level
-        // filtering), and (c) every query aggregate is pre-computed.
-        let header_positions = self.header_positions(query);
+        // Headers answer the inner region only when (a) every predicate
+        // column is an indexed dimension (otherwise inner rows still need
+        // row-level filtering), (b) every query aggregate is pre-computed,
+        // and (c) the query is a plain aggregation, or a GROUP BY whose
+        // key the pinned view cuts into one-value cells (checked per
+        // attempt, below).
         let grid_only = predicate
             .columns()
             .all(|c| live_policy.dims().iter().any(|d| d.name == c));
-        let headers_usable =
-            use_headers && query.is_aggregation() && header_positions.is_some() && grid_only;
+        let (query_aggs, group_key) = match query {
+            Query::Aggregate { aggs, .. } => (Some(aggs), None),
+            Query::GroupBy { key, aggs, .. } => (Some(aggs), Some(key.as_str())),
+            Query::Join { .. } | Query::Select { .. } => (None, None),
+        };
+        let header_positions = query_aggs
+            .filter(|_| use_headers && grid_only)
+            .and_then(|aggs| self.header_positions(aggs));
 
-        let make_header_merge = || -> Result<Option<HeaderMerge>> {
-            if !headers_usable {
+        // One attempt's header merge, or `None` where headers cannot
+        // answer. A GROUP BY key must be an integral dimension of interval
+        // 1 in *this view's* policy: then cell `c` holds exactly the value
+        // `cell_low(c)`, and its header is that group's partial. A regrid
+        // may widen the interval, and a handle's live policy can lag the
+        // committed view, so only the pinned geometry can say.
+        let make_header_merge = |view_policy: &SplittingPolicy| -> Result<Option<HeaderMerge>> {
+            let (Some(aggs), Some(positions)) = (query_aggs, &header_positions) else {
                 return Ok(None);
-            }
-            // `headers_usable` already checked both of these; the error
-            // arms are unreachable but cheaper than a panic in the read
-            // hot path.
-            let positions = header_positions
-                .clone()
-                .ok_or_else(|| DgfError::Index("usable headers lost their positions".into()))?;
-            let index_set = AggSet::bind(&self.aggs, &self.base.schema)?;
-            let query_aggs = match query {
-                Query::Aggregate { aggs, .. } => aggs.clone(),
-                _ => {
-                    return Err(DgfError::Index(
-                        "usable headers on a non-aggregation query".into(),
-                    ))
+            };
+            let query_set = AggSet::bind(aggs, &self.base.schema)?;
+            let acc = match group_key {
+                None => Accumulator::Scalar(query_set.new_states()),
+                Some(name) => {
+                    let unit = view_policy.dims().iter().enumerate().find(|(_, d)| {
+                        d.name == name && matches!(d.scale, DimScale::Int { interval: 1, .. })
+                    });
+                    let Some((dim, key)) = unit else {
+                        return Ok(None);
+                    };
+                    Accumulator::Groups {
+                        dim,
+                        key: key.clone(),
+                        groups: BTreeMap::new(),
+                    }
                 }
             };
-            let query_set = AggSet::bind(&query_aggs, &self.base.schema)?;
-            let acc = query_set.new_states();
             Ok(Some(HeaderMerge {
-                index_set,
+                index_set: AggSet::bind(&self.aggs, &self.base.schema)?,
                 query_set,
-                positions,
+                positions: positions.clone(),
                 acc,
             }))
         };
@@ -457,8 +557,10 @@ impl DgfIndex {
 
             let fetch_span = span.child("plan.fetch");
             let fetch_before = fetch_span.is_recording().then(|| self.kv.stats().snapshot());
+            let header_merge = make_header_merge(&view_policy)?;
+            let headers_usable = header_merge.is_some();
             let mut collector = Collector {
-                header_merge: make_header_merge()?,
+                header_merge,
                 arity,
                 inner_buffer: BTreeMap::new(),
                 inner_gfus: 0,
@@ -520,8 +622,9 @@ impl DgfIndex {
 
             // Merge the memtable snapshot: a fully covered fresh cell
             // contributes its partial aggregate states through the same
-            // header path as a persisted GFU; anything else contributes
-            // raw rows for the engine to re-filter and push.
+            // header path as a persisted GFU (into its group, for a
+            // grouped plan); anything else contributes raw rows for the
+            // engine to re-filter and push.
             let mut fresh_gfus = 0u64;
             let mut fresh_records = 0u64;
             let mut fresh_rows: Vec<Row> = Vec::new();
@@ -543,7 +646,7 @@ impl DgfIndex {
                         slices: Vec::new(),
                         record_count: cell.record_count,
                     };
-                    collector.merge_covered(&value)?;
+                    collector.merge_covered(&cell.key.cells, &value)?;
                 } else {
                     fresh_rows.extend(cell.rows.iter().cloned());
                 }
@@ -610,7 +713,7 @@ impl DgfIndex {
         // daemon's grid adaptation is advised on.
         self.history().record(predicate, &live_policy);
 
-        let inner_states = collector.header_merge.map(|hm| hm.acc);
+        let inner_states = collector.header_merge.map(HeaderMerge::into_partials);
 
         // Algorithm 4: keep splits overlapping a Slice; clip the Slices of
         // each chosen split to its byte range so each mapper reads only
@@ -1014,9 +1117,11 @@ impl DgfIndex {
     /// node; the uncovered rim and the pyramid items ride a single
     /// batched `multi_get`. Falls back wholesale to
     /// [`fetch_prefix_scans`](Self::fetch_prefix_scans) when the store
-    /// carries no pyramid, headers are unusable, or the query has no
+    /// carries no pyramid, headers are unusable, the query has no
     /// fully-inner cell — a partial pyramid would complicate the
-    /// canonical-fold argument for no read savings. The choice is made
+    /// canonical-fold argument for no read savings — or the plan is
+    /// grouped: a group is a one-cell-wide slab of the key dimension, and
+    /// no pyramid node above level 0 fits in one. The choice is made
     /// from what the store and the query show, never by the caller.
     fn fetch_pyramid(
         &self,
@@ -1027,7 +1132,7 @@ impl DgfIndex {
         collector: &mut Collector,
     ) -> Result<()> {
         let top = match self.pyramid_levels() {
-            Some(t) if headers_usable => t,
+            Some(t) if headers_usable && !collector.grouped() => t,
             _ => {
                 return self.fetch_prefix_scans(view, spans, extents, headers_usable, collector)
             }
@@ -1128,7 +1233,7 @@ impl DgfIndex {
         // invariant), so skipping it is the empty merge.
         for (value, item) in item_res.iter().zip(&items) {
             if let Some(v) = value {
-                collector.merge_covered(v)?;
+                collector.merge_covered(&item.coords, v)?;
                 if item.level >= 1 {
                     collector.pyramid_nodes += 1;
                     collector.pyramid_cells = collector
@@ -1142,10 +1247,7 @@ impl DgfIndex {
 
     /// For each query aggregate, its position in the index's pre-computed
     /// list — `None` if any aggregate is missing (headers unusable).
-    fn header_positions(&self, query: &Query) -> Option<Vec<usize>> {
-        let Query::Aggregate { aggs, .. } = query else {
-            return None;
-        };
+    fn header_positions(&self, aggs: &[AggFunc]) -> Option<Vec<usize>> {
         let index_keys = self.agg_keys();
         aggs.iter()
             .map(|a| index_keys.iter().position(|k| *k == a.key()))

@@ -331,6 +331,18 @@ pub enum AggState {
     Udf(Vec<f64>),
 }
 
+/// Pre-aggregated partial states standing in for rows an engine did not
+/// read — DGFIndex's inner region, merged from GFU headers — in the shape
+/// of the query they answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggPartials {
+    /// A plain aggregate's one state list, in query-aggregate order.
+    Scalar(Vec<AggState>),
+    /// A GROUP BY's `(group value, states)` pairs, sorted by value, no
+    /// value twice.
+    Groups(Vec<(Value, Vec<AggState>)>),
+}
+
 /// An [`AggFunc`] resolved against a schema: a column aggregate carries
 /// its column's index, so folding a row neither looks the column up nor
 /// can find it unresolved.

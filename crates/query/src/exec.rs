@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dgf_common::batch::{Column, ColumnBatch, ColumnData, Selection};
 use dgf_common::{DgfError, Result, Row, Schema, Value};
 
-use crate::agg::{AggSet, AggState};
+use crate::agg::{AggPartials, AggSet, AggState};
 use crate::predicate::BoundPredicate;
 use crate::spec::{Query, QueryResult};
 
@@ -335,17 +335,9 @@ impl RowSink {
             (
                 SinkKind::GroupBy { set, groups, .. },
                 SinkKind::GroupBy { groups: og, .. },
-            ) => {
-                for (k, ostates) in og {
-                    match groups.get_mut(&k) {
-                        Some(st) => set.merge(st, &ostates)?,
-                        None => {
-                            groups.insert(k, ostates);
-                        }
-                    }
-                }
-                Ok(())
-            }
+            ) => og
+                .into_iter()
+                .try_for_each(|(k, ostates)| merge_group(set, groups, k, ostates)),
             (SinkKind::Join { out, .. }, SinkKind::Join { out: o, .. }) => {
                 out.extend(o);
                 Ok(())
@@ -358,13 +350,17 @@ impl RowSink {
         }
     }
 
-    /// Merge a pre-aggregated header (DGFIndex inner region) into an
-    /// aggregate sink.
-    pub fn merge_agg_states(&mut self, header: &[AggState]) -> Result<()> {
-        match &mut self.kind {
-            SinkKind::Aggregate { set, states } => set.merge(states, header),
+    /// Merge pre-aggregated partials (DGFIndex's inner region) into an
+    /// aggregate or GROUP BY sink. A group the sink has not seen yet opens
+    /// with the partial's states, as it would from a sibling sink.
+    pub fn merge_agg_states(&mut self, partials: &AggPartials) -> Result<()> {
+        match (&mut self.kind, partials) {
+            (SinkKind::Aggregate { set, states }, AggPartials::Scalar(p)) => set.merge(states, p),
+            (SinkKind::GroupBy { set, groups, .. }, AggPartials::Groups(p)) => p
+                .iter()
+                .try_for_each(|(k, st)| merge_group(set, groups, k.clone(), st.clone())),
             _ => Err(DgfError::Query(
-                "pre-aggregated headers only apply to aggregation queries".into(),
+                "pre-aggregated partials do not match the query's shape".into(),
             )),
         }
     }
@@ -388,6 +384,23 @@ impl RowSink {
                     .collect(),
             ),
             SinkKind::Join { out, .. } | SinkKind::Select { out, .. } => QueryResult::Rows(out),
+        }
+    }
+}
+
+/// Fold one group's partial states into `groups`; a key not yet there
+/// takes them as they are.
+fn merge_group(
+    set: &AggSet,
+    groups: &mut BTreeMap<Value, Vec<AggState>>,
+    key: Value,
+    states: Vec<AggState>,
+) -> Result<()> {
+    match groups.get_mut(&key) {
+        Some(st) => set.merge(st, &states),
+        None => {
+            groups.insert(key, states);
+            Ok(())
         }
     }
 }
@@ -572,6 +585,55 @@ mod tests {
         }
         a.merge(b).unwrap();
         assert_eq!(a.finish(), seq.finish());
+    }
+
+    /// Group partials stand in for the rows they fold: merged into a sink
+    /// that scanned the rest, they give the answer of pushing every row —
+    /// a group only the partials hold included. A shape that does not
+    /// match the sink's is refused.
+    #[test]
+    fn group_partials_merge_like_the_rows_they_fold() {
+        let q = Query::GroupBy {
+            key: "region_id".into(),
+            aggs: vec![AggFunc::Sum("power".into()), AggFunc::Count],
+            predicate: Predicate::all(),
+        };
+        let s = schema();
+        let rs = rows();
+        let mut all = RowSink::new(&q, &s, None).unwrap();
+        for r in &rs {
+            all.push(r).unwrap();
+        }
+        // Region 2 and half of region 0 are "inner": pre-aggregated.
+        let inner =
+            |r: &Row| r[1] == Value::Int(2) || (r[1] == Value::Int(0) && r[0] < Value::Int(5));
+        let set = AggSet::bind(&[AggFunc::Sum("power".into()), AggFunc::Count], &s).unwrap();
+        let mut partials: BTreeMap<Value, Vec<AggState>> = BTreeMap::new();
+        let mut sink = RowSink::new(&q, &s, None).unwrap();
+        for r in &rs {
+            if inner(r) {
+                let st = partials
+                    .entry(r[1].clone())
+                    .or_insert_with(|| set.new_states());
+                set.update(st, r, &s).unwrap();
+            } else {
+                sink.push(r).unwrap();
+            }
+        }
+        let partials = AggPartials::Groups(partials.into_iter().collect());
+        sink.merge_agg_states(&partials).unwrap();
+        assert_eq!(sink.finish(), all.finish());
+
+        let mut grouped = RowSink::new(&q, &s, None).unwrap();
+        assert!(grouped
+            .merge_agg_states(&AggPartials::Scalar(set.new_states()))
+            .is_err());
+        let plain = Query::Aggregate {
+            aggs: vec![AggFunc::Count],
+            predicate: Predicate::all(),
+        };
+        let mut scalar = RowSink::new(&plain, &s, None).unwrap();
+        assert!(scalar.merge_agg_states(&partials).is_err());
     }
 
     #[test]

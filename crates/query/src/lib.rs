@@ -21,7 +21,7 @@ pub mod parse;
 pub mod predicate;
 pub mod spec;
 
-pub use agg::{AdditiveUdf, AggFunc, AggSet, AggState, SumProductUdf};
+pub use agg::{AdditiveUdf, AggFunc, AggPartials, AggSet, AggState, SumProductUdf};
 pub use engine::{Engine, EngineRun, RunStats};
 pub use exec::{RightRows, RowSink};
 pub use parse::{parse_aggs, parse_predicate, parse_query};
@@ -99,7 +99,7 @@ mod proptests {
 
             let mut sink = RowSink::new(&q, &s, None).unwrap();
             let decoded = sink.agg_set().unwrap().decode_states(&header).unwrap();
-            sink.merge_agg_states(&decoded).unwrap();
+            sink.merge_agg_states(&AggPartials::Scalar(decoded)).unwrap();
 
             let mut direct = RowSink::new(&q, &s, None).unwrap();
             for r in &rows {

@@ -68,12 +68,6 @@ impl Query {
             | Query::Select { predicate, .. } => predicate,
         }
     }
-
-    /// Whether the pre-computed GFU headers can answer the inner region
-    /// (true only for plain aggregation — paper Algorithm 3 line 5).
-    pub fn is_aggregation(&self) -> bool {
-        matches!(self, Query::Aggregate { .. })
-    }
 }
 
 /// The result of running a [`Query`].
@@ -213,8 +207,6 @@ mod tests {
         for q in &qs {
             assert_eq!(q.predicate(), &p);
         }
-        assert!(qs[0].is_aggregation());
-        assert!(!qs[1].is_aggregation());
     }
 
     #[test]

@@ -214,7 +214,10 @@ mod tests {
     #[test]
     fn query_builders_produce_expected_shapes() {
         let cfg = cfg();
-        assert!(aggregation_query(&cfg, Selectivity::Point).is_aggregation());
+        assert!(matches!(
+            aggregation_query(&cfg, Selectivity::Point),
+            Query::Aggregate { .. }
+        ));
         assert!(matches!(
             group_by_query(&cfg, Selectivity::Frac(0.05)),
             Query::GroupBy { .. }

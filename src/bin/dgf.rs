@@ -56,7 +56,7 @@ use dgfindex::common::{parse_date, parse_row, DgfError, Result, Row, Schema, Val
 use dgfindex::core::advisor::{history_from_predicates, recommend_policy, AdvisorConfig};
 use dgfindex::hive::IndexEntry;
 use dgfindex::prelude::*;
-use dgfindex::query::{parse_aggs, parse_predicate, parse_query};
+use dgfindex::query::{parse_aggs, parse_predicate, parse_query, AggPartials};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -394,6 +394,13 @@ fn dispatch(args: &[String]) -> Result<()> {
                             plan.splits_read,
                             plan.splits_total
                         );
+                        if let Query::GroupBy { .. } = query {
+                            let groups = match &plan.inner_states {
+                                Some(AggPartials::Groups(g)) => g.len(),
+                                _ => 0,
+                            };
+                            println!("plan: {groups} groups answered from headers");
+                        }
                     }
                     DgfEngine::new(index).run(&query)?
                 }

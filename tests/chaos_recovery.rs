@@ -132,6 +132,16 @@ fn check_answers(ctx: &Arc<HiveContext>, base: &TableRef, index: Arc<DgfIndex>) 
                     ),
                 ),
         },
+        // GROUP BY a one-day dimension: each day's inner cells answered
+        // from headers, the misaligned user cell scanned.
+        Query::GroupBy {
+            key: "ts".into(),
+            aggs: aggs(),
+            predicate: Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
+            ),
+        },
     ];
     let scan = ScanEngine::new(Arc::clone(ctx), Arc::clone(base));
     let dgf = DgfEngine::new(index);

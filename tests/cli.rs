@@ -115,6 +115,38 @@ fn full_cli_lifecycle() {
     assert_eq!(lines.len(), 3, "{grouped}");
     assert!(lines[0].starts_with("2013-01-01"), "{grouped}");
 
+    // `--explain`: one-day `ts` cells let the headers answer the inner
+    // user cells per day; two-user `user_id` cells answer no group.
+    let explain = |sql: &str| {
+        dgf_ok(&[
+            "query",
+            wh,
+            "readings",
+            sql,
+            "--index",
+            "dgf_readings",
+            "--explain",
+        ])
+    };
+    let by_day = explain("SELECT ts, sum(power) WHERE user_id >= 1 AND user_id <= 6 GROUP BY ts");
+    let plan = by_day.lines().next().unwrap_or_default();
+    assert!(
+        plan.starts_with("plan: ") && !plan.starts_with("plan: 0 inner headers"),
+        "{by_day}"
+    );
+    assert!(
+        by_day.contains("plan: 3 groups answered from headers"),
+        "{by_day}"
+    );
+    assert!(by_day.lines().skip(2).eq(grouped.lines()), "{by_day}");
+    let by_user =
+        explain("SELECT user_id, sum(power) WHERE user_id >= 1 AND user_id <= 6 GROUP BY user_id");
+    assert!(by_user.starts_with("plan: 0 inner headers"), "{by_user}");
+    assert!(
+        by_user.contains("plan: 0 groups answered from headers"),
+        "{by_user}"
+    );
+
     // The advisor runs on warehouse data.
     let out = dgf_ok(&[
         "advise",

@@ -65,8 +65,9 @@ fn grid(cfg: &MeterConfig) -> SplittingPolicy {
 
 /// The query mix every reader thread loops over: a full COUNT (torn
 /// states show up as impossible intermediate row counts), a misaligned
-/// range aggregate (boundary Slices + inner headers), and a GROUP BY
-/// (exercises the grouped sink and per-group float sums).
+/// range aggregate (boundary Slices + inner headers), and two GROUP BYs
+/// (the grouped sink and per-group float sums; the second, on `ts`,
+/// merges each day's inner headers into its group).
 fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let range = Predicate::all()
         .and(
@@ -93,6 +94,14 @@ fn queries(cfg: &MeterConfig) -> Vec<Query> {
             key: "user_id".into(),
             aggs: aggs(),
             predicate: range,
+        },
+        Query::GroupBy {
+            key: "ts".into(),
+            aggs: aggs(),
+            predicate: Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
+            ),
         },
     ]
 }

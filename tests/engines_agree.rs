@@ -184,12 +184,36 @@ fn aggregation_queries_agree_at_all_selectivities() {
     }
 }
 
+/// GROUP BY `ts` (one-day cells) answers each day's inner cells from
+/// headers and still agrees with the scan; GROUP BY `user_id` (25 users
+/// a cell, so a cell spans 25 groups) reads no header and agrees too.
 #[test]
 fn group_by_queries_agree_at_all_selectivities() {
     let w = build_world();
     for sel in Selectivity::paper_settings() {
         let q = group_by_query(&w.cfg, sel);
         check_all(&w, &q, &format!("group-by {}", sel.label()));
+        let plan = w.dgf.plan(&q, true).unwrap();
+        if sel != Selectivity::Point {
+            assert!(
+                plan.inner_records > 0,
+                "group-by {}: no header answered",
+                sel.label()
+            );
+        }
+        let Query::GroupBy {
+            aggs, predicate, ..
+        } = q
+        else {
+            unreachable!("group_by_query builds a GROUP BY")
+        };
+        let by_user = Query::GroupBy {
+            key: "user_id".into(),
+            aggs,
+            predicate,
+        };
+        check_all(&w, &by_user, &format!("group-by user_id {}", sel.label()));
+        assert_eq!(w.dgf.plan(&by_user, true).unwrap().inner_records, 0);
     }
 }
 

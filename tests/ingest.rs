@@ -75,6 +75,23 @@ fn queries(cfg: &MeterConfig) -> Vec<Query> {
     ]
 }
 
+/// GROUP BY `ts` (one-day cells, so headers answer per day) over every
+/// user — each cell covered — and over a misaligned user range, whose
+/// low user cell is boundary and pushes its rows.
+fn group_by_ts(cfg: &MeterConfig) -> Vec<Query> {
+    [0, 1]
+        .into_iter()
+        .map(|lo| Query::GroupBy {
+            key: "ts".into(),
+            aggs: aggs(),
+            predicate: Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(lo), Value::Int(cfg.users as i64)),
+            ),
+        })
+        .collect()
+}
+
 struct World {
     tmp: TempDir,
     ctx: Arc<HiveContext>,
@@ -228,6 +245,68 @@ fn acked_writes_visible_with_zero_generation_bumps() {
         let truth = scan.run(q).unwrap().result;
         let got = engine.run(q).unwrap().result;
         assert!(got.approx_eq(&truth, 1e-9));
+    }
+}
+
+/// Unflushed rows land in their groups: a GROUP BY `ts` merges each
+/// covered memtable cell's running partial into its day's group (the
+/// streamed days exist only there) and pushes a boundary cell's rows,
+/// answering what a scan answers once the rows are flushed.
+#[test]
+fn unflushed_rows_land_in_their_header_answered_groups() {
+    let w = world("groups");
+    let cfg = meter_cfg();
+    let (_, streamed) = seed_index(&w);
+    let index = Arc::new(
+        DgfIndex::open(
+            Arc::clone(&w.ctx),
+            Arc::clone(&w.base),
+            Arc::clone(&w.inner),
+            INDEX,
+            aggs(),
+        )
+        .unwrap(),
+    );
+    let ingestor = dgfindex::ingest::StreamIngestor::open(
+        Arc::clone(&index),
+        wal_path(&w),
+        IngestConfig {
+            flush_rows: u64::MAX,
+            auto_flush_interval: None,
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
+    ingestor.ingest(&streamed).unwrap();
+    let engine = DgfEngine::new(Arc::clone(&index));
+
+    let mut fresh_answers = Vec::new();
+    for (qi, q) in group_by_ts(&cfg).iter().enumerate() {
+        let plan = index.plan(q, true).unwrap();
+        assert!(plan.fresh_gfus > 0, "q{qi}: the memtable was not consulted");
+        let Some(dgfindex::query::AggPartials::Groups(groups)) = &plan.inner_states else {
+            panic!("q{qi}: GROUP BY ts planned without group partials");
+        };
+        // Every day has a covered user cell: two seeded, two unflushed.
+        assert_eq!(groups.len() as u64, cfg.days, "q{qi}");
+        // Only the misaligned range has a boundary cell to push.
+        assert_eq!(plan.fresh_rows.is_empty(), qi == 0, "q{qi}");
+        fresh_answers.push(engine.run(q).unwrap().result);
+    }
+
+    ingestor.flush().unwrap();
+    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
+    for (qi, (q, fresh)) in group_by_ts(&cfg).iter().zip(&fresh_answers).enumerate() {
+        let truth = scan.run(q).unwrap().result;
+        assert_eq!(truth.clone().into_groups().len() as u64, cfg.days);
+        assert!(
+            fresh.approx_eq(&truth, 1e-9),
+            "q{qi}: {fresh:?} vs {truth:?}"
+        );
+        assert!(
+            engine.run(q).unwrap().result.approx_eq(&truth, 1e-9),
+            "q{qi}"
+        );
     }
 }
 
@@ -666,10 +745,20 @@ proptest! {
         for b in all[per_day..].chunks(batch) {
             ingestor.ingest(b).unwrap();
         }
-        ingestor.close().unwrap();
         let engine_b = DgfEngine::new(Arc::clone(&index_b));
+        // Before the final flush, the unflushed rows' groups come from
+        // the memtable's partials.
+        for q in &group_by_ts(&cfg) {
+            let a = engine_a.run(q).unwrap().result;
+            let b = engine_b.run(q).unwrap().result;
+            prop_assert!(
+                a.approx_eq(&b, 1e-9),
+                "streamed (unflushed) vs one-shot groups diverged: {a:?} vs {b:?}"
+            );
+        }
+        ingestor.close().unwrap();
 
-        for q in &queries(&cfg) {
+        for q in queries(&cfg).iter().chain(&group_by_ts(&cfg)) {
             let a = engine_a.run(q).unwrap().result;
             let b = engine_b.run(q).unwrap().result;
             prop_assert!(

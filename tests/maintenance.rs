@@ -547,6 +547,74 @@ fn regrid_after_compaction_does_not_double_count() {
     assert_grid_directory(&w, &index, "after doubling regrid");
 }
 
+/// GROUP BY `ts` on one-day cells is answered per day from headers; a
+/// regrid to two-day cells makes a cell span two groups, and the same
+/// query degrades to the scan of every query-related Slice. Whether a
+/// key's cells hold one value is the pinned view's to say: a handle
+/// opened before the regrid still holds the one-day policy, and it must
+/// degrade as well. Both sides agree with a ground-truth scan.
+#[test]
+fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
+    let w = world("regrid-groups");
+    let (index, cfg) = seed_with_deltas(&w, 2);
+    let stale = Arc::new(
+        DgfIndex::open(
+            Arc::clone(&w.ctx),
+            Arc::clone(&w.base),
+            Arc::clone(&w.inner),
+            INDEX,
+            aggs(),
+        )
+        .unwrap(),
+    );
+    let q = Query::GroupBy {
+        key: "ts".into(),
+        aggs: aggs(),
+        predicate: Predicate::all().and(
+            "user_id",
+            ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
+        ),
+    };
+    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
+    let agrees = |handle: &Arc<DgfIndex>, label: &str| {
+        let truth = scan.run(&q).unwrap().result;
+        let got = DgfEngine::new(Arc::clone(handle)).run(&q).unwrap().result;
+        assert_eq!(
+            truth.clone().into_groups().len() as u64,
+            cfg.days,
+            "{label}"
+        );
+        assert!(got.approx_eq(&truth, 1e-9), "{label}: {got:?} vs {truth:?}");
+    };
+
+    let plan = stale.plan(&q, true).unwrap();
+    assert!(plan.inner_records > 0, "one-day cells answered no group");
+    agrees(&stale, "one-day cells");
+
+    let mut dims = grid(&cfg).dims().to_vec();
+    dims[1] = DimPolicy::date("ts", cfg.start_day, 2);
+    Maintainer::new(Arc::clone(&index), MaintenanceConfig::default())
+        .regrid_to(SplittingPolicy::new(dims).unwrap())
+        .unwrap();
+    assert_eq!(
+        stale.policy().dims()[1].scale,
+        DimScale::Int {
+            min: cfg.start_day,
+            interval: 1
+        },
+        "the stale handle was meant to keep the one-day policy"
+    );
+    for (handle, label) in [(&index, "regridding handle"), (&stale, "stale handle")] {
+        let plan = handle.plan(&q, true).unwrap();
+        assert_eq!(
+            plan.inner_records, 0,
+            "{label}: two-day cells answered a group"
+        );
+        assert!(plan.inner_states.is_none(), "{label}");
+        agrees(handle, label);
+    }
+}
+
 /// What a split or merge of a grid file must keep (Joshi et al., *Using
 /// Grid Files for a Relational DBMS*, PAPERS.md), read back from the
 /// store after a regrid: every directory entry lies inside the recorded

@@ -10,7 +10,7 @@ use dgfindex::workload::tpch::{
     generate_lineitem, lineitem_schema, q6, q6_revenue_agg, ship_min_day, TpchConfig,
 };
 use dgfindex::workload::{
-    aggregation_query, generate_meter_data, meter_schema, MeterConfig, Selectivity,
+    aggregation_query, generate_meter_data, group_by_query, meter_schema, MeterConfig, Selectivity,
 };
 
 struct MeterWorld {
@@ -163,6 +163,37 @@ fn dgf_records_read_is_nearly_selectivity_independent() {
     }
     // DGF growth from 5% to 30% is sublinear vs the 6x selectivity growth.
     assert!(dgf_reads[2] < dgf_reads[0] * 6);
+}
+
+/// Table 4's shape, with the header answer beside the paper's: without
+/// pre-computation DGF reads every query-related Slice (the paper's
+/// GROUP BY, slightly above accurate), with it each day's inner cells
+/// come from headers and only the boundary is read; Compact reads whole
+/// chosen splits. All three answer alike.
+#[test]
+fn group_by_reads_least_with_headers_then_without_then_compact() {
+    let w = meter_world();
+    for sel in [Selectivity::Frac(0.05), Selectivity::Frac(0.12)] {
+        let q = group_by_query(&w.cfg, sel);
+        let full = DgfEngine::new(Arc::clone(&w.dgf)).run(&q).unwrap();
+        let nopre = DgfEngine::new(Arc::clone(&w.dgf))
+            .without_precompute()
+            .run(&q)
+            .unwrap();
+        let compact = CompactEngine::new(Arc::clone(&w.compact)).run(&q).unwrap();
+        assert!(full.result.approx_eq(&nopre.result, 1e-6));
+        assert!(full.result.approx_eq(&compact.result, 1e-6));
+        let (f, n, c) = (
+            full.stats.data_records_read,
+            nopre.stats.data_records_read,
+            compact.stats.data_records_read,
+        );
+        assert!(
+            f < n && n < c,
+            "{}: full {f}, noprecompute {n}, compact {c}",
+            sel.label()
+        );
+    }
 }
 
 /// §5.4's shape: evenly scattered dimension values defeat split-granular

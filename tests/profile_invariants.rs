@@ -341,20 +341,28 @@ fn slice_read_cost(hdfs: &Arc<SimHdfs>, inputs: &[dgfindex::hive::ScanInput]) ->
     cost
 }
 
-#[test]
-fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
-    use dgfindex::core::SlicePlacement;
-    // Meter-shaped data over an RCFile DGF index: a user lives in one
-    // region and reports twice a day. Powers are multiples of 1/4, so a
-    // sum is exact in any row order and the reorganized table must give
-    // the base table's bits.
+/// Meter-shaped data over an RCFile DGF index: a user lives in one
+/// region and reports twice a day. Powers are multiples of 1/4, so a
+/// sum is exact in any row order and the reorganized table must give
+/// the base table's bits. The grid cuts 10 users, 1 region and 1 day.
+struct Series {
+    _tmp: TempDir,
+    hdfs: Arc<SimHdfs>,
+    ctx: Arc<HiveContext>,
+    table: TableRef,
+    idx: Arc<DgfIndex>,
+}
+
+const SERIES_USERS: i64 = 60;
+
+fn series(placement: dgfindex::core::SlicePlacement) -> Series {
     let schema = Arc::new(Schema::from_pairs(&[
         ("user_id", ValueType::Int),
         ("region", ValueType::Int),
         ("day", ValueType::Int),
         ("power", ValueType::Float),
     ]));
-    let rows: Vec<Row> = (0..60i64)
+    let rows: Vec<Row> = (0..SERIES_USERS)
         .flat_map(|user| (0..30i64).flat_map(move |day| (0..2i64).map(move |k| (user, day, k))))
         .map(|(user, day, k)| {
             vec![
@@ -365,17 +373,63 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             ]
         })
         .collect();
-    let user_rows: Vec<Row> = (0..60i64)
+    let tmp = TempDir::new("profile-runs").unwrap();
+    let hdfs = SimHdfs::new(
+        tmp.path(),
+        HdfsConfig {
+            block_size: 64 * 1024,
+            replication: 1,
+        },
+    )
+    .unwrap();
+    let ctx = HiveContext::new(hdfs.clone(), MrEngine::new(3));
+    let table = ctx
+        .create_table("meter_rc", schema, FileFormat::RcFile)
+        .unwrap();
+    ctx.load_rows(&table, &rows, 3).unwrap();
+    let policy = SplittingPolicy::new(vec![
+        DimPolicy::int("user_id", 0, 10),
+        DimPolicy::int("region", 0, 1),
+        DimPolicy::int("day", 0, 1),
+    ])
+    .unwrap();
+    let (idx, _) = DgfIndex::build_with_options(
+        Arc::clone(&ctx),
+        Arc::clone(&table),
+        policy,
+        vec![AggFunc::Count, AggFunc::Sum("power".into())],
+        Arc::new(MemKvStore::new()),
+        "dgf_runs",
+        IndexOptions {
+            placement,
+            ..IndexOptions::default()
+        },
+    )
+    .unwrap();
+    Series {
+        _tmp: tmp,
+        hdfs,
+        ctx,
+        table,
+        idx: Arc::new(idx),
+    }
+}
+
+#[test]
+fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
+    use dgfindex::core::SlicePlacement;
+    let user_rows: Vec<Row> = (0..SERIES_USERS)
         .map(|u| vec![Value::Int(u), Value::Str(format!("user-{u}"))])
         .collect();
     // One (user cell, region) prefix over ten days: ten GFUs that are
-    // neighbours in key order.
+    // neighbours in key order. Grouped on a column the grid does not cut
+    // on, so the headers cannot answer and every Slice is read.
     let one_prefix = Predicate::all()
         .and("user_id", ColumnRange::half_open(Value::Int(10), Value::Int(20)))
         .and("region", ColumnRange::eq(Value::Int(2)))
         .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15)));
     let group_by = Query::GroupBy {
-        key: "region".into(),
+        key: "power".into(),
         aggs: vec![AggFunc::Count, AggFunc::Sum("power".into())],
         predicate: one_prefix,
     };
@@ -394,20 +448,13 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
         SlicePlacement::KeyHash,
         SlicePlacement::PrefixLocality { prefix_dims: 2 },
     ] {
-        let tmp = TempDir::new("profile-runs").unwrap();
-        let hdfs = SimHdfs::new(
-            tmp.path(),
-            HdfsConfig {
-                block_size: 64 * 1024,
-                replication: 1,
-            },
-        )
-        .unwrap();
-        let ctx = HiveContext::new(hdfs.clone(), MrEngine::new(3));
-        let table = ctx
-            .create_table("meter_rc", schema.clone(), FileFormat::RcFile)
-            .unwrap();
-        ctx.load_rows(&table, &rows, 3).unwrap();
+        let Series {
+            _tmp,
+            hdfs,
+            ctx,
+            table,
+            idx,
+        } = series(placement);
         let users = ctx
             .create_table(
                 "users",
@@ -419,26 +466,6 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             )
             .unwrap();
         ctx.load_rows(&users, &user_rows, 1).unwrap();
-        let policy = SplittingPolicy::new(vec![
-            DimPolicy::int("user_id", 0, 10),
-            DimPolicy::int("region", 0, 1),
-            DimPolicy::int("day", 0, 1),
-        ])
-        .unwrap();
-        let (idx, _) = DgfIndex::build_with_options(
-            Arc::clone(&ctx),
-            Arc::clone(&table),
-            policy,
-            vec![AggFunc::Count, AggFunc::Sum("power".into())],
-            Arc::new(MemKvStore::new()),
-            "dgf_runs",
-            IndexOptions {
-                placement,
-                ..IndexOptions::default()
-            },
-        )
-        .unwrap();
-        let idx = Arc::new(idx);
 
         // What the JOIN pays for its dimension table, on its own.
         let before = hdfs.stats().snapshot();
@@ -489,10 +516,12 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             for got in [sink.finish().normalized(), served.result.normalized()] {
                 assert_eq!(got, oracle, "{label}");
                 if let (QueryResult::Groups(g), QueryResult::Groups(o)) = (&got, &oracle) {
-                    assert_eq!(g.len(), 1);
-                    for (a, b) in g[0].1.iter().zip(&o[0].1) {
-                        if let (Value::Float(a), Value::Float(b)) = (a, b) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+                    assert!(g.len() > 1);
+                    for ((_, a), (_, b)) in g.iter().zip(o) {
+                        for (a, b) in a.iter().zip(b) {
+                            if let (Value::Float(a), Value::Float(b)) = (a, b) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+                            }
                         }
                     }
                 }
@@ -531,6 +560,68 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
         hashed.iter().sum::<u64>() > local.iter().sum::<u64>(),
         "key hash {hashed:?} vs prefix locality {local:?}"
     );
+}
+
+/// GROUP BY a one-value-cell dimension reads what the plain aggregate
+/// over the same box reads: its inner cells are answered from headers,
+/// one partial per day, so the two plans name the same boundary cells,
+/// the same inputs and the same inner records, and their scans read the
+/// same bytes. The groups are the scan's.
+#[test]
+fn group_by_a_unit_dimension_reads_what_the_plain_aggregate_reads() {
+    let Series {
+        _tmp,
+        hdfs,
+        ctx,
+        table,
+        idx,
+    } = series(dgfindex::core::SlicePlacement::KeyHash);
+    // Misaligned on users (boundary user cells 0 and 3), aligned on days:
+    // eighteen days of inner cells, every region.
+    let predicate = Predicate::all()
+        .and(
+            "user_id",
+            ColumnRange::half_open(Value::Int(5), Value::Int(37)),
+        )
+        .and("day", ColumnRange::half_open(Value::Int(3), Value::Int(21)));
+    let aggs = vec![AggFunc::Count, AggFunc::Sum("power".into())];
+    let group_by = Query::GroupBy {
+        key: "day".into(),
+        aggs: aggs.clone(),
+        predicate: predicate.clone(),
+    };
+    let plain = Query::Aggregate { aggs, predicate };
+
+    let grouped = idx.plan(&group_by, true).unwrap();
+    let flat = idx.plan(&plain, true).unwrap();
+    assert!(grouped.inner_records > 0 && grouped.boundary_gfus > 0);
+    assert_eq!(grouped.boundary_gfus, flat.boundary_gfus);
+    assert_eq!(grouped.inner_records, flat.inner_records);
+    assert_eq!(grouped.inputs, flat.inputs);
+    assert_eq!(grouped.pyramid_nodes, 0);
+    let Some(dgfindex::query::AggPartials::Groups(days)) = &grouped.inner_states else {
+        panic!("GROUP BY day planned without group partials");
+    };
+    assert_eq!(days.len(), 18);
+
+    let bytes_read = |q: &Query| {
+        let before = hdfs.stats().snapshot();
+        let run = DgfEngine::new(Arc::clone(&idx)).run(q).unwrap();
+        let io = hdfs.stats().snapshot().since(&before);
+        assert_eq!(io.bytes_read, run.stats.data_bytes_read);
+        (io.bytes_read, run.result)
+    };
+    let (grouped_bytes, groups) = bytes_read(&group_by);
+    let (flat_bytes, _) = bytes_read(&plain);
+    assert!(grouped_bytes > 0);
+    assert_eq!(grouped_bytes, flat_bytes);
+
+    let truth = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&table))
+        .run(&group_by)
+        .unwrap()
+        .result;
+    assert_eq!(truth.clone().into_groups().len(), 18);
+    assert!(groups.approx_eq(&truth, 1e-6), "{groups:?} vs {truth:?}");
 }
 
 #[test]

@@ -57,7 +57,8 @@ fn fine_grid(cfg: &MeterConfig) -> SplittingPolicy {
 
 /// The query mix: a full COUNT, a wide range aggregate whose inner
 /// region dwarfs its boundary, a misaligned narrow range, and a GROUP
-/// BY (headers unusable — exercises the wholesale degrade).
+/// BY a grid dimension (header-answered per group on the unit grid,
+/// degraded to a scan on a coarser one; run scans under both strategies).
 fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let wide = Predicate::all()
         .and(
@@ -259,10 +260,31 @@ fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
         plan.inner_gfus + plan.boundary_gfus
     );
 
-    // Headers unusable (GROUP BY): the plan degrades to run scans.
+    // GROUP BY a one-value-cell dimension: the headers answer each
+    // group's inner cells, and the plan takes the run scans under either
+    // strategy — a one-cell-wide slab has no node above level 0 — so the
+    // default is the flat reference by construction (the bit check above
+    // covers every group).
     let group_by = index.plan(&mix[3], true).unwrap();
+    let flat_group_by = index
+        .plan_with_strategy(&mix[3], true, PlanStrategy::PrefixScan)
+        .unwrap();
+    assert!(
+        group_by.inner_records > 0,
+        "GROUP BY user_id read no header"
+    );
     assert_eq!(group_by.pyramid_nodes, 0, "GROUP BY claimed pyramid reads");
-    assert_eq!(group_by.inner_gfus, 0);
+    assert_eq!(group_by.inner_gfus, flat_group_by.inner_gfus);
+    assert_eq!(group_by.inputs, flat_group_by.inputs);
+    assert_eq!(group_by.inner_states, flat_group_by.inner_states);
+    let Some(dgfindex::query::AggPartials::Groups(groups)) = &group_by.inner_states else {
+        panic!("GROUP BY planned without group partials");
+    };
+    assert_eq!(
+        groups.len() as u64,
+        cfg.users - 2,
+        "one group per inner user"
+    );
 }
 
 /// An aggregate whose range lies strictly inside one cell on a

@@ -72,8 +72,9 @@ fn grid(cfg: &MeterConfig) -> SplittingPolicy {
 
 /// The query mix (same shape as `concurrent_reads.rs`): a full COUNT, a
 /// misaligned range aggregate that mixes boundary Slices with inner
-/// headers, and a GROUP BY. Between them they exercise every fetch the
-/// coordinator can scatter.
+/// headers, a GROUP BY that scans, and a GROUP BY `ts` whose inner cells
+/// the headers answer per day. Between them they exercise every fetch
+/// the coordinator can scatter.
 fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let range = Predicate::all()
         .and(
@@ -100,6 +101,14 @@ fn queries(cfg: &MeterConfig) -> Vec<Query> {
             key: "user_id".into(),
             aggs: aggs(),
             predicate: range,
+        },
+        Query::GroupBy {
+            key: "ts".into(),
+            aggs: aggs(),
+            predicate: Predicate::all().and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
+            ),
         },
     ]
 }
