@@ -4,7 +4,9 @@
 //!
 //! * A length-prefixed little-endian **frame codec** (the `put_*`
 //!   writers and [`Decoder`]) used for row-group files, key-value store
-//!   logs, and persisted index metadata.
+//!   logs, and persisted index metadata. Its LEB128 varints
+//!   ([`put_varint`], [`Decoder::varint`]) carry the small integers of
+//!   GFU values: record counts, slice lists, file ids and offsets.
 //! * An **order-preserving key codec** used for grid-file unit keys so the
 //!   key-value store can range-scan cells in coordinate order (`encode_key_i64`
 //!   encodes sign-flipped big-endian).
@@ -45,6 +47,17 @@ pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, v: &str) {
     put_bytes(buf, v.as_bytes());
+}
+
+/// Append an unsigned LEB128 varint: seven bits a byte, least
+/// significant group first, the high bit set on every byte but the last.
+/// Values below 128 take one byte, `u64::MAX` takes ten.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// A cursor over an encoded frame, returning typed reads with bounds checks.
@@ -108,19 +121,56 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read a varint written by [`put_varint`]. Only the shortest
+    /// encoding of a value is accepted: a truncated varint, one longer
+    /// than ten bytes, one whose bits overflow `u64` and one with a
+    /// redundant zero final byte are all `Corrupt`, so every value has
+    /// exactly one encoding.
+    pub fn varint(&mut self) -> Result<u64> {
+        let start = self.pos;
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            let bits = (b & 0x7F) as u64;
+            if bits << shift >> shift != bits {
+                break;
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    break;
+                }
+                return Ok(v);
+            }
+        }
+        Err(DgfError::Corrupt(format!(
+            "overlong varint at offset {start}"
+        )))
+    }
+
     /// Read the `u32` entry count of a list whose entries each encode to
     /// at least `min_entry_bytes`. A count the remaining bytes cannot
     /// hold is corruption, never an allocation request: decoders size
     /// their `Vec` from the returned value.
     pub fn count(&mut self, min_entry_bytes: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() / min_entry_bytes.max(1) {
+        let n = self.u32()? as u64;
+        self.check_count(n, min_entry_bytes)
+    }
+
+    /// [`count`](Self::count) for a list whose count is a varint.
+    pub fn varint_count(&mut self, min_entry_bytes: usize) -> Result<usize> {
+        let n = self.varint()?;
+        self.check_count(n, min_entry_bytes)
+    }
+
+    fn check_count(&self, n: u64, min_entry_bytes: usize) -> Result<usize> {
+        if n > (self.remaining() / min_entry_bytes.max(1)) as u64 {
             return Err(DgfError::Corrupt(format!(
                 "frame claims {n} entries of at least {min_entry_bytes} bytes in {} bytes",
                 self.remaining()
             )));
         }
-        Ok(n)
+        Ok(n as usize)
     }
 
     /// Read a length-prefixed byte string.
@@ -253,6 +303,55 @@ mod tests {
         buf.extend_from_slice(&[0; 16]);
         assert_eq!(Decoder::new(&buf).count(8).unwrap(), 2);
         assert!(Decoder::new(&buf).count(9).is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut samples = vec![0, 1, 127, 128, 300, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        samples.extend((0..64).map(|b| 1u64 << b));
+        for v in samples {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(
+                buf.len(),
+                (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            let mut d = Decoder::new(&buf);
+            assert_eq!(d.varint().unwrap(), v);
+            assert_eq!(d.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_corrupt() {
+        let corrupt = |bytes: &[u8]| {
+            assert!(
+                matches!(Decoder::new(bytes).varint(), Err(DgfError::Corrupt(_))),
+                "{bytes:02x?}"
+            )
+        };
+        corrupt(&[]);
+        corrupt(&[0x80]); // truncated
+        corrupt(&[0xFF; 9]); // truncated after nine bytes
+        corrupt(&[0x80, 0x00]); // zero with a redundant byte
+        corrupt(&[0xFF, 0x00]); // 127 with a redundant byte
+        corrupt(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02]); // 2^64
+        corrupt(&[0x80; 11]); // longer than any u64
+                              // Ten bytes is the widest legal varint: `u64::MAX`.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(Decoder::new(&max).varint().unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn varint_counts_the_frame_cannot_hold_are_rejected() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 3);
+        buf.extend_from_slice(&[0; 6]);
+        assert_eq!(Decoder::new(&buf).varint_count(2).unwrap(), 3);
+        assert!(Decoder::new(&buf).varint_count(3).is_err());
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u64::MAX);
+        assert!(Decoder::new(&huge).varint_count(1).is_err());
     }
 
     #[test]

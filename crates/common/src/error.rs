@@ -75,6 +75,25 @@ impl From<io::Error> for DgfError {
 /// Workspace-wide result alias.
 pub type Result<T> = std::result::Result<T, DgfError>;
 
+/// Run every job on its own scoped thread and join them all. A job that
+/// panicked becomes [`DgfError::Job`] naming `what` once every other
+/// job has finished — never an unwind through the caller.
+pub fn run_scoped<F: FnOnce() + Send>(what: &str, jobs: impl IntoIterator<Item = F>) -> Result<()> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| s.spawn(job)).collect();
+        // Join each handle: a joined panic is a value here, where an
+        // unjoined one would re-panic as the scope closes.
+        let mut panicked = false;
+        for h in handles {
+            panicked |= h.join().is_err();
+        }
+        if panicked {
+            return Err(DgfError::Job(format!("{what} panicked")));
+        }
+        Ok(())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,6 +104,33 @@ mod tests {
         assert_eq!(e.to_string(), "corrupt data: bad magic");
         let e = DgfError::Schema("no such column".into());
         assert!(e.to_string().contains("schema"));
+    }
+
+    #[test]
+    fn scoped_jobs_all_run_and_a_panic_is_an_error() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let ran = AtomicU64::new(0);
+        let job = || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        run_scoped("job", (0..4).map(|_| &job)).unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(|| panic!("boom")),
+            Box::new(|| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }),
+        ];
+        let err = run_scoped("a worker", jobs).unwrap_err();
+        assert!(
+            matches!(&err, DgfError::Job(m) if m == "a worker panicked"),
+            "{err}"
+        );
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            5,
+            "the other job still ran to the end"
+        );
     }
 
     #[test]

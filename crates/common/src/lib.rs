@@ -47,7 +47,7 @@ pub mod tempdir;
 pub mod value;
 
 pub use batch::{Column, ColumnBatch, ColumnData, NullMask, Selection};
-pub use error::{DgfError, Result};
+pub use error::{run_scoped, DgfError, Result};
 pub use fault::{FaultConfig, FaultPlan, RetryPolicy, TransientFault};
 pub use obs::{MetricsRegistry, ProfileNode, Profiler, QueryProfile, SpanGuard, TraceFilter};
 pub use schema::{format_row, parse_row, Field, Row, Schema, SchemaRef, FIELD_DELIM};

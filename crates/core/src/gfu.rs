@@ -6,8 +6,9 @@
 //! range scans work). Its value is the **header** (pre-computed additive
 //! aggregate states) plus the **locations of its Slices** — contiguous
 //! byte ranges of reorganized data files holding exactly this cell's
-//! records. A freshly built index has one slice per GFU; incremental
-//! appends (paper §4.2, time-extension) add more.
+//! records, each named by the [`FileId`] of its data file. A freshly
+//! built index has one slice per GFU; incremental appends (paper §4.2,
+//! time-extension) add more.
 
 use dgf_common::codec::{self, Decoder};
 use dgf_common::{DgfError, Result};
@@ -80,16 +81,57 @@ impl GfuKey {
     }
 }
 
+/// Identity of one Slice data file. Every file a writer creates is named
+/// `part-r-{generation:05}-{part:05}`: the transaction's generation and
+/// the reducer (or, for a compaction, 0) that wrote it. Generations are
+/// strictly monotonic, so an id is never reused; [`FileId::path`] is the
+/// one place an id becomes a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FileId {
+    /// Generation of the transaction that wrote the file.
+    pub generation: u64,
+    /// Writer of the file within that transaction.
+    pub part: u32,
+}
+
+impl FileId {
+    /// Construct a file id.
+    pub fn new(generation: u64, part: u32) -> FileId {
+        FileId { generation, part }
+    }
+
+    /// The file's path under directory `dir` (the data directory, or a
+    /// transaction's staging directory before publication).
+    pub fn path(self, dir: &str) -> String {
+        format!("{dir}/part-r-{:05}-{:05}", self.generation, self.part)
+    }
+
+    /// Append the id as two varints: generation, then part.
+    pub(crate) fn encode(self, buf: &mut Vec<u8>) {
+        codec::put_varint(buf, self.generation);
+        codec::put_varint(buf, self.part as u64);
+    }
+
+    /// Read an id written by [`encode`](Self::encode).
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<FileId> {
+        let generation = dec.varint()?;
+        let part = u32::try_from(dec.varint()?)
+            .map_err(|_| DgfError::Corrupt("file id part overflows u32".into()))?;
+        Ok(FileId { generation, part })
+    }
+}
+
 /// Location of one Slice: a half-open byte range of a data file.
 ///
-/// The paper's Figure 6 records inclusive `[start, end]` where `end` is
-/// the offset of the slice's last record; this codebase uses half-open
-/// `[start, end)` byte ranges, which compose directly with split clipping
-/// (see `DESIGN.md` §5).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The paper's Figure 6 records the file and an inclusive `[start, end]`
+/// where `end` is the offset of the slice's last record; this codebase
+/// names the file by [`FileId`] and uses half-open `[start, end)` byte
+/// ranges, which compose directly with split clipping (see `DESIGN.md`
+/// §5). Stored as `start` and the length `end - start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceLoc {
-    /// Data file path.
-    pub file: String,
+    /// Data file.
+    pub file: FileId,
     /// First byte.
     pub start: u64,
     /// One past the last byte.
@@ -98,12 +140,8 @@ pub struct SliceLoc {
 
 impl SliceLoc {
     /// Construct a slice location.
-    pub fn new(file: impl Into<String>, start: u64, end: u64) -> SliceLoc {
-        SliceLoc {
-            file: file.into(),
-            start,
-            end,
-        }
+    pub fn new(file: FileId, start: u64, end: u64) -> SliceLoc {
+        SliceLoc { file, start, end }
     }
 
     /// Length in bytes.
@@ -117,7 +155,8 @@ impl SliceLoc {
     }
 }
 
-/// The value stored per GFU.
+/// The value stored per GFU, and per pyramid node (which carries no
+/// slice).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GfuValue {
     /// Encoded aggregate states (see `dgf_query::AggSet::encode_states`)
@@ -131,33 +170,40 @@ pub struct GfuValue {
 }
 
 impl GfuValue {
-    /// Serialize.
+    /// Serialize: the length-prefixed header, then varints — the record
+    /// count, the slice count, and per slice the file id's generation
+    /// and part, the start offset and the length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(4 + self.header.len() + 2 + 8 * self.slices.len());
         codec::put_bytes(&mut buf, &self.header);
-        codec::put_u64(&mut buf, self.record_count);
-        codec::put_u32(&mut buf, self.slices.len() as u32);
+        codec::put_varint(&mut buf, self.record_count);
+        codec::put_varint(&mut buf, self.slices.len() as u64);
         for s in &self.slices {
-            codec::put_str(&mut buf, &s.file);
-            codec::put_u64(&mut buf, s.start);
-            codec::put_u64(&mut buf, s.end);
+            s.file.encode(&mut buf);
+            codec::put_varint(&mut buf, s.start);
+            codec::put_varint(&mut buf, s.len());
         }
         buf
     }
 
-    /// Deserialize.
+    /// Deserialize; anything but the one layout is `Corrupt`.
     pub fn decode(bytes: &[u8]) -> Result<GfuValue> {
         let mut dec = Decoder::new(bytes);
         let header = dec.bytes()?.to_vec();
-        let record_count = dec.u64()?;
-        // Per slice: a path length prefix and two offsets.
-        let n = dec.count(20)?;
+        let record_count = dec.varint()?;
+        // Per slice: four varints of at least one byte each.
+        let n = dec.varint_count(4)?;
         let mut slices = Vec::with_capacity(n);
         for _ in 0..n {
-            let file = dec.str()?.to_owned();
-            let start = dec.u64()?;
-            let end = dec.u64()?;
+            let file = FileId::decode(&mut dec)?;
+            let start = dec.varint()?;
+            let end = start
+                .checked_add(dec.varint()?)
+                .ok_or_else(|| DgfError::Corrupt("slice end overflows u64".into()))?;
             slices.push(SliceLoc { file, start, end });
+        }
+        if dec.remaining() != 0 {
+            return Err(DgfError::Corrupt("GFU value has trailing bytes".into()));
         }
         Ok(GfuValue {
             header,
@@ -269,12 +315,72 @@ mod tests {
         let v = GfuValue {
             header: vec![1, 2, 3],
             slices: vec![
-                SliceLoc::new("/idx/part-r-0", 0, 90),
-                SliceLoc::new("/idx/part-r-1", 1000, 1450),
+                SliceLoc::new(FileId::new(3, 0), 0, 90),
+                SliceLoc::new(FileId::new(41, 7), 1000, 1450),
+                SliceLoc::new(FileId::new(u64::MAX, u32::MAX), u64::MAX - 1, u64::MAX),
             ],
             record_count: 60,
         };
         assert_eq!(GfuValue::decode(&v.encode()).unwrap(), v);
+    }
+
+    /// A freshly built cell with one pre-computed `SUM`: its 29-byte
+    /// header (state count, tag, sum, compensation, non-null count)
+    /// behind a length prefix, then one byte each for the record count,
+    /// the slice count, the generation and the part, and two each for
+    /// the start offset and the length.
+    #[test]
+    fn one_slice_one_sum_value_is_forty_one_bytes() {
+        let states = dgf_query::AggSet::encode_states(&[dgf_query::AggState::Sum {
+            sum: 1.5,
+            comp: 0.0,
+            non_null: 29,
+        }]);
+        let v = GfuValue {
+            header: states,
+            slices: vec![SliceLoc::new(FileId::new(1, 3), 4096, 4096 + 200)],
+            record_count: 29,
+        };
+        assert_eq!(v.header.len(), 29);
+        assert_eq!(v.encode().len(), 41);
+        assert_eq!(GfuValue::decode(&v.encode()).unwrap(), v);
+        // A pyramid node or tombstone: the header and two bytes.
+        let node = GfuValue { slices: Vec::new(), ..v };
+        assert_eq!(node.encode().len(), 4 + 29 + 2);
+    }
+
+    #[test]
+    fn file_ids_name_their_files() {
+        assert_eq!(FileId::new(12, 3).path("/w/data"), "/w/data/part-r-00012-00003");
+        // Id order is name order wherever both fit five digits.
+        assert!(FileId::new(9, 99) < FileId::new(10, 0));
+        assert!(FileId::new(9, 99).path("") < FileId::new(10, 0).path(""));
+    }
+
+    #[test]
+    fn malformed_values_are_corrupt() {
+        let v = GfuValue {
+            header: vec![9],
+            slices: vec![SliceLoc::new(FileId::new(2, 1), 10, 20)],
+            record_count: 4,
+        };
+        let enc = v.encode();
+        let corrupt = |bytes: &[u8]| {
+            assert!(matches!(GfuValue::decode(bytes), Err(DgfError::Corrupt(_))), "{bytes:02x?}")
+        };
+        for cut in 0..enc.len() {
+            corrupt(&enc[..cut]);
+        }
+        corrupt(&[&enc[..], &[0]].concat());
+        // A part beyond u32, and a length that runs past u64::MAX.
+        let mut big_part = enc[..enc.len() - 4].to_vec();
+        codec::put_varint(&mut big_part, 1 << 32);
+        big_part.extend_from_slice(&[10, 10]);
+        corrupt(&big_part);
+        let mut past_end = enc[..enc.len() - 2].to_vec();
+        codec::put_varint(&mut past_end, u64::MAX);
+        codec::put_varint(&mut past_end, 1);
+        corrupt(&past_end);
     }
 
     #[test]
@@ -304,9 +410,10 @@ mod tests {
 
     #[test]
     fn slice_len() {
-        let s = SliceLoc::new("/f", 10, 25);
+        let f = FileId::new(1, 0);
+        let s = SliceLoc::new(f, 10, 25);
         assert_eq!(s.len(), 15);
         assert!(!s.is_empty());
-        assert!(SliceLoc::new("/f", 5, 5).is_empty());
+        assert!(SliceLoc::new(f, 5, 5).is_empty());
     }
 }

@@ -86,7 +86,7 @@ pub use advisor::{
 pub use cache::{CacheCounters, CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 pub use engine::DgfEngine;
 pub use fresh::{FreshCell, FreshSource};
-pub use gfu::{Extents, GfuKey, GfuValue, SliceLoc};
+pub use gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc};
 pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions, SlicePlacement};
 pub use maintain::{
     MaintainSnapshot, MaintainStats, MaintenanceConfig, MaintenanceReport, Maintainer,
@@ -747,6 +747,10 @@ mod tests {
         };
         let (a, _) = build_rc(&ctx, &tab, "dgf_det_a");
         let (b, _) = build_rc(&ctx, &tab, "dgf_det_b");
+        // The whole store — `g:` cells, `p:` nodes, `m:view` — to the
+        // byte.
+        assert_eq!(a.kv.logical_size_bytes(), 3_342);
+        assert_eq!(b.kv.logical_size_bytes(), 3_342);
         let files = files_of(&a);
         assert!(files.keys().any(|name| dgf_format::is_sidecar_path(name)));
         assert!(files.len() >= 4, "one reducer: nothing to reorder");
@@ -777,17 +781,14 @@ mod tests {
         assert!(report.index_entries > 0);
         let idx = Arc::new(idx);
 
-        // Slices are group-aligned: every slice boundary is a group offset.
-        // The data directory also holds `.scx` sidecars, which are index
-        // (not RCFile data) and have no group structure to check.
-        for (path, _) in ctx.hdfs.list_files(&idx.data.location) {
-            if dgf_format::is_sidecar_path(&path) {
-                continue;
-            }
+        // Slices are group-aligned: every slice boundary is a group offset
+        // of the data file the view lists under the slice's file id.
+        let gfus = all_gfus(idx.kv.as_ref(), 2).unwrap();
+        for (id, _) in idx.pin_view().unwrap().data_files {
+            let path = id.path(&idx.data.location);
             let offsets = dgf_format::read_group_offsets(&ctx.hdfs, &path).unwrap();
-            let gfus = all_gfus(idx.kv.as_ref(), 2).unwrap();
             for (_, v) in &gfus {
-                for s in v.slices.iter().filter(|s| s.file == path) {
+                for s in v.slices.iter().filter(|s| s.file == id) {
                     assert!(
                         offsets.contains(&s.start),
                         "slice start {} is not a group offset in {path}",

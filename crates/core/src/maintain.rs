@@ -35,7 +35,7 @@
 //! the published [`ReadView`](crate::view::ReadView) so a pinned reader
 //! can never pair one epoch's extents with another's cell geometry.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use dgf_common::obs::{names, SpanGuard};
@@ -43,7 +43,7 @@ use dgf_common::{counter_block, format_row, DgfError, Result};
 use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
 use dgf_hive::{open_input, read_footers, ScanInput};
 
-use crate::gfu::{GfuValue, GFU_PREFIX, META_GC_KEY};
+use crate::gfu::{FileId, GfuValue, SliceLoc, GFU_PREFIX, META_GC_KEY};
 use crate::index::DgfIndex;
 use crate::advisor::{self, AdvisorConfig};
 use crate::policy::SplittingPolicy;
@@ -260,20 +260,20 @@ impl Maintainer {
         // or lower if other files are fully absorbed) is within budget.
         let k = files.len() - budget + 1;
         let mut by_size = files.clone();
-        by_size.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let selected: HashSet<String> = by_size.iter().take(k).map(|(p, _)| p.clone()).collect();
+        by_size.sort_by_key(|(id, len)| (*len, *id));
+        let selected: HashSet<FileId> = by_size.iter().take(k).map(|(id, _)| *id).collect();
 
         // Affected = every GFU with at least one slice in a selected
         // file. The KV prefix scan is key-ordered, so the rewrite lays
         // affected cells out in grid order.
         let mut affected: Vec<(Vec<u8>, GfuValue)> = Vec::new();
-        let mut still_read: HashSet<String> = HashSet::new();
+        let mut still_read: HashSet<FileId> = HashSet::new();
         for (k, v) in index.kv_scan_prefix(GFU_PREFIX)? {
             let value = GfuValue::decode(&v)?;
             if value.slices.iter().any(|s| selected.contains(&s.file)) {
                 affected.push((k, value));
             } else {
-                still_read.extend(value.slices.into_iter().map(|s| s.file));
+                still_read.extend(value.slices.iter().map(|s| s.file));
             }
         }
         if affected.is_empty() {
@@ -282,31 +282,28 @@ impl Maintainer {
         // A file is retired when every GFU referencing it is being
         // rewritten (its remaining bytes serve no live slice). Selected
         // files are always retired; others may be absorbed for free.
-        let rewritten: HashSet<&String> = affected
+        let rewritten: HashSet<FileId> = affected
             .iter()
-            .flat_map(|(_, v)| v.slices.iter().map(|s| &s.file))
+            .flat_map(|(_, v)| v.slices.iter().map(|s| s.file))
             .collect();
-        let retired: Vec<String> = files
+        let retired: Vec<FileId> = files
             .iter()
-            .map(|(p, _)| p)
-            .filter(|p| rewritten.contains(p) && !still_read.contains(*p))
-            .cloned()
+            .map(|(id, _)| *id)
+            .filter(|id| rewritten.contains(id) && !still_read.contains(id))
             .collect();
 
         // Rewrite ALL slices of each affected GFU, in stored slice order,
         // into one staged file: each GFU ends up with a single contiguous
         // slice holding exactly its old rows in their old order.
         let format = index.data.format;
+        let data_loc = &index.data.location;
+        let paths: HashMap<FileId, String> =
+            rewritten.iter().map(|id| (*id, id.path(data_loc))).collect();
         // A cell's slice is a few groups of a file whose footer lists
         // thousands: each file's footer is read once for all its slices.
-        let footers = read_footers(
-            &index.ctx,
-            &index.data,
-            rewritten.iter().map(|file| file.as_str()),
-        )?;
-        let name = format!("part-r-{:05}-00000", txn.gen());
-        let path = format!("{}/{name}", txn.staging_dir());
-        let final_path = format!("{}/{name}", index.data.location);
+        let footers = read_footers(&index.ctx, &index.data, paths.values().map(String::as_str))?;
+        let file = FileId::new(txn.gen(), 0);
+        let path = file.path(txn.staging_dir());
         let mut w = SliceWriter::create(&index.ctx.hdfs, &path, &index.data, format)?;
         for (key, value) in &affected {
             let start = w.offset();
@@ -315,13 +312,14 @@ impl Maintainer {
                     continue;
                 }
                 let range = ByteRange::new(slice.start, slice.end);
+                let path = paths[&slice.file].clone();
                 let input = match format {
                     FileFormat::Text => ScanInput::TextRanges {
-                        path: slice.file.clone(),
+                        path,
                         ranges: vec![range],
                     },
                     FileFormat::RcFile => ScanInput::RcRanges {
-                        path: slice.file.clone(),
+                        path,
                         ranges: vec![range],
                     },
                 };
@@ -337,7 +335,7 @@ impl Maintainer {
             // bytes, it never re-aggregates.
             let compacted = GfuValue {
                 header: value.header.clone(),
-                slices: vec![crate::gfu::SliceLoc::new(final_path.clone(), start, end)],
+                slices: vec![SliceLoc::new(file, start, end)],
                 record_count: value.record_count,
             };
             txn.stage(key, &compacted.encode())?;
@@ -351,6 +349,7 @@ impl Maintainer {
             policy: index.policy(),
             extents,
             watermark: None,
+            files: vec![file],
             retire: retired,
             deletes: Vec::new(),
         })?;
@@ -434,21 +433,19 @@ impl Maintainer {
     /// group-aligned, so slice-exact splits read exactly the live rows
     /// under the readers' Hadoop boundary rules.
     fn live_slice_splits(&self) -> Result<Vec<dgf_storage::FileSplit>> {
-        let mut per_file: HashMap<String, Vec<ByteRange>> = HashMap::new();
+        let mut per_file: BTreeMap<FileId, Vec<ByteRange>> = BTreeMap::new();
         for (_, bytes) in self.index.kv_scan_prefix(GFU_PREFIX)? {
             let value = GfuValue::decode(&bytes)?;
             for s in &value.slices {
                 per_file
-                    .entry(s.file.clone())
+                    .entry(s.file)
                     .or_default()
                     .push(ByteRange::new(s.start, s.end));
             }
         }
-        let mut paths: Vec<String> = per_file.keys().cloned().collect();
-        paths.sort();
         let mut out = Vec::new();
-        for path in paths {
-            let ranges = per_file.remove(&path).unwrap_or_default();
+        for (id, ranges) in per_file {
+            let path = id.path(&self.index.data.location);
             for r in coalesce_ranges(ranges) {
                 out.push(dgf_storage::FileSplit::new(&path, r.start, r.end - r.start));
             }

@@ -44,7 +44,7 @@ use dgf_query::{AggFunc, AggPartials, AggSet, AggState, Query};
 
 use crate::cache::CachedGfu;
 use crate::fresh::FreshCell;
-use crate::gfu::{GfuKey, GfuValue, GFU_PREFIX};
+use crate::gfu::{FileId, GfuKey, GfuValue, GFU_PREFIX};
 use crate::index::DgfIndex;
 use crate::policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
 use crate::view::ReadView;
@@ -167,7 +167,8 @@ struct Collector {
     pyramid_nodes: u64,
     /// Leaf cells those nodes summarized.
     pyramid_cells: u64,
-    per_file: HashMap<String, Vec<ByteRange>>,
+    /// Boundary Slice byte ranges by data file, in absorption order.
+    per_file: HashMap<FileId, Vec<ByteRange>>,
     cache_hits: u64,
     cache_misses: u64,
     /// Header-cache fills this fetch wants to make, deferred until the
@@ -290,7 +291,7 @@ impl Collector {
             for s in &value.slices {
                 if !s.is_empty() {
                     self.per_file
-                        .entry(s.file.clone())
+                        .entry(s.file)
                         .or_default()
                         .push(ByteRange::new(s.start, s.end));
                 }
@@ -724,41 +725,51 @@ impl DgfIndex {
         // the data directory, and a live listing could pair them with
         // this view's headers (or miss files a newer header refers to).
         // Slice files are immutable once renamed, so the pinned list is
-        // always readable.
-        let all_splits: Vec<dgf_storage::FileSplit> = view
-            .data_files
-            .iter()
-            .flat_map(|(path, len)| {
-                dgf_storage::splits_for_file(path, *len, self.ctx.hdfs.block_size())
-            })
-            .collect();
-        let splits_total = all_splits.len() as u64;
+        // always readable. A file no boundary Slice names is only
+        // counted; the others get their path, once, and their splits.
+        let block = self.ctx.hdfs.block_size();
+        let mut splits_total = 0u64;
         let mut inputs = Vec::new();
         let mut chosen_splits = Vec::new();
-        for split in all_splits {
-            let Some(ranges) = collector.per_file.get(&split.path) else {
+        for (id, len) in &view.data_files {
+            let Some(ranges) = collector.per_file.remove(id) else {
+                splits_total += len.div_ceil(block);
                 continue;
             };
-            let split_range = ByteRange::new(split.start, split.end());
-            let mine: Vec<ByteRange> = ranges
-                .iter()
-                .filter_map(|r| r.intersect(&split_range))
-                .collect();
-            if mine.is_empty() {
-                continue;
+            let path = id.path(&self.data.location);
+            for split in dgf_storage::splits_for_file(&path, *len, block) {
+                splits_total += 1;
+                let split_range = ByteRange::new(split.start, split.end());
+                let mine: Vec<ByteRange> = ranges
+                    .iter()
+                    .filter_map(|r| r.intersect(&split_range))
+                    .collect();
+                if mine.is_empty() {
+                    continue;
+                }
+                let ranges = coalesce_ranges(mine);
+                inputs.push(match self.data.format {
+                    dgf_format::FileFormat::Text => ScanInput::TextRanges {
+                        path: split.path.clone(),
+                        ranges,
+                    },
+                    dgf_format::FileFormat::RcFile => ScanInput::RcRanges {
+                        path: split.path.clone(),
+                        ranges,
+                    },
+                });
+                chosen_splits.push(split);
             }
-            let ranges = coalesce_ranges(mine);
-            inputs.push(match self.data.format {
-                dgf_format::FileFormat::Text => ScanInput::TextRanges {
-                    path: split.path.clone(),
-                    ranges,
-                },
-                dgf_format::FileFormat::RcFile => ScanInput::RcRanges {
-                    path: split.path.clone(),
-                    ranges,
-                },
-            });
-            chosen_splits.push(split);
+        }
+        // The attempt validated, so every value it read belongs to the
+        // pinned view: a boundary Slice in a file the view does not list
+        // would silently drop its rows from the answer.
+        if let Some(id) = collector.per_file.keys().min() {
+            return Err(DgfError::Corrupt(format!(
+                "a boundary slice names data file {} outside view generation {}",
+                id.path(&self.data.location),
+                view.generation
+            )));
         }
         let splits_read = inputs.len() as u64;
         if splits_span.is_recording() {

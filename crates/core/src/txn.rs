@@ -36,11 +36,11 @@ use dgf_common::codec::{self, Decoder};
 use dgf_common::fault::{FaultPlan, RetryPolicy};
 use dgf_common::obs::names;
 use dgf_common::{counter_block, DgfError, Result};
-use dgf_format::is_sidecar_path;
+use dgf_format::sidecar_path;
 use dgf_kvstore::KvStore;
 use dgf_storage::HdfsRef;
 
-use crate::gfu::{Extents, META_GC_KEY, META_VIEW_KEY};
+use crate::gfu::{Extents, FileId, META_GC_KEY, META_VIEW_KEY};
 use crate::index::{kv_retry, DgfIndex};
 use crate::policy::SplittingPolicy;
 use crate::view::ReadView;
@@ -272,11 +272,16 @@ pub(crate) struct Outcome {
     /// Ingest watermark to advance to (it never regresses; `None` keeps
     /// the previous view's).
     pub watermark: Option<u64>,
+    /// The Slice files the writer created under the staging directory,
+    /// each at [`FileId::path`] with a `.scx` sidecar beside it where the
+    /// format writes one. Commit renames them into the data directory
+    /// and adds them to the view.
+    pub files: Vec<FileId>,
     /// Live data files the new epoch no longer reads. They leave the
     /// view and join the deferred-reclamation list (`m:gc`) instead of
     /// being deleted: a reader pinned to the old view may still hold
     /// them for one maintenance round.
-    pub retire: Vec<String>,
+    pub retire: Vec<FileId>,
     /// Live keys to delete after the staged publishes (see
     /// [`TxnManifest::deletes`]).
     pub deletes: Vec<Vec<u8>>,
@@ -374,28 +379,26 @@ impl<'a> Txn<'a> {
     pub(crate) fn commit(mut self, outcome: Outcome) -> Result<()> {
         let index = self.index;
         // The post-commit split list: the previous view's files minus
-        // the retired ones, plus this transaction's rename destinations
-        // (sized from the staged files — slice files are immutable once
+        // the retired ones, plus the files this transaction wrote (sized
+        // from the staged files — slice files are immutable once
         // renamed, so the pinned lengths stay exact). Recorded in the
         // view so a pinned reader never mixes one epoch's headers with
         // another's split list. Sidecars ride the renames with their
         // slice files but are never data.
         let base = &self.base;
-        let retire: HashSet<&String> = outcome.retire.iter().collect();
-        let mut data_files: Vec<(String, u64)> =
-            base.data_files.iter().filter(|(p, _)| !retire.contains(p)).cloned().collect();
-        let staged_files = index.ctx.hdfs.list_files(&self.manifest.staging_dir);
-        let mut renames: Vec<(String, String)> = Vec::with_capacity(staged_files.len());
-        for (p, len) in staged_files {
-            let dest = format!(
-                "{}/{}",
-                index.data.location,
-                p.rsplit('/').next().unwrap_or(&p)
-            );
-            if !is_sidecar_path(&dest) {
-                data_files.push((dest.clone(), len));
+        let hdfs = &index.ctx.hdfs;
+        let retire: HashSet<FileId> = outcome.retire.iter().copied().collect();
+        let mut data_files: Vec<(FileId, u64)> =
+            base.data_files.iter().filter(|(id, _)| !retire.contains(id)).copied().collect();
+        let mut renames: Vec<(String, String)> = Vec::with_capacity(2 * outcome.files.len());
+        for id in &outcome.files {
+            let (from, to) = (id.path(&self.manifest.staging_dir), id.path(&index.data.location));
+            data_files.push((*id, hdfs.file_len(&from)?));
+            let sidecar = (sidecar_path(&from), sidecar_path(&to));
+            renames.push((from, to));
+            if hdfs.file_exists(&sidecar.0) {
+                renames.push(sidecar);
             }
-            renames.push((p, dest));
         }
         data_files.sort();
         data_files.dedup();
@@ -410,7 +413,7 @@ impl<'a> Txn<'a> {
         manifest.deletes = outcome.deletes;
         if !outcome.retire.is_empty() {
             let mut gc = index.gc_list()?;
-            gc.extend(outcome.retire.iter().cloned());
+            gc.extend(outcome.retire.iter().map(|id| id.path(&index.data.location)));
             gc.sort();
             gc.dedup();
             manifest.gc = encode_gc_list(&gc);
@@ -433,7 +436,7 @@ impl<'a> Txn<'a> {
         index.kv_put(TXN_MANIFEST_KEY, &manifest.encode())?;
         index.crash_point("txn.committed")?;
 
-        let (hdfs, kv) = (&index.ctx.hdfs, index.kv.as_ref());
+        let kv = index.kv.as_ref();
         let published = apply_committed(hdfs, kv, index.retry, &manifest, index.fault_plan())?;
         index.crash_point("txn.applied")?;
         cleanup_txn(hdfs, kv, index.retry, &manifest, &published)?;

@@ -26,7 +26,7 @@ use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::FileSplit;
 
-use crate::gfu::{Extents, GfuKey, GfuValue, GFU_PREFIX};
+use crate::gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc, GFU_PREFIX};
 use crate::index::{DgfIndex, SlicePlacement};
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
@@ -117,7 +117,6 @@ impl DgfIndex {
         let ctx = &self.ctx;
         let base = &self.base;
         let policy = policy_handle.as_ref();
-        let data_loc = self.data.location.clone();
         let staging_dir = txn.staging_dir();
         let arity = policy.arity();
 
@@ -180,11 +179,11 @@ impl DgfIndex {
                 // of a STAGED file, fold the header, and stage the merged
                 // (key, value) pair. Nothing live changes until commit.
                 &|tid, groups: Vec<(Vec<u8>, Vec<String>)>| {
-                    let path = format!("{staging_dir}/part-r-{gen:05}-{tid:05}");
-                    // Slice locations record the post-commit path: files are
-                    // renamed into the data directory at apply, keys publish
-                    // unmodified.
-                    let final_path = format!("{data_loc}/part-r-{gen:05}-{tid:05}");
+                    // Slice locations name the file by id, which the
+                    // rename into the data directory at apply preserves:
+                    // keys publish unmodified.
+                    let file = FileId::new(gen, tid as u32);
+                    let path = file.path(staging_dir);
                     let mut w = SliceWriter::create(&ctx.hdfs, &path, base, format)?;
                     let mut extents = Extents::empty(arity);
                     for (key_bytes, lines) in groups {
@@ -198,7 +197,7 @@ impl DgfIndex {
                             w.write(line, row)?;
                         }
                         let end = w.end_slice()?;
-                        let slice = crate::gfu::SliceLoc::new(final_path.clone(), start, end);
+                        let slice = SliceLoc::new(file, start, end);
                         let header = AggSet::encode_states(&states);
                         let count = lines.len() as u64;
                         // The staged value is the FINAL post-commit value:
@@ -216,11 +215,11 @@ impl DgfIndex {
                         } else {
                             self.kv_get(&key_bytes)?
                         };
-                        let merged = merge_gfu(old.as_deref(), &header, &slice, count, &agg_set)?;
+                        let merged = merge_gfu(old.as_deref(), &header, slice, count, &agg_set)?;
                         txn.stage(&key_bytes, &merged.encode())?;
                     }
                     w.close()?;
-                    Ok(extents)
+                    Ok((extents, file))
                 },
             )?
         };
@@ -232,8 +231,10 @@ impl DgfIndex {
         } else {
             txn.view().extents.clone()
         };
-        for e in &job.outputs {
+        let mut files = Vec::with_capacity(job.outputs.len());
+        for (e, file) in &job.outputs {
             extents.merge(e);
+            files.push(*file);
         }
         // Everything the job staged, by live key: the final post-commit
         // values of the `g:` cells it wrote. The stage prefix is the
@@ -261,12 +262,12 @@ impl DgfIndex {
         // space, so un-masked old keys would land inside the new view's
         // scan runs), and the manifest's `deletes` removes them at apply.
         let mut deletes: Vec<Vec<u8>> = Vec::new();
-        let mut retire: Vec<String> = Vec::new();
+        let mut retire: Vec<FileId> = Vec::new();
         if rewrite {
             // A rewrite's view lists only its own outputs: the files it
             // read — the previous view's — are retired wholesale (not
             // deleted: a pinned reader may still hold that view).
-            retire = txn.view().data_files.iter().map(|(p, _)| p.clone()).collect();
+            retire = txn.view().data_files.iter().map(|(id, _)| *id).collect();
             let tombstone = GfuValue {
                 header: AggSet::encode_states(&agg_set.new_states()),
                 slices: Vec::new(),
@@ -288,6 +289,7 @@ impl DgfIndex {
             policy: policy_handle,
             extents,
             watermark: ingest_watermark,
+            files,
             retire,
             deletes,
         })?;
@@ -525,14 +527,14 @@ impl SliceWriter {
 pub(crate) fn merge_gfu(
     old: Option<&[u8]>,
     header: &[u8],
-    slice: &crate::gfu::SliceLoc,
+    slice: SliceLoc,
     count: u64,
     agg_set: &AggSet,
 ) -> Result<GfuValue> {
     match old {
         None => Ok(GfuValue {
             header: header.to_vec(),
-            slices: vec![slice.clone()],
+            slices: vec![slice],
             record_count: count,
         }),
         Some(bytes) => {
@@ -543,7 +545,7 @@ pub(crate) fn merge_gfu(
                 agg_set.merge(&mut states, &new_states)?;
                 v.header = AggSet::encode_states(&states);
             }
-            v.slices.push(slice.clone());
+            v.slices.push(slice);
             v.record_count += count;
             Ok(v)
         }

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use dgf_common::{DgfError, Result, Row, Schema, Stopwatch};
+use dgf_common::{run_scoped, DgfError, Result, Row, Schema, Stopwatch};
 use dgf_query::{Engine, EngineRun, Query, RowSink, RunStats};
 
 pub use chunk::{ChunkDb, ChunkSnapshot, ChunkStats, ROWS_PER_PAGE};
@@ -160,6 +160,52 @@ impl HadoopDb {
         }
     }
 
+    /// Run `work` over every chunk: all nodes concurrently (separate
+    /// machines in the paper), the chunks inside a node contending for
+    /// `node_parallelism` workers. Returns one sink per chunk, grouped by
+    /// node. The first error stops the remaining chunks, and a panicking
+    /// worker is a [`DgfError::Job`].
+    fn fan_out(
+        &self,
+        work: &(dyn Fn(&ChunkDb) -> Result<RowSink> + Sync),
+    ) -> Result<Vec<RowSink>> {
+        let node_sinks: Mutex<Vec<RowSink>> = Mutex::new(Vec::new());
+        let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
+        let record = |e: DgfError| {
+            let mut slot = first_err.lock();
+            if slot.is_none() {
+                *slot = Some(e);
+            }
+        };
+        let node = |chunks: &[ChunkDb]| {
+            let queue: Mutex<std::slice::Iter<'_, ChunkDb>> = Mutex::new(chunks.iter());
+            let local: Mutex<Vec<RowSink>> = Mutex::new(Vec::new());
+            let worker = || loop {
+                if first_err.lock().is_some() {
+                    return;
+                }
+                let chunk = { queue.lock().next() };
+                let Some(chunk) = chunk else { return };
+                Self::spin(self.config.per_chunk_overhead);
+                match work(chunk) {
+                    Ok(sink) => local.lock().push(sink),
+                    Err(e) => return record(e),
+                }
+            };
+            let workers = (0..self.config.node_parallelism.max(1)).map(|_| &worker);
+            match run_scoped("a HadoopDB chunk worker", workers) {
+                Ok(()) => node_sinks.lock().append(&mut local.into_inner()),
+                Err(e) => record(e),
+            }
+        };
+        let node = &node;
+        run_scoped("a HadoopDB node", self.nodes.iter().map(|chunks| move || node(chunks)))?;
+        match first_err.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(node_sinks.into_inner()),
+        }
+    }
+
     /// Push the query into every chunk and merge (the paper extends
     /// HadoopDB's MapReduce task code to run these queries).
     pub fn query(&self, query: &Query) -> Result<RowSink> {
@@ -170,58 +216,12 @@ impl HadoopDb {
         // fills an empty sibling.
         let total = RowSink::new(query, &self.schema, right_ref)?;
 
-        let node_sinks: Mutex<Vec<RowSink>> = Mutex::new(Vec::new());
-        let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
-        crossbeam::scope(|s| {
-            // All nodes run concurrently (separate machines in the paper);
-            // chunks inside a node contend for `node_parallelism` workers.
-            for chunks in &self.nodes {
-                s.spawn(|_| {
-                    let work: Mutex<std::slice::Iter<'_, ChunkDb>> = Mutex::new(chunks.iter());
-                    let local: Mutex<Vec<RowSink>> = Mutex::new(Vec::new());
-                    crossbeam::scope(|ns| {
-                        for _ in 0..self.config.node_parallelism.max(1) {
-                            ns.spawn(|_| loop {
-                                if first_err.lock().is_some() {
-                                    return;
-                                }
-                                let chunk = { work.lock().next() };
-                                let Some(chunk) = chunk else { return };
-                                Self::spin(self.config.per_chunk_overhead);
-                                let run = || -> Result<RowSink> {
-                                    let mut sink = total.sibling();
-                                    chunk.query(
-                                        key_range.as_ref(),
-                                        &bound,
-                                        &mut sink,
-                                        &self.stats,
-                                    )?;
-                                    Ok(sink)
-                                };
-                                match run() {
-                                    Ok(sink) => local.lock().push(sink),
-                                    Err(e) => {
-                                        let mut slot = first_err.lock();
-                                        if slot.is_none() {
-                                            *slot = Some(e);
-                                        }
-                                        return;
-                                    }
-                                }
-                            });
-                        }
-                    })
-                    .expect("node scope");
-                    node_sinks.lock().append(&mut local.into_inner());
-                });
-            }
-        })
-        .map_err(|_| DgfError::Job("a HadoopDB node panicked".into()))?;
-        if let Some(e) = first_err.into_inner() {
-            return Err(e);
-        }
-
-        let mut sinks = node_sinks.into_inner().into_iter();
+        let node_sinks = self.fan_out(&|chunk| {
+            let mut sink = total.sibling();
+            chunk.query(key_range.as_ref(), &bound, &mut sink, &self.stats)?;
+            Ok(sink)
+        })?;
+        let mut sinks = node_sinks.into_iter();
         let mut total = sinks.next().unwrap_or(total);
         for s in sinks {
             total.merge(s)?;
@@ -307,6 +307,36 @@ mod tests {
     fn ground_truth_count(rows: &[Row], schema: &Schema, pred: &Predicate) -> i64 {
         let bound = pred.bind(schema).unwrap();
         rows.iter().filter(|r| bound.matches(r)).count() as i64
+    }
+
+    /// A chunk worker that panics fails the query with a job error
+    /// instead of unwinding through the caller; the deployment still
+    /// answers afterwards.
+    #[test]
+    fn a_panicking_chunk_worker_is_a_job_error() {
+        let t = TempDir::new("hdb").unwrap();
+        let db = HadoopDb::load(
+            t.path(),
+            schema(),
+            &rows(600),
+            "user_id",
+            &["region_id", "day"],
+            config(),
+        )
+        .unwrap();
+        let q = Query::Aggregate {
+            aggs: vec![AggFunc::Count],
+            predicate: Predicate::all(),
+        };
+        let total = RowSink::new(&q, &db.schema, None).unwrap();
+        let seen = std::sync::atomic::AtomicUsize::new(0);
+        let got = db.fan_out(&|_| {
+            let n = seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert!(n != 4, "chunk boom");
+            Ok(total.sibling())
+        });
+        assert!(matches!(got, Err(DgfError::Job(m)) if m.contains("panicked")));
+        assert_eq!(db.fan_out(&|_| Ok(total.sibling())).unwrap().len(), 12);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use dgf_common::obs::names;
-use dgf_common::{counter_block, DgfError, Result, Stopwatch};
+use dgf_common::{counter_block, run_scoped, DgfError, Result, Stopwatch};
 
 /// Deterministic FNV-1a `Hasher` so shuffle partitioning is stable across
 /// runs and platforms (std's `RandomState` is seeded per process).
@@ -249,43 +249,39 @@ impl MrEngine {
                     .into_iter(),
             );
             let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
-            crossbeam::scope(|s| {
-                for _ in 0..self.threads {
-                    s.spawn(|_| loop {
-                        if first_err.lock().is_some() {
-                            return;
-                        }
-                        let item = work.lock().next();
-                        let Some((task_id, input)) = item else { return };
-                        counters.map_inputs.inc();
-                        let mut emitter = Emitter::new(num_reducers);
-                        emitter.partitioner = partitioner;
-                        let run = || -> Result<()> {
-                            mapper(task_id, input, &mut emitter)?;
-                            counters.map_outputs.add(emitter.emitted);
-                            for (p, mut pairs) in emitter.partitions.drain(..).enumerate() {
-                                if pairs.is_empty() {
-                                    continue;
-                                }
-                                if let Some(c) = combiner {
-                                    pairs = combine_pairs(pairs, c)?;
-                                }
-                                counters.shuffled_pairs.add(pairs.len() as u64);
-                                partition_buckets[p].lock().push((task_id, pairs));
-                            }
-                            Ok(())
-                        };
-                        if let Err(e) = run() {
-                            let mut slot = first_err.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
-                        }
-                    });
+            let worker = || loop {
+                if first_err.lock().is_some() {
+                    return;
                 }
-            })
-            .map_err(|_| DgfError::Job("a map task panicked".into()))?;
+                let item = work.lock().next();
+                let Some((task_id, input)) = item else { return };
+                counters.map_inputs.inc();
+                let mut emitter = Emitter::new(num_reducers);
+                emitter.partitioner = partitioner;
+                let run = || -> Result<()> {
+                    mapper(task_id, input, &mut emitter)?;
+                    counters.map_outputs.add(emitter.emitted);
+                    for (p, mut pairs) in emitter.partitions.drain(..).enumerate() {
+                        if pairs.is_empty() {
+                            continue;
+                        }
+                        if let Some(c) = combiner {
+                            pairs = combine_pairs(pairs, c)?;
+                        }
+                        counters.shuffled_pairs.add(pairs.len() as u64);
+                        partition_buckets[p].lock().push((task_id, pairs));
+                    }
+                    Ok(())
+                };
+                if let Err(e) = run() {
+                    let mut slot = first_err.lock();
+                    if slot.is_none() {
+                        *slot = Some(e);
+                    }
+                    return;
+                }
+            };
+            run_scoped("a map task", (0..self.threads).map(|_| &worker))?;
             if let Some(e) = first_err.into_inner() {
                 return Err(e);
             }
@@ -310,33 +306,32 @@ impl MrEngine {
                 outputs.iter_mut().map(Mutex::new).collect();
             let next_task = AtomicUsize::new(0);
             let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
-            crossbeam::scope(|s| {
-                for _ in 0..self.threads.min(num_reducers) {
-                    s.spawn(|_| loop {
-                        if first_err.lock().is_some() {
-                            return;
-                        }
-                        let tid = next_task.fetch_add(1, Ordering::Relaxed);
-                        if tid >= num_reducers {
-                            return;
-                        }
-                        let pairs = tasks[tid].lock().take().expect("task taken once");
-                        let groups = group_sorted(pairs);
-                        counters.reduce_groups.add(groups.len() as u64);
-                        match reduce_task(tid, groups) {
-                            Ok(t) => **out_slots[tid].lock() = Some(t),
-                            Err(e) => {
-                                let mut slot = first_err.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                return;
-                            }
-                        }
-                    });
+            let worker = || loop {
+                if first_err.lock().is_some() {
+                    return;
                 }
-            })
-            .map_err(|_| DgfError::Job("a reduce task panicked".into()))?;
+                let tid = next_task.fetch_add(1, Ordering::Relaxed);
+                if tid >= num_reducers {
+                    return;
+                }
+                let pairs = tasks[tid].lock().take().expect("task taken once");
+                let groups = group_sorted(pairs);
+                counters.reduce_groups.add(groups.len() as u64);
+                match reduce_task(tid, groups) {
+                    Ok(t) => **out_slots[tid].lock() = Some(t),
+                    Err(e) => {
+                        let mut slot = first_err.lock();
+                        if slot.is_none() {
+                            *slot = Some(e);
+                        }
+                        return;
+                    }
+                }
+            };
+            run_scoped(
+                "a reduce task",
+                (0..self.threads.min(num_reducers)).map(|_| &worker),
+            )?;
             if let Some(e) = first_err.into_inner() {
                 return Err(e);
             }
@@ -396,31 +391,27 @@ impl MrEngine {
             let out_slots: Vec<Mutex<&mut Option<T>>> =
                 outputs.iter_mut().map(Mutex::new).collect();
             let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
-            crossbeam::scope(|s| {
-                for _ in 0..self.threads {
-                    s.spawn(|_| {
-                        let mut scratch = init();
-                        loop {
-                            if first_err.lock().is_some() {
-                                return;
+            let worker = || {
+                let mut scratch = init();
+                loop {
+                    if first_err.lock().is_some() {
+                        return;
+                    }
+                    let item = work.lock().next();
+                    let Some((task_id, input)) = item else { return };
+                    match mapper(task_id, input, &mut scratch) {
+                        Ok(t) => **out_slots[task_id].lock() = Some(t),
+                        Err(e) => {
+                            let mut slot = first_err.lock();
+                            if slot.is_none() {
+                                *slot = Some(e);
                             }
-                            let item = work.lock().next();
-                            let Some((task_id, input)) = item else { return };
-                            match mapper(task_id, input, &mut scratch) {
-                                Ok(t) => **out_slots[task_id].lock() = Some(t),
-                                Err(e) => {
-                                    let mut slot = first_err.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(e);
-                                    }
-                                    return;
-                                }
-                            }
+                            return;
                         }
-                    });
+                    }
                 }
-            })
-            .map_err(|_| DgfError::Job("a map task panicked".into()))?;
+            };
+            run_scoped("a map task", (0..self.threads).map(|_| &worker))?;
             if let Some(e) = first_err.into_inner() {
                 return Err(e);
             }
@@ -517,6 +508,49 @@ mod tests {
         // Combiner collapses within-mapper duplicates, so shuffled <= emitted.
         assert!(out.report.counts.shuffled_pairs <= out.report.counts.map_outputs);
         assert_eq!(out.report.counts.reduce_groups, 3);
+    }
+
+    /// A panicking task is the job's error, in every phase, and the
+    /// engine stays usable.
+    #[test]
+    fn a_panicking_task_is_a_job_error() {
+        let engine = MrEngine::new(3);
+        let is_job = |r: Result<()>| matches!(r, Err(DgfError::Job(m)) if m.contains("panicked"));
+        let map = engine.map_only((0..8).collect(), &|_, x: u32| -> Result<u32> {
+            assert!(x != 5, "mapper boom");
+            Ok(x)
+        });
+        assert!(is_job(map.map(|_| ())));
+        let reduce = engine.map_reduce(
+            vec![vec![1u32, 2, 3]],
+            2,
+            &|_, xs: Vec<u32>, e| {
+                for x in xs {
+                    e.emit(x, ());
+                }
+                Ok(())
+            },
+            None,
+            &|tid, _| -> Result<()> {
+                assert!(tid != 1, "reducer boom");
+                Ok(())
+            },
+        );
+        assert!(is_job(reduce.map(|_| ())));
+        let shuffle = engine.map_reduce(
+            vec![0u32, 1],
+            1,
+            &|_, x: u32, e| {
+                assert!(x != 1, "map-side boom");
+                e.emit(x, ());
+                Ok(())
+            },
+            None,
+            &|_, _| Ok(()),
+        );
+        assert!(is_job(shuffle.map(|_| ())));
+        let sum: u32 = engine.map_only(vec![1u32, 2], &|_, x| Ok(x)).unwrap().outputs.iter().sum();
+        assert_eq!(sum, 3);
     }
 
     #[test]

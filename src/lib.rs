@@ -79,8 +79,8 @@ pub mod prelude {
     };
     pub use dgf_common::{FaultConfig, FaultPlan, RetryPolicy};
     pub use dgf_core::{
-        DgfEngine, DgfIndex, DimPolicy, Extents, GfuKey, GfuValue, IndexOptions, PlanStrategy,
-        SliceLoc, SplittingPolicy,
+        DgfEngine, DgfIndex, DimPolicy, Extents, FileId, GfuKey, GfuValue, IndexOptions,
+        PlanStrategy, SliceLoc, SplittingPolicy,
     };
     pub use dgf_format::FileFormat;
     pub use dgf_hive::{

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use dgfindex::common::DgfError;
 use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
@@ -303,4 +304,52 @@ fn warehouse_restart_after_crash_recovers() {
         // The key-value service survives the restart untouched.
         verify_recovered(&ctx2, &base2, &w.inner);
     }
+}
+
+/// A boundary Slice in a data file the pinned view does not list is
+/// `Corrupt`: skipping it would drop its rows from the answer without
+/// an error. A hand-planted `g:` value is the corruption; the same cell
+/// answered from its header never looks at its slices.
+#[test]
+fn a_slice_outside_the_pinned_view_is_corrupt() {
+    let w = world("stray-slice");
+    let cfg = meter_cfg();
+    w.ctx.load_rows(&w.base, &generate_meter_data(&cfg), 2).unwrap();
+    let (index, _) = DgfIndex::build(
+        Arc::clone(&w.ctx),
+        Arc::clone(&w.base),
+        grid(&cfg),
+        aggs(),
+        Arc::clone(&w.inner),
+        INDEX,
+    )
+    .unwrap();
+    let listed = index.pin_view().unwrap().data_files;
+    let stray = FileId::new(999, 0);
+    assert!(listed.iter().all(|(id, _)| *id != stray));
+
+    // Users [0, 4) on day 1: a boundary cell of `users [1, 7)`, an inner
+    // one of `users [0, 4)`.
+    let key = GfuKey::new(vec![0, 1]).encode();
+    let mut value = GfuValue::decode(&w.inner.get(&key).unwrap().unwrap()).unwrap();
+    value.slices.push(SliceLoc::new(stray, 0, 64));
+    w.inner.put(&key, &value.encode()).unwrap();
+
+    let index = Arc::new(
+        DgfIndex::open(Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner), INDEX, aggs())
+            .unwrap(),
+    );
+    let day1 = ColumnRange::half_open(Value::Date(cfg.start_day + 1), Value::Date(cfg.start_day + 2));
+    let query = |lo, hi| Query::Aggregate {
+        aggs: aggs(),
+        predicate: Predicate::all()
+            .and("user_id", ColumnRange::half_open(Value::Int(lo), Value::Int(hi)))
+            .and("ts", day1.clone()),
+    };
+    match index.plan(&query(1, 7), true) {
+        Err(DgfError::Corrupt(msg)) => assert!(msg.contains("part-r-00999-00000"), "{msg}"),
+        other => panic!("a stray boundary slice planned as {:?}", other.map(|p| p.inputs)),
+    }
+    let inner = index.plan(&query(0, 4), true).unwrap();
+    assert_eq!((inner.inner_gfus, inner.boundary_gfus), (1, 0));
 }

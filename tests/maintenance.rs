@@ -519,7 +519,7 @@ fn regrid_after_compaction_does_not_double_count() {
     let mut live_bytes: HashMap<String, u64> = HashMap::new();
     for (_, v) in all_gfus(index.kv.as_ref(), 2).unwrap() {
         for s in &v.slices {
-            *live_bytes.entry(s.file.clone()).or_default() += s.end - s.start;
+            *live_bytes.entry(s.file.path(&index.data.location)).or_default() += s.end - s.start;
         }
     }
     let has_dead_range = live_files(&index)
@@ -626,24 +626,24 @@ fn assert_grid_directory(w: &World, index: &DgfIndex, label: &str) {
     let view = index.pin_view().unwrap();
     let gfus = all_gfus(w.inner.as_ref(), view.extents.dims.len()).unwrap();
     let mut rows = 0;
-    let mut slices: HashMap<&str, Vec<(u64, u64)>> = HashMap::new();
+    let mut slices: HashMap<FileId, Vec<(u64, u64)>> = HashMap::new();
     for (key, value) in &gfus {
         for (c, (lo, hi)) in key.cells.iter().zip(&view.extents.dims) {
             assert!(lo <= c && c <= hi, "{label}: cell {:?} outside {:?}", key.cells, view.extents);
         }
         rows += value.record_count;
         for s in value.slices.iter().filter(|s| !s.is_empty()) {
-            slices.entry(&s.file).or_default().push((s.start, s.end));
+            slices.entry(s.file).or_default().push((s.start, s.end));
         }
     }
     assert_eq!(rows, w.ctx.read_all(&w.base).unwrap().len() as u64, "{label}: rows in cells");
     for (file, mut ranges) in slices {
-        let len = view.data_files.iter().find(|(p, _)| p == file).map(|(_, len)| *len);
-        let len = len.unwrap_or_else(|| panic!("{label}: slice in {file}, not a live data file"));
+        let len = view.data_files.iter().find(|(id, _)| *id == file).map(|(_, len)| *len);
+        let len = len.unwrap_or_else(|| panic!("{label}: slice in {file:?}, not a live data file"));
         ranges.sort_unstable();
-        assert!(ranges.last().unwrap().1 <= len, "{label}: slice past the end of {file}");
+        assert!(ranges.last().unwrap().1 <= len, "{label}: slice past the end of {file:?}");
         for pair in ranges.windows(2) {
-            assert!(pair[0].1 <= pair[1].0, "{label}: slices overlap in {file}: {pair:?}");
+            assert!(pair[0].1 <= pair[1].0, "{label}: slices overlap in {file:?}: {pair:?}");
         }
     }
     let mut level: std::collections::BTreeSet<Vec<i64>> =

@@ -1,5 +1,6 @@
-//! The row-wise fallback hot loop must not allocate per row, and no drain
-//! may allocate per payload byte.
+//! The row-wise fallback hot loop must not allocate per row, no drain
+//! may allocate per payload byte, and decoding a GFU value allocates its
+//! header and its slice list, nothing per slice.
 //!
 //! `RcReader::next_row_into` refills one caller-owned scratch `Row` from
 //! the decoded batch, so draining a numeric table allocates per *group*
@@ -157,4 +158,18 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
         scratch_allocs * 10 < boxing_allocs,
         "scratch path ({scratch_allocs}) not clearly below boxing path ({boxing_allocs})"
     );
+
+    // A one-slice GFU value names its file by id: decoding it allocates
+    // the header and the slice vector, and no per-slice path string.
+    let value = GfuValue {
+        header: vec![7; 29],
+        slices: vec![SliceLoc::new(FileId::new(12, 3), 1 << 20, (1 << 20) + 4096)],
+        record_count: 29,
+    }
+    .encode();
+    let before = allocs();
+    let decoded = GfuValue::decode(&value).unwrap();
+    let decode_allocs = allocs() - before;
+    assert_eq!(decoded.slices[0].file, FileId::new(12, 3));
+    assert!(decode_allocs <= 2, "one-slice value decode allocated {decode_allocs} times");
 }

@@ -776,15 +776,15 @@ fn compacted_rcfile_slices_keep_their_sidecars_and_the_bytes_bar() {
 
     let after = index.pin_view().unwrap().data_files;
     assert!(after.len() <= budget);
-    let written: Vec<&String> = after
+    let written: Vec<String> = after
         .iter()
-        .map(|(path, _)| path)
-        .filter(|path| !before.iter().any(|(old, _)| old == *path))
+        .filter(|(id, _)| !before.iter().any(|(old, _)| old == id))
+        .map(|(id, _)| id.path(&index.data.location))
         .collect();
     assert!(!written.is_empty(), "the pass published no new file");
     for path in written {
         assert!(
-            w.ctx.hdfs.file_exists(&sidecar_path(path)),
+            w.ctx.hdfs.file_exists(&sidecar_path(&path)),
             "compacted file {path} has no sidecar"
         );
     }
