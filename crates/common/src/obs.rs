@@ -172,6 +172,12 @@ pub mod names {
     /// Rows pushed through the row-at-a-time fallback path
     /// (`ScanStats::rowwise_rows`).
     pub const SCAN_ROWWISE_ROWS: &str = "scan.rowwise_rows";
+    /// Join build sides made from a read of the dimension table
+    /// (`ScanStats::join_builds`).
+    pub const SCAN_JOIN_BUILDS: &str = "scan.join_builds";
+    /// Joins served a build side already made for the same version of
+    /// the dimension table (`ScanStats::join_build_reuses`).
+    pub const SCAN_JOIN_BUILD_REUSES: &str = "scan.join_build_reuses";
     /// Sidecars loaded and verified for pruning (`ScanStats::sidecar_hits`).
     pub const SCAN_SIDECAR_HITS: &str = "scan.sidecar.hits";
     /// Slice files with no sidecar (`ScanStats::sidecar_misses`).

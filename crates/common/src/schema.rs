@@ -12,7 +12,7 @@ use crate::value::{Value, ValueType};
 pub const FIELD_DELIM: char = '|';
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Column name (case sensitive).
     pub name: String,
@@ -31,7 +31,7 @@ impl Field {
 }
 
 /// An ordered list of fields describing a table's rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -208,6 +208,10 @@ counter_block! {
         kernel_us: names::SCAN_KERNEL_US,
         /// Rows pushed through the row-at-a-time fallback path.
         rowwise_rows: names::SCAN_ROWWISE_ROWS,
+        /// Join build sides made from a read of the dimension table.
+        join_builds: names::SCAN_JOIN_BUILDS,
+        /// Joins that reused a build side of the same table version.
+        join_build_reuses: names::SCAN_JOIN_BUILD_REUSES,
         /// Sidecars loaded and verified for pruning (DESIGN.md §15).
         sidecar_hits: names::SCAN_SIDECAR_HITS,
         /// Slice files whose sidecar was absent (pruning degraded).

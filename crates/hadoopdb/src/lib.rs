@@ -19,6 +19,7 @@
 
 pub mod chunk;
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +27,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use dgf_common::{run_scoped, DgfError, Result, Row, Schema, Stopwatch};
-use dgf_query::{Engine, EngineRun, Query, RowSink, RunStats};
+use dgf_query::{Engine, EngineRun, JoinTable, Query, RowSink, RunStats};
 
 pub use chunk::{ChunkDb, ChunkSnapshot, ChunkStats, ROWS_PER_PAGE};
 
@@ -69,8 +70,36 @@ pub struct HadoopDb {
     stats: ChunkStats,
     /// Replicated dimension table (the paper copies the user table into
     /// every node's databases).
-    right: Option<(Schema, Vec<Row>)>,
+    right: Option<Replicated>,
     total_rows: u64,
+}
+
+/// The replicated dimension table and the join build sides made from it,
+/// one per key column and projection: the table never changes after it
+/// is replicated, so neither do they.
+struct Replicated {
+    schema: Schema,
+    rows: Vec<Row>,
+    builds: Mutex<HashMap<Columns, Arc<JoinTable>>>,
+}
+
+/// A build side's key column and projection.
+type Columns = (usize, Vec<usize>);
+
+impl Replicated {
+    /// The build side of a join on `right_key` keeping `right_project`.
+    fn build(&self, right_key: &str, right_project: &[String]) -> Result<Arc<JoinTable>> {
+        let key = self.schema.index_of(right_key)?;
+        let project = right_project
+            .iter()
+            .map(|c| self.schema.index_of(c))
+            .collect::<Result<Vec<_>>>()?;
+        let mut builds = self.builds.lock();
+        let build = builds
+            .entry((key, project))
+            .or_insert_with_key(|(key, project)| Arc::new(JoinTable::new(&self.rows, *key, project)));
+        Ok(Arc::clone(build))
+    }
 }
 
 impl HadoopDb {
@@ -132,7 +161,11 @@ impl HadoopDb {
     /// Replicate a small dimension table to every node (paper: the user
     /// table is put into all databases of every node).
     pub fn replicate_right(&mut self, schema: Schema, rows: Vec<Row>) {
-        self.right = Some((schema, rows));
+        self.right = Some(Replicated {
+            schema,
+            rows,
+            builds: Mutex::default(),
+        });
     }
 
     /// Total chunk databases.
@@ -211,10 +244,21 @@ impl HadoopDb {
     pub fn query(&self, query: &Query) -> Result<RowSink> {
         let key_range = query.predicate().range_of(&self.key_name).cloned();
         let bound = query.predicate().bind(&self.schema)?;
-        let right_ref = self.right.as_ref().map(|(s, r)| (s, r.as_slice()));
-        // One sink per query (a join's build side with it); every chunk
-        // fills an empty sibling.
-        let total = RowSink::new(query, &self.schema, right_ref)?;
+        // One sink per query, every chunk filling an empty sibling. A
+        // join's build side is made once per key and projection, not per
+        // query.
+        let right = match (query, &self.right) {
+            (
+                Query::Join {
+                    right_key,
+                    right_project,
+                    ..
+                },
+                Some(r),
+            ) => Some((&r.schema, r.build(right_key, right_project)?)),
+            _ => None,
+        };
+        let total = RowSink::new(query, &self.schema, right)?;
 
         let node_sinks = self.fan_out(&|chunk| {
             let mut sink = total.sibling();

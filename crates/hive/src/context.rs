@@ -8,12 +8,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
 use dgf_common::{DgfError, Result, Row, SchemaRef};
 use dgf_format::{collect_rows, FileFormat, RcReader, RcWriter, TextReader, TextWriter};
 use dgf_mapreduce::MrEngine;
+use dgf_query::JoinTable;
 use dgf_storage::{FileSplit, HdfsRef};
 
 /// Execution knobs for the scan path (DESIGN.md §12).
@@ -101,15 +102,22 @@ pub struct HiveContext {
     pub scan_stats: ScanStatsRef,
     scan_options: RwLock<ScanOptions>,
     tables: RwLock<HashMap<String, TableRef>>,
+    pub(crate) join_tables: Arc<JoinTables>,
 }
 
 impl HiveContext {
     /// Create a context over `hdfs`.
     pub fn new(hdfs: HdfsRef, engine: MrEngine) -> Arc<HiveContext> {
+        let scan_stats: ScanStatsRef = Arc::default();
         Arc::new(HiveContext {
+            join_tables: Arc::new(JoinTables {
+                hdfs: Arc::clone(&hdfs),
+                stats: Arc::clone(&scan_stats),
+                slots: Mutex::default(),
+            }),
             hdfs,
             engine,
-            scan_stats: Arc::default(),
+            scan_stats,
             scan_options: RwLock::new(ScanOptions::default()),
             tables: RwLock::new(HashMap::new()),
         })
@@ -210,9 +218,11 @@ impl HiveContext {
             .ok_or_else(|| DgfError::Schema(format!("no such table {name:?}")))
     }
 
-    /// Drop a table and delete its files.
+    /// Drop a table and delete its files. The join build sides made from
+    /// it go with it.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         if let Some(t) = self.tables.write().remove(name) {
+            self.join_tables.evict(&t.location);
             self.hdfs.delete_tree(&t.location)?;
         }
         Ok(())
@@ -277,12 +287,109 @@ impl HiveContext {
     pub fn read_all(&self, table: &TableDesc) -> Result<Vec<Row>> {
         read_table(&self.hdfs, table)
     }
+
+    /// The build side of a join with dimension table `right` on column
+    /// `right_key`, keeping columns `right_project` — made once per version
+    /// of the table and shared by every query that joins it (DESIGN.md
+    /// §12).
+    ///
+    /// A version is the inode ids of the table's files in path order, so
+    /// an appended, deleted, renamed or re-created file is a new version,
+    /// even under the old name and length. Checking it is a NameNode lookup
+    /// and reads no byte; the dimension table is read only to make a build
+    /// side no version yet had.
+    pub fn join_table(
+        &self,
+        right: &TableDesc,
+        right_key: &str,
+        right_project: &[String],
+    ) -> Result<Arc<JoinTable>> {
+        self.join_tables.get(right, right_key, right_project)
+    }
+}
+
+/// The context's join build sides (see [`HiveContext::join_table`]). It
+/// stands apart from the context so a join's deferred build side, which
+/// outlives the call that made it, can hold it.
+pub(crate) struct JoinTables {
+    hdfs: HdfsRef,
+    stats: ScanStatsRef,
+    slots: Mutex<HashMap<JoinKey, Slot>>,
+}
+
+/// One key's build side, if made yet; locked while it is made.
+type Slot = Arc<Mutex<Option<Built>>>;
+
+/// What a build side is made from: which table, read how, and which of
+/// its columns.
+#[derive(PartialEq, Eq, Hash)]
+struct JoinKey {
+    location: String,
+    schema: SchemaRef,
+    format: FileFormat,
+    key: usize,
+    project: Vec<usize>,
+}
+
+/// A build side and the table version it was made from.
+struct Built {
+    version: Vec<u64>,
+    table: Arc<JoinTable>,
+}
+
+impl JoinTables {
+    /// [`HiveContext::join_table`].
+    pub(crate) fn get(
+        &self,
+        right: &TableDesc,
+        right_key: &str,
+        right_project: &[String],
+    ) -> Result<Arc<JoinTable>> {
+        let key = right.schema.index_of(right_key)?;
+        let project = right_project
+            .iter()
+            .map(|c| right.schema.index_of(c))
+            .collect::<Result<Vec<_>>>()?;
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .entry(JoinKey {
+                    location: right.location.clone(),
+                    schema: Arc::clone(&right.schema),
+                    format: right.format,
+                    key,
+                    project: project.clone(),
+                })
+                .or_default(),
+        );
+        // Held across the read: joins that find the slot stale together
+        // wait for one read instead of each making their own.
+        let mut slot = slot.lock();
+        // Taken before the read, so a file that changes during it makes
+        // the next lookup rebuild rather than serve a stale table.
+        let version = self.hdfs.file_ids(&right.location);
+        if let Some(built) = slot.as_ref().filter(|b| b.version == version) {
+            self.stats.join_build_reuses.inc();
+            return Ok(Arc::clone(&built.table));
+        }
+        let table = Arc::new(JoinTable::new(&read_table(&self.hdfs, right)?, key, &project));
+        self.stats.join_builds.inc();
+        *slot = Some(Built {
+            version,
+            table: Arc::clone(&table),
+        });
+        Ok(table)
+    }
+
+    /// Forget every build side made from the table at `location`.
+    fn evict(&self, location: &str) {
+        self.slots.lock().retain(|k, _| k.location != location);
+    }
 }
 
 /// [`HiveContext::read_all`] for a caller that holds the cluster but not
-/// the context (a join's deferred build side outlives the call that made
-/// it).
-pub(crate) fn read_table(hdfs: &HdfsRef, table: &TableDesc) -> Result<Vec<Row>> {
+/// the context.
+fn read_table(hdfs: &HdfsRef, table: &TableDesc) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     for split in hdfs.splits_for_dir(&table.location) {
         match table.format {
@@ -378,6 +485,28 @@ mod tests {
         ctx.drop_table("t").unwrap();
         assert!(ctx.table("t").is_err());
         assert!(ctx.hdfs.list_files("/warehouse/t").is_empty());
+    }
+
+    /// One build side per table, key and projection, shared while the
+    /// table stands; dropping the table forgets its build sides.
+    #[test]
+    fn join_tables_are_shared_and_dropped_with_their_table() {
+        let (_t, ctx) = ctx();
+        let tab = ctx.create_table("t", schema(), FileFormat::Text).unwrap();
+        ctx.load_rows(&tab, &rows(10), 2).unwrap();
+        let by_id = ctx.join_table(&tab, "id", &["v".into()]).unwrap();
+        assert_eq!(by_id.get(&Value::Int(3)), Some(&[vec![Value::Float(3.0)]][..]));
+        let again = ctx.join_table(&tab, "id", &["v".into()]).unwrap();
+        assert!(Arc::ptr_eq(&by_id, &again));
+        let by_v = ctx.join_table(&tab, "v", &[]).unwrap();
+        assert!(!Arc::ptr_eq(&by_id, &by_v));
+        assert!(ctx.join_table(&tab, "missing", &[]).is_err());
+        let stats = ctx.scan_stats.snapshot();
+        assert_eq!((stats.join_builds, stats.join_build_reuses), (2, 1));
+        assert_eq!(ctx.join_tables.slots.lock().len(), 2);
+
+        ctx.drop_table("t").unwrap();
+        assert!(ctx.join_tables.slots.lock().is_empty());
     }
 
     #[test]

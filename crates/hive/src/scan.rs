@@ -20,7 +20,7 @@ use dgf_format::{
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
-use crate::context::{read_table, HiveContext, TableDesc, TableRef};
+use crate::context::{HiveContext, TableDesc, TableRef};
 
 /// One unit of work for a scan map task.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,8 +163,9 @@ pub fn open_input(
     })
 }
 
-/// Run `query` over the given inputs. The dimension table for joins is
-/// read once and broadcast to every map task (Hive map join).
+/// Run `query` over the given inputs. A join's build side is made once
+/// per version of the dimension table and broadcast to every map task
+/// (Hive map join): see [`HiveContext::join_table`].
 pub fn execute(
     ctx: &HiveContext,
     table: &TableDesc,
@@ -181,8 +182,11 @@ pub fn execute(
 /// boundary region and finishing.
 ///
 /// What is per query is made once, here: the sink (each map task fills an
-/// empty [`RowSink::sibling`]), with it a join's build side (an empty plan
-/// reads no dimension table), and the footer of each RCFile (DESIGN.md
+/// empty [`RowSink::sibling`]) and the footer of each RCFile. A join's
+/// build side is not per query but per version of the dimension table:
+/// the sink takes it from [`HiveContext::join_table`], which reads the
+/// table only if no earlier query made the build side for its current
+/// files, and an empty plan asks for it only if a row probes (DESIGN.md
 /// §12).
 pub fn execute_sink(
     ctx: &HiveContext,
@@ -197,19 +201,30 @@ pub fn execute_sink(
                 "join query needs a dimension table".into(),
             ))
         }
-        // No input, no probe, no read. The sink is still whole: a row the
-        // caller pushes into it reads the dimension table then.
-        (Query::Join { .. }, Some(r)) if inputs.is_empty() => {
-            let (hdfs, right) = (ctx.hdfs.clone(), r.clone());
-            RowSink::with_deferred_right(
-                query,
-                &table.schema,
-                &r.schema,
-                Box::new(move || read_table(&hdfs, &right)),
-            )?
-        }
-        (Query::Join { .. }, Some(r)) => {
-            RowSink::new(query, &table.schema, Some((&r.schema, &ctx.read_all(r)?)))?
+        (
+            Query::Join {
+                right_key,
+                right_project,
+                ..
+            },
+            Some(r),
+        ) => {
+            if inputs.is_empty() {
+                // No input, no probe, no lookup. The sink is still whole:
+                // a row the caller pushes into it looks the build side up
+                // then.
+                let (tables, right) = (Arc::clone(&ctx.join_tables), r.clone());
+                let (key, project) = (right_key.clone(), right_project.clone());
+                RowSink::with_deferred_right(
+                    query,
+                    &table.schema,
+                    &r.schema,
+                    Box::new(move || tables.get(&right, &key, &project)),
+                )?
+            } else {
+                let build = ctx.join_table(r, right_key, right_project)?;
+                RowSink::new(query, &table.schema, Some((&r.schema, build)))?
+            }
         }
         _ => RowSink::new(query, &table.schema, None)?,
     };
@@ -332,10 +347,17 @@ fn columnar_projection(query: &Query, table: &TableDesc) -> Result<Option<Vec<us
 /// `scan.kernel` children plus metrics, so
 /// `dgf profile` reconciles kernel work against batch counts. Engines call
 /// this on their `query.scan` span with the delta of
-/// [`HiveContext::scan_stats`] across the run.
+/// [`HiveContext::scan_stats`] across the run. A join that looked its
+/// build side up carries both join counters on the span itself, zeros
+/// included, so the span says whether the join paid for its dimension
+/// table.
 pub fn attach_scan_to_span(span: &SpanGuard, delta: &ScanSnapshot) {
     if delta.rowwise_rows > 0 {
         span.add(names::SCAN_ROWWISE_ROWS, delta.rowwise_rows);
+    }
+    if delta.join_builds + delta.join_build_reuses > 0 {
+        span.add(names::SCAN_JOIN_BUILDS, delta.join_builds);
+        span.add(names::SCAN_JOIN_BUILD_REUSES, delta.join_build_reuses);
     }
     if delta.batches == 0 {
         return;
@@ -552,7 +574,8 @@ mod tests {
 
     /// An empty plan probes nothing, so it reads nothing — but the sink it
     /// returns is whole: a row the caller pushes afterwards (DGFIndex's
-    /// unflushed rows) still finds the dimension table.
+    /// unflushed rows) still finds the dimension table, read by the first
+    /// such probe and by no later one.
     #[test]
     fn join_over_an_empty_plan_reads_the_dimension_table_only_if_a_row_probes() {
         let (_t, ctx, tab) = setup(FileFormat::RcFile);
@@ -565,12 +588,106 @@ mod tests {
 
         let bound = q.predicate().bind(&tab.schema).unwrap();
         let fresh = vec![Value::Int(11), Value::Int(4), Value::Float(1.5)];
+        let joined = QueryResult::Rows(vec![vec![Value::Str("u11".into()), Value::Float(1.5)]]);
         assert!(probed.push_if(&fresh, &bound).unwrap());
-        assert_eq!(
-            probed.finish(),
-            QueryResult::Rows(vec![vec![Value::Str("u11".into()), Value::Float(1.5)]])
-        );
+        assert_eq!(probed.finish(), joined);
         assert!(ctx.hdfs.stats().snapshot().since(&before).bytes_read > 0);
+
+        // The cache is warm: the next probing row reads nothing.
+        let (before, scan_before) = (ctx.hdfs.stats().snapshot(), ctx.scan_stats.snapshot());
+        let mut warm = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
+        assert!(warm.push_if(&fresh, &bound).unwrap());
+        assert_eq!(warm.finish(), joined);
+        assert_eq!(ctx.hdfs.stats().snapshot().since(&before).bytes_read, 0);
+        let scan = ctx.scan_stats.snapshot().since(&scan_before);
+        assert_eq!((scan.join_builds, scan.join_build_reuses), (0, 1));
+    }
+
+    /// A join's build side is made once per version of the dimension
+    /// table — the inode ids of its files — and reused until the version
+    /// moves. Two of the moves below keep every file's name and length, so
+    /// a version made of names and lengths would serve the old rows.
+    #[test]
+    fn a_join_reads_its_dimension_table_once_per_table_version() {
+        let (_t, ctx, tab) = setup(FileFormat::RcFile);
+        let (users, q) = users_and_join(&ctx);
+        // The joined names, the bytes read and the (builds, reuses) of one
+        // run, as its `query.scan` span reports them.
+        let join = |users: &TableRef| {
+            let run = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&tab))
+                .with_right(Arc::clone(users))
+                .with_profiler(dgf_common::obs::Profiler::enabled())
+                .run(&q)
+                .unwrap();
+            let span = &run.stats.profile.find("query.scan").unwrap().metrics;
+            let builds = (span[names::SCAN_JOIN_BUILDS], span[names::SCAN_JOIN_BUILD_REUSES]);
+            let scan = run.stats.scan;
+            assert_eq!(builds, (scan.join_builds, scan.join_build_reuses));
+            let names: Vec<Value> = run
+                .result
+                .normalized()
+                .into_rows()
+                .into_iter()
+                .map(|r| r[0].clone())
+                .collect();
+            (names, run.stats.data_bytes_read, builds)
+        };
+        let strs = |names: &[&str]| -> Vec<Value> {
+            names.iter().map(|n| Value::Str((*n).into())).collect()
+        };
+
+        let (names, cold, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["u10", "u11", "u12"]), (1, 0)));
+        let (names, warm, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["u10", "u11", "u12"]), (0, 1)));
+        let before = ctx.hdfs.stats().snapshot();
+        ctx.read_all(&users).unwrap();
+        let dim = ctx.hdfs.stats().snapshot().since(&before).bytes_read;
+        assert_eq!(cold - warm, dim, "one dimension read");
+
+        // Dropped and re-created with names of the same length by another
+        // client of the cluster: the same file names and lengths, new
+        // rows. This context's `drop_table` never ran, so only the version
+        // check can see it.
+        let listed = ctx.hdfs.list_files(&users.location);
+        let other = HiveContext::new(Arc::clone(&ctx.hdfs), MrEngine::new(1));
+        other.register_restored_table((*users).clone()).unwrap();
+        other.drop_table("users").unwrap();
+        let users = other
+            .create_table("users", Arc::clone(&users.schema), FileFormat::Text)
+            .unwrap();
+        let renamed: Vec<Row> = (0..500)
+            .map(|i| vec![Value::Int(i), Value::Str(format!("v{i}"))])
+            .collect();
+        other.load_rows(&users, &renamed, 1).unwrap();
+        assert_eq!(ctx.hdfs.list_files(&users.location), listed);
+        let (names, _, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["v10", "v11", "v12"]), (1, 0)));
+
+        // An appended file joins on the next run.
+        let late = vec![vec![Value::Int(11), Value::Str("late-11".into())]];
+        let delta = ctx.append_file(&users, "delta", &late).unwrap();
+        let (names, _, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["late-11", "v10", "v11", "v12"]), (1, 0)));
+
+        // Replaced by a file of the same name and length: new rows again.
+        let listed = ctx.hdfs.list_files(&users.location);
+        ctx.hdfs.delete_file(&delta).unwrap();
+        let soon = vec![vec![Value::Int(11), Value::Str("soon-11".into())]];
+        ctx.append_file(&users, "delta", &soon).unwrap();
+        assert_eq!(ctx.hdfs.list_files(&users.location), listed);
+        let (names, _, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["soon-11", "v10", "v11", "v12"]), (1, 0)));
+
+        // A rename that keeps the files' order keeps their ids: the same
+        // version, so the build side is reused.
+        let ids = ctx.hdfs.file_ids(&users.location);
+        ctx.hdfs
+            .rename_file(&delta, &format!("{}/delta-1", users.location))
+            .unwrap();
+        assert_eq!(ctx.hdfs.file_ids(&users.location), ids);
+        let (names, _, builds) = join(&users);
+        assert_eq!((names, builds), (strs(&["soon-11", "v10", "v11", "v12"]), (0, 1)));
     }
 
     /// One footer per file however many inputs the file is cut into, and

@@ -36,7 +36,7 @@ enum SinkKind {
     Join {
         left_key_idx: usize,
         left_project: Vec<usize>,
-        build: Arc<JoinBuild>,
+        build: Arc<BuildSide>,
         out: Vec<Row>,
     },
     Select {
@@ -45,37 +45,54 @@ enum SinkKind {
     },
 }
 
-/// Reads a join's dimension table. See [`RowSink::with_deferred_right`].
-pub type RightRows = Box<dyn FnOnce() -> Result<Vec<Row>> + Send>;
+/// Makes a join's build side on its first probe. See
+/// [`RowSink::with_deferred_right`].
+pub type RightRows = Box<dyn FnOnce() -> Result<Arc<JoinTable>> + Send>;
 
-/// The build side of a map join — join key → projected right rows — made
-/// once per query and shared by the sinks of all its map tasks.
-struct JoinBuild {
-    right_key: usize,
-    right_project: Vec<usize>,
-    table: OnceLock<BTreeMap<Value, Vec<Row>>>,
-    /// The dimension table of a build that waits for its first probe.
-    deferred: Mutex<Option<RightRows>>,
-}
+/// The build side of a map join: join key → the projected right rows with
+/// that key, in the dimension table's row order. NULL keys never join and
+/// are left out.
+///
+/// It depends only on the dimension table's rows, the key column and the
+/// projection, so it is built once and shared: by the sinks of every map
+/// task of a query, and by every query that joins the same version of the
+/// same table.
+#[derive(Debug, Default)]
+pub struct JoinTable(BTreeMap<Value, Vec<Row>>);
 
-impl JoinBuild {
-    fn index<'a>(&self, rows: impl IntoIterator<Item = &'a Row>) -> BTreeMap<Value, Vec<Row>> {
+impl JoinTable {
+    /// Index `rows` by column `key`, keeping columns `project` of each.
+    pub fn new<'a>(rows: impl IntoIterator<Item = &'a Row>, key: usize, project: &[usize]) -> Self {
         let mut table: BTreeMap<Value, Vec<Row>> = BTreeMap::new();
         for r in rows {
-            let k = &r[self.right_key];
+            let k = &r[key];
             if k.is_null() {
                 continue; // NULL keys never join
             }
-            let projected = self.right_project.iter().map(|i| r[*i].clone()).collect();
+            let projected = project.iter().map(|i| r[*i].clone()).collect();
             table.entry(k.clone()).or_default().push(projected);
         }
-        table
+        JoinTable(table)
     }
 
-    /// The table, reading the dimension rows if no probe has yet. The
-    /// lock is held across the read, so concurrent first probes wait for
-    /// one read instead of each making their own.
-    fn table(&self) -> Result<&BTreeMap<Value, Vec<Row>>> {
+    /// The projected rows whose key equals `key`.
+    pub fn get(&self, key: &Value) -> Option<&[Row]> {
+        self.0.get(key).map(Vec::as_slice)
+    }
+}
+
+/// A sink's hold on its join's build side: the table, or the loader that
+/// makes it when a row first probes.
+struct BuildSide {
+    table: OnceLock<Arc<JoinTable>>,
+    deferred: Mutex<Option<RightRows>>,
+}
+
+impl BuildSide {
+    /// The table, running the loader if no probe has yet. The lock is
+    /// held across the load, so concurrent first probes wait for one load
+    /// instead of each making their own.
+    fn table(&self) -> Result<&JoinTable> {
         if let Some(table) = self.table.get() {
             return Ok(table);
         }
@@ -83,12 +100,13 @@ impl JoinBuild {
             .deferred
             .lock()
             .map_err(|_| DgfError::Query("reading the join's dimension table panicked".into()))?;
-        if let Some(rows) = deferred.take() {
+        if let Some(load) = deferred.take() {
             // Cannot be set already: only the holder of the loader sets.
-            let _ = self.table.set(self.index(&rows()?));
+            let _ = self.table.set(load()?);
         }
         self.table
             .get()
+            .map(|t| &**t)
             .ok_or_else(|| DgfError::Query("the join's dimension table could not be read".into()))
     }
 }
@@ -97,38 +115,44 @@ impl RowSink {
     /// Create a sink for `query` over rows of `schema`.
     ///
     /// Join queries need the dimension table (`right`): its schema and
-    /// rows, mirroring Hive's map-side broadcast join of a small archive
-    /// table. The build side is materialized here; sinks for the other
-    /// tasks of the same query come from [`Self::sibling`] and share it.
+    /// the build side made from its rows ([`JoinTable`]), mirroring Hive's
+    /// map-side broadcast join of a small archive table. Sinks for the
+    /// other tasks of the same query come from [`Self::sibling`] and share
+    /// it.
     pub fn new(
         query: &Query,
         schema: &Schema,
-        right: Option<(&Schema, &[Row])>,
+        right: Option<(&Schema, Arc<JoinTable>)>,
     ) -> Result<RowSink> {
-        let sink = RowSink::bind(query, schema, right.map(|(s, _)| s), None)?;
-        if let (SinkKind::Join { build, .. }, Some((_, rows))) = (&sink.kind, right) {
-            let _ = build.table.set(build.index(rows));
-        }
-        Ok(sink)
+        let (right_schema, table) = right.unzip();
+        let build = BuildSide {
+            table: table.map(OnceLock::from).unwrap_or_default(),
+            deferred: Mutex::new(None),
+        };
+        RowSink::bind(query, schema, right_schema, build)
     }
 
-    /// [`Self::new`] for a join whose dimension table is read by `rows`
-    /// on the first probe of this sink or a sibling — at most once, and
-    /// not at all by a query that probes nothing.
+    /// [`Self::new`] for a join whose build side is made by `load` on the
+    /// first probe of this sink or a sibling — at most once, and not at
+    /// all by a query that probes nothing.
     pub fn with_deferred_right(
         query: &Query,
         schema: &Schema,
         right_schema: &Schema,
-        rows: RightRows,
+        load: RightRows,
     ) -> Result<RowSink> {
-        RowSink::bind(query, schema, Some(right_schema), Some(rows))
+        let build = BuildSide {
+            table: OnceLock::new(),
+            deferred: Mutex::new(Some(load)),
+        };
+        RowSink::bind(query, schema, Some(right_schema), build)
     }
 
     fn bind(
         query: &Query,
         schema: &Schema,
         right_schema: Option<&Schema>,
-        deferred: Option<RightRows>,
+        build: BuildSide,
     ) -> Result<RowSink> {
         let kind = match query {
             Query::Aggregate { aggs, .. } => {
@@ -151,21 +175,18 @@ impl RowSink {
                 let right_schema = right_schema.ok_or_else(|| {
                     DgfError::Query("join query requires the dimension table".into())
                 })?;
+                // The build side was made by the caller; a right column
+                // the table lacks is still refused here, probe or not.
+                for c in std::iter::once(right_key).chain(right_project) {
+                    right_schema.index_of(c)?;
+                }
                 SinkKind::Join {
                     left_key_idx: schema.index_of(left_key)?,
                     left_project: left_project
                         .iter()
                         .map(|c| schema.index_of(c))
                         .collect::<Result<_>>()?,
-                    build: Arc::new(JoinBuild {
-                        right_key: right_schema.index_of(right_key)?,
-                        right_project: right_project
-                            .iter()
-                            .map(|c| right_schema.index_of(c))
-                            .collect::<Result<_>>()?,
-                        table: OnceLock::new(),
-                        deferred: Mutex::new(deferred),
-                    }),
+                    build: Arc::new(build),
                     out: Vec::new(),
                 }
             }
@@ -525,6 +546,7 @@ mod tests {
             vec![Value::Int(1), Value::Str("alice".into())],
             vec![Value::Int(2), Value::Str("bob".into())],
             vec![Value::Int(2), Value::Str("bob2".into())], // duplicate key
+            vec![Value::Null, Value::Str("nobody".into())],  // never joins
         ];
         let q = Query::Join {
             left_key: "user_id".into(),
@@ -534,7 +556,7 @@ mod tests {
             predicate: Predicate::all(),
         };
         let s = schema();
-        let mut sink = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        let mut sink = RowSink::new(&q, &s, Some((&right_schema, names(&right_rows)))).unwrap();
         for r in rows() {
             sink.push(&r).unwrap();
         }
@@ -548,6 +570,32 @@ mod tests {
                 vec![Value::Str("bob2".into()), Value::Float(2.0)],
             ]
         );
+    }
+
+    /// `user_id` → `name`: the build side of every join in these tests.
+    fn names(right_rows: &[Row]) -> Arc<JoinTable> {
+        Arc::new(JoinTable::new(right_rows, 0, &[1]))
+    }
+
+    /// A right column the dimension table lacks is refused when the sink
+    /// is made, eager or deferred, before anything probes.
+    #[test]
+    fn join_sink_refuses_a_right_column_the_table_lacks() {
+        let right_schema = Schema::from_pairs(&[
+            ("user_id", ValueType::Int),
+            ("name", ValueType::Str),
+        ]);
+        let q = Query::Join {
+            left_key: "user_id".into(),
+            right_key: "user_id".into(),
+            left_project: vec![],
+            right_project: vec!["nickname".into()],
+            predicate: Predicate::all(),
+        };
+        let s = schema();
+        assert!(RowSink::new(&q, &s, Some((&right_schema, names(&[])))).is_err());
+        let load: RightRows = Box::new(|| Ok(Arc::default()));
+        assert!(RowSink::with_deferred_right(&q, &s, &right_schema, load).is_err());
     }
 
     #[test]
@@ -708,12 +756,12 @@ mod tests {
         let (right_schema, right_rows, q) = join_query();
         let s = schema();
         let rs = rows();
-        let mut single = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        let mut single = RowSink::new(&q, &s, Some((&right_schema, names(&right_rows)))).unwrap();
         for r in &rs {
             single.push(r).unwrap();
         }
 
-        let total = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        let total = RowSink::new(&q, &s, Some((&right_schema, names(&right_rows)))).unwrap();
         let mut tasks: Vec<RowSink> = (0..3).map(|_| total.sibling()).collect();
         let SinkKind::Join { build, .. } = &total.kind else {
             panic!("not a join sink");
@@ -745,7 +793,7 @@ mod tests {
             let (reads, rows) = (Arc::clone(reads), rows.clone());
             Box::new(move || {
                 reads.fetch_add(1, Ordering::SeqCst);
-                Ok(rows)
+                Ok(names(&rows))
             })
         };
         // No probe: no read, and an empty answer.
@@ -785,7 +833,7 @@ mod tests {
             merged.merge(o).unwrap();
         }
         merged.push(&rs[1]).unwrap();
-        let mut eager = RowSink::new(&q, &s, Some((&right_schema, &right_rows))).unwrap();
+        let mut eager = RowSink::new(&q, &s, Some((&right_schema, names(&right_rows)))).unwrap();
         for r in rs.iter().chain([&rs[1]]) {
             eager.push(r).unwrap();
         }

@@ -18,7 +18,7 @@ use dgf_common::fault::{io_error_is_transient, FaultPlan, RetryPolicy};
 use dgf_common::stats::{IoStats, IoStatsRef};
 use dgf_common::{DgfError, Result};
 
-use crate::namenode::{parent_of, FileMeta, NameNode};
+use crate::namenode::{parent_of, NameNode};
 use crate::split::{splits_for_file, FileSplit};
 
 /// Default block size. The paper uses 64 MB; the default here is scaled down
@@ -87,7 +87,8 @@ impl SimHdfs {
 
     /// Reopen a cluster whose files already exist under `root`: the
     /// NameNode recovers its namespace by walking the directory tree
-    /// (the equivalent of loading the fsimage after a restart).
+    /// (the equivalent of loading the fsimage after a restart). Every
+    /// file gets a fresh inode id: ids are per cluster instance.
     pub fn reopen(root: impl Into<PathBuf>, config: HdfsConfig) -> Result<HdfsRef> {
         let hdfs = SimHdfs::new(root, config)?;
         fn walk(hdfs: &SimHdfs, local: &std::path::Path, hpath: &str) -> Result<()> {
@@ -239,6 +240,20 @@ impl SimHdfs {
             .collect()
     }
 
+    /// The inode ids of every file under `dir`, recursively, in path
+    /// order (the order of [`list_files`](Self::list_files)). A NameNode
+    /// lookup: no file is opened and no byte is read. Two calls return
+    /// the same list exactly when no file under `dir` was created,
+    /// deleted or renamed in between, whatever the names and lengths.
+    pub fn file_ids(&self, dir: &str) -> Vec<u64> {
+        self.namenode
+            .lock()
+            .files_under(dir)
+            .into_iter()
+            .map(|(_, m)| m.id)
+            .collect()
+    }
+
     /// Create a new file for writing. Fails if the file already exists —
     /// HDFS files are write-once, which is exactly the meter-data contract
     /// the paper relies on (feature ii in §1).
@@ -296,7 +311,7 @@ impl SimHdfs {
     /// Atomically move a file to a new path. Fails if `from` is missing
     /// or `to` already exists; parents of `to` are created. This is the
     /// publish step of the staging→commit protocol (HDFS renames are
-    /// atomic NameNode operations).
+    /// atomic NameNode operations). The file keeps its inode id.
     pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
         self.fault_check("hdfs.rename", true)?;
         let meta = self
@@ -360,9 +375,7 @@ impl SimHdfs {
 
     fn finish_file(&self, path: &str, len: u64) {
         let blocks = len.div_ceil(self.config.block_size);
-        self.namenode
-            .lock()
-            .put_file(path, FileMeta { len, blocks });
+        self.namenode.lock().add_file(path, len, blocks);
     }
 }
 
@@ -677,6 +690,9 @@ mod tests {
         assert!(h.file_exists("/tab/sub/part-1"));
         assert!(h.dir_exists("/tab/sub"));
         assert_eq!(h.splits_for_dir("/tab").len(), 2); // 64+36 bytes
+        let ids = h.file_ids("/tab");
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
         let mut r = h.open_reader("/tab/part-0").unwrap();
         let mut buf = Vec::new();
         r.read_to_end(&mut buf).unwrap();
@@ -690,7 +706,10 @@ mod tests {
         w.write_all(b"payload").unwrap();
         w.close().unwrap();
 
+        let id = h.file_ids("/stage");
         h.rename_file("/stage/f", "/live/f").unwrap();
+        assert_eq!(h.file_ids("/live"), id, "a rename keeps the inode id");
+        assert!(h.file_ids("/stage").is_empty());
         assert!(!h.file_exists("/stage/f"));
         assert_eq!(h.file_len("/live/f").unwrap(), 7);
         let mut r = h.open_reader("/live/f").unwrap();
@@ -702,6 +721,31 @@ mod tests {
         assert!(h.rename_file("/stage/f", "/live/g").is_err());
         h.create("/live/g").unwrap().close().unwrap();
         assert!(h.rename_file("/live/f", "/live/g").is_err());
+    }
+
+    /// A file deleted and written again under the same name and length is
+    /// a new inode; the listing by name and length cannot tell them apart.
+    #[test]
+    fn a_recreated_file_has_a_new_inode_id() {
+        let (_t, h) = cluster();
+        let write = |bytes: &[u8]| {
+            let mut w = h.create("/t/f").unwrap();
+            w.write_all(bytes).unwrap();
+            w.close().unwrap();
+        };
+        write(b"alice");
+        h.create("/t/g").unwrap().close().unwrap();
+        let (listed, ids) = (h.list_files("/t"), h.file_ids("/t"));
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
+        assert_eq!(h.file_ids("/t"), ids, "a lookup changes nothing");
+
+        h.delete_file("/t/f").unwrap();
+        write(b"bobby");
+        assert_eq!(h.list_files("/t"), listed);
+        let again = h.file_ids("/t");
+        assert_ne!(again[0], ids[0]);
+        assert_eq!(again[1], ids[1]);
     }
 
     #[test]

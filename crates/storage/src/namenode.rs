@@ -16,6 +16,10 @@ pub const BYTES_PER_OBJECT: u64 = 150;
 /// Metadata for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
+    /// Inode id, HDFS's `INodeId`: handed out when the file is registered,
+    /// kept across renames and never reused, so a file re-created under
+    /// the same name is told apart from the one it replaced.
+    pub id: u64,
     /// Length in bytes.
     pub len: u64,
     /// Number of blocks (`ceil(len / block_size)`, 0 for empty files).
@@ -27,6 +31,8 @@ pub struct FileMeta {
 pub struct NameNode {
     dirs: BTreeMap<String, ()>,
     files: BTreeMap<String, FileMeta>,
+    /// The last inode id handed out.
+    last_id: u64,
 }
 
 impl NameNode {
@@ -44,7 +50,17 @@ impl NameNode {
         }
     }
 
-    /// Register (or replace) a file's metadata, creating parent dirs.
+    /// Register a new file under a fresh inode id, creating parent dirs.
+    /// Returns the id.
+    pub fn add_file(&mut self, path: &str, len: u64, blocks: u64) -> u64 {
+        self.last_id += 1;
+        let id = self.last_id;
+        self.put_file(path, FileMeta { id, len, blocks });
+        id
+    }
+
+    /// Register (or replace) a file's metadata as it is, creating parent
+    /// dirs (a rename moves a file's metadata, id included).
     pub fn put_file(&mut self, path: &str, meta: FileMeta) {
         if let Some(parent) = parent_of(path) {
             self.mkdirs(&parent);
@@ -156,8 +172,9 @@ mod tests {
     #[test]
     fn file_accounting() {
         let mut nn = NameNode::new();
-        nn.put_file("/a/f1", FileMeta { len: 130, blocks: 3 });
-        nn.put_file("/a/f2", FileMeta { len: 0, blocks: 0 });
+        let f1 = nn.add_file("/a/f1", 130, 3);
+        let f2 = nn.add_file("/a/f2", 0, 0);
+        assert_ne!(f1, f2);
         assert_eq!(nn.file_count(), 2);
         assert_eq!(nn.block_count(), 3);
         // dirs: "/", "/a" → 2; files 2; blocks 3 → 7 objects.
@@ -184,9 +201,9 @@ mod tests {
     #[test]
     fn files_under_lists_recursively() {
         let mut nn = NameNode::new();
-        nn.put_file("/t/p1/f1", FileMeta { len: 1, blocks: 1 });
-        nn.put_file("/t/p2/f2", FileMeta { len: 2, blocks: 1 });
-        nn.put_file("/u/f3", FileMeta { len: 3, blocks: 1 });
+        nn.add_file("/t/p1/f1", 1, 1);
+        nn.add_file("/t/p2/f2", 2, 1);
+        nn.add_file("/u/f3", 3, 1);
         let got: Vec<String> = nn.files_under("/t").into_iter().map(|(p, _)| p).collect();
         assert_eq!(got, vec!["/t/p1/f1".to_owned(), "/t/p2/f2".to_owned()]);
         assert_eq!(nn.files_under("/").len(), 3);
@@ -195,8 +212,8 @@ mod tests {
     #[test]
     fn remove_tree_drops_subtree_only() {
         let mut nn = NameNode::new();
-        nn.put_file("/t/p1/f1", FileMeta { len: 1, blocks: 1 });
-        nn.put_file("/tx/f2", FileMeta { len: 2, blocks: 1 });
+        nn.add_file("/t/p1/f1", 1, 1);
+        nn.add_file("/tx/f2", 2, 1);
         nn.remove_tree("/t");
         assert!(nn.file("/t/p1/f1").is_none());
         assert!(nn.file("/tx/f2").is_some());

@@ -473,7 +473,10 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
         let dim = hdfs.stats().snapshot().since(&before);
         assert!(dim.opens > 0 && dim.bytes_read > 0);
 
-        for (query, dim_reads) in [(&group_by, 0), (&join, 1)] {
+        // The join runs twice on one context: the first pays one read of
+        // the dimension table, the second reuses its build side and pays
+        // for its Slices alone.
+        for (query, dim_reads) in [(&group_by, 0), (&join, 1), (&join, 0)] {
             let plan = idx.plan(query, true).unwrap();
             let want = slice_read_cost(&hdfs, &plan.inputs);
             assert!(want.groups >= 10 && want.inputs > 0, "{placement:?}: {want:?}");
@@ -500,6 +503,12 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             );
             assert_eq!(scan.batches, want.groups, "{label}");
             assert_eq!(scan.rowwise_rows, 0);
+            let joins = u64::from(std::ptr::eq(query, &join));
+            assert_eq!(
+                (scan.join_builds, scan.join_build_reuses),
+                (dim_reads, joins - dim_reads),
+                "{label}"
+            );
 
             // The same bits as a scan of the base table, from the sink
             // and from the engine.
@@ -841,6 +850,8 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
     (names::SCAN_DECODE_US, "scan.decode_us"),
     (names::SCAN_KERNEL_US, "scan.kernel_us"),
     (names::SCAN_ROWWISE_ROWS, "scan.rowwise_rows"),
+    (names::SCAN_JOIN_BUILDS, "scan.join_builds"),
+    (names::SCAN_JOIN_BUILD_REUSES, "scan.join_build_reuses"),
     (names::SCAN_SIDECAR_HITS, "scan.sidecar.hits"),
     (names::SCAN_SIDECAR_MISSES, "scan.sidecar.misses"),
     (names::SCAN_SIDECAR_CORRUPT, "scan.sidecar.corrupt"),
@@ -879,6 +890,7 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
 
 #[test]
 fn registry_names_are_a_contract() {
+    assert_eq!(GOLDEN_NAMES.len(), 85);
     let mut seen = std::collections::BTreeSet::new();
     for (constant, golden) in GOLDEN_NAMES {
         assert_eq!(constant, golden, "a registry name moved");
