@@ -169,7 +169,7 @@ pub mod names {
     /// Microseconds spent in predicate/aggregate kernels, summed
     /// (`ScanStats::kernel_us`).
     pub const SCAN_KERNEL_US: &str = "scan.kernel_us";
-    /// Rows pushed through the row-at-a-time fallback path
+    /// Rows of text inputs, which a scan reads row at a time
     /// (`ScanStats::rowwise_rows`).
     pub const SCAN_ROWWISE_ROWS: &str = "scan.rowwise_rows";
     /// Join build sides made from a read of the dimension table

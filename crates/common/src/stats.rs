@@ -206,7 +206,7 @@ counter_block! {
         decode_us: names::SCAN_DECODE_US,
         /// Microseconds spent in predicate + aggregate kernels (summed).
         kernel_us: names::SCAN_KERNEL_US,
-        /// Rows pushed through the row-at-a-time fallback path.
+        /// Rows of text inputs, which a scan reads row at a time.
         rowwise_rows: names::SCAN_ROWWISE_ROWS,
         /// Join build sides made from a read of the dimension table.
         join_builds: names::SCAN_JOIN_BUILDS,

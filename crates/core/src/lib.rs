@@ -786,7 +786,8 @@ mod tests {
         let gfus = all_gfus(idx.kv.as_ref(), 2).unwrap();
         for (id, _) in idx.pin_view().unwrap().data_files {
             let path = id.path(&idx.data.location);
-            let offsets = dgf_format::read_group_offsets(&ctx.hdfs, &path).unwrap();
+            let footer = dgf_format::read_footer(&ctx.hdfs, &path).unwrap();
+            let offsets = footer.group_offsets();
             for (_, v) in &gfus {
                 for s in v.slices.iter().filter(|s| s.file == id) {
                     assert!(

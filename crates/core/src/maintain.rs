@@ -295,7 +295,6 @@ impl Maintainer {
         // Rewrite ALL slices of each affected GFU, in stored slice order,
         // into one staged file: each GFU ends up with a single contiguous
         // slice holding exactly its old rows in their old order.
-        let format = index.data.format;
         let data_loc = &index.data.location;
         let paths: HashMap<FileId, String> =
             rewritten.iter().map(|id| (*id, id.path(data_loc))).collect();
@@ -304,7 +303,7 @@ impl Maintainer {
         let footers = read_footers(&index.ctx, &index.data, paths.values().map(String::as_str))?;
         let file = FileId::new(txn.gen(), 0);
         let path = file.path(txn.staging_dir());
-        let mut w = SliceWriter::create(&index.ctx.hdfs, &path, &index.data, format)?;
+        let mut w = SliceWriter::create(&index.ctx.hdfs, &path, &index.data)?;
         for (key, value) in &affected {
             let start = w.offset();
             for slice in &value.slices {
@@ -313,21 +312,13 @@ impl Maintainer {
                 }
                 let range = ByteRange::new(slice.start, slice.end);
                 let path = paths[&slice.file].clone();
-                let input = match format {
-                    FileFormat::Text => ScanInput::TextRanges {
-                        path,
-                        ranges: vec![range],
-                    },
-                    FileFormat::RcFile => ScanInput::RcRanges {
-                        path,
-                        ranges: vec![range],
-                    },
+                let ranges = vec![range];
+                let input = match index.data.format {
+                    FileFormat::Text => ScanInput::TextRanges { path, ranges },
+                    FileFormat::RcFile => ScanInput::RcRanges { path, ranges },
                 };
-                let mut r = open_input(&index.ctx, &index.data, &input, &footers)?.into_rows();
-                while let Some(row) = r.next_row()? {
-                    let line = format_row(&row);
-                    w.write(&line, row)?;
-                }
+                open_input(&index.ctx, &index.data, &input, &footers)?
+                    .for_each_row(|_, row| w.write(&format_row(row), row))?;
             }
             let end = w.end_slice()?;
             index.sync_point("maint.stage-cell");
@@ -418,7 +409,7 @@ impl Maintainer {
         // An empty grid has no splits; the rewrite then commits the new
         // policy with nothing staged.
         let splits = self.live_slice_splits()?;
-        index.reorganize(txn, splits, index.data.format, None, Some(Arc::new(policy)))?;
+        index.reorganize(txn, splits, None, Some(Arc::new(policy)))?;
         Ok(())
     }
 

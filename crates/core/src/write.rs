@@ -20,8 +20,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgf_common::{format_row, parse_row, Result, Row, Stopwatch};
-use dgf_format::{sidecar_path, FileFormat, RcReader, SidecarBuilder, TextReader, TextWriter};
-use dgf_hive::{BuildReport, TableRef};
+use dgf_format::{sidecar_path, FileFormat, SidecarBuilder, TextWriter};
+use dgf_hive::{open_input, BuildReport, Footers, ScanInput, TableRef};
 use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::FileSplit;
@@ -69,7 +69,7 @@ impl DgfIndex {
             let len = self.ctx.hdfs.file_len(&path)?;
             let splits = dgf_storage::splits_for_file(&path, len, self.ctx.hdfs.block_size());
             let reorg_span = span.child("append.reorganize");
-            let job = self.reorganize(txn, splits, self.base.format, watermark, None)?;
+            let job = self.reorganize(txn, splits, watermark, None)?;
             job.attach_to_span(&reorg_span);
             reorg_span.finish();
             Ok(BuildReport {
@@ -100,7 +100,6 @@ impl DgfIndex {
         &self,
         txn: Txn<'_>,
         splits: Vec<FileSplit>,
-        format: FileFormat,
         ingest_watermark: Option<u64>,
         regrid: Option<Arc<SplittingPolicy>>,
     ) -> Result<JobReport> {
@@ -148,31 +147,18 @@ impl DgfIndex {
                     .as_ref()
                     .map(|p| p as &(dyn Fn(&Vec<u8>, usize) -> usize + Sync)),
                 // Map (Algorithm 1): standardize dims → GFUKey; emit
-                // (key, line).
+                // (key, line). A regrid's splits cover the data table's
+                // files, which have the base table's schema and format.
                 &|_, split: FileSplit, e| {
-                    let mut emit_row = |row: Row| -> Result<()> {
+                    let input = ScanInput::FullSplit(split);
+                    open_input(ctx, base, &input, &Footers::new())?.for_each_row(|_, row| {
                         let mut cells = Vec::with_capacity(dim_idx.len());
                         for (i, d) in dim_idx.iter().zip(policy.dims()) {
                             cells.push(d.cell_of(&row[*i])?);
                         }
-                        e.emit(GfuKey::new(cells).encode(), format_row(&row));
+                        e.emit(GfuKey::new(cells).encode(), format_row(row));
                         Ok(())
-                    };
-                    match format {
-                        FileFormat::Text => {
-                            let mut r = TextReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
-                            while let Some((_, row)) = r.next_with_offset()? {
-                                emit_row(row)?;
-                            }
-                        }
-                        FileFormat::RcFile => {
-                            let mut r = RcReader::open(&ctx.hdfs, base.schema.clone(), &split)?;
-                            while let Some((_, row)) = r.next_with_offset()? {
-                                emit_row(row)?;
-                            }
-                        }
-                    }
-                    Ok(())
+                    })
                 },
                 None,
                 // Reduce (Algorithm 2): write each GFU's records as one Slice
@@ -184,7 +170,7 @@ impl DgfIndex {
                     // keys publish unmodified.
                     let file = FileId::new(gen, tid as u32);
                     let path = file.path(staging_dir);
-                    let mut w = SliceWriter::create(&ctx.hdfs, &path, base, format)?;
+                    let mut w = SliceWriter::create(&ctx.hdfs, &path, base)?;
                     let mut extents = Extents::empty(arity);
                     for (key_bytes, lines) in groups {
                         let key = GfuKey::decode(&key_bytes, arity)?;
@@ -194,7 +180,7 @@ impl DgfIndex {
                         for line in &lines {
                             let row = parse_row(line, &base.schema)?;
                             agg_set.update(&mut states, &row, &base.schema)?;
-                            w.write(line, row)?;
+                            w.write(line, &row)?;
                         }
                         let end = w.end_slice()?;
                         let slice = SliceLoc::new(file, start, end);
@@ -419,25 +405,25 @@ pub(crate) enum SliceWriter {
 }
 
 impl SliceWriter {
+    /// A writer of `table`'s format, schema and group size.
     pub(crate) fn create(
         hdfs: &dgf_storage::HdfsRef,
         path: &str,
-        base: &TableRef,
-        format: FileFormat,
+        table: &TableRef,
     ) -> Result<SliceWriter> {
-        Ok(match format {
+        Ok(match table.format {
             FileFormat::Text => SliceWriter::Text(TextWriter::create(hdfs, path)?),
             FileFormat::RcFile => SliceWriter::Rc {
                 writer: Box::new(dgf_format::RcWriter::create(
                     hdfs,
                     path,
-                    base.schema.clone(),
-                    base.rows_per_group,
+                    table.schema.clone(),
+                    table.rows_per_group,
                 )?),
                 hdfs: hdfs.clone(),
                 path: path.to_owned(),
                 sidecar: SidecarBuilder::new(
-                    base.schema.fields().iter().map(|f| f.name.clone()).collect(),
+                    table.schema.fields().iter().map(|f| f.name.clone()).collect(),
                 ),
             },
         })
@@ -452,7 +438,7 @@ impl SliceWriter {
     }
 
     /// Append one record (`line` is its text form, `row` its parsed form).
-    pub(crate) fn write(&mut self, line: &str, row: Row) -> Result<()> {
+    pub(crate) fn write(&mut self, line: &str, row: &Row) -> Result<()> {
         match self {
             SliceWriter::Text(w) => {
                 w.write_line(line)?;
@@ -463,8 +449,8 @@ impl SliceWriter {
                 // `write_row` returns the row's group start; if the group
                 // auto-flushed on this row, `group_offset()` has moved past
                 // it and the group (start..end) is sealed for the sidecar.
-                let start = writer.write_row(&row)?;
-                sidecar.observe(&row);
+                let start = writer.write_row(row)?;
+                sidecar.observe(row);
                 let after = writer.group_offset();
                 if after != start {
                     sidecar.finish_group(start, after - start);

@@ -2,16 +2,16 @@
 //!
 //! Hive-style file formats over [`dgf_storage`]:
 //!
-//! * [`text`] — newline-delimited TextFile, Hadoop split semantics, and the
-//!   slice-skipping reader that implements DGFIndex's third query stage.
+//! * [`text`] — newline-delimited TextFile with Hadoop split semantics; its
+//!   one reader reads a split or the Slices of DGFIndex's third query
+//!   stage, both as byte ranges.
 //! * [`rcfile`] — a row-group columnar RCFile analogue with a footer
 //!   directory, column projection, and per-group row-bitmap filtering for
-//!   the Bitmap Index.
+//!   the Bitmap Index; its one reader hands out decoded batches.
 //! * [`bitmap`] — the row bitmap itself.
 //! * [`sidecar`] — the per-slice sidecar index: zone maps plus
 //!   hierarchical compressed bitmaps for sub-slice skipping.
-//! * [`reader`] — the [`RecordReader`] trait, [`ByteRange`], and range
-//!   coalescing.
+//! * [`reader`] — [`ByteRange`] and range coalescing.
 //!
 //! Offsets follow Hive's `BLOCK_OFFSET_INSIDE_FILE`: line start for text,
 //! row-group start for RCFile (paper §2.2).
@@ -25,14 +25,12 @@ pub mod sidecar;
 pub mod text;
 
 pub use bitmap::Bitmap;
-pub use rcfile::{
-    read_footer, read_group_offsets, RcFooter, RcReader, RcWriter, DEFAULT_ROWS_PER_GROUP,
-};
-pub use reader::{coalesce_ranges, collect_rows, ByteRange, RecordReader};
+pub use rcfile::{read_footer, RcFooter, RcReader, RcWriter, DEFAULT_ROWS_PER_GROUP};
+pub use reader::{coalesce_ranges, ByteRange};
 pub use sidecar::{
     is_sidecar_path, sidecar_path, CompressedBitmap, SidecarBuilder, SliceSidecar,
 };
-pub use text::{SkippingTextReader, TextReader, TextWriter};
+pub use text::{TextReader, TextWriter};
 
 /// The on-disk layout of a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,8 +78,9 @@ mod proptests {
             w.close().unwrap();
             let mut ids = Vec::new();
             for s in h.splits_for_dir("/t") {
-                let r = TextReader::open(&h, schema.clone(), &s).unwrap();
-                for row in collect_rows(r).unwrap() {
+                let ranges = vec![ByteRange::new(s.start, s.end())];
+                let mut r = TextReader::open(&h, schema.clone(), &s.path, ranges);
+                while let Some((_, row)) = r.next_with_offset().unwrap() {
                     ids.push(row[0].as_i64().unwrap());
                 }
             }
@@ -110,16 +109,16 @@ mod proptests {
             w.close().unwrap();
             let mut ids = Vec::new();
             for s in h.splits_for_dir("/t") {
-                let r = RcReader::open(&h, schema.clone(), &s).unwrap();
-                for row in collect_rows(r).unwrap() {
-                    ids.push(row[0].as_i64().unwrap());
+                let mut r = RcReader::open(&h, schema.clone(), &s).unwrap();
+                while let Some(b) = r.next_batch().unwrap() {
+                    ids.extend((0..b.len()).map(|i| b.value(i, 0).as_i64().unwrap()));
                 }
             }
             ids.sort_unstable();
             prop_assert_eq!(ids, (0..n_rows).collect::<Vec<_>>());
         }
 
-        /// The skipping reader over ranges covering rows [a, b) returns
+        /// The text reader over ranges covering rows [a, b) returns
         /// exactly those rows, regardless of where ranges are cut.
         #[test]
         fn skipping_reader_matches_requested_rows(
@@ -156,11 +155,9 @@ mod proptests {
             bounds.dedup();
             let mut ids = Vec::new();
             for w in bounds.windows(2) {
-                let r = SkippingTextReader::open(
-                    &h, schema.clone(), "/t/f",
-                    vec![ByteRange::new(w[0], w[1])],
-                ).unwrap();
-                for row in collect_rows(r).unwrap() {
+                let ranges = vec![ByteRange::new(w[0], w[1])];
+                let mut r = TextReader::open(&h, schema.clone(), "/t/f", ranges);
+                while let Some((_, row)) = r.next_with_offset().unwrap() {
                     ids.push(row[0].as_i64().unwrap());
                 }
             }

@@ -24,7 +24,6 @@ use dgf_common::{DgfError, Result, Row, SchemaRef};
 use dgf_storage::{FileSplit, HdfsReader, HdfsRef, HdfsWriter};
 
 use crate::bitmap::Bitmap;
-use crate::reader::RecordReader;
 
 const MAGIC_HEAD: &[u8; 4] = b"DRCF";
 const MAGIC_TAIL: &[u8; 4] = b"DRCX";
@@ -191,18 +190,20 @@ impl RcFooter {
         r.read_exact(&mut footer)?;
         let mut dec = Decoder::new(&footer);
         let n = dec.u32()? as usize;
-        // Each offset takes eight footer bytes: a count beyond what the
-        // footer can hold is corruption, not an allocation request.
-        if n > dec.remaining() / 8 {
+        // The footer is the count, eight bytes per offset and the tail: a
+        // count that does not fill it exactly is corruption, not an
+        // allocation request.
+        if footer.len() != 4 + 8 * n + 12 {
             return Err(DgfError::Corrupt(format!(
                 "{path}: footer claims {n} row groups in {} bytes",
-                dec.remaining()
+                footer.len()
             )));
         }
         let mut offsets = Vec::with_capacity(n);
         // Frame lengths are differences of neighbours, so the directory
         // must ascend from the head magic to the footer.
-        let mut floor = MAGIC_HEAD.len() as u64;
+        let head = MAGIC_HEAD.len() as u64;
+        let mut floor = head;
         for _ in 0..n {
             let off = dec.u64()?;
             if off < floor || off >= footer_start {
@@ -212,6 +213,14 @@ impl RcFooter {
             }
             floor = off + 1;
             offsets.push(off);
+        }
+        // Frames are written back to back from the head magic on: a first
+        // frame (or, with none, a footer) anywhere else leaves bytes no
+        // group accounts for.
+        if offsets.first().copied().unwrap_or(footer_start) != head {
+            return Err(DgfError::Corrupt(format!(
+                "{path}: the first frame does not follow the head magic"
+            )));
         }
         Ok(RcFooter {
             offsets,
@@ -227,17 +236,6 @@ pub fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<RcFooter> {
     RcFooter::read_from(&mut hdfs.open_reader(path)?, path)
 }
 
-/// Load the footer directory of group offsets.
-pub fn read_group_offsets(hdfs: &HdfsRef, path: &str) -> Result<Vec<u64>> {
-    Ok(read_footer(hdfs, path)?.offsets)
-}
-
-/// A decoded batch held while its rows are handed out one at a time.
-struct BatchCursor {
-    batch: ColumnBatch,
-    pos: usize,
-}
-
 /// Reads the row groups of one input split.
 ///
 /// The unit of I/O is the **run**: kept groups that are neighbours in the
@@ -247,9 +245,8 @@ struct BatchCursor {
 /// [`ColumnBatch`] — typed per-column vectors plus null bitmaps — honoring
 /// [`Self::with_projection`] (skipped columns are never decoded) and
 /// [`Self::with_row_filter`] (the batch is compacted to surviving rows) at
-/// the batch level. Vectorized consumers drain whole batches via
-/// [`Self::next_batch`]; the row-at-a-time [`RecordReader`] interface
-/// remains and hands out rows from the same fetches.
+/// the batch level. [`Self::next_batch`] is the reader's one drain: a
+/// consumer that wants rows copies them out of each batch.
 pub struct RcReader {
     file: HdfsReader,
     /// Where `file` stands after the last fetch: a run longer than one
@@ -269,7 +266,6 @@ pub struct RcReader {
     /// Longest stretch one fetch reads (a group longer than this is still
     /// read whole).
     fetch_cap: u64,
-    current: Option<BatchCursor>,
     /// Per column: decode it, or leave a `Value::Null` placeholder.
     decode: Vec<bool>,
     /// Per-group row bitmaps: only set rows are returned.
@@ -321,7 +317,6 @@ impl RcReader {
             frames: Vec::new(),
             frame_at: 0,
             fetch_cap: hdfs.block_size(),
-            current: None,
             row_filter: None,
             stats: hdfs.stats().clone(),
             scan_stats: None,
@@ -480,57 +475,20 @@ impl RcReader {
         Ok(batch)
     }
 
-    /// Fetch and decode the next group without charging `records_read`
-    /// (the hand-out points charge, so row and batch consumers agree).
-    fn fetch_batch(&mut self) -> Result<Option<ColumnBatch>> {
-        match self.next_frame()? {
-            Some(group) => Ok(Some(self.decode_group(group)?)),
-            None => Ok(None),
-        }
-    }
-
     /// The next decoded row group as a [`ColumnBatch`], or `None` at the
     /// end of the split.
     ///
     /// A batch may be empty when the row filter rejected every row of its
     /// group. `IoStats::records_read` is charged `batch.len()` per returned
-    /// batch — the same total a row-at-a-time drain would charge. Do not
-    /// interleave with the [`RecordReader`] interface on the same reader.
+    /// batch — one per row handed out, the measurement behind the paper's
+    /// Tables 3, 4 and 6.
     pub fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
-        let batch = self.fetch_batch()?;
-        if let Some(b) = &batch {
-            self.stats.records_read.add(b.len() as u64);
-        }
-        Ok(batch)
-    }
-
-    /// Position the cursor on a batch with at least one unread row.
-    fn refill(&mut self) -> Result<bool> {
-        loop {
-            if let Some(cur) = &self.current {
-                if cur.pos < cur.batch.len() {
-                    return Ok(true);
-                }
-            }
-            match self.fetch_batch()? {
-                Some(batch) => self.current = Some(BatchCursor { batch, pos: 0 }),
-                None => return Ok(false),
-            }
-        }
-    }
-
-    /// Next `(group_offset, row)`.
-    pub fn next_with_offset(&mut self) -> Result<Option<(u64, Row)>> {
-        if !self.refill()? {
+        let Some(group) = self.next_frame()? else {
             return Ok(None);
-        }
-        let cur = self.current.as_mut().expect("cursor refilled");
-        let mut row = Row::with_capacity(cur.batch.num_columns());
-        cur.batch.read_row_into(cur.pos, &mut row);
-        let offset = cur.batch.group_offset();
-        cur.pos += 1;
-        self.stats.records_read.inc();
-        Ok(Some((offset, row)))
+        };
+        let batch = self.decode_group(group)?;
+        self.stats.records_read.add(batch.len() as u64);
+        Ok(Some(batch))
     }
 }
 
@@ -549,27 +507,10 @@ fn push_span(runs: &mut VecDeque<Range<usize>>, span: Range<usize>) {
     }
 }
 
-impl RecordReader for RcReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        Ok(self.next_with_offset()?.map(|(_, r)| r))
-    }
-
-    fn next_row_into(&mut self, row: &mut Row) -> Result<bool> {
-        if !self.refill()? {
-            return Ok(false);
-        }
-        let cur = self.current.as_mut().expect("cursor refilled");
-        cur.batch.read_row_into(cur.pos, row);
-        cur.pos += 1;
-        self.stats.records_read.inc();
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{collect_rows, ByteRange};
+    use crate::reader::ByteRange;
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_storage::{HdfsConfig, SimHdfs};
     use std::sync::Arc;
@@ -603,6 +544,27 @@ mod tests {
         ]
     }
 
+    /// Every row `r` hands out, copied out of its batches.
+    fn try_drain(mut r: RcReader) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        while let Some(b) = r.next_batch()? {
+            for i in 0..b.len() {
+                let mut row = Row::new();
+                b.read_row_into(i, &mut row);
+                rows.push(row);
+            }
+        }
+        Ok(rows)
+    }
+
+    fn drain(r: RcReader) -> Vec<Row> {
+        try_drain(r).unwrap()
+    }
+
+    fn offsets(h: &HdfsRef, path: &str) -> Result<Vec<u64>> {
+        Ok(read_footer(h, path)?.group_offsets().to_vec())
+    }
+
     fn write(h: &HdfsRef, path: &str, n: i64, per_group: usize) -> Vec<u64> {
         let mut w = RcWriter::create(h, path, schema(), per_group).unwrap();
         let mut group_offsets = Vec::new();
@@ -618,7 +580,7 @@ mod tests {
         let (_t, h) = cluster();
         write(&h, "/t/f", 25, 10);
         let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
-        let rows = collect_rows(RcReader::open(&h, schema(), &split).unwrap()).unwrap();
+        let rows = drain(RcReader::open(&h, schema(), &split).unwrap());
         assert_eq!(rows.len(), 25);
         assert_eq!(rows[7], row(7));
         assert_eq!(h.stats().records_read.get(), 25);
@@ -633,8 +595,7 @@ mod tests {
         assert_ne!(offs[9], offs[10]);
         assert_eq!(offs[10], offs[19]);
         assert_eq!(offs[20], offs[24]);
-        let footer = read_group_offsets(&h, "/t/f").unwrap();
-        assert_eq!(footer, vec![offs[0], offs[10], offs[20]]);
+        assert_eq!(offsets(&h, "/t/f").unwrap(), vec![offs[0], offs[10], offs[20]]);
     }
 
     #[test]
@@ -645,7 +606,7 @@ mod tests {
         assert!(splits.len() > 2);
         let mut ids = Vec::new();
         for s in &splits {
-            for r in collect_rows(RcReader::open(&h, schema(), s).unwrap()).unwrap() {
+            for r in drain(RcReader::open(&h, schema(), s).unwrap()) {
                 ids.push(r[0].as_i64().unwrap());
             }
         }
@@ -661,7 +622,7 @@ mod tests {
         let r = RcReader::open(&h, schema(), &split)
             .unwrap()
             .with_projection(vec![0, 2]);
-        let rows = collect_rows(r).unwrap();
+        let rows = drain(r);
         assert_eq!(rows[2][0], Value::Int(2));
         assert_eq!(rows[2][1], Value::Null);
         assert_eq!(rows[2][2], Value::Float(1.0));
@@ -680,11 +641,7 @@ mod tests {
         let r = RcReader::open(&h, schema(), &split)
             .unwrap()
             .with_row_filter(filter);
-        let ids: Vec<i64> = collect_rows(r)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_i64().unwrap())
-            .collect();
+        let ids: Vec<i64> = drain(r).iter().map(|r| r[0].as_i64().unwrap()).collect();
         assert_eq!(ids, vec![2, 4, 10]);
         // The third group was never fetched: bytes read stay well below file size.
         let read = h.stats().bytes_read.get() - before;
@@ -692,14 +649,14 @@ mod tests {
     }
 
     #[test]
-    fn next_with_offset_reports_group_offsets() {
+    fn batches_carry_their_group_offsets() {
         let (_t, h) = cluster();
         let offs = write(&h, "/t/f", 12, 5);
         let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
         let mut r = RcReader::open(&h, schema(), &split).unwrap();
         let mut got = Vec::new();
-        while let Some((o, _)) = r.next_with_offset().unwrap() {
-            got.push(o);
+        while let Some(b) = r.next_batch().unwrap() {
+            got.extend(std::iter::repeat_n(b.group_offset(), b.len()));
         }
         assert_eq!(got, offs);
     }
@@ -714,7 +671,7 @@ mod tests {
         w.write_all(b"this is just text, long enough to pass length checks")
             .unwrap();
         w.close().unwrap();
-        assert!(read_group_offsets(&h, "/t/plain").is_err());
+        assert!(offsets(&h, "/t/plain").is_err());
     }
 
     #[test]
@@ -732,15 +689,15 @@ mod tests {
         w.write_all(&file).unwrap();
         w.close().unwrap();
         assert!(matches!(
-            read_group_offsets(&h, "/t/huge"),
+            offsets(&h, "/t/huge"),
             Err(DgfError::Corrupt(_))
         ));
     }
 
     /// One flipped count in a checksum-less file must surface as
-    /// `Corrupt` from the check that precedes the allocation ("claims"),
-    /// on both drain paths — not as a multi-GiB `vec!`, and not as the
-    /// EOF a reader would hit only after allocating.
+    /// `Corrupt` from the check that precedes the allocation ("claims") —
+    /// not as a multi-GiB `vec!`, and not as the EOF a reader would hit
+    /// only after allocating.
     #[test]
     fn flipped_frame_length_or_row_count_is_corrupt_not_an_allocation() {
         let (_t, h) = cluster();
@@ -760,17 +717,80 @@ mod tests {
             w.write_all(&bad).unwrap();
             w.close().unwrap();
 
-            let batch = RcReader::open(&h, schema(), &split(&path))
+            let err = RcReader::open(&h, schema(), &split(&path))
                 .unwrap()
-                .next_batch();
-            let row = RcReader::open(&h, schema(), &split(&path))
-                .unwrap()
-                .next_row_into(&mut Row::new());
-            for (drain, err) in [("next_batch", batch.err()), ("next_row_into", row.err())] {
-                assert!(
-                    matches!(&err, Some(DgfError::Corrupt(m)) if m.contains("claims")),
-                    "{case} via {drain}: {err:?}"
-                );
+                .next_batch()
+                .err();
+            assert!(
+                matches!(&err, Some(DgfError::Corrupt(m)) if m.contains("claims")),
+                "{case}: {err:?}"
+            );
+        }
+    }
+
+    /// Seeded truncations and bit flips over a small file of several
+    /// groups: no mutant panics, one that cuts or flips the footer
+    /// directory or the tail is `Corrupt`, and one that flips a frame's
+    /// length prefix or column payload is `Corrupt` or reads rows of the
+    /// schema's width.
+    #[test]
+    fn mutated_files_are_corrupt_or_read_schema_wide_rows() {
+        use rand::{Rng, SeedableRng};
+        use std::io::Write as _;
+        let (_t, h) = cluster();
+        let offs = write(&h, "/t/f", 13, 4);
+        let good = h.read_file("/t/f").unwrap();
+        let footer_start = read_footer(&h, "/t/f").unwrap().frames_end() as usize;
+        assert_eq!(offs[0], MAGIC_HEAD.len() as u64);
+        // (mutant, whether it touches the footer directory or the tail)
+        let mut mutants: Vec<(Vec<u8>, bool)> =
+            (0..good.len()).map(|cut| (good[..cut].to_vec(), true)).collect();
+        // Every bit of the directory and the tail; one seeded bit of
+        // every frame byte.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        for at in MAGIC_HEAD.len()..good.len() {
+            let bits: Vec<u32> = match at >= footer_start {
+                true => (0..8).collect(),
+                false => vec![rng.random_range(0..8u32)],
+            };
+            for bit in bits {
+                let mut m = good.clone();
+                m[at] ^= 1 << bit;
+                mutants.push((m, at >= footer_start));
+            }
+        }
+        // A tail pointing at the directory's last four bytes, the high
+        // half of the last offset: a zero count in a footer of the right
+        // length for it.
+        let mut m = good.clone();
+        let tail = good.len() - 12;
+        m[tail..tail + 8].copy_from_slice(&(good.len() as u64 - 16).to_le_bytes());
+        mutants.push((m, true));
+        for _ in 0..300 {
+            let mut m = good.clone();
+            let mut footer = false;
+            for _ in 0..rng.random_range(2..5usize) {
+                let at = rng.random_range(MAGIC_HEAD.len()..m.len());
+                m[at] ^= 1 << rng.random_range(0..8u32);
+                footer |= at >= footer_start;
+            }
+            mutants.push((m, footer));
+        }
+        let width = schema().len();
+        for (n, (bytes, footer)) in mutants.iter().enumerate() {
+            let path = format!("/t/m{n}");
+            let mut w = h.create(&path).unwrap();
+            w.write_all(bytes).unwrap();
+            w.close().unwrap();
+            let split = FileSplit::new(path.as_str(), 0, bytes.len() as u64);
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                RcReader::open(&h, schema(), &split).and_then(try_drain)
+            }));
+            let label = format!("mutant {n} of {} bytes", bytes.len());
+            match read.unwrap_or_else(|_| panic!("{label} panicked")) {
+                Err(DgfError::Corrupt(_)) => {}
+                Ok(rows) if !footer => assert!(rows.iter().all(|r| r.len() == width), "{label}"),
+                other => panic!("{label}: {other:?}"),
             }
         }
     }
@@ -802,10 +822,7 @@ mod tests {
         let mut w = h.create("/t/flat").unwrap();
         w.write_all(&bad).unwrap();
         w.close().unwrap();
-        assert!(matches!(
-            read_group_offsets(&h, "/t/flat"),
-            Err(DgfError::Corrupt(_))
-        ));
+        assert!(matches!(offsets(&h, "/t/flat"), Err(DgfError::Corrupt(_))));
     }
 
     /// One handle per reader, one seek per run of neighbouring kept
@@ -820,13 +837,8 @@ mod tests {
         assert_eq!(g.len(), 40);
         let frame = |i: usize| g.get(i + 1).copied().unwrap_or(footer.frames_end()) - g[i];
         let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
-        let ids = |r: RcReader| -> Vec<i64> {
-            collect_rows(r)
-                .unwrap()
-                .iter()
-                .map(|r| r[0].as_i64().unwrap())
-                .collect()
-        };
+        let ids =
+            |r: RcReader| -> Vec<i64> { drain(r).iter().map(|r| r[0].as_i64().unwrap()).collect() };
         // Groups 3..6 and 10..12, the first as two touching ranges given
         // out of order; a range boundary inside group 11 keeps it (its
         // start is inside), one inside group 12 does not.
@@ -895,10 +907,8 @@ mod tests {
         let (_t, h) = cluster();
         let w = RcWriter::create(&h, "/t/e", schema(), 10).unwrap();
         w.close().unwrap();
-        assert!(read_group_offsets(&h, "/t/e").unwrap().is_empty());
+        assert!(offsets(&h, "/t/e").unwrap().is_empty());
         let split = FileSplit::new("/t/e", 0, h.file_len("/t/e").unwrap());
-        assert!(collect_rows(RcReader::open(&h, schema(), &split).unwrap())
-            .unwrap()
-            .is_empty());
+        assert!(drain(RcReader::open(&h, schema(), &split).unwrap()).is_empty());
     }
 }

@@ -1,31 +1,4 @@
-//! Record reader abstractions shared by all file formats.
-
-use dgf_common::{Result, Row};
-
-/// A pull-based reader of rows from (part of) a file.
-///
-/// Implementations charge `IoStats::records_read` once per returned row —
-/// this is the measurement behind the paper's Tables 3, 4 and 6.
-pub trait RecordReader {
-    /// The next record, or `None` when the reader's range is exhausted.
-    fn next_row(&mut self) -> Result<Option<Row>>;
-
-    /// Read the next record into `row`, reusing its allocation; returns
-    /// `false` when the reader is exhausted (`row` is left unspecified).
-    ///
-    /// The default just forwards to [`Self::next_row`]; readers that decode
-    /// into columnar batches override it to refill the scratch row in place,
-    /// which keeps the row-at-a-time scan loop allocation-free per record.
-    fn next_row_into(&mut self, row: &mut Row) -> Result<bool> {
-        match self.next_row()? {
-            Some(r) => {
-                *row = r;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-}
+//! Byte ranges: what a skipping reader of either format is told to read.
 
 /// A byte range of one file that a skipping reader should materialize.
 ///
@@ -82,15 +55,6 @@ pub fn coalesce_ranges(mut ranges: Vec<ByteRange>) -> Vec<ByteRange> {
         }
     }
     out
-}
-
-/// Drain a reader into a vector (tests and small examples).
-pub fn collect_rows<R: RecordReader>(mut reader: R) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    while let Some(row) = reader.next_row()? {
-        out.push(row);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -8,17 +8,17 @@
 //! Split semantics follow Hadoop's `TextInputFormat`: a reader assigned
 //! `[start, end)` skips the partial line at `start` (unless `start` falls on
 //! a line boundary) and keeps reading any line that *starts* before `end`,
-//! even if it finishes past `end`. The same rule is applied per-range by the
-//! slice-skipping reader, which is what lets a Slice straddle two splits and
-//! be processed by two different mappers (paper §4.3).
+//! even if it finishes past `end`. [`TextReader`] applies the rule to every
+//! byte range it reads, split or Slice, which is what lets a Slice straddle
+//! two splits and be processed by two different mappers (paper §4.3).
 
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 
 use dgf_common::stats::IoStatsRef;
 use dgf_common::{format_row, parse_row, Result, Row, SchemaRef};
-use dgf_storage::{FileSplit, HdfsRef, HdfsWriter};
+use dgf_storage::{HdfsRef, HdfsWriter};
 
-use crate::reader::{ByteRange, RecordReader};
+use crate::reader::ByteRange;
 
 /// Writes rows as delimited text lines, tracking the offset of the next row.
 #[derive(Debug)]
@@ -81,29 +81,23 @@ impl RangeLines {
     fn open(hdfs: &HdfsRef, path: &str, range: ByteRange) -> Result<RangeLines> {
         let file_len = hdfs.file_len(path)?;
         let mut raw = hdfs.open_reader(path)?;
-        let mut start = range.start.min(file_len);
-        if start > 0 {
-            // Look one byte back: if it is not a newline, the line started
-            // in the previous range and is that reader's responsibility.
-            raw.seek(SeekFrom::Start(start - 1))?;
+        let mut pos = range.start.min(file_len);
+        // Look one byte back: if it is not a newline, the line started in
+        // the previous range and is that reader's responsibility.
+        let mut partial = false;
+        if pos > 0 {
+            raw.seek(SeekFrom::Start(pos - 1))?;
             let mut b = [0u8; 1];
             raw.read_exact(&mut b)?;
-            let mut reader = BufReader::new(raw);
-            if b[0] != b'\n' {
-                let mut skipped = String::new();
-                let n = read_line(&mut reader, &mut skipped)?;
-                start += n;
-            }
-            return Ok(RangeLines {
-                reader,
-                pos: start,
-                end: range.end.min(file_len),
-                buf: String::new(),
-            });
+            partial = b[0] != b'\n';
+        }
+        let mut reader = BufReader::new(raw);
+        if partial {
+            pos += reader.read_line(&mut String::new())? as u64;
         }
         Ok(RangeLines {
-            reader: BufReader::new(raw),
-            pos: 0,
+            reader,
+            pos,
             end: range.end.min(file_len),
             buf: String::new(),
         })
@@ -115,65 +109,22 @@ impl RangeLines {
             return Ok(None);
         }
         self.buf.clear();
-        let n = read_line(&mut self.reader, &mut self.buf)?;
+        let n = self.reader.read_line(&mut self.buf)? as u64;
         if n == 0 {
             return Ok(None);
         }
         let at = self.pos;
         self.pos += n;
-        let line = self.buf.trim_end_matches('\n');
-        Ok(Some((at, line)))
+        Ok(Some((at, self.buf.trim_end_matches('\n'))))
     }
 }
 
-fn read_line<R: std::io::BufRead>(r: &mut R, buf: &mut String) -> Result<u64> {
-    let n = r.read_line(buf)?;
-    Ok(n as u64)
-}
-
-/// Reads one input split of a text file.
+/// Reads the lines of one or more byte ranges of a text file: a whole
+/// input split is one range, and DGFIndex's stage-3 reader, which skips
+/// the margin between adjacent Slices (paper Figure 7), is several. Each
+/// range follows the Hadoop boundary rules of the module docs, so ranges
+/// cut anywhere read every line once.
 pub struct TextReader {
-    lines: RangeLines,
-    schema: SchemaRef,
-    stats: IoStatsRef,
-}
-
-impl TextReader {
-    /// Open a reader over `split`.
-    pub fn open(hdfs: &HdfsRef, schema: SchemaRef, split: &FileSplit) -> Result<TextReader> {
-        Ok(TextReader {
-            lines: RangeLines::open(
-                hdfs,
-                &split.path,
-                ByteRange::new(split.start, split.end()),
-            )?,
-            schema,
-            stats: hdfs.stats().clone(),
-        })
-    }
-
-    /// Next `(line_offset, row)` — index construction needs the offsets.
-    pub fn next_with_offset(&mut self) -> Result<Option<(u64, Row)>> {
-        match self.lines.next_line()? {
-            Some((at, line)) => {
-                let row = parse_row(line, &self.schema)?;
-                self.stats.records_read.inc();
-                Ok(Some((at, row)))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-impl RecordReader for TextReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        Ok(self.next_with_offset()?.map(|(_, r)| r))
-    }
-}
-
-/// Reads only the given byte ranges of a text file — the DGFIndex stage-3
-/// "skip the margin between adjacent Slices" reader (paper Figure 7).
-pub struct SkippingTextReader {
     hdfs: HdfsRef,
     path: String,
     schema: SchemaRef,
@@ -182,43 +133,42 @@ pub struct SkippingTextReader {
     stats: IoStatsRef,
 }
 
-impl SkippingTextReader {
-    /// Open a reader over `ranges` of `path`. Ranges must be coalesced
-    /// (sorted, non-overlapping) — see
-    /// [`coalesce_ranges`](crate::reader::coalesce_ranges).
+impl TextReader {
+    /// A reader over `ranges` of `path`, which must be sorted and apart —
+    /// see [`coalesce_ranges`](crate::reader::coalesce_ranges). Each range
+    /// is opened when the reader reaches it.
     pub fn open(
         hdfs: &HdfsRef,
         schema: SchemaRef,
         path: &str,
         ranges: Vec<ByteRange>,
-    ) -> Result<SkippingTextReader> {
-        Ok(SkippingTextReader {
+    ) -> TextReader {
+        TextReader {
             hdfs: hdfs.clone(),
             path: path.to_owned(),
             schema,
             ranges: ranges.into_iter(),
             current: None,
             stats: hdfs.stats().clone(),
-        })
+        }
     }
-}
 
-impl RecordReader for SkippingTextReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// The next `(line_offset, row)`, or `None` after the last range.
+    /// Each row charges `IoStats::records_read` once — the measurement
+    /// behind the paper's Tables 3, 4 and 6.
+    pub fn next_with_offset(&mut self) -> Result<Option<(u64, Row)>> {
         loop {
             if self.current.is_none() {
                 match self.ranges.next() {
-                    Some(r) => {
-                        self.current = Some(RangeLines::open(&self.hdfs, &self.path, r)?);
-                    }
+                    Some(r) => self.current = Some(RangeLines::open(&self.hdfs, &self.path, r)?),
                     None => return Ok(None),
                 }
             }
-            match self.current.as_mut().unwrap().next_line()? {
-                Some((_, line)) => {
+            match self.current.as_mut().expect("opened above").next_line()? {
+                Some((at, line)) => {
                     let row = parse_row(line, &self.schema)?;
                     self.stats.records_read.inc();
-                    return Ok(Some(row));
+                    return Ok(Some((at, row)));
                 }
                 None => self.current = None,
             }
@@ -229,7 +179,6 @@ impl RecordReader for SkippingTextReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::collect_rows;
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_storage::{HdfsConfig, SimHdfs};
     use std::sync::Arc;
@@ -264,14 +213,24 @@ mod tests {
         offsets
     }
 
+    /// `(offset, row)` of every line `ranges` of `/t/f` hold.
+    fn read(h: &HdfsRef, ranges: Vec<ByteRange>) -> Vec<(u64, Row)> {
+        let mut r = TextReader::open(h, schema(), "/t/f", ranges);
+        std::iter::from_fn(|| r.next_with_offset().unwrap()).collect()
+    }
+
+    fn ids(lines: &[(u64, Row)]) -> Vec<i64> {
+        lines.iter().map(|(_, r)| r[0].as_i64().unwrap()).collect()
+    }
+
     #[test]
     fn whole_file_round_trip() {
         let (_t, h) = cluster(1 << 20);
-        write_rows(&h, "/t/f", 10);
-        let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
-        let rows = collect_rows(TextReader::open(&h, schema(), &split).unwrap()).unwrap();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[3][0], Value::Int(3));
+        let offsets = write_rows(&h, "/t/f", 10);
+        let lines = read(&h, vec![ByteRange::new(0, h.file_len("/t/f").unwrap())]);
+        assert_eq!(ids(&lines), (0..10).collect::<Vec<_>>());
+        assert_eq!(lines[3].1[1], Value::Float(1.5));
+        assert_eq!(lines.iter().map(|(at, _)| *at).collect::<Vec<_>>(), offsets);
         assert_eq!(h.stats().records_read.get(), 10);
     }
 
@@ -282,31 +241,16 @@ mod tests {
         write_rows(&h, "/t/f", 50);
         let splits = h.splits_for_dir("/t");
         assert!(splits.len() > 3, "want several splits, got {}", splits.len());
-        let mut ids = Vec::new();
+        let mut all = Vec::new();
         for s in &splits {
-            for row in collect_rows(TextReader::open(&h, schema(), s).unwrap()).unwrap() {
-                ids.push(row[0].as_i64().unwrap());
-            }
+            all.extend(ids(&read(&h, vec![ByteRange::new(s.start, s.end())])));
         }
-        ids.sort_unstable();
-        assert_eq!(ids, (0..50).collect::<Vec<_>>());
+        all.sort_unstable();
+        assert_eq!(all, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
-    fn offsets_match_written_positions() {
-        let (_t, h) = cluster(1 << 20);
-        let offsets = write_rows(&h, "/t/f", 5);
-        let split = FileSplit::new("/t/f", 0, h.file_len("/t/f").unwrap());
-        let mut r = TextReader::open(&h, schema(), &split).unwrap();
-        let mut got = Vec::new();
-        while let Some((at, _)) = r.next_with_offset().unwrap() {
-            got.push(at);
-        }
-        assert_eq!(got, offsets);
-    }
-
-    #[test]
-    fn skipping_reader_reads_only_requested_ranges() {
+    fn skipping_ranges_read_only_requested_lines() {
         let (_t, h) = cluster(1 << 20);
         let offsets = write_rows(&h, "/t/f", 20);
         let len = h.file_len("/t/f").unwrap();
@@ -315,19 +259,9 @@ mod tests {
             ByteRange::new(offsets[3], offsets[5]),
             ByteRange::new(offsets[10], offsets[12]),
         ];
-        let r = SkippingTextReader::open(&h, schema(), "/t/f", ranges).unwrap();
-        let rows = collect_rows(r).unwrap();
-        let ids: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        assert_eq!(ids, vec![3, 4, 10, 11]);
+        assert_eq!(ids(&read(&h, ranges)), vec![3, 4, 10, 11]);
         // A full range to file end also works.
-        let r = SkippingTextReader::open(
-            &h,
-            schema(),
-            "/t/f",
-            vec![ByteRange::new(offsets[18], len)],
-        )
-        .unwrap();
-        assert_eq!(collect_rows(r).unwrap().len(), 2);
+        assert_eq!(read(&h, vec![ByteRange::new(offsets[18], len)]).len(), 2);
     }
 
     #[test]
@@ -335,14 +269,9 @@ mod tests {
         let (_t, h) = cluster(1 << 20);
         let offsets = write_rows(&h, "/t/f", 10);
         // Start mid-record 2: the partial record is skipped, record 3 is first.
-        let ranges = vec![ByteRange::new(offsets[2] + 1, offsets[5])];
-        let r = SkippingTextReader::open(&h, schema(), "/t/f", ranges).unwrap();
-        let ids: Vec<i64> = collect_rows(r)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_i64().unwrap())
-            .collect();
-        assert_eq!(ids, vec![3, 4]);
+        let lines = read(&h, vec![ByteRange::new(offsets[2] + 1, offsets[5])]);
+        assert_eq!(ids(&lines), vec![3, 4]);
+        assert_eq!(lines[0].0, offsets[3]);
     }
 
     #[test]
@@ -358,26 +287,18 @@ mod tests {
             if boundary <= slice.start || boundary >= slice.end {
                 continue;
             }
-            let part_a = ByteRange::new(slice.start, boundary);
-            let part_b = ByteRange::new(boundary, slice.end);
-            let mut ids = Vec::new();
-            for part in [part_a, part_b] {
-                let r = SkippingTextReader::open(&h, schema(), "/t/f", vec![part]).unwrap();
-                for row in collect_rows(r).unwrap() {
-                    ids.push(row[0].as_i64().unwrap());
-                }
-            }
-            ids.sort_unstable();
-            assert_eq!(ids, (5..25).collect::<Vec<_>>(), "boundary {boundary}");
+            let mut all = ids(&read(&h, vec![ByteRange::new(slice.start, boundary)]));
+            all.extend(ids(&read(&h, vec![ByteRange::new(boundary, slice.end)])));
+            all.sort_unstable();
+            assert_eq!(all, (5..25).collect::<Vec<_>>(), "boundary {boundary}");
         }
     }
 
     #[test]
-    fn empty_split_yields_nothing() {
+    fn empty_range_yields_nothing() {
         let (_t, h) = cluster(1 << 20);
         write_rows(&h, "/t/f", 3);
-        let split = FileSplit::new("/t/f", 0, 0);
-        let rows = collect_rows(TextReader::open(&h, schema(), &split).unwrap()).unwrap();
-        assert!(rows.is_empty());
+        assert!(read(&h, vec![ByteRange::new(0, 0)]).is_empty());
+        assert!(read(&h, Vec::new()).is_empty());
     }
 }

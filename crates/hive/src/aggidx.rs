@@ -12,12 +12,14 @@
 use std::sync::Arc;
 
 use dgf_common::{DgfError, Result, Stopwatch, Value, ValueType};
-use dgf_format::{FileFormat, RcReader, TextReader, TextWriter};
+use dgf_format::{FileFormat, TextWriter};
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableRef};
-use crate::index_common::{dims_key, dims_schema, format_offsets, BuildReport, KEY_SEP};
+use crate::index_common::{
+    dims_key, dims_schema, for_each_dims_row, format_offsets, BuildReport, KEY_SEP,
+};
 
 /// A built Aggregate Index (Compact Index + per-entry `count(*)`).
 pub struct AggregateIndex {
@@ -64,26 +66,11 @@ impl AggregateIndex {
             num_reducers,
             // Map: emit (dims ++ file) -> (offset, 1 row).
             &|_, split: FileSplit, e| {
-                match base2.format {
-                    FileFormat::Text => {
-                        let mut r = TextReader::open(&ctx2.hdfs, base2.schema.clone(), &split)?;
-                        while let Some((off, row)) = r.next_with_offset()? {
-                            let dvals: Vec<Value> =
-                                dim_idx.iter().map(|i| row[*i].clone()).collect();
-                            e.emit(dims_key(&dvals, &split.path), (off, 1u64));
-                        }
-                    }
-                    FileFormat::RcFile => {
-                        let mut r = RcReader::open(&ctx2.hdfs, base2.schema.clone(), &split)?
-                            .with_projection(dim_idx.clone());
-                        while let Some((off, row)) = r.next_with_offset()? {
-                            let dvals: Vec<Value> =
-                                dim_idx.iter().map(|i| row[*i].clone()).collect();
-                            e.emit(dims_key(&dvals, &split.path), (off, 1u64));
-                        }
-                    }
-                }
-                Ok(())
+                let path = split.path.clone();
+                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
+                    e.emit(dims_key(&dvals, &path), (off, 1u64));
+                    Ok(())
+                })
             },
             None,
             // Reduce: collect_set(offsets) + count(*) per entry.
@@ -212,13 +199,7 @@ impl Engine for AggregateIndexEngine {
 
         let bound = rewritten.predicate().bind(&table.schema)?;
         let mut sink = RowSink::new(&rewritten, &table.schema, None)?;
-        for split in ctx.table_splits(table) {
-            let mut r = TextReader::open(&ctx.hdfs, table.schema.clone(), &split)?;
-            use dgf_format::RecordReader;
-            while let Some(row) = r.next_row()? {
-                sink.push_if(&row, &bound)?;
-            }
-        }
+        ctx.for_each_row(table, |row| sink.push_if(row, &bound).map(drop))?;
         // sum() yields Float; counts are integers — cast back.
         let result = match sink.finish() {
             QueryResult::Scalars(vals) => QueryResult::Scalars(

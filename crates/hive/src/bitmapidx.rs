@@ -11,13 +11,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgf_common::{DgfError, Result, Stopwatch, Value, ValueType};
-use dgf_format::{Bitmap, FileFormat, RcReader, TextReader, TextWriter};
+use dgf_common::{DgfError, Result, Stopwatch, ValueType};
+use dgf_format::{Bitmap, FileFormat, TextWriter};
 use dgf_query::{Engine, EngineRun, Predicate, Query, RunStats};
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableRef};
-use crate::index_common::{dims_key, dims_schema, BuildReport, KEY_SEP};
+use crate::index_common::{dims_key, dims_schema, for_each_dims_row, BuildReport, KEY_SEP};
 use crate::scan::{execute, ScanInput};
 
 /// A built Bitmap Index over an RCFile table.
@@ -95,21 +95,19 @@ impl BitmapIndex {
             splits,
             num_reducers,
             &|_, split: FileSplit, e| {
-                let mut r = RcReader::open(&ctx2.hdfs, base2.schema.clone(), &split)?
-                    .with_projection(dim_idx.clone());
+                let path = split.path.clone();
                 let mut cur_group = u64::MAX;
-                let mut row_in_group = 0usize;
-                while let Some((off, row)) = r.next_with_offset()? {
+                let mut row_in_group = 0u64;
+                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
                     if off != cur_group {
                         cur_group = off;
                         row_in_group = 0;
                     }
-                    let dvals: Vec<Value> = dim_idx.iter().map(|i| row[*i].clone()).collect();
-                    let key = format!("{}{KEY_SEP}{off}", dims_key(&dvals, &split.path));
-                    e.emit(key, row_in_group as u64);
+                    let key = format!("{}{KEY_SEP}{off}", dims_key(&dvals, &path));
+                    e.emit(key, row_in_group);
                     row_in_group += 1;
-                }
-                Ok(())
+                    Ok(())
+                })
             },
             None,
             &|tid, groups| {
@@ -175,13 +173,8 @@ impl BitmapIndex {
         let bm_col = self.dims.len() + 2;
 
         let mut per_file: HashMap<String, HashMap<u64, Bitmap>> = HashMap::new();
-        for split in self.ctx.table_splits(&self.index_table) {
-            let mut r = TextReader::open(&self.ctx.hdfs, self.index_table.schema.clone(), &split)?;
-            use dgf_format::RecordReader;
-            while let Some(row) = r.next_row()? {
-                if !bound.matches(&row) {
-                    continue;
-                }
+        self.ctx.for_each_row(&self.index_table, |row| {
+            if bound.matches(row) {
                 let file = row[file_col].as_str()?.to_owned();
                 let off = row[off_col].as_i64()? as u64;
                 let bm = bitmap_from_hex(row[bm_col].as_str()?)?;
@@ -192,7 +185,8 @@ impl BitmapIndex {
                     .or_default()
                     .union_with(&bm);
             }
-        }
+            Ok(())
+        })?;
 
         let all_splits = self.ctx.table_splits(&self.base);
         let splits_total = all_splits.len() as u64;
@@ -293,7 +287,7 @@ impl Engine for BitmapEngine {
 mod tests {
     use super::*;
     use crate::scan::ScanEngine;
-    use dgf_common::{Row, Schema, TempDir};
+    use dgf_common::{Row, Schema, TempDir, Value};
     use dgf_mapreduce::MrEngine;
     use dgf_query::{AggFunc, ColumnRange};
     use dgf_storage::{HdfsConfig, SimHdfs};

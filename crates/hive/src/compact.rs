@@ -19,17 +19,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgf_common::{DgfError, Result, Stopwatch, Value};
-use dgf_format::{FileFormat, RcReader, TextReader, TextWriter};
+use dgf_common::{DgfError, Result, Stopwatch};
+use dgf_format::{FileFormat, TextWriter};
 use dgf_query::{Engine, EngineRun, Predicate, Query, RunStats};
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableDesc, TableRef};
 use crate::index_common::{
-    compact_index_schema, dims_key, dims_schema, format_offsets, parse_dims_key, parse_offsets,
-    BuildReport,
+    compact_index_schema, dims_key, dims_schema, for_each_dims_row, format_offsets,
+    parse_dims_key, parse_offsets, BuildReport,
 };
-use crate::scan::{execute, ScanInput};
+use crate::scan::{execute, open_input, Footers, ScanInput};
 
 /// A built Compact Index over one base table.
 pub struct CompactIndex {
@@ -71,27 +71,11 @@ impl CompactIndex {
             num_reducers,
             // Map: emit (dims ++ filename) -> offset.
             &|_, split: FileSplit, e| {
-                match base2.format {
-                    FileFormat::Text => {
-                        let mut r =
-                            TextReader::open(&ctx2.hdfs, base2.schema.clone(), &split)?;
-                        while let Some((off, row)) = r.next_with_offset()? {
-                            let dvals: Vec<Value> =
-                                dim_idx.iter().map(|i| row[*i].clone()).collect();
-                            e.emit(dims_key(&dvals, &split.path), off);
-                        }
-                    }
-                    FileFormat::RcFile => {
-                        let mut r = RcReader::open(&ctx2.hdfs, base2.schema.clone(), &split)?
-                            .with_projection(dim_idx.clone());
-                        while let Some((off, row)) = r.next_with_offset()? {
-                            let dvals: Vec<Value> =
-                                dim_idx.iter().map(|i| row[*i].clone()).collect();
-                            e.emit(dims_key(&dvals, &split.path), off);
-                        }
-                    }
-                }
-                Ok(())
+                let path = split.path.clone();
+                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
+                    e.emit(dims_key(&dvals, &path), off);
+                    Ok(())
+                })
             },
             // Combine: collect_set semantics — duplicates collapse early.
             Some(&|_, mut offs: Vec<u64>| {
@@ -172,18 +156,15 @@ impl CompactIndex {
         let job = ctx.engine.map_only(
             ctx.table_splits(index_table),
             &|_, split: FileSplit| {
-                let mut r = TextReader::open(&ctx.hdfs, index_table.schema.clone(), &split)?;
                 let mut hits: Vec<(String, Vec<u64>)> = Vec::new();
-                while let Some(row) = {
-                    use dgf_format::RecordReader;
-                    r.next_row()?
-                } {
-                    if bound.matches(&row) {
-                        let file = row[file_col].as_str()?.to_owned();
-                        let offs = parse_offsets(&row[off_col])?;
-                        hits.push((file, offs));
-                    }
-                }
+                open_input(ctx, index_table, &ScanInput::FullSplit(split), &Footers::new())?
+                    .for_each_row(|_, row| {
+                        if bound.matches(row) {
+                            let file = row[file_col].as_str()?.to_owned();
+                            hits.push((file, parse_offsets(&row[off_col])?));
+                        }
+                        Ok(())
+                    })?;
                 Ok(hits)
             },
         )?;
@@ -304,7 +285,7 @@ pub fn validate_dims(base: &TableDesc, dims: &[String]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgf_common::{Row, Schema, TempDir, ValueType};
+    use dgf_common::{Row, Schema, TempDir, Value, ValueType};
     use dgf_mapreduce::MrEngine;
     use dgf_query::{AggFunc, ColumnRange, QueryResult};
     use dgf_storage::{HdfsConfig, SimHdfs};

@@ -12,21 +12,20 @@ use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
 use dgf_common::{DgfError, Result, Row, SchemaRef};
-use dgf_format::{collect_rows, FileFormat, RcReader, RcWriter, TextReader, TextWriter};
+use dgf_format::{FileFormat, RcWriter, TextWriter};
 use dgf_mapreduce::MrEngine;
 use dgf_query::JoinTable;
 use dgf_storage::{FileSplit, HdfsRef};
 
+use crate::scan::{open_input, Footers, ScanInput};
+
 /// Execution knobs for the scan path (DESIGN.md §12).
 ///
-/// Both default to on; tests and benchmarks flip them to compare the
-/// vectorized path against the row-at-a-time oracle and pruned scans
-/// against unpruned ones.
+/// The one knob defaults to on; tests and benchmarks turn it off to
+/// compare pruned scans against unpruned ones. How a table is read is not
+/// a knob: an RCFile in decoded batches, text line by line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Drive RCFile scans through decoded [`dgf_common::ColumnBatch`]es
-    /// and slice kernels instead of row-at-a-time iteration.
-    pub columnar: bool,
     /// Consult per-slice sidecar indexes (zone maps + hierarchical
     /// bitmaps, DESIGN.md §15) to skip row groups inside boundary
     /// slices. Missing or corrupt sidecars silently degrade to the
@@ -36,10 +35,7 @@ pub struct ScanOptions {
 
 impl Default for ScanOptions {
     fn default() -> Self {
-        ScanOptions {
-            columnar: true,
-            sidecar: true,
-        }
+        ScanOptions { sidecar: true }
     }
 }
 
@@ -102,24 +98,41 @@ pub struct HiveContext {
     pub scan_stats: ScanStatsRef,
     scan_options: RwLock<ScanOptions>,
     tables: RwLock<HashMap<String, TableRef>>,
-    pub(crate) join_tables: Arc<JoinTables>,
+    /// The join build sides, by what each is made from (see
+    /// [`Self::join_table`]).
+    join_tables: Mutex<HashMap<JoinKey, Slot>>,
+}
+
+/// One key's build side, if made yet; locked while it is made.
+type Slot = Arc<Mutex<Option<Built>>>;
+
+/// What a build side is made from: which table, read how, and which of
+/// its columns.
+#[derive(PartialEq, Eq, Hash)]
+struct JoinKey {
+    location: String,
+    schema: SchemaRef,
+    format: FileFormat,
+    key: usize,
+    project: Vec<usize>,
+}
+
+/// A build side and the table version it was made from.
+struct Built {
+    version: Vec<u64>,
+    table: Arc<JoinTable>,
 }
 
 impl HiveContext {
     /// Create a context over `hdfs`.
     pub fn new(hdfs: HdfsRef, engine: MrEngine) -> Arc<HiveContext> {
-        let scan_stats: ScanStatsRef = Arc::default();
         Arc::new(HiveContext {
-            join_tables: Arc::new(JoinTables {
-                hdfs: Arc::clone(&hdfs),
-                stats: Arc::clone(&scan_stats),
-                slots: Mutex::default(),
-            }),
             hdfs,
             engine,
-            scan_stats,
+            scan_stats: Arc::default(),
             scan_options: RwLock::new(ScanOptions::default()),
             tables: RwLock::new(HashMap::new()),
+            join_tables: Mutex::default(),
         })
     }
 
@@ -222,7 +235,7 @@ impl HiveContext {
     /// it go with it.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         if let Some(t) = self.tables.write().remove(name) {
-            self.join_tables.evict(&t.location);
+            self.join_tables.lock().retain(|k, _| k.location != t.location);
             self.hdfs.delete_tree(&t.location)?;
         }
         Ok(())
@@ -285,7 +298,25 @@ impl HiveContext {
 
     /// Read every row of a table (small tables: dimension/index tables).
     pub fn read_all(&self, table: &TableDesc) -> Result<Vec<Row>> {
-        read_table(&self.hdfs, table)
+        let mut out = Vec::new();
+        self.for_each_row(table, |row| {
+            out.push(row.clone());
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Hand `f` every row of a table, split by split in file order.
+    pub(crate) fn for_each_row(
+        &self,
+        table: &TableDesc,
+        mut f: impl FnMut(&Row) -> Result<()>,
+    ) -> Result<()> {
+        for split in self.table_splits(table) {
+            open_input(self, table, &ScanInput::FullSplit(split), &Footers::new())?
+                .for_each_row(|_, row| f(row))?;
+        }
+        Ok(())
     }
 
     /// The build side of a join with dimension table `right` on column
@@ -304,54 +335,13 @@ impl HiveContext {
         right_key: &str,
         right_project: &[String],
     ) -> Result<Arc<JoinTable>> {
-        self.join_tables.get(right, right_key, right_project)
-    }
-}
-
-/// The context's join build sides (see [`HiveContext::join_table`]). It
-/// stands apart from the context so a join's deferred build side, which
-/// outlives the call that made it, can hold it.
-pub(crate) struct JoinTables {
-    hdfs: HdfsRef,
-    stats: ScanStatsRef,
-    slots: Mutex<HashMap<JoinKey, Slot>>,
-}
-
-/// One key's build side, if made yet; locked while it is made.
-type Slot = Arc<Mutex<Option<Built>>>;
-
-/// What a build side is made from: which table, read how, and which of
-/// its columns.
-#[derive(PartialEq, Eq, Hash)]
-struct JoinKey {
-    location: String,
-    schema: SchemaRef,
-    format: FileFormat,
-    key: usize,
-    project: Vec<usize>,
-}
-
-/// A build side and the table version it was made from.
-struct Built {
-    version: Vec<u64>,
-    table: Arc<JoinTable>,
-}
-
-impl JoinTables {
-    /// [`HiveContext::join_table`].
-    pub(crate) fn get(
-        &self,
-        right: &TableDesc,
-        right_key: &str,
-        right_project: &[String],
-    ) -> Result<Arc<JoinTable>> {
         let key = right.schema.index_of(right_key)?;
         let project = right_project
             .iter()
             .map(|c| right.schema.index_of(c))
             .collect::<Result<Vec<_>>>()?;
         let slot = Arc::clone(
-            self.slots
+            self.join_tables
                 .lock()
                 .entry(JoinKey {
                     location: right.location.clone(),
@@ -369,41 +359,17 @@ impl JoinTables {
         // the next lookup rebuild rather than serve a stale table.
         let version = self.hdfs.file_ids(&right.location);
         if let Some(built) = slot.as_ref().filter(|b| b.version == version) {
-            self.stats.join_build_reuses.inc();
+            self.scan_stats.join_build_reuses.inc();
             return Ok(Arc::clone(&built.table));
         }
-        let table = Arc::new(JoinTable::new(&read_table(&self.hdfs, right)?, key, &project));
-        self.stats.join_builds.inc();
+        let table = Arc::new(JoinTable::new(&self.read_all(right)?, key, &project));
+        self.scan_stats.join_builds.inc();
         *slot = Some(Built {
             version,
             table: Arc::clone(&table),
         });
         Ok(table)
     }
-
-    /// Forget every build side made from the table at `location`.
-    fn evict(&self, location: &str) {
-        self.slots.lock().retain(|k, _| k.location != location);
-    }
-}
-
-/// [`HiveContext::read_all`] for a caller that holds the cluster but not
-/// the context.
-fn read_table(hdfs: &HdfsRef, table: &TableDesc) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    for split in hdfs.splits_for_dir(&table.location) {
-        match table.format {
-            FileFormat::Text => {
-                let r = TextReader::open(hdfs, table.schema.clone(), &split)?;
-                out.extend(collect_rows(r)?);
-            }
-            FileFormat::RcFile => {
-                let r = RcReader::open(hdfs, table.schema.clone(), &split)?;
-                out.extend(collect_rows(r)?);
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -503,10 +469,10 @@ mod tests {
         assert!(ctx.join_table(&tab, "missing", &[]).is_err());
         let stats = ctx.scan_stats.snapshot();
         assert_eq!((stats.join_builds, stats.join_build_reuses), (2, 1));
-        assert_eq!(ctx.join_tables.slots.lock().len(), 2);
+        assert_eq!(ctx.join_tables.lock().len(), 2);
 
         ctx.drop_table("t").unwrap();
-        assert!(ctx.join_tables.slots.lock().is_empty());
+        assert!(ctx.join_tables.lock().is_empty());
     }
 
     #[test]

@@ -3,6 +3,10 @@
 use std::time::Duration;
 
 use dgf_common::{format_row, parse_row, DgfError, Result, Row, Schema, Value, ValueType};
+use dgf_storage::FileSplit;
+
+use crate::context::{HiveContext, TableDesc};
+use crate::scan::{open_input, Footers, InputReader, ScanInput};
 
 /// Report from building an index.
 #[derive(Debug, Clone, Default)]
@@ -13,6 +17,23 @@ pub struct BuildReport {
     pub index_size_bytes: u64,
     /// Number of index entries (index table rows / GFU pairs).
     pub index_entries: u64,
+}
+
+/// The map side of every index build: hand `f` the block offset and the
+/// values of columns `dims` of every row of `split`. An RCFile decodes
+/// those columns only.
+pub(crate) fn for_each_dims_row(
+    ctx: &HiveContext,
+    base: &TableDesc,
+    split: FileSplit,
+    dims: &[usize],
+    mut f: impl FnMut(u64, Row) -> Result<()>,
+) -> Result<()> {
+    let reader = match open_input(ctx, base, &ScanInput::FullSplit(split), &Footers::new())? {
+        InputReader::Rc(r) => InputReader::Rc(Box::new(r.with_projection(dims.to_vec()))),
+        text => text,
+    };
+    reader.for_each_row(|offset, row| f(offset, dims.iter().map(|i| row[*i].clone()).collect()))
 }
 
 /// Separator between the dimension-values part and the file path inside a

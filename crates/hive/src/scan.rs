@@ -13,10 +13,7 @@ use std::sync::Arc;
 use dgf_common::obs::{names, SpanGuard};
 use dgf_common::stats::ScanSnapshot;
 use dgf_common::{Result, Row};
-use dgf_format::{
-    read_footer, Bitmap, ByteRange, FileFormat, RcFooter, RcReader, RecordReader,
-    SkippingTextReader, TextReader,
-};
+use dgf_format::{read_footer, Bitmap, ByteRange, FileFormat, RcFooter, RcReader, TextReader};
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
@@ -78,22 +75,41 @@ impl ScanInput {
     }
 }
 
-/// The reader for one input. RCFile inputs keep their concrete type so
-/// the columnar path can drain whole batches from them.
+/// The one reader of one input, as [`open_input`] makes it: there is one
+/// reader per format. A query drains an RCFile's row groups in decoded
+/// batches ([`RcReader::next_batch`]) and a text file's lines row by row;
+/// everything else — index builds, compaction, [`HiveContext::read_all`]
+/// — reads rows through [`Self::for_each_row`].
 pub enum InputReader {
     /// Row groups of an RCFile.
     Rc(Box<RcReader>),
     /// Lines of a text file.
-    Text(Box<dyn RecordReader>),
+    Text(Box<TextReader>),
 }
 
 impl InputReader {
-    /// The row-at-a-time interface of either kind.
-    pub fn into_rows(self) -> Box<dyn RecordReader> {
+    /// Hand `f` every row with its Hive block offset: the start of its
+    /// row group for an RCFile, of its line for text. An RCFile's batches
+    /// are copied row by row into one scratch row, so the drain allocates
+    /// per group, not per row.
+    pub fn for_each_row(self, mut f: impl FnMut(u64, &Row) -> Result<()>) -> Result<()> {
         match self {
-            InputReader::Rc(r) => r,
-            InputReader::Text(r) => r,
+            InputReader::Rc(mut reader) => {
+                let mut row = Row::new();
+                while let Some(batch) = reader.next_batch()? {
+                    for i in 0..batch.len() {
+                        batch.read_row_into(i, &mut row);
+                        f(batch.group_offset(), &row)?;
+                    }
+                }
+            }
+            InputReader::Text(mut reader) => {
+                while let Some((offset, row)) = reader.next_with_offset()? {
+                    f(offset, &row)?;
+                }
+            }
         }
+        Ok(())
     }
 }
 
@@ -120,8 +136,9 @@ pub fn read_footers<'a>(
     Ok(footers)
 }
 
-/// Open the reader for one input. An RCFile whose footer is in `footers`
-/// is opened without reading it again.
+/// Open the reader for one input of `table` — the one place a table's
+/// format picks a reader. An RCFile whose footer is in `footers` is opened
+/// without reading it again.
 pub fn open_input(
     ctx: &HiveContext,
     table: &TableDesc,
@@ -129,6 +146,9 @@ pub fn open_input(
     footers: &Footers,
 ) -> Result<InputReader> {
     let schema = table.schema.clone();
+    let text = |path: &str, ranges: Vec<ByteRange>| {
+        InputReader::Text(Box::new(TextReader::open(&ctx.hdfs, schema.clone(), path, ranges)))
+    };
     let open_rc = |split: &FileSplit| match footers.get(&split.path) {
         Some(footer) => RcReader::open_with_footer(&ctx.hdfs, schema.clone(), split, footer.clone()),
         None => RcReader::open(&ctx.hdfs, schema.clone(), split),
@@ -139,14 +159,10 @@ pub fn open_input(
     let rc = |reader: RcReader| InputReader::Rc(Box::new(reader));
     Ok(match input {
         ScanInput::FullSplit(split) => match table.format {
-            FileFormat::Text => {
-                InputReader::Text(Box::new(TextReader::open(&ctx.hdfs, schema, split)?))
-            }
+            FileFormat::Text => text(&split.path, vec![ByteRange::new(split.start, split.end())]),
             FileFormat::RcFile => rc(open_rc(split)?),
         },
-        ScanInput::TextRanges { path, ranges } => InputReader::Text(Box::new(
-            SkippingTextReader::open(&ctx.hdfs, schema, path, ranges.clone())?,
-        )),
+        ScanInput::TextRanges { path, ranges } => text(path, ranges.clone()),
         ScanInput::RcFiltered { split, row_filter } => {
             rc(open_rc(split)?.with_row_filter(row_filter.clone()))
         }
@@ -186,8 +202,10 @@ pub fn execute(
 /// build side is not per query but per version of the dimension table:
 /// the sink takes it from [`HiveContext::join_table`], which reads the
 /// table only if no earlier query made the build side for its current
-/// files, and an empty plan asks for it only if a row probes (DESIGN.md
-/// §12).
+/// files (DESIGN.md §12).
+///
+/// An RCFile input is drained in decoded batches through the selection
+/// and aggregate kernels, a text input row by row.
 pub fn execute_sink(
     ctx: &HiveContext,
     table: &TableDesc,
@@ -195,12 +213,7 @@ pub fn execute_sink(
     right: Option<&TableDesc>,
     inputs: Vec<ScanInput>,
 ) -> Result<RowSink> {
-    let total = match (query, right) {
-        (Query::Join { .. }, None) => {
-            return Err(dgf_common::DgfError::Query(
-                "join query needs a dimension table".into(),
-            ))
-        }
+    let build = match (query, right) {
         (
             Query::Join {
                 right_key,
@@ -208,75 +221,46 @@ pub fn execute_sink(
                 ..
             },
             Some(r),
-        ) => {
-            if inputs.is_empty() {
-                // No input, no probe, no lookup. The sink is still whole:
-                // a row the caller pushes into it looks the build side up
-                // then.
-                let (tables, right) = (Arc::clone(&ctx.join_tables), r.clone());
-                let (key, project) = (right_key.clone(), right_project.clone());
-                RowSink::with_deferred_right(
-                    query,
-                    &table.schema,
-                    &r.schema,
-                    Box::new(move || tables.get(&right, &key, &project)),
-                )?
-            } else {
-                let build = ctx.join_table(r, right_key, right_project)?;
-                RowSink::new(query, &table.schema, Some((&r.schema, build)))?
-            }
-        }
-        _ => RowSink::new(query, &table.schema, None)?,
+        ) => Some((&*r.schema, ctx.join_table(r, right_key, right_project)?)),
+        _ => None,
     };
+    let total = RowSink::new(query, &table.schema, build)?;
     let bound = query.predicate().bind(&table.schema)?;
-    let options = ctx.scan_options();
-    let columnar = options.columnar && table.format == FileFormat::RcFile;
-    let projection = if columnar {
-        columnar_projection(query, table)?
-    } else {
-        None
-    };
+    let projection = columnar_projection(query, table)?;
     let footers = read_footers(ctx, table, inputs.iter().map(ScanInput::path))?;
 
-    let job = ctx.engine.map_only_with(
-        inputs,
-        &Row::new,
-        &|_, input: ScanInput, scratch: &mut Row| {
-            let mut sink = total.sibling();
-            let mut reader = match open_input(ctx, table, &input, &footers)? {
-                InputReader::Rc(reader) if columnar => {
-                    let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
-                    if let Some(p) = &projection {
-                        reader = reader.with_projection(p.clone());
-                    }
-                    // Batches of a few dozen rows take a few microseconds
-                    // each: the sub-microsecond part carries over.
-                    let mut carry = std::time::Duration::ZERO;
-                    while let Some(batch) = reader.next_batch()? {
-                        let kernel = std::time::Instant::now();
-                        let sel = bound.select(&batch);
-                        ctx.scan_stats.rows_selected.add(sel.len() as u64);
-                        sink.push_batch(&batch, &sel)?;
-                        ctx.scan_stats
-                            .kernel_us
-                            .add_micros(&mut carry, kernel.elapsed());
-                    }
-                    return Ok(sink);
+    let job = ctx.engine.map_only(inputs, &|_, input: ScanInput| {
+        let mut sink = total.sibling();
+        match open_input(ctx, table, &input, &footers)? {
+            InputReader::Rc(reader) => {
+                let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
+                if let Some(p) = &projection {
+                    reader = reader.with_projection(p.clone());
                 }
-                // Row-at-a-time (text formats, or columnar disabled): the
-                // reader refills the per-worker scratch row in place, so
-                // the hot loop allocates nothing per record.
-                other => other.into_rows(),
-            };
-            let mut rows = 0u64;
-            while reader.next_row_into(scratch)? {
-                rows += 1;
-                sink.push_if(scratch, &bound)?;
+                // Batches of a few dozen rows take a few microseconds
+                // each: the sub-microsecond part carries over.
+                let mut carry = std::time::Duration::ZERO;
+                while let Some(batch) = reader.next_batch()? {
+                    let kernel = std::time::Instant::now();
+                    let sel = bound.select(&batch);
+                    ctx.scan_stats.rows_selected.add(sel.len() as u64);
+                    sink.push_batch(&batch, &sel)?;
+                    ctx.scan_stats
+                        .kernel_us
+                        .add_micros(&mut carry, kernel.elapsed());
+                }
             }
-            ctx.scan_stats.rowwise_rows.add(rows);
-            Ok(sink)
-        },
-    )?;
+            text => {
+                let mut rows = 0u64;
+                text.for_each_row(|_, row| {
+                    rows += 1;
+                    sink.push_if(row, &bound).map(drop)
+                })?;
+                ctx.scan_stats.rowwise_rows.add(rows);
+            }
+        }
+        Ok(sink)
+    })?;
 
     let mut sinks = job.outputs.into_iter();
     let mut total = sinks.next().unwrap_or(total);
@@ -286,7 +270,7 @@ pub fn execute_sink(
     Ok(total)
 }
 
-/// The column indexes a columnar scan must decode for `query`: predicate
+/// The column indexes an RCFile scan must decode for `query`: predicate
 /// columns plus whatever the sink reads. `None` means decode everything
 /// (unconstrained SELECT, or a UDF aggregate that may read any column).
 fn columnar_projection(query: &Query, table: &TableDesc) -> Result<Option<Vec<usize>>> {
@@ -572,35 +556,31 @@ mod tests {
         assert_eq!(rows[0][0], Value::Str("u10".into()));
     }
 
-    /// An empty plan probes nothing, so it reads nothing — but the sink it
-    /// returns is whole: a row the caller pushes afterwards (DGFIndex's
-    /// unflushed rows) still finds the dimension table, read by the first
-    /// such probe and by no later one.
+    /// An empty plan reads no Slice. Its join looks the build side up like
+    /// any other — the one read of the dimension table when the cache is
+    /// cold, nothing when it is warm — and the sink it returns is whole: a
+    /// row the caller pushes afterwards (DGFIndex's unflushed rows) joins.
     #[test]
-    fn join_over_an_empty_plan_reads_the_dimension_table_only_if_a_row_probes() {
+    fn join_over_an_empty_plan_reads_the_dimension_table_once_and_joins_a_pushed_row() {
         let (_t, ctx, tab) = setup(FileFormat::RcFile);
         let (users, q) = users_and_join(&ctx);
         let before = ctx.hdfs.stats().snapshot();
-        let empty = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
-        let mut probed = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
-        assert_eq!(ctx.hdfs.stats().snapshot().since(&before), Default::default());
-        assert_eq!(empty.finish(), QueryResult::Rows(vec![]));
+        ctx.read_all(&users).unwrap();
+        let dim = ctx.hdfs.stats().snapshot().since(&before);
 
         let bound = q.predicate().bind(&tab.schema).unwrap();
         let fresh = vec![Value::Int(11), Value::Int(4), Value::Float(1.5)];
         let joined = QueryResult::Rows(vec![vec![Value::Str("u11".into()), Value::Float(1.5)]]);
-        assert!(probed.push_if(&fresh, &bound).unwrap());
-        assert_eq!(probed.finish(), joined);
-        assert!(ctx.hdfs.stats().snapshot().since(&before).bytes_read > 0);
-
-        // The cache is warm: the next probing row reads nothing.
-        let (before, scan_before) = (ctx.hdfs.stats().snapshot(), ctx.scan_stats.snapshot());
-        let mut warm = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
-        assert!(warm.push_if(&fresh, &bound).unwrap());
-        assert_eq!(warm.finish(), joined);
-        assert_eq!(ctx.hdfs.stats().snapshot().since(&before).bytes_read, 0);
-        let scan = ctx.scan_stats.snapshot().since(&scan_before);
-        assert_eq!((scan.join_builds, scan.join_build_reuses), (0, 1));
+        for builds in [1, 0] {
+            let (before, scan_before) = (ctx.hdfs.stats().snapshot(), ctx.scan_stats.snapshot());
+            let mut sink = execute_sink(&ctx, &tab, &q, Some(&users), Vec::new()).unwrap();
+            let io = ctx.hdfs.stats().snapshot().since(&before);
+            assert_eq!(io.bytes_read, builds * dim.bytes_read);
+            assert!(sink.push_if(&fresh, &bound).unwrap());
+            assert_eq!(sink.finish(), joined);
+            let scan = ctx.scan_stats.snapshot().since(&scan_before);
+            assert_eq!((scan.join_builds, scan.join_build_reuses), (builds, 1 - builds));
+        }
     }
 
     /// A join's build side is made once per version of the dimension
@@ -711,12 +691,10 @@ mod tests {
         let mut sink = RowSink::new(&sum_query(), &tab.schema, None).unwrap();
         let bound = sum_query().predicate().bind(&tab.schema).unwrap();
         for input in &inputs {
-            let mut r = open_input(&ctx, &tab, input, &Footers::new())
+            open_input(&ctx, &tab, input, &Footers::new())
                 .unwrap()
-                .into_rows();
-            while let Some(row) = r.next_row().unwrap() {
-                sink.push_if(&row, &bound).unwrap();
-            }
+                .for_each_row(|_, row| sink.push_if(row, &bound).map(drop))
+                .unwrap();
         }
         let own = ctx.hdfs.stats().snapshot().since(&before);
         assert_eq!(own.records_read, io.records_read);

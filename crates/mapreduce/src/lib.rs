@@ -356,27 +356,6 @@ impl MrEngine {
         I: Send,
         T: Send,
     {
-        self.map_only_with(inputs, &|| (), &|task_id, input, ()| mapper(task_id, input))
-    }
-
-    /// [`Self::map_only`] with per-worker scratch state.
-    ///
-    /// `init` runs once per worker thread; the resulting scratch value is
-    /// passed mutably to every task that worker executes. Batch-oriented
-    /// mappers use this to reuse row/batch buffers across the tasks of a
-    /// scan instead of re-boxing values per task, while keeping the
-    /// scratch off the cross-task output path (outputs still come back in
-    /// input order, exactly as `map_only`).
-    pub fn map_only_with<I, T, S>(
-        &self,
-        inputs: Vec<I>,
-        init: &(dyn Fn() -> S + Sync),
-        mapper: &(dyn Fn(usize, I, &mut S) -> Result<T> + Sync),
-    ) -> Result<JobOutput<T>>
-    where
-        I: Send,
-        T: Send,
-    {
         let n = inputs.len();
         let watch = Stopwatch::start();
         let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -391,23 +370,20 @@ impl MrEngine {
             let out_slots: Vec<Mutex<&mut Option<T>>> =
                 outputs.iter_mut().map(Mutex::new).collect();
             let first_err: Mutex<Option<DgfError>> = Mutex::new(None);
-            let worker = || {
-                let mut scratch = init();
-                loop {
-                    if first_err.lock().is_some() {
-                        return;
-                    }
-                    let item = work.lock().next();
-                    let Some((task_id, input)) = item else { return };
-                    match mapper(task_id, input, &mut scratch) {
-                        Ok(t) => **out_slots[task_id].lock() = Some(t),
-                        Err(e) => {
-                            let mut slot = first_err.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
+            let worker = || loop {
+                if first_err.lock().is_some() {
+                    return;
+                }
+                let item = work.lock().next();
+                let Some((task_id, input)) = item else { return };
+                match mapper(task_id, input) {
+                    Ok(t) => **out_slots[task_id].lock() = Some(t),
+                    Err(e) => {
+                        let mut slot = first_err.lock();
+                        if slot.is_none() {
+                            *slot = Some(e);
                         }
+                        return;
                     }
                 }
             };

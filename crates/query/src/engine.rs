@@ -56,8 +56,9 @@ pub struct RunStats {
     /// otherwise.
     pub profile: QueryProfile,
     /// Columnar-scan accounting for this run: batches decoded, rows
-    /// selected, kernel/decode busy time (DESIGN.md §12). All-zero for engines or formats on the row-at-a-time path,
-    /// whose row count lands in `scan.rowwise_rows` instead.
+    /// selected, kernel/decode busy time (DESIGN.md §12). All-zero for a
+    /// text table, which is read row at a time and counts its rows in
+    /// `scan.rowwise_rows` instead.
     pub scan: ScanSnapshot,
 }
 

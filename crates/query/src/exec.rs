@@ -8,7 +8,7 @@
 //! `finish` produces the [`QueryResult`].
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use dgf_common::batch::{Column, ColumnBatch, ColumnData, Selection};
 use dgf_common::{DgfError, Result, Row, Schema, Value};
@@ -36,7 +36,7 @@ enum SinkKind {
     Join {
         left_key_idx: usize,
         left_project: Vec<usize>,
-        build: Arc<BuildSide>,
+        build: Arc<JoinTable>,
         out: Vec<Row>,
     },
     Select {
@@ -44,10 +44,6 @@ enum SinkKind {
         out: Vec<Row>,
     },
 }
-
-/// Makes a join's build side on its first probe. See
-/// [`RowSink::with_deferred_right`].
-pub type RightRows = Box<dyn FnOnce() -> Result<Arc<JoinTable>> + Send>;
 
 /// The build side of a map join: join key → the projected right rows with
 /// that key, in the dimension table's row order. NULL keys never join and
@@ -81,36 +77,6 @@ impl JoinTable {
     }
 }
 
-/// A sink's hold on its join's build side: the table, or the loader that
-/// makes it when a row first probes.
-struct BuildSide {
-    table: OnceLock<Arc<JoinTable>>,
-    deferred: Mutex<Option<RightRows>>,
-}
-
-impl BuildSide {
-    /// The table, running the loader if no probe has yet. The lock is
-    /// held across the load, so concurrent first probes wait for one load
-    /// instead of each making their own.
-    fn table(&self) -> Result<&JoinTable> {
-        if let Some(table) = self.table.get() {
-            return Ok(table);
-        }
-        let mut deferred = self
-            .deferred
-            .lock()
-            .map_err(|_| DgfError::Query("reading the join's dimension table panicked".into()))?;
-        if let Some(load) = deferred.take() {
-            // Cannot be set already: only the holder of the loader sets.
-            let _ = self.table.set(load()?);
-        }
-        self.table
-            .get()
-            .map(|t| &**t)
-            .ok_or_else(|| DgfError::Query("the join's dimension table could not be read".into()))
-    }
-}
-
 impl RowSink {
     /// Create a sink for `query` over rows of `schema`.
     ///
@@ -123,36 +89,6 @@ impl RowSink {
         query: &Query,
         schema: &Schema,
         right: Option<(&Schema, Arc<JoinTable>)>,
-    ) -> Result<RowSink> {
-        let (right_schema, table) = right.unzip();
-        let build = BuildSide {
-            table: table.map(OnceLock::from).unwrap_or_default(),
-            deferred: Mutex::new(None),
-        };
-        RowSink::bind(query, schema, right_schema, build)
-    }
-
-    /// [`Self::new`] for a join whose build side is made by `load` on the
-    /// first probe of this sink or a sibling — at most once, and not at
-    /// all by a query that probes nothing.
-    pub fn with_deferred_right(
-        query: &Query,
-        schema: &Schema,
-        right_schema: &Schema,
-        load: RightRows,
-    ) -> Result<RowSink> {
-        let build = BuildSide {
-            table: OnceLock::new(),
-            deferred: Mutex::new(Some(load)),
-        };
-        RowSink::bind(query, schema, Some(right_schema), build)
-    }
-
-    fn bind(
-        query: &Query,
-        schema: &Schema,
-        right_schema: Option<&Schema>,
-        build: BuildSide,
     ) -> Result<RowSink> {
         let kind = match query {
             Query::Aggregate { aggs, .. } => {
@@ -172,7 +108,7 @@ impl RowSink {
                 right_project,
                 ..
             } => {
-                let right_schema = right_schema.ok_or_else(|| {
+                let (right_schema, build) = right.ok_or_else(|| {
                     DgfError::Query("join query requires the dimension table".into())
                 })?;
                 // The build side was made by the caller; a right column
@@ -186,7 +122,7 @@ impl RowSink {
                         .iter()
                         .map(|c| schema.index_of(c))
                         .collect::<Result<_>>()?,
-                    build: Arc::new(build),
+                    build,
                     out: Vec::new(),
                 }
             }
@@ -264,7 +200,7 @@ impl RowSink {
                 out,
             } => {
                 let k = &row[*left_key_idx];
-                if let Some(matches) = build.table()?.get(k) {
+                if let Some(matches) = build.get(k) {
                     for m in matches {
                         let mut joined = Vec::with_capacity(m.len() + left_project.len());
                         joined.extend(m.iter().cloned());
@@ -309,14 +245,9 @@ impl RowSink {
                 build,
                 out,
             } => {
-                // Nothing to probe with: leave a deferred build unread.
-                if sel.is_empty() {
-                    return Ok(());
-                }
-                let table = build.table()?;
                 for i in sel.iter() {
                     let k = batch.value(i, *left_key_idx);
-                    if let Some(matches) = table.get(&k) {
+                    if let Some(matches) = build.get(&k) {
                         for m in matches {
                             let mut joined = Vec::with_capacity(m.len() + left_project.len());
                             joined.extend(m.iter().cloned());
@@ -578,7 +509,7 @@ mod tests {
     }
 
     /// A right column the dimension table lacks is refused when the sink
-    /// is made, eager or deferred, before anything probes.
+    /// is made, before anything probes.
     #[test]
     fn join_sink_refuses_a_right_column_the_table_lacks() {
         let right_schema = Schema::from_pairs(&[
@@ -594,8 +525,6 @@ mod tests {
         };
         let s = schema();
         assert!(RowSink::new(&q, &s, Some((&right_schema, names(&[])))).is_err());
-        let load: RightRows = Box::new(|| Ok(Arc::default()));
-        assert!(RowSink::with_deferred_right(&q, &s, &right_schema, load).is_err());
     }
 
     #[test]
@@ -781,75 +710,6 @@ mod tests {
         let out = merged.finish();
         assert!(!out.clone().into_rows().is_empty());
         assert_eq!(out, single.finish(), "merged in task order ≡ one sink");
-    }
-
-    #[test]
-    fn deferred_build_side_is_read_once_by_the_first_probe_or_not_at_all() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (right_schema, right_rows, q) = join_query();
-        let s = schema();
-        let reads = Arc::new(AtomicUsize::new(0));
-        let deferred = |reads: &Arc<AtomicUsize>, rows: &Vec<Row>| -> RightRows {
-            let (reads, rows) = (Arc::clone(reads), rows.clone());
-            Box::new(move || {
-                reads.fetch_add(1, Ordering::SeqCst);
-                Ok(names(&rows))
-            })
-        };
-        // No probe: no read, and an empty answer.
-        let idle =
-            RowSink::with_deferred_right(&q, &s, &right_schema, deferred(&reads, &right_rows))
-                .unwrap();
-        let sibling = idle.sibling();
-        assert_eq!(idle.finish(), QueryResult::Rows(vec![]));
-        assert_eq!(sibling.finish(), QueryResult::Rows(vec![]));
-        assert_eq!(reads.load(Ordering::SeqCst), 0);
-
-        // Probes from siblings on several threads: one read between them,
-        // and the eager sink's answer.
-        let total =
-            RowSink::with_deferred_right(&q, &s, &right_schema, deferred(&reads, &right_rows))
-                .unwrap();
-        let rs = rows();
-        let outputs: Vec<RowSink> = std::thread::scope(|scope| {
-            let handles: Vec<_> = rs
-                .chunks(3)
-                .map(|part| {
-                    let mut sink = total.sibling();
-                    scope.spawn(move || {
-                        for r in part {
-                            sink.push(r).unwrap();
-                        }
-                        sink
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(reads.load(Ordering::SeqCst), 1);
-        // A row pushed into the returned sink afterwards still joins.
-        let mut merged = total;
-        for o in outputs {
-            merged.merge(o).unwrap();
-        }
-        merged.push(&rs[1]).unwrap();
-        let mut eager = RowSink::new(&q, &s, Some((&right_schema, names(&right_rows)))).unwrap();
-        for r in rs.iter().chain([&rs[1]]) {
-            eager.push(r).unwrap();
-        }
-        assert_eq!(merged.finish(), eager.finish());
-        assert_eq!(reads.load(Ordering::SeqCst), 1);
-
-        // A read that fails fails the probe, with the reader's error.
-        let mut broken = RowSink::with_deferred_right(
-            &q,
-            &s,
-            &right_schema,
-            Box::new(|| Err(DgfError::Transient("dimension table offline".into()))),
-        )
-        .unwrap();
-        assert!(matches!(broken.push(&rs[0]), Err(DgfError::Transient(_))));
-        assert!(broken.push(&rs[0]).is_err());
     }
 
     /// Bits, not approximate equality: the batch fold must update each

@@ -23,7 +23,7 @@ pub mod spec;
 
 pub use agg::{AdditiveUdf, AggFunc, AggPartials, AggSet, AggState, SumProductUdf};
 pub use engine::{Engine, EngineRun, RunStats};
-pub use exec::{JoinTable, RightRows, RowSink};
+pub use exec::{JoinTable, RowSink};
 pub use parse::{parse_aggs, parse_predicate, parse_query};
 pub use predicate::{require_range, BoundPredicate, ColumnRange, Predicate};
 pub use spec::{Query, QueryResult};

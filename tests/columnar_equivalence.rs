@@ -1,17 +1,19 @@
 //! Vectorized ≡ row-wise equivalence (DESIGN.md §12).
 //!
-//! The columnar batch path (decode once into `ColumnBatch`, selection
-//! vectors, slice aggregate kernels) must return **bit-identical**
-//! results to the row-at-a-time oracle for every query shape, any worker count, any projection, any null pattern and
-//! any row-group geometry. The kernels preserve fold order and Neumaier
-//! compensation exactly, so the assertion here is `assert_eq!` on
+//! A scan folds an RCFile's row groups in decoded batches (selection
+//! vectors, slice aggregate kernels, projection). It must return
+//! **bit-identical** results to the row-at-a-time reference fold below
+//! for every query shape, any worker count, any projection, any null
+//! pattern and any row-group geometry. The kernels preserve fold order and
+//! Neumaier compensation exactly, so the assertion here is `assert_eq!` on
 //! `QueryResult` — no float tolerance.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgfindex::format::Bitmap;
-use dgfindex::hive::{execute, ScanInput};
+use dgfindex::hive::{execute, open_input, Footers, ScanInput};
+use dgfindex::query::{JoinTable, RowSink};
 use dgfindex::prelude::*;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -186,11 +188,10 @@ fn build_world(rows: &[Row], rows_per_group: usize, num_files: usize) -> World {
     }
 }
 
-/// Run `query` under the given scan options and worker count on a fresh
-/// context over the world's files.
-fn run_with(w: &World, query: &Query, options: ScanOptions, workers: usize) -> QueryResult {
+/// Run `query` with the given worker count on a fresh context over the
+/// world's files.
+fn run_with(w: &World, query: &Query, workers: usize) -> QueryResult {
     let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(workers));
-    ctx.set_scan_options(options);
     ScanEngine::new(ctx, Arc::clone(&w.table))
         .with_right(Arc::clone(&w.users))
         .run(query)
@@ -198,32 +199,54 @@ fn run_with(w: &World, query: &Query, options: ScanOptions, workers: usize) -> Q
         .result
 }
 
-/// The full matrix: row-wise oracle vs columnar, each at 1, 2 and 8 map
-/// workers, all bit-identical.
-fn assert_equivalent(w: &World, query: &Query, label: &str) {
-    let oracle = run_with(
-        w,
-        query,
-        ScanOptions {
-            columnar: false,
-            sidecar: true,
-        },
-        1,
-    );
-    for workers in [1usize, 2, 8] {
-        for columnar in [false, true] {
-            let got = run_with(
-                w,
-                query,
-                ScanOptions { columnar, sidecar: true },
-                workers,
-            );
-            assert_eq!(
-                got, oracle,
-                "{label}: columnar={columnar} workers={workers} \
-                 diverged from the row-wise oracle"
-            );
+/// The row-at-a-time reference: each input's rows, copied out of its
+/// batches one at a time, fold into a sink of their own through the row
+/// predicate, and the sinks merge in input order.
+fn rowwise(w: &World, query: &Query, inputs: Vec<ScanInput>) -> QueryResult {
+    let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(1));
+    let users = &w.users.schema;
+    let right = match query {
+        Query::Join {
+            right_key,
+            right_project,
+            ..
+        } => {
+            let project: Vec<usize> =
+                right_project.iter().map(|c| users.index_of(c).unwrap()).collect();
+            let rows = ctx.read_all(&w.users).unwrap();
+            let key = users.index_of(right_key).unwrap();
+            Some((&**users, Arc::new(JoinTable::new(&rows, key, &project))))
         }
+        _ => None,
+    };
+    let total = RowSink::new(query, &w.table.schema, right).unwrap();
+    let bound = query.predicate().bind(&w.table.schema).unwrap();
+    let mut merged: Option<RowSink> = None;
+    for input in inputs {
+        let mut sink = total.sibling();
+        open_input(&ctx, &w.table, &input, &Footers::new())
+            .unwrap()
+            .for_each_row(|_, row| sink.push_if(row, &bound).map(drop))
+            .unwrap();
+        match &mut merged {
+            Some(m) => m.merge(sink).unwrap(),
+            None => merged = Some(sink),
+        }
+    }
+    merged.unwrap_or(total).finish()
+}
+
+/// The full matrix: the row-wise reference over the table's splits vs
+/// the scan at 1, 2 and 8 map workers, all bit-identical.
+fn assert_equivalent(w: &World, query: &Query, label: &str) {
+    let splits = w.hdfs.splits_for_dir(&w.table.location);
+    let oracle = rowwise(w, query, splits.into_iter().map(ScanInput::FullSplit).collect());
+    for workers in [1usize, 2, 8] {
+        assert_eq!(
+            run_with(w, query, workers),
+            oracle,
+            "{label}: workers={workers} diverged from the row-wise reference"
+        );
     }
 }
 
@@ -231,8 +254,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random rows, null patterns, group geometry, file counts, query
-    /// shapes and predicates: every engine configuration returns exactly
-    /// the row-wise oracle's answer.
+    /// shapes and predicates: every worker count returns exactly the
+    /// row-wise reference's answer.
     #[test]
     fn vectorized_path_is_bit_identical_to_rowwise(
         seed in 0u64..1_000_000,
@@ -288,14 +311,15 @@ fn last_partial_group_round_trips() {
 #[test]
 fn row_filter_with_empty_bitmap_group_matches_rowwise() {
     // An RcFiltered input whose bitmap keeps no rows of group 0 produces
-    // an *empty batch* on the columnar path (the group is still fetched);
-    // a group absent from the map is never fetched at all. Both paths
-    // must agree.
+    // an *empty batch* (the group is still fetched); a group absent from
+    // the map is never fetched at all. The scan and the row-wise
+    // reference must agree.
     let mut rng = StdRng::seed_from_u64(23);
     let rows = random_rows(&mut rng, 30, 0.1);
     let w = build_world(&rows, 10, 1);
     let path = w.hdfs.list_files(&w.table.location)[0].0.clone();
-    let offsets = dgfindex::format::read_group_offsets(&w.hdfs, &path).unwrap();
+    let footer = dgfindex::format::read_footer(&w.hdfs, &path).unwrap();
+    let offsets = footer.group_offsets();
     assert_eq!(offsets.len(), 3);
     let mut filter: HashMap<u64, Bitmap> = HashMap::new();
     filter.insert(offsets[0], Bitmap::new()); // fetched, all rows dropped
@@ -310,14 +334,9 @@ fn row_filter_with_empty_bitmap_group_matches_rowwise() {
         split: dgfindex::storage::FileSplit::new(path, 0, len),
         row_filter: filter,
     };
-    let mut results = Vec::new();
-    for columnar in [false, true] {
-        let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(2));
-        ctx.set_scan_options(ScanOptions { columnar, sidecar: true });
-        let r = execute(&ctx, &w.table, &query, None, vec![input.clone()]).unwrap();
-        results.push(r);
-    }
-    assert_eq!(results[0], results[1]);
+    let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(2));
+    let scanned = execute(&ctx, &w.table, &query, None, vec![input.clone()]).unwrap();
+    assert_eq!(scanned, rowwise(&w, &query, vec![input]));
     // Exactly the 3 surviving rows of group 1 were counted.
-    assert_eq!(results[0].clone().into_scalars()[0], Value::Int(3));
+    assert_eq!(scanned.into_scalars()[0], Value::Int(3));
 }

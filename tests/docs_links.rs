@@ -12,7 +12,10 @@
 //!   actual `## N.` heading — stale cross-references after a renumber
 //!   fail here, not in a reader's head;
 //! * every repo source path mentioned in backticks (`crates/...`,
-//!   `tests/...`) exists on disk.
+//!   `tests/...`) exists on disk;
+//! * every backticked snake_case name of four or more words — a test, a
+//!   function, a metric field — occurs in the Rust sources, so a deleted
+//!   or renamed test leaves no stale citation behind.
 //!
 //! CI runs this as the docs-lint step (`cargo test --test docs_links`).
 
@@ -201,33 +204,87 @@ fn paperish(line: &str) -> bool {
     l.contains("paper") || l.contains("algorithm") || l.contains("listing")
 }
 
+/// `(line index, trimmed span)` of every inline code span outside fenced
+/// code blocks.
+fn backticked(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut in_code = false;
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_code = !in_code;
+            continue;
+        }
+        if !in_code {
+            out.extend(line.split('`').skip(1).step_by(2).map(|s| (idx, s.trim())));
+        }
+    }
+    out
+}
+
 #[test]
 fn backticked_repo_paths_exist() {
     let root = repo_root();
     let mut broken = Vec::new();
     for doc in DOCS {
-        let text = read_doc(doc);
-        let mut in_code = false;
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim_start().starts_with("```") {
-                in_code = !in_code;
-                continue;
-            }
-            if in_code {
-                continue;
-            }
-            for span in line.split('`').skip(1).step_by(2) {
-                let candidate = span.trim();
-                let looks_like_path = (candidate.starts_with("crates/")
-                    || candidate.starts_with("tests/"))
-                    && candidate
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || "/._-".contains(c));
-                if looks_like_path && !root.join(candidate).exists() {
-                    broken.push(format!("{doc}:{}: `{candidate}` does not exist", idx + 1));
-                }
+        for (idx, candidate) in backticked(&read_doc(doc)) {
+            let looks_like_path = (candidate.starts_with("crates/")
+                || candidate.starts_with("tests/"))
+                && candidate
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || "/._-".contains(c));
+            if looks_like_path && !root.join(candidate).exists() {
+                broken.push(format!("{doc}:{}: `{candidate}` does not exist", idx + 1));
             }
         }
     }
     assert!(broken.is_empty(), "docs cite missing paths:\n  {}", broken.join("\n  "));
+}
+
+/// Append every `.rs` file under `dir` to `out`.
+fn read_sources(dir: &std::path::Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            read_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).unwrap());
+            out.push('\n');
+        }
+    }
+}
+
+/// A snake_case name of at least four words: `a_join_reads_its_…`.
+fn is_long_snake_case(name: &str) -> bool {
+    name.starts_with(|c: char| c.is_ascii_lowercase())
+        && name.split('_').count() >= 4
+        && name.split('_').all(|w| {
+            !w.is_empty() && w.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+        })
+}
+
+/// Whether `name` occurs in `text` as a whole identifier.
+fn has_identifier(text: &str, name: &str) -> bool {
+    let word = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+    text.match_indices(name).any(|(at, _)| {
+        !word(text[..at].chars().next_back()) && !word(text[at + name.len()..].chars().next())
+    })
+}
+
+#[test]
+fn backticked_long_names_occur_in_the_sources() {
+    let root = repo_root();
+    let mut sources = String::new();
+    for dir in ["crates", "tests", "src", "examples", "benchmark/src"] {
+        read_sources(&root.join(dir), &mut sources);
+    }
+    let mut broken = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        for (idx, span) in backticked(&read_doc(doc)) {
+            let name = span.rsplit("::").next().unwrap_or(span);
+            if is_long_snake_case(name) && !has_identifier(&sources, name) {
+                broken.push(format!("{doc}:{}: `{name}` is in no .rs file", idx + 1));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "docs cite names the code lacks:\n  {}", broken.join("\n  "));
 }

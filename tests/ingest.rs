@@ -858,20 +858,14 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
         aggs,
         predicate: predicate.and("region_id", region),
     };
-    ctx.set_scan_options(ScanOptions {
-        columnar: true,
-        sidecar: false,
-    });
+    ctx.set_scan_options(ScanOptions { sidecar: false });
     let off = DgfEngine::new(Arc::clone(&index)).run(q).unwrap();
     assert_eq!(
         off.stats.scan.sidecar_hits + off.stats.scan.sidecar_misses,
         0,
         "pruning disabled but sidecars were consulted"
     );
-    ctx.set_scan_options(ScanOptions {
-        columnar: true,
-        sidecar: true,
-    });
+    ctx.set_scan_options(ScanOptions { sidecar: true });
     let on = DgfEngine::new(Arc::clone(&index)).run(q).unwrap();
     assert!(
         on.stats.scan.sidecar_hits > 0,

@@ -1,22 +1,22 @@
-//! The row-wise fallback hot loop must not allocate per row, no drain
-//! may allocate per payload byte, and decoding a GFU value allocates its
-//! header and its slice list, nothing per slice.
+//! The row drain must not allocate per row, no drain may allocate per
+//! payload byte, and decoding a GFU value allocates its header and its
+//! slice list, nothing per slice.
 //!
-//! `RcReader::next_row_into` refills one caller-owned scratch `Row` from
-//! the decoded batch, so draining a numeric table allocates per *group*
-//! (typed column vectors), not per row. The boxing path `next_row`
-//! allocates at least one `Vec` per row. A columnar `next_batch` drain
-//! allocates what it hands out — per group one `Vec` of columns and, per
-//! projected column, a typed vector and a null mask — and reads every
-//! frame into the one buffer the reader keeps. A counting global
-//! allocator measures all three; this file holds a single test so no
-//! parallel test pollutes the counters.
+//! `InputReader::for_each_row` refills one scratch `Row` from each
+//! decoded batch, so draining a numeric RCFile table allocates per *group*
+//! (typed column vectors), not per row. A `next_batch` drain allocates
+//! what it hands out — per group one `Vec` of columns and, per projected
+//! column, a typed vector and a null mask — and reads every frame into
+//! the one buffer the reader keeps. A counting global allocator measures
+//! both; this file holds a single test so no parallel test pollutes the
+//! counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dgfindex::format::{RcReader, RcWriter, RecordReader};
+use dgfindex::format::{RcReader, RcWriter};
+use dgfindex::hive::InputReader;
 use dgfindex::prelude::*;
 use dgfindex::storage::FileSplit;
 
@@ -88,32 +88,22 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     w.close().unwrap();
     let split = FileSplit::new("/t/f", 0, hdfs.file_len("/t/f").unwrap());
 
-    // Scratch-row path: the satellite claim under test.
-    let mut reader = RcReader::open(&hdfs, schema.clone(), &split).unwrap();
-    let mut scratch = Row::new();
-    let mut n = 0i64;
-    let mut sum = 0i64;
+    // Row drain: one scratch row refilled from each batch.
+    let reader = InputReader::Rc(Box::new(RcReader::open(&hdfs, schema.clone(), &split).unwrap()));
+    let (mut n, mut sum) = (0i64, 0i64);
     let before = allocs();
-    while reader.next_row_into(&mut scratch).unwrap() {
-        n += 1;
-        sum += scratch[0].as_i64().unwrap();
-    }
-    let scratch_allocs = allocs() - before;
+    reader
+        .for_each_row(|_, row| {
+            n += 1;
+            sum += row[0].as_i64()?;
+            Ok(())
+        })
+        .unwrap();
+    let row_allocs = allocs() - before;
     assert_eq!(n, N);
     assert_eq!(sum, N * (N - 1) / 2);
 
-    // Boxing path: one fresh Row per record, at least.
-    let mut reader = RcReader::open(&hdfs, schema.clone(), &split).unwrap();
-    let mut n = 0i64;
-    let before = allocs();
-    while let Some(row) = reader.next_row().unwrap() {
-        n += 1;
-        std::hint::black_box(&row);
-    }
-    let boxing_allocs = allocs() - before;
-    assert_eq!(n, N);
-
-    // Columnar path: batches of typed vectors, frames through one buffer.
+    // Batch drain: batches of typed vectors, frames through one buffer.
     let mut reader = RcReader::open(&hdfs, schema.clone(), &split)
         .unwrap()
         .with_projection(vec![0, 1]);
@@ -131,7 +121,7 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     // the frame buffer, allocated by the first fetch and reused by the rest.
     assert!(
         batch_allocs <= groups * (1 + 2 * 2) + 4,
-        "columnar drain allocated {batch_allocs} times for {groups} groups"
+        "batch drain allocated {batch_allocs} times for {groups} groups"
     );
     // Bytes: what the batches hold (two eight-byte cells a row, masks,
     // column headers) and one block-sized buffer — not a second copy of
@@ -141,22 +131,14 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     let handed_out = N as u64 * 16 + groups * 512;
     assert!(
         batch_bytes <= handed_out + hdfs.block_size(),
-        "columnar drain allocated {batch_bytes} B: {handed_out} B of batches, file {file_len} B"
+        "batch drain allocated {batch_bytes} B: {handed_out} B of batches, file {file_len} B"
     );
 
     // Per-group overhead only: decode buffers scale with groups (20), not
     // rows (20k). The bound is generous — the claim is the *order*.
     assert!(
-        scratch_allocs < (N / 10) as u64,
-        "scratch drain allocated {scratch_allocs} times for {N} rows"
-    );
-    assert!(
-        boxing_allocs >= N as u64,
-        "boxing drain allocated only {boxing_allocs} times for {N} rows"
-    );
-    assert!(
-        scratch_allocs * 10 < boxing_allocs,
-        "scratch path ({scratch_allocs}) not clearly below boxing path ({boxing_allocs})"
+        row_allocs < (N / 10) as u64,
+        "row drain allocated {row_allocs} times for {N} rows"
     );
 
     // A one-slice GFU value names its file by id: decoding it allocates

@@ -198,10 +198,7 @@ fn assert_bits_eq(a: &QueryResult, b: &QueryResult, label: &str) {
 }
 
 fn run_with_sidecar(w: &World, index: &Arc<DgfIndex>, q: &Query, sidecar: bool) -> EngineRun {
-    w.ctx.set_scan_options(ScanOptions {
-        columnar: true,
-        sidecar,
-    });
+    w.ctx.set_scan_options(ScanOptions { sidecar });
     DgfEngine::new(Arc::clone(index)).run(q).unwrap()
 }
 
@@ -225,10 +222,7 @@ fn assert_matrix(w: &World, index: &Arc<DgfIndex>, label: &str) {
     assert!(!scx.is_empty(), "{label}: build emitted no sidecars");
 
     for (qi, q) in queries().iter().enumerate() {
-        w.ctx.set_scan_options(ScanOptions {
-            columnar: false,
-            sidecar: false,
-        });
+        w.ctx.set_scan_options(ScanOptions { sidecar: false });
         let truth = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base))
             .run(q)
             .unwrap()
@@ -419,10 +413,7 @@ proptest! {
 
         for qi in 0..3 {
             let q = random_query(&mut rng);
-            w.ctx.set_scan_options(ScanOptions {
-                columnar: false,
-                sidecar: false,
-            });
+            w.ctx.set_scan_options(ScanOptions { sidecar: false });
             let truth = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base))
                 .run(&q)
                 .unwrap()
@@ -547,10 +538,7 @@ fn sidecar_publication_crash_sweep_recovers() {
         );
         // Answers equal a scan of the current base table — with
         // pruning on, over whatever mix of sidecars the crash left.
-        ctx.set_scan_options(ScanOptions {
-            columnar: true,
-            sidecar: true,
-        });
+        ctx.set_scan_options(ScanOptions { sidecar: true });
         let q = Query::Aggregate {
             aggs: the_aggs(),
             predicate: Predicate::all()
