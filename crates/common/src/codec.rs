@@ -6,10 +6,14 @@
 //!   writers and [`Decoder`]) used for row-group files, key-value store
 //!   logs, and persisted index metadata. Its LEB128 varints
 //!   ([`put_varint`], [`Decoder::varint`]) carry the small integers of
-//!   GFU values: record counts, slice lists, file ids and offsets.
+//!   GFU values: record counts, slice lists, file ids and offsets. A log
+//!   record is one checksummed frame ([`write_frame`], read back by
+//!   [`FrameReader`]).
 //! * An **order-preserving key codec** used for grid-file unit keys so the
 //!   key-value store can range-scan cells in coordinate order (`encode_key_i64`
 //!   encodes sign-flipped big-endian).
+
+use std::io::{Read, Write};
 
 use crate::error::{DgfError, Result};
 use crate::value::Value;
@@ -267,6 +271,75 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+// ---------------------------------------------------------------------------
+// Checksummed frames: the records of the append-only logs (the key-value
+// store's log and the ingest WAL).
+// ---------------------------------------------------------------------------
+
+/// Bytes one frame of a `payload_len`-byte payload takes on disk.
+pub fn frame_len(payload_len: usize) -> u64 {
+    4 + payload_len as u64 + 8
+}
+
+/// Append one checksummed frame, `[u32 len][payload][u64 fnv1a(payload)]`;
+/// returns the bytes written.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&fnv1a(payload).to_le_bytes())?;
+    Ok(frame_len(payload.len()))
+}
+
+/// The payloads of a log of [`write_frame`] frames, in order, up to the
+/// first torn or corrupt frame: one cut short, one whose checksum does
+/// not match, or one whose length prefix claims more bytes than the log
+/// has left. A log is only ever appended to, so what follows such a
+/// frame was never acknowledged and is not read.
+pub struct FrameReader<R> {
+    inner: R,
+    /// Bytes of the log not yet read.
+    left: u64,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Frames of the `len`-byte log `inner` reads.
+    pub fn new(inner: R, len: u64) -> FrameReader<R> {
+        FrameReader { inner, left: len }
+    }
+
+    fn read_frame(&mut self) -> Option<Vec<u8>> {
+        let mut len = [0u8; 4];
+        self.inner.read_exact(&mut len).ok()?;
+        let n = u32::from_le_bytes(len) as usize;
+        // Checked before the allocation: a flipped length byte is a torn
+        // frame, not a request for gigabytes.
+        if frame_len(n) > self.left {
+            return None;
+        }
+        let mut payload = vec![0u8; n];
+        self.inner.read_exact(&mut payload).ok()?;
+        let mut sum = [0u8; 8];
+        self.inner.read_exact(&mut sum).ok()?;
+        if u64::from_le_bytes(sum) != fnv1a(&payload) {
+            return None;
+        }
+        self.left -= frame_len(n);
+        Some(payload)
+    }
+}
+
+impl<R: Read> Iterator for FrameReader<R> {
+    type Item = Vec<u8>;
+
+    fn next(&mut self) -> Option<Vec<u8>> {
+        let frame = self.read_frame();
+        if frame.is_none() {
+            self.left = 0;
+        }
+        frame
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +463,27 @@ mod tests {
             assert_eq!(got, *v);
             assert!(rest.is_empty());
         }
+    }
+
+    #[test]
+    fn frames_read_back_until_the_first_torn_or_corrupt_one() {
+        let mut log = Vec::new();
+        for payload in [&b"one"[..], b"", b"three"] {
+            assert_eq!(write_frame(&mut log, payload).unwrap(), frame_len(payload.len()));
+        }
+        let read = |log: &[u8]| -> Vec<Vec<u8>> {
+            FrameReader::new(log, log.len() as u64).collect()
+        };
+        assert_eq!(read(&log), [b"one".to_vec(), Vec::new(), b"three".to_vec()]);
+        // Torn third frame; a checksum mismatch in the second.
+        assert_eq!(read(&log[..log.len() - 1]).len(), 2);
+        let mut flipped = log.clone();
+        flipped[frame_len(3) as usize + 4] ^= 1;
+        assert_eq!(read(&flipped).len(), 1);
+        // A length prefix past the log's end ends it before allocating.
+        let mut huge = log.clone();
+        huge[..4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        assert!(read(&huge).is_empty());
     }
 
     #[test]

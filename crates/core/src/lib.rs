@@ -680,16 +680,16 @@ mod tests {
         .is_err());
     }
 
-    /// A 600-row RCFile table in three files with small row groups
-    /// (many groups per slice candidate).
-    fn rc_meter_table(ctx: &Arc<HiveContext>) -> TableRef {
+    /// A 600-row table in three files, with small row groups if it is an
+    /// RCFile (many groups per slice candidate).
+    fn meter_table(ctx: &Arc<HiveContext>, format: FileFormat) -> TableRef {
         let schema = Arc::new(Schema::from_pairs(&[
             ("user", ValueType::Int),
             ("day", ValueType::Int),
             ("power", ValueType::Float),
         ]));
         let mut desc = (*ctx
-            .create_table("meter_rc", schema, FileFormat::RcFile)
+            .create_table(&format!("meter_{format}"), schema, format)
             .unwrap())
         .clone();
         desc.rows_per_group = 16;
@@ -707,7 +707,7 @@ mod tests {
         tab
     }
 
-    fn build_rc(
+    fn build_meter(
         ctx: &Arc<HiveContext>,
         tab: &TableRef,
         name: &str,
@@ -728,45 +728,179 @@ mod tests {
         .unwrap()
     }
 
+    /// Every file of `idx`'s data directory, Slices and sidecars, by name.
+    fn files_of(ctx: &HiveContext, idx: &DgfIndex) -> std::collections::BTreeMap<String, Vec<u8>> {
+        ctx.hdfs
+            .list_files(&idx.data.location)
+            .into_iter()
+            .map(|(path, _)| {
+                let name = path.rsplit('/').next().unwrap().to_owned();
+                (name, ctx.hdfs.read_file(&path).unwrap())
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the sorted `(file name, bytes)` pairs of `idx`'s data
+    /// directory: one number that moves when any written byte does.
+    fn data_digest(ctx: &HiveContext, idx: &DgfIndex) -> u64 {
+        let mut buf = Vec::new();
+        for (name, bytes) in files_of(ctx, idx) {
+            dgf_common::codec::put_str(&mut buf, &name);
+            dgf_common::codec::put_bytes(&mut buf, &bytes);
+        }
+        dgf_common::codec::fnv1a(&buf)
+    }
+
     /// Two four-worker builds of one table write the same bytes. Row
     /// order inside a Slice — and with it header float bits, zone maps
     /// and `.scx` bytes — used to follow map-task completion order.
-    #[test]
-    fn builds_are_byte_identical_and_every_writer_is_counted() {
+    ///
+    /// Then every writer's output is pinned to the byte: `store_bytes` is
+    /// the built store's logical size, and `pins` are the data
+    /// directory's digests after the build, after two appends, after a
+    /// compaction pass and after a regrid.
+    fn writes_are_pinned(format: FileFormat, store_bytes: u64, pins: [u64; 4]) {
         let (_t, ctx) = setup(2048);
-        let tab = rc_meter_table(&ctx);
-        let files_of = |idx: &DgfIndex| -> std::collections::BTreeMap<String, Vec<u8>> {
-            ctx.hdfs
-                .list_files(&idx.data.location)
-                .into_iter()
-                .map(|(path, _)| {
-                    let name = path.rsplit('/').next().unwrap().to_owned();
-                    (name, ctx.hdfs.read_file(&path).unwrap())
-                })
-                .collect()
-        };
-        let (a, _) = build_rc(&ctx, &tab, "dgf_det_a");
-        let (b, _) = build_rc(&ctx, &tab, "dgf_det_b");
+        let tab = meter_table(&ctx, format);
+        let (a, _) = build_meter(&ctx, &tab, "dgf_det_a");
+        let (b, _) = build_meter(&ctx, &tab, "dgf_det_b");
+        assert_eq!(a.kv.logical_size_bytes(), b.kv.logical_size_bytes());
+        let files = files_of(&ctx, &a);
+        let sidecars = files.keys().filter(|name| dgf_format::is_sidecar_path(name));
+        assert_eq!(sidecars.count() > 0, format == FileFormat::RcFile);
+        assert!(
+            files.len() >= 2 + 2 * (format == FileFormat::RcFile) as usize,
+            "one reducer: nothing to reorder"
+        );
+        assert_eq!(files, files_of(&ctx, &b));
         // The whole store — `g:` cells, `p:` nodes, `m:view` — to the
         // byte.
-        assert_eq!(a.kv.logical_size_bytes(), 3_342);
-        assert_eq!(b.kv.logical_size_bytes(), 3_342);
-        let files = files_of(&a);
-        assert!(files.keys().any(|name| dgf_format::is_sidecar_path(name)));
-        assert!(files.len() >= 4, "one reducer: nothing to reorder");
-        assert_eq!(files, files_of(&b));
+        let store = a.kv.logical_size_bytes();
+        let mut digests = vec![data_digest(&ctx, &a)];
 
         // Build, append, append: three commits through the one `Txn`.
         for day in [3, 4] {
             a.append(&[vec![Value::Int(1), Value::Int(day), Value::Float(1.0)]])
                 .unwrap();
         }
+        digests.push(data_digest(&ctx, &a));
         let metrics = a.metrics().snapshot();
         assert_eq!(metrics["txn.commits"], 3);
         assert_eq!(metrics["txn.rollbacks"], 0);
         assert_eq!(metrics["txn.recovered"], 0);
         assert!(metrics["txn.staged_keys"] > 0);
         assert!(metrics["txn.files_published"] as usize >= files.len());
+
+        let a = Arc::new(a);
+        let maintainer = Maintainer::new(
+            Arc::clone(&a),
+            MaintenanceConfig {
+                delta_file_budget: 2,
+                ..MaintenanceConfig::default()
+            },
+        );
+        assert!(maintainer.run_once().unwrap().compacted_files > 0);
+        digests.push(data_digest(&ctx, &a));
+        maintainer
+            .regrid_to(
+                SplittingPolicy::new(vec![
+                    DimPolicy::int("user", 0, 5),
+                    DimPolicy::int("day", 0, 4),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+        digests.push(data_digest(&ctx, &a));
+        assert_eq!((store, digests), (store_bytes, pins.to_vec()));
+    }
+
+    #[test]
+    fn builds_are_byte_identical_and_every_writer_is_counted() {
+        writes_are_pinned(
+            FileFormat::RcFile,
+            3_342,
+            [
+                8_506_367_492_564_015_294,
+                8_863_724_149_479_901_911,
+                8_815_740_857_369_428_824,
+                17_829_914_286_566_876_175,
+            ],
+        );
+    }
+
+    #[test]
+    fn text_builds_are_byte_identical_and_every_writer_is_counted() {
+        writes_are_pinned(
+            FileFormat::Text,
+            3_339,
+            [
+                7_311_012_536_217_960_609,
+                11_428_468_640_174_342_048,
+                2_594_019_535_298_558_316,
+                14_088_876_377_531_060_797,
+            ],
+        );
+    }
+
+    /// The reorganized data table holds exactly the base table's rows, a
+    /// string column's `""`, NULL and other values alike, and is read as
+    /// a table like any other: its `.scx` sidecars are not splits.
+    #[test]
+    fn reorganized_data_holds_exactly_the_base_rows() {
+        for format in [FileFormat::RcFile, FileFormat::Text] {
+            let (_t, ctx) = setup(1024);
+            let schema = Arc::new(Schema::from_pairs(&[
+                ("user", ValueType::Int),
+                ("tag", ValueType::Str),
+                ("power", ValueType::Float),
+            ]));
+            let tab = ctx.create_table("tagged", schema, format).unwrap();
+            let tags = [Value::Str(String::new()), Value::Null, Value::Str("on".into())];
+            let rows: Vec<Vec<Value>> = (0..300i64)
+                .map(|i| {
+                    vec![
+                        Value::Int(i % 23),
+                        tags[i as usize % 3].clone(),
+                        Value::Float(i as f64 / 4.0),
+                    ]
+                })
+                .collect();
+            ctx.load_rows(&tab, &rows, 2).unwrap();
+            let (idx, _) = DgfIndex::build(
+                Arc::clone(&ctx),
+                Arc::clone(&tab),
+                SplittingPolicy::new(vec![DimPolicy::int("user", 0, 4)]).unwrap(),
+                vec![AggFunc::Count],
+                Arc::new(MemKvStore::new()),
+                "dgf_tagged",
+            )
+            .unwrap();
+            let sorted = |table: &TableRef| {
+                let mut rows = ctx.read_all(table).unwrap();
+                rows.sort();
+                rows
+            };
+            assert_eq!(sorted(&idx.data), sorted(&tab), "{format}");
+            let count = Query::Aggregate {
+                aggs: vec![AggFunc::Count],
+                predicate: Predicate::all(),
+            };
+            let by_tag = Query::GroupBy {
+                key: "tag".into(),
+                aggs: vec![AggFunc::Count],
+                predicate: Predicate::all(),
+            };
+            for q in [count, by_tag] {
+                let scan = |table: &TableRef| {
+                    ScanEngine::new(Arc::clone(&ctx), Arc::clone(table))
+                        .run(&q)
+                        .unwrap()
+                        .result
+                        .normalized()
+                };
+                assert_eq!(scan(&idx.data), scan(&tab), "{format}: {q:?}");
+            }
+        }
     }
 
     #[test]
@@ -775,8 +909,8 @@ mod tests {
         // formats" — an RCFile base table yields RCFile reorganized data
         // with group-aligned Slices, and the skipping read path holds.
         let (_t, ctx) = setup(2048);
-        let tab = rc_meter_table(&ctx);
-        let (idx, report) = build_rc(&ctx, &tab, "dgf_rc");
+        let tab = meter_table(&ctx, FileFormat::RcFile);
+        let (idx, report) = build_meter(&ctx, &tab, "dgf_rc");
         assert_eq!(idx.data.format, FileFormat::RcFile);
         assert!(report.index_entries > 0);
         let idx = Arc::new(idx);

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use dgf_common::obs::{names, SpanGuard};
-use dgf_common::{counter_block, format_row, DgfError, Result};
+use dgf_common::{counter_block, DgfError, Result};
 use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
 use dgf_hive::{open_input, read_footers, ScanInput};
 
@@ -318,7 +318,7 @@ impl Maintainer {
                     FileFormat::RcFile => ScanInput::RcRanges { path, ranges },
                 };
                 open_input(&index.ctx, &index.data, &input, &footers)?
-                    .for_each_row(|_, row| w.write(&format_row(row), row))?;
+                    .for_each_row(|_, row| w.write(row))?;
             }
             let end = w.end_slice()?;
             index.sync_point("maint.stage-cell");

@@ -3,7 +3,7 @@
 //!
 //! Construction is a MapReduce job that **reorganizes** the base table:
 //! mappers standardize each record's indexed dimensions into a GFUKey and
-//! emit `(GFUKey, line)`; each reducer writes the records of every key it
+//! emit `(GFUKey, row)`; each reducer writes the rows of every key it
 //! owns contiguously as a *Slice* of its output file, folds the
 //! pre-computed aggregates into the GFU header, and stages the
 //! `GFUKey → GFUValue` pair. Because the shuffle groups and sorts by key,
@@ -19,12 +19,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgf_common::{format_row, parse_row, Result, Row, Stopwatch};
-use dgf_format::{sidecar_path, FileFormat, SidecarBuilder, TextWriter};
-use dgf_hive::{open_input, BuildReport, Footers, ScanInput, TableRef};
+use dgf_common::{Result, Row, Stopwatch};
+use dgf_format::{sidecar_path, SidecarBuilder};
+use dgf_hive::{open_input, BuildReport, Footers, ScanInput, TableDesc, TableWriter};
 use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
-use dgf_storage::FileSplit;
+use dgf_storage::{FileSplit, HdfsRef};
 
 use crate::gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc, GFU_PREFIX};
 use crate::index::{DgfIndex, SlicePlacement};
@@ -147,7 +147,7 @@ impl DgfIndex {
                     .as_ref()
                     .map(|p| p as &(dyn Fn(&Vec<u8>, usize) -> usize + Sync)),
                 // Map (Algorithm 1): standardize dims → GFUKey; emit
-                // (key, line). A regrid's splits cover the data table's
+                // (key, row). A regrid's splits cover the data table's
                 // files, which have the base table's schema and format.
                 &|_, split: FileSplit, e| {
                     let input = ScanInput::FullSplit(split);
@@ -156,7 +156,7 @@ impl DgfIndex {
                         for (i, d) in dim_idx.iter().zip(policy.dims()) {
                             cells.push(d.cell_of(&row[*i])?);
                         }
-                        e.emit(GfuKey::new(cells).encode(), format_row(row));
+                        e.emit(GfuKey::new(cells).encode(), row.clone());
                         Ok(())
                     })
                 },
@@ -164,7 +164,7 @@ impl DgfIndex {
                 // Reduce (Algorithm 2): write each GFU's records as one Slice
                 // of a STAGED file, fold the header, and stage the merged
                 // (key, value) pair. Nothing live changes until commit.
-                &|tid, groups: Vec<(Vec<u8>, Vec<String>)>| {
+                &|tid, groups: Vec<(Vec<u8>, Vec<Row>)>| {
                     // Slice locations name the file by id, which the
                     // rename into the data directory at apply preserves:
                     // keys publish unmodified.
@@ -172,20 +172,19 @@ impl DgfIndex {
                     let path = file.path(staging_dir);
                     let mut w = SliceWriter::create(&ctx.hdfs, &path, base)?;
                     let mut extents = Extents::empty(arity);
-                    for (key_bytes, lines) in groups {
+                    for (key_bytes, rows) in groups {
                         let key = GfuKey::decode(&key_bytes, arity)?;
                         extents.observe(&key);
                         let start = w.offset();
                         let mut states = agg_set.new_states();
-                        for line in &lines {
-                            let row = parse_row(line, &base.schema)?;
-                            agg_set.update(&mut states, &row, &base.schema)?;
-                            w.write(line, &row)?;
+                        for row in &rows {
+                            agg_set.update(&mut states, row, &base.schema)?;
+                            w.write(row)?;
                         }
                         let end = w.end_slice()?;
                         let slice = SliceLoc::new(file, start, end);
                         let header = AggSet::encode_states(&states);
-                        let count = lines.len() as u64;
+                        let count = rows.len() as u64;
                         // The staged value is the FINAL post-commit value:
                         // the live value (untouched until commit) merged with
                         // this slice. The shuffle gives each key to exactly
@@ -386,125 +385,83 @@ pub(crate) fn decode_gc_list(bytes: &[u8]) -> Result<Vec<String>> {
     Ok(paths)
 }
 
-/// Format-dispatched writer of slice-aligned reorganized data.
-///
-/// The RCFile variant additionally streams every row through a
-/// [`SidecarBuilder`] and, at close, writes the zone-map + hierarchical
-/// bitmap sidecar beside the data file (`<path>.scx`, DESIGN.md §15).
-/// Written into the staging directory, the sidecar rides the same
-/// staged-commit renames as its slice file, so it is never visible
-/// without the data it describes.
-pub(crate) enum SliceWriter {
-    Text(TextWriter),
-    Rc {
-        writer: Box<dgf_format::RcWriter>,
-        hdfs: dgf_storage::HdfsRef,
-        path: String,
-        sidecar: SidecarBuilder,
-    },
+/// Writer of slice-aligned reorganized data: the table's one
+/// [`TableWriter`], plus, for RCFile, a [`SidecarBuilder`] that sees
+/// every row and, at close, writes the zone-map + hierarchical bitmap
+/// sidecar beside the data file (`<path>.scx`, DESIGN.md §15). Written
+/// into the staging directory, the sidecar rides the same staged-commit
+/// renames as its slice file, so it is never visible without the data it
+/// describes.
+pub(crate) struct SliceWriter {
+    writer: TableWriter,
+    hdfs: HdfsRef,
+    path: String,
+    sidecar: Option<SidecarBuilder>,
 }
 
 impl SliceWriter {
     /// A writer of `table`'s format, schema and group size.
-    pub(crate) fn create(
-        hdfs: &dgf_storage::HdfsRef,
-        path: &str,
-        table: &TableRef,
-    ) -> Result<SliceWriter> {
-        Ok(match table.format {
-            FileFormat::Text => SliceWriter::Text(TextWriter::create(hdfs, path)?),
-            FileFormat::RcFile => SliceWriter::Rc {
-                writer: Box::new(dgf_format::RcWriter::create(
-                    hdfs,
-                    path,
-                    table.schema.clone(),
-                    table.rows_per_group,
-                )?),
-                hdfs: hdfs.clone(),
-                path: path.to_owned(),
-                sidecar: SidecarBuilder::new(
-                    table.schema.fields().iter().map(|f| f.name.clone()).collect(),
-                ),
-            },
+    pub(crate) fn create(hdfs: &HdfsRef, path: &str, table: &TableDesc) -> Result<SliceWriter> {
+        let writer = TableWriter::create(hdfs, path, table)?;
+        let sidecar = matches!(writer, TableWriter::Rc(_)).then(|| {
+            SidecarBuilder::new(table.schema.fields().iter().map(|f| f.name.clone()).collect())
+        });
+        Ok(SliceWriter {
+            writer,
+            hdfs: hdfs.clone(),
+            path: path.to_owned(),
+            sidecar,
         })
     }
 
     /// Offset where the next slice will begin.
     pub(crate) fn offset(&self) -> u64 {
-        match self {
-            SliceWriter::Text(w) => w.offset(),
-            SliceWriter::Rc { writer, .. } => writer.group_offset(),
-        }
+        self.writer.offset()
     }
 
-    /// Append one record (`line` is its text form, `row` its parsed form).
-    pub(crate) fn write(&mut self, line: &str, row: &Row) -> Result<()> {
-        match self {
-            SliceWriter::Text(w) => {
-                w.write_line(line)?;
-            }
-            SliceWriter::Rc {
-                writer, sidecar, ..
-            } => {
-                // `write_row` returns the row's group start; if the group
-                // auto-flushed on this row, `group_offset()` has moved past
-                // it and the group (start..end) is sealed for the sidecar.
-                let start = writer.write_row(row)?;
-                sidecar.observe(row);
-                let after = writer.group_offset();
-                if after != start {
-                    sidecar.finish_group(start, after - start);
-                }
-            }
+    /// Append one record.
+    pub(crate) fn write(&mut self, row: &Row) -> Result<()> {
+        let start = self.writer.offset();
+        self.writer.write(row)?;
+        if let Some(sidecar) = &mut self.sidecar {
+            sidecar.observe(row);
         }
+        // A full row group flushes on the row that fills it.
+        self.sealed(start);
         Ok(())
     }
 
     /// Close the current slice at a record/group boundary; returns its
     /// exclusive end offset.
     pub(crate) fn end_slice(&mut self) -> Result<u64> {
-        match self {
-            SliceWriter::Text(w) => Ok(w.offset()),
-            SliceWriter::Rc {
-                writer, sidecar, ..
-            } => {
-                let start = writer.group_offset();
-                writer.finish_group()?;
-                let end = writer.group_offset();
-                if end != start {
-                    sidecar.finish_group(start, end - start);
-                }
-                Ok(end)
-            }
-        }
+        let start = self.writer.offset();
+        let end = self.writer.seal()?;
+        self.sealed(start);
+        Ok(end)
     }
 
-    pub(crate) fn close(self) -> Result<u64> {
-        match self {
-            SliceWriter::Text(w) => w.close(),
-            SliceWriter::Rc {
-                mut writer,
-                hdfs,
-                path,
-                mut sidecar,
-            } => {
-                // Seal any group still open (the reducer normally ends every
-                // slice first, making this a no-op) so the builder and the
-                // file agree on group boundaries before the footer is written.
-                let start = writer.group_offset();
-                writer.finish_group()?;
-                let end = writer.group_offset();
-                if end != start {
-                    sidecar.finish_group(start, end - start);
-                }
-                let data_len = writer.close()?;
-                let bytes = sidecar.finish(data_len).encode();
-                let mut w = hdfs.create(&sidecar_path(&path))?;
-                use std::io::Write as _;
-                w.write_all(&bytes)?;
-                w.close()?;
-                Ok(data_len)
-            }
+    pub(crate) fn close(mut self) -> Result<u64> {
+        // Seal any group still open (the reducer normally ends every
+        // slice first, making this a no-op) so the builder and the file
+        // agree on group boundaries before the footer is written.
+        self.end_slice()?;
+        let data_len = self.writer.close()?;
+        if let Some(sidecar) = self.sidecar {
+            let bytes = sidecar.finish(data_len).encode();
+            let mut w = self.hdfs.create(&sidecar_path(&self.path))?;
+            use std::io::Write as _;
+            w.write_all(&bytes)?;
+            w.close()?;
+        }
+        Ok(data_len)
+    }
+
+    /// Tell the sidecar that the group begun at `start` is on disk, if
+    /// the writer's offset has moved past it.
+    fn sealed(&mut self, start: u64) {
+        let end = self.writer.offset();
+        if let Some(sidecar) = self.sidecar.as_mut().filter(|_| end != start) {
+            sidecar.finish_group(start, end - start);
         }
     }
 }

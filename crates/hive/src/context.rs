@@ -12,7 +12,7 @@ use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
 use dgf_common::{DgfError, Result, Row, SchemaRef};
-use dgf_format::{FileFormat, RcWriter, TextWriter};
+use dgf_format::{is_sidecar_path, FileFormat, RcWriter, TextWriter};
 use dgf_mapreduce::MrEngine;
 use dgf_query::JoinTable;
 use dgf_storage::{FileSplit, HdfsRef};
@@ -262,33 +262,21 @@ impl HiveContext {
     }
 
     fn write_file(&self, table: &TableDesc, path: &str, rows: &[Row]) -> Result<()> {
-        match table.format {
-            FileFormat::Text => {
-                let mut w = TextWriter::create(&self.hdfs, path)?;
-                for r in rows {
-                    w.write_row(r)?;
-                }
-                w.close()?;
-            }
-            FileFormat::RcFile => {
-                let mut w = RcWriter::create(
-                    &self.hdfs,
-                    path,
-                    table.schema.clone(),
-                    table.rows_per_group,
-                )?;
-                for r in rows {
-                    w.write_row(r)?;
-                }
-                w.close()?;
-            }
+        let mut w = TableWriter::create(&self.hdfs, path, table)?;
+        for r in rows {
+            w.write(r)?;
         }
+        w.close()?;
         Ok(())
     }
 
-    /// Input splits for a whole table.
+    /// Input splits for a whole table: every data file under its
+    /// location. The `.scx` sidecars beside a DGFIndex data table's
+    /// files are not table data.
     pub fn table_splits(&self, table: &TableDesc) -> Vec<FileSplit> {
-        self.hdfs.splits_for_dir(&table.location)
+        let mut splits = self.hdfs.splits_for_dir(&table.location);
+        splits.retain(|s| !is_sidecar_path(&s.path));
+        splits
     }
 
     /// Total bytes stored by the table.
@@ -369,6 +357,65 @@ impl HiveContext {
             table: Arc::clone(&table),
         });
         Ok(table)
+    }
+}
+
+/// The one writer of a table's files, of the table's format: the write
+/// side of [`open_input`]. Rows go in as [`Row`]s; only the text arm
+/// formats them.
+pub enum TableWriter {
+    /// Delimited text lines.
+    Text(TextWriter),
+    /// RCFile row groups of the table's `rows_per_group`.
+    Rc(Box<RcWriter>),
+}
+
+impl TableWriter {
+    /// A new file at `path` in `table`'s format, schema and group size.
+    pub fn create(hdfs: &HdfsRef, path: &str, table: &TableDesc) -> Result<TableWriter> {
+        Ok(match table.format {
+            FileFormat::Text => TableWriter::Text(TextWriter::create(hdfs, path)?),
+            FileFormat::RcFile => TableWriter::Rc(Box::new(RcWriter::create(
+                hdfs,
+                path,
+                table.schema.clone(),
+                table.rows_per_group,
+            )?)),
+        })
+    }
+
+    /// Append one row.
+    pub fn write(&mut self, row: &Row) -> Result<()> {
+        match self {
+            TableWriter::Text(w) => w.write_row(row)?,
+            TableWriter::Rc(w) => w.write_row(row)?,
+        };
+        Ok(())
+    }
+
+    /// Where the next row's line or row group begins.
+    pub fn offset(&self) -> u64 {
+        match self {
+            TableWriter::Text(w) => w.offset(),
+            TableWriter::Rc(w) => w.group_offset(),
+        }
+    }
+
+    /// End the rows written so far at a line or row-group boundary, so
+    /// the next row starts a new one; returns the boundary's offset.
+    pub fn seal(&mut self) -> Result<u64> {
+        if let TableWriter::Rc(w) = self {
+            w.finish_group()?;
+        }
+        Ok(self.offset())
+    }
+
+    /// Seal, finish and register the file; returns its length.
+    pub fn close(self) -> Result<u64> {
+        match self {
+            TableWriter::Text(w) => w.close(),
+            TableWriter::Rc(w) => w.close(),
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //! index types the paper compares DGFIndex against, plus Hive-style
 //! partitioning.
 //!
-//! * [`HiveContext`] — metastore, table loading, split enumeration.
+//! * [`HiveContext`] — metastore, table loading, split enumeration;
+//!   [`TableWriter`] is the one writer of a table's files.
 //! * [`ScanEngine`] — the "ScanTable-based" full-scan baseline.
 //! * [`CompactIndex`] — index table of (dims, file, offsets); split-granular
 //!   filtering (paper §2.2, HIVE-417).
@@ -34,7 +35,7 @@ pub mod scan;
 pub use aggidx::{AggregateIndex, AggregateIndexEngine};
 pub use bitmapidx::{BitmapEngine, BitmapIndex};
 pub use compact::{CompactEngine, CompactIndex, CompactPlan};
-pub use context::{HiveContext, ScanOptions, ServeOptions, TableDesc, TableRef};
+pub use context::{HiveContext, ScanOptions, ServeOptions, TableDesc, TableRef, TableWriter};
 pub use catalog::{IndexEntry, CATALOG_PATH};
 pub use index_common::BuildReport;
 pub use partition::{PartitionEngine, PartitionedTable};

@@ -209,31 +209,32 @@ impl Core {
         Ok(())
     }
 
-    /// Standardize every row to its GFU cell coordinates and formatted
-    /// line. Pure validation — no side effects, so a bad row rejects the
-    /// whole batch before the WAL sees it.
-    fn route(&self, rows: &[Row]) -> Result<Vec<(Vec<i64>, String)>> {
+    /// Standardize every row to its GFU cell coordinates, and format its
+    /// line: the cells and the lines, row by row. Pure validation — no
+    /// side effects, so a bad row rejects the whole batch before the WAL
+    /// sees it.
+    fn route(&self, rows: &[Row]) -> Result<(Vec<Vec<i64>>, Vec<String>)> {
         // Re-read the policy per batch: online adaptation may install a
         // finer or coarser grid between batches, and rows must be routed
         // by the policy the next flush will publish under.
         let policy = self.index.policy();
         let dims = policy.dims();
-        rows.iter()
-            .map(|row| {
-                let mut cells = Vec::with_capacity(self.dim_idx.len());
-                for (i, d) in self.dim_idx.iter().zip(dims) {
-                    let v = row.get(*i).ok_or_else(|| {
-                        DgfError::Schema(format!(
-                            "ingest row has {} fields, schema needs {}",
-                            row.len(),
-                            self.index.base.schema.len()
-                        ))
-                    })?;
-                    cells.push(d.cell_of(v)?);
-                }
-                Ok((cells, format_row(row)))
-            })
-            .collect()
+        let mut cells = Vec::with_capacity(rows.len());
+        for row in rows {
+            let mut row_cells = Vec::with_capacity(self.dim_idx.len());
+            for (i, d) in self.dim_idx.iter().zip(dims) {
+                let v = row.get(*i).ok_or_else(|| {
+                    DgfError::Schema(format!(
+                        "ingest row has {} fields, schema needs {}",
+                        row.len(),
+                        self.index.base.schema.len()
+                    ))
+                })?;
+                row_cells.push(d.cell_of(v)?);
+            }
+            cells.push(row_cells);
+        }
+        Ok((cells, rows.iter().map(format_row).collect()))
     }
 
     /// Ingest one batch; returns its acknowledged sequence number.
@@ -243,8 +244,9 @@ impl Core {
         if rows.is_empty() {
             return Ok(self.next_seq.load(Ordering::SeqCst).saturating_sub(1));
         }
-        let routed = self.route(rows)?;
-        let batch_bytes: u64 = routed.iter().map(|(_, l)| l.len() as u64).sum();
+        let (cells, lines) = self.route(rows)?;
+        let line_bytes: Vec<u64> = lines.iter().map(|l| l.len() as u64).collect();
+        let batch_bytes: u64 = line_bytes.iter().sum();
         // Reserve the batch's bytes atomically: the check and the
         // accounting are one fetch_add, so concurrent batches cannot all
         // pass against the same stale reading and overshoot the bound.
@@ -267,7 +269,7 @@ impl Core {
         let written = (|| -> Result<(u64, u64)> {
             let _gate = self.batch_gate.read();
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-            let (wal_bytes, ticket) = self.wal.append_batch(seq, &lines_of(&routed))?;
+            let (wal_bytes, ticket) = self.wal.append_batch(seq, lines)?;
             stats.wal_bytes.add(wal_bytes);
             self.crash_point("ingest.wal-appended")?;
             if self.wal.sync(ticket)? {
@@ -275,14 +277,8 @@ impl Core {
             }
             self.crash_point("ingest.wal-synced")?;
             let mut mem = self.shared.mem.lock();
-            for ((cells, line), row) in routed.into_iter().zip(rows.iter().cloned()) {
-                mem.active.insert(
-                    cells,
-                    row,
-                    line.len() as u64,
-                    &self.agg_set,
-                    &self.index.base.schema,
-                )?;
+            for ((cells, bytes), row) in cells.into_iter().zip(line_bytes).zip(rows.iter().cloned()) {
+                mem.active.insert(cells, row, bytes, &self.agg_set, &self.index.base.schema)?;
             }
             mem.active.max_seq = mem.active.max_seq.max(seq);
             Ok((seq, wal_bytes))
@@ -389,10 +385,6 @@ impl Core {
             }
         }
     }
-}
-
-fn lines_of(routed: &[(Vec<i64>, String)]) -> Vec<String> {
-    routed.iter().map(|(_, l)| l.clone()).collect()
 }
 
 /// The streaming write front-end of a [`DgfIndex`]. See the module docs

@@ -2,9 +2,10 @@
 //!
 //! Acknowledged batches hit this single-file log before they are visible
 //! anywhere else; the memtable and every query answer derive from state
-//! the WAL can reconstruct. The record framing is the same checksummed
-//! idiom as [`dgf_kvstore::LogKvStore`]'s log —
-//! `[u32 payload_len][payload][u64 fnv1a(payload)]` — so a torn or
+//! the WAL can reconstruct. A record is one checksummed frame of the
+//! codec [`dgf_kvstore::LogKvStore`]'s log uses too
+//! ([`dgf_common::codec::write_frame`]:
+//! `[u32 payload_len][payload][u64 fnv1a(payload)]`), so a torn or
 //! corrupt tail truncates cleanly instead of poisoning recovery, and a
 //! batch is atomic: after a crash it is either fully replayable or
 //! entirely absent (its ack was then never returned).
@@ -26,12 +27,12 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use dgf_common::codec::fnv1a;
+use dgf_common::codec::{write_frame, FrameReader};
 use dgf_common::Result;
 
 /// One acknowledged WAL batch (possibly not yet flushed into Slices).
@@ -111,16 +112,14 @@ impl IngestWal {
     /// returned ticket). Returns `(framed bytes written, append ticket)`;
     /// tickets are handed out in append order under the log lock, so
     /// ticket coverage — unlike seq coverage — is exactly byte coverage.
-    pub fn append_batch(&self, seq: u64, lines: &[String]) -> Result<(u64, u64)> {
+    /// The lines move into the retained tail.
+    pub fn append_batch(&self, seq: u64, lines: Vec<String>) -> Result<(u64, u64)> {
         let mut st = self.state.lock();
-        let n = write_batch_record(&mut st.writer, seq, lines)?;
+        let n = write_batch_record(&mut st.writer, seq, &lines)?;
         st.len += n;
         st.append_ticket += 1;
         let ticket = st.append_ticket;
-        st.tail.push_back(WalBatch {
-            seq,
-            lines: lines.to_vec(),
-        });
+        st.tail.push_back(WalBatch { seq, lines });
         Ok((n, ticket))
     }
 
@@ -170,10 +169,7 @@ fn write_batch_record<W: Write>(w: &mut W, seq: u64, lines: &[String]) -> Result
         payload.extend_from_slice(&(line.len() as u32).to_le_bytes());
         payload.extend_from_slice(line.as_bytes());
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&fnv1a(&payload).to_le_bytes())?;
-    Ok(4 + payload.len() as u64 + 8)
+    write_frame(w, &payload)
 }
 
 /// Replace the log file with exactly `batches` via tmp + fsync + rename
@@ -196,36 +192,16 @@ fn write_whole_log(path: &Path, batches: &[WalBatch]) -> Result<()> {
 }
 
 /// Replay every intact batch; stop (truncating implicitly) at the first
-/// torn or corrupt record.
+/// torn or corrupt record, or the first whose payload is not a batch: no
+/// such batch was ever acknowledged.
 fn replay(path: &Path) -> Result<Vec<WalBatch>> {
-    let mut out = Vec::new();
     let Ok(file) = File::open(path) else {
-        return Ok(out);
+        return Ok(Vec::new());
     };
-    let mut r = BufReader::new(file);
-    loop {
-        let mut len_buf = [0u8; 4];
-        if r.read_exact(&mut len_buf).is_err() {
-            break;
-        }
-        let n = u32::from_le_bytes(len_buf) as usize;
-        let mut payload = vec![0u8; n];
-        if r.read_exact(&mut payload).is_err() {
-            break; // torn record
-        }
-        let mut sum_buf = [0u8; 8];
-        if r.read_exact(&mut sum_buf).is_err() {
-            break;
-        }
-        if u64::from_le_bytes(sum_buf) != fnv1a(&payload) {
-            break; // corrupt record: the batch was never acknowledged
-        }
-        let Some(batch) = decode_batch(&payload) else {
-            break;
-        };
-        out.push(batch);
-    }
-    Ok(out)
+    let len = file.metadata()?.len();
+    Ok(FrameReader::new(BufReader::new(file), len)
+        .map_while(|payload| decode_batch(&payload))
+        .collect())
 }
 
 fn decode_batch(payload: &[u8]) -> Option<WalBatch> {
@@ -234,7 +210,8 @@ fn decode_batch(payload: &[u8]) -> Option<WalBatch> {
     }
     let seq = u64::from_le_bytes(payload[..8].try_into().ok()?);
     let nrows = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
-    let mut lines = Vec::with_capacity(nrows);
+    // Each line takes at least its four-byte length.
+    let mut lines = Vec::with_capacity(nrows.min(payload.len() / 4));
     let mut at = 12;
     for _ in 0..nrows {
         let llen = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
@@ -255,6 +232,57 @@ mod tests {
         (0..n).map(|i| format!("{tag}-{i}")).collect()
     }
 
+    /// Seeded byte mutations of a synced log — every truncation, one bit
+    /// of every byte, and multi-bit flips. Opening a mutant never panics,
+    /// and it replays exactly the batches whose frames end before the
+    /// first damaged byte.
+    #[test]
+    fn mutated_logs_replay_the_batches_before_the_damage() {
+        let t = TempDir::new("wal").unwrap();
+        let p = t.path().join("ingest.wal");
+        let batches: Vec<(u64, Vec<String>)> =
+            (1..=4).map(|s| (s, lines(&format!("b{s}"), s as usize))).collect();
+        let mut ends = Vec::new();
+        {
+            let (wal, _) = IngestWal::open(&p, 0).unwrap();
+            let mut end = 0;
+            for (seq, l) in &batches {
+                let (n, ticket) = wal.append_batch(*seq, l.clone()).unwrap();
+                wal.sync(ticket).unwrap();
+                end += n;
+                ends.push(end);
+            }
+        }
+        let good = std::fs::read(&p).unwrap();
+        assert_eq!(Some(&(good.len() as u64)), ends.last());
+
+        let mut mutants: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        let mut rng = dgf_common::fault::XorShift64::new(31);
+        for at in 0..good.len() {
+            let mut m = good.clone();
+            m[at] ^= 1 << rng.next_below(8);
+            mutants.push(m);
+        }
+        for _ in 0..200 {
+            let mut m = good.clone();
+            for _ in 0..2 + rng.next_below(3) {
+                m[rng.next_below(good.len() as u64) as usize] ^= 1 << rng.next_below(8);
+            }
+            mutants.push(m);
+        }
+        for (n, bytes) in mutants.iter().enumerate() {
+            let damaged = (bytes.iter().zip(&good).position(|(a, b)| a != b))
+                .unwrap_or(bytes.len()) as u64;
+            let intact = ends.iter().filter(|&&end| end <= damaged).count();
+            std::fs::write(&p, bytes).unwrap();
+            let opened = std::panic::catch_unwind(|| IngestWal::open(&p, 0));
+            let (_, replayed) = opened.unwrap_or_else(|_| panic!("mutant {n} panicked")).unwrap();
+            let replayed: Vec<(u64, Vec<String>)> =
+                replayed.into_iter().map(|b| (b.seq, b.lines)).collect();
+            assert_eq!(replayed, batches[..intact], "mutant {n} of {} bytes", bytes.len());
+        }
+    }
+
     #[test]
     fn append_replay_roundtrip() {
         let t = TempDir::new("wal").unwrap();
@@ -262,8 +290,8 @@ mod tests {
         {
             let (wal, replayed) = IngestWal::open(&p, 0).unwrap();
             assert!(replayed.is_empty());
-            wal.append_batch(1, &lines("a", 3)).unwrap();
-            let (_, t) = wal.append_batch(2, &lines("b", 2)).unwrap();
+            wal.append_batch(1, lines("a", 3)).unwrap();
+            let (_, t) = wal.append_batch(2, lines("b", 2)).unwrap();
             assert!(wal.sync(t).unwrap());
         }
         let (wal, replayed) = IngestWal::open(&p, 0).unwrap();
@@ -282,7 +310,7 @@ mod tests {
             let (wal, _) = IngestWal::open(&p, 0).unwrap();
             let mut last = 0;
             for s in 1..=4u64 {
-                last = wal.append_batch(s, &lines("x", 1)).unwrap().1;
+                last = wal.append_batch(s, lines("x", 1)).unwrap().1;
             }
             wal.sync(last).unwrap();
         }
@@ -302,8 +330,8 @@ mod tests {
         let p = t.path().join("ingest.wal");
         {
             let (wal, _) = IngestWal::open(&p, 0).unwrap();
-            wal.append_batch(1, &lines("a", 2)).unwrap();
-            let (_, t) = wal.append_batch(2, &lines("b", 2)).unwrap();
+            wal.append_batch(1, lines("a", 2)).unwrap();
+            let (_, t) = wal.append_batch(2, lines("b", 2)).unwrap();
             wal.sync(t).unwrap();
         }
         let len = std::fs::metadata(&p).unwrap().len();
@@ -319,9 +347,9 @@ mod tests {
     fn group_commit_skips_covered_tickets() {
         let t = TempDir::new("wal").unwrap();
         let (wal, _) = IngestWal::open(t.path().join("ingest.wal"), 0).unwrap();
-        let (_, t1) = wal.append_batch(1, &lines("a", 1)).unwrap();
-        let (_, t2) = wal.append_batch(2, &lines("b", 1)).unwrap();
-        let (_, t3) = wal.append_batch(3, &lines("c", 1)).unwrap();
+        let (_, t1) = wal.append_batch(1, lines("a", 1)).unwrap();
+        let (_, t2) = wal.append_batch(2, lines("b", 1)).unwrap();
+        let (_, t3) = wal.append_batch(3, lines("c", 1)).unwrap();
         // One sync at the last ticket covers everything…
         assert!(wal.sync(t3).unwrap());
         // …so syncing the earlier appends is free.
@@ -340,9 +368,9 @@ mod tests {
         let t = TempDir::new("wal").unwrap();
         let p = t.path().join("ingest.wal");
         let (wal, _) = IngestWal::open(&p, 0).unwrap();
-        let (_, t6) = wal.append_batch(6, &lines("late", 1)).unwrap();
+        let (_, t6) = wal.append_batch(6, lines("late", 1)).unwrap();
         assert!(wal.sync(t6).unwrap());
-        let (_, t5) = wal.append_batch(5, &lines("early", 1)).unwrap();
+        let (_, t5) = wal.append_batch(5, lines("early", 1)).unwrap();
         assert!(
             wal.sync(t5).unwrap(),
             "append after a sync must not be treated as covered"
@@ -360,7 +388,7 @@ mod tests {
         let (wal, _) = IngestWal::open(t.path().join("ingest.wal"), 0).unwrap();
         let mut last = 0;
         for s in 1..=10u64 {
-            last = wal.append_batch(s, &lines("r", 4)).unwrap().1;
+            last = wal.append_batch(s, lines("r", 4)).unwrap().1;
         }
         wal.sync(last).unwrap();
         let before = wal.len_bytes();

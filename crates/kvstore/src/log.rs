@@ -13,12 +13,12 @@
 //! staged-commit never pays a full log rewrite's tail latency.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use dgf_common::codec::fnv1a;
+use dgf_common::codec::{frame_len, write_frame, FrameReader};
 use dgf_common::{DgfError, Result};
 
 use crate::traits::{KvPair, KvStats, KvStore};
@@ -26,10 +26,10 @@ use crate::traits::{KvPair, KvStats, KvStore};
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
 
-/// Framed on-disk size of one record: `[u32 len] + payload + [u64 sum]`
-/// where the payload is `op(1) | key_len(u32) | key | value`.
+/// Framed on-disk size of one record, whose payload is
+/// `op(1) | key_len(u32) | key | value`.
 fn framed_len(key_len: usize, value_len: usize) -> u64 {
-    4 + (1 + 4 + key_len + value_len) as u64 + 8
+    frame_len(1 + 4 + key_len + value_len)
 }
 
 /// Tuning knobs for [`LogKvStore`].
@@ -58,8 +58,8 @@ impl Default for LogKvConfig {
     }
 }
 
-/// On-disk record layout:
-/// `[u32 payload_len][payload][u64 fnv1a(payload)]` where
+/// On-disk record layout: one [`write_frame`] frame,
+/// `[u32 payload_len][payload][u64 fnv1a(payload)]`, where
 /// `payload = op(1) | key_len(u32) | key | value`.
 #[derive(Debug)]
 struct Inner {
@@ -197,54 +197,34 @@ fn write_record<W: Write>(w: &mut W, op: u8, key: &[u8], value: &[u8]) -> Result
     payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
     payload.extend_from_slice(key);
     payload.extend_from_slice(value);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&fnv1a(&payload).to_le_bytes())?;
-    Ok(4 + payload.len() as u64 + 8)
+    write_frame(w, &payload)
 }
 
 type ReplayResult = (std::collections::BTreeMap<Vec<u8>, Vec<u8>>, u64, u64);
 
+/// The live map, the length of the log's intact prefix and its dead
+/// bytes. Replay stops at the first torn or corrupt frame, or the first
+/// whose payload is not a record; the caller truncates the log there.
 fn replay(path: &Path) -> Result<ReplayResult> {
     let mut map = std::collections::BTreeMap::new();
     let Ok(file) = File::open(path) else {
         return Ok((map, 0, 0));
     };
-    let mut r = BufReader::new(file);
+    let len = file.metadata()?.len();
     let mut valid_len = 0u64;
     let mut dead_bytes = 0u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match r.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(_) => break,
-        }
-        let n = u32::from_le_bytes(len_buf) as usize;
-        let mut payload = vec![0u8; n];
-        if r.read_exact(&mut payload).is_err() {
-            break; // torn record
-        }
-        let mut sum_buf = [0u8; 8];
-        if r.read_exact(&mut sum_buf).is_err() {
-            break;
-        }
-        if u64::from_le_bytes(sum_buf) != fnv1a(&payload) {
-            break; // corrupt record: truncate here
-        }
-        if payload.is_empty() {
-            break;
-        }
-        let op = payload[0];
+    for payload in FrameReader::new(BufReader::new(file), len) {
         if payload.len() < 5 {
             break;
         }
+        let op = payload[0];
         let klen = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-        if payload.len() < 5 + klen {
+        if payload.len() - 5 < klen {
             break;
         }
         let key = payload[5..5 + klen].to_vec();
         let value = payload[5 + klen..].to_vec();
-        let rec_len = 4 + n as u64 + 8;
+        let rec_len = frame_len(payload.len());
         match op {
             OP_PUT => {
                 if let Some(old) = map.insert(key.clone(), value) {
@@ -260,8 +240,6 @@ fn replay(path: &Path) -> Result<ReplayResult> {
         }
         valid_len += rec_len;
     }
-    // Seek guard: the caller truncates the file to `valid_len`.
-    let _ = r.seek(SeekFrom::Start(valid_len));
     Ok((map, valid_len, dead_bytes))
 }
 

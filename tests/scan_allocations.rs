@@ -1,6 +1,7 @@
 //! The row drain must not allocate per row, no drain may allocate per
-//! payload byte, and decoding a GFU value allocates its header and its
-//! slice list, nothing per slice.
+//! payload byte, decoding a GFU value allocates its header and its
+//! slice list, nothing per slice, and replaying a log never allocates
+//! what a corrupt length prefix claims.
 //!
 //! `InputReader::for_each_row` refills one scratch `Row` from each
 //! decoded batch, so draining a numeric RCFile table allocates per *group*
@@ -17,6 +18,8 @@ use std::sync::Arc;
 
 use dgfindex::format::{RcReader, RcWriter};
 use dgfindex::hive::InputReader;
+use dgfindex::ingest::IngestWal;
+use dgfindex::kvstore::{KvStore, LogKvStore};
 use dgfindex::prelude::*;
 use dgfindex::storage::FileSplit;
 
@@ -154,4 +157,41 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     let decode_allocs = allocs() - before;
     assert_eq!(decoded.slices[0].file, FileId::new(12, 3));
     assert!(decode_allocs <= 2, "one-slice value decode allocated {decode_allocs} times");
+
+    // A log whose first length prefix is flipped to 0xFFFF_FFF0 is torn
+    // there: opening it allocates about the file, not the four GiB the
+    // prefix claims.
+    let wal_path = tmp.path().join("ingest.wal");
+    {
+        let (wal, _) = IngestWal::open(&wal_path, 0).unwrap();
+        let (_, ticket) = wal.append_batch(1, vec!["1|2.5".into(); 40]).unwrap();
+        wal.sync(ticket).unwrap();
+    }
+    let kv_path = tmp.path().join("kv.log");
+    {
+        let kv = LogKvStore::open(&kv_path).unwrap();
+        for i in 0..40u32 {
+            kv.put(&i.to_be_bytes(), b"value").unwrap();
+        }
+        kv.flush().unwrap();
+    }
+    const SLACK: u64 = 64 << 10;
+    for path in [&wal_path, &kv_path] {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[..4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+        let before = alloc_bytes();
+        let empty = if path == &wal_path {
+            IngestWal::open(path, 0).unwrap().1.is_empty()
+        } else {
+            LogKvStore::open(path).unwrap().is_empty()
+        };
+        let opened = alloc_bytes() - before;
+        assert!(empty, "{path:?}: a torn first frame leaves nothing to replay");
+        assert!(
+            opened < bytes.len() as u64 + SLACK,
+            "opening {path:?} ({} B) allocated {opened} B",
+            bytes.len()
+        );
+    }
 }
