@@ -243,7 +243,7 @@ impl DgfIndex {
         {
             let reorg = span.child("build.reorganize");
             let txn = Txn::begin(&index, false)?;
-            let job = index.reorganize(txn, splits, None, None)?;
+            let job = index.reorganize(txn, splits, None)?;
             job.attach_to_span(&reorg);
         }
         let report = BuildReport {

@@ -843,10 +843,15 @@ mod tests {
     }
 
     /// The reorganized data table holds exactly the base table's rows, a
-    /// string column's `""`, NULL and other values alike, and is read as
-    /// a table like any other: its `.scx` sidecars are not splits.
+    /// string column's `""`, NULL and other values alike, after a build
+    /// and after an append, and is read as a table like any other: its
+    /// `.scx` sidecars are not splits. A row the base table cannot hold
+    /// is a schema error before anything is written. (The streamed half
+    /// is `fresh_and_flushed_rows_answer_as_the_base_table_does` in
+    /// `tests/ingest.rs`.)
     #[test]
     fn reorganized_data_holds_exactly_the_base_rows() {
+        use dgf_common::DgfError;
         for format in [FileFormat::RcFile, FileFormat::Text] {
             let (_t, ctx) = setup(1024);
             let schema = Arc::new(Schema::from_pairs(&[
@@ -865,7 +870,7 @@ mod tests {
                     ]
                 })
                 .collect();
-            ctx.load_rows(&tab, &rows, 2).unwrap();
+            ctx.load_rows(&tab, &rows[..240], 2).unwrap();
             let (idx, _) = DgfIndex::build(
                 Arc::clone(&ctx),
                 Arc::clone(&tab),
@@ -875,31 +880,49 @@ mod tests {
                 "dgf_tagged",
             )
             .unwrap();
+            let idx = Arc::new(idx);
             let sorted = |table: &TableRef| {
                 let mut rows = ctx.read_all(table).unwrap();
                 rows.sort();
                 rows
             };
-            assert_eq!(sorted(&idx.data), sorted(&tab), "{format}");
             let count = Query::Aggregate {
                 aggs: vec![AggFunc::Count],
                 predicate: Predicate::all(),
             };
             let by_tag = Query::GroupBy {
                 key: "tag".into(),
-                aggs: vec![AggFunc::Count],
+                aggs: vec![AggFunc::Count, AggFunc::Min("tag".into())],
                 predicate: Predicate::all(),
             };
-            for q in [count, by_tag] {
-                let scan = |table: &TableRef| {
-                    ScanEngine::new(Arc::clone(&ctx), Arc::clone(table))
-                        .run(&q)
-                        .unwrap()
-                        .result
-                        .normalized()
-                };
-                assert_eq!(scan(&idx.data), scan(&tab), "{format}: {q:?}");
+            let agree = || {
+                assert_eq!(sorted(&idx.data), sorted(&tab), "{format}");
+                for q in [&count, &by_tag] {
+                    let scan = |table: &TableRef| {
+                        ScanEngine::new(Arc::clone(&ctx), Arc::clone(table))
+                            .run(q)
+                            .unwrap()
+                            .result
+                            .normalized()
+                    };
+                    assert_eq!(scan(&idx.data), scan(&tab), "{format}: {q:?}");
+                    let dgf = DgfEngine::new(Arc::clone(&idx)).run(q).unwrap().result;
+                    assert_eq!(dgf.normalized(), scan(&tab), "{format}: {q:?}");
+                }
+            };
+            agree();
+            idx.append(&rows[240..]).unwrap();
+            agree();
+
+            let files = ctx.hdfs.list_files(&tab.location).len();
+            let short = vec![Value::Int(1), Value::Null];
+            let mistyped = vec![Value::Str("1".into()), Value::Null, Value::Float(0.0)];
+            for bad in [short, mistyped] {
+                let err = idx.append(&[rows[0].clone(), bad]).unwrap_err();
+                assert!(matches!(err, DgfError::Schema(_)), "{format}: {err}");
             }
+            assert_eq!(ctx.hdfs.list_files(&tab.location).len(), files, "{format}");
+            agree();
         }
     }
 

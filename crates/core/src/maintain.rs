@@ -409,7 +409,7 @@ impl Maintainer {
         // An empty grid has no splits; the rewrite then commits the new
         // policy with nothing staged.
         let splits = self.live_slice_splits()?;
-        index.reorganize(txn, splits, None, Some(Arc::new(policy)))?;
+        index.reorganize(txn, splits, Some(Arc::new(policy)))?;
         Ok(())
     }
 

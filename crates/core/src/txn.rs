@@ -200,16 +200,21 @@ impl TxnManifest {
             "" => None,
             p => Some(p.to_owned()),
         };
-        let mut renames = Vec::new();
-        for _ in 0..d.u32()? {
+        // A rename is two length-prefixed paths, a retired key one
+        // length-prefixed key: a count the bytes left cannot hold is
+        // `Corrupt`, never an allocation.
+        let n = d.count(8)?;
+        let mut renames = Vec::with_capacity(n);
+        for _ in 0..n {
             let from = d.str()?.to_owned();
             let to = d.str()?.to_owned();
             renames.push((from, to));
         }
         let gc = d.bytes()?.to_vec();
         let view = d.bytes()?.to_vec();
-        let mut deletes = Vec::new();
-        for _ in 0..d.u32()? {
+        let n = d.count(4)?;
+        let mut deletes = Vec::with_capacity(n);
+        for _ in 0..n {
             deletes.push(d.bytes()?.to_vec());
         }
         if d.remaining() != 0 {
@@ -667,6 +672,54 @@ mod tests {
 
         m.deletes = vec![b"g:old1".to_vec(), b"p:old2".to_vec()];
         assert_eq!(TxnManifest::decode(&m.encode()).unwrap(), m);
+    }
+
+    /// Seeded mutations of a committed manifest — every truncation, one
+    /// bit of every byte, and over-large counts spliced over both list
+    /// counts — are `Corrupt` or decode to a manifest that encodes back to
+    /// the same bytes; never a panic, and never an allocation the bytes
+    /// cannot back.
+    #[test]
+    fn mutated_manifests_are_corrupt_or_round_trip() {
+        let (staging, delta) = ("/w/idx/data_staging/txn-00007", "/w/base/delta-00007");
+        let mut m = TxnManifest::intent(7, staging.into(), Some(delta.into()));
+        m.state = TxnState::Committed;
+        m.renames = vec![("/a/x".into(), "/b/x".into()), ("/a/y".into(), "/b/y".into())];
+        m.gc = vec![0xBE, 0xEF];
+        m.view = vec![0xDE, 0xAD, 0x01];
+        m.deletes = vec![b"g:old1".to_vec(), b"p:old2".to_vec()];
+        let good = m.encode();
+        let mut mutants: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        let mut rng = dgf_common::fault::XorShift64::new(32);
+        for at in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 1 << rng.next_below(8);
+            mutants.push(bytes);
+        }
+        let renames_at = 4 + 8 + 4 + staging.len() + 4 + delta.len();
+        let deletes_at = good.len() - 2 * (4 + 6) - 4;
+        assert_eq!(good[renames_at..renames_at + 4], 2u32.to_le_bytes());
+        assert_eq!(good[deletes_at..deletes_at + 4], 2u32.to_le_bytes());
+        for at in [renames_at, deletes_at] {
+            for n in [3, 1 << 20, u32::MAX] {
+                let mut bytes = good.clone();
+                bytes[at..at + 4].copy_from_slice(&n.to_le_bytes());
+                mutants.push(bytes);
+            }
+        }
+        for (i, bytes) in mutants.iter().enumerate() {
+            match std::panic::catch_unwind(|| TxnManifest::decode(bytes)) {
+                Ok(Ok(decoded)) => assert_eq!(decoded.encode(), *bytes, "mutant {i}"),
+                Ok(Err(DgfError::Corrupt(_))) => {}
+                Ok(Err(e)) => panic!("mutant {i}: {e}"),
+                Err(_) => panic!("mutant {i} panicked"),
+            }
+        }
+        for n in [1u32 << 20, u32::MAX] {
+            let mut bytes = good[..renames_at].to_vec();
+            bytes.extend(n.to_le_bytes());
+            assert!(matches!(TxnManifest::decode(&bytes), Err(DgfError::Corrupt(_))));
+        }
     }
 
     #[test]

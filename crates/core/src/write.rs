@@ -7,16 +7,18 @@
 //! owns contiguously as a *Slice* of its output file, folds the
 //! pre-computed aggregates into the GFU header, and stages the
 //! `GFUKey → GFUValue` pair. Because the shuffle groups and sorts by key,
-//! a Slice always holds exactly the records of one GFU.
+//! a Slice always holds exactly the records of one GFU. A regrid runs the
+//! same job over the index's own Slices under a new policy.
 //!
 //! The time dimension makes the index append-only: new meter data lands in
-//! new time cells, so `append` runs the same job over only the new file
-//! and merges the resulting GFU entries into the store — no rebuild, and
-//! write throughput is unaffected (paper §1 contribution iii). A regrid
-//! runs it over the index's own Slices under a new policy. Every run
-//! publishes through one `Txn` ([`crate::txn`]).
+//! new time cells, so `append` merges new Slices into the store — no
+//! rebuild, and write throughput is unaffected (paper §1 contribution
+//! iii). It writes its rows to the base table for scans and hands them,
+//! grouped by key, to the reducer's body: no job, nothing read back.
+//! Every writer publishes through one `Txn` ([`crate::txn`]).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dgf_common::{Result, Row, Stopwatch};
@@ -34,7 +36,7 @@ use crate::txn::{live_key, stage_prefix, Outcome, Txn};
 
 impl DgfIndex {
     /// Index new records: they are appended to the base table as a fresh
-    /// file and reorganized into new Slices; existing GFU entries extend
+    /// file and written as new Slices; existing GFU entries extend
     /// rather than rebuild (the paper's time-extension load path).
     pub fn append(&self, rows: &[Row]) -> Result<BuildReport> {
         self.append_with_watermark(rows, None)
@@ -46,7 +48,8 @@ impl DgfIndex {
     /// the transaction publishes, so after a crash either both the new
     /// Slices and the watermark are live or neither is. The streaming
     /// flusher uses this so WAL replay can tell flushed batches from
-    /// unflushed ones.
+    /// unflushed ones. A row the base table cannot hold
+    /// ([`TableDesc::conform`]) is a schema error before any write.
     pub fn append_with_watermark(
         &self,
         rows: &[Row],
@@ -55,6 +58,7 @@ impl DgfIndex {
         let span = self.profiler().span("append");
         let kv_before = self.kv.stats().snapshot();
         let attempt = (|| -> Result<BuildReport> {
+            let rows = self.base.conform(rows)?;
             // The Intent declares the delta file about to be written
             // BEFORE it is written: a crash between the base-table write
             // and the commit point must roll the unacknowledged delta
@@ -62,16 +66,25 @@ impl DgfIndex {
             let txn = Txn::begin(self, true)?;
             let delta = txn.base_delta().expect("declared at begin");
             let delta_name = delta.rsplit('/').next().unwrap_or(delta);
-            let path = self.ctx.append_file(&self.base, delta_name, rows)?;
+            self.ctx.append_file(&self.base, delta_name, &rows)?;
             self.crash_point("append.delta-written")?;
             self.sync_point("append.delta-written");
             let watch = Stopwatch::start();
-            let len = self.ctx.hdfs.file_len(&path)?;
-            let splits = dgf_storage::splits_for_file(&path, len, self.ctx.hdfs.block_size());
-            let reorg_span = span.child("append.reorganize");
-            let job = self.reorganize(txn, splits, watermark, None)?;
-            job.attach_to_span(&reorg_span);
-            reorg_span.finish();
+            // What one reducer of the build job would be handed: the
+            // rows by key under the policy the commit publishes, each
+            // key's rows in the order they came.
+            let policy = self.policy();
+            let key_of = self.key_fn(Arc::clone(&policy))?;
+            let mut groups: BTreeMap<Vec<u8>, Vec<&Row>> = BTreeMap::new();
+            for row in rows.iter() {
+                groups.entry(key_of(row)?).or_default().push(row);
+            }
+            let mut written = Vec::new();
+            if !groups.is_empty() {
+                let file = FileId::new(txn.gen(), 0);
+                written.push((self.write_slices(&txn, file, &policy, false, groups)?, file));
+            }
+            self.commit_slices(txn, policy, written, watermark, false)?;
             Ok(BuildReport {
                 build_time: watch.elapsed(),
                 index_size_bytes: self.kv.logical_size_bytes(),
@@ -82,42 +95,22 @@ impl DgfIndex {
         attempt
     }
 
-    /// The shared reorganization job (Algorithms 1 + 2), run inside the
-    /// transaction `txn` its caller began (see [`crate::txn`]): reducers
-    /// write Slices into the staging directory and stage merged GFU
-    /// values; [`Txn::commit`] publishes the new epoch. `ingest_watermark`,
-    /// when set, becomes the persisted ingest watermark at commit.
-    ///
-    /// With a `regrid` policy, the job is a **full rewrite** instead of
-    /// an extension: the splits cover the index's own live data files,
-    /// every record is re-celled under the *new* policy, staged
-    /// values replace (never merge with) live ones, extents are rebuilt
-    /// from scratch, identity-valued tombstones are staged over every
-    /// old-granularity key so pending-view readers never see two grid
-    /// epochs, the manifest's `deletes` retire those keys at apply, and
-    /// the replaced files join the deferred-reclamation list.
+    /// The reorganization job (Algorithms 1 + 2) of a build or a regrid,
+    /// run inside the transaction `txn` its caller began. With a `regrid`
+    /// policy the splits cover the index's own live data files and the
+    /// job is a **full rewrite** under the *new* policy (see
+    /// [`commit_slices`](Self::commit_slices)).
     pub(crate) fn reorganize(
         &self,
         txn: Txn<'_>,
         splits: Vec<FileSplit>,
-        ingest_watermark: Option<u64>,
         regrid: Option<Arc<SplittingPolicy>>,
     ) -> Result<JobReport> {
-        let gen = txn.gen();
         let rewrite = regrid.is_some();
-        let policy_handle = regrid.unwrap_or_else(|| self.policy());
-        let dim_idx: Vec<usize> = policy_handle
-            .dims()
-            .iter()
-            .map(|d| self.base.schema.index_of(&d.name))
-            .collect::<Result<_>>()?;
-        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
+        let policy = regrid.unwrap_or_else(|| self.policy());
+        let key_of = self.key_fn(Arc::clone(&policy))?;
         let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
-        let ctx = &self.ctx;
-        let base = &self.base;
-        let policy = policy_handle.as_ref();
-        let staging_dir = txn.staging_dir();
-        let arity = policy.arity();
+        let (ctx, base) = (&self.ctx, &self.base);
 
         // Slice placement: which encoded-key prefix defines the reducer.
         let prefix_len = match self.placement {
@@ -152,87 +145,117 @@ impl DgfIndex {
                 &|_, split: FileSplit, e| {
                     let input = ScanInput::FullSplit(split);
                     open_input(ctx, base, &input, &Footers::new())?.for_each_row(|_, row| {
-                        let mut cells = Vec::with_capacity(dim_idx.len());
-                        for (i, d) in dim_idx.iter().zip(policy.dims()) {
-                            cells.push(d.cell_of(&row[*i])?);
-                        }
-                        e.emit(GfuKey::new(cells).encode(), row.clone());
+                        e.emit(key_of(row)?, row.clone());
                         Ok(())
                     })
                 },
                 None,
-                // Reduce (Algorithm 2): write each GFU's records as one Slice
-                // of a STAGED file, fold the header, and stage the merged
-                // (key, value) pair. Nothing live changes until commit.
+                // Reduce (Algorithm 2): one STAGED file per reducer.
                 &|tid, groups: Vec<(Vec<u8>, Vec<Row>)>| {
-                    // Slice locations name the file by id, which the
-                    // rename into the data directory at apply preserves:
-                    // keys publish unmodified.
-                    let file = FileId::new(gen, tid as u32);
-                    let path = file.path(staging_dir);
-                    let mut w = SliceWriter::create(&ctx.hdfs, &path, base)?;
-                    let mut extents = Extents::empty(arity);
-                    for (key_bytes, rows) in groups {
-                        let key = GfuKey::decode(&key_bytes, arity)?;
-                        extents.observe(&key);
-                        let start = w.offset();
-                        let mut states = agg_set.new_states();
-                        for row in &rows {
-                            agg_set.update(&mut states, row, &base.schema)?;
-                            w.write(row)?;
-                        }
-                        let end = w.end_slice()?;
-                        let slice = SliceLoc::new(file, start, end);
-                        let header = AggSet::encode_states(&states);
-                        let count = rows.len() as u64;
-                        // The staged value is the FINAL post-commit value:
-                        // the live value (untouched until commit) merged with
-                        // this slice. The shuffle gives each key to exactly
-                        // one reducer exactly once per job, so publishing it
-                        // later is an idempotent put.
-                        self.sync_point("reorg.stage-cell");
-                        // A regrid rewrite replaces the keyspace wholesale:
-                        // new cell coordinates may collide with a live
-                        // old-granularity key, and merging with it would
-                        // double-count every record it ever held.
-                        let old = if rewrite {
-                            None
-                        } else {
-                            self.kv_get(&key_bytes)?
-                        };
-                        let merged = merge_gfu(old.as_deref(), &header, slice, count, &agg_set)?;
-                        txn.stage(&key_bytes, &merged.encode())?;
-                    }
-                    w.close()?;
-                    Ok((extents, file))
+                    let file = FileId::new(txn.gen(), tid as u32);
+                    Ok((self.write_slices(&txn, file, &policy, rewrite, groups)?, file))
                 },
             )?
         };
+        let report = job.report;
+        self.commit_slices(txn, policy, job.outputs, None, rewrite)?;
+        Ok(report)
+    }
 
-        // A rewrite's extents are rebuilt from its own outputs alone: the
-        // previous view's describe the old granularity.
+    /// The encoded GFU key of a row under `policy` (Algorithm 1's
+    /// standardization of every indexed dimension).
+    fn key_fn(&self, policy: Arc<SplittingPolicy>) -> Result<impl Fn(&Row) -> Result<Vec<u8>> + Sync> {
+        let dim_idx: Vec<usize> = policy
+            .dims()
+            .iter()
+            .map(|d| self.base.schema.index_of(&d.name))
+            .collect::<Result<_>>()?;
+        Ok(move |row: &Row| {
+            let cells = dim_idx.iter().zip(policy.dims());
+            let cells = cells.map(|(i, d)| d.cell_of(&row[*i])).collect::<Result<_>>()?;
+            Ok(GfuKey::new(cells).encode())
+        })
+    }
+
+    /// The body of a reducer (Algorithm 2): write `groups` — encoded GFU
+    /// keys in ascending order, each with its rows — as the Slices of
+    /// the one STAGED file `file`, fold each cell's header, and stage the
+    /// cell's final post-commit value. Nothing live changes until commit.
+    /// Returns the extents of the cells written.
+    fn write_slices<R: Borrow<Row>>(
+        &self,
+        txn: &Txn<'_>,
+        file: FileId,
+        policy: &SplittingPolicy,
+        rewrite: bool,
+        groups: impl IntoIterator<Item = (Vec<u8>, Vec<R>)>,
+    ) -> Result<Extents> {
+        let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
+        let arity = policy.arity();
+        // Slice locations name the file by id, which the rename into the
+        // data directory at apply preserves: keys publish unmodified.
+        let mut w = SliceWriter::create(&self.ctx.hdfs, &file.path(txn.staging_dir()), &self.base)?;
+        let mut extents = Extents::empty(arity);
+        for (key_bytes, rows) in groups {
+            extents.observe(&GfuKey::decode(&key_bytes, arity)?);
+            let start = w.offset();
+            let mut states = agg_set.new_states();
+            for row in &rows {
+                agg_set.update(&mut states, row.borrow(), &self.base.schema)?;
+                w.write(row.borrow())?;
+            }
+            let slice = SliceLoc::new(file, start, w.end_slice()?);
+            // The staged value is the FINAL post-commit value: the live
+            // value (untouched until commit) merged with this slice. Each
+            // key reaches one writer once per transaction, so publishing
+            // it later is an idempotent put.
+            self.sync_point("reorg.stage-cell");
+            // A regrid rewrite replaces the keyspace wholesale: new cell
+            // coordinates may collide with a live old-granularity key,
+            // and merging with it would double-count every record it held.
+            let old = if rewrite { None } else { self.kv_get(&key_bytes)? };
+            let header = AggSet::encode_states(&states);
+            let merged = merge_gfu(old.as_deref(), &header, slice, rows.len() as u64, &agg_set)?;
+            txn.stage(&key_bytes, &merged.encode())?;
+        }
+        w.close()?;
+        Ok(extents)
+    }
+
+    /// The commit tail of every writer of new Slices: fold the `written`
+    /// files' extents into the view's, stage the pyramid nodes above the
+    /// staged cells, and commit under `policy` with the ingest
+    /// `watermark`. A `rewrite` (regrid) replaces the grid instead: its
+    /// extents come from its own files alone, its tombstones and
+    /// `deletes` retire every old-granularity key, and the replaced
+    /// files join the deferred-reclamation list.
+    fn commit_slices(
+        &self,
+        txn: Txn<'_>,
+        policy: Arc<SplittingPolicy>,
+        written: Vec<(Extents, FileId)>,
+        watermark: Option<u64>,
+        rewrite: bool,
+    ) -> Result<()> {
         let mut extents = if rewrite {
-            Extents::empty(arity)
+            Extents::empty(policy.arity())
         } else {
             txn.view().extents.clone()
         };
-        let mut files = Vec::with_capacity(job.outputs.len());
-        for (e, file) in &job.outputs {
-            extents.merge(e);
-            files.push(*file);
-        }
-        // Everything the job staged, by live key: the final post-commit
+        written.iter().for_each(|(e, _)| extents.merge(e));
+        let files = written.into_iter().map(|(_, file)| file).collect();
+        // Everything the writer staged, by live key: the final post-commit
         // values of the `g:` cells it wrote. The stage prefix is the
         // list; the two passes below share one scan of it.
         let levels = self.pyramid_levels();
         let mut staged: HashMap<Vec<u8>, GfuValue> = HashMap::new();
         if levels.is_some() || rewrite {
-            for (skey, v) in self.kv_scan_prefix(&stage_prefix(gen))? {
+            for (skey, v) in self.kv_scan_prefix(&stage_prefix(txn.gen()))? {
                 staged.insert(live_key(&skey).to_vec(), GfuValue::decode(&v)?);
             }
         }
         // Stage the pyramid delta in the SAME transaction: recompute
-        // every node whose subtree holds a cell this job touched, from
+        // every node whose subtree holds a cell this writer touched, from
         // the final post-commit child values. The staged nodes publish
         // through the same apply phase as the cells — visibility flips
         // with the one `m:view` put, so readers never see cells and
@@ -240,7 +263,7 @@ impl DgfIndex {
         if let Some(levels) = levels {
             self.stage_pyramid_updates(&txn, levels, rewrite, &mut staged)?;
         }
-        // A rewrite retires every old-granularity key its job did not
+        // A rewrite retires every old-granularity key it did not
         // re-stage: an identity-valued tombstone is staged over each one
         // (so a pending-view reader's staged-over-live overlay masks the
         // old grid completely — new cell coordinates share the old key
@@ -253,6 +276,7 @@ impl DgfIndex {
             // read — the previous view's — are retired wholesale (not
             // deleted: a pinned reader may still hold that view).
             retire = txn.view().data_files.iter().map(|(id, _)| *id).collect();
+            let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
             let tombstone = GfuValue {
                 header: AggSet::encode_states(&agg_set.new_states()),
                 slices: Vec::new(),
@@ -269,16 +293,14 @@ impl DgfIndex {
                 deletes.push(k);
             }
         }
-        let report = job.report;
         txn.commit(Outcome {
-            policy: policy_handle,
+            policy,
             extents,
-            watermark: ingest_watermark,
+            watermark,
             files,
             retire,
             deletes,
-        })?;
-        Ok(report)
+        })
     }
 
     /// Recompute and stage the pyramid nodes dirtied by `txn`'s staged

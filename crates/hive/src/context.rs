@@ -5,13 +5,14 @@
 //! engine, and offers bulk load helpers. Tables live under
 //! `/warehouse/<name>/part-NNNNN`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
-use dgf_common::{DgfError, Result, Row, SchemaRef};
+use dgf_common::{DgfError, Result, Row, SchemaRef, Value, ValueType, FIELD_DELIM};
 use dgf_format::{is_sidecar_path, FileFormat, RcWriter, TextWriter};
 use dgf_mapreduce::MrEngine;
 use dgf_query::JoinTable;
@@ -80,6 +81,52 @@ pub struct TableDesc {
     pub location: String,
     /// Rows per row group (RCFile only).
     pub rows_per_group: usize,
+}
+
+impl TableDesc {
+    /// `rows` as this table stores them, checked before anything is
+    /// written: a row of the wrong arity, a cell whose type is not its
+    /// column's, a NaN, or a string a text line cannot hold is a
+    /// [`DgfError::Schema`]. Text cannot tell `""` from NULL either, so a
+    /// Text table stores a `Str("")` as NULL; the rows are copied only then.
+    pub fn conform<'r>(&self, rows: &'r [Row]) -> Result<Cow<'r, [Row]>> {
+        let text = self.format == FileFormat::Text;
+        let mut blanks = false;
+        for row in rows {
+            if row.len() != self.schema.len() {
+                return Err(DgfError::Schema(format!(
+                    "a row of {} fields in table {:?} of {}",
+                    row.len(),
+                    self.name,
+                    self.schema.len()
+                )));
+            }
+            for (v, f) in row.iter().zip(self.schema.fields()) {
+                let fits = match (v, f.vtype) {
+                    (Value::Null, _) | (Value::Int(_), ValueType::Int) => true,
+                    (Value::Date(_), ValueType::Date) => true,
+                    (Value::Float(x), ValueType::Float) => !x.is_nan(),
+                    (Value::Str(s), ValueType::Str) => !text || !s.contains([FIELD_DELIM, '\n']),
+                    _ => false,
+                };
+                if !fits {
+                    return Err(DgfError::Schema(format!(
+                        "column {:?} ({}) of table {:?} cannot hold {v:?}",
+                        f.name, f.vtype, self.name
+                    )));
+                }
+                blanks |= text && matches!(v, Value::Str(s) if s.is_empty());
+            }
+        }
+        if !blanks {
+            return Ok(Cow::Borrowed(rows));
+        }
+        let blank_to_null = |v: &Value| match v {
+            Value::Str(s) if s.is_empty() => Value::Null,
+            v => v.clone(),
+        };
+        Ok(Cow::Owned(rows.iter().map(|row| row.iter().map(blank_to_null).collect()).collect()))
+    }
 }
 
 /// Shared table handle.
@@ -488,6 +535,36 @@ mod tests {
         ctx.load_rows(&tab, &rows(10), 1).unwrap();
         ctx.append_file(&tab, "delta-0", &rows(5)).unwrap();
         assert_eq!(ctx.read_all(&tab).unwrap().len(), 15);
+    }
+
+    /// A row either fits its table as is, fits with a Text table's `""`
+    /// read as NULL, or is a schema error.
+    #[test]
+    fn rows_conform_to_their_table() {
+        let (_t, ctx) = ctx();
+        let schema = Arc::new(Schema::from_pairs(&[("id", ValueType::Int), ("s", ValueType::Str)]));
+        let text = ctx.create_table("t", Arc::clone(&schema), FileFormat::Text).unwrap();
+        let rc = ctx.create_table("r", schema, FileFormat::RcFile).unwrap();
+        let rows = vec![
+            vec![Value::Int(1), Value::Str(String::new())],
+            vec![Value::Null, Value::Str("on".into())],
+        ];
+        assert!(matches!(rc.conform(&rows).unwrap(), Cow::Borrowed(_)));
+        let stored = text.conform(&rows).unwrap();
+        assert_eq!(stored[0], [Value::Int(1), Value::Null]);
+        assert_eq!(stored[1], rows[1]);
+        for bad in [
+            vec![Value::Int(1)],
+            vec![Value::Str("1".into()), Value::Null],
+            vec![Value::Float(1.0), Value::Null],
+        ] {
+            for table in [&text, &rc] {
+                assert!(matches!(table.conform(std::slice::from_ref(&bad)), Err(DgfError::Schema(_))));
+            }
+        }
+        let piped = [vec![Value::Int(1), Value::Str("a|b".into())]];
+        assert!(matches!(text.conform(&piped), Err(DgfError::Schema(_))));
+        assert!(rc.conform(&piped).is_ok());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Write path of one batch (`ingest`):
 //!
-//! 1. **Validate** — every row's indexed dimensions standardize to GFU
-//!    cells *before* any side effect, so a malformed batch is rejected
-//!    whole.
+//! 1. **Validate** — every row is conformed to the base table and its
+//!    indexed dimensions standardize to GFU cells *before* any side
+//!    effect, so a malformed batch is rejected whole.
 //! 2. **Admit** — admission control bounds buffered bytes by *reserving*
 //!    the batch's bytes atomically up front (released again on rejection
 //!    or failure), so N racing batches cannot each pass a stale check and
@@ -52,18 +52,18 @@ use parking_lot::{Mutex, RwLock};
 
 use dgf_common::fault::FaultPlan;
 use dgf_common::obs::names;
-use dgf_common::{counter_block, format_row, parse_row, DgfError, Result, Row};
+use dgf_common::{counter_block, DgfError, Result, Row};
 use dgf_core::{DgfIndex, FreshCell, FreshSource};
 use dgf_query::AggSet;
 
 use crate::memtable::Memtable;
-use crate::wal::IngestWal;
+use crate::wal::{encode_rows, IngestWal};
 
 /// Tuning knobs for [`StreamIngestor`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Admission control: reject batches that would push buffered bytes
-    /// (formatted-row accounting) past this bound.
+    /// (the rows' WAL encoding) past this bound.
     pub max_buffered_bytes: u64,
     /// Flush inline once the active slot buffers this many rows.
     pub flush_rows: u64,
@@ -209,32 +209,27 @@ impl Core {
         Ok(())
     }
 
-    /// Standardize every row to its GFU cell coordinates, and format its
-    /// line: the cells and the lines, row by row. Pure validation — no
-    /// side effects, so a bad row rejects the whole batch before the WAL
-    /// sees it.
-    fn route(&self, rows: &[Row]) -> Result<(Vec<Vec<i64>>, Vec<String>)> {
+    /// `rows` as the base table stores them, and each row's GFU cell
+    /// under the current policy. Pure validation — no side effects, so a
+    /// bad row rejects the whole batch before the WAL sees it.
+    fn route(&self, rows: &[Row]) -> Result<(Vec<Row>, Vec<Vec<i64>>)> {
+        let rows = self.index.base.conform(rows)?;
         // Re-read the policy per batch: online adaptation may install a
         // finer or coarser grid between batches, and rows must be routed
         // by the policy the next flush will publish under.
         let policy = self.index.policy();
-        let dims = policy.dims();
-        let mut cells = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut row_cells = Vec::with_capacity(self.dim_idx.len());
-            for (i, d) in self.dim_idx.iter().zip(dims) {
-                let v = row.get(*i).ok_or_else(|| {
-                    DgfError::Schema(format!(
-                        "ingest row has {} fields, schema needs {}",
-                        row.len(),
-                        self.index.base.schema.len()
-                    ))
-                })?;
-                row_cells.push(d.cell_of(v)?);
-            }
-            cells.push(row_cells);
-        }
-        Ok((cells, rows.iter().map(format_row).collect()))
+        let cells = rows.iter().map(|row| {
+            self.dim_idx.iter().zip(policy.dims()).map(|(i, d)| d.cell_of(&row[*i])).collect()
+        });
+        let cells = cells.collect::<Result<_>>()?;
+        Ok((rows.into_owned(), cells))
+    }
+
+    /// Buffer routed batch `seq` of `bytes` in the active slot.
+    fn insert(&self, seq: u64, rows: Vec<Row>, cells: Vec<Vec<i64>>, bytes: u64) -> Result<()> {
+        let (agg_set, schema) = (&self.agg_set, &self.index.base.schema);
+        let rows = cells.into_iter().zip(rows);
+        self.shared.mem.lock().active.insert(seq, rows, bytes, agg_set, schema)
     }
 
     /// Ingest one batch; returns its acknowledged sequence number.
@@ -244,9 +239,10 @@ impl Core {
         if rows.is_empty() {
             return Ok(self.next_seq.load(Ordering::SeqCst).saturating_sub(1));
         }
-        let (cells, lines) = self.route(rows)?;
-        let line_bytes: Vec<u64> = lines.iter().map(|l| l.len() as u64).collect();
-        let batch_bytes: u64 = line_bytes.iter().sum();
+        let (rows, cells) = self.route(rows)?;
+        let encoded = encode_rows(&rows);
+        let n = rows.len() as u64;
+        let batch_bytes = encoded.len() as u64;
         // Reserve the batch's bytes atomically: the check and the
         // accounting are one fetch_add, so concurrent batches cannot all
         // pass against the same stale reading and overshoot the bound.
@@ -269,18 +265,14 @@ impl Core {
         let written = (|| -> Result<(u64, u64)> {
             let _gate = self.batch_gate.read();
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-            let (wal_bytes, ticket) = self.wal.append_batch(seq, lines)?;
+            let (wal_bytes, ticket) = self.wal.append_batch(seq, &encoded)?;
             stats.wal_bytes.add(wal_bytes);
             self.crash_point("ingest.wal-appended")?;
             if self.wal.sync(ticket)? {
                 stats.wal_syncs.inc();
             }
             self.crash_point("ingest.wal-synced")?;
-            let mut mem = self.shared.mem.lock();
-            for ((cells, bytes), row) in cells.into_iter().zip(line_bytes).zip(rows.iter().cloned()) {
-                mem.active.insert(cells, row, bytes, &self.agg_set, &self.index.base.schema)?;
-            }
-            mem.active.max_seq = mem.active.max_seq.max(seq);
+            self.insert(seq, rows, cells, batch_bytes)?;
             Ok((seq, wal_bytes))
         })();
         let (seq, wal_bytes) = match written {
@@ -297,8 +289,8 @@ impl Core {
             }
         };
         stats.batches.inc();
-        stats.rows.add(rows.len() as u64);
-        span.add(names::INGEST_ROWS, rows.len() as u64);
+        stats.rows.add(n);
+        span.add(names::INGEST_ROWS, n);
         span.add(names::INGEST_WAL_BYTES, wal_bytes);
         span.finish();
         if self.active_rows() >= self.config.flush_rows {
@@ -408,46 +400,12 @@ impl StreamIngestor {
     ) -> Result<StreamIngestor> {
         let agg_set = AggSet::bind(&index.aggs, &index.base.schema)?;
         let policy = index.policy();
-        let dim_idx: Vec<usize> = policy
-            .dims()
-            .iter()
-            .map(|d| index.base.schema.index_of(&d.name))
-            .collect::<Result<_>>()?;
+        let dim_idx = policy.dims().iter().map(|d| index.base.schema.index_of(&d.name));
+        let dim_idx = dim_idx.collect::<Result<_>>()?;
         let flushed = index.ingest_watermark()?;
         let (wal, unflushed) = IngestWal::open(wal_path, flushed)?;
         let shared = Arc::new(IngestShared::default());
-        let stats = IngestStats::default();
-        let mut top_seq = flushed;
-        {
-            let mut mem = shared.mem.lock();
-            let mut replayed_rows = 0u64;
-            let mut replayed_bytes = 0u64;
-            for batch in &unflushed {
-                for line in &batch.lines {
-                    let row = parse_row(line, &index.base.schema)?;
-                    let mut cells = Vec::with_capacity(dim_idx.len());
-                    for (i, d) in dim_idx.iter().zip(policy.dims()) {
-                        cells.push(d.cell_of(&row[*i])?);
-                    }
-                    mem.active.insert(
-                        cells,
-                        row,
-                        line.len() as u64,
-                        &agg_set,
-                        &index.base.schema,
-                    )?;
-                    replayed_rows += 1;
-                    replayed_bytes += line.len() as u64;
-                }
-                mem.active.max_seq = mem.active.max_seq.max(batch.seq);
-                top_seq = top_seq.max(batch.seq);
-            }
-            shared
-                .buffered_bytes
-                .store(replayed_bytes, Ordering::SeqCst);
-            stats.replayed_batches.add(unflushed.len() as u64);
-            stats.replayed_rows.add(replayed_rows);
-        }
+        let top_seq = unflushed.iter().map(|b| b.seq).fold(flushed, u64::max);
         let core = Arc::new(Core {
             index: index.clone(),
             shared: shared.clone(),
@@ -459,8 +417,18 @@ impl StreamIngestor {
             batch_gate: RwLock::new(()),
             flush_lock: Mutex::new(()),
             poisoned: AtomicBool::new(false),
-            stats,
+            stats: IngestStats::default(),
         });
+        // Acknowledged-but-unflushed batches take an ingest's route back
+        // into the memtable.
+        for batch in &unflushed {
+            let (rows, cells) = core.route(&batch.rows)?;
+            let bytes = encode_rows(&rows).len() as u64;
+            core.insert(batch.seq, rows, cells, bytes)?;
+            shared.buffered_bytes.fetch_add(bytes, Ordering::SeqCst);
+            core.stats.replayed_batches.inc();
+            core.stats.replayed_rows.add(batch.rows.len() as u64);
+        }
         index.set_fresh_source(shared);
         let shutdown = Arc::new(AtomicBool::new(false));
         let flusher = config.auto_flush_interval.map(|interval| {

@@ -7,9 +7,10 @@
 //!
 //! The paper's load path (§4.2) is batch: reorganize a file of new rows
 //! into Slices with a MapReduce job. Real meter head-ends, though, hand
-//! the warehouse a continuous trickle of small batches, and running a
-//! reorganization per batch would melt both the job scheduler and the
-//! header cache (every append bumps the planner's cache generation).
+//! the warehouse a continuous trickle of small batches, and committing
+//! Slices per batch would litter the data directory with tiny files and
+//! churn the header cache (every append bumps the planner's cache
+//! generation).
 //! This crate adds the standard LSM-style answer on top of the paper's
 //! design:
 //!
@@ -39,4 +40,4 @@ pub mod wal;
 
 pub use ingest::{IngestConfig, IngestShared, IngestStats, IngestStatsSnapshot, StreamIngestor};
 pub use memtable::{MemCell, Memtable, Slot};
-pub use wal::{IngestWal, WalBatch};
+pub use wal::{encode_rows, IngestWal, WalBatch};

@@ -41,7 +41,7 @@ pub struct Slot {
     pub cells: BTreeMap<Vec<i64>, MemCell>,
     /// Total buffered rows.
     pub rows: u64,
-    /// Total buffered bytes (formatted-line lengths — the same accounting
+    /// Total buffered bytes (the rows' WAL encoding — the same accounting
     /// admission control uses).
     pub bytes: u64,
     /// Highest batch sequence buffered here. The slot is query-visible
@@ -58,26 +58,27 @@ impl Slot {
         self.rows == 0
     }
 
-    /// Insert one row into cell `cells`, updating the running aggregates.
+    /// Buffer batch `seq` — each row with its GFU cell coordinates —
+    /// whose WAL encoding takes `bytes`, updating the running aggregates.
     pub fn insert(
         &mut self,
-        cells: Vec<i64>,
-        row: Row,
-        line_bytes: u64,
+        seq: u64,
+        rows: impl IntoIterator<Item = (Vec<i64>, Row)>,
+        bytes: u64,
         agg_set: &AggSet,
         schema: &Schema,
     ) -> Result<()> {
-        let cell = self
-            .cells
-            .entry(cells)
-            .or_insert_with(|| MemCell {
+        for (cells, row) in rows {
+            let cell = self.cells.entry(cells).or_insert_with(|| MemCell {
                 states: agg_set.new_states(),
                 rows: Vec::new(),
             });
-        agg_set.update(&mut cell.states, &row, schema)?;
-        cell.rows.push(row);
-        self.rows += 1;
-        self.bytes += line_bytes;
+            agg_set.update(&mut cell.states, &row, schema)?;
+            cell.rows.push(row);
+            self.rows += 1;
+        }
+        self.bytes += bytes;
+        self.max_seq = self.max_seq.max(seq);
         self.first_row_at.get_or_insert_with(Instant::now);
         Ok(())
     }
@@ -94,8 +95,8 @@ impl Slot {
         }
     }
 
-    /// All buffered rows in cell-key order (the flush feeds these to the
-    /// append job, which re-groups them anyway).
+    /// All buffered rows in cell-key order, each cell's in arrival order:
+    /// the groups the flush's append writes as Slices.
     pub fn all_rows(&self) -> Vec<Row> {
         self.cells
             .values()
@@ -158,17 +159,9 @@ mod tests {
         let schema = schema();
         let set = aggs(&schema);
         let mut slot = Slot::default();
-        for (k, v) in [(1i64, 2.0f64), (1, 3.5), (2, 1.0)] {
-            slot.insert(
-                vec![k],
-                vec![Value::Int(k), Value::Float(v)],
-                10,
-                &set,
-                &schema,
-            )
-            .unwrap();
-        }
-        slot.max_seq = 7;
+        let rows = [(1i64, 2.0f64), (1, 3.5), (2, 1.0)]
+            .map(|(k, v)| (vec![k], vec![Value::Int(k), Value::Float(v)]));
+        slot.insert(7, rows, 30, &set, &schema).unwrap();
         assert_eq!(slot.rows, 3);
         assert_eq!(slot.bytes, 30);
 
@@ -195,10 +188,8 @@ mod tests {
         let schema = schema();
         let set = aggs(&schema);
         let mut mem = Memtable::default();
-        mem.active
-            .insert(vec![1], vec![Value::Int(1), Value::Float(1.0)], 5, &set, &schema)
-            .unwrap();
-        mem.active.max_seq = 3;
+        let row = (vec![1], vec![Value::Int(1), Value::Float(1.0)]);
+        mem.active.insert(3, [row], 5, &set, &schema).unwrap();
         assert_eq!(mem.fresh_cells(0).len(), 1);
         assert_eq!(mem.fresh_cells(2).len(), 1);
         // Watermark caught up: the slot's rows are all committed.

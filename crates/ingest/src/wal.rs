@@ -10,9 +10,11 @@
 //! batch is atomic: after a crash it is either fully replayable or
 //! entirely absent (its ack was then never returned).
 //!
-//! The payload of one record is one ingest batch:
-//! `seq(u64) | nrows(u32) | nrows × (u32 line_len | line)`, where each
-//! line is a [`dgf_common::format_row`] rendering of one row.
+//! The payload of one record is one ingest batch: `seq(u64)`, a varint
+//! row count, and per row a varint cell count and its cells in the tagged
+//! [`dgf_common::codec::put_value`] encoding RCFile cells use, so a batch
+//! replays exactly as it was acknowledged. A checksummed frame that is no
+//! batch is not a torn tail: opening such a log is `Corrupt`.
 //!
 //! Group commit: [`append_batch`](IngestWal::append_batch) hands out a
 //! monotone *ticket* under the log lock, and [`sync`](IngestWal::sync)
@@ -32,17 +34,17 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use dgf_common::codec::{write_frame, FrameReader};
-use dgf_common::Result;
+use dgf_common::codec::{get_value, put_value, put_varint, write_frame, Decoder, FrameReader};
+use dgf_common::{DgfError, Result, Row};
 
 /// One acknowledged WAL batch (possibly not yet flushed into Slices).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalBatch {
     /// Monotone batch sequence number; the index's persisted ingest
     /// watermark is the highest `seq` whose rows are committed.
     pub seq: u64,
-    /// The batch's rows in `format_row` text form.
-    pub lines: Vec<String>,
+    /// The batch's rows, as acknowledged.
+    pub rows: Vec<Row>,
 }
 
 #[derive(Debug)]
@@ -55,8 +57,9 @@ struct WalState {
     append_ticket: u64,
     /// Highest append ticket covered by a durable sync.
     synced_ticket: u64,
-    /// Appended batches not yet dropped by `rewrite`, oldest first.
-    tail: VecDeque<WalBatch>,
+    /// `(seq, payload)` of every batch `rewrite` has not dropped, oldest
+    /// first.
+    tail: VecDeque<(u64, Vec<u8>)>,
 }
 
 /// A checksummed, group-committed write-ahead log of ingest batches.
@@ -75,9 +78,15 @@ impl IngestWal {
     /// until a future [`rewrite`](Self::rewrite) covers it.
     pub fn open(path: impl Into<PathBuf>, flushed_seq: u64) -> Result<(IngestWal, Vec<WalBatch>)> {
         let path = path.into();
-        let mut batches = replay(&path)?;
-        batches.retain(|b| b.seq > flushed_seq);
-        write_whole_log(&path, &batches)?;
+        let (mut tail, mut batches) = (VecDeque::new(), Vec::new());
+        for payload in frames(&path)? {
+            let batch = decode_batch(&payload)?;
+            if batch.seq > flushed_seq {
+                tail.push_back((batch.seq, payload));
+                batches.push(batch);
+            }
+        }
+        write_whole_log(&path, &tail)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let len = file.metadata()?.len();
         let wal = IngestWal {
@@ -87,7 +96,7 @@ impl IngestWal {
                 len,
                 append_ticket: 0,
                 synced_ticket: 0,
-                tail: batches.iter().cloned().collect(),
+                tail,
             }),
         };
         Ok((wal, batches))
@@ -108,18 +117,19 @@ impl IngestWal {
         self.state.lock().tail.len()
     }
 
-    /// Append one batch (buffered — not durable until a sync covers the
-    /// returned ticket). Returns `(framed bytes written, append ticket)`;
-    /// tickets are handed out in append order under the log lock, so
-    /// ticket coverage — unlike seq coverage — is exactly byte coverage.
-    /// The lines move into the retained tail.
-    pub fn append_batch(&self, seq: u64, lines: Vec<String>) -> Result<(u64, u64)> {
+    /// Append batch `seq`, whose rows [`encode_rows`] made `encoded`
+    /// (buffered — not durable until a sync covers the returned ticket).
+    /// Returns `(framed bytes written, append ticket)`; tickets are
+    /// handed out in append order under the log lock, so ticket coverage
+    /// — unlike seq coverage — is exactly byte coverage.
+    pub fn append_batch(&self, seq: u64, encoded: &[u8]) -> Result<(u64, u64)> {
+        let payload = [&seq.to_le_bytes()[..], encoded].concat();
         let mut st = self.state.lock();
-        let n = write_batch_record(&mut st.writer, seq, &lines)?;
+        let n = write_frame(&mut st.writer, &payload)?;
         st.len += n;
         st.append_ticket += 1;
         let ticket = st.append_ticket;
-        st.tail.push_back(WalBatch { seq, lines });
+        st.tail.push_back((seq, payload));
         Ok((n, ticket))
     }
 
@@ -145,11 +155,10 @@ impl IngestWal {
     pub fn rewrite(&self, flushed_seq: u64) -> Result<()> {
         let mut st = self.state.lock();
         st.writer.flush()?;
-        while st.tail.front().is_some_and(|b| b.seq <= flushed_seq) {
+        while st.tail.front().is_some_and(|(seq, _)| *seq <= flushed_seq) {
             st.tail.pop_front();
         }
-        let keep: Vec<WalBatch> = st.tail.iter().cloned().collect();
-        write_whole_log(&self.path, &keep)?;
+        write_whole_log(&self.path, &st.tail)?;
         let file = OpenOptions::new().append(true).open(&self.path)?;
         st.len = file.metadata()?.len();
         st.writer = BufWriter::new(file);
@@ -160,26 +169,29 @@ impl IngestWal {
     }
 }
 
-fn write_batch_record<W: Write>(w: &mut W, seq: u64, lines: &[String]) -> Result<u64> {
-    let body: usize = lines.iter().map(|l| 4 + l.len()).sum();
-    let mut payload = Vec::with_capacity(8 + 4 + body);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&(lines.len() as u32).to_le_bytes());
-    for line in lines {
-        payload.extend_from_slice(&(line.len() as u32).to_le_bytes());
-        payload.extend_from_slice(line.as_bytes());
+/// The rows of one batch as its WAL record carries them (see the module
+/// docs), for [`IngestWal::append_batch`].
+pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint(&mut buf, rows.len() as u64);
+    for row in rows {
+        put_varint(&mut buf, row.len() as u64);
+        for v in row {
+            put_value(&mut buf, v);
+        }
     }
-    write_frame(w, &payload)
+    buf
 }
 
-/// Replace the log file with exactly `batches` via tmp + fsync + rename
-/// (+ directory fsync, so the rename itself survives power loss).
-fn write_whole_log(path: &Path, batches: &[WalBatch]) -> Result<()> {
+/// Replace the log file with exactly the `batches` payloads via tmp +
+/// fsync + rename (+ directory fsync, so the rename itself survives
+/// power loss).
+fn write_whole_log(path: &Path, batches: &VecDeque<(u64, Vec<u8>)>) -> Result<()> {
     let tmp = path.with_extension("rewrite");
     {
         let mut w = BufWriter::new(File::create(&tmp)?);
-        for b in batches {
-            write_batch_record(&mut w, b.seq, &b.lines)?;
+        for (_, payload) in batches {
+            write_frame(&mut w, payload)?;
         }
         w.flush()?;
         w.get_ref().sync_data()?;
@@ -191,45 +203,43 @@ fn write_whole_log(path: &Path, batches: &[WalBatch]) -> Result<()> {
     Ok(())
 }
 
-/// Replay every intact batch; stop (truncating implicitly) at the first
-/// torn or corrupt record, or the first whose payload is not a batch: no
-/// such batch was ever acknowledged.
-fn replay(path: &Path) -> Result<Vec<WalBatch>> {
+/// Every intact frame's payload, up to the first torn or corrupt one.
+fn frames(path: &Path) -> Result<Vec<Vec<u8>>> {
     let Ok(file) = File::open(path) else {
         return Ok(Vec::new());
     };
     let len = file.metadata()?.len();
-    Ok(FrameReader::new(BufReader::new(file), len)
-        .map_while(|payload| decode_batch(&payload))
-        .collect())
+    Ok(FrameReader::new(BufReader::new(file), len).collect())
 }
 
-fn decode_batch(payload: &[u8]) -> Option<WalBatch> {
-    if payload.len() < 12 {
-        return None;
+fn decode_batch(payload: &[u8]) -> Result<WalBatch> {
+    let mut d = Decoder::new(payload);
+    let seq = d.u64()?;
+    let n = d.varint_count(1)?;
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let cells = d.varint_count(1)?;
+        rows.push((0..cells).map(|_| get_value(&mut d)).collect::<Result<Row>>()?);
     }
-    let seq = u64::from_le_bytes(payload[..8].try_into().ok()?);
-    let nrows = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
-    // Each line takes at least its four-byte length.
-    let mut lines = Vec::with_capacity(nrows.min(payload.len() / 4));
-    let mut at = 12;
-    for _ in 0..nrows {
-        let llen = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        let line = std::str::from_utf8(payload.get(at..at + llen)?).ok()?;
-        at += llen;
-        lines.push(line.to_owned());
+    if d.remaining() != 0 {
+        return Err(DgfError::Corrupt(format!("WAL batch {seq} has trailing bytes")));
     }
-    Some(WalBatch { seq, lines })
+    Ok(WalBatch { seq, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgf_common::TempDir;
+    use dgf_common::{TempDir, Value};
 
-    fn lines(tag: &str, n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("{tag}-{i}")).collect()
+    fn rows(tag: &str, n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| vec![Value::Int(i as i64), Value::Str(format!("{tag}-{i}")), Value::Null])
+            .collect()
+    }
+
+    fn append(wal: &IngestWal, seq: u64, rows: &[Row]) -> (u64, u64) {
+        wal.append_batch(seq, &encode_rows(rows)).unwrap()
     }
 
     /// Seeded byte mutations of a synced log — every truncation, one bit
@@ -240,14 +250,15 @@ mod tests {
     fn mutated_logs_replay_the_batches_before_the_damage() {
         let t = TempDir::new("wal").unwrap();
         let p = t.path().join("ingest.wal");
-        let batches: Vec<(u64, Vec<String>)> =
-            (1..=4).map(|s| (s, lines(&format!("b{s}"), s as usize))).collect();
+        let batches: Vec<WalBatch> = (1..=4)
+            .map(|seq| WalBatch { seq, rows: rows(&format!("b{seq}"), seq as usize) })
+            .collect();
         let mut ends = Vec::new();
         {
             let (wal, _) = IngestWal::open(&p, 0).unwrap();
             let mut end = 0;
-            for (seq, l) in &batches {
-                let (n, ticket) = wal.append_batch(*seq, l.clone()).unwrap();
+            for b in &batches {
+                let (n, ticket) = append(&wal, b.seq, &b.rows);
                 wal.sync(ticket).unwrap();
                 end += n;
                 ends.push(end);
@@ -277,28 +288,65 @@ mod tests {
             std::fs::write(&p, bytes).unwrap();
             let opened = std::panic::catch_unwind(|| IngestWal::open(&p, 0));
             let (_, replayed) = opened.unwrap_or_else(|_| panic!("mutant {n} panicked")).unwrap();
-            let replayed: Vec<(u64, Vec<String>)> =
-                replayed.into_iter().map(|b| (b.seq, b.lines)).collect();
             assert_eq!(replayed, batches[..intact], "mutant {n} of {} bytes", bytes.len());
         }
     }
 
+    /// A frame whose checksum holds but whose payload is no batch was not
+    /// torn by a crash: the log is `Corrupt`, and the acknowledged batches
+    /// before it are not silently truncated away.
+    #[test]
+    fn a_checksummed_frame_that_is_no_batch_is_corrupt() {
+        let t = TempDir::new("wal").unwrap();
+        let p = t.path().join("ingest.wal");
+        {
+            let (wal, _) = IngestWal::open(&p, 0).unwrap();
+            let (_, ticket) = append(&wal, 1, &rows("a", 2));
+            wal.sync(ticket).unwrap();
+        }
+        let good = std::fs::read(&p).unwrap();
+        let mut trailing = 2u64.to_le_bytes().to_vec();
+        trailing.extend(encode_rows(&rows("b", 1)));
+        trailing.push(0);
+        let mut unknown_tag = 2u64.to_le_bytes().to_vec();
+        unknown_tag.extend([1, 1, 9]);
+        let huge_count = [&2u64.to_le_bytes()[..], &[0xFF, 0xFF, 0xFF, 0x7F]].concat();
+        for payload in [&b""[..], b"not a batch", &trailing, &unknown_tag, &huge_count] {
+            let mut log = good.clone();
+            write_frame(&mut log, payload).unwrap();
+            std::fs::write(&p, &log).unwrap();
+            let opened = IngestWal::open(&p, 0);
+            assert!(matches!(opened, Err(DgfError::Corrupt(_))), "{payload:02x?}");
+            assert_eq!(std::fs::read(&p).unwrap(), log, "a corrupt log is left as found");
+        }
+    }
+
+    /// Every value replays as it was logged: `""` apart from NULL, the
+    /// sign of `-0.0`, a date before 1970.
     #[test]
     fn append_replay_roundtrip() {
         let t = TempDir::new("wal").unwrap();
         let p = t.path().join("ingest.wal");
+        let odd = vec![vec![
+            Value::Str(String::new()),
+            Value::Null,
+            Value::Str("on".into()),
+            Value::Float(-0.0),
+            Value::Date(-4_000),
+        ]];
         {
             let (wal, replayed) = IngestWal::open(&p, 0).unwrap();
             assert!(replayed.is_empty());
-            wal.append_batch(1, lines("a", 3)).unwrap();
-            let (_, t) = wal.append_batch(2, lines("b", 2)).unwrap();
+            append(&wal, 1, &rows("a", 3));
+            let (_, t) = append(&wal, 2, &odd);
             assert!(wal.sync(t).unwrap());
         }
         let (wal, replayed) = IngestWal::open(&p, 0).unwrap();
         assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].seq, 1);
-        assert_eq!(replayed[0].lines, lines("a", 3));
-        assert_eq!(replayed[1].lines, lines("b", 2));
+        assert_eq!(replayed[0], WalBatch { seq: 1, rows: rows("a", 3) });
+        assert_eq!(replayed[1], WalBatch { seq: 2, rows: odd });
+        let Value::Float(zero) = replayed[1].rows[0][3] else { panic!("not a float") };
+        assert!(zero.is_sign_negative());
         assert_eq!(wal.batch_count(), 2);
     }
 
@@ -310,7 +358,7 @@ mod tests {
             let (wal, _) = IngestWal::open(&p, 0).unwrap();
             let mut last = 0;
             for s in 1..=4u64 {
-                last = wal.append_batch(s, lines("x", 1)).unwrap().1;
+                last = append(&wal, s, &rows("x", 1)).1;
             }
             wal.sync(last).unwrap();
         }
@@ -330,8 +378,8 @@ mod tests {
         let p = t.path().join("ingest.wal");
         {
             let (wal, _) = IngestWal::open(&p, 0).unwrap();
-            wal.append_batch(1, lines("a", 2)).unwrap();
-            let (_, t) = wal.append_batch(2, lines("b", 2)).unwrap();
+            append(&wal, 1, &rows("a", 2));
+            let (_, t) = append(&wal, 2, &rows("b", 2));
             wal.sync(t).unwrap();
         }
         let len = std::fs::metadata(&p).unwrap().len();
@@ -347,9 +395,9 @@ mod tests {
     fn group_commit_skips_covered_tickets() {
         let t = TempDir::new("wal").unwrap();
         let (wal, _) = IngestWal::open(t.path().join("ingest.wal"), 0).unwrap();
-        let (_, t1) = wal.append_batch(1, lines("a", 1)).unwrap();
-        let (_, t2) = wal.append_batch(2, lines("b", 1)).unwrap();
-        let (_, t3) = wal.append_batch(3, lines("c", 1)).unwrap();
+        let (_, t1) = append(&wal, 1, &rows("a", 1));
+        let (_, t2) = append(&wal, 2, &rows("b", 1));
+        let (_, t3) = append(&wal, 3, &rows("c", 1));
         // One sync at the last ticket covers everything…
         assert!(wal.sync(t3).unwrap());
         // …so syncing the earlier appends is free.
@@ -368,9 +416,9 @@ mod tests {
         let t = TempDir::new("wal").unwrap();
         let p = t.path().join("ingest.wal");
         let (wal, _) = IngestWal::open(&p, 0).unwrap();
-        let (_, t6) = wal.append_batch(6, lines("late", 1)).unwrap();
+        let (_, t6) = append(&wal, 6, &rows("late", 1));
         assert!(wal.sync(t6).unwrap());
-        let (_, t5) = wal.append_batch(5, lines("early", 1)).unwrap();
+        let (_, t5) = append(&wal, 5, &rows("early", 1));
         assert!(
             wal.sync(t5).unwrap(),
             "append after a sync must not be treated as covered"
@@ -388,7 +436,7 @@ mod tests {
         let (wal, _) = IngestWal::open(t.path().join("ingest.wal"), 0).unwrap();
         let mut last = 0;
         for s in 1..=10u64 {
-            last = wal.append_batch(s, lines("r", 4)).unwrap().1;
+            last = append(&wal, s, &rows("r", 4)).1;
         }
         wal.sync(last).unwrap();
         let before = wal.len_bytes();

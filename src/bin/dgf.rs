@@ -30,7 +30,7 @@
 //! instead (e.g. `DGF_TRACE=plan,kv`).
 //!
 //! `ingest` streams rows through the WAL-backed memtable path instead of
-//! running a reorganization job per batch: rows are acknowledged once
+//! committing Slices per batch: rows are acknowledged once
 //! logged (WAL at `.dgf-kv/<index>.wal`) and become query-visible
 //! immediately. Without `--flush` the rows stay in the WAL across
 //! invocations — `query --index` and `profile --index` replay it on open,

@@ -464,11 +464,13 @@ fn backpressure_rejects_then_flush_reopens_admission() {
         )
         .unwrap(),
     );
+    // Room for one batch and a half of the rows' WAL encoding.
+    let batch_bytes = dgfindex::ingest::encode_rows(&streamed[..4]).len() as u64;
     let ingestor = dgfindex::ingest::StreamIngestor::open(
         Arc::clone(&index),
         wal_path(&w),
         IngestConfig {
-            max_buffered_bytes: 600,
+            max_buffered_bytes: batch_bytes * 3 / 2,
             flush_rows: u64::MAX,
             auto_flush_interval: None,
             ..IngestConfig::default()
@@ -881,4 +883,155 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
         };
         assert!(same, "sidecar pruning moved float bits: {a:?} vs {b:?}");
     }
+}
+
+/// A three-column table whose string column cycles through `""`, NULL
+/// and `"on"`, gridded on `user` (4 users a cell) with `COUNT(*)`
+/// pre-computed and built over its first `built` rows; returns the
+/// index and the rows left for the caller to write.
+fn tagged(tag: &str, format: FileFormat, built: usize) -> (TempDir, Arc<DgfIndex>, Vec<Row>) {
+    let tmp = TempDir::new(&format!("stream-tagged-{tag}")).unwrap();
+    let ctx = HiveContext::new(SimHdfs::open(tmp.path()).unwrap(), MrEngine::new(2));
+    let schema = Schema::from_pairs(&[
+        ("user", ValueType::Int),
+        ("tag", ValueType::Str),
+        ("power", ValueType::Float),
+    ]);
+    let base = ctx.create_table("tagged", Arc::new(schema), format).unwrap();
+    let tags = [Value::Str(String::new()), Value::Null, Value::Str("on".into())];
+    let rows: Vec<Row> = (0..300i64)
+        .map(|i| vec![Value::Int(i % 23), tags[i as usize % 3].clone(), Value::Float(i as f64 / 4.0)])
+        .collect();
+    ctx.load_rows(&base, &rows[..built], 2).unwrap();
+    let policy = SplittingPolicy::new(vec![DimPolicy::int("user", 0, 4)]).unwrap();
+    let kv = Arc::new(MemKvStore::new());
+    let (index, _) = DgfIndex::build(ctx, base, policy, tag_aggs(), kv, INDEX).unwrap();
+    (tmp, Arc::new(index), rows[built..].to_vec())
+}
+
+fn tag_aggs() -> Vec<AggFunc> {
+    vec![AggFunc::Count]
+}
+
+/// GROUP BY the string column with `COUNT(*)` and its `MIN`, and both
+/// aggregates over a misaligned `user` range, normalized.
+fn tag_answers(engine: &dyn Engine) -> Vec<QueryResult> {
+    let aggs = vec![AggFunc::Count, AggFunc::Min("tag".into())];
+    let users = ColumnRange::half_open(Value::Int(2), Value::Int(17));
+    let queries = [
+        Query::GroupBy { key: "tag".into(), aggs: aggs.clone(), predicate: Predicate::all() },
+        Query::Aggregate { aggs, predicate: Predicate::all().and("user", users) },
+    ];
+    queries.iter().map(|q| engine.run(q).unwrap().result.normalized()).collect()
+}
+
+fn unflushing() -> IngestConfig {
+    IngestConfig {
+        flush_rows: u64::MAX,
+        auto_flush_interval: None,
+        ..IngestConfig::default()
+    }
+}
+
+/// A replayed batch is the acknowledged batch. On an RCFile index a
+/// string column's `""` stays apart from NULL in the memtable, across a
+/// reopen that replays it from the WAL, and in a one-shot build over the
+/// same rows. (When the WAL logged text lines, replay read `""` back as
+/// NULL: the groups and the `MIN` moved across a restart.)
+#[test]
+fn replayed_batches_equal_the_acknowledged_ones() {
+    let (tmp, index, rest) = tagged("replay", FileFormat::RcFile, 150);
+    let wal = tmp.path().join("ingest.wal");
+    let acked = {
+        let ingestor = StreamIngestor::open(Arc::clone(&index), &wal, unflushing()).unwrap();
+        for batch in rest.chunks(7) {
+            ingestor.ingest(batch).unwrap();
+        }
+        tag_answers(&DgfEngine::new(Arc::clone(&index)))
+        // Dropped without a flush: the batches live in the WAL alone.
+    };
+    let (ctx, base, kv) = (Arc::clone(&index.ctx), Arc::clone(&index.base), Arc::clone(&index.kv));
+    let reopened = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, tag_aggs()).unwrap());
+    let ingestor = StreamIngestor::open(Arc::clone(&reopened), &wal, unflushing()).unwrap();
+    assert_eq!(ingestor.stats().replayed_rows, rest.len() as u64);
+    assert_eq!(tag_answers(&DgfEngine::new(reopened)), acked);
+    let (_t, one_shot, _) = tagged("replay-one-shot", FileFormat::RcFile, 300);
+    assert_eq!(tag_answers(&DgfEngine::new(one_shot)), acked);
+}
+
+/// Fresh answers are the post-flush answers, for both formats: a Text
+/// table cannot tell `""` from NULL, so an ingest stores `""` as NULL
+/// from the ack on, as the flush and a scan of the base table read it.
+/// The flushed data table holds exactly the base table's rows. A row of
+/// the wrong arity or type is a schema error before anything is written.
+#[test]
+fn fresh_and_flushed_rows_answer_as_the_base_table_does() {
+    for format in [FileFormat::RcFile, FileFormat::Text] {
+        let (tmp, index, rest) = tagged(&format!("fresh-{format}"), format, 150);
+        let (ctx, base) = (Arc::clone(&index.ctx), Arc::clone(&index.base));
+        let dgf = DgfEngine::new(Arc::clone(&index));
+        let scan = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&base));
+        assert_eq!(tag_answers(&dgf), tag_answers(&scan), "{format}: built");
+        let wal = tmp.path().join("ingest.wal");
+        let ingestor = StreamIngestor::open(Arc::clone(&index), &wal, unflushing()).unwrap();
+
+        let files = ctx.hdfs.list_files(&base.location).len();
+        let short = vec![Value::Int(1), Value::Null];
+        let mistyped = vec![Value::Str("1".into()), Value::Null, Value::Float(0.0)];
+        for bad in [short, mistyped] {
+            let err = ingestor.ingest(&[rest[0].clone(), bad]).unwrap_err();
+            assert!(matches!(err, DgfError::Schema(_)), "{format}: {err}");
+        }
+        assert_eq!(ingestor.stats().batches, 0, "{format}");
+
+        for batch in rest.chunks(9) {
+            ingestor.ingest(batch).unwrap();
+        }
+        let fresh = tag_answers(&dgf);
+        ingestor.flush().unwrap();
+        assert_eq!(ctx.hdfs.list_files(&base.location).len(), files + 1, "{format}");
+        assert_eq!(tag_answers(&scan), fresh, "{format}: flushed base table");
+        assert_eq!(tag_answers(&dgf), fresh, "{format}: flushed index");
+        let sorted = |table: &TableRef| {
+            let mut rows = ctx.read_all(table).unwrap();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&index.data), sorted(&base), "{format}");
+    }
+}
+
+/// Neither an append nor a flush reads back the base-table delta it
+/// writes: each groups the rows it holds, so across each the warehouse
+/// opens no file and reads no byte, and no MapReduce job runs.
+#[test]
+fn appends_and_flushes_read_nothing_back() {
+    use dgfindex::common::{obs::names, Profiler};
+    let w = world("no-read-back");
+    let (_, streamed) = seed_index(&w);
+    let profiler = Profiler::enabled();
+    let options = IndexOptions {
+        profiler: profiler.clone(),
+        ..IndexOptions::default()
+    };
+    let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
+    let index = Arc::new(DgfIndex::open_with_options(ctx, base, kv, INDEX, aggs(), options).unwrap());
+    let ingestor = StreamIngestor::open(Arc::clone(&index), wal_path(&w), unflushing()).unwrap();
+    let (day3, day4) = streamed.split_at(streamed.len() / 2);
+    ingestor.ingest(day4).unwrap();
+    let _ = profiler.take_profile();
+
+    let io = || w.ctx.hdfs.stats().snapshot();
+    let before = io();
+    index.append(day3).unwrap();
+    let appended = io();
+    assert_eq!(ingestor.flush().unwrap(), day4.len() as u64);
+    let flushed = io();
+    for (what, d) in [("append", appended.since(&before)), ("flush", flushed.since(&appended))] {
+        assert_eq!((d.bytes_read, d.opens), (0, 0), "{what} read back: {d:?}");
+        assert!(d.bytes_written > 0, "{what} wrote nothing");
+    }
+    let profile = profiler.take_profile();
+    assert_eq!(profile.metric_total(names::MR_MAP_INPUTS), 0);
+    assert!(profile.find("append").is_some());
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use dgfindex::format::{RcReader, RcWriter};
 use dgfindex::hive::InputReader;
-use dgfindex::ingest::IngestWal;
+use dgfindex::ingest::{encode_rows, IngestWal};
 use dgfindex::kvstore::{KvStore, LogKvStore};
 use dgfindex::prelude::*;
 use dgfindex::storage::FileSplit;
@@ -164,7 +164,8 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     let wal_path = tmp.path().join("ingest.wal");
     {
         let (wal, _) = IngestWal::open(&wal_path, 0).unwrap();
-        let (_, ticket) = wal.append_batch(1, vec!["1|2.5".into(); 40]).unwrap();
+        let rows = vec![vec![Value::Int(1), Value::Float(2.5)]; 40];
+        let (_, ticket) = wal.append_batch(1, &encode_rows(&rows)).unwrap();
         wal.sync(ticket).unwrap();
     }
     let kv_path = tmp.path().join("kv.log");
