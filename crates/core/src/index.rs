@@ -513,7 +513,7 @@ impl DgfIndex {
 
     /// The persisted ingest watermark: the highest streaming batch
     /// sequence whose rows are committed into Slices (0 before any
-    /// streaming flush). See [`append_with_watermark`](Self::append_with_watermark).
+    /// streaming flush). See [`append_cells`](Self::append_cells).
     pub fn ingest_watermark(&self) -> Result<u64> {
         Ok(self.pin_view()?.watermark)
     }

@@ -11,6 +11,9 @@
 //!   planning works from.
 //! * [`mod@write`] — the write side: the MapReduce job that reorganizes the
 //!   table into per-GFU Slices, and incremental, rebuild-free appends.
+//! * [`fresh`] — [`GfuCells`], the rows of each GFU with their folding
+//!   header from ack (or reducer) to Slice, and the [`FreshSource`]
+//!   through which plans see unflushed cells.
 //! * [`txn`] — the one crash-atomic commit path every writer (build,
 //!   append, flush, compaction, regrid) publishes through, and recovery.
 //! * [`plan`] — query planning: inner/boundary region decomposition,
@@ -85,7 +88,7 @@ pub use advisor::{
 };
 pub use cache::{CacheCounters, CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_CAPACITY};
 pub use engine::DgfEngine;
-pub use fresh::{FreshCell, FreshSource};
+pub use fresh::{FreshSource, GfuCell, GfuCells};
 pub use gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc};
 pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions, SlicePlacement};
 pub use maintain::{

@@ -43,7 +43,6 @@ use dgf_hive::ScanInput;
 use dgf_query::{AggFunc, AggPartials, AggSet, AggState, Query};
 
 use crate::cache::CachedGfu;
-use crate::fresh::FreshCell;
 use crate::gfu::{FileId, GfuKey, GfuValue, GFU_PREFIX};
 use crate::index::DgfIndex;
 use crate::policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
@@ -251,16 +250,20 @@ struct RunFetch {
 }
 
 impl Collector {
-    /// Count one covered value and return its header states picked into
-    /// query-aggregate order.
-    fn pick_covered(&mut self, value: &GfuValue) -> Result<Vec<AggState>> {
-        let hm = self.header_merge.as_ref().ok_or_else(|| {
+    /// The headers' merge; covered cells are absorbed only with one.
+    fn headers(&self) -> Result<&HeaderMerge> {
+        self.header_merge.as_ref().ok_or_else(|| {
             DgfError::Index("covered cell absorbed without usable headers".into())
-        })?;
+        })
+    }
+
+    /// Count one covered cell of `records` records and pick its header
+    /// `states` (index order) into query-aggregate order.
+    fn pick_covered(&mut self, states: &[AggState], records: u64) -> Result<Vec<AggState>> {
+        let picked = self.headers()?.positions.iter().map(|p| states[*p].clone()).collect();
         self.inner_gfus += 1;
-        self.inner_records += value.record_count;
-        let states = hm.index_set.decode_states(&value.header)?;
-        Ok(hm.positions.iter().map(|p| states[*p].clone()).collect())
+        self.inner_records += records;
+        Ok(picked)
     }
 
     /// Whether covered cells merge per group.
@@ -280,10 +283,11 @@ impl Collector {
     fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
         if covered {
             let coords = GfuKey::decode(key, self.arity)?.cells;
+            let states = self.headers()?.index_set.decode_states(&value.header)?;
             if self.grouped() {
-                return self.merge_covered(&coords, value);
+                return self.merge_covered(&coords, &states, value.record_count);
             }
-            let picked = self.pick_covered(value)?;
+            let picked = self.pick_covered(&states, value.record_count)?;
             self.inner_buffer.insert(coords, picked);
         } else {
             self.boundary_gfus += 1;
@@ -300,16 +304,16 @@ impl Collector {
         Ok(())
     }
 
-    /// Merge a covered value at `cell` straight into the accumulator,
-    /// bypassing the buffer: pyramid nodes (whose stored states *are*
-    /// canonical subtree folds), fresh memtable cells (which sit outside
-    /// the persisted tree and merge after [`finalize_inner`]
-    /// (Self::finalize_inner), in both strategies alike) and the cells
-    /// of a grouped plan.
-    fn merge_covered(&mut self, cell: &[i64], value: &GfuValue) -> Result<()> {
-        let picked = self.pick_covered(value)?;
+    /// Merge the header `states` of a covered cell of `records` records
+    /// at `cell` straight into the accumulator, bypassing the buffer:
+    /// pyramid nodes (whose stored states *are* canonical subtree folds),
+    /// fresh memtable cells (which sit outside the persisted tree and
+    /// merge after [`finalize_inner`](Self::finalize_inner), in both
+    /// strategies alike) and the cells of a grouped plan.
+    fn merge_covered(&mut self, cell: &[i64], states: &[AggState], records: u64) -> Result<()> {
+        let picked = self.pick_covered(states, records)?;
         match &mut self.header_merge {
-            Some(hm) => hm.merge_cell(cell, value.record_count, picked),
+            Some(hm) => hm.merge_cell(cell, records, picked),
             None => Ok(()),
         }
     }
@@ -521,15 +525,15 @@ impl DgfIndex {
             // epoch mismatch after the fetch, never as a silently
             // consistent-looking pair. The snapshot cuts at the pinned
             // view's watermark, so rows the view's flush already indexed
-            // are not double-counted.
+            // are not double-counted; a set routed under another policy
+            // (a regrid since it was buffered) is re-grouped under this one.
             let epoch_before = fresh_src.as_ref().map(|s| s.flush_epoch());
-            let fresh_cells: Vec<FreshCell> = match &fresh_src {
-                Some(src) => src.fresh_cells(view.watermark),
-                None => Vec::new(),
-            };
+            let view_policy = Arc::new(SplittingPolicy::decode(&view.policy)?);
+            let fresh = fresh_src.as_ref().map_or_else(Vec::new, |s| s.fresh_cells(view.watermark));
+            let fresh: Vec<_> = fresh.iter().map(|s| s.regroup(&view_policy)).collect::<Result<_>>()?;
             let mut extents = view.extents.clone();
-            for cell in &fresh_cells {
-                extents.observe(&cell.key);
+            for key in fresh.iter().flat_map(|set| set.cells.keys()) {
+                extents.observe(key);
             }
             if let Some(before) = &meta_before {
                 self.kv.stats().snapshot().since(before).attach_to_span(&meta_span);
@@ -546,7 +550,6 @@ impl DgfIndex {
             // predicate falls back to the view's extents
             // (partially-specified queries, paper §5.3.4). Recomputed per
             // attempt because a re-pinned view may carry wider extents.
-            let view_policy = SplittingPolicy::decode(&view.policy)?;
             let mut spans: Vec<DimSpan> = Vec::with_capacity(arity);
             for (dim, extent) in view_policy.dims().iter().zip(&extents.dims) {
                 let dim_span = dim.cell_span(predicate.range_of(&dim.name), *extent)?;
@@ -629,25 +632,21 @@ impl DgfIndex {
             let mut fresh_gfus = 0u64;
             let mut fresh_records = 0u64;
             let mut fresh_rows: Vec<Row> = Vec::new();
-            for cell in &fresh_cells {
+            for (key, cell) in fresh.iter().flat_map(|set| &set.cells) {
                 let in_span = spans
                     .iter()
-                    .zip(&cell.key.cells)
+                    .zip(&key.cells)
                     .all(|(s, c)| *c >= s.lo && *c <= s.hi);
                 if !in_span {
                     continue;
                 }
+                let records = cell.rows.len() as u64;
                 fresh_gfus += 1;
-                fresh_records += cell.record_count;
+                fresh_records += records;
                 let covered = headers_usable
-                    && spans.iter().zip(&cell.key.cells).all(|(s, c)| s.covered(*c));
+                    && spans.iter().zip(&key.cells).all(|(s, c)| s.covered(*c));
                 if covered {
-                    let value = GfuValue {
-                        header: cell.header.clone(),
-                        slices: Vec::new(),
-                        record_count: cell.record_count,
-                    };
-                    collector.merge_covered(&cell.key.cells, &value)?;
+                    collector.merge_covered(&key.cells, &cell.states, records)?;
                 } else {
                     fresh_rows.extend(cell.rows.iter().cloned());
                 }
@@ -1244,7 +1243,8 @@ impl DgfIndex {
         // invariant), so skipping it is the empty merge.
         for (value, item) in item_res.iter().zip(&items) {
             if let Some(v) = value {
-                collector.merge_covered(&item.coords, v)?;
+                let states = collector.headers()?.index_set.decode_states(&v.header)?;
+                collector.merge_covered(&item.coords, &states, v.record_count)?;
                 if item.level >= 1 {
                     collector.pyramid_nodes += 1;
                     collector.pyramid_cells = collector

@@ -13,12 +13,12 @@
 //! The time dimension makes the index append-only: new meter data lands in
 //! new time cells, so `append` merges new Slices into the store — no
 //! rebuild, and write throughput is unaffected (paper §1 contribution
-//! iii). It writes its rows to the base table for scans and hands them,
-//! grouped by key, to the reducer's body: no job, nothing read back.
-//! Every writer publishes through one `Txn` ([`crate::txn`]).
+//! iii). An append and a streaming flush write their rows to the base
+//! table for scans and hand them, as [`GfuCells`], to the reducer's body:
+//! no job, nothing read back. Every writer publishes through one `Txn`
+//! ([`crate::txn`]).
 
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgf_common::{Result, Row, Stopwatch};
@@ -28,6 +28,7 @@ use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::{FileSplit, HdfsRef};
 
+use crate::fresh::GfuCells;
 use crate::gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc, GFU_PREFIX};
 use crate::index::{DgfIndex, SlicePlacement};
 use crate::policy::SplittingPolicy;
@@ -37,54 +38,20 @@ use crate::txn::{live_key, stage_prefix, Outcome, Txn};
 impl DgfIndex {
     /// Index new records: they are appended to the base table as a fresh
     /// file and written as new Slices; existing GFU entries extend
-    /// rather than rebuild (the paper's time-extension load path).
+    /// rather than rebuild (the paper's time-extension load path). A row
+    /// the base table cannot hold ([`TableDesc::conform`]) or the grid
+    /// cannot route is an error before any write.
     pub fn append(&self, rows: &[Row]) -> Result<BuildReport> {
-        self.append_with_watermark(rows, None)
-    }
-
-    /// [`append`](Self::append) that additionally advances the persisted
-    /// ingest watermark to `watermark` *atomically with the commit*: the
-    /// watermark is a field of the [`ReadView`](crate::view::ReadView)
-    /// the transaction publishes, so after a crash either both the new
-    /// Slices and the watermark are live or neither is. The streaming
-    /// flusher uses this so WAL replay can tell flushed batches from
-    /// unflushed ones. A row the base table cannot hold
-    /// ([`TableDesc::conform`]) is a schema error before any write.
-    pub fn append_with_watermark(
-        &self,
-        rows: &[Row],
-        watermark: Option<u64>,
-    ) -> Result<BuildReport> {
         let span = self.profiler().span("append");
         let kv_before = self.kv.stats().snapshot();
         let attempt = (|| -> Result<BuildReport> {
             let rows = self.base.conform(rows)?;
-            // The Intent declares the delta file about to be written
-            // BEFORE it is written: a crash between the base-table write
-            // and the commit point must roll the unacknowledged delta
-            // back, or the index would be permanently stale.
-            let txn = Txn::begin(self, true)?;
-            let delta = txn.base_delta().expect("declared at begin");
-            let delta_name = delta.rsplit('/').next().unwrap_or(delta);
-            self.ctx.append_file(&self.base, delta_name, &rows)?;
-            self.crash_point("append.delta-written")?;
-            self.sync_point("append.delta-written");
-            let watch = Stopwatch::start();
-            // What one reducer of the build job would be handed: the
-            // rows by key under the policy the commit publishes, each
-            // key's rows in the order they came.
-            let policy = self.policy();
-            let key_of = self.key_fn(Arc::clone(&policy))?;
-            let mut groups: BTreeMap<Vec<u8>, Vec<&Row>> = BTreeMap::new();
+            let mut cells = GfuCells::new(self.policy(), &self.base.schema, &self.aggs)?;
             for row in rows.iter() {
-                groups.entry(key_of(row)?).or_default().push(row);
+                cells.insert(row.clone())?;
             }
-            let mut written = Vec::new();
-            if !groups.is_empty() {
-                let file = FileId::new(txn.gen(), 0);
-                written.push((self.write_slices(&txn, file, &policy, false, groups)?, file));
-            }
-            self.commit_slices(txn, policy, written, watermark, false)?;
+            let watch = Stopwatch::start();
+            self.write_delta_and_cells(rows.iter(), &cells, None)?;
             Ok(BuildReport {
                 build_time: watch.elapsed(),
                 index_size_bytes: self.kv.logical_size_bytes(),
@@ -93,6 +60,49 @@ impl DgfIndex {
         })();
         self.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);
         attempt
+    }
+
+    /// The streaming flush: write buffered `cells` as
+    /// [`append`](Self::append) writes its rows (the base-table delta
+    /// holds them cell by cell in key order), and advance the persisted
+    /// ingest watermark to `watermark` *atomically with the commit*: the
+    /// watermark is a field of the [`ReadView`](crate::view::ReadView)
+    /// the transaction publishes, so after a crash either both the new
+    /// Slices and the watermark are live or neither is, and WAL replay
+    /// can tell flushed batches from unflushed ones.
+    pub fn append_cells(&self, cells: &GfuCells, watermark: u64) -> Result<()> {
+        self.write_delta_and_cells(cells.rows(), cells, Some(watermark))
+    }
+
+    /// Write `delta` to the base table, then `cells` — re-grouped under
+    /// the policy the commit publishes — as the Slices of one file.
+    fn write_delta_and_cells<'r>(
+        &self,
+        delta: impl Iterator<Item = &'r Row>,
+        cells: &GfuCells,
+        watermark: Option<u64>,
+    ) -> Result<()> {
+        // The Intent declares the delta file about to be written BEFORE
+        // it is written: a crash between the base-table write and the
+        // commit point must roll the unacknowledged delta back, or the
+        // index would be permanently stale.
+        let txn = Txn::begin(self, true)?;
+        let path = txn.base_delta().expect("declared at begin");
+        let mut w = TableWriter::create(&self.ctx.hdfs, path, &self.base)?;
+        for row in delta {
+            w.write(row)?;
+        }
+        w.close()?;
+        self.crash_point("append.delta-written")?;
+        self.sync_point("append.delta-written");
+        let policy = self.policy();
+        let cells = cells.regroup(&policy)?;
+        let mut written = Vec::new();
+        if !cells.cells.is_empty() {
+            let file = FileId::new(txn.gen(), 0);
+            written.push((self.write_slices(&txn, file, false, &cells)?, file));
+        }
+        self.commit_slices(txn, policy, written, watermark, false)
     }
 
     /// The reorganization job (Algorithms 1 + 2) of a build or a regrid,
@@ -108,7 +118,8 @@ impl DgfIndex {
     ) -> Result<JobReport> {
         let rewrite = regrid.is_some();
         let policy = regrid.unwrap_or_else(|| self.policy());
-        let key_of = self.key_fn(Arc::clone(&policy))?;
+        // It routes the mappers' rows, and each reducer fills a copy.
+        let empty = GfuCells::new(Arc::clone(&policy), &self.base.schema, &self.aggs)?;
         let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
         let (ctx, base) = (&self.ctx, &self.base);
 
@@ -145,15 +156,20 @@ impl DgfIndex {
                 &|_, split: FileSplit, e| {
                     let input = ScanInput::FullSplit(split);
                     open_input(ctx, base, &input, &Footers::new())?.for_each_row(|_, row| {
-                        e.emit(key_of(row)?, row.clone());
+                        e.emit(empty.route(row)?.encode(), row.clone());
                         Ok(())
                     })
                 },
                 None,
-                // Reduce (Algorithm 2): one STAGED file per reducer.
+                // Reduce (Algorithm 2): one STAGED file per reducer, its
+                // keys' rows folded into their cells in shuffle order.
                 &|tid, groups: Vec<(Vec<u8>, Vec<Row>)>| {
+                    let mut cells = empty.clone();
+                    for row in groups.into_iter().flat_map(|(_, rows)| rows) {
+                        cells.insert(row)?;
+                    }
                     let file = FileId::new(txn.gen(), tid as u32);
-                    Ok((self.write_slices(&txn, file, &policy, rewrite, groups)?, file))
+                    Ok((self.write_slices(&txn, file, rewrite, &cells)?, file))
                 },
             )?
         };
@@ -162,47 +178,22 @@ impl DgfIndex {
         Ok(report)
     }
 
-    /// The encoded GFU key of a row under `policy` (Algorithm 1's
-    /// standardization of every indexed dimension).
-    fn key_fn(&self, policy: Arc<SplittingPolicy>) -> Result<impl Fn(&Row) -> Result<Vec<u8>> + Sync> {
-        let dim_idx: Vec<usize> = policy
-            .dims()
-            .iter()
-            .map(|d| self.base.schema.index_of(&d.name))
-            .collect::<Result<_>>()?;
-        Ok(move |row: &Row| {
-            let cells = dim_idx.iter().zip(policy.dims());
-            let cells = cells.map(|(i, d)| d.cell_of(&row[*i])).collect::<Result<_>>()?;
-            Ok(GfuKey::new(cells).encode())
-        })
-    }
-
-    /// The body of a reducer (Algorithm 2): write `groups` — encoded GFU
-    /// keys in ascending order, each with its rows — as the Slices of
-    /// the one STAGED file `file`, fold each cell's header, and stage the
-    /// cell's final post-commit value. Nothing live changes until commit.
-    /// Returns the extents of the cells written.
-    fn write_slices<R: Borrow<Row>>(
-        &self,
-        txn: &Txn<'_>,
-        file: FileId,
-        policy: &SplittingPolicy,
-        rewrite: bool,
-        groups: impl IntoIterator<Item = (Vec<u8>, Vec<R>)>,
-    ) -> Result<Extents> {
+    /// The body of a reducer (Algorithm 2): write `cells` as the Slices
+    /// of the one STAGED file `file`, in key order, and stage each
+    /// cell's final post-commit value, its header merged with the live
+    /// one. Nothing live changes until commit. Returns the extents of the
+    /// cells written.
+    fn write_slices(&self, txn: &Txn<'_>, file: FileId, rewrite: bool, cells: &GfuCells) -> Result<Extents> {
         let agg_set = AggSet::bind(&self.aggs, &self.base.schema)?;
-        let arity = policy.arity();
         // Slice locations name the file by id, which the rename into the
         // data directory at apply preserves: keys publish unmodified.
         let mut w = SliceWriter::create(&self.ctx.hdfs, &file.path(txn.staging_dir()), &self.base)?;
-        let mut extents = Extents::empty(arity);
-        for (key_bytes, rows) in groups {
-            extents.observe(&GfuKey::decode(&key_bytes, arity)?);
+        let mut extents = Extents::empty(cells.policy.arity());
+        for (key, cell) in &cells.cells {
+            extents.observe(key);
             let start = w.offset();
-            let mut states = agg_set.new_states();
-            for row in &rows {
-                agg_set.update(&mut states, row.borrow(), &self.base.schema)?;
-                w.write(row.borrow())?;
+            for row in &cell.rows {
+                w.write(row)?;
             }
             let slice = SliceLoc::new(file, start, w.end_slice()?);
             // The staged value is the FINAL post-commit value: the live
@@ -213,10 +204,10 @@ impl DgfIndex {
             // A regrid rewrite replaces the keyspace wholesale: new cell
             // coordinates may collide with a live old-granularity key,
             // and merging with it would double-count every record it held.
-            let old = if rewrite { None } else { self.kv_get(&key_bytes)? };
-            let header = AggSet::encode_states(&states);
-            let merged = merge_gfu(old.as_deref(), &header, slice, rows.len() as u64, &agg_set)?;
-            txn.stage(&key_bytes, &merged.encode())?;
+            let key = key.encode();
+            let old = if rewrite { None } else { self.kv_get(&key)? };
+            let merged = merge_gfu(old.as_deref(), &cell.states, slice, cell.rows.len() as u64, &agg_set)?;
+            txn.stage(&key, &merged.encode())?;
         }
         w.close()?;
         Ok(extents)
@@ -488,27 +479,27 @@ impl SliceWriter {
     }
 }
 
-/// Merge a freshly built slice into an existing GFU value (or create one).
+/// Merge a freshly built slice of `count` records, whose header folded
+/// to `states`, into an existing GFU value (or create one).
 pub(crate) fn merge_gfu(
     old: Option<&[u8]>,
-    header: &[u8],
+    states: &[AggState],
     slice: SliceLoc,
     count: u64,
     agg_set: &AggSet,
 ) -> Result<GfuValue> {
     match old {
         None => Ok(GfuValue {
-            header: header.to_vec(),
+            header: AggSet::encode_states(states),
             slices: vec![slice],
             record_count: count,
         }),
         Some(bytes) => {
             let mut v = GfuValue::decode(bytes)?;
             if !agg_set.is_empty() {
-                let mut states = agg_set.decode_states(&v.header)?;
-                let new_states = agg_set.decode_states(header)?;
-                agg_set.merge(&mut states, &new_states)?;
-                v.header = AggSet::encode_states(&states);
+                let mut merged = agg_set.decode_states(&v.header)?;
+                agg_set.merge(&mut merged, states)?;
+                v.header = AggSet::encode_states(&merged);
             }
             v.slices.push(slice);
             v.record_count += count;

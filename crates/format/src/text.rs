@@ -16,7 +16,7 @@ use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 
 use dgf_common::stats::IoStatsRef;
 use dgf_common::{format_row, parse_row, Result, Row, SchemaRef};
-use dgf_storage::{HdfsRef, HdfsWriter};
+use dgf_storage::{HdfsReader, HdfsRef, HdfsWriter};
 
 use crate::reader::ByteRange;
 
@@ -67,76 +67,30 @@ impl TextWriter {
     }
 }
 
-/// Streaming line source over one byte range with Hadoop boundary rules.
-struct RangeLines {
-    reader: BufReader<dgf_storage::HdfsReader>,
-    /// Offset of the next unread byte.
-    pos: u64,
-    /// Lines starting at or past this offset belong to the next reader.
-    end: u64,
-    buf: String,
-}
-
-impl RangeLines {
-    fn open(hdfs: &HdfsRef, path: &str, range: ByteRange) -> Result<RangeLines> {
-        let file_len = hdfs.file_len(path)?;
-        let mut raw = hdfs.open_reader(path)?;
-        let mut pos = range.start.min(file_len);
-        // Look one byte back: if it is not a newline, the line started in
-        // the previous range and is that reader's responsibility.
-        let mut partial = false;
-        if pos > 0 {
-            raw.seek(SeekFrom::Start(pos - 1))?;
-            let mut b = [0u8; 1];
-            raw.read_exact(&mut b)?;
-            partial = b[0] != b'\n';
-        }
-        let mut reader = BufReader::new(raw);
-        if partial {
-            pos += reader.read_line(&mut String::new())? as u64;
-        }
-        Ok(RangeLines {
-            reader,
-            pos,
-            end: range.end.min(file_len),
-            buf: String::new(),
-        })
-    }
-
-    /// Next `(line_start_offset, line_without_newline)`.
-    fn next_line(&mut self) -> Result<Option<(u64, &str)>> {
-        if self.pos >= self.end {
-            return Ok(None);
-        }
-        self.buf.clear();
-        let n = self.reader.read_line(&mut self.buf)? as u64;
-        if n == 0 {
-            return Ok(None);
-        }
-        let at = self.pos;
-        self.pos += n;
-        Ok(Some((at, self.buf.trim_end_matches('\n'))))
-    }
-}
-
 /// Reads the lines of one or more byte ranges of a text file: a whole
 /// input split is one range, and DGFIndex's stage-3 reader, which skips
 /// the margin between adjacent Slices (paper Figure 7), is several. Each
 /// range follows the Hadoop boundary rules of the module docs, so ranges
-/// cut anywhere read every line once.
+/// cut anywhere read every line once. The file is opened once, at the
+/// first range, and each range past offset 0 costs one seek.
 pub struct TextReader {
     hdfs: HdfsRef,
     path: String,
     schema: SchemaRef,
     ranges: std::vec::IntoIter<ByteRange>,
-    current: Option<RangeLines>,
+    reader: Option<BufReader<HdfsReader>>,
+    /// Offset of the next unread byte of the current range.
+    pos: u64,
+    /// Lines starting at or past this offset belong to the next range's
+    /// reader; `pos >= end` once the current range is done.
+    end: u64,
+    line: String,
     stats: IoStatsRef,
 }
 
 impl TextReader {
     /// A reader over `ranges` of `path`, which must be sorted and apart —
-    /// see [`coalesce_ranges`](crate::reader::coalesce_ranges). Each range
-    /// is opened when the reader reaches it.
+    /// see [`coalesce_ranges`](crate::reader::coalesce_ranges).
     pub fn open(
         hdfs: &HdfsRef,
         schema: SchemaRef,
@@ -148,9 +102,33 @@ impl TextReader {
             path: path.to_owned(),
             schema,
             ranges: ranges.into_iter(),
-            current: None,
+            reader: None,
+            pos: 0,
+            end: 0,
+            line: String::new(),
             stats: hdfs.stats().clone(),
         }
+    }
+
+    /// Position the reader at the first line `range` owns.
+    fn start(&mut self, range: ByteRange) -> Result<()> {
+        let reader = match &mut self.reader {
+            Some(reader) => reader,
+            None => self.reader.insert(BufReader::new(self.hdfs.open_reader(&self.path)?)),
+        };
+        let len = reader.get_ref().len();
+        (self.pos, self.end) = (range.start.min(len), range.end.min(len));
+        // Look one byte back: if it is not a newline, the line started in
+        // the previous range and is that reader's responsibility.
+        if self.pos > 0 {
+            reader.seek(SeekFrom::Start(self.pos - 1))?;
+            let mut b = [0u8; 1];
+            reader.get_mut().read_exact(&mut b)?;
+            if b[0] != b'\n' {
+                self.pos += reader.read_line(&mut String::new())? as u64;
+            }
+        }
+        Ok(())
     }
 
     /// The next `(line_offset, row)`, or `None` after the last range.
@@ -158,19 +136,22 @@ impl TextReader {
     /// behind the paper's Tables 3, 4 and 6.
     pub fn next_with_offset(&mut self) -> Result<Option<(u64, Row)>> {
         loop {
-            if self.current.is_none() {
-                match self.ranges.next() {
-                    Some(r) => self.current = Some(RangeLines::open(&self.hdfs, &self.path, r)?),
-                    None => return Ok(None),
-                }
-            }
-            match self.current.as_mut().expect("opened above").next_line()? {
-                Some((at, line)) => {
-                    let row = parse_row(line, &self.schema)?;
+            if self.pos < self.end {
+                let reader = self.reader.as_mut().expect("opened at the range's start");
+                self.line.clear();
+                let n = reader.read_line(&mut self.line)? as u64;
+                if n > 0 {
+                    let at = self.pos;
+                    self.pos += n;
+                    let row = parse_row(self.line.trim_end_matches('\n'), &self.schema)?;
                     self.stats.records_read.inc();
                     return Ok(Some((at, row)));
                 }
-                None => self.current = None,
+                self.end = self.pos;
+            }
+            match self.ranges.next() {
+                Some(range) => self.start(range)?,
+                None => return Ok(None),
             }
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! Write path of one batch (`ingest`):
 //!
-//! 1. **Validate** — every row is conformed to the base table and its
-//!    indexed dimensions standardize to GFU cells *before* any side
-//!    effect, so a malformed batch is rejected whole.
+//! 1. **Validate** — every row is conformed to the base table and routed
+//!    to its GFU cell *before* any side effect, so a malformed batch is
+//!    rejected whole.
 //! 2. **Admit** — admission control bounds buffered bytes by *reserving*
 //!    the batch's bytes atomically up front (released again on rejection
 //!    or failure), so N racing batches cannot each pass a stale check and
@@ -14,8 +14,8 @@
 //! 3. **Log** — the batch is appended to the [`IngestWal`] and made
 //!    durable by a group commit (one writer flush + fsync covers every
 //!    batch appended so far, judged by append ticket).
-//! 4. **Buffer** — rows land in the active memtable slot, updating each
-//!    touched GFU cell's running partial aggregates.
+//! 4. **Buffer** — rows land in the active memtable slot's cells, each
+//!    folding into its cell's header as it arrives.
 //!
 //! Steps 3–4 (from sequence allocation through the memtable insert) run
 //! under the shared side of a batch gate; a flush's memtable snapshot
@@ -34,11 +34,11 @@
 //!
 //! The flush (inline when the active slot fills, or from the background
 //! flusher when it ages out) swaps the active slot into the flushing
-//! slot — the union queries see is unchanged — and runs the existing
-//! staged-commit append with the batch watermark riding the published
-//! read view: Slices publish and the watermark advances in the same
-//! atomic commit, which is exactly when the slot stops being merged
-//! from memory. Crash anywhere and `dgf_core::txn::recover` plus WAL replay
+//! slot — the union queries see is unchanged — and hands the slot's cells
+//! to the index's staged-commit `append_cells` with the batch watermark
+//! riding the published read view: Slices publish and the watermark
+//! advances in the same atomic commit, which is exactly when the slot
+//! stops being merged from memory. Crash anywhere and `dgf_core::txn::recover` plus WAL replay
 //! reconstruct a state equal to some prefix of acknowledged batches
 //! (plus, possibly, one unacknowledged in-flight batch — atomic either
 //! way).
@@ -53,10 +53,9 @@ use parking_lot::{Mutex, RwLock};
 use dgf_common::fault::FaultPlan;
 use dgf_common::obs::names;
 use dgf_common::{counter_block, DgfError, Result, Row};
-use dgf_core::{DgfIndex, FreshCell, FreshSource};
-use dgf_query::AggSet;
+use dgf_core::{DgfIndex, FreshSource, GfuCells};
 
-use crate::memtable::Memtable;
+use crate::memtable::{Memtable, Slot};
 use crate::wal::{encode_rows, IngestWal};
 
 /// Tuning knobs for [`StreamIngestor`].
@@ -124,7 +123,7 @@ counter_block! {
 /// reference back to the index, so dropping the [`StreamIngestor`]
 /// leaves already-acknowledged (replayed or buffered) rows visible to
 /// queries until the source is cleared or the process exits.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IngestShared {
     mem: Mutex<Memtable>,
     /// Flush epoch: even = quiescent, odd = a flush is publishing.
@@ -147,7 +146,7 @@ impl FreshSource for IngestShared {
         self.mem.lock().has_rows()
     }
 
-    fn fresh_cells(&self, flushed_seq: u64) -> Vec<FreshCell> {
+    fn fresh_cells(&self, flushed_seq: u64) -> Vec<GfuCells> {
         self.mem.lock().fresh_cells(flushed_seq)
     }
 
@@ -162,8 +161,6 @@ struct Core {
     shared: Arc<IngestShared>,
     wal: IngestWal,
     config: IngestConfig,
-    agg_set: AggSet,
-    dim_idx: Vec<usize>,
     next_seq: AtomicU64,
     /// Guards the seq-allocate → WAL-append → memtable-insert window:
     /// ingesters hold the shared side across it, the flush snapshot takes
@@ -209,27 +206,18 @@ impl Core {
         Ok(())
     }
 
-    /// `rows` as the base table stores them, and each row's GFU cell
-    /// under the current policy. Pure validation — no side effects, so a
-    /// bad row rejects the whole batch before the WAL sees it.
-    fn route(&self, rows: &[Row]) -> Result<(Vec<Row>, Vec<Vec<i64>>)> {
-        let rows = self.index.base.conform(rows)?;
-        // Re-read the policy per batch: online adaptation may install a
-        // finer or coarser grid between batches, and rows must be routed
-        // by the policy the next flush will publish under.
-        let policy = self.index.policy();
-        let cells = rows.iter().map(|row| {
-            self.dim_idx.iter().zip(policy.dims()).map(|(i, d)| d.cell_of(&row[*i])).collect()
-        });
-        let cells = cells.collect::<Result<_>>()?;
-        Ok((rows.into_owned(), cells))
+    /// No cells yet, routed under the index's current policy.
+    fn cells(&self) -> Result<GfuCells> {
+        GfuCells::new(self.index.policy(), &self.index.base.schema, &self.index.aggs)
     }
 
-    /// Buffer routed batch `seq` of `bytes` in the active slot.
-    fn insert(&self, seq: u64, rows: Vec<Row>, cells: Vec<Vec<i64>>, bytes: u64) -> Result<()> {
-        let (agg_set, schema) = (&self.agg_set, &self.index.base.schema);
-        let rows = cells.into_iter().zip(rows);
-        self.shared.mem.lock().active.insert(seq, rows, bytes, agg_set, schema)
+    /// `rows` as the base table stores them, each routed to its GFU cell:
+    /// no side effects, so a bad row rejects the batch before the WAL.
+    fn validate(&self, rows: &[Row]) -> Result<Vec<Row>> {
+        let rows = self.index.base.conform(rows)?;
+        let cells = self.cells()?;
+        rows.iter().try_for_each(|row| cells.route(row).map(drop))?;
+        Ok(rows.into_owned())
     }
 
     /// Ingest one batch; returns its acknowledged sequence number.
@@ -239,7 +227,7 @@ impl Core {
         if rows.is_empty() {
             return Ok(self.next_seq.load(Ordering::SeqCst).saturating_sub(1));
         }
-        let (rows, cells) = self.route(rows)?;
+        let rows = self.validate(rows)?;
         let encoded = encode_rows(&rows);
         let n = rows.len() as u64;
         let batch_bytes = encoded.len() as u64;
@@ -272,7 +260,7 @@ impl Core {
                 stats.wal_syncs.inc();
             }
             self.crash_point("ingest.wal-synced")?;
-            self.insert(seq, rows, cells, batch_bytes)?;
+            self.shared.mem.lock().active.insert(seq, rows, batch_bytes)?;
             Ok((seq, wal_bytes))
         })();
         let (seq, wal_bytes) = match written {
@@ -303,15 +291,17 @@ impl Core {
         self.shared.mem.lock().active.rows
     }
 
-    /// Convert the buffered slot into real Slices through the
-    /// staged-commit append path. Returns the number of rows flushed
+    /// Write the buffered slot's cells as real Slices through the index's
+    /// staged-commit `append_cells`. Returns the number of rows flushed
     /// (0 when there was nothing to flush).
     fn flush(&self) -> Result<u64> {
         let _serialize = self.flush_lock.lock();
         self.check_poisoned()?;
         let stats = &self.stats;
         let span = self.index.profiler().span("ingest.flush");
-        let (snap_seq, rows, slot_bytes) = {
+        // The next active slot routes under the policy current now.
+        let next = Slot::new(self.cells()?);
+        let slot = {
             // Exclusive side of the batch gate: wait out every batch
             // between WAL append and memtable insert, so the snapshot's
             // `max_seq` — committed below as the ingest watermark — never
@@ -325,43 +315,40 @@ impl Core {
             // The swap is invisible to readers: the active/flushing union
             // the planner merges is unchanged, and both sides stay under
             // one lock.
-            let slot = std::mem::take(&mut mem.active);
-            let snap = (slot.max_seq, slot.all_rows(), slot.bytes);
-            mem.flushing = Some(slot);
-            snap
+            let slot = Arc::new(std::mem::replace(&mut mem.active, next));
+            mem.flushing = Some(Arc::clone(&slot));
+            slot
         };
         // Publishing begins: odd epoch tells overlapping plans to retry
         // until the commit (watermark advance) and the slot clear below
         // are both visible, so no plan ever mixes the pre-flush memtable
         // with post-flush store state.
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        let kv_before = self.index.kv.stats().snapshot();
         let published = (|| -> Result<()> {
             self.crash_point("ingest.flush-staged")?;
             self.sync_point("ingest.flush-commit");
-            self.index
-                .append_with_watermark(&rows, Some(snap_seq))?;
+            self.index.append_cells(&slot.cells, slot.max_seq)?;
             self.sync_point("ingest.flush-commit");
             self.crash_point("ingest.flush-committed")?;
             Ok(())
         })();
+        self.index.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);
         match published {
             Ok(()) => {
-                {
-                    let mut mem = self.shared.mem.lock();
-                    mem.flushing = None;
-                }
+                self.shared.mem.lock().flushing = None;
                 self.shared
                     .buffered_bytes
-                    .fetch_sub(slot_bytes, Ordering::SeqCst);
+                    .fetch_sub(slot.bytes, Ordering::SeqCst);
                 self.shared.epoch.fetch_add(1, Ordering::SeqCst);
                 stats.flushes.inc();
-                stats.flushed_rows.add(rows.len() as u64);
-                span.add(names::INGEST_FLUSHED_ROWS, rows.len() as u64);
+                stats.flushed_rows.add(slot.rows);
+                span.add(names::INGEST_FLUSHED_ROWS, slot.rows);
                 span.finish();
                 // Shrink the WAL; failing here is recoverable (replay
                 // skips flushed batches by watermark), so no poisoning.
-                self.wal.rewrite(snap_seq)?;
-                Ok(rows.len() as u64)
+                self.wal.rewrite(slot.max_seq)?;
+                Ok(slot.rows)
             }
             Err(e) => {
                 stats.flush_failures.inc();
@@ -398,21 +385,18 @@ impl StreamIngestor {
         wal_path: impl Into<std::path::PathBuf>,
         config: IngestConfig,
     ) -> Result<StreamIngestor> {
-        let agg_set = AggSet::bind(&index.aggs, &index.base.schema)?;
-        let policy = index.policy();
-        let dim_idx = policy.dims().iter().map(|d| index.base.schema.index_of(&d.name));
-        let dim_idx = dim_idx.collect::<Result<_>>()?;
         let flushed = index.ingest_watermark()?;
         let (wal, unflushed) = IngestWal::open(wal_path, flushed)?;
-        let shared = Arc::new(IngestShared::default());
+        let active = Slot::new(GfuCells::new(index.policy(), &index.base.schema, &index.aggs)?);
+        let mem = Mutex::new(Memtable { active, flushing: None });
+        let (epoch, buffered_bytes) = (AtomicU64::new(0), AtomicU64::new(0));
+        let shared = Arc::new(IngestShared { mem, epoch, buffered_bytes });
         let top_seq = unflushed.iter().map(|b| b.seq).fold(flushed, u64::max);
         let core = Arc::new(Core {
             index: index.clone(),
             shared: shared.clone(),
             wal,
             config: config.clone(),
-            agg_set,
-            dim_idx,
             next_seq: AtomicU64::new(top_seq + 1),
             batch_gate: RwLock::new(()),
             flush_lock: Mutex::new(()),
@@ -422,9 +406,9 @@ impl StreamIngestor {
         // Acknowledged-but-unflushed batches take an ingest's route back
         // into the memtable.
         for batch in &unflushed {
-            let (rows, cells) = core.route(&batch.rows)?;
+            let rows = core.validate(&batch.rows)?;
             let bytes = encode_rows(&rows).len() as u64;
-            core.insert(batch.seq, rows, cells, bytes)?;
+            shared.mem.lock().active.insert(batch.seq, rows, bytes)?;
             shared.buffered_bytes.fetch_add(bytes, Ordering::SeqCst);
             core.stats.replayed_batches.inc();
             core.stats.replayed_rows.add(batch.rows.len() as u64);

@@ -17,9 +17,9 @@
 //! * [`IngestWal`] — acknowledged batches first hit a checksummed
 //!   write-ahead log (the same record framing as the key-value store's
 //!   log), group-committed so concurrent writers share syncs.
-//! * a memtable of per-GFU buffers maintaining the same running partial
-//!   aggregates (`sum`/`count`/`min`/`max`) the index pre-computes into
-//!   GFU headers, registered with the index as its
+//! * a memtable of [`GfuCells`](dgf_core::GfuCells): per-GFU buffers
+//!   folding the very headers (`sum`/`count`/`min`/`max`) a flush writes
+//!   for their rows, registered with the index as its
 //!   [`FreshSource`](dgf_core::FreshSource): query plans merge buffered
 //!   cells with persisted headers (covered cells through the header
 //!   path, boundary cells as re-filtered rows) with **zero** header-cache
@@ -35,9 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod ingest;
-pub mod memtable;
+mod memtable;
 pub mod wal;
 
 pub use ingest::{IngestConfig, IngestShared, IngestStats, IngestStatsSnapshot, StreamIngestor};
-pub use memtable::{MemCell, Memtable, Slot};
 pub use wal::{encode_rows, IngestWal, WalBatch};

@@ -798,6 +798,62 @@ fn queries_during_regrid_see_pre_or_post_state_only() {
     }
 }
 
+/// The grid-adaptation race with rows still in the memtable: a
+/// [`StreamIngestor`] buffers a second copy of every row, unflushed,
+/// while the regrid above runs. The buffered cells were routed under the
+/// old grid, so a plan pinned to the new view must re-group them into
+/// its own geometry: every observation equals the pre- or the
+/// post-regrid answer, the two agree, and a flush afterwards changes
+/// nothing. (Answering the buffered cells in the grid they were routed
+/// under counted whole old-grid cells as covered new-grid ones.)
+#[test]
+fn queries_during_regrid_with_unflushed_rows_see_pre_or_post_state_only() {
+    for seed in stress_seeds().into_iter().take(3) {
+        let w = world(&format!("regrid-fresh{seed}"));
+        let cfg = meter_cfg();
+        seed_with_deltas(&w, 3);
+
+        let plan = interleave(seed ^ 0xF5E5);
+        let index = open_with(&w, Arc::clone(&w.inner), &plan);
+        let ingestor = StreamIngestor::open(
+            Arc::clone(&index),
+            w.tmp.path().join("ingest.wal"),
+            IngestConfig {
+                flush_rows: u64::MAX,
+                auto_flush_interval: None,
+                fault: Some(Arc::clone(&plan)),
+                ..IngestConfig::default()
+            },
+        )
+        .unwrap();
+        ingestor.ingest(&generate_meter_data(&cfg)).unwrap();
+        let maintainer = Maintainer::new(Arc::clone(&index), MaintenanceConfig::default());
+        let mut dims = grid(&cfg).dims().to_vec();
+        dims[0] = DimPolicy::int("user_id", 0, 2);
+        let finer = SplittingPolicy::new(dims).unwrap();
+
+        let pre = answers(&index, &cfg);
+        let seen = observe_during(&index, &cfg, 3, || {
+            maintainer.regrid_to(finer.clone()).unwrap();
+        });
+        let post = answers(&index, &cfg);
+
+        assert!(
+            matches(&post, &pre),
+            "seed {seed}: regrid changed answers over unflushed rows:\n  pre  {pre:?}\n  post {post:?}"
+        );
+        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
+        for (i, obs) in seen.iter().enumerate() {
+            assert!(
+                obs_ok(obs, &pre, &post),
+                "seed {seed}: observation {i} tore during regrid:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
+            );
+        }
+        ingestor.flush().unwrap();
+        assert!(matches(&answers(&index, &cfg), &pre), "seed {seed}: the flush moved answers");
+    }
+}
+
 /// Satellite (serving tier): the append race replayed on the *sharded*
 /// path. The reader opens over a 4-way [`ShardedKv`] router with
 /// `fetch_parallelism: 2`, so the seeded schedule now pauses inside the
@@ -874,7 +930,7 @@ fn queries_during_append_on_the_sharded_path_see_pre_or_post_only() {
 /// on how commits happened to race queries.
 #[test]
 fn raced_plan_enters_the_query_history_exactly_once() {
-    use dgfindex::core::{FreshCell, FreshSource};
+    use dgfindex::core::{FreshSource, GfuCells};
     use std::sync::atomic::AtomicU64;
 
     /// Holds no rows; its epoch reads 0 once and 2 ever after.
@@ -885,7 +941,7 @@ fn raced_plan_enters_the_query_history_exactly_once() {
         fn has_fresh(&self) -> bool {
             true
         }
-        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<FreshCell> {
+        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<GfuCells> {
             Vec::new()
         }
         fn flush_epoch(&self) -> u64 {

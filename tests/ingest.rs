@@ -310,6 +310,69 @@ fn unflushed_rows_land_in_their_header_answered_groups() {
     }
 }
 
+/// Unflushed rows follow a regrid. The streamed days are buffered under
+/// the 4-user grid when `regrid_to` installs a 2-user one; a plan pinned
+/// to the new view re-groups them into its own cells, a batch ingested
+/// afterwards joins the same slot, and the flush writes every buffered
+/// row under the grid it commits with. Every answer equals the oracle
+/// throughout, and after the flush every answer equals, in float bits,
+/// an index built in one pass over the same rows under the new grid.
+/// (Answering buffered cells in the grid they were routed under, the
+/// range COUNT read 13 where 12 rows match: the old cell of users 4–7
+/// passed for the covered new cell of users 2–3.)
+#[test]
+fn unflushed_rows_follow_a_regrid() {
+    use dgfindex::core::{MaintenanceConfig, Maintainer};
+    let w = world("regrid");
+    let cfg = meter_cfg();
+    let (seeded, streamed) = seed_index(&w);
+    // A fifth day: the generator draws day by day, so the first four
+    // days of a five-day run are the rows above.
+    let five = generate_meter_data(&MeterConfig { days: 5, ..meter_cfg() });
+    let later = &five[seeded.len() + streamed.len()..];
+    let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
+    let index = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap());
+    let ingestor = StreamIngestor::open(Arc::clone(&index), wal_path(&w), unflushing()).unwrap();
+    ingestor.ingest(&streamed).unwrap();
+    let mut dims = grid(&cfg).dims().to_vec();
+    dims[0] = DimPolicy::int("user_id", 0, 2);
+    let finer = SplittingPolicy::new(dims).unwrap();
+    Maintainer::new(Arc::clone(&index), MaintenanceConfig::default())
+        .regrid_to(finer.clone())
+        .unwrap();
+
+    // The one-pass twin over every row, the fifth day included.
+    let one = world("regrid-one-pass");
+    one.ctx.load_rows(&one.base, &five, 2).unwrap();
+    let kv = Arc::clone(&one.inner);
+    let (built, _) = DgfIndex::build(Arc::clone(&one.ctx), Arc::clone(&one.base), finer, aggs(), kv, INDEX).unwrap();
+    let twin = DgfEngine::new(Arc::new(built));
+    let engine = DgfEngine::new(Arc::clone(&index));
+    let answers = |e: &DgfEngine| -> Vec<QueryResult> {
+        let qs = queries(&cfg).into_iter().chain(group_by_ts(&cfg));
+        qs.map(|q| e.run(&q).unwrap().result).collect()
+    };
+    let agree = |got: &[QueryResult], want: &[QueryResult], when: &str| {
+        assert_eq!(got.len(), want.len());
+        for (g, t) in got.iter().zip(want) {
+            assert!(g.approx_eq(t, 1e-9), "{when}: {g:?} vs {t:?}");
+        }
+    };
+
+    let mut present = [seeded, streamed].concat();
+    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after the regrid");
+    ingestor.ingest(later).unwrap();
+    present.extend_from_slice(later);
+    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after a later batch");
+    agree(&answers(&engine), &answers(&twin), "before the flush");
+
+    ingestor.flush().unwrap();
+    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after the flush");
+    // `Debug` prints each float in its shortest round-trip form, so equal
+    // strings are equal bits.
+    assert_eq!(format!("{:?}", answers(&engine)), format!("{:?}", answers(&twin)));
+}
+
 /// Acknowledged-but-unflushed rows survive a process exit: WAL replay at
 /// reopen restores them, and they are query-visible again before any
 /// flush happens.
@@ -1003,7 +1066,10 @@ fn fresh_and_flushed_rows_answer_as_the_base_table_does() {
 
 /// Neither an append nor a flush reads back the base-table delta it
 /// writes: each groups the rows it holds, so across each the warehouse
-/// opens no file and reads no byte, and no MapReduce job runs.
+/// opens no file and reads no byte, and no MapReduce job runs. A flush
+/// writes the memtable's own cells and scans the store twice — the
+/// staged keys, to stage the pyramid above them and to publish them —
+/// and nothing that grows with the store.
 #[test]
 fn appends_and_flushes_read_nothing_back() {
     use dgfindex::common::{obs::names, Profiler};
@@ -1025,8 +1091,10 @@ fn appends_and_flushes_read_nothing_back() {
     let before = io();
     index.append(day3).unwrap();
     let appended = io();
+    let kv_before = w.inner.stats().snapshot();
     assert_eq!(ingestor.flush().unwrap(), day4.len() as u64);
     let flushed = io();
+    assert_eq!(w.inner.stats().snapshot().since(&kv_before).scans, 2, "flush scans");
     for (what, d) in [("append", appended.since(&before)), ("flush", flushed.since(&appended))] {
         assert_eq!((d.bytes_read, d.opens), (0, 0), "{what} read back: {d:?}");
         assert!(d.bytes_written > 0, "{what} wrote nothing");

@@ -354,6 +354,11 @@ struct Series {
 const SERIES_USERS: i64 = 60;
 
 fn series(placement: dgfindex::core::SlicePlacement) -> Series {
+    series_as(placement, FileFormat::RcFile)
+}
+
+/// [`series`] stored as `format`.
+fn series_as(placement: dgfindex::core::SlicePlacement, format: FileFormat) -> Series {
     let schema = Arc::new(Schema::from_pairs(&[
         ("user_id", ValueType::Int),
         ("region", ValueType::Int),
@@ -382,7 +387,7 @@ fn series(placement: dgfindex::core::SlicePlacement) -> Series {
     .unwrap();
     let ctx = HiveContext::new(hdfs.clone(), MrEngine::new(3));
     let table = ctx
-        .create_table("meter_rc", schema, FileFormat::RcFile)
+        .create_table("meter_rc", schema, format)
         .unwrap();
     ctx.load_rows(&table, &rows, 3).unwrap();
     let policy = SplittingPolicy::new(vec![
@@ -567,6 +572,42 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
         hashed.iter().sum::<u64>() > local.iter().sum::<u64>(),
         "key hash {hashed:?} vs prefix locality {local:?}"
     );
+
+    // A GROUP BY over every region of two user cells, on a text index:
+    // its one reader per input opens the file once and seeks once per
+    // range that does not start the file (to the byte before it, for the
+    // line-boundary rule).
+    let two_cells = Query::GroupBy {
+        key: "power".into(),
+        aggs: vec![AggFunc::Count, AggFunc::Sum("power".into())],
+        predicate: Predicate::all()
+            .and("user_id", ColumnRange::half_open(Value::Int(10), Value::Int(30)))
+            .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15))),
+    };
+    for placement in [
+        SlicePlacement::KeyHash,
+        SlicePlacement::PrefixLocality { prefix_dims: 2 },
+    ] {
+        let Series { _tmp, hdfs, ctx, table, idx } = series_as(placement, FileFormat::Text);
+        let plan = idx.plan(&two_cells, true).unwrap();
+        let mut ranges = 0;
+        let mut past_zero = 0;
+        for input in &plan.inputs {
+            let dgfindex::hive::ScanInput::TextRanges { ranges: r, .. } = input else {
+                panic!("a DGF plan over a text index made {input:?}");
+            };
+            ranges += r.len() as u64;
+            past_zero += r.iter().filter(|r| r.start > 0).count() as u64;
+        }
+        assert!(ranges > plan.inputs.len() as u64, "{placement:?}: one range an input");
+        let before = hdfs.stats().snapshot();
+        let sink = dgfindex::hive::execute_sink(&ctx, &idx.data, &two_cells, None, plan.inputs.clone())
+            .unwrap();
+        let io = hdfs.stats().snapshot().since(&before);
+        assert_eq!((io.opens, io.seeks), (plan.inputs.len() as u64, past_zero), "{placement:?}");
+        let oracle = ScanEngine::new(Arc::clone(&ctx), table).run(&two_cells).unwrap().result;
+        assert_eq!(sink.finish().normalized(), oracle.normalized(), "{placement:?}");
+    }
 }
 
 /// GROUP BY a one-value-cell dimension reads what the plain aggregate
