@@ -8,6 +8,10 @@
 //! routed under; a reader under another (a plan pinned to a regridded
 //! view, a flush after a regrid) re-groups it through the same `insert`.
 //!
+//! Each cell sits behind an [`Arc`], and so does a memtable's whole set:
+//! a snapshot is a pointer copy, and [`insert`](GfuCells::insert) copies
+//! a cell only while a snapshot still holds it (`Arc::make_mut`).
+//!
 //! A [`FreshSource`] (the `dgf-ingest` memtable) hands the planner its
 //! unflushed cells. The trait lives here so the ingest crate implements
 //! it and holds no reference back to the [`DgfIndex`](crate::DgfIndex).
@@ -41,8 +45,9 @@ pub struct GfuCells {
     columns: Vec<usize>,
     schema: SchemaRef,
     aggs: AggSet,
-    /// The cells, in key order.
-    pub(crate) cells: BTreeMap<GfuKey, GfuCell>,
+    /// The cells, in key order, each shared with every snapshot of the
+    /// set that saw it.
+    pub(crate) cells: BTreeMap<GfuKey, Arc<GfuCell>>,
 }
 
 impl GfuCells {
@@ -66,14 +71,19 @@ impl GfuCells {
         Ok(GfuKey::new(dims.map(|(i, d)| d.cell_of(&row[*i])).collect::<Result<_>>()?))
     }
 
-    /// Route `row` to its cell and fold it into that cell's header.
+    /// Route `row` to its cell and fold it into that cell's header. A
+    /// cell a snapshot still holds is copied first; the snapshot keeps
+    /// the old one.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         let key = self.route(&row)?;
         let aggs = &self.aggs;
-        let cell = self.cells.entry(key).or_insert_with(|| GfuCell {
-            states: aggs.new_states(),
-            rows: Vec::new(),
+        let cell = self.cells.entry(key).or_insert_with(|| {
+            Arc::new(GfuCell {
+                states: aggs.new_states(),
+                rows: Vec::new(),
+            })
         });
+        let cell = Arc::make_mut(cell);
         aggs.update(&mut cell.states, &row, &self.schema)?;
         cell.rows.push(row);
         Ok(())
@@ -97,6 +107,11 @@ impl GfuCells {
     pub(crate) fn rows(&self) -> impl Iterator<Item = &Row> {
         self.cells.values().flat_map(|c| &c.rows)
     }
+
+    /// The cells, in key order.
+    pub fn cells(&self) -> impl Iterator<Item = (&GfuKey, &Arc<GfuCell>)> {
+        self.cells.iter()
+    }
 }
 
 /// A source of acknowledged-but-unflushed rows, consulted at plan time.
@@ -107,14 +122,18 @@ impl GfuCells {
 /// data *newer* than it, so a row is never counted both from the store
 /// and from the buffer.
 pub trait FreshSource: Send + Sync {
-    /// Cheap emptiness probe so idle sources cost the planner nothing.
-    fn has_fresh(&self) -> bool;
-
     /// Snapshot of every buffered set of cells holding rows with batch
-    /// sequence greater than `flushed_seq`. The same coordinates may
-    /// appear in more than one set (e.g. an actively-filling buffer and
-    /// one staged for flush); the planner absorbs each independently.
-    fn fresh_cells(&self, flushed_seq: u64) -> Vec<GfuCells>;
+    /// sequence greater than `flushed_seq`; empty when nothing is
+    /// buffered. The same coordinates may appear in more than one set
+    /// (e.g. an actively-filling buffer and one staged for flush); the
+    /// planner absorbs each independently.
+    ///
+    /// The sets are *shared* with the source and *immutable*: a later
+    /// ingest into a set a snapshot holds copies what it changes
+    /// (`Arc::make_mut`), never the rows the snapshot sees. Taking the
+    /// snapshot is O(1) per set under the source's lock — a pointer copy,
+    /// not a row copy.
+    fn fresh_cells(&self, flushed_seq: u64) -> Vec<Arc<GfuCells>>;
 
     /// Flush-publication epoch: even when quiescent, odd while a flush is
     /// publishing (staging through watermark advance). The planner reads

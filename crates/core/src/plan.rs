@@ -423,11 +423,12 @@ impl DgfIndex {
         let span = prof.span("plan");
         let retries_before = self.kv.stats().retries_absorbed.get();
         let predicate = query.predicate();
-        // Snapshot the streaming memtable (if one is registered and
-        // non-empty) alongside the pinned view: buffered cells may lie
-        // beyond what any flush has recorded, and the spans must admit
-        // them or fresh rows would silently fall out of the query.
-        let fresh_src = self.fresh_source().filter(|s| s.has_fresh());
+        // Snapshot the streaming memtable (if one is registered) alongside
+        // the pinned view: buffered cells may lie beyond what any flush
+        // has recorded, and the spans must admit them or fresh rows would
+        // silently fall out of the query. The snapshot shares the
+        // memtable's cells, so taking it copies no row.
+        let fresh_src = self.fresh_source();
         // The live policy decides whether the predicate is grid-only
         // (dimension names are invariant under online adaptation —
         // `regrid_to` rejects anything else); each attempt's *cell

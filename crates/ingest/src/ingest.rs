@@ -142,11 +142,7 @@ impl IngestShared {
 }
 
 impl FreshSource for IngestShared {
-    fn has_fresh(&self) -> bool {
-        self.mem.lock().has_rows()
-    }
-
-    fn fresh_cells(&self, flushed_seq: u64) -> Vec<GfuCells> {
+    fn fresh_cells(&self, flushed_seq: u64) -> Vec<Arc<GfuCells>> {
         self.mem.lock().fresh_cells(flushed_seq)
     }
 

@@ -11,6 +11,13 @@
 //! unchanged by the swap — and hands its cells, as they are, to
 //! `DgfIndex::append_cells`.
 //!
+//! A slot's cells are shared, not copied, with every plan that
+//! snapshots them ([`fresh cells`](Memtable::fresh_cells) hands out
+//! `Arc` clones under the lock). An ingest that finds its slot held by a
+//! snapshot copies the cell map and the cells its batch touches
+//! (`Arc::make_mut`), so the snapshot never sees a later row and no
+//! ingest ever copies a whole slot.
+//!
 //! Visibility is decided per slot against the index's persisted ingest
 //! watermark: a slot is part of [`fresh cells`](Memtable::fresh_cells)
 //! exactly while its highest batch sequence exceeds the watermark, so the
@@ -29,8 +36,9 @@ use dgf_core::GfuCells;
 /// acknowledged batches.
 #[derive(Debug)]
 pub(crate) struct Slot {
-    /// The buffered rows in their cells.
-    pub(crate) cells: GfuCells,
+    /// The buffered rows in their cells, shared with the snapshots plans
+    /// hold.
+    pub(crate) cells: Arc<GfuCells>,
     /// Total buffered rows.
     pub(crate) rows: u64,
     /// Total buffered bytes (the rows' WAL encoding — the same accounting
@@ -47,7 +55,7 @@ pub(crate) struct Slot {
 impl Slot {
     /// An empty slot filling `cells`.
     pub(crate) fn new(cells: GfuCells) -> Slot {
-        Slot { cells, rows: 0, bytes: 0, max_seq: 0, first_row_at: None }
+        Slot { cells: Arc::new(cells), rows: 0, bytes: 0, max_seq: 0, first_row_at: None }
     }
 
     /// Whether the slot holds no rows.
@@ -56,10 +64,12 @@ impl Slot {
     }
 
     /// Buffer batch `seq`, whose WAL encoding takes `bytes`: each row
-    /// joins its cell and folds into the cell's states.
+    /// joins its cell and folds into the cell's states. Cells a snapshot
+    /// still holds are copied first (see the module docs).
     pub(crate) fn insert(&mut self, seq: u64, rows: Vec<Row>, bytes: u64) -> Result<()> {
+        let cells = Arc::make_mut(&mut self.cells);
         for row in rows {
-            self.cells.insert(row)?;
+            cells.insert(row)?;
             self.rows += 1;
         }
         self.bytes += bytes;
@@ -80,16 +90,11 @@ pub(crate) struct Memtable {
 }
 
 impl Memtable {
-    /// Whether any slot holds rows.
-    pub(crate) fn has_rows(&self) -> bool {
-        !self.active.is_empty() || self.flushing.as_ref().is_some_and(|s| !s.is_empty())
-    }
-
-    /// The cells of every slot still ahead of `flushed_seq`.
-    pub(crate) fn fresh_cells(&self, flushed_seq: u64) -> Vec<GfuCells> {
+    /// The cells of every slot still ahead of `flushed_seq`, shared.
+    pub(crate) fn fresh_cells(&self, flushed_seq: u64) -> Vec<Arc<GfuCells>> {
         let slots = std::iter::once(&self.active).chain(self.flushing.as_deref());
         let ahead = slots.filter(|s| !s.is_empty() && s.max_seq > flushed_seq);
-        ahead.map(|s| s.cells.clone()).collect()
+        ahead.map(|s| Arc::clone(&s.cells)).collect()
     }
 }
 
@@ -97,8 +102,8 @@ impl Memtable {
 mod tests {
     use super::*;
     use dgf_common::{Schema, Value, ValueType};
-    use dgf_core::{DimPolicy, SplittingPolicy};
-    use dgf_query::AggFunc;
+    use dgf_core::{DimPolicy, GfuKey, SplittingPolicy};
+    use dgf_query::{AggFunc, AggState};
 
     fn slot() -> Slot {
         let schema = Arc::new(Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Float)]));
@@ -123,6 +128,34 @@ mod tests {
         mem.flushing = Some(Arc::new(std::mem::replace(&mut mem.active, slot())));
         assert_eq!(mem.fresh_cells(0).len(), 1);
         assert!(mem.fresh_cells(3).is_empty());
-        assert!(mem.has_rows());
+    }
+
+    /// A snapshot is the slot's own set, and an ingest while it is held
+    /// leaves it as it was: the slot copies the cells the batch touches
+    /// and keeps sharing the rest.
+    #[test]
+    fn a_snapshot_is_shared_and_isolated() {
+        let row = |k: i64, v: f64| vec![Value::Int(k), Value::Float(v)];
+        let headers = |set: &GfuCells| -> Vec<(usize, Vec<AggState>)> {
+            set.cells().map(|(_, c)| (c.rows.len(), c.states.clone())).collect()
+        };
+        let mut mem = Memtable { active: slot(), flushing: None };
+        mem.active.insert(1, vec![row(1, 2.0), row(2, 3.5), row(3, 1.0)], 30).unwrap();
+        let held = mem.fresh_cells(0).pop().unwrap();
+        assert!(Arc::ptr_eq(&held, &mem.active.cells));
+        let seen = headers(&held);
+
+        mem.active.insert(2, vec![row(2, 0.5)], 10).unwrap();
+        assert_eq!(headers(&held), seen);
+        let next = mem.fresh_cells(0).pop().unwrap();
+        let rows: usize = headers(&next).iter().map(|(n, _)| n).sum();
+        assert_eq!(rows, 4);
+        let touched = GfuKey::new(vec![2]);
+        let (_, grown) = next.cells().find(|(k, _)| **k == touched).unwrap();
+        assert_eq!(grown.states[0], AggState::Count(2));
+        assert_eq!(held.cells().count(), next.cells().count());
+        for ((key, was), (_, now)) in held.cells().zip(next.cells()) {
+            assert_eq!(Arc::ptr_eq(was, now), *key != touched, "cell {key:?}");
+        }
     }
 }

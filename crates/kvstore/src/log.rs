@@ -168,26 +168,32 @@ impl LogKvStore {
         }
         Ok(())
     }
+}
 
-    fn append(&self, op: u8, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let n = write_record(&mut inner.writer, op, key, value)?;
-        inner.log_len += n;
-        match op {
-            OP_PUT => {
-                if let Some(old) = inner.map.insert(key.to_vec(), value.to_vec()) {
-                    inner.dead_bytes += framed_len(key.len(), old.len());
-                }
-            }
-            _ => {
-                if let Some(old) = inner.map.remove(key) {
-                    // The superseded put and the tombstone both vanish at
-                    // the next compaction.
-                    inner.dead_bytes += framed_len(key.len(), old.len()) + n;
-                }
-            }
+impl Inner {
+    /// Log a put of `key` and apply it.
+    fn put(&mut self, key: &[u8], value: Vec<u8>) -> Result<()> {
+        self.log_len += write_record(&mut self.writer, OP_PUT, key, &value)?;
+        if let Some(old) = self.map.insert(key.to_vec(), value) {
+            self.dead_bytes += framed_len(key.len(), old.len());
         }
         Ok(())
+    }
+
+    /// Log a tombstone for `key` and drop it, if it is live. The check
+    /// and the tombstone are one step under the store's lock: two racing
+    /// deletes of one key log one tombstone, and `dead_bytes` counts it.
+    fn delete(&mut self, key: &[u8]) -> Result<bool> {
+        let Some(old_len) = self.map.get(key).map(Vec::len) else {
+            return Ok(false);
+        };
+        let n = write_record(&mut self.writer, OP_DELETE, key, &[])?;
+        self.log_len += n;
+        self.map.remove(key);
+        // The superseded put and the tombstone both vanish at the next
+        // compaction.
+        self.dead_bytes += framed_len(key.len(), old_len) + n;
+        Ok(true)
     }
 }
 
@@ -246,7 +252,7 @@ fn replay(path: &Path) -> Result<ReplayResult> {
 impl KvStore for LogKvStore {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.stats.on_put((key.len() + value.len()) as u64);
-        self.append(OP_PUT, key, value)
+        self.inner.lock().put(key, value.to_vec())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
@@ -256,11 +262,7 @@ impl KvStore for LogKvStore {
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool> {
-        let existed = self.inner.lock().map.contains_key(key);
-        if existed {
-            self.append(OP_DELETE, key, &[])?;
-        }
-        Ok(existed)
+        self.inner.lock().delete(key)
     }
 
     fn scan_range(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>> {
@@ -280,12 +282,7 @@ impl KvStore for LogKvStore {
         let mut inner = self.inner.lock();
         let new = f(inner.map.get(key).map(|v| v.as_slice()));
         self.stats.on_put((key.len() + new.len()) as u64);
-        let n = write_record(&mut inner.writer, OP_PUT, key, &new)?;
-        inner.log_len += n;
-        if let Some(old) = inner.map.insert(key.to_vec(), new) {
-            inner.dead_bytes += framed_len(key.len(), old.len());
-        }
-        Ok(())
+        inner.put(key, new)
     }
 
     fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
@@ -462,6 +459,28 @@ mod tests {
         kv.compact().unwrap();
         assert_eq!(kv.dead_bytes(), 0);
         assert_eq!(kv.stats().snapshot().compactions, 1);
+    }
+
+    /// Racing deletes of one key: exactly one wins and logs a tombstone,
+    /// so `dead_bytes` is exactly what a compaction then reclaims.
+    #[test]
+    fn racing_deletes_log_one_tombstone_per_key() {
+        let t = TempDir::new("logkv").unwrap();
+        let kv = LogKvStore::open(t.path().join("kv.log")).unwrap();
+        let keys: Vec<[u8; 4]> = (0..1000u32).map(u32::to_le_bytes).collect();
+        for k in &keys {
+            kv.put(k, b"value").unwrap();
+        }
+        let won: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| keys.iter().filter(|k| kv.delete(&k[..]).unwrap()).count()))
+                .collect();
+            threads.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(won, keys.len());
+        let dead = kv.dead_bytes();
+        assert_eq!(kv.compact().unwrap(), dead);
+        assert_eq!(kv.log_len(), 0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Deterministic interleaving harness: concurrent queries vs
-//! append / flush / recovery must never observe a torn index state.
+//! append / ingest / flush / recovery must never observe a torn index
+//! state.
 //!
 //! The writer side (staged-commit append, streaming flush, recovery
 //! re-apply) and the reader side (query planning) both pass through
@@ -313,17 +314,7 @@ fn queries_during_flush_never_waver() {
         let (_, rest) = seed_index(&w);
         let plan = interleave(seed ^ 0xF10C);
         let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = dgfindex::ingest::StreamIngestor::open(
-            Arc::clone(&index),
-            w.tmp.path().join("ingest.wal"),
-            IngestConfig {
-                flush_rows: u64::MAX,
-                auto_flush_interval: None,
-                fault: Some(Arc::clone(&plan)),
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let ingestor = buffering_ingestor(&w, &index, &plan);
         ingestor.ingest(&rest).unwrap();
 
         let pre = answers(&index, &cfg);
@@ -341,6 +332,71 @@ fn queries_during_flush_never_waver() {
                 matches(obs, &pre),
                 "seed {seed}: observation {i} tore during flush:\n  got {obs:?}\n  want {pre:?}"
             );
+        }
+    }
+}
+
+/// An ingestor over `index` that never flushes on its own.
+fn buffering_ingestor(w: &World, index: &Arc<DgfIndex>, plan: &Arc<FaultPlan>) -> StreamIngestor {
+    let config = IngestConfig {
+        flush_rows: u64::MAX,
+        auto_flush_interval: None,
+        fault: Some(Arc::clone(plan)),
+        ..IngestConfig::default()
+    };
+    StreamIngestor::open(Arc::clone(index), w.tmp.path().join("ingest.wal"), config).unwrap()
+}
+
+/// Writer = ingest acks. A plan's memtable snapshot shares the slot's
+/// cells with the ingests that keep landing in it, so readers race K
+/// acknowledged batches into one slot. The batches stripe the rows, so
+/// each revisits every cell a held snapshot shares. Every answer must
+/// equal the oracle after some j ≤ K batches: never a batch half in,
+/// never a cell that moved under a plan holding it. The oracles come from
+/// a twin index fed the same batches one at a time.
+#[test]
+fn queries_during_ingest_see_a_prefix_of_acknowledged_batches() {
+    const K: usize = 4;
+    let cfg = meter_cfg();
+    for seed in stress_seeds() {
+        let twin = world(&format!("ingest-oracle{seed}"));
+        let (_, rest) = seed_index(&twin);
+        let batches: Vec<Vec<Row>> = (0..K)
+            .map(|k| rest.iter().skip(k).step_by(K).cloned().collect())
+            .collect();
+        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
+        let oracle_index = open_with(&twin, Arc::clone(&twin.inner), &quiet);
+        let oracle_ingestor = buffering_ingestor(&twin, &oracle_index, &quiet);
+        let mut oracles = vec![answers(&oracle_index, &cfg)];
+        for batch in &batches {
+            oracle_ingestor.ingest(batch).unwrap();
+            oracles.push(answers(&oracle_index, &cfg));
+        }
+        for (j, pair) in oracles.windows(2).enumerate() {
+            assert!(!matches(&pair[0], &pair[1]), "seed {seed}: batch {j} changed nothing");
+        }
+
+        let w = world(&format!("ingest{seed}"));
+        seed_index(&w);
+        let plan = interleave(seed ^ 0x1A6E);
+        let index = open_with(&w, Arc::clone(&w.inner), &plan);
+        let ingestor = buffering_ingestor(&w, &index, &plan);
+        let seen = observe_during(&index, &cfg, 3, || {
+            for batch in &batches {
+                ingestor.ingest(batch).unwrap();
+                // Let the readers plan against this prefix too.
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        assert!(matches(&answers(&index, &cfg), &oracles[K]), "seed {seed}: final state");
+        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
+        for (i, obs) in seen.iter().enumerate() {
+            for (q, got) in obs.iter().enumerate() {
+                assert!(
+                    oracles.iter().any(|o| got.approx_eq(&o[q], 1e-9)),
+                    "seed {seed}: observation {i}, query {q} is no prefix of the acks:\n  got {got:?}"
+                );
+            }
         }
     }
 }
@@ -652,17 +708,7 @@ proptest! {
 
         let plan = interleave(seed);
         let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = dgfindex::ingest::StreamIngestor::open(
-            Arc::clone(&index),
-            w.tmp.path().join("ingest.wal"),
-            IngestConfig {
-                flush_rows: u64::MAX,
-                auto_flush_interval: None,
-                fault: Some(Arc::clone(&plan)),
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let ingestor = buffering_ingestor(&w, &index, &plan);
         // Acknowledged before the race starts: part of the pre oracle.
         ingestor.ingest(ingest_rows).unwrap();
 
@@ -815,17 +861,7 @@ fn queries_during_regrid_with_unflushed_rows_see_pre_or_post_state_only() {
 
         let plan = interleave(seed ^ 0xF5E5);
         let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = StreamIngestor::open(
-            Arc::clone(&index),
-            w.tmp.path().join("ingest.wal"),
-            IngestConfig {
-                flush_rows: u64::MAX,
-                auto_flush_interval: None,
-                fault: Some(Arc::clone(&plan)),
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let ingestor = buffering_ingestor(&w, &index, &plan);
         ingestor.ingest(&generate_meter_data(&cfg)).unwrap();
         let maintainer = Maintainer::new(Arc::clone(&index), MaintenanceConfig::default());
         let mut dims = grid(&cfg).dims().to_vec();
@@ -938,10 +974,7 @@ fn raced_plan_enters_the_query_history_exactly_once() {
         reads: AtomicU64,
     }
     impl FreshSource for MovingEpoch {
-        fn has_fresh(&self) -> bool {
-            true
-        }
-        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<GfuCells> {
+        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<Arc<GfuCells>> {
             Vec::new()
         }
         fn flush_epoch(&self) -> u64 {
