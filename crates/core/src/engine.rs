@@ -13,14 +13,12 @@ use dgf_hive::{execute_sink, TableRef};
 use dgf_query::{Engine, EngineRun, Query, RunStats};
 
 use crate::index::DgfIndex;
-use crate::plan::PlanStrategy;
 
 /// Query engine over a built [`DgfIndex`].
 pub struct DgfEngine {
     index: Arc<DgfIndex>,
     use_headers: bool,
     slice_skipping: bool,
-    strategy: PlanStrategy,
     right: Option<TableRef>,
 }
 
@@ -31,17 +29,8 @@ impl DgfEngine {
             index,
             use_headers: true,
             slice_skipping: true,
-            strategy: PlanStrategy::default(),
             right: None,
         }
-    }
-
-    /// Plan with an explicit fetch strategy (e.g.
-    /// [`PlanStrategy::Pyramid`]). All strategies produce bit-identical
-    /// answers; they differ in the key-value traffic needed to plan.
-    pub fn with_strategy(mut self, strategy: PlanStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Disable the pre-computation shortcut (Figure 17's
@@ -102,9 +91,7 @@ impl Engine for DgfEngine {
         // planner attributes them to its own `plan.sidecar` span.
         let scan_before = ctx.scan_stats.snapshot();
         let plan_span = root.child("query.plan");
-        let mut plan = self
-            .index
-            .plan_with_strategy(query, use_headers, self.strategy)?;
+        let mut plan = self.index.plan(query, use_headers)?;
         plan_span.finish();
         if !self.slice_skipping {
             plan.inputs = std::mem::take(&mut plan.chosen_splits)

@@ -1061,11 +1061,13 @@ impl DgfIndex {
             });
         }
 
-        // Authoritative scan of the whole run. The run's keys are exactly
-        // the expected cells intersected with the store: the prefix pins
-        // the leading coordinates, dimension `scan_from` is clipped by the
-        // scan bounds, and every later dimension is full-extent, so no
-        // stored key inside the bounds falls outside the cell set.
+        // Authoritative scan of the whole run. Under the pinned grid the
+        // run's keys are exactly the expected cells intersected with the
+        // store: the prefix pins the leading coordinates, dimension
+        // `scan_from` is clipped by the scan bounds, and every later
+        // dimension is full-extent. Only another grid's keys (a pending
+        // regrid's retired ones) can fall outside the cell set, and
+        // `absorb_run` skips them.
         let (first, last) = match (cells.first(), cells.last()) {
             (Some(f), Some(l)) => (f, l),
             _ => return Err(DgfError::Index("prefix-scan run with no cells".into())),
@@ -1088,9 +1090,12 @@ impl DgfIndex {
     /// order. A fully cached run absorbs its probe hits; a scanned run
     /// merge-walks the expected cells (sorted) against the scan results
     /// (sorted): found cells are absorbed and queued for caching,
-    /// expected-but-absent cells queue a negative entry. Fills are
-    /// deferred to the planning loop so a fetch that fails view
-    /// validation never publishes possibly-torn values.
+    /// expected-but-absent cells queue a negative entry, and a scanned
+    /// key no cell expects is skipped. Such keys are legitimate: while a
+    /// regrid's view is pending, the old grid's retired keys (masked by
+    /// staged tombstones) still sit inside the new grid's runs (DESIGN.md
+    /// §11). Fills are deferred to the planning loop so a fetch that
+    /// fails view validation never publishes possibly-torn values.
     fn absorb_run(&self, collector: &mut Collector, fetched: RunFetch) -> Result<()> {
         collector.cache_hits += fetched.hits;
         collector.cache_misses += fetched.misses;
@@ -1102,24 +1107,20 @@ impl DgfIndex {
             }
             return Ok(());
         };
-        let mut next_pair = 0usize;
+        let mut pairs = pairs.into_iter().peekable();
         for (key, covered, _) in &fetched.cells {
-            if next_pair < pairs.len() && pairs[next_pair].0 == *key {
-                let value = Arc::new(GfuValue::decode(&pairs[next_pair].1)?);
-                collector
-                    .pending_fills
-                    .push((key.clone(), Some(value.clone())));
-                collector.absorb(*covered, key, &value)?;
-                next_pair += 1;
-            } else {
-                collector.pending_fills.push((key.clone(), None));
+            while pairs.next_if(|(k, _)| k < key).is_some() {}
+            match pairs.next_if(|(k, _)| k == key) {
+                Some((_, bytes)) => {
+                    let value = Arc::new(GfuValue::decode(&bytes)?);
+                    collector
+                        .pending_fills
+                        .push((key.clone(), Some(value.clone())));
+                    collector.absorb(*covered, key, &value)?;
+                }
+                None => collector.pending_fills.push((key.clone(), None)),
             }
         }
-        debug_assert_eq!(
-            next_pair,
-            pairs.len(),
-            "scan returned a key outside the run's cell set"
-        );
         Ok(())
     }
 

@@ -17,66 +17,20 @@
 //! Everything is a pure function of the seeds below — a failure here
 //! reproduces exactly.
 
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::*;
 use dgfindex::common::DgfError;
-use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
+use dgfindex::core::txn::STAGE_PREFIX;
 use dgfindex::prelude::*;
-use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
+use dgfindex::workload::generate_meter_data;
 
-const INDEX: &str = "dgf_chaos";
 /// Sibling of the reorganized data directory; must be empty after
 /// recovery, whichever side of the commit point the crash landed on.
-const STAGING_ROOT: &str = "/warehouse/dgf_chaos/data_staging";
-
-fn retry() -> RetryPolicy {
-    // Zero backoff keeps the sweep wall-clock-free; 40 attempts makes
-    // budget exhaustion at p_transient = 0.2 astronomically unlikely.
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
-
-fn meter_cfg() -> MeterConfig {
-    MeterConfig {
-        users: 8,
-        days: 4,
-        ..MeterConfig::default()
-    }
-}
-
-fn grid(cfg: &MeterConfig) -> SplittingPolicy {
-    SplittingPolicy::new(vec![
-        DimPolicy::int("user_id", 0, 4),
-        DimPolicy::date("ts", cfg.start_day, 1),
-    ])
-    .unwrap()
-}
-
-struct World {
-    tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-    inner: Arc<dyn KvStore>,
-}
-
-fn world(tag: &str) -> World {
-    let tmp = TempDir::new(&format!("chaos-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    // One worker so crash-point ordinals are globally deterministic.
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World {
-        tmp,
-        ctx,
-        base,
-        inner: Arc::new(MemKvStore::new()),
-    }
-}
+const STAGING_ROOT: &str = "/warehouse/dgf_t/data_staging";
 
 /// Load two days fault-free, then build the index and append the
 /// remaining two days entirely under `plan`. A scheduled crash surfaces
@@ -111,42 +65,9 @@ fn drive(w: &World, plan: &Arc<FaultPlan>) -> dgfindex::common::Result<()> {
 /// The recovered index must agree with a full scan of the *current*
 /// base table — whatever prefix of the workload committed.
 fn check_answers(ctx: &Arc<HiveContext>, base: &TableRef, index: Arc<DgfIndex>) {
-    let cfg = meter_cfg();
-    let queries = [
-        Query::Aggregate {
-            aggs: vec![AggFunc::Count],
-            predicate: Predicate::all(),
-        },
-        // Misaligned region: exercises boundary Slices and inner headers.
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: Predicate::all()
-                .and(
-                    "user_id",
-                    ColumnRange::half_open(Value::Int(1), Value::Int(7)),
-                )
-                .and(
-                    "ts",
-                    ColumnRange::half_open(
-                        Value::Date(cfg.start_day + 1),
-                        Value::Date(cfg.start_day + 3),
-                    ),
-                ),
-        },
-        // GROUP BY a one-day dimension: each day's inner cells answered
-        // from headers, the misaligned user cell scanned.
-        Query::GroupBy {
-            key: "ts".into(),
-            aggs: aggs(),
-            predicate: Predicate::all().and(
-                "user_id",
-                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
-            ),
-        },
-    ];
     let scan = ScanEngine::new(Arc::clone(ctx), Arc::clone(base));
     let dgf = DgfEngine::new(index);
-    for q in &queries {
+    for q in &queries(&meter_cfg()) {
         let truth = scan.run(q).unwrap().result;
         let got = dgf.run(q).unwrap().result;
         assert!(
@@ -196,14 +117,7 @@ fn verify_recovered(ctx: &Arc<HiveContext>, base: &TableRef, inner: &Arc<dyn KvS
         }
     }
     // No residue from the interrupted transaction, whichever way it went.
-    assert!(
-        inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
-        "staged keys leaked"
-    );
-    assert!(
-        inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
-        "transaction manifest leaked"
-    );
+    assert_settled(inner.as_ref(), "recovered");
     assert!(
         ctx.hdfs.list_files(STAGING_ROOT).is_empty(),
         "staging files leaked"
@@ -352,4 +266,63 @@ fn a_slice_outside_the_pinned_view_is_corrupt() {
     }
     let inner = index.plan(&query(0, 4), true).unwrap();
     assert_eq!((inner.inner_gfus, inner.boundary_gfus), (1, 0));
+}
+
+/// A failed `append` rolls itself back in-process — no dangling Intent
+/// manifest, no staged keys, no orphaned delta file — and the very next
+/// append on the same handle succeeds. The failure is a *non-transient*
+/// error on every staged put, a mid-reorganize failure no retry policy
+/// absorbs.
+#[test]
+fn failed_append_rolls_back_in_process() {
+    let w = world("rollback");
+    let cfg = meter_cfg();
+    let (_, rest) = seed_index(&w);
+    let armed = Arc::new(AtomicBool::new(true));
+    let failing = {
+        let armed = Arc::clone(&armed);
+        hooked(Arc::clone(&w.inner), move |op| match op {
+            KvOp::Put(key, _) if armed.load(Ordering::Relaxed) && key.starts_with(STAGE_PREFIX) => {
+                Err(DgfError::KvStore("injected staged-put failure".into()))
+            }
+            _ => Ok(()),
+        })
+    };
+    let index = Arc::new(
+        DgfIndex::open_with_options(
+            Arc::clone(&w.ctx),
+            Arc::clone(&w.base),
+            failing,
+            INDEX,
+            aggs(),
+            IndexOptions {
+                retry: retry(),
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap(),
+    );
+
+    let files = || {
+        let count = |dir: &str| w.ctx.hdfs.list_files(dir).len();
+        (count(&w.base.location), count(&index.data.location))
+    };
+    let files_before = files();
+    let pre = answers(&index, &cfg);
+
+    let err = index.append(&rest).unwrap_err();
+    assert!(
+        err.to_string().contains("injected staged-put failure"),
+        "unexpected append error: {err}"
+    );
+    // In-process rollback: nothing of the failed transaction survives.
+    assert_settled(w.inner.as_ref(), "failed append");
+    assert_eq!(files(), files_before, "failed append left a delta or slice file behind");
+    // Queries on the same handle are unperturbed...
+    assert!(matches(&answers(&index, &cfg), &pre));
+
+    // ...and with the fault gone, the SAME handle appends cleanly.
+    armed.store(false, Ordering::Relaxed);
+    index.append(&rest).unwrap();
+    check_answers(&w.ctx, &w.base, index);
 }

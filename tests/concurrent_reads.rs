@@ -1,1014 +1,137 @@
-//! Deterministic interleaving harness: concurrent queries vs
-//! append / ingest / flush / recovery must never observe a torn index
-//! state.
+//! One writer at a time, raced by readers: each test is a short, fixed
+//! op sequence played by the lifecycle model checker
+//! ([`common::checker`]) for every seed of `stress_seeds()`.
 //!
-//! The writer side (staged-commit append, streaming flush, recovery
-//! re-apply) and the reader side (query planning) both pass through
-//! seeded scheduling points ([`FaultConfig::interleave`]): at each named
-//! site the thread yields or sleeps a seeded-random pause, stretching
-//! the commit protocol wide open so reader threads land *between* its
-//! individual KV writes. Every concurrent answer must then equal either
-//! the pre-commit oracle or the post-commit oracle — bit-for-bit one
-//! snapshot, never a blend of cells from both sides.
-//!
-//! The seed sweep defaults to a handful of schedules; CI widens it via
-//! the `DGF_STRESS_SEEDS` environment variable (comma-separated u64s).
-//!
-//! Regression note: emulating the pre-fix planner — plan from the live
-//! meta keys instead of the `m:view` read in `pin_view` (no staged
-//! overlay) and force `let view_ok = true;` in `plan.rs` — made
-//! `queries_during_append_see_pre_or_post_state_only` reproduce a torn
-//! read within the default seed sweep on every run tried (e.g. seed 5,
-//! round 1: a range SUM equal to pre+post — boundary rows counted from
-//! both generations at once). The pinned-view protocol (single-put
-//! visibility switch + post-fetch validation + generation-tagged cache
-//! fills) is what makes this file pass.
+//! The checker races 2–3 readers against every op and requires each
+//! answer they see to equal the model (the acknowledged rows) at some
+//! commit inside the op; `compact` must hold one answer in float bits.
+//! `tests/lifecycle.rs` plays the same ops in seeded shuffled
+//! sequences; these pin the writer each race is about, whatever the
+//! shuffle draws, and assert from the run's [`Tally`] that the race
+//! they pin happened.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use dgfindex::common::DgfError;
-use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
-use dgfindex::core::{MaintenanceConfig, Maintainer};
-use dgfindex::ingest::IngestConfig;
-use dgfindex::kvstore::{KvPair, KvStats};
-use dgfindex::prelude::*;
-use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
-use proptest::prelude::*;
+use common::checker::{check, draw_rows, striped, Op, Tally};
+use common::stress_seeds;
+use dgfindex::prelude::Row;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-const INDEX: &str = "dgf_conc";
-const DATA_DIR: &str = "/warehouse/dgf_conc/data";
-
-fn retry() -> RetryPolicy {
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
-
-fn meter_cfg() -> MeterConfig {
-    MeterConfig {
-        users: 8,
-        days: 4,
-        ..MeterConfig::default()
-    }
-}
-
-fn grid(cfg: &MeterConfig) -> SplittingPolicy {
-    SplittingPolicy::new(vec![
-        DimPolicy::int("user_id", 0, 4),
-        DimPolicy::date("ts", cfg.start_day, 1),
-    ])
-    .unwrap()
-}
-
-/// The query mix every reader thread loops over: a full COUNT (torn
-/// states show up as impossible intermediate row counts), a misaligned
-/// range aggregate (boundary Slices + inner headers), and two GROUP BYs
-/// (the grouped sink and per-group float sums; the second, on `ts`,
-/// merges each day's inner headers into its group).
-fn queries(cfg: &MeterConfig) -> Vec<Query> {
-    let range = Predicate::all()
-        .and(
-            "user_id",
-            ColumnRange::half_open(Value::Int(1), Value::Int(7)),
-        )
-        .and(
-            "ts",
-            ColumnRange::half_open(
-                Value::Date(cfg.start_day + 1),
-                Value::Date(cfg.start_day + 3),
-            ),
-        );
-    vec![
-        Query::Aggregate {
-            aggs: vec![AggFunc::Count],
-            predicate: Predicate::all(),
-        },
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: range.clone(),
-        },
-        Query::GroupBy {
-            key: "user_id".into(),
-            aggs: aggs(),
-            predicate: range,
-        },
-        Query::GroupBy {
-            key: "ts".into(),
-            aggs: aggs(),
-            predicate: Predicate::all().and(
-                "user_id",
-                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
-            ),
-        },
-    ]
-}
-
-struct World {
-    tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-    inner: Arc<dyn KvStore>,
-}
-
-fn world(tag: &str) -> World {
-    let tmp = TempDir::new(&format!("conc-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World {
-        tmp,
-        ctx,
-        base,
-        inner: Arc::new(MemKvStore::new()),
-    }
-}
-
-/// Load and index the first two days fault-free; return the seeded rows
-/// and the batch for the concurrent writer to land. The batch
-/// deliberately revisits the seeded days *and* opens new ones: half its
-/// rows merge into existing GFU cells (each live header is overwritten
-/// at publish — the racy path), half create fresh cells and extend the
-/// extents. A batch of only-new cells would hide tears behind the old
-/// extent snapshot.
-fn seed_index(w: &World) -> (Vec<Row>, Vec<Row>) {
-    let cfg = meter_cfg();
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, rest) = rows.split_at(2 * per_day);
-    w.ctx.load_rows(&w.base, seeded, 2).unwrap();
-    let (_, _) = DgfIndex::build(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        grid(&cfg),
-        aggs(),
-        Arc::clone(&w.inner),
-        INDEX,
-    )
-    .unwrap();
-    let mut batch = seeded.to_vec();
-    batch.extend(rest.iter().cloned());
-    (seeded.to_vec(), batch)
-}
-
-/// Open a handle over `kv` with an attached fault plan (scheduling
-/// points, transient noise, or crash schedule — whatever the plan says).
-fn open_with(w: &World, kv: Arc<dyn KvStore>, plan: &Arc<FaultPlan>) -> Arc<DgfIndex> {
-    Arc::new(
-        DgfIndex::open_with_options(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            kv,
-            INDEX,
-            aggs(),
-            IndexOptions {
-                retry: retry(),
-                fault: Some(Arc::clone(plan)),
-                ..IndexOptions::default()
-            },
-        )
-        .unwrap(),
-    )
-}
-
-/// A seeded scheduling plan: pause at every named site, up to 500µs.
-/// The pauses dwarf the work between commit-protocol writes, so the
-/// publish window stays open long enough for reader fetches to land
-/// inside it (in debug and release builds alike).
-fn interleave(seed: u64) -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new(FaultConfig::interleave(
-        seed,
-        1.0,
-        Duration::from_micros(500),
-    )))
-}
-
-/// One atomic observation of the whole query mix.
-fn answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
-    let engine = DgfEngine::new(Arc::clone(index));
-    queries(cfg)
-        .iter()
-        .map(|q| engine.run(q).unwrap().result)
+/// Play the sequence `ops(rng)` draws for every stress seed; return each
+/// seed with what its run did.
+fn race(ops: impl Fn(&mut StdRng) -> Vec<Op>) -> Vec<(u64, Tally)> {
+    stress_seeds()
+        .into_iter()
+        .map(|seed| (seed, check(seed, &ops(&mut StdRng::seed_from_u64(seed)))))
         .collect()
 }
 
-/// Snapshot equality. The tolerance is for float formatting noise only
-/// (1e-9 relative); a torn read moves whole rows between snapshots, so
-/// it lands far outside it.
-fn matches(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.approx_eq(y, 1e-9))
+/// `k` striped batches of freshly drawn rows, `k` in `2..=4`.
+fn batches(rng: &mut StdRng) -> Vec<Vec<Row>> {
+    let k = rng.random_range(2..=4);
+    striped(&draw_rows(rng), k)
 }
 
-/// Per-query torn-read check. Isolation is per *query* (each pins its
-/// own view), so a commit may land between two queries of one
-/// observation — but every individual answer must wholly equal its pre
-/// or its post counterpart, never a blend of cells from both.
-fn obs_ok(obs: &[QueryResult], pre: &[QueryResult], post: &[QueryResult]) -> bool {
-    obs.len() == pre.len()
-        && obs
-            .iter()
-            .enumerate()
-            .all(|(j, r)| r.approx_eq(&pre[j], 1e-9) || r.approx_eq(&post[j], 1e-9))
-}
-
-/// Seeds to sweep: `DGF_STRESS_SEEDS=1,2,3` overrides (CI uses this to
-/// widen the sweep in release mode), default is a small fixed set.
-fn stress_seeds() -> Vec<u64> {
-    match std::env::var("DGF_STRESS_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim())
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse().expect("DGF_STRESS_SEEDS entries must be u64"))
-            .collect(),
-        Err(_) => (1..=6).collect(),
-    }
-}
-
-/// Run `write` on the main thread while `readers` query threads hammer
-/// the same index; return every observation made while the write was in
-/// flight (each thread keeps observing briefly after the write returns,
-/// which is harmless — those must equal the post state).
-fn observe_during<F: FnOnce()>(
-    index: &Arc<DgfIndex>,
-    cfg: &MeterConfig,
-    readers: usize,
-    write: F,
-) -> Vec<Vec<QueryResult>> {
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let index = Arc::clone(index);
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut seen = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        seen.push(answers(&index, cfg));
-                    }
-                    seen
-                })
-            })
-            .collect();
-        write();
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    })
-}
-
-/// Tentpole, writer = `append`. Readers race a staged-commit append
-/// under a seeded schedule; every answer must equal the pre-append or
-/// the post-append snapshot — never a mixture of old and new cells.
 #[test]
 fn queries_during_append_see_pre_or_post_state_only() {
-    for seed in stress_seeds() {
-        // Two rounds per seed: thread scheduling is the one source of
-        // nondeterminism left, so extra rounds multiply the chance that
-        // reader fetches land inside the publish window.
-        for round in 0..4u64 {
-            let w = world(&format!("append{seed}x{round}"));
-            let cfg = meter_cfg();
-            let (_, rest) = seed_index(&w);
-            let plan = interleave(seed.wrapping_mul(31).wrapping_add(round));
-            let index = open_with(&w, Arc::clone(&w.inner), &plan);
-
-            let pre = answers(&index, &cfg);
-            let seen = observe_during(&index, &cfg, 3, || {
-                index.append(&rest).unwrap();
-            });
-            let post = answers(&index, &cfg);
-
-            // Sanity: the commit actually changed the answers, so
-            // pre/post are distinguishable and the harness has teeth.
-            assert!(
-                !matches(&post, &pre),
-                "seed {seed}: append changed nothing — harness is vacuous"
-            );
-            assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-            for (i, obs) in seen.iter().enumerate() {
-                assert!(
-                    obs_ok(obs, &pre, &post),
-                    "seed {seed} round {round}: observation {i} is a torn read:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-                );
-            }
-        }
-    }
+    race(|rng| (0..4).map(|_| Op::Append(draw_rows(rng))).collect());
 }
 
-/// Tentpole, writer = streaming `flush`. A flush moves acknowledged
-/// rows from the memtable into the index without changing what queries
-/// see, so here there is only ONE legal answer the whole time.
+/// Acknowledged-but-unflushed rows are query-visible, so a flush is
+/// invisible: one legal answer throughout.
 #[test]
 fn queries_during_flush_never_waver() {
-    for seed in stress_seeds() {
-        let w = world(&format!("flush{seed}"));
-        let cfg = meter_cfg();
-        let (_, rest) = seed_index(&w);
-        let plan = interleave(seed ^ 0xF10C);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = buffering_ingestor(&w, &index, &plan);
-        ingestor.ingest(&rest).unwrap();
-
-        let pre = answers(&index, &cfg);
-        let seen = observe_during(&index, &cfg, 3, || {
-            ingestor.flush().unwrap();
-        });
-        let post = answers(&index, &cfg);
-
-        assert!(
-            matches(&post, &pre),
-            "seed {seed}: flush changed answers: {pre:?} vs {post:?}"
-        );
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                matches(obs, &pre),
-                "seed {seed}: observation {i} tore during flush:\n  got {obs:?}\n  want {pre:?}"
-            );
-        }
-    }
+    race(|rng| vec![Op::Ingest(batches(rng)), Op::Flush]);
 }
 
-/// An ingestor over `index` that never flushes on its own.
-fn buffering_ingestor(w: &World, index: &Arc<DgfIndex>, plan: &Arc<FaultPlan>) -> StreamIngestor {
-    let config = IngestConfig {
-        flush_rows: u64::MAX,
-        auto_flush_interval: None,
-        fault: Some(Arc::clone(plan)),
-        ..IngestConfig::default()
-    };
-    StreamIngestor::open(Arc::clone(index), w.tmp.path().join("ingest.wal"), config).unwrap()
-}
-
-/// Writer = ingest acks. A plan's memtable snapshot shares the slot's
-/// cells with the ingests that keep landing in it, so readers race K
-/// acknowledged batches into one slot. The batches stripe the rows, so
-/// each revisits every cell a held snapshot shares. Every answer must
-/// equal the oracle after some j ≤ K batches: never a batch half in,
-/// never a cell that moved under a plan holding it. The oracles come from
-/// a twin index fed the same batches one at a time.
 #[test]
 fn queries_during_ingest_see_a_prefix_of_acknowledged_batches() {
-    const K: usize = 4;
-    let cfg = meter_cfg();
-    for seed in stress_seeds() {
-        let twin = world(&format!("ingest-oracle{seed}"));
-        let (_, rest) = seed_index(&twin);
-        let batches: Vec<Vec<Row>> = (0..K)
-            .map(|k| rest.iter().skip(k).step_by(K).cloned().collect())
-            .collect();
-        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-        let oracle_index = open_with(&twin, Arc::clone(&twin.inner), &quiet);
-        let oracle_ingestor = buffering_ingestor(&twin, &oracle_index, &quiet);
-        let mut oracles = vec![answers(&oracle_index, &cfg)];
-        for batch in &batches {
-            oracle_ingestor.ingest(batch).unwrap();
-            oracles.push(answers(&oracle_index, &cfg));
-        }
-        for (j, pair) in oracles.windows(2).enumerate() {
-            assert!(!matches(&pair[0], &pair[1]), "seed {seed}: batch {j} changed nothing");
-        }
-
-        let w = world(&format!("ingest{seed}"));
-        seed_index(&w);
-        let plan = interleave(seed ^ 0x1A6E);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = buffering_ingestor(&w, &index, &plan);
-        let seen = observe_during(&index, &cfg, 3, || {
-            for batch in &batches {
-                ingestor.ingest(batch).unwrap();
-                // Let the readers plan against this prefix too.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        });
-        assert!(matches(&answers(&index, &cfg), &oracles[K]), "seed {seed}: final state");
-        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-        for (i, obs) in seen.iter().enumerate() {
-            for (q, got) in obs.iter().enumerate() {
-                assert!(
-                    oracles.iter().any(|o| got.approx_eq(&o[q], 1e-9)),
-                    "seed {seed}: observation {i}, query {q} is no prefix of the acks:\n  got {got:?}"
-                );
-            }
-        }
-    }
+    race(|rng| vec![Op::Ingest(batches(rng)), Op::Ingest(batches(rng))]);
 }
 
-/// Drive one crashing append over chaos handles; the durable stores
-/// survive. Returns whether the plan's scheduled crash fired.
-fn crash_append(w: &World, rest: &[Row], plan: &Arc<FaultPlan>) -> bool {
-    w.ctx.hdfs.enable_faults(Arc::clone(plan), retry());
-    let kv: Arc<dyn KvStore> = Arc::new(ChaosKv::new(Arc::clone(&w.inner), Arc::clone(plan)));
-    let outcome = (|| -> dgfindex::common::Result<()> {
-        let writer = DgfIndex::open_with_options(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            kv,
-            INDEX,
-            aggs(),
-            IndexOptions {
-                retry: retry(),
-                fault: Some(Arc::clone(plan)),
-                ..IndexOptions::default()
-            },
-        )?;
-        writer.append(rest)?;
-        Ok(())
-    })();
-    w.ctx.hdfs.disable_faults();
-    if plan.crashed() {
-        assert!(outcome.is_err(), "crash fired but the append succeeded");
-    }
-    plan.crashed()
-}
-
-/// Tentpole, writer = `recover`. Crash an append at sites across the
-/// whole protocol (rollback cases and re-apply cases), then run
-/// recovery under a seeded schedule while a pre-existing reader handle
-/// keeps querying. Readers must see the pre-crash state or the final
-/// recovered state — recovery's re-published cells must never leak into
-/// a pinned pre-crash plan.
+/// Five crashes spread across the append protocol, from its first crash
+/// point (rolled back) to its last (past the commit point: rolled
+/// forward).
 #[test]
 fn queries_during_recovery_see_pre_or_post_state_only() {
-    // Count the crash ordinals one append passes through.
-    let sites = {
-        let w = world("rec-record");
-        let (_, rest) = seed_index(&w);
-        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-        assert!(!crash_append(&w, &rest, &quiet));
-        let n = quiet.points_hit();
-        assert!(n >= 6, "expected a rich append crash-site space, got {n}");
-        n
-    };
-    // Early (Intent → rollback), middle (reorganize), around the commit
-    // point, and the cleanup tail.
-    let picks = [0, sites / 3, sites / 2, 2 * sites / 3, sites - 1];
-    for (k, &site) in picks.iter().enumerate() {
-        let w = world(&format!("rec{k}"));
-        let cfg = meter_cfg();
-        let (_, rest) = seed_index(&w);
-        // The reader attaches over the durable store *before* the crash
-        // and survives it, with its own seeded schedule.
-        let reader = open_with(&w, Arc::clone(&w.inner), &interleave(site + 11));
-
-        let pre = answers(&reader, &cfg);
-        let crash = Arc::new(FaultPlan::new(FaultConfig::crash_at(site, site)));
-        assert!(
-            crash_append(&w, &rest, &crash),
-            "site {site}: scheduled crash did not fire"
-        );
-
-        let plan = interleave(site + 29);
-        let seen = observe_during(&reader, &cfg, 3, || {
-            dgfindex::core::txn::recover(&w.ctx.hdfs, &w.inner, retry(), Some(&plan)).unwrap();
-        });
-        let post = answers(&reader, &cfg);
-
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                obs_ok(obs, &pre, &post),
-                "site {site}: observation {i} tore during recovery:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-            );
-        }
-        // Recovery converged: no residue, and the index agrees with a
-        // ground-truth scan of whatever base table state survived.
-        assert!(w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
-        assert!(w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
-        let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-        let fresh = open_with(&w, Arc::clone(&w.inner), &interleave(0));
-        let engine = DgfEngine::new(fresh);
-        for q in &queries(&cfg) {
-            let truth = scan.run(q).unwrap().result;
-            let got = engine.run(q).unwrap().result;
-            assert!(
-                got.approx_eq(&truth, 1e-9),
-                "site {site}: recovered index disagrees with scan"
-            );
-        }
-    }
-}
-
-/// A pass-through store that fails every staged (`s:`) put while armed
-/// with a *non-transient* error — a deterministic mid-reorganize
-/// failure no retry policy will absorb.
-struct FailStagedPuts {
-    inner: Arc<dyn KvStore>,
-    armed: AtomicBool,
-}
-
-impl KvStore for FailStagedPuts {
-    fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
-        if self.armed.load(Ordering::Relaxed) && key.starts_with(STAGE_PREFIX) {
-            return Err(DgfError::KvStore("injected staged-put failure".into()));
-        }
-        self.inner.put(key, value)
-    }
-    fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-    fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
-        self.inner.delete(key)
-    }
-    fn scan_range(&self, start: &[u8], end: &[u8]) -> dgfindex::common::Result<Vec<KvPair>> {
-        self.inner.scan_range(start, end)
-    }
-    fn update(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
-    ) -> dgfindex::common::Result<()> {
-        self.inner.update(key, f)
-    }
-    fn multi_get(&self, keys: &[Vec<u8>]) -> dgfindex::common::Result<Vec<Option<Vec<u8>>>> {
-        self.inner.multi_get(keys)
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn logical_size_bytes(&self) -> u64 {
-        self.inner.logical_size_bytes()
-    }
-    fn flush(&self) -> dgfindex::common::Result<()> {
-        self.inner.flush()
-    }
-    fn stats(&self) -> &KvStats {
-        self.inner.stats()
-    }
-}
-
-/// Satellite: a failed `append` must roll itself back in-process — no
-/// dangling Intent manifest, no staged keys, no orphaned delta file —
-/// and the very next append on the same handle must succeed.
-#[test]
-fn failed_append_rolls_back_in_process() {
-    let w = world("rollback");
-    let cfg = meter_cfg();
-    let (_, rest) = seed_index(&w);
-    let failing = Arc::new(FailStagedPuts {
-        inner: Arc::clone(&w.inner),
-        armed: AtomicBool::new(true),
+    let spread = [0, u64::MAX / 3, u64::MAX / 2, u64::MAX / 3 * 2, u64::MAX];
+    let runs = race(|rng| {
+        let crash = |pick| Op::Crash(Box::new(Op::Append(draw_rows(rng))), pick);
+        spread.into_iter().map(crash).collect()
     });
-    let index = DgfIndex::open_with_options(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        Arc::clone(&failing) as Arc<dyn KvStore>,
-        INDEX,
-        aggs(),
-        IndexOptions {
-            retry: retry(),
-            fault: None,
-            ..IndexOptions::default()
-        },
-    )
-    .unwrap();
-    let index = Arc::new(index);
-
-    let files_before = w.ctx.hdfs.list_files(DATA_DIR).len();
-    let pre = answers(&index, &cfg);
-
-    let err = index.append(&rest).unwrap_err();
-    assert!(
-        err.to_string().contains("injected staged-put failure"),
-        "unexpected append error: {err}"
-    );
-    // In-process rollback: nothing of the failed transaction survives.
-    assert!(
-        w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
-        "failed append left its Intent manifest behind"
-    );
-    assert!(
-        w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
-        "failed append left staged keys behind"
-    );
-    assert_eq!(
-        w.ctx.hdfs.list_files(DATA_DIR).len(),
-        files_before,
-        "failed append left an orphaned delta file behind"
-    );
-    // Queries on the same handle are unperturbed...
-    assert!(matches(&answers(&index, &cfg), &pre));
-
-    // ...and with the fault gone, the SAME handle appends cleanly.
-    failing.armed.store(false, Ordering::Relaxed);
-    index.append(&rest).unwrap();
-    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-    let engine = DgfEngine::new(Arc::clone(&index));
-    for q in &queries(&cfg) {
-        let truth = scan.run(q).unwrap().result;
-        let got = engine.run(q).unwrap().result;
-        assert!(got.approx_eq(&truth, 1e-9));
-    }
-}
-
-/// Exact-bits equality across two answer sets: `Float`s must agree in
-/// raw bit pattern, not just within a tolerance.
-fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    fn val(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    fn one(a: &QueryResult, b: &QueryResult) -> bool {
-        match (a, b) {
-            (QueryResult::Scalars(x), QueryResult::Scalars(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| val(p, q))
-            }
-            (QueryResult::Groups(x), QueryResult::Groups(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|((ka, va), (kb, vb))| {
-                        val(ka, kb)
-                            && va.len() == vb.len()
-                            && va.iter().zip(vb).all(|(p, q)| val(p, q))
-                    })
-            }
-            _ => a == b,
-        }
-    }
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| one(x, y))
-}
-
-/// Satellite: float aggregates are bit-identical however many MapReduce
-/// workers compute them. Compensated (Kahan/Neumaier) summation plus a
-/// task-ordered merge makes the fold deterministic; before the fix, sum
-/// order varied with worker scheduling and answers wobbled in the last
-/// ulps.
-#[test]
-fn aggregate_results_bit_identical_across_worker_counts() {
-    let cfg = meter_cfg();
-    let rows = generate_meter_data(&cfg);
-    let run = |workers: usize| -> Vec<QueryResult> {
-        let tmp = TempDir::new(&format!("bits{workers}")).unwrap();
-        let hdfs = SimHdfs::open(tmp.path()).unwrap();
-        let ctx = HiveContext::new(hdfs, MrEngine::new(workers));
-        let base = ctx
-            .create_table("meter", meter_schema(), FileFormat::Text)
-            .unwrap();
-        ctx.load_rows(&base, &rows, 2).unwrap();
-        let (index, _) = DgfIndex::build(
-            Arc::clone(&ctx),
-            Arc::clone(&base),
-            grid(&cfg),
-            aggs(),
-            Arc::new(MemKvStore::new()),
-            INDEX,
-        )
-        .unwrap();
-        let index = Arc::new(index);
-        let precompute = DgfEngine::new(Arc::clone(&index));
-        let raw = DgfEngine::new(Arc::clone(&index)).without_precompute();
-        queries(&cfg)
-            .iter()
-            .flat_map(|q| {
-                [
-                    precompute.run(q).unwrap().result,
-                    raw.run(q).unwrap().result,
-                ]
-            })
-            .collect()
-    };
-    let one = run(1);
-    let two = run(2);
-    let eight = run(8);
-    assert!(
-        bits_eq(&one, &two),
-        "1-worker vs 2-worker answers differ in float bits:\n{one:?}\nvs\n{two:?}"
-    );
-    assert!(
-        bits_eq(&one, &eight),
-        "1-worker vs 8-worker answers differ in float bits:\n{one:?}\nvs\n{eight:?}"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Satellite: one streaming flush THEN one append, with concurrent
-    /// aggregation + GROUP BY readers, under a proptest-chosen schedule
-    /// seed and batch split. Acked-but-unflushed rows are query-visible
-    /// before the flush, so the flush is invisible and the append is
-    /// the only transition: every concurrent observation equals the
-    /// pre-writer or post-writer oracle.
-    #[test]
-    fn concurrent_flush_and_append_match_pre_or_post_oracle(
-        seed in 0u64..u64::MAX,
-        split in 2usize..6,
-    ) {
-        let w = world("prop");
-        let cfg = meter_cfg();
-        let (_, rest) = seed_index(&w);
-        let (ingest_rows, append_rows) = rest.split_at(rest.len() / split);
-
-        let plan = interleave(seed);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = buffering_ingestor(&w, &index, &plan);
-        // Acknowledged before the race starts: part of the pre oracle.
-        ingestor.ingest(ingest_rows).unwrap();
-
-        let pre = answers(&index, &cfg);
-        let seen = observe_during(&index, &cfg, 2, || {
-            // Writers are sequential on one thread (appends are not
-            // serialized against each other); readers are the chaos.
-            ingestor.flush().unwrap();
-            index.append(append_rows).unwrap();
-        });
-        let post = answers(&index, &cfg);
-
-        prop_assert!(
-            !matches(&post, &pre),
-            "append changed nothing — oracle pair is degenerate"
+    for (seed, tally) in runs {
+        assert!(
+            tally.appends_rolled_back > 0 && tally.appends_rolled_forward > 0,
+            "seed {seed}: the spread missed a side of the commit point: {tally:?}"
         );
-        for (i, obs) in seen.iter().enumerate() {
-            prop_assert!(
-                obs_ok(obs, &pre, &post),
-                "seed {seed} split {split}: observation {i} is a torn read:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-            );
-        }
     }
 }
 
-/// Seed the index and pile up delta files with fault-free appends so a
-/// maintenance pass has something to compact; returns the batch count.
-fn seed_with_deltas(w: &World, batches: usize) -> usize {
-    let (_, rest) = seed_index(w);
-    let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-    let writer = open_with(w, Arc::clone(&w.inner), &quiet);
-    let chunk = (rest.len() / batches).max(1);
-    let mut n = 0;
-    for batch in rest.chunks(chunk) {
-        writer.append(batch).unwrap();
-        n += 1;
-    }
-    n
-}
-
-/// Tentpole (maintenance), writer = delta compaction. Compaction is
-/// pure data movement — headers verbatim, per-GFU row order preserved —
-/// so concurrent readers have exactly ONE legal answer the whole time,
-/// and it must hold in **float bits**, not within a tolerance: a
-/// re-folded aggregate or a torn old/new slice mix shifts the low bits
-/// long before it shifts 1e-9.
+/// Compaction is pure data movement: every observation must equal the
+/// answers before it in float bits. Three appends over the built file
+/// exceed either budget, so the pass always compacts.
 #[test]
 fn queries_during_compaction_never_waver_in_float_bits() {
-    for seed in stress_seeds().into_iter().take(3) {
-        let w = world(&format!("compact{seed}"));
-        let cfg = meter_cfg();
-        seed_with_deltas(&w, 5);
-
-        let plan = interleave(seed ^ 0xC0A7);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let maintainer = Maintainer::new(
-            Arc::clone(&index),
-            MaintenanceConfig {
-                delta_file_budget: 2,
-                ..MaintenanceConfig::default()
-            },
-        );
-
-        let pre = answers(&index, &cfg);
-        let mut report = None;
-        let seen = observe_during(&index, &cfg, 3, || {
-            report = Some(maintainer.run_once().unwrap());
-        });
-        let post = answers(&index, &cfg);
-
-        let report = report.unwrap();
+    let runs = race(|rng| {
+        let mut ops: Vec<Op> = (0..3).map(|_| Op::Append(draw_rows(rng))).collect();
+        ops.push(Op::Compact(rng.random_range(1..=2)));
+        ops
+    });
+    for (seed, tally) in runs {
         assert!(
-            report.compacted_files > 0,
-            "seed {seed}: nothing compacted — harness is vacuous: {report:?}"
+            tally.compacted_files > 0,
+            "seed {seed}: nothing compacted — the race is vacuous"
         );
-        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-        assert!(
-            bits_eq(&post, &pre),
-            "seed {seed}: compaction moved float bits:\n  pre  {pre:?}\n  post {post:?}"
-        );
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                bits_eq(obs, &pre),
-                "seed {seed}: observation {i} wavered during compaction:\n  got {obs:?}\n  want {pre:?}"
-            );
-        }
     }
 }
 
-/// Tentpole (maintenance), writer = grid adaptation. A regrid re-cells
-/// every record under a finer policy through one staged commit whose
-/// manifest also retires the old-granularity keys. Readers racing it
-/// must see wholly the old grid or wholly the new one: a blend pairs
-/// one epoch's cell geometry with the other's values and double-counts
-/// boundary rows. (The published view carries its own policy precisely
-/// so a pinned plan can never make that pairing.)
+/// `user_id` finer, then `ts` coarser, then both coarser.
 #[test]
 fn queries_during_regrid_see_pre_or_post_state_only() {
-    for seed in stress_seeds().into_iter().take(3) {
-        let w = world(&format!("regrid{seed}"));
-        let cfg = meter_cfg();
-        seed_with_deltas(&w, 3);
-
-        let plan = interleave(seed ^ 0x5EED);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let maintainer = Maintainer::new(Arc::clone(&index), MaintenanceConfig::default());
-        let mut dims = grid(&cfg).dims().to_vec();
-        dims[0] = DimPolicy::int("user_id", 0, 2);
-        let finer = SplittingPolicy::new(dims).unwrap();
-
-        let pre = answers(&index, &cfg);
-        let seen = observe_during(&index, &cfg, 3, || {
-            maintainer.regrid_to(finer.clone()).unwrap();
-        });
-        let post = answers(&index, &cfg);
-
-        // The regrid preserves answers (different fold order, same
-        // rows) — so pre ≈ post, and every observation must match one
-        // of them; a torn read double-counts whole boundary cells and
-        // lands far outside the tolerance.
-        assert!(
-            matches(&post, &pre),
-            "seed {seed}: regrid changed answers:\n  pre  {pre:?}\n  post {post:?}"
-        );
-        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                obs_ok(obs, &pre, &post),
-                "seed {seed}: observation {i} tore during regrid:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-            );
-        }
-        assert_eq!(*index.policy(), finer, "regrid did not install the finer grid");
-    }
+    race(|rng| {
+        vec![
+            Op::Append(draw_rows(rng)),
+            Op::Regrid(8, 1),
+            Op::Regrid(4, 2),
+            Op::Regrid(2, 4),
+        ]
+    });
 }
 
-/// The grid-adaptation race with rows still in the memtable: a
-/// [`StreamIngestor`] buffers a second copy of every row, unflushed,
-/// while the regrid above runs. The buffered cells were routed under the
-/// old grid, so a plan pinned to the new view must re-group them into
-/// its own geometry: every observation equals the pre- or the
-/// post-regrid answer, the two agree, and a flush afterwards changes
-/// nothing. (Answering the buffered cells in the grid they were routed
-/// under counted whole old-grid cells as covered new-grid ones.)
+/// The memtable holds ingested rows across each regrid.
 #[test]
 fn queries_during_regrid_with_unflushed_rows_see_pre_or_post_state_only() {
-    for seed in stress_seeds().into_iter().take(3) {
-        let w = world(&format!("regrid-fresh{seed}"));
-        let cfg = meter_cfg();
-        seed_with_deltas(&w, 3);
-
-        let plan = interleave(seed ^ 0xF5E5);
-        let index = open_with(&w, Arc::clone(&w.inner), &plan);
-        let ingestor = buffering_ingestor(&w, &index, &plan);
-        ingestor.ingest(&generate_meter_data(&cfg)).unwrap();
-        let maintainer = Maintainer::new(Arc::clone(&index), MaintenanceConfig::default());
-        let mut dims = grid(&cfg).dims().to_vec();
-        dims[0] = DimPolicy::int("user_id", 0, 2);
-        let finer = SplittingPolicy::new(dims).unwrap();
-
-        let pre = answers(&index, &cfg);
-        let seen = observe_during(&index, &cfg, 3, || {
-            maintainer.regrid_to(finer.clone()).unwrap();
-        });
-        let post = answers(&index, &cfg);
-
-        assert!(
-            matches(&post, &pre),
-            "seed {seed}: regrid changed answers over unflushed rows:\n  pre  {pre:?}\n  post {post:?}"
-        );
-        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                obs_ok(obs, &pre, &post),
-                "seed {seed}: observation {i} tore during regrid:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-            );
-        }
-        ingestor.flush().unwrap();
-        assert!(matches(&answers(&index, &cfg), &pre), "seed {seed}: the flush moved answers");
-    }
+    race(|rng| {
+        vec![
+            Op::Ingest(batches(rng)),
+            Op::Regrid(2, 1),
+            Op::Ingest(batches(rng)),
+            Op::Regrid(4, 2),
+        ]
+    });
 }
 
-/// Satellite (serving tier): the append race replayed on the *sharded*
-/// path. The reader opens over a 4-way [`ShardedKv`] router with
-/// `fetch_parallelism: 2`, so the seeded schedule now pauses inside the
-/// coordinator's scatter/fetch/merge (`serve.*`) and the router's own
-/// fan-out (`serve.router.*`) sync points too — a torn cross-shard read
-/// (shard A fetched pre-commit, shard B post-commit) is reproducible by
-/// seed exactly like the single-store tears above. The deeper sweep
-/// lives in `serving_equivalence.rs`; this case keeps the sharded race
-/// inside the same harness that found the original single-store tears.
 #[test]
 fn queries_during_append_on_the_sharded_path_see_pre_or_post_only() {
-    for seed in stress_seeds().into_iter().take(3) {
-        let w = world(&format!("shard{seed}"));
-        let cfg = meter_cfg();
-        let (_, rest) = seed_index(&w);
-
-        // Mirror the built store into a router split on the seeded
-        // extents; router and reader share one seeded schedule.
-        let extents = {
-            let probe = open_with(&w, Arc::clone(&w.inner), &interleave(0));
-            probe.extents().unwrap()
-        };
-        let plan = interleave(seed ^ 0x0D1F);
-        let router = Arc::new(
-            sharded_mem(&extents, 4)
-                .unwrap()
-                .with_fault(Arc::clone(&plan)),
-        );
-        mirror_kv(w.inner.as_ref(), router.as_ref()).unwrap();
-        let index = Arc::new(
-            DgfIndex::open_with_options(
-                Arc::clone(&w.ctx),
-                Arc::clone(&w.base),
-                Arc::clone(&router) as Arc<dyn KvStore>,
-                INDEX,
-                aggs(),
-                IndexOptions {
-                    retry: retry(),
-                    fault: Some(Arc::clone(&plan)),
-                    fetch_parallelism: 2,
-                    ..IndexOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-
-        let pre = answers(&index, &cfg);
-        let seen = observe_during(&index, &cfg, 3, || {
-            index.append(&rest).unwrap();
-        });
-        let post = answers(&index, &cfg);
-
-        assert!(
-            !matches(&post, &pre),
-            "seed {seed}: sharded append changed nothing — harness is vacuous"
-        );
-        assert!(!seen.is_empty(), "seed {seed}: readers never ran");
-        for (i, obs) in seen.iter().enumerate() {
-            assert!(
-                obs_ok(obs, &pre, &post),
-                "seed {seed}: sharded observation {i} is a torn cross-shard read:\n  got  {obs:?}\n  pre  {pre:?}\n  post {post:?}"
-            );
-        }
-    }
+    race(|rng| {
+        vec![
+            Op::Reshard(rng.random_range(2..=4)),
+            Op::Append(draw_rows(rng)),
+            Op::Append(draw_rows(rng)),
+        ]
+    });
 }
 
-
-/// Regression: a plan enters the query history once, from the attempt
-/// that validated. The plan is forced through a second attempt without
-/// any timing: a [`FreshSource`] whose flush epoch moves between the
-/// planner's first memtable snapshot and its validation makes the first
-/// attempt a discarded one. Were discarded attempts recorded too, what
-/// the maintenance daemon's grid adaptation is advised on would depend
-/// on how commits happened to race queries.
+/// Rows acknowledged before the flush, then an append: the flush is
+/// invisible and the append is the only transition.
 #[test]
-fn raced_plan_enters_the_query_history_exactly_once() {
-    use dgfindex::core::{FreshSource, GfuCells};
-    use std::sync::atomic::AtomicU64;
-
-    /// Holds no rows; its epoch reads 0 once and 2 ever after.
-    struct MovingEpoch {
-        reads: AtomicU64,
-    }
-    impl FreshSource for MovingEpoch {
-        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<Arc<GfuCells>> {
-            Vec::new()
-        }
-        fn flush_epoch(&self) -> u64 {
-            match self.reads.fetch_add(1, Ordering::SeqCst) {
-                0 => 0,
-                _ => 2,
-            }
-        }
-    }
-
-    let w = world("history");
-    let cfg = meter_cfg();
-    seed_index(&w);
-    let index = open_with(
-        &w,
-        Arc::clone(&w.inner),
-        &Arc::new(FaultPlan::new(FaultConfig::quiet(0))),
-    );
-    // user_id [1, 7) cuts through the first and the last 4-wide cell.
-    let q = &queries(&cfg)[1];
-
-    index.plan(q, true).unwrap();
-    let unraced = index.history().snapshot();
-    assert_eq!(unraced.len(), 1, "one plan, one entry: {unraced:?}");
-    assert_eq!(unraced[0][0], (1.0, 7.0), "the plan's user_id range");
-
-    let source = Arc::new(MovingEpoch {
-        reads: AtomicU64::new(0),
+fn concurrent_flush_and_append_match_pre_or_post_oracle() {
+    race(|rng| {
+        vec![
+            Op::Ingest(batches(rng)),
+            Op::Flush,
+            Op::Append(draw_rows(rng)),
+        ]
     });
-    index.set_fresh_source(Arc::clone(&source) as Arc<dyn FreshSource>);
-    index.plan(q, true).unwrap();
-    assert!(
-        source.reads.load(Ordering::SeqCst) >= 4,
-        "the plan was never forced through a second attempt"
-    );
-    assert_eq!(index.history().snapshot(), [unraced[0].clone(), unraced[0].clone()]);
 }

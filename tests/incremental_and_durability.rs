@@ -6,8 +6,11 @@
 //! * A DGFIndex whose GFU store is the persistent `LogKvStore` must
 //!   survive a process restart and a torn log tail.
 
-use std::sync::Arc;
+mod common;
 
+use std::sync::{Arc, Mutex};
+
+use common::{hooked, KvOp};
 use dgfindex::core::all_gfus;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
@@ -300,69 +303,49 @@ struct Ops {
     manifests: Vec<Vec<u8>>,
 }
 
-/// A `MemKvStore` that records its [`Ops`], and can fail the next get of
+/// Records the [`Ops`] of a `MemKvStore`, and can fail the next get of
 /// one key once with a transient error.
 #[derive(Default)]
 struct Recorder {
-    inner: MemKvStore,
-    ops: std::sync::Mutex<Ops>,
-    fail_get_once: std::sync::Mutex<Option<Vec<u8>>>,
+    ops: Mutex<Ops>,
+    fail_get_once: Mutex<Option<Vec<u8>>>,
 }
 
 impl Recorder {
+    /// A recorder, and the store it records.
+    fn store() -> (Arc<Recorder>, Arc<dyn KvStore>) {
+        let recorder = Arc::new(Recorder::default());
+        let seen = Arc::clone(&recorder);
+        (recorder, hooked(Arc::new(MemKvStore::new()), move |op| seen.see(op)))
+    }
+
+    fn see(&self, op: KvOp<'_>) -> dgfindex::common::Result<()> {
+        let mut ops = self.ops.lock().unwrap();
+        match op {
+            KvOp::Put(key, value) => {
+                ops.puts.push(key.to_vec());
+                if key == b"t:manifest" {
+                    ops.manifests.push(value.to_vec());
+                }
+            }
+            KvOp::Get(key) => {
+                ops.gets.push(key.to_vec());
+                let mut fail = self.fail_get_once.lock().unwrap();
+                if fail.as_deref() == Some(key) {
+                    *fail = None;
+                    return Err(dgfindex::common::DgfError::Transient("one dropped round trip".into()));
+                }
+            }
+            KvOp::MultiGet(keys) => ops.gets.extend(keys.iter().cloned()),
+            KvOp::Delete(key) => ops.deletes.push(key.to_vec()),
+            KvOp::ScanRange(..) => {}
+        }
+        Ok(())
+    }
+
     /// The operations since the last call.
     fn take(&self) -> Ops {
         std::mem::take(&mut self.ops.lock().unwrap())
-    }
-}
-
-impl KvStore for Recorder {
-    fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
-        let mut ops = self.ops.lock().unwrap();
-        ops.puts.push(key.to_vec());
-        if key == b"t:manifest" {
-            ops.manifests.push(value.to_vec());
-        }
-        self.inner.put(key, value)
-    }
-    fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
-        self.ops.lock().unwrap().gets.push(key.to_vec());
-        let mut fail = self.fail_get_once.lock().unwrap();
-        if fail.as_deref() == Some(key) {
-            *fail = None;
-            return Err(dgfindex::common::DgfError::Transient("one dropped round trip".into()));
-        }
-        self.inner.get(key)
-    }
-    fn multi_get(&self, keys: &[Vec<u8>]) -> dgfindex::common::Result<Vec<Option<Vec<u8>>>> {
-        self.ops.lock().unwrap().gets.extend(keys.iter().cloned());
-        self.inner.multi_get(keys)
-    }
-    fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
-        self.ops.lock().unwrap().deletes.push(key.to_vec());
-        self.inner.delete(key)
-    }
-    fn scan_range(&self, start: &[u8], end: &[u8]) -> dgfindex::common::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner.scan_range(start, end)
-    }
-    fn update(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
-    ) -> dgfindex::common::Result<()> {
-        self.inner.update(key, f)
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn logical_size_bytes(&self) -> u64 {
-        self.inner.logical_size_bytes()
-    }
-    fn flush(&self) -> dgfindex::common::Result<()> {
-        self.inner.flush()
-    }
-    fn stats(&self) -> &dgfindex::kvstore::KvStats {
-        self.inner.stats()
     }
 }
 
@@ -392,13 +375,13 @@ fn the_stores_metadata_is_one_record() {
     let per_day = rows.len() / cfg.days as usize;
     let day = |d: usize| &rows[d * per_day..(d + 1) * per_day];
     let tmp = TempDir::new("one-record").unwrap();
-    let kv = Arc::new(Recorder::default());
+    let (rec, kv) = Recorder::store();
     let (ctx, table) = world(Arc::new(MemKvStore::new()), "w", &tmp);
     let aggs = || vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count];
     let is_meta = |k: &Vec<u8>| k.starts_with(b"m:");
     // What one commit cost, from the keys it touched.
     let assert_commit = |what: &str, retires: bool| {
-        let Ops { puts, gets, deletes, manifests } = kv.take();
+        let Ops { puts, gets, deletes, manifests } = rec.take();
         let is_staged = |k: &&Vec<u8>| k.starts_with(b"s:");
         let staged = puts.iter().filter(is_staged).count();
         let view_puts = puts.iter().filter(|k| k.as_slice() == b"m:view").count();
@@ -434,7 +417,7 @@ fn the_stores_metadata_is_one_record() {
         Arc::clone(&table),
         policy(&cfg),
         aggs(),
-        Arc::clone(&kv) as Arc<dyn KvStore>,
+        Arc::clone(&kv),
         "dgf_one",
     )
     .unwrap();
@@ -450,7 +433,7 @@ fn the_stores_metadata_is_one_record() {
     };
     let ingestor = StreamIngestor::open(Arc::clone(&index), tmp.path().join("wal"), ingest_config).unwrap();
     ingestor.ingest(day(4)).unwrap();
-    kv.take();
+    rec.take();
     assert_eq!(ingestor.flush().unwrap(), per_day as u64);
     assert_commit("ingest flush", false);
     drop(ingestor);
@@ -462,7 +445,7 @@ fn the_stores_metadata_is_one_record() {
             ..MaintenanceConfig::default()
         },
     );
-    kv.take();
+    rec.take();
     assert!(maintainer.run_once().unwrap().compacted_files > 0);
     assert_commit("compaction", true);
     let mut dims = policy(&cfg).dims().to_vec();
@@ -480,13 +463,13 @@ fn the_stores_metadata_is_one_record() {
         predicate: Predicate::all(),
     };
     index.plan(&count_all, true).unwrap();
-    let Ops { puts, gets, .. } = kv.take();
+    let Ops { puts, gets, .. } = rec.take();
     assert!(puts.is_empty(), "a plan wrote");
     let meta_gets: Vec<_> = gets.iter().filter(|k| is_meta(k)).collect();
     assert_eq!(meta_gets, [b"m:view", b"m:view"], "one plan");
 
-    let reopened = DgfIndex::open(ctx, table, Arc::clone(&kv) as Arc<dyn KvStore>, "dgf_one", aggs()).unwrap();
-    let Ops { puts, gets, .. } = kv.take();
+    let reopened = DgfIndex::open(ctx, table, Arc::clone(&kv), "dgf_one", aggs()).unwrap();
+    let Ops { puts, gets, .. } = rec.take();
     assert!(puts.is_empty(), "a current store was written at open");
     assert_eq!(gets, [b"t:manifest".to_vec(), b"m:view".to_vec()], "open");
     let run = DgfEngine::new(Arc::new(reopened)).run(&count_all).unwrap();
@@ -510,7 +493,7 @@ fn a_transient_fault_during_an_in_flight_append_is_not_a_stale_index() {
     };
     let rows = generate_meter_data(&cfg);
     let tmp = TempDir::new("inflight-fault").unwrap();
-    let kv = Arc::new(Recorder::default());
+    let (rec, kv) = Recorder::store();
     let (ctx, table) = world(Arc::new(MemKvStore::new()), "w", &tmp);
     ctx.load_rows(&table, &rows, 1).unwrap();
     let (index, _) = DgfIndex::build(
@@ -518,7 +501,7 @@ fn a_transient_fault_during_an_in_flight_append_is_not_a_stale_index() {
         Arc::clone(&table),
         policy(&cfg),
         vec![AggFunc::Count],
-        Arc::clone(&kv) as Arc<dyn KvStore>,
+        Arc::clone(&kv),
         "dgf_inflight",
     )
     .unwrap();
@@ -534,12 +517,12 @@ fn a_transient_fault_during_an_in_flight_append_is_not_a_stale_index() {
         aggs: vec![AggFunc::Count],
         predicate: Predicate::all(),
     };
-    *kv.fail_get_once.lock().unwrap() = Some(TXN_MANIFEST_KEY.to_vec());
+    *rec.fail_get_once.lock().unwrap() = Some(TXN_MANIFEST_KEY.to_vec());
     match index.plan(&count_all, true) {
         Ok(_) | Err(DgfError::Transient(_)) => {}
         Err(e) => panic!("a dropped round trip surfaced as: {e}"),
     }
-    assert!(kv.fail_get_once.lock().unwrap().is_none(), "the fault never fired");
+    assert!(rec.fail_get_once.lock().unwrap().is_none(), "the fault never fired");
 }
 
 /// The stage prefix is the list. A Committed transaction whose apply
@@ -558,17 +541,17 @@ fn recovery_finishes_a_commit_from_the_stage_prefix() {
     let rows = generate_meter_data(&cfg);
     let per_day = rows.len() / cfg.days as usize;
     let tmp = TempDir::new("stage-prefix").unwrap();
-    let kv = Arc::new(Recorder::default());
+    let (rec, kv) = Recorder::store();
     let (ctx, table) = world(Arc::new(MemKvStore::new()), "w", &tmp);
     let aggs = || vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count];
     ctx.load_rows(&table, &rows[..2 * per_day], 2).unwrap();
-    let dyn_kv = || Arc::clone(&kv) as Arc<dyn KvStore>;
+    let dyn_kv = || Arc::clone(&kv);
     let (index, _) =
         DgfIndex::build(Arc::clone(&ctx), Arc::clone(&table), policy(&cfg), aggs(), dyn_kv(), "dgf_prefix").unwrap();
-    kv.take();
+    rec.take();
     index.append(&rows[2 * per_day..]).unwrap();
     drop(index);
-    let Ops { puts, mut manifests, .. } = kv.take();
+    let Ops { puts, mut manifests, .. } = rec.take();
     let committed = manifests.pop().unwrap();
     let finished = kv.scan_prefix(b"").unwrap();
 

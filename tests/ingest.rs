@@ -15,8 +15,11 @@
 //!   answers queries identically to a one-shot batch `build` over the
 //!   same rows.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::*;
 use dgfindex::common::DgfError;
 use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
 use dgfindex::format::{is_sidecar_path, sidecar_path};
@@ -24,56 +27,6 @@ use dgfindex::ingest::IngestConfig;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, stream_meter_data, MeterConfig};
 use proptest::prelude::*;
-
-const INDEX: &str = "dgf_stream";
-
-fn retry() -> RetryPolicy {
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
-
-fn meter_cfg() -> MeterConfig {
-    MeterConfig {
-        users: 8,
-        days: 4,
-        ..MeterConfig::default()
-    }
-}
-
-fn grid(cfg: &MeterConfig) -> SplittingPolicy {
-    SplittingPolicy::new(vec![
-        DimPolicy::int("user_id", 0, 4),
-        DimPolicy::date("ts", cfg.start_day, 1),
-    ])
-    .unwrap()
-}
-
-fn queries(cfg: &MeterConfig) -> Vec<Query> {
-    vec![
-        Query::Aggregate {
-            aggs: vec![AggFunc::Count],
-            predicate: Predicate::all(),
-        },
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: Predicate::all()
-                .and(
-                    "user_id",
-                    ColumnRange::half_open(Value::Int(1), Value::Int(7)),
-                )
-                .and(
-                    "ts",
-                    ColumnRange::half_open(
-                        Value::Date(cfg.start_day + 1),
-                        Value::Date(cfg.start_day + 3),
-                    ),
-                ),
-        },
-    ]
-}
 
 /// GROUP BY `ts` (one-day cells, so headers answer per day) over every
 /// user — each cell covered — and over a misaligned user range, whose
@@ -92,48 +45,6 @@ fn group_by_ts(cfg: &MeterConfig) -> Vec<Query> {
         .collect()
 }
 
-struct World {
-    tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-    inner: Arc<dyn KvStore>,
-}
-
-fn world(tag: &str) -> World {
-    let tmp = TempDir::new(&format!("stream-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World {
-        tmp,
-        ctx,
-        base,
-        inner: Arc::new(MemKvStore::new()),
-    }
-}
-
-/// Build the index fault-free over the first two days of data. The
-/// streaming phase then runs under whatever fault plan the test chooses.
-fn seed_index(w: &World) -> (Vec<Row>, Vec<Row>) {
-    let cfg = meter_cfg();
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, streamed) = rows.split_at(2 * per_day);
-    w.ctx.load_rows(&w.base, seeded, 2).unwrap();
-    let (_, _) = DgfIndex::build(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        grid(&cfg),
-        aggs(),
-        Arc::clone(&w.inner),
-        INDEX,
-    )
-    .unwrap();
-    (seeded.to_vec(), streamed.to_vec())
-}
-
 fn deterministic_config(fault: Option<Arc<FaultPlan>>) -> IngestConfig {
     IngestConfig {
         // Inline flush roughly every other batch; no background thread so
@@ -147,45 +58,6 @@ fn deterministic_config(fault: Option<Arc<FaultPlan>>) -> IngestConfig {
 
 fn wal_path(w: &World) -> std::path::PathBuf {
     w.tmp.path().join("ingest.wal")
-}
-
-/// Expected scalar answers computed directly from a row set.
-fn oracle(cfg: &MeterConfig, rows: &[Row]) -> Vec<Vec<f64>> {
-    let mut count_all = 0f64;
-    let (mut sum_r, mut count_r) = (0f64, 0f64);
-    for row in rows {
-        count_all += 1.0;
-        let user = row[0].as_i64().unwrap();
-        let ts = row[2].as_i64().unwrap();
-        if (1..7).contains(&user) && (cfg.start_day + 1..cfg.start_day + 3).contains(&ts) {
-            sum_r += row[3].as_f64().unwrap();
-            count_r += 1.0;
-        }
-    }
-    vec![vec![count_all], vec![sum_r, count_r]]
-}
-
-fn run_queries(engine: &DgfEngine, cfg: &MeterConfig) -> Vec<Vec<f64>> {
-    queries(cfg)
-        .iter()
-        .map(|q| {
-            engine
-                .run(q)
-                .unwrap()
-                .result
-                .into_scalars()
-                .iter()
-                .map(|v| v.as_f64().unwrap())
-                .collect()
-        })
-        .collect()
-}
-
-fn close_to(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| (p - q).abs() < 1e-6)
-        })
 }
 
 /// Acknowledged writes are immediately query-visible, and no flush means
@@ -224,7 +96,7 @@ fn acked_writes_visible_with_zero_generation_bumps() {
         present.extend(batch.iter().cloned());
         // Immediately after the ack, every query sees the batch.
         assert!(
-            close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)),
+            matches(&answers(&index, &cfg), &model(&cfg, &present)),
             "acknowledged batch not visible to the very next query"
         );
     }
@@ -238,7 +110,7 @@ fn acked_writes_visible_with_zero_generation_bumps() {
     // The flush changes where the rows live, not what queries see.
     ingestor.flush().unwrap();
     assert!(index.generation() > gen_before);
-    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)));
+    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)));
     // And now the persisted index alone (scan vs dgf) agrees too.
     let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
     for q in &queries(&cfg) {
@@ -346,31 +218,25 @@ fn unflushed_rows_follow_a_regrid() {
     one.ctx.load_rows(&one.base, &five, 2).unwrap();
     let kv = Arc::clone(&one.inner);
     let (built, _) = DgfIndex::build(Arc::clone(&one.ctx), Arc::clone(&one.base), finer, aggs(), kv, INDEX).unwrap();
-    let twin = DgfEngine::new(Arc::new(built));
-    let engine = DgfEngine::new(Arc::clone(&index));
-    let answers = |e: &DgfEngine| -> Vec<QueryResult> {
-        let qs = queries(&cfg).into_iter().chain(group_by_ts(&cfg));
-        qs.map(|q| e.run(&q).unwrap().result).collect()
-    };
-    let agree = |got: &[QueryResult], want: &[QueryResult], when: &str| {
-        assert_eq!(got.len(), want.len());
-        for (g, t) in got.iter().zip(want) {
-            assert!(g.approx_eq(t, 1e-9), "{when}: {g:?} vs {t:?}");
-        }
+    let twin = Arc::new(built);
+    // The mix, and GROUP BY `ts` over every user (each user cell covered).
+    let all = |index: &Arc<DgfIndex>| -> Vec<QueryResult> {
+        let by_day = &group_by_ts(&cfg)[0];
+        let mut got = answers(index, &cfg);
+        got.push(DgfEngine::new(Arc::clone(index)).run(by_day).unwrap().result);
+        got
     };
 
     let mut present = [seeded, streamed].concat();
-    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after the regrid");
+    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after the regrid");
     ingestor.ingest(later).unwrap();
     present.extend_from_slice(later);
-    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after a later batch");
-    agree(&answers(&engine), &answers(&twin), "before the flush");
+    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after a later batch");
+    assert!(matches(&all(&index), &all(&twin)), "before the flush");
 
     ingestor.flush().unwrap();
-    assert!(close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)), "after the flush");
-    // `Debug` prints each float in its shortest round-trip form, so equal
-    // strings are equal bits.
-    assert_eq!(format!("{:?}", answers(&engine)), format!("{:?}", answers(&twin)));
+    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after the flush");
+    assert!(bits_eq(&all(&index), &all(&twin)), "after the flush");
 }
 
 /// Acknowledged-but-unflushed rows survive a process exit: WAL replay at
@@ -428,9 +294,8 @@ fn wal_replay_restores_unflushed_rows_across_reopen() {
     assert!(ingested > 0);
     assert_eq!(replayed.replayed_batches, batches);
     assert_eq!(replayed.replayed_rows, ingested);
-    let engine = DgfEngine::new(Arc::clone(&index));
     assert!(
-        close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)),
+        matches(&answers(&index, &cfg), &model(&cfg, &present)),
         "replayed rows must be query-visible before any flush"
     );
 }
@@ -502,11 +367,10 @@ fn concurrent_ingest_with_racing_flushes_loses_no_acked_batch() {
         deterministic_config(None),
     )
     .unwrap();
-    let engine = DgfEngine::new(Arc::clone(&index));
     let mut present = seeded;
     present.extend(streamed.iter().cloned());
     assert!(
-        close_to(&run_queries(&engine, &cfg), &oracle(&cfg, &present)),
+        matches(&answers(&index, &cfg), &model(&cfg, &present)),
         "an acknowledged batch went missing across concurrent flushes"
     );
 }
@@ -659,22 +523,22 @@ fn verify_recovered(w: &World, out: &DriveOutcome, label: &str) {
     let mut with_inflight = with_acked.clone();
     with_inflight.extend(out.inflight.iter().cloned());
 
-    let got = run_queries(&engine, &cfg);
-    let ok_acked = close_to(&got, &oracle(&cfg, &with_acked));
-    let ok_inflight = close_to(&got, &oracle(&cfg, &with_inflight));
+    let got = answers(&index, &cfg);
+    let ok_acked = matches(&got, &model(&cfg, &with_acked));
+    let ok_inflight = matches(&got, &model(&cfg, &with_inflight));
     assert!(
         ok_acked || ok_inflight,
         "{label}: recovered answer {got:?} matches neither acked-only \
          {:?} nor acked+inflight {:?}",
-        oracle(&cfg, &with_acked),
-        oracle(&cfg, &with_inflight),
+        model(&cfg, &with_acked),
+        model(&cfg, &with_inflight),
     );
 
     // Flushing the replayed remainder must not change any answer.
     ingestor.flush().unwrap();
-    let after = run_queries(&engine, &cfg);
+    let after = answers(&index, &cfg);
     assert!(
-        close_to(&got, &after),
+        matches(&got, &after),
         "{label}: flush changed the recovered answer: {got:?} vs {after:?}"
     );
     // And the persisted state now agrees with a ground-truth scan.

@@ -26,128 +26,32 @@
 //!   finished by the next writer on the same handle, which starts
 //!   clean: no lost cells, no residue, no refused pass.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
+use common::*;
 use dgfindex::core::advisor::{self, AdvisorConfig};
-use dgfindex::core::pyramid::parent_coords;
-use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
-use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer, PYRAMID_PREFIX};
+use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer};
 use dgfindex::format::is_sidecar_path;
 use dgfindex::kvstore::LogKvConfig;
 use dgfindex::prelude::*;
-use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
-
-const INDEX: &str = "dgf_maint";
-
-fn retry() -> RetryPolicy {
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
-
-fn meter_cfg() -> MeterConfig {
-    MeterConfig {
-        users: 8,
-        days: 4,
-        ..MeterConfig::default()
-    }
-}
-
-fn grid(cfg: &MeterConfig) -> SplittingPolicy {
-    SplittingPolicy::new(vec![
-        DimPolicy::int("user_id", 0, 4),
-        DimPolicy::date("ts", cfg.start_day, 1),
-    ])
-    .unwrap()
-}
-
-/// Full COUNT, misaligned range aggregate (boundary slices + inner
-/// headers), GROUP BY — the mix that exposes moved or double-counted
-/// rows.
-fn queries(cfg: &MeterConfig) -> Vec<Query> {
-    let range = Predicate::all()
-        .and(
-            "user_id",
-            ColumnRange::half_open(Value::Int(1), Value::Int(7)),
-        )
-        .and(
-            "ts",
-            ColumnRange::half_open(
-                Value::Date(cfg.start_day + 1),
-                Value::Date(cfg.start_day + 3),
-            ),
-        );
-    vec![
-        Query::Aggregate {
-            aggs: vec![AggFunc::Count],
-            predicate: Predicate::all(),
-        },
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: range.clone(),
-        },
-        Query::GroupBy {
-            key: "user_id".into(),
-            aggs: aggs(),
-            predicate: range,
-        },
-    ]
-}
-
-struct World {
-    _tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-    inner: Arc<dyn KvStore>,
-}
-
-fn world(tag: &str) -> World {
-    world_on(tag, Arc::new(MemKvStore::new()))
-}
-
-fn world_on(tag: &str, kv: Arc<dyn KvStore>) -> World {
-    let tmp = TempDir::new(&format!("maint-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World {
-        _tmp: tmp,
-        ctx,
-        base,
-        inner: kv,
-    }
-}
+use dgfindex::workload::{generate_meter_data, MeterConfig};
 
 /// Bulk-build the first two days, then append the rest in `batches`
 /// small batches — each append lands one delta file, so the data
 /// directory ends up with `batches` deltas on top of the build output.
 fn seed_with_deltas(w: &World, batches: usize) -> (Arc<DgfIndex>, MeterConfig) {
-    let cfg = meter_cfg();
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, rest) = rows.split_at(2 * per_day);
-    w.ctx.load_rows(&w.base, seeded, 2).unwrap();
-    let (index, _) = DgfIndex::build(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        grid(&cfg),
-        aggs(),
-        Arc::clone(&w.inner),
-        INDEX,
-    )
-    .unwrap();
-    let index = Arc::new(index);
+    let (_, rest) = seed_index(w);
+    let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
+    let index = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap());
     let chunk = (rest.len() / batches).max(1);
     for batch in rest.chunks(chunk) {
         index.append(batch).unwrap();
     }
-    (index, cfg)
+    (index, meter_cfg())
 }
 
 /// Data files currently on disk (sidecars excluded, retired-but-not-
@@ -171,43 +75,6 @@ fn live_files(index: &DgfIndex) -> Vec<(String, u64)> {
         .into_iter()
         .filter(|(p, _)| !gc.contains(p))
         .collect()
-}
-
-fn answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
-    let engine = DgfEngine::new(Arc::clone(index));
-    queries(cfg)
-        .iter()
-        .map(|q| engine.run(q).unwrap().result)
-        .collect()
-}
-
-/// Exact-bits equality: compaction is pure data movement, so answers
-/// must survive it to the last float ulp — a tolerance would mask a
-/// re-folded aggregate.
-fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    fn val(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    fn one(a: &QueryResult, b: &QueryResult) -> bool {
-        match (a, b) {
-            (QueryResult::Scalars(x), QueryResult::Scalars(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| val(p, q))
-            }
-            (QueryResult::Groups(x), QueryResult::Groups(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|((ka, va), (kb, vb))| {
-                        val(ka, kb)
-                            && va.len() == vb.len()
-                            && va.iter().zip(vb).all(|(p, q)| val(p, q))
-                    })
-            }
-            _ => a == b,
-        }
-    }
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| one(x, y))
 }
 
 fn assert_matches_scan(w: &World, index: &Arc<DgfIndex>, cfg: &MeterConfig, label: &str) {
@@ -380,7 +247,10 @@ fn kv_log_stays_bounded_without_flush() {
         )
         .unwrap(),
     );
-    let w = world_on("kvlog", Arc::clone(&log) as Arc<dyn KvStore>);
+    let w = World {
+        inner: Arc::clone(&log) as Arc<dyn KvStore>,
+        ..world("kvlog")
+    };
     let (index, cfg) = seed_with_deltas(&w, 2);
     let maintainer = Maintainer::new(
         Arc::clone(&index),
@@ -537,14 +407,14 @@ fn regrid_after_compaction_does_not_double_count() {
     dims[0] = DimPolicy::int("user_id", 0, 2);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after halving regrid");
-    assert_grid_directory(&w, &index, "after halving regrid");
+    assert_grid_directory(&index, "after halving regrid");
 
     // And back out to a coarser grid over the regridded store.
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 8);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after doubling regrid");
-    assert_grid_directory(&w, &index, "after doubling regrid");
+    assert_grid_directory(&index, "after doubling regrid");
 }
 
 /// GROUP BY `ts` on one-day cells is answered per day from headers; a
@@ -613,49 +483,6 @@ fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
         assert!(plan.inner_states.is_none(), "{label}");
         agrees(handle, label);
     }
-}
-
-/// What a split or merge of a grid file must keep (Joshi et al., *Using
-/// Grid Files for a Relational DBMS*, PAPERS.md), read back from the
-/// store after a regrid: every directory entry lies inside the recorded
-/// extents, the entries hold each base row exactly once, every slice
-/// lies inside a live data file and no two overlap, the aggregate
-/// pyramid has exactly the ancestors of the leaves, and the rewrite left
-/// nothing staged.
-fn assert_grid_directory(w: &World, index: &DgfIndex, label: &str) {
-    let view = index.pin_view().unwrap();
-    let gfus = all_gfus(w.inner.as_ref(), view.extents.dims.len()).unwrap();
-    let mut rows = 0;
-    let mut slices: HashMap<FileId, Vec<(u64, u64)>> = HashMap::new();
-    for (key, value) in &gfus {
-        for (c, (lo, hi)) in key.cells.iter().zip(&view.extents.dims) {
-            assert!(lo <= c && c <= hi, "{label}: cell {:?} outside {:?}", key.cells, view.extents);
-        }
-        rows += value.record_count;
-        for s in value.slices.iter().filter(|s| !s.is_empty()) {
-            slices.entry(s.file).or_default().push((s.start, s.end));
-        }
-    }
-    assert_eq!(rows, w.ctx.read_all(&w.base).unwrap().len() as u64, "{label}: rows in cells");
-    for (file, mut ranges) in slices {
-        let len = view.data_files.iter().find(|(id, _)| *id == file).map(|(_, len)| *len);
-        let len = len.unwrap_or_else(|| panic!("{label}: slice in {file:?}, not a live data file"));
-        ranges.sort_unstable();
-        assert!(ranges.last().unwrap().1 <= len, "{label}: slice past the end of {file:?}");
-        for pair in ranges.windows(2) {
-            assert!(pair[0].1 <= pair[1].0, "{label}: slices overlap in {file:?}: {pair:?}");
-        }
-    }
-    let mut level: std::collections::BTreeSet<Vec<i64>> =
-        gfus.iter().map(|(key, _)| key.cells.clone()).collect();
-    let mut census = 0;
-    for _ in 0..index.pyramid_levels().expect("the maintenance worlds pre-compute") {
-        level = level.iter().map(|c| parent_coords(c)).collect();
-        census += level.len();
-    }
-    let stored = w.inner.scan_prefix(PYRAMID_PREFIX).unwrap().len();
-    assert_eq!(stored, census, "{label}: p: keys over {} leaves", gfus.len());
-    assert_settled(w, label);
 }
 
 /// The adaptation worlds: 200 users × 16 days on a grid coarse on both
@@ -800,7 +627,7 @@ fn adaptation_follows_the_recorded_history_and_preserves_answers() {
     };
     assert!(interval < 50, "user_id did not get finer: {desc}");
     assert_matches_scan(&w, &checker, &cfg, "after the move");
-    assert_grid_directory(&w, &index, "after the move");
+    assert_grid_directory(&index, "after the move");
     let moved = regrid_span();
     assert_eq!(moved[names::MAINTAIN_HISTORY_LEN], 128);
     assert!(moved[names::MAINTAIN_CANDIDATES] > 1);
@@ -908,7 +735,7 @@ fn a_shifting_workload_settles_without_oscillating() {
                     assert!(!visited.contains(&now), "{label}: back on a policy already left");
                     visited.push(now);
                     assert_matches_scan(&w, &checker, &cfg, &label);
-                    assert_grid_directory(&w, &index, &label);
+                    assert_grid_directory(&index, &label);
                 }
             }
             replay(&index, &carry_on(pass));
@@ -1011,14 +838,7 @@ fn crashes_across_the_maintenance_window_recover_cleanly() {
         );
 
         dgfindex::core::txn::recover(&w.ctx.hdfs, &w.inner, retry(), None).unwrap();
-        assert!(
-            w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
-            "site {site}: staged keys survived recovery"
-        );
-        assert!(
-            w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
-            "site {site}: manifest survived recovery"
-        );
+        assert_settled(w.inner.as_ref(), &format!("site {site} recovered"));
 
         let index = Arc::new(
             DgfIndex::open(
@@ -1058,8 +878,8 @@ fn crashes_across_the_maintenance_window_recover_cleanly() {
 /// fail with a transient error until disarmed — an outage of the data
 /// shards during the apply phase, after the commit point (the manifest
 /// and the staged keys live elsewhere and stay writable).
+#[derive(Default)]
 struct GfuOutage {
-    inner: MemKvStore,
     armed: AtomicBool,
     allow: AtomicU64,
     /// Live `g:` puts that went through, armed or not.
@@ -1067,13 +887,25 @@ struct GfuOutage {
 }
 
 impl GfuOutage {
-    fn new() -> Arc<GfuOutage> {
-        Arc::new(GfuOutage {
-            inner: MemKvStore::new(),
-            armed: false.into(),
-            allow: 0.into(),
-            published: 0.into(),
-        })
+    /// The outage's switch, and a world whose store sits behind it.
+    fn world(tag: &str) -> (Arc<GfuOutage>, World) {
+        let outage = Arc::new(GfuOutage::default());
+        let state = Arc::clone(&outage);
+        let inner = hooked(Arc::new(MemKvStore::new()), move |op| match op {
+            KvOp::Put(key, _) if key.starts_with(b"g:") => state.put(),
+            _ => Ok(()),
+        });
+        (outage, World { inner, ..world(tag) })
+    }
+
+    fn put(&self) -> dgfindex::common::Result<()> {
+        let down = self.armed.load(SeqCst)
+            && self.allow.fetch_update(SeqCst, SeqCst, |left| left.checked_sub(1)).is_err();
+        if down {
+            return Err(dgfindex::common::DgfError::Transient("g: shards are down".into()));
+        }
+        self.published.fetch_add(1, SeqCst);
+        Ok(())
     }
 
     fn arm(&self, allow: u64) {
@@ -1088,68 +920,6 @@ impl GfuOutage {
     fn published(&self) -> u64 {
         self.published.load(SeqCst)
     }
-}
-
-impl KvStore for GfuOutage {
-    fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
-        if key.starts_with(b"g:") {
-            if self.armed.load(SeqCst)
-                && self
-                    .allow
-                    .fetch_update(SeqCst, SeqCst, |left| left.checked_sub(1))
-                    .is_err()
-            {
-                return Err(dgfindex::common::DgfError::Transient("g: shards are down".into()));
-            }
-            self.published.fetch_add(1, SeqCst);
-        }
-        self.inner.put(key, value)
-    }
-    fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-    fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
-        self.inner.delete(key)
-    }
-    fn scan_range(
-        &self,
-        start: &[u8],
-        end: &[u8],
-    ) -> dgfindex::common::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner.scan_range(start, end)
-    }
-    fn update(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
-    ) -> dgfindex::common::Result<()> {
-        self.inner.update(key, f)
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn logical_size_bytes(&self) -> u64 {
-        self.inner.logical_size_bytes()
-    }
-    fn flush(&self) -> dgfindex::common::Result<()> {
-        self.inner.flush()
-    }
-    fn stats(&self) -> &dgfindex::kvstore::KvStats {
-        self.inner.stats()
-    }
-}
-
-/// No transaction residue: what every writer must leave behind once a
-/// successful writer has run, whatever failed before it.
-fn assert_settled(w: &World, label: &str) {
-    assert!(
-        w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
-        "{label}: staged keys left behind"
-    );
-    assert!(
-        w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
-        "{label}: manifest left behind"
-    );
 }
 
 /// Regression: a regrid that fails *after* its commit point (the `g:`
@@ -1171,19 +941,17 @@ fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
     };
     // How many live cells one fault-free regrid publishes.
     let publishes = {
-        let kv = GfuOutage::new();
-        let w = world_on("outage-regrid-record", Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (kv, w) = GfuOutage::world("outage-regrid-record");
         let (index, cfg) = seed_with_deltas(&w, 2);
         let before = kv.published();
         Maintainer::new(Arc::clone(&index), config()).regrid_to(halved(&cfg)).unwrap();
-        assert_grid_directory(&w, &index, "fault-free regrid");
+        assert_grid_directory(&index, "fault-free regrid");
         kv.published() - before
     };
     assert!(publishes >= 8, "regrid published only {publishes} cells");
 
     for n in 0..publishes {
-        let kv = GfuOutage::new();
-        let w = world_on(&format!("outage-regrid{n}"), Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (kv, w) = GfuOutage::world(&format!("outage-regrid{n}"));
         let (index, cfg) = seed_with_deltas(&w, 2);
         let maintainer = Maintainer::new(Arc::clone(&index), config());
 
@@ -1203,7 +971,7 @@ fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
         });
         index.append(&next_day).unwrap();
         assert_matches_scan(&w, &index, &cfg, &format!("n={n} after append"));
-        assert_grid_directory(&w, &index, &format!("n={n} after append"));
+        assert_grid_directory(&index, &format!("n={n} after append"));
         // The committed regrid won: the handle cells new rows under it.
         assert_eq!(
             index.policy().dims()[0].scale,
@@ -1228,8 +996,7 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
         ..MaintenanceConfig::default()
     };
     let publishes = {
-        let kv = GfuOutage::new();
-        let w = world_on("outage-compact-record", Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (kv, w) = GfuOutage::world("outage-compact-record");
         let (index, _) = seed_with_deltas(&w, 6);
         let before = kv.published();
         let report = Maintainer::new(index, config()).run_once().unwrap();
@@ -1239,8 +1006,7 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
     assert!(publishes >= 4, "compaction published only {publishes} cells");
 
     for n in 0..publishes {
-        let kv = GfuOutage::new();
-        let w = world_on(&format!("outage-compact{n}"), Arc::clone(&kv) as Arc<dyn KvStore>);
+        let (kv, w) = GfuOutage::world(&format!("outage-compact{n}"));
         let (index, cfg) = seed_with_deltas(&w, 6);
         let oracle = answers(&index, &cfg);
         let maintainer = Maintainer::new(Arc::clone(&index), config());
@@ -1253,7 +1019,7 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
         kv.disarm();
 
         maintainer.run_once().unwrap();
-        assert_settled(&w, &format!("n={n} after the next pass"));
+        assert_settled(w.inner.as_ref(), &format!("n={n} after the next pass"));
         assert!(
             live_files(&index).len() <= budget,
             "n={n}: {} live files over a budget of {budget}",
@@ -1265,4 +1031,58 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
         );
         assert_matches_scan(&w, &index, &cfg, &format!("n={n}"));
     }
+}
+
+/// Regression: a plan enters the query history once, from the attempt
+/// that validated. The plan is forced through a second attempt without
+/// any timing: a [`FreshSource`] whose flush epoch moves between the
+/// planner's first memtable snapshot and its validation makes the first
+/// attempt a discarded one. Were discarded attempts recorded too, what
+/// grid adaptation is advised on would depend on how commits happened
+/// to race queries.
+///
+/// [`FreshSource`]: dgfindex::core::FreshSource
+#[test]
+fn raced_plan_enters_the_query_history_exactly_once() {
+    use dgfindex::core::{FreshSource, GfuCells};
+
+    /// Holds no rows; its epoch reads 0 once and 2 ever after.
+    struct MovingEpoch {
+        reads: AtomicU64,
+    }
+    impl FreshSource for MovingEpoch {
+        fn fresh_cells(&self, _flushed_seq: u64) -> Vec<Arc<GfuCells>> {
+            Vec::new()
+        }
+        fn flush_epoch(&self) -> u64 {
+            match self.reads.fetch_add(1, SeqCst) {
+                0 => 0,
+                _ => 2,
+            }
+        }
+    }
+
+    let w = world("history");
+    let cfg = meter_cfg();
+    seed_index(&w);
+    let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
+    let index = open_with(&w, Arc::clone(&w.inner), &quiet);
+    // user_id [1, 7) cuts through the first and the last 4-wide cell.
+    let q = &queries(&cfg)[1];
+
+    index.plan(q, true).unwrap();
+    let unraced = index.history().snapshot();
+    assert_eq!(unraced.len(), 1, "one plan, one entry: {unraced:?}");
+    assert_eq!(unraced[0][0], (1.0, 7.0), "the plan's user_id range");
+
+    let source = Arc::new(MovingEpoch {
+        reads: AtomicU64::new(0),
+    });
+    index.set_fresh_source(Arc::clone(&source) as Arc<dyn FreshSource>);
+    index.plan(q, true).unwrap();
+    assert!(
+        source.reads.load(SeqCst) >= 4,
+        "the plan was never forced through a second attempt"
+    );
+    assert_eq!(index.history().snapshot(), [unraced[0].clone(), unraced[0].clone()]);
 }

@@ -25,23 +25,16 @@
 //! scan on an inner-heavy box, the `p:` key census, and the keys one
 //! cold plan requests.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::*;
 use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
 use dgfindex::ingest::IngestConfig;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 use proptest::prelude::*;
-
-const INDEX: &str = "dgf_pyr";
-
-fn retry() -> RetryPolicy {
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
 
 /// A finer grid than the serving tests use (cell width 1 on both
 /// dimensions): wide queries then cover enough inner cells for the
@@ -105,22 +98,6 @@ fn queries(cfg: &MeterConfig) -> Vec<Query> {
     ]
 }
 
-struct World {
-    tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-}
-
-fn world(tag: &str) -> World {
-    let tmp = TempDir::new(&format!("pyr-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World { tmp, ctx, base }
-}
-
 fn build_over(
     w: &World,
     kv: Arc<dyn KvStore>,
@@ -165,46 +142,24 @@ fn answers(engine: &DgfEngine, cfg: &MeterConfig) -> Vec<QueryResult> {
         .collect()
 }
 
-/// The whole query mix through the engine as everyone gets it: no
-/// `with_strategy`, so the planner itself picks the pyramid wherever
-/// one can answer.
+/// The whole query mix through the engine as everyone gets it: the
+/// planner itself picks the pyramid wherever one can answer.
 fn default_answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
     answers(&DgfEngine::new(Arc::clone(index)), cfg)
 }
 
-/// The same mix through the flat reference fetch.
-fn flat_answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
-    let engine = DgfEngine::new(Arc::clone(index)).with_strategy(PlanStrategy::PrefixScan);
-    answers(&engine, cfg)
+/// A handle over a copy of `index`'s store with the pyramid stripped:
+/// the flat reference, planned by prefix runs alone.
+fn stripped_copy(w: &World, index: &DgfIndex) -> Arc<DgfIndex> {
+    let copy: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+    mirror_kv(index.kv.as_ref(), copy.as_ref()).unwrap();
+    strip_pyramid(copy.as_ref());
+    open_reader(w, copy, 1)
 }
 
-/// Exact-bits equality: `Float`s must agree in raw bit pattern. The
-/// canonical merge tree claims *bit* identity; a tolerance would hide
-/// exactly the fold-order bugs this file exists to catch.
-fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    fn val(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    fn one(a: &QueryResult, b: &QueryResult) -> bool {
-        match (a, b) {
-            (QueryResult::Scalars(x), QueryResult::Scalars(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| val(p, q))
-            }
-            (QueryResult::Groups(x), QueryResult::Groups(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|((ka, va), (kb, vb))| {
-                        val(ka, kb)
-                            && va.len() == vb.len()
-                            && va.iter().zip(vb).all(|(p, q)| val(p, q))
-                    })
-            }
-            _ => a == b,
-        }
-    }
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| one(x, y))
+/// The same mix through the flat reference.
+fn flat_answers(w: &World, index: &DgfIndex, cfg: &MeterConfig) -> Vec<QueryResult> {
+    default_answers(&stripped_copy(w, index), cfg)
 }
 
 /// Tentpole (fixed): on a 24×8-cell grid grown by a staged-commit
@@ -229,7 +184,7 @@ fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
     index.append(rest).unwrap();
     assert!(index.pyramid_levels().is_some(), "build skipped the pyramid");
 
-    let flat = flat_answers(&index, &cfg);
+    let flat = flat_answers(&w, &index, &cfg);
     let default = default_answers(&index, &cfg);
     assert!(
         bits_eq(&flat, &default),
@@ -253,7 +208,7 @@ fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
         "pyramid plan accounts different inner records than flat"
     );
     assert!(plan.inner_gfus < flat_plan.inner_gfus, "nodes merged no cells");
-    // The engine with no `with_strategy` ran that very plan.
+    // The default engine ran that very plan.
     let run = DgfEngine::new(Arc::clone(&index)).run(&mix[1]).unwrap();
     assert_eq!(
         run.stats.index_records_read,
@@ -318,19 +273,16 @@ fn aggregate_without_a_fully_inner_cell_reads_no_pyramid_node() {
     assert_eq!(plan.inner_gfus, 0);
     assert!(plan.boundary_gfus > 0);
     let default = DgfEngine::new(Arc::clone(&index)).run(&q).unwrap().result;
-    let flat = DgfEngine::new(Arc::clone(&index))
-        .with_strategy(PlanStrategy::PrefixScan)
-        .run(&q)
-        .unwrap()
-        .result;
+    let flat = DgfEngine::new(stripped_copy(&w, &index)).run(&q).unwrap().result;
     assert!(bits_eq(&[default], &[flat]));
 }
 
 /// Satellite: a store that carries no pyramid (the view's height zeroed
 /// and every `p:` key removed, as stores built before the pyramid existed
-/// look)
-/// opens without one; the default plan then degrades wholesale and
-/// still answers bit-identically to what the pyramid answered.
+/// look) opens without one; the default plan then degrades wholesale to
+/// prefix runs. Query by query, it equals the `PrefixScan` plan of the
+/// store that has the pyramid, field by field, and answers bit-identically
+/// to what the pyramid answered.
 #[test]
 fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
     let cfg = MeterConfig {
@@ -340,27 +292,26 @@ fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
     };
     let rows = generate_meter_data(&cfg);
     let w = world("no-pyramid");
-    let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-    let built = build_over(&w, Arc::clone(&kv), &rows, fine_grid(&cfg));
-    let with_pyramid = default_answers(&built, &cfg);
+    let built = build_over(&w, Arc::new(MemKvStore::new()), &rows, fine_grid(&cfg));
     assert!(built.plan(&queries(&cfg)[1], true).unwrap().pyramid_nodes > 0);
-    drop(built);
-
-    use dgfindex::core::{gfu::META_VIEW_KEY, ReadView};
-    let mut view = ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
-    assert!(view.pyramid > 0);
-    view.pyramid = 0;
-    kv.put(META_VIEW_KEY, &view.encode()).unwrap();
-    for (key, _) in kv.scan_prefix(dgfindex::core::PYRAMID_PREFIX).unwrap() {
-        kv.delete(&key).unwrap();
-    }
-    let index = open_reader(&w, Arc::clone(&kv), 1);
+    let index = stripped_copy(&w, &built);
     assert!(index.pyramid_levels().is_none());
 
-    let without = default_answers(&index, &cfg);
-    assert!(bits_eq(&with_pyramid, &without));
+    assert!(bits_eq(&default_answers(&built, &cfg), &default_answers(&index, &cfg)));
+    for (qi, q) in queries(&cfg).iter().enumerate() {
+        let plan = index.plan(q, true).unwrap();
+        let flat = built.plan_with_strategy(q, true, PlanStrategy::PrefixScan).unwrap();
+        assert_eq!(plan.pyramid_nodes, 0, "q{qi}: degraded plan claimed pyramid reads");
+        assert_eq!(plan.inputs, flat.inputs, "q{qi}");
+        assert_eq!(plan.chosen_splits, flat.chosen_splits, "q{qi}");
+        assert_eq!(plan.inner_states, flat.inner_states, "q{qi}");
+        let counts = |p: &dgfindex::core::DgfPlan| {
+            let c = [p.inner_gfus, p.boundary_gfus, p.inner_records, p.pyramid_cells];
+            c.into_iter().chain([p.splits_total, p.splits_read, p.fresh_gfus, p.fresh_records])
+        };
+        assert!(counts(&plan).eq(counts(&flat)), "q{qi}: plan counts");
+    }
     let plan = index.plan(&queries(&cfg)[1], true).unwrap();
-    assert_eq!(plan.pyramid_nodes, 0, "degraded plan claimed pyramid reads");
     assert!(plan.inner_gfus > 0, "degraded plan lost its inner headers");
 }
 
@@ -563,7 +514,7 @@ fn crash_anywhere_in_append_recovers_a_consistent_pyramid() {
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
         let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = flat_answers(&index, &cfg);
+        let flat = flat_answers(&w, &index, &cfg);
         let pyramid = default_answers(&index, &cfg);
         assert!(
             bits_eq(&flat, &pyramid),
@@ -627,7 +578,7 @@ fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
         assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
 
         let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = flat_answers(&index, &cfg);
+        let flat = flat_answers(&w, &index, &cfg);
         let pyramid = default_answers(&index, &cfg);
         assert!(
             bits_eq(&flat, &pyramid),
@@ -672,18 +623,22 @@ proptest! {
             DimPolicy::date("ts", cfg.start_day, day_span),
         ]).unwrap();
 
-        // Single-node oracle: flat enumeration, fresh rows overlaid.
+        // Single-node oracle: the same store without a pyramid, fresh
+        // rows overlaid.
         let wo = world("prop-oracle");
-        let oracle_index = build_over(&wo, Arc::new(MemKvStore::new()), seeded, policy());
-        let extents = oracle_index.extents().unwrap();
-        oracle_index.append(appended).unwrap();
+        let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+        let built = build_over(&wo, Arc::clone(&kv), seeded, policy());
+        let extents = built.extents().unwrap();
+        built.append(appended).unwrap();
+        strip_pyramid(kv.as_ref());
+        let oracle_index = open_reader(&wo, kv, 1);
         let oracle_ing = StreamIngestor::open(
             Arc::clone(&oracle_index),
             wo.tmp.path().join("ingest.wal"),
             IngestConfig { flush_rows: u64::MAX, auto_flush_interval: None, ..IngestConfig::default() },
         ).unwrap();
         oracle_ing.ingest(fresh).unwrap();
-        let oracle = flat_answers(&oracle_index, &cfg);
+        let oracle = default_answers(&oracle_index, &cfg);
 
         // Sharded pyramid reader over an identically grown store.
         let ws = world(&format!("prop-s{shards}"));
@@ -701,6 +656,43 @@ proptest! {
         prop_assert!(
             bits_eq(&got, &oracle),
             "{shards}-shard pyramid answers differ from flat single-node under grid ({user_span}, {day_span}), {users} users x {days} days:\n{got:?}\nvs\n{oracle:?}"
+        );
+    }
+}
+
+/// Float aggregates are bit-identical however many MapReduce workers
+/// compute them, with headers and without. Compensated (Neumaier)
+/// summation plus a task-ordered merge makes the fold deterministic;
+/// before the fix, sum order varied with worker scheduling and answers
+/// wobbled in the last ulps.
+#[test]
+fn aggregate_results_bit_identical_across_worker_counts() {
+    let cfg = meter_cfg();
+    let rows = generate_meter_data(&cfg);
+    let run = |workers: usize| -> Vec<QueryResult> {
+        let tmp = TempDir::new(&format!("bits{workers}")).unwrap();
+        let hdfs = SimHdfs::open(tmp.path()).unwrap();
+        let ctx = HiveContext::new(hdfs, MrEngine::new(workers));
+        let base = ctx
+            .create_table("meter", meter_schema(), FileFormat::Text)
+            .unwrap();
+        ctx.load_rows(&base, &rows, 2).unwrap();
+        let kv = Arc::new(MemKvStore::new());
+        let (index, _) = DgfIndex::build(ctx, base, grid(&cfg), aggs(), kv, INDEX).unwrap();
+        let index = Arc::new(index);
+        let precompute = DgfEngine::new(Arc::clone(&index));
+        let raw = DgfEngine::new(Arc::clone(&index)).without_precompute();
+        common::queries(&cfg)
+            .iter()
+            .flat_map(|q| [precompute.run(q).unwrap().result, raw.run(q).unwrap().result])
+            .collect()
+    };
+    let one = run(1);
+    for workers in [2, 8] {
+        let other = run(workers);
+        assert!(
+            bits_eq(&one, &other),
+            "1-worker vs {workers}-worker answers differ in float bits:\n{one:?}\nvs\n{other:?}"
         );
     }
 }

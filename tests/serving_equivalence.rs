@@ -17,117 +17,33 @@
 //!   counters exactly (the LatencyKv double-charge regression);
 //! * concurrent frontend clients racing an append observe pre- or
 //!   post-commit snapshots only, never a torn cross-shard blend, under
-//!   the seeded interleaving schedules of `concurrent_reads.rs`
-//!   (`DGF_STRESS_SEEDS` widens the sweep in CI);
+//!   the seeded interleaving schedules `tests/lifecycle.rs` also races
+//!   its readers under (`DGF_STRESS_SEEDS` widens the sweep in CI);
 //! * a shard crashing mid-scatter yields a clean error or a
 //!   committed-view answer — never a partial merge.
 //!
 //! The bit-identity matrix runs the engine as everyone gets it, so
 //! aggregations read `p:` nodes from the metadata shard. The cases that
 //! exist to exercise the run scatter itself (its sync points, a shard
-//! dying under it, a transient storm on it) pin
-//! `with_strategy(PlanStrategy::PrefixScan)`, the path header-less
-//! plans take and the only one that fans out across shards.
+//! dying under it, a transient storm on it) strip the pyramid from their
+//! router ([`strip_pyramid`]), so every plan takes prefix runs — the
+//! only fetch that fans out across shards.
+
+mod common;
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
+use common::*;
 use dgfindex::common::DgfError;
 use dgfindex::ingest::IngestConfig;
-use dgfindex::kvstore::{KvPair, KvStats};
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 use proptest::prelude::*;
 
-const INDEX: &str = "dgf_shard";
-
 /// The shard-count sweep: 1 (the degenerate router), powers of two, and
 /// a prime that never divides the cell count evenly.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn retry() -> RetryPolicy {
-    RetryPolicy::fast(40)
-}
-
-fn aggs() -> Vec<AggFunc> {
-    vec![AggFunc::Sum("power_consumed".into()), AggFunc::Count]
-}
-
-fn meter_cfg() -> MeterConfig {
-    MeterConfig {
-        users: 8,
-        days: 4,
-        ..MeterConfig::default()
-    }
-}
-
-fn grid(cfg: &MeterConfig) -> SplittingPolicy {
-    SplittingPolicy::new(vec![
-        DimPolicy::int("user_id", 0, 4),
-        DimPolicy::date("ts", cfg.start_day, 1),
-    ])
-    .unwrap()
-}
-
-/// The query mix (same shape as `concurrent_reads.rs`): a full COUNT, a
-/// misaligned range aggregate that mixes boundary Slices with inner
-/// headers, a GROUP BY that scans, and a GROUP BY `ts` whose inner cells
-/// the headers answer per day. Between them they exercise every fetch
-/// the coordinator can scatter.
-fn queries(cfg: &MeterConfig) -> Vec<Query> {
-    let range = Predicate::all()
-        .and(
-            "user_id",
-            ColumnRange::half_open(Value::Int(1), Value::Int(7)),
-        )
-        .and(
-            "ts",
-            ColumnRange::half_open(
-                Value::Date(cfg.start_day + 1),
-                Value::Date(cfg.start_day + 3),
-            ),
-        );
-    vec![
-        Query::Aggregate {
-            aggs: vec![AggFunc::Count],
-            predicate: Predicate::all(),
-        },
-        Query::Aggregate {
-            aggs: aggs(),
-            predicate: range.clone(),
-        },
-        Query::GroupBy {
-            key: "user_id".into(),
-            aggs: aggs(),
-            predicate: range,
-        },
-        Query::GroupBy {
-            key: "ts".into(),
-            aggs: aggs(),
-            predicate: Predicate::all().and(
-                "user_id",
-                ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
-            ),
-        },
-    ]
-}
-
-struct World {
-    tmp: TempDir,
-    ctx: Arc<HiveContext>,
-    base: TableRef,
-}
-
-fn world(tag: &str) -> World {
-    let tmp = TempDir::new(&format!("shard-{tag}")).unwrap();
-    let hdfs = SimHdfs::open(tmp.path()).unwrap();
-    let ctx = HiveContext::new(hdfs, MrEngine::new(1));
-    let base = ctx
-        .create_table("meter", meter_schema(), FileFormat::Text)
-        .unwrap();
-    World { tmp, ctx, base }
-}
 
 /// Load `seeded` and build the index over `kv`. Builds are
 /// deterministic, so identically seeded worlds produce byte-identical
@@ -169,70 +85,6 @@ fn open_reader(
             ..IndexOptions::default()
         },
     )?))
-}
-
-/// One observation of the whole query mix.
-fn answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
-    let engine = DgfEngine::new(Arc::clone(index));
-    queries(cfg)
-        .iter()
-        .map(|q| engine.run(q).unwrap().result)
-        .collect()
-}
-
-fn matches(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.approx_eq(y, 1e-9))
-}
-
-/// Exact-bits equality: `Float`s must agree in raw bit pattern. The
-/// serving tier's merge claims *bit* identity, so a tolerance would
-/// hide exactly the fold-order bugs this file exists to catch.
-fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    fn val(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    fn one(a: &QueryResult, b: &QueryResult) -> bool {
-        match (a, b) {
-            (QueryResult::Scalars(x), QueryResult::Scalars(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| val(p, q))
-            }
-            (QueryResult::Groups(x), QueryResult::Groups(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|((ka, va), (kb, vb))| {
-                        val(ka, kb)
-                            && va.len() == vb.len()
-                            && va.iter().zip(vb).all(|(p, q)| val(p, q))
-                    })
-            }
-            _ => a == b,
-        }
-    }
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| one(x, y))
-}
-
-/// Seeds to sweep (CI widens via `DGF_STRESS_SEEDS`, same contract as
-/// `concurrent_reads.rs`).
-fn stress_seeds() -> Vec<u64> {
-    match std::env::var("DGF_STRESS_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim())
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse().expect("DGF_STRESS_SEEDS entries must be u64"))
-            .collect(),
-        Err(_) => (1..=6).collect(),
-    }
-}
-
-fn interleave(seed: u64) -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new(FaultConfig::interleave(
-        seed,
-        1.0,
-        Duration::from_micros(500),
-    )))
 }
 
 /// The seeded meter world every deterministic test shares: first two
@@ -375,6 +227,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
             &seeded,
             grid(&cfg),
         );
+        strip_pyramid(router.as_ref());
         let index = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
@@ -387,7 +240,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         let pre = answers(&index, &cfg);
         let qs: Vec<Query> = (0..8).flat_map(|_| mix.iter().cloned()).collect();
         let front = ServeFrontend::new(
-            DgfEngine::new(Arc::clone(&index)).with_strategy(PlanStrategy::PrefixScan),
+            DgfEngine::new(Arc::clone(&index)),
             ServeOptions {
                 workers: 2,
                 ..ServeOptions::default()
@@ -506,69 +359,6 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
     }
 }
 
-/// A shard that dies mid-read-path: after `countdown` read operations
-/// it fails every subsequent operation permanently (sticky, like a dead
-/// region server). [`ChaosKv`]'s crash triggers are write-anchored
-/// (`crash_after_writes` / commit-protocol crash points), so the
-/// read-path crash-site sweep needs this read-anchored shim with the
-/// same sticky semantics.
-struct DeadShard {
-    inner: Arc<dyn KvStore>,
-    countdown: AtomicI64,
-}
-
-impl DeadShard {
-    fn tick(&self) -> dgfindex::common::Result<()> {
-        if self.countdown.fetch_sub(1, Ordering::SeqCst) <= 0 {
-            return Err(DgfError::KvStore("injected shard crash".into()));
-        }
-        Ok(())
-    }
-}
-
-impl KvStore for DeadShard {
-    fn put(&self, key: &[u8], value: &[u8]) -> dgfindex::common::Result<()> {
-        self.tick()?;
-        self.inner.put(key, value)
-    }
-    fn get(&self, key: &[u8]) -> dgfindex::common::Result<Option<Vec<u8>>> {
-        self.tick()?;
-        self.inner.get(key)
-    }
-    fn delete(&self, key: &[u8]) -> dgfindex::common::Result<bool> {
-        self.tick()?;
-        self.inner.delete(key)
-    }
-    fn scan_range(&self, start: &[u8], end: &[u8]) -> dgfindex::common::Result<Vec<KvPair>> {
-        self.tick()?;
-        self.inner.scan_range(start, end)
-    }
-    fn update(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<&[u8]>) -> Vec<u8>,
-    ) -> dgfindex::common::Result<()> {
-        self.tick()?;
-        self.inner.update(key, f)
-    }
-    fn multi_get(&self, keys: &[Vec<u8>]) -> dgfindex::common::Result<Vec<Option<Vec<u8>>>> {
-        self.tick()?;
-        self.inner.multi_get(keys)
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn logical_size_bytes(&self) -> u64 {
-        self.inner.logical_size_bytes()
-    }
-    fn flush(&self) -> dgfindex::common::Result<()> {
-        self.inner.flush()
-    }
-    fn stats(&self) -> &KvStats {
-        self.inner.stats()
-    }
-}
-
 /// Satellite (chaos): one shard dies mid-scatter. Each query must
 /// either error cleanly or answer with the committed view — never a
 /// partial merge of the surviving shards' headers with the dead shard's
@@ -577,6 +367,9 @@ impl KvStore for DeadShard {
 /// exercised — asserted at the bottom, an all-error or all-clean sweep
 /// would be vacuous. A second pass storms the same shard with
 /// [`ChaosKv`] transient faults past retry exhaustion: same invariant.
+/// [`ChaosKv`]'s crash triggers are write-anchored, so the dying shard is
+/// a read-anchored hook: after `site` operations it fails every later
+/// one, sticky like a dead region server.
 #[test]
 fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     let cfg = meter_cfg();
@@ -597,6 +390,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     );
     built.append(&batch).unwrap();
     drop(built);
+    strip_pyramid(router.as_ref());
 
     // The committed-view oracle, through the healthy router.
     let healthy = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, 2, None).unwrap();
@@ -631,9 +425,12 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     let mix = queries(&cfg);
     let (mut crashed, mut clean) = (0u32, 0u32);
     for site in 0..16i64 {
-        let dead = wrap(Arc::new(DeadShard {
-            inner: Arc::clone(&router.shards()[target]),
-            countdown: AtomicI64::new(site),
+        let countdown = AtomicI64::new(site);
+        let dead = wrap(hooked(Arc::clone(&router.shards()[target]), move |_| {
+            if countdown.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                return Err(DgfError::KvStore("injected shard crash".into()));
+            }
+            Ok(())
         }));
         let reader = match open_reader(&w, dead as Arc<dyn KvStore>, 2, None) {
             Ok(reader) => reader,
@@ -643,7 +440,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
                 continue;
             }
         };
-        let engine = DgfEngine::new(reader).with_strategy(PlanStrategy::PrefixScan);
+        let engine = DgfEngine::new(reader);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
                 Ok(run) => {
@@ -671,7 +468,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     )));
     let mut stormed = 0u32;
     if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, 2, None) {
-        let engine = DgfEngine::new(reader).with_strategy(PlanStrategy::PrefixScan);
+        let engine = DgfEngine::new(reader);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
                 Ok(run) => assert!(
