@@ -94,6 +94,9 @@ pub mod names {
     pub const CACHE_HEADER_HITS: &str = "cache.header.hits";
     /// GFU header cache misses (`CacheCounters::misses`).
     pub const CACHE_HEADER_MISSES: &str = "cache.header.misses";
+    /// GFU header cache entries evicted to make room
+    /// (`CacheCounters::evictions`).
+    pub const CACHE_HEADER_EVICTIONS: &str = "cache.header.evictions";
 
     /// Map input records (`JobCounters::map_inputs`).
     pub const MR_MAP_INPUTS: &str = "mr.map_inputs";

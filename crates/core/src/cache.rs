@@ -19,7 +19,8 @@
 //! have to re-scan; with them, a repeated identical query is answered
 //! entirely from memory with zero key-value traffic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,6 +48,9 @@ counter_block! {
         hits: names::CACHE_HEADER_HITS,
         /// Probes that found no entry for the probed generation.
         misses: names::CACHE_HEADER_MISSES,
+        /// Entries evicted to make room for a fill: steadily non-zero
+        /// when the grid's working set outgrows the cache.
+        evictions: names::CACHE_HEADER_EVICTIONS,
     }
 }
 
@@ -62,40 +66,110 @@ impl CacheStats {
     }
 }
 
-/// The stored key: big-endian generation, then the raw GFU key, so
-/// entries of one generation cluster and can never alias another's.
-fn tag(generation: u64, key: &[u8]) -> Vec<u8> {
-    let mut t = Vec::with_capacity(8 + key.len());
-    t.extend_from_slice(&generation.to_be_bytes());
-    t.extend_from_slice(key);
-    t
+struct Entry {
+    value: CachedGfu,
+    /// LRU stamp of the entry's last touch.
+    stamp: u64,
 }
 
+/// One LRU shard. Entries are filed by generation, then raw key, so a
+/// probe borrows both halves of its `(generation, key)` tag and
+/// allocates nothing; only a handful of generations are ever live, so
+/// they sit in a short list.
+///
+/// Eviction order is a lazy min-heap with exactly one
+/// `(stamp, generation, key)` record per entry. A hit rewrites only the
+/// entry's stamp, so a record may lag behind its entry; eviction pops
+/// the smallest record and, when it lags, re-queues it at the entry's
+/// stamp instead of evicting. Every record is at most its entry's
+/// stamp, so the record popped with a current stamp is the shard's
+/// least recently touched entry: the policy is exact LRU.
 struct Shard {
     /// LRU clock, incremented per touch.
-    stamp: u64,
-    entries: HashMap<Vec<u8>, (CachedGfu, u64)>,
-    /// stamp → tagged key, for O(log n) eviction of the coldest entry.
-    lru: BTreeMap<u64, Vec<u8>>,
+    clock: u64,
+    generations: Vec<(u64, HashMap<Vec<u8>, Entry>)>,
+    queue: BinaryHeap<Reverse<(u64, u64, Vec<u8>)>>,
+    len: usize,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
-            stamp: 0,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
+            clock: 0,
+            generations: Vec::new(),
+            queue: BinaryHeap::new(),
+            len: 0,
         }
     }
 
-    fn touch(&mut self, tagged: &[u8]) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some((_, old)) = self.entries.get_mut(tagged) {
-            self.lru.remove(old);
-            *old = stamp;
-            self.lru.insert(stamp, tagged.to_vec());
+    fn entry(&mut self, generation: u64, key: &[u8]) -> Option<&mut Entry> {
+        let (_, entries) = self.generations.iter_mut().find(|(g, _)| *g == generation)?;
+        entries.get_mut(key)
+    }
+
+    /// Probe one tag; a hit refreshes the entry's stamp.
+    fn probe(&mut self, generation: u64, key: &[u8]) -> Option<CachedGfu> {
+        let stamp = self.clock + 1;
+        let entry = self.entry(generation, key)?;
+        entry.stamp = stamp;
+        let value = entry.value.clone();
+        self.clock = stamp;
+        Some(value)
+    }
+
+    /// Store a tag's value; `true` when a full shard evicted for it.
+    fn insert(&mut self, generation: u64, key: Vec<u8>, value: CachedGfu, capacity: usize) -> bool {
+        self.clock += 1;
+        let stamp = self.clock;
+        if let Some(entry) = self.entry(generation, &key) {
+            *entry = Entry { value, stamp };
+            return false;
         }
+        let evicted = self.len >= capacity && self.evict_coldest();
+        let entries = match self.generations.iter().position(|(g, _)| *g == generation) {
+            Some(i) => &mut self.generations[i].1,
+            None => {
+                self.generations.push((generation, HashMap::new()));
+                &mut self.generations.last_mut().expect("just pushed").1
+            }
+        };
+        entries.insert(key.clone(), Entry { value, stamp });
+        self.queue.push(Reverse((stamp, generation, key)));
+        self.len += 1;
+        evicted
+    }
+
+    fn evict_coldest(&mut self) -> bool {
+        while let Some(Reverse((stamp, generation, key))) = self.queue.pop() {
+            let Some(i) = self.generations.iter().position(|(g, _)| *g == generation) else {
+                continue;
+            };
+            let entries = &mut self.generations[i].1;
+            let Some(current) = entries.get(&key).map(|e| e.stamp) else {
+                continue;
+            };
+            if current != stamp {
+                self.queue.push(Reverse((current, generation, key)));
+                continue;
+            }
+            entries.remove(&key);
+            if entries.is_empty() {
+                self.generations.swap_remove(i);
+            }
+            self.len -= 1;
+            return true;
+        }
+        false
+    }
+
+    /// Drop every generation below `floor`, and their queue records.
+    fn retire_below(&mut self, floor: u64) {
+        if self.generations.iter().all(|(g, _)| *g >= floor) {
+            return;
+        }
+        self.generations.retain(|(g, _)| *g >= floor);
+        self.len = self.generations.iter().map(|(_, e)| e.len()).sum();
+        self.queue.retain(|Reverse((_, g, _))| *g >= floor);
     }
 }
 
@@ -126,9 +200,12 @@ impl GfuHeaderCache {
         }
     }
 
+    fn shard_index(key: &[u8]) -> usize {
+        dgf_common::codec::fnv1a(key) as usize % SHARDS
+    }
+
     fn shard(&self, key: &[u8]) -> &Mutex<Shard> {
-        let h = dgf_common::codec::fnv1a(key) as usize;
-        &self.shards[h % SHARDS]
+        &self.shards[Self::shard_index(key)]
     }
 
     /// Probe for `key` at `generation`. `Some(cached)` is a hit — where
@@ -136,20 +213,42 @@ impl GfuHeaderCache {
     /// toward [`stats`](Self::stats) and refreshes the entry's LRU
     /// position.
     pub fn get(&self, generation: u64, key: &[u8]) -> Option<CachedGfu> {
-        let tagged = tag(generation, key);
-        let mut shard = self.shard(key).lock();
-        match shard.entries.get(&tagged) {
-            Some((value, _)) => {
-                let value = value.clone();
-                shard.touch(&tagged);
-                self.probes.hits.inc();
-                Some(value)
+        let probe = self.shard(key).lock().probe(generation, key);
+        match probe {
+            Some(_) => self.probes.hits.inc(),
+            None => self.probes.misses.inc(),
+        }
+        probe
+    }
+
+    /// [`get`](Self::get) for every key of `keys` at `generation`, one
+    /// result per key in `keys` order. Each shard is locked once and
+    /// probed in `keys` order, and the counters move once per batch, so
+    /// stamps and later evictions are exactly those of the same `get`s
+    /// made one at a time.
+    pub fn get_many<'k, I>(&self, generation: u64, keys: I) -> Vec<Option<CachedGfu>>
+    where
+        I: IntoIterator<Item = &'k [u8]>,
+        I::IntoIter: Clone,
+    {
+        let keys = keys.into_iter();
+        let shard_of: Vec<u8> = keys.clone().map(|k| Self::shard_index(k) as u8).collect();
+        let mut out = vec![None; shard_of.len()];
+        for (s, shard) in self.shards.iter().enumerate() {
+            let s = s as u8;
+            if !shard_of.contains(&s) {
+                continue;
             }
-            None => {
-                self.probes.misses.inc();
-                None
+            let mut shard = shard.lock();
+            let mine = out.iter_mut().zip(keys.clone()).zip(&shard_of).filter(|(_, o)| **o == s);
+            for ((slot, key), _) in mine {
+                *slot = shard.probe(generation, key);
             }
         }
+        let hits = out.iter().filter(|p| p.is_some()).count() as u64;
+        self.probes.hits.add(hits);
+        self.probes.misses.add(out.len() as u64 - hits);
+        out
     }
 
     /// Store `value` for `key` at `generation`, evicting the coldest
@@ -161,20 +260,13 @@ impl GfuHeaderCache {
         if generation < self.floor.load(Ordering::Acquire) {
             return;
         }
-        let mut shard = self.shard(&key).lock();
-        let tagged = tag(generation, &key);
-        shard.stamp += 1;
-        let stamp = shard.stamp;
-        if let Some((_, old)) = shard.entries.get(&tagged) {
-            let old = *old;
-            shard.lru.remove(&old);
-        } else if shard.entries.len() >= self.per_shard_capacity {
-            if let Some((_, coldest)) = shard.lru.pop_first() {
-                shard.entries.remove(&coldest);
-            }
+        let evicted = self
+            .shard(&key)
+            .lock()
+            .insert(generation, key, value, self.per_shard_capacity);
+        if evicted {
+            self.probes.evictions.inc();
         }
-        shard.lru.insert(stamp, tagged.clone());
-        shard.entries.insert(tagged, (value, stamp));
     }
 
     /// Drop every entry whose generation is below `generation`.
@@ -192,21 +284,7 @@ impl GfuHeaderCache {
             return;
         }
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            let dead: Vec<(Vec<u8>, u64)> = shard
-                .entries
-                .iter()
-                .filter(|(tagged, _)| {
-                    tagged
-                        .first_chunk::<8>()
-                        .is_some_and(|g| u64::from_be_bytes(*g) < generation)
-                })
-                .map(|(tagged, (_, stamp))| (tagged.clone(), *stamp))
-                .collect();
-            for (tagged, stamp) in dead {
-                shard.entries.remove(&tagged);
-                shard.lru.remove(&stamp);
-            }
+            shard.lock().retire_below(generation);
         }
     }
 
@@ -216,27 +294,21 @@ impl GfuHeaderCache {
         let mut gens: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .entries
-                    .keys()
-                    .filter_map(|tagged| tagged.first_chunk::<8>().map(|g| u64::from_be_bytes(*g)))
-                    .collect::<Vec<u64>>()
-            })
+            .flat_map(|s| s.lock().generations.iter().map(|(g, _)| *g).collect::<Vec<u64>>())
             .collect();
         gens.sort_unstable();
         gens.dedup();
         gens
     }
 
-    /// Cumulative probe counters.
+    /// Cumulative probe and eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.probes.snapshot()
     }
 
     /// Number of live entries (all generations, all shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().len).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -275,7 +347,14 @@ mod tests {
         cache.insert(0, b"k1".to_vec(), value(7));
         let got = cache.get(0, b"k1").expect("hit");
         assert_eq!(got.unwrap().record_count, 7);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                evictions: 0
+            }
+        );
     }
 
     #[test]
@@ -370,6 +449,147 @@ mod tests {
         // Monotonic: a lower floor is a no-op.
         cache.retire_below(1);
         assert_eq!(cache.live_generations(), vec![3, 4]);
+    }
+
+    /// The LRU policy written the slow way, as the cache once was: per
+    /// shard, a stamp per touch and a `BTreeMap` from stamp to tag.
+    struct Model {
+        shards: Vec<ModelShard>,
+        per_shard_capacity: usize,
+        floor: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Default)]
+    struct ModelShard {
+        stamp: u64,
+        entries: HashMap<(u64, Vec<u8>), (CachedGfu, u64)>,
+        lru: std::collections::BTreeMap<u64, (u64, Vec<u8>)>,
+    }
+
+    impl Model {
+        fn new(capacity: usize) -> Model {
+            Model {
+                shards: (0..SHARDS).map(|_| ModelShard::default()).collect(),
+                per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
+                floor: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn get(&mut self, generation: u64, key: &[u8]) -> Option<CachedGfu> {
+            let shard = &mut self.shards[GfuHeaderCache::shard_index(key)];
+            let tag = (generation, key.to_vec());
+            let Some((value, old)) = shard.entries.get_mut(&tag) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            shard.stamp += 1;
+            shard.lru.remove(old);
+            *old = shard.stamp;
+            let value = value.clone();
+            shard.lru.insert(shard.stamp, tag);
+            self.stats.hits += 1;
+            Some(value)
+        }
+
+        fn insert(&mut self, generation: u64, key: Vec<u8>, value: CachedGfu) {
+            if generation < self.floor {
+                return;
+            }
+            let shard = &mut self.shards[GfuHeaderCache::shard_index(&key)];
+            let tag = (generation, key);
+            shard.stamp += 1;
+            if let Some((_, old)) = shard.entries.get(&tag) {
+                let old = *old;
+                shard.lru.remove(&old);
+            } else if shard.entries.len() >= self.per_shard_capacity {
+                if let Some((_, coldest)) = shard.lru.pop_first() {
+                    shard.entries.remove(&coldest);
+                    self.stats.evictions += 1;
+                }
+            }
+            shard.lru.insert(shard.stamp, tag.clone());
+            shard.entries.insert(tag, (value, shard.stamp));
+        }
+
+        fn retire_below(&mut self, generation: u64) {
+            self.floor = self.floor.max(generation);
+            for shard in &mut self.shards {
+                shard.entries.retain(|(g, _), _| *g >= generation);
+                shard.lru.retain(|_, (g, _)| *g >= generation);
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.entries.len()).sum()
+        }
+
+        fn live_generations(&self) -> Vec<u64> {
+            let gens: std::collections::BTreeSet<u64> =
+                self.shards.iter().flat_map(|s| s.entries.keys().map(|(g, _)| *g)).collect();
+            gens.into_iter().collect()
+        }
+    }
+
+    /// What a probe returned, comparable across the cache and the model.
+    fn seen(probe: &Option<CachedGfu>) -> Option<Option<u64>> {
+        probe.as_ref().map(|v| v.as_ref().map(|v| v.record_count))
+    }
+
+    #[test]
+    fn policy_matches_the_stamp_and_btree_model() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..128u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let capacity = rng.random_range(1..=64usize);
+            let cache = GfuHeaderCache::new(capacity);
+            let mut model = Model::new(capacity);
+            // Half again as many keys as the cache holds, and few
+            // generations: probes hit often, shards fill, evictions choose
+            // among recently touched entries and retirements find work.
+            let alphabet = capacity as u32 * 3 / 2 + 2;
+            let key = |rng: &mut rand::rngs::StdRng| {
+                let k = rng.random_range(0..alphabet);
+                k.to_be_bytes()[..rng.random_range(3..=4usize)].to_vec()
+            };
+            let mut fills = 0u64;
+            for step in 0..600 {
+                let generation = model.floor.saturating_sub(1) + rng.random_range(0..3u64);
+                let ctx = format!("seed {seed}, capacity {capacity}, step {step}");
+                match rng.random_range(0..10u32) {
+                    0..=2 => {
+                        let k = key(&mut rng);
+                        let got = cache.get(generation, &k);
+                        assert_eq!(seen(&got), seen(&model.get(generation, &k)), "{ctx}: get");
+                    }
+                    3..=4 => {
+                        let keys: Vec<Vec<u8>> =
+                            (0..rng.random_range(0..24usize)).map(|_| key(&mut rng)).collect();
+                        let got = cache.get_many(generation, keys.iter().map(Vec::as_slice));
+                        assert_eq!(got.len(), keys.len());
+                        for (k, g) in keys.iter().zip(&got) {
+                            assert_eq!(seen(g), seen(&model.get(generation, k)), "{ctx}: get_many");
+                        }
+                    }
+                    5..=8 => {
+                        let k = key(&mut rng);
+                        fills += 1;
+                        let v = if rng.random_bool(0.2) { None } else { value(fills) };
+                        cache.insert(generation, k.clone(), v.clone());
+                        model.insert(generation, k, v);
+                    }
+                    _ => {
+                        let floor = model.floor + rng.random_range(0..2u64);
+                        cache.retire_below(floor);
+                        model.retire_below(floor);
+                    }
+                }
+                assert_eq!(cache.len(), model.len(), "{ctx}: len");
+                assert_eq!(cache.stats(), model.stats, "{ctx}: stats");
+                assert_eq!(cache.live_generations(), model.live_generations(), "{ctx}");
+            }
+        }
     }
 
     #[test]

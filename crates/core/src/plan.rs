@@ -175,6 +175,10 @@ struct Collector {
     /// torn values, and publishing them under the pinned generation
     /// would poison other readers still planning against that view.
     pending_fills: Vec<(Vec<u8>, CachedGfu)>,
+    /// Reused buffers: a stored header's decoded states (index order),
+    /// and a covered cell's states picked into query order.
+    decoded: Vec<AggState>,
+    picked: Vec<AggState>,
 }
 
 struct HeaderMerge {
@@ -203,22 +207,28 @@ impl HeaderMerge {
     /// only to place a group (a pyramid node, which only a plain
     /// aggregation reads, passes its node coordinates). A cell holding
     /// no record opens no group: a scan would not see one either.
-    fn merge_cell(&mut self, cell: &[i64], record_count: u64, picked: Vec<AggState>) -> Result<()> {
+    fn merge_cell(&mut self, cell: &[i64], record_count: u64, picked: &[AggState]) -> Result<()> {
         match &mut self.acc {
-            Accumulator::Scalar(acc) => self.query_set.merge(acc, &picked),
+            Accumulator::Scalar(acc) => self.query_set.merge(acc, picked),
             Accumulator::Groups { dim, groups, .. } => {
                 if record_count == 0 {
                     return Ok(());
                 }
                 match groups.entry(cell[*dim]) {
-                    Entry::Occupied(mut e) => self.query_set.merge(e.get_mut(), &picked),
+                    Entry::Occupied(mut e) => self.query_set.merge(e.get_mut(), picked),
                     Entry::Vacant(e) => {
-                        e.insert(picked);
+                        e.insert(picked.to_vec());
                         Ok(())
                     }
                 }
             }
         }
+    }
+
+    /// Pick index-order `states` into query order, into `out`.
+    fn pick_into(&self, states: &[AggState], out: &mut Vec<AggState>) {
+        out.clear();
+        out.extend(self.positions.iter().map(|p| states[*p].clone()));
     }
 
     fn into_partials(self) -> AggPartials {
@@ -238,8 +248,14 @@ impl HeaderMerge {
 /// the serving tier can fetch runs concurrently and still absorb them
 /// sequentially in odometer order.
 struct RunFetch {
-    /// Expected cells of the run in key order: `(key, covered, probe)`.
-    cells: Vec<(Vec<u8>, bool, Option<CachedGfu>)>,
+    /// Expected cells' keys in key order, end to end: every key of a run
+    /// is `stride` bytes long.
+    keys: Vec<u8>,
+    stride: usize,
+    /// Per expected cell: whether the query covers it.
+    covered: Vec<bool>,
+    /// Per expected cell: its header-cache probe.
+    probes: Vec<Option<CachedGfu>>,
     /// Scan results when an authoritative `scan_range` ran; `None` when
     /// every cache probe hit and the run cost zero key-value operations.
     pairs: Option<Vec<(Vec<u8>, Vec<u8>)>>,
@@ -249,21 +265,29 @@ struct RunFetch {
     misses: u64,
 }
 
-impl Collector {
-    /// The headers' merge; covered cells are absorbed only with one.
-    fn headers(&self) -> Result<&HeaderMerge> {
-        self.header_merge.as_ref().ok_or_else(|| {
-            DgfError::Index("covered cell absorbed without usable headers".into())
-        })
+impl RunFetch {
+    /// The expected cells in key order: `(key, covered, probe)`.
+    fn cells(&self) -> impl Iterator<Item = (&[u8], bool, &Option<CachedGfu>)> {
+        self.keys
+            .chunks_exact(self.stride)
+            .zip(&self.covered)
+            .zip(&self.probes)
+            .map(|((key, covered), probe)| (key, *covered, probe))
     }
+}
 
-    /// Count one covered cell of `records` records and pick its header
-    /// `states` (index order) into query-aggregate order.
-    fn pick_covered(&mut self, states: &[AggState], records: u64) -> Result<Vec<AggState>> {
-        let picked = self.headers()?.positions.iter().map(|p| states[*p].clone()).collect();
+/// The headers' merge; covered cells are absorbed only with one.
+fn headers(header_merge: &mut Option<HeaderMerge>) -> Result<&mut HeaderMerge> {
+    header_merge
+        .as_mut()
+        .ok_or_else(|| DgfError::Index("covered cell absorbed without usable headers".into()))
+}
+
+impl Collector {
+    /// Count one covered cell of `records` records.
+    fn count_covered(&mut self, records: u64) {
         self.inner_gfus += 1;
         self.inner_records += records;
-        Ok(picked)
     }
 
     /// Whether covered cells merge per group.
@@ -283,11 +307,14 @@ impl Collector {
     fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
         if covered {
             let coords = GfuKey::decode(key, self.arity)?.cells;
-            let states = self.headers()?.index_set.decode_states(&value.header)?;
             if self.grouped() {
-                return self.merge_covered(&coords, &states, value.record_count);
+                return self.merge_header(&coords, value);
             }
-            let picked = self.pick_covered(&states, value.record_count)?;
+            let hm = headers(&mut self.header_merge)?;
+            hm.index_set.decode_states_into(&value.header, &mut self.decoded)?;
+            let mut picked = Vec::new();
+            hm.pick_into(&self.decoded, &mut picked);
+            self.count_covered(value.record_count);
             self.inner_buffer.insert(coords, picked);
         } else {
             self.boundary_gfus += 1;
@@ -311,11 +338,23 @@ impl Collector {
     /// merge after [`finalize_inner`](Self::finalize_inner), in both
     /// strategies alike) and the cells of a grouped plan.
     fn merge_covered(&mut self, cell: &[i64], states: &[AggState], records: u64) -> Result<()> {
-        let picked = self.pick_covered(states, records)?;
-        match &mut self.header_merge {
-            Some(hm) => hm.merge_cell(cell, records, picked),
-            None => Ok(()),
-        }
+        let hm = headers(&mut self.header_merge)?;
+        hm.pick_into(states, &mut self.picked);
+        hm.merge_cell(cell, records, &self.picked)?;
+        self.count_covered(records);
+        Ok(())
+    }
+
+    /// [`merge_covered`](Self::merge_covered) for a stored GFU value or
+    /// pyramid node, decoding its header into the reused buffer.
+    fn merge_header(&mut self, cell: &[i64], value: &GfuValue) -> Result<()> {
+        let mut decoded = std::mem::take(&mut self.decoded);
+        headers(&mut self.header_merge)?
+            .index_set
+            .decode_states_into(&value.header, &mut decoded)?;
+        let merged = self.merge_covered(cell, &decoded, value.record_count);
+        self.decoded = decoded;
+        merged
     }
 
     /// Fold the buffered covered cells through the canonical merge tree
@@ -343,24 +382,27 @@ impl Collector {
         })?;
         let buffer = std::mem::take(&mut self.inner_buffer);
         let levels = crate::pyramid::fold_levels(buffer, top, query_set)?;
-        for item in crate::pyramid::decompose(&inner, top) {
-            if let Some(states) = levels[item.level as usize].get(&item.coords) {
-                query_set.merge(acc, states)?;
-            }
+        let mut nodes = Vec::new();
+        crate::pyramid::decompose_each(&inner, top, |level, coords| {
+            nodes.extend(levels[level as usize].get(coords));
+        });
+        for states in nodes {
+            query_set.merge(acc, states)?;
         }
         Ok(())
     }
 }
 
-/// Push every coordinate vector of an inclusive box, in odometer (= key)
-/// order. An empty box (inverted on any dimension) pushes nothing.
-fn enumerate_box(bounds: &[(i64, i64)], out: &mut Vec<Vec<i64>>) {
+/// Call `f` with every coordinate vector of an inclusive box, in
+/// odometer (= key) order. An empty box (inverted on any dimension)
+/// visits nothing.
+fn for_each_cell(bounds: &[(i64, i64)], mut f: impl FnMut(&[i64])) {
     if bounds.iter().any(|(lo, hi)| lo > hi) {
         return;
     }
     let mut coord: Vec<i64> = bounds.iter().map(|(lo, _)| *lo).collect();
     loop {
-        out.push(coord.clone());
+        f(&coord);
         let mut advanced = false;
         for d in (0..bounds.len()).rev() {
             if coord[d] < bounds[d].1 {
@@ -578,6 +620,8 @@ impl DgfIndex {
                 cache_hits: 0,
                 cache_misses: 0,
                 pending_fills: Vec::new(),
+                decoded: Vec::new(),
+                picked: Vec::new(),
             };
             self.sync_point("plan.fetch");
             match strategy {
@@ -925,7 +969,7 @@ impl DgfIndex {
 
         // Every setting of the prefix dimensions is one run.
         let mut prefixes: Vec<Vec<i64>> = Vec::new();
-        enumerate_box(&span_box(&spans[..scan_from]), &mut prefixes);
+        for_each_cell(&span_box(&spans[..scan_from]), |p| prefixes.push(p.to_vec()));
 
         let workers = self.fetch_parallelism().min(prefixes.len());
         if workers <= 1 {
@@ -1024,41 +1068,39 @@ impl DgfIndex {
             dgf_common::codec::encode_key_i64(&mut key_prefix, *c);
         }
 
-        // Expected cells of the run, in key (= odometer) order.
-        let mut cells: Vec<(Vec<u8>, bool, Option<CachedGfu>)> = Vec::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut all_hit = true;
-        let mut suffixes: Vec<Vec<i64>> = Vec::new();
-        enumerate_box(&span_box(&spans[scan_from..]), &mut suffixes);
-        for suffix in &suffixes {
-            let covered = prefix_covered
-                && spans[scan_from..]
-                    .iter()
-                    .zip(suffix)
-                    .all(|(s, c)| s.covered(*c));
-            let mut key = key_prefix.clone();
+        // Expected cells of the run, in key (= odometer) order, their
+        // fixed-length keys end to end in one buffer.
+        let stride = key_prefix.len() + 8 * (arity - scan_from);
+        let mut keys: Vec<u8> = Vec::new();
+        let mut covered: Vec<bool> = Vec::new();
+        for_each_cell(&span_box(&spans[scan_from..]), |suffix| {
+            covered.push(
+                prefix_covered
+                    && spans[scan_from..]
+                        .iter()
+                        .zip(suffix)
+                        .all(|(s, c)| s.covered(*c)),
+            );
+            keys.extend_from_slice(&key_prefix);
             for c in suffix {
-                dgf_common::codec::encode_key_i64(&mut key, *c);
+                dgf_common::codec::encode_key_i64(&mut keys, *c);
             }
-            let probe = cache.get(generation, &key);
-            match &probe {
-                Some(_) => hits += 1,
-                None => {
-                    misses += 1;
-                    all_hit = false;
-                }
-            }
-            cells.push((key, covered, probe));
-        }
-
-        if all_hit {
-            return Ok(RunFetch {
-                cells,
-                pairs: None,
-                hits,
-                misses,
-            });
+        });
+        debug_assert_eq!(keys.len(), stride * covered.len());
+        let probes = cache.get_many(generation, keys.chunks_exact(stride));
+        let hits = probes.iter().filter(|p| p.is_some()).count() as u64;
+        let misses = probes.len() as u64 - hits;
+        let mut fetched = RunFetch {
+            keys,
+            stride,
+            covered,
+            probes,
+            pairs: None,
+            hits,
+            misses,
+        };
+        if misses == 0 {
+            return Ok(fetched);
         }
 
         // Authoritative scan of the whole run. Under the pinned grid the
@@ -1068,22 +1110,18 @@ impl DgfIndex {
         // dimension is full-extent. Only another grid's keys (a pending
         // regrid's retired ones) can fall outside the cell set, and
         // `absorb_run` skips them.
-        let (first, last) = match (cells.first(), cells.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => return Err(DgfError::Index("prefix-scan run with no cells".into())),
+        let (Some(start), Some(last)) = (
+            fetched.keys.chunks_exact(stride).next(),
+            fetched.keys.chunks_exact(stride).next_back(),
+        ) else {
+            return Err(DgfError::Index("prefix-scan run with no cells".into()));
         };
-        let start = first.0.clone();
-        let mut end = last.0.clone();
         // Keys are fixed-length, so appending a byte makes the half-open
         // scan include the run's maximum key.
+        let mut end = last.to_vec();
         end.push(0x00);
-        let pairs = self.kv_scan_range_pinned(view, &start, &end)?;
-        Ok(RunFetch {
-            cells,
-            pairs: Some(pairs),
-            hits,
-            misses,
-        })
+        fetched.pairs = Some(self.kv_scan_range_pinned(view, start, &end)?);
+        Ok(fetched)
     }
 
     /// Merge one fetched run into the collector, in the caller's run
@@ -1096,29 +1134,27 @@ impl DgfIndex {
     /// staged tombstones) still sit inside the new grid's runs (DESIGN.md
     /// §11). Fills are deferred to the planning loop so a fetch that
     /// fails view validation never publishes possibly-torn values.
-    fn absorb_run(&self, collector: &mut Collector, fetched: RunFetch) -> Result<()> {
+    fn absorb_run(&self, collector: &mut Collector, mut fetched: RunFetch) -> Result<()> {
         collector.cache_hits += fetched.hits;
         collector.cache_misses += fetched.misses;
-        let Some(pairs) = fetched.pairs else {
-            for (key, covered, probe) in &fetched.cells {
+        let Some(pairs) = fetched.pairs.take() else {
+            for (key, covered, probe) in fetched.cells() {
                 if let Some(Some(value)) = probe {
-                    collector.absorb(*covered, key, value)?;
+                    collector.absorb(covered, key, value)?;
                 }
             }
             return Ok(());
         };
         let mut pairs = pairs.into_iter().peekable();
-        for (key, covered, _) in &fetched.cells {
-            while pairs.next_if(|(k, _)| k < key).is_some() {}
+        for (key, covered, _) in fetched.cells() {
+            while pairs.next_if(|(k, _)| k.as_slice() < key).is_some() {}
             match pairs.next_if(|(k, _)| k == key) {
-                Some((_, bytes)) => {
+                Some((key, bytes)) => {
                     let value = Arc::new(GfuValue::decode(&bytes)?);
-                    collector
-                        .pending_fills
-                        .push((key.clone(), Some(value.clone())));
-                    collector.absorb(*covered, key, &value)?;
+                    collector.absorb(covered, &key, &value)?;
+                    collector.pending_fills.push((key, Some(value)));
                 }
-                None => collector.pending_fills.push((key.clone(), None)),
+                None => collector.pending_fills.push((key.to_vec(), None)),
             }
         }
         Ok(())
@@ -1162,9 +1198,11 @@ impl DgfIndex {
         // the escaping dimension is pinned at an uncovered rim cell,
         // and dimensions after it sweep their full span. A single-cell
         // span that is uncovered on both sides pins the same cell
-        // twice, hence the `contains` dedup.
+        // twice, hence the `contains` dedup. Every key, the boundary's
+        // and then the items', is encoded end to end into one buffer.
         let arity = spans.len();
-        let mut boundary: Vec<Vec<i64>> = Vec::new();
+        let mut key_bytes: Vec<u8> = Vec::new();
+        let mut key_ends: Vec<usize> = Vec::new();
         for d in 0..arity {
             let s = &spans[d];
             let mut pins: Vec<i64> = Vec::new();
@@ -1182,44 +1220,45 @@ impl DgfIndex {
                         std::cmp::Ordering::Greater => (spans[j].lo, spans[j].hi),
                     })
                     .collect();
-                enumerate_box(&slab, &mut boundary);
+                for_each_cell(&slab, |cell| {
+                    crate::pyramid::push_level_key(&mut key_bytes, 0, cell);
+                    key_ends.push(key_bytes.len());
+                });
             }
         }
-        // Lexicographic coordinate order is encoded-key order, so the
+        let boundary_len = key_ends.len();
+        // Items in decomposition (DFS) order, with their levels and
+        // coordinates (`arity` a node) beside their keys.
+        let mut item_levels: Vec<u8> = Vec::new();
+        let mut item_coords: Vec<i64> = Vec::new();
+        crate::pyramid::decompose_each(&inner, top, |level, coords| {
+            crate::pyramid::push_level_key(&mut key_bytes, level, coords);
+            key_ends.push(key_bytes.len());
+            item_levels.push(level);
+            item_coords.extend_from_slice(coords);
+        });
+        let mut keys: Vec<&[u8]> = Vec::with_capacity(key_ends.len());
+        let mut start = 0;
+        for end in &key_ends {
+            keys.push(&key_bytes[start..*end]);
+            start = *end;
+        }
+        // Encoded-key order is lexicographic coordinate order, so the
         // boundary absorbs in the same sequence a scan would deliver.
-        boundary.sort();
-
-        let items = crate::pyramid::decompose(&inner, top);
-        let boundary_keys: Vec<Vec<u8>> = boundary
-            .into_iter()
-            .map(|c| GfuKey::new(c).encode())
-            .collect();
-        let item_keys: Vec<Vec<u8>> = items.iter().map(|n| n.store_key()).collect();
+        keys[..boundary_len].sort_unstable();
 
         // Probe the epoch-tagged header cache (shared with the run scans;
         // `p:` node values cache under the same generation tag), then
         // fetch every miss in one batched, snapshot-atomic multi_get.
         let generation = view.generation;
-        let cache = self.header_cache();
-        let all_keys: Vec<&Vec<u8>> = boundary_keys.iter().chain(item_keys.iter()).collect();
-        let mut resolved: Vec<CachedGfu> = Vec::with_capacity(all_keys.len());
-        let mut miss_keys: Vec<Vec<u8>> = Vec::new();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, key) in all_keys.iter().enumerate() {
-            match cache.get(generation, key) {
-                Some(cached) => {
-                    collector.cache_hits += 1;
-                    resolved.push(cached);
-                }
-                None => {
-                    collector.cache_misses += 1;
-                    miss_keys.push((*key).clone());
-                    miss_idx.push(i);
-                    resolved.push(None);
-                }
-            }
-        }
-        if !miss_keys.is_empty() {
+        let mut resolved = self
+            .header_cache()
+            .get_many(generation, keys.iter().copied());
+        let miss_idx: Vec<usize> = (0..keys.len()).filter(|i| resolved[*i].is_none()).collect();
+        collector.cache_misses += miss_idx.len() as u64;
+        collector.cache_hits += (keys.len() - miss_idx.len()) as u64;
+        if !miss_idx.is_empty() {
+            let miss_keys: Vec<Vec<u8>> = miss_idx.iter().map(|i| keys[*i].to_vec()).collect();
             let fetched = self.kv_multi_get_pinned(view, &miss_keys)?;
             for ((i, key), got) in miss_idx.into_iter().zip(miss_keys).zip(fetched) {
                 let value = match got {
@@ -1229,13 +1268,13 @@ impl DgfIndex {
                 // Fills (positive and negative) stay deferred until the
                 // pinned view validates, as in the run scans.
                 collector.pending_fills.push((key, value.clone()));
-                resolved[i] = value;
+                resolved[i] = Some(value);
             }
         }
 
-        let (boundary_res, item_res) = resolved.split_at(boundary_keys.len());
-        for (value, key) in boundary_res.iter().zip(&boundary_keys) {
-            if let Some(v) = value {
+        let (boundary_res, item_res) = resolved.split_at(boundary_len);
+        for (value, key) in boundary_res.iter().zip(&keys) {
+            if let Some(Some(v)) = value {
                 collector.absorb(false, key, v)?;
             }
         }
@@ -1243,15 +1282,16 @@ impl DgfIndex {
         // `finalize_inner` replays for the run scans. An absent
         // node means no data anywhere under it (the maintenance
         // invariant), so skipping it is the empty merge.
-        for (value, item) in item_res.iter().zip(&items) {
-            if let Some(v) = value {
-                let states = collector.headers()?.index_set.decode_states(&v.header)?;
-                collector.merge_covered(&item.coords, &states, v.record_count)?;
-                if item.level >= 1 {
+        let item_cells = item_coords.chunks_exact(arity);
+        for ((value, level), coords) in item_res.iter().zip(&item_levels).zip(item_cells) {
+            if let Some(Some(v)) = value {
+                collector.merge_header(coords, v)?;
+                if *level >= 1 {
                     collector.pyramid_nodes += 1;
+                    let cells = crate::pyramid::cell_count(*level, arity);
                     collector.pyramid_cells = collector
                         .pyramid_cells
-                        .saturating_add(u64::try_from(item.cell_count()).unwrap_or(u64::MAX));
+                        .saturating_add(u64::try_from(cells).unwrap_or(u64::MAX));
                 }
             }
         }

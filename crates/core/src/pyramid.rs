@@ -23,8 +23,8 @@
 //! *last* shard together with `m:view`, staged `s:` keys, and the
 //! transaction manifest — the single-shard commit-point atomicity of
 //! DESIGN.md §13 is preserved with no router change. Level 0 is not
-//! stored separately: [`NodeRef::store_key`] maps a level-0 node to its
-//! `g:` leaf key.
+//! stored separately: [`level_key`] maps a level-0 node to its `g:`
+//! leaf key.
 //!
 //! ## The canonical merge tree
 //!
@@ -68,7 +68,7 @@ use dgf_common::codec;
 use dgf_common::Result;
 use dgf_query::{AggSet, AggState};
 
-use crate::gfu::GfuKey;
+use crate::gfu::GFU_PREFIX;
 
 /// Key prefix for pyramid node entries in the key-value store. Sorts
 /// above every `g:` leaf and below the staged `s:` keys, so range
@@ -90,8 +90,8 @@ pub const MAX_PYRAMID_ARITY: usize = 16;
 
 /// Store key of the level-`level` pyramid node at `coords`:
 /// `p:` + level byte + order-preserving coordinate encoding. Callers
-/// use [`NodeRef::store_key`] for level 0, which lives at the `g:`
-/// leaf key instead.
+/// use [`level_key`] for level 0, which lives at the `g:` leaf key
+/// instead.
 pub fn pyramid_key(level: u8, coords: &[i64]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(PYRAMID_PREFIX.len() + 1 + 8 * coords.len());
     buf.extend_from_slice(PYRAMID_PREFIX);
@@ -105,10 +105,23 @@ pub fn pyramid_key(level: u8, coords: &[i64]) -> Vec<u8> {
 /// Store key of the node at (`level`, `coords`): the `g:` leaf key for
 /// level 0, the `p:` node key otherwise.
 pub fn level_key(level: u8, coords: &[i64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(PYRAMID_PREFIX.len() + 1 + 8 * coords.len());
+    push_level_key(&mut buf, level, coords);
+    buf
+}
+
+/// Append [`level_key`]`(level, coords)` to `buf`, so a caller encoding
+/// many keys fills one buffer. The level-0 key is the cell's
+/// [`GfuKey`](crate::gfu::GfuKey) encoding.
+pub(crate) fn push_level_key(buf: &mut Vec<u8>, level: u8, coords: &[i64]) {
     if level == 0 {
-        GfuKey::new(coords.to_vec()).encode()
+        buf.extend_from_slice(GFU_PREFIX);
     } else {
-        pyramid_key(level, coords)
+        buf.extend_from_slice(PYRAMID_PREFIX);
+        buf.push(level);
+    }
+    for c in coords {
+        codec::encode_key_i64(buf, *c);
     }
 }
 
@@ -124,16 +137,22 @@ pub fn parent_coords(coords: &[i64]) -> Vec<i64> {
 /// significant. This is the canonical fold order of the merge tree —
 /// maintenance and the planner's client-side fold must both use it.
 pub fn child_coords(coords: &[i64]) -> Vec<Vec<i64>> {
-    let d = coords.len();
-    (0..1usize << d)
+    (0..1usize << coords.len())
         .map(|mask| {
-            coords
-                .iter()
-                .enumerate()
-                .map(|(j, c)| 2 * c + ((mask >> (d - 1 - j)) & 1) as i64)
-                .collect()
+            let mut child = vec![0; coords.len()];
+            write_child(coords, mask, &mut child);
+            child
         })
         .collect()
+}
+
+/// Write the `mask`-th child of the node at `coords`, in
+/// [`child_coords`] order, into `out`.
+fn write_child(coords: &[i64], mask: usize, out: &mut [i64]) {
+    let d = coords.len();
+    for (j, (o, c)) in out.iter_mut().zip(coords).enumerate() {
+        *o = 2 * c + ((mask >> (d - 1 - j)) & 1) as i64;
+    }
 }
 
 /// One node of the decomposition: a level and its coordinates. Level 0
@@ -147,16 +166,16 @@ pub struct NodeRef {
 }
 
 impl NodeRef {
-    /// The store key this node is read from (`g:` leaf for level 0,
-    /// `p:` node otherwise).
-    pub fn store_key(&self) -> Vec<u8> {
-        level_key(self.level, &self.coords)
-    }
-
     /// Number of leaf cells this node summarizes: `2^(level·d)`.
     pub fn cell_count(&self) -> u128 {
-        1u128 << (self.level as u32 * self.coords.len() as u32)
+        cell_count(self.level, self.coords.len())
     }
+}
+
+/// Number of leaf cells a level-`level` node of a `d`-dimensional
+/// pyramid summarizes: `2^(level·d)`.
+pub(crate) fn cell_count(level: u8, d: usize) -> u128 {
+    1u128 << (level as u32 * d as u32)
 }
 
 /// Inclusive per-dimension leaf-cell box of the node at (`level`, `c`),
@@ -174,59 +193,74 @@ fn node_box(level: u8, c: i64) -> (i128, i128) {
 /// order — the **canonical item order** both planner paths merge in.
 /// An empty box (any `lo > hi`) decomposes to nothing.
 pub fn decompose(inner: &[(i64, i64)], top: u8) -> Vec<NodeRef> {
-    if inner.iter().any(|(lo, hi)| lo > hi) {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    // Odometer over the top-level nodes overlapping the box.
-    let w = 1i64 << top;
-    let lo: Vec<i64> = inner.iter().map(|(l, _)| l.div_euclid(w)).collect();
-    let hi: Vec<i64> = inner.iter().map(|(_, h)| h.div_euclid(w)).collect();
-    let mut coord = lo.clone();
-    loop {
-        visit(&mut out, inner, top, &coord);
-        let mut advanced = false;
-        for d in (0..coord.len()).rev() {
-            if coord[d] < hi[d] {
-                coord[d] += 1;
-                for (c, l) in coord[d + 1..].iter_mut().zip(&lo[d + 1..]) {
-                    *c = *l;
-                }
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
+    decompose_each(inner, top, |level, coords| {
+        out.push(NodeRef {
+            level,
+            coords: coords.to_vec(),
+        })
+    });
     out
 }
 
-fn visit(out: &mut Vec<NodeRef>, inner: &[(i64, i64)], level: u8, coords: &[i64]) {
+/// [`decompose`] without building its items: `emit(level, coords)` is
+/// called once per item, in canonical item order. The recursion writes
+/// each level's coordinates into one row of a single buffer, so a
+/// decomposition allocates once, however many nodes it visits.
+pub(crate) fn decompose_each(inner: &[(i64, i64)], top: u8, mut emit: impl FnMut(u8, &[i64])) {
+    if inner.iter().any(|(lo, hi)| lo > hi) {
+        return;
+    }
+    let d = inner.len();
+    // Row `k` holds the coordinates of the level-`k` node being visited.
+    let mut rows = vec![0i64; d * (top as usize + 1)];
+    // Odometer over the top-level nodes overlapping the box, in the top
+    // row itself: visits write only the rows below it.
+    let w = 1i64 << top;
+    let top_row = top as usize * d;
+    for (c, (l, _)) in rows[top_row..].iter_mut().zip(inner) {
+        *c = l.div_euclid(w);
+    }
+    loop {
+        visit(&mut emit, inner, top, &mut rows);
+        let coord = &mut rows[top_row..];
+        let Some(j) = (0..d).rev().find(|j| coord[*j] < inner[*j].1.div_euclid(w)) else {
+            break;
+        };
+        coord[j] += 1;
+        for (c, (l, _)) in coord[j + 1..].iter_mut().zip(&inner[j + 1..]) {
+            *c = l.div_euclid(w);
+        }
+    }
+}
+
+/// Visit the level-`level` node whose coordinates are the last row of
+/// `rows`: emit it when the box contains it, recurse into its children
+/// (written into the row below, in [`child_coords`] order) when it
+/// straddles the box's edge, drop it when disjoint.
+fn visit(emit: &mut impl FnMut(u8, &[i64]), inner: &[(i64, i64)], level: u8, rows: &mut [i64]) {
+    let d = inner.len();
+    let (below, coords) = rows.split_at_mut(level as usize * d);
     let mut contained = true;
-    for (d, c) in coords.iter().enumerate() {
+    for (c, (ql, qh)) in coords.iter().zip(inner) {
         let (lo, hi) = node_box(level, *c);
-        let (ql, qh) = (inner[d].0 as i128, inner[d].1 as i128);
-        if hi < ql || lo > qh {
+        if hi < *ql as i128 || lo > *qh as i128 {
             return; // disjoint
         }
-        if lo < ql || hi > qh {
+        if lo < *ql as i128 || hi > *qh as i128 {
             contained = false;
         }
     }
     if contained {
-        out.push(NodeRef {
-            level,
-            coords: coords.to_vec(),
-        });
+        emit(level, coords);
         return;
     }
     // A level-0 node is one cell: always contained or disjoint, so the
     // recursion bottoms out before reaching here with level == 0.
     debug_assert!(level > 0, "partial overlap on a single cell");
-    for child in child_coords(coords) {
-        visit(out, inner, level - 1, &child);
+    for mask in 0..1usize << d {
+        write_child(coords, mask, &mut below[(level as usize - 1) * d..]);
+        visit(emit, inner, level - 1, below);
     }
 }
 
@@ -293,6 +327,7 @@ pub fn fold_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gfu::GfuKey;
     use dgf_common::Value;
 
     #[test]
@@ -307,6 +342,11 @@ mod tests {
     fn level_zero_key_is_the_leaf_key() {
         assert_eq!(level_key(0, &[7, 13]), GfuKey::new(vec![7, 13]).encode());
         assert_ne!(level_key(1, &[7, 13]), GfuKey::new(vec![7, 13]).encode());
+        // Pushed keys land end to end, byte for byte what `level_key` returns.
+        let mut buf = Vec::new();
+        push_level_key(&mut buf, 0, &[7, -13]);
+        push_level_key(&mut buf, 3, &[7, -13]);
+        assert_eq!(buf, [level_key(0, &[7, -13]), level_key(3, &[7, -13])].concat());
     }
 
     #[test]
@@ -334,29 +374,122 @@ mod tests {
         assert!(child_coords(&[-1]).contains(&vec![-2]));
     }
 
-    #[test]
-    fn decompose_partitions_the_box_exactly() {
-        // Sweep misaligned boxes; every cell must be covered exactly once.
-        for (lo0, hi0, lo1, hi1) in [(0, 15, 0, 15), (1, 14, 3, 9), (-5, 6, -8, -1), (2, 2, 5, 5)] {
-            let inner = [(lo0, hi0), (lo1, hi1)];
-            let items = decompose(&inner, 3);
-            let mut seen = std::collections::HashSet::new();
-            for n in &items {
-                let boxes: Vec<(i128, i128)> =
-                    n.coords.iter().map(|c| node_box(n.level, *c)).collect();
-                for x in boxes[0].0..=boxes[0].1 {
-                    for y in boxes[1].0..=boxes[1].1 {
-                        assert!(
-                            x >= lo0 as i128 && x <= hi0 as i128,
-                            "node leaks outside the box"
-                        );
-                        assert!(y >= lo1 as i128 && y <= hi1 as i128);
-                        assert!(seen.insert((x, y)), "cell covered twice");
-                    }
+    /// The decomposition as first written: a fresh [`child_coords`]
+    /// vector at every visited node. The canonical item order is this
+    /// recursion's.
+    fn reference_decompose(inner: &[(i64, i64)], top: u8) -> Vec<NodeRef> {
+        fn visit(out: &mut Vec<NodeRef>, inner: &[(i64, i64)], level: u8, coords: &[i64]) {
+            let mut contained = true;
+            for (d, c) in coords.iter().enumerate() {
+                let (lo, hi) = node_box(level, *c);
+                let (ql, qh) = (inner[d].0 as i128, inner[d].1 as i128);
+                if hi < ql || lo > qh {
+                    return;
+                }
+                if lo < ql || hi > qh {
+                    contained = false;
                 }
             }
-            let want = (hi0 - lo0 + 1) as usize * (hi1 - lo1 + 1) as usize;
-            assert_eq!(seen.len(), want, "box {inner:?} not fully covered");
+            if contained {
+                out.push(NodeRef {
+                    level,
+                    coords: coords.to_vec(),
+                });
+                return;
+            }
+            for child in child_coords(coords) {
+                visit(out, inner, level - 1, &child);
+            }
+        }
+        if inner.iter().any(|(lo, hi)| lo > hi) {
+            return Vec::new();
+        }
+        let w = 1i64 << top;
+        let mut tops = Vec::new();
+        let bounds: Vec<(i64, i64)> =
+            inner.iter().map(|(l, h)| (l.div_euclid(w), h.div_euclid(w))).collect();
+        let mut coord: Vec<i64> = bounds.iter().map(|b| b.0).collect();
+        'odometer: loop {
+            tops.push(coord.clone());
+            for d in (0..coord.len()).rev() {
+                if coord[d] < bounds[d].1 {
+                    coord[d] += 1;
+                    for j in d + 1..coord.len() {
+                        coord[j] = bounds[j].0;
+                    }
+                    continue 'odometer;
+                }
+            }
+            break;
+        }
+        let mut out = Vec::new();
+        for c in &tops {
+            visit(&mut out, inner, top, c);
+        }
+        out
+    }
+
+    /// Every leaf cell of `node`, as coordinate vectors.
+    fn cells_of(node: &NodeRef) -> Vec<Vec<i64>> {
+        let mut cells = vec![Vec::new()];
+        for c in &node.coords {
+            let (lo, hi) = node_box(node.level, *c);
+            cells = cells
+                .into_iter()
+                .flat_map(|prefix| {
+                    (lo..=hi).map(move |x| {
+                        let mut cell = prefix.clone();
+                        cell.push(x as i64);
+                        cell
+                    })
+                })
+                .collect();
+        }
+        cells
+    }
+
+    #[test]
+    fn decompose_partitions_the_box_exactly() {
+        // Misaligned 2-, 3- and 4-d boxes, negative coordinates included,
+        // under pyramids 0 to 6 levels high: every cell is covered exactly
+        // once, and the items are the reference recursion's, in its order.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut boxes: Vec<Vec<(i64, i64)>> = vec![
+            vec![(0, 15), (0, 15)],
+            vec![(1, 14), (3, 9)],
+            vec![(-5, 6), (-8, -1)],
+            vec![(2, 2), (5, 5)],
+            vec![(-9, 4), (1, 6), (-3, -3)],
+            vec![(-2, 5), (-7, 0), (3, 8), (-1, 1)],
+        ];
+        for _ in 0..24 {
+            let d = rng.random_range(2..=4usize);
+            let span = if d == 4 { 7 } else { 12 };
+            boxes.push(
+                (0..d)
+                    .map(|_| {
+                        let lo = rng.random_range(-20..20i64);
+                        (lo, lo + rng.random_range(0..span))
+                    })
+                    .collect(),
+            );
+        }
+        for inner in &boxes {
+            for top in 0..=6u8 {
+                let items = decompose(inner, top);
+                assert_eq!(items, reference_decompose(inner, top), "{inner:?}, top {top}");
+                let mut seen = std::collections::HashSet::new();
+                for n in &items {
+                    for cell in cells_of(n) {
+                        let inside = cell.iter().zip(inner).all(|(x, (lo, hi))| lo <= x && x <= hi);
+                        assert!(inside, "{n:?} leaks outside {inner:?}");
+                        assert!(seen.insert(cell), "{inner:?}, top {top}: cell covered twice");
+                    }
+                }
+                let want: usize = inner.iter().map(|(lo, hi)| (hi - lo + 1) as usize).product();
+                assert_eq!(seen.len(), want, "{inner:?}, top {top}: not fully covered");
+            }
         }
     }
 

@@ -621,6 +621,15 @@ impl AggSet {
     /// Deserialize states from [`encode_states`](Self::encode_states)
     /// output. The decoded state kinds must match this set's functions.
     pub fn decode_states(&self, bytes: &[u8]) -> Result<Vec<AggState>> {
+        let mut out = Vec::with_capacity(self.funcs.len());
+        self.decode_states_into(bytes, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`decode_states`](Self::decode_states) into `out`, replacing what
+    /// it held: a caller decoding many headers reuses one buffer.
+    pub fn decode_states_into(&self, bytes: &[u8], out: &mut Vec<AggState>) -> Result<()> {
+        out.clear();
         let mut dec = Decoder::new(bytes);
         let n = dec.u32()? as usize;
         if n != self.funcs.len() {
@@ -629,7 +638,6 @@ impl AggSet {
                 self.funcs.len()
             )));
         }
-        let mut out = Vec::with_capacity(n);
         for f in &self.funcs {
             let st = match dec.u8()? {
                 0 => AggState::Count(dec.u64()?),
@@ -671,7 +679,7 @@ impl AggSet {
             }
             out.push(st);
         }
-        Ok(out)
+        Ok(())
     }
 }
 

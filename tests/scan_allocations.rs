@@ -1,7 +1,8 @@
 //! The row drain must not allocate per row, no drain may allocate per
 //! payload byte, decoding a GFU value allocates its header and its
-//! slice list, nothing per slice, and replaying a log never allocates
-//! what a corrupt length prefix claims.
+//! slice list, nothing per slice, replaying a log never allocates
+//! what a corrupt length prefix claims, and a warm plan allocates a
+//! small constant per header it probes.
 //!
 //! `InputReader::for_each_row` refills one scratch `Row` from each
 //! decoded batch, so draining a numeric RCFile table allocates per *group*
@@ -16,12 +17,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dgfindex::core::DEFAULT_HEADER_CACHE_CAPACITY;
 use dgfindex::format::{RcReader, RcWriter};
 use dgfindex::hive::InputReader;
 use dgfindex::ingest::{encode_rows, IngestWal};
 use dgfindex::kvstore::{KvStore, LogKvStore};
 use dgfindex::prelude::*;
 use dgfindex::storage::FileSplit;
+use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 
 struct CountingAlloc;
 
@@ -195,4 +198,67 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
             bytes.len()
         );
     }
+
+    // A warm plan costs cache lookups, not allocations. Over a grid of
+    // 250 x 11 x 30 cells, an aggregation whose inner region the pyramid
+    // decomposes into thousands of nodes is planned twice; the second
+    // plan probes every key in the header cache and hits.
+    let cfg = MeterConfig {
+        users: 2_000,
+        days: 30,
+        ..MeterConfig::default()
+    };
+    let ctx = HiveContext::new(SimHdfs::open(tmp.path().join("wh")).unwrap(), MrEngine::new(1));
+    let base = ctx
+        .create_table("meter", meter_schema(), FileFormat::Text)
+        .unwrap();
+    ctx.load_rows(&base, &generate_meter_data(&cfg), 2).unwrap();
+    let grid = SplittingPolicy::new(vec![
+        DimPolicy::int("user_id", 0, 8),
+        DimPolicy::int("region_id", 0, 1),
+        DimPolicy::date("ts", cfg.start_day, 1),
+    ])
+    .unwrap();
+    let sum = vec![AggFunc::Sum("power_consumed".into())];
+    let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+    let (index, _) = DgfIndex::build(ctx, base, grid, sum.clone(), kv, "midx").unwrap();
+    let query = Query::Aggregate {
+        aggs: sum.clone(),
+        predicate: Predicate::all()
+            .and(
+                "user_id",
+                ColumnRange::half_open(Value::Int(13), Value::Int(1_500)),
+            )
+            .and(
+                "ts",
+                ColumnRange::half_open(
+                    Value::Date(cfg.start_day + 5),
+                    Value::Date(cfg.start_day + 16),
+                ),
+            ),
+    };
+    let cold = index.plan(&query, true).unwrap();
+    assert!(cold.cache_misses > 0 && cold.pyramid_nodes > 0);
+    let before = allocs();
+    let warm = index.plan(&query, true).unwrap();
+    let plan_allocs = allocs() - before;
+    let probed = warm.cache_hits + warm.cache_misses;
+    assert_eq!((warm.cache_hits, warm.cache_misses), (probed, 0));
+    assert_eq!(warm.inner_states, cold.inner_states);
+    assert!(
+        plan_allocs <= 2 * probed,
+        "a warm plan allocated {plan_allocs} times for {probed} probed keys"
+    );
+    // Everything the two plans probed fit: nothing was evicted. A scan of
+    // every cell of the grid probes more keys than the cache holds.
+    assert_eq!(index.header_cache().stats().evictions, 0);
+    let everything = Query::Aggregate {
+        aggs: sum,
+        predicate: Predicate::all(),
+    };
+    let full = index
+        .plan_with_strategy(&everything, true, PlanStrategy::PrefixScan)
+        .unwrap();
+    assert!(full.cache_misses as usize > DEFAULT_HEADER_CACHE_CAPACITY);
+    assert!(index.header_cache().stats().evictions > 0);
 }
