@@ -427,7 +427,9 @@ impl DgfIndex {
     }
 
     /// Consult the fault plan's crash point `site` (no-op without a plan).
-    pub(crate) fn crash_point(&self, site: &str) -> Result<()> {
+    /// Writers layered on the index — the streaming ingestor — consult
+    /// the same plan, so one plan numbers every crash point of a run.
+    pub fn crash_point(&self, site: &str) -> Result<()> {
         match &self.fault {
             Some(plan) => plan.crash_point(site),
             None => Ok(()),
@@ -436,7 +438,7 @@ impl DgfIndex {
 
     /// Consult the fault plan's scheduling point `site` (no-op without a
     /// plan): interleaving tests use these to widen race windows.
-    pub(crate) fn sync_point(&self, site: &str) {
+    pub fn sync_point(&self, site: &str) {
         if let Some(plan) = &self.fault {
             plan.sync_point(site);
         }

@@ -330,10 +330,10 @@ impl<'a> Txn<'a> {
         }
         // From here the handle's writer slot is ours; `Drop` releases it.
         let base = settle(index)
-            .and_then(|()| index.kv_get(META_VIEW_KEY))
-            .and_then(|stored| match stored {
-                Some(bytes) => ReadView::decode(&bytes),
-                None => Ok(DgfIndex::genesis_view(&index.policy(), &index.aggs, index.placement)),
+            .map(|view| {
+                view.unwrap_or_else(|| {
+                    DgfIndex::genesis_view(&index.policy(), &index.aggs, index.placement)
+                })
             })
             .inspect_err(|_| index.writing.store(false, Ordering::Release))?;
         let gen = index.generation.fetch_add(1, Ordering::AcqRel) + 1;
@@ -474,22 +474,24 @@ impl Drop for Txn<'_> {
     }
 }
 
-/// Finish whatever transaction the store holds — one `get` when it holds
-/// none — and, after a roll-forward, bring the handle's in-memory policy
-/// and generation up to the view that transaction published (the writer
-/// that committed it never got to).
-fn settle(index: &DgfIndex) -> Result<()> {
-    if index.kv_get(TXN_MANIFEST_KEY)?.is_none() {
-        return Ok(());
+/// Finish whatever transaction the store holds (one `get` finds none)
+/// and bring the handle's in-memory policy and generation up to
+/// the committed view, which the writer that published it may never
+/// have seen: a roll-forward here, or another handle's open finishing a
+/// failed writer of this handle's. Returns that view, or `None` when the
+/// store holds no index yet.
+fn settle(index: &DgfIndex) -> Result<Option<ReadView>> {
+    if index.kv_get(TXN_MANIFEST_KEY)?.is_some() {
+        let found = recover(&index.ctx.hdfs, &index.kv, index.retry, None)?;
+        index.txn_stats.count_recovery(found);
     }
-    let found = recover(&index.ctx.hdfs, &index.kv, index.retry, None)?;
-    index.txn_stats.count_recovery(found);
-    if found == Some(TxnState::Committed) {
-        let view = index.pin_view()?;
-        index.install_policy(Arc::new(SplittingPolicy::decode(&view.policy)?));
-        index.generation.fetch_max(view.generation, Ordering::AcqRel);
-    }
-    Ok(())
+    let Some(bytes) = index.kv_get(META_VIEW_KEY)? else {
+        return Ok(None);
+    };
+    let view = ReadView::decode(&bytes)?;
+    index.install_policy(Arc::new(SplittingPolicy::decode(&view.policy)?));
+    index.generation.fetch_max(view.generation, Ordering::AcqRel);
+    Ok(Some(view))
 }
 
 /// Repair an interrupted transaction, if the store holds one. Returns
@@ -646,9 +648,8 @@ fn rollback_txn(
     }
     hdfs.delete_tree(&manifest.staging_dir)?;
     if let Some(delta) = &manifest.base_delta {
-        if hdfs.file_exists(delta) {
-            hdfs.delete_file(delta)?;
-        }
+        // Torn or whole: a delta its writer never closed is on disk only.
+        hdfs.delete_file(delta)?;
     }
     kv_retry(retry, kv, || kv.delete(TXN_MANIFEST_KEY))?;
     kv_retry(retry, kv, || kv.flush())?;

@@ -50,7 +50,6 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use dgf_common::fault::FaultPlan;
 use dgf_common::obs::names;
 use dgf_common::{counter_block, DgfError, Result, Row};
 use dgf_core::{DgfIndex, FreshSource, GfuCells};
@@ -72,11 +71,6 @@ pub struct IngestConfig {
     /// the thread entirely (flushes then happen only inline or via
     /// [`StreamIngestor::flush`] — what deterministic tests want).
     pub auto_flush_interval: Option<Duration>,
-    /// Fault schedule consulted at the ingest crash points
-    /// (`ingest.wal-appended`, `ingest.wal-synced`, `ingest.flush-staged`,
-    /// `ingest.flush-committed`), in addition to whatever plan the index
-    /// itself was opened with.
-    pub fault: Option<Arc<FaultPlan>>,
 }
 
 impl Default for IngestConfig {
@@ -86,7 +80,6 @@ impl Default for IngestConfig {
             flush_rows: 50_000,
             flush_age: Duration::from_millis(200),
             auto_flush_interval: Some(Duration::from_millis(25)),
-            fault: None,
         }
     }
 }
@@ -174,22 +167,6 @@ struct Core {
 }
 
 impl Core {
-    fn crash_point(&self, site: &str) -> Result<()> {
-        match &self.config.fault {
-            Some(plan) => plan.crash_point(site),
-            None => Ok(()),
-        }
-    }
-
-    /// Seeded interleaving yield (see `FaultPlan::sync_point`): widens
-    /// the window around the flush's index commit so the concurrency
-    /// harness can drive query threads through it deterministically.
-    fn sync_point(&self, site: &str) {
-        if let Some(plan) = &self.config.fault {
-            plan.sync_point(site);
-        }
-    }
-
     fn check_poisoned(&self) -> Result<()> {
         if self.poisoned.load(Ordering::SeqCst) {
             return Err(DgfError::Index(
@@ -251,11 +228,11 @@ impl Core {
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
             let (wal_bytes, ticket) = self.wal.append_batch(seq, &encoded)?;
             stats.wal_bytes.add(wal_bytes);
-            self.crash_point("ingest.wal-appended")?;
+            self.index.crash_point("ingest.wal-appended")?;
             if self.wal.sync(ticket)? {
                 stats.wal_syncs.inc();
             }
-            self.crash_point("ingest.wal-synced")?;
+            self.index.crash_point("ingest.wal-synced")?;
             self.shared.mem.lock().active.insert(seq, rows, batch_bytes)?;
             Ok((seq, wal_bytes))
         })();
@@ -322,11 +299,13 @@ impl Core {
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         let kv_before = self.index.kv.stats().snapshot();
         let published = (|| -> Result<()> {
-            self.crash_point("ingest.flush-staged")?;
-            self.sync_point("ingest.flush-commit");
+            // The index's fault plan: crash points, and pauses that widen
+            // the window around the commit for racing readers.
+            self.index.crash_point("ingest.flush-staged")?;
+            self.index.sync_point("ingest.flush-commit");
             self.index.append_cells(&slot.cells, slot.max_seq)?;
-            self.sync_point("ingest.flush-commit");
-            self.crash_point("ingest.flush-committed")?;
+            self.index.sync_point("ingest.flush-commit");
+            self.index.crash_point("ingest.flush-committed")?;
             Ok(())
         })();
         self.index.kv.stats().snapshot().since(&kv_before).attach_to_span(&span);

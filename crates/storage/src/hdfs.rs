@@ -336,12 +336,16 @@ impl SimHdfs {
         Ok(())
     }
 
-    /// Delete one file.
+    /// Delete one file: its inode, and its bytes also when it has none —
+    /// a writer that died before its close left them on disk outside the
+    /// namespace, where a restart's re-walk would find them. A path that
+    /// holds nothing is a no-op.
     pub fn delete_file(&self, path: &str) -> Result<()> {
-        if self.namenode.lock().remove_file(path).is_some() {
-            std::fs::remove_file(self.localize(path)?)?;
+        self.namenode.lock().remove_file(path);
+        match std::fs::remove_file(self.localize(path)?) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            removed => Ok(removed?),
         }
-        Ok(())
     }
 
     /// Delete a directory tree.
@@ -793,6 +797,11 @@ mod tests {
         // And the local bytes are truncated at or before the full length.
         let local = std::fs::metadata(h.root().join("f")).unwrap();
         assert!(local.len() <= 12);
+        // Deleting the path deletes those bytes: a restart's re-walk would
+        // otherwise put the torn file into the namespace.
+        h.delete_file("/f").unwrap();
+        assert!(!h.root().join("f").exists());
+        h.delete_file("/f").unwrap();
     }
 
     #[test]

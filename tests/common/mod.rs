@@ -57,9 +57,12 @@ pub fn grid(cfg: &MeterConfig) -> SplittingPolicy {
 
 /// The query mix: a full COUNT (torn states show up as impossible
 /// intermediate row counts), a misaligned range aggregate (boundary
-/// Slices + inner headers), and two GROUP BYs (the grouped sink and
+/// Slices + inner headers), two GROUP BYs (the grouped sink and
 /// per-group float sums; the second, on `ts`, merges each day's inner
-/// headers into its group).
+/// headers into its group), and a wide aggregate over all but the edge
+/// users and the last seeded day, whose inner region holds aligned
+/// blocks of cells on a fine grid: its default plan reads level ≥ 1
+/// pyramid nodes there.
 pub fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let range = Predicate::all()
         .and(
@@ -95,6 +98,21 @@ pub fn queries(cfg: &MeterConfig) -> Vec<Query> {
                 ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
             ),
         },
+        Query::Aggregate {
+            aggs: aggs(),
+            predicate: Predicate::all()
+                .and(
+                    "user_id",
+                    ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64 - 1)),
+                )
+                .and(
+                    "ts",
+                    ColumnRange::half_open(
+                        Value::Date(cfg.start_day),
+                        Value::Date(cfg.start_day + cfg.days as i64 - 1),
+                    ),
+                ),
+        },
     ]
 }
 
@@ -123,24 +141,58 @@ pub fn world(tag: &str) -> World {
     }
 }
 
-/// Load and index the first two days fault-free; return the seeded
-/// rows and the last two days for the test to write.
-pub fn seed_index(w: &World) -> (Vec<Row>, Vec<Row>) {
+/// The world's rows: the first two days, which a world is seeded with,
+/// and the last two, for a test to write.
+pub fn seed_rows() -> (Vec<Row>, Vec<Row>) {
     let cfg = meter_cfg();
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, rest) = rows.split_at(2 * per_day);
-    w.ctx.load_rows(&w.base, seeded, 2).unwrap();
-    DgfIndex::build(
-        Arc::clone(&w.ctx),
-        Arc::clone(&w.base),
-        grid(&cfg),
-        aggs(),
-        Arc::clone(&w.inner),
-        INDEX,
-    )
-    .unwrap();
-    (seeded.to_vec(), rest.to_vec())
+    let mut seeded = generate_meter_data(&cfg);
+    let per_day = seeded.len() / cfg.days as usize;
+    let rest = seeded.split_off(2 * per_day);
+    (seeded, rest)
+}
+
+/// Load the seeded rows fault-free, unindexed; return [`seed_rows`].
+pub fn load_seed(w: &World) -> (Vec<Row>, Vec<Row>) {
+    let (seeded, rest) = seed_rows();
+    w.ctx.load_rows(&w.base, &seeded, 2).unwrap();
+    (seeded, rest)
+}
+
+/// Index the world's base table over `kv` fault-free.
+pub fn build(w: &World, kv: &Arc<dyn KvStore>) {
+    let (ctx, base) = (Arc::clone(&w.ctx), Arc::clone(&w.base));
+    DgfIndex::build(ctx, base, grid(&meter_cfg()), aggs(), Arc::clone(kv), INDEX).unwrap();
+}
+
+/// Load and index the seeded rows fault-free; return [`seed_rows`].
+pub fn seed_index(w: &World) -> (Vec<Row>, Vec<Row>) {
+    let rows = load_seed(w);
+    build(w, &w.inner);
+    rows
+}
+
+/// A test's ingest configuration: no background flusher, and an inline
+/// flush once `flush_rows` rows are buffered (`u64::MAX`: only when
+/// asked), so flushes are a function of the batch sequence.
+pub fn flushing_at(flush_rows: u64) -> IngestConfig {
+    IngestConfig {
+        flush_rows,
+        auto_flush_interval: None,
+        ..IngestConfig::default()
+    }
+}
+
+/// A stream into `index` through the WAL `ingest.wal` under `dir`,
+/// configured by [`flushing_at`]`(flush_rows)`.
+pub fn stream(index: &Arc<DgfIndex>, dir: &std::path::Path, flush_rows: u64) -> StreamIngestor {
+    let wal = dir.join("ingest.wal");
+    StreamIngestor::open(Arc::clone(index), wal, flushing_at(flush_rows)).unwrap()
+}
+
+/// A handle over the world's own store, with default options.
+pub fn open_index(w: &World) -> Arc<DgfIndex> {
+    let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
+    Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap())
 }
 
 /// Open a handle over `kv` with an attached fault plan (scheduling
@@ -296,14 +348,15 @@ pub fn observe_during<T: Send>(
 /// What a split or merge of a grid file must keep (Joshi et al., *Using
 /// Grid Files for a Relational DBMS*, PAPERS.md), read back from the
 /// store: every directory entry lies inside the recorded extents, the
-/// entries hold each base row exactly once, every slice lies inside a
-/// live data file and no two overlap, the aggregate pyramid has exactly
-/// the ancestors of the leaves, and no writer left anything staged.
-pub fn assert_grid_directory(index: &DgfIndex, label: &str) {
+/// entries hold the `rows` flushed rows the caller's model counts, every
+/// slice lies inside a live data file and no two overlap, the aggregate
+/// pyramid has exactly the ancestors of the leaves, and no writer left
+/// anything staged.
+pub fn assert_grid_directory(index: &DgfIndex, rows: u64, label: &str) {
     let kv = index.kv.as_ref();
     let view = index.pin_view().unwrap();
     let gfus = all_gfus(kv, view.extents.dims.len()).unwrap();
-    let mut rows = 0;
+    let mut celled = 0;
     let mut slices: HashMap<FileId, Vec<(u64, u64)>> = HashMap::new();
     for (key, value) in &gfus {
         for (c, (lo, hi)) in key.cells.iter().zip(&view.extents.dims) {
@@ -314,13 +367,12 @@ pub fn assert_grid_directory(index: &DgfIndex, label: &str) {
                 view.extents
             );
         }
-        rows += value.record_count;
+        celled += value.record_count;
         for s in value.slices.iter().filter(|s| !s.is_empty()) {
             slices.entry(s.file).or_default().push((s.start, s.end));
         }
     }
-    let base_rows = index.ctx.read_all(&index.base).unwrap().len() as u64;
-    assert_eq!(rows, base_rows, "{label}: rows in cells");
+    assert_eq!(celled, rows, "{label}: rows in cells");
     for (file, mut ranges) in slices {
         let len = view
             .data_files

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::checker::{check, draw_rows, striped, Op, Tally};
+use common::checker::{check, draw_rows, striped, Op, Site, Tally};
 use common::stress_seeds;
 use dgfindex::prelude::Row;
 use rand::rngs::StdRng;
@@ -57,12 +57,12 @@ fn queries_during_ingest_see_a_prefix_of_acknowledged_batches() {
 fn queries_during_recovery_see_pre_or_post_state_only() {
     let spread = [0, u64::MAX / 3, u64::MAX / 2, u64::MAX / 3 * 2, u64::MAX];
     let runs = race(|rng| {
-        let crash = |pick| Op::Crash(Box::new(Op::Append(draw_rows(rng))), pick);
+        let crash = |pick| Op::crash(Op::Append(draw_rows(rng)), Site::Pick(pick));
         spread.into_iter().map(crash).collect()
     });
     for (seed, tally) in runs {
         assert!(
-            tally.appends_rolled_back > 0 && tally.appends_rolled_forward > 0,
+            tally.rolled_back > 0 && tally.rolled_forward > 0,
             "seed {seed}: the spread missed a side of the commit point: {tally:?}"
         );
     }

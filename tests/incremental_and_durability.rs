@@ -10,7 +10,7 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::{hooked, KvOp};
+use common::{hooked, stream, KvOp};
 use dgfindex::core::all_gfus;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
@@ -364,7 +364,6 @@ impl Recorder {
 fn the_stores_metadata_is_one_record() {
     use dgfindex::core::txn::{TxnManifest, TxnState};
     use dgfindex::core::{Maintainer, MaintenanceConfig};
-    use dgfindex::ingest::{IngestConfig, StreamIngestor};
 
     let cfg = MeterConfig {
         users: 40,
@@ -426,12 +425,7 @@ fn the_stores_metadata_is_one_record() {
     index.append(day(3)).unwrap();
     assert_commit("append", false);
 
-    let ingest_config = IngestConfig {
-        flush_rows: u64::MAX,
-        auto_flush_interval: None,
-        ..IngestConfig::default()
-    };
-    let ingestor = StreamIngestor::open(Arc::clone(&index), tmp.path().join("wal"), ingest_config).unwrap();
+    let ingestor = stream(&index, tmp.path(), u64::MAX);
     ingestor.ingest(day(4)).unwrap();
     rec.take();
     assert_eq!(ingestor.flush().unwrap(), per_day as u64);

@@ -5,12 +5,12 @@
 //! * **Freshness** — a query issued immediately after an acknowledged
 //!   streaming write returns that row, with zero header-cache generation
 //!   bumps between flushes.
-//! * **Chaos matrix** — crash at every instrumented site (WAL append,
-//!   WAL sync, flush staging, flush commit, plus every append/reorg/
-//!   apply site the flush passes through) × transient-noise seeds; after
-//!   reopening, the recovered answer equals the batch-built oracle over
-//!   the acknowledged batches (an unacknowledged in-flight batch may
-//!   land either way — atomically — and nothing else may differ).
+//! * **Chaos matrix** — a sweep of the lifecycle checker crashes an
+//!   ingest at every WAL site (append, sync) and a flush at every site it
+//!   passes (staging, commit, and every append/apply site between) ×
+//!   transient-noise seeds; after reopening, the answer equals the model
+//!   over the acknowledged batches (an unacknowledged in-flight batch
+//!   may land either way — atomically — and nothing else may differ).
 //! * **Equivalence** — property test: streamed-then-flushed ingestion
 //!   answers queries identically to a one-shot batch `build` over the
 //!   same rows.
@@ -19,9 +19,9 @@ mod common;
 
 use std::sync::Arc;
 
+use common::checker::{sweep, Kill, Op, Site, Tally};
 use common::*;
 use dgfindex::common::DgfError;
-use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
 use dgfindex::format::{is_sidecar_path, sidecar_path};
 use dgfindex::ingest::IngestConfig;
 use dgfindex::prelude::*;
@@ -45,21 +45,6 @@ fn group_by_ts(cfg: &MeterConfig) -> Vec<Query> {
         .collect()
 }
 
-fn deterministic_config(fault: Option<Arc<FaultPlan>>) -> IngestConfig {
-    IngestConfig {
-        // Inline flush roughly every other batch; no background thread so
-        // crash-point ordinals are a pure function of the batch sequence.
-        flush_rows: 12,
-        auto_flush_interval: None,
-        fault,
-        ..IngestConfig::default()
-    }
-}
-
-fn wal_path(w: &World) -> std::path::PathBuf {
-    w.tmp.path().join("ingest.wal")
-}
-
 /// Acknowledged writes are immediately query-visible, and no flush means
 /// no header-cache generation bump — the acceptance bar verbatim.
 #[test]
@@ -67,26 +52,8 @@ fn acked_writes_visible_with_zero_generation_bumps() {
     let w = world("fresh");
     let cfg = meter_cfg();
     let (seeded, streamed) = seed_index(&w);
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(&w),
-        IngestConfig {
-            flush_rows: u64::MAX,
-            auto_flush_interval: None,
-            ..IngestConfig::default()
-        },
-    )
-    .unwrap();
+    let index = open_index(&w);
+    let ingestor = stream(&index, w.tmp.path(), u64::MAX);
     let engine = DgfEngine::new(Arc::clone(&index));
 
     let gen_before = index.generation();
@@ -129,26 +96,8 @@ fn unflushed_rows_land_in_their_header_answered_groups() {
     let w = world("groups");
     let cfg = meter_cfg();
     let (_, streamed) = seed_index(&w);
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(&w),
-        IngestConfig {
-            flush_rows: u64::MAX,
-            auto_flush_interval: None,
-            ..IngestConfig::default()
-        },
-    )
-    .unwrap();
+    let index = open_index(&w);
+    let ingestor = stream(&index, w.tmp.path(), u64::MAX);
     ingestor.ingest(&streamed).unwrap();
     let engine = DgfEngine::new(Arc::clone(&index));
 
@@ -204,7 +153,7 @@ fn unflushed_rows_follow_a_regrid() {
     let later = &five[seeded.len() + streamed.len()..];
     let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
     let index = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap());
-    let ingestor = StreamIngestor::open(Arc::clone(&index), wal_path(&w), unflushing()).unwrap();
+    let ingestor = stream(&index, w.tmp.path(), u64::MAX);
     ingestor.ingest(&streamed).unwrap();
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 2);
@@ -249,26 +198,8 @@ fn wal_replay_restores_unflushed_rows_across_reopen() {
     let (seeded, streamed) = seed_index(&w);
     let mut present = seeded.clone();
     {
-        let index = Arc::new(
-            DgfIndex::open(
-                Arc::clone(&w.ctx),
-                Arc::clone(&w.base),
-                Arc::clone(&w.inner),
-                INDEX,
-                aggs(),
-            )
-            .unwrap(),
-        );
-        let ingestor = dgfindex::ingest::StreamIngestor::open(
-            Arc::clone(&index),
-            wal_path(&w),
-            IngestConfig {
-                flush_rows: u64::MAX,
-                auto_flush_interval: None,
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let index = open_index(&w);
+        let ingestor = stream(&index, w.tmp.path(), u64::MAX);
         for batch in streamed.chunks(7).take(3) {
             ingestor.ingest(batch).unwrap();
             present.extend(batch.iter().cloned());
@@ -277,19 +208,8 @@ fn wal_replay_restores_unflushed_rows_across_reopen() {
     }
     let ingested = (present.len() - seeded.len()) as u64;
     let batches = streamed.chunks(7).take(3).count() as u64;
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let ingestor =
-        dgfindex::ingest::StreamIngestor::open(Arc::clone(&index), wal_path(&w), deterministic_config(None))
-            .unwrap();
+    let index = open_index(&w);
+    let ingestor = stream(&index, w.tmp.path(), 12);
     let replayed = ingestor.stats();
     assert!(ingested > 0);
     assert_eq!(replayed.replayed_batches, batches);
@@ -311,30 +231,10 @@ fn concurrent_ingest_with_racing_flushes_loses_no_acked_batch() {
     let w = world("race");
     let cfg = meter_cfg();
     let (seeded, streamed) = seed_index(&w);
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let ingestor = Arc::new(
-        dgfindex::ingest::StreamIngestor::open(
-            Arc::clone(&index),
-            wal_path(&w),
-            IngestConfig {
-                // Tiny threshold: inline flushes constantly race the
-                // other ingest threads.
-                flush_rows: 8,
-                auto_flush_interval: None,
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let index = open_index(&w);
+    // Tiny threshold: inline flushes constantly race the other ingest
+    // threads.
+    let ingestor = Arc::new(stream(&index, w.tmp.path(), 8));
     let threads = 4;
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -351,22 +251,8 @@ fn concurrent_ingest_with_racing_flushes_loses_no_acked_batch() {
     // back from the WAL alone.
     drop(ingestor);
 
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let _ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(&w),
-        deterministic_config(None),
-    )
-    .unwrap();
+    let index = open_index(&w);
+    let _ingestor = stream(&index, w.tmp.path(), 12);
     let mut present = seeded;
     present.extend(streamed.iter().cloned());
     assert!(
@@ -381,29 +267,14 @@ fn concurrent_ingest_with_racing_flushes_loses_no_acked_batch() {
 fn backpressure_rejects_then_flush_reopens_admission() {
     let w = world("backpressure");
     let (_, streamed) = seed_index(&w);
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
+    let index = open_index(&w);
     // Room for one batch and a half of the rows' WAL encoding.
     let batch_bytes = dgfindex::ingest::encode_rows(&streamed[..4]).len() as u64;
-    let ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(&w),
-        IngestConfig {
-            max_buffered_bytes: batch_bytes * 3 / 2,
-            flush_rows: u64::MAX,
-            auto_flush_interval: None,
-            ..IngestConfig::default()
-        },
-    )
-    .unwrap();
+    let config = IngestConfig {
+        max_buffered_bytes: batch_bytes * 3 / 2,
+        ..flushing_at(u64::MAX)
+    };
+    let ingestor = StreamIngestor::open(Arc::clone(&index), w.tmp.path().join("ingest.wal"), config).unwrap();
     let mut acked = 0u64;
     let mut rejected = false;
     for batch in streamed.chunks(4) {
@@ -426,195 +297,46 @@ fn backpressure_rejects_then_flush_reopens_admission() {
     ingestor.ingest(&streamed[..4]).unwrap();
 }
 
-/// Outcome of one faulted streaming run.
-struct DriveOutcome {
-    /// Rows of every acknowledged batch, in ack order.
-    acked: Vec<Row>,
-    /// The batch in flight when the crash fired (if any): atomic — the
-    /// recovered index may contain all of it or none of it.
-    inflight: Vec<Row>,
-    err: Option<DgfError>,
+/// Sweep one ingest of the last two days in batches of five, which
+/// flushes inline after the second, and a flush over a WAL an earlier
+/// flush already cut, each killed at every crash point by
+/// `kill(writer, n)`; every point must be killed. A killed ingest leaves
+/// the acknowledged batches (and at most the one in flight) in the WAL
+/// past the last committed flush, and the flush after it writes them; a
+/// killed flush leaves its batches in the WAL or in Slices, never both
+/// and never neither.
+fn sweep_ingest_and_flush(seed: u64, kill: impl Fn(Op, u64) -> Op) -> Tally {
+    let (_, streamed) = seed_rows();
+    let batches: Vec<Vec<Row>> = streamed.chunks(5).map(<[Row]>::to_vec).collect();
+    let ingest = Op::Ingest(batches.clone());
+    let mut tally = sweep(seed, &[], |n| kill(ingest.clone(), n), &[Op::Flush]);
+    let (first, second) = batches.split_at(2);
+    let cut = [Op::Ingest(first.to_vec()), Op::Flush, Op::Ingest(second.to_vec())];
+    tally += sweep(seed, &cut, |n| kill(Op::Flush, n), &[]);
+    assert_eq!(tally.kills, tally.sites, "seed {seed}: a site outlived its kill: {tally:?}");
+    assert!(tally.sites >= 12, "expected WAL + flush + append sites: {tally:?}");
+    tally
 }
 
-/// Stream two days of data in small batches under `plan`; inline flushes
-/// (every other batch) route through the full staged-commit append path,
-/// so the crash-site space covers WAL, memtable swap, reorganize, and
-/// apply.
-fn drive_streaming(w: &World, plan: &Arc<FaultPlan>) -> DriveOutcome {
-    let (_, streamed) = seed_index(w);
-    w.ctx.hdfs.enable_faults(Arc::clone(plan), retry());
-    let kv: Arc<dyn KvStore> = Arc::new(ChaosKv::new(Arc::clone(&w.inner), Arc::clone(plan)));
-    let index = Arc::new(
-        DgfIndex::open_with_options(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            kv,
-            INDEX,
-            aggs(),
-            IndexOptions {
-                retry: retry(),
-                fault: Some(Arc::clone(plan)),
-                ..IndexOptions::default()
-            },
-        )
-        .unwrap(),
-    );
-    let mut out = DriveOutcome {
-        acked: Vec::new(),
-        inflight: Vec::new(),
-        err: None,
-    };
-    let ingestor = match dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(w),
-        deterministic_config(Some(Arc::clone(plan))),
-    ) {
-        Ok(i) => i,
-        Err(e) => {
-            out.err = Some(e);
-            return out;
-        }
-    };
-    for batch in streamed.chunks(5) {
-        match ingestor.ingest(batch) {
-            Ok(_) => out.acked.extend(batch.iter().cloned()),
-            Err(e) => {
-                out.inflight = batch.to_vec();
-                out.err = Some(e);
-                return out;
-            }
-        }
-    }
-    if let Err(e) = ingestor.flush() {
-        out.err = Some(e);
-    }
-    out
-}
-
-/// Reopen everything fault-free and assert the recovery invariants: the
-/// answer equals the oracle over seeded + acknowledged rows (possibly
-/// plus the atomic in-flight batch), before AND after a full flush, and
-/// no transaction residue leaks.
-fn verify_recovered(w: &World, out: &DriveOutcome, label: &str) {
-    w.ctx.hdfs.disable_faults();
-    let cfg = meter_cfg();
-    let index = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
-    let ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        wal_path(w),
-        deterministic_config(None),
-    )
-    .unwrap();
-    let engine = DgfEngine::new(Arc::clone(&index));
-
-    let seeded_rows = generate_meter_data(&cfg);
-    let per_day = seeded_rows.len() / cfg.days as usize;
-    let mut with_acked: Vec<Row> = seeded_rows[..2 * per_day].to_vec();
-    with_acked.extend(out.acked.iter().cloned());
-    let mut with_inflight = with_acked.clone();
-    with_inflight.extend(out.inflight.iter().cloned());
-
-    let got = answers(&index, &cfg);
-    let ok_acked = matches(&got, &model(&cfg, &with_acked));
-    let ok_inflight = matches(&got, &model(&cfg, &with_inflight));
-    assert!(
-        ok_acked || ok_inflight,
-        "{label}: recovered answer {got:?} matches neither acked-only \
-         {:?} nor acked+inflight {:?}",
-        model(&cfg, &with_acked),
-        model(&cfg, &with_inflight),
-    );
-
-    // Flushing the replayed remainder must not change any answer.
-    ingestor.flush().unwrap();
-    let after = answers(&index, &cfg);
-    assert!(
-        matches(&got, &after),
-        "{label}: flush changed the recovered answer: {got:?} vs {after:?}"
-    );
-    // And the persisted state now agrees with a ground-truth scan.
-    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-    for q in &queries(&cfg) {
-        let truth = scan.run(q).unwrap().result;
-        let got = engine.run(q).unwrap().result;
-        assert!(
-            got.approx_eq(&truth, 1e-9),
-            "{label}: post-flush index disagrees with scan"
-        );
-    }
-    // No residue from any interrupted transaction.
-    assert!(
-        w.inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty(),
-        "{label}: staged keys leaked"
-    );
-    assert!(
-        w.inner.get(TXN_MANIFEST_KEY).unwrap().is_none(),
-        "{label}: transaction manifest leaked"
-    );
-}
-
-/// Count crash sites with a quiet plan, checking the run itself.
-fn record_sites(tag: &str) -> u64 {
-    let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-    let w = world(tag);
-    let out = drive_streaming(&w, &quiet);
-    assert!(out.err.is_none(), "quiet run failed: {:?}", out.err);
-    verify_recovered(&w, &out, "record");
-    let sites = quiet.points_hit();
-    assert!(
-        sites >= 12,
-        "expected WAL + flush + append sites, got {sites}"
-    );
-    sites
-}
-
-/// Crash at every instrumented site once; the recovered index must match
-/// the batch-built oracle from each of them.
+/// Crash at every instrumented site once; the recovered index must
+/// answer as the acknowledged rows from each of them.
 #[test]
 fn ingest_crash_matrix_every_site_recovers() {
-    let sites = record_sites("record");
-    for site in 0..sites {
-        let w = world(&format!("site{site}"));
-        let plan = Arc::new(FaultPlan::new(FaultConfig::crash_at(site, site)));
-        let out = drive_streaming(&w, &plan);
-        assert!(
-            plan.crashed(),
-            "site {site}: scheduled crash did not fire ({:?})",
-            out.err
-        );
-        verify_recovered(&w, &out, &format!("site {site}"));
-    }
+    sweep_ingest_and_flush(1, |writer, n| Op::crash(writer, Site::Point(n)));
 }
 
 /// The same matrix under 20% transient-fault noise, four seeds. Retries
 /// absorb the noise; the crash still lands on the intended site.
 #[test]
 fn ingest_crash_matrix_with_transient_noise_recovers() {
-    let sites = record_sites("record-noise");
     for seed in 1..=4u64 {
-        for site in 0..sites {
-            let w = world(&format!("s{seed}x{site}"));
-            let plan = Arc::new(FaultPlan::new(FaultConfig {
-                p_transient: 0.2,
-                ..FaultConfig::crash_at(seed, site)
-            }));
-            let out = drive_streaming(&w, &plan);
-            assert!(
-                plan.crashed(),
-                "seed {seed} site {site}: crash did not fire ({:?})",
-                out.err
-            );
-            verify_recovered(&w, &out, &format!("seed {seed} site {site}"));
-        }
+        sweep_ingest_and_flush(seed, |writer, n| {
+            let kill = Kill {
+                noise: Some(seed),
+                ..Kill::at(Site::Point(n))
+            };
+            Op::Crash(Box::new(writer), kill)
+        });
     }
 }
 
@@ -661,16 +383,7 @@ proptest! {
         )
         .unwrap();
         let index_b = Arc::new(index_b);
-        let ingestor = dgfindex::ingest::StreamIngestor::open(
-            Arc::clone(&index_b),
-            wb.tmp.path().join("ingest.wal"),
-            IngestConfig {
-                flush_rows,
-                auto_flush_interval: None,
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let ingestor = stream(&index_b, wb.tmp.path(), flush_rows);
         for b in all[per_day..].chunks(batch) {
             ingestor.ingest(b).unwrap();
         }
@@ -744,16 +457,7 @@ fn flush_emits_consultable_sidecars_on_rcfile_indexes() {
         .map(|(p, _)| p)
         .collect();
 
-    let ingestor = dgfindex::ingest::StreamIngestor::open(
-        Arc::clone(&index),
-        tmp.path().join("ingest.wal"),
-        IngestConfig {
-            flush_rows: u64::MAX,
-            auto_flush_interval: None,
-            ..IngestConfig::default()
-        },
-    )
-    .unwrap();
+    let ingestor = stream(&index, tmp.path(), u64::MAX);
     ingestor.ingest(streamed).unwrap();
     ingestor.flush().unwrap();
 
@@ -852,14 +556,6 @@ fn tag_answers(engine: &dyn Engine) -> Vec<QueryResult> {
     queries.iter().map(|q| engine.run(q).unwrap().result.normalized()).collect()
 }
 
-fn unflushing() -> IngestConfig {
-    IngestConfig {
-        flush_rows: u64::MAX,
-        auto_flush_interval: None,
-        ..IngestConfig::default()
-    }
-}
-
 /// A replayed batch is the acknowledged batch. On an RCFile index a
 /// string column's `""` stays apart from NULL in the memtable, across a
 /// reopen that replays it from the WAL, and in a one-shot build over the
@@ -868,9 +564,8 @@ fn unflushing() -> IngestConfig {
 #[test]
 fn replayed_batches_equal_the_acknowledged_ones() {
     let (tmp, index, rest) = tagged("replay", FileFormat::RcFile, 150);
-    let wal = tmp.path().join("ingest.wal");
     let acked = {
-        let ingestor = StreamIngestor::open(Arc::clone(&index), &wal, unflushing()).unwrap();
+        let ingestor = stream(&index, tmp.path(), u64::MAX);
         for batch in rest.chunks(7) {
             ingestor.ingest(batch).unwrap();
         }
@@ -879,7 +574,7 @@ fn replayed_batches_equal_the_acknowledged_ones() {
     };
     let (ctx, base, kv) = (Arc::clone(&index.ctx), Arc::clone(&index.base), Arc::clone(&index.kv));
     let reopened = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, tag_aggs()).unwrap());
-    let ingestor = StreamIngestor::open(Arc::clone(&reopened), &wal, unflushing()).unwrap();
+    let ingestor = stream(&reopened, tmp.path(), u64::MAX);
     assert_eq!(ingestor.stats().replayed_rows, rest.len() as u64);
     assert_eq!(tag_answers(&DgfEngine::new(reopened)), acked);
     let (_t, one_shot, _) = tagged("replay-one-shot", FileFormat::RcFile, 300);
@@ -899,8 +594,7 @@ fn fresh_and_flushed_rows_answer_as_the_base_table_does() {
         let dgf = DgfEngine::new(Arc::clone(&index));
         let scan = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&base));
         assert_eq!(tag_answers(&dgf), tag_answers(&scan), "{format}: built");
-        let wal = tmp.path().join("ingest.wal");
-        let ingestor = StreamIngestor::open(Arc::clone(&index), &wal, unflushing()).unwrap();
+        let ingestor = stream(&index, tmp.path(), u64::MAX);
 
         let files = ctx.hdfs.list_files(&base.location).len();
         let short = vec![Value::Int(1), Value::Null];
@@ -946,7 +640,7 @@ fn appends_and_flushes_read_nothing_back() {
     };
     let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
     let index = Arc::new(DgfIndex::open_with_options(ctx, base, kv, INDEX, aggs(), options).unwrap());
-    let ingestor = StreamIngestor::open(Arc::clone(&index), wal_path(&w), unflushing()).unwrap();
+    let ingestor = stream(&index, w.tmp.path(), u64::MAX);
     let (day3, day4) = streamed.split_at(streamed.len() / 2);
     ingestor.ingest(day4).unwrap();
     let _ = profiler.take_profile();

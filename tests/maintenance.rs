@@ -20,18 +20,22 @@
 //!   the grid-directory invariants, and a workload that shifts twice
 //!   settles each time in a few passes without revisiting a policy;
 //! * a crash at any instrumented `maint.*` / `txn.*` / `apply.*` site
-//!   recovers to a store that agrees with a ground-truth scan and still
-//!   converges to the file budget;
+//!   recovers to a store that answers as the model and still converges
+//!   to the file budget;
 //! * a regrid or a compaction that fails *after* its commit point is
 //!   finished by the next writer on the same handle, which starts
 //!   clean: no lost cells, no residue, no refused pass.
+//!
+//! The last two are sweeps of the lifecycle checker
+//! ([`common::checker::sweep`]).
 
 mod common;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
+use common::checker::{sweep, Op, Site};
 use common::*;
 use dgfindex::core::advisor::{self, AdvisorConfig};
 use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer};
@@ -45,8 +49,7 @@ use dgfindex::workload::{generate_meter_data, MeterConfig};
 /// directory ends up with `batches` deltas on top of the build output.
 fn seed_with_deltas(w: &World, batches: usize) -> (Arc<DgfIndex>, MeterConfig) {
     let (_, rest) = seed_index(w);
-    let (ctx, base, kv) = (Arc::clone(&w.ctx), Arc::clone(&w.base), Arc::clone(&w.inner));
-    let index = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap());
+    let index = open_index(w);
     let chunk = (rest.len() / batches).max(1);
     for batch in rest.chunks(chunk) {
         index.append(batch).unwrap();
@@ -407,14 +410,14 @@ fn regrid_after_compaction_does_not_double_count() {
     dims[0] = DimPolicy::int("user_id", 0, 2);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after halving regrid");
-    assert_grid_directory(&index, "after halving regrid");
+    assert_grid_directory(&index, (seeded.len() + narrow.len()) as u64, "after halving regrid");
 
     // And back out to a coarser grid over the regridded store.
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 8);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
     assert_matches_scan(&w, &index, &cfg, "after doubling regrid");
-    assert_grid_directory(&index, "after doubling regrid");
+    assert_grid_directory(&index, (seeded.len() + narrow.len()) as u64, "after doubling regrid");
 }
 
 /// GROUP BY `ts` on one-day cells is answered per day from headers; a
@@ -427,16 +430,7 @@ fn regrid_after_compaction_does_not_double_count() {
 fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
     let w = world("regrid-groups");
     let (index, cfg) = seed_with_deltas(&w, 2);
-    let stale = Arc::new(
-        DgfIndex::open(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            Arc::clone(&w.inner),
-            INDEX,
-            aggs(),
-        )
-        .unwrap(),
-    );
+    let stale = open_index(&w);
     let q = Query::GroupBy {
         key: "ts".into(),
         aggs: aggs(),
@@ -627,7 +621,7 @@ fn adaptation_follows_the_recorded_history_and_preserves_answers() {
     };
     assert!(interval < 50, "user_id did not get finer: {desc}");
     assert_matches_scan(&w, &checker, &cfg, "after the move");
-    assert_grid_directory(&index, "after the move");
+    assert_grid_directory(&index, cfg.row_count(), "after the move");
     let moved = regrid_span();
     assert_eq!(moved[names::MAINTAIN_HISTORY_LEN], 128);
     assert!(moved[names::MAINTAIN_CANDIDATES] > 1);
@@ -735,7 +729,7 @@ fn a_shifting_workload_settles_without_oscillating() {
                     assert!(!visited.contains(&now), "{label}: back on a policy already left");
                     visited.push(now);
                     assert_matches_scan(&w, &checker, &cfg, &label);
-                    assert_grid_directory(&index, &label);
+                    assert_grid_directory(&index, cfg.row_count(), &label);
                 }
             }
             replay(&index, &carry_on(pass));
@@ -766,160 +760,24 @@ fn a_shifting_workload_settles_without_oscillating() {
     }
 }
 
-/// Drive one maintenance pass over chaos handles; returns whether the
-/// plan's scheduled crash fired.
-fn crash_maintain(w: &World, budget: usize, plan: &Arc<FaultPlan>) -> bool {
-    w.ctx.hdfs.enable_faults(Arc::clone(plan), retry());
-    let kv: Arc<dyn KvStore> = Arc::new(ChaosKv::new(Arc::clone(&w.inner), Arc::clone(plan)));
-    let outcome = (|| -> dgfindex::common::Result<()> {
-        let writer = DgfIndex::open_with_options(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            kv,
-            INDEX,
-            aggs(),
-            IndexOptions {
-                retry: retry(),
-                fault: Some(Arc::clone(plan)),
-                ..IndexOptions::default()
-            },
-        )?;
-        Maintainer::new(
-            Arc::new(writer),
-            MaintenanceConfig {
-                delta_file_budget: budget,
-                ..MaintenanceConfig::default()
-            },
-        )
-        .run_once()?;
-        Ok(())
-    })();
-    w.ctx.hdfs.disable_faults();
-    if plan.crashed() {
-        assert!(outcome.is_err(), "crash fired but maintenance succeeded");
-    }
-    plan.crashed()
+/// The last two days appended in `k` batches: `k` delta files on top of
+/// the build output, for a sweep's prefix.
+fn appends(k: usize) -> Vec<Op> {
+    let (_, rest) = seed_rows();
+    let chunk = rest.len().div_ceil(k);
+    rest.chunks(chunk).map(|batch| Op::Append(batch.to_vec())).collect()
 }
 
-/// Satellite: crash the compaction at sites spanning the whole commit
-/// window — intent, staging, around the commit point, apply, cleanup.
-/// Recovery must leave no transaction residue, answers must equal a
-/// ground-truth scan, and a clean pass afterwards must still converge
-/// to the file budget.
+/// Satellite: crash the compaction at every site of its commit window —
+/// intent, staging, around the commit point, apply, cleanup. Recovery
+/// must leave no transaction residue and answers equal to the model, and
+/// the passes after it must still bring the live files within budget.
 #[test]
 fn crashes_across_the_maintenance_window_recover_cleanly() {
-    let budget = 3;
-    // Count the crash ordinals one fault-free pass walks through.
-    let sites = {
-        let w = world("crash-record");
-        seed_with_deltas(&w, 6);
-        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-        assert!(!crash_maintain(&w, budget, &quiet));
-        let n = quiet.points_hit();
-        assert!(n >= 6, "expected a rich maintenance crash-site space, got {n}");
-        n
-    };
-    let picks = [
-        0,
-        sites / 5,
-        sites / 3,
-        sites / 2,
-        2 * sites / 3,
-        4 * sites / 5,
-        sites - 1,
-    ];
-    for (k, &site) in picks.iter().enumerate() {
-        let w = world(&format!("crash{k}"));
-        let (_, cfg) = seed_with_deltas(&w, 6);
-        let crash = Arc::new(FaultPlan::new(FaultConfig::crash_at(site, site)));
-        assert!(
-            crash_maintain(&w, budget, &crash),
-            "site {site}: scheduled crash did not fire"
-        );
-
-        dgfindex::core::txn::recover(&w.ctx.hdfs, &w.inner, retry(), None).unwrap();
-        assert_settled(w.inner.as_ref(), &format!("site {site} recovered"));
-
-        let index = Arc::new(
-            DgfIndex::open(
-                Arc::clone(&w.ctx),
-                Arc::clone(&w.base),
-                Arc::clone(&w.inner),
-                INDEX,
-                aggs(),
-            )
-            .unwrap(),
-        );
-        assert_matches_scan(&w, &index, &cfg, &format!("site {site} recovered"));
-
-        // The daemon still converges after the crash: one pass to get
-        // back within budget, one more to end the grace round.
-        let maintainer = Maintainer::new(
-            Arc::clone(&index),
-            MaintenanceConfig {
-                delta_file_budget: budget,
-                ..MaintenanceConfig::default()
-            },
-        );
-        maintainer.run_once().unwrap();
-        maintainer.run_once().unwrap();
-        assert!(
-            disk_files(&index).len() <= budget,
-            "site {site}: post-recovery maintenance left {} files on disk",
-            disk_files(&index).len()
-        );
-        assert!(index.gc_list().unwrap().is_empty() || disk_files(&index).len() <= budget);
-        assert_matches_scan(&w, &index, &cfg, &format!("site {site} post-maintenance"));
-    }
-}
-
-/// A store whose live `g:` keyspace goes away mid-transaction: while
-/// armed, `put`s to live GFU keys succeed `allow` more times and then
-/// fail with a transient error until disarmed — an outage of the data
-/// shards during the apply phase, after the commit point (the manifest
-/// and the staged keys live elsewhere and stay writable).
-#[derive(Default)]
-struct GfuOutage {
-    armed: AtomicBool,
-    allow: AtomicU64,
-    /// Live `g:` puts that went through, armed or not.
-    published: AtomicU64,
-}
-
-impl GfuOutage {
-    /// The outage's switch, and a world whose store sits behind it.
-    fn world(tag: &str) -> (Arc<GfuOutage>, World) {
-        let outage = Arc::new(GfuOutage::default());
-        let state = Arc::clone(&outage);
-        let inner = hooked(Arc::new(MemKvStore::new()), move |op| match op {
-            KvOp::Put(key, _) if key.starts_with(b"g:") => state.put(),
-            _ => Ok(()),
-        });
-        (outage, World { inner, ..world(tag) })
-    }
-
-    fn put(&self) -> dgfindex::common::Result<()> {
-        let down = self.armed.load(SeqCst)
-            && self.allow.fetch_update(SeqCst, SeqCst, |left| left.checked_sub(1)).is_err();
-        if down {
-            return Err(dgfindex::common::DgfError::Transient("g: shards are down".into()));
-        }
-        self.published.fetch_add(1, SeqCst);
-        Ok(())
-    }
-
-    fn arm(&self, allow: u64) {
-        self.allow.store(allow, SeqCst);
-        self.armed.store(true, SeqCst);
-    }
-
-    fn disarm(&self) {
-        self.armed.store(false, SeqCst);
-    }
-
-    fn published(&self) -> u64 {
-        self.published.load(SeqCst)
-    }
+    let crash = |n| Op::crash(Op::Compact(3), Site::Point(n));
+    let tally = sweep(1, &appends(6), crash, &[Op::Compact(3), Op::Compact(3)]);
+    assert_eq!(tally.kills, tally.sites, "{tally:?}");
+    assert!(tally.sites >= 6, "expected a rich maintenance crash-site space: {tally:?}");
 }
 
 /// Regression: a regrid that fails *after* its commit point (the `g:`
@@ -927,110 +785,36 @@ impl GfuOutage {
 /// the store, and the next `append` on the same handle overwrote it
 /// with its own Intent — dropping the unpublished cells and celling the
 /// new rows under the stale in-memory policy: silently short answers.
-/// Swept over every publish of the regrid's apply phase.
+/// Swept over every publish of the regrid's apply phase; the checker
+/// asserts the committed grid once the append has run.
 #[test]
 fn append_after_a_regrid_that_failed_past_its_commit_point_loses_nothing() {
-    let halved = |cfg: &MeterConfig| {
-        let mut dims = grid(cfg).dims().to_vec();
-        dims[0] = DimPolicy::int("user_id", 0, 2);
-        SplittingPolicy::new(dims).unwrap()
-    };
-    let config = || MaintenanceConfig {
-        delta_file_budget: 1 << 16,
-        ..MaintenanceConfig::default()
-    };
-    // How many live cells one fault-free regrid publishes.
-    let publishes = {
-        let (kv, w) = GfuOutage::world("outage-regrid-record");
-        let (index, cfg) = seed_with_deltas(&w, 2);
-        let before = kv.published();
-        Maintainer::new(Arc::clone(&index), config()).regrid_to(halved(&cfg)).unwrap();
-        assert_grid_directory(&index, "fault-free regrid");
-        kv.published() - before
-    };
-    assert!(publishes >= 8, "regrid published only {publishes} cells");
-
-    for n in 0..publishes {
-        let (kv, w) = GfuOutage::world(&format!("outage-regrid{n}"));
-        let (index, cfg) = seed_with_deltas(&w, 2);
-        let maintainer = Maintainer::new(Arc::clone(&index), config());
-
-        kv.arm(n);
-        assert!(
-            maintainer.regrid_to(halved(&cfg)).is_err(),
-            "n={n}: the outage did not reach the regrid"
-        );
-        kv.disarm();
-
-        let next_day = generate_meter_data(&MeterConfig {
-            users: cfg.users,
-            days: 1,
-            start_day: cfg.start_day + cfg.days as i64,
-            seed: 17,
-            ..cfg.clone()
-        });
-        index.append(&next_day).unwrap();
-        assert_matches_scan(&w, &index, &cfg, &format!("n={n} after append"));
-        assert_grid_directory(&index, &format!("n={n} after append"));
-        // The committed regrid won: the handle cells new rows under it.
-        assert_eq!(
-            index.policy().dims()[0].scale,
-            DimScale::Int { min: 0, interval: 2 },
-            "n={n}"
-        );
-        maintainer.run_once().unwrap();
-        assert_matches_scan(&w, &index, &cfg, &format!("n={n} after maintenance"));
-    }
+    let cfg = meter_cfg();
+    let next_day = generate_meter_data(&MeterConfig {
+        days: 1,
+        start_day: cfg.start_day + cfg.days as i64,
+        seed: 17,
+        ..cfg
+    });
+    let outage = |n| Op::Outage(Box::new(Op::Regrid(2, 1)), n);
+    let then = [Op::Append(next_day), Op::Compact(1 << 16)];
+    let tally = sweep(1, &appends(2), outage, &then);
+    assert_eq!(tally.kills, tally.sites, "{tally:?}");
+    assert!(tally.sites >= 8, "regrid published only {} cells", tally.sites);
 }
 
 /// Regression: the same outage during a compaction pass used to leave
 /// the Committed manifest behind, make every later `run_once` on the
 /// handle refuse ("requires a clean store"), and let the next append
 /// orphan the staged keys and the never-published `m:gc` list. Swept
-/// over every publish of the compaction's apply phase.
+/// over every publish of the compaction's apply phase; the next pass
+/// must leave the live files within budget and every answer's bits.
 #[test]
 fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
-    let budget = 2;
-    let config = || MaintenanceConfig {
-        delta_file_budget: budget,
-        ..MaintenanceConfig::default()
-    };
-    let publishes = {
-        let (kv, w) = GfuOutage::world("outage-compact-record");
-        let (index, _) = seed_with_deltas(&w, 6);
-        let before = kv.published();
-        let report = Maintainer::new(index, config()).run_once().unwrap();
-        assert!(report.compacted_gfus > 0);
-        kv.published() - before
-    };
-    assert!(publishes >= 4, "compaction published only {publishes} cells");
-
-    for n in 0..publishes {
-        let (kv, w) = GfuOutage::world(&format!("outage-compact{n}"));
-        let (index, cfg) = seed_with_deltas(&w, 6);
-        let oracle = answers(&index, &cfg);
-        let maintainer = Maintainer::new(Arc::clone(&index), config());
-
-        kv.arm(n);
-        assert!(
-            maintainer.run_once().is_err(),
-            "n={n}: the outage did not reach the compaction"
-        );
-        kv.disarm();
-
-        maintainer.run_once().unwrap();
-        assert_settled(w.inner.as_ref(), &format!("n={n} after the next pass"));
-        assert!(
-            live_files(&index).len() <= budget,
-            "n={n}: {} live files over a budget of {budget}",
-            live_files(&index).len()
-        );
-        assert!(
-            bits_eq(&answers(&index, &cfg), &oracle),
-            "n={n}: answers moved across the failed pass"
-        );
-        assert_matches_scan(&w, &index, &cfg, &format!("n={n}"));
-    }
+    let outage = |n| Op::Outage(Box::new(Op::Compact(2)), n);
+    let tally = sweep(1, &appends(6), outage, &[Op::Compact(2)]);
+    assert_eq!(tally.kills, tally.sites, "{tally:?}");
+    assert!(tally.sites >= 4, "compaction published only {} cells", tally.sites);
 }
 
 /// Regression: a plan enters the query history once, from the attempt

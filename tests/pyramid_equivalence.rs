@@ -15,10 +15,11 @@
 //!   after the canonical fold, identically in both strategies);
 //! * shard counts {1, 2, 4} — `p:` keys route to the metadata shard, so
 //!   the scatter path must serve them like any other plan;
-//! * a crash-site sweep over the whole append protocol, including the
-//!   pyramid staging sites and mid-publish of the staged nodes:
-//!   recovery via the staged-commit manifest must leave cells and
-//!   ancestors consistent (pyramid answers still bit-equal flat ones).
+//! * a sweep of the lifecycle checker that crashes an append at every
+//!   crash point and every storage write, the pyramid staging sites and
+//!   mid-publish of the staged nodes among them: recovery via the
+//!   staged-commit manifest must leave cells and ancestors consistent
+//!   (pyramid answers still bit-equal flat ones).
 //!
 //! It also pins what the pyramid buys and costs, as exact counts on a
 //! built 64×64 grid: ≥ 10× fewer KV round trips and bytes than the flat
@@ -29,9 +30,8 @@ mod common;
 
 use std::sync::Arc;
 
+use common::checker::{sweep, Op, Site, Tally};
 use common::*;
-use dgfindex::core::txn::{STAGE_PREFIX, TXN_MANIFEST_KEY};
-use dgfindex::ingest::IngestConfig;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 use proptest::prelude::*;
@@ -442,149 +442,40 @@ fn pyramid_key_census_and_cold_plan_key_count_are_exact() {
     );
 }
 
-/// Drive one crashing append over chaos handles; the durable store
-/// survives. Returns whether the plan's scheduled crash fired.
-fn crash_append(w: &World, inner: &Arc<dyn KvStore>, rest: &[Row], plan: &Arc<FaultPlan>) -> bool {
-    w.ctx.hdfs.enable_faults(Arc::clone(plan), retry());
-    let kv: Arc<dyn KvStore> = Arc::new(ChaosKv::new(Arc::clone(inner), Arc::clone(plan)));
-    let outcome = (|| -> dgfindex::common::Result<()> {
-        let writer = DgfIndex::open_with_options(
-            Arc::clone(&w.ctx),
-            Arc::clone(&w.base),
-            kv,
-            INDEX,
-            aggs(),
-            IndexOptions {
-                retry: retry(),
-                fault: Some(Arc::clone(plan)),
-                ..IndexOptions::default()
-            },
-        )?;
-        writer.append(rest)?;
-        Ok(())
-    })();
-    w.ctx.hdfs.disable_faults();
-    if plan.crashed() {
-        assert!(outcome.is_err(), "crash fired but the append succeeded");
-    }
-    plan.crashed()
+/// Sweep an append of the last two days over the world regridded to
+/// unit cells (the mix's wide aggregate then reads level ≥ 1 pyramid
+/// nodes), killed at every site by `kill(writer, n)`. Every site must be
+/// killed, every recovered site's plans must read pyramid nodes, and
+/// recovery must leave the pyramid answering bit-equal to the flat
+/// reference (a half-published pyramid would break that: ancestors
+/// from one epoch over cells from another).
+fn sweep_append_over_unit_cells(kill: impl Fn(Op, u64) -> Op) -> Tally {
+    let (_, rest) = seed_rows();
+    let tally = sweep(1, &[Op::Regrid(1, 1)], |n| kill(Op::Append(rest.clone()), n), &[]);
+    assert_eq!(tally.kills, tally.sites, "a site outlived its kill: {tally:?}");
+    assert!(tally.pyramid_nodes >= tally.sites, "no pyramid node read: {tally:?}");
+    tally
 }
 
 /// Tentpole (chaos): crash an append at every instrumented protocol
-/// site — which now includes the pyramid staging site and the apply
-/// phase that publishes staged `p:` nodes — then recover via the
-/// staged-commit manifest. After recovery: no staged residue, no
-/// manifest, and the pyramid answers bit-equal the flat answers (a
-/// half-published pyramid would break here: ancestors from one epoch
-/// over cells from another).
+/// site — which includes the pyramid staging site and the apply phase
+/// that publishes staged `p:` nodes — then recover via the
+/// staged-commit manifest.
 #[test]
 fn crash_anywhere_in_append_recovers_a_consistent_pyramid() {
-    let cfg = MeterConfig {
-        users: 12,
-        days: 4,
-        ..MeterConfig::default()
-    };
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, rest) = rows.split_at(2 * per_day);
-
-    // Record the crash-site space with a quiet plan.
-    let sites = {
-        let w = world("rec-record");
-        let inner: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-        build_over(&w, Arc::clone(&inner), seeded, fine_grid(&cfg));
-        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-        assert!(!crash_append(&w, &inner, rest, &quiet));
-        let n = quiet.points_hit();
-        assert!(n >= 8, "expected a rich crash-site space, got {n}");
-        n
-    };
-
-    for site in 0..sites {
-        let w = world(&format!("rec{site}"));
-        let inner: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-        build_over(&w, Arc::clone(&inner), seeded, fine_grid(&cfg));
-        let crash = Arc::new(FaultPlan::new(FaultConfig::crash_at(site, site)));
-        assert!(
-            crash_append(&w, &inner, rest, &crash),
-            "site {site}: scheduled crash did not fire"
-        );
-        dgfindex::core::txn::recover(&w.ctx.hdfs, &inner, retry(), None).unwrap();
-        assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
-        assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
-
-        let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = flat_answers(&w, &index, &cfg);
-        let pyramid = default_answers(&index, &cfg);
-        assert!(
-            bits_eq(&flat, &pyramid),
-            "site {site}: recovered pyramid disagrees with flat enumeration:\n{pyramid:?}\nvs\n{flat:?}"
-        );
-        // Ground truth over whatever base-table state survived.
-        let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-        let engine = DgfEngine::new(Arc::clone(&index));
-        for q in &queries(&cfg) {
-            let truth = scan.run(q).unwrap().result;
-            let got = engine.run(q).unwrap().result;
-            assert!(
-                got.approx_eq(&truth, 1e-9),
-                "site {site}: recovered pyramid answers disagree with a scan"
-            );
-        }
-    }
+    let tally = sweep_append_over_unit_cells(|writer, n| Op::crash(writer, Site::Point(n)));
+    assert!(tally.sites >= 8, "expected a rich crash-site space: {tally:?}");
 }
 
-/// Tentpole (chaos, mid-publish): crash after the n-th KV *write*
-/// instead of at a protocol site, sweeping the apply phase so the crash
-/// lands between individual staged-key publishes — cells visible,
-/// ancestors half-published, view not yet flipped. Recovery re-applies
-/// from the Committed manifest and the pyramid must come out whole.
+/// Tentpole (chaos, mid-publish): crash after the n-th storage *write*
+/// instead of at a protocol site, for every n, so the crash lands
+/// between individual staged-key publishes — cells visible, ancestors
+/// half-published, view not yet flipped. Recovery re-applies from the
+/// Committed manifest and the pyramid must come out whole.
 #[test]
 fn crash_between_individual_publish_writes_recovers_a_consistent_pyramid() {
-    let cfg = MeterConfig {
-        users: 12,
-        days: 4,
-        ..MeterConfig::default()
-    };
-    let rows = generate_meter_data(&cfg);
-    let per_day = rows.len() / cfg.days as usize;
-    let (seeded, rest) = rows.split_at(2 * per_day);
-
-    // Count the append's total KV writes with a quiet recording plan.
-    let writes = {
-        let w = world("wr-record");
-        let inner: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-        build_over(&w, Arc::clone(&inner), seeded, fine_grid(&cfg));
-        let before = inner.stats().puts.get();
-        let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
-        assert!(!crash_append(&w, &inner, rest, &quiet));
-        inner.stats().puts.get() - before
-    };
-    assert!(writes >= 16, "append issued too few writes to sweep: {writes}");
-
-    // Sweep the back half of the write sequence — the publish tail
-    // (staged keys land first; apply re-puts them under live keys).
-    let picks = [writes / 2, 2 * writes / 3, 3 * writes / 4, writes - 2];
-    for &n in &picks {
-        let w = world(&format!("wr{n}"));
-        let inner: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-        build_over(&w, Arc::clone(&inner), seeded, fine_grid(&cfg));
-        let crash = Arc::new(FaultPlan::new(FaultConfig::crash_after_writes(n, n)));
-        if !crash_append(&w, &inner, rest, &crash) {
-            continue; // timing shifted the write count; other picks cover it
-        }
-        dgfindex::core::txn::recover(&w.ctx.hdfs, &inner, retry(), None).unwrap();
-        assert!(inner.scan_prefix(STAGE_PREFIX).unwrap().is_empty());
-        assert!(inner.get(TXN_MANIFEST_KEY).unwrap().is_none());
-
-        let index = open_reader(&w, Arc::clone(&inner), 1);
-        let flat = flat_answers(&w, &index, &cfg);
-        let pyramid = default_answers(&index, &cfg);
-        assert!(
-            bits_eq(&flat, &pyramid),
-            "write {n}: recovered pyramid disagrees with flat enumeration"
-        );
-    }
+    let tally = sweep_append_over_unit_cells(|writer, n| Op::crash(writer, Site::Write(n)));
+    assert!(tally.sites >= 16, "append issued too few writes to sweep: {tally:?}");
 }
 
 proptest! {
@@ -632,11 +523,7 @@ proptest! {
         built.append(appended).unwrap();
         strip_pyramid(kv.as_ref());
         let oracle_index = open_reader(&wo, kv, 1);
-        let oracle_ing = StreamIngestor::open(
-            Arc::clone(&oracle_index),
-            wo.tmp.path().join("ingest.wal"),
-            IngestConfig { flush_rows: u64::MAX, auto_flush_interval: None, ..IngestConfig::default() },
-        ).unwrap();
+        let oracle_ing = stream(&oracle_index, wo.tmp.path(), u64::MAX);
         oracle_ing.ingest(fresh).unwrap();
         let oracle = default_answers(&oracle_index, &cfg);
 
@@ -646,11 +533,7 @@ proptest! {
         build_over(&ws, Arc::clone(&router) as Arc<dyn KvStore>, seeded, policy());
         let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, shards.max(2));
         reader.append(appended).unwrap();
-        let reader_ing = StreamIngestor::open(
-            Arc::clone(&reader),
-            ws.tmp.path().join("ingest.wal"),
-            IngestConfig { flush_rows: u64::MAX, auto_flush_interval: None, ..IngestConfig::default() },
-        ).unwrap();
+        let reader_ing = stream(&reader, ws.tmp.path(), u64::MAX);
         reader_ing.ingest(fresh).unwrap();
         let got = default_answers(&reader, &cfg);
         prop_assert!(

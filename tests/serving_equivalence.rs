@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use common::*;
 use dgfindex::common::DgfError;
-use dgfindex::ingest::IngestConfig;
 use dgfindex::prelude::*;
 use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 use proptest::prelude::*;
@@ -311,17 +310,7 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
             Some(Arc::clone(&plan)),
         )
         .unwrap();
-        let ingestor = StreamIngestor::open(
-            Arc::clone(&index),
-            w.tmp.path().join("ingest.wal"),
-            IngestConfig {
-                flush_rows: u64::MAX,
-                auto_flush_interval: None,
-                fault: Some(Arc::clone(&plan)),
-                ..IngestConfig::default()
-            },
-        )
-        .unwrap();
+        let ingestor = stream(&index, w.tmp.path(), u64::MAX);
         ingestor.ingest(rest).unwrap();
 
         let mix = queries(&cfg);
