@@ -116,11 +116,16 @@ impl GfuCells {
 
 /// A source of acknowledged-but-unflushed rows, consulted at plan time.
 ///
-/// `flushed_seq` is the index's persisted ingest watermark (see
-/// `DgfIndex::ingest_watermark`): the highest ingest batch sequence whose
-/// rows have been committed to Slices. Implementations must return only
-/// data *newer* than it, so a row is never counted both from the store
-/// and from the buffer.
+/// `flushed_seq` is the ingest watermark of the view the plan pinned
+/// (see `DgfIndex::ingest_watermark`): the highest ingest batch sequence
+/// whose rows that view holds in Slices. The planner relies on one
+/// contract: a buffered set is returned while its highest batch sequence
+/// exceeds the given watermark, and it leaves the source only after the
+/// commit that flushed it has landed. Then a plan pinned before that
+/// commit reads the set from memory, a plan pinned after it reads the
+/// rows from the store, and the plan's validation of its pinned view
+/// catches a commit landing in between: no row is counted twice or
+/// missed.
 pub trait FreshSource: Send + Sync {
     /// Snapshot of every buffered set of cells holding rows with batch
     /// sequence greater than `flushed_seq`; empty when nothing is
@@ -134,14 +139,6 @@ pub trait FreshSource: Send + Sync {
     /// snapshot is O(1) per set under the source's lock — a pointer copy,
     /// not a row copy.
     fn fresh_cells(&self, flushed_seq: u64) -> Vec<Arc<GfuCells>>;
-
-    /// Flush-publication epoch: even when quiescent, odd while a flush is
-    /// publishing (staging through watermark advance). The planner reads
-    /// it before and after fetching; a change (or an odd value) means the
-    /// fetch may have seen a half-published flush, so it re-fetches.
-    fn flush_epoch(&self) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -551,11 +551,10 @@ impl DgfIndex {
 
         // Optimistic snapshot loop. Each attempt pins one committed
         // ReadView with a single KV read, fetches against it, and
-        // validates afterwards that (a) the view is still the committed
-        // one and (b) no streaming flush published mid-fetch. Either
-        // mismatch discards the attempt — including its header-cache
+        // validates afterwards that the view is still the committed one.
+        // A mismatch discards the attempt — including its header-cache
         // fills — and re-pins, so the plan that escapes the loop is built
-        // entirely from one index epoch: never a blend (DESIGN.md §11).
+        // entirely from one committed view: never a blend (DESIGN.md §11).
         let mut attempts = 0u32;
         let (view, mut collector, fresh_gfus, fresh_records, fresh_rows) = loop {
             let meta_span = span.child("plan.meta");
@@ -563,14 +562,12 @@ impl DgfIndex {
             self.sync_point("plan.pin");
             let view = self.pin_view()?;
             self.check_freshness_pinned(&view)?;
-            // The epoch is read BEFORE the memtable snapshot: a flush
-            // completing between snapshot and fetch then shows as an
-            // epoch mismatch after the fetch, never as a silently
-            // consistent-looking pair. The snapshot cuts at the pinned
-            // view's watermark, so rows the view's flush already indexed
-            // are not double-counted; a set routed under another policy
-            // (a regrid since it was buffered) is re-grouped under this one.
-            let epoch_before = fresh_src.as_ref().map(|s| s.flush_epoch());
+            // The memtable snapshot cuts at the pinned view's watermark:
+            // a slot the view's flush already indexed is left out, and a
+            // slot whose flush has not committed in this view is still
+            // returned (`FreshSource`'s contract), so each row is counted
+            // once. A set routed under another policy (a regrid since it
+            // was buffered) is re-grouped under this one.
             let view_policy = Arc::new(SplittingPolicy::decode(&view.policy)?);
             let fresh = fresh_src.as_ref().map_or_else(Vec::new, |s| s.fresh_cells(view.watermark));
             let fresh: Vec<_> = fresh.iter().map(|s| s.regroup(&view_policy)).collect::<Result<_>>()?;
@@ -697,18 +694,10 @@ impl DgfIndex {
                 }
             }
 
-            // Validate: the pinned view must still be committed, and no
-            // flush may have published between our memtable snapshot and
-            // the store fetch (buffered rows might now also be live in
-            // the store — or half of them might be).
+            // Validate: the pinned view must still be committed. A flush
+            // is a commit like any other, so a flush that published
+            // between the pin and here moved the view as well.
             let view_ok = self.view_unchanged(&view)?;
-            let epoch_ok = match &fresh_src {
-                None => true,
-                Some(src) => {
-                    let epoch_after = src.flush_epoch();
-                    epoch_before == Some(epoch_after) && epoch_after % 2 == 0
-                }
-            };
             if let Some(before) = &fetch_before {
                 self.kv.stats().snapshot().since(before).attach_to_span(&fetch_span);
                 for (name, v) in [
@@ -726,21 +715,20 @@ impl DgfIndex {
                 }
             }
             fetch_span.finish();
-            if view_ok && epoch_ok {
+            if view_ok {
                 break (view, collector, fresh_gfus, fresh_records, fresh_rows);
             }
             attempts += 1;
-            // A reader cannot validate while a flush is mid-epoch, so
-            // the budget must comfortably exceed the longest commit
-            // window (which grew with pyramid staging: one staged node
-            // per dirty ancestor, and under seeded interleaving
-            // schedules a pause per level).
+            // A failed validation means a commit landed, and the next pin
+            // sees it at once (through the staged overlay while its view
+            // is still pending), so there is nothing to wait for. The
+            // bound only guards against writers committing faster than a
+            // plan can finish, forever.
             if attempts > 32 {
                 return Err(DgfError::Transient(
                     "concurrent index commits kept racing query planning".into(),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(1));
         };
         // The attempt survived validation: its header-cache fills are
         // known-consistent for the pinned generation and safe to publish.

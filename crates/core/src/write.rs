@@ -328,11 +328,9 @@ impl DgfIndex {
             parents.sort();
             parents.dedup();
             // One scheduling point per LEVEL, not per parent: the
-            // interleaving harness can still pause mid-pyramid-staging,
-            // but the flush's in-progress window stays short enough for
-            // the planner's bounded validation retries (readers spin
-            // while a flush is mid-epoch, so every pause here extends
-            // their worst case directly).
+            // interleaving harness can still pause mid-pyramid-staging
+            // without its seeded pauses dominating a commit. Staging
+            // changes nothing a reader sees, so readers do not wait on it.
             self.sync_point("reorg.stage-pyramid");
             for parent in &parents {
                 let child_value = |coords: &[i64]| -> Result<Option<(Vec<AggState>, u64)>> {

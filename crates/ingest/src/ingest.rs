@@ -38,7 +38,13 @@
 //! to the index's staged-commit `append_cells` with the batch watermark
 //! riding the published read view: Slices publish and the watermark
 //! advances in the same atomic commit, which is exactly when the slot
-//! stops being merged from memory. Crash anywhere and `dgf_core::txn::recover` plus WAL replay
+//! stops being merged from memory. The slot leaves the memtable only
+//! after that commit has landed, so a plan pinned to any committed view
+//! finds each row either in the view or in the memtable, never both and
+//! never neither; a plan the commit overtakes fails its view validation
+//! and re-pins. Queries never wait on a flush.
+//!
+//! Crash anywhere and `dgf_core::txn::recover` plus WAL replay
 //! reconstruct a state equal to some prefix of acknowledged batches
 //! (plus, possibly, one unacknowledged in-flight batch — atomic either
 //! way).
@@ -111,19 +117,15 @@ counter_block! {
     }
 }
 
-/// The memtable + epoch state shared between the ingestor and the
-/// planner. The index holds this as its [`FreshSource`]; it holds no
-/// reference back to the index, so dropping the [`StreamIngestor`]
-/// leaves already-acknowledged (replayed or buffered) rows visible to
-/// queries until the source is cleared or the process exits.
+/// The memtable and its admission accounting, shared between the
+/// ingestor and the planner. The index holds this as its
+/// [`FreshSource`]; it holds no reference back to the index, so dropping
+/// the [`StreamIngestor`] leaves already-acknowledged (replayed or
+/// buffered) rows visible to queries until the source is cleared or the
+/// process exits.
 #[derive(Debug)]
 pub struct IngestShared {
     mem: Mutex<Memtable>,
-    /// Flush epoch: even = quiescent, odd = a flush is publishing.
-    /// Incremented once when a flush starts publishing and once when its
-    /// memtable slot clears, so any plan that overlapped a flush sees the
-    /// epoch change (or odd) and re-snapshots. See `DgfPlan`'s fetch loop.
-    epoch: AtomicU64,
     buffered_bytes: AtomicU64,
 }
 
@@ -137,10 +139,6 @@ impl IngestShared {
 impl FreshSource for IngestShared {
     fn fresh_cells(&self, flushed_seq: u64) -> Vec<Arc<GfuCells>> {
         self.mem.lock().fresh_cells(flushed_seq)
-    }
-
-    fn flush_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 }
 
@@ -292,11 +290,6 @@ impl Core {
             mem.flushing = Some(Arc::clone(&slot));
             slot
         };
-        // Publishing begins: odd epoch tells overlapping plans to retry
-        // until the commit (watermark advance) and the slot clear below
-        // are both visible, so no plan ever mixes the pre-flush memtable
-        // with post-flush store state.
-        self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         let kv_before = self.index.kv.stats().snapshot();
         let published = (|| -> Result<()> {
             // The index's fault plan: crash points, and pauses that widen
@@ -315,7 +308,6 @@ impl Core {
                 self.shared
                     .buffered_bytes
                     .fetch_sub(slot.bytes, Ordering::SeqCst);
-                self.shared.epoch.fetch_add(1, Ordering::SeqCst);
                 stats.flushes.inc();
                 stats.flushed_rows.add(slot.rows);
                 span.add(names::INGEST_FLUSHED_ROWS, slot.rows);
@@ -328,12 +320,8 @@ impl Core {
             Err(e) => {
                 stats.flush_failures.inc();
                 self.poisoned.store(true, Ordering::SeqCst);
-                // Restore an even epoch so queries keep working: slot
-                // visibility is decided by the persisted watermark alone
-                // (not advanced → the slot stays merged and acknowledged
-                // rows remain visible; advanced → the commit actually
-                // landed and the slot is already excluded).
-                self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+                // The slot stays: whether its commit landed is the
+                // committed watermark's to say, and each plan cuts at it.
                 span.finish();
                 Err(e)
             }
@@ -364,8 +352,7 @@ impl StreamIngestor {
         let (wal, unflushed) = IngestWal::open(wal_path, flushed)?;
         let active = Slot::new(GfuCells::new(index.policy(), &index.base.schema, &index.aggs)?);
         let mem = Mutex::new(Memtable { active, flushing: None });
-        let (epoch, buffered_bytes) = (AtomicU64::new(0), AtomicU64::new(0));
-        let shared = Arc::new(IngestShared { mem, epoch, buffered_bytes });
+        let shared = Arc::new(IngestShared { mem, buffered_bytes: AtomicU64::new(0) });
         let top_seq = unflushed.iter().map(|b| b.seq).fold(flushed, u64::max);
         let core = Arc::new(Core {
             index: index.clone(),

@@ -89,8 +89,10 @@ impl KvStatsSnapshot {
 /// An ordered key-value store.
 ///
 /// All operations are safe for concurrent use; `update` is an atomic
-/// read-modify-write (the DGFIndex uses it to merge GFU headers when new
-/// data lands in an existing cell).
+/// read-modify-write. No DGFIndex path calls `update`: a writer merges a
+/// GFU header itself and stages the merged value with `put`, to be
+/// published by its commit. ROADMAP item 2(e) deletes it once the
+/// benchmark's store wrappers stop naming it.
 pub trait KvStore: Send + Sync {
     /// Insert or replace `key`.
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()>;

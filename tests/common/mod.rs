@@ -252,21 +252,21 @@ pub fn answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult> {
         .collect()
 }
 
-/// The model's answers to the mix: `rows` through the scan engine's own
-/// filter and fold ([`RowSink`]), query by query.
+/// The model's answers to the mix: [`model_answer`] query by query.
 pub fn model(cfg: &MeterConfig, rows: &[Row]) -> Vec<QueryResult> {
+    queries(cfg).iter().map(|q| model_answer(q, rows)).collect()
+}
+
+/// The model's answer to `q`: `rows` through the scan engine's own
+/// filter and fold ([`RowSink`]).
+pub fn model_answer(q: &Query, rows: &[Row]) -> QueryResult {
     let schema = meter_schema();
-    queries(cfg)
-        .iter()
-        .map(|q| {
-            let mut sink = RowSink::new(q, &schema, None).unwrap();
-            let bound = q.predicate().bind(&schema).unwrap();
-            for row in rows {
-                sink.push_if(row, &bound).unwrap();
-            }
-            sink.finish()
-        })
-        .collect()
+    let mut sink = RowSink::new(q, &schema, None).unwrap();
+    let bound = q.predicate().bind(&schema).unwrap();
+    for row in rows {
+        sink.push_if(row, &bound).unwrap();
+    }
+    sink.finish()
 }
 
 /// Snapshot equality. The tolerance is for float fold-order noise only

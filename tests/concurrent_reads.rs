@@ -8,13 +8,20 @@
 //! `tests/lifecycle.rs` plays the same ops in seeded shuffled
 //! sequences; these pin the writer each race is about, whatever the
 //! shuffle draws, and assert from the run's [`Tally`] that the race
-//! they pin happened.
+//! they pin happened. One race needs no seed: a flush held mid-commit
+//! while the mix runs beside it.
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
+
 use common::checker::{check, draw_rows, striped, Op, Site, Tally};
-use common::stress_seeds;
-use dgfindex::prelude::Row;
+use common::*;
+use dgfindex::common::obs::{names, ProfileNode, Profiler, QueryProfile};
+use dgfindex::core::txn::STAGE_PREFIX;
+use dgfindex::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,4 +141,90 @@ fn concurrent_flush_and_append_match_pre_or_post_oracle() {
             Op::Append(draw_rows(rng)),
         ]
     });
+}
+
+/// A flush held at its first staged put has swapped its slot into the
+/// flushing slot and changed nothing a reader sees. Queries do not wait
+/// for it: the whole mix answers the acknowledged rows from one plan
+/// attempt each (one `plan.meta` span), the streamed rows read from the
+/// memtable. Once the flush publishes, the same answers come from the
+/// store, again from one attempt each.
+#[test]
+fn queries_behind_a_stalled_flush_answer_from_one_attempt() {
+    let w = world("stalled-flush");
+    let cfg = meter_cfg();
+    let (seeded, streamed) = seed_index(&w);
+    let truth = model(&cfg, &[seeded, streamed.clone()].concat());
+
+    // The handle's first staged put is the flush's: opening, replaying
+    // and ingesting stage nothing.
+    let first = AtomicBool::new(true);
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let kv = hooked(Arc::clone(&w.inner), move |op| {
+        if let KvOp::Put(key, _) = op {
+            if key.starts_with(STAGE_PREFIX) && first.swap(false, SeqCst) {
+                held_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+        }
+        Ok(())
+    });
+    let (ctx, base) = (Arc::clone(&w.ctx), Arc::clone(&w.base));
+    let mut index = DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap();
+    index.set_profiler(Profiler::enabled());
+    let index = Arc::new(index);
+    let ingestor = stream(&index, w.tmp.path(), u64::MAX);
+    ingestor.ingest(&streamed).unwrap();
+
+    let engine = DgfEngine::new(Arc::clone(&index));
+    let mix = || -> Vec<dgfindex::common::Result<(QueryResult, QueryProfile)>> {
+        let run = |q: &Query| engine.run(q).map(|r| (r.result, r.stats.profile));
+        queries(&cfg).iter().map(run).collect()
+    };
+    let (stalled, flushed) = std::thread::scope(|s| {
+        let flush = s.spawn(|| ingestor.flush());
+        held_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the flush never reached a staged put");
+        let stalled = mix();
+        release_tx.send(()).unwrap();
+        (stalled, flush.join().unwrap())
+    });
+    assert_eq!(flushed.unwrap(), streamed.len() as u64);
+
+    for (phase, runs) in [("stalled flush", stalled), ("published flush", mix())] {
+        let (answers, profiles): (Vec<_>, Vec<_>) = runs
+            .into_iter()
+            .enumerate()
+            .map(|(qi, r)| r.unwrap_or_else(|e| panic!("{phase}: q{qi} failed: {e}")))
+            .unzip();
+        assert!(
+            matches(&answers, &truth),
+            "{phase}: {answers:?} vs {truth:?}"
+        );
+        for (qi, profile) in profiles.iter().enumerate() {
+            let attempts = spans_named(&profile.roots, "plan.meta");
+            assert_eq!(attempts, 1, "{phase}: q{qi} planned {attempts} times");
+        }
+        let fresh: u64 = profiles
+            .iter()
+            .map(|p| p.metric_total(names::PLAN_FRESH_RECORDS))
+            .sum();
+        assert_eq!(
+            fresh > 0,
+            phase == "stalled flush",
+            "{phase}: {fresh} rows from memory"
+        );
+    }
+}
+
+/// The spans called `name` in the trees under `nodes`, `nodes` included.
+fn spans_named(nodes: &[ProfileNode], name: &str) -> usize {
+    let own = |n: &ProfileNode| usize::from(n.name == name);
+    nodes
+        .iter()
+        .map(|n| own(n) + spans_named(&n.children, name))
+        .sum()
 }

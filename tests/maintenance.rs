@@ -47,14 +47,15 @@ use dgfindex::workload::{generate_meter_data, MeterConfig};
 /// Bulk-build the first two days, then append the rest in `batches`
 /// small batches — each append lands one delta file, so the data
 /// directory ends up with `batches` deltas on top of the build output.
-fn seed_with_deltas(w: &World, batches: usize) -> (Arc<DgfIndex>, MeterConfig) {
-    let (_, rest) = seed_index(w);
+/// Returns the acknowledged rows too.
+fn seed_with_deltas(w: &World, batches: usize) -> (Arc<DgfIndex>, MeterConfig, Vec<Row>) {
+    let (seeded, rest) = seed_index(w);
     let index = open_index(w);
     let chunk = (rest.len() / batches).max(1);
     for batch in rest.chunks(chunk) {
         index.append(batch).unwrap();
     }
-    (index, meter_cfg())
+    (index, meter_cfg(), [seeded, rest].concat())
 }
 
 /// Data files currently on disk (sidecars excluded, retired-but-not-
@@ -80,15 +81,14 @@ fn live_files(index: &DgfIndex) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn assert_matches_scan(w: &World, index: &Arc<DgfIndex>, cfg: &MeterConfig, label: &str) {
-    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
-    let engine = DgfEngine::new(Arc::clone(index));
-    for (qi, q) in queries(cfg).iter().enumerate() {
-        let truth = scan.run(q).unwrap().result;
-        let got = engine.run(q).unwrap().result;
+/// Every answer of the mix equals the model over `rows`, the
+/// acknowledged rows.
+fn assert_matches_model(index: &Arc<DgfIndex>, cfg: &MeterConfig, rows: &[Row], label: &str) {
+    let truth = model(cfg, rows);
+    for (qi, (got, truth)) in answers(index, cfg).iter().zip(&truth).enumerate() {
         assert!(
-            got.approx_eq(&truth, 1e-9),
-            "{label} q{qi}: index disagrees with scan:\n  got   {got:?}\n  truth {truth:?}"
+            got.approx_eq(truth, 1e-9),
+            "{label} q{qi}: index disagrees with the model:\n  got   {got:?}\n  truth {truth:?}"
         );
     }
 }
@@ -99,7 +99,7 @@ fn assert_matches_scan(w: &World, index: &Arc<DgfIndex>, cfg: &MeterConfig, labe
 #[test]
 fn compaction_bounds_live_files_and_preserves_answer_bits() {
     let w = world("budget");
-    let (index, cfg) = seed_with_deltas(&w, 6);
+    let (index, cfg, mut rows) = seed_with_deltas(&w, 6);
     let budget = 3;
     assert!(
         live_files(&index).len() > budget,
@@ -160,6 +160,7 @@ fn compaction_bounds_live_files_and_preserves_answer_bits() {
     let chunk = (extra.len() / 4).max(1);
     for (i, batch) in extra.chunks(chunk).enumerate() {
         index.append(batch).unwrap();
+        rows.extend_from_slice(batch);
         let oracle = answers(&index, &cfg);
         let report = maintainer.run_once().unwrap();
         assert!(
@@ -171,7 +172,7 @@ fn compaction_bounds_live_files_and_preserves_answer_bits() {
             "cycle {i}: maintenance moved float bits"
         );
     }
-    assert_matches_scan(&w, &index, &cfg, "after churn");
+    assert_matches_model(&index, &cfg, &rows, "after churn");
 }
 
 /// Satellite: a pass says what it did through `obs` — one `maintain`
@@ -182,7 +183,7 @@ fn compaction_bounds_live_files_and_preserves_answer_bits() {
 fn a_pass_reports_its_stages_and_counters() {
     use dgfindex::common::obs::{names, Profiler};
     let w = world("obs");
-    let (mut index, _) = seed_with_deltas(&w, 6);
+    let (mut index, _, _) = seed_with_deltas(&w, 6);
     let profiler = Profiler::enabled();
     Arc::get_mut(&mut index)
         .expect("the seeded index has one handle")
@@ -254,7 +255,7 @@ fn kv_log_stays_bounded_without_flush() {
         inner: Arc::clone(&log) as Arc<dyn KvStore>,
         ..world("kvlog")
     };
-    let (index, cfg) = seed_with_deltas(&w, 2);
+    let (index, cfg, mut rows) = seed_with_deltas(&w, 2);
     let maintainer = Maintainer::new(
         Arc::clone(&index),
         MaintenanceConfig {
@@ -278,6 +279,7 @@ fn kv_log_stays_bounded_without_flush() {
         // Every append overwrites live GFU values, the view, and the
         // extents — all dead bytes in an append-only log.
         index.append(batch).unwrap();
+        rows.extend_from_slice(batch);
         let report = maintainer.run_once().unwrap();
         reclaimed_total += report.kv_reclaimed_bytes;
         // The maintained invariant: dead bytes never exceed the
@@ -292,7 +294,7 @@ fn kv_log_stays_bounded_without_flush() {
         reclaimed_total > 0,
         "churn never tripped the maintenance compaction — harness is vacuous"
     );
-    assert_matches_scan(&w, &index, &cfg, "after kv churn");
+    assert_matches_model(&index, &cfg, &rows, "after kv churn");
 }
 
 /// Satellite: publishing a view retires every older header-cache
@@ -301,7 +303,7 @@ fn kv_log_stays_bounded_without_flush() {
 #[test]
 fn header_cache_drops_dead_generations_on_view_advance() {
     let w = world("cache");
-    let (index, cfg) = seed_with_deltas(&w, 2);
+    let (index, cfg, _) = seed_with_deltas(&w, 2);
     // Force the per-cell header path (the pyramid would answer inner
     // regions without touching the cache).
     let engine = DgfEngine::new(Arc::clone(&index)).without_precompute();
@@ -405,19 +407,20 @@ fn regrid_after_compaction_does_not_double_count() {
 
     // Halve the user_id interval: the rewrite re-cells every record.
     // Before the fix this double-counted the dead ranges (COUNT jumped
-    // by the compacted rows; the scan comparison below caught it).
+    // by the compacted rows; the model comparison below catches it).
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 2);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
-    assert_matches_scan(&w, &index, &cfg, "after halving regrid");
-    assert_grid_directory(&index, (seeded.len() + narrow.len()) as u64, "after halving regrid");
+    let rows = [seeded, &narrow].concat();
+    assert_matches_model(&index, &cfg, &rows, "after halving regrid");
+    assert_grid_directory(&index, rows.len() as u64, "after halving regrid");
 
     // And back out to a coarser grid over the regridded store.
     let mut dims = grid(&cfg).dims().to_vec();
     dims[0] = DimPolicy::int("user_id", 0, 8);
     maintainer.regrid_to(SplittingPolicy::new(dims).unwrap()).unwrap();
-    assert_matches_scan(&w, &index, &cfg, "after doubling regrid");
-    assert_grid_directory(&index, (seeded.len() + narrow.len()) as u64, "after doubling regrid");
+    assert_matches_model(&index, &cfg, &rows, "after doubling regrid");
+    assert_grid_directory(&index, rows.len() as u64, "after doubling regrid");
 }
 
 /// GROUP BY `ts` on one-day cells is answered per day from headers; a
@@ -425,11 +428,11 @@ fn regrid_after_compaction_does_not_double_count() {
 /// query degrades to the scan of every query-related Slice. Whether a
 /// key's cells hold one value is the pinned view's to say: a handle
 /// opened before the regrid still holds the one-day policy, and it must
-/// degrade as well. Both sides agree with a ground-truth scan.
+/// degrade as well. Both sides agree with the model.
 #[test]
 fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
     let w = world("regrid-groups");
-    let (index, cfg) = seed_with_deltas(&w, 2);
+    let (index, cfg, rows) = seed_with_deltas(&w, 2);
     let stale = open_index(&w);
     let q = Query::GroupBy {
         key: "ts".into(),
@@ -439,9 +442,8 @@ fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
             ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64)),
         ),
     };
-    let scan = ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.base));
+    let truth = model_answer(&q, &rows);
     let agrees = |handle: &Arc<DgfIndex>, label: &str| {
-        let truth = scan.run(&q).unwrap().result;
         let got = DgfEngine::new(Arc::clone(handle)).run(&q).unwrap().result;
         assert_eq!(
             truth.clone().into_groups().len() as u64,
@@ -588,7 +590,7 @@ fn records_read(checker: &Arc<DgfIndex>, queries: &[Query]) -> f64 {
 #[test]
 fn adaptation_follows_the_recorded_history_and_preserves_answers() {
     use dgfindex::common::obs::{names, Profiler};
-    let (w, mut index, checker, cfg) = adaptive_world("adapt");
+    let (_w, mut index, checker, cfg) = adaptive_world("adapt");
     let profiler = Profiler::enabled();
     Arc::get_mut(&mut index)
         .expect("the built index has one handle")
@@ -620,7 +622,7 @@ fn adaptation_follows_the_recorded_history_and_preserves_answers() {
         panic!("user_id is an integer dimension")
     };
     assert!(interval < 50, "user_id did not get finer: {desc}");
-    assert_matches_scan(&w, &checker, &cfg, "after the move");
+    assert_matches_model(&checker, &cfg, &generate_meter_data(&cfg), "after the move");
     assert_grid_directory(&index, cfg.row_count(), "after the move");
     let moved = regrid_span();
     assert_eq!(moved[names::MAINTAIN_HISTORY_LEN], 128);
@@ -653,7 +655,8 @@ fn adaptation_follows_the_recorded_history_and_preserves_answers() {
 /// of a row per query, and the third pass is back on the first policy.
 #[test]
 fn a_shifting_workload_settles_without_oscillating() {
-    let (w, index, checker, cfg) = adaptive_world("soak");
+    let (_w, index, checker, cfg) = adaptive_world("soak");
+    let rows = generate_meter_data(&cfg);
     let maintainer = adapting(&index);
     let rows_total = cfg.row_count();
     let model = AdvisorConfig::default();
@@ -728,7 +731,7 @@ fn a_shifting_workload_settles_without_oscillating() {
                     let now = index.policy().encode();
                     assert!(!visited.contains(&now), "{label}: back on a policy already left");
                     visited.push(now);
-                    assert_matches_scan(&w, &checker, &cfg, &label);
+                    assert_matches_model(&checker, &cfg, &rows, &label);
                     assert_grid_directory(&index, cfg.row_count(), &label);
                 }
             }
@@ -819,36 +822,36 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
 
 /// Regression: a plan enters the query history once, from the attempt
 /// that validated. The plan is forced through a second attempt without
-/// any timing: a [`FreshSource`] whose flush epoch moves between the
-/// planner's first memtable snapshot and its validation makes the first
-/// attempt a discarded one. Were discarded attempts recorded too, what
-/// grid adaptation is advised on would depend on how commits happened
-/// to race queries.
+/// any timing: a [`FreshSource`] whose first snapshot appends a row
+/// through a second handle on the same store commits a new view between
+/// the planner's pin and its validation, so the first attempt is a
+/// discarded one. Were discarded attempts recorded too, what grid
+/// adaptation is advised on would depend on how commits happened to
+/// race queries.
 ///
 /// [`FreshSource`]: dgfindex::core::FreshSource
 #[test]
 fn raced_plan_enters_the_query_history_exactly_once() {
     use dgfindex::core::{FreshSource, GfuCells};
 
-    /// Holds no rows; its epoch reads 0 once and 2 ever after.
-    struct MovingEpoch {
-        reads: AtomicU64,
+    /// Holds no rows; its first snapshot commits `row` through `writer`.
+    struct CommitOnFirstSnapshot {
+        writer: Arc<DgfIndex>,
+        row: Row,
+        snapshots: AtomicU64,
     }
-    impl FreshSource for MovingEpoch {
+    impl FreshSource for CommitOnFirstSnapshot {
         fn fresh_cells(&self, _flushed_seq: u64) -> Vec<Arc<GfuCells>> {
-            Vec::new()
-        }
-        fn flush_epoch(&self) -> u64 {
-            match self.reads.fetch_add(1, SeqCst) {
-                0 => 0,
-                _ => 2,
+            if self.snapshots.fetch_add(1, SeqCst) == 0 {
+                self.writer.append(std::slice::from_ref(&self.row)).unwrap();
             }
+            Vec::new()
         }
     }
 
     let w = world("history");
     let cfg = meter_cfg();
-    seed_index(&w);
+    let (_, rest) = seed_index(&w);
     let quiet = Arc::new(FaultPlan::new(FaultConfig::quiet(0)));
     let index = open_with(&w, Arc::clone(&w.inner), &quiet);
     // user_id [1, 7) cuts through the first and the last 4-wide cell.
@@ -859,14 +862,19 @@ fn raced_plan_enters_the_query_history_exactly_once() {
     assert_eq!(unraced.len(), 1, "one plan, one entry: {unraced:?}");
     assert_eq!(unraced[0][0], (1.0, 7.0), "the plan's user_id range");
 
-    let source = Arc::new(MovingEpoch {
-        reads: AtomicU64::new(0),
+    let source = Arc::new(CommitOnFirstSnapshot {
+        writer: open_index(&w),
+        row: rest[0].clone(),
+        snapshots: AtomicU64::new(0),
     });
+    let generation = index.pin_view().unwrap().generation;
     index.set_fresh_source(Arc::clone(&source) as Arc<dyn FreshSource>);
     index.plan(q, true).unwrap();
-    assert!(
-        source.reads.load(SeqCst) >= 4,
-        "the plan was never forced through a second attempt"
+    assert!(index.pin_view().unwrap().generation > generation, "the row never committed");
+    assert_eq!(
+        source.snapshots.load(SeqCst),
+        2,
+        "the plan was not forced through exactly one second attempt"
     );
     assert_eq!(index.history().snapshot(), [unraced[0].clone(), unraced[0].clone()]);
 }
