@@ -181,6 +181,12 @@ pub mod names {
     /// Joins served a build side already made for the same version of
     /// the dimension table (`ScanStats::join_build_reuses`).
     pub const SCAN_JOIN_BUILD_REUSES: &str = "scan.join_build_reuses";
+    /// RCFile footers read from disk, once per file version on a context
+    /// (`ScanStats::footer_reads`).
+    pub const SCAN_FOOTER_READS: &str = "scan.footer_reads";
+    /// RCFile opens served the footer already read for the same file
+    /// version (`ScanStats::footer_reuses`).
+    pub const SCAN_FOOTER_REUSES: &str = "scan.footer_reuses";
     /// Sidecars loaded and verified for pruning (`ScanStats::sidecar_hits`).
     pub const SCAN_SIDECAR_HITS: &str = "scan.sidecar.hits";
     /// Slice files with no sidecar (`ScanStats::sidecar_misses`).

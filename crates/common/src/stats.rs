@@ -212,6 +212,10 @@ counter_block! {
         join_builds: names::SCAN_JOIN_BUILDS,
         /// Joins that reused a build side of the same table version.
         join_build_reuses: names::SCAN_JOIN_BUILD_REUSES,
+        /// RCFile footers read from disk: one per file version per context.
+        footer_reads: names::SCAN_FOOTER_READS,
+        /// RCFile opens served a footer already read for the file's version.
+        footer_reuses: names::SCAN_FOOTER_REUSES,
         /// Sidecars loaded and verified for pruning (DESIGN.md §15).
         sidecar_hits: names::SCAN_SIDECAR_HITS,
         /// Slice files whose sidecar was absent (pruning degraded).

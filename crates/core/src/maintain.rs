@@ -41,7 +41,7 @@ use std::sync::Arc;
 use dgf_common::obs::{names, SpanGuard};
 use dgf_common::{counter_block, DgfError, Result};
 use dgf_format::{coalesce_ranges, sidecar_path, ByteRange, FileFormat};
-use dgf_hive::{open_input, read_footers, ScanInput};
+use dgf_hive::{open_input, ScanInput};
 
 use crate::gfu::{FileId, GfuValue, SliceLoc, GFU_PREFIX, META_GC_KEY};
 use crate::index::DgfIndex;
@@ -298,9 +298,6 @@ impl Maintainer {
         let data_loc = &index.data.location;
         let paths: HashMap<FileId, String> =
             rewritten.iter().map(|id| (*id, id.path(data_loc))).collect();
-        // A cell's slice is a few groups of a file whose footer lists
-        // thousands: each file's footer is read once for all its slices.
-        let footers = read_footers(&index.ctx, &index.data, paths.values().map(String::as_str))?;
         let file = FileId::new(txn.gen(), 0);
         let path = file.path(txn.staging_dir());
         let mut w = SliceWriter::create(&index.ctx.hdfs, &path, &index.data)?;
@@ -317,7 +314,7 @@ impl Maintainer {
                     FileFormat::Text => ScanInput::TextRanges { path, ranges },
                     FileFormat::RcFile => ScanInput::RcRanges { path, ranges },
                 };
-                open_input(&index.ctx, &index.data, &input, &footers)?
+                open_input(&index.ctx, &index.data, &input)?
                     .for_each_row(|_, row| w.write(row))?;
             }
             let end = w.end_slice()?;

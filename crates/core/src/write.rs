@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use dgf_common::{Result, Row, Stopwatch};
 use dgf_format::{sidecar_path, SidecarBuilder};
-use dgf_hive::{open_input, BuildReport, Footers, ScanInput, TableDesc, TableWriter};
+use dgf_hive::{open_input, BuildReport, ScanInput, TableDesc, TableWriter};
 use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::{FileSplit, HdfsRef};
@@ -155,7 +155,7 @@ impl DgfIndex {
                 // files, which have the base table's schema and format.
                 &|_, split: FileSplit, e| {
                     let input = ScanInput::FullSplit(split);
-                    open_input(ctx, base, &input, &Footers::new())?.for_each_row(|_, row| {
+                    open_input(ctx, base, &input)?.for_each_row(|_, row| {
                         e.emit(empty.route(row)?.encode(), row.clone());
                         Ok(())
                     })

@@ -230,8 +230,9 @@ impl RcFooter {
 }
 
 /// Load the footer of the RCFile at `path`: one handle, two seeks, two
-/// reads. A query that opens several readers on one file loads it once
-/// and shares it ([`RcReader::open_with_footer`]).
+/// reads. A warehouse loads it once per version of the file and shares
+/// it with every reader it opens on the file
+/// ([`RcReader::open_with_footer`]).
 pub fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<RcFooter> {
     RcFooter::read_from(&mut hdfs.open_reader(path)?, path)
 }

@@ -29,7 +29,7 @@ use crate::index_common::{
     compact_index_schema, dims_key, dims_schema, for_each_dims_row, format_offsets,
     parse_dims_key, parse_offsets, BuildReport,
 };
-use crate::scan::{execute, open_input, Footers, ScanInput};
+use crate::scan::{execute, open_input, ScanInput};
 
 /// A built Compact Index over one base table.
 pub struct CompactIndex {
@@ -157,7 +157,7 @@ impl CompactIndex {
             ctx.table_splits(index_table),
             &|_, split: FileSplit| {
                 let mut hits: Vec<(String, Vec<u64>)> = Vec::new();
-                open_input(ctx, index_table, &ScanInput::FullSplit(split), &Footers::new())?
+                open_input(ctx, index_table, &ScanInput::FullSplit(split))?
                     .for_each_row(|_, row| {
                         if bound.matches(row) {
                             let file = row[file_col].as_str()?.to_owned();

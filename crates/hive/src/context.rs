@@ -13,12 +13,12 @@ use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
 use dgf_common::{DgfError, Result, Row, SchemaRef, Value, ValueType, FIELD_DELIM};
-use dgf_format::{is_sidecar_path, FileFormat, RcWriter, TextWriter};
+use dgf_format::{is_sidecar_path, read_footer, FileFormat, RcFooter, RcWriter, TextWriter};
 use dgf_mapreduce::MrEngine;
 use dgf_query::JoinTable;
 use dgf_storage::{FileSplit, HdfsRef};
 
-use crate::scan::{open_input, Footers, ScanInput};
+use crate::scan::{open_input, ScanInput};
 
 /// Execution knobs for the scan path (DESIGN.md §12).
 ///
@@ -147,11 +147,17 @@ pub struct HiveContext {
     tables: RwLock<HashMap<String, TableRef>>,
     /// The join build sides, by what each is made from (see
     /// [`Self::join_table`]).
-    join_tables: Mutex<HashMap<JoinKey, Slot>>,
+    join_tables: Mutex<HashMap<JoinKey, Slot<Built>>>,
+    /// The footer of every RCFile read on this context, by path, with the
+    /// inode id of the file it was read from (see [`Self::footer`]).
+    footers: Mutex<HashMap<String, Slot<Footer>>>,
 }
 
-/// One key's build side, if made yet; locked while it is made.
-type Slot = Arc<Mutex<Option<Built>>>;
+/// One key's value, if made yet; locked while it is made.
+type Slot<T> = Arc<Mutex<Option<T>>>;
+
+/// A footer and the inode id of the file version it was read from.
+type Footer = (u64, Arc<RcFooter>);
 
 /// What a build side is made from: which table, read how, and which of
 /// its columns.
@@ -180,6 +186,7 @@ impl HiveContext {
             scan_options: RwLock::new(ScanOptions::default()),
             tables: RwLock::new(HashMap::new()),
             join_tables: Mutex::default(),
+            footers: Mutex::default(),
         })
     }
 
@@ -279,10 +286,12 @@ impl HiveContext {
     }
 
     /// Drop a table and delete its files. The join build sides made from
-    /// it go with it.
+    /// it and the footers of its files go with it.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         if let Some(t) = self.tables.write().remove(name) {
             self.join_tables.lock().retain(|k, _| k.location != t.location);
+            let inside = format!("{}/", t.location);
+            self.footers.lock().retain(|path, _| !path.starts_with(&inside));
             self.hdfs.delete_tree(&t.location)?;
         }
         Ok(())
@@ -348,7 +357,7 @@ impl HiveContext {
         mut f: impl FnMut(&Row) -> Result<()>,
     ) -> Result<()> {
         for split in self.table_splits(table) {
-            open_input(self, table, &ScanInput::FullSplit(split), &Footers::new())?
+            open_input(self, table, &ScanInput::FullSplit(split))?
                 .for_each_row(|_, row| f(row))?;
         }
         Ok(())
@@ -404,6 +413,43 @@ impl HiveContext {
             table: Arc::clone(&table),
         });
         Ok(table)
+    }
+
+    /// The footer of the RCFile at `path`, read once per version of the
+    /// file and shared by every reader that opens it on this context
+    /// (DESIGN.md §12).
+    ///
+    /// A version is the file's inode id, so a file deleted and written
+    /// again under the same name and length is read again. Checking it is
+    /// a NameNode lookup and reads no byte. The map holds only files that
+    /// exist: a read first drops the entries whose path the NameNode no
+    /// longer lists, and [`Self::drop_table`] drops its table's.
+    pub(crate) fn footer(&self, path: &str) -> Result<Arc<RcFooter>> {
+        // Taken before the read, so a file replaced during it is read
+        // again on the next lookup rather than served stale.
+        let id = self.hdfs.file_id(path)?;
+        let slot = Arc::clone(self.footers.lock().entry(path.to_owned()).or_default());
+        // Held across the read: map tasks that open one cold file together
+        // wait for one read instead of each making their own.
+        let mut slot = slot.lock();
+        if let Some((_, footer)) = slot.as_ref().filter(|(v, _)| *v == id) {
+            self.scan_stats.footer_reuses.inc();
+            return Ok(Arc::clone(footer));
+        }
+        self.footers.lock().retain(|p, _| self.hdfs.file_exists(p));
+        let footer = Arc::new(read_footer(&self.hdfs, path)?);
+        self.scan_stats.footer_reads.inc();
+        *slot = Some((id, Arc::clone(&footer)));
+        Ok(footer)
+    }
+
+    /// The paths this context has looked a footer up for, in path order:
+    /// only files that existed at its last footer read, less the tables
+    /// dropped since.
+    pub fn footer_paths(&self) -> Vec<String> {
+        let mut paths: Vec<String> = self.footers.lock().keys().cloned().collect();
+        paths.sort_unstable();
+        paths
     }
 }
 
@@ -469,7 +515,10 @@ impl TableWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::execute;
+    use dgf_common::stats::IoSnapshot;
     use dgf_common::{Schema, TempDir, Value, ValueType};
+    use dgf_query::{AggFunc, Predicate, Query, QueryResult, RowSink};
     use dgf_storage::{HdfsConfig, SimHdfs};
 
     fn ctx() -> (TempDir, Arc<HiveContext>) {
@@ -597,6 +646,163 @@ mod tests {
 
         ctx.drop_table("t").unwrap();
         assert!(ctx.join_tables.lock().is_empty());
+    }
+
+    /// An RCFile table of 200 rows in `files` files of 16-row groups,
+    /// several splits each.
+    fn rc_table(ctx: &HiveContext, name: &str, files: usize) -> TableRef {
+        let location = format!("/warehouse/{name}");
+        let tab = ctx
+            .create_table_grouped(name, schema(), FileFormat::RcFile, &location, 16)
+            .unwrap();
+        ctx.load_rows(&tab, &rows(200), files).unwrap();
+        tab
+    }
+
+    fn full_splits(ctx: &HiveContext, tab: &TableDesc) -> Vec<ScanInput> {
+        ctx.table_splits(tab).into_iter().map(ScanInput::FullSplit).collect()
+    }
+
+    fn sum_v() -> Query {
+        Query::Aggregate {
+            aggs: vec![AggFunc::Sum("v".into()), AggFunc::Count],
+            predicate: Predicate::all(),
+        }
+    }
+
+    /// A scan's answer, I/O and (footer reads, footer reuses).
+    fn scan(
+        ctx: &HiveContext,
+        tab: &TableDesc,
+        inputs: &[ScanInput],
+    ) -> (QueryResult, IoSnapshot, (u64, u64)) {
+        let (io, stats) = (ctx.hdfs.stats().snapshot(), ctx.scan_stats.snapshot());
+        let result = execute(ctx, tab, &sum_v(), None, inputs.to_vec()).unwrap();
+        let footers = ctx.scan_stats.snapshot().since(&stats);
+        let io = ctx.hdfs.stats().snapshot().since(&io);
+        (result, io, (footers.footer_reads, footers.footer_reuses))
+    }
+
+    /// One footer read per file serves every input of the file and every
+    /// later query of the same file version. A cold scan opens each file
+    /// once more than it has inputs and seeks twice more to read the
+    /// footer; a warm one opens each input once and reads frames alone.
+    /// Both read the same records and give the answer each input opened
+    /// on its own gives.
+    #[test]
+    fn one_footer_read_serves_every_input_and_every_query_of_a_file_version() {
+        let (_t, ctx) = ctx();
+        let tab = rc_table(&ctx, "t", 2);
+        let inputs = full_splits(&ctx, &tab);
+        let listed = ctx.hdfs.list_files(&tab.location);
+        let (files, n) = (listed.len() as u64, inputs.len() as u64);
+        assert!(n > files, "no file has two splits");
+        // The 12-byte tail, then the directory with the tail again.
+        let footer_bytes: u64 = listed
+            .iter()
+            .map(|(path, len)| 12 + len - read_footer(&ctx.hdfs, path).unwrap().frames_end())
+            .sum();
+
+        let (cold_result, cold, footers) = scan(&ctx, &tab, &inputs);
+        assert_eq!(footers, (files, n - files));
+        assert_eq!(cold.opens, files + n);
+        let (warm_result, warm, footers) = scan(&ctx, &tab, &inputs);
+        assert_eq!(footers, (0, n));
+        assert_eq!(warm.opens, n);
+        assert_eq!(cold.seeks - warm.seeks, 2 * files);
+        assert_eq!(cold.bytes_read - warm.bytes_read, footer_bytes);
+        assert_eq!(warm.records_read, cold.records_read);
+        assert_eq!(warm_result, cold_result);
+
+        let before = ctx.hdfs.stats().snapshot();
+        let mut sink = RowSink::new(&sum_v(), &tab.schema, None).unwrap();
+        let bound = sum_v().predicate().bind(&tab.schema).unwrap();
+        for input in &inputs {
+            open_input(&ctx, &tab, input)
+                .unwrap()
+                .for_each_row(|_, row| sink.push_if(row, &bound).map(drop))
+                .unwrap();
+        }
+        let own = ctx.hdfs.stats().snapshot().since(&before);
+        assert_eq!((own.opens, own.records_read), (n, warm.records_read));
+        assert_eq!(own.bytes_read, warm.bytes_read);
+        assert_eq!(sink.finish(), cold_result);
+        assert_eq!(ctx.footer_paths().len() as u64, files);
+    }
+
+    /// A version is the file's inode id: a file deleted and written again
+    /// under its name and length is read again.
+    #[test]
+    fn a_file_recreated_under_its_name_and_length_is_read_again() {
+        let (_t, ctx) = ctx();
+        let tab = rc_table(&ctx, "t", 1);
+        let reads = || ctx.scan_stats.snapshot().footer_reads;
+        assert_eq!(ctx.read_all(&tab).unwrap(), rows(200));
+        assert_eq!(ctx.read_all(&tab).unwrap(), rows(200));
+        assert_eq!(reads(), 1);
+
+        let listed = ctx.hdfs.list_files(&tab.location);
+        ctx.hdfs.delete_file(&listed[0].0).unwrap();
+        let negated: Vec<Row> = (0..200)
+            .map(|i| vec![Value::Int(i), Value::Float(-(i as f64))])
+            .collect();
+        ctx.append_file(&tab, "part-00000", &negated).unwrap();
+        assert_eq!(ctx.hdfs.list_files(&tab.location), listed);
+        assert_eq!(ctx.read_all(&tab).unwrap(), negated);
+        assert_eq!(reads(), 2);
+    }
+
+    /// The map holds only files that exist: a deleted file's footer stays
+    /// until the next footer read, which drops it.
+    #[test]
+    fn a_deleted_files_footer_is_dropped_by_the_next_read() {
+        let (_t, ctx) = ctx();
+        let tab = rc_table(&ctx, "t", 2);
+        ctx.read_all(&tab).unwrap();
+        let paths: Vec<String> = ctx
+            .hdfs
+            .list_files(&tab.location)
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
+        assert_eq!(ctx.footer_paths(), paths);
+
+        ctx.hdfs.delete_file(&paths[0]).unwrap();
+        ctx.read_all(&tab).unwrap();
+        assert_eq!(ctx.footer_paths(), paths, "a reuse drops nothing");
+        let late = ctx.append_file(&tab, "delta", &rows(5)).unwrap();
+        ctx.read_all(&tab).unwrap();
+        assert_eq!(ctx.footer_paths(), [late, paths[1].clone()]);
+    }
+
+    /// Dropping a table drops the footers of its files, and no other
+    /// table's: not even one whose location its own is a prefix of.
+    #[test]
+    fn drop_table_drops_its_footers() {
+        let (_t, ctx) = ctx();
+        let t = rc_table(&ctx, "t", 2);
+        let t2 = rc_table(&ctx, "t2", 1);
+        ctx.read_all(&t).unwrap();
+        ctx.read_all(&t2).unwrap();
+        assert_eq!(ctx.footer_paths().len(), 3);
+        ctx.drop_table("t").unwrap();
+        assert_eq!(ctx.footer_paths(), ["/warehouse/t2/part-00000"]);
+    }
+
+    /// Map tasks that open one cold file together wait for one read of
+    /// its footer: a scan reads one footer per distinct file, however
+    /// many of the file's splits run at once.
+    #[test]
+    fn map_tasks_on_one_cold_file_read_its_footer_once() {
+        let (_t, ctx) = ctx();
+        assert!(ctx.engine.threads() > 1);
+        for round in 0..8 {
+            let tab = rc_table(&ctx, &format!("t{round}"), 1 + round % 2);
+            let inputs = full_splits(&ctx, &tab);
+            let files = ctx.hdfs.list_files(&tab.location).len() as u64;
+            let (_, _, footers) = scan(&ctx, &tab, &inputs);
+            assert_eq!(footers, (files, inputs.len() as u64 - files), "round {round}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use dgf_common::{format_row, parse_row, DgfError, Result, Row, Schema, Value, Va
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableDesc};
-use crate::scan::{open_input, Footers, InputReader, ScanInput};
+use crate::scan::{open_input, InputReader, ScanInput};
 
 /// Report from building an index.
 #[derive(Debug, Clone, Default)]
@@ -29,7 +29,7 @@ pub(crate) fn for_each_dims_row(
     dims: &[usize],
     mut f: impl FnMut(u64, Row) -> Result<()>,
 ) -> Result<()> {
-    let reader = match open_input(ctx, base, &ScanInput::FullSplit(split), &Footers::new())? {
+    let reader = match open_input(ctx, base, &ScanInput::FullSplit(split))? {
         InputReader::Rc(r) => InputReader::Rc(Box::new(r.with_projection(dims.to_vec()))),
         text => text,
     };

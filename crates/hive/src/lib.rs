@@ -40,6 +40,5 @@ pub use catalog::{IndexEntry, CATALOG_PATH};
 pub use index_common::BuildReport;
 pub use partition::{PartitionEngine, PartitionedTable};
 pub use scan::{
-    attach_scan_to_span, execute, execute_sink, open_input, read_footers, Footers, InputReader,
-    ScanEngine, ScanInput,
+    attach_scan_to_span, execute, execute_sink, open_input, InputReader, ScanEngine, ScanInput,
 };

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dgf_common::obs::{names, SpanGuard};
 use dgf_common::stats::ScanSnapshot;
 use dgf_common::{Result, Row};
-use dgf_format::{read_footer, Bitmap, ByteRange, FileFormat, RcFooter, RcReader, TextReader};
+use dgf_format::{Bitmap, ByteRange, FileFormat, RcReader, TextReader};
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
@@ -113,45 +113,16 @@ impl InputReader {
     }
 }
 
-/// RCFile footers by path, each read once for all the inputs of its file
-/// (a slice file is several split-sized inputs; its footer lists every
-/// group of the file).
-pub type Footers = HashMap<String, Arc<RcFooter>>;
-
-/// Read the footer of every distinct file among `paths`, if `table` is an
-/// RCFile table (a text file has none).
-pub fn read_footers<'a>(
-    ctx: &HiveContext,
-    table: &TableDesc,
-    paths: impl IntoIterator<Item = &'a str>,
-) -> Result<Footers> {
-    let mut footers = Footers::new();
-    if table.format == FileFormat::RcFile {
-        for path in paths {
-            if !footers.contains_key(path) {
-                footers.insert(path.to_owned(), Arc::new(read_footer(&ctx.hdfs, path)?));
-            }
-        }
-    }
-    Ok(footers)
-}
-
 /// Open the reader for one input of `table` — the one place a table's
-/// format picks a reader. An RCFile whose footer is in `footers` is opened
-/// without reading it again.
-pub fn open_input(
-    ctx: &HiveContext,
-    table: &TableDesc,
-    input: &ScanInput,
-    footers: &Footers,
-) -> Result<InputReader> {
+/// format picks a reader. An RCFile takes its footer from the context,
+/// which reads it once per file version (DESIGN.md §12).
+pub fn open_input(ctx: &HiveContext, table: &TableDesc, input: &ScanInput) -> Result<InputReader> {
     let schema = table.schema.clone();
     let text = |path: &str, ranges: Vec<ByteRange>| {
         InputReader::Text(Box::new(TextReader::open(&ctx.hdfs, schema.clone(), path, ranges)))
     };
-    let open_rc = |split: &FileSplit| match footers.get(&split.path) {
-        Some(footer) => RcReader::open_with_footer(&ctx.hdfs, schema.clone(), split, footer.clone()),
-        None => RcReader::open(&ctx.hdfs, schema.clone(), split),
+    let open_rc = |split: &FileSplit| {
+        RcReader::open_with_footer(&ctx.hdfs, schema.clone(), split, ctx.footer(&split.path)?)
     };
     let whole_file = |path: &String| -> Result<FileSplit> {
         Ok(FileSplit::new(path.clone(), 0, ctx.hdfs.file_len(path)?))
@@ -198,11 +169,11 @@ pub fn execute(
 /// boundary region and finishing.
 ///
 /// What is per query is made once, here: the sink (each map task fills an
-/// empty [`RowSink::sibling`]) and the footer of each RCFile. A join's
-/// build side is not per query but per version of the dimension table:
-/// the sink takes it from [`HiveContext::join_table`], which reads the
-/// table only if no earlier query made the build side for its current
-/// files (DESIGN.md §12).
+/// empty [`RowSink::sibling`]). A join's build side and an RCFile's footer
+/// are not per query but per version of what they are read from: the
+/// sink takes the build side from [`HiveContext::join_table`] and each
+/// reader its footer from the context's footer map, which read only what
+/// no earlier query read for the current files (DESIGN.md §12).
 ///
 /// An RCFile input is drained in decoded batches through the selection
 /// and aggregate kernels, a text input row by row.
@@ -227,11 +198,10 @@ pub fn execute_sink(
     let total = RowSink::new(query, &table.schema, build)?;
     let bound = query.predicate().bind(&table.schema)?;
     let projection = columnar_projection(query, table)?;
-    let footers = read_footers(ctx, table, inputs.iter().map(ScanInput::path))?;
 
     let job = ctx.engine.map_only(inputs, &|_, input: ScanInput| {
         let mut sink = total.sibling();
-        match open_input(ctx, table, &input, &footers)? {
+        match open_input(ctx, table, &input)? {
             InputReader::Rc(reader) => {
                 let mut reader = reader.with_scan_stats(ctx.scan_stats.clone());
                 if let Some(p) = &projection {
@@ -334,7 +304,8 @@ fn columnar_projection(query: &Query, table: &TableDesc) -> Result<Option<Vec<us
 /// [`HiveContext::scan_stats`] across the run. A join that looked its
 /// build side up carries both join counters on the span itself, zeros
 /// included, so the span says whether the join paid for its dimension
-/// table.
+/// table; a scan that opened an RCFile carries both footer counters the
+/// same way, so it says whether the query re-read file metadata.
 pub fn attach_scan_to_span(span: &SpanGuard, delta: &ScanSnapshot) {
     if delta.rowwise_rows > 0 {
         span.add(names::SCAN_ROWWISE_ROWS, delta.rowwise_rows);
@@ -342,6 +313,10 @@ pub fn attach_scan_to_span(span: &SpanGuard, delta: &ScanSnapshot) {
     if delta.join_builds + delta.join_build_reuses > 0 {
         span.add(names::SCAN_JOIN_BUILDS, delta.join_builds);
         span.add(names::SCAN_JOIN_BUILD_REUSES, delta.join_build_reuses);
+    }
+    if delta.footer_reads + delta.footer_reuses > 0 {
+        span.add(names::SCAN_FOOTER_READS, delta.footer_reads);
+        span.add(names::SCAN_FOOTER_REUSES, delta.footer_reuses);
     }
     if delta.batches == 0 {
         return;
@@ -585,8 +560,10 @@ mod tests {
 
     /// A join's build side is made once per version of the dimension
     /// table — the inode ids of its files — and reused until the version
-    /// moves. Two of the moves below keep every file's name and length, so
-    /// a version made of names and lengths would serve the old rows.
+    /// moves; the `query.scan` span carries the join and the footer
+    /// counters, zeros included. Two of the moves below keep every file's
+    /// name and length, so a version made of names and lengths would serve
+    /// the old rows.
     #[test]
     fn a_join_reads_its_dimension_table_once_per_table_version() {
         let (_t, ctx, tab) = setup(FileFormat::RcFile);
@@ -603,6 +580,8 @@ mod tests {
             let builds = (span[names::SCAN_JOIN_BUILDS], span[names::SCAN_JOIN_BUILD_REUSES]);
             let scan = run.stats.scan;
             assert_eq!(builds, (scan.join_builds, scan.join_build_reuses));
+            let footers = (span[names::SCAN_FOOTER_READS], span[names::SCAN_FOOTER_REUSES]);
+            assert_eq!(footers, (scan.footer_reads, scan.footer_reuses));
             let names: Vec<Value> = run
                 .result
                 .normalized()
@@ -616,6 +595,9 @@ mod tests {
             names.iter().map(|n| Value::Str((*n).into())).collect()
         };
 
+        // An unmeasured scan reads the fact table's footers, so the two
+        // joins below differ by the dimension table alone.
+        ScanEngine::new(Arc::clone(&ctx), Arc::clone(&tab)).run(&sum_query()).unwrap();
         let (names, cold, builds) = join(&users);
         assert_eq!((names, builds), (strs(&["u10", "u11", "u12"]), (1, 0)));
         let (names, warm, builds) = join(&users);
@@ -670,36 +652,27 @@ mod tests {
         assert_eq!((names, builds), (strs(&["soon-11", "v10", "v11", "v12"]), (0, 1)));
     }
 
-    /// One footer per file however many inputs the file is cut into, and
-    /// the same rows as inputs that each read their own.
+    /// A cached footer never vouches for a frame: after a query has read
+    /// a file's footer, a frame whose length prefix is flipped on disk
+    /// fails the next query as corrupt.
     #[test]
-    fn inputs_of_one_file_share_its_footer() {
-        let (_t, ctx, tab) = setup(FileFormat::RcFile);
-        let inputs: Vec<ScanInput> = ctx
-            .table_splits(&tab)
-            .into_iter()
-            .map(ScanInput::FullSplit)
-            .collect();
-        let files = ctx.hdfs.list_files(&tab.location).len() as u64;
-        assert!(inputs.len() as u64 > files, "no file has two splits");
-        let before = ctx.hdfs.stats().snapshot();
-        let shared = execute(&ctx, &tab, &sum_query(), None, inputs.clone()).unwrap();
-        let io = ctx.hdfs.stats().snapshot().since(&before);
-        assert_eq!(io.opens, files + inputs.len() as u64);
+    fn a_flipped_frame_behind_a_cached_footer_is_corrupt() {
+        let (t, ctx, tab) = setup(FileFormat::RcFile);
+        let engine = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&tab));
+        let answer = engine.run(&sum_query()).unwrap().result;
+        assert_eq!(engine.run(&sum_query()).unwrap().result, answer);
+        let (path, _) = ctx.hdfs.list_files(&tab.location).remove(0);
+        let footer = ctx.footer(&path).unwrap();
+        assert_eq!(ctx.scan_stats.snapshot().footer_reads, 3, "one read per file");
 
-        let before = ctx.hdfs.stats().snapshot();
-        let mut sink = RowSink::new(&sum_query(), &tab.schema, None).unwrap();
-        let bound = sum_query().predicate().bind(&tab.schema).unwrap();
-        for input in &inputs {
-            open_input(&ctx, &tab, input, &Footers::new())
-                .unwrap()
-                .for_each_row(|_, row| sink.push_if(row, &bound).map(drop))
-                .unwrap();
-        }
-        let own = ctx.hdfs.stats().snapshot().since(&before);
-        assert_eq!(own.records_read, io.records_read);
-        assert!(own.bytes_read > io.bytes_read, "{own} vs {io}");
-        assert_eq!(sink.finish(), shared);
+        let local = t.path().join(path.trim_start_matches('/'));
+        let mut bytes = std::fs::read(&local).unwrap();
+        let at = footer.group_offsets()[0] as usize;
+        bytes[at] ^= 1;
+        std::fs::write(&local, bytes).unwrap();
+        let err = engine.run(&sum_query()).unwrap_err();
+        assert!(matches!(err, dgf_common::DgfError::Corrupt(_)), "{err:?}");
+        assert_eq!(ctx.scan_stats.snapshot().footer_reads, 3, "the footer was not read again");
     }
 
     #[test]

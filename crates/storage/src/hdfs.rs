@@ -18,7 +18,7 @@ use dgf_common::fault::{io_error_is_transient, FaultPlan, RetryPolicy};
 use dgf_common::stats::{IoStats, IoStatsRef};
 use dgf_common::{DgfError, Result};
 
-use crate::namenode::{parent_of, NameNode};
+use crate::namenode::{parent_of, FileMeta, NameNode};
 use crate::split::{splits_for_file, FileSplit};
 
 /// Default block size. The paper uses 64 MB; the default here is scaled down
@@ -221,13 +221,24 @@ impl SimHdfs {
         self.namenode.lock().is_dir(path)
     }
 
-    /// Length of the file at `path`.
-    pub fn file_len(&self, path: &str) -> Result<u64> {
+    /// The NameNode's record of the file at `path`.
+    fn meta(&self, path: &str) -> Result<FileMeta> {
         self.namenode
             .lock()
             .file(path)
-            .map(|m| m.len)
+            .cloned()
             .ok_or_else(|| DgfError::Io(io::Error::new(io::ErrorKind::NotFound, path.to_owned())))
+    }
+
+    /// Length of the file at `path`.
+    pub fn file_len(&self, path: &str) -> Result<u64> {
+        Ok(self.meta(path)?.len)
+    }
+
+    /// The inode id of the file at `path`: like [`file_ids`](Self::file_ids)
+    /// for one file, a NameNode lookup that reads no byte.
+    pub fn file_id(&self, path: &str) -> Result<u64> {
+        Ok(self.meta(path)?.id)
     }
 
     /// All files under `dir`, recursively, as `(path, len)` in path order.
@@ -314,12 +325,7 @@ impl SimHdfs {
     /// atomic NameNode operations). The file keeps its inode id.
     pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
         self.fault_check("hdfs.rename", true)?;
-        let meta = self
-            .namenode
-            .lock()
-            .file(from)
-            .cloned()
-            .ok_or_else(|| DgfError::Io(io::Error::new(io::ErrorKind::NotFound, from.to_owned())))?;
+        let meta = self.meta(from)?;
         if self.file_exists(to) {
             return Err(DgfError::Io(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -743,6 +749,7 @@ mod tests {
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
         assert_eq!(h.file_ids("/t"), ids, "a lookup changes nothing");
+        assert_eq!(h.file_id("/t/f").unwrap(), ids[0]);
 
         h.delete_file("/t/f").unwrap();
         write(b"bobby");
@@ -750,6 +757,9 @@ mod tests {
         let again = h.file_ids("/t");
         assert_ne!(again[0], ids[0]);
         assert_eq!(again[1], ids[1]);
+        assert_eq!(h.file_id("/t/f").unwrap(), again[0]);
+        h.delete_file("/t/f").unwrap();
+        assert!(h.file_id("/t/f").is_err());
     }
 
     #[test]

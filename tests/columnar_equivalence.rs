@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgfindex::format::Bitmap;
-use dgfindex::hive::{execute, open_input, Footers, ScanInput};
+use dgfindex::hive::{execute, open_input, ScanInput};
 use dgfindex::query::{JoinTable, RowSink};
 use dgfindex::prelude::*;
 use proptest::prelude::*;
@@ -224,7 +224,7 @@ fn rowwise(w: &World, query: &Query, inputs: Vec<ScanInput>) -> QueryResult {
     let mut merged: Option<RowSink> = None;
     for input in inputs {
         let mut sink = total.sibling();
-        open_input(&ctx, &w.table, &input, &Footers::new())
+        open_input(&ctx, &w.table, &input)
             .unwrap()
             .for_each_row(|_, row| sink.push_if(row, &bound).map(drop))
             .unwrap();

@@ -42,7 +42,7 @@ use dgfindex::core::{all_gfus, DimScale, MaintenanceConfig, Maintainer};
 use dgfindex::format::is_sidecar_path;
 use dgfindex::kvstore::LogKvConfig;
 use dgfindex::prelude::*;
-use dgfindex::workload::{generate_meter_data, MeterConfig};
+use dgfindex::workload::{generate_meter_data, meter_schema, MeterConfig};
 
 /// Bulk-build the first two days, then append the rest in `batches`
 /// small batches — each append lands one delta file, so the data
@@ -173,6 +173,47 @@ fn compaction_bounds_live_files_and_preserves_answer_bits() {
         );
     }
     assert_matches_model(&index, &cfg, &rows, "after churn");
+}
+
+/// Compaction reads the files it retires through the context's footer
+/// map (one footer per file version, DESIGN.md §12), so right after the
+/// pass the map holds the retired files. The next pass reclaims them,
+/// and the next footer read drops them: the context then holds footers
+/// of live data files only.
+#[test]
+fn reclaimed_files_leave_the_contexts_footers() {
+    let w = world("footers");
+    let base = w
+        .ctx
+        .create_table_at("meter_rc", meter_schema(), FileFormat::RcFile, "/warehouse/meter_rc")
+        .unwrap();
+    let w = World { base, ..w };
+    let (index, cfg, rows) = seed_with_deltas(&w, 6);
+    let maintainer = Maintainer::new(
+        Arc::clone(&index),
+        MaintenanceConfig {
+            delta_file_budget: 3,
+            ..MaintenanceConfig::default()
+        },
+    );
+    let data = format!("{}/", index.data.location);
+    let held = || -> Vec<String> {
+        w.ctx.footer_paths().into_iter().filter(|p| p.starts_with(&data)).collect()
+    };
+
+    let r1 = maintainer.run_once().unwrap();
+    assert!(r1.compacted_files > 0, "nothing compacted: {r1:?}");
+    let retired = index.gc_list().unwrap();
+    assert_eq!(retired.len(), r1.compacted_files);
+    assert!(retired.iter().all(|p| held().contains(p)), "{retired:?} vs {:?}", held());
+
+    let r2 = maintainer.run_once().unwrap();
+    assert_eq!(r2.reclaimed_files, r1.compacted_files);
+    assert_matches_model(&index, &cfg, &rows, "after reclaim");
+    let live: Vec<String> = live_files(&index).into_iter().map(|(p, _)| p).collect();
+    assert!(!held().is_empty());
+    assert!(held().iter().all(|p| live.contains(p)), "{:?} vs live {live:?}", held());
+    assert!(w.ctx.footer_paths().iter().all(|p| w.ctx.hdfs.file_exists(p)));
 }
 
 /// Satellite: a pass says what it did through `obs` — one `maintain`

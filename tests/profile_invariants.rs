@@ -286,7 +286,9 @@ fn columnar_scan_counters_reconcile_with_batches() {
 }
 
 /// What reading one plan must cost the storage layer, worked out from
-/// the plan's inputs and the footers of the files they name.
+/// the plan's inputs and the footers of the files they name. `files` and
+/// `footer_bytes` count the cold files only: those whose footer the
+/// context has not read yet.
 #[derive(Debug, Default, PartialEq)]
 struct SliceReadCost {
     files: u64,
@@ -299,7 +301,13 @@ struct SliceReadCost {
     runs_per_input: Vec<u64>,
 }
 
-fn slice_read_cost(hdfs: &Arc<SimHdfs>, inputs: &[dgfindex::hive::ScanInput]) -> SliceReadCost {
+/// [`SliceReadCost`] of `inputs` on a context that holds the footers of
+/// the files in `warm`; the plan's files are warm afterwards.
+fn slice_read_cost(
+    hdfs: &Arc<SimHdfs>,
+    inputs: &[dgfindex::hive::ScanInput],
+    warm: &mut std::collections::BTreeSet<String>,
+) -> SliceReadCost {
     use dgfindex::hive::ScanInput;
     let mut cost = SliceReadCost::default();
     let mut footers = std::collections::BTreeMap::new();
@@ -311,9 +319,12 @@ fn slice_read_cost(hdfs: &Arc<SimHdfs>, inputs: &[dgfindex::hive::ScanInput]) ->
         };
         let footer = footers.entry(input.path().to_owned()).or_insert_with(|| {
             let footer = dgfindex::format::read_footer(hdfs, input.path()).unwrap();
-            let file_len = hdfs.file_len(input.path()).unwrap();
-            // The 12-byte tail, then the directory with the tail again.
-            cost.footer_bytes += 12 + (file_len - footer.frames_end());
+            if warm.insert(input.path().to_owned()) {
+                let file_len = hdfs.file_len(input.path()).unwrap();
+                // The 12-byte tail, then the directory with the tail again.
+                cost.footer_bytes += 12 + (file_len - footer.frames_end());
+                cost.files += 1;
+            }
             footer
         });
         let offsets = footer.group_offsets();
@@ -335,7 +346,6 @@ fn slice_read_cost(hdfs: &Arc<SimHdfs>, inputs: &[dgfindex::hive::ScanInput]) ->
             cost.frame_bytes += end - offsets[i];
         }
     }
-    cost.files = footers.len() as u64;
     cost
 }
 
@@ -478,11 +488,21 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
 
         // The join runs twice on one context: the first pays one read of
         // the dimension table, the second reuses its build side and pays
-        // for its Slices alone.
-        for (query, dim_reads) in [(&group_by, 0), (&join, 1), (&join, 0)] {
+        // for its Slices alone. A file's footer is read by the first scan
+        // that opens it (cold: opens = files + inputs, seeks = 2 × files +
+        // runs, bytes = frames + footers); every later scan of it reads
+        // frames alone (warm: opens = inputs, seeks = runs, bytes = frames).
+        let mut warm = std::collections::BTreeSet::new();
+        let sequence = [(&group_by, 0), (&join, 1), (&join, 0)];
+        for (n, (query, dim_reads)) in sequence.into_iter().enumerate() {
             let plan = idx.plan(query, true).unwrap();
-            let want = slice_read_cost(&hdfs, &plan.inputs);
+            let want = slice_read_cost(&hdfs, &plan.inputs, &mut warm);
             assert!(want.groups >= 10 && want.inputs > 0, "{placement:?}: {want:?}");
+            match n {
+                0 => assert!(want.files > 0 && want.footer_bytes > 0, "the first scan is cold"),
+                2 => assert_eq!((want.files, want.footer_bytes), (0, 0), "a repeated scan is warm"),
+                _ => {}
+            }
 
             let io_before = hdfs.stats().snapshot();
             let scan_before = ctx.scan_stats.snapshot();
@@ -506,6 +526,11 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             );
             assert_eq!(scan.batches, want.groups, "{label}");
             assert_eq!(scan.rowwise_rows, 0);
+            assert_eq!(
+                (scan.footer_reads, scan.footer_reuses),
+                (want.files, want.inputs - want.files),
+                "{label}"
+            );
             let joins = u64::from(std::ptr::eq(query, &join));
             assert_eq!(
                 (scan.join_builds, scan.join_build_reuses),
@@ -659,6 +684,9 @@ fn group_by_a_unit_dimension_reads_what_the_plain_aggregate_reads() {
         assert_eq!(io.bytes_read, run.stats.data_bytes_read);
         (io.bytes_read, run.result)
     };
+    // An unmeasured run reads the footers of the files both plans open,
+    // so the two measured runs are warm and read their frames alone.
+    bytes_read(&plain);
     let (grouped_bytes, groups) = bytes_read(&group_by);
     let (flat_bytes, _) = bytes_read(&plain);
     assert!(grouped_bytes > 0);
@@ -742,6 +770,9 @@ fn sidecar_reads_reconcile_with_io_and_the_ledger() {
             ColumnRange::half_open(Value::Int(500), Value::Int(900)),
         ),
     };
+    // An unmeasured run reads the footers of every file the pruned and
+    // the unpruned run open: both measured runs are warm.
+    DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
     let io_before = hdfs.stats().snapshot();
     let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
     let io_delta = hdfs.stats().snapshot().since(&io_before);
@@ -889,6 +920,8 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
     (names::SCAN_ROWWISE_ROWS, "scan.rowwise_rows"),
     (names::SCAN_JOIN_BUILDS, "scan.join_builds"),
     (names::SCAN_JOIN_BUILD_REUSES, "scan.join_build_reuses"),
+    (names::SCAN_FOOTER_READS, "scan.footer_reads"),
+    (names::SCAN_FOOTER_REUSES, "scan.footer_reuses"),
     (names::SCAN_SIDECAR_HITS, "scan.sidecar.hits"),
     (names::SCAN_SIDECAR_MISSES, "scan.sidecar.misses"),
     (names::SCAN_SIDECAR_CORRUPT, "scan.sidecar.corrupt"),
@@ -927,7 +960,7 @@ const GOLDEN_NAMES: &[(&str, &str)] = &[
 
 #[test]
 fn registry_names_are_a_contract() {
-    assert_eq!(GOLDEN_NAMES.len(), 86);
+    assert_eq!(GOLDEN_NAMES.len(), 88);
     let mut seen = std::collections::BTreeSet::new();
     for (constant, golden) in GOLDEN_NAMES {
         assert_eq!(constant, golden, "a registry name moved");

@@ -644,6 +644,9 @@ fn selective_queries(seq_a: i64, seq_b: i64, cat: i64) -> Vec<(&'static str, Que
 /// pruning-off pass, and at most a quarter of the slice bytes read.
 /// Returns the answer.
 fn assert_reads_a_quarter(w: &World, index: &Arc<DgfIndex>, name: &str, q: &Query) -> QueryResult {
+    // An unmeasured unpruned run reads the footers of every file the two
+    // measured runs open, so both are warm and read frames alone.
+    run_with_sidecar(w, index, q, false);
     let on = run_with_sidecar(w, index, q, true);
     let off = run_with_sidecar(w, index, q, false);
     assert_bits_eq(&on.result, &off.result, name);
