@@ -13,15 +13,15 @@
 //! is the one crate both depend on.
 
 use crate::codec::{Decoder, TAG_DATE, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR};
-use crate::{DgfError, Result, Row, Value};
+use crate::{DgfError, Result, Row, Value, ValueType};
 
 /// Typed storage for one column of a batch.
 ///
-/// `Int`/`Float`/`Date` columns store raw primitives (null slots hold a
-/// placeholder and are flagged in the column's [`NullMask`]); columns whose
-/// cells mix value types fall back to [`ColumnData::Values`]. Unprojected
-/// columns are [`ColumnData::Skipped`]: they occupy a slot so column indexes
-/// match the schema, but hold no data.
+/// A column is its schema type's vector ([`decode_column`]): `Int`, `Float`
+/// and `Date` columns store raw primitives, `Str` one `String` per row, and
+/// null slots hold a placeholder flagged in the column's [`NullMask`].
+/// Unprojected columns are [`ColumnData::Skipped`]: they occupy a slot so
+/// column indexes match the schema, but hold no data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 64-bit integers.
@@ -32,8 +32,6 @@ pub enum ColumnData {
     Date(Vec<i64>),
     /// Strings.
     Str(Vec<String>),
-    /// Mixed-type fallback: boxed values, one per row.
-    Values(Vec<Value>),
     /// Column not materialized (excluded by the projection).
     Skipped,
 }
@@ -102,7 +100,6 @@ impl Column {
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Str(v) => Value::Str(v[i].clone()),
-            ColumnData::Values(v) => v[i].clone(),
             ColumnData::Skipped => Value::Null,
         }
     }
@@ -127,7 +124,6 @@ impl ColumnBatch {
                 ColumnData::Int(v) | ColumnData::Date(v) => debug_assert_eq!(v.len(), len),
                 ColumnData::Float(v) => debug_assert_eq!(v.len(), len),
                 ColumnData::Str(v) => debug_assert_eq!(v.len(), len),
-                ColumnData::Values(v) => debug_assert_eq!(v.len(), len),
                 ColumnData::Skipped => {}
             }
         }
@@ -146,11 +142,6 @@ impl ColumnBatch {
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of columns (equals the schema width, including skipped slots).
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
     }
 
     /// File offset of the row group this batch was decoded from.
@@ -203,9 +194,6 @@ impl ColumnBatch {
                     }
                     ColumnData::Str(v) => {
                         ColumnData::Str(rows.iter().map(|&i| v[i as usize].clone()).collect())
-                    }
-                    ColumnData::Values(v) => {
-                        ColumnData::Values(rows.iter().map(|&i| v[i as usize].clone()).collect())
                     }
                     ColumnData::Skipped => ColumnData::Skipped,
                 };
@@ -280,14 +268,13 @@ impl Iterator for SelectionIter<'_> {
 }
 
 /// Decode one column's tagged value stream (`codec::put_value` repeated
-/// `n_rows` times) into typed storage.
+/// `n_rows` times) into the typed storage of `vtype`, the column's schema
+/// type.
 ///
-/// The decoder commits to the first non-null tag it sees; if a later cell
-/// carries a different tag the column is promoted to the boxed
-/// [`ColumnData::Values`] fallback, so mixed-type columns decode exactly as
-/// the row path would. An all-null column decodes as `Int` placeholders
-/// with every row flagged null.
-pub fn decode_column(bytes: &[u8], n_rows: usize) -> Result<Column> {
+/// A null tag leaves a placeholder flagged in the null mask; any other
+/// tag that is not `vtype`'s, and a NaN float, is [`DgfError::Corrupt`]:
+/// no writer puts such a cell in a column ([`ValueType::admits`]).
+pub fn decode_column(bytes: &[u8], n_rows: usize, vtype: ValueType) -> Result<Column> {
     // Every cell encodes to at least its tag byte, so a row count the
     // stream cannot hold is corruption — reject it before sizing the
     // null mask and the typed vector from it.
@@ -299,116 +286,56 @@ pub fn decode_column(bytes: &[u8], n_rows: usize) -> Result<Column> {
     }
     let mut dec = Decoder::new(bytes);
     let mut nulls = NullMask::new(n_rows);
-    // Rows seen before the first non-null cell fixes the column type.
-    let mut pending = 0usize;
-    let mut data: Option<ColumnData> = None;
-    for i in 0..n_rows {
-        let tag = dec.u8()?;
-        if tag == TAG_NULL {
-            nulls.set_null(i);
-            match &mut data {
-                None => pending += 1,
-                Some(ColumnData::Int(v) | ColumnData::Date(v)) => v.push(0),
-                Some(ColumnData::Float(v)) => v.push(0.0),
-                Some(ColumnData::Str(v)) => v.push(String::new()),
-                Some(ColumnData::Values(v)) => v.push(Value::Null),
-                Some(ColumnData::Skipped) => unreachable!(),
+    let (d, m) = (&mut dec, &mut nulls);
+    let data = match vtype {
+        ValueType::Int => ColumnData::Int(decode_cells(d, m, n_rows, vtype, 0, Decoder::i64)?),
+        ValueType::Date => ColumnData::Date(decode_cells(d, m, n_rows, vtype, 0, Decoder::i64)?),
+        ValueType::Float => ColumnData::Float(decode_cells(d, m, n_rows, vtype, 0.0, |d| {
+            let x = d.f64()?;
+            match x.is_nan() {
+                true => Err(DgfError::Corrupt("a float column holds a NaN".into())),
+                false => Ok(x),
             }
-            continue;
-        }
-        let matches_tag = match (&data, tag) {
-            (None, _) => false,
-            (Some(ColumnData::Int(_)), TAG_INT)
-            | (Some(ColumnData::Float(_)), TAG_FLOAT)
-            | (Some(ColumnData::Date(_)), TAG_DATE)
-            | (Some(ColumnData::Str(_)), TAG_STR)
-            | (Some(ColumnData::Values(_)), _) => true,
-            _ => false,
-        };
-        if !matches_tag {
-            if let Some(current) = data.take() {
-                // Type changed mid-column: promote what we have to values.
-                data = Some(ColumnData::Values(promote(current, &nulls)));
-            } else {
-                let mut fresh = typed_vec(tag, n_rows)?;
-                pad_placeholders(&mut fresh, pending);
-                pending = 0;
-                data = Some(fresh);
-            }
-        }
-        match data.as_mut().expect("column storage chosen") {
-            ColumnData::Int(v) | ColumnData::Date(v) => v.push(dec.i64()?),
-            ColumnData::Float(v) => v.push(dec.f64()?),
-            ColumnData::Str(v) => v.push(dec.str()?.to_owned()),
-            ColumnData::Values(v) => v.push(decode_tagged(tag, &mut dec)?),
-            ColumnData::Skipped => unreachable!(),
-        }
-    }
-    let data = data.unwrap_or_else(|| ColumnData::Int(vec![0; pending]));
+        })?),
+        ValueType::Str => ColumnData::Str(decode_cells(d, m, n_rows, vtype, String::new(), |d| {
+            Ok(d.str()?.to_owned())
+        })?),
+    };
     Ok(Column { data, nulls })
 }
 
-/// Fresh typed storage for a column whose first non-null cell has `tag`.
-fn typed_vec(tag: u8, capacity: usize) -> Result<ColumnData> {
-    Ok(match tag {
-        TAG_INT => ColumnData::Int(Vec::with_capacity(capacity)),
-        TAG_FLOAT => ColumnData::Float(Vec::with_capacity(capacity)),
-        TAG_DATE => ColumnData::Date(Vec::with_capacity(capacity)),
-        TAG_STR => ColumnData::Str(Vec::with_capacity(capacity)),
-        other => return Err(DgfError::Corrupt(format!("unknown value tag {other}"))),
-    })
-}
-
-/// Backfill placeholder slots for nulls that preceded the first typed cell.
-fn pad_placeholders(data: &mut ColumnData, pending: usize) {
-    match data {
-        ColumnData::Int(v) | ColumnData::Date(v) => v.resize(pending, 0),
-        ColumnData::Float(v) => v.resize(pending, 0.0),
-        ColumnData::Str(v) => v.resize(pending, String::new()),
-        ColumnData::Values(v) => v.resize(pending, Value::Null),
-        ColumnData::Skipped => {}
+/// `n_rows` cells, each tagged as a `vtype` cell and read by `cell`, or
+/// NULL: flagged in `nulls` and stored as `placeholder`.
+fn decode_cells<'a, T: Clone>(
+    dec: &mut Decoder<'a>,
+    nulls: &mut NullMask,
+    n_rows: usize,
+    vtype: ValueType,
+    placeholder: T,
+    cell: impl Fn(&mut Decoder<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let tag = match vtype {
+        ValueType::Int => TAG_INT,
+        ValueType::Float => TAG_FLOAT,
+        ValueType::Str => TAG_STR,
+        ValueType::Date => TAG_DATE,
+    };
+    let mut out = Vec::with_capacity(n_rows);
+    for i in 0..n_rows {
+        match dec.u8()? {
+            TAG_NULL => {
+                nulls.set_null(i);
+                out.push(placeholder.clone());
+            }
+            t if t == tag => out.push(cell(dec)?),
+            other => {
+                return Err(DgfError::Corrupt(format!(
+                    "a {vtype} column holds a cell tagged {other}"
+                )))
+            }
+        }
     }
-}
-
-/// Re-box typed storage as values when a column turns out to be mixed-type.
-fn promote(data: ColumnData, nulls: &NullMask) -> Vec<Value> {
-    let boxed = |i: usize, v: Value| if nulls.is_null(i) { Value::Null } else { v };
-    match data {
-        ColumnData::Int(v) => v
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| boxed(i, Value::Int(x)))
-            .collect(),
-        ColumnData::Date(v) => v
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| boxed(i, Value::Date(x)))
-            .collect(),
-        ColumnData::Float(v) => v
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| boxed(i, Value::Float(x)))
-            .collect(),
-        ColumnData::Str(v) => v
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| boxed(i, Value::Str(x)))
-            .collect(),
-        ColumnData::Values(v) => v,
-        ColumnData::Skipped => Vec::new(),
-    }
-}
-
-/// Decode one tagged value whose tag byte has already been consumed.
-fn decode_tagged(tag: u8, dec: &mut Decoder<'_>) -> Result<Value> {
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_INT => Value::Int(dec.i64()?),
-        TAG_FLOAT => Value::Float(dec.f64()?),
-        TAG_STR => Value::Str(dec.str()?.to_owned()),
-        TAG_DATE => Value::Date(dec.i64()?),
-        other => return Err(DgfError::Corrupt(format!("unknown value tag {other}"))),
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -433,7 +360,7 @@ mod tests {
             Value::Int(-3),
             Value::Int(0),
         ];
-        let col = decode_column(&encode(&vals), vals.len()).unwrap();
+        let col = decode_column(&encode(&vals), vals.len(), ValueType::Int).unwrap();
         assert!(matches!(col.data, ColumnData::Int(_)));
         assert!(col.nulls.any_nulls());
         for (i, v) in vals.iter().enumerate() {
@@ -441,25 +368,42 @@ mod tests {
         }
     }
 
+    /// A column holds NULLs and cells of its own type: a cell of any
+    /// other type, an unknown tag or a NaN float is corruption.
     #[test]
-    fn mixed_type_column_promotes_to_values() {
-        let vals = vec![
-            Value::Int(1),
-            Value::Str("x".into()),
-            Value::Null,
-            Value::Float(2.5),
+    fn a_cell_of_another_type_is_corrupt() {
+        let cells = [
+            (ValueType::Int, Value::Int(1)),
+            (ValueType::Float, Value::Float(2.5)),
+            (ValueType::Str, Value::Str("x".into())),
+            (ValueType::Date, Value::Date(3)),
         ];
-        let col = decode_column(&encode(&vals), vals.len()).unwrap();
-        assert!(matches!(col.data, ColumnData::Values(_)));
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(&col.value_at(i), v);
+        for (vtype, own) in &cells {
+            let vals = [Value::Null, own.clone(), Value::Null];
+            let col = decode_column(&encode(&vals), 3, *vtype).unwrap();
+            for (i, v) in vals.iter().enumerate() {
+                assert_eq!(&col.value_at(i), v, "{vtype}");
+            }
+            for (other, stray) in &cells {
+                if other != vtype {
+                    let bytes = encode(&[own.clone(), Value::Null, stray.clone()]);
+                    let err = decode_column(&bytes, 3, *vtype);
+                    assert!(matches!(err, Err(DgfError::Corrupt(_))), "{stray:?} in {vtype}: {err:?}");
+                }
+            }
+            let mut unknown = encode(std::slice::from_ref(own));
+            unknown[0] = 0xEE;
+            assert!(matches!(decode_column(&unknown, 1, *vtype), Err(DgfError::Corrupt(_))));
         }
+        let nan = encode(&[Value::Float(f64::NAN)]);
+        assert!(matches!(decode_column(&nan, 1, ValueType::Float), Err(DgfError::Corrupt(_))));
     }
 
     #[test]
     fn all_null_column_decodes() {
         let vals = vec![Value::Null; 4];
-        let col = decode_column(&encode(&vals), 4).unwrap();
+        let col = decode_column(&encode(&vals), 4, ValueType::Str).unwrap();
+        assert_eq!(col.data, ColumnData::Str(vec![String::new(); 4]));
         for i in 0..4 {
             assert_eq!(col.value_at(i), Value::Null);
         }
@@ -473,7 +417,7 @@ mod tests {
             Value::Float(3.0),
             Value::Float(4.0),
         ];
-        let col = decode_column(&encode(&vals), 4).unwrap();
+        let col = decode_column(&encode(&vals), 4, ValueType::Float).unwrap();
         let batch = ColumnBatch::new(vec![col], 4, 0);
         let kept = batch.take(&[1, 3]);
         assert_eq!(kept.len(), 2);
@@ -493,7 +437,7 @@ mod tests {
     #[test]
     fn read_row_into_reuses_allocation() {
         let vals = vec![Value::Int(5), Value::Int(6)];
-        let col = decode_column(&encode(&vals), 2).unwrap();
+        let col = decode_column(&encode(&vals), 2, ValueType::Int).unwrap();
         let batch = ColumnBatch::new(vec![col, Column::skipped()], 2, 9);
         assert_eq!(batch.group_offset(), 9);
         let mut row = Row::new();

@@ -23,6 +23,22 @@ pub enum ValueType {
     Date,
 }
 
+impl ValueType {
+    /// Whether a column of this type can hold `v`: NULL, or a value of
+    /// this type, and a float that is not NaN. The one rule every writer
+    /// checks a cell against and every reader decodes a column by.
+    pub fn admits(self, v: &Value) -> bool {
+        match (v, self) {
+            (Value::Null, _) => true,
+            (Value::Float(x), ValueType::Float) => !x.is_nan(),
+            (Value::Int(_), ValueType::Int)
+            | (Value::Str(_), ValueType::Str)
+            | (Value::Date(_), ValueType::Date) => true,
+            _ => false,
+        }
+    }
+}
+
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -263,6 +279,24 @@ mod tests {
         assert_eq!(Value::parse("", ValueType::Int).unwrap(), Value::Null);
         assert!(Value::parse("x", ValueType::Int).is_err());
         assert!(Value::parse("NaN", ValueType::Float).is_err());
+    }
+
+    #[test]
+    fn a_column_admits_null_and_its_own_type() {
+        let vals = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Str("1".into()),
+            Value::Date(1),
+        ];
+        let types = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
+        for (i, ty) in types.into_iter().enumerate() {
+            assert!(ty.admits(&Value::Null), "{ty}");
+            for (j, v) in vals.iter().enumerate() {
+                assert_eq!(ty.admits(v), i == j, "{ty} {v:?}");
+            }
+        }
+        assert!(!ValueType::Float.admits(&Value::Float(f64::NAN)));
     }
 
     #[test]

@@ -79,12 +79,25 @@ impl RcWriter {
     }
 
     /// Append a row; returns the offset of its row group.
+    ///
+    /// A row of the wrong arity, or with a cell its column cannot hold
+    /// ([`ValueType::admits`]), is a [`DgfError::Schema`] and leaves
+    /// nothing behind: every cell is checked before any is buffered.
+    ///
+    /// [`ValueType::admits`]: dgf_common::ValueType::admits
     pub fn write_row(&mut self, row: &Row) -> Result<u64> {
         if row.len() != self.schema.len() {
             return Err(DgfError::Schema(format!(
                 "row arity {} != schema arity {}",
                 row.len(),
                 self.schema.len()
+            )));
+        }
+        let fields = self.schema.fields().iter();
+        if let Some((f, v)) = fields.zip(row).find(|(f, v)| !f.vtype.admits(v)) {
+            return Err(DgfError::Schema(format!(
+                "column {:?} ({}) cannot hold {v:?}",
+                f.name, f.vtype
             )));
         }
         if self.rows_in_group == 0 {
@@ -447,10 +460,10 @@ impl RcReader {
             )));
         }
         let mut columns = Vec::with_capacity(n_cols);
-        for decode in &self.decode {
+        for (decode, field) in self.decode.iter().zip(self.schema.fields()) {
             let col_bytes = dec.bytes()?;
             columns.push(if *decode {
-                batch::decode_column(col_bytes, n_rows)?
+                batch::decode_column(col_bytes, n_rows, field.vtype)?
             } else {
                 Column::skipped()
             });
@@ -733,7 +746,7 @@ mod tests {
     /// groups: no mutant panics, one that cuts or flips the footer
     /// directory or the tail is `Corrupt`, and one that flips a frame's
     /// length prefix or column payload is `Corrupt` or reads rows of the
-    /// schema's width.
+    /// schema's width whose every cell its column admits.
     #[test]
     fn mutated_files_are_corrupt_or_read_schema_wide_rows() {
         use rand::{Rng, SeedableRng};
@@ -777,7 +790,10 @@ mod tests {
             }
             mutants.push((m, footer));
         }
-        let width = schema().len();
+        let fields = schema().fields().to_vec();
+        let fits = |r: &Row| {
+            r.len() == fields.len() && fields.iter().zip(r).all(|(f, v)| f.vtype.admits(v))
+        };
         for (n, (bytes, footer)) in mutants.iter().enumerate() {
             let path = format!("/t/m{n}");
             let mut w = h.create(&path).unwrap();
@@ -790,10 +806,35 @@ mod tests {
             let label = format!("mutant {n} of {} bytes", bytes.len());
             match read.unwrap_or_else(|_| panic!("{label} panicked")) {
                 Err(DgfError::Corrupt(_)) => {}
-                Ok(rows) if !footer => assert!(rows.iter().all(|r| r.len() == width), "{label}"),
+                Ok(rows) if !footer => assert!(rows.iter().all(&fits), "{label}: {rows:?}"),
                 other => panic!("{label}: {other:?}"),
             }
         }
+    }
+
+    /// A row with a cell its column cannot hold is refused before any of
+    /// it is buffered: the file closes holding exactly the accepted rows,
+    /// byte for byte the file written without the refused ones.
+    #[test]
+    fn writer_refuses_a_cell_its_column_cannot_hold() {
+        let (_t, h) = cluster();
+        let refused = [
+            vec![Value::Int(1), Value::Str("a".into()), Value::Int(2)],
+            vec![Value::Int(1), Value::Str("a".into()), Value::Float(f64::NAN)],
+            vec![Value::Str("1".into()), Value::Str("a".into()), Value::Float(2.0)],
+        ];
+        let mut w = RcWriter::create(&h, "/t/mixed", schema(), 4).unwrap();
+        for i in 0..10 {
+            w.write_row(&row(i)).unwrap();
+            let bad = &refused[i as usize % refused.len()];
+            assert!(matches!(w.write_row(bad), Err(DgfError::Schema(_))), "{bad:?}");
+        }
+        w.close().unwrap();
+        write(&h, "/t/clean", 10, 4);
+        assert_eq!(h.read_file("/t/mixed").unwrap(), h.read_file("/t/clean").unwrap());
+        let split = FileSplit::new("/t/mixed", 0, h.file_len("/t/mixed").unwrap());
+        let rows = drain(RcReader::open(&h, schema(), &split).unwrap());
+        assert_eq!(rows, (0..10).map(row).collect::<Vec<_>>());
     }
 
     /// The footer says how long each frame is; a prefix that still lands

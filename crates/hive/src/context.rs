@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use dgf_common::stats::ScanStatsRef;
-use dgf_common::{DgfError, Result, Row, SchemaRef, Value, ValueType, FIELD_DELIM};
+use dgf_common::{DgfError, Result, Row, SchemaRef, Value, FIELD_DELIM};
 use dgf_format::{is_sidecar_path, read_footer, FileFormat, RcFooter, RcWriter, TextWriter};
 use dgf_mapreduce::MrEngine;
 use dgf_query::JoinTable;
@@ -85,10 +85,12 @@ pub struct TableDesc {
 
 impl TableDesc {
     /// `rows` as this table stores them, checked before anything is
-    /// written: a row of the wrong arity, a cell whose type is not its
-    /// column's, a NaN, or a string a text line cannot hold is a
+    /// written: a row of the wrong arity, a cell its column does not admit
+    /// ([`ValueType::admits`]), or a string a text line cannot hold is a
     /// [`DgfError::Schema`]. Text cannot tell `""` from NULL either, so a
     /// Text table stores a `Str("")` as NULL; the rows are copied only then.
+    ///
+    /// [`ValueType::admits`]: dgf_common::ValueType::admits
     pub fn conform<'r>(&self, rows: &'r [Row]) -> Result<Cow<'r, [Row]>> {
         let text = self.format == FileFormat::Text;
         let mut blanks = false;
@@ -102,14 +104,11 @@ impl TableDesc {
                 )));
             }
             for (v, f) in row.iter().zip(self.schema.fields()) {
-                let fits = match (v, f.vtype) {
-                    (Value::Null, _) | (Value::Int(_), ValueType::Int) => true,
-                    (Value::Date(_), ValueType::Date) => true,
-                    (Value::Float(x), ValueType::Float) => !x.is_nan(),
-                    (Value::Str(s), ValueType::Str) => !text || !s.contains([FIELD_DELIM, '\n']),
-                    _ => false,
+                let fits = match v {
+                    Value::Str(s) if text => !s.contains([FIELD_DELIM, '\n']),
+                    _ => true,
                 };
-                if !fits {
+                if !(fits && f.vtype.admits(v)) {
                     return Err(DgfError::Schema(format!(
                         "column {:?} ({}) of table {:?} cannot hold {v:?}",
                         f.name, f.vtype, self.name
@@ -300,7 +299,12 @@ impl HiveContext {
     /// Bulk-load rows into `table`, spread over `num_files` sequential
     /// files (row order is preserved — meter data arrives time-ordered and
     /// the paper's real-world dataset is physically sorted by time).
+    ///
+    /// The rows are conformed ([`TableDesc::conform`]) before the first
+    /// file is created, so a load with a row its table cannot hold writes
+    /// nothing.
     pub fn load_rows(&self, table: &TableDesc, rows: &[Row], num_files: usize) -> Result<()> {
+        let rows = table.conform(rows)?;
         let num_files = num_files.max(1);
         let per_file = rows.len().div_ceil(num_files).max(1);
         for (i, chunk) in rows.chunks(per_file).enumerate() {
@@ -310,10 +314,12 @@ impl HiveContext {
         Ok(())
     }
 
-    /// Append one new file of rows to a table (incremental load).
+    /// Append one new file of rows to a table (incremental load),
+    /// conformed first as [`Self::load_rows`] does.
     pub fn append_file(&self, table: &TableDesc, file_name: &str, rows: &[Row]) -> Result<String> {
+        let rows = table.conform(rows)?;
         let path = format!("{}/{file_name}", table.location);
-        self.write_file(table, &path, rows)?;
+        self.write_file(table, &path, &rows)?;
         Ok(path)
     }
 
@@ -614,6 +620,21 @@ mod tests {
         let piped = [vec![Value::Int(1), Value::Str("a|b".into())]];
         assert!(matches!(text.conform(&piped), Err(DgfError::Schema(_))));
         assert!(rc.conform(&piped).is_ok());
+    }
+
+    /// Loads conform their rows before the first file is created: a row
+    /// the table cannot hold, even in the last file's chunk, writes nothing.
+    #[test]
+    fn a_load_with_a_row_its_table_cannot_hold_writes_nothing() {
+        let (_t, ctx) = ctx();
+        let mut bad = rows(20);
+        bad[19][1] = Value::Int(19);
+        for (name, format) in [("t", FileFormat::Text), ("r", FileFormat::RcFile)] {
+            let tab = ctx.create_table(name, schema(), format).unwrap();
+            assert!(matches!(ctx.load_rows(&tab, &bad, 4), Err(DgfError::Schema(_))));
+            assert!(matches!(ctx.append_file(&tab, "delta", &bad), Err(DgfError::Schema(_))));
+            assert!(ctx.hdfs.list_files(&tab.location).is_empty(), "{format:?}");
+        }
     }
 
     #[test]

@@ -210,9 +210,9 @@ fn fold_sum(
         // An unprojected column reads as Null in the row path: nothing to
         // fold (and nothing the row path would have errored on).
         ColumnData::Skipped => {}
-        // Strings and mixed-type columns go through `as_f64` so non-numeric
-        // cells produce exactly the row path's error.
-        ColumnData::Str(_) | ColumnData::Values(_) => {
+        // Strings go through `as_f64` so a non-null cell produces exactly
+        // the row path's error.
+        ColumnData::Str(_) => {
             for i in sel.iter() {
                 let v = col.value_at(i);
                 if !v.is_null() {
@@ -269,23 +269,6 @@ fn fold_extreme(col: &Column, sel: &Selection, m: &mut Option<Value>, want: Orde
         .map(|i| Value::Float(v[i])),
         ColumnData::Str(v) => {
             best_index(col, sel, v, |a: &String, b| a.cmp(b), want).map(|i| Value::Str(v[i].clone()))
-        }
-        ColumnData::Values(vals) => {
-            // Mixed-type column: replay the row path's evolving fold under
-            // `Value` ordering directly.
-            let mut best: Option<&Value> = None;
-            for i in sel.iter() {
-                let x = &vals[i];
-                if col.nulls.is_null(i) || x.is_null() {
-                    continue;
-                }
-                match best {
-                    None => best = Some(x),
-                    Some(b) if x.cmp_value(b) == want => best = Some(x),
-                    _ => {}
-                }
-            }
-            best.cloned()
         }
         ColumnData::Skipped => None,
     };

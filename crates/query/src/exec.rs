@@ -359,8 +359,9 @@ fn merge_group(
 
 /// Split `sel` by the value of the key column and hand each part to
 /// `fold` with its key: rows ascending inside a part, parts in key order.
-/// Keys are told apart the way the `groups` map does (`Value`'s order, so
-/// NULLs are one group and `1` and `1.0` are the same key). A constant key
+/// Keys are told apart the way the `groups` map does: by `Value`'s order,
+/// so NULLs are one group. A column holds cells of its schema type only,
+/// so two keys of one batch never differ in type alone. A constant key
 /// — the usual case when the key is a grid dimension and the batch one
 /// cell's — is one part: `sel` itself, nothing copied.
 fn for_each_key_part(
@@ -714,14 +715,13 @@ mod tests {
 
     /// Bits, not approximate equality: the batch fold must update each
     /// key's states with the same values in the same order as the row
-    /// fold, whatever the key column decoded to.
+    /// fold, for a key with NULLs and a constant key alike.
     #[test]
     fn group_by_batch_fold_is_the_row_fold_bit_for_bit() {
         use dgf_common::batch::decode_column;
         use dgf_common::codec::put_value;
         let s = Schema::from_pairs(&[
             ("k_nulls", ValueType::Int),
-            ("k_mixed", ValueType::Int),
             ("k_const", ValueType::Int),
             ("power", ValueType::Float),
         ]);
@@ -732,40 +732,33 @@ mod tests {
             .map(|i| {
                 vec![
                     if i % 5 == 0 { Value::Null } else { Value::Int([7, 3, 7, 1, 3][i % 5]) },
-                    match i % 4 {
-                        0 => Value::Int(2),
-                        1 => Value::Float(2.0),
-                        2 => Value::Int(1),
-                        _ => Value::Null,
-                    },
                     Value::Int(9),
                     Value::Float(0.1 * (i % 7) as f64 + 1e-9 * i as f64),
                 ]
             })
             .collect();
-        let columns = (0..s.len())
-            .map(|c| {
+        let columns = s
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
                 let mut bytes = Vec::new();
                 for r in &table {
                     put_value(&mut bytes, &r[c]);
                 }
-                decode_column(&bytes, n).unwrap()
+                decode_column(&bytes, n, f.vtype).unwrap()
             })
             .collect();
         let batch = ColumnBatch::new(columns, n, 0);
-        assert!(matches!(batch.column(1).data, ColumnData::Values(_)));
         let sparse: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
-        for key in ["k_nulls", "k_mixed", "k_const"] {
+        for key in ["k_nulls", "k_const"] {
             let q = Query::GroupBy {
                 key: key.into(),
-                // `2` and `2.0` tie for the extremes of `k_mixed`, and the
-                // first in row order wins: a part folded out of order
-                // answers with the other one.
                 aggs: vec![
                     AggFunc::Sum("power".into()),
                     AggFunc::Avg("power".into()),
-                    AggFunc::Min("k_mixed".into()),
-                    AggFunc::Max("k_mixed".into()),
+                    AggFunc::Min("k_nulls".into()),
+                    AggFunc::Max("k_nulls".into()),
                     AggFunc::Count,
                 ],
                 predicate: Predicate::all(),
@@ -780,8 +773,8 @@ mod tests {
                 let (rows, batches) = (by_row.finish().into_groups(), by_batch.finish().into_groups());
                 assert_eq!(rows.len(), batches.len(), "{key}");
                 for ((rk, rv), (bk, bv)) in rows.iter().zip(&batches) {
-                    // Derived equality: `Int(2)` and `Float(2.0)` differ,
-                    // so the first-seen key of a class must win on both.
+                    // Derived equality: the same key cells, which in a
+                    // column of one type is the same key order.
                     assert_eq!(rk, bk, "{key}");
                     for (r, b) in rv.iter().zip(bv) {
                         match (r, b) {

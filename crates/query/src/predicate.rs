@@ -287,14 +287,6 @@ fn filter_column(col: &Column, range: &ColumnRange, sel: &Selection) -> Selectio
             };
             ok.then_some(i as u32)
         })),
-        ColumnData::Values(v) => out.extend(sel.iter().filter_map(|i| {
-            let ok = if nulls.is_null(i) {
-                null_ok
-            } else {
-                range.contains(&v[i])
-            };
-            ok.then_some(i as u32)
-        })),
         ColumnData::Skipped => {
             if null_ok {
                 return sel.clone();
