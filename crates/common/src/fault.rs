@@ -107,10 +107,6 @@ pub struct FaultConfig {
     /// Probability that any single operation fails with a transient
     /// error (independently drawn per operation).
     pub p_transient: f64,
-    /// Probability that an operation is delayed by a latency spike.
-    pub p_latency_spike: f64,
-    /// Duration of an injected latency spike.
-    pub latency_spike: Duration,
     /// Crash (sticky, non-retryable) after this many write operations.
     pub crash_after_writes: Option<u64>,
     /// Crash at the Nth [`FaultPlan::crash_point`] invocation (0-based
@@ -133,8 +129,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             p_transient: 0.0,
-            p_latency_spike: 0.0,
-            latency_spike: Duration::ZERO,
             crash_after_writes: None,
             crash_at_point: None,
             p_yield: 0.0,
@@ -243,7 +237,7 @@ impl FaultPlan {
         &self.cfg
     }
 
-    /// Transient faults injected so far (latency spikes not counted).
+    /// Transient faults injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
@@ -260,8 +254,7 @@ impl FaultPlan {
     }
 
     /// Consult the plan before a read-like operation `what`. May inject a
-    /// transient error or a latency spike; fails permanently after a
-    /// crash.
+    /// transient error; fails permanently after a crash.
     pub fn before_read(&self, what: &str) -> Result<()> {
         self.before_op(what, false)
     }
@@ -274,27 +267,21 @@ impl FaultPlan {
     }
 
     fn before_op(&self, what: &str, is_write: bool) -> Result<()> {
-        let spike = {
-            let mut st = self.state.lock();
-            if st.crashed {
+        let mut st = self.state.lock();
+        if st.crashed {
+            return Err(crash_error(what));
+        }
+        if is_write {
+            st.writes_seen += 1;
+            if Some(st.writes_seen) == self.cfg.crash_after_writes {
+                st.crashed = true;
                 return Err(crash_error(what));
             }
-            if is_write {
-                st.writes_seen += 1;
-                if Some(st.writes_seen) == self.cfg.crash_after_writes {
-                    st.crashed = true;
-                    return Err(crash_error(what));
-                }
-            }
-            if self.cfg.p_transient > 0.0 && st.rng.next_f64() < self.cfg.p_transient {
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Err(DgfError::Transient(format!("injected fault in {what}")));
-            }
-            self.cfg.p_latency_spike > 0.0 && st.rng.next_f64() < self.cfg.p_latency_spike
-        };
-        if spike {
-            std::thread::sleep(self.cfg.latency_spike);
+        }
+        if self.cfg.p_transient > 0.0 && st.rng.next_f64() < self.cfg.p_transient {
+            drop(st);
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            return Err(DgfError::Transient(format!("injected fault in {what}")));
         }
         Ok(())
     }

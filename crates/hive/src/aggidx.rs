@@ -12,14 +12,10 @@
 use std::sync::Arc;
 
 use dgf_common::{DgfError, Result, Stopwatch, Value, ValueType};
-use dgf_format::{FileFormat, TextWriter};
 use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
-use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableRef};
-use crate::index_common::{
-    dims_key, dims_schema, for_each_dims_row, format_offsets, BuildReport, KEY_SEP,
-};
+use crate::index_common::{build_index_table, distinct, format_offsets, probe, BuildReport, Emit};
 
 /// A built Aggregate Index (Compact Index + per-entry `count(*)`).
 pub struct AggregateIndex {
@@ -36,82 +32,25 @@ impl AggregateIndex {
         dims: Vec<String>,
         index_name: &str,
     ) -> Result<(AggregateIndex, BuildReport)> {
-        crate::compact::validate_dims(&base, &dims)?;
-        let watch = Stopwatch::start();
-        let mut fields: Vec<(String, ValueType)> = Vec::new();
-        for d in &dims {
-            fields.push((d.clone(), base.schema.type_of(d)?));
-        }
-        fields.push(("_bucketname".into(), ValueType::Str));
-        fields.push(("_offsets".into(), ValueType::Str));
-        fields.push(("_count_of_all".into(), ValueType::Int));
-        let pairs: Vec<(&str, ValueType)> =
-            fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let index_schema = Arc::new(dgf_common::Schema::from_pairs(&pairs));
-        let index_table = ctx.create_table(index_name, index_schema, FileFormat::Text)?;
-
-        let dim_idx: Vec<usize> = dims
-            .iter()
-            .map(|d| base.schema.index_of(d))
-            .collect::<Result<_>>()?;
-        let dims_s = Arc::new(dims_schema(&base.schema, &dims)?);
-        let splits = ctx.table_splits(&base);
-        let num_reducers = ctx.engine.threads().min(splits.len()).max(1);
-        let ctx2 = Arc::clone(&ctx);
-        let base2 = Arc::clone(&base);
-        let index_loc = index_table.location.clone();
-
-        let job = ctx.engine.map_reduce(
-            splits,
-            num_reducers,
-            // Map: emit (dims ++ file) -> (offset, 1 row).
-            &|_, split: FileSplit, e| {
-                let path = split.path.clone();
-                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
-                    e.emit(dims_key(&dvals, &path), (off, 1u64));
-                    Ok(())
-                })
-            },
-            None,
-            // Reduce: collect_set(offsets) + count(*) per entry.
-            &|tid, groups| {
-                let path = format!("{index_loc}/part-{tid:05}");
-                let mut w = TextWriter::create(&ctx2.hdfs, &path)?;
-                let mut entries = 0u64;
-                for (key, pairs) in groups {
-                    let count: u64 = pairs.iter().map(|(_, c)| *c).sum();
-                    let mut offs: Vec<u64> = pairs.into_iter().map(|(o, _)| o).collect();
-                    offs.sort_unstable();
-                    offs.dedup();
-                    let (dims_part, file) = key
-                        .split_once(KEY_SEP)
-                        .ok_or_else(|| DgfError::Corrupt("bad index key".into()))?;
-                    // Validate the dims decode before persisting.
-                    dgf_common::parse_row(dims_part, &dims_s)?;
-                    w.write_line(&format!(
-                        "{dims_part}|{file}|{}|{count}",
-                        format_offsets(&offs)
-                    ))?;
-                    entries += 1;
-                }
-                w.close()?;
-                Ok(entries)
+        let (index_table, report) = build_index_table(
+            &ctx,
+            &base,
+            &dims,
+            index_name,
+            &[("_offsets", ValueType::Str), ("_count_of_all", ValueType::Int)],
+            Emit::BlockOffset,
+            // collect_set(offsets) + count(*) per entry.
+            &|offsets| {
+                let count = offsets.len();
+                format!("{}|{count}", format_offsets(&distinct(offsets)))
             },
         )?;
-
-        let report = BuildReport {
-            build_time: watch.elapsed(),
-            index_size_bytes: ctx.table_size_bytes(&index_table),
-            index_entries: job.outputs.iter().sum(),
+        let index = AggregateIndex {
+            ctx,
+            dims,
+            index_table,
         };
-        Ok((
-            AggregateIndex {
-                ctx,
-                dims,
-                index_table,
-            },
-            report,
-        ))
+        Ok((index, report))
     }
 
     /// Whether the rewrite applies: all referenced columns are indexed
@@ -197,9 +136,10 @@ impl Engine for AggregateIndexEngine {
             _ => unreachable!("eligibility checked"),
         };
 
-        let bound = rewritten.predicate().bind(&table.schema)?;
         let mut sink = RowSink::new(&rewritten, &table.schema, None)?;
-        ctx.for_each_row(table, |row| sink.push_if(row, &bound).map(drop))?;
+        for row in probe(ctx, table, &self.index.dims, rewritten.predicate())? {
+            sink.push(&row)?;
+        }
         // sum() yields Float; counts are integers — cast back.
         let result = match sink.finish() {
             QueryResult::Scalars(vals) => QueryResult::Scalars(
@@ -238,6 +178,7 @@ mod tests {
     use super::*;
     use crate::scan::ScanEngine;
     use dgf_common::{Row, Schema, TempDir};
+    use dgf_format::FileFormat;
     use dgf_mapreduce::MrEngine;
     use dgf_query::{ColumnRange, Predicate};
     use dgf_storage::{HdfsConfig, SimHdfs};

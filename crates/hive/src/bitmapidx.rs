@@ -11,14 +11,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgf_common::{DgfError, Result, Stopwatch, ValueType};
-use dgf_format::{Bitmap, FileFormat, TextWriter};
-use dgf_query::{Engine, EngineRun, Predicate, Query, RunStats};
-use dgf_storage::FileSplit;
+use dgf_common::obs::Profiler;
+use dgf_common::{DgfError, Result, ValueType};
+use dgf_format::{Bitmap, FileFormat};
+use dgf_query::{Engine, EngineRun, Predicate, Query};
 
 use crate::context::{HiveContext, TableRef};
-use crate::index_common::{dims_key, dims_schema, for_each_dims_row, BuildReport, KEY_SEP};
-use crate::scan::{execute, ScanInput};
+use crate::index_common::{build_index_table, probe, BuildReport, Emit};
+use crate::scan::{measured_run, ScanInput, ScanPlan};
 
 /// A built Bitmap Index over an RCFile table.
 pub struct BitmapIndex {
@@ -60,99 +60,27 @@ impl BitmapIndex {
         dims: Vec<String>,
         index_name: &str,
     ) -> Result<(BitmapIndex, BuildReport)> {
-        crate::compact::validate_dims(&base, &dims)?;
         if base.format != FileFormat::RcFile {
             return Err(DgfError::Index(
                 "Bitmap Index requires an RCFile base table".into(),
             ));
         }
-        let watch = Stopwatch::start();
-        let mut fields: Vec<(String, ValueType)> = Vec::new();
-        for d in &dims {
-            fields.push((d.clone(), base.schema.type_of(d)?));
-        }
-        fields.push(("_bucketname".into(), ValueType::Str));
-        fields.push(("_offset".into(), ValueType::Int));
-        fields.push(("_bitmaps".into(), ValueType::Str));
-        let pairs: Vec<(&str, ValueType)> =
-            fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let index_schema = Arc::new(dgf_common::Schema::from_pairs(&pairs));
-        let index_table = ctx.create_table(index_name, index_schema, FileFormat::Text)?;
-
-        let dim_idx: Vec<usize> = dims
-            .iter()
-            .map(|d| base.schema.index_of(d))
-            .collect::<Result<_>>()?;
-        let dims_s = Arc::new(dims_schema(&base.schema, &dims)?);
-        let splits = ctx.table_splits(&base);
-        let num_reducers = ctx.engine.threads().min(splits.len()).max(1);
-        let ctx2 = Arc::clone(&ctx);
-        let base2 = Arc::clone(&base);
-        let index_loc = index_table.location.clone();
-
-        // Key: dims ++ file ++ group offset. Value: row index in the group.
-        let job = ctx.engine.map_reduce(
-            splits,
-            num_reducers,
-            &|_, split: FileSplit, e| {
-                let path = split.path.clone();
-                let mut cur_group = u64::MAX;
-                let mut row_in_group = 0u64;
-                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
-                    if off != cur_group {
-                        cur_group = off;
-                        row_in_group = 0;
-                    }
-                    let key = format!("{}{KEY_SEP}{off}", dims_key(&dvals, &path));
-                    e.emit(key, row_in_group);
-                    row_in_group += 1;
-                    Ok(())
-                })
-            },
-            None,
-            &|tid, groups| {
-                let path = format!("{index_loc}/part-{tid:05}");
-                let mut w = TextWriter::create(&ctx2.hdfs, &path)?;
-                let mut entries = 0u64;
-                for (key, row_ids) in groups {
-                    let mut parts = key.rsplitn(2, KEY_SEP);
-                    let offset: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| DgfError::Corrupt("bad bitmap key".into()))?;
-                    let rest = parts
-                        .next()
-                        .ok_or_else(|| DgfError::Corrupt("bad bitmap key".into()))?;
-                    let (dims_part, file) = rest
-                        .split_once(KEY_SEP)
-                        .ok_or_else(|| DgfError::Corrupt("bad bitmap key".into()))?;
-                    dgf_common::parse_row(dims_part, &dims_s)?;
-                    let bitmap: Bitmap = row_ids.iter().map(|r| *r as usize).collect();
-                    w.write_line(&format!(
-                        "{dims_part}|{file}|{offset}|{}",
-                        bitmap_to_hex(&bitmap)
-                    ))?;
-                    entries += 1;
-                }
-                w.close()?;
-                Ok(entries)
-            },
+        let (index_table, report) = build_index_table(
+            &ctx,
+            &base,
+            &dims,
+            index_name,
+            &[("_offset", ValueType::Int), ("_bitmaps", ValueType::Str)],
+            Emit::RowInBlock,
+            &|rows| bitmap_to_hex(&rows.into_iter().map(|r| r as usize).collect()),
         )?;
-
-        let report = BuildReport {
-            build_time: watch.elapsed(),
-            index_size_bytes: ctx.table_size_bytes(&index_table),
-            index_entries: job.outputs.iter().sum(),
+        let index = BitmapIndex {
+            ctx,
+            base,
+            dims,
+            index_table,
         };
-        Ok((
-            BitmapIndex {
-                ctx,
-                base,
-                dims,
-                index_table,
-            },
-            report,
-        ))
+        Ok((index, report))
     }
 
     /// The index table.
@@ -160,85 +88,57 @@ impl BitmapIndex {
         &self.index_table
     }
 
-    /// Plan: scan the index table, union bitmaps per (file, group), choose
-    /// splits containing a matching group.
-    pub fn plan(&self, predicate: &Predicate) -> Result<BitmapPlan> {
-        let watch = Stopwatch::start();
-        let before = self.ctx.hdfs.stats().snapshot();
-        let keep: Vec<&str> = self.dims.iter().map(|s| s.as_str()).collect();
-        let idx_pred = predicate.project_columns(&keep);
-        let bound = idx_pred.bind(&self.index_table.schema)?;
-        let file_col = self.dims.len();
-        let off_col = self.dims.len() + 1;
-        let bm_col = self.dims.len() + 2;
-
-        let mut per_file: HashMap<String, HashMap<u64, Bitmap>> = HashMap::new();
-        self.ctx.for_each_row(&self.index_table, |row| {
-            if bound.matches(row) {
-                let file = row[file_col].as_str()?.to_owned();
-                let off = row[off_col].as_i64()? as u64;
-                let bm = bitmap_from_hex(row[bm_col].as_str()?)?;
+    /// Plan: probe the index table, union bitmaps per (file, group),
+    /// choose splits containing a matching group.
+    pub fn plan(&self, predicate: &Predicate) -> Result<ScanPlan> {
+        ScanPlan::measure(&self.ctx, || {
+            let file_col = self.dims.len();
+            let mut per_file: HashMap<String, HashMap<u64, Bitmap>> = HashMap::new();
+            for row in probe(&self.ctx, &self.index_table, &self.dims, predicate)? {
                 per_file
-                    .entry(file)
+                    .entry(row[file_col].as_str()?.to_owned())
                     .or_default()
-                    .entry(off)
+                    .entry(row[file_col + 1].as_i64()? as u64)
                     .or_default()
-                    .union_with(&bm);
+                    .union_with(&bitmap_from_hex(row[file_col + 2].as_str()?)?);
             }
-            Ok(())
-        })?;
 
-        let all_splits = self.ctx.table_splits(&self.base);
-        let splits_total = all_splits.len() as u64;
-        let mut inputs = Vec::new();
-        for split in all_splits {
-            let Some(groups) = per_file.get(&split.path) else {
-                continue;
-            };
-            let mine: HashMap<u64, Bitmap> = groups
-                .iter()
-                .filter(|(o, _)| **o >= split.start && **o < split.end())
-                .map(|(o, b)| (*o, b.clone()))
-                .collect();
-            if !mine.is_empty() {
-                inputs.push(ScanInput::RcFiltered {
-                    split,
-                    row_filter: mine,
-                });
+            let splits = self.ctx.table_splits(&self.base);
+            let splits_total = splits.len() as u64;
+            let mut inputs = Vec::new();
+            for split in splits {
+                let Some(groups) = per_file.get(&split.path) else {
+                    continue;
+                };
+                let row_filter: HashMap<u64, Bitmap> = groups
+                    .iter()
+                    .filter(|(o, _)| (split.start..split.end()).contains(*o))
+                    .map(|(o, b)| (*o, b.clone()))
+                    .collect();
+                if !row_filter.is_empty() {
+                    inputs.push(ScanInput::RcFiltered { split, row_filter });
+                }
             }
-        }
-        let delta = self.ctx.hdfs.stats().snapshot().since(&before);
-        Ok(BitmapPlan {
-            inputs,
-            splits_total,
-            index_records_read: delta.records_read,
-            index_time: watch.elapsed(),
+            Ok((inputs, splits_total))
         })
     }
-}
-
-/// Result of Bitmap Index planning.
-pub struct BitmapPlan {
-    /// Filtered scan inputs (split + per-group bitmaps).
-    pub inputs: Vec<ScanInput>,
-    /// All base-table splits.
-    pub splits_total: u64,
-    /// Index-table rows scanned.
-    pub index_records_read: u64,
-    /// Planning time.
-    pub index_time: std::time::Duration,
 }
 
 /// The Bitmap Index query engine.
 pub struct BitmapEngine {
     index: Arc<BitmapIndex>,
     right: Option<TableRef>,
+    profiler: Profiler,
 }
 
 impl BitmapEngine {
-    /// An engine over a built index.
+    /// An engine over a built index. Honours `DGF_TRACE` for profiling.
     pub fn new(index: Arc<BitmapIndex>) -> Self {
-        BitmapEngine { index, right: None }
+        BitmapEngine {
+            index,
+            right: None,
+            profiler: Profiler::from_env(),
+        }
     }
 
     /// Attach the dimension table used by join queries.
@@ -254,31 +154,9 @@ impl Engine for BitmapEngine {
     }
 
     fn run(&self, query: &Query) -> Result<EngineRun> {
-        let plan = self.index.plan(query.predicate())?;
-        let ctx = &self.index.ctx;
-        let before = ctx.hdfs.stats().snapshot();
-        let watch = Stopwatch::start();
-        let splits_read = plan.inputs.len() as u64;
-        let result = execute(
-            ctx,
-            &self.index.base,
-            query,
-            self.right.as_deref(),
-            plan.inputs,
-        )?;
-        let delta = ctx.hdfs.stats().snapshot().since(&before);
-        Ok(EngineRun {
-            result,
-            stats: RunStats {
-                index_time: plan.index_time,
-                data_time: watch.elapsed(),
-                index_records_read: plan.index_records_read,
-                data_records_read: delta.records_read,
-                data_bytes_read: delta.bytes_read,
-                splits_total: plan.splits_total,
-                splits_read,
-                ..RunStats::default()
-            },
+        let index = &self.index;
+        measured_run(&index.ctx, &index.base, self.right.as_deref(), &self.profiler, query, || {
+            index.plan(query.predicate())
         })
     }
 }

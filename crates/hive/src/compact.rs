@@ -19,17 +19,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dgf_common::{DgfError, Result, Stopwatch};
-use dgf_format::{FileFormat, TextWriter};
-use dgf_query::{Engine, EngineRun, Predicate, Query, RunStats};
-use dgf_storage::FileSplit;
+use dgf_common::obs::Profiler;
+use dgf_common::{Result, ValueType};
+use dgf_query::{Engine, EngineRun, Predicate, Query};
 
-use crate::context::{HiveContext, TableDesc, TableRef};
+use crate::context::{HiveContext, TableRef};
 use crate::index_common::{
-    compact_index_schema, dims_key, dims_schema, for_each_dims_row, format_offsets,
-    parse_dims_key, parse_offsets, BuildReport,
+    build_index_table, distinct, format_offsets, parse_offsets, probe, BuildReport, Emit,
 };
-use crate::scan::{execute, open_input, ScanInput};
+use crate::scan::{measured_run, ScanInput, ScanPlan};
 
 /// A built Compact Index over one base table.
 pub struct CompactIndex {
@@ -49,77 +47,22 @@ impl CompactIndex {
         dims: Vec<String>,
         index_name: &str,
     ) -> Result<(CompactIndex, BuildReport)> {
-        let watch = Stopwatch::start();
-        let dims_s = Arc::new(dims_schema(&base.schema, &dims)?);
-        let index_schema = Arc::new(compact_index_schema(&base.schema, &dims)?);
-        let index_table =
-            ctx.create_table(index_name, index_schema, FileFormat::Text)?;
-
-        let dim_idx: Vec<usize> = dims
-            .iter()
-            .map(|d| base.schema.index_of(d))
-            .collect::<Result<_>>()?;
-
-        let splits = ctx.table_splits(&base);
-        let num_reducers = ctx.engine.threads().min(splits.len()).max(1);
-        let ctx2 = Arc::clone(&ctx);
-        let base2 = Arc::clone(&base);
-        let index_loc = index_table.location.clone();
-
-        let job = ctx.engine.map_reduce(
-            splits,
-            num_reducers,
-            // Map: emit (dims ++ filename) -> offset.
-            &|_, split: FileSplit, e| {
-                let path = split.path.clone();
-                for_each_dims_row(&ctx2, &base2, split, &dim_idx, |off, dvals| {
-                    e.emit(dims_key(&dvals, &path), off);
-                    Ok(())
-                })
-            },
-            // Combine: collect_set semantics — duplicates collapse early.
-            Some(&|_, mut offs: Vec<u64>| {
-                offs.sort_unstable();
-                offs.dedup();
-                Ok(offs)
-            }),
-            // Reduce: write one index file per reducer.
-            &|tid, groups| {
-                let path = format!("{index_loc}/part-{tid:05}");
-                let mut w = TextWriter::create(&ctx2.hdfs, &path)?;
-                let mut entries = 0u64;
-                for (key, mut offs) in groups {
-                    offs.sort_unstable();
-                    offs.dedup();
-                    let (_, _) = parse_dims_key(&key, &dims_s)?; // validate
-                    let (dims_part, file) = key
-                        .split_once(crate::index_common::KEY_SEP)
-                        .expect("validated above");
-                    w.write_line(&format!(
-                        "{dims_part}|{file}|{}",
-                        format_offsets(&offs)
-                    ))?;
-                    entries += 1;
-                }
-                w.close()?;
-                Ok(entries)
-            },
+        let (index_table, report) = build_index_table(
+            &ctx,
+            &base,
+            &dims,
+            index_name,
+            &[("_offsets", ValueType::Str)],
+            Emit::DistinctBlockOffset,
+            &|offsets| format_offsets(&distinct(offsets)),
         )?;
-
-        let report = BuildReport {
-            build_time: watch.elapsed(),
-            index_size_bytes: ctx.table_size_bytes(&index_table),
-            index_entries: job.outputs.iter().sum(),
+        let index = CompactIndex {
+            ctx,
+            base,
+            dims,
+            index_table,
         };
-        Ok((
-            CompactIndex {
-                ctx,
-                base,
-                dims,
-                index_table,
-            },
-            report,
-        ))
+        Ok((index, report))
     }
 
     /// The indexed dimensions.
@@ -133,99 +76,46 @@ impl CompactIndex {
     }
 
     /// Resolve a predicate to the base-table splits that must be read:
-    /// scan the index table, keep matching entries, keep splits containing
-    /// a recorded offset.
-    pub fn plan(&self, predicate: &Predicate) -> Result<CompactPlan> {
-        let watch = Stopwatch::start();
-        let before = self.ctx.hdfs.stats().snapshot();
-
-        // Only conditions on indexed dimensions filter index entries; the
-        // rest of the predicate is applied when reading base data.
-        let idx_pred = {
-            let keep: Vec<&str> = self.dims.iter().map(|s| s.as_str()).collect();
-            predicate.project_columns(&keep)
-        };
-        let bound = idx_pred.bind(&self.index_table.schema)?;
-        let file_col = self.dims.len();
-        let off_col = self.dims.len() + 1;
-
-        // Hive writes matching (file, offsets) pairs to a temporary file
-        // from a scan over the index table; this is that scan.
-        let ctx = &self.ctx;
-        let index_table = &self.index_table;
-        let job = ctx.engine.map_only(
-            ctx.table_splits(index_table),
-            &|_, split: FileSplit| {
-                let mut hits: Vec<(String, Vec<u64>)> = Vec::new();
-                open_input(ctx, index_table, &ScanInput::FullSplit(split))?
-                    .for_each_row(|_, row| {
-                        if bound.matches(row) {
-                            let file = row[file_col].as_str()?.to_owned();
-                            hits.push((file, parse_offsets(&row[off_col])?));
-                        }
-                        Ok(())
-                    })?;
-                Ok(hits)
-            },
-        )?;
-
-        let mut per_file: HashMap<String, Vec<u64>> = HashMap::new();
-        let mut matched_entries = 0u64;
-        for hits in job.outputs {
-            for (file, offs) in hits {
-                matched_entries += 1;
-                per_file.entry(file).or_default().extend(offs);
+    /// probe the index table, keep splits containing a recorded offset.
+    pub fn plan(&self, predicate: &Predicate) -> Result<ScanPlan> {
+        ScanPlan::measure(&self.ctx, || {
+            let file_col = self.dims.len();
+            let mut per_file: HashMap<String, Vec<u64>> = HashMap::new();
+            for row in probe(&self.ctx, &self.index_table, &self.dims, predicate)? {
+                let offsets = parse_offsets(&row[file_col + 1])?;
+                per_file.entry(row[file_col].as_str()?.to_owned()).or_default().extend(offsets);
             }
-        }
-
-        // getSplits: keep base splits containing any recorded offset.
-        let all_splits = self.ctx.table_splits(&self.base);
-        let splits_total = all_splits.len() as u64;
-        let mut chosen = Vec::new();
-        for split in all_splits {
-            if let Some(offs) = per_file.get(&split.path) {
-                if offs.iter().any(|o| *o >= split.start && *o < split.end()) {
-                    chosen.push(split);
-                }
-            }
-        }
-
-        let delta = self.ctx.hdfs.stats().snapshot().since(&before);
-        Ok(CompactPlan {
-            chosen,
-            splits_total,
-            matched_entries,
-            index_records_read: delta.records_read,
-            index_time: watch.elapsed(),
+            // getSplits: keep base splits containing any recorded offset.
+            let splits = self.ctx.table_splits(&self.base);
+            let splits_total = splits.len() as u64;
+            let inputs = splits
+                .into_iter()
+                .filter(|split| {
+                    let mine = |o: &u64| (split.start..split.end()).contains(o);
+                    per_file.get(&split.path).is_some_and(|offs| offs.iter().any(mine))
+                })
+                .map(ScanInput::FullSplit)
+                .collect();
+            Ok((inputs, splits_total))
         })
     }
-}
-
-/// Result of Compact Index planning.
-#[derive(Debug, Clone)]
-pub struct CompactPlan {
-    /// Base-table splits that must be scanned.
-    pub chosen: Vec<FileSplit>,
-    /// All base-table splits.
-    pub splits_total: u64,
-    /// Index entries matching the predicate.
-    pub matched_entries: u64,
-    /// Index-table rows scanned.
-    pub index_records_read: u64,
-    /// Time spent in index scan + split selection.
-    pub index_time: std::time::Duration,
 }
 
 /// The Compact Index query engine.
 pub struct CompactEngine {
     index: Arc<CompactIndex>,
     right: Option<TableRef>,
+    profiler: Profiler,
 }
 
 impl CompactEngine {
-    /// An engine over a built index.
+    /// An engine over a built index. Honours `DGF_TRACE` for profiling.
     pub fn new(index: Arc<CompactIndex>) -> Self {
-        CompactEngine { index, right: None }
+        CompactEngine {
+            index,
+            right: None,
+            profiler: Profiler::from_env(),
+        }
     }
 
     /// Attach the dimension table used by join queries.
@@ -241,51 +131,19 @@ impl Engine for CompactEngine {
     }
 
     fn run(&self, query: &Query) -> Result<EngineRun> {
-        let plan = self.index.plan(query.predicate())?;
-        let ctx = &self.index.ctx;
-        let before = ctx.hdfs.stats().snapshot();
-        let watch = Stopwatch::start();
-        let splits_read = plan.chosen.len() as u64;
-        let inputs = plan.chosen.into_iter().map(ScanInput::FullSplit).collect();
-        let result = execute(
-            ctx,
-            &self.index.base,
-            query,
-            self.right.as_deref(),
-            inputs,
-        )?;
-        let delta = ctx.hdfs.stats().snapshot().since(&before);
-        Ok(EngineRun {
-            result,
-            stats: RunStats {
-                index_time: plan.index_time,
-                data_time: watch.elapsed(),
-                index_records_read: plan.index_records_read,
-                data_records_read: delta.records_read,
-                data_bytes_read: delta.bytes_read,
-                splits_total: plan.splits_total,
-                splits_read,
-                ..RunStats::default()
-            },
+        let index = &self.index;
+        measured_run(&index.ctx, &index.base, self.right.as_deref(), &self.profiler, query, || {
+            index.plan(query.predicate())
         })
     }
-}
-
-/// Error type helper: building an index on a missing column fails early.
-pub fn validate_dims(base: &TableDesc, dims: &[String]) -> Result<()> {
-    if dims.is_empty() {
-        return Err(DgfError::Index("an index needs at least one dimension".into()));
-    }
-    for d in dims {
-        base.schema.index_of(d)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgf_common::{Row, Schema, TempDir, Value, ValueType};
+    use crate::index_common::validate_dims;
+    use dgf_common::{DgfError, Row, Schema, TempDir, Value};
+    use dgf_format::FileFormat;
     use dgf_mapreduce::MrEngine;
     use dgf_query::{AggFunc, ColumnRange, QueryResult};
     use dgf_storage::{HdfsConfig, SimHdfs};
@@ -460,6 +318,39 @@ mod tests {
         assert!(validate_dims(&tab, &[]).is_err());
         assert!(validate_dims(&tab, &["nope".into()]).is_err());
         assert!(validate_dims(&tab, &["day".into()]).is_ok());
-        drop(ctx);
+        let none = CompactIndex::build(ctx, tab, vec![], "idx_none");
+        assert!(matches!(none, Err(DgfError::Index(_))), "{:?}", none.err());
+    }
+
+    #[test]
+    fn a_faulted_run_books_its_planning_reads_in_the_profile() {
+        use dgf_common::obs::names;
+        use dgf_common::{FaultConfig, FaultPlan, RetryPolicy};
+
+        let (_t, ctx, tab) = setup(FileFormat::Text);
+        let dims = vec!["region_id".into(), "day".into()];
+        let (idx, _) = CompactIndex::build(Arc::clone(&ctx), tab, dims, "idx_rd").unwrap();
+        let plan = Arc::new(FaultPlan::new(FaultConfig::transient(7, 0.4)));
+        ctx.hdfs.enable_faults(plan, RetryPolicy::fast(64));
+        let engine = CompactEngine {
+            profiler: Profiler::enabled(),
+            ..CompactEngine::new(Arc::new(idx))
+        };
+        let before = ctx.hdfs.stats().snapshot();
+        let run = engine.run(&day_query(2, 4)).unwrap();
+        let delta = ctx.hdfs.stats().snapshot().since(&before);
+        ctx.hdfs.disable_faults();
+
+        // The index probe's reads sit on the `query` span itself and the
+        // scan's on `query.scan`: together they are the whole run.
+        let profile = &run.stats.profile;
+        let planning = &profile.find("query").unwrap().metrics;
+        assert!(planning[names::HDFS_RECORDS_READ] > 0);
+        assert_eq!(planning[names::HDFS_RECORDS_READ], run.stats.index_records_read);
+        assert!(delta.retries > 0);
+        assert_eq!(profile.metric_total(names::HDFS_RETRIES), delta.retries);
+        assert_eq!(profile.metric_total(names::HDFS_RETRIES), run.stats.retries_absorbed);
+        assert_eq!(profile.metric_total(names::HDFS_BYTES_READ), delta.bytes_read);
+        assert_eq!(profile.metric_total(names::HDFS_RECORDS_READ), delta.records_read);
     }
 }

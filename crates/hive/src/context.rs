@@ -346,27 +346,17 @@ impl HiveContext {
         self.hdfs.dir_size(&table.location)
     }
 
-    /// Read every row of a table (small tables: dimension/index tables).
+    /// Read every row of a table, split by split in file order (small
+    /// tables: dimension tables).
     pub fn read_all(&self, table: &TableDesc) -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        self.for_each_row(table, |row| {
-            out.push(row.clone());
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Hand `f` every row of a table, split by split in file order.
-    pub(crate) fn for_each_row(
-        &self,
-        table: &TableDesc,
-        mut f: impl FnMut(&Row) -> Result<()>,
-    ) -> Result<()> {
         for split in self.table_splits(table) {
-            open_input(self, table, &ScanInput::FullSplit(split))?
-                .for_each_row(|_, row| f(row))?;
+            open_input(self, table, &ScanInput::FullSplit(split))?.for_each_row(|_, row| {
+                out.push(row.clone());
+                Ok(())
+            })?;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// The build side of a join with dimension table `right` on column
@@ -521,7 +511,7 @@ impl TableWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::execute;
+    use crate::scan::execute_sink;
     use dgf_common::stats::IoSnapshot;
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_query::{AggFunc, Predicate, Query, QueryResult, RowSink};
@@ -698,7 +688,7 @@ mod tests {
         inputs: &[ScanInput],
     ) -> (QueryResult, IoSnapshot, (u64, u64)) {
         let (io, stats) = (ctx.hdfs.stats().snapshot(), ctx.scan_stats.snapshot());
-        let result = execute(ctx, tab, &sum_v(), None, inputs.to_vec()).unwrap();
+        let result = execute_sink(ctx, tab, &sum_v(), None, inputs.to_vec()).unwrap().finish();
         let footers = ctx.scan_stats.snapshot().since(&stats);
         let io = ctx.hdfs.stats().snapshot().since(&io);
         (result, io, (footers.footer_reads, footers.footer_reuses))

@@ -16,6 +16,13 @@
 //! * [`PartitionedTable`] — one directory per partition value, with pruning
 //!   and NameNode-pressure accounting.
 //!
+//! The three indexes are one index table that differs only in its payload
+//! columns: one MapReduce job builds it and one probe reads it
+//! ([`index_common`]). Every engine that reads base splits — the scan, the
+//! Compact and Bitmap indexes, partition pruning — plans a [`ScanPlan`] and
+//! hands it to one measured run, so all of them fill
+//! [`RunStats`](dgf_query::RunStats) the same way.
+//!
 //! Every engine implements [`dgf_query::Engine`] and therefore returns the
 //! same `QueryResult` type — tests assert all of them agree with the scan
 //! ground truth, so the benchmark comparisons measure cost, never
@@ -34,11 +41,11 @@ pub mod scan;
 
 pub use aggidx::{AggregateIndex, AggregateIndexEngine};
 pub use bitmapidx::{BitmapEngine, BitmapIndex};
-pub use compact::{CompactEngine, CompactIndex, CompactPlan};
+pub use compact::{CompactEngine, CompactIndex};
 pub use context::{HiveContext, ScanOptions, ServeOptions, TableDesc, TableRef, TableWriter};
 pub use catalog::{IndexEntry, CATALOG_PATH};
 pub use index_common::BuildReport;
 pub use partition::{PartitionEngine, PartitionedTable};
 pub use scan::{
-    attach_scan_to_span, execute, execute_sink, open_input, InputReader, ScanEngine, ScanInput,
+    attach_scan_to_span, execute_sink, open_input, InputReader, ScanEngine, ScanInput, ScanPlan,
 };

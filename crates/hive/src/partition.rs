@@ -11,13 +11,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dgf_common::{DgfError, Result, Row, Stopwatch, Value};
+use dgf_common::obs::Profiler;
+use dgf_common::{DgfError, Result, Row, Value};
 use dgf_format::FileFormat;
-use dgf_query::{Engine, EngineRun, Query, RunStats};
+use dgf_query::{Engine, EngineRun, Query};
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableDesc, TableRef};
-use crate::scan::{execute, ScanInput};
+use crate::scan::{measured_run, ScanInput, ScanPlan};
 
 /// A table partitioned on one column.
 pub struct PartitionedTable {
@@ -101,12 +102,18 @@ impl PartitionedTable {
 pub struct PartitionEngine {
     table: Arc<PartitionedTable>,
     right: Option<TableRef>,
+    profiler: Profiler,
 }
 
 impl PartitionEngine {
-    /// An engine over a partitioned table.
+    /// An engine over a partitioned table. Honours `DGF_TRACE` for
+    /// profiling.
     pub fn new(table: Arc<PartitionedTable>) -> Self {
-        PartitionEngine { table, right: None }
+        PartitionEngine {
+            table,
+            right: None,
+            profiler: Profiler::from_env(),
+        }
     }
 
     /// Attach the dimension table used by join queries.
@@ -122,34 +129,12 @@ impl Engine for PartitionEngine {
     }
 
     fn run(&self, query: &Query) -> Result<EngineRun> {
-        let prune_watch = Stopwatch::start();
-        let (splits, splits_total) = self.table.pruned_splits(query);
-        let index_time = prune_watch.elapsed();
-
-        let ctx = &self.table.ctx;
-        let before = ctx.hdfs.stats().snapshot();
-        let watch = Stopwatch::start();
-        let splits_read = splits.len() as u64;
-        let inputs = splits.into_iter().map(ScanInput::FullSplit).collect();
-        let result = execute(
-            ctx,
-            &self.table.desc,
-            query,
-            self.right.as_deref(),
-            inputs,
-        )?;
-        let delta = ctx.hdfs.stats().snapshot().since(&before);
-        Ok(EngineRun {
-            result,
-            stats: RunStats {
-                index_time,
-                data_time: watch.elapsed(),
-                data_records_read: delta.records_read,
-                data_bytes_read: delta.bytes_read,
-                splits_total,
-                splits_read,
-                ..RunStats::default()
-            },
+        let (ctx, table) = (&self.table.ctx, &self.table);
+        measured_run(ctx, &table.desc, self.right.as_deref(), &self.profiler, query, || {
+            ScanPlan::measure(ctx, || {
+                let (splits, splits_total) = table.pruned_splits(query);
+                Ok((splits.into_iter().map(ScanInput::FullSplit).collect(), splits_total))
+            })
         })
     }
 }

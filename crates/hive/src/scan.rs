@@ -5,16 +5,19 @@
 //! feeds a subset of splits, the Bitmap Index feeds splits plus row
 //! filters, and DGFIndex feeds byte ranges (Slices). Execution itself is
 //! identical: one map task per input, predicate filter, [`RowSink`]
-//! accumulation, final merge.
+//! accumulation, final merge. So is a baseline's measured run: each
+//! Hive-side engine plans a [`ScanPlan`] and hands it to one function
+//! that scans it and fills [`RunStats`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use dgf_common::obs::{names, SpanGuard};
+use dgf_common::obs::{names, Profiler, SpanGuard};
 use dgf_common::stats::ScanSnapshot;
-use dgf_common::{Result, Row};
+use dgf_common::{Result, Row, Stopwatch};
 use dgf_format::{Bitmap, ByteRange, FileFormat, RcReader, TextReader};
-use dgf_query::{AggFunc, Engine, EngineRun, Query, QueryResult, RowSink, RunStats};
+use dgf_query::{AggFunc, Engine, EngineRun, Query, RowSink, RunStats};
 use dgf_storage::FileSplit;
 
 use crate::context::{HiveContext, TableDesc, TableRef};
@@ -150,26 +153,14 @@ pub fn open_input(ctx: &HiveContext, table: &TableDesc, input: &ScanInput) -> Re
     })
 }
 
-/// Run `query` over the given inputs. A join's build side is made once
-/// per version of the dimension table and broadcast to every map task
-/// (Hive map join): see [`HiveContext::join_table`].
-pub fn execute(
-    ctx: &HiveContext,
-    table: &TableDesc,
-    query: &Query,
-    right: Option<&TableDesc>,
-    inputs: Vec<ScanInput>,
-) -> Result<QueryResult> {
-    Ok(execute_sink(ctx, table, query, right, inputs)?.finish())
-}
-
-/// Like [`execute`], but returns the merged [`RowSink`] before
-/// finalization — DGFIndex merges its pre-computed inner-region headers
-/// and pushes its unflushed rows into the sink between scanning the
-/// boundary region and finishing.
+/// Run `query` over the given inputs and return the merged [`RowSink`]
+/// before finalization: the caller finishes it, and DGFIndex first merges
+/// its pre-computed inner-region headers and pushes its unflushed rows
+/// into it.
 ///
 /// What is per query is made once, here: the sink (each map task fills an
-/// empty [`RowSink::sibling`]). A join's build side and an RCFile's footer
+/// empty [`RowSink::sibling`]). A join's build side (broadcast to every
+/// map task, as in a Hive map join) and an RCFile's footer
 /// are not per query but per version of what they are read from: the
 /// sink takes the build side from [`HiveContext::join_table`] and each
 /// reader its footer from the context's footer map, which read only what
@@ -332,12 +323,96 @@ pub fn attach_scan_to_span(span: &SpanGuard, delta: &ScanSnapshot) {
     kernel.finish();
 }
 
+/// What an engine's planning chose to read, and what choosing cost.
+#[derive(Debug, Clone, Default)]
+pub struct ScanPlan {
+    /// The inputs to scan.
+    pub inputs: Vec<ScanInput>,
+    /// All base-table splits.
+    pub splits_total: u64,
+    /// Index-table rows read while planning.
+    pub index_records_read: u64,
+    /// Time spent planning: index scan and split selection.
+    pub index_time: Duration,
+}
+
+impl ScanPlan {
+    /// Run `choose`, which returns the inputs and the split total, and
+    /// measure what it cost.
+    pub(crate) fn measure(
+        ctx: &HiveContext,
+        choose: impl FnOnce() -> Result<(Vec<ScanInput>, u64)>,
+    ) -> Result<ScanPlan> {
+        let watch = Stopwatch::start();
+        let before = ctx.hdfs.stats().snapshot();
+        let (inputs, splits_total) = choose()?;
+        Ok(ScanPlan {
+            inputs,
+            splits_total,
+            index_records_read: ctx.hdfs.stats().snapshot().since(&before).records_read,
+            index_time: watch.elapsed(),
+        })
+    }
+}
+
+/// The one measured run of every split-reading engine: plan, scan what
+/// the plan chose of `table` with [`execute_sink`], and report it. The
+/// run records a `query` span with a `query.scan` child under `profiler`:
+/// the scan's storage and scan counters go on `query.scan`, planning's
+/// (an index-table probe) on `query` itself, so the profile's totals are
+/// the whole run's. Its `scan` ledger and `retries_absorbed` cover the
+/// whole run too, and its data counts the scan alone.
+pub(crate) fn measured_run(
+    ctx: &HiveContext,
+    table: &TableDesc,
+    right: Option<&TableDesc>,
+    profiler: &Profiler,
+    query: &Query,
+    plan: impl FnOnce() -> Result<ScanPlan>,
+) -> Result<EngineRun> {
+    let stats_block = ctx.hdfs.stats();
+    let (start, scan_start) = (stats_block.snapshot(), ctx.scan_stats.snapshot());
+    let prof = profiler.fork();
+    let root = prof.span("query");
+    let plan = plan()?;
+    let (before, scan_before) = (stats_block.snapshot(), ctx.scan_stats.snapshot());
+    before.since(&start).attach_to_span(&root);
+    attach_scan_to_span(&root, &scan_before.since(&scan_start));
+    let watch = Stopwatch::start();
+    let splits_read = plan.inputs.len() as u64;
+    let scan_span = root.child("query.scan");
+    let result = execute_sink(ctx, table, query, right, plan.inputs)?.finish();
+    let scan_end = ctx.scan_stats.snapshot();
+    let end = stats_block.snapshot();
+    let delta = end.since(&before);
+    delta.attach_to_span(&scan_span);
+    attach_scan_to_span(&scan_span, &scan_end.since(&scan_before));
+    scan_span.finish();
+    root.finish();
+    Ok(EngineRun {
+        result,
+        stats: RunStats {
+            index_time: plan.index_time,
+            data_time: watch.elapsed(),
+            index_records_read: plan.index_records_read,
+            data_records_read: delta.records_read,
+            data_bytes_read: delta.bytes_read,
+            splits_total: plan.splits_total,
+            splits_read,
+            retries_absorbed: end.since(&start).retries,
+            profile: prof.take_profile(),
+            scan: scan_end.since(&scan_start),
+            ..RunStats::default()
+        },
+    })
+}
+
 /// The full-table-scan baseline (the paper's "ScanTable-based" style).
 pub struct ScanEngine {
     ctx: Arc<HiveContext>,
     table: TableRef,
     right: Option<TableRef>,
-    profiler: dgf_common::obs::Profiler,
+    profiler: Profiler,
 }
 
 impl ScanEngine {
@@ -348,7 +423,7 @@ impl ScanEngine {
             ctx,
             table,
             right: None,
-            profiler: dgf_common::obs::Profiler::from_env(),
+            profiler: Profiler::from_env(),
         }
     }
 
@@ -360,7 +435,7 @@ impl ScanEngine {
 
     /// Collect a [`dgf_common::obs::QueryProfile`] per run with this
     /// profiler (forked per query), instead of the `DGF_TRACE` default.
-    pub fn with_profiler(mut self, profiler: dgf_common::obs::Profiler) -> Self {
+    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
         self
     }
@@ -372,41 +447,14 @@ impl Engine for ScanEngine {
     }
 
     fn run(&self, query: &Query) -> Result<EngineRun> {
-        let stats_block = self.ctx.hdfs.stats();
-        let before = stats_block.snapshot();
-        let scan_before = self.ctx.scan_stats.snapshot();
-        let prof = self.profiler.fork();
-        let root = prof.span("query");
-        let watch = dgf_common::Stopwatch::start();
-        let splits = self.ctx.table_splits(&self.table);
-        let n_splits = splits.len() as u64;
-        let inputs = splits.into_iter().map(ScanInput::FullSplit).collect();
-        let scan_span = root.child("query.scan");
-        let result = execute(
-            &self.ctx,
-            &self.table,
-            query,
-            self.right.as_deref(),
-            inputs,
-        )?;
-        let scan_delta = self.ctx.scan_stats.snapshot().since(&scan_before);
-        let delta = stats_block.snapshot().since(&before);
-        delta.attach_to_span(&scan_span);
-        attach_scan_to_span(&scan_span, &scan_delta);
-        scan_span.finish();
-        root.finish();
-        Ok(EngineRun {
-            result,
-            stats: RunStats {
-                data_time: watch.elapsed(),
-                data_records_read: delta.records_read,
-                data_bytes_read: delta.bytes_read,
-                splits_total: n_splits,
-                splits_read: n_splits,
-                profile: prof.take_profile(),
-                scan: scan_delta,
-                ..RunStats::default()
-            },
+        let (ctx, table) = (&self.ctx, &self.table);
+        measured_run(ctx, table, self.right.as_deref(), &self.profiler, query, || {
+            let splits = ctx.table_splits(table);
+            Ok(ScanPlan {
+                splits_total: splits.len() as u64,
+                inputs: splits.into_iter().map(ScanInput::FullSplit).collect(),
+                ..ScanPlan::default()
+            })
         })
     }
 }
@@ -416,7 +464,7 @@ mod tests {
     use super::*;
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_mapreduce::MrEngine;
-    use dgf_query::{AggFunc, ColumnRange, Predicate};
+    use dgf_query::{ColumnRange, Predicate, QueryResult};
     use dgf_storage::{HdfsConfig, SimHdfs};
 
     fn setup(format: FileFormat) -> (TempDir, Arc<HiveContext>, TableRef) {
@@ -573,7 +621,7 @@ mod tests {
         let join = |users: &TableRef| {
             let run = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&tab))
                 .with_right(Arc::clone(users))
-                .with_profiler(dgf_common::obs::Profiler::enabled())
+                .with_profiler(Profiler::enabled())
                 .run(&q)
                 .unwrap();
             let span = &run.stats.profile.find("query.scan").unwrap().metrics;

@@ -2,14 +2,13 @@
 //!
 //! The paper's DGFIndex trusts HBase to ride out region-server hiccups;
 //! this reproduction has to earn that trust explicitly. [`ChaosKv`]
-//! wraps any [`KvStore`] and consults a shared
-//! [`FaultPlan`] before every operation:
-//! the plan may inject a transient error (which a
+//! wraps any [`KvStore`] and consults a shared [`FaultPlan`] before
+//! every operation: the plan may inject a transient error (which a
 //! [`RetryPolicy`](dgf_common::fault::RetryPolicy) upstream is expected
-//! to absorb), stall the call with a latency spike, or — once a
-//! configured crash trigger fires — fail *every* subsequent operation,
-//! modeling a dead store process. Because the plan is seeded and
-//! deterministic, a chaos test that fails replays byte-for-byte.
+//! to absorb) or — once a configured crash trigger fires — fail *every*
+//! subsequent operation, modeling a dead store process. Because the plan
+//! is seeded and deterministic, a chaos test that fails replays
+//! byte-for-byte.
 //!
 //! The wrapper holds its inner store behind an [`Arc`], so a test can
 //! keep a second, fault-free handle to the same data and verify that a

@@ -49,6 +49,10 @@ pub struct RunStats {
     /// (key-value and file-system combined). Zero on a healthy cluster;
     /// the chaos suite asserts it is positive exactly when faults were
     /// scheduled, proving the run rode them out rather than dodging them.
+    /// Every engine that reads base splits sets it: the Hive-side ones
+    /// count every file-system retry of the call, planning included, and
+    /// DGFIndex adds its planning's key-value retries to its scan's file
+    /// retries.
     pub retries_absorbed: u64,
     /// Structured stage tree for this run, populated when the engine ran
     /// under an enabled [`Profiler`](dgf_common::obs::Profiler) (e.g.
@@ -56,9 +60,10 @@ pub struct RunStats {
     /// otherwise.
     pub profile: QueryProfile,
     /// Columnar-scan accounting for this run: batches decoded, rows
-    /// selected, kernel/decode busy time (DESIGN.md §12). All-zero for a
-    /// text table, which is read row at a time and counts its rows in
-    /// `scan.rowwise_rows` instead.
+    /// selected, kernel/decode busy time (DESIGN.md §12), set by every
+    /// engine that reads base splits, over the whole run. Its batch
+    /// counters are zero for a text table, which is read row at a time and
+    /// counts its rows in `scan.rowwise_rows` instead.
     pub scan: ScanSnapshot,
 }
 

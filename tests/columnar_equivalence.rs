@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgfindex::format::Bitmap;
-use dgfindex::hive::{execute, open_input, ScanInput};
+use dgfindex::hive::{execute_sink, open_input, ScanInput};
 use dgfindex::query::{JoinTable, RowSink};
 use dgfindex::prelude::*;
 use proptest::prelude::*;
@@ -335,7 +335,7 @@ fn row_filter_with_empty_bitmap_group_matches_rowwise() {
         row_filter: filter,
     };
     let ctx = HiveContext::new(w.hdfs.clone(), MrEngine::new(2));
-    let scanned = execute(&ctx, &w.table, &query, None, vec![input.clone()]).unwrap();
+    let scanned = execute_sink(&ctx, &w.table, &query, None, vec![input.clone()]).unwrap().finish();
     assert_eq!(scanned, rowwise(&w, &query, vec![input]));
     // Exactly the 3 surviving rows of group 1 were counted.
     assert_eq!(scanned.into_scalars()[0], Value::Int(3));

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
+use dgfindex::common::codec;
 use dgfindex::hadoopdb::{HadoopDb, HadoopDbConfig, HadoopDbEngine};
+use dgfindex::hive::BuildReport;
 use dgfindex::prelude::*;
 use dgfindex::workload::{
     aggregation_query, generate_meter_data, generate_user_info, group_by_query, join_query,
@@ -21,7 +23,9 @@ struct World {
     users: TableRef,
     dgf: Arc<DgfIndex>,
     compact: Arc<CompactIndex>,
+    compact_report: BuildReport,
     bitmap: Arc<BitmapIndex>,
+    bitmap_report: BuildReport,
     hadoopdb: Arc<HadoopDb>,
 }
 
@@ -74,14 +78,14 @@ fn build_world() -> World {
     )
     .unwrap();
 
-    let (compact, _) = CompactIndex::build(
+    let (compact, compact_report) = CompactIndex::build(
         Arc::clone(&ctx),
         Arc::clone(&meter_rc),
         vec!["region_id".into(), "ts".into()],
         "compact2",
     )
     .unwrap();
-    let (bitmap, _) = BitmapIndex::build(
+    let (bitmap, bitmap_report) = BitmapIndex::build(
         Arc::clone(&ctx),
         Arc::clone(&meter_rc),
         vec!["region_id".into(), "ts".into()],
@@ -113,7 +117,9 @@ fn build_world() -> World {
         users,
         dgf: Arc::new(dgf),
         compact: Arc::new(compact),
+        compact_report,
         bitmap: Arc::new(bitmap),
+        bitmap_report,
         hadoopdb: Arc::new(hdb),
     }
 }
@@ -173,6 +179,86 @@ fn check_all(w: &World, query: &Query, label: &str) {
             "{label}: engine {name} disagrees with scan\n  scan: {truth:?}\n  got:  {got:?}"
         );
     }
+}
+
+/// FNV-1a over the `(path, bytes)` pairs of every file of `table`, in
+/// path order: one number that moves when any written byte does.
+fn table_digest(w: &World, table: &TableRef) -> u64 {
+    let mut buf = Vec::new();
+    for (path, _) in w.ctx.hdfs.list_files(&table.location) {
+        codec::put_str(&mut buf, &path);
+        codec::put_bytes(&mut buf, &w.ctx.hdfs.read_file(&path).unwrap());
+    }
+    codec::fnv1a(&buf)
+}
+
+/// The Hive baselines to the byte and the record. Each index table's
+/// `BuildReport` entries and bytes and the digest of its files; then
+/// `scan-rc`, `compact` and `bitmap`, run in this order at each of the
+/// paper's aggregation selectivities, with their
+/// `(data_records_read, data_bytes_read, index_records_read, splits_read,
+/// splits_total)`.
+#[test]
+fn baseline_index_tables_and_costs_are_pinned() {
+    let w = build_world();
+    let (aggregate, aggregate_report) = AggregateIndex::build(
+        Arc::clone(&w.ctx),
+        Arc::clone(&w.meter_rc),
+        vec!["region_id".into(), "ts".into()],
+        "aggregate2",
+    )
+    .unwrap();
+    let built: Vec<(u64, u64, u64)> = [
+        (&w.compact_report, w.compact.index_table()),
+        (&w.bitmap_report, w.bitmap.index_table()),
+        (&aggregate_report, aggregate.index_table()),
+    ]
+    .into_iter()
+    .map(|(r, table)| (r.index_entries, r.index_size_bytes, table_digest(&w, table)))
+    .collect();
+    assert_eq!(
+        built,
+        [
+            (242, 11_154, 17_197_765_161_965_772_194),
+            (242, 127_556, 14_370_976_973_536_353_442),
+            (242, 11_880, 3_667_775_989_127_765_256),
+        ]
+    );
+
+    let engines: [Box<dyn Engine>; 3] = [
+        Box::new(ScanEngine::new(Arc::clone(&w.ctx), Arc::clone(&w.meter_rc))),
+        Box::new(CompactEngine::new(Arc::clone(&w.compact))),
+        Box::new(BitmapEngine::new(Arc::clone(&w.bitmap))),
+    ];
+    let mut costs = Vec::new();
+    for sel in Selectivity::paper_settings() {
+        let q = aggregation_query(&w.cfg, sel);
+        for engine in &engines {
+            let s = engine.run(&q).unwrap().stats;
+            costs.push((
+                s.data_records_read,
+                s.data_bytes_read,
+                s.index_records_read,
+                s.splits_read,
+                s.splits_total,
+            ));
+        }
+    }
+    let (scan, one, two) = ((10_000, 1_510_240, 0, 12, 12), 503_514, 1_007_028);
+    assert_eq!(
+        costs,
+        [
+            scan,
+            (3_334, one, 242, 1, 12),
+            (500, one, 242, 1, 12),
+            scan,
+            (3_334, one, 242, 1, 12),
+            (2_500, one, 242, 1, 12),
+            scan,
+            (6_668, two, 242, 2, 12),
+            (3_500, two, 242, 2, 12),
+        ]
+    );
 }
 
 #[test]

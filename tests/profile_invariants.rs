@@ -283,6 +283,31 @@ fn columnar_scan_counters_reconcile_with_batches() {
     assert_eq!(delta.batches, 0);
     assert_eq!(delta.rowwise_rows, rows.len() as u64);
     assert_eq!(rerun.result, run.result, "formats disagree");
+
+    // Every engine that reads splits of the RCFile table keeps the same
+    // ledger: its `scan` is the context's delta across the run.
+    let dims = vec!["user_id".to_owned(), "day".to_owned()];
+    let (compact, _) =
+        CompactIndex::build(Arc::clone(&ctx), Arc::clone(&table), dims.clone(), "meter_compact")
+            .unwrap();
+    let (bitmap, _) =
+        BitmapIndex::build(Arc::clone(&ctx), Arc::clone(&table), dims, "meter_bitmap").unwrap();
+    let (schema, format) = (Arc::clone(&table.schema), FileFormat::RcFile);
+    let parts =
+        PartitionedTable::create(Arc::clone(&ctx), "meter_day", schema, format, "day", &rows, 1)
+            .unwrap();
+    let engines: [Box<dyn Engine>; 3] = [
+        Box::new(CompactEngine::new(Arc::new(compact))),
+        Box::new(BitmapEngine::new(Arc::new(bitmap))),
+        Box::new(PartitionEngine::new(Arc::new(parts))),
+    ];
+    for engine in engines {
+        let before = ctx.scan_stats.snapshot();
+        let run = engine.run(&boundary_heavy_query()).unwrap();
+        let delta = ctx.scan_stats.snapshot().since(&before);
+        assert_eq!(run.stats.scan, delta, "{}", engine.name());
+        assert!(delta.batches > 0, "{}", engine.name());
+    }
 }
 
 /// What reading one plan must cost the storage layer, worked out from
@@ -850,6 +875,40 @@ fn chaos_retries_surface_in_the_profile() {
         + run.stats.profile.metric_total(names::HDFS_RETRIES);
     assert_eq!(absorbed, injected);
     assert_eq!(absorbed, run.stats.retries_absorbed);
+
+    // The split-reading baselines over the same faulted table report
+    // every file retry their run absorbed, planning included.
+    let table = w.ctx.table("meter").unwrap();
+    let (compact, _) = CompactIndex::build(
+        Arc::clone(&w.ctx),
+        Arc::clone(&table),
+        vec!["user_id".into(), "day".into()],
+        "meter_compact",
+    )
+    .unwrap();
+    let rows = w.ctx.read_all(&table).unwrap();
+    let (schema, format) = (Arc::clone(&table.schema), FileFormat::Text);
+    let parts =
+        PartitionedTable::create(Arc::clone(&w.ctx), "meter_day", schema, format, "day", &rows, 1)
+            .unwrap();
+    let scan = ScanEngine::new(Arc::clone(&w.ctx), table).with_profiler(Profiler::enabled());
+    let engines: [Box<dyn Engine>; 3] = [
+        Box::new(scan),
+        Box::new(CompactEngine::new(Arc::new(compact))),
+        Box::new(PartitionEngine::new(Arc::new(parts))),
+    ];
+    for engine in engines {
+        let before = w.ctx.hdfs.stats().snapshot();
+        let run = engine.run(&boundary_heavy_query()).unwrap();
+        let retries = w.ctx.hdfs.stats().snapshot().since(&before).retries;
+        assert_eq!(run.stats.retries_absorbed, retries, "{}", engine.name());
+        assert!(retries > 0, "{}", engine.name());
+        // A profiled run books every one of them (the index engines'
+        // planning half is pinned in `dgf-hive`'s Compact tests).
+        if !run.stats.profile.is_empty() {
+            assert_eq!(run.stats.profile.metric_total(names::HDFS_RETRIES), retries);
+        }
+    }
 }
 
 #[test]
