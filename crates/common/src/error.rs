@@ -75,22 +75,39 @@ impl From<io::Error> for DgfError {
 /// Workspace-wide result alias.
 pub type Result<T> = std::result::Result<T, DgfError>;
 
-/// Run every job on its own scoped thread and join them all. A job that
-/// panicked becomes [`DgfError::Job`] naming `what` once every other
-/// job has finished — never an unwind through the caller.
-pub fn run_scoped<F: FnOnce() + Send>(what: &str, jobs: impl IntoIterator<Item = F>) -> Result<()> {
+/// Run `jobs` and return their results in job order: the first on the
+/// calling thread, every other one on a scoped thread of its own, so one
+/// job spawns nothing. A job that panicked — the caller's included —
+/// becomes [`DgfError::Job`] naming `what` once every other job has
+/// finished, never an unwind through the caller.
+pub fn run_scoped<T: Send, F: FnOnce() -> T + Send>(
+    what: &str,
+    jobs: impl IntoIterator<Item = F>,
+) -> Result<Vec<T>> {
+    let mut jobs = jobs.into_iter();
+    let Some(mine) = jobs.next() else {
+        return Ok(Vec::new());
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = jobs.into_iter().map(|job| s.spawn(job)).collect();
-        // Join each handle: a joined panic is a value here, where an
-        // unjoined one would re-panic as the scope closes.
+        let handles: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+        // The caller's job runs while the others do; its panic is caught
+        // here as theirs is by `join`. Join each handle: a joined panic is
+        // a value here, where an unjoined one would re-panic as the scope
+        // closes.
+        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(mine));
+        let outcomes = std::iter::once(mine).chain(handles.into_iter().map(|h| h.join()));
+        let mut results = Vec::new();
         let mut panicked = false;
-        for h in handles {
-            panicked |= h.join().is_err();
+        for outcome in outcomes {
+            match outcome {
+                Ok(t) => results.push(t),
+                Err(_) => panicked = true,
+            }
         }
         if panicked {
             return Err(DgfError::Job(format!("{what} panicked")));
         }
-        Ok(())
+        Ok(results)
     })
 }
 
@@ -110,27 +127,41 @@ mod tests {
     fn scoped_jobs_all_run_and_a_panic_is_an_error() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let ran = AtomicU64::new(0);
-        let job = || {
-            ran.fetch_add(1, Ordering::Relaxed);
-        };
-        run_scoped("job", (0..4).map(|_| &job)).unwrap();
+        let job = || ran.fetch_add(1, Ordering::Relaxed);
+        let mut order = run_scoped("job", (0..4).map(|_| &job)).unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 4);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
-            Box::new(|| panic!("boom")),
-            Box::new(|| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }),
-        ];
-        let err = run_scoped("a worker", jobs).unwrap_err();
-        assert!(
-            matches!(&err, DgfError::Job(m) if m == "a worker panicked"),
-            "{err}"
-        );
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            5,
-            "the other job still ran to the end"
-        );
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2, 3], "one result per job");
+        let ids = run_scoped("job", (0..5u64).map(|i| move || i * 10)).unwrap();
+        assert_eq!(ids, [0, 10, 20, 30, 40], "results come back in job order");
+        assert!(run_scoped("job", std::iter::empty::<fn()>())
+            .unwrap()
+            .is_empty());
+        // A panic in a spawned job and one in the job the caller runs
+        // (the first) are both an error once the other jobs finish.
+        for at in [1, 0] {
+            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..3)
+                .map(|i| -> Box<dyn FnOnce() + Send> {
+                    match i == at {
+                        true => Box::new(|| panic!("boom")),
+                        false => Box::new(|| {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        }),
+                    }
+                })
+                .collect();
+            let before = ran.load(Ordering::Relaxed);
+            let err = run_scoped("a worker", jobs).unwrap_err();
+            assert!(
+                matches!(&err, DgfError::Job(m) if m == "a worker panicked"),
+                "{err}"
+            );
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                before + 2,
+                "the other jobs still ran to the end"
+            );
+        }
     }
 
     #[test]

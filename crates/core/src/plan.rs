@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dgf_common::obs::{names, QueryProfile};
-use dgf_common::{DgfError, Result, Row, Stopwatch};
+use dgf_common::{run_scoped, DgfError, Result, Row, Stopwatch};
 use dgf_format::{coalesce_ranges, ByteRange, SliceSidecar};
 use dgf_hive::ScanInput;
 use dgf_query::{AggFunc, AggPartials, AggSet, AggState, Query};
@@ -979,49 +979,27 @@ impl DgfIndex {
         // fetches complete in. Sync points let the interleaving harness
         // pause the coordinator mid-scatter by seed.
         self.sync_point("serve.scatter");
-        let fetches: Result<Vec<RunFetch>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let prefixes = &prefixes;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Result<RunFetch>)> = Vec::new();
-                        let mut i = w;
-                        while i < prefixes.len() {
-                            self.sync_point("serve.fetch");
-                            out.push((
-                                i,
-                                self.fetch_run(view, &prefixes[i], spans, scan_from, headers_usable),
-                            ));
-                            i += workers;
-                        }
-                        out
+        let prefixes = &prefixes;
+        let fetched = run_scoped(
+            "a run-fetch worker",
+            (0..workers).map(|w| {
+                move || {
+                    let runs = (w..prefixes.len()).step_by(workers);
+                    runs.map(|i| {
+                        self.sync_point("serve.fetch");
+                        self.fetch_run(view, &prefixes[i], spans, scan_from, headers_usable)
                     })
-                })
-                .collect();
-            // Join every worker before looking at any result, so a
-            // panicked one surfaces as an error here, not as a second
-            // panic when the scope closes over an unjoined handle.
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let mut slots: Vec<Option<Result<RunFetch>>> =
-                prefixes.iter().map(|_| None).collect();
-            for worker in joined {
-                let fetched = worker
-                    .map_err(|_| DgfError::Index("run-fetch worker panicked".into()))?;
-                for (i, r) in fetched {
-                    slots[i] = Some(r);
+                    .collect::<Vec<_>>()
                 }
-            }
-            // Run order, so the first failing run's error is the one
-            // reported whatever order the fetches completed in.
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.unwrap_or_else(|| {
-                        Err(DgfError::Index("run left unassigned by the scatter".into()))
-                    })
-                })
-                .collect()
-        });
+            }),
+        )?;
+        // Back in run order (run i is worker i % workers's next), so the
+        // first failing run's error is the one reported whatever order
+        // the fetches completed in.
+        let mut by_worker: Vec<_> = fetched.into_iter().map(Vec::into_iter).collect();
+        let fetches: Result<Vec<RunFetch>> = (0..prefixes.len())
+            .map(|i| by_worker[i % workers].next().expect("round-robin covers every run"))
+            .collect();
         self.sync_point("serve.merge");
         for fetched in fetches? {
             self.absorb_run(collector, fetched)?;

@@ -255,12 +255,13 @@ pub fn read_footer(hdfs: &HdfsRef, path: &str) -> Result<RcFooter> {
 /// The unit of I/O is the **run**: kept groups that are neighbours in the
 /// footer directory are fetched with one seek and one read into a frame
 /// buffer the reader owns for its lifetime, through the one file handle
-/// it opened (DESIGN.md §12). Each frame is then decoded **once** into a
-/// [`ColumnBatch`] — typed per-column vectors plus null bitmaps — honoring
+/// it opened (DESIGN.md §12). Each frame is then decoded **once** into
+/// the one [`ColumnBatch`] the reader owns — typed per-column vectors plus
+/// null bitmaps, refilled in place group after group — honoring
 /// [`Self::with_projection`] (skipped columns are never decoded) and
 /// [`Self::with_row_filter`] (the batch is compacted to surviving rows) at
-/// the batch level. [`Self::next_batch`] is the reader's one drain: a
-/// consumer that wants rows copies them out of each batch.
+/// the batch level. [`Self::next_batch`] is the reader's one drain and
+/// lends that batch: a consumer that wants rows copies them out of it.
 pub struct RcReader {
     file: HdfsReader,
     /// Where `file` stands after the last fetch: a run longer than one
@@ -289,6 +290,9 @@ pub struct RcReader {
     scan_stats: Option<ScanStatsRef>,
     /// Decode time not yet charged to `scan.decode_us` (under 1 µs).
     decode_carry: Duration,
+    /// The batch every group is decoded into and [`Self::next_batch`]
+    /// lends: its column vectors and null masks outlive the group.
+    batch: ColumnBatch,
 }
 
 impl RcReader {
@@ -324,6 +328,7 @@ impl RcReader {
             file_at: None,
             path: split.path.clone(),
             decode: vec![true; schema.len()],
+            batch: ColumnBatch::new(vec![Column::skipped(); schema.len()], 0, 0),
             schema,
             footer,
             runs: VecDeque::from_iter((!mine.is_empty()).then_some(mine)),
@@ -429,9 +434,9 @@ impl RcReader {
     }
 
     /// Decode the frame at `frame_at` (group `group` of the footer) into
-    /// a batch, applying projection while decoding and the row filter by
-    /// compaction afterwards.
-    fn decode_group(&mut self, group: usize) -> Result<ColumnBatch> {
+    /// the reader's batch, applying projection while decoding and the row
+    /// filter by compacting it in place afterwards.
+    fn decode_group(&mut self, group: usize) -> Result<()> {
         let offset = self.footer.offsets[group];
         let frame_len = (self.footer.frame_end(group) - offset) as usize;
         let frame = &self.frames[self.frame_at..self.frame_at + frame_len];
@@ -459,50 +464,46 @@ impl RcReader {
                 self.schema.len()
             )));
         }
-        let mut columns = Vec::with_capacity(n_cols);
-        for (decode, field) in self.decode.iter().zip(self.schema.fields()) {
+        let (decode, schema) = (&self.decode, &self.schema);
+        self.batch.refill(n_rows, offset, |c, col| {
             let col_bytes = dec.bytes()?;
-            columns.push(if *decode {
-                batch::decode_column(col_bytes, n_rows, field.vtype)?
-            } else {
-                Column::skipped()
-            });
-        }
-        let mut batch = ColumnBatch::new(columns, n_rows, offset);
+            if decode[c] {
+                return batch::decode_column(col_bytes, n_rows, schema.field(c).vtype, col);
+            }
+            *col = Column::skipped();
+            Ok(())
+        })?;
         if let Some(filter) = &self.row_filter {
-            let keep: Vec<u32> = match filter.get(&offset) {
-                Some(b) => (0..n_rows as u32).filter(|i| b.get(*i as usize)).collect(),
-                None => Vec::new(),
-            };
-            // An all-ones bitmap (sidecar admitted the whole group) keeps
-            // the decoded batch as-is rather than copying every column.
-            if keep.len() < n_rows {
-                batch = batch.take(&keep);
+            match filter.get(&offset) {
+                Some(b) => self.batch.retain(|i| b.get(i)),
+                None => self.batch.retain(|_| false),
             }
         }
         if let Some(scan) = &self.scan_stats {
             scan.batches.inc();
-            scan.rows_decoded.add(batch.len() as u64);
+            scan.rows_decoded.add(self.batch.len() as u64);
             scan.decode_us
                 .add_micros(&mut self.decode_carry, start.elapsed());
         }
-        Ok(batch)
+        Ok(())
     }
 
-    /// The next decoded row group as a [`ColumnBatch`], or `None` at the
-    /// end of the split.
+    /// The next decoded row group, or `None` at the end of the split.
     ///
-    /// A batch may be empty when the row filter rejected every row of its
-    /// group. `IoStats::records_read` is charged `batch.len()` per returned
-    /// batch — one per row handed out, the measurement behind the paper's
-    /// Tables 3, 4 and 6.
-    pub fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+    /// The batch is lent: the reader decodes every group into the same
+    /// column vectors and null masks, so a drain allocates them once, not
+    /// per group, and a consumer that keeps anything past the next call
+    /// copies it out. A batch may be empty when the row filter rejected
+    /// every row of its group. `IoStats::records_read` is charged
+    /// `batch.len()` per returned batch — one per row handed out, the
+    /// measurement behind the paper's Tables 3, 4 and 6.
+    pub fn next_batch(&mut self) -> Result<Option<&ColumnBatch>> {
         let Some(group) = self.next_frame()? else {
             return Ok(None);
         };
-        let batch = self.decode_group(group)?;
-        self.stats.records_read.add(batch.len() as u64);
-        Ok(Some(batch))
+        self.decode_group(group)?;
+        self.stats.records_read.add(self.batch.len() as u64);
+        Ok(Some(&self.batch))
     }
 }
 
@@ -852,7 +853,8 @@ mod tests {
         w.write_all(&bad).unwrap();
         w.close().unwrap();
         let split = FileSplit::new("/t/short", 0, bad.len() as u64);
-        let err = RcReader::open(&h, schema(), &split).unwrap().next_batch();
+        let mut r = RcReader::open(&h, schema(), &split).unwrap();
+        let err = r.next_batch();
         assert!(
             matches!(&err, Err(DgfError::Corrupt(m)) if m.contains("claims")),
             "{err:?}"
@@ -928,14 +930,14 @@ mod tests {
         let mut r = RcReader::open(&h, schema(), &FileSplit::new("/t/f", 0, len)).unwrap();
         let mut fetches = std::collections::BTreeSet::new();
         let mut rows = Vec::new();
+        let mut scratch = Row::new();
         while let Some(b) = r.next_batch().unwrap() {
+            for i in 0..b.len() {
+                b.read_row_into(i, &mut scratch);
+                rows.push(scratch.clone());
+            }
             assert!(r.frames.len() as u64 <= h.block_size());
             fetches.insert(r.file_at);
-            let mut row = Row::new();
-            for i in 0..b.len() {
-                b.read_row_into(i, &mut row);
-                rows.push(row.clone());
-            }
         }
         assert_eq!(rows, (0..200).map(row).collect::<Vec<_>>());
         assert!(fetches.len() > 8, "{} fetches", fetches.len());

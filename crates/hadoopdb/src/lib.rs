@@ -227,7 +227,7 @@ impl HadoopDb {
             };
             let workers = (0..self.config.node_parallelism.max(1)).map(|_| &worker);
             match run_scoped("a HadoopDB chunk worker", workers) {
-                Ok(()) => node_sinks.lock().append(&mut local.into_inner()),
+                Ok(_) => node_sinks.lock().append(&mut local.into_inner()),
                 Err(e) => record(e),
             }
         };

@@ -92,9 +92,10 @@ pub enum InputReader {
 
 impl InputReader {
     /// Hand `f` every row with its Hive block offset: the start of its
-    /// row group for an RCFile, of its line for text. An RCFile's batches
-    /// are copied row by row into one scratch row, so the drain allocates
-    /// per group, not per row.
+    /// row group for an RCFile, of its line for text. An RCFile reader
+    /// lends the one batch it decodes every group into, and the drain
+    /// copies it row by row into one scratch row, so it allocates neither
+    /// per row nor per group (a string cell still allocates its copy).
     pub fn for_each_row(self, mut f: impl FnMut(u64, &Row) -> Result<()>) -> Result<()> {
         match self {
             InputReader::Rc(mut reader) => {
@@ -199,13 +200,15 @@ pub fn execute_sink(
                     reader = reader.with_projection(p.clone());
                 }
                 // Batches of a few dozen rows take a few microseconds
-                // each: the sub-microsecond part carries over.
+                // each: the sub-microsecond part carries over. One
+                // selection buffer serves every batch of the task.
                 let mut carry = std::time::Duration::ZERO;
+                let mut rows = Vec::new();
                 while let Some(batch) = reader.next_batch()? {
                     let kernel = std::time::Instant::now();
-                    let sel = bound.select(&batch);
+                    let sel = bound.select(batch, &mut rows);
                     ctx.scan_stats.rows_selected.add(sel.len() as u64);
-                    sink.push_batch(&batch, &sel)?;
+                    sink.push_batch(batch, &sel)?;
                     ctx.scan_stats
                         .kernel_us
                         .add_micros(&mut carry, kernel.elapsed());

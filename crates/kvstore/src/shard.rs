@@ -33,8 +33,9 @@
 //! serving-equivalence suite asserts the router's logical counters match
 //! a single-node store running the same plan exactly.
 //!
-//! Cross-shard fan-outs run their per-shard sub-operations on scoped
-//! threads, so a latency-charging shard stack (e.g. [`LatencyKv`]
+//! Cross-shard fan-outs run their per-shard sub-operations concurrently,
+//! the first on the calling thread and the rest on scoped threads, so a
+//! latency-charging shard stack (e.g. [`LatencyKv`]
 //! wrapping each shard) charges the *maximum* shard latency per batch,
 //! not the sum — the fix for the router double-charging per underlying
 //! op when fanned out serially.
@@ -47,7 +48,7 @@ use parking_lot::RwLock;
 
 use dgf_common::fault::FaultPlan;
 use dgf_common::obs::names;
-use dgf_common::{counter_block, DgfError, Result};
+use dgf_common::{counter_block, run_scoped, DgfError, Result};
 
 use crate::traits::{KvPair, KvStats, KvStore};
 
@@ -167,29 +168,25 @@ impl ShardedKv {
             .collect()
     }
 
-    /// Run one closure per involved shard on scoped threads, returning
+    /// Run one closure per involved shard, the first on the calling
+    /// thread and the rest on scoped threads ([`run_scoped`]), returning
     /// results in the given (key) order. Shard latency overlaps instead
-    /// of accumulating, and the first error in shard order wins.
+    /// of accumulating, the first error in shard order wins, and a
+    /// panicking job is [`DgfError::Job`].
     fn scatter<T: Send>(&self, jobs: Vec<(usize, ShardJob<'_, T>)>) -> Result<Vec<T>> {
         self.fanout.shard_subops.add(jobs.len() as u64);
-        let results: Vec<Result<T>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(shard, job)| {
-                    let store = &self.shards[shard];
-                    scope.spawn(move || {
-                        self.sync("serve.router.fetch");
-                        job(store.as_ref())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard fan-out worker panicked"))
-                .collect()
-        });
+        let results = run_scoped(
+            "a shard fan-out job",
+            jobs.into_iter().map(|(shard, job)| {
+                let store = &self.shards[shard];
+                move || {
+                    self.sync("serve.router.fetch");
+                    job(store.as_ref())
+                }
+            }),
+        );
         self.sync("serve.router.merge");
-        results.into_iter().collect()
+        results?.into_iter().collect()
     }
 }
 

@@ -144,8 +144,8 @@ impl<K: Hash, V> Emitter<'_, K, V> {
     }
 }
 
-/// The engine: a bounded pool of worker threads shared by the map and
-/// reduce phases of each submitted job.
+/// The engine: a bounded pool of workers, the calling thread among
+/// them, shared by the map and reduce phases of each submitted job.
 #[derive(Debug, Clone)]
 pub struct MrEngine {
     threads: usize,
@@ -175,6 +175,11 @@ pub type ReduceTaskFn<'a, K, V, T> = &'a (dyn Fn(usize, Vec<(K, Vec<V>)>) -> Res
 
 impl MrEngine {
     /// An engine with `threads` workers (at least 1).
+    ///
+    /// A phase starts `min(threads, tasks)` workers, and the calling
+    /// thread is one of them ([`run_scoped`]): a one-task phase spawns no
+    /// thread, and a phase with no tasks runs nothing. A task that panics,
+    /// on whichever thread, fails the job with [`DgfError::Job`].
     pub fn new(threads: usize) -> Self {
         MrEngine {
             threads: threads.max(1),
@@ -241,6 +246,7 @@ impl MrEngine {
         let partition_buckets: Vec<Runs<K, V>> =
             (0..num_reducers).map(|_| Mutex::new(Vec::new())).collect();
         {
+            let workers = self.threads.min(inputs.len());
             let work: Mutex<std::vec::IntoIter<(usize, I)>> = Mutex::new(
                 inputs
                     .into_iter()
@@ -281,7 +287,7 @@ impl MrEngine {
                     return;
                 }
             };
-            run_scoped("a map task", (0..self.threads).map(|_| &worker))?;
+            run_scoped("a map task", (0..workers).map(|_| &worker))?;
             if let Some(e) = first_err.into_inner() {
                 return Err(e);
             }
@@ -387,7 +393,7 @@ impl MrEngine {
                     }
                 }
             };
-            run_scoped("a map task", (0..self.threads).map(|_| &worker))?;
+            run_scoped("a map task", (0..self.threads.min(n)).map(|_| &worker))?;
             if let Some(e) = first_err.into_inner() {
                 return Err(e);
             }
@@ -497,6 +503,12 @@ mod tests {
             Ok(x)
         });
         assert!(is_job(map.map(|_| ())));
+        // A one-input map runs its only task on the calling thread.
+        let alone = engine.map_only(vec![5u32], &|_, x: u32| -> Result<u32> {
+            assert!(x != 5, "mapper boom");
+            Ok(x)
+        });
+        assert!(is_job(alone.map(|_| ())));
         let reduce = engine.map_reduce(
             vec![vec![1u32, 2, 3]],
             2,
@@ -651,6 +663,13 @@ mod tests {
             .map_only(vec![10, 20, 30, 40], &|tid, x: i32| Ok((tid, x * 2)))
             .unwrap();
         assert_eq!(out.outputs, vec![(0, 20), (1, 40), (2, 60), (3, 80)]);
+        // One input is one task, run on the calling thread: no worker is
+        // spawned for it.
+        let caller = std::thread::current().id();
+        let out = engine
+            .map_only(vec![7], &|_, x: i32| Ok((std::thread::current().id(), x)))
+            .unwrap();
+        assert_eq!(out.outputs, vec![(caller, 7)]);
     }
 
     #[test]

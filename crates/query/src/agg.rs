@@ -168,9 +168,9 @@ fn fold_sum(
                     }
                 }
             } else {
-                match sel {
+                match *sel {
                     Selection::All(len) => {
-                        for &x in &v[..*len] {
+                        for &x in &v[..len] {
                             kahan_add(sum, comp, x);
                         }
                     }
@@ -192,9 +192,9 @@ fn fold_sum(
                     }
                 }
             } else {
-                match sel {
+                match *sel {
                     Selection::All(len) => {
-                        for &x in &v[..*len] {
+                        for &x in &v[..len] {
                             kahan_add(sum, comp, x as f64);
                         }
                     }

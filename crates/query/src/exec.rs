@@ -396,7 +396,7 @@ fn key_parts<K: Ord>(
         parts.entry(key_at(i)).or_default().push(i as u32);
     }
     for (key, rows) in parts {
-        fold(to_value(key), &Selection::Rows(rows))?;
+        fold(to_value(key), &Selection::Rows(&rows))?;
     }
     Ok(())
 }
@@ -746,7 +746,9 @@ mod tests {
                 for r in &table {
                     put_value(&mut bytes, &r[c]);
                 }
-                decode_column(&bytes, n, f.vtype).unwrap()
+                let mut col = Column::skipped();
+                decode_column(&bytes, n, f.vtype, &mut col).unwrap();
+                col
             })
             .collect();
         let batch = ColumnBatch::new(columns, n, 0);
@@ -763,7 +765,7 @@ mod tests {
                 ],
                 predicate: Predicate::all(),
             };
-            for sel in [Selection::All(n), Selection::Rows(sparse.clone())] {
+            for sel in [Selection::All(n), Selection::Rows(&sparse)] {
                 let mut by_row = RowSink::new(&q, &s, None).unwrap();
                 for i in sel.iter() {
                     by_row.push(&table[i]).unwrap();

@@ -7,13 +7,12 @@
 //! consume intervals per dimension, which is what HiveQL's index handlers
 //! extract from the predicate as well.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
 
-use dgf_common::batch::{Column, ColumnBatch, ColumnData, Selection};
-use dgf_common::{DgfError, Result, Row, Schema, Value};
+use dgf_common::batch::{Column, ColumnBatch, ColumnData, NullMask, Selection};
+use dgf_common::{DgfError, Result, Row, Schema, Value, ValueType};
 
 /// An interval condition on one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,19 +60,14 @@ impl ColumnRange {
     /// interval (SQL comparison semantics).
     pub fn contains(&self, v: &Value) -> bool {
         if v.is_null() {
-            return matches!((&self.low, &self.high), (Bound::Unbounded, Bound::Unbounded));
+            return self.is_unbounded();
         }
-        let lo_ok = match &self.low {
-            Bound::Unbounded => true,
-            Bound::Included(b) => v >= b,
-            Bound::Excluded(b) => v > b,
-        };
-        let hi_ok = match &self.high {
-            Bound::Unbounded => true,
-            Bound::Included(b) => v <= b,
-            Bound::Excluded(b) => v < b,
-        };
-        lo_ok && hi_ok
+        meets_low(&self.low, v) && meets_high(&self.high, v)
+    }
+
+    /// Whether neither end is bounded: every cell, NULL included, passes.
+    fn is_unbounded(&self) -> bool {
+        self.low == Bound::Unbounded && self.high == Bound::Unbounded
     }
 
     /// Conjunction of two intervals on the same column.
@@ -82,6 +76,24 @@ impl ColumnRange {
             low: tighter_low(&self.low, &other.low),
             high: tighter_high(&self.high, &other.high),
         }
+    }
+}
+
+/// Whether `v` is at or above the lower bound, in [`Value`]'s order.
+fn meets_low(low: &Bound<Value>, v: &Value) -> bool {
+    match low {
+        Bound::Unbounded => true,
+        Bound::Included(b) => v >= b,
+        Bound::Excluded(b) => v > b,
+    }
+}
+
+/// Whether `v` is at or below the upper bound, in [`Value`]'s order.
+fn meets_high(high: &Bound<Value>, v: &Value) -> bool {
+    match high {
+        Bound::Unbounded => true,
+        Bound::Included(b) => v <= b,
+        Bound::Excluded(b) => v < b,
     }
 }
 
@@ -159,13 +171,20 @@ impl Predicate {
         self.ranges.is_empty()
     }
 
-    /// Resolve column names to indexes for fast row evaluation.
+    /// Resolve column names to indexes for fast row evaluation, and
+    /// compile each term, once, into the typed test the batch kernel
+    /// ([`BoundPredicate::select`]) runs over its column.
     pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate> {
         let mut terms = Vec::with_capacity(self.ranges.len());
+        let mut kernels = Vec::with_capacity(self.ranges.len());
         for (col, range) in &self.ranges {
-            terms.push((schema.index_of(col)?, range.clone()));
+            let idx = schema.index_of(col)?;
+            if !range.is_unbounded() {
+                kernels.push((idx, Kernel::compile(range, schema.field(idx).vtype)));
+            }
+            terms.push((idx, range.clone()));
         }
-        Ok(BoundPredicate { terms })
+        Ok(BoundPredicate { terms, kernels })
     }
 
     /// Drop conditions on columns not in `keep` (used when an index only
@@ -211,7 +230,11 @@ impl fmt::Display for Predicate {
 /// A predicate resolved against a schema.
 #[derive(Debug, Clone)]
 pub struct BoundPredicate {
+    /// Every term as written: the row path's reference.
     terms: Vec<(usize, ColumnRange)>,
+    /// Every bounded term compiled against its column's type: the batch
+    /// path's. An unbounded term passes every cell and has no kernel.
+    kernels: Vec<(usize, Kernel)>,
 }
 
 impl BoundPredicate {
@@ -229,96 +252,193 @@ impl BoundPredicate {
 
     /// Selection-vector kernel: evaluate the predicate over a whole batch.
     ///
-    /// Each term filters the selection in turn, reading the column's typed
-    /// vector directly instead of materializing a [`Row`] per record. Row
-    /// indexes come out ascending, and every per-cell decision delegates to
-    /// [`ColumnRange::contains`] semantics (via stack-allocated `Value`s for
-    /// primitives and an allocation-free mirror for strings), so the
+    /// `rows` is the caller's selection buffer, reused from batch to
+    /// batch: it is refilled with the batch's row indexes and each
+    /// compiled term refines it in one loop over its column's typed
+    /// slice, keeping the rows whose cell passes. No [`Value`] is built
+    /// per cell. Row indexes come out ascending, and the kernels were
+    /// compiled at [`Predicate::bind`] with [`Value::cmp_value`]'s rules
+    /// (NULL cells and bounds of another type decided there), so the
     /// surviving set is exactly the set of rows [`Self::matches`] would
-    /// accept — the property the columnar/row-wise equivalence suite pins.
-    pub fn select(&self, batch: &ColumnBatch) -> Selection {
-        let mut sel = Selection::All(batch.len());
-        for (idx, range) in &self.terms {
-            if sel.is_empty() {
+    /// accept — the property the columnar/row-wise equivalence suite
+    /// pins.
+    ///
+    /// # Panics
+    ///
+    /// If a column of `batch` holds another type than the one its term
+    /// was compiled for: a batch is decoded by the schema the predicate
+    /// was bound to.
+    pub fn select<'s>(&self, batch: &ColumnBatch, rows: &'s mut Vec<u32>) -> Selection<'s> {
+        let n = batch.len();
+        rows.clear();
+        if self.kernels.is_empty() {
+            return Selection::All(n);
+        }
+        rows.extend(0..n as u32);
+        for (idx, kernel) in &self.kernels {
+            kernel.refine(batch.column(*idx), rows);
+            if rows.is_empty() {
                 break;
             }
-            sel = filter_column(batch.column(*idx), range, &sel);
         }
-        sel
+        match rows.len() == n {
+            true => Selection::All(n),
+            false => Selection::Rows(rows),
+        }
     }
 }
 
-/// Keep the selected rows of `col` that satisfy `range`.
-fn filter_column(col: &Column, range: &ColumnRange, sel: &Selection) -> Selection {
-    // The row path sees `Null` for null cells and unprojected columns alike.
-    let null_ok = range.contains(&Value::Null);
-    let mut out: Vec<u32> = Vec::with_capacity(sel.len());
-    let nulls = &col.nulls;
-    match &col.data {
-        ColumnData::Int(v) => out.extend(sel.iter().filter_map(|i| {
-            let ok = if nulls.is_null(i) {
-                null_ok
-            } else {
-                range.contains(&Value::Int(v[i]))
-            };
-            ok.then_some(i as u32)
-        })),
-        ColumnData::Date(v) => out.extend(sel.iter().filter_map(|i| {
-            let ok = if nulls.is_null(i) {
-                null_ok
-            } else {
-                range.contains(&Value::Date(v[i]))
-            };
-            ok.then_some(i as u32)
-        })),
-        ColumnData::Float(v) => out.extend(sel.iter().filter_map(|i| {
-            let ok = if nulls.is_null(i) {
-                null_ok
-            } else {
-                range.contains(&Value::Float(v[i]))
-            };
-            ok.then_some(i as u32)
-        })),
-        ColumnData::Str(v) => out.extend(sel.iter().filter_map(|i| {
-            let ok = if nulls.is_null(i) {
-                null_ok
-            } else {
-                contains_str(range, &v[i])
-            };
-            ok.then_some(i as u32)
-        })),
-        ColumnData::Skipped => {
-            if null_ok {
-                return sel.clone();
+/// One bounded term compiled against its column's schema type: the test
+/// a non-null cell passes. A NULL cell passes no bounded term. A NULL
+/// bound, a string bound on a number column and a number bound on a
+/// string column each hold for every cell or for none, and a number
+/// bound of another numeric type becomes an interval of the column's own
+/// type, so all of them are decided at bind.
+#[derive(Debug, Clone)]
+enum Kernel {
+    /// No cell passes.
+    Never,
+    /// `lo <= x <= hi` over an `Int` or `Date` column.
+    Int { lo: i64, hi: i64 },
+    /// An interval of a `Float` column.
+    Float { lo: Bound<f64>, hi: Bound<f64> },
+    /// An interval of a `Str` column.
+    Str {
+        lo: Bound<String>,
+        hi: Bound<String>,
+    },
+}
+
+impl Kernel {
+    /// Compile the bounded `range` for a column of type `vtype`.
+    fn compile(range: &ColumnRange, vtype: ValueType) -> Kernel {
+        match vtype {
+            ValueType::Int | ValueType::Date => {
+                let cell = |x| match vtype {
+                    ValueType::Int => Value::Int(x),
+                    _ => Value::Date(x),
+                };
+                // Whatever a bound's type, `Value`'s order of a cell
+                // against it is monotone in the cell's number, so each
+                // bound cuts the i64 line once: the cells a lower bound
+                // passes run from some least one up, the cells an upper
+                // bound passes up to some greatest one.
+                let lo = first_passing(|x| meets_low(&range.low, &cell(x)));
+                let hi = match first_passing(|x| !meets_high(&range.high, &cell(x))) {
+                    None => Some(i64::MAX),
+                    Some(first_failing) => first_failing.checked_sub(1),
+                };
+                match (lo, hi) {
+                    (Some(lo), Some(hi)) if lo <= hi => Kernel::Int { lo, hi },
+                    _ => Kernel::Never,
+                }
             }
+            ValueType::Float => {
+                let lo = float_bound(&range.low, true);
+                match (lo, float_bound(&range.high, false)) {
+                    (Some(lo), Some(hi)) => Kernel::Float { lo, hi },
+                    _ => Kernel::Never,
+                }
+            }
+            ValueType::Str => match (str_bound(&range.low, true), str_bound(&range.high, false)) {
+                (Some(lo), Some(hi)) => Kernel::Str { lo, hi },
+                _ => Kernel::Never,
+            },
         }
     }
-    Selection::Rows(out)
+
+    /// Keep the rows of `rows` whose cell of `col` passes, in order.
+    fn refine(&self, col: &Column, rows: &mut Vec<u32>) {
+        let nulls = &col.nulls;
+        match (self, &col.data) {
+            (Kernel::Int { lo, hi }, ColumnData::Int(v) | ColumnData::Date(v)) => {
+                keep(rows, nulls, |i| (*lo..=*hi).contains(&v[i]))
+            }
+            (Kernel::Float { lo, hi }, ColumnData::Float(v)) => {
+                keep(rows, nulls, |i| within(&v[i], lo.as_ref(), hi.as_ref()))
+            }
+            (Kernel::Str { lo, hi }, ColumnData::Str(v)) => {
+                let lo = lo.as_ref().map(String::as_str);
+                let hi = hi.as_ref().map(String::as_str);
+                keep(rows, nulls, |i| within(v[i].as_str(), lo, hi))
+            }
+            // An unprojected column reads as NULL, which no bounded term
+            // passes.
+            (Kernel::Never, _) | (_, ColumnData::Skipped) => rows.clear(),
+            (_, _) => panic!("a predicate term ran over a column of another type than its own"),
+        }
+    }
 }
 
-/// `range.contains(&Value::Str(s))` without cloning `s` into a `Value`:
-/// mirrors `Value::cmp_value` for a string on the left-hand side.
-fn contains_str(range: &ColumnRange, s: &str) -> bool {
-    let cmp = |b: &Value| -> Ordering {
-        match b {
-            // Null sorts below everything; mixed string/number orders by
-            // type rank, where strings sort above numerics.
-            Value::Null => Ordering::Greater,
-            Value::Str(t) => s.cmp(t.as_str()),
-            Value::Int(_) | Value::Float(_) | Value::Date(_) => Ordering::Greater,
+/// Keep the rows of `rows` whose cell is not NULL and passes `pass`.
+fn keep(rows: &mut Vec<u32>, nulls: &NullMask, pass: impl Fn(usize) -> bool) {
+    rows.retain(|&i| !nulls.is_null(i as usize) && pass(i as usize));
+}
+
+/// Whether `x` lies in the interval `lo`..`hi`.
+fn within<T: PartialOrd + ?Sized>(x: &T, lo: Bound<&T>, hi: Bound<&T>) -> bool {
+    let lo_ok = match lo {
+        Bound::Unbounded => true,
+        Bound::Included(b) => x >= b,
+        Bound::Excluded(b) => x > b,
+    };
+    lo_ok
+        && match hi {
+            Bound::Unbounded => true,
+            Bound::Included(b) => x <= b,
+            Bound::Excluded(b) => x < b,
         }
+}
+
+/// The least `x` for which `pass` holds, where `pass` is false up to
+/// some point of the i64 line and true from there on; `None` when it
+/// holds nowhere.
+fn first_passing(pass: impl Fn(i64) -> bool) -> Option<i64> {
+    if !pass(i64::MAX) {
+        return None;
+    }
+    if pass(i64::MIN) {
+        return Some(i64::MIN);
+    }
+    let (mut fails, mut passes) = (i64::MIN, i64::MAX);
+    while passes.abs_diff(fails) > 1 {
+        let mid = fails + (passes.abs_diff(fails) / 2) as i64;
+        match pass(mid) {
+            true => passes = mid,
+            false => fails = mid,
+        }
+    }
+    Some(passes)
+}
+
+/// A bound on a `Float` column as an `f64` bound (`Unbounded` when every
+/// cell meets it), or `None` when no cell does. `Value`'s order compares
+/// every number as an `f64`, and a NaN bound as equal to every cell.
+fn float_bound(bound: &Bound<Value>, low: bool) -> Option<Bound<f64>> {
+    let (b, inclusive) = match bound {
+        Bound::Unbounded => return Some(Bound::Unbounded),
+        Bound::Included(b) => (b, true),
+        Bound::Excluded(b) => (b, false),
     };
-    let lo_ok = match &range.low {
-        Bound::Unbounded => true,
-        Bound::Included(b) => cmp(b) != Ordering::Less,
-        Bound::Excluded(b) => cmp(b) == Ordering::Greater,
-    };
-    let hi_ok = match &range.high {
-        Bound::Unbounded => true,
-        Bound::Included(b) => cmp(b) != Ordering::Greater,
-        Bound::Excluded(b) => cmp(b) == Ordering::Less,
-    };
-    lo_ok && hi_ok
+    match b.as_f64() {
+        // NULL sorts below every number and a string above every one.
+        Err(_) => (b.is_null() == low).then_some(Bound::Unbounded),
+        Ok(f) if f.is_nan() => inclusive.then_some(Bound::Unbounded),
+        Ok(f) if inclusive => Some(Bound::Included(f)),
+        Ok(f) => Some(Bound::Excluded(f)),
+    }
+}
+
+/// A bound on a `Str` column as a string bound (`Unbounded` when every
+/// cell meets it), or `None` when no cell does: NULL and every number
+/// sort below every string.
+fn str_bound(bound: &Bound<Value>, low: bool) -> Option<Bound<String>> {
+    match bound {
+        Bound::Unbounded => Some(Bound::Unbounded),
+        Bound::Included(Value::Str(t)) => Some(Bound::Included(t.clone())),
+        Bound::Excluded(Value::Str(t)) => Some(Bound::Excluded(t.clone())),
+        Bound::Included(_) | Bound::Excluded(_) => low.then_some(Bound::Unbounded),
+    }
 }
 
 /// Error helper used by engines that require a constrained column.
@@ -402,6 +522,86 @@ mod tests {
         assert!(!i.contains(&Value::Int(5)));
         assert!(i.contains(&Value::Int(6)));
         assert!(!i.contains(&Value::Int(10)));
+    }
+
+    /// Every column type against a bound of every type, NULL and NaN
+    /// included, at every bound kind: the compiled kernel keeps exactly
+    /// the rows the row path matches, NULL cells and an unprojected
+    /// column included.
+    #[test]
+    fn select_is_matches_for_every_type_pairing() {
+        use dgf_common::batch::decode_column;
+        use dgf_common::codec::put_value;
+        let s = Schema::from_pairs(&[
+            ("i", ValueType::Int),
+            ("f", ValueType::Float),
+            ("s", ValueType::Str),
+            ("d", ValueType::Date),
+        ]);
+        let big = 1i64 << 53;
+        let ints = [i64::MIN, -3, 0, 2, 3, big, big + 1, i64::MAX];
+        let rows: Vec<Row> = (0..ints.len() + 1)
+            .map(|r| match ints.get(r) {
+                Some(&x) => vec![
+                    Value::Int(x),
+                    Value::Float(x as f64 + 0.5),
+                    Value::Str(format!("{x}")),
+                    Value::Date(x),
+                ],
+                None => vec![Value::Null; 4],
+            })
+            .collect();
+        let columns: Vec<Column> = (0..4)
+            .map(|c| {
+                let mut bytes = Vec::new();
+                rows.iter().for_each(|r| put_value(&mut bytes, &r[c]));
+                let mut col = Column::skipped();
+                decode_column(&bytes, rows.len(), s.field(c).vtype, &mut col).unwrap();
+                col
+            })
+            .collect();
+        let values = [
+            Value::Null,
+            Value::Int(2),
+            Value::Int(big + 1),
+            Value::Float(2.5),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Str("2".into()),
+            Value::Str("".into()),
+            Value::Date(3),
+        ];
+        let ends: Vec<Bound<Value>> = values
+            .iter()
+            .flat_map(|v| [Bound::Included(v.clone()), Bound::Excluded(v.clone())])
+            .chain([Bound::Unbounded])
+            .collect();
+        let (mut buf, mut row) = (Vec::new(), Row::new());
+        for skip in [None, Some(0), Some(1), Some(2), Some(3)] {
+            let mut columns = columns.clone();
+            if let Some(c) = skip {
+                columns[c] = Column::skipped();
+            }
+            let batch = ColumnBatch::new(columns, rows.len(), 0);
+            for col in ["i", "f", "s", "d"] {
+                for (low, high) in ends.iter().flat_map(|l| ends.iter().map(move |h| (l, h))) {
+                    let range = ColumnRange {
+                        low: low.clone(),
+                        high: high.clone(),
+                    };
+                    let b = Predicate::all().and(col, range.clone()).bind(&s).unwrap();
+                    let want: Vec<usize> = (0..rows.len())
+                        .filter(|&r| {
+                            batch.read_row_into(r, &mut row);
+                            b.matches(&row)
+                        })
+                        .collect();
+                    let got: Vec<usize> = b.select(&batch, &mut buf).iter().collect();
+                    assert_eq!(got, want, "{col}: {range:?} (column skipped: {skip:?})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `QueryResult` — no float tolerance.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use dgfindex::format::Bitmap;
@@ -86,6 +87,50 @@ fn random_predicate(rng: &mut StdRng) -> Predicate {
             "name",
             ColumnRange::half_open(Value::Str("n1".into()), Value::Str("n3".into())),
         );
+    }
+    if rng.random_bool(0.5) {
+        // A bound of another type than its column's, a NULL bound, or
+        // the ends of the i64 line: the batch kernels decide each pairing
+        // at bind, and must decide it as the row path's `Value` order does.
+        let side = |rng: &mut StdRng, v: Value| match rng.random_range(0u32..3) {
+            0 => Bound::Included(v),
+            1 => Bound::Excluded(v),
+            _ => Bound::Unbounded,
+        };
+        let (col, lo, hi) = match rng.random_range(0u32..6) {
+            0 => (
+                "id",
+                Value::Float(rng.random_range(-10.0..200.0)),
+                Value::Float(rng.random_range(0.0..210.0)),
+            ),
+            1 => (
+                "ts",
+                Value::Int(BASE_DAY + rng.random_range(-1i64..9)),
+                Value::Int(BASE_DAY + rng.random_range(0i64..11)),
+            ),
+            2 => (
+                "power",
+                Value::Int(rng.random_range(-60i64..40)),
+                Value::Int(rng.random_range(-40i64..60)),
+            ),
+            3 => ("cat", Value::Str("c".into()), Value::Str("c".into())),
+            4 => {
+                let col = ["id", "cat", "power", "name", "ts"][rng.random_range(0..5)];
+                (col, Value::Null, Value::Null)
+            }
+            _ => {
+                let range = ColumnRange {
+                    low: Bound::Included(Value::Int(i64::MIN)),
+                    high: Bound::Excluded(Value::Int(i64::MAX)),
+                };
+                return p.and("id", range);
+            }
+        };
+        let range = ColumnRange {
+            low: side(rng, lo),
+            high: side(rng, hi),
+        };
+        p = p.and(col, range);
     }
     p
 }

@@ -6,12 +6,13 @@
 //!
 //! `InputReader::for_each_row` refills one scratch `Row` from each
 //! decoded batch, so draining a numeric RCFile table allocates per *group*
-//! (typed column vectors), not per row. A `next_batch` drain allocates
-//! what it hands out — per group one `Vec` of columns and, per projected
-//! column, a typed vector and a null mask — and reads every frame into
-//! the one buffer the reader keeps. A counting global allocator measures
-//! both; this file holds a single test so no parallel test pollutes the
-//! counters.
+//! at most, not per row. A `next_batch` drain, with the predicate's
+//! selection run on every batch, allocates a constant whatever the group
+//! count: the reader decodes every group into the one batch it lends
+//! (a typed vector and a null mask per projected column), reads every
+//! frame into the one buffer it keeps, and the selection refines one
+//! buffer. A counting global allocator measures both; this file holds a
+//! single test so no parallel test pollutes the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,35 +110,44 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
     assert_eq!(n, N);
     assert_eq!(sum, N * (N - 1) / 2);
 
-    // Batch drain: batches of typed vectors, frames through one buffer.
+    // Batch drain, as a scan task runs it: the reader's one batch and
+    // frame buffer, and one selection buffer the predicate refines for
+    // every batch. The bounds cut inside groups, so the selection is a
+    // row list for some batches and every row for others.
+    let kept = ColumnRange::half_open(Value::Int(1_500), Value::Int(N - 2_500));
+    let bound = Predicate::all().and("id", kept).bind(&schema).unwrap();
     let mut reader = RcReader::open(&hdfs, schema.clone(), &split)
         .unwrap()
         .with_projection(vec![0, 1]);
-    let (mut n, mut groups) = (0i64, 0u64);
+    let (mut n, mut selected, mut groups) = (0i64, 0usize, 0u64);
+    let mut rows = Vec::new();
     let (before, bytes_before) = (allocs(), alloc_bytes());
     while let Some(batch) = reader.next_batch().unwrap() {
         n += batch.len() as i64;
         groups += 1;
-        std::hint::black_box(&batch);
+        selected += std::hint::black_box(bound.select(batch, &mut rows)).len();
     }
     let (batch_allocs, batch_bytes) = (allocs() - before, alloc_bytes() - bytes_before);
     assert_eq!((n, groups), (N, (N as u64).div_ceil(ROWS_PER_GROUP as u64)));
-    // Per group: the `Vec` of columns, and a typed vector plus a null
-    // mask for each of the two projected columns. Beyond that a constant:
-    // the frame buffer, allocated by the first fetch and reused by the rest.
+    assert_eq!(selected as i64, N - 4_000);
+    // A constant, whatever the group count: the frame buffer (allocated
+    // by the first fetch, grown at most once by a longer one), a typed
+    // vector and a null mask for each of the two projected columns, and
+    // the selection buffer, each sized by the first group.
     assert!(
-        batch_allocs <= groups * (1 + 2 * 2) + 4,
+        batch_allocs <= 1 + 1 + 2 * 2 + 1,
         "batch drain allocated {batch_allocs} times for {groups} groups"
     );
-    // Bytes: what the batches hold (two eight-byte cells a row, masks,
-    // column headers) and one block-sized buffer — not a second copy of
-    // every payload, which would add the file's length again.
+    // Bytes: one group's cells (two eight-byte cells a row), masks and
+    // selection (four bytes a row), and one block-sized buffer — neither
+    // a batch per group nor a second copy of every payload, which would
+    // add the file's length again.
     let file_len = hdfs.file_len("/t/f").unwrap();
     assert!(file_len > 4 * hdfs.block_size());
-    let handed_out = N as u64 * 16 + groups * 512;
+    let one_group = ROWS_PER_GROUP as u64 * (16 + 4) + 512;
     assert!(
-        batch_bytes <= handed_out + hdfs.block_size(),
-        "batch drain allocated {batch_bytes} B: {handed_out} B of batches, file {file_len} B"
+        batch_bytes <= one_group + 2 * hdfs.block_size(),
+        "batch drain allocated {batch_bytes} B: {one_group} B a group, file {file_len} B"
     );
 
     // Per-group overhead only: decode buffers scale with groups (20), not
