@@ -238,11 +238,11 @@ mod tests {
         let truth: QueryResult = lab.scan_engine().run(&q).unwrap().result;
         for size in IntervalSize::all() {
             let r = lab.dgf_engine(size).run(&q).unwrap().result;
-            assert!(r.approx_eq(&truth, 1e-6), "dgf {}", size.label());
+            assert_eq!(r, truth, "dgf {}", size.label());
         }
         let r = lab.compact_engine().run(&q).unwrap().result;
-        assert!(r.approx_eq(&truth, 1e-6), "compact");
+        assert_eq!(r, truth, "compact");
         let r = lab.hadoopdb_engine().run(&q).unwrap().result;
-        assert!(r.approx_eq(&truth, 1e-6), "hadoopdb");
+        assert_eq!(r, truth, "hadoopdb");
     }
 }

@@ -155,11 +155,11 @@ mod tests {
         let q = q6(1994, 0.06, 24.0);
         let truth = lab.scan_engine().run(&q).unwrap();
         let dgf = lab.dgf_engine().run(&q).unwrap();
-        assert!(dgf.result.approx_eq(&truth.result, 1e-6));
+        assert_eq!(dgf.result, truth.result);
         let c2 = lab.compact2_engine().run(&q).unwrap();
-        assert!(c2.result.approx_eq(&truth.result, 1e-6));
+        assert_eq!(c2.result, truth.result);
         let c3 = lab.compact3_engine().run(&q).unwrap();
-        assert!(c3.result.approx_eq(&truth.result, 1e-6));
+        assert_eq!(c3.result, truth.result);
         // The paper's Table 6 shape: DGF reads far less than Compact,
         // which reads (nearly) everything on scattered data.
         assert!(dgf.stats.data_records_read * 4 < c2.stats.data_records_read);

@@ -669,6 +669,6 @@ mod tests {
         let q = &narrow_history()[0];
         let truth = ScanEngine::new(Arc::clone(&ctx), table).run(q).unwrap();
         let got = crate::DgfEngine::new(Arc::new(idx)).run(q).unwrap();
-        assert!(got.result.approx_eq(&truth.result, 1e-9));
+        assert_eq!(got.result, truth.result);
     }
 }

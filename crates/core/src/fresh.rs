@@ -155,7 +155,7 @@ mod tests {
 
     fn sum(states: &[AggState]) -> f64 {
         match &states[1] {
-            AggState::Sum { sum, comp, .. } => sum + comp,
+            AggState::Sum { sum, .. } => sum.value(),
             other => panic!("unexpected state {other:?}"),
         }
     }
@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(keys, [vec![0], vec![1]]);
         let low = &set.cells[&GfuKey::new(vec![0])];
         assert_eq!(low.states[0], AggState::Count(3));
-        assert!((sum(&low.states) - 6.0).abs() < 1e-12);
+        assert_eq!(sum(&low.states), 6.0);
         let order: Vec<_> = low.rows.iter().map(|r| r[0].clone()).collect();
         assert_eq!(order, [Value::Int(1), Value::Int(0), Value::Int(1)]);
         assert!(matches!(set.regroup(&set.policy).unwrap(), Cow::Borrowed(_)));

@@ -324,16 +324,18 @@ mod tests {
         assert_eq!(GfuValue::decode(&v.encode()).unwrap(), v);
     }
 
-    /// A freshly built cell with one pre-computed `SUM`: its 29-byte
-    /// header (state count, tag, sum, compensation, non-null count)
-    /// behind a length prefix, then one byte each for the record count,
-    /// the slice count, the generation and the part, and two each for
-    /// the start offset and the length.
+    /// A freshly built cell with one pre-computed `SUM` of 1.5 over 29
+    /// values: its 13-byte header (state count, tag, the exact sum's
+    /// flags, digit count, digit index and one digit, then the varint
+    /// non-null count) behind a length prefix, then one byte each for the
+    /// record count, the slice count, the generation and the part, and
+    /// two each for the start offset and the length.
     #[test]
-    fn one_slice_one_sum_value_is_forty_one_bytes() {
+    fn one_slice_one_sum_value_is_twenty_five_bytes() {
+        let mut sum = dgf_query::ExactSum::new();
+        sum.add(1.5);
         let states = dgf_query::AggSet::encode_states(&[dgf_query::AggState::Sum {
-            sum: 1.5,
-            comp: 0.0,
+            sum,
             non_null: 29,
         }]);
         let v = GfuValue {
@@ -341,12 +343,12 @@ mod tests {
             slices: vec![SliceLoc::new(FileId::new(1, 3), 4096, 4096 + 200)],
             record_count: 29,
         };
-        assert_eq!(v.header.len(), 29);
-        assert_eq!(v.encode().len(), 41);
+        assert_eq!(v.header.len(), 13);
+        assert_eq!(v.encode().len(), 25);
         assert_eq!(GfuValue::decode(&v.encode()).unwrap(), v);
         // A pyramid node or tombstone: the header and two bytes.
         let node = GfuValue { slices: Vec::new(), ..v };
-        assert_eq!(node.encode().len(), 4 + 29 + 2);
+        assert_eq!(node.encode().len(), 4 + 13 + 2);
     }
 
     #[test]

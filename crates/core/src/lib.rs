@@ -192,9 +192,7 @@ mod tests {
         // Matching rows: (5,18)? no B. (7,12,1.2) ✓, (9,14,0.8) ✓,
         // (11,16)? B=16 excluded. (8,13,0.2) ✓ → 2.2.
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
-        assert!(run
-            .result
-            .approx_eq(&dgf_query::QueryResult::Scalars(vec![Value::Float(2.2)]), 1e-9));
+        assert_eq!(run.result, dgf_query::QueryResult::Scalars(vec![Value::Float(2.2)]));
         // The inner region (paper: I = {7<=A<10, 13<=B<15}) is answered
         // from the header: GFU (2,1) is inner.
         let plan = idx.plan(&q, true).unwrap();
@@ -217,7 +215,7 @@ mod tests {
             .without_precompute()
             .run(&q)
             .unwrap();
-        assert!(with.result.approx_eq(&without.result, 1e-9));
+        assert_eq!(with.result, without.result);
         assert!(without.stats.data_records_read > with.stats.data_records_read);
     }
 
@@ -236,10 +234,10 @@ mod tests {
         assert_eq!(plan.inner_gfus, 0);
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         let expected = (1.2 + 0.8 + 0.2) / 3.0;
-        assert!(run.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(expected)]),
-            1e-9
-        ));
+        assert_eq!(
+            run.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(expected)])
+        );
     }
 
     #[test]
@@ -256,10 +254,10 @@ mod tests {
         assert_eq!(plan.inner_gfus, 0, "C is not an index dimension");
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         // A in [5,12): rows (5,18,.5)x (7,12,1.2)✓ (9,14,.8)✓ (11,16,1.3)✓ (8,13,.2)x
-        assert!(run.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(3.3)]),
-            1e-9
-        ));
+        assert_eq!(
+            run.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(3.3)])
+        );
     }
 
     #[test]
@@ -274,10 +272,10 @@ mod tests {
         };
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         // B in [11,13): rows (7,12,1.2),(2,11,0.5),(12,12,0.3),(8,13)? B=13 no.
-        assert!(run.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(2.0)]),
-            1e-9
-        ));
+        assert_eq!(
+            run.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(2.0)])
+        );
         // B-range sits on cell edges: everything is inner.
         let plan = idx.plan(&q, true).unwrap();
         assert!(plan.inner_gfus > 0);
@@ -306,10 +304,10 @@ mod tests {
         };
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         // Rows in that region: (9,14,0.8),(8,13,0.2),(9,13,0.5) = 1.5.
-        assert!(run.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(1.5)]),
-            1e-9
-        ));
+        assert_eq!(
+            run.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(1.5)])
+        );
         // Fully header-answered (region sits on cell edges).
         let plan = idx.plan(&q, true).unwrap();
         assert_eq!(plan.boundary_gfus, 0);
@@ -320,10 +318,10 @@ mod tests {
                 .and("A", ColumnRange::eq(Value::Int(100))),
         };
         let run2 = DgfEngine::new(Arc::clone(&idx)).run(&q2).unwrap();
-        assert!(run2.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(9.9)]),
-            1e-9
-        ));
+        assert_eq!(
+            run2.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(9.9)])
+        );
     }
 
     #[test]
@@ -407,11 +405,9 @@ mod tests {
                 .with_right(Arc::clone(&users))
                 .run(q)
                 .unwrap();
-            assert!(
-                dgf.result
-                    .clone()
-                    .normalized()
-                    .approx_eq(&scan.result.clone().normalized(), 1e-9),
+            assert_eq!(
+                dgf.result.clone().normalized(),
+                scan.result.clone().normalized(),
                 "mismatch on {q:?}"
             );
             assert!(dgf.stats.data_records_read <= scan.stats.data_records_read);
@@ -489,7 +485,7 @@ mod tests {
         let agrees = |q: &Query, engine: DgfEngine| {
             let got = engine.run(q).unwrap().result;
             let truth = scan.run(q).unwrap().result;
-            assert!(got.approx_eq(&truth, 1e-9), "{q:?}: {got:?} vs {truth:?}");
+            assert_eq!(got, truth, "{q:?}: {got:?} vs {truth:?}");
         };
 
         let plan = idx.plan(&answered, true).unwrap();
@@ -659,10 +655,7 @@ mod tests {
         // Same answers either way.
         let a = DgfEngine::new(hashed).run(&q).unwrap();
         let b = DgfEngine::new(local).run(&q).unwrap();
-        assert!(a
-            .result
-            .normalized()
-            .approx_eq(&b.result.normalized(), 1e-9));
+        assert_eq!(a.result.normalized(), b.result.normalized());
         let _ = ByteRange::new(0, 0);
 
         // Invalid prefix_dims rejected.
@@ -755,8 +748,8 @@ mod tests {
     }
 
     /// Two four-worker builds of one table write the same bytes. Row
-    /// order inside a Slice — and with it header float bits, zone maps
-    /// and `.scx` bytes — used to follow map-task completion order.
+    /// order inside a Slice — and with it zone maps and `.scx` bytes —
+    /// used to follow map-task completion order.
     ///
     /// Then every writer's output is pinned to the byte: `store_bytes` is
     /// the built store's logical size, and `pins` are the data
@@ -821,7 +814,7 @@ mod tests {
     fn builds_are_byte_identical_and_every_writer_is_counted() {
         writes_are_pinned(
             FileFormat::RcFile,
-            3_342,
+            2_585,
             [
                 8_506_367_492_564_015_294,
                 8_863_724_149_479_901_911,
@@ -835,7 +828,7 @@ mod tests {
     fn text_builds_are_byte_identical_and_every_writer_is_counted() {
         writes_are_pinned(
             FileFormat::Text,
-            3_339,
+            2_582,
             [
                 7_311_012_536_217_960_609,
                 11_428_468_640_174_342_048,
@@ -983,11 +976,9 @@ mod tests {
                 .run(q)
                 .unwrap();
             let got = DgfEngine::new(Arc::clone(&idx)).run(q).unwrap();
-            assert!(
-                got.result
-                    .clone()
-                    .normalized()
-                    .approx_eq(&truth.result.clone().normalized(), 1e-9),
+            assert_eq!(
+                got.result.clone().normalized(),
+                truth.result.clone().normalized(),
                 "mismatch on {q:?}"
             );
             assert!(got.stats.data_records_read <= truth.stats.data_records_read);
@@ -1131,10 +1122,50 @@ mod tests {
 
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         // Rows now in the region: (9,14,0.8),(8,13,0.2),(9,13,0.5).
-        assert!(run.result.approx_eq(
-            &dgf_query::QueryResult::Scalars(vec![Value::Float(1.5)]),
-            1e-9
-        ));
+        assert_eq!(
+            run.result,
+            dgf_query::QueryResult::Scalars(vec![Value::Float(1.5)])
+        );
+    }
+
+    /// An infinity in an inner cell's header and another in a boundary
+    /// Slice: the SUM is that infinity, under either fetch strategy, and
+    /// NaN only once the other sign joins.
+    #[test]
+    fn infinities_in_headers_and_slices_sum_to_infinity() {
+        let (_t, ctx) = setup(1 << 20);
+        let idx = build_figure5(&ctx);
+        let inf = f64::INFINITY;
+        // (8,14) lands in inner cell (2,1) of Listing 2's region, (7,12)
+        // in boundary cell (2,0).
+        idx.append(&[
+            vec![Value::Int(8), Value::Int(14), Value::Float(inf)],
+            vec![Value::Int(7), Value::Int(12), Value::Float(inf)],
+        ])
+        .unwrap();
+        let q = Query::Aggregate {
+            aggs: vec![AggFunc::Sum("C".into())],
+            predicate: Predicate::all()
+                .and("A", ColumnRange::half_open(Value::Int(5), Value::Int(12)))
+                .and("B", ColumnRange::half_open(Value::Int(12), Value::Int(16))),
+        };
+        for strategy in [PlanStrategy::Pyramid, PlanStrategy::PrefixScan] {
+            let plan = idx.plan_with_strategy(&q, true, strategy).unwrap();
+            assert!(plan.inner_records > 0 && plan.boundary_gfus > 0);
+            let Some(dgf_query::AggPartials::Scalar(inner)) = &plan.inner_states else {
+                panic!("{strategy:?}: no inner header states");
+            };
+            let set = dgf_query::AggSet::bind(&[AggFunc::Sum("C".into())], &idx.base.schema).unwrap();
+            assert_eq!(set.finalize(inner), [Value::Float(inf)], "{strategy:?}");
+        }
+        let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
+        assert_eq!(run.result, dgf_query::QueryResult::Scalars(vec![Value::Float(inf)]));
+        // A boundary −∞ alone would answer −∞; beside +∞ it is NaN.
+        idx.append(&[vec![Value::Int(11), Value::Int(15), Value::Float(-inf)]])
+            .unwrap();
+        let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
+        let sum = run.result.into_scalars()[0].as_f64().unwrap();
+        assert!(sum.is_nan(), "{sum}");
     }
 
     #[test]
@@ -1245,7 +1276,7 @@ mod proptests {
                 Value::Null => 0.0,
                 other => return Err(TestCaseError::Fail(format!("{other:?}").into())),
             };
-            prop_assert!((got_sum - expect_sum).abs() < 1e-6);
+            prop_assert_eq!(got_sum, expect_sum);
 
             // Plan invariants: inner records are matching records the
             // engine never reads; boundary reading covers the rest.
@@ -1459,10 +1490,10 @@ mod proptests {
             prop_assert_eq!(base.splits_read, chaos.splits_read);
             prop_assert_eq!(base.retries_absorbed, 0);
 
-            // Answers are identical too (same plan, same fold order).
+            // Answers are identical too.
             let clean_run = DgfEngine::new(Arc::clone(&clean)).run(&q).unwrap();
             let noisy_run = DgfEngine::new(Arc::clone(&noisy)).run(&q).unwrap();
-            prop_assert!(noisy_run.result.approx_eq(&clean_run.result, 1e-12));
+            prop_assert_eq!(noisy_run.result, clean_run.result);
             prop_assert_eq!(clean_run.stats.retries_absorbed, 0);
             prop_assert_eq!(clean_run.stats.splits_read, noisy_run.stats.splits_read);
             prop_assert_eq!(

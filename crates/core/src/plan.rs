@@ -27,9 +27,9 @@
 //! the fully-inner box from pre-computed `p:` nodes instead and takes
 //! the run scans only where no node can answer. Both consult the index's
 //! epoch-tagged [`GfuHeaderCache`](crate::cache::GfuHeaderCache), so a
-//! repeated query touches the store not at all, and both fold the inner
-//! region through one canonical merge tree, so their plans agree in
-//! every float bit.
+//! repeated query touches the store not at all. Header states merge in
+//! any order to the same bits (their sums are exact), so the two plans
+//! agree in every float bit however their headers are grouped.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -64,8 +64,8 @@ pub enum PlanStrategy {
     /// without a pyramid (or when headers are unusable, when the plan
     /// groups, or when the query has no fully-inner cell) this degrades
     /// to [`PrefixScan`](Self::PrefixScan) wholesale. Answers are
-    /// bit-identical to the flat fetch because both fold the inner
-    /// region through the same canonical merge tree.
+    /// bit-identical to the flat fetch: a node's states are the exact
+    /// merge of its cells'.
     #[default]
     Pyramid,
 }
@@ -136,25 +136,13 @@ pub struct DgfPlan {
 
 /// Accumulates the per-cell work of a plan: header merging for covered
 /// cells, slice collection for boundary cells, and the cache tallies.
-///
-/// A plain aggregation's covered persisted cells are not merged on
-/// arrival: their picked states are **buffered** and
-/// [`Collector::finalize_inner`] folds them through the canonical merge
-/// tree of [`crate::pyramid`]. That makes both strategies' inner
-/// aggregate bit-identical — the flat fetch re-plays client-side exactly
-/// the fold whose pre-computed results the [`PlanStrategy::Pyramid`]
-/// path reads from `p:` nodes (which merge via
-/// [`Collector::merge_covered`] and leave the buffer empty). A grouped
-/// plan merges each covered cell into its group as it is absorbed, in
-/// key order: it always takes the run scans, so that order is the same
-/// under either strategy.
+/// Covered cells, pyramid nodes and memtable cells merge as they arrive,
+/// in whatever order the fetch meets them: header states merge in any
+/// order to the same bits.
 struct Collector {
     header_merge: Option<HeaderMerge>,
-    /// Grid arity, for decoding buffered cell coordinates from keys.
+    /// Grid arity, for decoding a grouped plan's cell coordinates.
     arity: usize,
-    /// Picked (query-order) states of covered persisted cells, keyed by
-    /// coordinates, awaiting the canonical fold.
-    inner_buffer: BTreeMap<Vec<i64>, Vec<AggState>>,
     inner_gfus: u64,
     inner_records: u64,
     boundary_gfus: u64,
@@ -245,8 +233,8 @@ impl HeaderMerge {
 }
 
 /// One key run's fetch result, decoupled from collector absorption so
-/// the serving tier can fetch runs concurrently and still absorb them
-/// sequentially in odometer order.
+/// the serving tier can fetch runs concurrently and absorb them on one
+/// thread.
 struct RunFetch {
     /// Expected cells' keys in key order, end to end: every key of a run
     /// is `stride` bytes long.
@@ -302,41 +290,34 @@ impl Collector {
     }
 
     /// Absorb one persisted cell fetched under `key`: covered cells
-    /// buffer their picked states for the canonical fold (or merge into
-    /// their group), boundary cells contribute their Slice byte ranges.
+    /// merge their header (into their group, for a grouped plan),
+    /// boundary cells contribute their Slice byte ranges.
     fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
         if covered {
-            let coords = GfuKey::decode(key, self.arity)?.cells;
-            if self.grouped() {
-                return self.merge_header(&coords, value);
-            }
-            let hm = headers(&mut self.header_merge)?;
-            hm.index_set.decode_states_into(&value.header, &mut self.decoded)?;
-            let mut picked = Vec::new();
-            hm.pick_into(&self.decoded, &mut picked);
-            self.count_covered(value.record_count);
-            self.inner_buffer.insert(coords, picked);
-        } else {
-            self.boundary_gfus += 1;
-            self.boundary_cell_records = self.boundary_cell_records.max(value.record_count);
-            for s in &value.slices {
-                if !s.is_empty() {
-                    self.per_file
-                        .entry(s.file)
-                        .or_default()
-                        .push(ByteRange::new(s.start, s.end));
-                }
+            // Only a group needs to know where its cell is.
+            let coords = if self.grouped() {
+                GfuKey::decode(key, self.arity)?.cells
+            } else {
+                Vec::new()
+            };
+            return self.merge_header(&coords, value);
+        }
+        self.boundary_gfus += 1;
+        self.boundary_cell_records = self.boundary_cell_records.max(value.record_count);
+        for s in &value.slices {
+            if !s.is_empty() {
+                self.per_file
+                    .entry(s.file)
+                    .or_default()
+                    .push(ByteRange::new(s.start, s.end));
             }
         }
         Ok(())
     }
 
-    /// Merge the header `states` of a covered cell of `records` records
-    /// at `cell` straight into the accumulator, bypassing the buffer:
-    /// pyramid nodes (whose stored states *are* canonical subtree folds),
-    /// fresh memtable cells (which sit outside the persisted tree and
-    /// merge after [`finalize_inner`](Self::finalize_inner), in both
-    /// strategies alike) and the cells of a grouped plan.
+    /// Merge the header `states` of a covered cell (or pyramid node, or
+    /// fresh memtable cell) of `records` records at `cell` into the
+    /// accumulator.
     fn merge_covered(&mut self, cell: &[i64], states: &[AggState], records: u64) -> Result<()> {
         let hm = headers(&mut self.header_merge)?;
         hm.pick_into(states, &mut self.picked);
@@ -355,41 +336,6 @@ impl Collector {
         let merged = self.merge_covered(cell, &decoded, value.record_count);
         self.decoded = decoded;
         merged
-    }
-
-    /// Fold the buffered covered cells through the canonical merge tree
-    /// and merge the resulting node states into the accumulator in
-    /// canonical item order — the exact sequence the Pyramid strategy
-    /// gets by reading pre-computed `p:` nodes. No-op when nothing was
-    /// buffered (Pyramid's direct path, non-header and grouped plans,
-    /// empty inner regions).
-    fn finalize_inner(&mut self, spans: &[DimSpan], top: u8) -> Result<()> {
-        if self.inner_buffer.is_empty() {
-            return Ok(());
-        }
-        let Some(HeaderMerge {
-            query_set,
-            acc: Accumulator::Scalar(acc),
-            ..
-        }) = &mut self.header_merge
-        else {
-            return Err(DgfError::Index(
-                "covered cells buffered without a plain aggregation's headers".into(),
-            ));
-        };
-        let inner = inner_box(spans).ok_or_else(|| {
-            DgfError::Index("covered cells buffered for an empty inner box".into())
-        })?;
-        let buffer = std::mem::take(&mut self.inner_buffer);
-        let levels = crate::pyramid::fold_levels(buffer, top, query_set)?;
-        let mut nodes = Vec::new();
-        crate::pyramid::decompose_each(&inner, top, |level, coords| {
-            nodes.extend(levels[level as usize].get(coords));
-        });
-        for states in nodes {
-            query_set.merge(acc, states)?;
-        }
-        Ok(())
     }
 }
 
@@ -606,7 +552,6 @@ impl DgfIndex {
             let mut collector = Collector {
                 header_merge,
                 arity,
-                inner_buffer: BTreeMap::new(),
                 inner_gfus: 0,
                 inner_records: 0,
                 boundary_gfus: 0,
@@ -655,17 +600,6 @@ impl DgfIndex {
                     r?
                 }
             }
-            // Fold the buffered covered cells through the canonical merge
-            // tree. The Pyramid direct path buffered nothing (its node
-            // states *are* that fold, read pre-computed), so this is a
-            // no-op there; prefix-run scans replay the fold here, which
-            // is what makes the two strategies bit-identical.
-            collector.finalize_inner(
-                &spans,
-                self.pyramid_levels()
-                    .unwrap_or(crate::pyramid::DEFAULT_PYRAMID_LEVELS),
-            )?;
-
             // Merge the memtable snapshot: a fully covered fresh cell
             // contributes its partial aggregate states through the same
             // header path as a persisted GFU (into its group, for a
@@ -961,8 +895,6 @@ impl DgfIndex {
 
         let workers = self.fetch_parallelism().min(prefixes.len());
         if workers <= 1 {
-            // The historical strictly sequential path: fetch then absorb
-            // one run at a time, in odometer order.
             for p in &prefixes {
                 let fetched = self.fetch_run(view, p, spans, scan_from, headers_usable)?;
                 self.absorb_run(collector, fetched)?;
@@ -972,12 +904,10 @@ impl DgfIndex {
 
         // The serving tier's scatter: runs are *fetched* concurrently on
         // a worker pool (round-robin assignment, so the schedule is a
-        // pure function of the run list), then *absorbed* strictly in
-        // odometer order on this thread. The Collector's fold sequence —
-        // and with it every Neumaier compensation step — is therefore
-        // byte-identical to the sequential path, whatever order the
-        // fetches complete in. Sync points let the interleaving harness
-        // pause the coordinator mid-scatter by seed.
+        // pure function of the run list), then absorbed on this thread,
+        // one worker's runs after another's: states merge in any order to
+        // the same bits. Sync points let the interleaving harness pause
+        // the coordinator mid-scatter by seed.
         self.sync_point("serve.scatter");
         let prefixes = &prefixes;
         let fetched = run_scoped(
@@ -993,16 +923,9 @@ impl DgfIndex {
                 }
             }),
         )?;
-        // Back in run order (run i is worker i % workers's next), so the
-        // first failing run's error is the one reported whatever order
-        // the fetches completed in.
-        let mut by_worker: Vec<_> = fetched.into_iter().map(Vec::into_iter).collect();
-        let fetches: Result<Vec<RunFetch>> = (0..prefixes.len())
-            .map(|i| by_worker[i % workers].next().expect("round-robin covers every run"))
-            .collect();
         self.sync_point("serve.merge");
-        for fetched in fetches? {
-            self.absorb_run(collector, fetched)?;
+        for fetched in fetched.into_iter().flatten() {
+            self.absorb_run(collector, fetched?)?;
         }
         Ok(())
     }
@@ -1012,7 +935,7 @@ impl DgfIndex {
     /// included) the run costs zero key-value operations, otherwise one
     /// `scan_range` re-reads the whole run. Read-only against the pinned
     /// view, so runs may be fetched concurrently; all merging happens in
-    /// [`absorb_run`](Self::absorb_run), on one thread, in run order.
+    /// [`absorb_run`](Self::absorb_run), on one thread.
     fn fetch_run(
         &self,
         view: &ReadView,
@@ -1090,11 +1013,11 @@ impl DgfIndex {
         Ok(fetched)
     }
 
-    /// Merge one fetched run into the collector, in the caller's run
-    /// order. A fully cached run absorbs its probe hits; a scanned run
-    /// merge-walks the expected cells (sorted) against the scan results
-    /// (sorted): found cells are absorbed and queued for caching,
-    /// expected-but-absent cells queue a negative entry, and a scanned
+    /// Merge one fetched run into the collector. A fully cached run
+    /// absorbs its probe hits; a scanned run merge-walks the expected
+    /// cells (sorted) against the scan results (sorted): found cells are
+    /// absorbed and queued for caching, expected-but-absent cells queue a
+    /// negative entry, and a scanned
     /// key no cell expects is skipped. Such keys are legitimate: while a
     /// regrid's view is pending, the old grid's retired keys (masked by
     /// staged tombstones) still sit inside the new grid's runs (DESIGN.md
@@ -1132,8 +1055,7 @@ impl DgfIndex {
     /// batched `multi_get`. Falls back wholesale to
     /// [`fetch_prefix_scans`](Self::fetch_prefix_scans) when the store
     /// carries no pyramid, headers are unusable, the query has no
-    /// fully-inner cell — a partial pyramid would complicate the
-    /// canonical-fold argument for no read savings — or the plan is
+    /// fully-inner cell (no node can answer anything) or the plan is
     /// grouped: a group is a one-cell-wide slab of the key dimension, and
     /// no pyramid node above level 0 fits in one. The choice is made
     /// from what the store and the query show, never by the caller.
@@ -1209,8 +1131,8 @@ impl DgfIndex {
             keys.push(&key_bytes[start..*end]);
             start = *end;
         }
-        // Encoded-key order is lexicographic coordinate order, so the
-        // boundary absorbs in the same sequence a scan would deliver.
+        // Boundary keys in key order, the order a run scan meets them:
+        // the store and the header cache see one sequence either way.
         keys[..boundary_len].sort_unstable();
 
         // Probe the epoch-tagged header cache (shared with the run scans;
@@ -1244,10 +1166,8 @@ impl DgfIndex {
                 collector.absorb(false, key, v)?;
             }
         }
-        // Items merge in decomposition (DFS) order — the exact sequence
-        // `finalize_inner` replays for the run scans. An absent
-        // node means no data anywhere under it (the maintenance
-        // invariant), so skipping it is the empty merge.
+        // An absent node means no data anywhere under it (the
+        // maintenance invariant), so skipping it is the empty merge.
         let item_cells = item_coords.chunks_exact(arity);
         for ((value, level), coords) in item_res.iter().zip(&item_levels).zip(item_cells) {
             if let Some(Some(v)) = value {

@@ -26,20 +26,14 @@
 //! stored separately: [`level_key`] maps a level-0 node to its `g:`
 //! leaf key.
 //!
-//! ## The canonical merge tree
+//! ## Node states
 //!
-//! Neumaier-compensated merges are *not* bitwise-associative, so a
-//! decomposed answer can only be bit-identical to flat enumeration if
-//! both paths fold through the **same merge tree**. That tree is defined
-//! once, here: the state of node `(k, c)` is the fold of its *present*
-//! children's states, in odometer order ([`child_coords`]), starting
-//! from `AggSet::new_states()`; the state of a leaf is its decoded
-//! header. Maintenance ([`DgfIndex`](crate::DgfIndex) staging)
-//! materializes exactly this recursion, and the flat
-//! planner strategies re-play it client-side (`fold_levels`) before
-//! touching the query accumulator — so reading a pre-computed `p:` node
-//! yields the same bits as folding its leaves on the fly, by
-//! construction rather than by numerical accident.
+//! The state of node `(k, c)` is the merge of its *present* children's
+//! states ([`fold_node`]); the state of a leaf is its decoded header.
+//! Aggregate states merge in any order to the same bits (sums are
+//! exact), so a node's stored state is exactly the merge of the leaves
+//! under it, and reading a pre-computed `p:` node yields the same bits
+//! as merging those leaves on the fly, in any order.
 //!
 //! ```
 //! use dgf_core::pyramid::{decompose, NodeRef};
@@ -61,8 +55,6 @@
 //!     64
 //! );
 //! ```
-
-use std::collections::BTreeMap;
 
 use dgf_common::codec;
 use dgf_common::Result;
@@ -134,8 +126,7 @@ pub fn parent_coords(coords: &[i64]) -> Vec<i64> {
 
 /// The 2^d level-`(k-1)` children of a level-`k` node at `coords`, in
 /// **odometer order**: ascending offset bitmask with dimension 0 most
-/// significant. This is the canonical fold order of the merge tree —
-/// maintenance and the planner's client-side fold must both use it.
+/// significant (the children's key order).
 pub fn child_coords(coords: &[i64]) -> Vec<Vec<i64>> {
     (0..1usize << coords.len())
         .map(|mask| {
@@ -190,8 +181,7 @@ fn node_box(level: u8, c: i64) -> (i128, i128) {
 /// dimension) into maximal canonical nodes of a pyramid `top` levels
 /// high. The result partitions the box exactly: every cell is under
 /// exactly one returned node. Nodes are emitted in depth-first odometer
-/// order — the **canonical item order** both planner paths merge in.
-/// An empty box (any `lo > hi`) decomposes to nothing.
+/// order. An empty box (any `lo > hi`) decomposes to nothing.
 pub fn decompose(inner: &[(i64, i64)], top: u8) -> Vec<NodeRef> {
     let mut out = Vec::new();
     decompose_each(inner, top, |level, coords| {
@@ -204,7 +194,7 @@ pub fn decompose(inner: &[(i64, i64)], top: u8) -> Vec<NodeRef> {
 }
 
 /// [`decompose`] without building its items: `emit(level, coords)` is
-/// called once per item, in canonical item order. The recursion writes
+/// called once per item, in [`decompose`]'s order. The recursion writes
 /// each level's coordinates into one row of a single buffer, so a
 /// decomposition allocates once, however many nodes it visits.
 pub(crate) fn decompose_each(inner: &[(i64, i64)], top: u8, mut emit: impl FnMut(u8, &[i64])) {
@@ -264,49 +254,11 @@ fn visit(emit: &mut impl FnMut(u8, &[i64]), inner: &[(i64, i64)], level: u8, row
     }
 }
 
-/// Re-play the canonical merge tree client-side: given the present
-/// leaves of an inner box (coordinates → aggregate states, e.g. the
-/// query-order picked states the planner buffers), fold each level
-/// bottom-up and return all `top + 1` level tables.
-///
-/// Iterating level `k−1` in `BTreeMap` (lexicographic) order and
-/// grouping by parent is order-exact: lexicographic order restricted to
-/// one parent's children *is* their odometer order, and grouping is
-/// insensitive to the interleaving of different parents' children. The
-/// first child folds into a fresh `new_states()` accumulator — the same
-/// identity-start fold maintenance uses — so `levels[k][c]` is bitwise
-/// the stored state of node `(k, c)` whenever all leaves under it are
-/// present in `leaves`.
-pub(crate) fn fold_levels(
-    leaves: BTreeMap<Vec<i64>, Vec<AggState>>,
-    top: u8,
-    set: &AggSet,
-) -> Result<Vec<BTreeMap<Vec<i64>, Vec<AggState>>>> {
-    let mut levels = Vec::with_capacity(top as usize + 1);
-    levels.push(leaves);
-    for k in 1..=top as usize {
-        let mut up: BTreeMap<Vec<i64>, Vec<AggState>> = BTreeMap::new();
-        for (coord, states) in &levels[k - 1] {
-            let p = parent_coords(coord);
-            match up.get_mut(&p) {
-                Some(acc) => set.merge(acc, states)?,
-                None => {
-                    let mut acc = set.new_states();
-                    set.merge(&mut acc, states)?;
-                    up.insert(p, acc);
-                }
-            }
-        }
-        levels.push(up);
-    }
-    Ok(levels)
-}
-
-/// Fold one node's children (in the caller-supplied canonical order)
-/// into a fresh accumulator. `children` yields `Ok(None)` for absent
-/// children, which are skipped; a node with no present children does
-/// not exist (`Ok(None)`). This is the single definition of a stored
-/// node's value — every staged pyramid write calls it.
+/// Merge one node's children into a fresh accumulator. `children`
+/// yields `Ok(None)` for absent children, which are skipped; a node with
+/// no present children does not exist (`Ok(None)`). This is the single
+/// definition of a stored node's value — every staged pyramid write
+/// calls it.
 pub fn fold_node(
     set: &AggSet,
     children: impl IntoIterator<Item = Result<Option<(Vec<AggState>, u64)>>>,
@@ -328,7 +280,6 @@ pub fn fold_node(
 mod tests {
     use super::*;
     use crate::gfu::GfuKey;
-    use dgf_common::Value;
 
     #[test]
     fn pyramid_keys_sort_between_meta_and_staged() {
@@ -507,45 +458,5 @@ mod tests {
     fn decompose_empty_box_is_empty() {
         assert!(decompose(&[(3, 2)], 4).is_empty());
         assert!(decompose(&[(0, 5), (7, 1)], 4).is_empty());
-    }
-
-    #[test]
-    fn fold_levels_matches_fold_node_per_parent() {
-        // Two present leaves under one parent, one absent: the folded
-        // level-1 state must be bitwise the fold_node of the same kids.
-        let set = AggSet::bind(
-            &[dgf_query::AggFunc::Sum("v".into())],
-            &std::sync::Arc::new(dgf_common::Schema::from_pairs(&[(
-                "v",
-                dgf_common::ValueType::Float,
-            )])),
-        )
-        .unwrap();
-        let leaf = |x: f64| {
-            let mut s = set.new_states();
-            set.update(
-                &mut s,
-                &vec![Value::Float(x)],
-                &std::sync::Arc::new(dgf_common::Schema::from_pairs(&[(
-                    "v",
-                    dgf_common::ValueType::Float,
-                )])),
-            )
-            .unwrap();
-            s
-        };
-        let mut leaves = BTreeMap::new();
-        leaves.insert(vec![0i64], leaf(0.1));
-        leaves.insert(vec![1i64], leaf(0.2));
-        let levels = fold_levels(leaves.clone(), 1, &set).unwrap();
-        let via_node = fold_node(
-            &set,
-            child_coords(&[0]).iter().map(|c| {
-                Ok(leaves.get(c).map(|s| (s.clone(), 1u64)))
-            }),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(levels[1].get(&vec![0i64]).unwrap(), &via_node.0);
     }
 }

@@ -296,8 +296,8 @@ impl DgfIndex {
 
     /// Recompute and stage the pyramid nodes dirtied by `txn`'s staged
     /// cells (`current`, by live key; every node staged here joins it).
-    /// Every dirty level-`k` parent is folded from its 2^d children in
-    /// canonical odometer order ([`pyramid::fold_node`]): touched children come from this
+    /// Every dirty level-`k` parent is merged from its 2^d children
+    /// ([`pyramid::fold_node`]): touched children come from this
     /// transaction's staged values (their *final* post-commit state),
     /// untouched siblings from the live store. The nodes are staged
     /// through the same [`Txn::stage`] as the cells, so the generic

@@ -233,7 +233,7 @@ mod tests {
         .unwrap();
         assert!(report.index_entries > 0);
         let run = BitmapEngine::new(Arc::new(idx)).run(&q).unwrap();
-        assert!(run.result.approx_eq(&scan.result, 1e-9));
+        assert_eq!(run.result, scan.result);
         // The bitmap filters inside groups: exactly the matching rows.
         assert_eq!(run.stats.data_records_read, 50);
         assert!(run.stats.data_records_read < scan.stats.data_records_read);

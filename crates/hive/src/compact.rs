@@ -222,7 +222,7 @@ mod tests {
         )
         .unwrap();
         let run = CompactEngine::new(Arc::new(idx)).run(&q).unwrap();
-        assert!(run.result.approx_eq(&scan.result, 1e-9));
+        assert_eq!(run.result, scan.result);
         // Time-sorted data: the 2-day range lives in a strict subset of
         // splits.
         assert!(run.stats.splits_read < run.stats.splits_total);
@@ -268,7 +268,7 @@ mod tests {
         // Group offsets dedupe: entries bounded by combos x groups.
         assert!(report.index_entries > 0);
         let run = CompactEngine::new(Arc::new(idx)).run(&q).unwrap();
-        assert!(run.result.approx_eq(&scan.result, 1e-9));
+        assert_eq!(run.result, scan.result);
     }
 
     #[test]

@@ -228,10 +228,7 @@ mod tests {
         };
         let a = PartitionEngine::new(Arc::new(pt)).run(&q).unwrap();
         let b = ScanEngine::new(Arc::clone(&ctx), flat).run(&q).unwrap();
-        assert!(a
-            .result
-            .normalized()
-            .approx_eq(&b.result.normalized(), 1e-9));
+        assert_eq!(a.result.normalized(), b.result.normalized());
     }
 
     #[test]

@@ -529,7 +529,7 @@ mod tests {
         let (_t2, ctx2, tab2) = setup(FileFormat::RcFile);
         let a = ScanEngine::new(ctx1, tab1).run(&sum_query()).unwrap();
         let b = ScanEngine::new(ctx2, tab2).run(&sum_query()).unwrap();
-        assert!(a.result.approx_eq(&b.result, 1e-9));
+        assert_eq!(a.result, b.result);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   MDRQ `WHERE` clauses);
 //! * [`agg`] — additive aggregate functions with mergeable, serializable
 //!   states (the payload of DGFIndex's pre-computed GFU headers);
+//! * [`exact`] — the exact sum behind SUM, AVG and UDF states, which
+//!   merges in any order to the same bits;
 //! * [`spec`] — the four query shapes of the paper's workload and their
 //!   results;
 //! * [`exec`] — the [`RowSink`] evaluator all engines feed rows into, so
@@ -16,6 +18,7 @@
 
 pub mod agg;
 pub mod engine;
+pub mod exact;
 pub mod exec;
 pub mod parse;
 pub mod predicate;
@@ -23,6 +26,7 @@ pub mod spec;
 
 pub use agg::{AdditiveUdf, AggFunc, AggPartials, AggSet, AggState, SumProductUdf};
 pub use engine::{Engine, EngineRun, RunStats};
+pub use exact::ExactSum;
 pub use exec::{JoinTable, RowSink};
 pub use parse::{parse_aggs, parse_predicate, parse_query};
 pub use predicate::{require_range, BoundPredicate, ColumnRange, Predicate};
@@ -80,7 +84,7 @@ mod proptests {
                 b.push(r).unwrap();
             }
             a.merge(b).unwrap();
-            prop_assert!(a.finish().approx_eq(&seq.finish(), 1e-9));
+            prop_assert_eq!(a.finish(), seq.finish());
         }
 
         /// Header round trip: fold rows, encode the states, decode, merge
@@ -105,7 +109,7 @@ mod proptests {
             for r in &rows {
                 direct.push(r).unwrap();
             }
-            prop_assert!(sink.finish().approx_eq(&direct.finish(), 1e-9));
+            prop_assert_eq!(sink.finish(), direct.finish());
         }
 
         /// Predicate evaluation matches the mathematical interval.

@@ -119,41 +119,6 @@ impl QueryResult {
         }
         self
     }
-
-    /// Approximate float-tolerant equality (parallel engines sum floats in
-    /// nondeterministic order).
-    pub fn approx_eq(&self, other: &QueryResult, eps: f64) -> bool {
-        fn val_eq(a: &Value, b: &Value, eps: f64) -> bool {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    (x - y).abs() <= eps * scale
-                }
-                _ => a == b,
-            }
-        }
-        match (self, other) {
-            (QueryResult::Scalars(a), QueryResult::Scalars(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| val_eq(x, y, eps))
-            }
-            (QueryResult::Groups(a), QueryResult::Groups(b)) => {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|((ka, va), (kb, vb))| {
-                        ka == kb
-                            && va.len() == vb.len()
-                            && va.iter().zip(vb).all(|(x, y)| val_eq(x, y, eps))
-                    })
-            }
-            (QueryResult::Rows(a), QueryResult::Rows(b)) => {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(ra, rb)| {
-                        ra.len() == rb.len()
-                            && ra.iter().zip(rb).all(|(x, y)| val_eq(x, y, eps))
-                    })
-            }
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for QueryResult {
@@ -222,16 +187,5 @@ mod tests {
         ])
         .normalized();
         assert_eq!(g.clone().into_groups()[0].0, Value::Int(1));
-    }
-
-    #[test]
-    fn approx_eq_tolerates_float_noise() {
-        let a = QueryResult::Scalars(vec![Value::Float(100.0)]);
-        let b = QueryResult::Scalars(vec![Value::Float(100.0 + 1e-9)]);
-        assert!(a.approx_eq(&b, 1e-6));
-        let c = QueryResult::Scalars(vec![Value::Float(101.0)]);
-        assert!(!a.approx_eq(&c, 1e-6));
-        // Mixed kinds never compare equal.
-        assert!(!a.approx_eq(&QueryResult::Rows(vec![]), 1e-6));
     }
 }

@@ -340,7 +340,7 @@ mod tests {
         let io = front.engine().index().ctx.hdfs.stats();
         let before = io.snapshot();
         let served = front.run(&query).unwrap();
-        assert!(served.result.approx_eq(&direct.result, 0.0));
+        assert_eq!(served.result, direct.result);
         let snap = front.stats().snapshot();
         assert_eq!(snap.admitted, 1);
         assert_eq!(snap.completed, 1);
@@ -378,7 +378,7 @@ mod tests {
         let report = front.run_concurrent(&queries, 4).unwrap();
         assert_eq!(report.served.len(), 3);
         for (served, expect) in report.served.iter().zip(&oracle) {
-            assert!(served.result.as_ref().unwrap().approx_eq(expect, 0.0));
+            assert_eq!(served.result.as_ref().unwrap(), expect);
         }
         assert!(report.qps() > 0.0);
         assert!(report.latency_us_at(0.99) >= report.latency_us_at(0.5));
@@ -417,7 +417,7 @@ mod tests {
         let report = front.run_maintenance(&maintainer).unwrap();
         assert_eq!(report.reclaimed_files, 0, "nothing deferred yet");
         let after = front.run(&query).unwrap();
-        assert!(after.result.approx_eq(&before.result, 0.0));
+        assert_eq!(after.result, before.result);
         let snap = front.stats().snapshot();
         assert_eq!(snap.maintenance_runs, 1);
         assert_eq!(snap.completed, 3, "maintenance counts as completed work");

@@ -190,10 +190,10 @@ fn failed_append_rolls_back_in_process() {
     assert_settled(w.inner.as_ref(), "failed append");
     assert_eq!(files(), files_before, "failed append left a delta or slice file behind");
     // Queries on the same handle are unperturbed...
-    assert!(matches(&answers(&index, &cfg), &pre));
+    assert!(bits_eq(&answers(&index, &cfg), &pre));
 
     // ...and with the fault gone, the SAME handle appends cleanly.
     armed.store(false, Ordering::Relaxed);
     index.append(&rest).unwrap();
-    assert!(matches(&answers(&index, &cfg), &model(&cfg, &[seeded, rest].concat())));
+    assert!(bits_eq(&answers(&index, &cfg), &model(&cfg, &[seeded, rest].concat())));
 }

@@ -4,8 +4,8 @@
 //! vectors, slice aggregate kernels, projection). It must return
 //! **bit-identical** results to the row-at-a-time reference fold below
 //! for every query shape, any worker count, any projection, any null
-//! pattern and any row-group geometry. The kernels preserve fold order and
-//! Neumaier compensation exactly, so the assertion here is `assert_eq!` on
+//! pattern and any row-group geometry. The kernels add into the same
+//! exact sums as the row path, so the assertion here is `assert_eq!` on
 //! `QueryResult` — no float tolerance.
 
 use std::collections::HashMap;

@@ -66,7 +66,7 @@ use std::time::Duration;
 
 use super::{
     aggs, answers, assert_grid_directory, assert_settled, bits_eq, build, flushing_at, grid, hooked,
-    interleave, load_seed, matches, meter_cfg, model, observe_during, queries, retry, stream,
+    interleave, load_seed, meter_cfg, model, observe_during, queries, retry, stream,
     strip_pyramid, world, KvOp, World, INDEX,
 };
 use dgfindex::common::{DgfError, Result};
@@ -255,7 +255,7 @@ fn assert_some_commit(seen: &[Vec<QueryResult>], commits: &[Vec<QueryResult>], l
     for (n, obs) in seen.iter().enumerate() {
         for (q, got) in obs.iter().enumerate() {
             assert!(
-                commits.iter().any(|c| got.approx_eq(&c[q], 1e-9)),
+                commits.iter().any(|c| *got == c[q]),
                 "{label}: observation {n}, query {q} equals the model at no commit of the op:\n  \
                  got     {got:?}\n  commits {:?}",
                 commits.iter().map(|c| &c[q]).collect::<Vec<_>>()
@@ -618,7 +618,7 @@ impl Run {
         let got = answers(index, &self.cfg);
         let want = self.model();
         assert!(
-            matches(&got, &want),
+            bits_eq(&got, &want),
             "{label}: answers\n  {got:?}\nwant the model's\n  {want:?}"
         );
         if !self.unsettled {
@@ -710,7 +710,7 @@ impl Run {
         match op {
             Op::Append(rows) => {
                 let post = model(&cfg, &[self.rows.as_slice(), rows.as_slice()].concat());
-                assert!(!matches(&pre, &post), "{label}: the append changes nothing");
+                assert!(!bits_eq(&pre, &post), "{label}: the append changes nothing");
                 let seen = self.observe(step, label, &cold, || {
                     self.wrote(index.append(rows), label);
                 });
@@ -944,7 +944,7 @@ impl Run {
             match writer {
                 Op::Ingest(_) => assert_some_commit(&[got], &commits, &label),
                 _ => assert!(
-                    matches(&got, &self.model()),
+                    bits_eq(&got, &self.model()),
                     "{label}: the pre-crash handle after recovery\n  {got:?}\n  {:?}",
                     self.model()
                 ),
@@ -956,7 +956,7 @@ impl Run {
             // most the one in flight.
             let got = answers(self.index(), &self.cfg);
             let landed = (acked..=batches.len().min(acked + 1))
-                .find(|&k| matches(&got, &commits[k]))
+                .find(|&k| bits_eq(&got, &commits[k]))
                 .unwrap_or_else(|| panic!("{label}: {got:?} holds no acknowledged prefix"));
             // The WAL replays the stream from the last committed flush
             // on: from batch j ≥ 1 if an inline flush committed, or all

@@ -269,16 +269,9 @@ pub fn model_answer(q: &Query, rows: &[Row]) -> QueryResult {
     sink.finish()
 }
 
-/// Snapshot equality. The tolerance is for float fold-order noise only
-/// (1e-9 relative); a torn read moves whole rows between snapshots, so
-/// it lands far outside it. Counts compare exactly.
-pub fn matches(a: &[QueryResult], b: &[QueryResult]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.approx_eq(y, 1e-9))
-}
-
-/// Exact-bits equality: `Float`s must agree in raw bit pattern, not
-/// just within a tolerance — a re-folded aggregate or a torn mix shifts
-/// the low bits long before it shifts 1e-9.
+/// Exact-bits equality: `Float`s must agree in raw bit pattern. Sums
+/// are exact, so every engine, plan and schedule that reads the same
+/// rows answers in the same bits; a torn read moves whole rows.
 pub fn bits_eq(a: &[QueryResult], b: &[QueryResult]) -> bool {
     fn val(a: &Value, b: &Value) -> bool {
         match (a, b) {

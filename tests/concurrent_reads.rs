@@ -201,7 +201,7 @@ fn queries_behind_a_stalled_flush_answer_from_one_attempt() {
             .map(|(qi, r)| r.unwrap_or_else(|e| panic!("{phase}: q{qi} failed: {e}")))
             .unzip();
         assert!(
-            matches(&answers, &truth),
+            bits_eq(&answers, &truth),
             "{phase}: {answers:?} vs {truth:?}"
         );
         for (qi, profile) in profiles.iter().enumerate() {

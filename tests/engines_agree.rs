@@ -174,10 +174,7 @@ fn check_all(w: &World, query: &Query, label: &str) {
     ];
     for (name, engine) in engines {
         let got = engine.run(query).unwrap().result.normalized();
-        assert!(
-            got.approx_eq(&truth, 1e-6),
-            "{label}: engine {name} disagrees with scan\n  scan: {truth:?}\n  got:  {got:?}"
-        );
+        assert_eq!(got, truth, "{label}: engine {name} disagrees with scan");
     }
 }
 

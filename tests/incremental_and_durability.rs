@@ -118,8 +118,8 @@ fn appends_equal_bulk_build_and_scan() {
             .result;
         let a = DgfEngine::new(Arc::clone(&inc)).run(q).unwrap().result;
         let b = DgfEngine::new(Arc::clone(&bulk)).run(q).unwrap().result;
-        assert!(a.approx_eq(&truth, 1e-6), "incremental vs scan");
-        assert!(b.approx_eq(&truth, 1e-6), "bulk vs scan");
+        assert_eq!(a, truth, "incremental vs scan");
+        assert_eq!(b, truth, "bulk vs scan");
     }
 }
 
@@ -179,7 +179,7 @@ fn dgf_index_survives_kv_restart() {
     assert_eq!(*index.policy(), policy(&cfg));
     let index = Arc::new(index);
     let got = DgfEngine::new(Arc::clone(&index)).run(&q).unwrap().result;
-    assert!(got.approx_eq(&expected, 1e-9));
+    assert_eq!(got, expected);
 
     // Appends keep working after the restart (generation resumes).
     let extra: Vec<Row> = generate_meter_data(&MeterConfig {

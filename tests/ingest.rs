@@ -62,7 +62,7 @@ fn acked_writes_visible_with_zero_generation_bumps() {
         present.extend(batch.iter().cloned());
         // Immediately after the ack, every query sees the batch.
         assert!(
-            matches(&answers(&index, &cfg), &model(&cfg, &present)),
+            bits_eq(&answers(&index, &cfg), &model(&cfg, &present)),
             "acknowledged batch not visible to the very next query"
         );
     }
@@ -76,11 +76,11 @@ fn acked_writes_visible_with_zero_generation_bumps() {
     // The flush changes where the rows live, not what queries see.
     ingestor.flush().unwrap();
     assert!(index.generation() > gen_before);
-    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)));
+    assert!(bits_eq(&answers(&index, &cfg), &model(&cfg, &present)));
     // And now the persisted index alone (a handle with no memtable)
     // agrees too.
     let persisted = answers(&open_index(&w), &cfg);
-    assert!(matches(&persisted, &model(&cfg, &present)));
+    assert!(bits_eq(&persisted, &model(&cfg, &present)));
 }
 
 /// Unflushed rows land in their groups: a GROUP BY `ts` merges each
@@ -117,14 +117,8 @@ fn unflushed_rows_land_in_their_header_answered_groups() {
     for (qi, (q, fresh)) in group_by_ts(&cfg).iter().zip(&fresh_answers).enumerate() {
         let truth = model_answer(q, &acknowledged);
         assert_eq!(truth.clone().into_groups().len() as u64, cfg.days);
-        assert!(
-            fresh.approx_eq(&truth, 1e-9),
-            "q{qi}: {fresh:?} vs {truth:?}"
-        );
-        assert!(
-            engine.run(q).unwrap().result.approx_eq(&truth, 1e-9),
-            "q{qi}"
-        );
+        assert_eq!(*fresh, truth, "q{qi}");
+        assert_eq!(engine.run(q).unwrap().result, truth, "q{qi}");
     }
 }
 
@@ -174,14 +168,14 @@ fn unflushed_rows_follow_a_regrid() {
     };
 
     let mut present = [seeded, streamed].concat();
-    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after the regrid");
+    assert!(bits_eq(&answers(&index, &cfg), &model(&cfg, &present)), "after the regrid");
     ingestor.ingest(later).unwrap();
     present.extend_from_slice(later);
-    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after a later batch");
-    assert!(matches(&all(&index), &all(&twin)), "before the flush");
+    assert!(bits_eq(&answers(&index, &cfg), &model(&cfg, &present)), "after a later batch");
+    assert!(bits_eq(&all(&index), &all(&twin)), "before the flush");
 
     ingestor.flush().unwrap();
-    assert!(matches(&answers(&index, &cfg), &model(&cfg, &present)), "after the flush");
+    assert!(bits_eq(&answers(&index, &cfg), &model(&cfg, &present)), "after the flush");
     assert!(bits_eq(&all(&index), &all(&twin)), "after the flush");
 }
 
@@ -212,7 +206,7 @@ fn wal_replay_restores_unflushed_rows_across_reopen() {
     assert_eq!(replayed.replayed_batches, batches);
     assert_eq!(replayed.replayed_rows, ingested);
     assert!(
-        matches(&answers(&index, &cfg), &model(&cfg, &present)),
+        bits_eq(&answers(&index, &cfg), &model(&cfg, &present)),
         "replayed rows must be query-visible before any flush"
     );
 }
@@ -253,7 +247,7 @@ fn concurrent_ingest_with_racing_flushes_loses_no_acked_batch() {
     let mut present = seeded;
     present.extend(streamed.iter().cloned());
     assert!(
-        matches(&answers(&index, &cfg), &model(&cfg, &present)),
+        bits_eq(&answers(&index, &cfg), &model(&cfg, &present)),
         "an acknowledged batch went missing across concurrent flushes"
     );
 }
@@ -390,20 +384,14 @@ proptest! {
         for q in &group_by_ts(&cfg) {
             let a = engine_a.run(q).unwrap().result;
             let b = engine_b.run(q).unwrap().result;
-            prop_assert!(
-                a.approx_eq(&b, 1e-9),
-                "streamed (unflushed) vs one-shot groups diverged: {a:?} vs {b:?}"
-            );
+            prop_assert_eq!(a, b);
         }
         ingestor.close().unwrap();
 
         for q in queries(&cfg).iter().chain(&group_by_ts(&cfg)) {
             let a = engine_a.run(q).unwrap().result;
             let b = engine_b.run(q).unwrap().result;
-            prop_assert!(
-                a.approx_eq(&b, 1e-9),
-                "streamed vs one-shot diverged: {a:?} vs {b:?}"
-            );
+            prop_assert_eq!(a, b);
         }
     }
 }

@@ -86,10 +86,7 @@ fn live_files(index: &DgfIndex) -> Vec<(String, u64)> {
 fn assert_matches_model(index: &Arc<DgfIndex>, cfg: &MeterConfig, rows: &[Row], label: &str) {
     let truth = model(cfg, rows);
     for (qi, (got, truth)) in answers(index, cfg).iter().zip(&truth).enumerate() {
-        assert!(
-            got.approx_eq(truth, 1e-9),
-            "{label} q{qi}: index disagrees with the model:\n  got   {got:?}\n  truth {truth:?}"
-        );
+        assert_eq!(got, truth, "{label} q{qi}: index disagrees with the model");
     }
 }
 
@@ -491,7 +488,7 @@ fn a_regrid_that_widens_the_group_key_degrades_its_group_by() {
             cfg.days,
             "{label}"
         );
-        assert!(got.approx_eq(&truth, 1e-9), "{label}: {got:?} vs {truth:?}");
+        assert_eq!(got, truth, "{label}: {got:?} vs {truth:?}");
     };
 
     let plan = stale.plan(&q, true).unwrap();

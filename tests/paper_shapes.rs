@@ -147,7 +147,7 @@ fn dgf_records_read_is_nearly_selectivity_independent() {
         let q = aggregation_query(&w.cfg, sel);
         let d = DgfEngine::new(Arc::clone(&w.dgf)).run(&q).unwrap();
         let c = CompactEngine::new(Arc::clone(&w.compact)).run(&q).unwrap();
-        assert!(d.result.approx_eq(&c.result, 1e-6));
+        assert_eq!(d.result, c.result);
         dgf_reads.push(d.stats.data_records_read);
         compact_reads.push(c.stats.data_records_read);
         let bound = q.predicate().bind(&schema).unwrap();
@@ -181,8 +181,8 @@ fn group_by_reads_least_with_headers_then_without_then_compact() {
             .run(&q)
             .unwrap();
         let compact = CompactEngine::new(Arc::clone(&w.compact)).run(&q).unwrap();
-        assert!(full.result.approx_eq(&nopre.result, 1e-6));
-        assert!(full.result.approx_eq(&compact.result, 1e-6));
+        assert_eq!(full.result, nopre.result);
+        assert_eq!(full.result, compact.result);
         let (f, n, c) = (
             full.stats.data_records_read,
             nopre.stats.data_records_read,
@@ -251,8 +251,8 @@ fn scattered_data_defeats_compact_but_not_dgf() {
     let scan = ScanEngine::new(Arc::clone(&ctx), text).run(&q).unwrap();
     let d = DgfEngine::new(Arc::new(dgf)).run(&q).unwrap();
     let c = CompactEngine::new(Arc::new(compact)).run(&q).unwrap();
-    assert!(d.result.approx_eq(&scan.result, 1e-6));
-    assert!(c.result.approx_eq(&scan.result, 1e-6));
+    assert_eq!(d.result, scan.result);
+    assert_eq!(c.result, scan.result);
     // Compact filters nothing on scattered data: it reads every record
     // of the table (splits holding row-group starts are all chosen).
     assert_eq!(c.stats.data_records_read, rows.len() as u64);
@@ -278,8 +278,8 @@ fn feature_ablation_ordering_holds() {
         .without_slice_skipping()
         .run(&q)
         .unwrap();
-    assert!(full.result.approx_eq(&nopre.result, 1e-6));
-    assert!(full.result.approx_eq(&noskip.result, 1e-6));
+    assert_eq!(full.result, nopre.result);
+    assert_eq!(full.result, noskip.result);
     assert!(full.stats.data_records_read < nopre.stats.data_records_read);
     assert!(nopre.stats.data_records_read < noskip.stats.data_records_read);
 }

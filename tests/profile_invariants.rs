@@ -722,7 +722,7 @@ fn group_by_a_unit_dimension_reads_what_the_plain_aggregate_reads() {
         .unwrap()
         .result;
     assert_eq!(truth.clone().into_groups().len(), 18);
-    assert!(groups.approx_eq(&truth, 1e-6), "{groups:?} vs {truth:?}");
+    assert_eq!(groups, truth, "{groups:?} vs {truth:?}");
 }
 
 #[test]

@@ -3,16 +3,16 @@
 //!
 //! The pyramid (DESIGN.md §14) replaces per-cell inner header reads with
 //! O(surface × levels) pre-computed `p:` node reads, and it is what the
-//! default plan reads. Because both strategies fold the inner region
-//! through the same canonical merge tree ([`dgfindex::core::pyramid`]),
-//! default answers are claimed to be **bit**-identical — `f64::to_bits`,
+//! default plan reads. Because aggregate states merge in any order to
+//! the same bits ([`dgfindex::query::exact`]), default answers are
+//! claimed to be **bit**-identical — `f64::to_bits`,
 //! not approx-equal — to the flat `PrefixScan` reference, and this file
 //! holds that claim under:
 //!
 //! * fixed and proptest-random grids, null patterns in the aggregated
 //!   measure, staged-commit appends, and unflushed ingest overlays
 //!   (fresh memtable cells sit outside the persisted tree and merge
-//!   after the canonical fold, identically in both strategies);
+//!   into the same accumulator, in any order);
 //! * shard counts {1, 2, 4} — `p:` keys route to the metadata shard, so
 //!   the scatter path must serve them like any other plan;
 //! * a sweep of the lifecycle checker that crashes an append at every
@@ -485,8 +485,7 @@ proptest! {
     /// a staged-commit append, an *unflushed* ingest overlay, and shard
     /// counts {1, 2, 4}. The default engine on the sharded store must
     /// answer bit-identically to flat enumeration on a single node —
-    /// fresh overlay cells included, since they merge after the
-    /// canonical fold in both strategies alike.
+    /// fresh overlay cells included.
     #[test]
     fn random_grids_nulls_ingest_and_shards_answer_bit_identically(
         users in 4u64..12,
@@ -544,10 +543,8 @@ proptest! {
 }
 
 /// Float aggregates are bit-identical however many MapReduce workers
-/// compute them, with headers and without. Compensated (Neumaier)
-/// summation plus a task-ordered merge makes the fold deterministic;
-/// before the fix, sum order varied with worker scheduling and answers
-/// wobbled in the last ulps.
+/// compute them, with headers and without: sums are exact, so neither
+/// the task schedule nor the merge order can move a bit.
 #[test]
 fn aggregate_results_bit_identical_across_worker_counts() {
     let cfg = meter_cfg();

@@ -3,10 +3,9 @@
 //!
 //! The serving tier (DESIGN.md §13) range-partitions the GFU keyspace
 //! across N shards and scatters the planner's prefix-scan runs over a
-//! worker pool, but absorption stays single-threaded in odometer order:
-//! the Collector sees cells in exactly the sequence a sequential fetch
-//! would produce, so the Neumaier fold order — and therefore every
-//! float bit — is preserved. This file holds that claim to the
+//! worker pool. Aggregate states merge in any order to the same bits
+//! (sums are exact), so however the cells are fetched and grouped every
+//! float bit is the single node's. This file holds that claim to the
 //! strictest standard available:
 //!
 //! * every query answer over shard counts {1, 2, 4, 7} is **bit**-equal
@@ -184,7 +183,7 @@ fn sharded_plan_counters_match_single_node_exactly() {
     for q in &queries(&cfg) {
         let ra = ea.run(q).unwrap().result;
         let rb = eb.run(q).unwrap().result;
-        assert!(ra.approx_eq(&rb, 0.0));
+        assert_eq!(ra, rb);
     }
 
     let da = single.stats().snapshot().since(&before_single);
@@ -254,7 +253,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         let post = answers(&index, &cfg);
 
         assert!(
-            !matches(&post, &pre),
+            !bits_eq(&post, &pre),
             "seed {seed}: append changed nothing — harness is vacuous"
         );
         assert_eq!(front.stats().snapshot().failed, 0, "seed {seed}: queries failed");
@@ -262,7 +261,7 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
             let got = served.result.as_ref().expect("query dropped");
             let j = served.query_index % mix.len();
             assert!(
-                got.approx_eq(&pre[j], 1e-9) || got.approx_eq(&post[j], 1e-9),
+                *got == pre[j] || *got == post[j],
                 "seed {seed}: served query {} is a torn cross-shard read:\n  got  {got:?}\n  pre  {:?}\n  post {:?}",
                 served.query_index,
                 pre[j],
@@ -332,14 +331,14 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
         let post = answers(&index, &cfg);
 
         assert!(
-            matches(&post, &pre),
+            bits_eq(&post, &pre),
             "seed {seed}: flush changed answers on the sharded path"
         );
         for served in &report.served {
             let got = served.result.as_ref().expect("query dropped");
             let j = served.query_index % mix.len();
             assert!(
-                got.approx_eq(&pre[j], 1e-9),
+                *got == pre[j],
                 "seed {seed}: served query {} wavered during flush:\n  got  {got:?}\n  want {:?}",
                 served.query_index,
                 pre[j]
@@ -435,7 +434,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
                 Ok(run) => {
                     clean += 1;
                     assert!(
-                        run.result.approx_eq(&oracle[j], 0.0),
+                        run.result == oracle[j],
                         "site {site}: a crashed shard leaked a partial merge:\n  got  {:?}\n  want {:?}",
                         run.result,
                         oracle[j]
@@ -461,7 +460,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
                 Ok(run) => assert!(
-                    run.result.approx_eq(&oracle[j], 0.0),
+                    run.result == oracle[j],
                     "storm: a partial merge leaked past retry exhaustion"
                 ),
                 Err(_) => stormed += 1,

@@ -57,7 +57,7 @@ fn grid() -> SplittingPolicy {
 /// Rows with non-null grid dimensions (`user`, `day`) and null holes in
 /// the sidecar-only columns. `cat` is low-cardinality (bitmap-indexed),
 /// `seq` is clustered (zone maps prune it hard), `power` is the float
-/// the Neumaier fold order must survive pruning for.
+/// whose sums must keep their bits under pruning.
 fn fixed_rows(n: usize, null_p: f64) -> Vec<Row> {
     let mut rng = StdRng::seed_from_u64(42);
     (0..n)
@@ -559,10 +559,7 @@ fn sidecar_publication_crash_sweep_recovers() {
             .unwrap()
             .result;
         let got = DgfEngine::new(index).run(&q).unwrap().result;
-        assert!(
-            got.approx_eq(&truth, 1e-9),
-            "recovered index disagrees with scan: {got:?} vs {truth:?}"
-        );
+        assert_eq!(got, truth, "recovered index disagrees with scan");
     };
 
     // Record the crash-site space with a quiet plan.
