@@ -11,9 +11,9 @@
 use std::io::Write;
 
 use dgf_bench::experiments::{
-    ablation_dgf_features, ablation_slice_placement, agg_experiment, fig3_write_throughput,
-    groupby_experiment, join_experiment, partial_experiment, partition_pressure_experiment,
-    table2_index_size, table5_tpch_index, tpch_q6_experiment,
+    ablation_dgf_features, agg_experiment, fig3_write_throughput, groupby_experiment,
+    join_experiment, partial_experiment, partition_pressure_experiment, table2_index_size,
+    table5_tpch_index, tpch_q6_experiment,
 };
 use dgf_bench::{BenchScale, MeterLab, ReportTable, TpchLab};
 use dgf_common::Stopwatch;
@@ -135,7 +135,6 @@ fn run(args: Args) -> dgf_common::Result<()> {
         }
         if wanted(&args.only, "ablation") {
             emit(ablation_dgf_features(&lab)?);
-            emit(ablation_slice_placement(&args.scale)?);
         }
     }
 

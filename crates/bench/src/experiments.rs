@@ -533,116 +533,6 @@ pub fn ablation_dgf_features(lab: &MeterLab) -> Result<ReportTable> {
     Ok(t)
 }
 
-/// Ablation (paper §8 future work): Slice placement — hash of the full
-/// GFUKey vs prefix locality, measured as coalesced read ranges, seeks,
-/// and time for a long time-range query.
-pub fn ablation_slice_placement(scale: &BenchScale) -> Result<ReportTable> {
-    use dgf_core::{
-        DgfEngine, DgfIndex, DimPolicy, IndexOptions, SlicePlacement, SplittingPolicy,
-    };
-    use dgf_hive::{HiveContext, ScanInput};
-    use dgf_kvstore::MemKvStore;
-    use dgf_mapreduce::MrEngine;
-    use dgf_query::ColumnRange;
-    use dgf_storage::{HdfsConfig, SimHdfs};
-    use dgf_workload::{generate_meter_data, meter_schema};
-    use std::sync::Arc;
-
-    let tmp = TempDir::new("placement")?;
-    let hdfs = SimHdfs::new(
-        tmp.path(),
-        HdfsConfig {
-            block_size: scale.block_size,
-            replication: 1,
-        },
-    )?;
-    let ctx = HiveContext::new(hdfs, MrEngine::new(scale.threads.max(8)));
-    let cfg = dgf_workload::MeterConfig {
-        users: scale.meter.users.min(5_000),
-        days: scale.meter.days,
-        ..scale.meter.clone()
-    };
-    let rows = generate_meter_data(&cfg);
-    let interval = (cfg.users / 50).max(1) as i64;
-
-    let mut t = ReportTable::new(
-        "Ablation: Slice placement (long time-range query, one user cell)",
-        &["placement", "read ranges", "seeks", "data records", "total"],
-    );
-    for (label, placement) in [
-        ("key-hash", SlicePlacement::KeyHash),
-        ("prefix-locality", SlicePlacement::PrefixLocality { prefix_dims: 2 }),
-    ] {
-        let table = ctx.create_table(
-            &format!("meter_{label}"),
-            meter_schema(),
-            dgf_format::FileFormat::Text,
-        )?;
-        ctx.load_rows(&table, &rows, scale.files.max(8))?;
-        let policy = SplittingPolicy::new(vec![
-            DimPolicy::int("user_id", 0, interval),
-            DimPolicy::int("region_id", 0, 1),
-            DimPolicy::date("ts", cfg.start_day, 1),
-        ])?;
-        let (idx, _) = DgfIndex::build_with_options(
-            Arc::clone(&ctx),
-            table,
-            policy,
-            vec![],
-            Arc::new(MemKvStore::new()),
-            &format!("dgf_{label}"),
-            IndexOptions {
-                placement,
-                ..IndexOptions::default()
-            },
-        )?;
-        let idx = Arc::new(idx);
-        // One (user-cell, region) prefix across every day — a meter
-        // time-series read. The index pre-computes nothing, so no header
-        // answers even this GROUP BY on one-day cells: the pure
-        // slice-read path.
-        // Under key-hash placement the 30 day-slices scatter over all
-        // reducer files; under prefix locality they are one byte run.
-        let q = dgf_query::Query::GroupBy {
-            key: "ts".into(),
-            aggs: vec![dgf_query::AggFunc::Sum("power_consumed".into())],
-            predicate: dgf_query::Predicate::all()
-                .and(
-                    "user_id",
-                    ColumnRange::half_open(
-                        dgf_common::Value::Int(0),
-                        dgf_common::Value::Int(interval),
-                    ),
-                )
-                .and("region_id", ColumnRange::eq(dgf_common::Value::Int(3))),
-        };
-        let plan = idx.plan(&q, false)?;
-        let ranges: usize = plan
-            .inputs
-            .iter()
-            .map(|i| match i {
-                ScanInput::TextRanges { ranges, .. } => ranges.len(),
-                _ => 1,
-            })
-            .sum();
-        let seeks_before = ctx.hdfs.stats().seeks.get();
-        let run = run_avg(&DgfEngine::new(Arc::clone(&idx)), &q, scale.runs)?;
-        let seeks = (ctx.hdfs.stats().seeks.get() - seeks_before) / scale.runs.max(1) as u64;
-        t.row(vec![
-            label.into(),
-            fmt_count(ranges as u64),
-            fmt_count(seeks),
-            fmt_count(run.stats.data_records_read),
-            fmt_secs(run.stats.total_time()),
-        ]);
-    }
-    t.note(
-        "prefix locality places each (user-cell, region)'s whole time series \
-         contiguously: far fewer read ranges and seeks for the same records",
-    );
-    Ok(t)
-}
-
 /// §2.2 discussion: NameNode memory under multidimensional partitioning.
 pub fn partition_pressure_experiment() -> Result<ReportTable> {
     let tmp = TempDir::new("nn")?;

@@ -16,7 +16,7 @@
 //! | Figure 17 (partial query) | [`experiments::partial_experiment`] |
 //! | Table 5 (TPC-H build) | [`experiments::table5_tpch_index`] |
 //! | Table 6 + Figure 18 (TPC-H Q6) | [`experiments::tpch_q6_experiment`] |
-//! | Ablations + §2.2 discussion | [`experiments::ablation_dgf_features`], [`experiments::partition_pressure_experiment`] |
+//! | Ablation + §2.2 discussion | [`experiments::ablation_dgf_features`], [`experiments::partition_pressure_experiment`] |
 //!
 //! Run `cargo run --release -p dgf-bench --bin repro -- --scale medium`
 //! to print them all, or `--out results.md` to also write Markdown.

@@ -25,10 +25,9 @@ pub const META_GC_KEY: &[u8] = b"m:gc";
 /// Key of the persisted [`ReadView`](crate::view::ReadView), the root
 /// record of the store: everything about an index that is not a GFU or a
 /// pyramid node — generation, extents, split list, ingest watermark,
-/// splitting policy, pre-computed aggregates, slice placement, pyramid
-/// height. Query planning pins it with a single `get`, every commit
-/// replaces it with a single `put`, and beside it only [`META_GC_KEY`]
-/// exists under `m:`.
+/// splitting policy, pre-computed aggregates, pyramid height. Query
+/// planning pins it with a single `get`, every commit replaces it with a
+/// single `put`, and beside it only [`META_GC_KEY`] exists under `m:`.
 pub const META_VIEW_KEY: &[u8] = b"m:view";
 
 /// A GFU key: the cell index per dimension, in policy order.

@@ -33,58 +33,12 @@ use crate::txn::{
 use crate::view::ReadView;
 use crate::write::decode_gc_list;
 
-/// How GFU Slices are placed across reducer output files — the paper's §8
-/// "optimal placement of Slices" future work.
-///
-/// The shuffle sorts each reducer's keys, so slices of *consecutive* keys
-/// in the same reducer are physically adjacent. Placement chooses which
-/// keys share a reducer:
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlicePlacement {
-    /// Hash of the full GFUKey (the Hadoop default). Neighboring cells
-    /// scatter across files; range queries touch many slices in many
-    /// places.
-    KeyHash,
-    /// Hash of only the first `prefix_dims` coordinates: every cell
-    /// sharing that prefix lands in one reducer, where the sort makes
-    /// their slices contiguous. For a `(user, region, time)` grid with
-    /// `prefix_dims = 2`, the whole time series of a user-cell × region is
-    /// one contiguous byte run — a time-range query coalesces to a single
-    /// sequential read per touched prefix.
-    PrefixLocality {
-        /// How many leading dimensions define the locality group.
-        prefix_dims: usize,
-    },
-}
-
-impl SlicePlacement {
-    /// The stored form: `prefix_dims`, with 0 standing for `KeyHash`.
-    pub(crate) fn code(self) -> u32 {
-        match self {
-            SlicePlacement::KeyHash => 0,
-            SlicePlacement::PrefixLocality { prefix_dims } => prefix_dims as u32,
-        }
-    }
-
-    pub(crate) fn from_code(code: u32) -> SlicePlacement {
-        match code {
-            0 => SlicePlacement::KeyHash,
-            n => SlicePlacement::PrefixLocality {
-                prefix_dims: n as usize,
-            },
-        }
-    }
-}
-
-/// Construction/open options beyond the required arguments: slice
-/// placement, the retry policy wrapped around every key-value and
-/// storage round trip, and an optional fault plan whose crash points the
-/// commit protocol consults (tests enumerate them to sweep every crash
-/// site).
+/// Construction/open options beyond the required arguments: the retry
+/// policy wrapped around every key-value and storage round trip, and an
+/// optional fault plan whose crash points the commit protocol consults
+/// (tests enumerate them to sweep every crash site).
 #[derive(Debug, Clone)]
 pub struct IndexOptions {
-    /// Slice placement policy used by construction and appends.
-    pub placement: SlicePlacement,
     /// Retry policy for transient key-value faults.
     pub retry: RetryPolicy,
     /// Fault schedule consulted at the commit protocol's crash points.
@@ -96,16 +50,16 @@ pub struct IndexOptions {
     pub profiler: Profiler,
     /// Worker threads the prefix-scan planner may use to fetch key runs
     /// concurrently (the serving tier's scatter). `1` — the default —
-    /// keeps the historical strictly sequential fetch; any value is
-    /// answer-preserving because runs are always *absorbed* in odometer
-    /// order regardless of fetch completion order (DESIGN.md §13).
+    /// keeps the historical strictly sequential fetch. Any value gives the
+    /// same answer bits: the calling thread absorbs one worker's runs
+    /// after another's, and aggregate states merge in any order to the
+    /// same bits (DESIGN.md §13).
     pub fetch_parallelism: usize,
 }
 
 impl Default for IndexOptions {
     fn default() -> Self {
         IndexOptions {
-            placement: SlicePlacement::KeyHash,
             retry: RetryPolicy::standard(),
             fault: None,
             profiler: Profiler::from_env(),
@@ -146,8 +100,6 @@ pub struct DgfIndex {
     pub aggs: Vec<AggFunc>,
     /// The GFU key-value store (HBase in the paper).
     pub kv: Arc<dyn KvStore>,
-    /// Slice placement policy used by construction and appends.
-    pub placement: SlicePlacement,
     /// Retry policy wrapped around every key-value round trip.
     pub retry: RetryPolicy,
     fault: Option<Arc<FaultPlan>>,
@@ -199,7 +151,6 @@ impl DgfIndex {
         index_name: &str,
         options: IndexOptions,
     ) -> Result<(DgfIndex, BuildReport)> {
-        let placement = options.placement;
         // Validate dimensions against the schema.
         for d in policy.dims() {
             let t = base.schema.type_of(&d.name)?;
@@ -226,15 +177,7 @@ impl DgfIndex {
             &format!("/warehouse/{index_name}/data"),
             base.rows_per_group,
         )?;
-        if let SlicePlacement::PrefixLocality { prefix_dims } = placement {
-            if prefix_dims == 0 || prefix_dims >= policy.arity() {
-                return Err(DgfError::Index(format!(
-                    "prefix_dims must be in 1..{} for this grid",
-                    policy.arity()
-                )));
-            }
-        }
-        let genesis = Self::genesis_view(&policy, &aggs, placement);
+        let genesis = Self::genesis_view(&policy, &aggs);
         let index = Self::attach(ctx, base, data, aggs, kv, options, &genesis)?;
         let watch = Stopwatch::start();
         let span = index.profiler.span("build");
@@ -281,9 +224,9 @@ impl DgfIndex {
     /// view, check the aggregates, construct. An interrupted transaction
     /// found in the store is rolled back (pre-commit) or re-applied
     /// (post-commit) first; the committed [`ReadView`] then supplies the
-    /// policy, the placement, the pyramid height and the generation to
-    /// resume from. A store with no `m:view` is not an index; one whose
-    /// `m:view` does not decode is `Corrupt`. Neither is written to.
+    /// policy, the pyramid height and the generation to resume from. A
+    /// store with no `m:view` is not an index; one whose `m:view` does not
+    /// decode is `Corrupt`. Neither is written to.
     pub fn open_with_options(
         ctx: Arc<HiveContext>,
         base: TableRef,
@@ -325,13 +268,10 @@ impl DgfIndex {
         Ok(index)
     }
 
-    /// The view a build starts from: nothing indexed yet, and the three
-    /// facts fixed at build, which every later commit carries forward.
-    pub(crate) fn genesis_view(
-        policy: &SplittingPolicy,
-        aggs: &[AggFunc],
-        placement: SlicePlacement,
-    ) -> ReadView {
+    /// The view a build starts from: nothing indexed yet, and the two
+    /// facts fixed at build — the aggregate keys and the pyramid height —
+    /// which every later commit carries forward.
+    pub(crate) fn genesis_view(policy: &SplittingPolicy, aggs: &[AggFunc]) -> ReadView {
         // The pyramid only pays off when headers exist to summarize, and
         // very wide grids would fan out 2^d children per node.
         let pyramid = !aggs.is_empty() && policy.arity() <= pyramid::MAX_PYRAMID_ARITY;
@@ -344,17 +284,16 @@ impl DgfIndex {
             data_files: Vec::new(),
             policy: policy.encode(),
             agg_keys: aggs.iter().map(|a| a.key()).collect(),
-            placement,
             pyramid: if pyramid { pyramid::DEFAULT_PYRAMID_LEVELS } else { 0 },
         }
     }
 
     /// A handle on the store `view` describes: the view supplies the
-    /// policy, the placement, the generation to resume from (every
-    /// transaction id so far is at most the committed view's, so no new
-    /// Slice file collides with a persisted one) and the pyramid height
-    /// (the stored height decides: a pyramid-bearing store must keep its
-    /// nodes maintained on every append regardless of who opens it).
+    /// policy, the generation to resume from (every transaction id so far
+    /// is at most the committed view's, so no new Slice file collides
+    /// with a persisted one) and the pyramid height (the stored height
+    /// decides: a pyramid-bearing store must keep its nodes maintained on
+    /// every append regardless of who opens it).
     fn attach(
         ctx: Arc<HiveContext>,
         base: TableRef,
@@ -373,7 +312,6 @@ impl DgfIndex {
             policy: RwLock::new(Arc::new(policy)),
             aggs,
             kv,
-            placement: view.placement,
             retry: options.retry,
             fault: options.fault,
             profiler: options.profiler,

@@ -90,7 +90,7 @@ pub use cache::{CacheCounters, CacheStats, GfuHeaderCache, DEFAULT_HEADER_CACHE_
 pub use engine::DgfEngine;
 pub use fresh::{FreshSource, GfuCell, GfuCells};
 pub use gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc};
-pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions, SlicePlacement};
+pub use index::{all_gfus, default_precompute, DgfIndex, IndexOptions};
 pub use maintain::{
     MaintainSnapshot, MaintainStats, MaintenanceConfig, MaintenanceReport, Maintainer,
 };
@@ -569,113 +569,6 @@ mod tests {
         assert_eq!(run.result.into_scalars()[0], Value::Int(0));
     }
 
-    #[test]
-    fn prefix_locality_placement_coalesces_time_ranges() {
-        use dgf_format::ByteRange;
-        // Many reducers: the scatter effect of hash placement grows with
-        // the reducer count (one sorted run per reducer file).
-        let t = TempDir::new("dgfcore-place").unwrap();
-        let h = SimHdfs::new(
-            t.path(),
-            HdfsConfig {
-                block_size: 16 * 1024,
-                replication: 1,
-            },
-        )
-        .unwrap();
-        let ctx = HiveContext::new(h, MrEngine::new(8));
-        // Many days per user so the time series has many cells.
-        let mut rows = Vec::new();
-        for day in 0..40i64 {
-            for user in 0..60i64 {
-                rows.push(vec![
-                    Value::Int(user),
-                    Value::Int(day),
-                    Value::Float((user + day) as f64),
-                ]);
-            }
-        }
-        let mk = |name: &str, placement| {
-            let tab = ctx
-                .create_table(&format!("meter_{name}"), 
-                    Arc::new(Schema::from_pairs(&[
-                        ("user", ValueType::Int),
-                        ("day", ValueType::Int),
-                        ("power", ValueType::Float),
-                    ])), FileFormat::Text)
-                .unwrap();
-            ctx.load_rows(&tab, &rows, 8).unwrap();
-            let policy = SplittingPolicy::new(vec![
-                DimPolicy::int("user", 0, 10),
-                DimPolicy::int("day", 0, 1),
-            ])
-            .unwrap();
-            let (idx, _) = DgfIndex::build_with_options(
-                Arc::clone(&ctx),
-                tab,
-                policy,
-                vec![],
-                Arc::new(MemKvStore::new()),
-                &format!("dgf_{name}"),
-                IndexOptions {
-                    placement,
-                    ..IndexOptions::default()
-                },
-            )
-            .unwrap();
-            Arc::new(idx)
-        };
-        let hashed = mk("hash", SlicePlacement::KeyHash);
-        let local = mk("local", SlicePlacement::PrefixLocality { prefix_dims: 1 });
-
-        // One user-cell over a long day range: locality packs the whole
-        // time series contiguously, so ranges coalesce.
-        let q = Query::Select {
-            project: vec!["power".into()],
-            predicate: Predicate::all()
-                .and("user", ColumnRange::half_open(Value::Int(10), Value::Int(20)))
-                .and("day", ColumnRange::half_open(Value::Int(0), Value::Int(40))),
-        };
-        let count_ranges = |idx: &Arc<DgfIndex>| -> usize {
-            let plan = idx.plan(&q, true).unwrap();
-            plan.inputs
-                .iter()
-                .map(|i| match i {
-                    dgf_hive::ScanInput::TextRanges { ranges, .. } => ranges.len(),
-                    _ => 1,
-                })
-                .sum()
-        };
-        let hash_ranges = count_ranges(&hashed);
-        let local_ranges = count_ranges(&local);
-        assert!(
-            local_ranges * 4 <= hash_ranges,
-            "locality {local_ranges} vs hash {hash_ranges} coalesced ranges"
-        );
-        // Same answers either way.
-        let a = DgfEngine::new(hashed).run(&q).unwrap();
-        let b = DgfEngine::new(local).run(&q).unwrap();
-        assert_eq!(a.result.normalized(), b.result.normalized());
-        let _ = ByteRange::new(0, 0);
-
-        // Invalid prefix_dims rejected.
-        let schema2 = Arc::new(Schema::from_pairs(&[("a", ValueType::Int)]));
-        let tab = ctx.create_table("one_dim", schema2, FileFormat::Text).unwrap();
-        assert!(DgfIndex::build_with_options(
-            Arc::clone(&ctx),
-            tab,
-            SplittingPolicy::new(vec![DimPolicy::int("a", 0, 1)]).unwrap(),
-            vec![],
-            Arc::new(MemKvStore::new()),
-            "dgf_bad_placement",
-            IndexOptions {
-                placement: SlicePlacement::PrefixLocality { prefix_dims: 1 },
-                ..IndexOptions::default()
-            },
-        )
-        .is_err());
-    }
-
     /// A 600-row table in three files, with small row groups if it is an
     /// RCFile (many groups per slice candidate).
     fn meter_table(ctx: &Arc<HiveContext>, format: FileFormat) -> TableRef {
@@ -814,7 +707,7 @@ mod tests {
     fn builds_are_byte_identical_and_every_writer_is_counted() {
         writes_are_pinned(
             FileFormat::RcFile,
-            2_585,
+            2_581,
             [
                 8_506_367_492_564_015_294,
                 8_863_724_149_479_901_911,
@@ -828,7 +721,7 @@ mod tests {
     fn text_builds_are_byte_identical_and_every_writer_is_counted() {
         writes_are_pinned(
             FileFormat::Text,
-            2_582,
+            2_578,
             [
                 7_311_012_536_217_960_609,
                 11_428_468_640_174_342_048,

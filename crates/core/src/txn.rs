@@ -331,9 +331,7 @@ impl<'a> Txn<'a> {
         // From here the handle's writer slot is ours; `Drop` releases it.
         let base = settle(index)
             .map(|view| {
-                view.unwrap_or_else(|| {
-                    DgfIndex::genesis_view(&index.policy(), &index.aggs, index.placement)
-                })
+                view.unwrap_or_else(|| DgfIndex::genesis_view(&index.policy(), &index.aggs))
             })
             .inspect_err(|_| index.writing.store(false, Ordering::Release))?;
         let gen = index.generation.fetch_add(1, Ordering::AcqRel) + 1;
@@ -432,7 +430,6 @@ impl<'a> Txn<'a> {
             data_files,
             policy: outcome.policy.encode(),
             agg_keys: base.agg_keys.clone(),
-            placement: base.placement,
             pyramid: base.pyramid,
         }
         .encode();

@@ -21,7 +21,6 @@ use dgf_common::codec::{self, Decoder};
 use dgf_common::{DgfError, Result};
 
 use crate::gfu::{Extents, FileId};
-use crate::index::SlicePlacement;
 
 /// The committed snapshot a plan pins at the start of assembly, and the
 /// whole of a store's metadata.
@@ -59,8 +58,6 @@ pub struct ReadView {
     /// Canonical keys of the pre-computed aggregates the headers hold,
     /// fixed at build; `open` checks the supplied list against them.
     pub agg_keys: Vec<String>,
-    /// How Slices are placed across reducer files, fixed at build.
-    pub placement: SlicePlacement,
     /// Levels of the aggregate pyramid above the `g:` leaves (see
     /// [`crate::pyramid`]), fixed at build; `0` for a store without one
     /// — it never grows one in place, because absent ancestor nodes
@@ -87,7 +84,6 @@ impl ReadView {
         for key in &self.agg_keys {
             codec::put_str(&mut buf, key);
         }
-        codec::put_u32(&mut buf, self.placement.code());
         buf.push(self.pyramid);
         buf
     }
@@ -118,7 +114,6 @@ impl ReadView {
         for _ in 0..n {
             agg_keys.push(d.str()?.to_owned());
         }
-        let placement = SlicePlacement::from_code(d.u32()?);
         let pyramid = d.u8()?;
         if d.remaining() != 0 {
             return Err(DgfError::Corrupt("read view has trailing bytes".into()));
@@ -132,7 +127,6 @@ impl ReadView {
             data_files,
             policy,
             agg_keys,
-            placement,
             pyramid,
         })
     }
@@ -157,7 +151,6 @@ mod tests {
             data_files: vec![(FileId::new(0, 0), 512), (FileId::new(9, 1), 90)],
             policy: vec![0xC0, 0xFF, 0xEE],
             agg_keys: vec!["sum(power)".into(), "count(*)".into()],
-            placement: SlicePlacement::PrefixLocality { prefix_dims: 2 },
             pyramid: 12,
         }
     }
@@ -176,6 +169,15 @@ mod tests {
         assert!(ReadView::decode(&enc).is_err());
         enc.truncate(enc.len() - 2);
         assert!(ReadView::decode(&enc).is_err());
+        // The earlier layout, these fields with a `u32` Slice-placement
+        // code (0 for the key hash) before the pyramid byte, is not read:
+        // such a store is rebuilt.
+        let enc = sample().encode();
+        let (head, pyramid) = enc.split_at(enc.len() - 1);
+        for code in [0u32, 2] {
+            let old = [head, &code.to_le_bytes()[..], pyramid].concat();
+            assert!(matches!(ReadView::decode(&old), Err(DgfError::Corrupt(_))), "code {code}");
+        }
     }
 
     /// Every list decoded from the store sizes its `Vec` from a count it
@@ -197,7 +199,7 @@ mod tests {
         };
         // With both lists empty each count is a lone u32: the file count
         // follows generation, pending, watermark, files and the extents
-        // frame; the key count precedes placement and pyramid height.
+        // frame; the key count precedes only the one-byte pyramid height.
         let view = ReadView { data_files: Vec::new(), agg_keys: Vec::new(), ..sample() };
         let files_at = 28 + 4 + view.extents.encode().len();
         let view = view.encode();
@@ -212,7 +214,7 @@ mod tests {
         }
         corrupt("gfu header", GfuValue::decode(&with_count(&[])));
         corrupt("view data files", ReadView::decode(&with_count(&view[..files_at])));
-        corrupt("view agg keys", ReadView::decode(&with_count(&view[..view.len() - 9])));
+        corrupt("view agg keys", ReadView::decode(&with_count(&view[..view.len() - 5])));
         corrupt("gc list tail", decode_gc_list(&[&0u32.to_le_bytes()[..], &[7]].concat()));
     }
 

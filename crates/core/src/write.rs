@@ -30,7 +30,7 @@ use dgf_storage::{FileSplit, HdfsRef};
 
 use crate::fresh::GfuCells;
 use crate::gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc, GFU_PREFIX};
-use crate::index::{DgfIndex, SlicePlacement};
+use crate::index::DgfIndex;
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
 use crate::txn::{live_key, stage_prefix, Outcome, Txn};
@@ -123,19 +123,6 @@ impl DgfIndex {
         let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
         let (ctx, base) = (&self.ctx, &self.base);
 
-        // Slice placement: which encoded-key prefix defines the reducer.
-        let prefix_len = match self.placement {
-            SlicePlacement::KeyHash => None,
-            SlicePlacement::PrefixLocality { prefix_dims } => {
-                Some(GFU_PREFIX.len() + 8 * prefix_dims)
-            }
-        };
-        let partitioner = prefix_len.map(|cut| {
-            move |key: &Vec<u8>, n: usize| {
-                (dgf_common::codec::fnv1a(&key[..cut.min(key.len())]) % n as u64) as usize
-            }
-        });
-
         let job = if splits.is_empty() {
             // Nothing to index. The transaction still commits, so the
             // metadata and a view exist and queries work.
@@ -144,12 +131,9 @@ impl DgfIndex {
                 report: JobReport::default(),
             }
         } else {
-            self.ctx.engine.map_reduce_partitioned(
+            self.ctx.engine.map_reduce(
                 splits,
                 num_reducers,
-                partitioner
-                    .as_ref()
-                    .map(|p| p as &(dyn Fn(&Vec<u8>, usize) -> usize + Sync)),
                 // Map (Algorithm 1): standardize dims → GFUKey; emit
                 // (key, row). A regrid's splits cover the data table's
                 // files, which have the base table's schema and format.

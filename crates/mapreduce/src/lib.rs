@@ -112,33 +112,23 @@ pub struct JobOutput<T> {
     pub report: JobReport,
 }
 
-/// A custom shuffle partitioner: `(key, num_reducers) -> reducer id`.
-/// Must return a value `< num_reducers`.
-pub type PartitionerFn<'a, K> = &'a (dyn Fn(&K, usize) -> usize + Sync);
-
 /// Collects mapper emissions, partitioned for the shuffle.
-pub struct Emitter<'p, K, V> {
+pub struct Emitter<K, V> {
     partitions: Vec<Vec<(K, V)>>,
-    partitioner: Option<PartitionerFn<'p, K>>,
     emitted: u64,
 }
 
-impl<K: Hash, V> Emitter<'_, K, V> {
+impl<K: Hash, V> Emitter<K, V> {
     fn new(num_reducers: usize) -> Self {
         Emitter {
             partitions: (0..num_reducers).map(|_| Vec::new()).collect(),
-            partitioner: None,
             emitted: 0,
         }
     }
 
     /// Emit one intermediate pair.
     pub fn emit(&mut self, key: K, value: V) {
-        let n = self.partitions.len();
-        let p = match self.partitioner {
-            Some(f) => f(&key, n).min(n - 1),
-            None => partition_of(&key, n),
-        };
+        let p = partition_of(&key, self.partitions.len());
         self.partitions[p].push((key, value));
         self.emitted += 1;
     }
@@ -166,8 +156,7 @@ pub fn default_parallelism() -> usize {
 }
 
 /// A map function: `(task_id, input, emitter)`.
-pub type MapFn<'a, I, K, V> =
-    &'a (dyn for<'p> Fn(usize, I, &mut Emitter<'p, K, V>) -> Result<()> + Sync);
+pub type MapFn<'a, I, K, V> = &'a (dyn Fn(usize, I, &mut Emitter<K, V>) -> Result<()> + Sync);
 /// A combine function: `(key, values) -> combined values`.
 pub type CombineFn<'a, K, V> = &'a (dyn Fn(&K, Vec<V>) -> Result<Vec<V>> + Sync);
 /// A reduce-task function: `(task_id, sorted groups) -> task output`.
@@ -191,32 +180,12 @@ impl MrEngine {
         self.threads
     }
 
-    /// Run a full map-shuffle-reduce job with the default hash
-    /// partitioner.
+    /// Run a full map-shuffle-reduce job: the shuffle sends each key to
+    /// the reducer its hash names (Hadoop's default partitioner).
     pub fn map_reduce<I, K, V, T>(
         &self,
         inputs: Vec<I>,
         num_reducers: usize,
-        mapper: MapFn<'_, I, K, V>,
-        combiner: Option<CombineFn<'_, K, V>>,
-        reduce_task: ReduceTaskFn<'_, K, V, T>,
-    ) -> Result<JobOutput<T>>
-    where
-        I: Send,
-        K: Ord + Hash + Clone + Send,
-        V: Send,
-        T: Send,
-    {
-        self.map_reduce_partitioned(inputs, num_reducers, None, mapper, combiner, reduce_task)
-    }
-
-    /// Run a full map-shuffle-reduce job with a custom shuffle
-    /// partitioner (used by DGFIndex's Slice-placement policies).
-    pub fn map_reduce_partitioned<I, K, V, T>(
-        &self,
-        inputs: Vec<I>,
-        num_reducers: usize,
-        partitioner: Option<PartitionerFn<'_, K>>,
         mapper: MapFn<'_, I, K, V>,
         combiner: Option<CombineFn<'_, K, V>>,
         reduce_task: ReduceTaskFn<'_, K, V, T>,
@@ -263,7 +232,6 @@ impl MrEngine {
                 let Some((task_id, input)) = item else { return };
                 counters.map_inputs.inc();
                 let mut emitter = Emitter::new(num_reducers);
-                emitter.partitioner = partitioner;
                 let run = || -> Result<()> {
                     mapper(task_id, input, &mut emitter)?;
                     counters.map_outputs.add(emitter.emitted);
@@ -574,45 +542,6 @@ mod tests {
             assert!(p < r);
             assert_eq!(p, partition_of(&"key", r));
         }
-    }
-
-    #[test]
-    fn custom_partitioner_controls_placement() {
-        let engine = MrEngine::new(2);
-        // Route everything to reducer 0 regardless of key.
-        let out = engine
-            .map_reduce_partitioned(
-                vec![vec![1, 2, 3, 4, 5]],
-                3,
-                Some(&|_k: &i32, _n| 0),
-                &|_, xs: Vec<i32>, e| {
-                    for x in xs {
-                        e.emit(x, ());
-                    }
-                    Ok(())
-                },
-                None,
-                &|_, groups| Ok(groups.len()),
-            )
-            .unwrap();
-        assert_eq!(out.outputs, vec![5, 0, 0]);
-        // Out-of-range partitioner values are clamped, not a panic.
-        let out = engine
-            .map_reduce_partitioned(
-                vec![vec![7]],
-                2,
-                Some(&|_k: &i32, _n| 99),
-                &|_, xs: Vec<i32>, e| {
-                    for x in xs {
-                        e.emit(x, ());
-                    }
-                    Ok(())
-                },
-                None,
-                &|_, groups| Ok(groups.len()),
-            )
-            .unwrap();
-        assert_eq!(out.outputs, vec![0, 1]);
     }
 
     #[test]

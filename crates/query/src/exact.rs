@@ -17,7 +17,7 @@
 //! touches three adjacent words without carrying: the 31 spare bits of
 //! every word absorb up to 2²⁹ adds before one carry pass normalizes the
 //! window. Infinities are flags, so ∞ + finite is ∞ and only +∞ and −∞
-//! together make NaN. A window of [`INLINE`] words lives inside the
+//! together make NaN. A window of `INLINE` (four) words lives inside the
 //! state: sums of values within a few binades of each other never touch
 //! the heap.
 

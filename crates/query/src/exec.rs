@@ -325,14 +325,23 @@ impl RowSink {
         }
     }
 
-    /// Produce the final result.
+    /// Produce the final result. The groups map calls −0.0 and +0.0 one
+    /// key and keeps whichever came first, so a zero key is emitted as
+    /// +0.0: the answer's bits do not depend on row or merge order.
     pub fn finish(self) -> QueryResult {
         match self.kind {
             SinkKind::Aggregate { set, states } => QueryResult::Scalars(set.finalize(&states)),
             SinkKind::GroupBy { set, groups, .. } => QueryResult::Groups(
                 groups
                     .into_iter()
-                    .map(|(k, st)| (k, set.finalize(&st)))
+                    .map(|(k, st)| {
+                        // −0.0 + 0.0 is +0.0; any other key is unchanged.
+                        let k = match k {
+                            Value::Float(z) => Value::Float(z + 0.0),
+                            k => k,
+                        };
+                        (k, set.finalize(&st))
+                    })
                     .collect(),
             ),
             SinkKind::Join { out, .. } | SinkKind::Select { out, .. } => QueryResult::Rows(out),
@@ -713,13 +722,33 @@ mod tests {
         assert_eq!(out, single.finish(), "merged in task order ≡ one sink");
     }
 
+    /// `table` as one batch, each column decoded from its cells'
+    /// encoding as a reader decodes it.
+    fn batch_of(s: &Schema, table: &[Row]) -> ColumnBatch {
+        use dgf_common::batch::decode_column;
+        use dgf_common::codec::put_value;
+        let columns = s
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let mut bytes = Vec::new();
+                for r in table {
+                    put_value(&mut bytes, &r[c]);
+                }
+                let mut col = Column::skipped();
+                decode_column(&bytes, table.len(), f.vtype, &mut col).unwrap();
+                col
+            })
+            .collect();
+        ColumnBatch::new(columns, table.len(), 0)
+    }
+
     /// Bits, not approximate equality: the batch fold must update each
     /// key's states with the same values in the same order as the row
     /// fold, for a key with NULLs and a constant key alike.
     #[test]
     fn group_by_batch_fold_is_the_row_fold_bit_for_bit() {
-        use dgf_common::batch::decode_column;
-        use dgf_common::codec::put_value;
         let s = Schema::from_pairs(&[
             ("k_nulls", ValueType::Int),
             ("k_const", ValueType::Int),
@@ -737,21 +766,7 @@ mod tests {
                 ]
             })
             .collect();
-        let columns = s
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(c, f)| {
-                let mut bytes = Vec::new();
-                for r in &table {
-                    put_value(&mut bytes, &r[c]);
-                }
-                let mut col = Column::skipped();
-                decode_column(&bytes, n, f.vtype, &mut col).unwrap();
-                col
-            })
-            .collect();
-        let batch = ColumnBatch::new(columns, n, 0);
+        let batch = batch_of(&s, &table);
         let sparse: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
         for key in ["k_nulls", "k_const"] {
             let q = Query::GroupBy {
@@ -789,5 +804,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// −0.0 and +0.0 are one group, keyed +0.0 whichever zero came
+    /// first, by row, by batch and through a sibling merge.
+    #[test]
+    fn a_zero_group_key_is_positive_in_any_order() {
+        let s = Schema::from_pairs(&[("k", ValueType::Float), ("power", ValueType::Float)]);
+        let q = Query::GroupBy {
+            key: "k".into(),
+            aggs: vec![
+                AggFunc::Count,
+                AggFunc::Sum("power".into()),
+                AggFunc::Min("k".into()),
+                AggFunc::Max("k".into()),
+            ],
+            predicate: Predicate::all(),
+        };
+        let bits = |result: QueryResult| -> Vec<u64> {
+            let groups = result.into_groups();
+            assert_eq!(groups.len(), 1);
+            let (key, values) = &groups[0];
+            std::iter::once(key)
+                .chain(values)
+                .map(|v| match v {
+                    Value::Float(f) => f.to_bits(),
+                    Value::Int(n) => *n as u64,
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        let mut answers = Vec::new();
+        for zeros in [[-0.0, 0.0], [0.0, -0.0]] {
+            let table: Vec<Row> = zeros
+                .iter()
+                .zip([1.5, 2.25])
+                .map(|(k, p)| vec![Value::Float(*k), Value::Float(p)])
+                .collect();
+
+            let mut by_row = RowSink::new(&q, &s, None).unwrap();
+            for r in &table {
+                by_row.push(r).unwrap();
+            }
+
+            let mut by_batch = RowSink::new(&q, &s, None).unwrap();
+            let all = Selection::All(table.len());
+            by_batch.push_batch(&batch_of(&s, &table), &all).unwrap();
+
+            let mut merged = RowSink::new(&q, &s, None).unwrap();
+            merged.push(&table[0]).unwrap();
+            let mut sibling = merged.sibling();
+            sibling.push(&table[1]).unwrap();
+            merged.merge(sibling).unwrap();
+
+            for sink in [by_row, by_batch, merged] {
+                answers.push(bits(sink.finish()));
+            }
+        }
+        assert_eq!(answers[0][0], 0);
+        assert!(answers.iter().all(|a| *a == answers[0]), "{answers:x?}");
     }
 }

@@ -18,8 +18,9 @@
 //! ([`IndexOptions::fetch_parallelism`](dgf_core::IndexOptions)) issues
 //! per-run sub-plans concurrently (for plans that take the prefix-run
 //! scans; an aggregation the pyramid can answer reads its nodes from the
-//! metadata shard in one batch) while absorbing results strictly in
-//! odometer order — which is why every answer is bit-identical to the
+//! metadata shard in one batch). The calling thread absorbs one worker's
+//! runs after another's, and aggregate states merge in any order to the
+//! same bits — which is why every answer is bit-identical to the
 //! single-node engine at any shard count (`tests/serving_equivalence.rs`
 //! proves it for 1, 2, 4 and 7 shards).
 

@@ -255,7 +255,8 @@ fn kv_restart_preserves_all_gfus() {
 /// One on-disk format: `open` reads `m:view` in its one layout or
 /// refuses, and writes nothing either way. The seven side keys without a
 /// view are not an index; the layout that kept the file count behind a
-/// presence flag, and plain garbage, are `Corrupt`.
+/// presence flag, the one that stored a Slice-placement code, and plain
+/// garbage are `Corrupt`.
 #[test]
 fn a_store_without_a_readable_view_is_refused_not_upgraded() {
     use dgfindex::common::DgfError;
@@ -273,6 +274,10 @@ fn a_store_without_a_readable_view_is_refused_not_upgraded() {
     // After generation (8), pending (4) and watermark (8) came a u32
     // presence flag where the file count's u64 now sits.
     let flagged = [&current[..20], &1u32.to_le_bytes()[..], &current[20..]].concat();
+    // A u32 placement code (0 for the key hash) came before the last
+    // byte, the pyramid height.
+    let (head, pyramid) = current.split_at(current.len() - 1);
+    let placed = [head, &0u32.to_le_bytes()[..], pyramid].concat();
 
     let refused = |what: &str| {
         let before = (kv.stats().puts.get(), kv.scan_prefix(b"").unwrap());
@@ -289,6 +294,8 @@ fn a_store_without_a_readable_view_is_refused_not_upgraded() {
     assert!(matches!(refused("side keys, no view"), DgfError::Index(m) if m.contains("no DGFIndex metadata")));
     kv.put(META_VIEW_KEY, &flagged).unwrap();
     assert!(matches!(refused("presence-flag layout"), DgfError::Corrupt(m) if m.contains("rebuild the index")));
+    kv.put(META_VIEW_KEY, &placed).unwrap();
+    assert!(matches!(refused("placement-code layout"), DgfError::Corrupt(m) if m.contains("rebuild the index")));
     kv.put(META_VIEW_KEY, b"not a view").unwrap();
     assert!(matches!(refused("garbage"), DgfError::Corrupt(_)));
 }

@@ -322,7 +322,7 @@ struct SliceReadCost {
     runs: u64,
     frame_bytes: u64,
     footer_bytes: u64,
-    /// Runs per input, for the placement claim.
+    /// Runs per input, in plan order.
     runs_per_input: Vec<u64>,
 }
 
@@ -388,12 +388,12 @@ struct Series {
 
 const SERIES_USERS: i64 = 60;
 
-fn series(placement: dgfindex::core::SlicePlacement) -> Series {
-    series_as(placement, FileFormat::RcFile)
+fn series() -> Series {
+    series_as(FileFormat::RcFile)
 }
 
 /// [`series`] stored as `format`.
-fn series_as(placement: dgfindex::core::SlicePlacement, format: FileFormat) -> Series {
+fn series_as(format: FileFormat) -> Series {
     let schema = Arc::new(Schema::from_pairs(&[
         ("user_id", ValueType::Int),
         ("region", ValueType::Int),
@@ -431,17 +431,13 @@ fn series_as(placement: dgfindex::core::SlicePlacement, format: FileFormat) -> S
         DimPolicy::int("day", 0, 1),
     ])
     .unwrap();
-    let (idx, _) = DgfIndex::build_with_options(
+    let (idx, _) = DgfIndex::build(
         Arc::clone(&ctx),
         Arc::clone(&table),
         policy,
         vec![AggFunc::Count, AggFunc::Sum("power".into())],
         Arc::new(MemKvStore::new()),
         "dgf_runs",
-        IndexOptions {
-            placement,
-            ..IndexOptions::default()
-        },
     )
     .unwrap();
     Series {
@@ -455,7 +451,6 @@ fn series_as(placement: dgfindex::core::SlicePlacement, format: FileFormat) -> S
 
 #[test]
 fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
-    use dgfindex::core::SlicePlacement;
     let user_rows: Vec<Row> = (0..SERIES_USERS)
         .map(|u| vec![Value::Int(u), Value::Str(format!("user-{u}"))])
         .collect();
@@ -481,147 +476,135 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15))),
     };
 
-    let mut runs_by_placement = Vec::new();
-    for placement in [
-        SlicePlacement::KeyHash,
-        SlicePlacement::PrefixLocality { prefix_dims: 2 },
-    ] {
-        let Series {
-            _tmp,
-            hdfs,
-            ctx,
-            table,
-            idx,
-        } = series(placement);
-        let users = ctx
-            .create_table(
-                "users",
-                Arc::new(Schema::from_pairs(&[
-                    ("user_id", ValueType::Int),
-                    ("name", ValueType::Str),
-                ])),
-                FileFormat::Text,
-            )
+    let Series {
+        _tmp,
+        hdfs,
+        ctx,
+        table,
+        idx,
+    } = series();
+    let users = ctx
+        .create_table(
+            "users",
+            Arc::new(Schema::from_pairs(&[
+                ("user_id", ValueType::Int),
+                ("name", ValueType::Str),
+            ])),
+            FileFormat::Text,
+        )
+        .unwrap();
+    ctx.load_rows(&users, &user_rows, 1).unwrap();
+
+    // What the JOIN pays for its dimension table, on its own.
+    let before = hdfs.stats().snapshot();
+    assert_eq!(ctx.read_all(&users).unwrap().len(), user_rows.len());
+    let dim = hdfs.stats().snapshot().since(&before);
+    assert!(dim.opens > 0 && dim.bytes_read > 0);
+
+    // The join runs twice on one context: the first pays one read of
+    // the dimension table, the second reuses its build side and pays
+    // for its Slices alone. A file's footer is read by the first scan
+    // that opens it (cold: opens = files + inputs, seeks = 2 × files +
+    // runs, bytes = frames + footers); every later scan of it reads
+    // frames alone (warm: opens = inputs, seeks = runs, bytes = frames).
+    let mut warm = std::collections::BTreeSet::new();
+    let sequence = [(&group_by, 0), (&join, 1), (&join, 0)];
+    for (n, (query, dim_reads)) in sequence.into_iter().enumerate() {
+        let plan = idx.plan(query, true).unwrap();
+        let want = slice_read_cost(&hdfs, &plan.inputs, &mut warm);
+        assert!(want.groups >= 10 && want.inputs > 0, "{want:?}");
+        match n {
+            0 => assert!(want.files > 0 && want.footer_bytes > 0, "the first scan is cold"),
+            2 => assert_eq!((want.files, want.footer_bytes), (0, 0), "a repeated scan is warm"),
+            _ => {}
+        }
+
+        let io_before = hdfs.stats().snapshot();
+        let scan_before = ctx.scan_stats.snapshot();
+        let sink = dgfindex::hive::execute_sink(
+            &ctx,
+            &idx.data,
+            query,
+            Some(&*users),
+            plan.inputs.clone(),
+        )
+        .unwrap();
+        let io = hdfs.stats().snapshot().since(&io_before);
+        let scan = ctx.scan_stats.snapshot().since(&scan_before);
+        let label = format!("{want:?}");
+        assert_eq!(io.opens - dim_reads * dim.opens, want.files + want.inputs, "{label}");
+        assert_eq!(io.seeks - dim_reads * dim.seeks, 2 * want.files + want.runs, "{label}");
+        assert_eq!(
+            io.bytes_read - dim_reads * dim.bytes_read,
+            want.frame_bytes + want.footer_bytes,
+            "{label}"
+        );
+        assert_eq!(scan.batches, want.groups, "{label}");
+        assert_eq!(scan.rowwise_rows, 0);
+        assert_eq!(
+            (scan.footer_reads, scan.footer_reuses),
+            (want.files, want.inputs - want.files),
+            "{label}"
+        );
+        let joins = u64::from(std::ptr::eq(query, &join));
+        assert_eq!(
+            (scan.join_builds, scan.join_build_reuses),
+            (dim_reads, joins - dim_reads),
+            "{label}"
+        );
+
+        // The same bits as a scan of the base table, from the sink
+        // and from the engine.
+        let oracle = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&table))
+            .with_right(Arc::clone(&users))
+            .run(query)
+            .unwrap()
+            .result
+            .normalized();
+        let served = DgfEngine::new(Arc::clone(&idx))
+            .with_right(Arc::clone(&users))
+            .run(query)
             .unwrap();
-        ctx.load_rows(&users, &user_rows, 1).unwrap();
-
-        // What the JOIN pays for its dimension table, on its own.
-        let before = hdfs.stats().snapshot();
-        assert_eq!(ctx.read_all(&users).unwrap().len(), user_rows.len());
-        let dim = hdfs.stats().snapshot().since(&before);
-        assert!(dim.opens > 0 && dim.bytes_read > 0);
-
-        // The join runs twice on one context: the first pays one read of
-        // the dimension table, the second reuses its build side and pays
-        // for its Slices alone. A file's footer is read by the first scan
-        // that opens it (cold: opens = files + inputs, seeks = 2 × files +
-        // runs, bytes = frames + footers); every later scan of it reads
-        // frames alone (warm: opens = inputs, seeks = runs, bytes = frames).
-        let mut warm = std::collections::BTreeSet::new();
-        let sequence = [(&group_by, 0), (&join, 1), (&join, 0)];
-        for (n, (query, dim_reads)) in sequence.into_iter().enumerate() {
-            let plan = idx.plan(query, true).unwrap();
-            let want = slice_read_cost(&hdfs, &plan.inputs, &mut warm);
-            assert!(want.groups >= 10 && want.inputs > 0, "{placement:?}: {want:?}");
-            match n {
-                0 => assert!(want.files > 0 && want.footer_bytes > 0, "the first scan is cold"),
-                2 => assert_eq!((want.files, want.footer_bytes), (0, 0), "a repeated scan is warm"),
-                _ => {}
-            }
-
-            let io_before = hdfs.stats().snapshot();
-            let scan_before = ctx.scan_stats.snapshot();
-            let sink = dgfindex::hive::execute_sink(
-                &ctx,
-                &idx.data,
-                query,
-                Some(&*users),
-                plan.inputs.clone(),
-            )
-            .unwrap();
-            let io = hdfs.stats().snapshot().since(&io_before);
-            let scan = ctx.scan_stats.snapshot().since(&scan_before);
-            let label = format!("{placement:?} {want:?}");
-            assert_eq!(io.opens - dim_reads * dim.opens, want.files + want.inputs, "{label}");
-            assert_eq!(io.seeks - dim_reads * dim.seeks, 2 * want.files + want.runs, "{label}");
-            assert_eq!(
-                io.bytes_read - dim_reads * dim.bytes_read,
-                want.frame_bytes + want.footer_bytes,
-                "{label}"
-            );
-            assert_eq!(scan.batches, want.groups, "{label}");
-            assert_eq!(scan.rowwise_rows, 0);
-            assert_eq!(
-                (scan.footer_reads, scan.footer_reuses),
-                (want.files, want.inputs - want.files),
-                "{label}"
-            );
-            let joins = u64::from(std::ptr::eq(query, &join));
-            assert_eq!(
-                (scan.join_builds, scan.join_build_reuses),
-                (dim_reads, joins - dim_reads),
-                "{label}"
-            );
-
-            // The same bits as a scan of the base table, from the sink
-            // and from the engine.
-            let oracle = ScanEngine::new(Arc::clone(&ctx), Arc::clone(&table))
-                .with_right(Arc::clone(&users))
-                .run(query)
-                .unwrap()
-                .result
-                .normalized();
-            let served = DgfEngine::new(Arc::clone(&idx))
-                .with_right(Arc::clone(&users))
-                .run(query)
-                .unwrap();
-            for got in [sink.finish().normalized(), served.result.normalized()] {
-                assert_eq!(got, oracle, "{label}");
-                if let (QueryResult::Groups(g), QueryResult::Groups(o)) = (&got, &oracle) {
-                    assert!(g.len() > 1);
-                    for ((_, a), (_, b)) in g.iter().zip(o) {
-                        for (a, b) in a.iter().zip(b) {
-                            if let (Value::Float(a), Value::Float(b)) = (a, b) {
-                                assert_eq!(a.to_bits(), b.to_bits(), "{label}");
-                            }
+        for got in [sink.finish().normalized(), served.result.normalized()] {
+            assert_eq!(got, oracle, "{label}");
+            if let (QueryResult::Groups(g), QueryResult::Groups(o)) = (&got, &oracle) {
+                assert!(g.len() > 1);
+                for ((_, a), (_, b)) in g.iter().zip(o) {
+                    for (a, b) in a.iter().zip(b) {
+                        if let (Value::Float(a), Value::Float(b)) = (a, b) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{label}");
                         }
                     }
                 }
             }
-            if std::ptr::eq(query, &group_by) {
-                runs_by_placement.push(want.runs_per_input);
-            }
         }
-
-        // A join whose predicate misses every Slice reads nothing: no
-        // slice, no footer and no dimension table.
-        let miss = Query::Join {
-            left_key: "user_id".into(),
-            right_key: "user_id".into(),
-            left_project: vec!["power".into()],
-            right_project: vec!["name".into()],
-            predicate: Predicate::all().and(
-                "user_id",
-                ColumnRange::half_open(Value::Int(1_000), Value::Int(1_010)),
-            ),
-        };
-        let before = hdfs.stats().snapshot();
-        let run = DgfEngine::new(Arc::clone(&idx))
-            .with_right(Arc::clone(&users))
-            .run(&miss)
-            .unwrap();
-        let io = hdfs.stats().snapshot().since(&before);
-        assert_eq!(run.result, QueryResult::Rows(vec![]));
-        assert_eq!((io.bytes_read, io.opens, io.seeks), (0, 0, 0), "{placement:?}");
+        if std::ptr::eq(query, &group_by) {
+            // The one-prefix series under the key-hash shuffle: one run
+            // in each of three inputs.
+            assert_eq!(want.runs_per_input, [1, 1, 1], "{label}");
+        }
     }
-    // The one-prefix time series: contiguous under prefix locality — one
-    // run in each input — and scattered by the full-key hash.
-    let (hashed, local) = (&runs_by_placement[0], &runs_by_placement[1]);
-    assert!(local.iter().all(|runs| *runs == 1), "prefix locality: {local:?}");
-    assert!(
-        hashed.iter().sum::<u64>() > local.iter().sum::<u64>(),
-        "key hash {hashed:?} vs prefix locality {local:?}"
-    );
+
+    // A join whose predicate misses every Slice reads nothing: no
+    // slice, no footer and no dimension table.
+    let miss = Query::Join {
+        left_key: "user_id".into(),
+        right_key: "user_id".into(),
+        left_project: vec!["power".into()],
+        right_project: vec!["name".into()],
+        predicate: Predicate::all().and(
+            "user_id",
+            ColumnRange::half_open(Value::Int(1_000), Value::Int(1_010)),
+        ),
+    };
+    let before = hdfs.stats().snapshot();
+    let run = DgfEngine::new(Arc::clone(&idx))
+        .with_right(Arc::clone(&users))
+        .run(&miss)
+        .unwrap();
+    let io = hdfs.stats().snapshot().since(&before);
+    assert_eq!(run.result, QueryResult::Rows(vec![]));
+    assert_eq!((io.bytes_read, io.opens, io.seeks), (0, 0, 0));
 
     // A GROUP BY over every region of two user cells, on a text index:
     // its one reader per input opens the file once and seeks once per
@@ -634,30 +617,25 @@ fn slice_reads_cost_one_open_per_input_and_one_seek_per_run() {
             .and("user_id", ColumnRange::half_open(Value::Int(10), Value::Int(30)))
             .and("day", ColumnRange::half_open(Value::Int(5), Value::Int(15))),
     };
-    for placement in [
-        SlicePlacement::KeyHash,
-        SlicePlacement::PrefixLocality { prefix_dims: 2 },
-    ] {
-        let Series { _tmp, hdfs, ctx, table, idx } = series_as(placement, FileFormat::Text);
-        let plan = idx.plan(&two_cells, true).unwrap();
-        let mut ranges = 0;
-        let mut past_zero = 0;
-        for input in &plan.inputs {
-            let dgfindex::hive::ScanInput::TextRanges { ranges: r, .. } = input else {
-                panic!("a DGF plan over a text index made {input:?}");
-            };
-            ranges += r.len() as u64;
-            past_zero += r.iter().filter(|r| r.start > 0).count() as u64;
-        }
-        assert!(ranges > plan.inputs.len() as u64, "{placement:?}: one range an input");
-        let before = hdfs.stats().snapshot();
-        let sink = dgfindex::hive::execute_sink(&ctx, &idx.data, &two_cells, None, plan.inputs.clone())
-            .unwrap();
-        let io = hdfs.stats().snapshot().since(&before);
-        assert_eq!((io.opens, io.seeks), (plan.inputs.len() as u64, past_zero), "{placement:?}");
-        let oracle = ScanEngine::new(Arc::clone(&ctx), table).run(&two_cells).unwrap().result;
-        assert_eq!(sink.finish().normalized(), oracle.normalized(), "{placement:?}");
+    let Series { _tmp, hdfs, ctx, table, idx } = series_as(FileFormat::Text);
+    let plan = idx.plan(&two_cells, true).unwrap();
+    let mut ranges = 0;
+    let mut past_zero = 0;
+    for input in &plan.inputs {
+        let dgfindex::hive::ScanInput::TextRanges { ranges: r, .. } = input else {
+            panic!("a DGF plan over a text index made {input:?}");
+        };
+        ranges += r.len() as u64;
+        past_zero += r.iter().filter(|r| r.start > 0).count() as u64;
     }
+    assert!(ranges > plan.inputs.len() as u64, "one range an input");
+    let before = hdfs.stats().snapshot();
+    let sink = dgfindex::hive::execute_sink(&ctx, &idx.data, &two_cells, None, plan.inputs.clone())
+        .unwrap();
+    let io = hdfs.stats().snapshot().since(&before);
+    assert_eq!((io.opens, io.seeks), (plan.inputs.len() as u64, past_zero));
+    let oracle = ScanEngine::new(Arc::clone(&ctx), table).run(&two_cells).unwrap().result;
+    assert_eq!(sink.finish().normalized(), oracle.normalized());
 }
 
 /// GROUP BY a one-value-cell dimension reads what the plain aggregate
@@ -673,7 +651,7 @@ fn group_by_a_unit_dimension_reads_what_the_plain_aggregate_reads() {
         ctx,
         table,
         idx,
-    } = series(dgfindex::core::SlicePlacement::KeyHash);
+    } = series();
     // Misaligned on users (boundary user cells 0 and 3), aligned on days:
     // eighteen days of inner cells, every region.
     let predicate = Predicate::all()
