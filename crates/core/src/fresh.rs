@@ -2,11 +2,13 @@
 //!
 //! Each cell of a [`GfuCells`] holds its rows in arrival order and folds
 //! the index's pre-computed aggregates over them: the header a build
-//! writes for those rows. The build reducer, `append` and the memtable
-//! (WAL replay included) fill cells through [`GfuCells::insert`]; the
-//! Slice writer writes them as they are. A set records the policy it was
-//! routed under; a reader under another (a plan pinned to a regridded
-//! view, a flush after a regrid) re-groups it through the same `insert`.
+//! writes for those rows. A build's map task, `append` and the memtable
+//! (WAL replay included) fill cells through [`GfuCells::insert`]; a
+//! build's reducer joins the map tasks' parts of each cell
+//! (`GfuCells::merge_parts`); the Slice writer writes cells as they are.
+//! A set records the policy it was routed under; a reader under another
+//! (a plan pinned to a regridded view, a flush after a regrid) re-groups
+//! it through the same `insert`.
 //!
 //! Each cell sits behind an [`Arc`], and so does a memtable's whole set:
 //! a snapshot is a pointer copy, and [`insert`](GfuCells::insert) copies
@@ -86,6 +88,28 @@ impl GfuCells {
         let cell = Arc::make_mut(cell);
         aggs.update(&mut cell.states, &row, &self.schema)?;
         cell.rows.push(row);
+        Ok(())
+    }
+
+    /// Add cell `key`, new to this set, joined from `parts` that other
+    /// sets folded, each over a run of its rows, in the order given:
+    /// states merge ([`AggSet::merge`], exact, so the header is the one
+    /// the rows' fold in that order reaches) and rows move, concatenated.
+    /// A part no other handle shares is unwrapped, not copied.
+    pub(crate) fn merge_parts(
+        &mut self,
+        key: GfuKey,
+        parts: impl IntoIterator<Item = Arc<GfuCell>>,
+    ) -> Result<()> {
+        let mut parts = parts.into_iter().map(Arc::unwrap_or_clone);
+        let Some(mut cell) = parts.next() else {
+            return Ok(());
+        };
+        for mut part in parts {
+            self.aggs.merge(&mut cell.states, &part.states)?;
+            cell.rows.append(&mut part.rows);
+        }
+        self.cells.insert(key, Arc::new(cell));
         Ok(())
     }
 
@@ -185,5 +209,37 @@ mod tests {
         assert_eq!(sum(&one.states), 2.5);
         assert_eq!(one.rows[0][1], Value::Float(2.0));
         assert!(set.route(&vec![Value::Null, Value::Float(0.0)]).is_err());
+    }
+
+    /// Cells folded over runs of the rows and joined in run order are the
+    /// cells one set folding every row in that order holds: the same rows
+    /// in the same order and the same states, to the bit.
+    #[test]
+    fn merged_parts_are_the_fold_of_every_row() {
+        let rows: Vec<Row> = (0..30i64)
+            .map(|i| vec![Value::Int(i % 7), Value::Float(0.1 * i as f64 + 1e15 * (i % 3) as f64)])
+            .collect();
+        let mut whole = cells(3);
+        rows.iter().try_for_each(|r| whole.insert(r.clone())).unwrap();
+        let mut parts: BTreeMap<GfuKey, Vec<Arc<GfuCell>>> = BTreeMap::new();
+        for run in rows.chunks(11) {
+            let mut part = cells(3);
+            run.iter().try_for_each(|r| part.insert(r.clone())).unwrap();
+            for (key, cell) in part.cells {
+                parts.entry(key).or_default().push(cell);
+            }
+        }
+        assert!(parts.values().any(|p| p.len() > 1));
+        let mut joined = cells(3);
+        for (key, cell_parts) in parts {
+            joined.merge_parts(key, cell_parts).unwrap();
+        }
+        let keys = |set: &GfuCells| set.cells.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(keys(&joined), keys(&whole));
+        for (key, cell) in &whole.cells {
+            let other = &joined.cells[key];
+            assert_eq!(other.rows, cell.rows);
+            assert_eq!(AggSet::encode_states(&other.states), AggSet::encode_states(&cell.states));
+        }
     }
 }

@@ -606,15 +606,52 @@ mod tests {
             DimPolicy::int("day", 0, 3),
         ])
         .unwrap();
-        DgfIndex::build(
+        DgfIndex::build_with_options(
             Arc::clone(ctx),
             Arc::clone(tab),
             policy,
             vec![AggFunc::Sum("power".into()), AggFunc::Count],
             Arc::new(MemKvStore::new()),
             name,
+            IndexOptions {
+                profiler: dgf_common::obs::Profiler::enabled(),
+                ..IndexOptions::default()
+            },
         )
         .unwrap()
+    }
+
+    /// The build job's shuffle counts: each map task folds its split into
+    /// cells and emits one part per cell it touched, so the shuffle moves
+    /// one pair per distinct (split, GFU) of the base rows, and each
+    /// reducer group is one GFU.
+    fn assert_build_shuffles_cells(ctx: &Arc<HiveContext>, tab: &TableRef, idx: &DgfIndex) {
+        use dgf_common::obs::names;
+        use dgf_hive::{open_input, ScanInput};
+        let profile = idx.profiler().take_profile();
+        let reorg = profile.find("build.reorganize").expect("the build's job span");
+        let count = |name: &str| reorg.metrics.get(name).copied().unwrap_or(0) as usize;
+        let router = GfuCells::new(idx.policy(), &tab.schema, &[]).unwrap();
+        let (mut rows, mut parts) = (0, std::collections::BTreeSet::new());
+        for (s, split) in ctx.table_splits(tab).into_iter().enumerate() {
+            let input = ScanInput::FullSplit(split);
+            open_input(ctx, tab, &input)
+                .unwrap()
+                .for_each_row(|_, row| {
+                    rows += 1;
+                    parts.insert((s, router.route(row)?));
+                    Ok(())
+                })
+                .unwrap();
+        }
+        assert_eq!(rows, 600);
+        assert!(parts.len() < rows, "{} parts", parts.len());
+        assert_eq!(count(names::MR_MAP_OUTPUTS), parts.len());
+        assert_eq!(count(names::MR_SHUFFLED_PAIRS), parts.len());
+        assert_eq!(count(names::MR_REDUCE_GROUPS), idx.gfu_count().unwrap());
+        // Cells merged from more than one map task are among those the
+        // digests below pin.
+        assert!(count(names::MR_SHUFFLED_PAIRS) > count(names::MR_REDUCE_GROUPS));
     }
 
     /// Every file of `idx`'s data directory, Slices and sidecars, by name.
@@ -653,6 +690,7 @@ mod tests {
         let tab = meter_table(&ctx, format);
         let (a, _) = build_meter(&ctx, &tab, "dgf_det_a");
         let (b, _) = build_meter(&ctx, &tab, "dgf_det_b");
+        assert_build_shuffles_cells(&ctx, &tab, &a);
         assert_eq!(a.kv.logical_size_bytes(), b.kv.logical_size_bytes());
         let files = files_of(&ctx, &a);
         let sidecars = files.keys().filter(|name| dgf_format::is_sidecar_path(name));

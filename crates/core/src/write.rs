@@ -1,14 +1,19 @@
 //! The write side of a DGFIndex: the reorganization job (paper §4.2,
 //! Algorithms 1 and 2) and the writers built on it.
 //!
-//! Construction is a MapReduce job that **reorganizes** the base table:
-//! mappers standardize each record's indexed dimensions into a GFUKey and
-//! emit `(GFUKey, row)`; each reducer writes the rows of every key it
-//! owns contiguously as a *Slice* of its output file, folds the
-//! pre-computed aggregates into the GFU header, and stages the
-//! `GFUKey → GFUValue` pair. Because the shuffle groups and sorts by key,
-//! a Slice always holds exactly the records of one GFU. A regrid runs the
-//! same job over the index's own Slices under a new policy.
+//! Construction is a MapReduce job that **reorganizes** the base table.
+//! A map task standardizes each record's indexed dimensions into a
+//! GFUKey and folds the record into its split's own cell for that key
+//! (rows and pre-computed aggregates), then emits one `(GFUKey, cell)`
+//! part per cell: an in-mapper combiner, so the shuffle moves one pair
+//! per (split, cell), not per row. The key-hash shuffle sends every part
+//! of a cell to one reducer, in map-task order; the reducer joins them
+//! (`GfuCells::merge_parts`), writes each cell's rows contiguously as a
+//! *Slice* of its output file and stages the `GFUKey → GFUValue` pair.
+//! Because the shuffle groups and sorts by key, a Slice always holds
+//! exactly the records of one GFU, in split order and, within a split,
+//! in read order. A regrid runs the same job over the index's own Slices
+//! under a new policy.
 //!
 //! The time dimension makes the index append-only: new meter data lands in
 //! new time cells, so `append` merges new Slices into the store — no
@@ -28,7 +33,7 @@ use dgf_mapreduce::{JobOutput, JobReport};
 use dgf_query::{AggSet, AggState};
 use dgf_storage::{FileSplit, HdfsRef};
 
-use crate::fresh::GfuCells;
+use crate::fresh::{GfuCell, GfuCells};
 use crate::gfu::{Extents, FileId, GfuKey, GfuValue, SliceLoc, GFU_PREFIX};
 use crate::index::DgfIndex;
 use crate::policy::SplittingPolicy;
@@ -118,7 +123,7 @@ impl DgfIndex {
     ) -> Result<JobReport> {
         let rewrite = regrid.is_some();
         let policy = regrid.unwrap_or_else(|| self.policy());
-        // It routes the mappers' rows, and each reducer fills a copy.
+        // Every map task and every reducer fills a copy of it.
         let empty = GfuCells::new(Arc::clone(&policy), &self.base.schema, &self.aggs)?;
         let num_reducers = self.ctx.engine.threads().min(splits.len()).max(1);
         let (ctx, base) = (&self.ctx, &self.base);
@@ -134,23 +139,30 @@ impl DgfIndex {
             self.ctx.engine.map_reduce(
                 splits,
                 num_reducers,
-                // Map (Algorithm 1): standardize dims → GFUKey; emit
-                // (key, row). A regrid's splits cover the data table's
-                // files, which have the base table's schema and format.
+                // Map (Algorithm 1), combined in the mapper: standardize
+                // dims → GFUKey and fold the split's rows into its own
+                // cells, then emit one (key, cell) part per cell. A
+                // regrid's splits cover the data table's files, which
+                // have the base table's schema and format.
                 &|_, split: FileSplit, e| {
+                    let mut cells = empty.clone();
                     let input = ScanInput::FullSplit(split);
-                    open_input(ctx, base, &input)?.for_each_row(|_, row| {
-                        e.emit(empty.route(row)?.encode(), row.clone());
-                        Ok(())
-                    })
+                    open_input(ctx, base, &input)?
+                        .for_each_row(|_, row| cells.insert(row.clone()))?;
+                    for (key, cell) in cells.cells {
+                        e.emit(key.encode(), cell);
+                    }
+                    Ok(())
                 },
                 None,
-                // Reduce (Algorithm 2): one STAGED file per reducer, its
-                // keys' rows folded into their cells in shuffle order.
-                &|tid, groups: Vec<(Vec<u8>, Vec<Row>)>| {
+                // Reduce (Algorithm 2): one STAGED file per reducer. A
+                // key's parts arrive in map-task order (the shuffle's sort
+                // is stable), so each cell's rows keep the order one
+                // reducer folding every row would have given them.
+                &|tid, groups: Vec<(Vec<u8>, Vec<Arc<GfuCell>>)>| {
                     let mut cells = empty.clone();
-                    for row in groups.into_iter().flat_map(|(_, rows)| rows) {
-                        cells.insert(row)?;
+                    for (key, parts) in groups {
+                        cells.merge_parts(GfuKey::decode(&key, policy.arity())?, parts)?;
                     }
                     let file = FileId::new(txn.gen(), tid as u32);
                     Ok((self.write_slices(&txn, file, rewrite, &cells)?, file))

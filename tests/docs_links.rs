@@ -15,7 +15,12 @@
 //!   `tests/...`) exists on disk;
 //! * every backticked snake_case name of four or more words — a test, a
 //!   function, a metric field — occurs in the Rust sources, so a deleted
-//!   or renamed test leaves no stale citation behind.
+//!   or renamed test leaves no stale citation behind;
+//! * every `repro` command line, in a code span or a code block, names
+//!   only `--only` keys the binary accepts (its `KEYS`) and no
+//!   positional target, which it rejects;
+//! * every backticked module path `dgf-<crate>::<module>` names a module
+//!   file of that crate.
 //!
 //! CI runs this as the docs-lint step (`cargo test --test docs_links`).
 
@@ -287,4 +292,82 @@ fn backticked_long_names_occur_in_the_sources() {
         }
     }
     assert!(broken.is_empty(), "docs cite names the code lacks:\n  {}", broken.join("\n  "));
+}
+
+/// Every inline code span and every fenced code line of `text`, with
+/// its line index.
+fn code_fragments(text: &str) -> Vec<(usize, &str)> {
+    let mut out = backticked(text);
+    let mut in_code = false;
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_code = !in_code;
+        } else if in_code {
+            out.push((idx, line));
+        }
+    }
+    out
+}
+
+/// The `--only` keys `repro` accepts: the strings of its `KEYS` constant.
+fn repro_keys() -> BTreeSet<String> {
+    let path = repo_root().join("crates/bench/src/bin/repro.rs");
+    let src = std::fs::read_to_string(&path).unwrap();
+    let start = src.find("const KEYS").expect("repro declares its KEYS");
+    let decl = &src[start..start + src[start..].find("];").expect("KEYS ends")];
+    decl.split('"').skip(1).step_by(2).map(str::to_owned).collect()
+}
+
+#[test]
+fn repro_command_lines_name_keys_it_accepts() {
+    let keys = repro_keys();
+    assert!(keys.contains("agg"), "read no KEYS from repro.rs: {keys:?}");
+    let mut broken = Vec::new();
+    for doc in DOCS {
+        for (idx, fragment) in code_fragments(&read_doc(doc)) {
+            let tokens: Vec<&str> = fragment.split_whitespace().collect();
+            let is_repro = |t: &&str| *t == "repro" || t.ends_with("/repro");
+            let Some(at) = tokens.iter().position(is_repro) else {
+                continue;
+            };
+            // `cargo run … --bin repro -- <args>`: the program's own
+            // arguments start after cargo's separator.
+            let args = match &tokens[at + 1..] {
+                ["--", rest @ ..] => rest,
+                rest => rest,
+            };
+            if let Some(first) = args.first().filter(|a| !a.starts_with('-')) {
+                broken.push(format!("{doc}:{}: `repro {first}` is not an argument", idx + 1));
+            }
+            for pair in args.windows(2).filter(|w| w[0] == "--only") {
+                for key in pair[1].split(',').filter(|k| !keys.contains(*k)) {
+                    broken.push(format!("{doc}:{}: `--only {key}` is not a repro key", idx + 1));
+                }
+            }
+        }
+    }
+    assert!(broken.is_empty(), "docs name repro runs it rejects:\n  {}", broken.join("\n  "));
+}
+
+#[test]
+fn backticked_module_paths_exist() {
+    let root = repo_root();
+    let mut broken = Vec::new();
+    for doc in DOCS {
+        for (idx, span) in backticked(&read_doc(doc)) {
+            let crate_path = span.strip_prefix("dgf-").and_then(|s| s.split_once("::"));
+            let Some((krate, path)) = crate_path else {
+                continue;
+            };
+            let module = path.split("::").next().unwrap_or(path);
+            if !module.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
+                continue; // a type or a constant, not a module
+            }
+            let src = root.join("crates").join(krate).join("src");
+            if !src.join(format!("{module}.rs")).exists() && !src.join(module).is_dir() {
+                broken.push(format!("{doc}:{}: `{span}` names no module file", idx + 1));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "docs cite missing modules:\n  {}", broken.join("\n  "));
 }
