@@ -26,12 +26,22 @@ struct Args {
     scale: BenchScale,
     only: Option<Vec<String>>,
     out: Option<String>,
+    /// `--help`: print the usage and run nothing.
+    help: bool,
+}
+
+fn usage() -> String {
+    format!(
+        "usage: repro [--scale small|medium|large] [--only {}] [--out results.md]",
+        KEYS.join(",")
+    )
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut scale = BenchScale::medium();
     let mut only = None;
     let mut out = None;
+    let mut help = false;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
@@ -48,12 +58,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 only = Some(keys);
             }
             "--out" => out = Some(it.next().ok_or("--out needs a value")?),
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: repro [--scale small|medium|large] [--only {}] [--out results.md]",
-                    KEYS.join(",")
-                ))
-            }
+            "--help" | "-h" => help = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -61,6 +66,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         scale,
         only,
         out,
+        help,
     })
 }
 
@@ -79,6 +85,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.help {
+        println!("{}", usage());
+        return;
+    }
     if let Err(e) = run(args) {
         eprintln!("repro failed: {e}");
         std::process::exit(1);

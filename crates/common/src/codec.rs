@@ -271,6 +271,56 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A word-at-a-time multiply-rotate [`Hasher`](std::hash::Hasher) for
+/// in-memory maps keyed by the program's own fixed-width keys (the
+/// header cache's `g:` and `p:` keys): eight bytes a step, one multiply
+/// and one rotate each, so a 27-byte key costs five steps (its length
+/// and four words) where SipHash costs dozens of rounds. It is not keyed and not collision-resistant:
+/// never use it on input a client controls. Deterministic across runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn step(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K).rotate_left(26);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.step(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if tail.is_empty() {
+            return;
+        }
+        // The last eight bytes, overlapping the last whole word, where
+        // there are eight: one load instead of a copy of the tail. A
+        // slice's `Hash` writes its length first, so this stays
+        // injective.
+        let last = match bytes.len().checked_sub(8) {
+            Some(at) => u64::from_le_bytes(bytes[at..].try_into().expect("8 bytes")),
+            None => tail.iter().rev().fold(0, |w, b| w << 8 | u64::from(*b)),
+        };
+        self.step(last);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.step(n as u64);
+    }
+
+    /// One more multiply, then the high half folded onto the low: a
+    /// last word's high bytes reach the low bits a table indexes by.
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(Self::K);
+        h ^ (h >> 32)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Checksummed frames: the records of the append-only logs (the key-value
 // store's log and the ingest WAL).
@@ -444,6 +494,36 @@ mod tests {
         for v in &vals {
             assert_eq!(&get_value(&mut d).unwrap(), v);
         }
+    }
+
+    /// Grid keys differ only in the low bytes of their big-endian
+    /// coordinates, which land in the high bytes of the hasher's words:
+    /// the finished hash must still spread them over a table's low
+    /// index bits and over the top bits a table tags slots with.
+    #[test]
+    fn word_hasher_spreads_grid_keys() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let mut low = HashSet::new();
+        let mut top = HashSet::new();
+        let mut all = HashSet::new();
+        for a in 0..64i64 {
+            for b in 0..64i64 {
+                let mut key = b"g:".to_vec();
+                for c in [7, a, b] {
+                    encode_key_i64(&mut key, c);
+                }
+                let h = build.hash_one(key.as_slice());
+                low.insert(h & 0xfff);
+                top.insert(h >> 57);
+                all.insert(h);
+            }
+        }
+        assert_eq!(all.len(), 4096, "distinct keys collided");
+        // 4096 uniform draws over 4096 buckets fill 63 % of them.
+        assert!(low.len() > 2400, "{} of 4096 low buckets", low.len());
+        assert_eq!(top.len(), 128);
     }
 
     #[test]

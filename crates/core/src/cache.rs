@@ -17,15 +17,26 @@
 //! planner proved absent by scanning their key run. Without them a
 //! repeated query could never tell "absent" from "evicted" and would
 //! have to re-scan; with them, a repeated identical query is answered
-//! entirely from memory with zero key-value traffic.
+//! entirely from memory, and the planner then re-reads no view either
+//! (`DESIGN.md` §11): its one key-value read is the pin.
+//!
+//! A warm plan probes thousands of keys, so a probe must cost little
+//! beside the header it returns. Keys hash with [`WordHasher`], eight
+//! bytes a step — the keys are the planner's own fixed-width `g:`/`p:`
+//! encodings, never client input, so a keyed hash buys nothing — and
+//! the shard a key lives in comes from the same hash. A batch
+//! ([`get_many`](GfuHeaderCache::get_many)) finds each key's shard once,
+//! groups the keys by shard in one pass and takes each shard's lock once.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use dgf_common::codec::WordHasher;
 use dgf_common::counter_block;
 use dgf_common::obs::names;
 
@@ -35,6 +46,9 @@ use crate::gfu::GfuValue;
 pub const DEFAULT_HEADER_CACHE_CAPACITY: usize = 1 << 16;
 
 const SHARDS: usize = 8;
+
+/// One generation's entries of a shard, by raw key.
+type KeyMap = HashMap<Vec<u8>, Entry, BuildHasherDefault<WordHasher>>;
 
 /// A cached lookup result: `Some(v)` for a present GFU, `None` for a
 /// cell proven absent at this generation.
@@ -87,7 +101,7 @@ struct Entry {
 struct Shard {
     /// LRU clock, incremented per touch.
     clock: u64,
-    generations: Vec<(u64, HashMap<Vec<u8>, Entry>)>,
+    generations: Vec<(u64, KeyMap)>,
     queue: BinaryHeap<Reverse<(u64, u64, Vec<u8>)>>,
     len: usize,
 }
@@ -129,7 +143,7 @@ impl Shard {
         let entries = match self.generations.iter().position(|(g, _)| *g == generation) {
             Some(i) => &mut self.generations[i].1,
             None => {
-                self.generations.push((generation, HashMap::new()));
+                self.generations.push((generation, KeyMap::default()));
                 &mut self.generations.last_mut().expect("just pushed").1
             }
         };
@@ -200,8 +214,12 @@ impl GfuHeaderCache {
         }
     }
 
+    /// The shard of `key`: bits of the very hash its shard's map files
+    /// it under, taken above the low bits that pick a slot in the map and
+    /// below the top bits that tag one, so a shard's keys still spread
+    /// over its whole table.
     fn shard_index(key: &[u8]) -> usize {
-        dgf_common::codec::fnv1a(key) as usize % SHARDS
+        (BuildHasherDefault::<WordHasher>::default().hash_one(key) >> 32) as usize % SHARDS
     }
 
     fn shard(&self, key: &[u8]) -> &Mutex<Shard> {
@@ -222,27 +240,40 @@ impl GfuHeaderCache {
     }
 
     /// [`get`](Self::get) for every key of `keys` at `generation`, one
-    /// result per key in `keys` order. Each shard is locked once and
-    /// probed in `keys` order, and the counters move once per batch, so
-    /// stamps and later evictions are exactly those of the same `get`s
-    /// made one at a time.
+    /// result per key in `keys` order. The keys are grouped by shard in
+    /// one pass (a stable counting sort, so each shard's keys keep their
+    /// `keys` order); each shard is then locked once and probed in that
+    /// order, and the counters move once per batch, so stamps and later
+    /// evictions are exactly those of the same `get`s made one at a time.
     pub fn get_many<'k, I>(&self, generation: u64, keys: I) -> Vec<Option<CachedGfu>>
     where
         I: IntoIterator<Item = &'k [u8]>,
-        I::IntoIter: Clone,
     {
-        let keys = keys.into_iter();
-        let shard_of: Vec<u8> = keys.clone().map(|k| Self::shard_index(k) as u8).collect();
-        let mut out = vec![None; shard_of.len()];
+        let keys: Vec<&[u8]> = keys.into_iter().collect();
+        let shard_of: Vec<u8> = keys.iter().map(|k| Self::shard_index(k) as u8).collect();
+        // `starts[s]..starts[s + 1]` is shard `s`'s stretch of `order`.
+        let mut starts = [0usize; SHARDS + 1];
+        for s in &shard_of {
+            starts[*s as usize + 1] += 1;
+        }
+        for s in 0..SHARDS {
+            starts[s + 1] += starts[s];
+        }
+        let mut order = vec![0usize; keys.len()];
+        let mut next = starts;
+        for (i, s) in shard_of.iter().enumerate() {
+            order[next[*s as usize]] = i;
+            next[*s as usize] += 1;
+        }
+        let mut out = vec![None; keys.len()];
         for (s, shard) in self.shards.iter().enumerate() {
-            let s = s as u8;
-            if !shard_of.contains(&s) {
+            let mine = &order[starts[s]..starts[s + 1]];
+            if mine.is_empty() {
                 continue;
             }
             let mut shard = shard.lock();
-            let mine = out.iter_mut().zip(keys.clone()).zip(&shard_of).filter(|(_, o)| **o == s);
-            for ((slot, key), _) in mine {
-                *slot = shard.probe(generation, key);
+            for i in mine {
+                out[*i] = shard.probe(generation, keys[*i]);
             }
         }
         let hits = out.iter().filter(|p| p.is_some()).count() as u64;

@@ -27,9 +27,22 @@
 //! the fully-inner box from pre-computed `p:` nodes instead and takes
 //! the run scans only where no node can answer. Both consult the index's
 //! epoch-tagged [`GfuHeaderCache`](crate::cache::GfuHeaderCache), so a
-//! repeated query touches the store not at all. Header states merge in
+//! repeated query reads no GFU from the store. Header states merge in
 //! any order to the same bits (their sums are exact), so the two plans
 //! agree in every float bit however their headers are grouped.
+//!
+//! ## One view read when warm
+//!
+//! A plan pins the committed [`ReadView`] with one `m:view` get, fetches
+//! against it and re-reads the view to validate that no commit landed
+//! in between (`DESIGN.md` §11). An attempt whose every probe hit the
+//! cache — negative entries included, so it issued no `scan_range` and
+//! no `multi_get` — skips that second read: the cache holds a
+//! generation's values only once an attempt validated them against that
+//! generation's view, so nothing it used can be torn. A registered
+//! [`FreshSource`](crate::fresh::FreshSource) keeps the re-read, which is
+//! how a plan notices a flush that took rows out of its memtable
+//! snapshot. A warm repeated plan therefore costs one key-value read.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -158,6 +171,12 @@ struct Collector {
     per_file: HashMap<FileId, Vec<ByteRange>>,
     cache_hits: u64,
     cache_misses: u64,
+    /// Whether the fetch read the store after the pin: a run's
+    /// `scan_range` or the pyramid's `multi_get`, taken on any cache
+    /// miss. Such values may come from a commit that landed after the
+    /// pin, so only an attempt that read nothing may skip re-reading the
+    /// view.
+    read_store: bool,
     /// Header-cache fills this fetch wants to make, deferred until the
     /// pinned view validates: a fetch that raced a commit may have read
     /// torn values, and publishing them under the pinned generation
@@ -497,7 +516,9 @@ impl DgfIndex {
 
         // Optimistic snapshot loop. Each attempt pins one committed
         // ReadView with a single KV read, fetches against it, and
-        // validates afterwards that the view is still the committed one.
+        // validates afterwards that the view is still the committed one
+        // (unless the attempt read nothing but its pinned generation's
+        // cache entries, see below).
         // A mismatch discards the attempt — including its header-cache
         // fills — and re-pins, so the plan that escapes the loop is built
         // entirely from one committed view: never a blend (DESIGN.md §11).
@@ -561,6 +582,7 @@ impl DgfIndex {
                 per_file: HashMap::new(),
                 cache_hits: 0,
                 cache_misses: 0,
+                read_store: false,
                 pending_fills: Vec::new(),
                 decoded: Vec::new(),
                 picked: Vec::new(),
@@ -630,8 +652,15 @@ impl DgfIndex {
 
             // Validate: the pinned view must still be committed. A flush
             // is a commit like any other, so a flush that published
-            // between the pin and here moved the view as well.
-            let view_ok = self.view_unchanged(&view)?;
+            // between the pin and here moved the view as well. An attempt
+            // that read nothing from the store after its pin used only
+            // cache entries validated against this very view, and skips
+            // the re-read; a memtable snapshot keeps it (module docs).
+            let view_ok = if collector.read_store || fresh_src.is_some() {
+                self.view_unchanged(&view)?
+            } else {
+                true
+            };
             if let Some(before) = &fetch_before {
                 self.kv.stats().snapshot().since(before).attach_to_span(&fetch_span);
                 for (name, v) in [
@@ -664,18 +693,19 @@ impl DgfIndex {
                 ));
             }
         };
-        // The attempt survived validation: its header-cache fills are
-        // known-consistent for the pinned generation and safe to publish.
-        // The validated view is the committed one, so every generation
-        // below it is permanently unreachable — retire those entries now
-        // instead of waiting for LRU pressure to find them.
+        // The attempt was accepted: its header-cache fills (an all-hit
+        // attempt has none) were validated and are safe to publish under
+        // the pinned generation. That view was committed when pinned, so
+        // every generation below it is permanently unreachable — retire
+        // those entries now instead of waiting for LRU pressure to find
+        // them.
         let cache = self.header_cache();
         cache.retire_below(view.generation);
         for (key, value) in collector.pending_fills.drain(..) {
             cache.insert(view.generation, key, value);
         }
-        // The query history, once per plan and only from the attempt that
-        // validated (a raced attempt describes a discarded view): what
+        // The query history, once per plan and only from the accepted
+        // attempt (a raced attempt describes a discarded view): what
         // this plan asked of each grid dimension is what the maintenance
         // daemon's grid adaptation is advised on.
         self.history().record(predicate, &live_policy);
@@ -727,7 +757,7 @@ impl DgfIndex {
                 chosen_splits.push(split);
             }
         }
-        // The attempt validated, so every value it read belongs to the
+        // The attempt was accepted, so every value it used belongs to the
         // pinned view: a boundary Slice in a file the view does not list
         // would silently drop its rows from the answer.
         if let Some(id) = collector.per_file.keys().min() {
@@ -1034,6 +1064,7 @@ impl DgfIndex {
             }
             return Ok(());
         };
+        collector.read_store = true;
         let mut pairs = pairs.into_iter().peekable();
         for (key, covered, _) in fetched.cells() {
             while pairs.next_if(|(k, _)| k.as_slice() < key).is_some() {}
@@ -1146,6 +1177,7 @@ impl DgfIndex {
         collector.cache_misses += miss_idx.len() as u64;
         collector.cache_hits += (keys.len() - miss_idx.len()) as u64;
         if !miss_idx.is_empty() {
+            collector.read_store = true;
             let miss_keys: Vec<Vec<u8>> = miss_idx.iter().map(|i| keys[*i].to_vec()).collect();
             let fetched = self.kv_multi_get_pinned(view, &miss_keys)?;
             for ((i, key), got) in miss_idx.into_iter().zip(miss_keys).zip(fetched) {

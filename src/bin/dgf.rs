@@ -64,6 +64,10 @@ fn main() {
         eprintln!("{USAGE}");
         exit(2);
     }
+    if matches!(args[0].as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return;
+    }
     if let Err(e) = dispatch(&args) {
         eprintln!("error: {e}");
         exit(1);

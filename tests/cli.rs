@@ -195,6 +195,25 @@ fn cli_errors_are_clean() {
     assert!(!out.status.success());
 }
 
+/// Asking for help is not an error: `--help`, `-h` and `help` print the
+/// usage on stdout and exit 0. A bare `dgf` still prints it on stderr
+/// and exits 2, and an unknown command still exits 1.
+#[test]
+fn help_prints_the_usage_and_succeeds() {
+    for ask in ["--help", "-h", "help"] {
+        let out = dgf(&[ask]);
+        assert_eq!(out.status.code(), Some(0), "dgf {ask}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:") && stdout.contains("dgf query"), "dgf {ask}: {stdout}");
+        assert!(out.stderr.is_empty(), "dgf {ask}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let bare = dgf(&[]);
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bare.stderr).starts_with("usage:"));
+    assert!(bare.stdout.is_empty());
+    assert_eq!(dgf(&["frobnicate"]).status.code(), Some(1));
+}
+
 /// `dgf maintain --adapt` asks the advisor, and the advisor needs a
 /// history: a freshly opened warehouse has none, so the grid stays
 /// whatever the flags; given one, the pass moves to the advisor's optimum, where a second identical

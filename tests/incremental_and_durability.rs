@@ -364,7 +364,8 @@ impl Recorder {
 /// it retires files), K `s:` deletes and no get of an `s:` key, reads no
 /// `m:` key but those two, and its Committed manifest is no longer than
 /// its files, view, gc list and retired keys make it, whatever K is;
-/// `open` costs 2 gets; one plan costs 2 `m:view` gets. A side key put
+/// `open` costs 2 gets; a cold plan costs 2 `m:view` gets and its warm
+/// repeat 1. A side key put
 /// back beside the view, or a key list put back in the manifest, fails
 /// here.
 #[test]
@@ -473,8 +474,58 @@ fn the_stores_metadata_is_one_record() {
     let Ops { puts, gets, .. } = rec.take();
     assert!(puts.is_empty(), "a current store was written at open");
     assert_eq!(gets, [b"t:manifest".to_vec(), b"m:view".to_vec()], "open");
-    let run = DgfEngine::new(Arc::new(reopened)).run(&count_all).unwrap();
+    let reopened = Arc::new(reopened);
+    let run = DgfEngine::new(Arc::clone(&reopened)).run(&count_all).unwrap();
     assert_eq!(run.result.into_scalars()[0], Value::Int(rows.len() as i64));
+    let meta_gets: Vec<_> = rec.take().gets.into_iter().filter(is_meta).collect();
+    assert_eq!(meta_gets, [b"m:view", b"m:view"], "a cold plan pins and validates");
+    // The repeat hits the header cache for every key: its one read is
+    // the pin.
+    reopened.plan(&count_all, true).unwrap();
+    assert_eq!(rec.take().gets, [b"m:view"], "a warm plan");
+}
+
+/// A memtable snapshot is cut after the pin, and a flush that commits
+/// between the two takes its rows out of memory: only a re-read of the
+/// view shows the plan missed them. So with an ingestor attached, a
+/// plan whose every probe hits the header cache still reads `m:view`
+/// twice.
+#[test]
+fn a_warm_plan_with_an_ingestor_attached_still_validates() {
+    let cfg = MeterConfig {
+        users: 20,
+        days: 3,
+        ..MeterConfig::default()
+    };
+    let rows = generate_meter_data(&cfg);
+    let per_day = rows.len() / cfg.days as usize;
+    let tmp = TempDir::new("warm-ingest").unwrap();
+    let (rec, kv) = Recorder::store();
+    let (ctx, table) = world(Arc::new(MemKvStore::new()), "w", &tmp);
+    ctx.load_rows(&table, &rows[..2 * per_day], 1).unwrap();
+    let (index, _) = DgfIndex::build(
+        Arc::clone(&ctx),
+        Arc::clone(&table),
+        policy(&cfg),
+        vec![AggFunc::Count],
+        kv,
+        "dgf_warm",
+    )
+    .unwrap();
+    let index = Arc::new(index);
+    let ingestor = stream(&index, tmp.path(), u64::MAX);
+    ingestor.ingest(&rows[2 * per_day..]).unwrap();
+    let count_all = Query::Aggregate {
+        aggs: vec![AggFunc::Count],
+        predicate: Predicate::all(),
+    };
+    let engine = DgfEngine::new(Arc::clone(&index));
+    engine.run(&count_all).unwrap();
+    rec.take();
+    let run = engine.run(&count_all).unwrap();
+    assert_eq!(run.result.into_scalars()[0], Value::Int(rows.len() as i64));
+    assert_eq!(run.stats.index_cache_misses, 0, "the repeat is warm");
+    assert_eq!(rec.take().gets, [b"m:view", b"m:view"], "pin and validate");
 }
 
 /// Regression: while an append's delta file is in flight the base table

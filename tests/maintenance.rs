@@ -858,6 +858,65 @@ fn maintenance_resumes_after_a_compaction_that_failed_past_its_commit_point() {
     assert!(tally.sites >= 4, "compaction published only {} cells", tally.sites);
 }
 
+/// A plan that read the store after its pin validates, and goes round
+/// again when a commit landed meanwhile. The commit is forced without
+/// timing: the reader's store appends a row through a second handle
+/// just before it serves the reader's first `multi_get` or range scan,
+/// so the cold plan's first attempt reads a later generation's values
+/// against the view it pinned. The row lands in a boundary cell the
+/// pinned view already has, in a data file that view does not list: a
+/// plan that took the attempt anyway fails as `Corrupt`.
+#[test]
+fn a_commit_during_a_plans_store_read_sends_it_round_again() {
+    use std::sync::atomic::AtomicBool;
+
+    let w = world("mid-read");
+    let cfg = meter_cfg();
+    let (_, rest) = seed_index(&w);
+    // user_id [1, 7) cuts the first 4-wide cell: user 1 is on its edge.
+    // The row is moved into a seeded day the query covers.
+    let q = &queries(&cfg)[1];
+    let mut row = rest.iter().find(|r| r[0] == Value::Int(1)).expect("a row of user 1").clone();
+    row[2] = Value::Date(cfg.start_day + 1);
+    let writer = open_index(&w);
+    let armed = Arc::new(AtomicBool::new(false));
+    let view_gets = Arc::new(AtomicU64::new(0));
+    let kv = {
+        let (armed, view_gets) = (Arc::clone(&armed), Arc::clone(&view_gets));
+        hooked(Arc::clone(&w.inner), move |op| {
+            match op {
+                KvOp::Get(b"m:view") => {
+                    view_gets.fetch_add(1, SeqCst);
+                }
+                KvOp::MultiGet(_) | KvOp::ScanRange(..) if armed.swap(false, SeqCst) => {
+                    writer.append(std::slice::from_ref(&row)).unwrap();
+                }
+                _ => {}
+            }
+            Ok(())
+        })
+    };
+    let reader = Arc::new(
+        DgfIndex::open(Arc::clone(&w.ctx), Arc::clone(&w.base), kv, INDEX, aggs()).unwrap(),
+    );
+    let generation = reader.pin_view().unwrap().generation;
+    view_gets.store(0, SeqCst);
+    armed.store(true, SeqCst);
+    let raced = reader.plan(q, true).unwrap();
+    assert!(!armed.load(SeqCst), "the plan read no GFU from the store");
+    assert_eq!(view_gets.load(SeqCst), 4, "two attempts, each pinned and validated");
+    assert!(reader.pin_view().unwrap().generation > generation, "the row never committed");
+    // The plan that escaped is the new view's, field for field.
+    let fresh = open_index(&w).plan(q, true).unwrap();
+    assert_eq!(raced.inputs, fresh.inputs);
+    assert_eq!(raced.inner_states, fresh.inner_states);
+    assert_eq!(raced.inner_records, fresh.inner_records);
+    assert_eq!(raced.boundary_gfus, fresh.boundary_gfus);
+    let got = DgfEngine::new(Arc::clone(&reader)).run(q).unwrap();
+    let want = DgfEngine::new(open_index(&w)).run(q).unwrap();
+    assert_eq!(got.result, want.result);
+}
+
 /// Regression: a plan enters the query history once, from the attempt
 /// that validated. The plan is forced through a second attempt without
 /// any timing: a [`FreshSource`] whose first snapshot appends a row
