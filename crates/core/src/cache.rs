@@ -13,10 +13,10 @@
 //! entry can therefore never be served to a view it does not belong to,
 //! with no invalidation coordination at commit time at all.
 //!
-//! The cache also stores **negative entries** (`None`) for cells the
-//! planner proved absent by scanning their key run. Without them a
-//! repeated query could never tell "absent" from "evicted" and would
-//! have to re-scan; with them, a repeated identical query is answered
+//! The cache also stores **negative entries** (`None`) for keys the
+//! planner's batched read proved absent. Without them a repeated query
+//! could never tell "absent" from "evicted" and would have to read them
+//! again; with them, a repeated identical query is answered
 //! entirely from memory, and the planner then re-reads no view either
 //! (`DESIGN.md` §11): its one key-value read is the pin.
 //!

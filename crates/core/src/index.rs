@@ -27,9 +27,7 @@ use crate::advisor::QueryHistory;
 use crate::maintain::MaintainStats;
 use crate::policy::SplittingPolicy;
 use crate::pyramid;
-use crate::txn::{
-    self, live_key, stage_key, stage_prefix, Txn, TxnManifest, TxnStats, TXN_MANIFEST_KEY,
-};
+use crate::txn::{self, stage_key, Txn, TxnManifest, TxnStats, TXN_MANIFEST_KEY};
 use crate::view::ReadView;
 use crate::write::decode_gc_list;
 
@@ -48,12 +46,11 @@ pub struct IndexOptions {
     /// no-op when it is unset; pass [`Profiler::enabled`] to collect a
     /// [`QueryProfile`](dgf_common::obs::QueryProfile) unconditionally.
     pub profiler: Profiler,
-    /// Worker threads the prefix-scan planner may use to fetch key runs
-    /// concurrently (the serving tier's scatter). `1` — the default —
-    /// keeps the historical strictly sequential fetch. Any value gives the
-    /// same answer bits: the calling thread absorbs one worker's runs
-    /// after another's, and aggregate states merge in any order to the
-    /// same bits (DESIGN.md §13).
+    /// Ignored. Every plan reads its keys with one batched `multi_get`,
+    /// which a sharded store fans out per shard itself, so there is no
+    /// second fetch path for a worker count to choose. The field is kept
+    /// only so callers that still set it compile; ROADMAP item 16
+    /// deletes it.
     pub fetch_parallelism: usize,
 }
 
@@ -109,10 +106,9 @@ pub struct DgfIndex {
     pub(crate) generation: AtomicU64,
     header_cache: GfuHeaderCache,
     fresh_source: Mutex<Option<Arc<dyn FreshSource>>>,
-    fetch_parallelism: usize,
     /// Pyramid height when this store maintains one
-    /// ([`ReadView::pyramid`]); `None` disables maintenance and sends
-    /// every plan down the prefix-run scans.
+    /// ([`ReadView::pyramid`]); `None` disables maintenance and gives
+    /// every plan the flat shape.
     pyramid: Option<u8>,
     /// The grid-dimension ranges of the plans this handle validated
     /// most recently: what the maintenance daemon's grid adaptation is
@@ -318,7 +314,6 @@ impl DgfIndex {
             generation: AtomicU64::new(view.generation),
             header_cache: GfuHeaderCache::new(DEFAULT_HEADER_CACHE_CAPACITY),
             fresh_source: Mutex::new(None),
-            fetch_parallelism: options.fetch_parallelism.max(1),
             pyramid: (view.pyramid > 0).then_some(view.pyramid),
             writing: AtomicBool::new(false),
             txn_stats: TxnStats::default(),
@@ -386,10 +381,6 @@ impl DgfIndex {
         kv_retry(self.retry, self.kv.as_ref(), || self.kv.get(key))
     }
 
-    pub(crate) fn kv_scan_range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        kv_retry(self.retry, self.kv.as_ref(), || self.kv.scan_range(start, end))
-    }
-
     pub(crate) fn kv_scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         kv_retry(self.retry, self.kv.as_ref(), || self.kv.scan_prefix(prefix))
     }
@@ -403,8 +394,8 @@ impl DgfIndex {
         kv_retry(self.retry, self.kv.as_ref(), || self.kv.put(key, value))
     }
 
-    /// The in-memory cache of decoded GFU values used by the prefix-scan
-    /// planner (see [`crate::cache`]).
+    /// The in-memory cache of decoded GFU values and pyramid nodes every
+    /// plan probes (see [`crate::cache`]).
     pub fn header_cache(&self) -> &GfuHeaderCache {
         &self.header_cache
     }
@@ -414,12 +405,6 @@ impl DgfIndex {
     /// run's profile is independent.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// Worker threads the prefix-scan planner uses to fetch key runs
-    /// (see [`IndexOptions::fetch_parallelism`]); `1` means sequential.
-    pub fn fetch_parallelism(&self) -> usize {
-        self.fetch_parallelism
     }
 
     /// Height of the maintained aggregate pyramid, or `None` when this
@@ -530,47 +515,6 @@ impl DgfIndex {
                 out[i] = v;
             }
         }
-        Ok(out)
-    }
-
-    /// A range scan as seen from `view`: staged keys are scanned before
-    /// the live range (same ordering argument as
-    /// [`kv_multi_get_pinned`](Self::kv_multi_get_pinned)) and overlaid with staged
-    /// precedence. The stage prefix preserves live-key order, so the
-    /// overlay is a sorted two-list merge.
-    pub(crate) fn kv_scan_range_pinned(
-        &self,
-        view: &ReadView,
-        start: &[u8],
-        end: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        if !view.pending {
-            return self.kv_scan_range(start, end);
-        }
-        let sp = stage_prefix(view.generation);
-        let sstart = [sp.as_slice(), start].concat();
-        let send = [sp.as_slice(), end].concat();
-        let staged = self.kv_scan_range(&sstart, &send)?;
-        let live = self.kv_scan_range(start, end)?;
-        if staged.is_empty() {
-            return Ok(live);
-        }
-        let mut out = Vec::with_capacity(live.len() + staged.len());
-        let mut staged = staged
-            .into_iter()
-            .map(|(k, v)| (live_key(&k).to_vec(), v))
-            .peekable();
-        for (k, v) in live {
-            while staged.peek().is_some_and(|(sk, _)| *sk < k) {
-                out.push(staged.next().expect("peeked"));
-            }
-            if staged.peek().is_some_and(|(sk, _)| *sk == k) {
-                out.push(staged.next().expect("peeked"));
-            } else {
-                out.push((k, v));
-            }
-        }
-        out.extend(staged);
         Ok(out)
     }
 

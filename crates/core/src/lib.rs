@@ -18,9 +18,10 @@
 //!   append, flush, compaction, regrid) publishes through, and recovery.
 //! * [`plan`] — query planning: inner/boundary region decomposition,
 //!   header-based answering of the inner region, split filtering, and
-//!   per-split Slice range lists. The inner region is read from pyramid
-//!   nodes where the store carries them, from contiguous key-range scans
-//!   otherwise (see [`plan::PlanStrategy`]).
+//!   per-split Slice range lists. Each attempt lists its keys — pyramid
+//!   nodes for the inner region where the store carries them, every cell
+//!   of the query's box otherwise — and reads them with one cache probe
+//!   and at most one batched `multi_get` (see [`plan::PlanStrategy`]).
 //! * [`cache`] — the epoch-tagged GFU header cache that lets repeated
 //!   queries plan without touching the key-value store.
 //! * [`pyramid`] — the hierarchical aggregate pyramid: coarser-level
@@ -107,7 +108,7 @@ mod tests {
     use dgf_common::{Schema, TempDir, Value, ValueType};
     use dgf_format::FileFormat;
     use dgf_hive::{HiveContext, ScanEngine, TableRef};
-    use dgf_kvstore::MemKvStore;
+    use dgf_kvstore::{KvStore, MemKvStore};
     use dgf_mapreduce::MrEngine;
     use dgf_query::{AggFunc, ColumnRange, Engine, Predicate, Query};
     use dgf_storage::{HdfsConfig, SimHdfs};
@@ -135,6 +136,25 @@ mod tests {
         let tab = ctx.create_table("fig5", schema, FileFormat::Text).unwrap();
         ctx.load_rows(&tab, &index::paper_figure5_rows(), 1).unwrap();
         tab
+    }
+
+    /// A handle over a copy of `idx`'s store without its pyramid (every
+    /// `p:` key dropped, the view's height zeroed), opened as `name`:
+    /// every plan it makes reads the flat shape, the reference the
+    /// pyramid's answers must equal. The integration suites' twin is
+    /// `tests/common::strip_pyramid`.
+    pub(super) fn stripped(idx: &DgfIndex, name: &str) -> DgfIndex {
+        let kv = MemKvStore::new();
+        for (key, value) in idx.kv.scan_prefix(b"").unwrap() {
+            if !key.starts_with(PYRAMID_PREFIX) {
+                kv.put(&key, &value).unwrap();
+            }
+        }
+        let mut view = ReadView::decode(&kv.get(gfu::META_VIEW_KEY).unwrap().unwrap()).unwrap();
+        view.pyramid = 0;
+        kv.put(gfu::META_VIEW_KEY, &view.encode()).unwrap();
+        let (ctx, base) = (Arc::clone(&idx.ctx), Arc::clone(&idx.base));
+        DgfIndex::open(ctx, base, Arc::new(kv), name, idx.aggs.clone()).unwrap()
     }
 
     fn build_figure5(ctx: &Arc<HiveContext>) -> Arc<DgfIndex> {
@@ -1006,6 +1026,64 @@ mod tests {
         assert_eq!(run.stats.index_cache_misses, 0);
     }
 
+    /// A cold flat plan — a GROUP BY on a one-value-cell key, whose span
+    /// box is five prefix runs of four cells — pins and validates the
+    /// view and reads every cell it could not find in the cache with one
+    /// `multi_get` and no `scan_range`. The batch asks for exactly the
+    /// plan's cache misses, and the bytes it reads are the present
+    /// cells' values (beside the two views').
+    #[test]
+    fn a_cold_flat_plan_reads_its_misses_with_one_multi_get() {
+        let (_t, ctx) = setup(1 << 20);
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("user", ValueType::Int),
+            ("day", ValueType::Int),
+            ("power", ValueType::Float),
+        ]));
+        let tab = ctx.create_table("flat", schema, FileFormat::Text).unwrap();
+        // 8 users × 6 days, every third cell empty.
+        let rows: Vec<Vec<Value>> = (0..8i64)
+            .flat_map(|u| (0..6i64).map(move |d| (u, d)))
+            .filter(|(u, d)| (u + d) % 3 != 0)
+            .map(|(u, d)| vec![Value::Int(u), Value::Int(d), Value::Float((u * 6 + d) as f64 / 4.0)])
+            .collect();
+        ctx.load_rows(&tab, &rows, 2).unwrap();
+        let policy = SplittingPolicy::new(vec![
+            DimPolicy::int("user", 0, 1),
+            DimPolicy::int("day", 0, 1),
+        ])
+        .unwrap();
+        let aggs = vec![AggFunc::Sum("power".into()), AggFunc::Count];
+        let kv: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+        let (ctx2, tab2) = (Arc::clone(&ctx), Arc::clone(&tab));
+        DgfIndex::build(ctx2, tab2, policy, aggs.clone(), Arc::clone(&kv), "dgf_flat").unwrap();
+        let cold = DgfIndex::open(ctx, tab, Arc::clone(&kv), "dgf_flat", aggs.clone()).unwrap();
+        let q = Query::GroupBy {
+            key: "user".into(),
+            aggs,
+            predicate: Predicate::all()
+                .and("user", ColumnRange::half_open(Value::Int(1), Value::Int(6)))
+                .and("day", ColumnRange::half_open(Value::Int(1), Value::Int(5))),
+        };
+        let before = kv.stats().snapshot();
+        let plan = cold.plan(&q, true).unwrap();
+        let delta = kv.stats().snapshot().since(&before);
+        assert!(matches!(plan.inner_states, Some(dgf_query::AggPartials::Groups(_))));
+        assert_eq!(plan.pyramid_nodes, 0);
+        assert_eq!((plan.cache_hits, plan.cache_misses), (0, 5 * 4));
+        assert_eq!((delta.gets, delta.scans, delta.multi_gets), (2, 0, 1));
+        assert_eq!(delta.multi_get_keys, plan.cache_misses);
+        let present: Vec<u64> = (1..6i64)
+            .flat_map(|u| (1..5i64).map(move |d| GfuKey::new(vec![u, d]).encode()))
+            .filter_map(|key| kv.get(&key).unwrap())
+            .map(|value| value.len() as u64)
+            .collect();
+        assert_eq!(plan.inner_gfus, present.len() as u64);
+        assert!(plan.inner_gfus < 5 * 4, "no cell of the box is empty");
+        let view = kv.get(gfu::META_VIEW_KEY).unwrap().unwrap().len() as u64;
+        assert_eq!(delta.bytes_read, 2 * view + present.iter().sum::<u64>());
+    }
+
     /// One miss is enough to read the store after the pin, and what the
     /// store returned may belong to a commit that landed since: such a
     /// plan re-reads the view, however many of its probes hit.
@@ -1058,20 +1136,10 @@ mod tests {
         assert!(fresh.cache_misses > 0);
         assert_eq!(fresh.inner_records, warm.inner_records + 1);
 
-        // And it matches the flat reference planned through a second
-        // handle (so a cold cache of its own) field for field: nothing
-        // stale leaked into the answer.
-        let cold_handle = DgfIndex::open(
-            Arc::clone(&ctx),
-            Arc::clone(&idx.base),
-            Arc::clone(&idx.kv),
-            "dgf_fig5",
-            vec![AggFunc::Sum("C".into())],
-        )
-        .unwrap();
-        let baseline = cold_handle
-            .plan_with_strategy(&q, true, PlanStrategy::PrefixScan)
-            .unwrap();
+        // And it matches the flat reference planned through a handle
+        // over a stripped copy (so a cold cache of its own) field for
+        // field: nothing stale leaked into the answer.
+        let baseline = stripped(&idx, "dgf_fig5").plan(&q, true).unwrap();
         assert_eq!(baseline.cache_hits, 0);
         assert_eq!(fresh.inputs, baseline.inputs);
         assert_eq!(fresh.inner_states, baseline.inner_states);
@@ -1087,8 +1155,8 @@ mod tests {
     }
 
     /// An infinity in an inner cell's header and another in a boundary
-    /// Slice: the SUM is that infinity, under either fetch strategy, and
-    /// NaN only once the other sign joins.
+    /// Slice: the SUM is that infinity, from the pyramid's shape and from
+    /// the flat one, and NaN only once the other sign joins.
     #[test]
     fn infinities_in_headers_and_slices_sum_to_infinity() {
         let (_t, ctx) = setup(1 << 20);
@@ -1107,14 +1175,15 @@ mod tests {
                 .and("A", ColumnRange::half_open(Value::Int(5), Value::Int(12)))
                 .and("B", ColumnRange::half_open(Value::Int(12), Value::Int(16))),
         };
-        for strategy in [PlanStrategy::Pyramid, PlanStrategy::PrefixScan] {
-            let plan = idx.plan_with_strategy(&q, true, strategy).unwrap();
+        let flat = stripped(&idx, "dgf_fig5");
+        for (shape, index) in [("pyramid", &*idx), ("flat", &flat)] {
+            let plan = index.plan(&q, true).unwrap();
             assert!(plan.inner_records > 0 && plan.boundary_gfus > 0);
             let Some(dgf_query::AggPartials::Scalar(inner)) = &plan.inner_states else {
-                panic!("{strategy:?}: no inner header states");
+                panic!("{shape}: no inner header states");
             };
             let set = dgf_query::AggSet::bind(&[AggFunc::Sum("C".into())], &idx.base.schema).unwrap();
-            assert_eq!(set.finalize(inner), [Value::Float(inf)], "{strategy:?}");
+            assert_eq!(set.finalize(inner), [Value::Float(inf)], "{shape}");
         }
         let run = DgfEngine::new(Arc::clone(&idx)).run(&q).unwrap();
         assert_eq!(run.result, dgf_query::QueryResult::Scalars(vec![Value::Float(inf)]));
@@ -1245,12 +1314,13 @@ mod proptests {
             );
         }
 
-        /// The default plan is a pure fetch optimization: for an
-        /// arbitrary grid, arbitrary data, and an arbitrary query shape
-        /// (full or partially specified rectangle, aggregation or select,
-        /// headers on or off), it is identical — inputs, merged header
-        /// states, and every strategy-independent counter — to the flat
-        /// prefix-scan reference, cold and warm.
+        /// The pyramid is a pure fetch optimization: for an arbitrary
+        /// grid, arbitrary data, and an arbitrary query shape (full or
+        /// partially specified rectangle, aggregation or select, headers
+        /// on or off), the default plan is identical — inputs, merged
+        /// header states, and every shape-independent counter — to the
+        /// flat plan of the same store without its pyramid, cold and
+        /// warm.
         #[test]
         fn default_plans_equal_the_flat_reference(
             ia in 1i64..7,
@@ -1335,12 +1405,10 @@ mod proptests {
             prop_assert_eq!(warm.cache_hits, cold.cache_misses);
             prop_assert_eq!(cold.inner_gfus, warm.inner_gfus);
 
-            // The reference goes last so the cold run above really is
-            // cold; it counts cells where the default may count nodes,
-            // so `inner_gfus` is the one field not compared.
-            let base = idx
-                .plan_with_strategy(&q, use_headers, PlanStrategy::PrefixScan)
-                .unwrap();
+            // The reference is a stripped copy's plan; it counts cells
+            // where the default may count nodes, so `inner_gfus` is the
+            // one field not compared.
+            let base = super::tests::stripped(&idx, "dgf_prop_eq").plan(&q, use_headers).unwrap();
             for plan in [&cold, &warm] {
                 prop_assert_eq!(&base.inputs, &plan.inputs);
                 prop_assert_eq!(&base.chosen_splits, &plan.chosen_splits);

@@ -14,30 +14,32 @@
 //! consumes. A Slice straddling a split boundary is clipped into both
 //! splits and processed by two mappers, exactly as in the paper.
 //!
-//! ## Fetch strategies
+//! ## One shape, one read
 //!
-//! GFU keys are order-preserving: the encoded key of a cell sorts
-//! exactly like its coordinate vector compared lexicographically, most
-//! significant dimension first. The query hyper-rectangle therefore maps
-//! to a small number of **contiguous key runs** — one per combination of
-//! the leading "prefix" dimensions, each covering every trailing
-//! coordinate in one stretch of the keyspace. [`PlanStrategy::PrefixScan`]
-//! exploits this: it issues a single `scan_range` per run instead of one
-//! round trip per cell. The default, [`PlanStrategy::Pyramid`], answers
-//! the fully-inner box from pre-computed `p:` nodes instead and takes
-//! the run scans only where no node can answer. Both consult the index's
-//! epoch-tagged [`GfuHeaderCache`](crate::cache::GfuHeaderCache), so a
-//! repeated query reads no GFU from the store. Header states merge in
-//! any order to the same bits (their sums are exact), so the two plans
-//! agree in every float bit however their headers are grouped.
+//! Each attempt first lists every key it reads, with the role each key
+//! plays: its *shape*, a pure function of the pinned grid's spans,
+//! whether headers can answer, whether the plan groups and the height
+//! of the store's pyramid. The **flat** shape is every cell of the
+//! query's span box in key order (GFU keys sort exactly like their
+//! coordinate vectors, so that is odometer order). The **pyramid** shape
+//! is the uncovered rim's cells plus one `p:` node per maximal canonical
+//! block of the fully-inner box (see [`crate::pyramid`]); it is taken
+//! wherever a node can answer: the store keeps a pyramid, headers are
+//! usable, the plan does not group and the query has a fully-inner cell.
+//! One executor reads either shape: one probe of the index's
+//! epoch-tagged [`GfuHeaderCache`](crate::cache::GfuHeaderCache) over
+//! every key, then one batched `multi_get` for the misses, so a repeated
+//! query reads no GFU from the store. Header states merge in any order
+//! to the same bits (their sums are exact), so the two shapes agree in
+//! every float bit however their headers are grouped.
 //!
 //! ## One view read when warm
 //!
 //! A plan pins the committed [`ReadView`] with one `m:view` get, fetches
 //! against it and re-reads the view to validate that no commit landed
 //! in between (`DESIGN.md` §11). An attempt whose every probe hit the
-//! cache — negative entries included, so it issued no `scan_range` and
-//! no `multi_get` — skips that second read: the cache holds a
+//! cache — negative entries included, so it issued no `multi_get` —
+//! skips that second read: the cache holds a
 //! generation's values only once an attempt validated them against that
 //! generation's view, so nothing it used can be torn. A registered
 //! [`FreshSource`](crate::fresh::FreshSource) keeps the re-read, which is
@@ -50,35 +52,36 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dgf_common::obs::{names, QueryProfile};
-use dgf_common::{run_scoped, DgfError, Result, Row, Stopwatch};
+use dgf_common::{DgfError, Result, Row, Stopwatch};
 use dgf_format::{coalesce_ranges, ByteRange, SliceSidecar};
 use dgf_hive::ScanInput;
 use dgf_query::{AggFunc, AggPartials, AggSet, AggState, Query};
 
 use crate::cache::CachedGfu;
-use crate::gfu::{FileId, GfuKey, GfuValue, GFU_PREFIX};
+use crate::gfu::{FileId, GfuValue};
 use crate::index::DgfIndex;
 use crate::policy::{DimPolicy, DimScale, DimSpan, SplittingPolicy};
 use crate::view::ReadView;
 
-/// How the planner fetches GFU values from the key-value store.
+/// How the planner fetches GFU values from the key-value store. One
+/// strategy is left: every plan reads its shape (module docs), and what
+/// the store and the query show chooses between the pyramid and the flat
+/// shape, never the caller. The type and
+/// [`plan_with_strategy`](DgfIndex::plan_with_strategy) stay as thin
+/// wrappers over [`plan`](DgfIndex::plan) until their last callers name
+/// `plan` instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanStrategy {
-    /// One `scan_range` per contiguous key run, with results classified
-    /// inner/boundary on the fly, backed by the epoch-tagged header
-    /// cache. A fully cached run costs zero key-value operations. The
-    /// path every header-less or grouped plan takes, and the flat
-    /// reference the bit-identity suites compare the default against.
-    PrefixScan,
     /// Decompose the fully-inner region into maximal canonical pyramid
     /// nodes (see [`crate::pyramid`]) and read one pre-computed `p:`
     /// header per node, descending to `g:` leaf headers only at the
-    /// fringe; boundary cells ride one batched `multi_get`. On a store
-    /// without a pyramid (or when headers are unusable, when the plan
-    /// groups, or when the query has no fully-inner cell) this degrades
-    /// to [`PrefixScan`](Self::PrefixScan) wholesale. Answers are
-    /// bit-identical to the flat fetch: a node's states are the exact
-    /// merge of its cells'.
+    /// fringe, beside the uncovered rim's cells. On a store without a
+    /// pyramid (or when headers are unusable, when the plan groups, or
+    /// when the query has no fully-inner cell) the plan reads the flat
+    /// shape instead: every cell of the span box. Either shape is read
+    /// with one cache probe and at most one batched `multi_get`, and
+    /// answers are bit-identical: a node's states are the exact merge of
+    /// its cells'.
     #[default]
     Pyramid,
 }
@@ -101,16 +104,16 @@ pub struct DgfPlan {
     /// group.
     pub inner_states: Option<AggPartials>,
     /// Number of headers merged for the inner region: leaf cells under
-    /// [`PlanStrategy::PrefixScan`], canonical nodes (a leaf cell is a
-    /// level-0 node) where the pyramid answered. `inner_records` is the
-    /// strategy-independent measure.
+    /// the flat shape, canonical nodes (a leaf cell is a level-0 node)
+    /// where the pyramid answered. `inner_records` is the
+    /// shape-independent measure.
     pub inner_gfus: u64,
     /// Number of GFUs whose Slices must be read.
     pub boundary_gfus: u64,
     /// Records sitting in the inner region (answered without reading).
     pub inner_records: u64,
     /// Pyramid nodes (level ≥ 1) merged in place of leaf headers; zero
-    /// wherever the plan degraded to prefix-run scans.
+    /// wherever the plan read the flat shape.
     pub pyramid_nodes: u64,
     /// Leaf cells those pyramid nodes summarized — the header reads the
     /// decomposition avoided.
@@ -147,14 +150,14 @@ pub struct DgfPlan {
     pub profile: QueryProfile,
 }
 
-/// Accumulates the per-cell work of a plan: header merging for covered
-/// cells, slice collection for boundary cells, and the cache tallies.
-/// Covered cells, pyramid nodes and memtable cells merge as they arrive,
-/// in whatever order the fetch meets them: header states merge in any
-/// order to the same bits.
+/// Accumulates the per-key work of a plan: header merging for covered
+/// cells and pyramid nodes, slice collection for boundary cells, and the
+/// cache tallies. Covered cells, pyramid nodes and memtable cells merge
+/// as they arrive, in whatever order the read meets them: header states
+/// merge in any order to the same bits.
 struct Collector {
     header_merge: Option<HeaderMerge>,
-    /// Grid arity, for decoding a grouped plan's cell coordinates.
+    /// Grid arity, for the leaf cells a pyramid node summarizes.
     arity: usize,
     inner_gfus: u64,
     inner_records: u64,
@@ -171,11 +174,10 @@ struct Collector {
     per_file: HashMap<FileId, Vec<ByteRange>>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Whether the fetch read the store after the pin: a run's
-    /// `scan_range` or the pyramid's `multi_get`, taken on any cache
-    /// miss. Such values may come from a commit that landed after the
-    /// pin, so only an attempt that read nothing may skip re-reading the
-    /// view.
+    /// Whether the read went to the store after the pin: the shape's
+    /// `multi_get`, taken on any cache miss. Such values may come from a
+    /// commit that landed after the pin, so only an attempt that read
+    /// nothing may skip re-reading the view.
     read_store: bool,
     /// Header-cache fills this fetch wants to make, deferred until the
     /// pinned view validates: a fetch that raced a commit may have read
@@ -251,38 +253,6 @@ impl HeaderMerge {
     }
 }
 
-/// One key run's fetch result, decoupled from collector absorption so
-/// the serving tier can fetch runs concurrently and absorb them on one
-/// thread.
-struct RunFetch {
-    /// Expected cells' keys in key order, end to end: every key of a run
-    /// is `stride` bytes long.
-    keys: Vec<u8>,
-    stride: usize,
-    /// Per expected cell: whether the query covers it.
-    covered: Vec<bool>,
-    /// Per expected cell: its header-cache probe.
-    probes: Vec<Option<CachedGfu>>,
-    /// Scan results when an authoritative `scan_range` ran; `None` when
-    /// every cache probe hit and the run cost zero key-value operations.
-    pairs: Option<Vec<(Vec<u8>, Vec<u8>)>>,
-    /// Cache probes that hit.
-    hits: u64,
-    /// Cache probes that missed.
-    misses: u64,
-}
-
-impl RunFetch {
-    /// The expected cells in key order: `(key, covered, probe)`.
-    fn cells(&self) -> impl Iterator<Item = (&[u8], bool, &Option<CachedGfu>)> {
-        self.keys
-            .chunks_exact(self.stride)
-            .zip(&self.covered)
-            .zip(&self.probes)
-            .map(|((key, covered), probe)| (key, *covered, probe))
-    }
-}
-
 /// The headers' merge; covered cells are absorbed only with one.
 fn headers(header_merge: &mut Option<HeaderMerge>) -> Result<&mut HeaderMerge> {
     header_merge
@@ -291,12 +261,6 @@ fn headers(header_merge: &mut Option<HeaderMerge>) -> Result<&mut HeaderMerge> {
 }
 
 impl Collector {
-    /// Count one covered cell of `records` records.
-    fn count_covered(&mut self, records: u64) {
-        self.inner_gfus += 1;
-        self.inner_records += records;
-    }
-
     /// Whether covered cells merge per group.
     fn grouped(&self) -> bool {
         matches!(
@@ -308,30 +272,36 @@ impl Collector {
         )
     }
 
-    /// Absorb one persisted cell fetched under `key`: covered cells
-    /// merge their header (into their group, for a grouped plan),
-    /// boundary cells contribute their Slice byte ranges.
-    fn absorb(&mut self, covered: bool, key: &[u8], value: &GfuValue) -> Result<()> {
-        if covered {
-            // Only a group needs to know where its cell is.
-            let coords = if self.grouped() {
-                GfuKey::decode(key, self.arity)?.cells
-            } else {
-                Vec::new()
-            };
-            return self.merge_header(&coords, value);
-        }
-        self.boundary_gfus += 1;
-        self.boundary_cell_records = self.boundary_cell_records.max(value.record_count);
-        for s in &value.slices {
-            if !s.is_empty() {
-                self.per_file
-                    .entry(s.file)
-                    .or_default()
-                    .push(ByteRange::new(s.start, s.end));
+    /// Absorb the stored value of one key of a shape: a covered cell
+    /// merges its header (into its group, for a grouped plan) and so
+    /// does a pyramid node, standing for every cell under it; a boundary
+    /// cell contributes its Slice byte ranges.
+    fn absorb(&mut self, role: Role, coords: &[i64], value: &GfuValue) -> Result<()> {
+        match role {
+            Role::Covered => self.merge_header(coords, value),
+            Role::Node(level) => {
+                self.merge_header(coords, value)?;
+                self.pyramid_nodes += 1;
+                let cells = crate::pyramid::cell_count(level, self.arity);
+                self.pyramid_cells = self
+                    .pyramid_cells
+                    .saturating_add(u64::try_from(cells).unwrap_or(u64::MAX));
+                Ok(())
+            }
+            Role::Boundary => {
+                self.boundary_gfus += 1;
+                self.boundary_cell_records = self.boundary_cell_records.max(value.record_count);
+                for s in &value.slices {
+                    if !s.is_empty() {
+                        self.per_file
+                            .entry(s.file)
+                            .or_default()
+                            .push(ByteRange::new(s.start, s.end));
+                    }
+                }
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Merge the header `states` of a covered cell (or pyramid node, or
@@ -341,7 +311,8 @@ impl Collector {
         let hm = headers(&mut self.header_merge)?;
         hm.pick_into(states, &mut self.picked);
         hm.merge_cell(cell, records, &self.picked)?;
-        self.count_covered(records);
+        self.inner_gfus += 1;
+        self.inner_records += records;
         Ok(())
     }
 
@@ -404,24 +375,162 @@ fn inner_box(spans: &[DimSpan]) -> Option<Vec<(i64, i64)>> {
         .collect()
 }
 
-impl DgfIndex {
-    /// Plan a query (Algorithm 3 + Algorithm 4) with the default
-    /// [`PlanStrategy`]. `use_headers` disables the pre-computation
-    /// shortcut for ablations (Figure 17's "DGF-noprecompute").
-    pub fn plan(&self, query: &Query, use_headers: bool) -> Result<DgfPlan> {
-        self.plan_with_strategy(query, use_headers, PlanStrategy::default())
+/// What one key of a [`PlanShape`] stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A cell whose Slices are read: the query cuts it, or headers
+    /// cannot answer.
+    Boundary,
+    /// A cell the query covers: its header is merged.
+    Covered,
+    /// A pyramid node at this level (≥ 1): its header is merged in
+    /// place of the headers of every cell under it.
+    Node(u8),
+}
+
+/// Every key one plan attempt reads, end to end, with each key's role
+/// and coordinates. A pure function of the pinned grid's spans, whether
+/// headers answer, whether the plan groups and the pyramid's height:
+/// built with no I/O, read by [`DgfIndex::read_shape`].
+pub(crate) struct PlanShape {
+    arity: usize,
+    /// The encoded keys, end to end: key `i` ends at `ends[i]`.
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    roles: Vec<Role>,
+    /// Key `i`'s coordinates, `arity` a key: a cell's, or a node's at
+    /// its level.
+    coords: Vec<i64>,
+}
+
+impl PlanShape {
+    /// The shape of one attempt over `spans`. The pyramid shape wherever
+    /// a node can answer: the store keeps a pyramid `pyramid` levels
+    /// high, headers are usable, the plan does not group (a group is a
+    /// one-cell-wide slab of its key dimension, and no node above level
+    /// 0 fits in one) and the query has a fully-inner cell. The flat
+    /// shape otherwise.
+    fn new(spans: &[DimSpan], headers_usable: bool, grouped: bool, pyramid: Option<u8>) -> Self {
+        let inner = inner_box(spans).filter(|b| b.iter().all(|(lo, hi)| lo <= hi));
+        match (pyramid, inner) {
+            (Some(top), Some(inner)) if headers_usable && !grouped => {
+                Self::pyramid(spans, &inner, top)
+            }
+            _ => Self::flat(spans, headers_usable),
+        }
     }
 
-    /// Plan a query with an explicit fetch strategy. Both strategies
-    /// produce plans equal in every input, split and float bit; they
-    /// differ in the key-value traffic needed to build them and in how
-    /// many headers (`inner_gfus`) stand for the same inner records.
+    fn empty(arity: usize) -> Self {
+        PlanShape {
+            arity,
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            roles: Vec::new(),
+            coords: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, role: Role, coords: &[i64]) {
+        let level = match role {
+            Role::Node(level) => level,
+            Role::Boundary | Role::Covered => 0,
+        };
+        crate::pyramid::push_level_key(&mut self.bytes, level, coords);
+        self.ends.push(self.bytes.len());
+        self.roles.push(role);
+        self.coords.extend_from_slice(coords);
+    }
+
+    /// Every cell of the span box in key (odometer) order, covered where
+    /// headers can answer and every dimension covers it.
+    fn flat(spans: &[DimSpan], headers_usable: bool) -> Self {
+        let mut shape = Self::empty(spans.len());
+        for_each_cell(&span_box(spans), |cell| {
+            let covered = headers_usable && spans.iter().zip(cell).all(|(s, c)| s.covered(*c));
+            shape.push(if covered { Role::Covered } else { Role::Boundary }, cell);
+        });
+        shape
+    }
+
+    /// The uncovered rim's cells in key order, then the fully-inner box
+    /// `inner` decomposed into maximal canonical nodes of a pyramid `top`
+    /// levels high, in decomposition (depth-first) order; a level-0 item
+    /// is a covered cell.
+    ///
+    /// The rim peels into at most 2·arity disjoint slabs, keyed by the
+    /// first dimension that escapes the inner box: dimensions before it
+    /// stay inside the inner range, the escaping dimension is pinned at
+    /// an uncovered rim cell, and dimensions after it sweep their full
+    /// span. A single-cell span uncovered on both sides pins the same
+    /// cell twice, hence the `contains` dedup.
+    fn pyramid(spans: &[DimSpan], inner: &[(i64, i64)], top: u8) -> Self {
+        let arity = spans.len();
+        let mut rim: Vec<i64> = Vec::new();
+        for (d, s) in spans.iter().enumerate() {
+            let mut pins: Vec<i64> = Vec::new();
+            if !s.lo_covered {
+                pins.push(s.lo);
+            }
+            if !s.hi_covered && !pins.contains(&s.hi) {
+                pins.push(s.hi);
+            }
+            for pin in pins {
+                let slab: Vec<(i64, i64)> = (0..arity)
+                    .map(|j| match j.cmp(&d) {
+                        std::cmp::Ordering::Less => inner[j],
+                        std::cmp::Ordering::Equal => (pin, pin),
+                        std::cmp::Ordering::Greater => (spans[j].lo, spans[j].hi),
+                    })
+                    .collect();
+                for_each_cell(&slab, |cell| rim.extend_from_slice(cell));
+            }
+        }
+        let cell = |i: usize| &rim[i * arity..(i + 1) * arity];
+        let mut order: Vec<usize> = (0..rim.len() / arity).collect();
+        order.sort_unstable_by(|a, b| cell(*a).cmp(cell(*b)));
+        let mut shape = Self::empty(arity);
+        for i in order {
+            shape.push(Role::Boundary, cell(i));
+        }
+        crate::pyramid::decompose_each(inner, top, |level, coords| {
+            let role = if level == 0 { Role::Covered } else { Role::Node(level) };
+            shape.push(role, coords);
+        });
+        shape
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    fn coords(&self, i: usize) -> &[i64] {
+        &self.coords[i * self.arity..(i + 1) * self.arity]
+    }
+}
+
+impl DgfIndex {
+    /// [`plan`](Self::plan): the one [`PlanStrategy`] is the default.
     pub fn plan_with_strategy(
         &self,
         query: &Query,
         use_headers: bool,
         strategy: PlanStrategy,
     ) -> Result<DgfPlan> {
+        match strategy {
+            PlanStrategy::Pyramid => self.plan(query, use_headers),
+        }
+    }
+
+    /// Plan a query (Algorithm 3 + Algorithm 4): pin the committed view,
+    /// read the attempt's shape (module docs) against it, validate, and
+    /// choose the splits. `use_headers` disables the pre-computation
+    /// shortcut for ablations (Figure 17's "DGF-noprecompute").
+    pub fn plan(&self, query: &Query, use_headers: bool) -> Result<DgfPlan> {
         let watch = Stopwatch::start();
         // An independent arena per plan: the subtree is frozen into
         // `DgfPlan::profile` and engines graft it into their own query
@@ -587,41 +696,30 @@ impl DgfIndex {
                 decoded: Vec::new(),
                 picked: Vec::new(),
             };
+            let shape = PlanShape::new(
+                &spans,
+                headers_usable,
+                collector.grouped(),
+                self.pyramid_levels(),
+            );
             self.sync_point("plan.fetch");
-            match strategy {
-                PlanStrategy::PrefixScan => self.fetch_prefix_scans(
-                    &view,
-                    &spans,
-                    &extents.dims,
-                    headers_usable,
-                    &mut collector,
-                )?,
-                PlanStrategy::Pyramid => {
-                    // A dedicated child span: pyramid node/cell tallies
-                    // live here (and only here — the `kv.*` deltas stay
-                    // on `plan.fetch`, so profile invariants still hold).
-                    let pyramid_span = fetch_span.child("plan.pyramid");
-                    let r = self.fetch_pyramid(
-                        &view,
-                        &spans,
-                        &extents.dims,
-                        headers_usable,
-                        &mut collector,
-                    );
-                    if pyramid_span.is_recording() {
-                        for (name, v) in [
-                            (names::PLAN_PYRAMID_NODES, collector.pyramid_nodes),
-                            (names::PLAN_PYRAMID_CELLS, collector.pyramid_cells),
-                        ] {
-                            if v > 0 {
-                                pyramid_span.add(name, v);
-                            }
-                        }
+            // A dedicated child span: pyramid node/cell tallies live here
+            // (and only here — the `kv.*` deltas stay on `plan.fetch`, so
+            // profile invariants still hold).
+            let pyramid_span = fetch_span.child("plan.pyramid");
+            let read = self.read_shape(&view, &shape, &mut collector);
+            if pyramid_span.is_recording() {
+                for (name, v) in [
+                    (names::PLAN_PYRAMID_NODES, collector.pyramid_nodes),
+                    (names::PLAN_PYRAMID_CELLS, collector.pyramid_cells),
+                ] {
+                    if v > 0 {
+                        pyramid_span.add(name, v);
                     }
-                    pyramid_span.finish();
-                    r?
                 }
             }
+            pyramid_span.finish();
+            read?;
             // Merge the memtable snapshot: a fully covered fresh cell
             // contributes its partial aggregate states through the same
             // header path as a persisted GFU (into its group, for a
@@ -885,332 +983,41 @@ impl DgfIndex {
         Ok(())
     }
 
-    /// Batched fetch: decompose the hyper-rectangle into contiguous key
-    /// runs and serve each run from the header cache or one `scan_range`.
-    ///
-    /// Dimensions whose span covers the full stored extent admit *every*
-    /// stored coordinate, so a trailing block of full-extent dimensions
-    /// can be folded into a run without pulling in any extraneous keys.
-    /// `scan_from` is the most significant dimension inside the run: the
-    /// run's keys share the encoded coordinates of every dimension before
-    /// it ("the prefix") and sweep all span combinations from it onward.
-    fn fetch_prefix_scans(
-        &self,
-        view: &ReadView,
-        spans: &[DimSpan],
-        extents: &[(i64, i64)],
-        headers_usable: bool,
-        collector: &mut Collector,
-    ) -> Result<()> {
-        let arity = spans.len();
-
-        // The longest suffix of dimensions whose span is the full extent.
-        let mut suffix_full_start = arity;
-        while suffix_full_start > 0 {
-            let d = suffix_full_start - 1;
-            if spans[d].lo == extents[d].0 && spans[d].hi == extents[d].1 {
-                suffix_full_start -= 1;
-            } else {
-                break;
-            }
-        }
-        // The dimension the scan sweeps first. It may have a partial
-        // span: being the most significant swept dimension, its bounds
-        // clip the run exactly. Everything after it is full-extent.
-        let scan_from = suffix_full_start.saturating_sub(1);
-
-        // Every setting of the prefix dimensions is one run.
-        let mut prefixes: Vec<Vec<i64>> = Vec::new();
-        for_each_cell(&span_box(&spans[..scan_from]), |p| prefixes.push(p.to_vec()));
-
-        let workers = self.fetch_parallelism().min(prefixes.len());
-        if workers <= 1 {
-            for p in &prefixes {
-                let fetched = self.fetch_run(view, p, spans, scan_from, headers_usable)?;
-                self.absorb_run(collector, fetched)?;
-            }
-            return Ok(());
-        }
-
-        // The serving tier's scatter: runs are *fetched* concurrently on
-        // a worker pool (round-robin assignment, so the schedule is a
-        // pure function of the run list), then absorbed on this thread,
-        // one worker's runs after another's: states merge in any order to
-        // the same bits. Sync points let the interleaving harness pause
-        // the coordinator mid-scatter by seed.
-        self.sync_point("serve.scatter");
-        let prefixes = &prefixes;
-        let fetched = run_scoped(
-            "a run-fetch worker",
-            (0..workers).map(|w| {
-                move || {
-                    let runs = (w..prefixes.len()).step_by(workers);
-                    runs.map(|i| {
-                        self.sync_point("serve.fetch");
-                        self.fetch_run(view, &prefixes[i], spans, scan_from, headers_usable)
-                    })
-                    .collect::<Vec<_>>()
-                }
-            }),
-        )?;
-        self.sync_point("serve.merge");
-        for fetched in fetched.into_iter().flatten() {
-            self.absorb_run(collector, fetched?)?;
-        }
-        Ok(())
-    }
-
-    /// Fetch one key run without touching the collector: probe the header
-    /// cache for every expected cell; if all probes hit (negative entries
-    /// included) the run costs zero key-value operations, otherwise one
-    /// `scan_range` re-reads the whole run. Read-only against the pinned
-    /// view, so runs may be fetched concurrently; all merging happens in
-    /// [`absorb_run`](Self::absorb_run), on one thread.
-    fn fetch_run(
-        &self,
-        view: &ReadView,
-        prefix: &[i64],
-        spans: &[DimSpan],
-        scan_from: usize,
-        headers_usable: bool,
-    ) -> Result<RunFetch> {
-        let arity = spans.len();
-        let generation = view.generation;
-        let cache = self.header_cache();
-        let prefix_covered =
-            headers_usable && spans[..scan_from].iter().zip(prefix).all(|(s, c)| s.covered(*c));
-
-        // Encode the shared key prefix once; cells only differ past it.
-        let mut key_prefix = Vec::with_capacity(GFU_PREFIX.len() + 8 * arity);
-        key_prefix.extend_from_slice(GFU_PREFIX);
-        for c in prefix {
-            dgf_common::codec::encode_key_i64(&mut key_prefix, *c);
-        }
-
-        // Expected cells of the run, in key (= odometer) order, their
-        // fixed-length keys end to end in one buffer.
-        let stride = key_prefix.len() + 8 * (arity - scan_from);
-        let mut keys: Vec<u8> = Vec::new();
-        let mut covered: Vec<bool> = Vec::new();
-        for_each_cell(&span_box(&spans[scan_from..]), |suffix| {
-            covered.push(
-                prefix_covered
-                    && spans[scan_from..]
-                        .iter()
-                        .zip(suffix)
-                        .all(|(s, c)| s.covered(*c)),
-            );
-            keys.extend_from_slice(&key_prefix);
-            for c in suffix {
-                dgf_common::codec::encode_key_i64(&mut keys, *c);
-            }
-        });
-        debug_assert_eq!(keys.len(), stride * covered.len());
-        let probes = cache.get_many(generation, keys.chunks_exact(stride));
-        let hits = probes.iter().filter(|p| p.is_some()).count() as u64;
-        let misses = probes.len() as u64 - hits;
-        let mut fetched = RunFetch {
-            keys,
-            stride,
-            covered,
-            probes,
-            pairs: None,
-            hits,
-            misses,
-        };
-        if misses == 0 {
-            return Ok(fetched);
-        }
-
-        // Authoritative scan of the whole run. Under the pinned grid the
-        // run's keys are exactly the expected cells intersected with the
-        // store: the prefix pins the leading coordinates, dimension
-        // `scan_from` is clipped by the scan bounds, and every later
-        // dimension is full-extent. Only another grid's keys (a pending
-        // regrid's retired ones) can fall outside the cell set, and
-        // `absorb_run` skips them.
-        let (Some(start), Some(last)) = (
-            fetched.keys.chunks_exact(stride).next(),
-            fetched.keys.chunks_exact(stride).next_back(),
-        ) else {
-            return Err(DgfError::Index("prefix-scan run with no cells".into()));
-        };
-        // Keys are fixed-length, so appending a byte makes the half-open
-        // scan include the run's maximum key.
-        let mut end = last.to_vec();
-        end.push(0x00);
-        fetched.pairs = Some(self.kv_scan_range_pinned(view, start, &end)?);
-        Ok(fetched)
-    }
-
-    /// Merge one fetched run into the collector. A fully cached run
-    /// absorbs its probe hits; a scanned run merge-walks the expected
-    /// cells (sorted) against the scan results (sorted): found cells are
-    /// absorbed and queued for caching, expected-but-absent cells queue a
-    /// negative entry, and a scanned
-    /// key no cell expects is skipped. Such keys are legitimate: while a
-    /// regrid's view is pending, the old grid's retired keys (masked by
-    /// staged tombstones) still sit inside the new grid's runs (DESIGN.md
-    /// §11). Fills are deferred to the planning loop so a fetch that
-    /// fails view validation never publishes possibly-torn values.
-    fn absorb_run(&self, collector: &mut Collector, mut fetched: RunFetch) -> Result<()> {
-        collector.cache_hits += fetched.hits;
-        collector.cache_misses += fetched.misses;
-        let Some(pairs) = fetched.pairs.take() else {
-            for (key, covered, probe) in fetched.cells() {
-                if let Some(Some(value)) = probe {
-                    collector.absorb(covered, key, value)?;
-                }
-            }
-            return Ok(());
-        };
-        collector.read_store = true;
-        let mut pairs = pairs.into_iter().peekable();
-        for (key, covered, _) in fetched.cells() {
-            while pairs.next_if(|(k, _)| k.as_slice() < key).is_some() {}
-            match pairs.next_if(|(k, _)| k == key) {
-                Some((key, bytes)) => {
-                    let value = Arc::new(GfuValue::decode(&bytes)?);
-                    collector.absorb(covered, &key, &value)?;
-                    collector.pending_fills.push((key, Some(value)));
-                }
-                None => collector.pending_fills.push((key.to_vec(), None)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pyramid fetch: decompose the fully-inner box into maximal
-    /// canonical pyramid nodes and read one pre-computed header per
-    /// node; the uncovered rim and the pyramid items ride a single
-    /// batched `multi_get`. Falls back wholesale to
-    /// [`fetch_prefix_scans`](Self::fetch_prefix_scans) when the store
-    /// carries no pyramid, headers are unusable, the query has no
-    /// fully-inner cell (no node can answer anything) or the plan is
-    /// grouped: a group is a one-cell-wide slab of the key dimension, and
-    /// no pyramid node above level 0 fits in one. The choice is made
-    /// from what the store and the query show, never by the caller.
-    fn fetch_pyramid(
-        &self,
-        view: &ReadView,
-        spans: &[DimSpan],
-        extents: &[(i64, i64)],
-        headers_usable: bool,
-        collector: &mut Collector,
-    ) -> Result<()> {
-        let top = match self.pyramid_levels() {
-            Some(t) if headers_usable && !collector.grouped() => t,
-            _ => {
-                return self.fetch_prefix_scans(view, spans, extents, headers_usable, collector)
-            }
-        };
-        let inner = match inner_box(spans) {
-            Some(b) if b.iter().all(|(lo, hi)| lo <= hi) => b,
-            _ => {
-                return self.fetch_prefix_scans(view, spans, extents, headers_usable, collector)
-            }
-        };
-
-        // Boundary cells: peel the uncovered rim into at most 2·arity
-        // disjoint slabs, keyed by the first dimension that escapes the
-        // inner box — dimensions before it stay inside the inner range,
-        // the escaping dimension is pinned at an uncovered rim cell,
-        // and dimensions after it sweep their full span. A single-cell
-        // span that is uncovered on both sides pins the same cell
-        // twice, hence the `contains` dedup. Every key, the boundary's
-        // and then the items', is encoded end to end into one buffer.
-        let arity = spans.len();
-        let mut key_bytes: Vec<u8> = Vec::new();
-        let mut key_ends: Vec<usize> = Vec::new();
-        for d in 0..arity {
-            let s = &spans[d];
-            let mut pins: Vec<i64> = Vec::new();
-            if !s.lo_covered {
-                pins.push(s.lo);
-            }
-            if !s.hi_covered && !pins.contains(&s.hi) {
-                pins.push(s.hi);
-            }
-            for pin in pins {
-                let slab: Vec<(i64, i64)> = (0..arity)
-                    .map(|j| match j.cmp(&d) {
-                        std::cmp::Ordering::Less => inner[j],
-                        std::cmp::Ordering::Equal => (pin, pin),
-                        std::cmp::Ordering::Greater => (spans[j].lo, spans[j].hi),
-                    })
-                    .collect();
-                for_each_cell(&slab, |cell| {
-                    crate::pyramid::push_level_key(&mut key_bytes, 0, cell);
-                    key_ends.push(key_bytes.len());
-                });
-            }
-        }
-        let boundary_len = key_ends.len();
-        // Items in decomposition (DFS) order, with their levels and
-        // coordinates (`arity` a node) beside their keys.
-        let mut item_levels: Vec<u8> = Vec::new();
-        let mut item_coords: Vec<i64> = Vec::new();
-        crate::pyramid::decompose_each(&inner, top, |level, coords| {
-            crate::pyramid::push_level_key(&mut key_bytes, level, coords);
-            key_ends.push(key_bytes.len());
-            item_levels.push(level);
-            item_coords.extend_from_slice(coords);
-        });
-        let mut keys: Vec<&[u8]> = Vec::with_capacity(key_ends.len());
-        let mut start = 0;
-        for end in &key_ends {
-            keys.push(&key_bytes[start..*end]);
-            start = *end;
-        }
-        // Boundary keys in key order, the order a run scan meets them:
-        // the store and the header cache see one sequence either way.
-        keys[..boundary_len].sort_unstable();
-
-        // Probe the epoch-tagged header cache (shared with the run scans;
-        // `p:` node values cache under the same generation tag), then
-        // fetch every miss in one batched, snapshot-atomic multi_get.
-        let generation = view.generation;
+    /// Read a plan shape against `view` into `collector`: one probe of
+    /// the header cache over every key (`p:` nodes cache under the same
+    /// generation tag as cells), then one batched, snapshot-atomic
+    /// `multi_get` for the misses, none when every probe hit (negative
+    /// entries included). The misses' values queue as cache fills,
+    /// positive and negative, which the planning loop publishes only once
+    /// the pinned view validates: a read that raced a commit may have
+    /// seen torn values, and publishing them under the pinned generation
+    /// would poison other readers still planning against that view. An
+    /// absent key contributes nothing: an absent cell holds no record,
+    /// and an absent node has no data under it (the maintenance
+    /// invariant).
+    fn read_shape(&self, view: &ReadView, shape: &PlanShape, collector: &mut Collector) -> Result<()> {
         let mut resolved = self
             .header_cache()
-            .get_many(generation, keys.iter().copied());
-        let miss_idx: Vec<usize> = (0..keys.len()).filter(|i| resolved[*i].is_none()).collect();
-        collector.cache_misses += miss_idx.len() as u64;
-        collector.cache_hits += (keys.len() - miss_idx.len()) as u64;
-        if !miss_idx.is_empty() {
+            .get_many(view.generation, (0..shape.len()).map(|i| shape.key(i)));
+        let misses: Vec<usize> = (0..resolved.len()).filter(|i| resolved[*i].is_none()).collect();
+        collector.cache_misses += misses.len() as u64;
+        collector.cache_hits += (resolved.len() - misses.len()) as u64;
+        if !misses.is_empty() {
             collector.read_store = true;
-            let miss_keys: Vec<Vec<u8>> = miss_idx.iter().map(|i| keys[*i].to_vec()).collect();
+            let miss_keys: Vec<Vec<u8>> = misses.iter().map(|i| shape.key(*i).to_vec()).collect();
             let fetched = self.kv_multi_get_pinned(view, &miss_keys)?;
-            for ((i, key), got) in miss_idx.into_iter().zip(miss_keys).zip(fetched) {
+            for ((i, key), got) in misses.into_iter().zip(miss_keys).zip(fetched) {
                 let value = match got {
                     Some(bytes) => Some(Arc::new(GfuValue::decode(&bytes)?)),
                     None => None,
                 };
-                // Fills (positive and negative) stay deferred until the
-                // pinned view validates, as in the run scans.
                 collector.pending_fills.push((key, value.clone()));
                 resolved[i] = Some(value);
             }
         }
-
-        let (boundary_res, item_res) = resolved.split_at(boundary_len);
-        for (value, key) in boundary_res.iter().zip(&keys) {
-            if let Some(Some(v)) = value {
-                collector.absorb(false, key, v)?;
-            }
-        }
-        // An absent node means no data anywhere under it (the
-        // maintenance invariant), so skipping it is the empty merge.
-        let item_cells = item_coords.chunks_exact(arity);
-        for ((value, level), coords) in item_res.iter().zip(&item_levels).zip(item_cells) {
-            if let Some(Some(v)) = value {
-                collector.merge_header(coords, v)?;
-                if *level >= 1 {
-                    collector.pyramid_nodes += 1;
-                    let cells = crate::pyramid::cell_count(*level, arity);
-                    collector.pyramid_cells = collector
-                        .pyramid_cells
-                        .saturating_add(u64::try_from(cells).unwrap_or(u64::MAX));
-                }
+        for (i, value) in resolved.iter().enumerate() {
+            if let Some(Some(value)) = value {
+                collector.absorb(shape.roles[i], shape.coords(i), value)?;
             }
         }
         Ok(())

@@ -60,8 +60,7 @@ pub const STAGE_PREFIX: &[u8] = b"s:";
 /// id: `s:` + big-endian txn + live key. The qualifier keeps staged keys
 /// of transaction N invisible to a reader overlaying transaction M's
 /// staged state, and big-endian order means a prefix scan of one
-/// transaction's staged keys yields live-key order (so the overlay scan
-/// in plan assembly is a sorted two-list merge).
+/// transaction's staged keys yields live-key order.
 pub fn stage_key(txn: u64, live: &[u8]) -> Vec<u8> {
     let mut k = Vec::with_capacity(STAGE_PREFIX.len() + 8 + live.len());
     k.extend_from_slice(STAGE_PREFIX);

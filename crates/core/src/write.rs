@@ -254,8 +254,8 @@ impl DgfIndex {
         // re-stage: an identity-valued tombstone is staged over each one
         // (so a pending-view reader's staged-over-live overlay masks the
         // old grid completely — new cell coordinates share the old key
-        // space, so un-masked old keys would land inside the new view's
-        // scan runs), and the manifest's `deletes` removes them at apply.
+        // space, so un-masked old keys would answer the new grid's
+        // probes), and the manifest's `deletes` removes them at apply.
         let mut deletes: Vec<Vec<u8>> = Vec::new();
         let mut retire: Vec<FileId> = Vec::new();
         if rewrite {

@@ -3,7 +3,8 @@
 //! Two pieces turn the single-node engine into a serving stack:
 //!
 //! * [`shardmap`] — where to split the GFU keyspace: odometer-rank
-//!   boundaries that keep prefix-scan runs contiguous per shard and
+//!   boundaries that keep stretches of consecutive cells contiguous per
+//!   shard and
 //!   route all metadata (everything above the `g:` prefix, including
 //!   the aggregate pyramid's `p:` nodes) to the last shard, preserving
 //!   the commit protocol's single-shard atomicity.
@@ -12,17 +13,14 @@
 //!   [`DgfEngine`](dgf_core::DgfEngine), multiplexing many concurrent
 //!   MDRQs without ever changing an answer byte.
 //!
-//! The scatter itself lives below this crate: the
-//! [`ShardedKv`](dgf_kvstore::ShardedKv) router fans batched reads out
-//! per shard, and the planner's parallel run fetch
-//! ([`IndexOptions::fetch_parallelism`](dgf_core::IndexOptions)) issues
-//! per-run sub-plans concurrently (for plans that take the prefix-run
-//! scans; an aggregation the pyramid can answer reads its nodes from the
-//! metadata shard in one batch). The calling thread absorbs one worker's
-//! runs after another's, and aggregate states merge in any order to the
-//! same bits — which is why every answer is bit-identical to the
-//! single-node engine at any shard count (`tests/serving_equivalence.rs`
-//! proves it for 1, 2, 4 and 7 shards).
+//! The scatter itself lives below this crate: every plan reads its keys
+//! with one batched `multi_get`, and the
+//! [`ShardedKv`](dgf_kvstore::ShardedKv) router fans that batch out per
+//! shard (an aggregation the pyramid can answer finds its nodes on the
+//! metadata shard). Aggregate states merge in any order to the same
+//! bits — which is why every answer is bit-identical to the single-node
+//! engine at any shard count (`tests/serving_equivalence.rs` proves it
+//! for 1, 2, 4 and 7 shards).
 
 #![warn(missing_docs)]
 

@@ -495,7 +495,9 @@ fn dispatch(args: &[String]) -> Result<()> {
 
             // Stand the serving tier up beside the durable log: mirror
             // the GFU store into an N-shard router split on the
-            // odometer keyspace, then open a scatter-gather reader.
+            // odometer keyspace, then open a reader over the router: it
+            // scatters each plan's one batch over the shards its keys
+            // fall on.
             let durable: Arc<dyn KvStore> = Arc::new(LogKvStore::open(w.kv_path(index_name))?);
             let extents = w
                 .open_index_on(index_name, Arc::clone(&durable), IndexOptions::default())?
@@ -506,10 +508,7 @@ fn dispatch(args: &[String]) -> Result<()> {
             let index = Arc::new(w.open_index_on(
                 index_name,
                 Arc::clone(&router) as Arc<dyn KvStore>,
-                IndexOptions {
-                    fetch_parallelism: shards,
-                    ..IndexOptions::default()
-                },
+                IndexOptions::default(),
             )?);
             let _fresh = w.attach_fresh(&index, index_name)?;
 

@@ -160,6 +160,57 @@ fn full_cli_lifecycle() {
     assert!(out.contains("recommended policy"), "{out}");
 }
 
+/// `dgf serve` mirrors the index into a sharded router and answers from
+/// concurrent clients: the rows it prints are the ones `dgf query
+/// --index` prints, and no served query fails.
+#[test]
+fn serve_prints_the_rows_query_prints() {
+    let tmp = TempDir::new("cli-serve").unwrap();
+    let wh = tmp.path().join("wh");
+    let wh = wh.to_str().unwrap();
+    dgf_ok(&["init", wh]);
+    dgf_ok(&[
+        "create-table",
+        wh,
+        "readings",
+        "--schema",
+        "user_id:int,region_id:int,ts:date,power:float",
+    ]);
+    let lines: Vec<String> = (0..48)
+        .map(|i| format!("{}|{}|2013-01-0{}|{}.25", i % 12, i % 3, 1 + i % 4, i))
+        .collect();
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let data = write_rows_file(tmp.path(), "rows.txt", &lines);
+    dgf_ok(&["load", wh, "readings", &data]);
+    dgf_ok(&[
+        "index",
+        wh,
+        "dgf_readings",
+        "--table",
+        "readings",
+        "--dims",
+        "user_id:0:2,ts:2013-01-01:1",
+        "--precompute",
+        "sum(power), count(*)",
+    ]);
+    for sql in [
+        "SELECT ts, sum(power), count(*) WHERE user_id >= 1 AND user_id < 11 GROUP BY ts",
+        "SELECT sum(power), count(*) WHERE user_id >= 3 AND ts >= '2013-01-02'",
+    ] {
+        let queried = dgf_ok(&["query", wh, "readings", sql, "--index", "dgf_readings"]);
+        let args = [
+            "serve", wh, "dgf_readings", sql, "--shards", "3", "--clients", "2", "--queries", "4",
+        ];
+        let out = dgf(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "dgf serve failed: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), queried, "{sql}");
+        assert!(!queried.trim().is_empty(), "{sql}: no rows");
+        assert!(stderr.contains("served 4 queries over 3 shards"), "{stderr}");
+        assert!(stderr.contains("| failed 0 |"), "{stderr}");
+    }
+}
+
 #[test]
 fn cli_errors_are_clean() {
     let tmp = TempDir::new("cli-err").unwrap();

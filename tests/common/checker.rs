@@ -28,8 +28,8 @@
 //!   the same handle carries on: the next writer must finish the
 //!   transaction the failed one left;
 //! * `reopen` — a new handle with a cold cache;
-//! * `reshard(k)` — the store is mirrored into a `k`-shard router read
-//!   with `fetch_parallelism: 2`, and every later op runs on it.
+//! * `reshard(k)` — the store is mirrored into a `k`-shard router, and
+//!   every later op runs on it.
 //!
 //! `reopen` and `reshard` flush first. The model is the set of
 //! acknowledged rows (and how many of them only the WAL holds), and the
@@ -396,7 +396,6 @@ struct Run {
     w: World,
     kv: Arc<dyn KvStore>,
     outage: Arc<Outage>,
-    sharded: bool,
     handles: u64,
     plan: Arc<FaultPlan>,
     /// `None` until the index is built.
@@ -436,7 +435,6 @@ impl Run {
             kv: outage.wrap(Arc::clone(&w.inner)),
             outage,
             w,
-            sharded: false,
             handles: 0,
             plan: Arc::new(FaultPlan::new(FaultConfig::quiet(0))),
             index: None,
@@ -509,7 +507,6 @@ impl Run {
         let options = IndexOptions {
             retry: retry(),
             fault: Some(Arc::clone(&self.plan)),
-            fetch_parallelism: if self.sharded { 2 } else { 1 },
             ..IndexOptions::default()
         };
         let (ctx, base, kv) = (
@@ -804,7 +801,6 @@ impl Run {
                         .with_fault(Arc::clone(&self.plan));
                     mirror_kv(self.kv.as_ref(), &router).unwrap();
                     self.kv = self.outage.wrap(Arc::new(router));
-                    self.sharded = true;
                 }
                 self.open();
                 let after = answers(self.index(), &cfg);

@@ -419,8 +419,9 @@ pub fn assert_settled(kv: &dyn KvStore, label: &str) {
 
 /// Strip the aggregate pyramid from a built store: delete every `p:`
 /// key and re-put `m:view` with `pyramid: 0`. A handle opened over it
-/// plans every query by prefix runs — the flat reference the pyramid's
-/// answers must equal, and the only plans that scatter runs over shards.
+/// plans every query with the flat shape, every cell of the span box —
+/// the flat reference the pyramid's answers must equal, and plans whose
+/// one batch spreads over the data shards of a router.
 pub fn strip_pyramid(kv: &dyn KvStore) {
     let mut view = ReadView::decode(&kv.get(META_VIEW_KEY).unwrap().unwrap()).unwrap();
     view.pyramid = 0;

@@ -8,8 +8,9 @@
 //! `tests/lifecycle.rs` plays the same ops in seeded shuffled
 //! sequences; these pin the writer each race is about, whatever the
 //! shuffle draws, and assert from the run's [`Tally`] that the race
-//! they pin happened. One race needs no seed: a flush held mid-commit
-//! while the mix runs beside it.
+//! they pin happened. Two races need no seed: a flush held mid-commit
+//! while the mix runs beside it, and a regrid held at its first publish
+//! while a cold handle reads through its pending view.
 
 mod common;
 
@@ -20,8 +21,11 @@ use std::time::Duration;
 use common::checker::{check, draw_rows, striped, Op, Site, Tally};
 use common::*;
 use dgfindex::common::obs::{names, ProfileNode, Profiler, QueryProfile};
+use dgfindex::core::gfu::GFU_PREFIX;
 use dgfindex::core::txn::STAGE_PREFIX;
+use dgfindex::core::{Maintainer, MaintenanceConfig};
 use dgfindex::prelude::*;
+use dgfindex::workload::{generate_meter_data, meter_schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -218,6 +222,112 @@ fn queries_behind_a_stalled_flush_answer_from_one_attempt() {
             "{phase}: {fresh} rows from memory"
         );
     }
+}
+
+/// A coarsening regrid held at its first live `g:` publish: its view is
+/// committed and pending, the new grid's values sit as staged `s:`
+/// twins, and the old grid's keys are still live, masked only by the
+/// staged tombstones. A cold handle plans and runs a GROUP BY (the flat
+/// shape) and a wide aggregate (the pyramid shape) through that overlay,
+/// and both answer as the model does after the regrid. User 1's last two
+/// days are missing, so new-grid cell (1, 1) holds nothing while the
+/// old grid's key of the same coordinates holds user 1's second day:
+/// without its tombstone, that old key would answer the new grid's
+/// probe.
+#[test]
+fn a_pending_regrid_answers_through_its_tombstones() {
+    let w = world("pending-regrid");
+    let cfg = meter_cfg();
+    let schema = meter_schema();
+    let (user, ts) = (schema.index_of("user_id").unwrap(), schema.index_of("ts").unwrap());
+    let rows: Vec<Row> = generate_meter_data(&cfg)
+        .into_iter()
+        .filter(|r| r[user] != Value::Int(1) || r[ts] < Value::Date(cfg.start_day + 2))
+        .collect();
+    w.ctx.load_rows(&w.base, &rows, 2).unwrap();
+    let unit_users = |days| {
+        SplittingPolicy::new(vec![
+            DimPolicy::int("user_id", 0, 1),
+            DimPolicy::date("ts", cfg.start_day, days),
+        ])
+        .unwrap()
+    };
+
+    let armed = Arc::new(AtomicBool::new(false));
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let hook_armed = Arc::clone(&armed);
+    let kv = hooked(Arc::clone(&w.inner), move |op| {
+        if let KvOp::Put(key, _) = op {
+            if key.starts_with(GFU_PREFIX) && hook_armed.swap(false, SeqCst) {
+                held_tx.send(()).unwrap();
+                // A reader that panicked drops the sender: carry on.
+                let _ = release_rx.lock().unwrap().recv();
+            }
+        }
+        Ok(())
+    });
+    let (ctx, base) = (Arc::clone(&w.ctx), Arc::clone(&w.base));
+    let (writer, _) = DgfIndex::build(ctx, base, unit_users(1), aggs(), Arc::clone(&kv), INDEX).unwrap();
+    let maintainer = Maintainer::new(Arc::new(writer), MaintenanceConfig::default());
+    let (ctx, base) = (Arc::clone(&w.ctx), Arc::clone(&w.base));
+    let reader = Arc::new(DgfIndex::open(ctx, base, kv, INDEX, aggs()).unwrap());
+
+    let users = ColumnRange::half_open(Value::Int(1), Value::Int(cfg.users as i64));
+    let group_by = Query::GroupBy {
+        key: "user_id".into(),
+        aggs: aggs(),
+        predicate: Predicate::all().and("user_id", users.clone()),
+    };
+    let wide = Query::Aggregate {
+        aggs: aggs(),
+        predicate: Predicate::all().and("user_id", users),
+    };
+    armed.store(true, SeqCst);
+    let old_key = GfuKey::new(vec![1, 1]).encode();
+    let (held, runs) = std::thread::scope(|s| {
+        let regrid = s.spawn(|| maintainer.regrid_to(unit_users(2)));
+        // Moved in, so a panic here releases the regrid before the
+        // scope joins it.
+        let release_tx = release_tx;
+        held_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the regrid never reached a live publish");
+        let staged = w.inner.scan_prefix(STAGE_PREFIX).unwrap();
+        let held = (
+            reader.pin_view().unwrap().pending,
+            w.inner.get(&old_key).unwrap().is_some(),
+            staged.iter().any(|(k, _)| k.ends_with(&old_key)),
+        );
+        let engine = DgfEngine::new(Arc::clone(&reader));
+        let runs: Vec<_> = [&group_by, &wide]
+            .into_iter()
+            .map(|q| {
+                let before = w.inner.stats().snapshot();
+                let run = engine.run(q).unwrap();
+                (run, w.inner.stats().snapshot().since(&before))
+            })
+            .collect();
+        release_tx.send(()).unwrap();
+        regrid.join().unwrap().unwrap();
+        (held, runs)
+    });
+    for ((run, kv), (q, shape)) in runs.iter().zip([(&group_by, "flat"), (&wide, "pyramid")]) {
+        let truth = model_answer(q, &rows);
+        assert!(
+            bits_eq(std::slice::from_ref(&run.result), std::slice::from_ref(&truth)),
+            "{shape}: {:?} vs {truth:?}",
+            run.result
+        );
+        assert_eq!(kv.scans, 0, "{shape}: a plan scanned");
+    }
+    // What the reads went through: a pending view, the old grid's
+    // (1, 1) still live, and the tombstone staged over it.
+    assert_eq!(held, (true, true, true), "(pending, old key live, tombstone staged)");
+    let (group_plan, wide_plan) = (reader.plan(&group_by, true).unwrap(), reader.plan(&wide, true).unwrap());
+    assert_eq!(group_plan.pyramid_nodes, 0, "GROUP BY read a node");
+    assert!(wide_plan.pyramid_nodes > 0, "the wide aggregate read no node");
 }
 
 /// The spans called `name` in the trees under `nodes`, `nodes` included.

@@ -86,13 +86,14 @@ fn every_op_sequence_answers_as_the_model() {
 }
 
 /// Regression: a `ts`-coarsening regrid crashed at each ordinal from
-/// its view put on leaves a pending view whose runs hold the old grid's
-/// retired keys (masked by staged tombstones). A handle opened before
-/// the crash must answer as the model over that pending view and, with
-/// no cache entry of the bad walk left behind, after `recover` too.
-/// (The walk that stopped at the first key it did not expect answered
-/// a range SUM over 6 of 12 rows, and kept doing so after recovery.)
-/// The sweep crashes the regrid at every point, these among them.
+/// its view put on leaves a pending view over a key space the old
+/// grid's retired keys still share (masked by staged tombstones). A
+/// handle opened before the crash must answer as the model over that
+/// pending view and, with no cache entry of a bad read left behind,
+/// after `recover` too. (A reader that once took a retired key for
+/// the end of its cells answered a range SUM over 6 of 12 rows, and
+/// kept doing so after recovery.) The sweep crashes the regrid at
+/// every point, these among them.
 #[test]
 fn a_handle_across_a_crashed_ts_coarsening_regrid_answers_as_the_model() {
     let (_, rest) = seed_rows();

@@ -6,15 +6,16 @@
 //! default plan reads. Because aggregate states merge in any order to
 //! the same bits ([`dgfindex::query::exact`]), default answers are
 //! claimed to be **bit**-identical — `f64::to_bits`,
-//! not approx-equal — to the flat `PrefixScan` reference, and this file
-//! holds that claim under:
+//! not approx-equal — to the flat reference (the same store with its
+//! pyramid stripped, [`strip_pyramid`]), and this file holds that claim
+//! under:
 //!
 //! * fixed and proptest-random grids, null patterns in the aggregated
 //!   measure, staged-commit appends, and unflushed ingest overlays
 //!   (fresh memtable cells sit outside the persisted tree and merge
 //!   into the same accumulator, in any order);
 //! * shard counts {1, 2, 4} — `p:` keys route to the metadata shard, so
-//!   the scatter path must serve them like any other plan;
+//!   the router's `multi_get` must serve them like any other key;
 //! * a sweep of the lifecycle checker that crashes an append at every
 //!   crash point and every storage write, the pyramid staging sites and
 //!   mid-publish of the staged nodes among them: recovery via the
@@ -22,9 +23,9 @@
 //!   (pyramid answers still bit-equal flat ones).
 //!
 //! It also pins what the pyramid buys and costs, as exact counts on a
-//! built 64×64 grid: ≥ 10× fewer KV round trips and bytes than the flat
-//! scan on an inner-heavy box, the `p:` key census, and the keys one
-//! cold plan requests.
+//! built 64×64 grid: ≥ 10× fewer KV keys and bytes than the flat shape
+//! on an inner-heavy box, the `p:` key census, and the keys one cold
+//! plan requests.
 
 mod common;
 
@@ -51,7 +52,7 @@ fn fine_grid(cfg: &MeterConfig) -> SplittingPolicy {
 /// The query mix: a full COUNT, a wide range aggregate whose inner
 /// region dwarfs its boundary, a misaligned narrow range, and a GROUP
 /// BY a grid dimension (header-answered per group on the unit grid,
-/// degraded to a scan on a coarser one; run scans under both strategies).
+/// degraded to a scan on a coarser one; the flat shape either way).
 fn queries(cfg: &MeterConfig) -> Vec<Query> {
     let wide = Predicate::all()
         .and(
@@ -117,7 +118,7 @@ fn build_over(
     Arc::new(index)
 }
 
-fn open_reader(w: &World, kv: Arc<dyn KvStore>, parallelism: usize) -> Arc<DgfIndex> {
+fn open_reader(w: &World, kv: Arc<dyn KvStore>) -> Arc<DgfIndex> {
     Arc::new(
         DgfIndex::open_with_options(
             Arc::clone(&w.ctx),
@@ -127,7 +128,6 @@ fn open_reader(w: &World, kv: Arc<dyn KvStore>, parallelism: usize) -> Arc<DgfIn
             aggs(),
             IndexOptions {
                 retry: retry(),
-                fetch_parallelism: parallelism,
                 ..IndexOptions::default()
             },
         )
@@ -148,13 +148,18 @@ fn default_answers(index: &Arc<DgfIndex>, cfg: &MeterConfig) -> Vec<QueryResult>
     answers(&DgfEngine::new(Arc::clone(index)), cfg)
 }
 
-/// A handle over a copy of `index`'s store with the pyramid stripped:
-/// the flat reference, planned by prefix runs alone.
-fn stripped_copy(w: &World, index: &DgfIndex) -> Arc<DgfIndex> {
+/// A copy of `kv` with the pyramid stripped.
+fn stripped_kv(kv: &dyn KvStore) -> Arc<dyn KvStore> {
     let copy: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
-    mirror_kv(index.kv.as_ref(), copy.as_ref()).unwrap();
+    mirror_kv(kv, copy.as_ref()).unwrap();
     strip_pyramid(copy.as_ref());
-    open_reader(w, copy, 1)
+    copy
+}
+
+/// A handle over a copy of `index`'s store with the pyramid stripped:
+/// the flat reference, every plan of which reads the flat shape.
+fn stripped_copy(w: &World, index: &DgfIndex) -> Arc<DgfIndex> {
+    open_reader(w, stripped_kv(index.kv.as_ref()))
 }
 
 /// The same mix through the flat reference.
@@ -200,9 +205,8 @@ fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
         plan.pyramid_cells > plan.pyramid_nodes,
         "pyramid nodes summarized no more cells than reads spent"
     );
-    let flat_plan = index
-        .plan_with_strategy(&mix[1], true, PlanStrategy::PrefixScan)
-        .unwrap();
+    let flat_index = stripped_copy(&w, &index);
+    let flat_plan = flat_index.plan(&mix[1], true).unwrap();
     assert_eq!(
         plan.inner_records, flat_plan.inner_records,
         "pyramid plan accounts different inner records than flat"
@@ -216,14 +220,12 @@ fn default_engine_reads_the_pyramid_and_equals_the_flat_reference() {
     );
 
     // GROUP BY a one-value-cell dimension: the headers answer each
-    // group's inner cells, and the plan takes the run scans under either
-    // strategy — a one-cell-wide slab has no node above level 0 — so the
-    // default is the flat reference by construction (the bit check above
-    // covers every group).
+    // group's inner cells, and the plan reads the flat shape with or
+    // without a pyramid — a one-cell-wide slab has no node above level
+    // 0 — so the default is the flat reference by construction (the bit
+    // check above covers every group).
     let group_by = index.plan(&mix[3], true).unwrap();
-    let flat_group_by = index
-        .plan_with_strategy(&mix[3], true, PlanStrategy::PrefixScan)
-        .unwrap();
+    let flat_group_by = flat_index.plan(&mix[3], true).unwrap();
     assert!(
         group_by.inner_records > 0,
         "GROUP BY user_id read no header"
@@ -279,10 +281,10 @@ fn aggregate_without_a_fully_inner_cell_reads_no_pyramid_node() {
 
 /// Satellite: a store that carries no pyramid (the view's height zeroed
 /// and every `p:` key removed, as stores built before the pyramid existed
-/// look) opens without one; the default plan then degrades wholesale to
-/// prefix runs. Query by query, it equals the `PrefixScan` plan of the
-/// store that has the pyramid, field by field, and answers bit-identically
-/// to what the pyramid answered.
+/// look) opens without one; the default plan then reads the flat shape
+/// wholesale. Query by query, it equals the default plan of the store
+/// that has the pyramid on every field the shape does not decide, and
+/// answers bit-identically to what the pyramid answered.
 #[test]
 fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
     let cfg = MeterConfig {
@@ -300,16 +302,17 @@ fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
     assert!(bits_eq(&default_answers(&built, &cfg), &default_answers(&index, &cfg)));
     for (qi, q) in queries(&cfg).iter().enumerate() {
         let plan = index.plan(q, true).unwrap();
-        let flat = built.plan_with_strategy(q, true, PlanStrategy::PrefixScan).unwrap();
+        let default = built.plan(q, true).unwrap();
         assert_eq!(plan.pyramid_nodes, 0, "q{qi}: degraded plan claimed pyramid reads");
-        assert_eq!(plan.inputs, flat.inputs, "q{qi}");
-        assert_eq!(plan.chosen_splits, flat.chosen_splits, "q{qi}");
-        assert_eq!(plan.inner_states, flat.inner_states, "q{qi}");
+        assert_eq!(plan.pyramid_cells, 0, "q{qi}");
+        assert_eq!(plan.inputs, default.inputs, "q{qi}");
+        assert_eq!(plan.chosen_splits, default.chosen_splits, "q{qi}");
+        assert_eq!(plan.inner_states, default.inner_states, "q{qi}");
         let counts = |p: &dgfindex::core::DgfPlan| {
-            let c = [p.inner_gfus, p.boundary_gfus, p.inner_records, p.pyramid_cells];
-            c.into_iter().chain([p.splits_total, p.splits_read, p.fresh_gfus, p.fresh_records])
+            let c = [p.boundary_gfus, p.inner_records, p.splits_total, p.splits_read];
+            c.into_iter().chain([p.fresh_gfus, p.fresh_records])
         };
-        assert!(counts(&plan).eq(counts(&flat)), "q{qi}: plan counts");
+        assert!(counts(&plan).eq(counts(&default)), "q{qi}: plan counts");
     }
     let plan = index.plan(&queries(&cfg)[1], true).unwrap();
     assert!(plan.inner_gfus > 0, "degraded plan lost its inner headers");
@@ -317,8 +320,8 @@ fn default_plan_degrades_cleanly_on_a_store_without_a_pyramid() {
 
 /// Cells per side of the square grid the two count tests below share.
 /// The reduction grows with the side; at 64 a built store (leaf values
-/// carry slice locations, `p:` nodes do not) measures 20× on round
-/// trips and 12.6× on bytes against the 10× bar.
+/// carry slice locations, `p:` nodes do not) measures 11.1× on
+/// keys requested (3 364 vs 304) and 11.0× on bytes against the 10× bar.
 const SQUARE: u64 = 64;
 
 /// An origin-aligned `SQUARE × SQUARE` grid — cell width 1 on both
@@ -362,30 +365,33 @@ fn cold_plan(
     w: &World,
     kv: &Arc<dyn KvStore>,
     q: &Query,
-    strategy: PlanStrategy,
 ) -> (dgfindex::core::DgfPlan, dgfindex::kvstore::KvStatsSnapshot) {
-    let reader = open_reader(w, Arc::clone(kv), 1);
+    let reader = open_reader(w, Arc::clone(kv));
     let before = kv.stats().snapshot();
-    let plan = reader.plan_with_strategy(q, true, strategy).unwrap();
+    let plan = reader.plan(q, true).unwrap();
     (plan, kv.stats().snapshot().since(&before))
 }
 
 /// The pyramid's O(surface) claim (Brisaboa et al., PAPERS.md) as a
-/// count: on an inner-heavy box, cold cache, the default plan spends
-/// ≥ 10× fewer KV round trips and ≥ 10× fewer KV value bytes than the
-/// flat `PrefixScan` reference, for the same inner records.
+/// count: on an inner-heavy box, cold cache, the default plan requests
+/// ≥ 10× fewer keys and reads ≥ 10× fewer KV value bytes than the flat
+/// shape of the same store without its pyramid, for the same inner
+/// records. Both read their misses with exactly one `multi_get`: the
+/// shapes differ in what they list, not in how a list is read.
 #[test]
 fn default_plan_reads_a_tenth_of_the_flat_scan_on_an_inner_heavy_box() {
     let (w, kv, q) = square_grid("reduction");
-    let (flat_plan, flat) = cold_plan(&w, &kv, &q, PlanStrategy::PrefixScan);
-    let (plan, pyr) = cold_plan(&w, &kv, &q, PlanStrategy::Pyramid);
+    let (flat_plan, flat) = cold_plan(&w, &stripped_kv(kv.as_ref()), &q);
+    let (plan, pyr) = cold_plan(&w, &kv, &q);
 
     let inner = (SQUARE - 6) * (SQUARE - 6);
-    assert_eq!(flat_plan.inner_gfus, inner, "flat scan missed inner cells");
+    assert_eq!(flat_plan.inner_gfus, inner, "flat shape missed inner cells");
     assert_eq!(plan.inner_records, flat_plan.inner_records);
     assert!(plan.pyramid_nodes > 0);
+    assert_eq!((flat.multi_gets, flat.scans), (1, 0), "flat plan's batches");
+    assert_eq!((pyr.multi_gets, pyr.scans), (1, 0), "pyramid plan's batches");
     for (axis, flat, pyr) in [
-        ("read ops", flat.read_ops(), pyr.read_ops()),
+        ("keys requested", flat.multi_get_keys, pyr.multi_get_keys),
         ("bytes read", flat.bytes_read, pyr.bytes_read),
     ] {
         assert!(
@@ -405,7 +411,7 @@ fn pyramid_key_census_and_cold_plan_key_count_are_exact() {
     use std::collections::BTreeSet;
 
     let (w, kv, q) = square_grid("census");
-    let height = open_reader(&w, Arc::clone(&kv), 1)
+    let height = open_reader(&w, Arc::clone(&kv))
         .pyramid_levels()
         .expect("build skipped the pyramid");
 
@@ -431,7 +437,7 @@ fn pyramid_key_census_and_cold_plan_key_count_are_exact() {
     // A cold plan pins and validates `m:view` (two gets) and asks for
     // every decomposition item in one batch; the box has no boundary
     // cell, so that is all it asks for.
-    let (plan, delta) = cold_plan(&w, &kv, &q, PlanStrategy::Pyramid);
+    let (plan, delta) = cold_plan(&w, &kv, &q);
     let items = decompose(&[(3, side - 4), (3, side - 4)], height).len() as u64;
     assert_eq!(plan.boundary_gfus, 0);
     assert_eq!(plan.inner_gfus, items);
@@ -521,7 +527,7 @@ proptest! {
         let extents = built.extents().unwrap();
         built.append(appended).unwrap();
         strip_pyramid(kv.as_ref());
-        let oracle_index = open_reader(&wo, kv, 1);
+        let oracle_index = open_reader(&wo, kv);
         let oracle_ing = stream(&oracle_index, wo.tmp.path(), u64::MAX);
         oracle_ing.ingest(fresh).unwrap();
         let oracle = default_answers(&oracle_index, &cfg);
@@ -530,7 +536,7 @@ proptest! {
         let ws = world(&format!("prop-s{shards}"));
         let router = Arc::new(sharded_mem(&extents, shards).unwrap());
         build_over(&ws, Arc::clone(&router) as Arc<dyn KvStore>, seeded, policy());
-        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, shards.max(2));
+        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>);
         reader.append(appended).unwrap();
         let reader_ing = stream(&reader, ws.tmp.path(), u64::MAX);
         reader_ing.ingest(fresh).unwrap();

@@ -14,6 +14,8 @@
 //! buffer. A counting global allocator measures both; this file holds a
 //! single test so no parallel test pollutes the counters.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -259,16 +261,20 @@ fn row_wise_drain_allocates_per_group_not_per_row() {
         plan_allocs <= 2 * probed,
         "a warm plan allocated {plan_allocs} times for {probed} probed keys"
     );
-    // Everything the two plans probed fit: nothing was evicted. A scan of
-    // every cell of the grid probes more keys than the cache holds.
+    // Everything the two plans probed fit: nothing was evicted. The flat
+    // shape of every cell of the grid, planned over a copy of the store
+    // without its pyramid, probes more keys than the cache holds.
     assert_eq!(index.header_cache().stats().evictions, 0);
     let everything = Query::Aggregate {
-        aggs: sum,
+        aggs: sum.clone(),
         predicate: Predicate::all(),
     };
-    let full = index
-        .plan_with_strategy(&everything, true, PlanStrategy::PrefixScan)
-        .unwrap();
+    let copy: Arc<dyn KvStore> = Arc::new(MemKvStore::new());
+    mirror_kv(index.kv.as_ref(), copy.as_ref()).unwrap();
+    common::strip_pyramid(copy.as_ref());
+    let (ctx, base) = (Arc::clone(&index.ctx), Arc::clone(&index.base));
+    let flat = DgfIndex::open(ctx, base, copy, "midx", sum).unwrap();
+    let full = flat.plan(&everything, true).unwrap();
     assert!(full.cache_misses as usize > DEFAULT_HEADER_CACHE_CAPACITY);
-    assert!(index.header_cache().stats().evictions > 0);
+    assert!(flat.header_cache().stats().evictions > 0);
 }

@@ -2,10 +2,10 @@
 //! *indistinguishable by answers* from the single-node engine.
 //!
 //! The serving tier (DESIGN.md §13) range-partitions the GFU keyspace
-//! across N shards and scatters the planner's prefix-scan runs over a
-//! worker pool. Aggregate states merge in any order to the same bits
-//! (sums are exact), so however the cells are fetched and grouped every
-//! float bit is the single node's. This file holds that claim to the
+//! across N shards, and the router scatters each plan's one batched
+//! `multi_get` over the shards its keys fall on. Aggregate states merge
+//! in any order to the same bits (sums are exact), so however the cells
+//! are fetched and grouped every float bit is the single node's. This file holds that claim to the
 //! strictest standard available:
 //!
 //! * every query answer over shard counts {1, 2, 4, 7} is **bit**-equal
@@ -23,10 +23,10 @@
 //!
 //! The bit-identity matrix runs the engine as everyone gets it, so
 //! aggregations read `p:` nodes from the metadata shard. The cases that
-//! exist to exercise the run scatter itself (its sync points, a shard
-//! dying under it, a transient storm on it) strip the pyramid from their
-//! router ([`strip_pyramid`]), so every plan takes prefix runs — the
-//! only fetch that fans out across shards.
+//! exist to exercise the cross-shard scatter itself (the router's sync
+//! points, a shard dying under it, a transient storm on it) strip the
+//! pyramid from their router ([`strip_pyramid`]), so every plan reads
+//! the flat shape: `g:` cells, spread over the data shards.
 
 mod common;
 
@@ -62,12 +62,10 @@ fn build_over(w: &World, kv: Arc<dyn KvStore>, seeded: &[Row], policy: Splitting
     Arc::new(index)
 }
 
-/// Open a serving reader over `kv` with a scatter width and an optional
-/// scheduling plan.
+/// Open a serving reader over `kv` with an optional scheduling plan.
 fn open_reader(
     w: &World,
     kv: Arc<dyn KvStore>,
-    parallelism: usize,
     fault: Option<Arc<FaultPlan>>,
 ) -> dgfindex::common::Result<Arc<DgfIndex>> {
     Ok(Arc::new(DgfIndex::open_with_options(
@@ -79,7 +77,6 @@ fn open_reader(
         IndexOptions {
             retry: retry(),
             fault,
-            fetch_parallelism: parallelism,
             ..IndexOptions::default()
         },
     )?))
@@ -127,13 +124,7 @@ fn every_shard_count_answers_bit_identically_to_single_node() {
             &seeded,
             grid(&cfg),
         );
-        let reader = open_reader(
-            &w,
-            Arc::clone(&router) as Arc<dyn KvStore>,
-            shards.max(2),
-            None,
-        )
-        .unwrap();
+        let reader = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
         reader.append(&batch).unwrap();
         let got = answers(&reader, &cfg);
         assert!(
@@ -173,8 +164,8 @@ fn sharded_plan_counters_match_single_node_exactly() {
     let copied = mirror_kv(built.as_ref(), single.as_ref()).unwrap();
     assert_eq!(copied, mirror_kv(built.as_ref(), router.as_ref()).unwrap());
 
-    let a = open_reader(&w, Arc::clone(&single) as Arc<dyn KvStore>, 1, None).unwrap();
-    let b = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, 1, None).unwrap();
+    let a = open_reader(&w, Arc::clone(&single) as Arc<dyn KvStore>, None).unwrap();
+    let b = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
     let before_single = single.stats().snapshot();
     let before_router = router.stats().snapshot();
 
@@ -196,8 +187,8 @@ fn sharded_plan_counters_match_single_node_exactly() {
 
 /// Satellite: concurrent frontend clients racing a staged-commit append
 /// on the sharded path. The seeded schedules stretch the commit wide
-/// open at the coordinator's scatter/fetch/merge sites and the router's
-/// own sync points; every served answer must wholly equal the
+/// open at the planner's and the router's own sync points; every served
+/// answer must wholly equal the
 /// pre-append or post-append snapshot — a cross-shard blend (some cells
 /// old, some new) fails here.
 #[test]
@@ -229,7 +220,6 @@ fn concurrent_clients_vs_append_never_see_torn_cross_shard_state() {
         let index = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
-            2,
             Some(Arc::clone(&plan)),
         )
         .unwrap();
@@ -305,7 +295,6 @@ fn concurrent_clients_vs_flush_hold_one_answer_on_the_sharded_path() {
         let index = open_reader(
             &w,
             Arc::clone(&router) as Arc<dyn KvStore>,
-            2,
             Some(Arc::clone(&plan)),
         )
         .unwrap();
@@ -381,7 +370,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
     strip_pyramid(router.as_ref());
 
     // The committed-view oracle, through the healthy router.
-    let healthy = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, 2, None).unwrap();
+    let healthy = open_reader(&w, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
     let oracle = answers(&healthy, &cfg);
 
     // Kill a GFU-bearing shard below the metadata (last) shard, so the
@@ -420,7 +409,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
             }
             Ok(())
         }));
-        let reader = match open_reader(&w, dead as Arc<dyn KvStore>, 2, None) {
+        let reader = match open_reader(&w, dead as Arc<dyn KvStore>, None) {
             Ok(reader) => reader,
             Err(_) => {
                 // Crash fired during open: a clean refusal, no answer.
@@ -455,7 +444,7 @@ fn shard_crash_mid_scatter_is_clean_error_or_committed_answer() {
         storm_plan,
     )));
     let mut stormed = 0u32;
-    if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, 2, None) {
+    if let Ok(reader) = open_reader(&w, stormy as Arc<dyn KvStore>, None) {
         let engine = DgfEngine::new(reader);
         for (j, q) in mix.iter().enumerate() {
             match engine.run(q) {
@@ -513,7 +502,7 @@ proptest! {
         let ws = world(&format!("prop-s{shards}"));
         let router = Arc::new(sharded_mem(&extents, shards).unwrap());
         build_over(&ws, Arc::clone(&router) as Arc<dyn KvStore>, seeded, policy());
-        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, shards, None).unwrap();
+        let reader = open_reader(&ws, Arc::clone(&router) as Arc<dyn KvStore>, None).unwrap();
         reader.append(rest).unwrap();
         let got = answers(&reader, &cfg);
         prop_assert!(
